@@ -63,7 +63,7 @@ func NewDetector(reg *shmem.Registry, jobID string, env *cluster.Container, rank
 // Publish writes this rank's membership byte at its global-rank position.
 // Lock-free by construction: distinct ranks write distinct bytes.
 func (d *Detector) Publish() {
-	d.seg.Data[d.rank] = 1
+	d.seg.Bytes()[d.rank] = 1
 }
 
 // Locality is the result of a detection round, from one rank's viewpoint.
@@ -92,7 +92,7 @@ func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 // completes, the real communication can take place".
 func (d *Detector) Snapshot() Locality {
 	loc := Locality{coResident: make([]bool, d.size), LocalIndex: -1}
-	for r, b := range d.seg.Data[:d.size] {
+	for r, b := range d.seg.Bytes()[:d.size] {
 		if b == 0 {
 			continue
 		}

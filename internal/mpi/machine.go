@@ -18,8 +18,10 @@ package mpi
 //     instead of looping, with the next step re-entering the loop exactly
 //     where Park would have returned.
 //   - receives (irecvCtx) never block the caller, so machines post them
-//     directly. A rendezvous match's claim (bindEnvelope) never regroups:
-//     the sender's still-live claim already merged the pair's groups.
+//     directly. A rendezvous match whose receive-side claim finds the pair
+//     outside the current epoch group (bindEnvelope, usually mid-sweep)
+//     parks the transfer on the rank; the next waitStep pass regroups and
+//     starts it — on both engines, so they stay byte-identical.
 //
 // Every blocking primitive is the last action before its machine unwinds
 // with sim.More, so the flat engine's blocking-last-action contract holds;
@@ -63,6 +65,7 @@ func (w *World) RunMachine(mk func(rank int) Program) error {
 	w.parallel = w.inj == nil
 	for i := range w.ranks {
 		r := w.ranks[i]
+		r.machine = true
 		p := w.Eng.GoMachine(fmt.Sprintf("rank%d", r.rank), &rankMachine{
 			w: w, r: r, prog: mk(r.rank),
 		})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cmpi/internal/cluster"
+	"cmpi/internal/core"
 	"cmpi/internal/ib"
 	"cmpi/internal/sim"
 )
@@ -21,6 +22,12 @@ var machTestTopo = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, H
 // textual trace attached, pinning engine mode and dispatch width.
 func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*World, *bytes.Buffer) {
 	t.Helper()
+	return machWorldOpts(t, n, DefaultOptions(), topo, flat, workers)
+}
+
+// machWorldOpts is machWorld over caller-tuned options.
+func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, flat bool, workers int) (*World, *bytes.Buffer) {
+	t.Helper()
 	hosts := 1
 	if n > 16 {
 		hosts = n / 16
@@ -30,7 +37,6 @@ func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
 	opts.Topology = topo
 	var buf bytes.Buffer
 	opts.Trace = &buf
@@ -41,6 +47,45 @@ func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*
 	w.Eng.SetFlat(flat)
 	w.Eng.SetWorkers(workers)
 	return w, &buf
+}
+
+// TestMachineRendezvousRecvRegroups is the regression for the flat-engine
+// panic on rendezvous receives: at 256 KiB Rabenseifner's halving exchanges
+// ride CMA and HCA rendezvous, and a receiver often matches an RTS in an
+// epoch whose group does not own the (parked) sender, so the receive-side
+// claim must regroup. A machine step cannot yield mid-sweep; the transfer is
+// parked and waitStep regroups. Both engines must finish with byte-identical
+// traces at every width.
+func TestMachineRendezvousRecvRegroups(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Tunables.AllreduceAlgo = core.AllreduceRabenseifner
+	var ref []byte
+	var refTime sim.Time
+	for _, flat := range []bool{true, false} {
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("flat=%v/w%d", flat, workers)
+			w, buf := machWorldOpts(t, machRanks, opts, ib.Topology{}, flat, workers)
+			if err := w.RunMachine(AllreduceProgram(1, 256<<10)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if w.Eng.Stats().RegroupYields == 0 {
+				t.Fatalf("%s: no regroup yields; the world no longer exercises the claim path", name)
+			}
+			if ref == nil {
+				ref, refTime = buf.Bytes(), w.MaxBodyTime()
+				for _, ch := range []string{"path=cma-rndv", "path=hca-rndv"} {
+					if !bytes.Contains(ref, []byte(ch)) {
+						t.Fatalf("trace has no %q record; the exchanges no longer reach both rendezvous channels", ch)
+					}
+				}
+				continue
+			}
+			if !bytes.Equal(ref, buf.Bytes()) || w.MaxBodyTime() != refTime {
+				t.Errorf("%s: diverges from flat/w1 (trace %d vs %d bytes, time %v vs %v)",
+					name, buf.Len(), len(ref), w.MaxBodyTime(), refTime)
+			}
+		}
+	}
 }
 
 const (

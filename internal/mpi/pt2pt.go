@@ -135,16 +135,21 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 	case core.PathCMARndv, core.PathSHMRndv, core.PathHCARndv:
 		// Rendezvous pulls data from (or signals) the sender: claim the pair
 		// before the first cross-rank touch. env.src is concrete even for
-		// AnySource receives.
-		r.claimPair(req, env.src, env.path == core.PathHCARndv)
-	}
-	switch env.path {
-	case core.PathCMARndv:
-		r.performCMARead(env, req)
-	case core.PathSHMRndv:
-		r.sendCTS(env)
-	case core.PathHCARndv:
-		r.hcaSendCTS(env, req)
+		// AnySource receives. The sender's own claim does not guarantee the
+		// merge: a sender parked on the transfer has no pending event, so
+		// its footprint is not consulted when this rank's wake forms an
+		// epoch.
+		if !r.tryClaimPair(req, env.src, env.path == core.PathHCARndv) {
+			if r.machine {
+				// A match happens mid-sweep, where a machine step cannot
+				// regroup (the yield must be its last action): park the
+				// transfer for waitStep, which regroups and starts it.
+				r.pendBinds = append(r.pendBinds, env)
+				return
+			}
+			r.p.YieldRegroup()
+		}
+		r.startRndv(env, req)
 	default: // eager (SHM or HCA): copy whatever is already staged
 		if env.received > 0 {
 			if env.hca {
@@ -157,6 +162,20 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 		if env.received >= env.size {
 			r.completeRecv(req, env)
 		}
+	}
+}
+
+// startRndv makes the receiver's first move of a matched rendezvous: pull
+// the payload (CMA) or release the sender (SHM/HCA clear-to-send). The pair
+// must be claimed and owned by the current epoch group.
+func (r *Rank) startRndv(env *envelope, req *Request) {
+	switch env.path {
+	case core.PathCMARndv:
+		r.performCMARead(env, req)
+	case core.PathSHMRndv:
+		r.sendCTS(env)
+	case core.PathHCARndv:
+		r.hcaSendCTS(env, req)
 	}
 }
 

@@ -51,6 +51,8 @@ type Rank struct {
 	// epoch-dispatch state (parallel worlds; see Rank.footprint)
 	parallelReady bool           // past the post-init barrier: footprint may narrow
 	touchedPairs  []*pairShared  // pairs this rank ever claimed (footprint enumeration)
+	machine       bool           // body is a Program (RunMachine): regroup only in waitStep
+	pendBinds     []*envelope    // matched rendezvous whose pair awaits a regroup (machine ranks)
 	msgSeq        uint64         // rank-local rendezvous id sequence
 	qpPeer        map[*ib.QP]int // QP → far-end rank (rank-private completion routing)
 	pools         worldPools     // per-rank free lists (see pool.go)
@@ -426,8 +428,17 @@ func (r *Rank) pairIdle(ps *pairShared, floor sim.Time, epoch uint64, shift bool
 // yet, yields so the next epoch merges the two ranks' groups. Call at
 // protocol entry, before the first cross-rank touch.
 func (r *Rank) claimPair(req *Request, peer int, hca bool) {
+	if !r.tryClaimPair(req, peer, hca) {
+		r.p.YieldRegroup()
+	}
+}
+
+// tryClaimPair is claimPair without the yield: it records the claim and
+// reports whether the current epoch group already owns what the pair needs.
+// On false the caller must regroup before its first cross-rank touch.
+func (r *Rank) tryClaimPair(req *Request, peer int, hca bool) bool {
 	if !r.w.parallel || peer == r.rank || req.hasClaim {
-		return
+		return true
 	}
 	ps := r.w.pair(r.rank, peer)
 	si := ps.side(r.rank)
@@ -442,9 +453,7 @@ func (r *Rank) claimPair(req *Request, peer int, hca bool) {
 	}
 	req.claimPeer = peer
 	req.hasClaim = true
-	if !r.canTouchPair(ps) {
-		r.p.YieldRegroup()
-	}
+	return r.canTouchPair(ps)
 }
 
 // canTouchPair reports whether the current epoch group owns everything a
@@ -634,6 +643,12 @@ func (r *Rank) waitStep(cond func() bool) bool {
 			r.crashSeen = r.w.crashGen
 			r.failDeadOps()
 		}
+		if !r.startPendingBinds() {
+			// Like Park below, the regroup is the step's last action; the
+			// next step re-enters here inside the merged group.
+			r.p.YieldRegroup()
+			return false
+		}
 		if cond() {
 			return true
 		}
@@ -646,6 +661,29 @@ func (r *Rank) waitStep(cond func() bool) bool {
 		r.p.Park()
 		return false
 	}
+}
+
+// startPendingBinds starts, in match order, the rendezvous transfers that
+// bindEnvelope parked on a machine rank because the receive-side claim found
+// the pair outside the current epoch group. It reports false when the oldest
+// one still needs the regroup; the claim already widened the footprint, so
+// one YieldRegroup merges the groups.
+func (r *Rank) startPendingBinds() bool {
+	if len(r.pendBinds) == 0 {
+		return true
+	}
+	n := 0
+	for _, env := range r.pendBinds {
+		if !r.canTouchPair(r.w.pair(r.rank, env.src)) {
+			break
+		}
+		r.startRndv(env, env.req)
+		n++
+	}
+	rest := copy(r.pendBinds, r.pendBinds[n:])
+	clear(r.pendBinds[rest:])
+	r.pendBinds = r.pendBinds[:rest]
+	return rest == 0
 }
 
 // failDeadOps reaps every operation bound to a peer whose crash this rank has

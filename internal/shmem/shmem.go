@@ -13,15 +13,30 @@ import (
 	"cmpi/internal/cluster"
 )
 
-// Segment is one shared-memory object. Data is the real backing store: all
-// simulated ranks attached to the segment read and write the same bytes.
+// Segment is one shared-memory object: all simulated ranks attached to it
+// read and write the same bytes.
 type Segment struct {
 	// Name is the segment's key within its namespace (e.g. "locality").
 	Name string
 	// NS is the owning IPC namespace.
 	NS *cluster.Namespace
-	// Data is the segment contents.
-	Data []byte
+
+	size int
+	once sync.Once
+	data []byte
+}
+
+// Size is the segment's length in bytes, fixed at creation.
+func (s *Segment) Size() int { return s.size }
+
+// Bytes is the segment contents, zero-filled. The backing store is committed
+// on first use, like the pages of a real mapping: a segment whose attachers
+// keep their traffic elsewhere (the SHM rings hold packets in their own
+// queues) costs only its table entry. Safe to call from concurrent epoch
+// groups; every caller sees the same bytes.
+func (s *Segment) Bytes() []byte {
+	s.once.Do(func() { s.data = make([]byte, s.size) })
+	return s.data
 }
 
 type segKey struct {
@@ -42,7 +57,7 @@ type AttachTraceHook func(env *cluster.Container, name string)
 // The table itself is mutex-protected: under the engine's parallel epoch
 // dispatch, independent rank pairs may attach distinct segments concurrently
 // (segment contents are still only touched by ranks whose footprints cover
-// them, so Data needs no lock).
+// them, so the bytes need no lock).
 type Registry struct {
 	mu          sync.Mutex
 	segs        map[segKey]*Segment
@@ -89,13 +104,13 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if seg, ok := r.segs[key]; ok {
-		if size > len(seg.Data) {
+		if size > seg.size {
 			return nil, fmt.Errorf("shmem: segment %q exists with size %d, attach wants %d",
-				name, len(seg.Data), size)
+				name, seg.size, size)
 		}
 		return seg, nil
 	}
-	seg := &Segment{Name: name, NS: ns, Data: make([]byte, size)}
+	seg := &Segment{Name: name, NS: ns, size: size}
 	r.segs[key] = seg
 	return seg, nil
 }

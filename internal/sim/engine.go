@@ -30,7 +30,7 @@ import (
 //	e.Go("rank1", func(p *sim.Proc) { ... })
 //	if err := e.Run(); err != nil { ... }
 type Engine struct {
-	pq    eventHeap
+	q     eventQueue
 	seq   uint64
 	now   Time
 	procs []*Proc
@@ -42,12 +42,23 @@ type Engine struct {
 
 	stats Stats
 
-	// Parallel dispatch state (epoch.go).
+	// Parallel dispatch state (epoch.go). epochID increments at every
+	// formation; inEpoch is true while groups execute. resTab is the dense
+	// per-resource table (union-find links and owning groups, validated by
+	// epoch stamp), formSets counts the disjoint sets of the formation in
+	// progress, groups is the recycled group pool whose first ngroups entries
+	// are the current epoch's, and commitBuf/emitBuf are the commit sort
+	// scratch. All of it is written in scheduler context only.
 	workers       int
 	anyFootprint  bool
-	epoch         *epochState
+	inEpoch       bool
 	epochID       uint64
-	ufParent      map[Res]Res
+	resTab        []resEntry
+	formSets      int
+	groups        []*execGroup
+	ngroups       int
+	commitBuf     []commitKey
+	emitBuf       []groupEmit
 	epochDepthMax int
 	// phaseShift is raised at commit when an epoch's regroup yields crossed
 	// the storm threshold — a communication-pattern switch — and consumed by
@@ -145,7 +156,7 @@ type Stats struct {
 // Stats returns a snapshot of scheduler counters.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	s.MaxHeapDepth = e.pq.maxDepth
+	s.MaxHeapDepth = e.q.maxDepth
 	if e.epochDepthMax > s.MaxHeapDepth {
 		s.MaxHeapDepth = e.epochDepthMax
 	}
@@ -166,7 +177,7 @@ func DefaultWorkers() int {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine {
-	return &Engine{workers: DefaultWorkers(), ufParent: make(map[Res]Res)}
+	return &Engine{workers: DefaultWorkers()}
 }
 
 // SetWorkers pins the epoch dispatch width; n <= 0 restores the default.
@@ -197,7 +208,7 @@ func (e *Engine) EmitAt(t Time, res Res, payload any) {
 	if e.emit == nil {
 		return
 	}
-	if e.epoch != nil {
+	if e.inEpoch {
 		g := e.groupFor(res)
 		g.seq++
 		g.emits = append(g.emits, emitRec{t: t, seq: g.seq, payload: payload})
@@ -262,7 +273,7 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // untagged callback touches Global: under epoch dispatch it serializes with
 // the global group.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(event{t: t, fn: fn})
+	e.schedule(t, event{fn: fn})
 }
 
 // AtBackground is At for pre-scheduled alarms — a fault injector's crash
@@ -272,7 +283,7 @@ func (e *Engine) At(t Time, fn func()) {
 // crash scheduled minutes ahead cannot hold a checkpoint cut hostage. The
 // alarm still fires normally (in time order) when nothing overtakes it.
 func (e *Engine) AtBackground(t Time, fn func()) {
-	e.schedule(event{t: t, fn: fn, background: true})
+	e.schedule(t, event{fn: fn, background: true})
 }
 
 // AtRes is At for callbacks that touch only the given resources, letting
@@ -280,40 +291,35 @@ func (e *Engine) AtBackground(t Time, fn func()) {
 // instead of serializing the world. The caller must own every listed
 // resource (at most 4) when scheduling from inside a run.
 func (e *Engine) AtRes(t Time, fn func(), res ...Res) {
-	ev := event{t: t, fn: fn}
-	ev.nres = uint8(copy(ev.res[:], res))
-	e.schedule(ev)
+	ev := event{fn: fn}
+	ev.tag("AtRes", res)
+	e.schedule(t, ev)
 }
 
 // AtArg is AtRes for the allocation-free form: a static callback plus a
 // caller-pooled argument, avoiding the per-event closure.
 func (e *Engine) AtArg(t Time, fn func(any), arg any, res ...Res) {
-	ev := event{t: t, fnA: fn, arg: arg}
-	ev.nres = uint8(copy(ev.res[:], res))
-	e.schedule(ev)
+	ev := event{fnA: fn, arg: arg}
+	ev.tag("AtArg", res)
+	e.schedule(t, ev)
 }
 
 // schedule routes a new callback event to the global heap, or — during epoch
 // execution — to the heap of the group owning its first resource.
-func (e *Engine) schedule(ev event) {
-	if ep := e.epoch; ep != nil {
-		var first Res // Global when untagged
-		if ev.nres > 0 {
-			first = ev.res[0]
+func (e *Engine) schedule(t Time, ev event) {
+	if e.inEpoch {
+		g := e.groupFor(ev.res[0]) // Global when untagged
+		if t < g.now {
+			t = g.now
 		}
-		g := e.groupFor(first)
-		if ev.t < g.now {
-			ev.t = g.now
-		}
-		g.pushLocal(ev)
+		g.pushLocal(t, ev)
 		return
 	}
-	if ev.t < e.now {
-		ev.t = e.now
+	if t < e.now {
+		t = e.now
 	}
 	e.seq++
-	ev.seq = e.seq
-	e.pq.push(ev)
+	e.q.push(t, e.seq, ev)
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
@@ -352,7 +358,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	}()
 	e.seq++
 	p.timerSeq = e.seq
-	e.pq.push(event{t: e.now, seq: e.seq, proc: p, timer: true})
+	e.q.push(e.now, e.seq, event{proc: p, timer: true})
 	return p
 }
 
@@ -422,14 +428,14 @@ func (e *Engine) Run() error {
 // overhead to the engine before parallel dispatch existed.
 func (e *Engine) runSequential() {
 	for !e.stopped.Load() {
-		if e.pq.len() == e.pq.bg && e.popQuiesce() {
+		if e.q.len() == e.q.bg && e.popQuiesce() {
 			continue // quiescent: only background alarms (if any) remain
 		}
-		if e.pq.len() == 0 {
+		if e.q.len() == 0 {
 			return
 		}
-		ev := e.pq.pop()
-		e.now = ev.t
+		k, ev := e.q.pop()
+		e.now = k.t
 		e.stats.Dispatched++
 		if ev.isCallback() {
 			e.stats.Callbacks++
@@ -437,16 +443,16 @@ func (e *Engine) runSequential() {
 			continue
 		}
 		p := ev.proc
-		if p != nil && !ev.timer && ev.t == p.lastWakeAt {
+		if p != nil && !ev.timer && k.t == p.lastWakeAt {
 			p.lastWakeLive = false // the coalescing anchor has left the queue
 		}
-		if p == nil || !p.wantsWake(ev) {
+		if p == nil || !p.wantsWake(ev.timer, k.seq) {
 			e.stats.StaleWakes++
 			continue // stale wake: the condition it signalled was already consumed
 		}
 		e.stats.Resumes++
-		if p.now < ev.t {
-			p.now = ev.t
+		if p.now < k.t {
+			p.now = k.t
 		}
 		e.resumeProc(p, nil)
 		if p.panicked != nil {

@@ -357,22 +357,22 @@ func TestManyProcsStress(t *testing.T) {
 
 func TestHeapOrderingProperty(t *testing.T) {
 	f := func(times []uint16) bool {
-		var h eventHeap
+		var h eventQueue
 		for i, tt := range times {
-			h.push(event{t: Time(tt), seq: uint64(i)})
+			h.push(Time(tt), uint64(i), event{})
 		}
 		prevT, prevSeq := Time(-1), uint64(0)
 		for h.len() > 0 {
-			ev := h.pop()
-			if ev.t < prevT {
+			k, _ := h.pop()
+			if k.t < prevT {
 				return false
 			}
-			if ev.t == prevT && ev.seq < prevSeq {
+			if k.t == prevT && k.seq < prevSeq {
 				return false // FIFO among equal times
 			}
-			prevT, prevSeq = ev.t, ev.seq
+			prevT, prevSeq = k.t, k.seq
 		}
-		return true
+		return len(h.free) == len(h.slab) // every slot vacated
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,22 +14,30 @@ import (
 // callback is tagged with resources (AtRes/AtArg), Run switches from the
 // legacy sequential loop to epoch dispatch:
 //
-//  1. Formation (scheduler context): pop every pending event in (t, seq)
+//  1. Formation (scheduler context): walk every pending event in (t, seq)
 //     order, ask each event what resources it touches — a process event pulls
 //     the process's FootprintFn, a callback event carries its own tags, and
 //     anything undeclared touches Global — and union the resources into
-//     causally independent groups.
+//     causally independent groups. Union-find links and resource owners live
+//     in a dense table indexed by Res and validated by an epoch stamp, so a
+//     new epoch clears nothing and a routing lookup is one load.
 //  2. Execution: each group runs the classic sequential dispatch loop over
-//     its own private heap, resuming only its own processes. Independent
+//     its own private queue, resuming only its own processes. Independent
 //     groups run concurrently on a bounded worker pool; the group structure
 //     is decided entirely at formation, so it is identical for any worker
 //     count. Each group dispatches at most epochQuota events so that the
-//     partition is refreshed as communication patterns shift.
+//     partition is refreshed as communication patterns shift. An epoch that
+//     forms a single group dispatches on the global queue in place.
 //  3. Commit (scheduler context, after a full barrier): leftover and spilled
-//     events return to the global heap in deterministic (t, group, local seq)
-//     order with freshly assigned global sequence numbers, group counters
-//     merge into the engine's Stats, and the earliest failure (by virtual
-//     time, then group index) wins — byte-identical results for any width.
+//     events return to the global queue in deterministic (t, group, local
+//     seq) order with freshly assigned global sequence numbers, group
+//     counters merge into the engine's Stats, and the earliest failure (by
+//     virtual time, then group index) wins — byte-identical results for any
+//     width.
+//
+// Groups, their queues and buffers, the table and the commit scratch are
+// engine-owned and recycled: at a world's working size an epoch allocates
+// nothing.
 //
 // Soundness rests on the footprint contract: while a process runs inside a
 // group it may only touch state covered by the resources its FootprintFn
@@ -43,21 +52,17 @@ import (
 // worker counts, so grouping — and therefore every result — is too.
 const epochQuota = 256
 
-// epochState is the per-epoch bookkeeping shared by formation and commit.
-type epochState struct {
-	groups []*execGroup
-	// resOwner maps each resource claimed this epoch to its owning group.
-	resOwner map[Res]*execGroup
-	// id increments every epoch (footprint memoization keys off it).
-	id uint64
-}
-
 // execGroup is one causally independent partition of an epoch's events. Its
 // run loop is the sequential engine restricted to the group's resources.
+// Groups are engine-owned and recycled: epoch n's group i reuses the object,
+// queue, spill and emission buffers of epoch n-1's group i.
 type execGroup struct {
 	eng *Engine
 	idx int
-	pq  eventHeap
+	// q is the queue the group dispatches from: its own, or — when the epoch
+	// formed a single group — the engine's global queue, in place.
+	q   *eventQueue
+	own eventQueue
 	now Time
 	// seq is the group-local tie-break counter for events pushed during
 	// execution. It starts above every formation-assigned sequence number, so
@@ -68,9 +73,10 @@ type execGroup struct {
 	quota int
 	// stats accumulates this group's scheduler counters, merged at commit.
 	stats Stats
-	// spill collects events to re-commit to the global heap: quota leftovers
-	// and YieldRegroup reschedules.
-	spill []event
+	// spill holds events (stored in q's slab, not queued) that must not
+	// dispatch before the next epoch: YieldRegroup reschedules and the wakes
+	// carried over behind them.
+	spill []hkey
 	// emits buffers observer payloads (Proc.Emit/Engine.EmitAt) produced
 	// during this group's execution; commitEpoch flushes them to the engine's
 	// emitter in (t, group index, seq) order. Entries share the group-local
@@ -95,11 +101,15 @@ type emitRec struct {
 }
 
 // pushLocal enqueues an event produced during this group's execution.
-func (g *execGroup) pushLocal(ev event) uint64 {
+func (g *execGroup) pushLocal(t Time, ev event) uint64 {
 	g.seq++
-	ev.seq = g.seq
-	g.pq.push(ev)
+	g.q.push(t, g.seq, ev)
 	return g.seq
+}
+
+// spillLocal parks an event until commit re-queues it for the next epoch.
+func (g *execGroup) spillLocal(t Time, seq uint64, ev event) {
+	g.spill = append(g.spill, hkey{t: t, seq: seq, slot: g.q.store(ev)})
 }
 
 // fail records the group's first failure.
@@ -112,13 +122,15 @@ func (g *execGroup) fail(err error) {
 
 // run dispatches the group's events in (t, seq) order until the local heap
 // drains, the quota is spent, or the engine stops. This is the legacy
-// sequential loop, scoped to one group.
+// sequential loop, scoped to one group. Whatever remains queued carries over
+// to the next epoch via commit.
 func (g *execGroup) run() {
 	e := g.eng
-	for g.quota > 0 && g.pq.len() > 0 && !e.stopped.Load() {
-		ev := g.pq.pop()
+	q := g.q
+	for g.quota > 0 && q.len() > 0 && !e.stopped.Load() {
+		k, ev := q.pop()
 		g.quota--
-		g.now = ev.t
+		g.now = k.t
 		g.stats.Dispatched++
 		if ev.isCallback() {
 			g.stats.Callbacks++
@@ -126,24 +138,24 @@ func (g *execGroup) run() {
 			continue
 		}
 		p := ev.proc
-		if p != nil && !ev.timer && ev.t == p.lastWakeAt {
+		if p != nil && !ev.timer && k.t == p.lastWakeAt {
 			p.lastWakeLive = false // the coalescing anchor has left the queue
 		}
-		if p == nil || !p.wantsWake(ev) {
+		if p == nil || !p.wantsWake(ev.timer, k.seq) {
 			if p != nil && !ev.timer && p.state == stateScheduled && p.regroupEpoch == e.epochID {
 				// The target yielded out of this epoch (YieldRegroup): its
 				// resume timer fires only next epoch and may predate this
 				// wake. Carry the wake over so commit re-orders it after the
 				// timer instead of losing the condition it signals.
-				g.spill = append(g.spill, ev)
+				g.spillLocal(k.t, k.seq, ev)
 				continue
 			}
 			g.stats.StaleWakes++
 			continue // stale wake: the condition it signalled was already consumed
 		}
 		g.stats.Resumes++
-		if p.now < ev.t {
-			p.now = ev.t
+		if p.now < k.t {
+			p.now = k.t
 		}
 		e.resumeProc(p, g)
 		if p.panicked != nil {
@@ -154,111 +166,141 @@ func (g *execGroup) run() {
 			e.releaseProc(p, g)
 		}
 	}
-	// Whatever remains carries over to the next epoch via commit.
-	for g.pq.len() > 0 {
-		g.spill = append(g.spill, g.pq.pop())
-	}
 }
 
 // formEpoch partitions every pending event into independence groups. Called
-// in scheduler context; deterministic for a given heap state.
-func (e *Engine) formEpoch() *epochState {
-	ep := &epochState{resOwner: make(map[Res]*execGroup), id: e.epochID + 1}
-	e.epochID = ep.id
+// in scheduler context with a non-empty queue; deterministic for a given
+// queue state, and allocation-free once the tables and the group pool have
+// reached the world's working size.
+func (e *Engine) formEpoch() {
+	e.epochID++ // invalidates every resTab row and footprint memo at once
+	e.ngroups = 0
+	e.formSets = 0
+	q := &e.q
+	e.now = q.keys[0].t // epoch floor; monotone because spills never precede it
 
-	// Pop all pending events in (t, seq) order, resolving each event's
-	// resource set. Union-find over resources: parent[r] is a group index.
-	type formed struct {
-		ev  event
-		res []Res
-	}
-	evs := make([]formed, 0, e.pq.len())
-	if len(e.pq.ev) > 0 {
-		e.now = e.pq.ev[0].t // epoch floor; monotone because spills never precede it
-	}
-	for e.pq.len() > 0 {
-		ev := e.pq.pop()
-		evs = append(evs, formed{ev: ev, res: e.eventRes(ev, ep.id)})
-	}
-
-	find := func(r Res) Res {
-		for {
-			p, ok := e.ufParent[r]
-			if !ok || p == r {
-				if !ok {
-					e.ufParent[r] = r
-				}
-				return r
-			}
-			e.ufParent[r] = e.ufParent[p]
-			r = p
-		}
-	}
-	for i := range evs {
-		res := evs[i].res
-		root := find(res[0])
+	// Pass 1: union every event's resources (union-find over resTab rows).
+	// The partition does not depend on the walk order, so this pass takes the
+	// queue as it lies; footprints are evaluated in that (deterministic,
+	// width-independent) order, once per process.
+	for i := range q.keys {
+		res := e.touched(&q.slab[q.keys[i].slot])
+		root := e.find(res[0])
 		for _, r := range res[1:] {
-			r2 := find(r)
-			if r2 != root {
-				e.ufParent[r2] = root
+			if r2 := e.find(r); r2 != root {
+				e.resTab[r2].parent = root
+				e.formSets--
 			}
 		}
 	}
 
-	// Build groups in first-event order: deterministic indices.
-	rootGroup := make(map[Res]*execGroup)
+	// Pass 2: build groups in first-event order — deterministic indices — and
+	// record every resource's owner for routing during execution. An epoch
+	// that is one group anyway dispatches on the global queue where it lies.
+	// Otherwise the keys are sorted in place (a sorted array is a valid d-ary
+	// heap, so nothing is drained) and each event moves to its group's queue
+	// in (t, seq) order, where the pushes never sift.
+	inPlace := e.formSets == 1
+	if !inPlace {
+		slices.SortFunc(q.keys, hkey.compare)
+	}
 	baseSeq := e.seq
-	for i := range evs {
-		root := find(evs[i].res[0])
-		g, ok := rootGroup[root]
-		if !ok {
-			g = &execGroup{eng: e, idx: len(ep.groups), seq: baseSeq, quota: epochQuota}
-			g.now = e.now
-			rootGroup[root] = g
-			ep.groups = append(ep.groups, g)
+	tab := e.resTab
+	for i := range q.keys {
+		k := q.keys[i]
+		ev := &q.slab[k.slot]
+		res := e.touched(ev)
+		root := e.find(res[0])
+		g := tab[root].group
+		if g == nil {
+			g = e.nextGroup(baseSeq)
+			tab[root].group = g
 		}
-		g.pq.push(evs[i].ev)
-		for _, r := range evs[i].res {
-			ep.resOwner[r] = g
+		for _, r := range res {
+			tab[r].group = g
 		}
-	}
-	// Resources that merged transitively (union-find) must also resolve to
-	// the owning group for routing during execution.
-	for r := range e.ufParent {
-		if g, ok := rootGroup[find(r)]; ok {
-			ep.resOwner[r] = g
+		if !inPlace {
+			g.own.push(k.t, k.seq, *ev)
 		}
 	}
-	// Reset union-find for the next epoch.
-	for r := range e.ufParent {
-		delete(e.ufParent, r)
+	if inPlace {
+		e.groups[0].q = q
+	} else {
+		q.reset()
 	}
 	// The phase-shift flag is good for exactly one formation: every footprint
 	// consulted above saw it and had its chance to retire stale claims.
 	e.phaseShift = false
-	return ep
 }
 
-// eventRes resolves the resources one formation event touches.
-func (e *Engine) eventRes(ev event, epochID uint64) []Res {
+// find returns r's union-find root for the epoch being formed, reviving the
+// row (as a singleton set) the first time the epoch sees r. Scheduler context
+// only: it is the one place resTab grows.
+func (e *Engine) find(r Res) Res {
+	if int(r) >= len(e.resTab) {
+		n := max(64, 2*len(e.resTab))
+		for n <= int(r) {
+			n *= 2
+		}
+		grown := make([]resEntry, n)
+		copy(grown, e.resTab)
+		e.resTab = grown
+	}
+	tab := e.resTab
+	if tab[r].stamp != e.epochID {
+		tab[r] = resEntry{stamp: e.epochID, parent: r}
+		e.formSets++
+		return r
+	}
+	for tab[r].parent != r {
+		p := tab[r].parent
+		tab[r].parent = tab[p].parent
+		r = p
+	}
+	return r
+}
+
+// nextGroup readies the next pooled group for the epoch being formed.
+func (e *Engine) nextGroup(baseSeq uint64) *execGroup {
+	if e.ngroups == len(e.groups) {
+		e.groups = append(e.groups, &execGroup{eng: e})
+	}
+	g := e.groups[e.ngroups]
+	g.idx = e.ngroups
+	e.ngroups++
+	g.q = &g.own
+	g.own.maxDepth = 0
+	g.now, g.seq, g.quota = e.now, baseSeq, epochQuota
+	g.stats = Stats{}
+	g.failure = nil
+	g.releasedBytes, g.releasedProcs = 0, 0
+	return g
+}
+
+// touched resolves the resources one formation event touches. The slice
+// aliases the event, the proc's footprint memo or globalResList; it is valid
+// until the queue or the memo next changes.
+func (e *Engine) touched(ev *event) []Res {
 	if ev.isCallback() {
 		if ev.nres == 0 {
 			return globalResList
 		}
-		// Copy out of the event: the backing array moves between heaps.
-		res := make([]Res, ev.nres)
-		copy(res, ev.res[:ev.nres])
-		return res
+		return ev.res[:ev.nres]
 	}
 	p := ev.proc
 	if p == nil || p.footprint == nil {
 		return globalResList
 	}
-	if p.fpEpoch != epochID {
-		p.fpEpoch = epochID
+	if p.fpEpoch != e.epochID {
+		p.fpEpoch = e.epochID
 		p.fpCache = p.footprint(p.fpCache[:0])
 		if len(p.fpCache) == 0 {
 			p.fpCache = append(p.fpCache, Global)
+		}
+		for _, r := range p.fpCache {
+			if r < 0 {
+				panic(fmt.Sprintf("sim: negative resource id %d in the footprint of proc %q", r, p.name))
+			}
 		}
 	}
 	return p.fpCache
@@ -271,36 +313,42 @@ var globalResList = []Res{Global}
 func (e *Engine) runEpochs() {
 	defer e.stopPool()
 	for !e.stopped.Load() {
-		if e.pq.len() == e.pq.bg && e.popQuiesce() {
+		if e.q.len() == e.q.bg && e.popQuiesce() {
 			continue // quiescent: only background alarms (if any) remain
 		}
-		if e.pq.len() == 0 {
+		if e.q.len() == 0 {
 			return
 		}
-		ep := e.formEpoch()
-		e.epoch = ep
-		width := len(ep.groups)
-		e.stats.ParallelBatches++
-		if width > e.stats.MaxBatchWidth {
-			e.stats.MaxBatchWidth = width
-		}
-		workers := e.workers
-		if workers > width {
-			workers = width
-		}
-		if width > workers {
-			e.stats.BarrierStalls += uint64(width - workers)
-		}
-		if workers <= 1 {
-			for _, g := range ep.groups {
-				g.run()
-			}
-		} else {
-			e.dispatchPool(ep.groups, workers)
-		}
-		e.epoch = nil
-		e.commitEpoch(ep)
+		e.stepEpoch()
 	}
+}
+
+// stepEpoch forms, executes and commits one epoch over a non-empty queue.
+func (e *Engine) stepEpoch() {
+	e.formEpoch()
+	groups := e.groups[:e.ngroups]
+	width := len(groups)
+	e.stats.ParallelBatches++
+	if width > e.stats.MaxBatchWidth {
+		e.stats.MaxBatchWidth = width
+	}
+	workers := e.workers
+	if workers > width {
+		workers = width
+	}
+	if width > workers {
+		e.stats.BarrierStalls += uint64(width - workers)
+	}
+	e.inEpoch = true
+	if workers <= 1 {
+		for _, g := range groups {
+			g.run()
+		}
+	} else {
+		e.dispatchPool(groups, workers)
+	}
+	e.inEpoch = false
+	e.commitEpoch()
 }
 
 // epochWork is one epoch's job for the persistent worker pool: the group
@@ -373,17 +421,18 @@ func (e *Engine) stopPool() {
 
 // commitEpoch merges group results back into the engine: counters, the
 // earliest failure, and leftover events re-sequenced deterministically.
-func (e *Engine) commitEpoch(ep *epochState) {
+func (e *Engine) commitEpoch() {
+	groups := e.groups[:e.ngroups]
 	depth := 0
 	yields := uint64(0)
-	for _, g := range ep.groups {
+	for _, g := range groups {
 		e.stats.Dispatched += g.stats.Dispatched
 		e.stats.Callbacks += g.stats.Callbacks
 		e.stats.Resumes += g.stats.Resumes
 		e.stats.StaleWakes += g.stats.StaleWakes
 		e.stats.CoalescedWakes += g.stats.CoalescedWakes
 		yields += g.stats.RegroupYields
-		depth += g.pq.maxDepth
+		depth += g.own.maxDepth // zero in place: the global queue's own mark covers it
 		e.liveProcBytes -= g.releasedBytes
 		e.arenaLive -= g.releasedProcs
 		// Earliest failure wins, by (virtual time, group index) — an order
@@ -415,46 +464,69 @@ func (e *Engine) commitEpoch(ep *epochState) {
 	// (groups race the stop flag, so only successful runs guarantee
 	// cross-width byte identity).
 	if e.emit != nil {
-		e.flushEmits(ep)
+		e.flushEmits(groups)
 	}
 	if e.stopped.Load() {
 		return // pending events are discarded, as in the sequential engine
 	}
+	if g := groups[0]; g.q == &e.q {
+		// Dispatched in place: leftovers never left the global queue and keep
+		// their keys. Spills re-enter under the (t, local seq) keys they were
+		// given, which is where a re-sequencing commit would have put them —
+		// the local counter ran on from the global one.
+		e.seq = g.seq
+		for _, k := range g.spill {
+			if ev := &e.q.slab[k.slot]; ev.timer {
+				ev.proc.timerSeq = k.seq // the proc is parked on this timer
+			}
+			e.q.pushKey(k)
+		}
+		g.spill = g.spill[:0]
+		return
+	}
 	// Re-commit leftovers and spills: (t, group index, local seq) order, with
 	// fresh global sequence numbers. Group-local order is causal order; the
 	// cross-group tie-break at equal times is by deterministic group index.
-	var all []event
-	byGroup := make([]int, 0, len(ep.groups))
-	for gi, g := range ep.groups {
-		for _, ev := range g.spill {
-			all = append(all, ev)
-			byGroup = append(byGroup, gi)
+	// (group, seq) is unique, so the sort is a total order.
+	buf := e.commitBuf[:0]
+	for gi, g := range groups {
+		for _, k := range g.own.keys {
+			buf = append(buf, commitKey{hkey: k, gi: int32(gi)})
+		}
+		for _, k := range g.spill {
+			buf = append(buf, commitKey{hkey: k, gi: int32(gi)})
 		}
 	}
-	order := make([]int, len(all))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ea, eb := &all[order[a]], &all[order[b]]
-		if ea.t != eb.t {
-			return ea.t < eb.t
+	slices.SortFunc(buf, func(a, b commitKey) int {
+		switch {
+		case a.t != b.t:
+			return cmp.Compare(a.t, b.t)
+		case a.gi != b.gi:
+			return cmp.Compare(a.gi, b.gi)
 		}
-		if byGroup[order[a]] != byGroup[order[b]] {
-			return byGroup[order[a]] < byGroup[order[b]]
-		}
-		return ea.seq < eb.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
-	for _, i := range order {
-		ev := all[i]
+	for _, c := range buf {
+		ev := groups[c.gi].own.slab[c.slot]
 		e.seq++
-		ev.seq = e.seq
 		if ev.proc != nil && ev.timer {
 			// The proc is parked on this timer; re-key it to the new seq.
 			ev.proc.timerSeq = e.seq
 		}
-		e.pq.push(ev)
+		e.q.push(c.t, e.seq, ev)
 	}
+	e.commitBuf = buf[:0]
+	for _, g := range groups {
+		g.own.reset()
+		g.spill = g.spill[:0]
+	}
+}
+
+// commitKey is one leftover or spilled event awaiting re-commit: its
+// group-local key plus the index of the group whose slab holds it.
+type commitKey struct {
+	hkey
+	gi int32
 }
 
 // phaseStormThreshold is the per-epoch regroup-yield count that flags a
@@ -475,49 +547,47 @@ func (e *Engine) phaseStormThreshold() uint64 {
 // may run ahead of another in virtual time before the barrier — so the
 // merged stream is sorted, not concatenated. The (group, seq) pair is
 // unique, making the sort a total order.
-func (e *Engine) flushEmits(ep *epochState) {
-	total := 0
-	for _, g := range ep.groups {
-		total += len(g.emits)
-	}
-	if total == 0 {
-		return
-	}
-	type tagged struct {
-		gi int
-		er emitRec
-	}
-	flush := make([]tagged, 0, total)
-	for gi, g := range ep.groups {
+func (e *Engine) flushEmits(groups []*execGroup) {
+	buf := e.emitBuf[:0]
+	for gi, g := range groups {
 		for _, er := range g.emits {
-			flush = append(flush, tagged{gi: gi, er: er})
+			buf = append(buf, groupEmit{gi: gi, er: er})
 		}
+		clear(g.emits) // drop payload references
+		g.emits = g.emits[:0]
 	}
-	sort.Slice(flush, func(a, b int) bool {
-		ta, tb := &flush[a], &flush[b]
-		if ta.er.t != tb.er.t {
-			return ta.er.t < tb.er.t
+	slices.SortFunc(buf, func(a, b groupEmit) int {
+		switch {
+		case a.er.t != b.er.t:
+			return cmp.Compare(a.er.t, b.er.t)
+		case a.gi != b.gi:
+			return cmp.Compare(a.gi, b.gi)
 		}
-		if ta.gi != tb.gi {
-			return ta.gi < tb.gi
-		}
-		return ta.er.seq < tb.er.seq
+		return cmp.Compare(a.er.seq, b.er.seq)
 	})
-	for i := range flush {
-		e.emit(flush[i].er.payload)
+	for i := range buf {
+		e.emit(buf[i].er.payload)
 	}
+	clear(buf)
+	e.emitBuf = buf[:0]
+}
+
+// groupEmit is one buffered emission tagged with its group's index.
+type groupEmit struct {
+	gi int
+	er emitRec
 }
 
 // groupFor routes an engine call made during epoch execution to the group
 // owning res. It panics when res is unowned and no global group exists —
 // that means an event touched a resource outside its declared footprint.
 func (e *Engine) groupFor(res Res) *execGroup {
-	ep := e.epoch
-	if g, ok := ep.resOwner[res]; ok {
-		return g
+	tab := e.resTab
+	if uint(res) < uint(len(tab)) && tab[res].stamp == e.epochID {
+		return tab[res].group
 	}
-	if g, ok := ep.resOwner[Global]; ok {
-		return g
+	if tab[Global].stamp == e.epochID {
+		return tab[Global].group
 	}
 	panic(fmt.Sprintf("sim: resource %d touched during an epoch that owns neither it nor Global (undeclared footprint)", res))
 }

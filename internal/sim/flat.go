@@ -130,7 +130,7 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	e.procs = append(e.procs, p)
 	e.seq++
 	p.timerSeq = e.seq
-	e.pq.push(event{t: e.now, seq: e.seq, proc: p, timer: true})
+	e.q.push(e.now, e.seq, event{proc: p, timer: true})
 	return p
 }
 

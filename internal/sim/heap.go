@@ -1,13 +1,15 @@
 package sim
 
-// event is one entry in the engine's pending-event queue. Exactly one of
-// fn / fnA / proc is used: fn and fnA events run a callback in scheduler
-// context (fnA with a caller-supplied argument, so hot paths can recycle a
-// static function plus a pooled argument struct instead of allocating a
-// closure per event), proc events hand control to a simulated process.
+import "cmp"
+
+// event is the payload of one pending-event queue entry; its (t, seq) key
+// lives in the queue's heap (hkey), so ordering never moves the payload.
+// Exactly one of fn / fnA / proc is used: fn and fnA events run a callback in
+// scheduler context (fnA with a caller-supplied argument, so hot paths can
+// recycle a static function plus a pooled argument struct instead of
+// allocating a closure per event), proc events hand control to a simulated
+// process.
 type event struct {
-	t     Time
-	seq   uint64 // FIFO tie-break among equal-time events: keeps runs deterministic
 	fn    func()
 	fnA   func(any)
 	arg   any
@@ -27,6 +29,15 @@ type event struct {
 	nres uint8
 }
 
+// tag records the resources a callback event touches (at most len(e.res);
+// op names the caller for the negative-id panic).
+func (e *event) tag(op string, res []Res) {
+	for _, r := range res {
+		checkRes(r, op)
+	}
+	e.nres = uint8(copy(e.res[:], res))
+}
+
 // isCallback reports whether the event runs in scheduler context.
 func (e *event) isCallback() bool { return e.fn != nil || e.fnA != nil }
 
@@ -39,6 +50,30 @@ func (e *event) invoke() {
 	e.fnA(e.arg)
 }
 
+// hkey is one heap entry: the (t, seq) ordering key plus the slab slot
+// holding the event. seq is the FIFO tie-break among equal-time events that
+// keeps runs deterministic. Sifting moves these 24 bytes, never the payload.
+type hkey struct {
+	t    Time
+	seq  uint64
+	slot int32
+}
+
+func (a hkey) before(b hkey) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// compare orders keys by (t, seq) for sorting.
+func (a hkey) compare(b hkey) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
 // depth of a binary heap, trading slightly wider sift-down comparisons
 // (cache-friendly: four siblings share a cache line or two) for many fewer
@@ -47,10 +82,14 @@ func (e *event) invoke() {
 // order.
 const heapArity = 4
 
-// eventHeap is a hand-rolled d-ary min-heap ordered by (t, seq). A concrete
-// heap avoids the interface boxing of container/heap on the engine hot path.
-type eventHeap struct {
-	ev []event
+// eventQueue is a hand-rolled d-ary min-heap of keys ordered by (t, seq) over
+// a slab of event payloads. A concrete heap avoids the interface boxing of
+// container/heap on the engine hot path; the slab and its free list are
+// recycled, so a queue at its working size allocates nothing.
+type eventQueue struct {
+	keys []hkey
+	slab []event
+	free []int32 // vacant slab slots
 	// maxDepth is the high-water mark of pending events, for capacity
 	// planning (Stats.MaxHeapDepth).
 	maxDepth int
@@ -59,45 +98,52 @@ type eventHeap struct {
 	bg int
 }
 
-func (h *eventHeap) len() int { return len(h.ev) }
+func (q *eventQueue) len() int { return len(q.keys) }
 
-func (h *eventHeap) less(i, j int) bool {
-	a, b := &h.ev[i], &h.ev[j]
-	if a.t != b.t {
-		return a.t < b.t
+// store places ev in a slab slot without queueing it (spilled events wait
+// there until commit pushes their key).
+func (q *eventQueue) store(ev event) int32 {
+	if n := len(q.free); n > 0 {
+		s := q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[s] = ev
+		return s
 	}
-	return a.seq < b.seq
+	q.slab = append(q.slab, ev)
+	return int32(len(q.slab) - 1)
 }
 
-func (h *eventHeap) push(e event) {
-	if e.background {
-		h.bg++
+func (q *eventQueue) push(t Time, seq uint64, ev event) {
+	q.pushKey(hkey{t: t, seq: seq, slot: q.store(ev)})
+}
+
+// pushKey queues an event already stored in the slab.
+func (q *eventQueue) pushKey(k hkey) {
+	if q.slab[k.slot].background {
+		q.bg++
 	}
-	h.ev = append(h.ev, e)
-	if len(h.ev) > h.maxDepth {
-		h.maxDepth = len(h.ev)
+	q.keys = append(q.keys, k)
+	if len(q.keys) > q.maxDepth {
+		q.maxDepth = len(q.keys)
 	}
-	i := len(h.ev) - 1
+	i := len(q.keys) - 1
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !h.less(i, parent) {
+		if !k.before(q.keys[parent]) {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		q.keys[i] = q.keys[parent]
 		i = parent
 	}
+	q.keys[i] = k
 }
 
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	if top.background {
-		h.bg--
-	}
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev[last] = event{} // release references held by the vacated slot
-	h.ev = h.ev[:last]
-	n := len(h.ev)
+// pop removes the earliest event, vacating its slab slot.
+func (q *eventQueue) pop() (hkey, event) {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	last := q.keys[n]
+	q.keys = q.keys[:n]
 	i := 0
 	for {
 		first := heapArity*i + 1
@@ -108,25 +154,42 @@ func (h *eventHeap) pop() event {
 		if end > n {
 			end = n
 		}
-		smallest := i
-		for c := first; c < end; c++ {
-			if h.less(c, smallest) {
+		smallest := first
+		for c := first + 1; c < end; c++ {
+			if q.keys[c].before(q.keys[smallest]) {
 				smallest = c
 			}
 		}
-		if smallest == i {
+		if !q.keys[smallest].before(last) {
 			break
 		}
-		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
+		q.keys[i] = q.keys[smallest]
 		i = smallest
 	}
-	return top
+	if n > 0 {
+		q.keys[i] = last
+	}
+	ev := q.slab[top.slot]
+	q.slab[top.slot] = event{} // release references held by the vacated slot
+	q.free = append(q.free, top.slot)
+	if ev.background {
+		q.bg--
+	}
+	return top, ev
 }
 
 // minTime reports the earliest pending event time; ok is false when empty.
-func (h *eventHeap) minTime() (Time, bool) {
-	if len(h.ev) == 0 {
+func (q *eventQueue) minTime() (Time, bool) {
+	if len(q.keys) == 0 {
 		return 0, false
 	}
-	return h.ev[0].t, true
+	return q.keys[0].t, true
+}
+
+// reset empties the queue, keeping its backing arrays (and its depth
+// high-water mark) for reuse.
+func (q *eventQueue) reset() {
+	clear(q.slab)
+	q.keys, q.slab, q.free = q.keys[:0], q.slab[:0], q.free[:0]
+	q.bg = 0
 }

@@ -96,7 +96,10 @@ type Proc struct {
 
 // SetRes declares the process's identity resource, used to route wakes to
 // the owning epoch group. Call before Run.
-func (p *Proc) SetRes(r Res) { p.res = r }
+func (p *Proc) SetRes(r Res) {
+	checkRes(r, "SetRes")
+	p.res = r
+}
 
 // SetFootprint installs the process's resource footprint and switches the
 // engine to epoch dispatch (see FootprintFn). Call before Run.
@@ -116,7 +119,8 @@ func (p *Proc) CanTouch(r Res) bool {
 	if g == nil {
 		return true
 	}
-	return p.eng.epoch.resOwner[r] == g
+	e := p.eng
+	return uint(r) < uint(len(e.resTab)) && e.resTab[r].stamp == e.epochID && e.resTab[r].group == g
 }
 
 // YieldRegroup reschedules the process into the next epoch at its current
@@ -129,7 +133,7 @@ func (p *Proc) YieldRegroup() {
 		return
 	}
 	g.seq++
-	g.spill = append(g.spill, event{t: p.now, seq: g.seq, proc: p, timer: true})
+	g.spillLocal(p.now, g.seq, event{proc: p, timer: true})
 	g.stats.RegroupYields++
 	p.state = stateScheduled
 	// Record the yield so wakes aimed at this process later in the epoch are
@@ -197,12 +201,12 @@ func (p *Proc) Deferred() bool { return p.fm != nil && p.blocked }
 // Scheduled processes accept only their own timer; parked processes accept
 // only unparks (any stale timer must predate the park); running/done drop
 // everything.
-func (p *Proc) wantsWake(ev event) bool {
+func (p *Proc) wantsWake(timer bool, seq uint64) bool {
 	switch p.state {
 	case stateScheduled:
-		return ev.timer && ev.seq == p.timerSeq
+		return timer && seq == p.timerSeq
 	case stateParked:
-		return !ev.timer
+		return !timer
 	default:
 		return false
 	}
@@ -249,11 +253,11 @@ func (p *Proc) Advance(d Time) {
 		// before the next barrier, so the fast path consults the group heap.
 		// Group membership is decided at formation, so the outcome is
 		// identical for any worker count.
-		if min, ok := g.pq.minTime(); !ok || min >= target {
+		if min, ok := g.q.minTime(); !ok || min >= target {
 			p.now = target
 			return
 		}
-	} else if min, ok := p.eng.pq.minTime(); !ok || min >= target {
+	} else if min, ok := p.eng.q.minTime(); !ok || min >= target {
 		p.now = target
 		return
 	}
@@ -271,11 +275,11 @@ func (p *Proc) Sleep(d Time) {
 
 func (p *Proc) sleepUntil(t Time) {
 	if g := p.group; g != nil {
-		p.timerSeq = g.pushLocal(event{t: t, proc: p, timer: true})
+		p.timerSeq = g.pushLocal(t, event{proc: p, timer: true})
 	} else {
 		p.eng.seq++
 		p.timerSeq = p.eng.seq
-		p.eng.pq.push(event{t: t, seq: p.eng.seq, proc: p, timer: true})
+		p.eng.q.push(t, p.eng.seq, event{proc: p, timer: true})
 	}
 	p.state = stateScheduled
 	p.switchOut()
@@ -303,7 +307,7 @@ func (p *Proc) Park() {
 // whose body already returned are likewise dropped.
 func (p *Proc) UnparkAt(at Time) {
 	e := p.eng
-	if e.epoch != nil {
+	if e.inEpoch {
 		// Epoch dispatch: the wake belongs to the group owning the target's
 		// identity resource — which is the caller's own group, since touching
 		// another process requires having claimed it in the footprint.
@@ -315,7 +319,7 @@ func (p *Proc) UnparkAt(at Time) {
 			g.stats.CoalescedWakes++
 			return
 		}
-		g.pushLocal(event{t: at, proc: p})
+		g.pushLocal(at, event{proc: p})
 		p.lastWakeAt = at
 		p.lastWakeLive = true
 		return
@@ -328,7 +332,7 @@ func (p *Proc) UnparkAt(at Time) {
 		return
 	}
 	e.seq++
-	e.pq.push(event{t: at, seq: e.seq, proc: p})
+	e.q.push(at, e.seq, event{proc: p})
 	p.lastWakeAt = at
 	p.lastWakeLive = true
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Res names one schedulable resource for conservative parallel dispatch: a
 // simulated process, a fabric port, or any other piece of mutable state that
 // events can touch. Resources are small dense integers assigned by the layer
@@ -25,3 +27,22 @@ const Global Res = 0
 // Returning an empty slice or including Global serializes the process with
 // the global group. A nil FootprintFn is equivalent to returning {Global}.
 type FootprintFn func(buf []Res) []Res
+
+// resEntry is one row of the engine's dense per-resource table, indexed by
+// Res. A row is live only while stamp equals the engine's current epoch id,
+// so a new epoch invalidates the whole table by incrementing the id — nothing
+// is cleared. parent is the formation-time union-find link; group is the
+// epoch group owning the resource, read (never written) during execution.
+type resEntry struct {
+	stamp  uint64
+	parent Res
+	group  *execGroup
+}
+
+// checkRes rejects a negative resource id: ids index the dense table, and a
+// negative one is a caller bug that must fail the same way on every run.
+func checkRes(r Res, where string) {
+	if r < 0 {
+		panic(fmt.Sprintf("sim: negative resource id %d in %s", r, where))
+	}
+}
