@@ -10,11 +10,13 @@ import "math/bits"
 // BufPool keeps freed buffers in power-of-two size-class free lists so steady
 // state pt2pt traffic recycles the same handful of buffers.
 //
-// The pool is deliberately lock-free-because-single-threaded: each simulated
-// world is driven by one sequential sim.Engine that resumes at most one
-// process at a time, so a pool owned by a world (or its fabric) is never
-// touched concurrently. Do not share one BufPool across worlds that run on
-// different engines in parallel.
+// The pool is deliberately lock-free-because-single-owner: a BufPool belongs to
+// one piece of simulation state — a rank, one direction of a shared-memory
+// ring, the sending side of a queue pair — and is only touched from an epoch
+// group that owns that state's dispatch resources (sim.Res). Epoch dispatch
+// runs causally independent groups concurrently, so a pool must never be
+// reachable from two groups at once: give every owner its own pool instead of
+// sharing one per world or per fabric.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -49,6 +51,9 @@ func (c PoolCounters) HitRate() float64 {
 type BufPool struct {
 	classes [poolMaxShift + 1][][]byte
 	ctr     PoolCounters
+	// lent counts, per class, the buffers a DirPool took from this pool and
+	// sent away, less those it kept in return (see DirPool).
+	lent [poolMaxShift + 1]int32
 }
 
 // classFor maps a byte count to its size-class shift, or -1 if unpooled.
@@ -91,17 +96,88 @@ func (p *BufPool) GetCopy(src []byte) []byte {
 	return buf
 }
 
+// classOf maps a buffer to the size class its capacity is exactly, or -1 when
+// it is not a pooled buffer (nil, a subslice, an oversized allocation).
+func classOf(buf []byte) int {
+	c := cap(buf)
+	if c < 1<<poolMinShift || c > 1<<poolMaxShift || c&(c-1) != 0 {
+		return -1
+	}
+	return bits.TrailingZeros(uint(c))
+}
+
 // Put recycles a buffer obtained from Get. Putting nil or a buffer whose
 // capacity is not an exact pooled class (e.g. a subslice) is a safe no-op, so
 // callers on error paths never need to track provenance.
 func (p *BufPool) Put(buf []byte) {
-	c := cap(buf)
-	if c < 1<<poolMinShift || c > 1<<poolMaxShift || c&(c-1) != 0 {
-		return
+	if s := classOf(buf); s >= 0 {
+		p.classes[s] = append(p.classes[s], buf[:0])
 	}
-	s := bits.TrailingZeros(uint(c))
-	p.classes[s] = append(p.classes[s], buf[:0])
 }
 
 // Counters returns a snapshot of the pool's hit statistics.
 func (p *BufPool) Counters() PoolCounters { return p.ctr }
+
+// DirPool holds the buffers that wait on one direction of a channel: filled by
+// the direction's sender, emptied by its receiver. Each end also has a pool of
+// its own (its "home": a rank's, a device's). A sender takes from the
+// direction first and from home otherwise; home remembers, per size class, how
+// many buffers it has lent out this way. The end that empties a buffer then
+// decides where it waits:
+//
+//   - an end that has lent buffers out keeps it, replacing one: symmetric
+//     traffic (ping-pong, pairwise exchange, all-to-all) lives off the home
+//     pools, one warm-up per rank, whichever peers it talks to;
+//   - an end that has nothing to replace hands it back to the direction, so a
+//     one-way stream — whose receiver would otherwise pile up buffers the
+//     sender keeps allocating — reuses the same few.
+//
+// Requests the direction serves are counted as hits of the sender's home, so
+// hit rates need no per-direction bookkeeping. The zero value is ready. A
+// DirPool is shared state of the pair: the sender may touch it only from a
+// group that owns the receiver's dispatch resource, the receiver from its own
+// process.
+type DirPool struct{ free [][]byte }
+
+// Get returns a length-n buffer for the direction's sender, whose own pool is
+// home.
+func (d *DirPool) Get(home *BufPool, n int) []byte {
+	c := classFor(n)
+	if c < 0 {
+		return home.Get(n)
+	}
+	// Lists are short and nearly always of one class: scan from the end.
+	for i := len(d.free) - 1; i >= 0; i-- {
+		if buf := d.free[i]; cap(buf) == 1<<c {
+			last := len(d.free) - 1
+			d.free[i], d.free[last] = d.free[last], nil
+			d.free = d.free[:last]
+			home.ctr.Gets++
+			home.ctr.Hits++
+			return buf[:n]
+		}
+	}
+	home.lent[c]++
+	return home.Get(n)
+}
+
+// GetCopy is Get followed by a copy of src.
+func (d *DirPool) GetCopy(home *BufPool, src []byte) []byte {
+	buf := d.Get(home, len(src))
+	copy(buf, src)
+	return buf
+}
+
+// Return retires a buffer that travelled on the direction, from whichever end
+// is done with it last; home is that end's own pool.
+func (d *DirPool) Return(home *BufPool, buf []byte) {
+	c := classOf(buf)
+	switch {
+	case c < 0:
+	case home.lent[c] > 0:
+		home.lent[c]--
+		home.Put(buf)
+	default:
+		d.free = append(d.free, buf[:0])
+	}
+}

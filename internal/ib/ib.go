@@ -171,10 +171,9 @@ type Device struct {
 	// zero — i.e. sim.Global — until tagged.
 	res [2]sim.Res
 
-	// pool recycles wire snapshots and SRQ bounce buffers for traffic this
-	// device originates or absorbs. Per-device rather than per-fabric so that
-	// causally independent epoch groups never share a free list; a buffer may
-	// migrate to the consuming side's pool, which only moves capacity around.
+	// pool is the home pool of the wire buffers this device's QPs send and
+	// absorb (see QP.wire). Per-device rather than per-fabric so that causally
+	// independent epoch groups never share a free list.
 	pool core.BufPool
 
 	// devID is fixed at OpenDevice and qpnNext counts QPs created here, so
@@ -182,8 +181,9 @@ type Device struct {
 	devID   int
 	qpnNext int
 
-	// evtFree recycles the deferred-delivery records behind PostSend, making
-	// its two scheduled events allocation-free in steady state.
+	// evtFree recycles the deferred-delivery records behind PostSend and
+	// PostWrite, making their two scheduled events allocation-free in steady
+	// state.
 	evtFree []*sendEvt
 }
 
@@ -209,11 +209,6 @@ func (f *Fabric) OpenDevice(env *cluster.Container) (*Device, error) {
 	f.devices = append(f.devices, d)
 	return d, nil
 }
-
-// Recycle returns a bounce buffer received via CQE.Buf to the device's pool.
-// Call it once the payload has been copied out; the CQE must not be touched
-// afterwards. Recycling nil or a foreign buffer is a no-op.
-func (d *Device) Recycle(buf []byte) { d.pool.Put(buf) }
 
 // MR is a registered (pinned) memory region.
 type MR struct {
@@ -408,7 +403,31 @@ type QP struct {
 	// can prove a pair's shared port state is quiescent before a footprint
 	// drops it.
 	hw sim.Time
+
+	// wire holds wire buffers of messages this QP sent, from the far end
+	// absorbing one to the next send (core.DirPool: the far end keeps what
+	// replaces a buffer of its own, so only lopsided traffic lands here). A
+	// buffer leaves through WireBuf, crosses the fabric owned by the post, and
+	// is retired by Recycle on the peer QP. The poster touches the list from a
+	// group owning both endpoints' resources, fabric events are tagged with
+	// both, and the consumer runs in its own context, which the poster's group
+	// must own to post at all — never two groups at once.
+	wire core.DirPool
 }
+
+// WireBuf returns a length-n wire buffer for a message this QP will send, for
+// the caller to fill and hand to PostSendOwned. Contents are undefined.
+func (q *QP) WireBuf(n int) []byte { return q.wire.Get(&q.dev.pool, n) }
+
+// Recycle retires a bounce buffer received via CQE.Buf on this QP: this
+// device keeps it if it replaces one of its own now travelling, otherwise it
+// goes back to the sending QP. Call it once the payload has been copied out;
+// the CQE must not be touched afterwards. Recycling nil or a foreign buffer
+// is a no-op.
+func (q *QP) Recycle(buf []byte) { q.peer.wire.Return(&q.dev.pool, buf) }
+
+// unpost takes back a wire buffer whose post failed before it left.
+func (q *QP) unpost(wire []byte) { q.wire.Return(&q.dev.pool, wire) }
 
 // bump advances the QP's activity high-water mark.
 func (q *QP) bump(t sim.Time) {
@@ -475,18 +494,23 @@ func (q *QP) resAll() (r [4]sim.Res) {
 	return r
 }
 
-// sendEvt is a pooled deferred-event record for PostSend: one instance backs
-// the arrival at the peer, another the local transmit completion. Pooling
-// them (plus the static callbacks below) removes the two per-message closure
-// allocations from the eager hot path.
+// sendEvt is a pooled deferred-event record for PostSend and PostWrite: one
+// instance backs the arrival at the peer, another the local completion.
+// Pooling them (plus the static callbacks below) removes the two per-message
+// closure allocations from the eager and rendezvous hot paths.
 type sendEvt struct {
-	q        *QP
-	t        sim.Time
-	snapshot []byte
-	n        int
-	imm      uint64
-	wrid     uint64
-	retries  int
+	q       *QP
+	t       sim.Time
+	data    []byte // SEND: the wire buffer, owned; WRITE: the caller's source
+	n       int
+	imm     uint64
+	wrid    uint64
+	retries int
+	op      Opcode // local completion: OpSend or OpWrite
+	// RDMA WRITE target.
+	mr      *MR
+	off     int
+	withImm bool
 }
 
 // getEvt takes a record from the device free list.
@@ -515,23 +539,45 @@ func sendArrival(a any) {
 	switch {
 	case peer.autoRecv:
 		// Ownership of the bounce buffer transfers to the consumer, who
-		// returns it with Device.Recycle once the message is absorbed.
-		peer.recvCQ.push(ev.t, CQE{QP: peer, Op: OpRecv, Bytes: ev.n, Imm: ev.imm, Buf: ev.snapshot})
+		// returns it with QP.Recycle once the message is absorbed.
+		peer.recvCQ.push(ev.t, CQE{QP: peer, Op: OpRecv, Bytes: ev.n, Imm: ev.imm, Buf: ev.data})
 	case len(peer.recvQ) > 0:
 		wqe := peer.recvQ[0]
 		peer.recvQ = peer.recvQ[1:]
-		peer.deliver(ev.t, wqe.wrid, wqe.buf, ev.snapshot, OpRecv, ev.imm)
-		q.dev.pool.Put(ev.snapshot)
+		peer.deliver(ev.t, wqe.wrid, wqe.buf, ev.data, OpRecv, ev.imm)
+		peer.Recycle(ev.data)
 	default:
-		peer.inQ = append(peer.inQ, inbound{payload: ev.snapshot, imm: ev.imm, op: OpRecv, at: ev.t})
+		peer.inQ = append(peer.inQ, inbound{payload: ev.data, imm: ev.imm, op: OpRecv, at: ev.t})
 	}
 	q.dev.putEvt(ev)
 }
 
-// sendTxEnd delivers the local OpSend completion once the wire is released.
-func sendTxEnd(a any) {
+// writeArrival lands a PostWrite: the one copy, source to remote region, and
+// the peer's OpWriteImm notification if requested.
+func writeArrival(a any) {
 	ev := a.(*sendEvt)
-	ev.q.sendCQ.push(ev.t, CQE{QP: ev.q, WRID: ev.wrid, Op: OpSend, Bytes: ev.n, Retries: ev.retries})
+	q, peer := ev.q, ev.q.peer
+	copy(ev.mr.Buf[ev.off:], ev.data)
+	if ev.withImm {
+		switch {
+		case peer.autoRecv:
+			peer.recvCQ.push(ev.t, CQE{QP: peer, Op: OpWriteImm, Bytes: ev.n, Imm: ev.imm})
+		case len(peer.recvQ) > 0:
+			wqe := peer.recvQ[0]
+			peer.recvQ = peer.recvQ[1:]
+			peer.recvCQ.push(ev.t, CQE{QP: peer, WRID: wqe.wrid, Op: OpWriteImm, Bytes: ev.n, Imm: ev.imm})
+		default:
+			peer.inQ = append(peer.inQ, inbound{payload: nil, imm: ev.imm, op: OpWriteImm, at: ev.t})
+		}
+	}
+	q.dev.putEvt(ev)
+}
+
+// localDone delivers the poster's own completion: OpSend once the wire is
+// released, OpWrite once the remote ack is back.
+func localDone(a any) {
+	ev := a.(*sendEvt)
+	ev.q.sendCQ.push(ev.t, CQE{QP: ev.q, WRID: ev.wrid, Op: ev.op, Bytes: ev.n, Retries: ev.retries})
 	ev.q.dev.putEvt(ev)
 }
 
@@ -640,7 +686,7 @@ func (q *QP) PostRecv(p *sim.Proc, wrid uint64, buf []byte) {
 		msg := q.inQ[0]
 		q.inQ = q.inQ[1:]
 		q.deliver(maxT(p.Now(), msg.at), wrid, buf, msg.payload, msg.op, msg.imm)
-		q.dev.pool.Put(msg.payload) // copied into buf; wire snapshot is free
+		q.Recycle(msg.payload) // copied into buf; the sender's wire buffer is free
 		return
 	}
 	q.recvQ = append(q.recvQ, recvWQE{wrid: wrid, buf: buf})
@@ -658,15 +704,26 @@ func (q *QP) deliver(t sim.Time, wrid uint64, buf, payload []byte, op Opcode, im
 }
 
 // PostSend transmits payload two-sided: it consumes a posted receive at the
-// peer and generates OpRecv there and OpSend locally. The payload is
-// snapshotted at post time (the sender must anyway not touch the buffer
-// until the send completes). imm rides along and is visible in the peer's
-// CQE.
+// peer and generates OpRecv there and OpSend locally. The payload is copied
+// into a wire buffer at post time, so the caller may reuse it at once. imm
+// rides along and is visible in the peer's CQE.
 func (q *QP) PostSend(p *sim.Proc, wrid uint64, payload []byte, imm uint64) {
+	wire := q.WireBuf(len(payload))
+	copy(wire, payload)
+	q.PostSendOwned(p, wrid, wire, imm)
+}
+
+// PostSendOwned is PostSend without the copy: wire, typically a WireBuf the
+// caller encoded its message into, belongs to the post from here on. It
+// travels to the peer as the delivered payload and is retired there once
+// absorbed — or here, at once, when the post fails (broken QP, retry budget
+// exhausted).
+func (q *QP) PostSendOwned(p *sim.Proc, wrid uint64, wire []byte, imm uint64) {
 	if q.peer == nil {
 		p.Fatalf("ib: PostSend on unconnected QP %d", q.qpn)
 	}
 	if q.broken {
+		q.unpost(wire)
 		q.flush(p, wrid, OpSend)
 		return
 	}
@@ -676,30 +733,32 @@ func (q *QP) PostSend(p *sim.Proc, wrid uint64, payload []byte, imm uint64) {
 	f := q.dev.fabric
 	t0, retries, ok := f.retrySchedule(q.dev.Env.Host.Index, t0)
 	if !ok {
+		q.unpost(wire)
 		f.breakPair(t0, q, wrid, OpSend, retries)
 		return
 	}
-	snapshot := q.dev.pool.GetCopy(payload)
-	n := len(snapshot)
+	n := len(wire)
 	txEnd, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
 	q.bump(txEnd)
 	q.bump(arrival)
 	r := q.resAll()
 	ae := q.dev.getEvt()
-	ae.q, ae.t, ae.snapshot, ae.n, ae.imm = q, arrival, snapshot, n, imm
+	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, wire, n, imm
 	f.eng.AtArg(arrival, sendArrival, ae, r[0], r[1], r[2], r[3])
 	te := q.dev.getEvt()
-	te.q, te.t, te.n, te.wrid, te.retries = q, txEnd, n, wrid, retries
-	f.eng.AtArg(txEnd, sendTxEnd, te, r[0], r[1], r[2], r[3])
+	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, txEnd, n, wrid, retries, OpSend
+	f.eng.AtArg(txEnd, localDone, te, r[0], r[1], r[2], r[3])
 }
 
 // hdrBytes models the transport header per message on the wire.
 const hdrBytes = 48
 
-// PostWrite RDMA-writes src into remote[off:] one-sidedly. If withImm, the
-// peer consumes a posted receive and gets an OpWriteImm CQE carrying imm;
-// otherwise the peer CPU is not involved at all. The local OpWrite CQE is
-// delivered after the remote ack returns.
+// PostWrite RDMA-writes src into remote[off:] one-sidedly: the HCA moves the
+// bytes straight from the registered source to the remote region when the
+// transfer arrives — one copy, no staging — so src must stay untouched until
+// the local OpWrite CQE, which is delivered after the remote ack returns. If
+// withImm, the peer consumes a posted receive and gets an OpWriteImm CQE
+// carrying imm; otherwise the peer CPU is not involved at all.
 func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int, withImm bool, imm uint64) {
 	if q.peer == nil {
 		p.Fatalf("ib: PostWrite on unconnected QP %d", q.qpn)
@@ -720,40 +779,26 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 		f.breakPair(t0, q, wrid, OpWrite, retries)
 		return
 	}
-	snapshot := q.dev.pool.GetCopy(src)
-	n := len(snapshot)
+	n := len(src)
 	loop := q.loopback()
 	_, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
-	peer := q.peer
 	r := q.resAll()
-	f.eng.AtRes(arrival, func() {
-		copy(remote.Buf[off:], snapshot)
-		q.dev.pool.Put(snapshot)
-		if withImm {
-			switch {
-			case peer.autoRecv:
-				peer.recvCQ.push(arrival, CQE{QP: peer, Op: OpWriteImm, Bytes: n, Imm: imm})
-			case len(peer.recvQ) > 0:
-				wqe := peer.recvQ[0]
-				peer.recvQ = peer.recvQ[1:]
-				peer.recvCQ.push(arrival, CQE{QP: peer, WRID: wqe.wrid, Op: OpWriteImm, Bytes: n, Imm: imm})
-			default:
-				peer.inQ = append(peer.inQ, inbound{payload: nil, imm: imm, op: OpWriteImm, at: arrival})
-			}
-		}
-	}, r[0], r[1], r[2], r[3])
+	ae := q.dev.getEvt()
+	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, src, n, imm
+	ae.mr, ae.off, ae.withImm = remote, off, withImm
+	f.eng.AtArg(arrival, writeArrival, ae, r[0], r[1], r[2], r[3])
 	// Local completion after the ack returns (one extra wire hop).
 	ack := arrival + prm.IBWireLatency(loop)
 	q.bump(ack)
-	sq := q.sendCQ
-	f.eng.AtRes(ack, func() {
-		sq.push(ack, CQE{QP: q, WRID: wrid, Op: OpWrite, Bytes: n, Retries: retries})
-	}, r[0], r[1], r[2], r[3])
+	te := q.dev.getEvt()
+	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, ack, n, wrid, retries, OpWrite
+	f.eng.AtArg(ack, localDone, te, r[0], r[1], r[2], r[3])
 }
 
 // PostRead RDMA-reads len(dst) bytes from remote[off:] into dst. The remote
-// CPU is not involved; data is snapshotted when the response leaves the
-// remote HCA. Completion is local OpRead.
+// CPU is not involved; the bytes are those present when the request reaches
+// the remote HCA, moved into dst in one copy at that instant (dst is
+// undefined until the local OpRead completion anyway).
 func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int) {
 	if q.peer == nil {
 		p.Fatalf("ib: PostRead on unconnected QP %d", q.qpn)
@@ -782,12 +827,10 @@ func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int)
 	r := q.resAll()
 	f.eng.AtRes(reqArrive, func() {
 		// Response hop: data flows remote -> local.
-		snapshot := qq.dev.pool.GetCopy(remoteBuf[off : off+len(dst)])
+		copy(dst, remoteBuf[off:off+len(dst)])
 		_, respArrive := f.transitTimes(dstHost, src, len(dst)+hdrBytes, reqArrive)
 		qq.bump(respArrive)
 		f.eng.AtRes(respArrive, func() {
-			copy(dst, snapshot)
-			qq.dev.pool.Put(snapshot)
 			sq.push(respArrive, CQE{QP: qq, WRID: wrid, Op: OpRead, Bytes: len(dst)})
 		}, r[0], r[1], r[2], r[3])
 	}, r[0], r[1], r[2], r[3])

@@ -3,22 +3,58 @@ package mpi
 import "cmpi/internal/core"
 
 // Free lists for the per-message hot-path objects: ring packets, send
-// operations, envelopes, requests and the byte buffers behind them. One set
-// per Rank: gets and puts happen in the owning rank's process context, so
-// under epoch dispatch each pool is only touched by the group owning that
-// rank's resource — no locking needed (the same reasoning as core.BufPool).
-// Objects may migrate between ranks' pools (a packet allocated by the sender
-// retires into the receiver's list); only capacity moves, never live state.
+// operations, envelopes, requests and the byte buffers behind them. None of
+// them is locked; each list has one owner, and the epoch-dispatch footprint
+// rules decide who may touch it.
+//
+// Where the lists live, and why a steady stream allocates nothing:
+//
+//   - Rank.pools (worldPools) is the rank's home: everything the rank takes
+//     for its own sends and receives comes from here unless a direction list
+//     has it, and only the owning rank's process touches it.
+//   - Packets, send ops and payload snapshots cross a shared-memory ring in
+//     one direction: taken by the direction's sender, retired by its
+//     receiver. If the receiver always kept them, a one-way stream would
+//     drain the sender's home and pile everything up in the receiver's; if
+//     every direction always got its own back, an all-pairs exchange would
+//     warm up one set per pair instead of one per rank. So whoever retires an
+//     object keeps it at home when it replaces one the rank itself has sent
+//     away, and otherwise hands it back to the direction (ringDir.snaps/
+//     pkts/ops), where the sender looks first: symmetric traffic lives off
+//     the home pools, one-way traffic off the direction's. core.DirPool
+//     states the rule for byte buffers, dirList below for objects.
+//   - A direction's lists are pair state like the ring queue itself: the
+//     sender touches them only while its group owns the receiver's rank
+//     resource (it holds a pair claim, or is finishing the very call that
+//     released it), the receiver only from its own process — which that same
+//     resource serializes against the sender. Handing capacity back to the
+//     sender's *home* from the receiver's drain would NOT be safe: a sender
+//     woken by a third rank's group never has its own footprint consulted,
+//     so it can be running, and using its home, concurrently with a receiver
+//     that is still draining its fragments.
+//   - ib.QP's wire list does the same job for HCA wire messages (see ib.QP).
+//
+// Who owns the bytes behind sendOp.data, per path:
+//
+//   - SHM eager: a pooled snapshot, taken at Isend (the send completes at
+//     its last push, long before the receiver copies the fragments out).
+//     op.owned is set; releaseOp retires it.
+//   - CMA rendezvous: req.sbuf itself, borrowed. The request completes only
+//     when the FIN arrives, after the receiver's process_vm_readv, so the
+//     user may not touch the buffer while anyone reads it. Never pooled.
+//   - SHM rendezvous, and CMA degraded to it: borrowed until the CTS, then
+//     snapshotted like eager, because streaming completes at the last push.
 //
 // Lifetimes worth knowing before touching this code:
 //
 //   - shmPacket: born in pushOp/pushControl, consumed exactly once in
 //     shmRing.drain, recycled there. A packet rejected by tryPush on a full
 //     ring is recycled by the pusher.
-//   - sendOp: reference-counted (refs=2). An eager/streamed op's payload
-//     snapshot is aliased by ring fragments, so the sender (queue) and the
-//     receiver (stream) each hold a reference; whoever drops last frees the
-//     op and its data. See releaseOp.
+//   - sendOp: reference-counted (refs=2). Ring fragments alias op.data and
+//     an RTS carries the op as the sender's buffer handle, so the sender
+//     (queue) and the receiver (stream) each hold a reference; whoever drops
+//     last frees the op and an owned snapshot. See releaseOp. An op whose
+//     peer died keeps the dead side's reference and is left to the GC.
 //   - envelope: born at the first inbound packet, recycled in completeRecv.
 //     Envelopes of failed requests are deliberately leaked to the GC —
 //     error paths are cold and auditing their aliasing buys nothing.
@@ -33,6 +69,9 @@ import "cmpi/internal/core"
 type freeList[T any] struct {
 	free []*T
 	ctr  core.PoolCounters
+	// lent counts the objects a dirList took from this list and sent away,
+	// less those it kept in return.
+	lent int
 }
 
 func (l *freeList[T]) get() *T {
@@ -53,9 +92,42 @@ func (l *freeList[T]) put(x *T) {
 	l.free = append(l.free, x)
 }
 
-// worldPools is the per-World recycling state.
+// dirList is core.DirPool for pooled objects: those waiting on one ring
+// direction for its sender's next message. The zero value is ready.
+type dirList[T any] struct{ free []*T }
+
+// get returns a zeroed object for the direction's sender, whose own list is
+// home.
+func (d *dirList[T]) get(home *freeList[T]) *T {
+	if n := len(d.free); n > 0 {
+		x := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		home.ctr.Gets++
+		home.ctr.Hits++
+		return x
+	}
+	home.lent++
+	return home.get()
+}
+
+// retire recycles an object that travelled on the direction: home, the
+// retiring end's own list, keeps it if it replaces one that end has sent
+// away; otherwise it waits on the direction.
+func (d *dirList[T]) retire(home *freeList[T], x *T) {
+	if home.lent > 0 {
+		home.lent--
+		home.put(x)
+		return
+	}
+	var zero T
+	*x = zero
+	d.free = append(d.free, x)
+}
+
+// worldPools is the per-Rank recycling state (the rank's home lists).
 type worldPools struct {
-	buf  core.BufPool // payload snapshots, staging buffers, wire headers
+	buf  core.BufPool // payload snapshots, staging buffers
 	pkts freeList[shmPacket]
 	ops  freeList[sendOp]
 	envs freeList[envelope]
@@ -87,17 +159,18 @@ func (r *Rank) putReq(req *Request) {
 	r.pools.reqs.put(req)
 }
 
-// getOp returns a send op holding both the sender and receiver references.
-func (r *Rank) getOp() *sendOp {
-	op := r.pools.ops.get()
-	op.refs = 2
-	return op
+// snapshot makes op.data a pooled copy of src. r is the op's sender.
+func (r *Rank) snapshot(op *sendOp, src []byte) {
+	op.data = op.dir.snaps.GetCopy(&r.pools.buf, src)
+	op.owned = true
 }
 
-// releaseOp drops one reference; the last one frees the payload snapshot and
-// the op itself. The sender's reference is dropped when the op leaves the
-// send queue done (or on FIN for CMA rendezvous); the receiver's when the
-// inbound stream completes (or after the CMA read).
+// releaseOp drops one reference; the last one retires the op — and its
+// payload snapshot, if it owns one; a borrowed user buffer never reaches a
+// pool — to r's home lists or the direction it travelled on. The sender's
+// reference is dropped when the op leaves the send queue done (or on FIN for
+// CMA rendezvous); the receiver's when the inbound stream completes (or after
+// the CMA read).
 func (r *Rank) releaseOp(op *sendOp) {
 	op.refs--
 	if op.refs > 0 {
@@ -106,6 +179,9 @@ func (r *Rank) releaseOp(op *sendOp) {
 	if op.refs < 0 {
 		r.p.Fatalf("sendOp released twice (dst=%d tag=%d seq=%d)", op.dst, op.tag, op.seq)
 	}
-	r.pools.buf.Put(op.data)
-	r.pools.ops.put(op)
+	d := op.dir
+	if op.owned {
+		d.snaps.Return(&r.pools.buf, op.data)
+	}
+	d.ops.retire(&r.pools.ops, op)
 }

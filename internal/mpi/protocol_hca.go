@@ -26,10 +26,12 @@ func putHdr(kind uint8, ctx, src, tag, size int, seq, msgID uint64, payload []by
 	return encodeHdr(make([]byte, hcaHdrLen+len(payload)), kind, ctx, src, tag, size, seq, msgID, payload)
 }
 
-// putHdr is the pooled variant: the caller recycles the returned buffer with
-// r.pools.buf.Put once posted (PostSend snapshots synchronously).
-func (r *Rank) putHdr(kind uint8, ctx, src, tag, size int, seq, msgID uint64, payload []byte) []byte {
-	return encodeHdr(r.pools.buf.Get(hcaHdrLen+len(payload)), kind, ctx, src, tag, size, seq, msgID, payload)
+// postHdr encodes a wire message straight into one of qp's wire buffers and
+// posts it owned: the encode is the only sender-side copy of the payload, and
+// the buffer comes back to qp's free list once the receiver has absorbed it.
+func (r *Rank) postHdr(qp *ib.QP, kind uint8, ctx, tag, size int, seq, msgID uint64, payload []byte) {
+	wire := encodeHdr(qp.WireBuf(hcaHdrLen+len(payload)), kind, ctx, r.rank, tag, size, seq, msgID, payload)
+	qp.PostSendOwned(r.p, 0, wire, 0)
 }
 
 func encodeHdr(buf []byte, kind uint8, ctx, src, tag, size int, seq, msgID uint64, payload []byte) []byte {
@@ -69,19 +71,16 @@ func parseHdr(buf []byte) hcaMsg {
 }
 
 // hcaEagerSend transmits a small message over the network channel. The
-// payload is copied into a registered bounce buffer (charged), so the send
-// completes locally right away — classic eager semantics.
+// payload is copied (charged) into a pre-registered wire buffer of the QP,
+// so the send completes locally right away — classic eager semantics.
 func (r *Rank) hcaEagerSend(req *Request) {
 	prm := &r.w.Opts.Params
 	r.claimPair(req, req.peer, true)
 	qp := r.qpFor(req.peer)
 	seq := r.sendSeq[req.peer]
 	r.sendSeq[req.peer]++
-	// Copy into the pre-registered eager bounce buffer.
 	r.p.Advance(prm.MemCopy(len(req.sbuf), false))
-	wire := r.putHdr(hcaEager, req.ctx, r.rank, req.tag, len(req.sbuf), seq, 0, req.sbuf)
-	qp.PostSend(r.p, 0, wire, 0)
-	r.pools.buf.Put(wire)
+	r.postHdr(qp, hcaEager, req.ctx, req.tag, len(req.sbuf), seq, 0, req.sbuf)
 	r.countOp(core.ChannelHCA, len(req.sbuf))
 	r.completeSend(req)
 }
@@ -100,14 +99,12 @@ func (r *Rank) hcaRndvSend(req *Request) {
 	msgID := r.newMsgID()
 	ps := r.w.pair(r.rank, req.peer)
 	if ps.rndv == nil {
-		ps.rndv = make(map[uint64]*rndvState)
+		ps.rndv = make(map[uint64]rndvState)
 	}
-	ps.rndv[msgID] = &rndvState{sreq: req}
+	ps.rndv[msgID] = rndvState{sreq: req}
 	// Pin the payload for the later zero-copy RDMA write.
 	r.p.Advance(r.w.Opts.Params.IBRegister(len(req.sbuf)))
-	wire := r.putHdr(hcaRTS, req.ctx, r.rank, req.tag, len(req.sbuf), seq, msgID, nil)
-	qp.PostSend(r.p, 0, wire, 0)
-	r.pools.buf.Put(wire)
+	r.postHdr(qp, hcaRTS, req.ctx, req.tag, len(req.sbuf), seq, msgID, nil)
 	r.trace(trace.OpRTS, trace.PathOf(core.PathHCARndv), req.peer, req.tag, req.ctx, len(req.sbuf), seq)
 }
 
@@ -123,9 +120,9 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 	switch cqe.Op {
 	case ib.OpRecv:
 		r.handleHCAMessage(parseHdr(cqe.Buf))
-		// The SRQ bounce buffer is fully absorbed (payload copied into the
-		// user or staging buffer); hand it back to the fabric.
-		r.dev.Recycle(cqe.Buf)
+		// The sender's wire buffer is fully absorbed (payload copied into the
+		// user or staging buffer); hand it back to the sending QP.
+		cqe.QP.Recycle(cqe.Buf)
 	case ib.OpWriteImm:
 		// Rendezvous payload landed in our posted buffer: complete the recv.
 		peer, known := r.qpPeer[cqe.QP]
@@ -134,7 +131,7 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 		}
 		ps := r.w.pair(r.rank, peer)
 		st := ps.rndv[cqe.Imm]
-		if st == nil || st.rreq == nil {
+		if st.rreq == nil {
 			if r.w.rankDead(peer) {
 				// The sender crashed after posting the write; reapPeer already
 				// failed our side and dropped the rendezvous entry. The stale
@@ -148,8 +145,8 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 		env.received = env.size
 		r.completeRecv(st.rreq, env)
 	case ib.OpWrite:
-		ref := r.wridOps[cqe.WRID]
-		if ref == nil {
+		ref, ok := r.wridOps[cqe.WRID]
+		if !ok {
 			r.p.Fatalf("WRITE completion for unknown wrid %d", cqe.WRID)
 		}
 		delete(r.wridOps, cqe.WRID)
@@ -160,8 +157,8 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 			ref.win.outstanding--
 		}
 	case ib.OpRead:
-		ref := r.wridOps[cqe.WRID]
-		if ref == nil {
+		ref, ok := r.wridOps[cqe.WRID]
+		if !ok {
 			r.p.Fatalf("READ completion for unknown wrid %d", cqe.WRID)
 		}
 		delete(r.wridOps, cqe.WRID)
@@ -218,10 +215,11 @@ func (r *Rank) handleChannelError(cqe ib.CQE) {
 			r.failRequest(st.rreq, ce)
 			st.rreq = nil
 		}
+		psDead.rndv[id] = st
 	}
 	// Pending RDMA work requests on the pair flush individually; the wrid
 	// routing for a specific failed WRID still resolves here.
-	if ref := r.wridOps[cqe.WRID]; ref != nil && cqe.WRID != 0 {
+	if ref, ok := r.wridOps[cqe.WRID]; ok && cqe.WRID != 0 {
 		delete(r.wridOps, cqe.WRID)
 		if ref.sreq != nil {
 			r.failRequest(ref.sreq, ce)
@@ -251,7 +249,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		env.src, env.tag, env.ctx, env.size, env.seq = m.src, m.tag, m.ctx, m.size, m.seq
 		env.path, env.hca = core.PathHCAEager, true
 		if req := r.matchPosted(m.src, m.tag, m.ctx); req != nil {
-			// Copy from the bounce buffer into the user buffer.
+			// Copy from the wire buffer into the user buffer.
 			r.bindEnvelope(env, req)
 			if req.done {
 				return // zero-size: completed (and recycled) in bindEnvelope
@@ -262,7 +260,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			r.completeRecv(req, env)
 			return
 		}
-		// Unexpected: stage a copy so the wire bounce buffer can recycle.
+		// Unexpected: stage a copy so the wire buffer can recycle.
 		env.staged = r.pools.buf.GetCopy(m.payload[:m.size])
 		env.received = m.size
 		env.complete = true
@@ -279,11 +277,12 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		r.unexpected = append(r.unexpected, env)
 
 	case hcaCTS:
-		// We are the rendezvous sender: RDMA-write the payload into the
-		// receiver's registered buffer, then complete on the write CQE.
-		st := r.w.pair(r.rank, m.src).rndv[m.msgID]
-		if st == nil || st.mr == nil {
-			if st == nil && r.w.rankDead(m.src) {
+		// We are the rendezvous sender: RDMA-write the payload from the pinned
+		// user buffer into the receiver's registered buffer (the one copy),
+		// then complete on the write CQE.
+		st, known := r.w.pair(r.rank, m.src).rndv[m.msgID]
+		if st.mr == nil {
+			if !known && r.w.rankDead(m.src) {
 				// The receiver crashed after posting its CTS; our side of the
 				// rendezvous was already reaped. Drop the stale grant.
 				return
@@ -292,7 +291,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		}
 		qp := r.qpFor(m.src)
 		r.nextWrid++
-		r.wridOps[r.nextWrid] = &wridRef{sreq: st.sreq}
+		r.wridOps[r.nextWrid] = wridRef{sreq: st.sreq}
 		qp.PostWrite(r.p, r.nextWrid, st.sreq.sbuf, st.mr, 0, true, m.msgID)
 		r.countOp(core.ChannelHCA, len(st.sreq.sbuf))
 
@@ -304,15 +303,15 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 // hcaSendCTS registers the receive buffer and releases the rendezvous
 // sender (called when an RTS matches a posted receive).
 func (r *Rank) hcaSendCTS(env *envelope, req *Request) {
-	st := r.w.pair(r.rank, env.src).rndv[env.msgID]
-	if st == nil {
+	tab := r.w.pair(r.rank, env.src).rndv
+	st, known := tab[env.msgID]
+	if !known {
 		r.p.Fatalf("RTS for unknown rendezvous id %d", env.msgID)
 	}
 	st.rreq = req
 	st.mr = r.dev.RegisterMR(r.p, req.rbuf[:env.size])
+	tab[env.msgID] = st
 	qp := r.qpFor(env.src)
-	wire := r.putHdr(hcaCTS, env.ctx, r.rank, env.tag, env.size, env.seq, env.msgID, nil)
-	qp.PostSend(r.p, 0, wire, 0)
-	r.pools.buf.Put(wire)
+	r.postHdr(qp, hcaCTS, env.ctx, env.tag, env.size, env.seq, env.msgID, nil)
 	r.trace(trace.OpCTS, trace.PathOf(core.PathHCARndv), env.src, env.tag, env.ctx, env.size, env.seq)
 }

@@ -31,9 +31,11 @@ const (
 	pktHeaderBytes = 32
 )
 
-// shmPacket is one entry in a ring direction. Payload bytes are real copies
-// (the double-copy of the eager protocol is both modeled in time and
-// executed in data).
+// shmPacket is one entry in a ring direction. A data packet's payload
+// aliases the sender's snapshot of the message (sendOp.data): the copy into
+// the ring is executed once per message when the snapshot is taken, the copy
+// out once per fragment in acceptFrag — the double copy the eager protocol
+// is charged for.
 type shmPacket struct {
 	kind      pktKind
 	seq       uint64 // per (sender->receiver) message sequence
@@ -57,6 +59,13 @@ type ringDir struct {
 	q        []*shmPacket
 	head     int  // index of the first undrained packet in q
 	stalled  bool // sender hit the budget; receiver must wake it
+
+	// What the receiver handed back for the sender's next messages: payload
+	// snapshots, packets, send ops (see pool.go for the rule and for who may
+	// touch these).
+	snaps core.DirPool
+	pkts  dirList[shmPacket]
+	ops   dirList[sendOp]
 }
 
 // shmRing is the per-pair bidirectional eager ring living in a shared
@@ -108,14 +117,25 @@ func (s *shmRing) idle() bool {
 	return true
 }
 
-// tryPush appends pkt if the budget allows. Control packets (footprint 0)
-// always fit. The receiver is woken at the packet's availability time.
-func (d *ringDir) tryPush(r *Rank, pkt *shmPacket) bool {
-	if pkt.footprint > 0 && d.used+pkt.footprint > d.capacity {
+// reserve claims footprint bytes of the direction's budget for the sender's
+// next packet, or marks the sender stalled when they do not fit. Control
+// packets (footprint 0) always fit.
+func (d *ringDir) reserve(footprint int) bool {
+	if footprint > 0 && d.used+footprint > d.capacity {
 		d.stalled = true
 		return false
 	}
-	d.used += pkt.footprint
+	d.used += footprint
+	return true
+}
+
+// newPkt returns a zeroed packet for r, the direction's sender, to fill and
+// push.
+func (d *ringDir) newPkt(r *Rank) *shmPacket { return d.pkts.get(&r.pools.pkts) }
+
+// push appends a packet whose footprint r has reserved. The receiver is woken
+// at the packet's availability time.
+func (d *ringDir) push(r *Rank, pkt *shmPacket) {
 	pkt.avail = r.p.Now()
 	// Reclaim the drained prefix before append would grow the array, so the
 	// queue reuses one allocation in steady state.
@@ -129,7 +149,6 @@ func (d *ringDir) tryPush(r *Rank, pkt *shmPacket) bool {
 	}
 	d.q = append(d.q, pkt)
 	r.w.ranks[d.receiver].p.UnparkAt(pkt.avail)
-	return true
 }
 
 // drain consumes all packets already available at the receiver's clock.
@@ -142,7 +161,7 @@ func (s *shmRing) drain(r *Rank) bool {
 		d.head++
 		d.used -= pkt.footprint
 		r.handleShmPacket(s, pkt)
-		r.pools.pkts.put(pkt) // drain is the single consumption point
+		d.pkts.retire(&r.pools.pkts, pkt) // drain is the single consumption point
 		adv = true
 	}
 	if d.head == len(d.q) {
@@ -175,7 +194,9 @@ type sendOp struct {
 	tag         int
 	ctx         int
 	seq         uint64
-	data        []byte // snapshot of the user buffer
+	data        []byte   // the payload: req.sbuf borrowed, or a snapshot of it (owned)
+	owned       bool     // data is a pooled snapshot, retired with the op
+	dir         *ringDir // the direction the op travels on
 	path        core.Path
 	offset      int
 	firstPushed bool
@@ -191,7 +212,8 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 	// Claim the pair before any ring state is touched (the attach itself
 	// publishes into both ranks' localPairs lists).
 	r.claimPair(req, req.peer, false)
-	if _, err := r.ringFor(req.peer); err != nil {
+	ring, err := r.ringFor(req.peer)
+	if err != nil {
 		// The record keeps the originally selected path (the legacy line
 		// format prints the fallback target instead); the message's sequence
 		// number is still unassigned here and the HCA send below will draw
@@ -207,18 +229,27 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 		}
 		return
 	}
-	op := r.getOp()
+	d := ring.out(r.rank)
+	op := d.ops.get(&r.pools.ops)
+	op.refs = 2 // the sender's queue and the receiver's stream (see releaseOp)
+	op.dir = d
 	op.req = req
 	op.dst = req.peer
 	op.tag = req.tag
 	op.ctx = req.ctx
 	op.seq = r.sendSeq[req.peer]
-	op.data = r.pools.buf.GetCopy(req.sbuf)
 	op.path = path
 	r.sendSeq[req.peer]++
 	if path == core.PathSHMEager {
+		// Eager completes at the last push, before the receiver has copied
+		// anything out: the ring must hold its own copy of the payload.
+		r.snapshot(op, req.sbuf)
 		op.state = opEagerPush
 	} else {
+		// Rendezvous: the request stays incomplete until the receiver has
+		// the data (FIN) or asked for it to be streamed (CTS), so the user
+		// buffer itself is the payload — a CMA read pulls straight from it.
+		op.data = req.sbuf
 		op.state = opRTSPending
 	}
 	r.enqueueOp(op)
@@ -300,14 +331,11 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 	if op.state == opRTSPending {
 		// Rendezvous envelope: a zero-footprint control packet carrying
 		// the message metadata and the sender's buffer handle.
-		pkt := r.pools.pkts.get()
+		r.p.Advance(prm.ShmPostOverhead)
+		pkt := d.newPkt(r)
 		pkt.kind, pkt.seq, pkt.tag, pkt.ctx, pkt.size = pktRTS, op.seq, op.tag, op.ctx, len(op.data)
 		pkt.sop, pkt.path = op, op.path
-		r.p.Advance(prm.ShmPostOverhead)
-		if !d.tryPush(r, pkt) {
-			r.pools.pkts.put(pkt)
-			return false
-		}
+		d.push(r, pkt)
 		op.firstPushed = true
 		r.trace(trace.OpRTS, trace.PathOf(op.path), op.dst, op.tag, op.ctx, len(op.data), op.seq)
 		if op.path == core.PathCMARndv {
@@ -333,19 +361,19 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		if !op.firstPushed {
 			kind = pktEagerFirst
 		}
-		pkt := r.pools.pkts.get()
-		pkt.kind, pkt.seq, pkt.tag, pkt.ctx, pkt.size = kind, op.seq, op.tag, op.ctx, len(op.data)
-		pkt.payload = op.data[op.offset : op.offset+n]
-		pkt.footprint = n + pktHeaderBytes
-		pkt.sop, pkt.path = op, op.path
 		// Charge before pushing: claiming the cell plus the copy in. A
 		// failed push keeps the charge as retry cost, matching a real
 		// sender's failed poll-and-retry work.
 		r.p.Advance(prm.ShmPostOverhead + prm.MemCopy(n, cs) + r.containerOverhead())
-		if !d.tryPush(r, pkt) {
-			r.pools.pkts.put(pkt)
+		if !d.reserve(n + pktHeaderBytes) {
 			return adv
 		}
+		pkt := d.newPkt(r)
+		pkt.kind, pkt.seq, pkt.tag, pkt.ctx, pkt.size = kind, op.seq, op.tag, op.ctx, len(op.data)
+		pkt.payload = op.data[op.offset : op.offset+n]
+		pkt.footprint = n + pktHeaderBytes
+		pkt.sop, pkt.path = op, op.path
+		d.push(r, pkt)
 		r.countOp(core.ChannelSHM, n)
 		op.firstPushed = true
 		op.offset += n
@@ -402,11 +430,14 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 		// We are the original sender: start streaming the payload. The op
 		// may have left the send queue already (a CMA rendezvous parked in
 		// opAwaitFIN that the receiver degraded to SHM streaming), so
-		// re-list it before pushing.
+		// re-list it before pushing. A streamed send completes at its last
+		// push while ring fragments still alias the payload, so from here on
+		// the borrowed user buffer will not do: take the snapshot now.
 		op := pkt.sop
 		if op.state == opAwaitFIN {
 			r.removeFinWait(op)
 		}
+		r.snapshot(op, op.data)
 		op.state = opStream
 		r.enqueueOp(op)
 		r.pushSends(op.dst)
@@ -452,8 +483,9 @@ func (r *Rank) acceptFrag(env *envelope, payload []byte) {
 }
 
 // performCMARead executes the single-copy rendezvous: the receiver pulls
-// the payload straight out of the sender's user buffer with one
-// process_vm_readv call, then releases the sender with a FIN.
+// the payload straight out of the sender's user buffer (env.sop.data is the
+// borrowed req.sbuf) into its own with one process_vm_readv call — the only
+// copy of the message — then releases the sender with a FIN.
 func (r *Rank) performCMARead(env *envelope, req *Request) {
 	prm := &r.w.Opts.Params
 	ps := r.w.pair(r.rank, env.src)
@@ -479,9 +511,7 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 		r.p.Fatalf("CMA read from rank %d: %v", env.src, err)
 	}
 	r.countOp(core.ChannelCMA, env.size)
-	pkt := r.pools.pkts.get()
-	pkt.kind, pkt.sop = pktFIN, env.sop
-	r.pushControl(env.src, pkt)
+	r.pushControl(env.src, pktFIN, env.sop)
 	// The payload has been read out; drop the receiver's reference (the
 	// sender's is dropped when it consumes the FIN).
 	r.releaseOp(env.sop)
@@ -493,13 +523,12 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 func (r *Rank) sendCTS(env *envelope) {
 	r.trace(trace.OpCTS, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
 	r.streams[streamKey{src: env.src, seq: env.seq}] = env
-	pkt := r.pools.pkts.get()
-	pkt.kind, pkt.sop = pktCTS, env.sop
-	r.pushControl(env.src, pkt)
+	r.pushControl(env.src, pktCTS, env.sop)
 }
 
-// pushControl sends a zero-footprint control packet to peer.
-func (r *Rank) pushControl(peer int, pkt *shmPacket) {
+// pushControl sends a zero-footprint control packet (CTS or FIN) about sop
+// to peer.
+func (r *Rank) pushControl(peer int, kind pktKind, sop *sendOp) {
 	ring, err := r.ringFor(peer)
 	if err != nil {
 		// Control packets answer data that arrived on this very ring.
@@ -507,7 +536,7 @@ func (r *Rank) pushControl(peer int, pkt *shmPacket) {
 	}
 	d := ring.out(r.rank)
 	r.p.Advance(r.w.Opts.Params.ShmPostOverhead)
-	if !d.tryPush(r, pkt) {
-		r.p.Fatalf("control packet rejected by ring %d->%d", r.rank, peer)
-	}
+	pkt := d.newPkt(r)
+	pkt.kind, pkt.sop = kind, sop
+	d.push(r, pkt)
 }

@@ -39,11 +39,11 @@ type Rank struct {
 	winCount   int                     // windows created (collective order index)
 
 	// send-side state
-	sendSeq    []uint64            // next message seq per destination
-	sendQ      map[int][]*sendOp   // per-destination FIFO of ring-bound sends
-	sendDsts   []int               // destinations with queued ops, in first-use order (deterministic iteration)
-	dstListed  map[int]bool        // membership set for sendDsts
-	wridOps    map[uint64]*wridRef // HCA completion routing
+	sendSeq    []uint64           // next message seq per destination
+	sendQ      map[int][]*sendOp  // per-destination FIFO of ring-bound sends
+	sendDsts   []int              // destinations with queued ops, in first-use order (deterministic iteration)
+	dstListed  map[int]bool       // membership set for sendDsts
+	wridOps    map[uint64]wridRef // HCA completion routing
 	nextWrid   uint64
 	collSeq    int
 	localPairs []*pairShared
@@ -88,7 +88,7 @@ func newRank(w *World, i int) *Rank {
 		sendSeq:   make([]uint64, w.Deploy.Size()),
 		sendQ:     make(map[int][]*sendOp),
 		dstListed: make(map[int]bool),
-		wridOps:   make(map[uint64]*wridRef),
+		wridOps:   make(map[uint64]wridRef),
 		streams:   make(map[streamKey]*envelope),
 		qpPeer:    make(map[*ib.QP]int),
 		reaped:    make([]bool, w.Deploy.Size()),
@@ -765,7 +765,8 @@ func (r *Rank) reapPeer(d int) {
 	delete(r.sendQ, d)
 
 	// Rendezvous sends whose payload is delivered but whose FIN will never
-	// arrive.
+	// arrive. Their data is the borrowed user buffer, which the failed request
+	// hands back to the caller; releaseOp never pools it.
 	for _, op := range r.finWait[d] {
 		r.failRequest(op.req, pe)
 		r.releaseOp(op)

@@ -155,7 +155,7 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		}
 		qp := r.qpFor(target)
 		r.nextWrid++
-		r.wridOps[r.nextWrid] = &wridRef{win: w}
+		r.wridOps[r.nextWrid] = wridRef{win: w}
 		w.outstanding++
 		if isPut {
 			qp.PostWrite(r.p, r.nextWrid, data, tw.mr, offset, false, 0)

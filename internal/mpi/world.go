@@ -406,6 +406,9 @@ func (w *World) deadRanksSorted() []int {
 // diagnostics; none of it influences simulated results).
 func (w *World) SimStats() profile.SimStats {
 	es := w.Eng.Stats()
+	// Requests a per-direction list served (ring directions, QP wire lists)
+	// are counted as hits of the sender's rank or device pool, so these sums
+	// cover them.
 	var bc, oc core.PoolCounters
 	for _, r := range w.ranks {
 		b := r.pools.buf.Counters()
@@ -539,7 +542,7 @@ type pairShared struct {
 	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID
 	// (sharded from the old job-global table so concurrent pairs never
 	// share a map).
-	rndv map[uint64]*rndvState
+	rndv map[uint64]rndvState
 }
 
 // side maps a member rank to its claims/hca/listed index.

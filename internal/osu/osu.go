@@ -105,23 +105,24 @@ func Latency(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 	return out, err
 }
 
-// bandwidthLoop implements the osu_bw window pattern; returns total bytes
-// moved and the elapsed span on rank 0.
+// bandwidthLoop implements the osu_bw window pattern; returns the elapsed
+// span. As in osu_bw.c, the receiver posts the whole window on one r_buf
+// (nothing reads the received bytes) and the request array is allocated once
+// per message size.
 func bandwidthLoop(r *mpi.Rank, sz int, cfg Config) sim.Time {
 	buf := make([]byte, sz)
 	ack := make([]byte, 4)
+	reqs := make([]*mpi.Request, cfg.Window)
 	window := func() {
 		if r.Rank() == 0 {
-			reqs := make([]*mpi.Request, cfg.Window)
 			for i := range reqs {
 				reqs[i] = r.Isend(1, pingTag, buf)
 			}
 			r.WaitAll(reqs...)
 			r.Recv(1, ackTag, ack)
 		} else {
-			reqs := make([]*mpi.Request, cfg.Window)
 			for i := range reqs {
-				reqs[i] = r.Irecv(0, pingTag, make([]byte, sz))
+				reqs[i] = r.Irecv(0, pingTag, buf)
 			}
 			r.WaitAll(reqs...)
 			r.Send(0, ackTag, ack)
@@ -185,17 +186,18 @@ func BiBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 		peer := 1 - r.Rank()
 		for _, sz := range sizes {
 			buf := make([]byte, sz)
+			rbuf := make([]byte, sz) // one r_buf for the whole window, as in osu_bibw.c
 			ack := make([]byte, 4)
+			reqs := make([]*mpi.Request, 2*cfg.Window)
+			sends, recvs := reqs[:cfg.Window], reqs[cfg.Window:]
 			window := func() {
-				sends := make([]*mpi.Request, cfg.Window)
-				recvs := make([]*mpi.Request, cfg.Window)
 				for i := range recvs {
-					recvs[i] = r.Irecv(peer, pingTag, make([]byte, sz))
+					recvs[i] = r.Irecv(peer, pingTag, rbuf)
 				}
 				for i := range sends {
 					sends[i] = r.Isend(peer, pingTag, buf)
 				}
-				r.WaitAll(append(sends, recvs...)...)
+				r.WaitAll(reqs...)
 				// Cross acks close the window.
 				aq := r.Irecv(peer, ackTag, ack)
 				r.Send(peer, ackTag, ack)
@@ -236,8 +238,8 @@ func MultiPairBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 		for _, sz := range sizes {
 			buf := make([]byte, sz)
 			ack := make([]byte, 4)
+			reqs := make([]*mpi.Request, cfg.Window)
 			window := func() {
-				reqs := make([]*mpi.Request, cfg.Window)
 				if sender {
 					for i := range reqs {
 						reqs[i] = r.Isend(peer, pingTag, buf)
@@ -246,7 +248,7 @@ func MultiPairBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 					r.Recv(peer, ackTag, ack)
 				} else {
 					for i := range reqs {
-						reqs[i] = r.Irecv(peer, pingTag, make([]byte, sz))
+						reqs[i] = r.Irecv(peer, pingTag, buf)
 					}
 					r.WaitAll(reqs...)
 					r.Send(peer, ackTag, ack)
