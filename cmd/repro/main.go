@@ -13,7 +13,7 @@
 //	repro -bench-smoke                 # dispatch-width regression gate
 //	repro -ranks 4096                  # scale-proxy allreduce on both engines
 //	repro -scale-smoke                 # flat-engine scale gate (4096 ranks)
-//	repro -fidelity-smoke              # full-fidelity 1024-rank machine-body gate
+//	repro -fidelity-smoke              # full-fidelity machine-body gate (1024 and 4096 ranks)
 //	repro -trace-out golden.trace      # record the canonical trace job
 //	repro -replay golden.trace         # reconstruct counters from a trace
 //	repro -trace-diff A.trace B.trace  # first divergent record, if any
@@ -56,7 +56,7 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", -1, "run the seeded chaos harness: fault.RandomPlan(seed) plus a crash, ddmin-shrunk to the minimal failing repro")
 	ranks := flag.Int("ranks", 0, "run the scale-proxy allreduce at this many ranks on both simulator engines and report time/memory")
 	scaleSmoke := flag.Bool("scale-smoke", false, "flat-engine scale gate: the 4096-rank allreduce must complete, agree with the goroutine engine, and use >=10x less accounted per-proc memory")
-	fidelitySmoke := flag.Bool("fidelity-smoke", false, "full-fidelity scale gate: a real (non-proxy) 1024-rank world with machine-native rank bodies must complete on the flat engine with a >=5x accounted memory advantage over goroutine bodies")
+	fidelitySmoke := flag.Bool("fidelity-smoke", false, "full-fidelity scale gate: a real (non-proxy) 1024-rank world with machine-native rank bodies must complete on the flat engine with a >=5x accounted memory advantage over goroutine bodies, and the 4096-rank one inside 512 MiB of heap")
 	flag.Parse()
 
 	if *list {
@@ -390,14 +390,20 @@ const (
 	fidelityRanks = 1024
 	fidelityIters = 2
 	fidelityBytes = 1 << 10
+	// fidelityBigRanks is the full-fidelity world ROADMAP's scale.go rule asks
+	// about, and fidelityBigHeap the heap it must fit: the CI step's
+	// GOMEMLIMIT, checked here because the limit itself is only a GC target.
+	fidelityBigRanks = 4096
+	fidelityBigHeap  = 512 << 20
 )
 
-// measureFidelity runs the full-fidelity point once and returns host seconds
-// plus engine stats. machine selects flat machine-native bodies; otherwise
-// blocking goroutine bodies run the same workload.
-func measureFidelity(machine bool) (float64, profile.SimStats, error) {
-	spec := cluster.Spec{Hosts: fidelityRanks / 16, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 2, fidelityRanks, cluster.PaperScenarioOpts())
+// measureFidelity runs the full-fidelity point once at the given size and
+// returns the run's host seconds plus engine stats. machine selects flat
+// machine-native bodies; otherwise blocking goroutine bodies run the same
+// workload.
+func measureFidelity(ranks int, machine bool) (float64, profile.SimStats, error) {
+	spec := cluster.Spec{Hosts: ranks / 16, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
+	d, err := cluster.Containers(cluster.MustNew(spec), 2, ranks, cluster.PaperScenarioOpts())
 	if err != nil {
 		return 0, profile.SimStats{}, err
 	}
@@ -423,17 +429,18 @@ func measureFidelity(machine bool) (float64, profile.SimStats, error) {
 // fidelitySmokeCheck is the CI full-fidelity scale gate: the 1024-rank
 // machine-body world must complete on the flat engine (inside CI's
 // GOMEMLIMIT/timeout budget) and hold a >=5x accounted peak-proc-memory
-// advantage over blocking goroutine bodies. Virtual completion times are NOT
+// advantage over blocking goroutine bodies, and the 4096-rank machine-body
+// world must complete inside the same heap. Virtual completion times are NOT
 // compared across body kinds: machine bodies execute their post-advance
 // continuations within one dispatch turn, which legitimately shifts
 // contended HCA interleavings (per-rank op multisets stay identical; see
 // docs/PERFORMANCE.md).
 func fidelitySmokeCheck() error {
-	fSec, fStats, err := measureFidelity(true)
+	fSec, fStats, err := measureFidelity(fidelityRanks, true)
 	if err != nil {
 		return fmt.Errorf("machine bodies (flat): %w", err)
 	}
-	gSec, gStats, err := measureFidelity(false)
+	gSec, gStats, err := measureFidelity(fidelityRanks, false)
 	if err != nil {
 		return fmt.Errorf("goroutine bodies: %w", err)
 	}
@@ -447,6 +454,18 @@ func fidelitySmokeCheck() error {
 	fmt.Printf("fidelity1024 accounted memory ratio: %.1fx\n", ratio)
 	if ratio < 5 {
 		return fmt.Errorf("full-fidelity memory advantage %.1fx, want >= 5x", ratio)
+	}
+	start := time.Now()
+	bSec, _, err := measureFidelity(fidelityBigRanks, true)
+	if err != nil {
+		return fmt.Errorf("%d ranks, machine bodies (flat): %w", fidelityBigRanks, err)
+	}
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	fmt.Printf("fidelity%d flat machine bodies: %.2fs host (%.2fs with deployment and NewWorld), HeapSys %d MiB\n",
+		fidelityBigRanks, bSec, time.Since(start).Seconds(), m.HeapSys>>20)
+	if m.HeapSys >= fidelityBigHeap {
+		return fmt.Errorf("%d-rank full-fidelity world: HeapSys %d MiB, want < %d", fidelityBigRanks, m.HeapSys>>20, fidelityBigHeap>>20)
 	}
 	return nil
 }
@@ -686,11 +705,11 @@ func writeBenchSnapshot(path string) error {
 		snap.Scale4096MemRatio = float64(gRes.Sim.PeakProcBytes) / float64(scaleRes.Sim.PeakProcBytes)
 	}
 	fmt.Fprintln(os.Stderr, "full-fidelity 1024-rank point (machine vs goroutine bodies)...")
-	fSec, fStats, err := measureFidelity(true)
+	fSec, fStats, err := measureFidelity(fidelityRanks, true)
 	if err != nil {
 		return err
 	}
-	_, gStats, err := measureFidelity(false)
+	_, gStats, err := measureFidelity(fidelityRanks, false)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,8 @@ import "math/bits"
 // Every transfer in the simulator used to allocate fresh []byte snapshots —
 // wire headers, eager payload copies, ring fragments — which made the host
 // garbage collector the dominant cost of regenerating the paper's tables.
-// BufPool keeps freed buffers in power-of-two size-class free lists so steady
-// state pt2pt traffic recycles the same handful of buffers.
+// BufPool keeps freed buffers in size-class free lists, one class per power of
+// two, so steady state pt2pt traffic recycles the same handful of buffers.
 //
 // The pool is deliberately lock-free-because-single-owner: a BufPool belongs to
 // one piece of simulation state — a rank, one direction of a shared-memory
@@ -26,7 +26,22 @@ const (
 	// the biggest OSU sweep message; larger requests fall through to the
 	// allocator.
 	poolMaxShift = 22
+	// Classes from poolSlackShift (1 KiB) up hold poolSlack bytes more than
+	// their power of two. Payloads come in powers of two and travel behind a
+	// header (32 B on the HCA wire, mpi's hcaHdrLen), so exact classes would
+	// put every such message in a buffer twice its size. Smaller classes stay
+	// exact: 64 B on a 64 B buffer is no saving.
+	poolSlackShift = 10
+	poolSlack      = 64
 )
+
+// classCap is the capacity of the buffers in a size class.
+func classCap(c int) int {
+	if c < poolSlackShift {
+		return 1 << c
+	}
+	return 1<<c + poolSlack
+}
 
 // PoolCounters records pool effectiveness for profile.SimStats.
 type PoolCounters struct {
@@ -56,14 +71,18 @@ type BufPool struct {
 	lent [poolMaxShift + 1]int32
 }
 
-// classFor maps a byte count to its size-class shift, or -1 if unpooled.
+// classFor maps a byte count to the smallest size class that holds it, or -1
+// if unpooled.
 func classFor(n int) int {
-	if n <= 0 || n > 1<<poolMaxShift {
+	if n <= 0 || n > classCap(poolMaxShift) {
 		return -1
 	}
 	s := bits.Len(uint(n - 1)) // ceil(log2 n)
 	if s < poolMinShift {
 		s = poolMinShift
+	}
+	if s > poolSlackShift && n <= classCap(s-1) {
+		s-- // fits the slack of the class below
 	}
 	return s
 }
@@ -86,7 +105,7 @@ func (p *BufPool) Get(n int) []byte {
 		p.ctr.Hits++
 		return buf[:n]
 	}
-	return make([]byte, n, 1<<c)
+	return make([]byte, n, classCap(c))
 }
 
 // GetCopy returns a pooled copy of src.
@@ -100,10 +119,14 @@ func (p *BufPool) GetCopy(src []byte) []byte {
 // it is not a pooled buffer (nil, a subslice, an oversized allocation).
 func classOf(buf []byte) int {
 	c := cap(buf)
-	if c < 1<<poolMinShift || c > 1<<poolMaxShift || c&(c-1) != 0 {
+	if c < 1<<poolMinShift {
 		return -1
 	}
-	return bits.TrailingZeros(uint(c))
+	s := bits.Len(uint(c)) - 1 // floor(log2 c)
+	if s > poolMaxShift || c != classCap(s) {
+		return -1
+	}
+	return s
 }
 
 // Put recycles a buffer obtained from Get. Putting nil or a buffer whose
@@ -148,7 +171,7 @@ func (d *DirPool) Get(home *BufPool, n int) []byte {
 	}
 	// Lists are short and nearly always of one class: scan from the end.
 	for i := len(d.free) - 1; i >= 0; i-- {
-		if buf := d.free[i]; cap(buf) == 1<<c {
+		if buf := d.free[i]; cap(buf) == classCap(c) {
 			last := len(d.free) - 1
 			d.free[i], d.free[last] = d.free[last], nil
 			d.free = d.free[:last]

@@ -33,8 +33,8 @@ func TestBufPoolEdgeCases(t *testing.T) {
 	p.Put(nil) // must not panic
 
 	// Oversized requests are honest allocations, not pooled.
-	big := p.Get(1<<poolMaxShift + 1)
-	if len(big) != 1<<poolMaxShift+1 {
+	big := p.Get(classCap(poolMaxShift) + 1)
+	if len(big) != classCap(poolMaxShift)+1 {
 		t.Fatalf("oversized len = %d", len(big))
 	}
 	p.Put(big) // cap not a pooled class: dropped
@@ -47,6 +47,51 @@ func TestBufPoolEdgeCases(t *testing.T) {
 	p.Put(buf[3:17])
 	if got := p.Get(14); cap(got) != 32 {
 		t.Errorf("subslice leaked into pool: cap=%d", cap(got))
+	}
+}
+
+// A power-of-two payload behind a 32-byte header — every HCA wire message —
+// fits the class of its power of two: classes from 1 KiB up carry 64 bytes of
+// slack, smaller ones are exact.
+func TestBufPoolClassesFitAHeader(t *testing.T) {
+	var p BufPool
+	for k := poolSlackShift; k <= poolMaxShift; k++ {
+		buf := p.Get(1<<k + 32)
+		if len(buf) != 1<<k+32 {
+			t.Fatalf("Get(2^%d+32): len = %d", k, len(buf))
+		}
+		if limit := 1.07 * float64(int(1)<<k); float64(cap(buf)) >= limit {
+			t.Errorf("Get(2^%d+32): cap = %d, want < %.0f", k, cap(buf), limit)
+		}
+		p.Put(buf)
+		if again := p.Get(1 << k); &again[0] != &buf[0] {
+			t.Errorf("Get(2^%d) did not recycle the 2^%d+32 buffer: they are one class", k, k)
+		}
+	}
+	for k := poolMinShift; k < poolSlackShift; k++ {
+		if buf := p.Get(1 << k); cap(buf) != 1<<k {
+			t.Errorf("Get(2^%d): cap = %d, want the exact power of two", k, cap(buf))
+		}
+	}
+	// One byte past the slack is the next class.
+	if buf := p.Get(1<<12 + poolSlack + 1); cap(buf) != 1<<13+poolSlack {
+		t.Errorf("Get(4 KiB + slack + 1): cap = %d, want %d", cap(buf), 1<<13+poolSlack)
+	}
+
+	// Put still ignores what Get did not hand out: subslices of a slack class,
+	// and capacities that are no class — an exact power of two from 1 KiB up
+	// among them.
+	var q BufPool
+	buf := q.Get(1 << 12)
+	q.Put(buf[8:])
+	q.Put(buf[:100:200])
+	q.Put(make([]byte, 1<<12))
+	q.Put(make([]byte, 1<<12+32))
+	for _, n := range []int{1 << 12, 100, 1 << 11} {
+		q.Get(n)
+	}
+	if c := q.Counters(); c.Hits != 0 {
+		t.Errorf("a subslice or foreign buffer was pooled: %+v", c)
 	}
 }
 
@@ -153,9 +198,10 @@ func TestDirPoolClassesAndForeignBuffers(t *testing.T) {
 	dir.Return(&receiver, small)
 	dir.Return(&receiver, big)
 	dir.Return(&receiver, nil)
-	dir.Return(&receiver, make([]byte, 100)) // capacity is no pool class
-	if got := dir.Get(&sender, 4100); &got[:1][0] != &big[:1][0] {
-		t.Error("a 4100 B request did not get the direction's 8 KiB buffer")
+	dir.Return(&receiver, make([]byte, 100))  // capacity is no pool class
+	dir.Return(&receiver, make([]byte, 8192)) // nor is a bare power of two from 1 KiB up
+	if got := dir.Get(&sender, 4200); &got[:1][0] != &big[:1][0] {
+		t.Error("a 4200 B request did not get the direction's 8 KiB buffer")
 	}
 	if got := dir.Get(&sender, 33); &got[:1][0] != &small[:1][0] {
 		t.Error("a 33 B request did not get the direction's 64 B buffer")

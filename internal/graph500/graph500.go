@@ -217,8 +217,9 @@ func (s *bfsState) buildGraph() error {
 	}
 	var myEdges int64
 	nChunks := (totalEdges + chunkEdges - 1) / chunkEdges
+	rng := rand.New(rand.NewSource(0)) // reseeded per chunk
 	for chunk := int64(r.Rank()); chunk < nChunks; chunk += int64(size) {
-		rng := rand.New(rand.NewSource(s.p.Seed + chunk*1_000_003))
+		rng.Seed(s.p.Seed + chunk*1_000_003)
 		start, end := chunk*chunkEdges, (chunk+1)*chunkEdges
 		if end > totalEdges {
 			end = totalEdges

@@ -494,20 +494,21 @@ func (q *QP) resAll() (r [4]sim.Res) {
 	return r
 }
 
-// sendEvt is a pooled deferred-event record for PostSend and PostWrite: one
-// instance backs the arrival at the peer, another the local completion.
-// Pooling them (plus the static callbacks below) removes the two per-message
-// closure allocations from the eager and rendezvous hot paths.
+// sendEvt is a pooled deferred-event record for PostSend, PostWrite and
+// PostRead: one instance backs the arrival at the peer, another the local
+// completion (a READ uses one for both, request then response). Pooling them
+// (plus the static callbacks below) removes the two per-message closure
+// allocations from the eager, rendezvous and one-sided hot paths.
 type sendEvt struct {
 	q       *QP
 	t       sim.Time
-	data    []byte // SEND: the wire buffer, owned; WRITE: the caller's source
+	data    []byte // SEND: the wire buffer, owned; WRITE: the caller's source; READ: its destination
 	n       int
 	imm     uint64
 	wrid    uint64
 	retries int
-	op      Opcode // local completion: OpSend or OpWrite
-	// RDMA WRITE target.
+	op      Opcode // local completion: OpSend, OpWrite or OpRead
+	// RDMA WRITE target, RDMA READ source.
 	mr      *MR
 	off     int
 	withImm bool
@@ -573,8 +574,23 @@ func writeArrival(a any) {
 	q.dev.putEvt(ev)
 }
 
+// readArrival lands a PostRead's request at the remote HCA: the one copy,
+// remote region to destination, and the response hop, whose arrival is the
+// poster's completion.
+func readArrival(a any) {
+	ev := a.(*sendEvt)
+	q := ev.q
+	copy(ev.data, ev.mr.Buf[ev.off:ev.off+ev.n])
+	f := q.dev.fabric
+	_, respArrive := f.transitTimes(q.peer.dev.Env.Host.Index, q.dev.Env.Host.Index, ev.n+hdrBytes, ev.t)
+	q.bump(respArrive)
+	ev.t, ev.data, ev.mr = respArrive, nil, nil
+	r := q.resAll()
+	f.eng.AtArg(respArrive, localDone, ev, r[0], r[1], r[2], r[3])
+}
+
 // localDone delivers the poster's own completion: OpSend once the wire is
-// released, OpWrite once the remote ack is back.
+// released, OpWrite once the remote ack is back, OpRead once the response is.
 func localDone(a any) {
 	ev := a.(*sendEvt)
 	ev.q.sendCQ.push(ev.t, CQE{QP: ev.q, WRID: ev.wrid, Op: ev.op, Bytes: ev.n, Retries: ev.retries})
@@ -817,21 +833,13 @@ func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int)
 	p.Advance(prm.IBPostOverhead)
 	t0 := p.Now()
 	f := q.dev.fabric
-	src, dstHost := q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index
-	// Request hop: header-only message to the remote HCA.
-	_, reqArrive := f.transitTimes(src, dstHost, hdrBytes, t0)
+	// Request hop: header-only message to the remote HCA. The response hop,
+	// remote -> local, is booked when the request gets there (readArrival).
+	_, reqArrive := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, hdrBytes, t0)
 	q.bump(reqArrive)
-	remoteBuf := remote.Buf
-	sq := q.sendCQ
-	qq := q
 	r := q.resAll()
-	f.eng.AtRes(reqArrive, func() {
-		// Response hop: data flows remote -> local.
-		copy(dst, remoteBuf[off:off+len(dst)])
-		_, respArrive := f.transitTimes(dstHost, src, len(dst)+hdrBytes, reqArrive)
-		qq.bump(respArrive)
-		f.eng.AtRes(respArrive, func() {
-			sq.push(respArrive, CQE{QP: qq, WRID: wrid, Op: OpRead, Bytes: len(dst)})
-		}, r[0], r[1], r[2], r[3])
-	}, r[0], r[1], r[2], r[3])
+	ev := q.dev.getEvt()
+	ev.q, ev.t, ev.data, ev.n, ev.wrid, ev.op = q, reqArrive, dst, len(dst), wrid, OpRead
+	ev.mr, ev.off = remote, off
+	f.eng.AtArg(reqArrive, readArrival, ev, r[0], r[1], r[2], r[3])
 }

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"runtime"
 	"testing"
 
 	"cmpi/internal/fault"
@@ -152,5 +153,63 @@ func TestFailedPostsReturnOwnedWireBuffers(t *testing.T) {
 	c := fx.fabric.PoolCounters()
 	if c.Gets != posts || c.Gets-c.Hits != 1 {
 		t.Fatalf("pool counters %+v: want %d requests served from 1 allocation (every failed post returns its buffer)", c, posts)
+	}
+}
+
+// oneSidedMallocs counts the heap objects allocated while one process posts
+// ops one-sided operations on a fresh QP pair, each waited for before the
+// next: the least of three runs, since the runtime's own background
+// allocations only ever add.
+func oneSidedMallocs(t *testing.T, ops int, read bool) uint64 {
+	t.Helper()
+	least := ^uint64(0)
+	for run := 0; run < 3; run++ {
+		fx := newFixture(t, 2)
+		a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
+		_, devB, qa, _, cqa, _ := fx.pairOn(t, a, b)
+		local, remote := make([]byte, 4096), make([]byte, 4096)
+		fx.eng.Go("origin", func(p *sim.Proc) {
+			cqa.SetWaiter(p)
+			mr := devB.RegisterMR(p, remote)
+			for i := 0; i < ops; i++ {
+				if read {
+					qa.PostRead(p, uint64(i+1), local, mr, 0)
+					waitCQE(p, cqa, OpRead)
+				} else {
+					qa.PostWrite(p, uint64(i+1), local, mr, 0, false, 0)
+					waitCQE(p, cqa, OpWrite)
+				}
+			}
+		})
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		err := fx.eng.Run()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m1.Mallocs - m0.Mallocs; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// TestOneSidedPostsAllocateNothing: in steady state an RDMA WRITE and an RDMA
+// READ cost no heap object — their deferred events are pooled records, not
+// closures.
+func TestOneSidedPostsAllocateNothing(t *testing.T) {
+	const few, many = 64, 1088
+	for _, read := range []bool{false, true} {
+		name := "write"
+		if read {
+			name = "read"
+		}
+		per := (float64(oneSidedMallocs(t, many, read)) - float64(oneSidedMallocs(t, few, read))) / (many - few)
+		t.Logf("%s: %.3f allocations/op", name, per)
+		if per > 0.05 {
+			t.Errorf("%s allocates %.2f objects per operation in steady state, want none", name, per)
+		}
 	}
 }

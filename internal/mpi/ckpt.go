@@ -108,7 +108,13 @@ func (w *World) commitCkpt(gen int) {
 				Data: append([]byte(nil), env.staged[:env.received]...),
 			})
 		}
-		snap.SendSeq[i] = append([]uint64(nil), r.sendSeq...)
+		// The codec's dense vector: zero for every peer never sent to.
+		seqs := make([]uint64, w.Size())
+		seqs[i] = r.selfSeq
+		for _, pr := range r.peers.recs {
+			seqs[pr.rank] = pr.sendSeq
+		}
+		snap.SendSeq[i] = seqs
 	}
 	w.store.Commit(snap)
 	release := snap.At
@@ -127,14 +133,15 @@ func (w *World) commitCkpt(gen int) {
 // parked in the barrier nothing can be mid-transfer; a violation is a runtime
 // bug, not an application error.
 func (r *Rank) quiesceViolation() error {
-	for dst, q := range r.sendQ {
-		if len(q) != 0 {
-			return fmt.Errorf("%d sends to rank %d still queued", len(q), dst)
+	for _, pr := range r.peers.recs {
+		if pr.q == nil {
+			continue
 		}
-	}
-	for dst, q := range r.finWait {
-		if len(q) != 0 {
-			return fmt.Errorf("%d sends to rank %d awaiting FIN", len(q), dst)
+		if n := len(pr.q.sendQ); n != 0 {
+			return fmt.Errorf("%d sends to rank %d still queued", n, pr.rank)
+		}
+		if n := len(pr.q.finWait); n != 0 {
+			return fmt.Errorf("%d sends to rank %d awaiting FIN", n, pr.rank)
 		}
 	}
 	if n := len(r.streams); n != 0 {
@@ -145,14 +152,10 @@ func (r *Rank) quiesceViolation() error {
 			return fmt.Errorf("incomplete unexpected message from rank %d (seq %d)", env.src, env.seq)
 		}
 	}
-	for peer := 0; peer < r.size; peer++ {
-		if peer == r.rank {
-			continue
-		}
-		ps := r.w.pair(r.rank, peer)
-		for _, st := range ps.rndv {
+	for _, pr := range r.peers.recs {
+		for _, st := range pr.ps.rndv {
 			if (st.sreq != nil && st.sreq.r == r) || (st.rreq != nil && st.rreq.r == r) {
-				return fmt.Errorf("HCA rendezvous with rank %d in flight", peer)
+				return fmt.Errorf("HCA rendezvous with rank %d in flight", pr.rank)
 			}
 		}
 	}

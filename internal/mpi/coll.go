@@ -110,7 +110,8 @@ func (r *Rank) reduce(root int, buf []byte, op ReduceOp) {
 	tag := r.nextCollTag()
 	vrank := (r.rank - root + r.size) % r.size
 	abs := func(v int) int { return (v + root) % r.size }
-	tmp := make([]byte, len(buf))
+	tmp := r.scratch(len(buf))
+	defer r.putScratch(tmp)
 	for mask := 1; mask < r.size; mask <<= 1 {
 		if vrank&mask != 0 {
 			r.wait(r.csend(abs(vrank-mask), tag, buf))
@@ -166,7 +167,8 @@ func (r *Rank) allreduce(buf []byte, op ReduceOp) {
 func (r *Rank) allreduceRD(buf []byte, op ReduceOp, pof2 int) {
 	tag := r.nextCollTag()
 	rem := r.size - pof2
-	tmp := make([]byte, len(buf))
+	tmp := r.scratch(len(buf))
+	defer r.putScratch(tmp)
 
 	// Fold the surplus ranks into the power-of-two group.
 	newRank := -1
@@ -215,7 +217,8 @@ func (r *Rank) allreduceRab(buf []byte, op ReduceOp, pof2 int) {
 	tagRS := r.nextCollTag()
 	tagAG := r.nextCollTag()
 	rem := r.size - pof2
-	tmp := make([]byte, len(buf))
+	tmp := r.scratch(len(buf))
+	defer r.putScratch(tmp)
 
 	newRank := -1
 	switch {
@@ -304,7 +307,8 @@ func (r *Rank) allreduceRing(buf []byte, op ReduceOp) {
 	left := (r.rank - 1 + n) % n
 	// A chunk spans floor((i+1)·nel/n) - floor(i·nel/n) <= ceil(nel/n)
 	// elements; size the receive scratch for the worst case.
-	tmp := make([]byte, (nel+n-1)/n*8)
+	tmp := r.scratch((nel + n - 1) / n * 8)
+	defer r.putScratch(tmp)
 
 	// Reduce-scatter: at step s, send chunk (rank-s) and receive chunk
 	// (rank-s-1), reducing it into buf. After n-1 steps this rank holds the
@@ -482,7 +486,8 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 	// partial accumulates the full contribution of ranks [rank-2^k+1, rank]
 	// for forwarding; buf accumulates the prefix result.
 	partial := append([]byte(nil), buf...)
-	tmp := make([]byte, len(buf))
+	tmp := r.scratch(len(buf))
+	defer r.putScratch(tmp)
 	for mask := 1; mask < r.size; mask <<= 1 {
 		var rq, sq *Request
 		if r.rank-mask >= 0 {
@@ -518,6 +523,21 @@ func (r *Rank) sendrecvInternal(dst, sendTag int, sendData []byte, src, recvTag 
 	r.wait(sq)
 	r.putReq(rq)
 	r.putReq(sq)
+}
+
+// scratch returns an n-byte receive buffer for the duration of a collective,
+// from the rank's pool; its contents are undefined (every user receives into
+// it before reading). Hand it back with putScratch when the collective
+// returns.
+func (r *Rank) scratch(n int) []byte { return r.pools.buf.Get(n) }
+
+// putScratch retires a collective's scratch buffer. Once any request of the
+// rank has failed the buffer is left to the GC instead: a failed rendezvous
+// receive may still have an RDMA write in flight toward it.
+func (r *Rank) putScratch(buf []byte) {
+	if !r.reqFailed {
+		r.pools.buf.Put(buf)
+	}
 }
 
 // chargeReduce models the local arithmetic of combining n bytes.

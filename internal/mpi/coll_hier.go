@@ -87,7 +87,8 @@ func (r *Rank) subsetReduce(members []int, tag int, buf []byte, op ReduceOp) {
 	if me < 0 {
 		r.p.Fatalf("subsetReduce: rank %d not in member list %v", r.rank, members)
 	}
-	tmp := make([]byte, len(buf))
+	tmp := r.scratch(len(buf))
+	defer r.putScratch(tmp)
 	for mask := 1; mask < n; mask <<= 1 {
 		if me&mask != 0 {
 			r.wait(r.csend(members[me-mask], tag, buf))
@@ -123,7 +124,8 @@ func (r *Rank) subsetAllreduce(members []int, tag int, buf []byte, op ReduceOp) 
 		pof2 *= 2
 	}
 	rem := n - pof2
-	tmp := make([]byte, len(buf))
+	tmp := r.scratch(len(buf))
+	defer r.putScratch(tmp)
 	newIdx := -1
 	switch {
 	case me < 2*rem && me%2 == 0:

@@ -207,7 +207,7 @@ func (m *msend) step(r *Rank, dst, tag int, data []byte) bool {
 		if done {
 			return true // self-send: completed inline
 		}
-		r.claimPair(req, dst, path == core.PathHCAEager || path == core.PathHCARndv)
+		r.claimPair(req, path == core.PathHCAEager || path == core.PathHCARndv)
 		if r.p.Deferred() {
 			m.pend = true
 			return false
@@ -255,6 +255,15 @@ func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int,
 		*m = msr{}
 		return true
 	}
+}
+
+// finishColl ends a collective machine: it retires the scratch buffer, resets
+// the machine for reuse and reports completion.
+func finishColl[M any](r *Rank, m *M, tmp []byte) bool {
+	r.putScratch(tmp)
+	var zero M
+	*m = zero
+	return true
 }
 
 // mbarrier is Rank.barrier (dissemination) as a machine.
@@ -325,7 +334,7 @@ func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
 		m.tag = r.nextCollTag()
 		m.vrank = (r.rank - root + r.size) % r.size
 		m.mask = 1
-		m.tmp = make([]byte, len(buf))
+		m.tmp = r.scratch(len(buf))
 		m.init = true
 	}
 	abs := func(v int) int { return (v + root) % r.size }
@@ -342,8 +351,7 @@ func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
 			if !r.waitStep(func() bool { return m.rq.done }) {
 				return false
 			}
-			*m = mreduce{}
-			return true
+			return finishColl(r, m, m.tmp)
 		}
 		if m.vrank+m.mask < r.size {
 			if m.st == 0 {
@@ -359,8 +367,7 @@ func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
 		m.mask <<= 1
 		m.st = 0
 	}
-	*m = mreduce{}
-	return true
+	return finishColl(r, m, m.tmp)
 }
 
 // mbcast is Rank.bcast (binomial tree) as a machine.
@@ -444,7 +451,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	if m.st == 0 {
 		m.tag = r.nextCollTag()
 		m.rem = r.size - pof2
-		m.tmp = make([]byte, len(buf))
+		m.tmp = r.scratch(len(buf))
 		m.newRank = -1
 		m.mask = 1
 		switch {
@@ -499,8 +506,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		// Hand the result back to the folded ranks.
 		switch {
 		case r.rank >= 2*m.rem:
-			*m = mrd{}
-			return true
+			return finishColl(r, m, m.tmp)
 		case r.rank%2 == 0:
 			m.st = 4
 		default:
@@ -526,8 +532,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 			return false
 		}
 	}
-	*m = mrd{}
-	return true
+	return finishColl(r, m, m.tmp)
 }
 
 // toAbsFold maps a folded (power-of-two group) rank back to its absolute
@@ -560,7 +565,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		m.tagRS = r.nextCollTag()
 		m.tagAG = r.nextCollTag()
 		m.rem = r.size - pof2
-		m.tmp = make([]byte, len(buf))
+		m.tmp = r.scratch(len(buf))
 		m.newRank = -1
 		switch {
 		case r.rank < 2*m.rem && r.rank%2 == 0:
@@ -693,8 +698,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 		switch {
 		case r.rank >= 2*m.rem:
-			*m = mrab{}
-			return true
+			return finishColl(r, m, m.tmp)
 		case r.rank%2 == 0:
 			m.st = 5
 		default:
@@ -720,8 +724,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 			return false
 		}
 	}
-	*m = mrab{}
-	return true
+	return finishColl(r, m, m.tmp)
 }
 
 // mring is Rank.allreduceRing (reduce-scatter + allgather ring) as a machine.
@@ -743,7 +746,7 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 	if m.ph == 0 {
 		m.tagRS = r.nextCollTag()
 		m.tagAG = r.nextCollTag()
-		m.tmp = make([]byte, (nel+n-1)/n*8)
+		m.tmp = r.scratch((nel + n - 1) / n * 8)
 		m.ph = 1
 	}
 	if m.ph == 1 {
@@ -771,8 +774,7 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 		}
 		m.s++
 	}
-	*m = mring{}
-	return true
+	return finishColl(r, m, m.tmp)
 }
 
 // mallreduce is Rank.allreduce as a machine: per-call algorithm selection,

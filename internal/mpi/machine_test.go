@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"cmpi/internal/cluster"
 	"cmpi/internal/core"
 	"cmpi/internal/ib"
 	"cmpi/internal/sim"
@@ -28,15 +27,7 @@ func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*
 // machWorldOpts is machWorld over caller-tuned options.
 func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, flat bool, workers int) (*World, *bytes.Buffer) {
 	t.Helper()
-	hosts := 1
-	if n > 16 {
-		hosts = n / 16
-	}
-	spec := cluster.Spec{Hosts: hosts, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 2, n, cluster.PaperScenarioOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := scaleDeployment(t, n)
 	opts.Topology = topo
 	var buf bytes.Buffer
 	opts.Trace = &buf

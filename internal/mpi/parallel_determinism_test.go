@@ -351,7 +351,7 @@ func TestReleaseClaimStrictGuard(t *testing.T) {
 		panicked := false
 		func() {
 			defer func() { panicked = recover() != nil }()
-			r.releaseClaim(&Request{hasClaim: true, claimPeer: 1})
+			r.releaseClaim(&Request{hasClaim: true, pr: r.peer(1)})
 		}()
 		if !panicked {
 			return fmt.Errorf("release with no outstanding claim did not panic under claimStrict")

@@ -1,0 +1,137 @@
+package mpi
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"cmpi/internal/ib"
+	"cmpi/internal/sim"
+)
+
+// Traces pinned across the move from dense per-pair and per-peer tables to
+// state created on first contact. The digests below were recorded at the
+// commit before that move (77a1b18), on the flat engine at width 1; every
+// engine and width must still produce them. An all-to-all contacts every
+// pair of the world, a ring two peers per rank: the two ends of how full a
+// rank's peer table gets.
+
+const (
+	peerTraceRanks  = 32 // two hosts, two containers each
+	peerTraceRounds = 3
+)
+
+// alltoallBody is the blocking all-to-all.
+func alltoallBody(chunk int) func(r *Rank) error {
+	return func(r *Rank) error {
+		send := make([]byte, chunk*r.Size())
+		recv := make([]byte, chunk*r.Size())
+		for i := range send {
+			send[i] = byte(r.Rank() + i)
+		}
+		r.Alltoall(send, recv, chunk)
+		for src := 0; src < r.Size(); src++ {
+			if got, want := recv[src*chunk], byte(src+r.Rank()*chunk); got != want {
+				return fmt.Errorf("rank %d: block from %d starts with %d, want %d", r.Rank(), src, got, want)
+			}
+		}
+		return nil
+	}
+}
+
+// ringBody is the blocking ring: every rank passes a buffer to its right
+// neighbour and takes one from its left, a few times over.
+func ringBody(size int) func(r *Rank) error {
+	return func(r *Rank) error {
+		n := r.Size()
+		out, in := make([]byte, size), make([]byte, size)
+		for round := 0; round < peerTraceRounds; round++ {
+			out[0] = byte(r.Rank() + round)
+			r.Sendrecv((r.Rank()+1)%n, round, out, (r.Rank()-1+n)%n, round, in)
+			if want := byte((r.Rank()-1+n)%n + round); in[0] != want {
+				return fmt.Errorf("rank %d round %d: got %d, want %d", r.Rank(), round, in[0], want)
+			}
+		}
+		return nil
+	}
+}
+
+// exchangeProg is both patterns as a machine-native Program: a sequence of
+// sendrecv steps, pairwise (rank^step, all-to-all) or to the right neighbour
+// (ring).
+type exchangeProg struct {
+	ring       bool
+	size       int
+	send, recv []byte
+	step       int
+	sr         msr
+}
+
+func (g *exchangeProg) Step(r *Rank) sim.Flow {
+	n := r.size
+	steps := n - 1
+	if g.ring {
+		steps = peerTraceRounds
+	}
+	if g.send == nil {
+		g.send = make([]byte, g.size*n)
+		g.recv = make([]byte, g.size*n)
+		g.step = 1
+	}
+	for g.step <= steps {
+		dst, src := r.rank^g.step, r.rank^g.step
+		if g.ring {
+			dst, src = (r.rank+1)%n, (r.rank-1+n)%n
+		}
+		if !g.sr.step(r, dst, g.step, g.send[dst*g.size:(dst+1)*g.size], src, g.step, g.recv[src*g.size:(src+1)*g.size]) {
+			return sim.More
+		}
+		g.step++
+	}
+	return sim.Done
+}
+
+func TestTracesUnchangedByFirstContactState(t *testing.T) {
+	cases := []struct {
+		name    string
+		machine bool
+		ring    bool
+		size    int
+		digest  string
+	}{
+		{"blocking/alltoall-512", false, false, 512, "3dfdb98d874f5c3c9d49548490dc09133a754898327c7a0bee6ae40239e61a34"},
+		{"blocking/alltoall-32k", false, false, 32 << 10, "84a8c4613d7f85f8a80aedb69308e40add36f0c63b93020a21a8dd552850c0fe"},
+		{"blocking/ring-512", false, true, 512, "97ba5c86d0020bf6aca595654a1c99a0f542564d64d77c16da0abcfd55d50491"},
+		{"blocking/ring-64k", false, true, 64 << 10, "dd7111878fdf4037950820bc5169e73626aa3a814f82eaff793612b2860c037c"},
+		{"machine/alltoall-512", true, false, 512, "61af3f41987edf6235c2c42155ab546667e2dfd06987469e32308d4e5402a5ab"},
+		{"machine/alltoall-32k", true, false, 32 << 10, "608c9bbbc8e6f8cc0550de09384b4e6da54c9fc2d4e45ce63da76e68d73736e9"},
+		{"machine/ring-512", true, true, 512, "66827eb2e56794553963598dac1f9d05890dcf707dcb214edde3c7221d74ccd6"},
+		{"machine/ring-64k", true, true, 64 << 10, "1535cf2a59d73907575e3b7068df385d738b626ab6263c600fe31549661b186d"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, flat := range []bool{true, false} {
+				for _, workers := range []int{1, 2, 4, 8} {
+					w, buf := machWorld(t, peerTraceRanks, ib.Topology{}, flat, workers)
+					var err error
+					switch {
+					case tc.machine:
+						err = w.RunMachine(func(int) Program { return &exchangeProg{ring: tc.ring, size: tc.size} })
+					case tc.ring:
+						err = w.Run(ringBody(tc.size))
+					default:
+						err = w.Run(alltoallBody(tc.size))
+					}
+					if err != nil {
+						t.Fatalf("flat=%v/w%d: %v", flat, workers, err)
+					}
+					sum := sha256.Sum256(buf.Bytes())
+					if got := hex.EncodeToString(sum[:]); got != tc.digest {
+						t.Errorf("flat=%v/w%d: trace digest %s (%d bytes), want %s", flat, workers, got, buf.Len(), tc.digest)
+					}
+				}
+			}
+		})
+	}
+}

@@ -177,7 +177,7 @@ func (r *Rank) releaseOp(op *sendOp) {
 		return
 	}
 	if op.refs < 0 {
-		r.p.Fatalf("sendOp released twice (dst=%d tag=%d seq=%d)", op.dst, op.tag, op.seq)
+		r.p.Fatalf("sendOp released twice (dst=%d tag=%d seq=%d)", op.pr.rank, op.tag, op.seq)
 	}
 	d := op.dir
 	if op.owned {

@@ -75,10 +75,11 @@ func parseHdr(buf []byte) hcaMsg {
 // so the send completes locally right away — classic eager semantics.
 func (r *Rank) hcaEagerSend(req *Request) {
 	prm := &r.w.Opts.Params
-	r.claimPair(req, req.peer, true)
-	qp := r.qpFor(req.peer)
-	seq := r.sendSeq[req.peer]
-	r.sendSeq[req.peer]++
+	pr := req.pr
+	r.claimPair(req, true)
+	qp := r.qpFor(pr)
+	seq := pr.sendSeq
+	pr.sendSeq++
 	r.p.Advance(prm.MemCopy(len(req.sbuf), false))
 	r.postHdr(qp, hcaEager, req.ctx, req.tag, len(req.sbuf), seq, 0, req.sbuf)
 	r.countOp(core.ChannelHCA, len(req.sbuf))
@@ -92,12 +93,13 @@ func (r *Rank) hcaRndvSend(req *Request) {
 	// receiver's WRITE_IMM completion — after our own wait returns — so it
 	// must never be recycled.
 	req.noPool = true
-	r.claimPair(req, req.peer, true)
-	qp := r.qpFor(req.peer)
-	seq := r.sendSeq[req.peer]
-	r.sendSeq[req.peer]++
+	pr := req.pr
+	r.claimPair(req, true)
+	qp := r.qpFor(pr)
+	seq := pr.sendSeq
+	pr.sendSeq++
 	msgID := r.newMsgID()
-	ps := r.w.pair(r.rank, req.peer)
+	ps := pr.ps
 	if ps.rndv == nil {
 		ps.rndv = make(map[uint64]rndvState)
 	}
@@ -129,7 +131,7 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 		if !known {
 			r.p.Fatalf("WRITE_IMM on unknown QP %d", cqe.QP.QPN())
 		}
-		ps := r.w.pair(r.rank, peer)
+		ps := r.peer(peer).ps
 		st := ps.rndv[cqe.Imm]
 		if st.rreq == nil {
 			if r.w.rankDead(peer) {
@@ -188,17 +190,15 @@ func (r *Rank) handleChannelError(cqe ib.CQE) {
 	if r.w.Opts.ErrHandler == ErrorsAreFatal {
 		r.w.failRank(r, ce) // does not return
 	}
-	if r.deadPeers == nil {
-		r.deadPeers = make(map[int]bool)
-	}
-	first := !r.deadPeers[peer]
-	r.deadPeers[peer] = true
+	pr := r.peer(peer)
+	first := !pr.dead
+	pr.dead = true
 
 	// Fail this rank's side of every rendezvous crossing the dead channel
 	// (the pair's table holds exactly those). The far end cleans up its own
 	// side when its error CQE arrives. Map iteration is unordered, so collect
 	// and sort ids for determinism.
-	psDead := r.w.pair(r.rank, peer)
+	psDead := pr.ps
 	var ids []uint64
 	for id, st := range psDead.rndv {
 		if (st.sreq != nil && st.sreq.r == r) || (st.rreq != nil && st.rreq.r == r) {
@@ -280,7 +280,8 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		// We are the rendezvous sender: RDMA-write the payload from the pinned
 		// user buffer into the receiver's registered buffer (the one copy),
 		// then complete on the write CQE.
-		st, known := r.w.pair(r.rank, m.src).rndv[m.msgID]
+		pr := r.peer(m.src)
+		st, known := pr.ps.rndv[m.msgID]
 		if st.mr == nil {
 			if !known && r.w.rankDead(m.src) {
 				// The receiver crashed after posting its CTS; our side of the
@@ -289,7 +290,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			}
 			r.p.Fatalf("CTS for unknown rendezvous id %d", m.msgID)
 		}
-		qp := r.qpFor(m.src)
+		qp := r.qpFor(pr)
 		r.nextWrid++
 		r.wridOps[r.nextWrid] = wridRef{sreq: st.sreq}
 		qp.PostWrite(r.p, r.nextWrid, st.sreq.sbuf, st.mr, 0, true, m.msgID)
@@ -303,7 +304,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 // hcaSendCTS registers the receive buffer and releases the rendezvous
 // sender (called when an RTS matches a posted receive).
 func (r *Rank) hcaSendCTS(env *envelope, req *Request) {
-	tab := r.w.pair(r.rank, env.src).rndv
+	tab := req.pr.ps.rndv
 	st, known := tab[env.msgID]
 	if !known {
 		r.p.Fatalf("RTS for unknown rendezvous id %d", env.msgID)
@@ -311,7 +312,7 @@ func (r *Rank) hcaSendCTS(env *envelope, req *Request) {
 	st.rreq = req
 	st.mr = r.dev.RegisterMR(r.p, req.rbuf[:env.size])
 	tab[env.msgID] = st
-	qp := r.qpFor(env.src)
+	qp := r.qpFor(req.pr)
 	r.postHdr(qp, hcaCTS, env.ctx, env.tag, env.size, env.seq, env.msgID, nil)
 	r.trace(trace.OpCTS, trace.PathOf(core.PathHCARndv), env.src, env.tag, env.ctx, env.size, env.seq)
 }

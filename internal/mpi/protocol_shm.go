@@ -82,15 +82,15 @@ func newShmRing(w *World, ps *pairShared, seg *shmem.Segment) *shmRing {
 		ps:  ps,
 		seg: seg,
 		dirs: [2]*ringDir{
-			{w: w, sender: ps.lo, receiver: ps.hi, capacity: capacity},
-			{w: w, sender: ps.hi, receiver: ps.lo, capacity: capacity},
+			{w: w, sender: int(ps.lo), receiver: int(ps.hi), capacity: capacity},
+			{w: w, sender: int(ps.hi), receiver: int(ps.lo), capacity: capacity},
 		},
 	}
 }
 
 // out returns the direction rank sends on.
 func (s *shmRing) out(rank int) *ringDir {
-	if rank == s.ps.lo {
+	if rank == int(s.ps.lo) {
 		return s.dirs[0]
 	}
 	return s.dirs[1]
@@ -98,7 +98,7 @@ func (s *shmRing) out(rank int) *ringDir {
 
 // in returns the direction rank receives on.
 func (s *shmRing) in(rank int) *ringDir {
-	if rank == s.ps.lo {
+	if rank == int(s.ps.lo) {
 		return s.dirs[1]
 	}
 	return s.dirs[0]
@@ -190,7 +190,7 @@ const (
 // sendOp is one in-flight send on the SHM/CMA channels.
 type sendOp struct {
 	req         *Request
-	dst         int
+	pr          *peerRec // the sender's record of the destination
 	tag         int
 	ctx         int
 	seq         uint64
@@ -201,7 +201,7 @@ type sendOp struct {
 	offset      int
 	firstPushed bool
 	state       opState
-	queued      bool // currently listed in the sender's sendQ
+	queued      bool // currently listed in the destination's sendQ
 	refs        int8 // sender-queue + receiver-stream references (see pool.go)
 }
 
@@ -211,14 +211,15 @@ type sendOp struct {
 func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 	// Claim the pair before any ring state is touched (the attach itself
 	// publishes into both ranks' localPairs lists).
-	r.claimPair(req, req.peer, false)
-	ring, err := r.ringFor(req.peer)
+	pr := req.pr
+	r.claimPair(req, false)
+	ring, err := r.ringFor(pr)
 	if err != nil {
 		// The record keeps the originally selected path (the legacy line
 		// format prints the fallback target instead); the message's sequence
 		// number is still unassigned here and the HCA send below will draw
 		// the same value the send-initiation record carried.
-		r.trace(trace.OpShmFallback, trace.PathOf(path), req.peer, req.tag, req.ctx, len(req.sbuf), r.sendSeq[req.peer])
+		r.trace(trace.OpShmFallback, trace.PathOf(path), req.peer, req.tag, req.ctx, len(req.sbuf), pr.sendSeq)
 		if r.prof != nil {
 			r.prof.Faults.ShmFallbacks++
 		}
@@ -234,12 +235,12 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 	op.refs = 2 // the sender's queue and the receiver's stream (see releaseOp)
 	op.dir = d
 	op.req = req
-	op.dst = req.peer
+	op.pr = pr
 	op.tag = req.tag
 	op.ctx = req.ctx
-	op.seq = r.sendSeq[req.peer]
+	op.seq = pr.sendSeq
 	op.path = path
-	r.sendSeq[req.peer]++
+	pr.sendSeq++
 	if path == core.PathSHMEager {
 		// Eager completes at the last push, before the receiver has copied
 		// anything out: the ring must hold its own copy of the payload.
@@ -253,7 +254,7 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 		op.state = opRTSPending
 	}
 	r.enqueueOp(op)
-	r.pushSends(req.peer)
+	r.pushSends(pr)
 }
 
 // enqueueOp lists op in the per-destination send queue (idempotent).
@@ -262,10 +263,14 @@ func (r *Rank) enqueueOp(op *sendOp) {
 		return
 	}
 	op.queued = true
-	r.sendQ[op.dst] = append(r.sendQ[op.dst], op)
-	if !r.dstListed[op.dst] {
-		r.dstListed[op.dst] = true
-		r.sendDsts = append(r.sendDsts, op.dst)
+	pr := op.pr
+	if pr.q == nil {
+		pr.q = new(peerQueues)
+	}
+	pr.q.sendQ = append(pr.q.sendQ, op)
+	if !pr.listed {
+		pr.listed = true
+		r.sendDsts = append(r.sendDsts, pr)
 	}
 }
 
@@ -273,18 +278,14 @@ func (r *Rank) enqueueOp(op *sendOp) {
 // pushed strictly in queue order (preserving MPI matching order); fragments
 // of distinct messages may interleave because the receiver routes them by
 // sequence number.
-func (r *Rank) pushSends(dst int) bool {
-	q := r.sendQ[dst]
+func (r *Rank) pushSends(pr *peerRec) bool {
+	q := pr.q.sendQ
 	if len(q) == 0 {
 		return false
 	}
-	ring, err := r.ringFor(dst)
-	if err != nil {
-		// Queued ops imply the ring attached at enqueue time; it cannot
-		// disappear afterwards.
-		r.p.Fatalf("shm send queue to %d with no ring: %v", dst, err)
-	}
-	d := ring.out(r.rank)
+	// Queued ops imply the ring attached at enqueue time; it cannot disappear
+	// afterwards.
+	d := pr.ps.ring.out(r.rank)
 	adv := false
 	for _, op := range q {
 		if r.pushOp(d, op) {
@@ -319,7 +320,7 @@ func (r *Rank) pushSends(dst int) bool {
 	for i := len(keep); i < len(q); i++ {
 		q[i] = nil // clear the compacted tail so dropped ops aren't pinned
 	}
-	r.sendQ[dst] = keep
+	pr.q.sendQ = keep
 	return adv
 }
 
@@ -337,7 +338,7 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		pkt.sop, pkt.path = op, op.path
 		d.push(r, pkt)
 		op.firstPushed = true
-		r.trace(trace.OpRTS, trace.PathOf(op.path), op.dst, op.tag, op.ctx, len(op.data), op.seq)
+		r.trace(trace.OpRTS, trace.PathOf(op.path), int(op.pr.rank), op.tag, op.ctx, len(op.data), op.seq)
 		if op.path == core.PathCMARndv {
 			op.state = opAwaitFIN
 		} else {
@@ -349,7 +350,7 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		return false
 	}
 
-	cs := r.crossSocket(op.dst)
+	cs := r.crossSocket(int(op.pr.rank))
 	cell := prm.ShmCellPayload
 	adv := false
 	for op.offset < len(op.data) || !op.firstPushed {
@@ -440,7 +441,7 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 		r.snapshot(op, op.data)
 		op.state = opStream
 		r.enqueueOp(op)
-		r.pushSends(op.dst)
+		r.pushSends(op.pr)
 
 	case pktFIN:
 		// We are the original sender of a CMA rendezvous: buffer released.
@@ -488,7 +489,7 @@ func (r *Rank) acceptFrag(env *envelope, payload []byte) {
 // copy of the message — then releases the sender with a FIN.
 func (r *Rank) performCMARead(env *envelope, req *Request) {
 	prm := &r.w.Opts.Params
-	ps := r.w.pair(r.rank, env.src)
+	ps := req.pr.ps
 	if ps.cmaDead || r.w.inj.CMAFails(r.env.Host.Index, r.p.Now()) {
 		// Graceful degradation: process_vm_readv failed, so pull the payload
 		// through the shared ring instead (rendezvous streaming, the UseCMA=0
@@ -501,7 +502,7 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 		ps.cmaDead = true
 		env.path = core.PathSHMRndv
 		env.sop.path = core.PathSHMRndv
-		r.sendCTS(env)
+		r.sendCTS(env, req.pr)
 		return
 	}
 	cs := r.crossSocket(env.src)
@@ -511,7 +512,7 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 		r.p.Fatalf("CMA read from rank %d: %v", env.src, err)
 	}
 	r.countOp(core.ChannelCMA, env.size)
-	r.pushControl(env.src, pktFIN, env.sop)
+	r.pushControl(req.pr, pktFIN, env.sop)
 	// The payload has been read out; drop the receiver's reference (the
 	// sender's is dropped when it consumes the FIN).
 	r.releaseOp(env.sop)
@@ -520,21 +521,17 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 }
 
 // sendCTS releases a SHM-staged rendezvous sender.
-func (r *Rank) sendCTS(env *envelope) {
+func (r *Rank) sendCTS(env *envelope, pr *peerRec) {
 	r.trace(trace.OpCTS, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
 	r.streams[streamKey{src: env.src, seq: env.seq}] = env
-	r.pushControl(env.src, pktCTS, env.sop)
+	r.pushControl(pr, pktCTS, env.sop)
 }
 
 // pushControl sends a zero-footprint control packet (CTS or FIN) about sop
-// to peer.
-func (r *Rank) pushControl(peer int, kind pktKind, sop *sendOp) {
-	ring, err := r.ringFor(peer)
-	if err != nil {
-		// Control packets answer data that arrived on this very ring.
-		r.p.Fatalf("control packet %d->%d with no ring: %v", r.rank, peer, err)
-	}
-	d := ring.out(r.rank)
+// to a peer. Control packets answer data that arrived on the pair's ring, so
+// the ring exists.
+func (r *Rank) pushControl(pr *peerRec, kind pktKind, sop *sendOp) {
+	d := pr.ps.ring.out(r.rank)
 	r.p.Advance(r.w.Opts.Params.ShmPostOverhead)
 	pkt := d.newPkt(r)
 	pkt.kind, pkt.sop = kind, sop

@@ -31,11 +31,14 @@ type Request struct {
 	err    error
 	noPool bool // excluded from request recycling (see pool.go)
 
+	// pr is the owner's record of the request's peer: the destination of a
+	// send, the matched source of a rendezvous receive (nil for self-sends
+	// and for receives that never needed it).
+	pr *peerRec
 	// Epoch-dispatch claim (parallel worlds): while hasClaim, this request
-	// keeps claimPeer's rank merged into the owner's footprint (see
-	// Rank.claimPair). Released at completion or failure.
-	claimPeer int
-	hasClaim  bool
+	// keeps pr's rank merged into the owner's footprint (see Rank.claimPair).
+	// Released at completion or failure.
+	hasClaim bool
 }
 
 // Done reports completion without progressing the engine (see Test).
@@ -54,6 +57,7 @@ func (r *Rank) failRequest(req *Request, cause error) {
 	}
 	req.err = cause
 	req.done = true
+	r.reqFailed = true
 	r.releaseClaim(req)
 	for i, pr := range r.posted {
 		if pr == req {
@@ -139,7 +143,8 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 		// merge: a sender parked on the transfer has no pending event, so
 		// its footprint is not consulted when this rank's wake forms an
 		// epoch.
-		if !r.tryClaimPair(req, env.src, env.path == core.PathHCARndv) {
+		req.pr = r.peer(env.src)
+		if !r.tryClaimPair(req, env.path == core.PathHCARndv) {
 			if r.machine {
 				// A match happens mid-sweep, where a machine step cannot
 				// regroup (the yield must be its last action): park the
@@ -173,7 +178,7 @@ func (r *Rank) startRndv(env *envelope, req *Request) {
 	case core.PathCMARndv:
 		r.performCMARead(env, req)
 	case core.PathSHMRndv:
-		r.sendCTS(env)
+		r.sendCTS(env, req.pr)
 	case core.PathHCARndv:
 		r.hcaSendCTS(env, req)
 	}
@@ -208,8 +213,8 @@ func (r *Rank) selfSend(req *Request) {
 	env.src, env.tag, env.size = r.rank, req.tag, len(req.sbuf)
 	env.ctx = req.ctx
 	env.path = core.PathSHMEager
-	env.seq = r.sendSeq[r.rank]
-	r.sendSeq[r.rank]++
+	env.seq = r.selfSeq
+	r.selfSeq++
 	r.p.Advance(r.w.Opts.Params.MemCopy(len(req.sbuf), false))
 	env.staged = r.pools.buf.GetCopy(req.sbuf)
 	env.received = env.size
@@ -261,7 +266,7 @@ func (r *Rank) isendPrep(dst, tag, ctx int, data []byte) (req *Request, path cor
 	req = r.getReq()
 	req.r, req.isSend, req.peer, req.tag, req.ctx, req.sbuf = r, true, dst, tag, ctx, data
 	if dst == r.rank {
-		r.trace(trace.OpSend, trace.PathSelf, req.peer, tag, ctx, len(data), r.sendSeq[r.rank])
+		r.trace(trace.OpSend, trace.PathSelf, req.peer, tag, ctx, len(data), r.selfSeq)
 		r.selfSend(req)
 		return req, 0, true
 	}
@@ -272,14 +277,16 @@ func (r *Rank) isendPrep(dst, tag, ctx int, data []byte) (req *Request, path cor
 		r.failRequest(req, &ProcFailedError{Peer: dst, At: r.p.Now()})
 		return req, 0, true
 	}
-	if r.deadPeers[dst] {
+	pr := r.peer(dst)
+	if pr.dead {
 		// The HCA channel to dst already broke under ErrorsReturn: fail fast
 		// instead of posting into a flushed connection.
 		r.failRequest(req, &ChannelError{Peer: dst, Status: ib.WCFlushed})
 		return req, 0, true
 	}
-	path = r.pathFor(dst, len(data))
-	r.trace(trace.OpSend, trace.PathOf(path), dst, tag, ctx, len(data), r.sendSeq[dst])
+	req.pr = pr
+	path = r.pathFor(pr, len(data))
+	r.trace(trace.OpSend, trace.PathOf(path), dst, tag, ctx, len(data), pr.sendSeq)
 	return req, path, false
 }
 
@@ -322,7 +329,7 @@ func (r *Rank) irecvCtx(src, tag, ctx int, buf []byte) *Request {
 		// Already-delivered messages (unexpected queue) matched above; nothing
 		// more can ever arrive from a crashed source.
 		r.failRequest(req, &ProcFailedError{Peer: src, At: r.p.Now()})
-	} else if src != AnySource && r.deadPeers[src] {
+	} else if pr := r.peers.find(src); pr != nil && pr.dead {
 		// Nothing more can ever arrive from a dead peer.
 		r.failRequest(req, &ChannelError{Peer: src, Status: ib.WCFlushed})
 	} else {
@@ -447,18 +454,19 @@ func (r *Rank) Ssend(dst, tag int, data []byte) {
 		r.p.Fatalf("Ssend to self would deadlock (no receive can match within the call)")
 	}
 	req := r.getReq()
-	req.r, req.isSend, req.peer, req.tag, req.sbuf = r, true, dst, tag, data
-	switch path := r.pathFor(dst, len(data)); path {
+	pr := r.peer(dst)
+	req.r, req.isSend, req.peer, req.tag, req.sbuf, req.pr = r, true, dst, tag, data, pr
+	switch path := r.pathFor(pr, len(data)); path {
 	case core.PathSHMEager, core.PathSHMRndv, core.PathCMARndv:
 		// Force the rendezvous flavor of the local channel.
 		forced := core.PathSHMRndv
-		if r.caps[dst].SharedPID && r.w.Opts.Tunables.UseCMA {
+		if pr.caps.SharedPID && r.w.Opts.Tunables.UseCMA {
 			forced = core.PathCMARndv
 		}
-		r.trace(trace.OpSsend, trace.PathOf(forced), dst, tag, 0, len(data), r.sendSeq[dst])
+		r.trace(trace.OpSsend, trace.PathOf(forced), dst, tag, 0, len(data), pr.sendSeq)
 		r.enqueueShmSend(req, forced)
 	default:
-		r.trace(trace.OpSsend, trace.PathOf(core.PathHCARndv), dst, tag, 0, len(data), r.sendSeq[dst])
+		r.trace(trace.OpSsend, trace.PathOf(core.PathHCARndv), dst, tag, 0, len(data), pr.sendSeq)
 		r.hcaRndvSend(req)
 	}
 	r.wait(req)

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
@@ -15,6 +16,15 @@ import (
 
 // Rank is one MPI process. All communication methods must be called from
 // the rank's own simulated process (inside the body passed to World.Run).
+//
+// Per-peer state lives in peer records (peerRec), created on first contact
+// and found through the rank's peer table. The table and the records are
+// rank-private: only the owning rank's process creates, reads or writes them
+// (execution context), except that a sendOp carries its sender's record to the
+// receiver, which reads nothing from it but the immutable rank. Formation
+// context (footprint, decayPairs) never looks a peer up — it walks
+// touchedPairs, whose pointers lead to the shared pair records (see
+// pairShared for their rules).
 type Rank struct {
 	w    *World
 	p    *sim.Proc
@@ -29,8 +39,11 @@ type Rank struct {
 	devErr error
 	cq     *ib.CQ
 
-	det  *core.Detector
-	caps []core.PeerCapabilities
+	det *core.Detector
+	// loc is the detector's container-list snapshot (one byte per rank, the
+	// paper's own cost); zero when the detector is off or fell back.
+	loc   core.Locality
+	peers peerTable
 
 	// matching state
 	posted     []*Request
@@ -39,10 +52,8 @@ type Rank struct {
 	winCount   int                     // windows created (collective order index)
 
 	// send-side state
-	sendSeq    []uint64           // next message seq per destination
-	sendQ      map[int][]*sendOp  // per-destination FIFO of ring-bound sends
-	sendDsts   []int              // destinations with queued ops, in first-use order (deterministic iteration)
-	dstListed  map[int]bool       // membership set for sendDsts
+	selfSeq    uint64             // next message seq for self-sends
+	sendDsts   []*peerRec         // destinations with queued ops, in first-use order (deterministic iteration)
 	wridOps    map[uint64]wridRef // HCA completion routing
 	nextWrid   uint64
 	collSeq    int
@@ -59,15 +70,120 @@ type Rank struct {
 
 	// fault state
 	hasCrash  bool
-	crashAt   sim.Time     // scheduled death (valid when hasCrash)
-	deadPeers map[int]bool // peers behind a broken HCA channel
+	crashAt   sim.Time // scheduled death (valid when hasCrash)
+	reqFailed bool     // some request of this rank completed with an error (failRequest)
 
 	// recovery state (ErrorsRecover)
-	crashSeen uint64            // last World.crashGen this rank reaped
-	reaped    []bool            // peers whose death this rank already processed
-	finWait   map[int][]*sendOp // rendezvous sends awaiting FIN, per destination
+	crashSeen uint64 // last World.crashGen this rank reaped
 
 	prof *profile.RankProfile
+}
+
+// peerRec is what a rank keeps about one peer it has been in contact with:
+// created by Rank.peer the first time the rank names the peer — a send, a
+// matched rendezvous, an inbound HCA message, a failure to record — and kept
+// for the life of the world. Resolved once per request and carried on it
+// (Request.pr, sendOp.pr), so the message paths below never look it up again.
+type peerRec struct {
+	ps      *pairShared // the pair's shared connection state
+	sendSeq uint64      // next message seq toward the peer
+	q       *peerQueues // ring-bound sends; nil until the first one
+	rank    int32       // the peer
+	caps    core.PeerCapabilities
+	listed  bool // on sendDsts
+	dead    bool // behind a broken HCA channel
+	reaped  bool // the peer crashed and this rank has processed it
+}
+
+// peerQueues holds a destination's ring-bound sends.
+type peerQueues struct {
+	sendQ   []*sendOp // FIFO of sends that still have packets to push
+	finWait []*sendOp // rendezvous sends awaiting FIN
+}
+
+// peerTable finds a rank's peer records: recs in first-contact order, idx an
+// open-addressed index over them (a slot holds a position in recs plus one,
+// zero for empty; at most half full), last the record of the latest lookup.
+type peerTable struct {
+	recs []*peerRec
+	idx  []int32 // length zero or a power of two
+	last *peerRec
+}
+
+// slot is where the probe for peer starts: the top log2(len(idx)) bits of a
+// multiplicative hash.
+func (t *peerTable) slot(peer int) int {
+	return int(uint32(peer) * 2654435761 >> bits.LeadingZeros32(uint32(len(t.idx)-1)))
+}
+
+// find returns the record for peer, or nil if the rank never contacted it.
+func (t *peerTable) find(peer int) *peerRec {
+	if pr := t.last; pr != nil && int(pr.rank) == peer {
+		return pr
+	}
+	if len(t.idx) == 0 {
+		return nil
+	}
+	mask := len(t.idx) - 1
+	for i := t.slot(peer); ; i = (i + 1) & mask {
+		at := t.idx[i]
+		if at == 0 {
+			return nil
+		}
+		if pr := t.recs[at-1]; int(pr.rank) == peer {
+			t.last = pr
+			return pr
+		}
+	}
+}
+
+// add lists a new record, growing the index to keep it at most half full.
+func (t *peerTable) add(pr *peerRec) {
+	t.recs = append(t.recs, pr)
+	t.last = pr
+	if 2*len(t.recs) <= len(t.idx) {
+		t.place(len(t.recs) - 1)
+		return
+	}
+	t.idx = make([]int32, max(8, 2*len(t.idx)))
+	for at := range t.recs {
+		t.place(at)
+	}
+}
+
+// place enters recs[at] into the index.
+func (t *peerTable) place(at int) {
+	mask := len(t.idx) - 1
+	i := t.slot(int(t.recs[at].rank))
+	for t.idx[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.idx[i] = int32(at + 1)
+}
+
+// peer returns r's record for a peer, creating it — and, if the other end has
+// not named the pair yet, the pair's shared state — on first contact.
+func (r *Rank) peer(peer int) *peerRec {
+	if pr := r.peers.find(peer); pr != nil {
+		return pr
+	}
+	pr := &peerRec{ps: r.w.pair(r.rank, peer), rank: int32(peer), caps: r.capsOf(peer)}
+	r.peers.add(pr)
+	return pr
+}
+
+// capsOf derives the capabilities of the pair (r, peer) from the two
+// placements and r's detector snapshot.
+func (r *Rank) capsOf(peer int) core.PeerCapabilities {
+	penv := r.w.Deploy.Placements[peer].Env
+	sameHost := r.env.SameHost(penv)
+	return core.PeerCapabilities{
+		SameHost:      sameHost,
+		SameHostname:  r.env.Hostname() == penv.Hostname(),
+		SharedIPC:     sameHost && r.env.SharesNamespace(cluster.IPC, penv),
+		SharedPID:     sameHost && r.env.SharesNamespace(cluster.PID, penv),
+		DetectedLocal: r.loc.IsLocal(peer),
+	}
 }
 
 // wridRef routes an HCA completion back to the operation that posted it.
@@ -79,20 +195,15 @@ type wridRef struct {
 func newRank(w *World, i int) *Rank {
 	pl := w.Deploy.Placements[i]
 	r := &Rank{
-		w:         w,
-		rank:      i,
-		size:      w.Deploy.Size(),
-		pl:        pl,
-		env:       pl.Env,
-		socket:    pl.Socket(),
-		sendSeq:   make([]uint64, w.Deploy.Size()),
-		sendQ:     make(map[int][]*sendOp),
-		dstListed: make(map[int]bool),
-		wridOps:   make(map[uint64]wridRef),
-		streams:   make(map[streamKey]*envelope),
-		qpPeer:    make(map[*ib.QP]int),
-		reaped:    make([]bool, w.Deploy.Size()),
-		finWait:   make(map[int][]*sendOp),
+		w:       w,
+		rank:    i,
+		size:    w.Deploy.Size(),
+		pl:      pl,
+		env:     pl.Env,
+		socket:  pl.Socket(),
+		wridOps: make(map[uint64]wridRef),
+		streams: make(map[streamKey]*envelope),
+		qpPeer:  make(map[*ib.QP]int),
 	}
 	if w.Prof != nil {
 		r.prof = w.Prof.Ranks[i]
@@ -139,15 +250,16 @@ func (r *Rank) Abort(format string, args ...any) {
 func (r *Rank) LocalRanks() []int {
 	var out []int
 	for peer := 0; peer < r.size; peer++ {
-		if peer == r.rank || core.TreatLocal(r.w.Opts.Mode, r.caps[peer]) {
+		if peer == r.rank || core.TreatLocal(r.w.Opts.Mode, r.capsOf(peer)) {
 			out = append(out, peer)
 		}
 	}
 	return out
 }
 
-// init is MPI_Init: open the HCA, run the Container Locality Detector, and
-// build the per-peer capability table. Split around the PMI barrier so
+// init is MPI_Init: open the HCA and run the Container Locality Detector
+// (per-peer capabilities are derived on first contact, see Rank.peer). Split
+// around the PMI barrier so
 // machine ranks (machine.go) can run the same two halves with the barrier
 // wait spread across steps.
 func (r *Rank) init() error {
@@ -219,42 +331,43 @@ func (r *Rank) initPre() error {
 }
 
 // initPost is the post-barrier half of MPI_Init: snapshot the detector's
-// container list and build the per-peer capability table.
+// container list and check that the HCA is there if any peer needs it.
 func (r *Rank) initPost() error {
-	det := r.det
-	var loc core.Locality
-	if det != nil {
-		loc = det.Snapshot()
+	if r.det != nil {
+		r.loc = r.det.Snapshot()
 		// Scanning one byte per rank: ~0.5 ns each.
 		r.p.Advance(sim.FromNanos(0.5 * float64(r.size)))
 	}
-
-	r.caps = make([]core.PeerCapabilities, r.size)
-	needHCA := false
-	for peer := 0; peer < r.size; peer++ {
-		if peer == r.rank {
-			continue
-		}
-		penv := r.w.Deploy.Placements[peer].Env
-		cap := core.PeerCapabilities{
-			SameHost:     r.env.SameHost(penv),
-			SameHostname: r.env.Hostname() == penv.Hostname(),
-			SharedIPC:    r.env.SameHost(penv) && r.env.SharesNamespace(cluster.IPC, penv),
-			SharedPID:    r.env.SameHost(penv) && r.env.SharesNamespace(cluster.PID, penv),
-		}
-		if det != nil {
-			cap.DetectedLocal = loc.IsLocal(peer)
-		}
-		r.caps[peer] = cap
-		if !core.TreatLocal(r.w.Opts.Mode, cap) || !cap.SharedIPC {
-			needHCA = true
-		}
-	}
-	if needHCA && r.dev == nil {
+	if r.dev == nil && r.needsHCA() {
 		return fmt.Errorf("rank %d in %s needs the HCA channel but cannot open the device: %w",
 			r.rank, r.env, r.devErr)
 	}
 	return nil
+}
+
+// needsHCA reports whether some peer is out of reach of shared memory: the
+// pair shares no IPC namespace, or the library does not treat it as local
+// (core.SelectPath). Every peer passing the hostname test is within reach —
+// counted once per world, by environment — and so are, in locality-aware
+// mode, the detected co-residents among the rest.
+func (r *Rank) needsHCA() bool {
+	w := r.w
+	w.nameIPCOnce.Do(func() {
+		w.sameNameIPC = make(map[nameIPC]int)
+		for _, pl := range w.Deploy.Placements {
+			w.sameNameIPC[nameIPCOf(pl.Env)]++
+		}
+	})
+	local := w.sameNameIPC[nameIPCOf(r.env)] - 1 // not counting r itself
+	for _, peer := range r.loc.LocalRanks {
+		if peer == r.rank {
+			continue
+		}
+		if c := r.capsOf(peer); c.SharedIPC && !c.SameHostname {
+			local++
+		}
+	}
+	return local < r.size-1
 }
 
 // finalizeCheck asserts there are no dangling requests at MPI_Finalize.
@@ -262,20 +375,21 @@ func (r *Rank) finalizeCheck() {
 	if n := len(r.posted); n != 0 {
 		r.p.Fatalf("MPI_Finalize with %d posted receives outstanding", n)
 	}
-	for dst, q := range r.sendQ {
-		if len(q) != 0 {
-			r.p.Fatalf("MPI_Finalize with %d sends to rank %d outstanding", len(q), dst)
+	// First-contact order, so the rank named is the same on every run.
+	for _, pr := range r.peers.recs {
+		if pr.q != nil && len(pr.q.sendQ) != 0 {
+			r.p.Fatalf("MPI_Finalize with %d sends to rank %d outstanding", len(pr.q.sendQ), pr.rank)
 		}
 	}
 }
 
 // pathFor applies the paper's channel selection (Fig. 5) for a message of
-// the given size to peer, then overrides it with any degradation state the
+// the given size to a peer, then overrides it with any degradation state the
 // pair accumulated under fault injection: a dead ring forces the HCA
 // channel, a dead CMA channel forces SHM-staged rendezvous.
-func (r *Rank) pathFor(peer, size int) core.Path {
-	path := core.SelectPath(r.w.Opts.Mode, r.w.Opts.Tunables, r.caps[peer], size)
-	ps := r.w.pair(r.rank, peer)
+func (r *Rank) pathFor(pr *peerRec, size int) core.Path {
+	path := core.SelectPath(r.w.Opts.Mode, r.w.Opts.Tunables, pr.caps, size)
+	ps := pr.ps
 	switch {
 	case ps.shmDead() && path != core.PathHCAEager && path != core.PathHCARndv:
 		if size <= r.w.Opts.Tunables.IBAEagerThreshold {
@@ -421,14 +535,14 @@ func (r *Rank) pairIdle(ps *pairShared, floor sim.Time, epoch uint64, shift bool
 	return true
 }
 
-// claimPair declares that req will touch peer's state (matching queues,
-// rings, rendezvous table) until it completes. The claim widens this rank's
-// footprint to cover the peer — and both hosts' ports when the HCA carries
-// the traffic — and, if the current epoch group does not own those resources
-// yet, yields so the next epoch merges the two ranks' groups. Call at
-// protocol entry, before the first cross-rank touch.
-func (r *Rank) claimPair(req *Request, peer int, hca bool) {
-	if !r.tryClaimPair(req, peer, hca) {
+// claimPair declares that req will touch the state of its peer (req.pr:
+// matching queues, rings, rendezvous table) until it completes. The claim
+// widens this rank's footprint to cover the peer — and both hosts' ports when
+// the HCA carries the traffic — and, if the current epoch group does not own
+// those resources yet, yields so the next epoch merges the two ranks' groups.
+// Call at protocol entry, before the first cross-rank touch.
+func (r *Rank) claimPair(req *Request, hca bool) {
+	if !r.tryClaimPair(req, hca) {
 		r.p.YieldRegroup()
 	}
 }
@@ -436,11 +550,11 @@ func (r *Rank) claimPair(req *Request, peer int, hca bool) {
 // tryClaimPair is claimPair without the yield: it records the claim and
 // reports whether the current epoch group already owns what the pair needs.
 // On false the caller must regroup before its first cross-rank touch.
-func (r *Rank) tryClaimPair(req *Request, peer int, hca bool) bool {
-	if !r.w.parallel || peer == r.rank || req.hasClaim {
+func (r *Rank) tryClaimPair(req *Request, hca bool) bool {
+	if !r.w.parallel || req.hasClaim {
 		return true
 	}
-	ps := r.w.pair(r.rank, peer)
+	ps := req.pr.ps
 	si := ps.side(r.rank)
 	ps.claims[si]++
 	ps.lastEpoch[si] = r.w.Eng.EpochID()
@@ -451,7 +565,6 @@ func (r *Rank) tryClaimPair(req *Request, peer int, hca bool) bool {
 		ps.listed[si] = true
 		r.touchedPairs = append(r.touchedPairs, ps)
 	}
-	req.claimPeer = peer
 	req.hasClaim = true
 	return r.canTouchPair(ps)
 }
@@ -493,7 +606,7 @@ func (r *Rank) releaseClaim(req *Request) {
 		return
 	}
 	req.hasClaim = false
-	ps := r.w.pair(r.rank, req.claimPeer)
+	ps := req.pr.ps
 	si := ps.side(r.rank)
 	if ps.claims[si] <= 0 {
 		if claimStrict {
@@ -591,14 +704,14 @@ func (r *Rank) progress() bool {
 	// Iterate destinations in first-use order (never map order) so that
 	// virtual-time charging is deterministic across runs.
 	live := r.sendDsts[:0]
-	for _, dst := range r.sendDsts {
-		if r.pushSends(dst) {
+	for _, pr := range r.sendDsts {
+		if r.pushSends(pr) {
 			adv = true
 		}
-		if len(r.sendQ[dst]) > 0 {
-			live = append(live, dst)
+		if len(pr.q.sendQ) > 0 {
+			live = append(live, pr)
 		} else {
-			r.dstListed[dst] = false
+			pr.listed = false
 		}
 	}
 	r.sendDsts = live
@@ -674,7 +787,7 @@ func (r *Rank) startPendingBinds() bool {
 	}
 	n := 0
 	for _, env := range r.pendBinds {
-		if !r.canTouchPair(r.w.pair(r.rank, env.src)) {
+		if !r.canTouchPair(env.req.pr.ps) {
 			break
 		}
 		r.startRndv(env, env.req)
@@ -692,10 +805,13 @@ func (r *Rank) startPendingBinds() bool {
 // the pair's in-flight rendezvous transfers. Each completes with a
 // *ProcFailedError so the application observes the failure ULFM-style.
 func (r *Rank) failDeadOps() {
-	for d := 0; d < r.size; d++ {
-		if d != r.rank && r.w.crashed[d] && !r.reaped[d] {
-			r.reaped[d] = true
-			r.reapPeer(d)
+	for d, dead := range r.w.crashed {
+		if !dead || d == r.rank {
+			continue
+		}
+		if pr := r.peer(d); !pr.reaped {
+			pr.reaped = true
+			r.reapPeer(pr)
 		}
 	}
 }
@@ -705,7 +821,8 @@ func (r *Rank) failDeadOps() {
 // their match, so letting them linger risks waiting forever on a message that
 // died with its sender. This is the conservative ULFM reading — MPI_ANY_SOURCE
 // receives raise MPI_ERR_PROC_FAILED_PENDING when any potential sender fails.
-func (r *Rank) reapPeer(d int) {
+func (r *Rank) reapPeer(pr *peerRec) {
+	d := int(pr.rank)
 	pe := &ProcFailedError{Peer: d, At: r.p.Now()}
 
 	// Posted receives naming d, or wildcards. failRequest withdraws each from
@@ -756,26 +873,28 @@ func (r *Rank) reapPeer(d int) {
 	}
 	r.unexpected = kept
 
-	// Queued sends toward d that never reached a channel.
-	for _, op := range r.sendQ[d] {
-		r.failRequest(op.req, pe)
-		op.queued = false
-		r.releaseOp(op)
-	}
-	delete(r.sendQ, d)
+	if q := pr.q; q != nil {
+		// Queued sends toward d that never reached a channel.
+		for _, op := range q.sendQ {
+			r.failRequest(op.req, pe)
+			op.queued = false
+			r.releaseOp(op)
+		}
+		q.sendQ = nil
 
-	// Rendezvous sends whose payload is delivered but whose FIN will never
-	// arrive. Their data is the borrowed user buffer, which the failed request
-	// hands back to the caller; releaseOp never pools it.
-	for _, op := range r.finWait[d] {
-		r.failRequest(op.req, pe)
-		r.releaseOp(op)
+		// Rendezvous sends whose payload is delivered but whose FIN will never
+		// arrive. Their data is the borrowed user buffer, which the failed
+		// request hands back to the caller; releaseOp never pools it.
+		for _, op := range q.finWait {
+			r.failRequest(op.req, pe)
+			r.releaseOp(op)
+		}
+		q.finWait = nil
 	}
-	delete(r.finWait, d)
 
 	// In-flight HCA rendezvous transfers on the pair: fail this side's
 	// requests. Collect and sort ids for deterministic failure order.
-	ps := r.w.pair(r.rank, d)
+	ps := pr.ps
 	if len(ps.rndv) > 0 {
 		var ids []uint64
 		for id, st := range ps.rndv {
@@ -800,15 +919,16 @@ func (r *Rank) reapPeer(d int) {
 // addFinWait registers a rendezvous send that left the queue but still awaits
 // its FIN, so reapPeer can fail it if the receiver dies first.
 func (r *Rank) addFinWait(op *sendOp) {
-	r.finWait[op.dst] = append(r.finWait[op.dst], op)
+	q := op.pr.q
+	q.finWait = append(q.finWait, op)
 }
 
 // removeFinWait drops a send from the FIN-wait list (its FIN or CTS arrived).
 func (r *Rank) removeFinWait(op *sendOp) {
-	q := r.finWait[op.dst]
-	for i, o := range q {
+	q := op.pr.q
+	for i, o := range q.finWait {
 		if o == op {
-			r.finWait[op.dst] = append(q[:i], q[i+1:]...)
+			q.finWait = append(q.finWait[:i], q.finWait[i+1:]...)
 			return
 		}
 	}

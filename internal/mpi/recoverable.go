@@ -175,7 +175,11 @@ func (w *World) restoreRank(r *Rank) {
 		if w.restoredMap != nil {
 			oldDst = w.restoredMap[newDst]
 		}
-		r.sendSeq[newDst] = snap.SendSeq[old][oldDst]
+		if seq := snap.SendSeq[old][oldDst]; newDst == r.rank {
+			r.selfSeq = seq
+		} else if seq != 0 {
+			r.peer(newDst).sendSeq = seq
+		}
 	}
 	for _, m := range snap.Mail[old] {
 		src := m.Src

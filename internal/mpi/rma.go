@@ -66,14 +66,6 @@ func (w *Win) Free() {
 	w.r.barrier()
 }
 
-// localPutGet reports whether the target is reachable via local memory
-// under the current mode, i.e. the library knows the peer is co-resident
-// and the IPC namespace is shared.
-func (w *Win) localPutGet(target int) bool {
-	cap := w.r.caps[target]
-	return core.TreatLocal(w.r.w.Opts.Mode, cap) && cap.SharedIPC
-}
-
 // Put writes data into target's window at offset. Completion is local
 // immediately for memory paths; network puts complete at Flush/Fence.
 func (w *Win) Put(target, offset int, data []byte) {
@@ -112,10 +104,15 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		return
 	}
 
-	cap := r.caps[target]
+	pr := r.peer(target)
+	cap := pr.caps
+	// local: the target is reachable via local memory under the current mode,
+	// i.e. the library knows the peer is co-resident and the IPC namespace is
+	// shared.
+	local := core.TreatLocal(r.w.Opts.Mode, cap) && cap.SharedIPC
 	cs := r.crossSocket(target)
 	switch {
-	case w.localPutGet(target) && (len(data) < r.w.Opts.Tunables.SMPEagerSize || !cap.SharedPID):
+	case local && (len(data) < r.w.Opts.Tunables.SMPEagerSize || !cap.SharedPID):
 		// Small (or CMA-less): through the shared-memory window mapping.
 		// Without a shared PID namespace the large path needs staging, so
 		// charge a double copy.
@@ -132,7 +129,7 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		r.countOp(core.ChannelSHM, len(data))
 		w.traceAccess(isPut, trace.ChanSHM, target, len(data))
 
-	case w.localPutGet(target) && cap.SharedPID && r.w.Opts.Tunables.UseCMA:
+	case local && cap.SharedPID && r.w.Opts.Tunables.UseCMA:
 		// Large: one process_vm_* call, single copy.
 		r.p.Advance(prm.CMACopy(len(data), cs) + r.containerOverhead())
 		targetEnv := r.w.Deploy.Placements[target].Env
@@ -153,7 +150,7 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		if tw.mr == nil {
 			r.p.Fatalf("RMA to rank %d needs the HCA but target window is unregistered", target)
 		}
-		qp := r.qpFor(target)
+		qp := r.qpFor(pr)
 		r.nextWrid++
 		r.wridOps[r.nextWrid] = wridRef{win: w}
 		w.outstanding++

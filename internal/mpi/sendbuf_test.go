@@ -148,7 +148,7 @@ func TestRMABufferSemantics(t *testing.T) {
 // would hand out buf itself.
 func notPooled(t *testing.T, r *Rank, peer int, buf []byte) {
 	t.Helper()
-	d := r.w.pair(r.rank, peer).ring.out(r.rank)
+	d := r.peer(peer).ps.ring.out(r.rank)
 	for i := 0; i < 4; i++ {
 		if got := d.snaps.Get(&r.pools.buf, len(buf)); &got[0] == &buf[0] {
 			t.Fatal("the borrowed user buffer came back out of a pool")
@@ -160,7 +160,9 @@ func notPooled(t *testing.T, r *Rank, peer int, buf []byte) {
 // own buffer, lent for the transfer. When the op is retired — by the FIN, or
 // because the receiver crashed while the op waited for one — the buffer goes
 // back to the user, not to a free list where the next snapshot would scribble
-// over it. The size is exactly a pool class, so a Put would accept it.
+// over it. The buffer's capacity is exactly a pool class (64 KiB plus the 64
+// bytes of slack core.BufPool gives classes from 1 KiB up), so a Put would
+// accept it.
 func TestBorrowedSendBufferNeverPooled(t *testing.T) {
 	const size = 64 << 10
 	opts := DefaultOptions()
@@ -169,7 +171,7 @@ func TestBorrowedSendBufferNeverPooled(t *testing.T) {
 	opts.FaultPlan = fault.NewPlan().RankCrash(1, 200*sim.Microsecond)
 	w := testWorld(t, "1cont", 2, opts)
 	err := w.Run(func(r *Rank) error {
-		buf := make([]byte, size)
+		buf := make([]byte, size, size+64)
 		if r.Rank() == 1 {
 			r.Recv(0, 0, buf)
 			checkPattern(t, "first message", buf, 5)
@@ -188,7 +190,7 @@ func TestBorrowedSendBufferNeverPooled(t *testing.T) {
 		if !errors.As(req.Err(), &pf) || pf.Peer != 1 {
 			t.Errorf("send to the crashed rank completed with %v, want a ProcFailedError for peer 1", req.Err())
 		}
-		if n := len(r.finWait[1]); n != 0 {
+		if n := len(r.peer(1).q.finWait); n != 0 {
 			t.Errorf("%d ops still wait for a FIN from the dead rank", n)
 		}
 		notPooled(t, r, 1, buf)

@@ -65,11 +65,20 @@ type World struct {
 	pmiArrived int
 	pmiLatest  sim.Time
 
-	// pairTab holds every rank pair's connection state, preallocated flat
-	// (triangular index) so pair() is a read-only lookup — safe from any
-	// epoch group, with each entry touched only by groups owning one of the
-	// pair's rank resources.
-	pairTab    []pairShared
+	// pairs holds the connection state of every rank pair that has been
+	// named, keyed by lo<<32|hi. A record is minted by World.pair the first
+	// time either end creates its peer record for the other (Rank.peer) — the
+	// only caller outside tests — and never removed. pairMu guards the map
+	// alone: the records themselves are covered by the claim protocol
+	// (pairShared).
+	pairMu sync.Mutex
+	pairs  map[uint64]*pairShared
+	// sameNameIPC counts the ranks per (IPC namespace, hostname): the peers a
+	// rank reaches over shared memory on the hostname test alone. Built for the
+	// first rank that has to ask (Rank.needsHCA).
+	nameIPCOnce sync.Once
+	sameNameIPC map[nameIPC]int
+
 	winTable   map[int]*winExchange
 	detLock    map[*cluster.Host]sim.Time // per-host lock free-time (LockedDetector ablation)
 	ctxCounter int                        // last communicator context id handed out
@@ -137,14 +146,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		crashed:    make([]bool, d.Size()),
 		shrinks:    make(map[int]*shrinkSync),
 		decay:      resolveFootprintDecay(opts.FootprintDecay),
-	}
-	n := d.Size()
-	w.pairTab = make([]pairShared, n*(n-1)/2)
-	for hi := 1; hi < n; hi++ {
-		for lo := 0; lo < hi; lo++ {
-			ps := &w.pairTab[pairIdx(lo, hi)]
-			ps.lo, ps.hi = lo, hi
-		}
+		pairs:      make(map[uint64]*pairShared),
 	}
 	// Machine execution mode for this world size (CMPI_SIM_ENGINE override).
 	// Blocking rank bodies always run on goroutines; the mode matters for
@@ -506,21 +508,35 @@ func (w *World) pmiArrive(r *Rank) (gen int, released bool) {
 	return gen, false
 }
 
-// pairShared is the per-pair connection state. All entries are preallocated
-// in World.pairTab; under epoch dispatch an entry is only touched from groups
-// owning at least one of the pair's rank resources, and any cross-rank access
-// is covered by the claim protocol (Rank.claimPair).
+// pairShared is the per-pair connection state, shared by the pair's two
+// ranks and created on first contact.
+//
+// Who may do what:
+//
+//   - Create: World.pair, under pairMu, called from Rank.peer in the naming
+//     rank's own process (execution context). Both ends may name the pair in
+//     the same epoch from different groups; the mutex makes them agree on one
+//     record, and a new record is all zero, so which end minted it cannot be
+//     observed.
+//   - Write, execution context: the per-side words (claims, lastEpoch, hca,
+//     listed) only by their own side, from its own process; everything else
+//     (ring, qps, shmErr, cmaDead, rndv) only from a group that owns both
+//     ranks' resources, which the claim protocol (Rank.claimPair) arranges
+//     before the first cross-rank touch.
+//   - Read, formation context (Rank.footprint, decayPairs, pairIdle): any
+//     field, through the touchedPairs pointers of either end — after the
+//     epoch barrier, so every execution-context write is visible. Formation
+//     writes only listed[own side].
+//
+// lo and hi never change.
 type pairShared struct {
-	lo, hi int
+	lo, hi int32
 	ring   *shmRing
 	qps    [2]*ib.QP // [0] owned by lo, [1] owned by hi
 
 	// shmErr is the sticky ring-attach failure: once an attach fails, the
 	// pair's SHM/CMA channels are dead and traffic degrades to the HCA.
 	shmErr error
-	// cmaDead marks the pair's CMA channel failed; rendezvous transfers
-	// degrade to SHM streaming.
-	cmaDead bool
 
 	// claims counts each side's in-flight requests that may touch the peer
 	// rank's state (indexed by side). While either count is non-zero both
@@ -531,6 +547,14 @@ type pairShared struct {
 	// its window from (Rank.footprint). Per-side words, written only by the
 	// owning side during execution and read at formation.
 	lastEpoch [2]uint64
+	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID
+	// (sharded from the old job-global table so concurrent pairs never
+	// share a map).
+	rndv map[uint64]rndvState
+
+	// cmaDead marks the pair's CMA channel failed; rendezvous transfers
+	// degrade to SHM streaming.
+	cmaDead bool
 	// hca records, per side, that the pair has used the HCA channel: the
 	// footprint then also spans both hosts' port resources (fabric events
 	// and device pools). Per-side bools so concurrent groups never write
@@ -539,15 +563,11 @@ type pairShared struct {
 	// listed marks, per side, that the pair is on that rank's touchedPairs
 	// list (footprint enumeration).
 	listed [2]bool
-	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID
-	// (sharded from the old job-global table so concurrent pairs never
-	// share a map).
-	rndv map[uint64]rndvState
 }
 
 // side maps a member rank to its claims/hca/listed index.
 func (ps *pairShared) side(rank int) int {
-	if rank == ps.hi {
+	if rank == int(ps.hi) {
 		return 1
 	}
 	return 0
@@ -555,16 +575,16 @@ func (ps *pairShared) side(rank int) int {
 
 // other returns the pair member that is not rank.
 func (ps *pairShared) other(rank int) int {
-	if rank == ps.lo {
-		return ps.hi
+	if rank == int(ps.lo) {
+		return int(ps.hi)
 	}
-	return ps.lo
+	return int(ps.lo)
 }
 
 // shmDead reports whether the pair's shared-memory ring is unusable.
 func (ps *pairShared) shmDead() bool { return ps.shmErr != nil }
 
-// pairIdx is the triangular index of an unordered rank pair.
+// pairIdx is the triangular index of an unordered pair (of hosts).
 func pairIdx(a, b int) int {
 	if a > b {
 		a, b = b, a
@@ -572,9 +592,34 @@ func pairIdx(a, b int) int {
 	return b*(b-1)/2 + a
 }
 
-// pair returns the shared state for a rank pair.
+// pair returns the shared state of a rank pair, minting it the first time
+// either end asks. Ranks reach it through their peer records (Rank.peer),
+// which call this once per (rank, peer); nothing on a message path does.
 func (w *World) pair(a, b int) *pairShared {
-	return &w.pairTab[pairIdx(a, b)]
+	if a > b {
+		a, b = b, a
+	}
+	key := uint64(a)<<32 | uint64(b)
+	w.pairMu.Lock()
+	ps := w.pairs[key]
+	if ps == nil {
+		ps = &pairShared{lo: int32(a), hi: int32(b)}
+		w.pairs[key] = ps
+	}
+	w.pairMu.Unlock()
+	return ps
+}
+
+// nameIPC identifies the environments that pass both the hostname locality
+// test and the shared-IPC prerequisite with one another: same hostname, same
+// IPC namespace (which implies the same host).
+type nameIPC struct {
+	ipc      *cluster.Namespace
+	hostname string
+}
+
+func nameIPCOf(env *cluster.Container) nameIPC {
+	return nameIPC{ipc: env.Namespace(cluster.IPC), hostname: env.Hostname()}
 }
 
 // resRank is the epoch-dispatch resource id for a rank's private state.
@@ -601,16 +646,14 @@ func (w *World) spineRes(hostA, hostB int) []sim.Res {
 	return w.spineTab[pairIdx(hostA, hostB)]
 }
 
-// qpFor returns r's QP to peer, establishing the RC connection on demand
+// qpFor returns r's QP to a peer, establishing the RC connection on demand
 // (MVAPICH2 on-demand connection management). The setup cost is charged to
 // the initiating rank once per pair.
-func (r *Rank) qpFor(peer int) *ib.QP {
-	ps := r.w.pair(r.rank, peer)
-	idx := 0
-	if r.rank == ps.hi {
-		idx = 1
-	}
+func (r *Rank) qpFor(pr *peerRec) *ib.QP {
+	ps := pr.ps
+	idx := ps.side(r.rank)
 	if ps.qps[idx] == nil {
+		peer := int(pr.rank)
 		other := r.w.ranks[peer]
 		if r.dev == nil || other.dev == nil {
 			r.p.Fatalf("HCA channel needed for ranks %d<->%d but device unavailable (dev=%v peer=%v)",
@@ -630,23 +673,19 @@ func (r *Rank) qpFor(peer int) *ib.QP {
 		// completions resolve their pair without any job-global table).
 		r.qpPeer[qa] = peer
 		other.qpPeer[qb] = r.rank
-		if r.rank == ps.lo {
-			ps.qps[0], ps.qps[1] = qa, qb
-		} else {
-			ps.qps[1], ps.qps[0] = qa, qb
-		}
+		ps.qps[idx], ps.qps[1-idx] = qa, qb
 		r.p.Advance(r.w.Opts.Params.IBConnectSetup)
 	}
 	return ps.qps[idx]
 }
 
-// ringFor returns r's view of the shared-memory ring to peer, creating and
+// ringFor returns r's view of the shared-memory ring to a peer, creating and
 // attaching it on demand. It is only called for pairs with a shared IPC
 // namespace, so a failed attach is either an injected fault — the error is
 // returned (sticky: the pair's SHM channel stays dead) and the caller
 // degrades to the HCA channel — or a runtime bug surfaced to the caller.
-func (r *Rank) ringFor(peer int) (*shmRing, error) {
-	ps := r.w.pair(r.rank, peer)
+func (r *Rank) ringFor(pr *peerRec) (*shmRing, error) {
+	ps := pr.ps
 	if ps.ring == nil {
 		if ps.shmErr != nil {
 			return nil, ps.shmErr

@@ -65,8 +65,9 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 			d := owner(row)
 			outs[d] = append(outs[d], e[:]...)
 		}
+		rng := rand.New(rand.NewSource(0)) // reseeded per row
 		for row := base; row < base+ownedN; row++ {
-			rng := rand.New(rand.NewSource(seed + int64(row)))
+			rng.Seed(seed + int64(row))
 			for k := 0; k < nzHalf && row > 0; k++ {
 				col := rng.Intn(row)
 				val := rng.Float64()

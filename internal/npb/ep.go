@@ -42,8 +42,9 @@ func RunEP(w *mpi.World, class Class) (Result, error) {
 		bins := make([]int64, 10)
 		var sx, sy float64
 		var accepted, mine int64
+		rng := rand.New(rand.NewSource(0)) // reseeded per chunk
 		for ck := int64(r.Rank()); ck < nChunks; ck += size {
-			rng := rand.New(rand.NewSource(seed + ck))
+			rng.Seed(seed + ck)
 			start, end := ck*chunk, (ck+1)*chunk
 			if end > total {
 				end = total

@@ -87,8 +87,9 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 
 		// Initial state: deterministic pseudo-random complex grid.
 		grid := make([]complex128, rowsPer*n)
+		rng := rand.New(rand.NewSource(0)) // reseeded per row
 		for lr := 0; lr < rowsPer; lr++ {
-			rng := rand.New(rand.NewSource(seed + int64(base+lr)))
+			rng.Seed(seed + int64(base+lr))
 			for c := 0; c < n; c++ {
 				grid[lr*n+c] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
 			}

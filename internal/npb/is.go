@@ -43,8 +43,9 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 		nChunks := (total + chunk - 1) / chunk
 		outs := make([][]byte, size)
 		var mine int64
+		rng := rand.New(rand.NewSource(0)) // reseeded per chunk
 		for ck := int64(r.Rank()); ck < nChunks; ck += size {
-			rng := rand.New(rand.NewSource(seed + ck))
+			rng.Seed(seed + ck)
 			start, end := ck*chunk, (ck+1)*chunk
 			if end > total {
 				end = total
