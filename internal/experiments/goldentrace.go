@@ -29,11 +29,6 @@ func GoldenTrace(out io.Writer) error {
 		return err
 	}
 	opts := mpi.DefaultOptions()
-	// Pin the footprint decay window: decay changes the message schedule (a
-	// re-claimed pair can see delayed deliveries at the re-merge boundary),
-	// so the fixture is canonical for exactly one setting. Pinning keeps the
-	// fixture valid when CI sweeps CMPI_FOOTPRINT_DECAY across the matrix.
-	opts.FootprintDecay = mpi.DefaultFootprintDecay
 	opts.Record = trace.NewRecorder(out)
 	w, err := mpi.NewWorld(d, opts)
 	if err != nil {
@@ -61,7 +56,6 @@ func GoldenTraceFatTree(out io.Writer) error {
 	}
 	opts := mpi.DefaultOptions()
 	opts.Topology = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
-	opts.FootprintDecay = mpi.DefaultFootprintDecay
 	opts.Record = trace.NewRecorder(out)
 	w, err := mpi.NewWorld(d, opts)
 	if err != nil {

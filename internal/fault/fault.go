@@ -1,9 +1,11 @@
 // Package fault implements deterministic fault injection for the simulated
 // MPI stack: an explicit, seeded schedule of fault events keyed on virtual
-// time (sim.Time) that the engine layers consult while they run. Because the
-// simulation engine is sequential and the plan is consulted at virtual-time
-// points only, identical plans produce identical simulated outcomes — the
-// repo's core determinism invariant extends to faulty runs.
+// time (sim.Time) that the engine layers consult while they run. Because a
+// world with a plan dispatches one event at a time in global virtual-time
+// order (it declares no footprints, so every epoch is one group) and the
+// plan is consulted at virtual-time points only, identical plans produce
+// identical simulated outcomes — the repo's core determinism invariant
+// extends to faulty runs.
 //
 // The fault model covers the failure classes a container-based InfiniBand
 // cloud actually exhibits (cf. the paper's deployment on Chameleon and the

@@ -60,8 +60,8 @@ type Fabric struct {
 
 	// trace, when installed, observes transport fault events (successful
 	// retransmission bursts and QP breaks) as they are scheduled. Fault
-	// events only occur in injected worlds, which run sequentially, so the
-	// callback fires in deterministic dispatch order.
+	// events only occur in injected worlds, whose every epoch is one group,
+	// so the callback fires in deterministic dispatch order.
 	trace func(TraceEvent)
 }
 

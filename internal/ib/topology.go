@@ -86,7 +86,7 @@ func (t Topology) Validate() error {
 // a host pair's static ECMP routes can book, and the MPI layer folds those
 // ids into both ranks' epoch footprints (World.resSpine), so groups whose
 // flows could meet at a spine merge instead of the world serializing. The
-// scale proxy declares no footprints and is sequential by construction.
+// scale proxy declares no footprints, so its every epoch is one group.
 func (f *Fabric) SetTopology(t Topology) error {
 	if err := t.Validate(); err != nil {
 		return err

@@ -13,8 +13,6 @@ package mpi
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 
 	"cmpi/internal/core"
 	"cmpi/internal/fault"
@@ -67,45 +65,10 @@ type Options struct {
 	// stages). The zero value is the paper's testbed: one non-blocking
 	// crossbar, byte-identical to the runtime before topology existed. A
 	// non-trivial topology adds per-hop latency and per-spine contention to
-	// inter-rack transfers; spine switches are shared across hosts, so such
-	// worlds run under serialized dispatch exactly like fault-injected ones.
+	// inter-rack transfers; every spine switch a cross-rack pair can book is a
+	// declared dispatch resource, so racked worlds keep their independent
+	// groups.
 	Topology ib.Topology
-	// FootprintDecay controls how many epochs a released pair claim lingers
-	// in a rank's dispatch footprint before adaptive decay may drop it (see
-	// Rank.footprint). Zero — the default — reads CMPI_FOOTPRINT_DECAY from
-	// the environment, falling back to DefaultFootprintDecay; a positive
-	// value pins the window to that many epochs regardless of the
-	// environment; a negative value (like CMPI_FOOTPRINT_DECAY=0) forces the
-	// legacy sticky footprints, where a claimed pair never leaves the
-	// footprint. Decay affects only grouping — which events may dispatch
-	// concurrently — so any setting yields deterministic results at every
-	// dispatch width, but different settings may schedule messages at
-	// different virtual times.
-	FootprintDecay int
-}
-
-// DefaultFootprintDecay is the footprint decay window used when neither
-// Options.FootprintDecay nor CMPI_FOOTPRINT_DECAY picks one: a released pair
-// survives four epochs, long enough that the recurring pairs of a running
-// collective stay merged, short enough that a phase change re-widens within
-// a few formations even without a detected yield storm.
-const DefaultFootprintDecay = 4
-
-// resolveFootprintDecay maps the option (see Options.FootprintDecay) to the
-// effective window: 0 means sticky, n > 0 means drop after n epochs.
-func resolveFootprintDecay(opt int) int {
-	if opt < 0 {
-		return 0
-	}
-	if opt > 0 {
-		return opt
-	}
-	if s := os.Getenv("CMPI_FOOTPRINT_DECAY"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 0 {
-			return n
-		}
-	}
-	return DefaultFootprintDecay
 }
 
 // DefaultOptions is the paper's proposed configuration: locality-aware with

@@ -11,9 +11,8 @@ import (
 
 // Determinism of the conservative epoch dispatch: the same job must produce
 // byte-identical application results, profiles, and scheduler counters at
-// every dispatch width, including width one — eligible worlds always run
-// epoch dispatch, and group formation is decided by event times and
-// footprints alone, never by worker scheduling. (BarrierStalls is the one
+// every dispatch width, including width one — group formation is decided by
+// event times and footprints alone, never by worker scheduling. (BarrierStalls is the one
 // counter that depends on the configured width; it is excluded below.)
 
 // mixedWorkload drives every channel in one job: SHM/CMA eager and
@@ -73,8 +72,7 @@ func mixedWorkload(r *Rank) error {
 // returns (application transcript, scheduler transcript). The world runs
 // with the legacy tracer attached and the trace rides in the application
 // transcript, so every width comparison below also pins trace byte-identity
-// — and, since tracing no longer forces sequential dispatch, exercises the
-// buffered per-group emission path.
+// and exercises the buffered per-group emission path.
 func runDeterminismJob(t *testing.T, workers int, plan *fault.Plan) (string, string) {
 	t.Helper()
 	var tr strings.Builder
@@ -174,11 +172,11 @@ func TestEpochDispatchEngages(t *testing.T) {
 	}
 }
 
-// TestFaultWorldsStaySequential checks the injector gate: a world with a
-// fault plan must run the classic sequential loop regardless of the
-// configured width — plan queries mutate shared state — and still produce
-// identical results at any width setting.
-func TestFaultWorldsStaySequential(t *testing.T) {
+// TestFaultWorldsFormOneGroup checks the injector gate: a world with a fault
+// plan declares no footprints — plan queries mutate shared state — so every
+// epoch is one Global group whatever the configured width, and the results
+// are identical at any width setting.
+func TestFaultWorldsFormOneGroup(t *testing.T) {
 	plan := func() *fault.Plan {
 		return fault.NewPlan().Straggler(3, 0, 0, 2.5)
 	}
@@ -192,8 +190,9 @@ func TestFaultWorldsStaySequential(t *testing.T) {
 	if err := w.Run(mixedWorkload); err != nil {
 		t.Fatal(err)
 	}
-	if st := w.SimStats(); st.ParallelBatches != 0 {
-		t.Errorf("ParallelBatches = %d with a fault plan; want sequential dispatch", st.ParallelBatches)
+	if st := w.SimStats(); st.ParallelBatches == 0 || st.MaxBatchWidth != 1 {
+		t.Errorf("ParallelBatches = %d, MaxBatchWidth = %d with a fault plan; want epochs formed, each one group wide",
+			st.ParallelBatches, st.MaxBatchWidth)
 	}
 
 	app, _ := runDeterminismJob(t, 8, plan())
@@ -223,8 +222,8 @@ func TestEpochDispatchManyWorldsUnderRace(t *testing.T) {
 //   - a shifted ring (me -> me+1): every rank's claim chains into its
 //     neighbour's, so footprints converge to one world-wide group;
 //   - disjoint pairs (me <-> me^1): once the ring pairs decay, the world
-//     re-widens into 8 independent groups — impossible under sticky
-//     footprints, where the ring coupling is permanent;
+//     re-widens into 8 independent groups — impossible if a claimed pair
+//     never left the footprint, because the ring coupling would be permanent;
 //   - shifted pairs (me <-> me^2): every claim crosses a phase-2 group
 //     boundary, so the transition is a regroup-yield storm that the
 //     phase-change detector must convert into eager re-widening.
@@ -266,19 +265,18 @@ func phasedWorkload(r *Rank) error {
 	return nil
 }
 
-// runPhasedJob runs phasedWorkload at the given dispatch width and decay
-// setting and returns (application transcript, scheduler stats).
-func runPhasedJob(t *testing.T, workers, decay int) (string, profile.SimStats) {
+// runPhasedJob runs phasedWorkload at the given dispatch width and returns
+// (application transcript, scheduler stats).
+func runPhasedJob(t *testing.T, workers int) (string, profile.SimStats) {
 	t.Helper()
 	var tr strings.Builder
 	opts := DefaultOptions()
 	opts.Profile = true
 	opts.Trace = &tr
-	opts.FootprintDecay = decay
 	w := testWorld(t, "2host4cont", 16, opts)
 	w.Eng.SetWorkers(workers)
 	if err := w.Run(phasedWorkload); err != nil {
-		t.Fatalf("workers=%d decay=%d: %v", workers, decay, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	var app strings.Builder
 	for _, rp := range w.Prof.Ranks {
@@ -289,51 +287,44 @@ func runPhasedJob(t *testing.T, workers, decay int) (string, profile.SimStats) {
 	return app.String(), w.SimStats()
 }
 
-// TestPhasedWorkloadDeterministicAcrossWidths pins the decay tentpole's
-// correctness contract: with decay enabled (and with legacy sticky
-// footprints) the phased job's application results, profiles, traces, and
-// scheduler counters are byte-identical at widths 1/2/4/8. BarrierStalls is
-// excluded — it is the one counter documented to depend on the width.
+// TestPhasedWorkloadDeterministicAcrossWidths pins footprint decay's
+// correctness contract: the phased job's application results, profiles,
+// traces, and scheduler counters are byte-identical at widths 1/2/4/8.
+// BarrierStalls is excluded — it is the one counter documented to depend on
+// the width.
 func TestPhasedWorkloadDeterministicAcrossWidths(t *testing.T) {
-	for _, decay := range []int{DefaultFootprintDecay, -1} {
-		baseApp, baseStats := runPhasedJob(t, 1, decay)
-		baseStats.BarrierStalls = 0
-		for _, workers := range []int{2, 4, 8} {
-			app, stats := runPhasedJob(t, workers, decay)
-			if app != baseApp {
-				t.Errorf("decay=%d workers=%d: transcript differs from width 1:\n--- w1 ---\n%s--- w%d ---\n%s",
-					decay, workers, baseApp, workers, app)
-			}
-			stats.BarrierStalls = 0
-			if stats != baseStats {
-				t.Errorf("decay=%d workers=%d: scheduler stats differ from width 1:\n%+v\nvs\n%+v",
-					decay, workers, baseStats, stats)
-			}
+	baseApp, baseStats := runPhasedJob(t, 1)
+	baseStats.BarrierStalls = 0
+	for _, workers := range []int{2, 4, 8} {
+		app, stats := runPhasedJob(t, workers)
+		if app != baseApp {
+			t.Errorf("workers=%d: transcript differs from width 1:\n--- w1 ---\n%s--- w%d ---\n%s",
+				workers, baseApp, workers, app)
+		}
+		stats.BarrierStalls = 0
+		if stats != baseStats {
+			t.Errorf("workers=%d: scheduler stats differ from width 1:\n%+v\nvs\n%+v",
+				workers, baseStats, stats)
 		}
 	}
 }
 
-// TestFootprintDecayRewidensAfterPhaseChange is the behavioral claim behind
-// the tentpole: under sticky footprints the ring phase couples the world
-// permanently, so the later pairwise phases never regain concurrency; with
-// decay the ring pairs quiesce out of the footprints and the pairwise phase
-// re-widens, and the me^1 -> me^2 transition trips the phase-change
-// detector.
-func TestFootprintDecayRewidensAfterPhaseChange(t *testing.T) {
-	_, sticky := runPhasedJob(t, 4, -1)
-	_, decayed := runPhasedJob(t, 4, DefaultFootprintDecay)
-	if sticky.NarrowedPairs != 0 {
-		t.Errorf("sticky run narrowed %d pairs; want 0", sticky.NarrowedPairs)
+// TestPairsDecayAndRewidenAfterPhaseChange is the behavioral claim behind
+// footprint decay: the ring phase couples the whole world, the ring pairs
+// then quiesce out of the footprints so the pairwise phase re-widens, and
+// the me^1 -> me^2 transition trips the phase-change detector. The widest
+// epoch is pinned: a footprint that never shed a claimed pair narrows nothing
+// and never gets past 3 groups on this job.
+func TestPairsDecayAndRewidenAfterPhaseChange(t *testing.T) {
+	_, st := runPhasedJob(t, 4)
+	if st.NarrowedPairs == 0 {
+		t.Error("no pair was narrowed; footprint decay never engaged")
 	}
-	if decayed.NarrowedPairs == 0 {
-		t.Error("decay run narrowed no pairs; adaptive decay never engaged")
+	if st.MaxBatchWidth != 4 {
+		t.Errorf("MaxBatchWidth = %d, want 4: the pairwise phase must re-widen after the ring", st.MaxBatchWidth)
 	}
-	if decayed.MaxBatchWidth <= sticky.MaxBatchWidth {
-		t.Errorf("decay MaxBatchWidth = %d, sticky = %d; want decay to re-widen past sticky",
-			decayed.MaxBatchWidth, sticky.MaxBatchWidth)
-	}
-	if decayed.PhaseRewidens == 0 {
-		t.Error("decay run detected no phase change; want >= 1 for the me^1 -> me^2 transition")
+	if st.PhaseRewidens == 0 {
+		t.Error("no phase change detected; want >= 1 for the me^1 -> me^2 transition")
 	}
 }
 
@@ -370,5 +361,5 @@ func TestClaimAccountingBalanced(t *testing.T) {
 	claimStrict = true
 	t.Cleanup(func() { claimStrict = false })
 	runDeterminismJob(t, 4, nil)
-	_, _ = runPhasedJob(t, 4, DefaultFootprintDecay)
+	_, _ = runPhasedJob(t, 4)
 }

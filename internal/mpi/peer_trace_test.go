@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"cmpi/internal/ib"
@@ -133,5 +136,43 @@ func TestTracesUnchangedByFirstContactState(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultWorldTracePinned watches a fault-plan world's trace. Its records
+// flush in commit order like every other world's, so the bytes are pinned at
+// every width; and they are the records the engine's former sequential loop
+// emitted in dispatch order (testdata/fault-dispatch-order.trace, recorded
+// at f967c29) — the move to one dispatch loop reordered them and changed
+// none.
+func TestFaultWorldTracePinned(t *testing.T) {
+	const digest = "4c17939535201376757123926946c01f28653a6ebddab5a9b6e3bc864ea06c4a"
+	var stream []byte
+	for _, workers := range []int{1, 2, 4, 8} {
+		stream, _ = runFaultTracedJob(t, workers)
+		sum := sha256.Sum256(stream)
+		if got := hex.EncodeToString(sum[:]); got != digest {
+			t.Errorf("w%d: trace digest %s (%d bytes), want %s", workers, got, len(stream), digest)
+		}
+	}
+	// The v1 encoding is one canonical line per record after the header line,
+	// so sorting the lines compares the record multisets.
+	want, err := os.ReadFile("testdata/fault-dispatch-order.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := func(b []byte) []string {
+		lines := strings.Split(string(b), "\n")
+		slices.Sort(lines[1:])
+		return lines
+	}
+	g, w := sorted(stream), sorted(want)
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("record multiset differs from the dispatch-order trace at sorted line %d:\n  got:  %s\n  want: %s", i, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Errorf("%d trace lines, the dispatch-order trace has %d", len(g), len(w))
 	}
 }

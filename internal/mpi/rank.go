@@ -281,9 +281,12 @@ func (r *Rank) initPre() error {
 	if r.dev != nil {
 		r.cq = r.dev.CreateCQ()
 		r.cq.SetWaiter(r.p)
-		// Tag the device so its deferred fabric events carry this rank's and
-		// host's resources for epoch dispatch.
-		r.dev.Tag(r.w.resRank(r.rank), r.w.resHost(r.env.Host.Index))
+		if r.w.parallel {
+			// Tag the device so its deferred fabric events carry this rank's
+			// and host's resources and group with the ranks that declared
+			// them; in a world that declares nothing they stay on Global.
+			r.dev.Tag(r.w.resRank(r.rank), r.w.resHost(r.env.Host.Index))
+		}
 	}
 
 	// Container Locality Detector (the paper's design) publishes before the
@@ -420,14 +423,13 @@ func (r *Rank) pathFor(pr *peerRec, size int) core.Path {
 // conservative contract must rule out: timing-model state must observe its
 // events in virtual-time order.
 //
-// Instead of staying sticky forever (the legacy behavior, still available
-// via FootprintDecay < 0 / CMPI_FOOTPRINT_DECAY=0), pairs decay: a pair is
+// Instead of staying in the footprint forever, pairs decay: a pair is
 // dropped once it is provably quiescent — no outstanding claims, no
 // in-flight rendezvous, SHM ring drained, and both QPs' event high-water
 // marks strictly below this epoch's floor, so every fabric event and port
 // booking the pair ever produced lies entirely in the simulated past — and
-// its decay window has elapsed (or the engine detected a phase change,
-// which retires stale pairs eagerly; see Engine.PhaseShift). Quiescence
+// its decay window (decayWindow) has elapsed (or the engine detected a phase
+// change, which retires stale pairs eagerly; see Engine.PhaseShift). Quiescence
 // makes the drop sound: nothing the pair's history booked on shared port
 // queues can still be observed out of order. The window makes it cheap:
 // the recurring pairs of a running collective never decay mid-pattern, so
@@ -443,7 +445,7 @@ func (r *Rank) footprint(buf []sim.Res) []sim.Res {
 		// concurrent sibling.
 		return append(buf, sim.Global, w.resRank(r.rank))
 	}
-	if w.decay > 0 && len(r.touchedPairs) > 0 {
+	if len(r.touchedPairs) > 0 {
 		r.decayPairs()
 	}
 	buf = append(buf, w.resRank(r.rank))
@@ -470,6 +472,13 @@ func (r *Rank) footprint(buf []sim.Res) []sim.Res {
 	}
 	return buf
 }
+
+// decayWindow is how many epochs a released pair claim lingers in both
+// ranks' footprints before pairIdle may drop it: long enough that the
+// recurring pairs of a running collective stay merged, short enough that a
+// phase change re-widens within a few formations even without a detected
+// yield storm.
+const decayWindow = 4
 
 // decayPairs compacts touchedPairs in place (preserving first-use order, so
 // footprint enumeration stays deterministic), dropping every pair that
@@ -520,7 +529,7 @@ func (r *Rank) pairIdle(ps *pairShared, floor sim.Time, epoch uint64, shift bool
 		if ps.lastEpoch[1] > last {
 			last = ps.lastEpoch[1]
 		}
-		if epoch < last+uint64(r.w.decay) {
+		if epoch < last+decayWindow {
 			return false
 		}
 	}
@@ -619,7 +628,7 @@ func (r *Rank) releaseClaim(req *Request) {
 	ps.lastEpoch[si] = r.w.Eng.EpochID()
 }
 
-// ensureSerial permanently collapses the world to sequential dispatch: every
+// ensureSerial permanently collapses the world to one group per epoch: every
 // rank's footprint reads Global from the next epoch on. Used by the rare
 // operations that share job-global tables (communicator context allocation,
 // RMA window exchange) where per-pair claims cannot express the dependency.

@@ -221,7 +221,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 			for _, workers := range []int{2, 4, 8} {
 				got := run(workers, crash)
 				if !reflect.DeepEqual(got.final, want.final) {
-					t.Errorf("workers=%d: final array differs from sequential dispatch", workers)
+					t.Errorf("workers=%d: final array differs from width 1", workers)
 				}
 				if got.resumed != want.resumed {
 					t.Errorf("workers=%d: resumed from %d, want %d", workers, got.resumed, want.resumed)
@@ -230,7 +230,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 					t.Errorf("workers=%d: report %+v, want %+v", workers, got.report, want.report)
 				}
 				if !bytes.Equal(got.snap, want.snap) {
-					t.Errorf("workers=%d: checkpoint artifact differs from sequential dispatch", workers)
+					t.Errorf("workers=%d: checkpoint artifact differs from width 1", workers)
 				}
 				if got.errText != want.errText {
 					t.Errorf("workers=%d: error %q, want %q", workers, got.errText, want.errText)

@@ -24,7 +24,7 @@ package mpi
 // autoAllreduce picks by size and locality.
 //
 // Determinism: rank machines declare no footprints and all deliveries are
-// untagged callbacks, so the engine always uses the sequential dispatch loop
+// untagged callbacks, so every epoch is one Global group dispatched in place
 // — results are independent of CMPI_SIM_WORKERS, and identical between the
 // flat and goroutine engines (the machines are the same code; only the
 // execution substrate changes).
@@ -128,7 +128,7 @@ const (
 )
 
 // scaleMsg is one in-flight delivery record, recycled through the world's
-// free list (sequential dispatch, so no locking).
+// free list (one group per epoch, so no locking).
 type scaleMsg struct {
 	to   *scaleRank
 	at   sim.Time
@@ -354,7 +354,7 @@ func (w *ScaleWorld) send(p *sim.Proc, to int32, n int, slot uint8) {
 }
 
 // deliverScale is the static delivery callback: count the arrival and wake
-// the target. Runs in scheduler context on the sequential loop.
+// the target. Runs in scheduler context, in the world's one group.
 func deliverScale(a any) {
 	m := a.(*scaleMsg)
 	r := m.to

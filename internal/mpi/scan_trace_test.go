@@ -123,7 +123,7 @@ func TestTraceEmitsChannelDecisions(t *testing.T) {
 		}
 	}
 	// Determinism: re-running yields the identical trace, at every epoch
-	// dispatch width (tracing no longer forces the sequential loop).
+	// dispatch width.
 	for _, workers := range []int{1, 2, 4, 8} {
 		var sb2 strings.Builder
 		opts.Trace = &sb2

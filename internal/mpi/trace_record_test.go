@@ -75,14 +75,14 @@ func runTracedJob(t *testing.T, workers int) ([]byte, string, *World) {
 	return stream.Bytes(), legacy.String(), w
 }
 
-// TestTraceByteIdenticalAcrossWidths is the tentpole invariant: recording a
-// trace no longer degrades the world to sequential dispatch, and the
-// recorded bytes — structured stream and legacy lines alike — are identical
-// at every CMPI_SIM_WORKERS width.
+// TestTraceByteIdenticalAcrossWidths is the tracing invariant: recording a
+// trace does not cost the world its footprints, and the recorded bytes —
+// structured stream and legacy lines alike — are identical at every
+// CMPI_SIM_WORKERS width.
 func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
 	baseStream, baseLegacy, baseW := runTracedJob(t, 1)
 	if !baseW.parallel {
-		t.Fatal("traced world fell back to the sequential loop; the trace serial gate is back")
+		t.Fatal("traced world declared no footprints; the trace serial gate is back")
 	}
 	if len(baseStream) == 0 || len(baseLegacy) == 0 {
 		t.Fatal("no trace output recorded")
@@ -102,8 +102,8 @@ func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
 			t.Errorf("workers=%d: legacy trace lines differ from width 1", workers)
 		}
 		if workers > 1 {
-			if st := w.SimStats(); st.ParallelBatches == 0 {
-				t.Errorf("workers=%d: ParallelBatches = 0; tracing must not suppress epoch dispatch", workers)
+			if st := w.SimStats(); st.MaxBatchWidth < 2 {
+				t.Errorf("workers=%d: MaxBatchWidth = %d; tracing must not collapse epochs to one group", workers, st.MaxBatchWidth)
 			}
 		}
 	}
@@ -139,23 +139,33 @@ func TestReplayReconstructsProfile(t *testing.T) {
 	}
 }
 
-// TestReplayReconstructsFaultCounters runs a fault-injected (sequential)
-// recording and checks the substrate fault events land in the trace and
-// replay to the profiler's fault counters.
+// runFaultTracedJob records tracedWorkload under a fault plan — ring attach
+// vetoes on host 1, two dropped sends — at one dispatch width and returns the
+// streamed trace bytes and the world.
+func runFaultTracedJob(t *testing.T, workers int) ([]byte, *World) {
+	t.Helper()
+	var stream bytes.Buffer
+	opts := DefaultOptions()
+	opts.Profile = true
+	opts.Record = trace.NewRecorder(&stream)
+	opts.FaultPlan = fault.NewPlan().
+		ShmAttachFail(1, 0, 0, "cmpi.ring.").
+		SendDrops(1, 0, 0, 2)
+	w := testWorld(t, "2host4cont", 16, opts)
+	w.Eng.SetWorkers(workers)
+	if err := w.Run(tracedWorkload); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return stream.Bytes(), w
+}
+
+// TestReplayReconstructsFaultCounters runs a fault-injected recording and
+// checks the substrate fault events land in the trace and replay to the
+// profiler's fault counters.
 func TestReplayReconstructsFaultCounters(t *testing.T) {
 	run := func() (*World, *trace.Trace) {
-		var stream bytes.Buffer
-		opts := DefaultOptions()
-		opts.Profile = true
-		opts.Record = trace.NewRecorder(&stream)
-		opts.FaultPlan = fault.NewPlan().
-			ShmAttachFail(1, 0, 0, "cmpi.ring.").
-			SendDrops(1, 0, 0, 2)
-		w := testWorld(t, "2host4cont", 16, opts)
-		if err := w.Run(tracedWorkload); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := trace.Read(bytes.NewReader(stream.Bytes()))
+		stream, w := runFaultTracedJob(t, 1)
+		tr, err := trace.Read(bytes.NewReader(stream))
 		if err != nil {
 			t.Fatalf("Read: %v", err)
 		}
@@ -163,7 +173,7 @@ func TestReplayReconstructsFaultCounters(t *testing.T) {
 	}
 	w, tr := run()
 	if w.parallel {
-		t.Fatal("fault-injected world must stay on the sequential loop")
+		t.Fatal("fault-injected world must declare no footprints")
 	}
 	s := trace.Replay(tr)
 	faults := w.Prof.TotalFaults()

@@ -33,9 +33,10 @@ func (w *World) installTracer() {
 		}
 	})
 	// Substrate fault events (retransmissions, QP breaks, attach vetoes) only
-	// fire in fault-injected worlds, which run the sequential loop — so these
-	// hooks may emit from engine callbacks without a Proc context and still
-	// land in dispatch order.
+	// fire in fault-injected worlds, whose every epoch is the one Global
+	// group — so these hooks may emit from engine callbacks without a Proc
+	// context: the records join that group's buffer and flush at the barrier
+	// in commit order with the ranks' own.
 	w.fabric.SetTrace(func(ev ib.TraceEvent) {
 		op := trace.OpRetransmit
 		if ev.Kind == ib.TraceQPBreak {

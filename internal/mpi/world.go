@@ -43,8 +43,8 @@ type World struct {
 
 	// Recovery state (ErrorsRecover / RunRecoverable). crashed marks ranks
 	// that died; crashGen increments on every new death so survivors can reap
-	// lazily (Rank.failDeadOps). All of it is touched only in engine context:
-	// fault worlds always run the sequential dispatch loop.
+	// lazily (Rank.failDeadOps). Plain fields: a fault world declares no
+	// footprints, so nothing in it ever runs concurrently.
 	crashed  []bool
 	crashGen uint64
 	// ck is the coordinated-checkpoint barrier state (ckpt.go).
@@ -89,7 +89,8 @@ type World struct {
 	// parallel is set in Run when this world installs rank footprints for
 	// the engine's conservative epoch dispatch: everything except fault
 	// injection qualifies (the injector's plan queries mutate shared state
-	// on every channel decision, so those worlds stay sequential).
+	// on every channel decision, so those worlds declare nothing and every
+	// epoch is one Global group).
 	parallel bool
 	// tracing is set in Run when a trace consumer is installed (the legacy
 	// Options.Trace line writer or the structured Options.Record); rank
@@ -99,9 +100,6 @@ type World struct {
 	// claim protocol does not cover — communicator context ids, RMA window
 	// exchange. Every footprint collapses to Global at the next epoch.
 	serial atomic.Bool
-	// decay is the resolved footprint decay window in epochs (0 = legacy
-	// sticky footprints); see Options.FootprintDecay and Rank.footprint.
-	decay int
 
 	// spineTab lists, per host pair (triangular index over hosts), the
 	// epoch-dispatch resource ids of every spine switch the fabric's static
@@ -145,7 +143,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		rankErrs:   make([]error, d.Size()),
 		crashed:    make([]bool, d.Size()),
 		shrinks:    make(map[int]*shrinkSync),
-		decay:      resolveFootprintDecay(opts.FootprintDecay),
 		pairs:      make(map[uint64]*pairShared),
 	}
 	// Machine execution mode for this world size (CMPI_SIM_ENGINE override).
@@ -220,15 +217,16 @@ func (w *World) Run(body func(r *Rank) error) error {
 	if w.tracing {
 		w.installTracer()
 	}
-	// Epoch dispatch engages for every world with no observer of global event
-	// order — at any width, including one. Group formation is decided by event
-	// times and footprints alone, so a width-1 run executes the exact same
-	// groups (serially, in group-index order) as a width-N run: worker count
-	// can never change simulated results. The fault injector's queries mutate
-	// shared plan state, so those worlds run the classic sequential loop
-	// (which also keeps Eng.Now()-based fault timestamps exact). Tracing does
-	// NOT serialize: records ride the engine's emitter, buffered per epoch
-	// group and flushed in deterministic (t, group, seq) commit order.
+	// Ranks declare footprints in every world with no observer of global
+	// event order — at any width, including one. Group formation is decided by
+	// event times and footprints alone, so a width-1 run executes the exact
+	// same groups (serially, in group-index order) as a width-N run: worker
+	// count can never change simulated results. The fault injector's queries
+	// mutate shared plan state, so those worlds declare nothing: every epoch
+	// is one Global group dispatched in global event order (which also keeps
+	// Eng.Now()-based fault timestamps exact). Tracing does NOT serialize:
+	// records ride the engine's emitter, buffered per epoch group and flushed
+	// in deterministic (t, group, seq) commit order.
 	// Non-trivial fabric topologies do not serialize either: every spine
 	// switch a cross-rack pair's ECMP routes can book is a declared resource
 	// (resSpine) in both ranks' footprints, so groups sharing a spine merge.
@@ -358,8 +356,8 @@ func (w *World) failRank(r *Rank, cause error) {
 // markCrashed flags a dead rank and propagates the observation: every live
 // rank is woken so its next waitUntil iteration reaps operations bound to the
 // casualty, any in-progress Comm.Shrink agreements re-evaluate their member
-// sets, and an in-flight checkpoint barrier aborts. Runs in engine context
-// (fault worlds are always sequential), so plain field writes are safe.
+// sets, and an in-flight checkpoint barrier aborts. Only fault worlds crash
+// ranks, and their every epoch is one group, so plain field writes are safe.
 func (w *World) markCrashed(r *Rank) {
 	if w.crashed[r.rank] {
 		return

@@ -128,8 +128,8 @@ type SimStats struct {
 	CoalescedWakes uint64
 	// MaxHeapDepth is the event queue's high-water mark.
 	MaxHeapDepth int
-	// ParallelBatches is the number of epochs formed by the engine's
-	// conservative parallel dispatch (zero on the sequential loop).
+	// ParallelBatches is the number of epochs the engine formed, of any
+	// width.
 	ParallelBatches uint64
 	// MaxBatchWidth is the widest epoch: the most causally independent
 	// groups dispatched concurrently. Identical for any worker count.

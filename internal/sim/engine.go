@@ -16,12 +16,14 @@ import (
 // dispatched, always in deterministic (virtual time, sequence) order, so every
 // simulated result is reproducible and data-race-free.
 //
-// By default dispatch is fully sequential. When processes declare resource
-// footprints (Proc.SetFootprint) or callbacks carry resource tags (AtRes,
-// AtArg), the engine switches to conservative epoch dispatch (see epoch.go):
-// pending events are partitioned into causally independent groups which run
-// concurrently on a worker pool bounded by SetWorkers, with results —
-// including Stats counters — byte-identical for any worker count.
+// There is one dispatch loop, conservative epoch dispatch (see epoch.go):
+// pending events are partitioned by the resources they declare — process
+// footprints (Proc.SetFootprint), callback tags (AtRes, AtArg) — into causally
+// independent groups which run concurrently on a worker pool bounded by
+// SetWorkers, with results — including Stats counters — byte-identical for any
+// worker count. Whatever declares nothing touches Global, so a world that
+// declares nothing is one group per epoch, dispatched in (time, sequence)
+// order on the global queue.
 //
 // Typical use:
 //
@@ -49,8 +51,15 @@ type Engine struct {
 	// progress, groups is the recycled group pool whose first ngroups entries
 	// are the current epoch's, and commitBuf/emitBuf are the commit sort
 	// scratch. All of it is written in scheduler context only.
-	workers       int
-	anyFootprint  bool
+	workers int
+	// declared is raised, for good, by the first footprint installed or the
+	// first callback tagged with a resource other than Global. Until then
+	// every event touches Global alone, so an epoch is one set by
+	// construction and formation skips its walk over the pending events —
+	// what keeps a deep queue that declares nothing (a 262144-rank scale
+	// proxy) from paying O(pending) per 256 events dispatched. While it is
+	// false no epoch has more than one group, so the write never races.
+	declared      bool
 	inEpoch       bool
 	epochID       uint64
 	resTab        []resEntry
@@ -81,9 +90,8 @@ type Engine struct {
 	liveProcBytes uint64
 
 	// emit, when installed, receives observer payloads (trace records) in
-	// deterministic order: dispatch order under the sequential loop, commit
-	// order — (t, group index, group-local seq), flushed at each epoch
-	// barrier — under epoch dispatch. Identical for any worker count.
+	// commit order — (t, group index, group-local seq), flushed at each epoch
+	// barrier. Identical for any worker count.
 	emit func(payload any)
 
 	// quiesce holds one-shot callbacks to run the next time the event queue
@@ -94,9 +102,9 @@ type Engine struct {
 }
 
 // Stats counts scheduler activity, for capacity planning and engine
-// benchmarks. Under epoch dispatch every counter is commit-ordered — group
-// counters merge at each epoch barrier in group-index order — so the whole
-// struct is identical for any worker count.
+// benchmarks. Every counter is commit-ordered — group counters merge at each
+// epoch barrier in group-index order — so the whole struct is identical for
+// any worker count.
 type Stats struct {
 	// Dispatched is the number of events popped and handled.
 	Dispatched uint64
@@ -110,12 +118,10 @@ type Stats struct {
 	// the queue because an identical-time wake was already pending (or the
 	// target process had finished).
 	CoalescedWakes uint64
-	// MaxHeapDepth is the high-water mark of the pending-event queue
-	// (under epoch dispatch: global heap, or the per-epoch sum of group
-	// heaps, whichever is larger).
+	// MaxHeapDepth is the high-water mark of the pending-event queue: the
+	// global heap, or the per-epoch sum of group heaps, whichever is larger.
 	MaxHeapDepth int
-	// ParallelBatches is the number of epochs formed by parallel dispatch
-	// (zero under the legacy sequential loop).
+	// ParallelBatches is the number of epochs formed, of any width.
 	ParallelBatches uint64
 	// MaxBatchWidth is the widest epoch: the maximum number of causally
 	// independent groups dispatched concurrently. Determined entirely at
@@ -193,17 +199,17 @@ func (e *Engine) SetWorkers(n int) {
 func (e *Engine) Workers() int { return e.workers }
 
 // SetEmitter installs fn as the engine's emission sink (Proc.Emit, EmitAt).
-// Under epoch dispatch emissions are buffered per group and fn is called at
-// each epoch barrier in (t, group index, group-local seq) order — the same
-// deterministic order commitEpoch re-sequences events in — so the emission
-// stream is byte-identical for any worker count. fn runs in scheduler
-// context, never concurrently. Call before Run; nil removes the sink.
+// Emissions are buffered per group and fn is called at each epoch barrier in
+// (t, group index, group-local seq) order — the same deterministic order
+// commitEpoch re-sequences events in — so the emission stream is
+// byte-identical for any worker count. fn runs in scheduler context, never
+// concurrently. Call before Run; nil removes the sink.
 func (e *Engine) SetEmitter(fn func(payload any)) { e.emit = fn }
 
 // EmitAt forwards payload to the installed emitter from contexts that have
-// no Proc (scheduler callbacks, substrate hooks). Under epoch dispatch the
-// caller must own res, exactly as for AtRes; under sequential dispatch the
-// payload is forwarded immediately in dispatch order.
+// no Proc (scheduler callbacks, substrate hooks). The caller must own res,
+// exactly as for AtRes. Between epochs (setup, quiesce callbacks) there is no
+// group to buffer in and the payload is forwarded at once.
 func (e *Engine) EmitAt(t Time, res Res, payload any) {
 	if e.emit == nil {
 		return
@@ -225,11 +231,13 @@ func (e *Engine) EmitAt(t Time, res Res, payload any) {
 // queued. Callbacks fire one per drain in FIFO order; a callback that wakes
 // processes resumes normal dispatch before the next one fires. A drain with
 // quiesce callbacks pending is not a deadlock — the run ends only when both
-// the queue and the quiesce list are empty.
+// the queue and the quiesce list are empty. During a run, call it only from
+// code that owns Global: the group holding the background alarms consults the
+// list (see execGroup.run).
 func (e *Engine) AtQuiesce(fn func()) { e.quiesce = append(e.quiesce, fn) }
 
 // popQuiesce fires the oldest pending quiesce callback, reporting whether one
-// ran. Called by both dispatch loops when the queue drains.
+// ran. Called between epochs when the queue drains.
 func (e *Engine) popQuiesce() bool {
 	if len(e.quiesce) == 0 {
 		return false
@@ -240,16 +248,23 @@ func (e *Engine) popQuiesce() bool {
 	return true
 }
 
-// Now reports the engine's current virtual time: the time of the most
-// recently dispatched event (sequential loop) or the current epoch's floor —
-// the earliest event time in the epoch (epoch dispatch).
-func (e *Engine) Now() Time { return e.now }
+// Now reports the engine's current virtual time. While an epoch of one group
+// executes — the only shape a world that declares nothing ever forms — it is
+// the time of the event being dispatched; between epochs (quiesce callbacks,
+// the deadlock report) it is the time of the last event dispatched. At
+// formation, and throughout an epoch of several groups — every group keeps
+// its own clock — Now is the epoch's floor: the earliest pending event time.
+func (e *Engine) Now() Time {
+	if e.inEpoch && e.ngroups == 1 {
+		return e.groups[0].now
+	}
+	return e.now
+}
 
-// EpochID reports the current epoch's id (zero before the first epoch forms,
-// always zero under sequential dispatch). Written only in scheduler context
-// at formation, so reads from group execution are race-free and see the same
-// value in every group — footprint-decay anchors built on it are therefore
-// width-independent.
+// EpochID reports the current epoch's id (zero before the first epoch
+// forms). Written only in scheduler context at formation, so reads from group
+// execution are race-free and see the same value in every group —
+// footprint-decay anchors built on it are therefore width-independent.
 func (e *Engine) EpochID() uint64 { return e.epochID }
 
 // PhaseShift reports whether the previous epoch ended in a regroup-yield
@@ -270,8 +285,7 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // At schedules fn to run in scheduler context at virtual time t. Scheduling
 // in the past is clamped to the current time (the event still runs after
 // every event already pending at that time, preserving causality). An
-// untagged callback touches Global: under epoch dispatch it serializes with
-// the global group.
+// untagged callback touches Global: it serializes with the global group.
 func (e *Engine) At(t Time, fn func()) {
 	e.schedule(t, event{fn: fn})
 }
@@ -292,7 +306,7 @@ func (e *Engine) AtBackground(t Time, fn func()) {
 // resource (at most 4) when scheduling from inside a run.
 func (e *Engine) AtRes(t Time, fn func(), res ...Res) {
 	ev := event{fn: fn}
-	ev.tag("AtRes", res)
+	e.tag(&ev, "AtRes", res)
 	e.schedule(t, ev)
 }
 
@@ -300,8 +314,26 @@ func (e *Engine) AtRes(t Time, fn func(), res ...Res) {
 // caller-pooled argument, avoiding the per-event closure.
 func (e *Engine) AtArg(t Time, fn func(any), arg any, res ...Res) {
 	ev := event{fnA: fn, arg: arg}
-	ev.tag("AtArg", res)
+	e.tag(&ev, "AtArg", res)
 	e.schedule(t, ev)
+}
+
+// tag records the resources a callback event touches (at most len(ev.res); op
+// names the caller for the negative-id panic). Tags that name nothing but
+// Global say what an untagged event says, and are dropped.
+func (e *Engine) tag(ev *event, op string, res []Res) {
+	named := false
+	for _, r := range res {
+		checkRes(r, op)
+		named = named || r != Global
+	}
+	if !named {
+		return
+	}
+	ev.nres = uint8(copy(ev.res[:], res))
+	if !e.declared {
+		e.declared = true
+	}
 }
 
 // schedule routes a new callback event to the global heap, or — during epoch
@@ -376,7 +408,7 @@ func (e *Engine) Fail(err error) {
 	e.failMu.Lock()
 	if e.failure == nil {
 		e.failure = err
-		e.failureAt = e.now
+		e.failureAt = e.Now()
 	}
 	e.failMu.Unlock()
 	e.stopped.Store(true)
@@ -402,11 +434,7 @@ func (d *DeadlockError) Error() string {
 // processes remain blocked when the queue empties, the recorded error on
 // Fail or process panic, and nil otherwise.
 func (e *Engine) Run() error {
-	if e.anyFootprint {
-		e.runEpochs()
-	} else {
-		e.runSequential()
-	}
+	e.runEpochs()
 	if e.failure != nil {
 		return e.failure
 	}
@@ -421,45 +449,4 @@ func (e *Engine) Run() error {
 		return &DeadlockError{Parked: parked, At: e.now}
 	}
 	return nil
-}
-
-// runSequential is the legacy dispatch loop, used when no process declares a
-// footprint: one event at a time, globally ordered. Identical behavior and
-// overhead to the engine before parallel dispatch existed.
-func (e *Engine) runSequential() {
-	for !e.stopped.Load() {
-		if e.q.len() == e.q.bg && e.popQuiesce() {
-			continue // quiescent: only background alarms (if any) remain
-		}
-		if e.q.len() == 0 {
-			return
-		}
-		k, ev := e.q.pop()
-		e.now = k.t
-		e.stats.Dispatched++
-		if ev.isCallback() {
-			e.stats.Callbacks++
-			ev.invoke()
-			continue
-		}
-		p := ev.proc
-		if p != nil && !ev.timer && k.t == p.lastWakeAt {
-			p.lastWakeLive = false // the coalescing anchor has left the queue
-		}
-		if p == nil || !p.wantsWake(ev.timer, k.seq) {
-			e.stats.StaleWakes++
-			continue // stale wake: the condition it signalled was already consumed
-		}
-		e.stats.Resumes++
-		if p.now < k.t {
-			p.now = k.t
-		}
-		e.resumeProc(p, nil)
-		if p.panicked != nil {
-			e.Fail(p.panicked)
-		}
-		if p.state == stateDone {
-			e.releaseProc(p, nil)
-		}
-	}
 }

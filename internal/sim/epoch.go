@@ -8,11 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Conservative epoch scheduling (PDES-style parallel dispatch).
-//
-// When any process declares a resource footprint (SetFootprint) or any
-// callback is tagged with resources (AtRes/AtArg), Run switches from the
-// legacy sequential loop to epoch dispatch:
+// Conservative epoch scheduling (PDES-style parallel dispatch). This is the
+// engine's only dispatch loop; every world, whatever it declares, runs it:
 //
 //  1. Formation (scheduler context): walk every pending event in (t, seq)
 //     order, ask each event what resources it touches — a process event pulls
@@ -20,14 +17,18 @@ import (
 //     anything undeclared touches Global — and union the resources into
 //     causally independent groups. Union-find links and resource owners live
 //     in a dense table indexed by Res and validated by an epoch stamp, so a
-//     new epoch clears nothing and a routing lookup is one load.
-//  2. Execution: each group runs the classic sequential dispatch loop over
-//     its own private queue, resuming only its own processes. Independent
-//     groups run concurrently on a bounded worker pool; the group structure
-//     is decided entirely at formation, so it is identical for any worker
-//     count. Each group dispatches at most epochQuota events so that the
-//     partition is refreshed as communication patterns shift. An epoch that
-//     forms a single group dispatches on the global queue in place.
+//     new epoch clears nothing and a routing lookup is one load. Until the
+//     world declares something (Engine.declared) there is nothing to ask:
+//     the one set is Global.
+//  2. Execution: each group pops its own private queue in (t, seq) order,
+//     resuming only its own processes. Independent groups run concurrently
+//     on a bounded worker pool; the group structure is decided entirely at
+//     formation, so it is identical for any worker count. Each group
+//     dispatches at most epochQuota events so that the partition is
+//     refreshed as communication patterns shift. An epoch that forms a
+//     single group — every epoch of a world that declares nothing —
+//     dispatches on the global queue in place: no sort, no move, and
+//     Engine.Now follows the group's clock event by event.
 //  3. Commit (scheduler context, after a full barrier): leftover and spilled
 //     events return to the global queue in deterministic (t, group, local
 //     seq) order with freshly assigned global sequence numbers, group
@@ -52,8 +53,7 @@ import (
 // worker counts, so grouping — and therefore every result — is too.
 const epochQuota = 256
 
-// execGroup is one causally independent partition of an epoch's events. Its
-// run loop is the sequential engine restricted to the group's resources.
+// execGroup is one causally independent partition of an epoch's events.
 // Groups are engine-owned and recycled: epoch n's group i reuses the object,
 // queue, spill and emission buffers of epoch n-1's group i.
 type execGroup struct {
@@ -121,13 +121,22 @@ func (g *execGroup) fail(err error) {
 }
 
 // run dispatches the group's events in (t, seq) order until the local heap
-// drains, the quota is spent, or the engine stops. This is the legacy
-// sequential loop, scoped to one group. Whatever remains queued carries over
-// to the next epoch via commit.
+// drains, the quota is spent, or the engine stops. Whatever remains queued
+// carries over to the next epoch via commit.
+//
+// Background alarms wait their turn behind work the queue cannot show: once
+// only alarms remain, the group stops if a process it spilled (YieldRegroup)
+// or a quiesce callback is pending, because both run at an earlier virtual
+// time than any alarm — the spill next epoch, the callback at the drain.
+// Alarms are untagged, so the group that holds them owns Global, as must
+// whoever called AtQuiesce: reading the quiesce list here is race-free.
 func (g *execGroup) run() {
 	e := g.eng
 	q := g.q
-	for g.quota > 0 && q.len() > 0 && !e.stopped.Load() {
+	for g.quota > 0 && !e.stopped.Load() {
+		if n := q.len(); n == q.bg && (n == 0 || len(g.spill) > 0 || len(e.quiesce) > 0) {
+			break
+		}
 		k, ev := q.pop()
 		g.quota--
 		g.now = k.t
@@ -178,6 +187,14 @@ func (e *Engine) formEpoch() {
 	e.formSets = 0
 	q := &e.q
 	e.now = q.keys[0].t // epoch floor; monotone because spills never precede it
+	if !e.declared {
+		// Nothing names a resource but Global: one set, dispatched in place,
+		// and no event needs asking.
+		g := e.nextGroup(e.seq)
+		e.resTab[e.find(Global)].group = g
+		g.q = q
+		return
+	}
 
 	// Pass 1: union every event's resources (union-find over resTab rows).
 	// The partition does not depend on the walk order, so this pass takes the
@@ -228,9 +245,6 @@ func (e *Engine) formEpoch() {
 	} else {
 		q.reset()
 	}
-	// The phase-shift flag is good for exactly one formation: every footprint
-	// consulted above saw it and had its chance to retire stale claims.
-	e.phaseShift = false
 }
 
 // find returns r's union-find root for the epoch being formed, reviving the
@@ -308,8 +322,8 @@ func (e *Engine) touched(ev *event) []Res {
 
 var globalResList = []Res{Global}
 
-// runEpochs is the parallel dispatch loop (used when any footprint or tagged
-// callback exists; otherwise Run uses the legacy sequential loop).
+// runEpochs is the dispatch loop: one epoch after another until the queue and
+// the quiesce list are both empty or the run stops.
 func (e *Engine) runEpochs() {
 	defer e.stopPool()
 	for !e.stopped.Load() {
@@ -326,6 +340,9 @@ func (e *Engine) runEpochs() {
 // stepEpoch forms, executes and commits one epoch over a non-empty queue.
 func (e *Engine) stepEpoch() {
 	e.formEpoch()
+	// The phase-shift flag is good for exactly one formation: every footprint
+	// consulted there saw it and had its chance to retire stale claims.
+	e.phaseShift = false
 	groups := e.groups[:e.ngroups]
 	width := len(groups)
 	e.stats.ParallelBatches++
@@ -426,6 +443,8 @@ func (e *Engine) commitEpoch() {
 	depth := 0
 	yields := uint64(0)
 	for _, g := range groups {
+		// Between epochs Now is the time of the last event dispatched.
+		e.now = max(e.now, g.now)
 		e.stats.Dispatched += g.stats.Dispatched
 		e.stats.Callbacks += g.stats.Callbacks
 		e.stats.Resumes += g.stats.Resumes
@@ -467,7 +486,7 @@ func (e *Engine) commitEpoch() {
 		e.flushEmits(groups)
 	}
 	if e.stopped.Load() {
-		return // pending events are discarded, as in the sequential engine
+		return // pending events are discarded
 	}
 	if g := groups[0]; g.q == &e.q {
 		// Dispatched in place: leftovers never left the global queue and keep

@@ -96,12 +96,17 @@ func TestEpochDispatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEpochGlobalFootprintMatchesSequential checks the degenerate case: when
-// every proc declares Global, epoch dispatch forms one group per epoch and
-// the run completes with the same interleaving guarantees as the sequential
-// loop (exercised via a cross-proc wake chain).
+// TestEpochGlobalFootprintMatchesSequential checks the degenerate case: a
+// world that declares nothing and a world whose every proc declares Global
+// both form one group per epoch and dispatch in global (t, seq) order
+// (exercised via a cross-proc wake chain). The expected interleaving is the
+// one the engine's former sequential loop produced for this program,
+// recorded at f967c29.
 func TestEpochGlobalFootprintMatchesSequential(t *testing.T) {
-	run := func(declare bool) []string {
+	const want = "p0@1.000ns;p3@2.000ns;p1@3.000ns;p4@4.000ns;p1@4.000ns;p2@5.000ns;p0@5.000ns;" +
+		"p4@6.000ns;p3@7.000ns;p0@7.000ns;p1@8.000ns;p2@8.000ns;p2@9.000ns;p3@10.000ns;p1@10.000ns;" +
+		"p4@11.000ns;p3@11.000ns;p0@12.000ns;p2@13.000ns;p4@14.000ns"
+	for _, declare := range []bool{false, true} {
 		e := NewEngine()
 		e.SetWorkers(4)
 		var order []string
@@ -127,12 +132,12 @@ func TestEpochGlobalFootprintMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return order
-	}
-	seq := strings.Join(run(false), ";")
-	par := strings.Join(run(true), ";")
-	if seq != par {
-		t.Fatalf("Global-footprint epoch run diverged from sequential:\nseq: %s\npar: %s", seq, par)
+		if st := e.Stats(); st.MaxBatchWidth != 1 {
+			t.Errorf("declare=%v: MaxBatchWidth = %d, want one group per epoch", declare, st.MaxBatchWidth)
+		}
+		if got := strings.Join(order, ";"); got != want {
+			t.Errorf("declare=%v: dispatch order diverged:\ngot:  %s\nwant: %s", declare, got, want)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func FlatFromEnv(worldSize int) (bool, error) {
 }
 
 // SetFlat selects the execution mode for machines spawned after the call:
-// flat (arena-allocated, stepped directly by the dispatch loops) or goroutine
+// flat (arena-allocated, stepped directly by the dispatch loop) or goroutine
 // (each machine on its own trampoline goroutine, exactly like Go bodies).
 // Blocking Go bodies always use goroutines regardless of mode. Call before
 // spawning.
@@ -156,7 +156,7 @@ func machineTrampoline(p *Proc, m Machine) {
 }
 
 // runMachine steps a flat machine until it blocks or finishes. It is the flat
-// counterpart of the resume-handshake: called from the dispatch loops with
+// counterpart of the resume-handshake: called from the dispatch loop with
 // p.state == stateRunning, it returns with the process either blocked (a
 // primitive recorded the continuation) or done. Panics — including
 // Fatalf/Fail aborts — are converted to p.panicked exactly as the goroutine
@@ -186,8 +186,8 @@ func (p *Proc) runMachine() {
 
 // resumeProc hands control to p until it blocks again: the channel handshake
 // for goroutine-backed procs, a direct runMachine call for flat ones. g is
-// the epoch group running the proc (nil under sequential dispatch). The
-// caller checks p.panicked and releases the proc if it finished.
+// the epoch group running the proc. The caller checks p.panicked and
+// releases the proc if it finished.
 func (e *Engine) resumeProc(p *Proc, g *execGroup) {
 	p.state = stateRunning
 	p.group = g
@@ -202,11 +202,10 @@ func (e *Engine) resumeProc(p *Proc, g *execGroup) {
 // releaseProc retires a finished process's recyclable state: the channel pair
 // returns to the pool, the machine and footprint cache are dropped, and the
 // proc's byte cost leaves the live-bytes account. Called by the dispatch
-// loops the moment they observe stateDone — safe because a done proc is never
+// loop the moment it observes stateDone — safe because a done proc is never
 // resumed again (wantsWake) and the spawn wrapper's final yield send was its
-// last touch of the channels. Inside an epoch group the accounting is
-// buffered group-locally and merged at commit, keeping group execution free
-// of shared writes.
+// last touch of the channels. The accounting is buffered in the group and
+// merged at commit, keeping group execution free of shared writes.
 func (e *Engine) releaseProc(p *Proc, g *execGroup) {
 	if p.chans != nil {
 		putChanPair(p.chans)
@@ -216,16 +215,9 @@ func (e *Engine) releaseProc(p *Proc, g *execGroup) {
 	}
 	p.fm = nil
 	p.fpCache = nil
-	if g != nil {
-		g.releasedBytes += uint64(p.cost)
-		if p.flat {
-			g.releasedProcs++
-		}
-		return
-	}
-	e.liveProcBytes -= uint64(p.cost)
+	g.releasedBytes += uint64(p.cost)
 	if p.flat {
-		e.arenaLive--
+		g.releasedProcs++
 	}
 }
 

@@ -29,15 +29,6 @@ type event struct {
 	nres uint8
 }
 
-// tag records the resources a callback event touches (at most len(e.res);
-// op names the caller for the negative-id panic).
-func (e *event) tag(op string, res []Res) {
-	for _, r := range res {
-		checkRes(r, op)
-	}
-	e.nres = uint8(copy(e.res[:], res))
-}
-
 // isCallback reports whether the event runs in scheduler context.
 func (e *event) isCallback() bool { return e.fn != nil || e.fnA != nil }
 
@@ -93,7 +84,7 @@ type eventQueue struct {
 	// maxDepth is the high-water mark of pending events, for capacity
 	// planning (Stats.MaxHeapDepth).
 	maxDepth int
-	// bg counts pending background events, so the dispatch loops can tell
+	// bg counts pending background events, so the dispatch loop can tell
 	// "only far-future alarms remain" (len() == bg) from real pending work.
 	bg int
 }

@@ -51,7 +51,7 @@ type Proc struct {
 
 	// Machine execution state (flat.go): fm is the continuation machine (nil
 	// for blocking Go bodies), flat marks procs stepped directly by the
-	// dispatch loops (no goroutine, no channels), blocked records that the
+	// dispatch loop (no goroutine, no channels), blocked records that the
 	// current flat step invoked its one blocking primitive. chans is the
 	// pooled channel pair backing resume/yield (nil for flat procs), and cost
 	// is the engine's byte accounting for this proc (Stats.PeakProcBytes).
@@ -80,9 +80,8 @@ type Proc struct {
 
 	// Parallel dispatch state: res is the process's identity resource (wakes
 	// route to the epoch group owning it), footprint declares what the
-	// process may touch, group is the epoch group currently running it (nil
-	// under sequential dispatch), fpCache/fpEpoch memoize the footprint once
-	// per epoch.
+	// process may touch, group is the epoch group running it (set at every
+	// resume), fpCache/fpEpoch memoize the footprint once per epoch.
 	res       Res
 	footprint FootprintFn
 	group     *execGroup
@@ -101,37 +100,28 @@ func (p *Proc) SetRes(r Res) {
 	p.res = r
 }
 
-// SetFootprint installs the process's resource footprint and switches the
-// engine to epoch dispatch (see FootprintFn). Call before Run.
+// SetFootprint installs the process's resource footprint (see FootprintFn);
+// without one the process touches Global. Call before Run.
 func (p *Proc) SetFootprint(fn FootprintFn) {
 	p.footprint = fn
-	if fn != nil {
-		p.eng.anyFootprint = true
-	}
+	p.eng.declared = p.eng.declared || fn != nil
 }
 
 // CanTouch reports whether the process's current epoch group owns res, i.e.
-// whether process code may touch state guarded by it right now. Always true
-// under sequential dispatch. A process that needs a resource it cannot touch
-// must widen its footprint and YieldRegroup.
+// whether process code may touch state guarded by it right now. A process
+// that needs a resource it cannot touch must widen its footprint and
+// YieldRegroup.
 func (p *Proc) CanTouch(r Res) bool {
-	g := p.group
-	if g == nil {
-		return true
-	}
 	e := p.eng
-	return uint(r) < uint(len(e.resTab)) && e.resTab[r].stamp == e.epochID && e.resTab[r].group == g
+	return uint(r) < uint(len(e.resTab)) && e.resTab[r].stamp == e.epochID && e.resTab[r].group == p.group
 }
 
 // YieldRegroup reschedules the process into the next epoch at its current
 // virtual time, so that its footprint — typically just widened — is
 // re-evaluated and the needed groups merge. Costs no virtual time; execution
-// resumes after the call. A no-op under sequential dispatch.
+// resumes after the call.
 func (p *Proc) YieldRegroup() {
 	g := p.group
-	if g == nil {
-		return
-	}
 	g.seq++
 	g.spillLocal(p.now, g.seq, event{proc: p, timer: true})
 	g.stats.RegroupYields++
@@ -147,22 +137,17 @@ func (p *Proc) YieldRegroup() {
 }
 
 // Emit forwards payload to the engine's emitter (SetEmitter) at the
-// process's current virtual time. Under epoch dispatch the payload is
-// buffered in the process's group and flushed at the epoch barrier in
-// deterministic (t, group index, group-local seq) order; under sequential
-// dispatch it is forwarded immediately. A no-op without an emitter.
+// process's current virtual time. The payload is buffered in the process's
+// group and flushed at the epoch barrier in deterministic (t, group index,
+// group-local seq) order. A no-op without an emitter.
 func (p *Proc) Emit(payload any) {
 	p.checkStep("Emit")
-	e := p.eng
-	if e.emit == nil {
+	if p.eng.emit == nil {
 		return
 	}
-	if g := p.group; g != nil {
-		g.seq++
-		g.emits = append(g.emits, emitRec{t: p.now, seq: g.seq, payload: payload})
-		return
-	}
-	e.emit(payload)
+	g := p.group
+	g.seq++
+	g.emits = append(g.emits, emitRec{t: p.now, seq: g.seq, payload: payload})
 }
 
 // ID returns the spawn-order index of the process.
@@ -248,16 +233,10 @@ func (p *Proc) Advance(d Time) {
 		return
 	}
 	target := p.now + d
-	if g := p.group; g != nil {
-		// Epoch dispatch: only this group's events can affect this process
-		// before the next barrier, so the fast path consults the group heap.
-		// Group membership is decided at formation, so the outcome is
-		// identical for any worker count.
-		if min, ok := g.q.minTime(); !ok || min >= target {
-			p.now = target
-			return
-		}
-	} else if min, ok := p.eng.q.minTime(); !ok || min >= target {
+	// Only this group's events can affect this process before the next
+	// barrier, so the fast path consults the group heap. Group membership is
+	// decided at formation, so the outcome is identical for any worker count.
+	if min, ok := p.group.q.minTime(); !ok || min >= target {
 		p.now = target
 		return
 	}
@@ -274,13 +253,7 @@ func (p *Proc) Sleep(d Time) {
 }
 
 func (p *Proc) sleepUntil(t Time) {
-	if g := p.group; g != nil {
-		p.timerSeq = g.pushLocal(t, event{proc: p, timer: true})
-	} else {
-		p.eng.seq++
-		p.timerSeq = p.eng.seq
-		p.eng.q.push(t, p.eng.seq, event{proc: p, timer: true})
-	}
+	p.timerSeq = p.group.pushLocal(t, event{proc: p, timer: true})
 	p.state = stateScheduled
 	p.switchOut()
 }
@@ -308,9 +281,9 @@ func (p *Proc) Park() {
 func (p *Proc) UnparkAt(at Time) {
 	e := p.eng
 	if e.inEpoch {
-		// Epoch dispatch: the wake belongs to the group owning the target's
-		// identity resource — which is the caller's own group, since touching
-		// another process requires having claimed it in the footprint.
+		// The wake belongs to the group owning the target's identity
+		// resource — which is the caller's own group, since touching another
+		// process requires having claimed it in the footprint.
 		g := e.groupFor(p.res)
 		if at < g.now {
 			at = g.now

@@ -10,10 +10,9 @@ import "fmt"
 //
 // Res 0 is Global, the catch-all resource: events and processes that do not
 // declare a footprint are treated as touching everything and serialize with
-// each other (and with anything else that names Global). This makes the
-// parallel engine a strict generalization of the sequential one — a world
-// that never declares footprints runs exactly like the old engine, in one
-// group per epoch.
+// each other (and with anything else that names Global). A world that never
+// declares footprints is therefore one group per epoch, dispatched in global
+// (time, sequence) order.
 type Res int32
 
 // Global is the catch-all resource (see Res).

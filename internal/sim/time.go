@@ -1,10 +1,12 @@
-// Package sim implements a deterministic, sequential discrete-event
-// simulation engine. Every simulated process (an MPI rank, in this
-// repository) runs as a goroutine with its own virtual clock, but the
-// engine hands control to exactly one process at a time, in virtual-time
-// order. This makes simulations bit-reproducible and data-race-free by
-// construction: shared simulation state is only ever touched by the single
-// currently-running process or by the scheduler itself.
+// Package sim implements a deterministic discrete-event simulation engine.
+// Every simulated process (an MPI rank, in this repository) has its own
+// virtual clock and runs only while the engine has handed it control. The
+// engine dispatches in epochs: pending events are partitioned by the
+// resources they declare into causally independent groups, each group runs
+// its events in virtual-time order, and groups of one epoch may run
+// concurrently. Simulations are bit-reproducible at any dispatch width and
+// data-race-free by construction: state guarded by a resource is only ever
+// touched by the group that owns it, or by the scheduler between epochs.
 package sim
 
 import (
