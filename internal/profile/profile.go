@@ -122,6 +122,13 @@ func (f FaultStats) Total() uint64 {
 type SimStats struct {
 	// Dispatched is the number of events the engine popped and handled.
 	Dispatched uint64
+	// Resumes is the subset that handed control to a process. Handoffs is
+	// the goroutine switches dispatch made doing so: none for a process
+	// resumed by the loop running on its own goroutine or a flat machine
+	// stepped in place, one for any other resume, and one more per group and
+	// epoch to return to the worker.
+	Resumes  uint64
+	Handoffs uint64
 	// StaleWakes is the subset dropped as stale process wakes.
 	StaleWakes uint64
 	// CoalescedWakes counts duplicate wakes suppressed before enqueueing.

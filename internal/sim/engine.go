@@ -12,9 +12,16 @@ import (
 )
 
 // Engine is a discrete-event scheduler. Simulated processes are goroutines,
-// but the engine hands control only to processes whose pending events it has
+// but control passes only to a process whose pending event has been
 // dispatched, always in deterministic (virtual time, sequence) order, so every
 // simulated result is reproducible and data-race-free.
+//
+// Scheduler context — where callbacks, footprints, formation and commit run —
+// is not a fixed goroutine. Between epochs it is Run's caller. During an epoch
+// it is, for each group, whichever goroutine holds the group's baton: the
+// worker that entered the group's dispatch loop, or a goroutine-backed process
+// that blocked or finished and went on dispatching in the worker's place
+// (execGroup.dispatch). Never two at once within a group.
 //
 // There is one dispatch loop, conservative epoch dispatch (see epoch.go):
 // pending events are partitioned by the resources they declare — process
@@ -112,6 +119,11 @@ type Stats struct {
 	Callbacks uint64
 	// Resumes is the subset that handed control to a process.
 	Resumes uint64
+	// Handoffs is the number of goroutine switches dispatch made: the baton
+	// passing worker → process, process → process, or process → worker. A
+	// process resumed by the loop running on its own goroutine, and a flat
+	// machine stepped in place, cost none.
+	Handoffs uint64
 	// StaleWakes is the subset dropped as stale process wakes.
 	StaleWakes uint64
 	// CoalescedWakes counts Unpark requests dropped before ever entering
@@ -233,7 +245,7 @@ func (e *Engine) EmitAt(t Time, res Res, payload any) {
 // quiesce callbacks pending is not a deadlock — the run ends only when both
 // the queue and the quiesce list are empty. During a run, call it only from
 // code that owns Global: the group holding the background alarms consults the
-// list (see execGroup.run).
+// list (see execGroup.dispatch).
 func (e *Engine) AtQuiesce(fn func()) { e.quiesce = append(e.quiesce, fn) }
 
 // popQuiesce fires the oldest pending quiesce callback, reporting whether one
@@ -355,47 +367,63 @@ func (e *Engine) schedule(t Time, ev event) {
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
-// The process body runs on its own goroutine but executes only while the
-// engine has handed it control, so process code never races with other
-// processes or with scheduler callbacks. Spawn before Run.
+// The process body runs on its own goroutine but executes only while that
+// goroutine holds its epoch group's baton — handed over by whoever popped its
+// wake, kept while it blocks, passed on when the loop it then runs pops
+// another process's wake — so process code never races with other processes
+// or with scheduler callbacks. Spawn before Run.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	pair := getChanPair()
 	p := &Proc{
 		eng:    e,
 		id:     len(e.procs),
 		name:   name,
 		now:    e.now,
 		state:  stateScheduled,
-		chans:  pair,
-		resume: pair.resume,
-		yield:  pair.yield,
+		resume: resumeChanPool.Get().(chan struct{}),
 	}
 	p.cost = uint32(procBytes + goroutineOverheadBytes)
 	e.chargeProc(p)
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if abort, ok := r.(engineAbort); ok {
-					p.panicked = abort.err
-				} else {
-					p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-				}
-			}
-			p.state = stateDone
-			p.yield <- struct{}{}
-		}()
-		body(p)
-	}()
+	go p.run(body)
 	e.seq++
 	p.timerSeq = e.seq
 	e.q.push(e.now, e.seq, event{proc: p, timer: true})
 	return p
 }
 
-// engineAbort is panicked by Proc.Fatalf to unwind a process body; the
-// spawn wrapper converts it into a recorded failure without a stack dump.
+// run is the goroutine of a blocking-body process: wait for the start event,
+// run the body, finish.
+func (p *Proc) run(body func(p *Proc)) {
+	<-p.resume
+	defer p.finish()
+	body(p)
+}
+
+// finish is the deferred exit of a process goroutine. The body has returned
+// or panicked while holding the baton, so the goroutine settles its own
+// process — failure record, retirement — and then carries the dispatch loop
+// on until the baton moves to another goroutine; only then does it exit.
+func (p *Proc) finish() {
+	if r := recover(); r != nil {
+		p.bodyPanic(r)
+	}
+	p.state = stateDone
+	g := p.group
+	g.settle(p)
+	g.carry(p)
+}
+
+// bodyPanic records a panic recovered from the process's body as its failure.
+func (p *Proc) bodyPanic(r any) {
+	if abort, ok := r.(engineAbort); ok {
+		p.panicked = abort.err
+	} else {
+		p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
+	}
+}
+
+// engineAbort is panicked by Proc.Fatalf to unwind a process body; bodyPanic
+// converts it into a recorded failure without a stack dump.
 type engineAbort struct{ err error }
 
 // Stop aborts the run after the current event completes. Pending events are

@@ -2,11 +2,11 @@ package sim
 
 // Flat execution mode: continuation state machines instead of goroutines.
 //
-// The legacy engine gives every simulated process its own goroutine plus a
-// resume/yield channel pair; handing control over is two channel operations
-// and a scheduler round-trip, and every process costs at least a 2 KiB stack
-// span before it has done anything. That is fine for hundreds of ranks and
-// ruinous for hundreds of thousands.
+// The goroutine engine gives every simulated process its own goroutine plus a
+// resume channel; handing it control is a channel operation and a goroutine
+// switch whenever another goroutine popped its wake, and every process costs
+// at least a 2 KiB stack span before it has done anything. That is fine for
+// hundreds of ranks and ruinous for hundreds of thousands.
 //
 // A Machine is the flat alternative: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime/debug"
 	"sync"
 )
 
@@ -110,7 +109,6 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 			e.stats.ArenaPeakLive = e.arenaLive
 		}
 	} else {
-		pair := getChanPair()
 		p = &Proc{
 			eng:    e,
 			id:     len(e.procs),
@@ -118,9 +116,7 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 			now:    e.now,
 			state:  stateScheduled,
 			fm:     m,
-			chans:  pair,
-			resume: pair.resume,
-			yield:  pair.yield,
+			resume: resumeChanPool.Get().(chan struct{}),
 		}
 		cost += goroutineOverheadBytes
 		go machineTrampoline(p, m)
@@ -134,41 +130,25 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	return p
 }
 
-// machineTrampoline runs a machine on its own goroutine: the same blocking
-// semantics as a Go body, with the machine's Step in place of the body. Used
-// when the engine is not in flat mode, so flat-vs-goroutine comparisons run
-// the exact same machine code.
+// machineTrampoline is the goroutine of a machine spawned while the engine is
+// not in flat mode: Proc.run with the machine's Step in place of the body, so
+// flat-vs-goroutine comparisons run the exact same machine code.
 func machineTrampoline(p *Proc, m Machine) {
 	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			if abort, ok := r.(engineAbort); ok {
-				p.panicked = abort.err
-			} else {
-				p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
-		}
-		p.state = stateDone
-		p.yield <- struct{}{}
-	}()
+	defer p.finish()
 	for m.Step(p) == More {
 	}
 }
 
 // runMachine steps a flat machine until it blocks or finishes. It is the flat
-// counterpart of the resume-handshake: called from the dispatch loop with
-// p.state == stateRunning, it returns with the process either blocked (a
+// counterpart of handing a goroutine the baton: called from the dispatch loop
+// with p.state == stateRunning, it returns with the process either blocked (a
 // primitive recorded the continuation) or done. Panics — including
-// Fatalf/Fail aborts — are converted to p.panicked exactly as the goroutine
-// spawn wrapper does.
+// Fatalf/Fail aborts — become the process's failure exactly as on a goroutine.
 func (p *Proc) runMachine() {
 	defer func() {
 		if r := recover(); r != nil {
-			if abort, ok := r.(engineAbort); ok {
-				p.panicked = abort.err
-			} else {
-				p.panicked = fmt.Errorf("proc %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
+			p.bodyPanic(r)
 			p.state = stateDone
 		}
 	}()
@@ -184,34 +164,18 @@ func (p *Proc) runMachine() {
 	}
 }
 
-// resumeProc hands control to p until it blocks again: the channel handshake
-// for goroutine-backed procs, a direct runMachine call for flat ones. g is
-// the epoch group running the proc. The caller checks p.panicked and
-// releases the proc if it finished.
-func (e *Engine) resumeProc(p *Proc, g *execGroup) {
-	p.state = stateRunning
-	p.group = g
-	if p.flat {
-		p.runMachine()
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.yield
-}
-
-// releaseProc retires a finished process's recyclable state: the channel pair
-// returns to the pool, the machine and footprint cache are dropped, and the
-// proc's byte cost leaves the live-bytes account. Called by the dispatch
-// loop the moment it observes stateDone — safe because a done proc is never
-// resumed again (wantsWake) and the spawn wrapper's final yield send was its
-// last touch of the channels. The accounting is buffered in the group and
-// merged at commit, keeping group execution free of shared writes.
+// releaseProc retires a finished process's recyclable state: the resume
+// channel returns to the pool, the machine and footprint cache are dropped,
+// and the proc's byte cost leaves the live-bytes account. Called by the baton
+// holder the moment the process is done (execGroup.settle) — for a goroutine
+// process that is its own goroutine, whose last touch of the channel was the
+// receive that resumed it, and a done proc is never resumed again (wantsWake).
+// The accounting is buffered in the group and merged at commit, keeping group
+// execution free of shared writes.
 func (e *Engine) releaseProc(p *Proc, g *execGroup) {
-	if p.chans != nil {
-		putChanPair(p.chans)
-		p.chans = nil
+	if p.resume != nil {
+		resumeChanPool.Put(p.resume)
 		p.resume = nil
-		p.yield = nil
 	}
 	p.fm = nil
 	p.fpCache = nil
@@ -233,7 +197,7 @@ func (e *Engine) chargeProc(p *Proc) {
 
 // Per-process byte accounting. The goroutine numbers are a deliberate floor —
 // a real goroutine's stack starts at one 2 KiB span and only grows, and the
-// runtime g descriptor and two unbuffered channels are measured from the Go
+// runtime g descriptor and the unbuffered channel are measured from the Go
 // runtime's own struct sizes — so the flat-vs-goroutine ratio the engine
 // reports understates the real advantage rather than flattering it.
 const (
@@ -241,10 +205,10 @@ const (
 	goroutineStackBytes = 2048
 	// goroutineDescBytes approximates the runtime g descriptor.
 	goroutineDescBytes = 416
-	// chanPairBytes is two unbuffered struct{} channels (hchan headers).
-	chanPairBytes = 192
+	// resumeChanBytes is one unbuffered struct{} channel (the hchan header).
+	resumeChanBytes = 96
 
-	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + chanPairBytes
+	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + resumeChanBytes
 )
 
 // procBytes is the facade struct itself, charged to every process kind.
@@ -296,18 +260,7 @@ func (e *Engine) arenaAlloc() *Proc {
 	return &(*slab)[len(*slab)-1]
 }
 
-// chanPair is a pooled resume/yield channel pair. Unbuffered channels carry
-// no state between uses, so a pair whose owner finished (the done handshake
-// is the spawn wrapper's last channel touch) is safe to hand to the next
+// resumeChanPool recycles resume channels. An unbuffered channel carries no
+// state between uses, so one whose owner finished is safe to hand to the next
 // spawn.
-type chanPair struct {
-	resume chan struct{}
-	yield  chan struct{}
-}
-
-var chanPairPool = sync.Pool{New: func() any {
-	return &chanPair{resume: make(chan struct{}), yield: make(chan struct{})}
-}}
-
-func getChanPair() *chanPair  { return chanPairPool.Get().(*chanPair) }
-func putChanPair(c *chanPair) { chanPairPool.Put(c) }
+var resumeChanPool = sync.Pool{New: func() any { return make(chan struct{}) }}

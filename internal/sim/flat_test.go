@@ -148,6 +148,7 @@ func TestMachineMatchesBody(t *testing.T) {
 		t.Fatalf("flat machine diverged from body:\nbody:\n%s\nflat:\n%s", body, mflat)
 	}
 	sgo.PeakProcBytes, sflat.PeakProcBytes = 0, 0 // engine kinds account differently by design
+	sgo.Handoffs, sflat.Handoffs = 0, 0           // only goroutines are switched to
 	sgo.ArenaSlots, sflat.ArenaSlots = 0, 0
 	sgo.ArenaPeakLive, sflat.ArenaPeakLive = 0, 0
 	if sgo != sflat {
@@ -259,16 +260,16 @@ func TestFlatContractViolationFails(t *testing.T) {
 	}
 }
 
-// TestChanPairPoolRoundTrip: finished goroutine procs return their channel
-// pair to the pool and drop the reference.
-func TestChanPairPoolRoundTrip(t *testing.T) {
+// TestResumeChanPoolRoundTrip: finished goroutine procs return their resume
+// channel to the pool and drop the reference.
+func TestResumeChanPoolRoundTrip(t *testing.T) {
 	e := NewEngine()
 	p := e.Go("solo", func(p *Proc) { p.Sleep(Nanosecond) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if p.chans != nil || p.resume != nil || p.yield != nil {
-		t.Fatalf("finished proc kept channel references")
+	if p.resume != nil {
+		t.Fatalf("finished proc kept its channel reference")
 	}
 }
 

@@ -34,10 +34,11 @@ func (s procState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Proc is one simulated process: a goroutine with a private virtual clock,
-// cooperatively scheduled by its Engine. All methods must be called from the
-// process's own body except UnparkAt, which other processes and scheduler
-// callbacks use to wake it.
+// Proc is one simulated process with a private virtual clock, cooperatively
+// scheduled by its Engine: a goroutine that runs only while it holds its
+// epoch group's baton, or a flat machine stepped by whoever does. All methods
+// must be called from the process's own body except UnparkAt, which other
+// processes and scheduler callbacks use to wake it.
 type Proc struct {
 	eng      *Engine
 	id       int
@@ -45,21 +46,20 @@ type Proc struct {
 	now      Time
 	state    procState
 	timerSeq uint64 // sequence of the live timer event, when stateScheduled
+	// resume is where a goroutine-backed process waits for whoever pops its
+	// wake (execGroup.handoff). Pooled; nil for flat procs and done ones.
 	resume   chan struct{}
-	yield    chan struct{}
 	panicked error
 
 	// Machine execution state (flat.go): fm is the continuation machine (nil
 	// for blocking Go bodies), flat marks procs stepped directly by the
-	// dispatch loop (no goroutine, no channels), blocked records that the
-	// current flat step invoked its one blocking primitive. chans is the
-	// pooled channel pair backing resume/yield (nil for flat procs), and cost
-	// is the engine's byte accounting for this proc (Stats.PeakProcBytes).
+	// dispatch loop (no goroutine, no channel), blocked records that the
+	// current flat step invoked its one blocking primitive, and cost is the
+	// engine's byte accounting for this proc (Stats.PeakProcBytes).
 	fm      Machine
 	flat    bool
 	blocked bool
 	cost    uint32
-	chans   *chanPair
 
 	// lastWakeAt / lastWakeLive track the most recently queued Unpark event
 	// so duplicate wakes for the same virtual time can be coalesced instead
@@ -197,8 +197,11 @@ func (p *Proc) wantsWake(timer bool, seq uint64) bool {
 	}
 }
 
-// switchOut hands control back to the scheduler and blocks until resumed.
-// The caller must have already set p.state and scheduled/arranged a wake.
+// switchOut blocks the process until a live wake for it is dispatched. The
+// caller must have already set p.state and scheduled/arranged a wake. A
+// goroutine-backed process keeps its group's baton: it goes on dispatching
+// the group's queue itself (execGroup.carry) and returns when the loop — here,
+// or on whichever goroutine the baton has since moved to — pops that wake.
 // Flat machines cannot be suspended mid-step: the continuation is the next
 // Step call, so switchOut only records that the step blocked — which is why a
 // machine step may block at most once, as its last action (see flat.go).
@@ -210,8 +213,7 @@ func (p *Proc) switchOut() {
 		p.blocked = true
 		return
 	}
-	p.yield <- struct{}{}
-	<-p.resume
+	p.group.carry(p)
 }
 
 // Advance moves the local clock forward by d, modeling local work that costs

@@ -18,8 +18,7 @@ func bothWorlds(t *testing.T, body func(t *testing.T, own func(p *Proc, r Res) [
 	})
 	t.Run("every proc declares", func(t *testing.T) {
 		body(t, func(p *Proc, r Res) []Res {
-			p.SetRes(r)
-			p.SetFootprint(func(buf []Res) []Res { return append(buf, r) })
+			own(p, r)
 			return []Res{r}
 		})
 	})
