@@ -48,7 +48,7 @@ func main() {
 	workers := flag.Int("j", 0, "experiment sweep workers; 0 = CMPI_SWEEP_WORKERS env or GOMAXPROCS (tables are byte-identical for any value)")
 	simWorkers := flag.Int("sim-j", 0, "epoch dispatch width inside each simulated world; 0 = CMPI_SIM_WORKERS env or 1 (results are byte-identical for any value)")
 	benchOut := flag.String("bench-out", "", "write a host-time benchmark snapshot (JSON) to this file and exit")
-	benchSmoke := flag.Bool("bench-smoke", false, "quick dispatch-width regression gate: fail unless the 64-rank allreduce (1 KiB at widths 2/4/8/N, 1 MiB at width N) keeps up with width 1 (10% tolerance)")
+	benchSmoke := flag.Bool("bench-smoke", false, "quick dispatch-width regression gate: fail unless the 64-rank allreduce (1 KiB at widths 2/4/8/N, 1 MiB at width N) keeps up with width 1 (25% tolerance)")
 	traceOut := flag.String("trace-out", "", "record the canonical trace job to this file and exit")
 	traceJob := flag.String("trace-job", "golden", "trace job for -trace-out: golden (16 ranks, trivial topology) or fattree (32 ranks on a 2-rack fat tree)")
 	replay := flag.String("replay", "", "replay a recorded trace: reconstruct and print its counters, then exit")
@@ -729,12 +729,20 @@ func writeBenchSnapshot(path string) error {
 	return nil
 }
 
+// widthTolerance is how much slower than width 1 the bench-smoke gate lets a
+// wider run be: 25%, the bound bench/ puts on host-clock timings on this class
+// of box. It was 10% while every resume at width 1 paid a futex wake that
+// wider runs dodged; since processes became coroutines width 1 pays none, and
+// what a narrow epoch costs at width > 1 is the pool's own wake (one channel
+// send per worker plus a WaitGroup): 5-17% on 2 vCPUs, with every absolute
+// time lower (docs/PERFORMANCE.md, "Processes are coroutines").
+const widthTolerance = 1.25
+
 // benchSmokeCheck is the CI dispatch-width regression gate: a 64-rank
-// allreduce must not run slower at any epoch dispatch width than at width 1.
-// Before adaptive footprint decay the coupled collective collapsed into one
-// group and paid pure coordination overhead at width N; the gate keeps that
-// regression from coming back. Tolerance is 10% — host timing, even
-// min-of-3, jitters on shared CI runners.
+// allreduce must not run slower at any epoch dispatch width than at width 1,
+// within widthTolerance. Before adaptive footprint decay the coupled
+// collective collapsed into one group and paid pure coordination overhead at
+// width N; the gate keeps that regression from coming back.
 func benchSmokeCheck() error {
 	widthN := runtime.GOMAXPROCS(0)
 	if widthN < 4 {
@@ -753,8 +761,8 @@ func benchSmokeCheck() error {
 	for i, wk := range widths[1:] {
 		sec := times[i+1]
 		fmt.Printf("allreduce64 width %d: %.3fs (%.2fx)\n", wk, sec, base/sec)
-		if sec > base*1.10 {
-			return fmt.Errorf("allreduce64 at width %d took %.3fs, >10%% slower than width 1 (%.3fs)", wk, sec, base)
+		if sec > base*widthTolerance {
+			return fmt.Errorf("allreduce64 at width %d took %.3fs, >%.0f%% slower than width 1 (%.3fs)", wk, sec, (widthTolerance-1)*100, base)
 		}
 	}
 	// Large-message point: a 1 MiB allreduce rides the selector's bandwidth
@@ -768,8 +776,8 @@ func benchSmokeCheck() error {
 	}
 	fmt.Printf("allreduce64-1MiB width 1: %.3fs\n", largeTimes[0])
 	fmt.Printf("allreduce64-1MiB width %d: %.3fs (%.2fx)\n", widthN, largeTimes[1], largeTimes[0]/largeTimes[1])
-	if largeTimes[1] > largeTimes[0]*1.10 {
-		return fmt.Errorf("allreduce64-1MiB at width %d took %.3fs, >10%% slower than width 1 (%.3fs)", widthN, largeTimes[1], largeTimes[0])
+	if largeTimes[1] > largeTimes[0]*widthTolerance {
+		return fmt.Errorf("allreduce64-1MiB at width %d took %.3fs, >%.0f%% slower than width 1 (%.3fs)", widthN, largeTimes[1], (widthTolerance-1)*100, largeTimes[0])
 	}
 	return nil
 }

@@ -50,7 +50,7 @@ type Program interface {
 // RunMachine is World.Run for machine-native rank bodies: mk builds the
 // Program for each rank. Blocking bodies always keep their goroutine; machine
 // worlds on the flat engine spend one arena slot per rank and no goroutine,
-// stack, or resume channel — the difference Stats.PeakProcBytes accounts.
+// stack, or coroutine — the difference Stats.PeakProcBytes accounts.
 // Engine choice (CMPI_SIM_ENGINE) never changes simulated results.
 func (w *World) RunMachine(mk func(rank int) Program) error {
 	if w.ran {

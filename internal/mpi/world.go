@@ -431,7 +431,6 @@ func simStatsOf(es sim.Stats) profile.SimStats {
 	s := profile.SimStats{
 		Dispatched:      es.Dispatched,
 		Resumes:         es.Resumes,
-		Handoffs:        es.Handoffs,
 		StaleWakes:      es.StaleWakes,
 		CoalescedWakes:  es.CoalescedWakes,
 		MaxHeapDepth:    es.MaxHeapDepth,

@@ -122,13 +122,8 @@ func (f FaultStats) Total() uint64 {
 type SimStats struct {
 	// Dispatched is the number of events the engine popped and handled.
 	Dispatched uint64
-	// Resumes is the subset that handed control to a process. Handoffs is
-	// the goroutine switches dispatch made doing so: none for a process
-	// resumed by the loop running on its own goroutine or a flat machine
-	// stepped in place, one for any other resume, and one more per group and
-	// epoch to return to the worker.
-	Resumes  uint64
-	Handoffs uint64
+	// Resumes is the subset that handed control to a process.
+	Resumes uint64
 	// StaleWakes is the subset dropped as stale process wakes.
 	StaleWakes uint64
 	// CoalescedWakes counts duplicate wakes suppressed before enqueueing.
@@ -157,7 +152,7 @@ type SimStats struct {
 	PhaseRewidens uint64
 	// PeakProcBytes is the engine's accounting of peak live per-process
 	// overhead: facade plus machine state for flat procs, plus the goroutine
-	// stack/descriptor/channel floor for goroutine-backed ones. Deterministic
+	// stack/descriptor/coroutine floor for goroutine-backed ones. Deterministic
 	// (it counts structures, not allocator behavior), so flat-vs-goroutine
 	// ratios are comparable run to run.
 	PeakProcBytes uint64

@@ -11,17 +11,16 @@ import (
 	"sync/atomic"
 )
 
-// Engine is a discrete-event scheduler. Simulated processes are goroutines,
-// but control passes only to a process whose pending event has been
-// dispatched, always in deterministic (virtual time, sequence) order, so every
-// simulated result is reproducible and data-race-free.
+// Engine is a discrete-event scheduler. A simulated process with a blocking
+// body is a coroutine of whoever dispatches it (coro.go): control passes to it
+// only when its pending event has been dispatched, always in deterministic
+// (virtual time, sequence) order, and comes back when it blocks or ends, so
+// every simulated result is reproducible and data-race-free.
 //
 // Scheduler context — where callbacks, footprints, formation and commit run —
-// is not a fixed goroutine. Between epochs it is Run's caller. During an epoch
-// it is, for each group, whichever goroutine holds the group's baton: the
-// worker that entered the group's dispatch loop, or a goroutine-backed process
-// that blocked or finished and went on dispatching in the worker's place
-// (execGroup.dispatch). Never two at once within a group.
+// is Run's caller between epochs and, during an epoch, the one goroutine that
+// dispatches the group for the whole epoch (execGroup.dispatch): a pool
+// worker, or Run's caller. It is parked while a process it resumed runs.
 //
 // There is one dispatch loop, conservative epoch dispatch (see epoch.go):
 // pending events are partitioned by the resources they declare — process
@@ -119,11 +118,6 @@ type Stats struct {
 	Callbacks uint64
 	// Resumes is the subset that handed control to a process.
 	Resumes uint64
-	// Handoffs is the number of goroutine switches dispatch made: the baton
-	// passing worker → process, process → process, or process → worker. A
-	// process resumed by the loop running on its own goroutine, and a flat
-	// machine stepped in place, cost none.
-	Handoffs uint64
 	// StaleWakes is the subset dropped as stale process wakes.
 	StaleWakes uint64
 	// CoalescedWakes counts Unpark requests dropped before ever entering
@@ -158,7 +152,7 @@ type Stats struct {
 	PhaseRewidens uint64
 	// PeakProcBytes is the high-water mark of per-process overhead bytes, as
 	// accounted by the engine: the Proc facade plus machine state for flat
-	// procs, plus a goroutine stack/descriptor/channel floor for
+	// procs, plus a goroutine stack/descriptor/coroutine floor for
 	// goroutine-backed ones (see flat.go). Deterministic — it counts data
 	// structures, not allocator behavior — so it is comparable across engines
 	// and identical for any dispatch width.
@@ -367,50 +361,43 @@ func (e *Engine) schedule(t Time, ev event) {
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
-// The process body runs on its own goroutine but executes only while that
-// goroutine holds its epoch group's baton — handed over by whoever popped its
-// wake, kept while it blocks, passed on when the loop it then runs pops
-// another process's wake — so process code never races with other processes
-// or with scheduler callbacks. Spawn before Run.
+// The process body runs on its own goroutine, as a coroutine of whichever
+// goroutine dispatches its epoch group: it executes only between that
+// goroutine popping its wake and the body's next blocking call, while the
+// dispatcher is parked, so process code never races with other processes or
+// with scheduler callbacks. Spawn before Run, and spawn and Run from
+// goroutines not locked to an OS thread: runtime.LockOSThread pins a
+// coroutine to its creator's thread, and workers resume it from others.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		now:    e.now,
-		state:  stateScheduled,
-		resume: resumeChanPool.Get().(chan struct{}),
+		eng:   e,
+		id:    len(e.procs),
+		name:  name,
+		now:   e.now,
+		state: stateScheduled,
 	}
+	p.co = newCoro(p, body)
 	p.cost = uint32(procBytes + goroutineOverheadBytes)
 	e.chargeProc(p)
 	e.procs = append(e.procs, p)
-	go p.run(body)
 	e.seq++
 	p.timerSeq = e.seq
 	e.q.push(e.now, e.seq, event{proc: p, timer: true})
 	return p
 }
 
-// run is the goroutine of a blocking-body process: wait for the start event,
-// run the body, finish.
-func (p *Proc) run(body func(p *Proc)) {
-	<-p.resume
-	defer p.finish()
-	body(p)
-}
-
-// finish is the deferred exit of a process goroutine. The body has returned
-// or panicked while holding the baton, so the goroutine settles its own
-// process — failure record, retirement — and then carries the dispatch loop
-// on until the baton moves to another goroutine; only then does it exit.
+// finish is the deferred exit of a process coroutine: the body returned or
+// panicked, and control is about to come back out of the dispatcher's next,
+// which settles the process. A body unwound by Engine.reap is neither done
+// nor failed: the run was over before it moved.
 func (p *Proc) finish() {
 	if r := recover(); r != nil {
+		if _, ok := r.(reaped); ok {
+			return
+		}
 		p.bodyPanic(r)
 	}
 	p.state = stateDone
-	g := p.group
-	g.settle(p)
-	g.carry(p)
 }
 
 // bodyPanic records a panic recovered from the process's body as its failure.
@@ -425,6 +412,10 @@ func (p *Proc) bodyPanic(r any) {
 // engineAbort is panicked by Proc.Fatalf to unwind a process body; bodyPanic
 // converts it into a recorded failure without a stack dump.
 type engineAbort struct{ err error }
+
+// reaped is panicked by Proc.switchOut in a body whose run has ended
+// (Engine.reap), to unwind it; finish swallows it.
+type reaped struct{}
 
 // Stop aborts the run after the current event completes. Pending events are
 // discarded; Run returns nil unless a failure was already recorded.
@@ -460,8 +451,11 @@ func (d *DeadlockError) Error() string {
 // Run dispatches events in virtual-time order until the queue drains, a
 // process panics, or Stop/Fail is called. It returns a *DeadlockError if
 // processes remain blocked when the queue empties, the recorded error on
-// Fail or process panic, and nil otherwise.
+// Fail or process panic, and nil otherwise. A run is final: once that value
+// is decided the processes still blocked are ended (reap), so no goroutine
+// started by Go or by Run outlives it.
 func (e *Engine) Run() error {
+	defer e.reap()
 	e.runEpochs()
 	if e.failure != nil {
 		return e.failure
@@ -477,4 +471,21 @@ func (e *Engine) Run() error {
 		return &DeadlockError{Parked: parked, At: e.now}
 	}
 	return nil
+}
+
+// reap ends the coroutine of every process the run left unfinished — blocked
+// when it deadlocked, stopped or failed — so its goroutine exits instead of
+// staying parked for the life of the host process. A body that never started
+// never runs. A suspended one unwinds: its pending switchOut panics with
+// reaped, its deferred functions run, and any blocking primitive those call
+// panics again at once, so a deferred collective cannot hang. Run's return
+// value is already decided, and the unwinding records nothing of its own: no
+// failure, no state change.
+func (e *Engine) reap() {
+	for _, p := range e.procs {
+		if p.co != nil {
+			p.co.stop()
+			p.co = nil
+		}
+	}
 }

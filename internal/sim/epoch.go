@@ -23,12 +23,12 @@ import (
 //  2. Execution: each group pops its own private queue in (t, seq) order,
 //     resuming only its own processes. Independent groups run concurrently
 //     on a bounded worker pool; the group structure is decided entirely at
-//     formation, so it is identical for any worker count. A worker enters a
-//     group's loop, but the loop runs on whichever goroutine holds the
-//     group's baton (dispatch) — the group's scheduler context, see Engine —
-//     so which goroutine pops an event varies and what it pops does not.
-//     Each group dispatches at most epochQuota events so that the partition
-//     is refreshed as communication patterns shift. An epoch that forms a
+//     formation, so it is identical for any worker count. One worker runs a
+//     group's loop for the whole epoch (dispatch) — the group's scheduler
+//     context, see Engine — resuming each goroutine-backed process as a
+//     coroutine and stepping each flat machine in place. Each group
+//     dispatches at most epochQuota events so that the partition is
+//     refreshed as communication patterns shift. An epoch that forms a
 //     single group — every epoch of a world that declares nothing —
 //     dispatches on the global queue in place: no sort, no move, and
 //     Engine.Now follows the group's clock event by event.
@@ -93,11 +93,6 @@ type execGroup struct {
 	// scheduler context.
 	releasedBytes uint64
 	releasedProcs int
-	// baton is where the worker waits while a process goroutine runs the
-	// group's dispatch loop, and loopPanic the panic such a goroutine caught in
-	// the loop itself, for the worker to re-raise (handoff, carry).
-	baton     chan struct{}
-	loopPanic any
 }
 
 // emitRec is one buffered emission: the payload plus the (t, seq) key that
@@ -130,14 +125,10 @@ func (g *execGroup) fail(err error) {
 
 // dispatch pops the group's events in (t, seq) order until the local heap
 // drains, the quota is spent, or the engine stops. Whatever remains queued
-// carries over to the next epoch via commit. The loop runs on whichever
-// goroutine holds the group's baton: the worker enters it with self nil, and a
-// goroutine-backed process that blocks or finishes goes on popping as self
-// (carry) instead of switching back to the worker. Callbacks and flat machines
-// run in place; a live wake for self returns, the process resuming on the
-// goroutine it is already on; one for another goroutine process hands that
-// process the baton; the end of the epoch hands it back to the worker. So a
-// resume costs one goroutine switch at most.
+// carries over to the next epoch via commit. Callbacks and flat machines run
+// in place; a live wake for a goroutine-backed process resumes its coroutine
+// and gets control back when the body blocks, returns or panics — one
+// coroutine round trip, no channel and no trip through the Go scheduler.
 //
 // Background alarms wait their turn behind work the queue cannot show: once
 // only alarms remain, the group stops if a process it spilled (YieldRegroup)
@@ -145,7 +136,7 @@ func (g *execGroup) fail(err error) {
 // time than any alarm — the spill next epoch, the callback at the drain.
 // Alarms are untagged, so the group that holds them owns Global, as must
 // whoever called AtQuiesce: reading the quiesce list here is race-free.
-func (g *execGroup) dispatch(self *Proc) {
+func (g *execGroup) dispatch() {
 	e := g.eng
 	q := g.q
 	for g.quota > 0 && !e.stopped.Load() {
@@ -185,57 +176,11 @@ func (g *execGroup) dispatch(self *Proc) {
 		p.group = g
 		if p.flat {
 			p.runMachine()
-			g.settle(p)
-			continue
+		} else {
+			p.co.next()
 		}
-		if p != self {
-			g.handoff(self, p.resume)
-		}
-		return
+		g.settle(p)
 	}
-	if self != nil {
-		g.handoff(self, g.baton)
-	}
-}
-
-// handoff passes the baton from self's goroutine (nil: the worker's) to the
-// goroutine receiving on to, then waits until self is due again: a blocked
-// process for its next resume, the worker for the baton — the epoch is then
-// over for this group. A finished process waits for nothing: its channel is
-// gone (releaseProc) and its goroutine exits.
-func (g *execGroup) handoff(self *Proc, to chan struct{}) {
-	g.stats.Handoffs++
-	if self != nil {
-		to <- struct{}{}
-		if self.resume != nil {
-			<-self.resume
-		}
-		return
-	}
-	if g.baton == nil {
-		g.baton = make(chan struct{}) // on first use: a flat world never hands off
-	}
-	to <- struct{}{}
-	<-g.baton
-	if g.loopPanic != nil {
-		panic(g.loopPanic)
-	}
-}
-
-// carry takes the dispatch loop over on p's goroutine, p having just blocked
-// or finished while holding the baton; it returns once p is resumed or, for a
-// finished p, once the baton has moved on. Whatever panics through here — a
-// callback body, an engine invariant — is the loop's, not p's body's: the
-// worker re-raises it out of Engine.Run, where it would otherwise unwind into
-// p's spawn wrapper and be reported as p's own.
-func (g *execGroup) carry(p *Proc) {
-	defer func() {
-		if r := recover(); r != nil {
-			g.loopPanic = r
-			g.handoff(p, g.baton)
-		}
-	}()
-	g.dispatch(p)
 }
 
 // settle records what a process that just gave up control left behind: its
@@ -432,7 +377,7 @@ func (e *Engine) stepEpoch() {
 	e.inEpoch = true
 	if workers <= 1 {
 		for _, g := range groups {
-			g.dispatch(nil)
+			g.dispatch()
 		}
 	} else {
 		e.dispatchPool(groups, workers)
@@ -457,7 +402,7 @@ func (w *epochWork) drain() {
 		if i >= len(w.groups) {
 			return
 		}
-		w.groups[i].dispatch(nil)
+		w.groups[i].dispatch()
 	}
 }
 
@@ -521,7 +466,6 @@ func (e *Engine) commitEpoch() {
 		e.stats.Dispatched += g.stats.Dispatched
 		e.stats.Callbacks += g.stats.Callbacks
 		e.stats.Resumes += g.stats.Resumes
-		e.stats.Handoffs += g.stats.Handoffs
 		e.stats.StaleWakes += g.stats.StaleWakes
 		e.stats.CoalescedWakes += g.stats.CoalescedWakes
 		yields += g.stats.RegroupYields

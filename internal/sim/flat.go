@@ -2,15 +2,15 @@ package sim
 
 // Flat execution mode: continuation state machines instead of goroutines.
 //
-// The goroutine engine gives every simulated process its own goroutine plus a
-// resume channel; handing it control is a channel operation and a goroutine
-// switch whenever another goroutine popped its wake, and every process costs
-// at least a 2 KiB stack span before it has done anything. That is fine for
-// hundreds of ranks and ruinous for hundreds of thousands.
+// The goroutine engine gives every simulated process its own goroutine, run
+// as a coroutine of the dispatch loop (coro.go); handing it control is a
+// coroutine switch there and one back, and every process costs at least a
+// 2 KiB stack span before it has done anything. That is fine for hundreds of
+// ranks and ruinous for hundreds of thousands.
 //
 // A Machine is the flat alternative: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
-// channels, no stack — and the Proc facade (Sleep/Park/UnparkAt/SetRes/Emit)
+// coroutine, no stack — and the Proc facade (Sleep/Park/UnparkAt/SetRes/Emit)
 // works unchanged on top. One Step may invoke at most one blocking primitive
 // (Sleep, Park, Advance-that-would-yield is therefore forbidden — machine
 // Advance is always a pure clock bump — or YieldRegroup), and that call must
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sync"
 )
 
 // Flow is a Machine step verdict: More keeps the machine alive (it either
@@ -80,7 +79,7 @@ func FlatFromEnv(worldSize int) (bool, error) {
 
 // SetFlat selects the execution mode for machines spawned after the call:
 // flat (arena-allocated, stepped directly by the dispatch loop) or goroutine
-// (each machine on its own trampoline goroutine, exactly like Go bodies).
+// (each machine stepped on a goroutine of its own, exactly like Go bodies).
 // Blocking Go bodies always use goroutines regardless of mode. Call before
 // spawning.
 func (e *Engine) SetFlat(on bool) { e.flat = on }
@@ -90,8 +89,10 @@ func (e *Engine) Flat() bool { return e.flat }
 
 // GoMachine spawns a simulated process driven by a continuation state
 // machine, starting at the current virtual time. In flat mode (SetFlat) the
-// process costs one arena slot and no goroutine; otherwise it runs on a
-// goroutine trampoline with semantics identical to Go. Spawn before Run.
+// process costs one arena slot and no goroutine; otherwise its steps are the
+// body of a process spawned as by Go, with identical semantics, so
+// flat-vs-goroutine comparisons run the exact same machine code. Spawn
+// before Run.
 func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	var p *Proc
 	cost := procBytes + machineBytes(m)
@@ -110,16 +111,18 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 		}
 	} else {
 		p = &Proc{
-			eng:    e,
-			id:     len(e.procs),
-			name:   name,
-			now:    e.now,
-			state:  stateScheduled,
-			fm:     m,
-			resume: resumeChanPool.Get().(chan struct{}),
+			eng:   e,
+			id:    len(e.procs),
+			name:  name,
+			now:   e.now,
+			state: stateScheduled,
+			fm:    m,
 		}
+		p.co = newCoro(p, func(p *Proc) {
+			for m.Step(p) == More {
+			}
+		})
 		cost += goroutineOverheadBytes
-		go machineTrampoline(p, m)
 	}
 	p.cost = uint32(cost)
 	e.chargeProc(p)
@@ -130,19 +133,9 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	return p
 }
 
-// machineTrampoline is the goroutine of a machine spawned while the engine is
-// not in flat mode: Proc.run with the machine's Step in place of the body, so
-// flat-vs-goroutine comparisons run the exact same machine code.
-func machineTrampoline(p *Proc, m Machine) {
-	<-p.resume
-	defer p.finish()
-	for m.Step(p) == More {
-	}
-}
-
 // runMachine steps a flat machine until it blocks or finishes. It is the flat
-// counterpart of handing a goroutine the baton: called from the dispatch loop
-// with p.state == stateRunning, it returns with the process either blocked (a
+// counterpart of resuming a coroutine: called from the dispatch loop with
+// p.state == stateRunning, it returns with the process either blocked (a
 // primitive recorded the continuation) or done. Panics — including
 // Fatalf/Fail aborts — become the process's failure exactly as on a goroutine.
 func (p *Proc) runMachine() {
@@ -164,19 +157,15 @@ func (p *Proc) runMachine() {
 	}
 }
 
-// releaseProc retires a finished process's recyclable state: the resume
-// channel returns to the pool, the machine and footprint cache are dropped,
-// and the proc's byte cost leaves the live-bytes account. Called by the baton
-// holder the moment the process is done (execGroup.settle) — for a goroutine
-// process that is its own goroutine, whose last touch of the channel was the
-// receive that resumed it, and a done proc is never resumed again (wantsWake).
-// The accounting is buffered in the group and merged at commit, keeping group
+// releaseProc retires a finished process's state: the coroutine (already
+// ended — its body came back into the dispatch loop), the machine and the
+// footprint cache are dropped, and the proc's byte cost leaves the live-bytes
+// account. Called by the dispatch loop the moment the process is done
+// (execGroup.settle); a done proc is never resumed again (wantsWake). The
+// accounting is buffered in the group and merged at commit, keeping group
 // execution free of shared writes.
 func (e *Engine) releaseProc(p *Proc, g *execGroup) {
-	if p.resume != nil {
-		resumeChanPool.Put(p.resume)
-		p.resume = nil
-	}
+	p.co = nil
 	p.fm = nil
 	p.fpCache = nil
 	g.releasedBytes += uint64(p.cost)
@@ -196,19 +185,23 @@ func (e *Engine) chargeProc(p *Proc) {
 }
 
 // Per-process byte accounting. The goroutine numbers are a deliberate floor —
-// a real goroutine's stack starts at one 2 KiB span and only grows, and the
-// runtime g descriptor and the unbuffered channel are measured from the Go
-// runtime's own struct sizes — so the flat-vs-goroutine ratio the engine
-// reports understates the real advantage rather than flattering it.
+// a real goroutine's stack starts at one 2 KiB span and only grows, the
+// runtime g descriptor is measured from the Go runtime's own struct size, and
+// the coroutine is charged well under what it allocates — so the
+// flat-vs-goroutine ratio the engine reports understates the real advantage
+// rather than flattering it.
 const (
 	// goroutineStackBytes is Go's minimum stack span per goroutine.
 	goroutineStackBytes = 2048
 	// goroutineDescBytes approximates the runtime g descriptor.
 	goroutineDescBytes = 416
-	// resumeChanBytes is one unbuffered struct{} channel (the hchan header).
-	resumeChanBytes = 96
+	// coroBytes is charged for the coroutine (coro.go). iter.Pull's coro
+	// header and captured state measure ≈300 B of heap on go1.24 (751 B in
+	// 11 mallocs per coroutine, the g included); 96 is what the resume
+	// channel it replaced cost, kept so the accounting floor stays 2560.
+	coroBytes = 96
 
-	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + resumeChanBytes
+	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + coroBytes
 )
 
 // procBytes is the facade struct itself, charged to every process kind.
@@ -259,8 +252,3 @@ func (e *Engine) arenaAlloc() *Proc {
 	*slab = append(*slab, Proc{})
 	return &(*slab)[len(*slab)-1]
 }
-
-// resumeChanPool recycles resume channels. An unbuffered channel carries no
-// state between uses, so one whose owner finished is safe to hand to the next
-// spawn.
-var resumeChanPool = sync.Pool{New: func() any { return make(chan struct{}) }}

@@ -148,7 +148,6 @@ func TestMachineMatchesBody(t *testing.T) {
 		t.Fatalf("flat machine diverged from body:\nbody:\n%s\nflat:\n%s", body, mflat)
 	}
 	sgo.PeakProcBytes, sflat.PeakProcBytes = 0, 0 // engine kinds account differently by design
-	sgo.Handoffs, sflat.Handoffs = 0, 0           // only goroutines are switched to
 	sgo.ArenaSlots, sflat.ArenaSlots = 0, 0
 	sgo.ArenaPeakLive, sflat.ArenaPeakLive = 0, 0
 	if sgo != sflat {
@@ -257,19 +256,6 @@ func TestFlatContractViolationFails(t *testing.T) {
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "blocked twice") {
 		t.Fatalf("want blocked-twice contract error, got %v", err)
-	}
-}
-
-// TestResumeChanPoolRoundTrip: finished goroutine procs return their resume
-// channel to the pool and drop the reference.
-func TestResumeChanPoolRoundTrip(t *testing.T) {
-	e := NewEngine()
-	p := e.Go("solo", func(p *Proc) { p.Sleep(Nanosecond) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if p.resume != nil {
-		t.Fatalf("finished proc kept its channel reference")
 	}
 }
 

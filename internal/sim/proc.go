@@ -35,10 +35,10 @@ func (s procState) String() string {
 }
 
 // Proc is one simulated process with a private virtual clock, cooperatively
-// scheduled by its Engine: a goroutine that runs only while it holds its
-// epoch group's baton, or a flat machine stepped by whoever does. All methods
-// must be called from the process's own body except UnparkAt, which other
-// processes and scheduler callbacks use to wake it.
+// scheduled by its Engine: a coroutine resumed by whichever goroutine
+// dispatches its epoch group, or a flat machine stepped in place by it. All
+// methods must be called from the process's own body except UnparkAt, which
+// other processes and scheduler callbacks use to wake it.
 type Proc struct {
 	eng      *Engine
 	id       int
@@ -46,14 +46,14 @@ type Proc struct {
 	now      Time
 	state    procState
 	timerSeq uint64 // sequence of the live timer event, when stateScheduled
-	// resume is where a goroutine-backed process waits for whoever pops its
-	// wake (execGroup.handoff). Pooled; nil for flat procs and done ones.
-	resume   chan struct{}
+	// co is the coroutine a goroutine-backed process's body runs as (coro.go);
+	// nil for flat procs, done ones and once the run is over (Engine.reap).
+	co       *coro
 	panicked error
 
 	// Machine execution state (flat.go): fm is the continuation machine (nil
 	// for blocking Go bodies), flat marks procs stepped directly by the
-	// dispatch loop (no goroutine, no channel), blocked records that the
+	// dispatch loop (no goroutine, no coroutine), blocked records that the
 	// current flat step invoked its one blocking primitive, and cost is the
 	// engine's byte accounting for this proc (Stats.PeakProcBytes).
 	fm      Machine
@@ -199,12 +199,14 @@ func (p *Proc) wantsWake(timer bool, seq uint64) bool {
 
 // switchOut blocks the process until a live wake for it is dispatched. The
 // caller must have already set p.state and scheduled/arranged a wake. A
-// goroutine-backed process keeps its group's baton: it goes on dispatching
-// the group's queue itself (execGroup.carry) and returns when the loop — here,
-// or on whichever goroutine the baton has since moved to — pops that wake.
-// Flat machines cannot be suspended mid-step: the continuation is the next
-// Step call, so switchOut only records that the step blocked — which is why a
-// machine step may block at most once, as its last action (see flat.go).
+// goroutine-backed process yields to the dispatch loop that resumed it — one
+// coroutine switch — and returns when that loop, this epoch or a later one,
+// on this worker or another, pops the wake and resumes it. If the run ends
+// first there is no wake to wait for: yield reports false and the body
+// unwinds (Engine.reap). Flat machines cannot be suspended mid-step: the
+// continuation is the next Step call, so switchOut only records that the
+// step blocked — which is why a machine step may block at most once, as its
+// last action (see flat.go).
 func (p *Proc) switchOut() {
 	if p.flat {
 		if p.blocked {
@@ -213,7 +215,9 @@ func (p *Proc) switchOut() {
 		p.blocked = true
 		return
 	}
-	p.group.carry(p)
+	if !p.co.yield(struct{}{}) {
+		panic(reaped{})
+	}
 }
 
 // Advance moves the local clock forward by d, modeling local work that costs
