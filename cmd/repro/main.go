@@ -18,6 +18,7 @@
 //	repro -replay golden.trace         # reconstruct counters from a trace
 //	repro -trace-diff A.trace B.trace  # first divergent record, if any
 //	repro -fault-seed 42               # seeded chaos hunt: fuzz, shrink, repro
+//	repro -fig ext-faults -cpuprofile cpu.prof -memprofile mem.prof  # where host time and heap went
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -57,7 +59,10 @@ func main() {
 	ranks := flag.Int("ranks", 0, "run the scale-proxy allreduce at this many ranks on both simulator engines and report time/memory")
 	scaleSmoke := flag.Bool("scale-smoke", false, "flat-engine scale gate: the 4096-rank allreduce must complete, agree with the goroutine engine, and use >=10x less accounted per-proc memory")
 	fidelitySmoke := flag.Bool("fidelity-smoke", false, "full-fidelity scale gate: a real (non-proxy) 1024-rank world with machine-native rank bodies must complete on the flat engine with a >=5x accounted memory advantage over goroutine bodies, and the 4096-rank one inside 512 MiB of heap")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of whatever this invocation runs to this file (read with go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile, taken as the run ends, to this file (go tool pprof -sample_index=alloc_space)")
 	flag.Parse()
+	defer startProfiles(*cpuProfile, *memProfile)()
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -167,6 +172,50 @@ func main() {
 		os.Exit(2)
 	}
 	run(e)
+}
+
+// startProfiles starts the CPU profile, if asked for, and returns the function
+// that stops it and writes the allocation profile, if asked for. With both
+// paths empty neither does anything. A run that fails leaves through os.Exit
+// and skips the deferred stop: the profiles describe runs that finished.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fail := func(flagName string, err error) {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
+		os.Exit(1)
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fail("cpuprofile", err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fail("cpuprofile", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fail("memprofile", err)
+		}
+		runtime.GC() // the profile is complete only up to the last collection
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fail("memprofile", err)
+		}
+		if err := f.Close(); err != nil {
+			fail("memprofile", err)
+		}
+	}
 }
 
 // recordGolden writes the selected golden trace job's v1 trace to path.

@@ -406,13 +406,24 @@ var (
 	// EncodeInt64s / DecodeInt64s serialize little-endian int64 vectors.
 	EncodeInt64s = mpi.EncodeInt64s
 	DecodeInt64s = mpi.DecodeInt64s
+	// AppendFloat64s / AppendInt64s encode behind dst's contents and
+	// DecodeFloat64sInto / DecodeInt64sInto decode behind dst's, allocating
+	// only when dst lacks the capacity: a loop that passes buf[:0] and keeps
+	// the result reuses one buffer for every round.
+	AppendFloat64s     = mpi.AppendFloat64s
+	AppendInt64s       = mpi.AppendInt64s
+	DecodeFloat64sInto = mpi.DecodeFloat64sInto
+	DecodeInt64sInto   = mpi.DecodeInt64sInto
 )
 
 // EncodeFloat64 serializes one float64.
 func EncodeFloat64(v float64) []byte { return mpi.EncodeFloat64s([]float64{v}) }
 
-// DecodeFloat64 deserializes one float64.
-func DecodeFloat64(b []byte) float64 { return mpi.DecodeFloat64s(b)[0] }
+// DecodeFloat64 deserializes the float64 in b's first 8 bytes.
+func DecodeFloat64(b []byte) float64 {
+	var v [1]float64
+	return mpi.DecodeFloat64sInto(v[:0], b[:8])[0]
+}
 
 // TimeFromSeconds converts seconds to virtual Time.
 func TimeFromSeconds(s float64) Time { return sim.FromSeconds(s) }

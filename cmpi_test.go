@@ -163,6 +163,27 @@ func TestPublicEncodingHelpers(t *testing.T) {
 	if got := cmpi.DecodeInt64s(cmpi.EncodeInt64s(vs)); got[0] != -1 || got[2] != 1<<40 {
 		t.Errorf("int64 round trip %v", got)
 	}
+	// The scalar helpers allocate only what they return: the 8-byte result
+	// of an encode, nothing for a decode. The append-style forms reuse what
+	// they get.
+	var b []byte
+	var f float64
+	if n := testing.AllocsPerRun(20, func() { b = cmpi.EncodeFloat64(-0.5) }); n != 1 {
+		t.Errorf("EncodeFloat64: %v allocs per call, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { f = cmpi.DecodeFloat64(b) }); n != 0 || f != -0.5 {
+		t.Errorf("DecodeFloat64: %v allocs per call, value %v; want 0, -0.5", n, f)
+	}
+	buf, out := make([]byte, 0, 24), make([]int64, 0, 3)
+	if n := testing.AllocsPerRun(20, func() {
+		buf = cmpi.AppendInt64s(buf[:0], vs)
+		out = cmpi.DecodeInt64sInto(out[:0], buf)
+	}); n != 0 || len(out) != 3 || out[0] != -1 || out[2] != 1<<40 {
+		t.Errorf("AppendInt64s/DecodeInt64sInto with capacity: %v allocs, got %v", n, out)
+	}
+	if got := cmpi.DecodeFloat64sInto(nil, cmpi.AppendFloat64s(nil, []float64{1.5, -2})); len(got) != 2 || got[0] != 1.5 || got[1] != -2 {
+		t.Errorf("AppendFloat64s/DecodeFloat64sInto from nil: %v", got)
+	}
 	if cmpi.TimeFromSeconds(1).Micros() != 1e6 {
 		t.Error("TimeFromSeconds wrong")
 	}

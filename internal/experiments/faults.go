@@ -56,17 +56,20 @@ func FaultsExtension(sc Scale) (*Table, error) {
 			// 256 KiB payloads: the reduce-scatter chunks (payload / ranks)
 			// land above the SHM eager and IBA eager thresholds, exercising
 			// the CMA and HCA rendezvous protocols the plan breaks.
+			// One vector and one wire buffer for every round: encode into the
+			// kept bytes, reduce in place, decode back over the vector.
 			vec := make([]float64, 32768)
+			buf := make([]byte, 0, 8*len(vec))
 			for round := 0; round < rounds; round++ {
 				for i := range vec {
 					vec[i] = float64(r.Rank() + round)
 				}
-				buf := mpi.EncodeFloat64s(vec)
+				buf = mpi.AppendFloat64s(buf[:0], vec)
 				r.Allreduce(buf, mpi.SumFloat64)
-				out := mpi.DecodeFloat64s(buf)
+				vec = mpi.DecodeFloat64sInto(vec[:0], buf)
 				n := r.Size()
 				want := float64(n*(n-1)/2 + n*round)
-				for _, v := range out {
+				for _, v := range vec {
 					if v != want {
 						correct = false
 					}

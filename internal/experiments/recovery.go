@@ -169,21 +169,24 @@ func recGoldenBody(chunks int, out *[]float64) func(r *mpi.Rank) error {
 		}
 		size := r.Size()
 		per := chunks / size
-		var full []float64
+		// Every iteration overwrites all of mine, buf, all and full, so one
+		// of each serves the whole run.
+		mine := make([]float64, per*vals)
+		buf := make([]byte, 0, 8*len(mine))
+		all := make([]byte, 8*len(mine)*size)
+		full := make([]float64, 0, len(mine)*size)
 		for iter := start; iter < iters; iter++ {
-			mine := make([]float64, per*vals)
 			for c := 0; c < per; c++ {
 				for v := 0; v < vals; v++ {
 					mine[c*vals+v] = recGoldenVal(r.Rank()*per+c, iter, v)
 				}
 			}
-			buf := mpi.EncodeFloat64s(mine)
-			all := make([]byte, len(buf)*size)
+			buf = mpi.AppendFloat64s(buf[:0], mine)
 			r.Allgather(buf, all)
 			if r.Failed() {
 				return fmt.Errorf("rank %d: peer failure during iteration %d", r.Rank(), iter)
 			}
-			full = mpi.DecodeFloat64s(all)
+			full = mpi.DecodeFloat64sInto(full[:0], all)
 			if next := iter + 1; next%ckptStep == 0 && next < iters {
 				var blob [8]byte
 				binary.BigEndian.PutUint64(blob[:], uint64(next))
@@ -232,10 +235,14 @@ func runInWorldShrink(procs, victim int, crashAt sim.Time) (sim.Time, int, bool,
 		}
 		nc := comm.Shrink()
 		m := nc.Size()
+		// A buffer of its own for the survivor rounds, kept across them: buf
+		// belongs to the collective that failed.
+		sum, dec := make([]byte, 0, 8), make([]float64, 0, 1)
 		for round := 0; round < 4; round++ {
-			buf := mpi.EncodeFloat64s([]float64{float64(nc.Rank() + round)})
-			nc.Allreduce(buf, mpi.SumFloat64)
-			if got, want := mpi.DecodeFloat64s(buf)[0], float64(m*(m-1)/2+m*round); got != want {
+			sum = mpi.AppendFloat64s(sum[:0], []float64{float64(nc.Rank() + round)})
+			nc.Allreduce(sum, mpi.SumFloat64)
+			dec = mpi.DecodeFloat64sInto(dec[:0], sum)
+			if got, want := dec[0], float64(m*(m-1)/2+m*round); got != want {
 				return fmt.Errorf("rank %d round %d: survivor allreduce = %v, want %v", r.Rank(), round, got, want)
 			}
 		}

@@ -120,13 +120,14 @@ func DataParallel(w *mpi.World, cfg Config) (Report, error) {
 			r.Compute(cfg.ComputeUnits)
 			for i := range grads {
 				seed := gradSeed(r.Rank(), i)
-				copy(grads[i][:8], mpi.EncodeFloat64s([]float64{seed}))
+				mpi.AppendFloat64s(grads[i][:0], []float64{seed})
 			}
 			// Exchange, last layer first.
 			for i := len(grads) - 1; i >= 0; i-- {
 				r.Allreduce(grads[i], mpi.SumFloat64)
 				if verify {
-					got := mpi.DecodeFloat64s(grads[i][:8])[0]
+					var first [1]float64
+					got := mpi.DecodeFloat64sInto(first[:0], grads[i][:8])[0]
 					want := 0.0
 					for rank := 0; rank < n; rank++ {
 						want += gradSeed(rank, i)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -22,5 +23,66 @@ func FuzzHCAHeaderRoundTrip(f *testing.F) {
 		if !bytes.Equal(m.payload, payload) && !(len(m.payload) == 0 && len(payload) == 0) {
 			t.Fatalf("payload corrupted: %v vs %v", m.payload, payload)
 		}
+	})
+}
+
+// fuzzSeedWords is a 67-byte string of edge words (datatype_test.go) and an
+// odd tail: two unrolled blocks, a word loop and leftover bytes in one seed.
+func fuzzSeedWords(first int) []byte {
+	b := make([]byte, 0, 67)
+	for i := 0; len(b)+8 <= 67; i++ {
+		b = binary.LittleEndian.AppendUint64(b, edgeWords[(first+i)%len(edgeWords)])
+	}
+	return append(b, 0xfe, 0x01, 0x80)
+}
+
+// FuzzReduceOpsMatchReference drives every reduction kernel and the
+// per-element loop it replaced (datatype_test.go) over the same random
+// bytes, lengths and misalignments — sel picks the op, its top bit the exact
+// alias op(b, b) — and requires the same bytes out, nothing written outside
+// dst and src untouched.
+func FuzzReduceOpsMatchReference(f *testing.F) {
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, uint8(1), uint8(0), uint8(5))
+	for i := range reduceOps {
+		f.Add(fuzzSeedWords(i), fuzzSeedWords(3*i+1), uint8(i), uint8(7-i), uint8(i))
+		f.Add(fuzzSeedWords(i)[:40], fuzzSeedWords(i+4), uint8(0), uint8(3), uint8(i)|0x80)
+	}
+	f.Fuzz(func(t *testing.T, d, s []byte, doff, soff, sel uint8) {
+		o := reduceOps[int(sel&0x7f)%len(reduceOps)]
+		do, so := min(int(doff%8), len(d)), min(int(soff%8), len(s))
+		got, want, src := bytes.Clone(d), bytes.Clone(d), bytes.Clone(s)
+		if sel&0x80 != 0 {
+			o.op(got[do:], got[do:])
+			o.ref(want[do:], want[do:])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s(b, b) len %d offset %d: got %x want %x", o.name, len(d)-do, do, got, want)
+			}
+			return
+		}
+		o.op(got[do:], src[so:])
+		o.ref(want[do:], s[so:])
+		if !bytes.Equal(got[:do], want[:do]) || firstDiff(o.name, got[do:], want[do:], d[do:], s[so:]) >= 0 {
+			t.Fatalf("%s dst len %d (offset %d) src len %d (offset %d): got %x want %x",
+				o.name, len(d)-do, do, len(s)-so, so, got, want)
+		}
+		if !bytes.Equal(src, s) {
+			t.Fatalf("%s modified src", o.name)
+		}
+	})
+}
+
+// FuzzCodecRoundTrip decodes random bytes at a random misalignment with all
+// four decoders, re-encodes with all four encoders (behind a prefix, with
+// and without capacity) and compares every step with the old loops: the
+// whole words of the input must come back bit for bit.
+func FuzzCodecRoundTrip(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint8(3))
+	f.Add(fuzzSeedWords(0), uint8(0))
+	f.Add(fuzzSeedWords(5), uint8(3))
+	f.Add(fuzzSeedWords(11)[:32], uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
+		checkCodecs(t, raw, int(off%8))
 	})
 }

@@ -29,7 +29,6 @@ package mpi
 // blocks for real inside the primitive with identical simulated results.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
 
@@ -932,23 +931,48 @@ var maxCollMachineBytes = func() int {
 }()
 
 // fillAllreduce writes rank- and iteration-unique int64 elements:
-// element e of rank k at iteration it is (k+1)*(it+1) + e.
+// element e of rank k at iteration it is (k+1)*(it+1) + e. Same loop shape as
+// the reduction kernels in datatype.go.
 func fillAllreduce(buf []byte, rank, it int) {
-	for i := 0; i+8 <= len(buf); i += 8 {
-		v := int64(rank+1)*int64(it+1) + int64(i/8)
-		binary.LittleEndian.PutUint64(buf[i:], uint64(v))
+	v := uint64(int64(rank+1) * int64(it+1))
+	for len(buf) >= 32 {
+		w := buf[:32:32]
+		le.PutUint64(w[0:8], v)
+		le.PutUint64(w[8:16], v+1)
+		le.PutUint64(w[16:24], v+2)
+		le.PutUint64(w[24:32], v+3)
+		v += 4
+		buf = buf[32:]
+	}
+	for len(buf) >= 8 {
+		le.PutUint64(buf[:8], v)
+		v++
+		buf = buf[8:]
 	}
 }
 
 // checkAllreduce verifies a summed buffer against the closed form of
-// fillAllreduce's values and aborts the job on the first mismatch.
+// fillAllreduce's values and aborts the job on the first mismatch. Whole
+// 32-byte blocks are compared four words at a time; the word loop below them
+// takes the tail, and the block a mismatch is in, to name the element.
 func checkAllreduce(r *Rank, buf []byte, it int) {
-	n := int64(r.size)
-	for i := 0; i+8 <= len(buf); i += 8 {
-		want := n*(n+1)/2*int64(it+1) + n*int64(i/8)
-		if got := int64(binary.LittleEndian.Uint64(buf[i:])); got != want {
-			r.Abort("allreduce check: rank %d iter %d elem %d: got %d want %d",
-				r.rank, it, i/8, got, want)
+	n := uint64(r.size)
+	want := n * (n + 1) / 2 * uint64(it+1)
+	i := 0
+	for b := buf; len(b) >= 32; b = b[32:] {
+		w := b[:32:32]
+		if le.Uint64(w[0:8]) != want || le.Uint64(w[8:16]) != want+n ||
+			le.Uint64(w[16:24]) != want+2*n || le.Uint64(w[24:32]) != want+3*n {
+			break
 		}
+		want += 4 * n
+		i += 32
+	}
+	for ; i+8 <= len(buf); i += 8 {
+		if got := le.Uint64(buf[i:]); got != want {
+			r.Abort("allreduce check: rank %d iter %d elem %d: got %d want %d",
+				r.rank, it, i/8, int64(got), int64(want))
+		}
+		want += n
 	}
 }

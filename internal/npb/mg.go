@@ -82,21 +82,25 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		up, down := r.Rank()-1, r.Rank()+1
 		flops := 0.0
 
+		// One send and one receive row, sized for the finest level, serve
+		// every halo exchange: Sendrecv is done with both when it returns,
+		// and a halo row is decoded straight into its grid row.
+		out, in := make([]byte, 0, 8*n), make([]byte, 8*n)
 		exchangeHalo := func(lv *mgLevel, g [][]float64, tag int) {
-			rowBytes := 8 * lv.n
+			in := in[:8*lv.n]
 			if up >= 0 {
-				in := make([]byte, rowBytes)
-				r.Sendrecv(up, tag, mpi.EncodeFloat64s(g[1]), up, tag+1, in)
-				copy(g[0], mpi.DecodeFloat64s(in))
+				out = mpi.AppendFloat64s(out[:0], g[1])
+				r.Sendrecv(up, tag, out, up, tag+1, in)
+				mpi.DecodeFloat64sInto(g[0][:0], in)
 			} else {
 				for j := range g[0] {
 					g[0][j] = 0 // Dirichlet wall
 				}
 			}
 			if down < size {
-				in := make([]byte, rowBytes)
-				r.Sendrecv(down, tag+1, mpi.EncodeFloat64s(g[lv.rows]), down, tag, in)
-				copy(g[lv.rows+1], mpi.DecodeFloat64s(in))
+				out = mpi.AppendFloat64s(out[:0], g[lv.rows])
+				r.Sendrecv(down, tag+1, out, down, tag, in)
+				mpi.DecodeFloat64sInto(g[lv.rows+1][:0], in)
 			} else {
 				for j := range g[lv.rows+1] {
 					g[lv.rows+1][j] = 0
