@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"sync"
+)
 
 // Buffer pooling for the per-message hot paths.
 //
@@ -15,8 +19,18 @@ import "math/bits"
 // ring, the sending side of a queue pair — and is only touched from an epoch
 // group that owns that state's dispatch resources (sim.Res). Epoch dispatch
 // runs causally independent groups concurrently, so a pool must never be
-// reachable from two groups at once: give every owner its own pool instead of
-// sharing one per world or per fabric.
+// reachable from two groups at once: every owner has its own free lists, and
+// a request they can serve takes no lock.
+//
+// What is shared is what lies behind them. A world is single-shot, and a
+// sweep builds hundreds, so the pools of a finished world hand their free
+// buffers to one process-wide depot (Drain, called where a run ends, with the
+// engine stopped), and a pool whose own list is empty asks the depot before
+// it asks the allocator. Only those two cold paths — a miss, and the end of a
+// world — take the depot's mutex; worlds running side by side (a sweep at
+// -j N, epoch groups at -sim-j N) meet there and nowhere else. A buffer from
+// the depot is as undefined as any other Get, so no simulated result can
+// depend on which world last held it.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -47,8 +61,18 @@ func classCap(c int) int {
 type PoolCounters struct {
 	// Gets is the number of buffer requests served (pooled classes only).
 	Gets uint64
-	// Hits is the subset served by recycling instead of allocating.
+	// Hits is the subset served by recycling one of the owner's own buffers.
 	Hits uint64
+	// Depot is the subset served by the process-wide depot: buffers a finished
+	// world left behind. Gets - Hits - Depot were allocated.
+	Depot uint64
+}
+
+// Add accumulates o into c.
+func (c *PoolCounters) Add(o PoolCounters) {
+	c.Gets += o.Gets
+	c.Hits += o.Hits
+	c.Depot += o.Depot
 }
 
 // HitRate is Hits/Gets, or 0 before any request.
@@ -103,6 +127,10 @@ func (p *BufPool) Get(n int) []byte {
 		l[len(l)-1] = nil
 		p.classes[c] = l[:len(l)-1]
 		p.ctr.Hits++
+		return buf[:n]
+	}
+	if buf := theDepot.take(c); buf != nil {
+		p.ctr.Depot++
 		return buf[:n]
 	}
 	return make([]byte, n, classCap(c))
@@ -203,4 +231,145 @@ func (d *DirPool) Return(home *BufPool, buf []byte) {
 	default:
 		d.free = append(d.free, buf[:0])
 	}
+}
+
+// depotCap bounds the bytes the depot holds between worlds. The largest world
+// a sweep or a benchmark repeats — 1024 ranks at full fidelity, 33 KiB
+// vectors — leaves about 105 MB of free buffers behind, so 128 MiB keeps all
+// of it; the 4096-rank world of repro -fidelity-smoke, run against a depot
+// that full, stays near 122 MiB of HeapSys against its 512 MiB bound, and the
+// one of the mpi tests (TestFullFidelity4096, after some four hundred worlds)
+// reads 150-170 MiB against 256, 111 MiB of it without a depot. What does
+// not fit is dropped for the garbage collector, as everything was before.
+const depotCap = 128 << 20
+
+// poison fills the buffers that enter the depot from a strict Drain: a reader
+// that kept an alias sees it at once, and take checks that no writer did.
+const poison = 0xDB
+
+// depot holds the free buffers of finished worlds, by size class, for the
+// pools of later ones. Unlike the sync package's pool, what it holds changes
+// only when a world ends or a pool misses, never when the collector runs, so
+// the same sequence of worlds allocates the same bytes every time.
+type depot struct {
+	mu      sync.Mutex
+	limit   int
+	bytes   int // capacity held, at most limit
+	classes [poolMaxShift + 1][][]byte
+	// poisoned is the set of held buffers a strict Drain brought in, by the
+	// address of their first byte; nil until there is one.
+	poisoned map[*byte]struct{}
+}
+
+var theDepot = depot{limit: depotCap}
+
+// DropDepot leaves everything the depot holds to the garbage collector: the
+// state of a process that has run no world yet. Only for the benchmarks and
+// tests that compare a cold start with a warm one (they live in other
+// packages, hence the export). What the depot holds is part of a process's
+// footprint: nothing that bounds heap may call this first.
+func DropDepot() {
+	theDepot.mu.Lock()
+	theDepot.classes = [poolMaxShift + 1][][]byte{}
+	theDepot.bytes, theDepot.poisoned = 0, nil
+	theDepot.mu.Unlock()
+}
+
+// take removes a buffer of class c, or returns nil when there is none.
+func (d *depot) take(c int) []byte {
+	d.mu.Lock()
+	l := d.classes[c]
+	if len(l) == 0 {
+		d.mu.Unlock()
+		return nil
+	}
+	buf := l[len(l)-1][:classCap(c)]
+	l[len(l)-1] = nil
+	d.classes[c] = l[:len(l)-1]
+	d.bytes -= len(buf)
+	_, strict := d.poisoned[&buf[0]]
+	delete(d.poisoned, &buf[0])
+	d.mu.Unlock()
+	if strict {
+		for i, b := range buf {
+			if b != poison {
+				panic(fmt.Sprintf("core: byte %d of a %d-byte depot buffer was written after its world ended", i, len(buf)))
+			}
+		}
+	}
+	return buf
+}
+
+// give adds the pooled buffers of list, in order, until the depot is full;
+// the rest, and anything that is no pool buffer, is dropped. A strict give
+// poisons what it keeps, and panics on a buffer the depot already holds.
+func (d *depot) give(list [][]byte, strict bool) {
+	if len(list) == 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if strict && d.poisoned == nil {
+		d.poisoned = make(map[*byte]struct{})
+	}
+	for _, buf := range list {
+		c := classOf(buf)
+		if c < 0 || d.bytes+cap(buf) > d.limit {
+			continue
+		}
+		if strict {
+			buf = buf[:cap(buf)]
+			if _, dup := d.poisoned[&buf[0]]; dup {
+				panic(fmt.Sprintf("core: a %d-byte buffer reached the depot twice: it was Put or Returned twice", cap(buf)))
+			}
+			d.poisoned[&buf[0]] = struct{}{}
+			for i := range buf {
+				buf[i] = poison
+			}
+		}
+		d.classes[c] = append(d.classes[c], buf[:0])
+		d.bytes += cap(buf)
+	}
+}
+
+// Drain empties the pools of a finished world into the depot and, on the way,
+// adds up the two sides of DirPool's conservation law. The caller names every
+// home pool once and every direction at least once, from one goroutine, when
+// nothing of the world runs any more. Strict is for tests: see give.
+type Drain struct {
+	Strict        bool
+	lent, waiting [poolMaxShift + 1]int
+}
+
+// Home takes the free buffers of an owner's pool. Its counters stay.
+func (dr *Drain) Home(p *BufPool) {
+	for c := range p.classes {
+		theDepot.give(p.classes[c], dr.Strict)
+		p.classes[c] = nil
+		dr.lent[c] += int(p.lent[c])
+	}
+}
+
+// Dir takes the buffers that wait on a direction.
+func (dr *Drain) Dir(d *DirPool) {
+	for _, buf := range d.free {
+		dr.waiting[classOf(buf)]++
+	}
+	theDepot.give(d.free, dr.Strict)
+	d.free = nil
+}
+
+// Unbalanced reports a size class in which the drained homes have lent out a
+// different number of buffers than wait on the drained directions. When no
+// buffer is in flight the two are equal (every DirPool.Get that reaches home
+// is matched by a Return that finds nothing to replace), so after a world
+// that ended cleanly a difference is a buffer returned twice or not at all.
+func (dr *Drain) Unbalanced() error {
+	for c := range dr.lent {
+		if dr.lent[c] != dr.waiting[c] {
+			return fmt.Errorf("core: %d-byte class: homes have lent %d buffers, %d wait on directions",
+				classCap(c), dr.lent[c], dr.waiting[c])
+		}
+	}
+	return nil
 }

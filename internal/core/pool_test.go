@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestBufPoolRecycles(t *testing.T) {
 	var p BufPool
@@ -211,5 +214,237 @@ func TestDirPoolClassesAndForeignBuffers(t *testing.T) {
 	}
 	if got := allocations(&sender, &receiver); got != 3 {
 		t.Errorf("allocated %d buffers, want 3", got)
+	}
+}
+
+// emptyDepot starts a test from, and leaves behind, an empty process-wide
+// depot.
+func emptyDepot(t *testing.T) {
+	t.Helper()
+	DropDepot()
+	t.Cleanup(DropDepot)
+}
+
+// Every class, exact and with slack, goes in and comes out whole; a class
+// that holds nothing says so.
+func TestDepotClassRoundTrip(t *testing.T) {
+	d := depot{limit: depotCap}
+	for c := poolMinShift; c <= poolMaxShift; c++ {
+		buf := make([]byte, 7, classCap(c))
+		d.give([][]byte{buf}, false)
+		if d.bytes != classCap(c) {
+			t.Fatalf("class %d: depot holds %d bytes after one buffer, want %d", c, d.bytes, classCap(c))
+		}
+		if c > poolMinShift && d.take(c-1) != nil {
+			t.Errorf("class %d: the class below served it", c)
+		}
+		got := d.take(c)
+		if len(got) != classCap(c) || &got[0] != &buf[:1][0] {
+			t.Errorf("class %d: take returned len %d, want the %d-byte buffer given", c, len(got), classCap(c))
+		}
+		if d.take(c) != nil || d.bytes != 0 {
+			t.Errorf("class %d: depot not empty after its one buffer left (%d bytes)", c, d.bytes)
+		}
+	}
+}
+
+// What Put would refuse the depot refuses too: a list can carry anything.
+func TestDepotRefusesForeignBuffers(t *testing.T) {
+	d := depot{limit: depotCap}
+	whole := make([]byte, 64)
+	d.give([][]byte{nil, whole[3:17], make([]byte, 100), make([]byte, 8192), make([]byte, classCap(poolMaxShift)+1)}, false)
+	if d.bytes != 0 {
+		t.Errorf("depot kept %d bytes of buffers no pool class has", d.bytes)
+	}
+	for c := range d.classes {
+		if len(d.classes[c]) != 0 {
+			t.Errorf("class %d holds a foreign buffer", c)
+		}
+	}
+}
+
+// The depot never holds more than its limit: what would cross it is dropped,
+// a smaller buffer that still fits is kept, and a take makes room again.
+func TestDepotRespectsItsCap(t *testing.T) {
+	if theDepot.limit != depotCap || depotCap != 128<<20 {
+		t.Fatalf("process-wide depot limit %d, depotCap %d, want 128 MiB", theDepot.limit, depotCap)
+	}
+	const c = 20 // 1 MiB + slack
+	d := depot{limit: 4 << 20}
+	var list [][]byte
+	for i := 0; i < 5; i++ {
+		list = append(list, make([]byte, 0, classCap(c)))
+	}
+	d.give(list, false)
+	if len(d.classes[c]) != 3 || d.bytes != 3*classCap(c) {
+		t.Fatalf("a 4 MiB depot given five %d-byte buffers holds %d (%d bytes), want 3", classCap(c), len(d.classes[c]), d.bytes)
+	}
+	d.give([][]byte{make([]byte, 0, classCap(c))}, false)
+	if len(d.classes[c]) != 3 {
+		t.Error("a buffer that crosses the limit was kept")
+	}
+	d.give([][]byte{make([]byte, 0, classCap(10))}, false)
+	if len(d.classes[10]) != 1 {
+		t.Error("a small buffer that fits under the limit was dropped")
+	}
+	d.take(c)
+	d.give([][]byte{make([]byte, 0, classCap(c))}, false)
+	if len(d.classes[c]) != 3 || d.bytes > d.limit {
+		t.Errorf("after a take made room: %d buffers, %d bytes", len(d.classes[c]), d.bytes)
+	}
+}
+
+// A pool's miss is served by what another pool's Drain left, counted apart
+// from its own hits; only the free lists travel, the counters stay.
+func TestBufPoolMissAsksDepot(t *testing.T) {
+	emptyDepot(t)
+	var first, second BufPool
+	a, held := first.Get(5000), first.Get(5000)
+	first.Put(a)
+	var dr Drain
+	dr.Home(&first)
+	if err := dr.Unbalanced(); err != nil {
+		t.Error(err)
+	}
+	if c := first.Counters(); c.Gets != 2 || c.Hits != 0 || c.Depot != 0 {
+		t.Errorf("drained pool's counters = %+v, want Gets=2 and nothing else", c)
+	}
+	b := second.Get(4200)
+	if &b[0] != &a[0] {
+		t.Error("the second pool's miss did not get the first pool's drained buffer")
+	}
+	fresh := second.Get(4200)
+	if &fresh[0] == &held[0] || &fresh[0] == &a[0] {
+		t.Error("a buffer still held, or one already taken, came out of the depot")
+	}
+	second.Put(b)
+	second.Get(4200)
+	if c := second.Counters(); c.Gets != 3 || c.Hits != 1 || c.Depot != 1 {
+		t.Errorf("second pool's counters = %+v, want Gets=3 Hits=1 Depot=1", c)
+	}
+	if got := first.Get(5000); &got[0] == &a[0] {
+		t.Error("the drained pool still lists the buffer it handed over")
+	}
+}
+
+// Drain checks DirPool's conservation law: with nothing in flight, what the
+// homes have lent out is what waits on the directions.
+func TestDrainConservation(t *testing.T) {
+	emptyDepot(t)
+	var sender, receiver BufPool
+	var dir DirPool
+	one, two := dir.Get(&sender, 500), dir.Get(&sender, 500)
+	dir.Return(&receiver, one)
+	var early Drain
+	early.Home(&sender)
+	early.Home(&receiver)
+	early.Dir(&dir)
+	if early.Unbalanced() == nil {
+		t.Error("a buffer still in flight went unnoticed")
+	}
+
+	var s2, r2 BufPool
+	var d2 DirPool
+	one = d2.Get(&s2, 500)
+	d2.Return(&r2, one)
+	d2.Return(&r2, two) // returned here, but lent by another home
+	var late Drain
+	late.Home(&s2)
+	late.Home(&r2)
+	late.Dir(&d2)
+	late.Dir(&d2) // a direction may be named again: it is empty by then
+	if late.Unbalanced() == nil {
+		t.Error("a buffer no drained home lent out went unnoticed")
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// A strict Drain poisons what it hands over, trips on a buffer that is
+// listed twice, and the depot notices a write through an alias kept past the
+// end of the world.
+func TestDrainStrict(t *testing.T) {
+	emptyDepot(t)
+	var p BufPool
+	buf := p.Get(100)
+	buf[0] = 1
+	p.Put(buf)
+	dr := Drain{Strict: true}
+	dr.Home(&p)
+	for i, b := range buf[:cap(buf)] {
+		if b != poison {
+			t.Fatalf("byte %d of a strictly drained buffer is %#x, want %#x", i, b, poison)
+		}
+	}
+	var next BufPool
+	if got := next.Get(100); &got[0] != &buf[0] {
+		t.Fatal("the poisoned buffer did not come back out")
+	}
+
+	var twice BufPool
+	dup := twice.Get(100)
+	twice.Put(dup)
+	twice.Put(dup)
+	mustPanic(t, "draining a pool after a double Put", func() { dr.Home(&twice) })
+
+	emptyDepot(t)
+	var stale BufPool
+	kept := stale.Get(100)
+	stale.Put(kept)
+	dr.Home(&stale)
+	kept[50] = 7 // a world that is over writes into the next one's buffer
+	mustPanic(t, "taking a depot buffer that was written to", func() { next.Get(100) })
+}
+
+// Pools of worlds that run side by side meet at the depot: under -race, eight
+// goroutines taking and draining leave it consistent.
+func TestDepotConcurrentUse(t *testing.T) {
+	emptyDepot(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				var p BufPool
+				var held [][]byte
+				for i := 0; i < 8; i++ {
+					buf := p.Get(40 << (uint(g+i) % 12))
+					buf[0], buf[len(buf)-1] = byte(g), byte(g)
+					held = append(held, buf)
+				}
+				for _, buf := range held {
+					if buf[0] != byte(g) || buf[len(buf)-1] != byte(g) {
+						t.Errorf("goroutine %d: a buffer it holds was written by another", g)
+					}
+					p.Put(buf)
+				}
+				var dr Drain
+				dr.Home(&p)
+			}
+		}(g)
+	}
+	wg.Wait()
+	held := 0
+	for c, l := range theDepot.classes {
+		seen := map[*byte]bool{}
+		for _, buf := range l {
+			if cap(buf) != classCap(c) || seen[&buf[:1][0]] {
+				t.Fatalf("class %d lists a buffer of capacity %d, or one twice", c, cap(buf))
+			}
+			seen[&buf[:1][0]] = true
+			held += cap(buf)
+		}
+	}
+	if held != theDepot.bytes || held == 0 || held > theDepot.limit {
+		t.Errorf("depot accounts %d bytes, lists %d", theDepot.bytes, held)
 	}
 }

@@ -429,6 +429,7 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 			r.Compute(w)
 		}
 		r.WaitAll(sendReqs...)
+		r.Release(sendReqs...)
 		total := r.AllreduceInt64(int64(len(frontier)), mpi.SumInt64)
 		if total == 0 {
 			return scanned, visited, level + 1

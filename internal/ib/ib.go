@@ -70,11 +70,21 @@ type Fabric struct {
 func (f *Fabric) PoolCounters() core.PoolCounters {
 	var c core.PoolCounters
 	for _, d := range f.devices {
-		dc := d.pool.Counters()
-		c.Gets += dc.Gets
-		c.Hits += dc.Hits
+		c.Add(d.pool.Counters())
 	}
 	return c
+}
+
+// DrainPools hands the free wire buffers of every device and queue pair to
+// dr, in device and QP creation order. For the end of a job: nothing may
+// post or poll afterwards.
+func (f *Fabric) DrainPools(dr *core.Drain) {
+	for _, d := range f.devices {
+		dr.Home(&d.pool)
+		for _, q := range d.qps {
+			dr.Dir(&q.wire)
+		}
+	}
 }
 
 // FaultStats tallies transport-level fault handling on the fabric.
@@ -180,6 +190,8 @@ type Device struct {
 	// CreateQP touches no fabric-shared state.
 	devID   int
 	qpnNext int
+	// qps lists the QPs created here, for DrainPools.
+	qps []*QP
 
 	// evtFree recycles the deferred-delivery records behind PostSend and
 	// PostWrite, making their two scheduled events allocation-free in steady
@@ -462,7 +474,9 @@ func (q *QP) QPN() int { return q.qpn }
 // on a shared counter.
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
-	return &QP{dev: d, qpn: d.devID<<20 | d.qpnNext, sendCQ: sendCQ, recvCQ: recvCQ}
+	q := &QP{dev: d, qpn: d.devID<<20 | d.qpnNext, sendCQ: sendCQ, recvCQ: recvCQ}
+	d.qps = append(d.qps, q)
+	return q
 }
 
 // Connect transitions a<->b into RTS as an RC pair. Both must be on the

@@ -209,6 +209,7 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 						reqs = append(reqs, r.Irecv(src, pushTag+i, inbox[src-1][:len(bufs[i])]))
 					}
 					r.WaitAll(reqs...)
+					r.Release(reqs...)
 					for src := 1; src < n; src++ {
 						mpi.SumFloat64(bufs[i], inbox[src-1][:len(bufs[i])])
 					}
@@ -220,6 +221,7 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 						reqs = append(reqs, r.Isend(dst, pullTag+i, bufs[i]))
 					}
 					r.WaitAll(reqs...)
+					r.Release(reqs...)
 				}
 				return
 			}

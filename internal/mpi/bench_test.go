@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -228,3 +229,53 @@ var (
 	sinkFloats []float64
 	sinkInts   []int64
 )
+
+// BenchmarkWorldColdWarm is what the process-wide depot (core/pool.go) is
+// for: one whole allreduce world per iteration — build, run, drain — on an
+// empty depot and on the one the previous world left. B/op is the figure to
+// read; ns/op follows it by what the allocator, the zeroing and the first
+// touch of those bytes cost.
+func BenchmarkWorldColdWarm(b *testing.B) {
+	for _, ranks := range []int{64, 1024} {
+		spec := cluster.Spec{Hosts: ranks / 16, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
+		d, err := cluster.Containers(cluster.MustNew(spec), 2, ranks, cluster.PaperScenarioOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		// bench/'s scale-1024 job: Rabenseifner forced, because on a mostly
+		// remote deployment the selector picks the ring, whose 2(n-1) steps
+		// cost seconds of host time at 1024 ranks.
+		opts := DefaultOptions()
+		opts.Topology = peerScaleTopo
+		opts.Tunables.AllreduceAlgo = core.AllreduceRabenseifner
+		world := func() {
+			w, err := NewWorld(d, opts)
+			if err == nil {
+				err = w.RunMachine(AllreduceProgram(1, 32<<10))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, warm := range []bool{false, true} {
+			name := fmt.Sprintf("ranks=%d/cold", ranks)
+			if warm {
+				name = fmt.Sprintf("ranks=%d/warm", ranks)
+			}
+			b.Run(name, func(b *testing.B) {
+				core.DropDepot()
+				if warm {
+					world()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !warm {
+						core.DropDepot()
+					}
+					world()
+				}
+			})
+		}
+	}
+}

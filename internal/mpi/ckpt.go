@@ -50,7 +50,7 @@ func (r *Rank) Checkpoint(blob []byte) error {
 	if w.anyCrashed() {
 		return &CheckpointError{At: r.p.Now(), Dead: w.deadRanksSorted()}
 	}
-	if n := len(r.posted); n != 0 {
+	if n := r.posted.len(); n != 0 {
 		r.p.Fatalf("Checkpoint with %d posted receives outstanding", n)
 	}
 	if w.store == nil {
@@ -102,7 +102,7 @@ func (w *World) commitCkpt(gen int) {
 			w.Eng.Fail(fmt.Errorf("checkpoint at quiescence, rank %d: %w", i, err))
 			return
 		}
-		for _, env := range r.unexpected {
+		for _, env := range r.unexpected.items() {
 			snap.Mail[i] = append(snap.Mail[i], rec.Message{
 				Src: env.src, Tag: env.tag, Ctx: env.ctx, Bytes: env.size,
 				Seq:  env.seq,
@@ -148,7 +148,7 @@ func (r *Rank) quiesceViolation() error {
 	if n := len(r.streams); n != 0 {
 		return fmt.Errorf("%d inbound streams mid-transfer", n)
 	}
-	for _, env := range r.unexpected {
+	for _, env := range r.unexpected.items() {
 		if !env.complete {
 			return fmt.Errorf("incomplete unexpected message from rank %d (seq %d)", env.src, env.seq)
 		}

@@ -890,7 +890,11 @@ type allreduceProg struct {
 
 func (g *allreduceProg) Step(r *Rank) sim.Flow {
 	if g.buf == nil {
-		g.buf = make([]byte, g.size)
+		// From the rank's pool, so the vectors of one world serve the next
+		// (1024 x 33 KiB in the full-fidelity job). fillAllreduce writes whole
+		// words only: clear the tail it leaves.
+		g.buf = r.scratch(g.size)
+		clear(g.buf[g.size&^7:])
 	}
 	for g.it < g.iters {
 		if !g.filled {
@@ -904,6 +908,8 @@ func (g *allreduceProg) Step(r *Rank) sim.Flow {
 		g.it++
 		g.filled = false
 	}
+	r.putScratch(g.buf)
+	g.buf = nil
 	return sim.Done
 }
 

@@ -58,11 +58,22 @@ import "cmpi/internal/core"
 //   - envelope: born at the first inbound packet, recycled in completeRecv.
 //     Envelopes of failed requests are deliberately leaked to the GC —
 //     error paths are cold and auditing their aliasing buys nothing.
-//   - Request: recycled only by the blocking wrappers (Send/Recv/Ssend/
-//     Sendrecv and the collectives' sendrecvInternal), which own their
-//     handles. User-held handles from Isend/Irecv are never recycled.
-//     HCA-rendezvous sends are excluded (noPool): the shared rndv table may
-//     reference the request until the receiver's WRITE_IMM completion.
+//   - Request: recycled by whoever owns the handle and says it is done with
+//     it. The blocking wrappers (Send/Recv/Ssend/Sendrecv and the
+//     collectives' sendrecvInternal) own theirs; a handle from Isend/Irecv is
+//     the user's until it is passed to Rank.Release (MPI_Request_free), which
+//     takes completed handles only. Wait, WaitAll and Test never recycle:
+//     callers read a handle's status and error after them. HCA-rendezvous
+//     sends are excluded either way (noPool): the shared rndv table may
+//     reference the request until the receiver's WRITE_IMM completion. Under
+//     poolStrict a released handle is poisoned instead of recycled, so a
+//     later Done or Err panics.
+//
+// Byte buffers outlive the world, the objects above do not: when a run ends,
+// World.drainPools hands every free byte buffer — the homes' and the
+// directions' — to the process-wide depot in core/pool.go, where the next
+// world's misses find them. Buffers still referenced by an unfinished or
+// failed operation are on no list and stay with the GC.
 
 // freeList is a typed free list. get returns a zeroed object; put zeroes
 // before listing so stale pointers never pin garbage or leak across reuses.
@@ -139,10 +150,10 @@ type worldPools struct {
 // mixing them would make the rate meaningless).
 func (wp *worldPools) counters() core.PoolCounters {
 	var c core.PoolCounters
-	for _, l := range []*core.PoolCounters{&wp.pkts.ctr, &wp.ops.ctr, &wp.envs.ctr, &wp.reqs.ctr} {
-		c.Gets += l.Gets
-		c.Hits += l.Hits
-	}
+	c.Add(wp.pkts.ctr)
+	c.Add(wp.ops.ctr)
+	c.Add(wp.envs.ctr)
+	c.Add(wp.reqs.ctr)
 	return c
 }
 

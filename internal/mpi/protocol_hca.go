@@ -231,7 +231,7 @@ func (r *Rank) handleChannelError(cqe ib.CQE) {
 	// Posted receives naming the dead peer can never match (only on the
 	// first observation; later flush CQEs must not re-sweep).
 	if first {
-		for _, req := range append([]*Request(nil), r.posted...) {
+		for _, req := range append([]*Request(nil), r.posted.items()...) {
 			if req.peer == peer {
 				r.failRequest(req, ce)
 			}
@@ -264,7 +264,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		env.staged = r.pools.buf.GetCopy(m.payload[:m.size])
 		env.received = m.size
 		env.complete = true
-		r.unexpected = append(r.unexpected, env)
+		r.unexpected.push(env)
 
 	case hcaRTS:
 		env := r.pools.envs.get()
@@ -274,7 +274,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			r.bindEnvelope(env, req)
 			return
 		}
-		r.unexpected = append(r.unexpected, env)
+		r.unexpected.push(env)
 
 	case hcaCTS:
 		// We are the rendezvous sender: RDMA-write the payload from the pinned

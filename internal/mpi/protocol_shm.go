@@ -413,7 +413,7 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 			if pkt.kind == pktEagerFirst {
 				env.staged = r.pools.buf.Get(pkt.size)
 			}
-			r.unexpected = append(r.unexpected, env)
+			r.unexpected.push(env)
 		}
 		if pkt.kind == pktEagerFirst {
 			r.acceptFrag(env, pkt.payload)

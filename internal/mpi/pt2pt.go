@@ -30,6 +30,8 @@ type Request struct {
 	env    *envelope
 	err    error
 	noPool bool // excluded from request recycling (see pool.go)
+	// released marks a handle given to Rank.Release under poolStrict.
+	released bool
 
 	// pr is the owner's record of the request's peer: the destination of a
 	// send, the matched source of a rendezvous receive (nil for self-sends
@@ -42,12 +44,26 @@ type Request struct {
 }
 
 // Done reports completion without progressing the engine (see Test).
-func (req *Request) Done() bool { return req.done }
+func (req *Request) Done() bool {
+	req.checkHeld()
+	return req.done
+}
 
 // Err reports why the request failed, or nil. Failed requests count as done
 // (waits return), mirroring MPI_ERRORS_RETURN semantics where the error code
 // travels with the completed operation.
-func (req *Request) Err() error { return req.err }
+func (req *Request) Err() error {
+	req.checkHeld()
+	return req.err
+}
+
+// checkHeld panics on a handle that Rank.Release poisoned (poolStrict only:
+// otherwise a released handle is recycled, and reads as another operation).
+func (req *Request) checkHeld() {
+	if req.released {
+		panic("mpi: Request used after Release")
+	}
+}
 
 // failRequest completes req with an error so blocked waiters return. A
 // pending posted receive is withdrawn from the match list.
@@ -59,9 +75,9 @@ func (r *Rank) failRequest(req *Request, cause error) {
 	req.done = true
 	r.reqFailed = true
 	r.releaseClaim(req)
-	for i, pr := range r.posted {
+	for i, pr := range r.posted.items() {
 		if pr == req {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+			r.posted.removeAt(i)
 			break
 		}
 	}
@@ -94,21 +110,65 @@ type envelope struct {
 // (src, tag, ctx), or nil. Context ids never match wildcards: messages on
 // one communicator are invisible to receives on another.
 func (r *Rank) matchPosted(src, tag, ctx int) *Request {
-	for i, req := range r.posted {
+	for i, req := range r.posted.items() {
 		if req.ctx == ctx && (req.peer == AnySource || req.peer == src) && (req.tag == AnyTag || req.tag == tag) {
-			r.posted = append(r.posted[:i], r.posted[i+1:]...)
+			r.posted.removeAt(i)
 			return req
 		}
 	}
 	return nil
 }
 
+// matchQ is a matching queue — a rank's posted receives, its unexpected
+// envelopes — in arrival order: pushed at the back, searched from the front,
+// removed wherever the match is. An in-order stream matches the head every
+// time, so the head leaves by advancing an index, with no element moved;
+// anything else closes the gap. A vacated slot is cleared either way, so the
+// queue pins nothing it no longer lists. The zero value is an empty queue.
+type matchQ[T any] struct {
+	buf  []*T // buf[head:] is the queue
+	head int
+}
+
+// items is the queue, oldest first; valid until the next push or removeAt.
+func (q *matchQ[T]) items() []*T { return q.buf[q.head:] }
+
+func (q *matchQ[T]) len() int { return len(q.buf) - q.head }
+
+func (q *matchQ[T]) push(x *T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		// Full behind a head that has walked: take the room in front rather
+		// than grow, or a queue that never runs empty would grow for ever.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, x)
+}
+
+// removeAt deletes items()[i], keeping the order of the rest.
+func (q *matchQ[T]) removeAt(i int) {
+	if i == 0 {
+		q.buf[q.head] = nil
+		q.head++
+		if q.head == len(q.buf) {
+			q.buf, q.head = q.buf[:0], 0
+		}
+		return
+	}
+	i += q.head
+	last := len(q.buf) - 1
+	copy(q.buf[i:], q.buf[i+1:])
+	q.buf[last] = nil
+	q.buf = q.buf[:last]
+}
+
 // matchUnexpected removes and returns the first unexpected envelope
 // matching the receive selectors, or nil.
 func (r *Rank) matchUnexpected(src, tag, ctx int) *envelope {
-	for i, env := range r.unexpected {
+	for i, env := range r.unexpected.items() {
 		if env.ctx == ctx && (src == AnySource || env.src == src) && (tag == AnyTag || env.tag == tag) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
+			r.unexpected.removeAt(i)
 			return env
 		}
 	}
@@ -117,7 +177,7 @@ func (r *Rank) matchUnexpected(src, tag, ctx int) *envelope {
 
 // peekUnexpected is matchUnexpected without removal (for Probe).
 func (r *Rank) peekUnexpected(src, tag, ctx int) *envelope {
-	for _, env := range r.unexpected {
+	for _, env := range r.unexpected.items() {
 		if env.ctx == ctx && (src == AnySource || env.src == src) && (tag == AnyTag || env.tag == tag) {
 			return env
 		}
@@ -223,7 +283,7 @@ func (r *Rank) selfSend(req *Request) {
 	if posted := r.matchPosted(r.rank, req.tag, req.ctx); posted != nil {
 		r.bindEnvelope(env, posted)
 	} else {
-		r.unexpected = append(r.unexpected, env)
+		r.unexpected.push(env)
 	}
 	r.completeSend(req)
 }
@@ -333,7 +393,7 @@ func (r *Rank) irecvCtx(src, tag, ctx int, buf []byte) *Request {
 		// Nothing more can ever arrive from a dead peer.
 		r.failRequest(req, &ChannelError{Peer: src, Status: ib.WCFlushed})
 	} else {
-		r.posted = append(r.posted, req)
+		r.posted.push(req)
 	}
 	return req
 }
@@ -354,14 +414,41 @@ func (r *Rank) wait(req *Request) Status {
 func (r *Rank) WaitAll(reqs ...*Request) {
 	r.profEnter()
 	defer r.profExit("Waitall")
+	// A request stays done, so each wake resumes at the first one that was not.
+	next := 0
 	r.waitUntil(func() bool {
-		for _, req := range reqs {
-			if !req.done {
-				return false
-			}
+		for next < len(reqs) && reqs[next].done {
+			next++
 		}
-		return true
+		return next == len(reqs)
 	})
+}
+
+// Release gives completed requests back to the rank for reuse
+// (MPI_Request_free): for loops that post a window of Isend/Irecv, wait for
+// it and post the next, which otherwise allocate every handle anew. A
+// released handle belongs to whichever operation takes it next, so the
+// caller must not use it again in any way; the entries of reqs are set to nil
+// to say so. A Status that Wait returned earlier is a copy and stays valid.
+// Releasing a request that has not completed aborts the job. Nil entries are
+// skipped; failed requests and HCA-rendezvous sends are left to the GC (see
+// pool.go). Wait and WaitAll do not release: callers may read a handle after
+// waiting on it.
+func (r *Rank) Release(reqs ...*Request) {
+	for i, req := range reqs {
+		if req == nil {
+			continue
+		}
+		if !req.done {
+			r.p.Fatalf("MPI_Request_free: request (peer %d, tag %d) has not completed", req.peer, req.tag)
+		}
+		reqs[i] = nil
+		if poolStrict {
+			req.released = true
+			continue
+		}
+		r.putReq(req)
+	}
 }
 
 // WaitAny blocks until at least one request completes and returns its

@@ -46,8 +46,8 @@ type Rank struct {
 	peers peerTable
 
 	// matching state
-	posted     []*Request
-	unexpected []*envelope
+	posted     matchQ[Request]
+	unexpected matchQ[envelope]
 	streams    map[streamKey]*envelope // in-flight fragment routing
 	winCount   int                     // windows created (collective order index)
 
@@ -375,7 +375,7 @@ func (r *Rank) needsHCA() bool {
 
 // finalizeCheck asserts there are no dangling requests at MPI_Finalize.
 func (r *Rank) finalizeCheck() {
-	if n := len(r.posted); n != 0 {
+	if n := r.posted.len(); n != 0 {
 		r.p.Fatalf("MPI_Finalize with %d posted receives outstanding", n)
 	}
 	// First-contact order, so the rank named is the same on every run.
@@ -837,7 +837,7 @@ func (r *Rank) reapPeer(pr *peerRec) {
 	// Posted receives naming d, or wildcards. failRequest withdraws each from
 	// the posted list, so collect victims first.
 	var victims []*Request
-	for _, req := range r.posted {
+	for _, req := range r.posted.items() {
 		if req.peer == d || req.peer == AnySource {
 			victims = append(victims, req)
 		}
@@ -870,17 +870,11 @@ func (r *Rank) reapPeer(pr *peerRec) {
 	// Unexpected envelopes from d that never finished arriving (rendezvous
 	// RTS, partial eagers) can never be received; complete ones stay
 	// deliverable — the message was fully in our memory before the crash.
-	kept := r.unexpected[:0]
-	for _, env := range r.unexpected {
-		if env.src == d && !env.complete {
-			continue
+	for i := r.unexpected.len() - 1; i >= 0; i-- {
+		if env := r.unexpected.items()[i]; env.src == d && !env.complete {
+			r.unexpected.removeAt(i)
 		}
-		kept = append(kept, env)
 	}
-	for i := len(kept); i < len(r.unexpected); i++ {
-		r.unexpected[i] = nil
-	}
-	r.unexpected = kept
 
 	if q := pr.q; q != nil {
 		// Queued sends toward d that never reached a channel.

@@ -200,6 +200,6 @@ func (w *World) restoreRank(r *Rank) {
 		env.staged = r.pools.buf.GetCopy(m.Data)
 		env.received = m.Bytes
 		env.complete = true
-		r.unexpected = append(r.unexpected, env)
+		r.unexpected.push(env)
 	}
 }

@@ -279,7 +279,8 @@ func (w *World) Run(body func(r *Rank) error) error {
 }
 
 // finishRun folds the engine error and the per-rank errors into the value Run
-// (and RunMachine) returns.
+// (and RunMachine) returns, and leaves the world's free buffers to the next
+// one: the engine has stopped, so nothing of this world touches a pool again.
 func (w *World) finishRun(engErr error) error {
 	if w.Prof != nil {
 		w.Prof.Sim = w.SimStats()
@@ -307,12 +308,44 @@ func (w *World) finishRun(engErr error) error {
 			errs = append(errs, engErr)
 		}
 	}
+	w.drainPools(len(errs) == 0)
 	// A sole failure is returned as-is so callers can type-assert on it
 	// (errors.Join would wrap even a single error).
 	if len(errs) == 1 {
 		return errs[0]
 	}
 	return errors.Join(errs...)
+}
+
+// poolStrict is a test hook beside claimStrict: when set, every buffer a
+// finished world hands to the depot is poisoned and checked not to be there
+// already (a double Put), the next world to take one checks the poison is
+// intact, a world that ended without an error must satisfy the lent-buffer
+// conservation law (core.Drain.Unbalanced), and Rank.Release poisons the
+// handles it is given instead of recycling them. A stale alias would corrupt
+// a different world, so violations panic where they are found.
+var poolStrict = false
+
+// drainPools hands every buffer on a free list of this world — rank homes,
+// ring directions, device pools and QP wire lists — to the process-wide depot
+// (core/pool.go), in rank and ring-creation order so that what a full depot
+// drops does not depend on map order. Buffers an unfinished or failed
+// operation still references are on no list and stay with the GC. clean says
+// that neither the engine nor a rank reported an error.
+func (w *World) drainPools(clean bool) {
+	dr := core.Drain{Strict: poolStrict}
+	for _, r := range w.ranks {
+		dr.Home(&r.pools.buf)
+		for _, ps := range r.localPairs {
+			dr.Dir(&ps.ring.out(r.rank).snaps)
+		}
+	}
+	w.fabric.DrainPools(&dr)
+	if poolStrict && clean {
+		if err := dr.Unbalanced(); err != nil {
+			panic(fmt.Sprintf("mpi: %s ended cleanly with pool buffers unaccounted for: %v", w.jobID, err))
+		}
+	}
 }
 
 // runBody executes the user body, converting a crash unwind into the body's
@@ -411,16 +444,12 @@ func (w *World) SimStats() profile.SimStats {
 	// cover them.
 	var bc, oc core.PoolCounters
 	for _, r := range w.ranks {
-		b := r.pools.buf.Counters()
-		bc.Gets += b.Gets
-		bc.Hits += b.Hits
-		o := r.pools.counters()
-		oc.Gets += o.Gets
-		oc.Hits += o.Hits
+		bc.Add(r.pools.buf.Counters())
+		oc.Add(r.pools.counters())
 	}
-	fc := w.fabric.PoolCounters()
+	bc.Add(w.fabric.PoolCounters())
 	ps := simStatsOf(es)
-	ps.BufPool = core.PoolCounters{Gets: bc.Gets + fc.Gets, Hits: bc.Hits + fc.Hits}
+	ps.BufPool = bc
 	ps.ObjPool = oc
 	return ps
 }

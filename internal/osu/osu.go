@@ -119,12 +119,14 @@ func bandwidthLoop(r *mpi.Rank, sz int, cfg Config) sim.Time {
 				reqs[i] = r.Isend(1, pingTag, buf)
 			}
 			r.WaitAll(reqs...)
+			r.Release(reqs...)
 			r.Recv(1, ackTag, ack)
 		} else {
 			for i := range reqs {
 				reqs[i] = r.Irecv(0, pingTag, buf)
 			}
 			r.WaitAll(reqs...)
+			r.Release(reqs...)
 			r.Send(0, ackTag, ack)
 		}
 	}
@@ -198,6 +200,7 @@ func BiBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 					sends[i] = r.Isend(peer, pingTag, buf)
 				}
 				r.WaitAll(reqs...)
+				r.Release(reqs...)
 				// Cross acks close the window.
 				aq := r.Irecv(peer, ackTag, ack)
 				r.Send(peer, ackTag, ack)
@@ -245,12 +248,14 @@ func MultiPairBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 						reqs[i] = r.Isend(peer, pingTag, buf)
 					}
 					r.WaitAll(reqs...)
+					r.Release(reqs...)
 					r.Recv(peer, ackTag, ack)
 				} else {
 					for i := range reqs {
 						reqs[i] = r.Irecv(peer, pingTag, buf)
 					}
 					r.WaitAll(reqs...)
+					r.Release(reqs...)
 					r.Send(peer, ackTag, ack)
 				}
 			}
