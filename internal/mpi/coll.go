@@ -1,14 +1,22 @@
 package mpi
 
-// Collectives, implemented over the point-to-point layer with the standard
-// MPICH/MVAPICH algorithm family: dissemination barrier, binomial
-// broadcast/reduce, allreduce with per-call algorithm selection
-// (coll_select.go) over recursive doubling, Rabenseifner, ring, and tree,
-// recursive-doubling allgather (ring for non-power-of-two worlds), and
-// pairwise-exchange alltoall. Locality-aware channel selection happens
-// underneath, which is exactly how the paper's collective improvements
-// arise: the intra-host portion of every algorithm step rides SHM/CMA
-// instead of HCA loopback.
+// Collectives over the point-to-point layer, with the standard MPICH/MVAPICH
+// algorithm family: dissemination barrier, binomial broadcast/reduce,
+// allreduce with per-call algorithm selection (coll_select.go) over recursive
+// doubling, Rabenseifner, ring, and tree, recursive-doubling allgather (ring
+// for non-power-of-two worlds), pairwise-exchange alltoall, linear
+// gather/scatter. Locality-aware channel selection happens underneath, which
+// is exactly how the paper's collective improvements arise: the intra-host
+// portion of every algorithm step rides SHM/CMA instead of HCA loopback.
+//
+// Barrier, bcast, reduce and the allreduce algorithms are written once, as
+// the steppers in machine.go. The blocking calls here — and the communicator
+// (comm.go) and two-level (coll_hier.go) ones — run a stepper on their own
+// stack, `for !m.step(...) {}`: a goroutine-backed rank blocks for real
+// inside the stepper's wait, so each false is one wake, and the loop goes
+// round. What differs between the world, a communicator and a hierarchical
+// phase is the group handed to the stepper. Allgather, alltoall, scan and the
+// v-variants are blocking-only and live here (and in collv.go).
 
 import "cmpi/internal/core"
 
@@ -19,13 +27,50 @@ import "cmpi/internal/core"
 // contexts.
 const collCtxBit = 0x8000
 
-// nextCollTag mints a tag for one collective call. Collective calls occur
-// in the same order on every rank, so the per-rank counter agrees globally;
-// tags start at -2 to stay clear of AnyTag (-1) and user tags (>= 0).
-func (r *Rank) nextCollTag() int {
-	r.collSeq++
-	return -(r.collSeq + 1)
+// group is who one collective call runs over: the world, a communicator, or
+// the member list of a hierarchical phase. Steppers take it as a step
+// argument, like root and buf, and keep none of it: a machine rank's
+// accounted footprint is its stepper.
+type group struct {
+	members []int // world rank of each group rank; nil for the world itself
+	me, n   int   // the caller's group rank; the group's size
+	ctx     int   // matching context of the group's collective traffic
+	seq     *int  // the group's collective-call counter; nil when the caller brings the tag
+	tag     int   // the caller's tag (seq == nil)
 }
+
+// world maps a group rank to the world rank.
+func (g *group) world(i int) int {
+	if g.members == nil {
+		return i
+	}
+	return g.members[i]
+}
+
+// nextTag is the tag of the group's next collective call.
+func (g *group) nextTag() int {
+	if g.seq == nil {
+		return g.tag
+	}
+	return mintTag(g.seq)
+}
+
+// mintTag mints a tag for one collective call from a group's call counter.
+// Collective calls occur in the same order on every member, so the
+// per-member counter agrees across the group; tags start at -2 to stay clear
+// of AnyTag (-1) and user tags (>= 0).
+func mintTag(seq *int) int {
+	*seq++
+	return -(*seq + 1)
+}
+
+// group is the world as a collective group.
+func (r *Rank) group() group {
+	return group{me: r.rank, n: r.size, ctx: collCtxBit, seq: &r.collSeq}
+}
+
+// nextCollTag mints a world collective tag.
+func (r *Rank) nextCollTag() int { return mintTag(&r.collSeq) }
 
 // csend/crecv are collective-context point-to-point helpers.
 func (r *Rank) csend(dst, tag int, data []byte) *Request {
@@ -40,18 +85,12 @@ func (r *Rank) crecv(src, tag int, buf []byte) *Request {
 func (r *Rank) Barrier() {
 	r.profEnter()
 	defer r.profExit("Barrier")
-	r.barrier()
+	r.barrier(r.group())
 }
 
-func (r *Rank) barrier() {
-	tag := r.nextCollTag()
-	var empty []byte
-	for k := 1; k < r.size; k <<= 1 {
-		dst := (r.rank + k) % r.size
-		src := (r.rank - k + r.size) % r.size
-		rq := r.crecv(src, tag, nil)
-		r.wait(r.csend(dst, tag, empty))
-		r.wait(rq)
+func (r *Rank) barrier(g group) {
+	var m mbarrier
+	for !m.step(r, &g) {
 	}
 }
 
@@ -64,34 +103,13 @@ func (r *Rank) Bcast(root int, data []byte) {
 		r.hierBcast(root, data)
 		return
 	}
-	r.bcast(root, data)
+	r.bcast(r.group(), root, data)
 }
 
-func (r *Rank) bcast(root int, data []byte) {
-	if r.size == 1 {
-		return
-	}
-	tag := r.nextCollTag()
-	vrank := (r.rank - root + r.size) % r.size
-	abs := func(v int) int { return (v + root) % r.size }
-
-	// Walk up to this rank's lowest set bit: that is the level at which it
-	// receives from its parent; the root never receives.
-	mask := 1
-	for mask < r.size {
-		if vrank&mask != 0 {
-			r.wait(r.crecv(abs(vrank-mask), tag, data))
-			break
-		}
-		mask <<= 1
-	}
-	// Forward to children at every level below.
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < r.size {
-			r.wait(r.csend(abs(vrank+mask), tag, data))
-		}
-		mask >>= 1
+// bcast broadcasts from group rank root.
+func (r *Rank) bcast(g group, root int, data []byte) {
+	var m mbcast
+	for !m.step(r, &g, root, data) {
 	}
 }
 
@@ -100,28 +118,13 @@ func (r *Rank) bcast(root int, data []byte) {
 func (r *Rank) Reduce(root int, buf []byte, op ReduceOp) {
 	r.profEnter()
 	defer r.profExit("Reduce")
-	r.reduce(root, buf, op)
+	r.reduce(r.group(), root, buf, op)
 }
 
-func (r *Rank) reduce(root int, buf []byte, op ReduceOp) {
-	if r.size == 1 {
-		return
-	}
-	tag := r.nextCollTag()
-	vrank := (r.rank - root + r.size) % r.size
-	abs := func(v int) int { return (v + root) % r.size }
-	tmp := r.scratch(len(buf))
-	defer r.putScratch(tmp)
-	for mask := 1; mask < r.size; mask <<= 1 {
-		if vrank&mask != 0 {
-			r.wait(r.csend(abs(vrank-mask), tag, buf))
-			return
-		}
-		if vrank+mask < r.size {
-			r.wait(r.crecv(abs(vrank+mask), tag, tmp))
-			r.chargeReduce(len(buf))
-			op(buf, tmp)
-		}
+// reduce reduces into group rank root.
+func (r *Rank) reduce(g group, root int, buf []byte, op ReduceOp) {
+	var m mreduce
+	for !m.step(r, &g, root, buf, op) {
 	}
 }
 
@@ -139,205 +142,58 @@ func (r *Rank) Allreduce(buf []byte, op ReduceOp) {
 	r.allreduce(buf, op)
 }
 
+// allreduce selects the algorithm and runs its stepper on this stack. It
+// does not go through mallreduce, which keeps the chosen stepper behind a
+// pointer (a machine rank pays for one, not all) and so would heap-allocate
+// it on every call.
 func (r *Rank) allreduce(buf []byte, op ReduceOp) {
 	if r.size == 1 {
 		return
 	}
-	pof2 := 1
-	for pof2*2 <= r.size {
-		pof2 *= 2
-	}
-	algo := r.selectAllreduce(len(buf), pof2)
-	r.recordCollAlgo(algo, len(buf))
-	switch algo {
+	switch algo, pof2 := r.pickAllreduce(len(buf)); algo {
 	case core.AllreduceRabenseifner:
-		r.allreduceRab(buf, op, pof2)
+		var m mrab
+		for !m.step(r, buf, op, pof2) {
+		}
 	case core.AllreduceRing:
-		r.allreduceRing(buf, op)
+		var m mring
+		for !m.step(r, buf, op) {
+		}
 	case core.AllreduceTree:
-		r.allreduceTree(buf, op)
+		r.reduce(r.group(), 0, buf, op)
+		r.bcast(r.group(), 0, buf)
 	default:
-		r.allreduceRD(buf, op, pof2)
+		r.groupAllreduce(r.group(), buf, op)
 	}
 }
 
-// allreduceRD is recursive doubling: log2(P) full-buffer exchanges, with
-// the standard fold for non-power-of-two worlds. Latency-optimal; the
-// selector's choice for small buffers.
-func (r *Rank) allreduceRD(buf []byte, op ReduceOp, pof2 int) {
-	tag := r.nextCollTag()
-	rem := r.size - pof2
-	tmp := r.scratch(len(buf))
-	defer r.putScratch(tmp)
+// pickAllreduce selects (and records) the algorithm of one world allreduce;
+// pof2 is the largest power of two not above the world size.
+func (r *Rank) pickAllreduce(n int) (algo core.AllreduceAlgo, pof2 int) {
+	pof2 = floorPow2(r.size)
+	algo = r.selectAllreduce(n, pof2)
+	r.recordCollAlgo(algo, n)
+	return algo, pof2
+}
 
-	// Fold the surplus ranks into the power-of-two group.
-	newRank := -1
-	switch {
-	case r.rank < 2*rem && r.rank%2 == 0:
-		r.wait(r.csend(r.rank+1, tag, buf))
-	case r.rank < 2*rem:
-		r.wait(r.crecv(r.rank-1, tag, tmp))
-		r.chargeReduce(len(buf))
-		op(buf, tmp)
-		newRank = r.rank / 2
-	default:
-		newRank = r.rank - rem
+// groupAllreduce is recursive doubling over a group: the only allreduce of
+// communicators and of the leaders of a two-level one.
+func (r *Rank) groupAllreduce(g group, buf []byte, op ReduceOp) {
+	if g.n == 1 {
+		return
 	}
-
-	if newRank >= 0 {
-		toAbs := func(nr int) int {
-			if nr < rem {
-				return nr*2 + 1
-			}
-			return nr + rem
-		}
-		for mask := 1; mask < pof2; mask <<= 1 {
-			peer := toAbs(newRank ^ mask)
-			r.sendrecvInternal(peer, tag, buf, peer, tag, tmp)
-			r.chargeReduce(len(buf))
-			op(buf, tmp)
-		}
-	}
-
-	// Hand the result back to the folded ranks.
-	if r.rank < 2*rem {
-		if r.rank%2 == 0 {
-			r.wait(r.crecv(r.rank+1, tag, buf))
-		} else {
-			r.wait(r.csend(r.rank-1, tag, buf))
-		}
+	var m mrd
+	for pof2 := floorPow2(g.n); !m.step(r, &g, buf, op, pof2); {
 	}
 }
 
-// allreduceRab is Rabenseifner's algorithm: fold surplus ranks into the
-// power-of-two group, reduce-scatter by recursive halving, allgather by
-// recursive doubling, unfold. Bandwidth-optimal for large buffers.
-func (r *Rank) allreduceRab(buf []byte, op ReduceOp, pof2 int) {
-	tag := r.nextCollTag()
-	tagRS := r.nextCollTag()
-	tagAG := r.nextCollTag()
-	rem := r.size - pof2
-	tmp := r.scratch(len(buf))
-	defer r.putScratch(tmp)
-
-	newRank := -1
-	switch {
-	case r.rank < 2*rem && r.rank%2 == 0:
-		r.wait(r.csend(r.rank+1, tag, buf))
-	case r.rank < 2*rem:
-		r.wait(r.crecv(r.rank-1, tag, tmp))
-		r.chargeReduce(len(buf))
-		op(buf, tmp)
-		newRank = r.rank / 2
-	default:
-		newRank = r.rank - rem
+// floorPow2 is the largest power of two not above n (n >= 1).
+func floorPow2(n int) int {
+	p := 1
+	for p*2 <= n {
+		p *= 2
 	}
-
-	if newRank >= 0 {
-		toAbs := func(nr int) int {
-			if nr < rem {
-				return nr*2 + 1
-			}
-			return nr + rem
-		}
-		// Reduce-scatter by recursive halving: my owned region [lo, hi).
-		lo, hi := 0, len(buf)
-		for mask := pof2 / 2; mask > 0; mask >>= 1 {
-			peer := toAbs(newRank ^ mask)
-			mid := lo + (hi-lo)/2
-			var sendLo, sendHi, keepLo, keepHi int
-			if newRank&mask == 0 {
-				keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-			} else {
-				keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
-			}
-			rq := r.crecv(peer, tagRS, tmp[keepLo:keepHi])
-			r.wait(r.csend(peer, tagRS, buf[sendLo:sendHi]))
-			r.wait(rq)
-			r.chargeReduce(keepHi - keepLo)
-			op(buf[keepLo:keepHi], tmp[keepLo:keepHi])
-			lo, hi = keepLo, keepHi
-		}
-		// Allgather by recursive doubling: regions merge back up.
-		for mask := 1; mask < pof2; mask <<= 1 {
-			peer := toAbs(newRank ^ mask)
-			span := hi - lo
-			var peerLo, peerHi int
-			if newRank&mask == 0 {
-				peerLo, peerHi = lo+span, hi+span
-			} else {
-				peerLo, peerHi = lo-span, hi-span
-			}
-			rq := r.crecv(peer, tagAG, buf[peerLo:peerHi])
-			r.wait(r.csend(peer, tagAG, buf[lo:hi]))
-			r.wait(rq)
-			if peerLo < lo {
-				lo = peerLo
-			} else {
-				hi = peerHi
-			}
-		}
-	}
-
-	if r.rank < 2*rem {
-		if r.rank%2 == 0 {
-			r.wait(r.crecv(r.rank+1, tag, buf))
-		} else {
-			r.wait(r.csend(r.rank-1, tag, buf))
-		}
-	}
-}
-
-// allreduceRing is the reduce-scatter + allgather ring used by data-parallel
-// training frameworks: P-1 steps passing reduced partial chunks to the right
-// neighbor, then P-1 steps circulating the finished chunks. Every transfer
-// is nearest-neighbor, so on a co-resident job each step stays on the
-// SHM/CMA channels between adjacent ranks. Requires len(buf)%8 == 0 (chunk
-// boundaries stay element-aligned); ranks beyond the element count simply
-// own empty chunks.
-func (r *Rank) allreduceRing(buf []byte, op ReduceOp) {
-	tagRS := r.nextCollTag()
-	tagAG := r.nextCollTag()
-	n := r.size
-	nel := len(buf) / 8
-	// Element-aligned chunk boundaries: chunk i is buf[off(i):off(i+1)].
-	off := func(i int) int { return i * nel / n * 8 }
-	chunk := func(i int) []byte { return buf[off(i):off(i+1)] }
-	right := (r.rank + 1) % n
-	left := (r.rank - 1 + n) % n
-	// A chunk spans floor((i+1)·nel/n) - floor(i·nel/n) <= ceil(nel/n)
-	// elements; size the receive scratch for the worst case.
-	tmp := r.scratch((nel + n - 1) / n * 8)
-	defer r.putScratch(tmp)
-
-	// Reduce-scatter: at step s, send chunk (rank-s) and receive chunk
-	// (rank-s-1), reducing it into buf. After n-1 steps this rank holds the
-	// fully reduced chunk (rank+1).
-	for s := 0; s < n-1; s++ {
-		sendIdx := (r.rank - s + n) % n
-		recvIdx := (r.rank - s - 1 + n) % n
-		rc := chunk(recvIdx)
-		r.sendrecvInternal(right, tagRS, chunk(sendIdx), left, tagRS, tmp[:len(rc)])
-		if len(rc) > 0 {
-			r.chargeReduce(len(rc))
-			op(rc, tmp[:len(rc)])
-		}
-	}
-	// Allgather: circulate the finished chunks, starting from (rank+1).
-	for s := 0; s < n-1; s++ {
-		sendIdx := (r.rank + 1 - s + n) % n
-		recvIdx := (r.rank - s + n) % n
-		r.sendrecvInternal(right, tagAG, chunk(sendIdx), left, tagAG, chunk(recvIdx))
-	}
-}
-
-// allreduceTree is a binomial reduce to rank 0 followed by a binomial
-// broadcast: 2·log2(P) rounds, each moving the whole buffer. Dominated by
-// recursive doubling in this cost model, so the selector never picks it;
-// it exists as a forced comparison baseline (MV2_ALLREDUCE_ALGO=tree).
-func (r *Rank) allreduceTree(buf []byte, op ReduceOp) {
-	r.reduce(0, buf, op)
-	r.bcast(0, buf)
+	return p
 }
 
 // Allgather concatenates every rank's mine (all equal length) into out,
@@ -426,22 +282,25 @@ func (r *Rank) Alltoall(send, recv []byte, chunk int) {
 func (r *Rank) Gather(root int, mine []byte, out []byte) {
 	r.profEnter()
 	defer r.profExit("Gather")
-	tag := r.nextCollTag()
+	r.gather(r.group(), root, mine, out)
+}
+
+func (r *Rank) gather(g group, root int, mine, out []byte) {
+	tag := g.nextTag()
 	k := len(mine)
-	if r.rank != root {
-		r.wait(r.csend(root, tag, mine))
+	if g.me != root {
+		r.wait(r.isendCtx(g.world(root), tag, g.ctx, mine))
 		return
 	}
-	if len(out) != k*r.size {
-		r.p.Fatalf("Gather: out is %d bytes, want %d", len(out), k*r.size)
+	if len(out) != k*g.n {
+		r.p.Fatalf("Gather: out is %d bytes, want %d", len(out), k*g.n)
 	}
 	copy(out[root*k:], mine)
-	reqs := make([]*Request, 0, r.size-1)
-	for src := 0; src < r.size; src++ {
-		if src == root {
-			continue
+	reqs := make([]*Request, 0, g.n-1)
+	for src := 0; src < g.n; src++ {
+		if src != root {
+			reqs = append(reqs, r.irecvCtx(g.world(src), tag, g.ctx, out[src*k:(src+1)*k]))
 		}
-		reqs = append(reqs, r.crecv(src, tag, out[src*k:(src+1)*k]))
 	}
 	for _, rq := range reqs {
 		r.wait(rq)
@@ -452,21 +311,24 @@ func (r *Rank) Gather(root int, mine []byte, out []byte) {
 func (r *Rank) Scatter(root int, all []byte, mine []byte) {
 	r.profEnter()
 	defer r.profExit("Scatter")
-	tag := r.nextCollTag()
+	r.scatter(r.group(), root, all, mine)
+}
+
+func (r *Rank) scatter(g group, root int, all, mine []byte) {
+	tag := g.nextTag()
 	k := len(mine)
-	if r.rank != root {
-		r.wait(r.crecv(root, tag, mine))
+	if g.me != root {
+		r.wait(r.irecvCtx(g.world(root), tag, g.ctx, mine))
 		return
 	}
-	if len(all) != k*r.size {
-		r.p.Fatalf("Scatter: all is %d bytes, want %d", len(all), k*r.size)
+	if len(all) != k*g.n {
+		r.p.Fatalf("Scatter: all is %d bytes, want %d", len(all), k*g.n)
 	}
-	reqs := make([]*Request, 0, r.size-1)
-	for dst := 0; dst < r.size; dst++ {
-		if dst == root {
-			continue
+	reqs := make([]*Request, 0, g.n-1)
+	for dst := 0; dst < g.n; dst++ {
+		if dst != root {
+			reqs = append(reqs, r.isendCtx(g.world(dst), tag, g.ctx, all[dst*k:(dst+1)*k]))
 		}
-		reqs = append(reqs, r.csend(dst, tag, all[dst*k:(dst+1)*k]))
 	}
 	copy(mine, all[root*k:(root+1)*k])
 	for _, rq := range reqs {
@@ -517,12 +379,9 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 
 // sendrecvInternal is Sendrecv without profiling brackets, for collectives.
 func (r *Rank) sendrecvInternal(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) {
-	rq := r.crecv(src, recvTag, recvBuf)
-	sq := r.csend(dst, sendTag, sendData)
-	r.wait(rq)
-	r.wait(sq)
-	r.putReq(rq)
-	r.putReq(sq)
+	var m msr
+	for !m.step(r, dst, sendTag, sendData, src, recvTag, recvBuf, collCtxBit) {
+	}
 }
 
 // scratch returns an n-byte receive buffer for the duration of a collective,

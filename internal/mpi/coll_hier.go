@@ -51,114 +51,43 @@ func (r *Rank) sameGroup(a, b int) bool {
 	return r.w.sameLocalityGroup(a, b)
 }
 
+// subset is an explicit member list as a collective group under a tag the
+// caller minted: every member passes the same list and tag. The phases of a
+// two-level collective run the world's steppers over it.
+func (r *Rank) subset(members []int, tag int) group {
+	me := indexOf(members, r.rank)
+	if me < 0 {
+		r.p.Fatalf("hierarchical collective: rank %d not in member list %v", r.rank, members)
+	}
+	return group{members: members, me: me, n: len(members), ctx: collCtxBit, tag: tag}
+}
+
+// indexOf is the position of rank in members, or -1.
+func indexOf(members []int, rank int) int {
+	for i, m := range members {
+		if m == rank {
+			return i
+		}
+	}
+	return -1
+}
+
 // hierAllreduce: local reduce to the group leader, recursive-doubling
 // allreduce among leaders, local broadcast. Every rank mints the same three
 // tags so the global collective-tag sequence stays aligned.
 func (r *Rank) hierAllreduce(buf []byte, op ReduceOp) {
 	group, leaders := r.localityGroup()
-	leader := group[0]
 	tag := r.nextCollTag()
 	tagLeaders := r.nextCollTag()
 	tag2 := r.nextCollTag()
 
 	// Binomial local reduce to the leader (group[0]).
-	r.subsetReduce(group, tag, buf, op)
-	if r.rank == leader {
-		r.subsetAllreduce(leaders, tagLeaders, buf, op)
+	r.reduce(r.subset(group, tag), 0, buf, op)
+	if r.rank == group[0] {
+		r.groupAllreduce(r.subset(leaders, tagLeaders), buf, op)
 	}
 	// Binomial local broadcast of the result.
-	r.subsetBcast(group, tag2, leader, buf)
-}
-
-// subsetReduce is a binomial reduction to members[0] over an explicit
-// member list; non-root buffers are scratch.
-func (r *Rank) subsetReduce(members []int, tag int, buf []byte, op ReduceOp) {
-	n := len(members)
-	if n <= 1 {
-		return
-	}
-	me := -1
-	for i, m := range members {
-		if m == r.rank {
-			me = i
-			break
-		}
-	}
-	if me < 0 {
-		r.p.Fatalf("subsetReduce: rank %d not in member list %v", r.rank, members)
-	}
-	tmp := r.scratch(len(buf))
-	defer r.putScratch(tmp)
-	for mask := 1; mask < n; mask <<= 1 {
-		if me&mask != 0 {
-			r.wait(r.csend(members[me-mask], tag, buf))
-			return
-		}
-		if me+mask < n {
-			r.wait(r.crecv(members[me+mask], tag, tmp))
-			r.chargeReduce(len(buf))
-			op(buf, tmp)
-		}
-	}
-}
-
-// subsetAllreduce runs recursive doubling over an explicit member list
-// (callers guarantee every member calls it with the same list and tag).
-func (r *Rank) subsetAllreduce(members []int, tag int, buf []byte, op ReduceOp) {
-	n := len(members)
-	if n <= 1 {
-		return
-	}
-	me := -1
-	for i, m := range members {
-		if m == r.rank {
-			me = i
-			break
-		}
-	}
-	if me < 0 {
-		r.p.Fatalf("subsetAllreduce: rank %d not in member list %v", r.rank, members)
-	}
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
-	rem := n - pof2
-	tmp := r.scratch(len(buf))
-	defer r.putScratch(tmp)
-	newIdx := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		r.wait(r.csend(members[me+1], tag, buf))
-	case me < 2*rem:
-		r.wait(r.crecv(members[me-1], tag, tmp))
-		r.chargeReduce(len(buf))
-		op(buf, tmp)
-		newIdx = me / 2
-	default:
-		newIdx = me - rem
-	}
-	if newIdx >= 0 {
-		toIdx := func(ni int) int {
-			if ni < rem {
-				return ni*2 + 1
-			}
-			return ni + rem
-		}
-		for mask := 1; mask < pof2; mask <<= 1 {
-			peer := members[toIdx(newIdx^mask)]
-			r.sendrecvInternal(peer, tag, buf, peer, tag, tmp)
-			r.chargeReduce(len(buf))
-			op(buf, tmp)
-		}
-	}
-	if me < 2*rem {
-		if me%2 == 0 {
-			r.wait(r.crecv(members[me+1], tag, buf))
-		} else {
-			r.wait(r.csend(members[me-1], tag, buf))
-		}
-	}
+	r.bcast(r.subset(group, tag2), 0, buf)
 }
 
 // hierAllgather: leaders gather their group's blocks, allgather full host
@@ -197,12 +126,7 @@ func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
 		// Leaders may own different group sizes; exchange each leader's
 		// contiguous region.
 		if len(leaders) > 1 {
-			me := -1
-			for i, l := range leaders {
-				if l == r.rank {
-					me = i
-				}
-			}
+			me := indexOf(leaders, r.rank)
 			n := len(leaders)
 			regionOf := func(li int) (lo, hi int) {
 				l := leaders[li]
@@ -228,7 +152,7 @@ func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
 		}
 	}
 	// Phase 3: local broadcast of the assembled array.
-	r.subsetBcast(group, tagBcast, leader, out)
+	r.bcast(r.subset(group, tagBcast), 0, out)
 	return true
 }
 
@@ -251,7 +175,7 @@ func (r *Rank) hierBcast(root int, data []byte) {
 	}
 	// Inter-leader binomial broadcast.
 	if r.rank == leader {
-		r.subsetBcast(leaders, tagLeaders, rootLeader, data)
+		r.bcast(r.subset(leaders, tagLeaders), indexOf(leaders, rootLeader), data)
 	}
 	// Local linear broadcast.
 	if r.rank == leader {
@@ -275,41 +199,4 @@ func (r *Rank) leaderOfRank(rank int, leaders []int) int {
 		}
 	}
 	return rank
-}
-
-// subsetBcast is a binomial broadcast over an explicit member list.
-func (r *Rank) subsetBcast(members []int, tag, root int, data []byte) {
-	n := len(members)
-	if n <= 1 {
-		return
-	}
-	me, rootIdx := -1, -1
-	for i, m := range members {
-		if m == r.rank {
-			me = i
-		}
-		if m == root {
-			rootIdx = i
-		}
-	}
-	if me < 0 || rootIdx < 0 {
-		r.p.Fatalf("subsetBcast: rank %d or root %d not in %v", r.rank, root, members)
-	}
-	vrank := (me - rootIdx + n) % n
-	abs := func(v int) int { return members[(v+rootIdx)%n] }
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			r.wait(r.crecv(abs(vrank-mask), tag, data))
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < n {
-			r.wait(r.csend(abs(vrank+mask), tag, data))
-		}
-		mask >>= 1
-	}
 }

@@ -47,10 +47,12 @@ func (c *Comm) Size() int { return len(c.members) }
 // GlobalRank translates a communicator-local rank to the world rank.
 func (c *Comm) GlobalRank(localRank int) int { return c.members[localRank] }
 
-func (c *Comm) nextTag() int {
-	c.collSeq++
-	return -(c.collSeq + 1)
+// group is the communicator as a collective group.
+func (c *Comm) group() group {
+	return group{members: c.members, me: c.myIdx, n: len(c.members), ctx: c.ctx | collCtxBit, seq: &c.collSeq}
 }
+
+func (c *Comm) nextTag() int { return mintTag(&c.collSeq) }
 
 // --- point-to-point ------------------------------------------------------
 
@@ -99,14 +101,7 @@ func (c *Comm) Wait(req *Request) Status { return c.r.Wait(req) }
 
 // localOf translates a world rank to the communicator-local rank (-1 if
 // not a member).
-func (c *Comm) localOf(world int) int {
-	for i, m := range c.members {
-		if m == world {
-			return i
-		}
-	}
-	return -1
-}
+func (c *Comm) localOf(world int) int { return indexOf(c.members, world) }
 
 // --- collectives ----------------------------------------------------------
 
@@ -114,43 +109,14 @@ func (c *Comm) localOf(world int) int {
 func (c *Comm) Barrier() {
 	c.r.profEnter()
 	defer c.r.profExit("Barrier")
-	tag := c.nextTag()
-	n := len(c.members)
-	for k := 1; k < n; k <<= 1 {
-		dst := c.members[(c.myIdx+k)%n]
-		src := c.members[(c.myIdx-k+n)%n]
-		rq := c.r.irecvCtx(src, tag, c.ctx|collCtxBit, nil)
-		c.r.wait(c.r.isendCtx(dst, tag, c.ctx|collCtxBit, nil))
-		c.r.wait(rq)
-	}
+	c.r.barrier(c.group())
 }
 
 // Bcast broadcasts from communicator-local root (binomial tree).
 func (c *Comm) Bcast(root int, data []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Bcast")
-	n := len(c.members)
-	if n == 1 {
-		return
-	}
-	tag := c.nextTag()
-	vrank := (c.myIdx - root + n) % n
-	abs := func(v int) int { return c.members[(v+root)%n] }
-	mask := 1
-	for mask < n {
-		if vrank&mask != 0 {
-			c.r.wait(c.r.irecvCtx(abs(vrank-mask), tag, c.ctx|collCtxBit, data))
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < n {
-			c.r.wait(c.r.isendCtx(abs(vrank+mask), tag, c.ctx|collCtxBit, data))
-		}
-		mask >>= 1
-	}
+	c.r.bcast(c.group(), root, data)
 }
 
 // Reduce combines members' buffers into the communicator-local root
@@ -158,25 +124,7 @@ func (c *Comm) Bcast(root int, data []byte) {
 func (c *Comm) Reduce(root int, buf []byte, op ReduceOp) {
 	c.r.profEnter()
 	defer c.r.profExit("Reduce")
-	n := len(c.members)
-	if n == 1 {
-		return
-	}
-	tag := c.nextTag()
-	vrank := (c.myIdx - root + n) % n
-	abs := func(v int) int { return c.members[(v+root)%n] }
-	tmp := make([]byte, len(buf))
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			c.r.wait(c.r.isendCtx(abs(vrank-mask), tag, c.ctx|collCtxBit, buf))
-			return
-		}
-		if vrank+mask < n {
-			c.r.wait(c.r.irecvCtx(abs(vrank+mask), tag, c.ctx|collCtxBit, tmp))
-			c.r.chargeReduce(len(buf))
-			op(buf, tmp)
-		}
-	}
+	c.r.reduce(c.group(), root, buf, op)
 }
 
 // Allreduce combines buf across members (recursive doubling with the
@@ -184,54 +132,7 @@ func (c *Comm) Reduce(root int, buf []byte, op ReduceOp) {
 func (c *Comm) Allreduce(buf []byte, op ReduceOp) {
 	c.r.profEnter()
 	defer c.r.profExit("Allreduce")
-	n := len(c.members)
-	if n == 1 {
-		return
-	}
-	tag := c.nextTag()
-	r := c.r
-	pof2 := 1
-	for pof2*2 <= n {
-		pof2 *= 2
-	}
-	rem := n - pof2
-	tmp := make([]byte, len(buf))
-	me := c.myIdx
-	newRank := -1
-	switch {
-	case me < 2*rem && me%2 == 0:
-		r.wait(r.isendCtx(c.members[me+1], tag, c.ctx|collCtxBit, buf))
-	case me < 2*rem:
-		r.wait(r.irecvCtx(c.members[me-1], tag, c.ctx|collCtxBit, tmp))
-		r.chargeReduce(len(buf))
-		op(buf, tmp)
-		newRank = me / 2
-	default:
-		newRank = me - rem
-	}
-	if newRank >= 0 {
-		toAbs := func(nr int) int {
-			if nr < rem {
-				return c.members[nr*2+1]
-			}
-			return c.members[nr+rem]
-		}
-		for mask := 1; mask < pof2; mask <<= 1 {
-			peer := toAbs(newRank ^ mask)
-			rq := r.irecvCtx(peer, tag, c.ctx|collCtxBit, tmp)
-			r.wait(r.isendCtx(peer, tag, c.ctx|collCtxBit, buf))
-			r.wait(rq)
-			r.chargeReduce(len(buf))
-			op(buf, tmp)
-		}
-	}
-	if me < 2*rem {
-		if me%2 == 0 {
-			r.wait(r.irecvCtx(c.members[me+1], tag, c.ctx|collCtxBit, buf))
-		} else {
-			r.wait(r.isendCtx(c.members[me-1], tag, c.ctx|collCtxBit, buf))
-		}
-	}
+	c.r.groupAllreduce(c.group(), buf, op)
 }
 
 // Allgather concatenates each member's mine into out in communicator rank
@@ -302,52 +203,14 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, rec
 func (c *Comm) Gather(root int, mine []byte, out []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Gather")
-	tag := c.nextTag()
-	k := len(mine)
-	if c.myIdx != root {
-		c.r.wait(c.r.isendCtx(c.members[root], tag, c.ctx|collCtxBit, mine))
-		return
-	}
-	if len(out) != k*len(c.members) {
-		c.r.p.Fatalf("Comm.Gather: out is %d bytes, want %d", len(out), k*len(c.members))
-	}
-	copy(out[root*k:], mine)
-	var reqs []*Request
-	for i := range c.members {
-		if i == root {
-			continue
-		}
-		reqs = append(reqs, c.r.irecvCtx(c.members[i], tag, c.ctx|collCtxBit, out[i*k:(i+1)*k]))
-	}
-	for _, rq := range reqs {
-		c.r.wait(rq)
-	}
+	c.r.gather(c.group(), root, mine, out)
 }
 
 // Scatter distributes root's chunks to the members (linear algorithm).
 func (c *Comm) Scatter(root int, all []byte, mine []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Scatter")
-	tag := c.nextTag()
-	k := len(mine)
-	if c.myIdx != root {
-		c.r.wait(c.r.irecvCtx(c.members[root], tag, c.ctx|collCtxBit, mine))
-		return
-	}
-	if len(all) != k*len(c.members) {
-		c.r.p.Fatalf("Comm.Scatter: all is %d bytes, want %d", len(all), k*len(c.members))
-	}
-	var reqs []*Request
-	for i := range c.members {
-		if i == root {
-			continue
-		}
-		reqs = append(reqs, c.r.isendCtx(c.members[i], tag, c.ctx|collCtxBit, all[i*k:(i+1)*k]))
-	}
-	copy(mine, all[root*k:(root+1)*k])
-	for _, rq := range reqs {
-		c.r.wait(rq)
-	}
+	c.r.scatter(c.group(), root, all, mine)
 }
 
 // --- split ----------------------------------------------------------------

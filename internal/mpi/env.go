@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,7 +100,10 @@ func parseSize(s string) (int, error) {
 		return 0, err
 	}
 	if v <= 0 {
-		return 0, fmt.Errorf("size must be positive, got %d", v*mult)
+		return 0, fmt.Errorf("size must be positive, got %d x %d", v, mult)
+	}
+	if v > math.MaxInt/mult {
+		return 0, fmt.Errorf("size %d x %d overflows int", v, mult)
 	}
 	return v * mult, nil
 }

@@ -53,6 +53,15 @@ func TestOptionsFromEnvErrors(t *testing.T) {
 	if _, err := OptionsFromEnv(DefaultOptions(), map[string]string{"MV2_SMP_EAGERSIZE": "1M"}); err == nil {
 		t.Error("eager > length queue accepted")
 	}
+	// A product that does not fit an int is a parse error naming the variable:
+	// the first wrapped to 1024 and was accepted, the second wrapped negative
+	// and surfaced in a Validate message.
+	for _, val := range []string{"18014398509481985K", "9007199254740993K", "8796093022208M", "9223372036854775807k"} {
+		_, err := OptionsFromEnv(DefaultOptions(), map[string]string{"MV2_IBA_EAGER_THRESHOLD": val})
+		if err == nil || !strings.Contains(err.Error(), "MV2_IBA_EAGER_THRESHOLD") || !strings.Contains(err.Error(), "overflows") {
+			t.Errorf("overflowing size %q: got %v, want an overflow error naming the variable", val, err)
+		}
+	}
 }
 
 // TestOptionsFromEnvDeterministicError feeds several invalid values at once

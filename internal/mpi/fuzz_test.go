@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -84,5 +86,67 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(fuzzSeedWords(11)[:32], uint8(0))
 	f.Fuzz(func(t *testing.T, raw []byte, off uint8) {
 		checkCodecs(t, raw, int(off%8))
+	})
+}
+
+// fuzzEnvKeys are the variables OptionsFromEnv reads, sizes first, and one it
+// ignores.
+var fuzzEnvKeys = []string{
+	"MV2_SMP_EAGERSIZE", "MV2_SMPI_LENGTH_QUEUE", "MV2_IBA_EAGER_THRESHOLD",
+	"MV2_SMP_USE_CMA", "MV2_CONTAINER_SUPPORT", "MV2_USE_HIERARCHICAL_COLL",
+	"MV2_ALLREDUCE_ALGO", "MV2_DEFAULT_RETRY_COUNT", "MV2_DEFAULT_TIME_OUT",
+	"MV2_SOMETHING_UNKNOWN",
+}
+
+// FuzzOptionsFromEnv feeds the MV2_* parser two variables with arbitrary
+// values — the first parser of bytes from outside the library to be fuzzed.
+// It must never panic; when it accepts, the options must pass Validate and
+// every size it parsed must be the exact product, computed in math/big, of
+// the digits and the suffix (parseSize once let the product wrap).
+func FuzzOptionsFromEnv(f *testing.F) {
+	sizes := []string{
+		"18014398509481985K", "9007199254740993K", "8796093022208M", "9223372036854775807",
+		"16K", "256K", "17408", "24k", "1M", " 8k ", "+4K", "lots", "0", "-1", "-4K", "0M", "", "K",
+	}
+	for i, v := range sizes {
+		f.Add(uint8(i%3), v, sizes[(i+5)%len(sizes)])
+	}
+	for i, v := range []string{"1", "On", "TRUE", " 1 ", "Off", "maybe", "auto", "Rab", "quantum", "7", "banana", "31", "-3"} {
+		f.Add(uint8(3+i%7+10*(i%3)), v, "32K")
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, a, b string) {
+		n := len(fuzzEnvKeys)
+		env := map[string]string{fuzzEnvKeys[int(sel)/n%n]: b, fuzzEnvKeys[int(sel)%n]: a}
+		opts, err := OptionsFromEnv(DefaultOptions(), env)
+		if err != nil {
+			return
+		}
+		if err := opts.Validate(); err != nil {
+			t.Fatalf("%q accepted, but the options do not validate: %v", env, err)
+		}
+		for key, got := range map[string]int{
+			"MV2_SMP_EAGERSIZE":       opts.Tunables.SMPEagerSize,
+			"MV2_SMPI_LENGTH_QUEUE":   opts.Tunables.SMPLengthQueue,
+			"MV2_IBA_EAGER_THRESHOLD": opts.Tunables.IBAEagerThreshold,
+		} {
+			val, set := env[key]
+			if !set {
+				continue
+			}
+			digits, mult := strings.ToUpper(strings.TrimSpace(val)), int64(1)
+			switch {
+			case strings.HasSuffix(digits, "K"):
+				digits, mult = strings.TrimSuffix(digits, "K"), 1<<10
+			case strings.HasSuffix(digits, "M"):
+				digits, mult = strings.TrimSuffix(digits, "M"), 1<<20
+			}
+			want, ok := new(big.Int).SetString(digits, 10)
+			if !ok {
+				t.Fatalf("%s=%q accepted as %d, but %q is not a decimal number", key, val, got, digits)
+			}
+			if want.Mul(want, big.NewInt(mult)); want.Cmp(big.NewInt(int64(got))) != 0 || got <= 0 {
+				t.Fatalf("%s=%q parsed as %d, the exact size is %s", key, val, got, want)
+			}
+		}
 	})
 }

@@ -1,35 +1,46 @@
 package mpi
 
-// Machine-native rank bodies: the blocking Rank hot paths — eager and
-// rendezvous point-to-point over SHM/CMA/HCA, and the allreduce/barrier
-// collectives — as sim.Machine continuations, so full-fidelity worlds run on
-// the flat engine with no goroutine, stack, or channel handshake per rank.
+// The rank lifecycle and the collective algorithms, written once, as
+// continuations: a step function that keeps its position in a struct, returns
+// false after a blocking primitive fired and is called again after the wake.
 //
-// The step functions below mirror the blocking code in coll.go/pt2pt.go
-// action for action. Three primitives make that possible:
+// Two kinds of caller run them. A machine world (World.RunMachine) hands each
+// rank to the engine as a sim.Machine: on the flat engine a rank is one arena
+// slot — no goroutine, stack, or channel handshake — and a step that returns
+// false unwinds to the dispatch loop with sim.More. A blocking body
+// (World.Run) keeps its goroutine, and the blocking collectives of coll.go,
+// comm.go and coll_hier.go run the same steppers from their own stack with
+// `for !m.step(...) {}`: there the primitive blocked for real, so false only
+// means "a wake went by". Nothing else differs — what is left of "blocking
+// versus machine" is Proc.Advance (a machine's is a pure clock bump, see
+// sim/proc.go) and the r.machine branch of bindEnvelope (pt2pt.go).
 //
-//   - isendPrep/isendDispatch (pt2pt.go) split isendCtx around its pair
-//     claim. A machine pre-claims between the two halves; if the claim had
-//     to regroup (Proc.Deferred), the machine returns sim.More and retries
-//     dispatch next epoch at the same virtual time — exactly when the
-//     blocking path's in-protocol claim resumes after YieldRegroup. On
-//     retry the protocol entry's own claimPair is a no-op (Request.hasClaim).
-//   - waitStep (rank.go) is one pass of the blocking waitUntil loop: park
-//     instead of looping, with the next step re-entering the loop exactly
-//     where Park would have returned.
-//   - receives (irecvCtx) never block the caller, so machines post them
+// Three primitives carry the steppers:
+//
+//   - msend: isendPrep/isendDispatch (pt2pt.go) split isendCtx around its pair
+//     claim. msend claims between the two halves; if the claim had to regroup
+//     on a flat machine (Proc.Deferred), it returns false and dispatches next
+//     epoch at the same virtual time. A goroutine-backed rank yields inside
+//     claimPair and carries on, exactly as isendCtx does inside the protocol
+//     entry, whose own claimPair is then a no-op (Request.hasClaim).
+//   - waitStep (rank.go) is one pass of the rank's wait loop: drive progress
+//     until the condition holds or the rank parks.
+//   - receives (irecvCtx) never block the caller, so steppers post them
 //     directly. A rendezvous match whose receive-side claim finds the pair
-//     outside the current epoch group (bindEnvelope, usually mid-sweep)
-//     parks the transfer on the rank; the next waitStep pass regroups and
+//     outside the current epoch group (bindEnvelope, usually mid-sweep) parks
+//     the transfer on a machine rank; the next waitStep pass regroups and
 //     starts it — on both engines, so they stay byte-identical.
 //
-// Every blocking primitive is the last action before its machine unwinds
-// with sim.More, so the flat engine's blocking-last-action contract holds;
-// running the same machine on the goroutine engine (CMPI_SIM_ENGINE=goroutine)
+// Every blocking primitive is the last action before its stepper returns
+// false, so the flat engine's blocking-last-action contract holds; running
+// the same machine on the goroutine engine (CMPI_SIM_ENGINE=goroutine)
 // blocks for real inside the primitive with identical simulated results.
+//
+// The group-capable steppers (barrier, bcast, reduce, recursive doubling)
+// take who they run over as a step argument (group, coll.go), never as
+// state: a machine rank's accounted footprint is its stepper struct.
 
 import (
-	"fmt"
 	"reflect"
 
 	"cmpi/internal/core"
@@ -52,40 +63,30 @@ type Program interface {
 // stack, or coroutine — the difference Stats.PeakProcBytes accounts.
 // Engine choice (CMPI_SIM_ENGINE) never changes simulated results.
 func (w *World) RunMachine(mk func(rank int) Program) error {
-	if w.ran {
-		return fmt.Errorf("mpi: World run twice; build a fresh World per job")
-	}
-	w.ran = true
-	w.tracing = w.Opts.Trace != nil || w.Opts.Record != nil
-	if w.tracing {
-		w.installTracer()
-	}
-	// Same dispatch gate as World.Run: see the comment there.
-	w.parallel = w.inj == nil
-	for i := range w.ranks {
-		r := w.ranks[i]
-		r.machine = true
-		p := w.Eng.GoMachine(fmt.Sprintf("rank%d", r.rank), &rankMachine{
-			w: w, r: r, prog: mk(r.rank),
-		})
-		if w.parallel {
-			p.SetRes(w.resRank(r.rank))
-			p.SetFootprint(r.footprint)
-		}
-	}
-	return w.finishRun(w.Eng.Run())
+	return w.run(true, mk)
 }
 
-// rankMachine adapts a Program to the engine's Machine interface, running
-// the same lifecycle as World.Run's goroutine body: crash alarm, MPI_Init
-// split around the PMI barrier, the run-level barrier, restore, the body,
-// and the finalize bookkeeping.
+// rankMachine is the one rank lifecycle, of blocking and machine bodies
+// alike (World.run): crash alarm, MPI_Init split around the PMI barrier, the
+// run-level barrier, restore, the body, and the finalize bookkeeping.
 type rankMachine struct {
 	w    *World
 	r    *Rank
 	prog Program
 	gen  int
 	ph   uint8 // 0 pre-init, 1 init barrier, 2 run barrier, 3 body
+}
+
+// bodyProg is a blocking rank body as a Program of one step, which keeps
+// what the body returned for stepBody to report.
+type bodyProg struct {
+	body func(r *Rank) error
+	err  error
+}
+
+func (b *bodyProg) Step(r *Rank) sim.Flow {
+	b.err = b.body(r)
+	return sim.Done
 }
 
 // MachineBytes reports the adapter plus its program (steady-state worst
@@ -112,21 +113,25 @@ func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
 		r.p = p
 		if at, ok := w.inj.CrashTime(r.rank); ok {
 			r.hasCrash, r.crashAt = true, at
-			// Same background alarm as World.Run: wake the victim at its
-			// planned death time even if it is parked then.
+			// The victim may be parked at its death time; schedule a wake
+			// so the crash fires at the planned instant, not whenever the
+			// rank happens to run next. A background alarm: a death
+			// pending far in the future must not block the quiescence
+			// cut a checkpoint barrier commits at.
 			w.Eng.AtBackground(at, func() { p.UnparkAt(at) })
 		}
 		if err := r.initPre(); err != nil {
-			// Init failures are always fatal, as in World.Run.
+			// Init failures are always fatal: the job never formed, so
+			// there is nothing to degrade to (matching MPI_Init semantics,
+			// where error handlers attach only after init returns).
 			p.Fatalf("MPI_Init: %v", err)
 		}
-		gen, _ := w.pmiArrive(r)
-		m.gen = gen
+		m.gen = w.pmiArrive(r)
 		m.ph = 1
 		fallthrough
 	case 1:
-		// One pass of pmiBarrier's wait loop per step; the releaser falls
-		// straight through (its arrival bumped pmiGen past its own gen).
+		// One pass of the PMI wait per step; the releaser falls straight
+		// through (its arrival bumped pmiGen past its own gen).
 		if w.pmiGen == m.gen {
 			p.Park()
 			return sim.More
@@ -134,8 +139,7 @@ func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
 		if err := r.initPost(); err != nil {
 			p.Fatalf("MPI_Init: %v", err)
 		}
-		gen, _ := w.pmiArrive(r)
-		m.gen = gen
+		m.gen = w.pmiArrive(r)
 		m.ph = 2
 		fallthrough
 	case 2:
@@ -143,6 +147,9 @@ func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
 			p.Park()
 			return sim.More
 		}
+		// Init shares job-global state (PMI, detector segment, device
+		// discovery); only past this barrier does the rank's footprint
+		// narrow from Global to its claimed pairs.
 		r.parallelReady = true
 		if w.restored != nil {
 			w.restoreRank(r)
@@ -170,9 +177,9 @@ func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
 	}
 }
 
-// stepBody runs one Program step under the same crashAbort recovery as
-// World.runBody: a fault-injected crash unwinds the step and surfaces as the
-// body's error instead of a process panic.
+// stepBody runs one Program step, converting a crash unwind into the body's
+// error: a fault-injected crash unwinds the step as a crashAbort panic and
+// surfaces here instead of as a process panic.
 func (m *rankMachine) stepBody() (flow sim.Flow, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -183,25 +190,28 @@ func (m *rankMachine) stepBody() (flow sim.Flow, err error) {
 			flow, err = sim.Done, ca.err
 		}
 	}()
-	return m.prog.Step(m.r), nil
+	flow = m.prog.Step(m.r)
+	if b, ok := m.prog.(*bodyProg); ok {
+		err = b.err
+	}
+	return flow, err
 }
 
-// msend drives one collective-context isend across machine steps: prep and
-// trace once, pre-claim the pair, and if the claim deferred the rank to the
-// next epoch group (regroup yield) retry the dispatch there — the same
-// virtual instant the blocking path's in-protocol claim resumes at. step
-// returns true once the send is handed to its protocol (req is then live);
-// false means the step's blocking primitive fired and the machine must
-// unwind with sim.More.
+// msend drives one isend across steps: prep and trace once, pre-claim the
+// pair, and if the claim deferred a flat machine to the next epoch group
+// (regroup yield) retry the dispatch there — the same virtual instant a
+// goroutine-backed rank's claim resumes at. step returns true once the send
+// is handed to its protocol (req is then live); false means the step's
+// blocking primitive fired and a machine must unwind with sim.More.
 type msend struct {
 	req  *Request
 	path core.Path
 	pend bool
 }
 
-func (m *msend) step(r *Rank, dst, tag int, data []byte) bool {
+func (m *msend) step(r *Rank, dst, tag, ctx int, data []byte) bool {
 	if !m.pend {
-		req, path, done := r.isendPrep(dst, tag, collCtxBit, data)
+		req, path, done := r.isendPrep(dst, tag, ctx, data)
 		m.req, m.path = req, path
 		if done {
 			return true // self-send: completed inline
@@ -218,7 +228,7 @@ func (m *msend) step(r *Rank, dst, tag int, data []byte) bool {
 	return true
 }
 
-// msr is sendrecvInternal as a machine: post the receive, start the send,
+// msr is a combined send and receive: post the receive, start the send,
 // wait receive then send, recycle both requests.
 type msr struct {
 	rq, sq *Request
@@ -226,14 +236,14 @@ type msr struct {
 	st     uint8
 }
 
-func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) bool {
+func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte, ctx int) bool {
 	switch m.st {
 	case 0:
-		m.rq = r.irecvCtx(src, recvTag, collCtxBit, recvBuf)
+		m.rq = r.irecvCtx(src, recvTag, ctx, recvBuf)
 		m.st = 1
 		fallthrough
 	case 1:
-		if !m.snd.step(r, dst, sendTag, sendData) {
+		if !m.snd.step(r, dst, sendTag, ctx, sendData) {
 			return false
 		}
 		m.sq = m.snd.req
@@ -256,8 +266,10 @@ func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int,
 	}
 }
 
-// finishColl ends a collective machine: it retires the scratch buffer, resets
-// the machine for reuse and reports completion.
+// finishColl ends a collective stepper: it retires the scratch buffer, resets
+// the stepper for reuse and reports completion. A crash unwinds a blocking
+// body past it, leaving the scratch to the GC — the safe side of putScratch's
+// rule, since a transfer may still be in flight toward the buffer.
 func finishColl[M any](r *Rank, m *M, tmp []byte) bool {
 	r.putScratch(tmp)
 	var zero M
@@ -265,7 +277,8 @@ func finishColl[M any](r *Rank, m *M, tmp []byte) bool {
 	return true
 }
 
-// mbarrier is Rank.barrier (dissemination) as a machine.
+// mbarrier is the dissemination barrier: round k exchanges an empty message
+// with the members k places away, k doubling.
 type mbarrier struct {
 	tag    int
 	k      int
@@ -274,22 +287,22 @@ type mbarrier struct {
 	st     uint8
 }
 
-func (m *mbarrier) step(r *Rank) bool {
+func (m *mbarrier) step(r *Rank, g *group) bool {
 	if m.st == 0 {
-		m.tag = r.nextCollTag()
+		m.tag = g.nextTag()
 		m.k = 1
 		m.st = 1
 	}
-	for m.k < r.size {
-		dst := (r.rank + m.k) % r.size
-		src := (r.rank - m.k + r.size) % r.size
+	for m.k < g.n {
+		dst := g.world((g.me + m.k) % g.n)
+		src := g.world((g.me - m.k + g.n) % g.n)
 		switch m.st {
 		case 1:
-			m.rq = r.irecvCtx(src, m.tag, collCtxBit, nil)
+			m.rq = r.irecvCtx(src, m.tag, g.ctx, nil)
 			m.st = 2
 			fallthrough
 		case 2:
-			if !m.snd.step(r, dst, m.tag, nil) {
+			if !m.snd.step(r, dst, m.tag, g.ctx, nil) {
 				return false
 			}
 			m.sq = m.snd.req
@@ -313,7 +326,8 @@ func (m *mbarrier) step(r *Rank) bool {
 	return true
 }
 
-// mreduce is Rank.reduce (binomial tree) as a machine.
+// mreduce is the binomial-tree reduce into group rank root; non-root buffers
+// are scratch.
 type mreduce struct {
 	tag   int
 	vrank int
@@ -325,23 +339,23 @@ type mreduce struct {
 	init  bool
 }
 
-func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
-	if r.size == 1 {
+func (m *mreduce) step(r *Rank, g *group, root int, buf []byte, op ReduceOp) bool {
+	if g.n == 1 {
 		return true
 	}
 	if !m.init {
-		m.tag = r.nextCollTag()
-		m.vrank = (r.rank - root + r.size) % r.size
+		m.tag = g.nextTag()
+		m.vrank = (g.me - root + g.n) % g.n
 		m.mask = 1
 		m.tmp = r.scratch(len(buf))
 		m.init = true
 	}
-	abs := func(v int) int { return (v + root) % r.size }
-	for m.mask < r.size {
+	abs := func(v int) int { return g.world((v + root) % g.n) }
+	for m.mask < g.n {
 		if m.vrank&m.mask != 0 {
 			// Send to the parent; this rank's part is done.
 			if m.st == 0 {
-				if !m.snd.step(r, abs(m.vrank-m.mask), m.tag, buf) {
+				if !m.snd.step(r, abs(m.vrank-m.mask), m.tag, g.ctx, buf) {
 					return false
 				}
 				m.rq = m.snd.req
@@ -352,9 +366,9 @@ func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
 			}
 			return finishColl(r, m, m.tmp)
 		}
-		if m.vrank+m.mask < r.size {
+		if m.vrank+m.mask < g.n {
 			if m.st == 0 {
-				m.rq = r.irecvCtx(abs(m.vrank+m.mask), m.tag, collCtxBit, m.tmp)
+				m.rq = r.irecvCtx(abs(m.vrank+m.mask), m.tag, g.ctx, m.tmp)
 				m.st = 2
 			}
 			if !r.waitStep(func() bool { return m.rq.done }) {
@@ -369,7 +383,7 @@ func (m *mreduce) step(r *Rank, root int, buf []byte, op ReduceOp) bool {
 	return finishColl(r, m, m.tmp)
 }
 
-// mbcast is Rank.bcast (binomial tree) as a machine.
+// mbcast is the binomial-tree broadcast from group rank root.
 type mbcast struct {
 	tag   int
 	vrank int
@@ -380,22 +394,24 @@ type mbcast struct {
 	st    uint8 // 0 at position, 1 waiting
 }
 
-func (m *mbcast) step(r *Rank, root int, data []byte) bool {
-	if r.size == 1 {
+func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
+	if g.n == 1 {
 		return true
 	}
-	abs := func(v int) int { return (v + root) % r.size }
+	abs := func(v int) int { return g.world((v + root) % g.n) }
 	if m.ph == 0 {
-		m.tag = r.nextCollTag()
-		m.vrank = (r.rank - root + r.size) % r.size
+		m.tag = g.nextTag()
+		m.vrank = (g.me - root + g.n) % g.n
 		m.mask = 1
 		m.ph = 1
 	}
 	if m.ph == 1 {
-		for m.mask < r.size {
+		// Walk up to this rank's lowest set bit: that is the level at which
+		// it receives from its parent; the root never receives.
+		for m.mask < g.n {
 			if m.vrank&m.mask != 0 {
 				if m.st == 0 {
-					m.rq = r.irecvCtx(abs(m.vrank-m.mask), m.tag, collCtxBit, data)
+					m.rq = r.irecvCtx(abs(m.vrank-m.mask), m.tag, g.ctx, data)
 					m.st = 1
 				}
 				if !r.waitStep(func() bool { return m.rq.done }) {
@@ -409,10 +425,11 @@ func (m *mbcast) step(r *Rank, root int, data []byte) bool {
 		m.st = 0
 		m.ph = 2
 	}
+	// Forward to children at every level below.
 	for m.mask > 0 {
-		if m.vrank+m.mask < r.size {
+		if m.vrank+m.mask < g.n {
 			if m.st == 0 {
-				if !m.snd.step(r, abs(m.vrank+m.mask), m.tag, data) {
+				if !m.snd.step(r, abs(m.vrank+m.mask), m.tag, g.ctx, data) {
 					return false
 				}
 				m.rq = m.snd.req
@@ -429,10 +446,13 @@ func (m *mbcast) step(r *Rank, root int, data []byte) bool {
 	return true
 }
 
-// mrd is Rank.allreduceRD (recursive doubling with the non-power-of-two
-// fold) as a machine. The fold and unfold states are inlined, reusing one
-// send submachine and one request slot, to keep the struct lean — a machine
-// rank's accounted footprint is this struct.
+// mrd is the recursive-doubling allreduce: log2(P) full-buffer exchanges,
+// with the standard fold of the surplus members of a non-power-of-two group
+// into the power-of-two one (pof2, the largest not above the group's size).
+// Latency-optimal; the selector's choice for small buffers, and the only
+// allreduce of communicators. The fold and unfold states are inlined, reusing
+// one send submachine and one request slot, to keep the struct lean — a
+// machine rank's accounted footprint is this struct.
 type mrd struct {
 	tag     int
 	rem     int
@@ -446,27 +466,27 @@ type mrd struct {
 	wait    bool  // inner position: request posted, waiting completion
 }
 
-func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
+func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 	if m.st == 0 {
-		m.tag = r.nextCollTag()
-		m.rem = r.size - pof2
+		m.tag = g.nextTag()
+		m.rem = g.n - pof2
 		m.tmp = r.scratch(len(buf))
 		m.newRank = -1
 		m.mask = 1
 		switch {
-		case r.rank < 2*m.rem && r.rank%2 == 0:
+		case g.me < 2*m.rem && g.me%2 == 0:
 			m.st = 1
-		case r.rank < 2*m.rem:
+		case g.me < 2*m.rem:
 			m.st = 2
 		default:
-			m.newRank = r.rank - m.rem
+			m.newRank = g.me - m.rem
 			m.st = 3
 		}
 	}
 	switch m.st {
 	case 1: // fold: surplus even rank sends its buffer to the odd partner
 		if !m.wait {
-			if !m.snd.step(r, r.rank+1, m.tag, buf) {
+			if !m.snd.step(r, g.world(g.me+1), m.tag, g.ctx, buf) {
 				return false
 			}
 			m.rq, m.wait = m.snd.req, true
@@ -478,7 +498,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		m.st = 3 // newRank stays -1: skip the exchange loop
 	case 2: // fold: surplus odd rank receives and reduces
 		if !m.wait {
-			m.rq = r.irecvCtx(r.rank-1, m.tag, collCtxBit, m.tmp)
+			m.rq = r.irecvCtx(g.world(g.me-1), m.tag, g.ctx, m.tmp)
 			m.wait = true
 		}
 		if !r.waitStep(func() bool { return m.rq.done }) {
@@ -486,15 +506,15 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 		r.chargeReduce(len(buf))
 		op(buf, m.tmp)
-		m.newRank = r.rank / 2
+		m.newRank = g.me / 2
 		m.wait = false
 		m.st = 3
 	}
 	if m.st == 3 {
 		if m.newRank >= 0 {
 			for m.mask < pof2 {
-				peer := toAbsFold(m.newRank^m.mask, m.rem)
-				if !m.sr.step(r, peer, m.tag, buf, peer, m.tag, m.tmp) {
+				peer := g.world(toAbsFold(m.newRank^m.mask, m.rem))
+				if !m.sr.step(r, peer, m.tag, buf, peer, m.tag, m.tmp, g.ctx) {
 					return false
 				}
 				r.chargeReduce(len(buf))
@@ -504,9 +524,9 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 		// Hand the result back to the folded ranks.
 		switch {
-		case r.rank >= 2*m.rem:
+		case g.me >= 2*m.rem:
 			return finishColl(r, m, m.tmp)
-		case r.rank%2 == 0:
+		case g.me%2 == 0:
 			m.st = 4
 		default:
 			m.st = 5
@@ -514,7 +534,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	}
 	if m.st == 4 {
 		if !m.wait {
-			m.rq = r.irecvCtx(r.rank+1, m.tag, collCtxBit, buf)
+			m.rq = r.irecvCtx(g.world(g.me+1), m.tag, g.ctx, buf)
 			m.wait = true
 		}
 		if !r.waitStep(func() bool { return m.rq.done }) {
@@ -522,7 +542,7 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			if !m.snd.step(r, r.rank-1, m.tag, buf) {
+			if !m.snd.step(r, g.world(g.me-1), m.tag, g.ctx, buf) {
 				return false
 			}
 			m.rq, m.wait = m.snd.req, true
@@ -534,8 +554,8 @@ func (m *mrd) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	return finishColl(r, m, m.tmp)
 }
 
-// toAbsFold maps a folded (power-of-two group) rank back to its absolute
-// rank, as the blocking fold's toAbs closure does.
+// toAbsFold maps a rank of the folded (power-of-two) group back to its rank
+// in the whole group.
 func toAbsFold(nr, rem int) int {
 	if nr < rem {
 		return nr*2 + 1
@@ -543,8 +563,9 @@ func toAbsFold(nr, rem int) int {
 	return nr + rem
 }
 
-// mrab is Rank.allreduceRab (Rabenseifner: fold, reduce-scatter by recursive
-// halving, allgather by recursive doubling, unfold) as a machine.
+// mrab is Rabenseifner's allreduce over the world: fold surplus ranks into
+// the power-of-two group, reduce-scatter by recursive halving, allgather by
+// recursive doubling, unfold. Bandwidth-optimal for large buffers.
 type mrab struct {
 	tag, tagRS, tagAG int
 	rem, newRank      int
@@ -581,7 +602,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1:
 		if !m.wait {
-			if !m.snd.step(r, r.rank+1, m.tag, buf) {
+			if !m.snd.step(r, r.rank+1, m.tag, collCtxBit, buf) {
 				return false
 			}
 			m.rq, m.wait = m.snd.req, true
@@ -626,7 +647,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 					m.sub = 1
 					fallthrough
 				case 1:
-					if !m.snd.step(r, peer, m.tagRS, buf[sendLo:sendHi]) {
+					if !m.snd.step(r, peer, m.tagRS, collCtxBit, buf[sendLo:sendHi]) {
 						return false
 					}
 					m.sub = 2
@@ -670,7 +691,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 					m.sub = 1
 					fallthrough
 				case 1:
-					if !m.snd.step(r, peer, m.tagAG, buf[m.lo:m.hi]) {
+					if !m.snd.step(r, peer, m.tagAG, collCtxBit, buf[m.lo:m.hi]) {
 						return false
 					}
 					m.sub = 2
@@ -714,7 +735,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			if !m.snd.step(r, r.rank-1, m.tag, buf) {
+			if !m.snd.step(r, r.rank-1, m.tag, collCtxBit, buf) {
 				return false
 			}
 			m.rq, m.wait = m.snd.req, true
@@ -726,7 +747,13 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	return finishColl(r, m, m.tmp)
 }
 
-// mring is Rank.allreduceRing (reduce-scatter + allgather ring) as a machine.
+// mring is the reduce-scatter + allgather ring allreduce over the world, as
+// used by data-parallel training frameworks: P-1 steps passing reduced
+// partial chunks to the right neighbor, then P-1 steps circulating the
+// finished chunks. Every transfer is nearest-neighbor, so on a co-resident
+// job each step stays on the SHM/CMA channels between adjacent ranks.
+// Requires len(buf)%8 == 0 (chunk boundaries stay element-aligned); ranks
+// beyond the element count simply own empty chunks.
 type mring struct {
 	tagRS, tagAG int
 	s            int
@@ -738,6 +765,7 @@ type mring struct {
 func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 	n := r.size
 	nel := len(buf) / 8
+	// Element-aligned chunk boundaries: chunk i is buf[off(i):off(i+1)].
 	off := func(i int) int { return i * nel / n * 8 }
 	chunk := func(i int) []byte { return buf[off(i):off(i+1)] }
 	right := (r.rank + 1) % n
@@ -745,15 +773,20 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 	if m.ph == 0 {
 		m.tagRS = r.nextCollTag()
 		m.tagAG = r.nextCollTag()
+		// A chunk spans floor((i+1)·nel/n) - floor(i·nel/n) <= ceil(nel/n)
+		// elements; size the receive scratch for the worst case.
 		m.tmp = r.scratch((nel + n - 1) / n * 8)
 		m.ph = 1
 	}
 	if m.ph == 1 {
+		// Reduce-scatter: at step s, send chunk (rank-s) and receive chunk
+		// (rank-s-1), reducing it into buf. After n-1 steps this rank holds
+		// the fully reduced chunk (rank+1).
 		for m.s < n-1 {
 			sendIdx := (r.rank - m.s + n) % n
 			recvIdx := (r.rank - m.s - 1 + n) % n
 			rc := chunk(recvIdx)
-			if !m.sr.step(r, right, m.tagRS, chunk(sendIdx), left, m.tagRS, m.tmp[:len(rc)]) {
+			if !m.sr.step(r, right, m.tagRS, chunk(sendIdx), left, m.tagRS, m.tmp[:len(rc)], collCtxBit) {
 				return false
 			}
 			if len(rc) > 0 {
@@ -765,10 +798,11 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 		m.s = 0
 		m.ph = 2
 	}
+	// Allgather: circulate the finished chunks, starting from (rank+1).
 	for m.s < n-1 {
 		sendIdx := (r.rank + 1 - m.s + n) % n
 		recvIdx := (r.rank - m.s + n) % n
-		if !m.sr.step(r, right, m.tagAG, chunk(sendIdx), left, m.tagAG, chunk(recvIdx)) {
+		if !m.sr.step(r, right, m.tagAG, chunk(sendIdx), left, m.tagAG, chunk(recvIdx), collCtxBit) {
 			return false
 		}
 		m.s++
@@ -776,10 +810,15 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 	return finishColl(r, m, m.tmp)
 }
 
-// mallreduce is Rank.allreduce as a machine: per-call algorithm selection,
-// then the chosen algorithm machine. Only the selected machine is allocated
-// — one is live at a time, and a machine rank's whole accounted footprint
-// rides on staying lean.
+// mallreduce is the world allreduce of machine programs: per-call algorithm
+// selection, then the chosen algorithm's stepper. Only the selected stepper
+// is allocated — one is live at a time, and a machine rank's whole accounted
+// footprint rides on staying lean. (Rank.allreduce, with a stack to spend,
+// dispatches over stack steppers instead.) The tree algorithm is a binomial
+// reduce to rank 0 followed by a binomial broadcast: 2·log2(P) rounds, each
+// moving the whole buffer. Recursive doubling dominates it in this cost
+// model, so the selector never picks it; it exists as a forced comparison
+// baseline (MV2_ALLREDUCE_ALGO=tree).
 type mallreduce struct {
 	pof2 int
 	algo core.AllreduceAlgo
@@ -795,13 +834,9 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 	if r.size == 1 {
 		return true
 	}
+	g := r.group()
 	if m.ph == 0 {
-		m.pof2 = 1
-		for m.pof2*2 <= r.size {
-			m.pof2 *= 2
-		}
-		m.algo = r.selectAllreduce(len(buf), m.pof2)
-		r.recordCollAlgo(m.algo, len(buf))
+		m.algo, m.pof2 = r.pickAllreduce(len(buf))
 		m.ph = 1
 		switch m.algo {
 		case core.AllreduceRabenseifner:
@@ -821,17 +856,17 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 	case core.AllreduceRing:
 		done = m.ring.step(r, buf, op)
 	case core.AllreduceTree:
-		// Binomial reduce to rank 0, then broadcast — allreduceTree.
+		// Binomial reduce to rank 0, then broadcast.
 		if m.ph == 1 {
-			if !m.red.step(r, 0, buf, op) {
+			if !m.red.step(r, &g, 0, buf, op) {
 				return false
 			}
 			m.ph = 2
 			m.red, m.bc = nil, &mbcast{}
 		}
-		done = m.bc.step(r, 0, buf)
+		done = m.bc.step(r, &g, 0, buf)
 	default:
-		done = m.rd.step(r, buf, op, m.pof2)
+		done = m.rd.step(r, &g, buf, op, m.pof2)
 	}
 	if !done {
 		return false
@@ -845,7 +880,10 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 // The zero value is ready; it resets itself on completion for reuse.
 type MachBarrier struct{ m mbarrier }
 
-func (b *MachBarrier) Step(r *Rank) bool { return b.m.step(r) }
+func (b *MachBarrier) Step(r *Rank) bool {
+	g := r.group()
+	return b.m.step(r, &g)
+}
 
 // MachAllreduce is Rank.Allreduce for machine programs (the non-hierarchical
 // path: per-call algorithm selection over recursive doubling, Rabenseifner,

@@ -87,7 +87,7 @@ func (g *exchangeProg) Step(r *Rank) sim.Flow {
 		if g.ring {
 			dst, src = (r.rank+1)%n, (r.rank-1+n)%n
 		}
-		if !g.sr.step(r, dst, g.step, g.send[dst*g.size:(dst+1)*g.size], src, g.step, g.recv[src*g.size:(src+1)*g.size]) {
+		if !g.sr.step(r, dst, g.step, g.send[dst*g.size:(dst+1)*g.size], src, g.step, g.recv[src*g.size:(src+1)*g.size], collCtxBit) {
 			return sim.More
 		}
 		g.step++
@@ -174,5 +174,125 @@ func TestFaultWorldTracePinned(t *testing.T) {
 	}
 	if len(g) != len(w) {
 		t.Errorf("%d trace lines, the dispatch-order trace has %d", len(g), len(w))
+	}
+}
+
+// Traces of the communicator and hierarchical collectives, pinned before
+// they became drivers of the steppers in machine.go. The digests were
+// recorded at the commit before that move (1700ac2); every width must still
+// produce them.
+
+// fillRanked writes value v into every int64 element of buf.
+func fillRanked(buf []byte, v int64) {
+	for i := 0; i+8 <= len(buf); i += 8 {
+		le.PutUint64(buf[i:], uint64(v))
+	}
+}
+
+// checkRanked reports the first int64 element of buf that is not want.
+func checkRanked(what string, buf []byte, want int64) error {
+	for i := 0; i+8 <= len(buf); i += 8 {
+		if got := int64(le.Uint64(buf[i:])); got != want {
+			return fmt.Errorf("%s: elem %d is %d, want %d", what, i/8, got, want)
+		}
+	}
+	return nil
+}
+
+// commCollBody runs Barrier, Allreduce, Bcast and Reduce on the world
+// communicator and then on a three-way Split of it (10 or 11 members each at
+// 32 ranks: the non-power-of-two fold, roots other than member 0).
+func commCollBody(size int) func(r *Rank) error {
+	return func(r *Rank) error {
+		world := r.CommWorld()
+		for _, split := range []bool{false, true} {
+			c := world
+			if split {
+				c = world.Split(r.Rank()%3, 0)
+			}
+			n := int64(c.Size())
+			buf := make([]byte, size)
+			c.Barrier()
+			fillRanked(buf, int64(c.Rank()+1))
+			c.Allreduce(buf, SumInt64)
+			if err := checkRanked("Comm.Allreduce", buf, n*(n+1)/2); err != nil {
+				return err
+			}
+			root := c.Size() - 1
+			if c.Rank() == root {
+				fillRanked(buf, 77)
+			}
+			c.Bcast(root, buf)
+			if err := checkRanked("Comm.Bcast", buf, 77); err != nil {
+				return err
+			}
+			fillRanked(buf, int64(c.Rank()+1))
+			c.Reduce(1, buf, SumInt64)
+			if c.Rank() == 1 {
+				if err := checkRanked("Comm.Reduce", buf, n*(n+1)/2); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// hierCollBody runs the two-level Allreduce and Bcast (roots that are a
+// leader, a plain member, and a member of the last group).
+func hierCollBody(size int) func(r *Rank) error {
+	return func(r *Rank) error {
+		n := int64(r.Size())
+		buf := make([]byte, size)
+		fillRanked(buf, int64(r.Rank()+1))
+		r.Allreduce(buf, SumInt64)
+		if err := checkRanked("hierAllreduce", buf, n*(n+1)/2); err != nil {
+			return err
+		}
+		for _, root := range []int{16, 5, r.Size() - 1} {
+			fillRanked(buf, int64(r.Rank()))
+			r.Bcast(root, buf)
+			if err := checkRanked("hierBcast", buf, int64(root)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func TestCommAndHierTracesPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		hier   bool
+		ranks  int // hier: three hosts, so three leaders fold
+		size   int
+		digest string
+	}{
+		{"comm/64", false, 32, 64, "12dfe50509c4408645a42a119f21e92d2e4cc259a53b408989f6ed3bbca3df49"},
+		{"comm/8k", false, 32, 8 << 10, "27fc227c4cae362f2a002c77574b62446846fde342fcae78926b0c6b83cf9db4"},
+		{"comm/256k", false, 32, 256 << 10, "8994ca0d65612d6c9afe6dbb489917767223388007b9845192edf8e3c0eeb8ca"},
+		{"hier/64", true, 48, 64, "016636a8b9dac812ba450f468bbb8d11a2ac1c30ee07f53085d8578dc0c17661"},
+		{"hier/8k", true, 48, 8 << 10, "cf4c8e892efa20bd53336f51b0465fd0c090419b457c63ab741e9aeb9fe2e44b"},
+		{"hier/256k", true, 48, 256 << 10, "8315611a6bfff7d217c61a402de8b1d093902153bd74f28f1dd35dbb9e8f75a9"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := DefaultOptions()
+				opts.HierarchicalCollectives = tc.hier
+				w, buf := machWorldOpts(t, tc.ranks, opts, ib.Topology{}, true, workers)
+				body := commCollBody(tc.size)
+				if tc.hier {
+					body = hierCollBody(tc.size)
+				}
+				if err := w.Run(body); err != nil {
+					t.Fatalf("w%d: %v", workers, err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != tc.digest {
+					t.Errorf("w%d: trace digest %s (%d bytes), want %s", workers, got, buf.Len(), tc.digest)
+				}
+			}
+		})
 	}
 }

@@ -59,8 +59,8 @@ import "cmpi/internal/core"
 //     Envelopes of failed requests are deliberately leaked to the GC —
 //     error paths are cold and auditing their aliasing buys nothing.
 //   - Request: recycled by whoever owns the handle and says it is done with
-//     it. The blocking wrappers (Send/Recv/Ssend/Sendrecv and the
-//     collectives' sendrecvInternal) own theirs; a handle from Isend/Irecv is
+//     it. The blocking wrappers (Send/Recv/Ssend/Sendrecv) and the
+//     collectives' msr stepper own theirs; a handle from Isend/Irecv is
 //     the user's until it is passed to Rank.Release (MPI_Request_free), which
 //     takes completed handles only. Wait, WaitAll and Test never recycle:
 //     callers read a handle's status and error after them. HCA-rendezvous

@@ -315,10 +315,10 @@ func (r *Rank) isendCtx(dst, tag, ctx int, data []byte) *Request {
 // isendPrep is the front half of isendCtx: validate, build the request,
 // take the fast paths (self-send, dead destination), select the channel and
 // emit the send trace record. done=true means the request needs no protocol
-// dispatch. Split from isendDispatch so machine ranks (machine.go) can
-// claim the destination pair — and possibly regroup-yield — between the
-// trace emission and the protocol entry, at exactly the virtual instant the
-// blocking path's internal claimPair fires.
+// dispatch. Split from isendDispatch so msend (machine.go) can claim the
+// destination pair — and possibly regroup-yield — between the trace emission
+// and the protocol entry, at exactly the virtual instant isendCtx's
+// in-protocol claimPair fires.
 func (r *Rank) isendPrep(dst, tag, ctx int, data []byte) (req *Request, path core.Path, done bool) {
 	if dst < 0 || dst >= r.size {
 		r.p.Fatalf("Isend to rank %d outside world of size %d", dst, r.size)

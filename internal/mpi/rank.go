@@ -257,21 +257,10 @@ func (r *Rank) LocalRanks() []int {
 	return out
 }
 
-// init is MPI_Init: open the HCA and run the Container Locality Detector
-// (per-peer capabilities are derived on first contact, see Rank.peer). Split
-// around the PMI barrier so
-// machine ranks (machine.go) can run the same two halves with the barrier
-// wait spread across steps.
-func (r *Rank) init() error {
-	if err := r.initPre(); err != nil {
-		return err
-	}
-	r.w.pmiBarrier(r)
-	return r.initPost()
-}
-
-// initPre is the pre-barrier half of MPI_Init: open the device and publish
-// the rank's detector byte.
+// initPre is the pre-barrier half of MPI_Init: open the HCA and publish the
+// rank's detector byte (per-peer capabilities are derived on first contact,
+// see Rank.peer). MPI_Init is split around the PMI barrier so that
+// rankMachine can spread the barrier wait across steps.
 func (r *Rank) initPre() error {
 	p := r.w.Opts.Params
 
@@ -727,37 +716,23 @@ func (r *Rank) progress() bool {
 	return adv
 }
 
-// waitUntil drives progress until cond holds, parking when idle. Every
-// external state change that could satisfy cond wakes the rank — including
-// the wake scheduled for the rank's own planned crash, and (under
-// ErrorsRecover) the broadcast wake markCrashed sends when a peer dies.
+// waitUntil drives progress until cond holds, parking when idle: waitStep's
+// loop, gone round once per wake. Only a goroutine-backed body may call it —
+// its Park blocks for real.
 func (r *Rank) waitUntil(cond func() bool) {
-	for {
-		r.faultCheck()
-		if r.w.crashGen != r.crashSeen {
-			r.crashSeen = r.w.crashGen
-			r.failDeadOps()
-		}
-		if cond() {
-			return
-		}
-		if r.progress() {
-			continue
-		}
-		if cond() {
-			return
-		}
-		r.p.Park()
+	for !r.waitStep(cond) {
 	}
 }
 
-// waitStep is waitUntil for machine ranks: one pass of the wait loop per
-// machine step. True means cond holds and the caller proceeds; false means
-// the rank parked — Park was the call's last action, so the machine must
-// unwind its Step returning sim.More, and the next step re-enters waitStep
-// exactly like the blocking loop's iteration after Park returns. Identical
-// on both engines: a goroutine-backed machine blocks inside Park and simply
-// loops through one extra Step.
+// waitStep is one pass of the rank's wait loop: drive progress until cond
+// holds or nothing advances. True means cond holds and the caller proceeds;
+// false means the rank parked (or yielded to regroup) as the call's last
+// action. A machine step then unwinds returning sim.More and the next step
+// re-enters here; a goroutine-backed caller was blocked inside Park until
+// the wake and simply calls again. Every external state change that could
+// satisfy cond wakes the rank — including the wake scheduled for the rank's
+// own planned crash, and (under ErrorsRecover) the broadcast wake
+// markCrashed sends when a peer dies.
 func (r *Rank) waitStep(cond func() bool) bool {
 	for {
 		r.faultCheck()

@@ -53,7 +53,7 @@ func (r *Rank) WinCreate(buf []byte) *Win {
 	}
 	ex.wins[r.rank] = w
 	ex.seen++
-	r.barrier()
+	r.barrier(r.group())
 	w.peers = ex.wins
 	return w
 }
@@ -63,7 +63,7 @@ func (w *Win) Free() {
 	w.r.profEnter()
 	defer w.r.profExit("Win_free")
 	w.r.waitUntil(func() bool { return w.outstanding == 0 })
-	w.r.barrier()
+	w.r.barrier(w.r.group())
 }
 
 // Put writes data into target's window at offset. Completion is local
@@ -214,5 +214,5 @@ func (w *Win) Fence() {
 	w.r.profEnter()
 	defer w.r.profExit("Win_fence")
 	w.r.waitUntil(func() bool { return w.outstanding == 0 })
-	w.r.barrier()
+	w.r.barrier(w.r.group())
 }

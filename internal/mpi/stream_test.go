@@ -93,7 +93,7 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 		case 0: // post the window
 			for g.i < streamWindow {
 				if r.rank == 0 {
-					if !g.snd.step(r, 1, streamTag, g.buf) {
+					if !g.snd.step(r, 1, streamTag, collCtxBit, g.buf) {
 						return sim.More
 					}
 					g.reqs[g.i] = g.snd.req
@@ -115,7 +115,7 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 			if r.rank == 0 {
 				g.ackReq = r.irecvCtx(1, streamAckTag, collCtxBit, g.ack)
 			} else {
-				if !g.snd.step(r, 0, streamAckTag, g.ack) {
+				if !g.snd.step(r, 0, streamAckTag, collCtxBit, g.ack) {
 					return sim.More
 				}
 				g.ackReq = g.snd.req
@@ -264,5 +264,56 @@ func TestOneWayStreamAcrossEpochGroups(t *testing.T) {
 	}
 	if width := w.Eng.Stats().MaxBatchWidth; width < 2 {
 		t.Errorf("widest epoch had %d group(s): the world no longer splits, so nothing here ran concurrently", width)
+	}
+}
+
+// commCollBytes is the heap the process allocates building one six-rank world
+// (the non-power-of-two fold) and running the given number of Comm.Allreduce
+// and Comm.Reduce rounds on its world communicator: the least of three runs,
+// as in streamBytes.
+func commCollBytes(t *testing.T, size, calls int) uint64 {
+	t.Helper()
+	least := ^uint64(0)
+	for run := 0; run < 3; run++ {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		w := testWorld(t, "2cont", 6, DefaultOptions())
+		err := w.Run(func(r *Rank) error {
+			c := r.CommWorld()
+			buf := make([]byte, size)
+			for i := 0; i < calls; i++ {
+				c.Allreduce(buf, SumInt64)
+				c.Reduce(i%c.Size(), buf, SumInt64)
+			}
+			return nil
+		})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m1.TotalAlloc - m0.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// TestCommCollectivesSteadyStateBytes: the communicator collectives run the
+// world's steppers, so their receive scratch comes from the rank's pool like
+// the world collectives' — after warm-up, a hundred 64 KiB Comm.Allreduce and
+// Comm.Reduce calls allocate no scratch-sized buffer (each used to make one
+// per call and rank).
+func TestCommCollectivesSteadyStateBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow")
+	}
+	const size, few, many, ranks = 64 << 10, 10, 110, 6
+	a := commCollBytes(t, size, few)
+	b := commCollBytes(t, size, many)
+	per := (float64(b) - float64(a)) / float64((many-few)*ranks)
+	t.Logf("%.0f B per rank and Allreduce+Reduce round of %d B", per, size)
+	if per > size/16 {
+		t.Errorf("Comm.Allreduce+Reduce allocate %.0f B per rank and round in steady state; want no scratch-sized (%d B) buffer", per, size)
 	}
 }

@@ -209,8 +209,17 @@ func (w *World) Size() int { return len(w.ranks) }
 // deadlock report, joined with errors.Join; nil when all ranks succeed.
 // A World is single-shot: a second Run returns an error.
 func (w *World) Run(body func(r *Rank) error) error {
+	return w.run(false, func(int) Program { return &bodyProg{body: body} })
+}
+
+// run starts every rank on the rankMachine lifecycle (machine.go) and drives
+// the engine. A machine world hands the lifecycle to the engine as a
+// sim.Machine; a blocking one steps it from a goroutine-backed process,
+// where Park, Advance and YieldRegroup block for real: the lifecycle's two
+// PMI waits come back with sim.More once per wake, and the body is one step.
+func (w *World) run(machine bool, mk func(rank int) Program) error {
 	if w.ran {
-		return fmt.Errorf("mpi: World.Run called twice; build a fresh World per job")
+		return fmt.Errorf("mpi: World run twice; build a fresh World per job")
 	}
 	w.ran = true
 	w.tracing = w.Opts.Trace != nil || w.Opts.Record != nil
@@ -231,45 +240,19 @@ func (w *World) Run(body func(r *Rank) error) error {
 	// switch a cross-rack pair's ECMP routes can book is a declared resource
 	// (resSpine) in both ranks' footprints, so groups sharing a spine merge.
 	w.parallel = w.inj == nil
-	for i := range w.ranks {
-		r := w.ranks[i]
-		p := w.Eng.Go(fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
-			r.p = p
-			if at, ok := w.inj.CrashTime(r.rank); ok {
-				r.hasCrash, r.crashAt = true, at
-				// The victim may be parked at its death time; schedule a wake
-				// so the crash fires at the planned instant, not whenever the
-				// rank happens to run next. A background alarm: a death
-				// pending far in the future must not block the quiescence
-				// cut a checkpoint barrier commits at.
-				w.Eng.AtBackground(at, func() { p.UnparkAt(at) })
-			}
-			if err := r.init(); err != nil {
-				// Init failures are always fatal: the job never formed, so
-				// there is nothing to degrade to (matching MPI_Init semantics,
-				// where error handlers attach only after init returns).
-				p.Fatalf("MPI_Init: %v", err)
-			}
-			w.pmiBarrier(r)
-			// Init shares job-global state (PMI, detector segment, device
-			// discovery); only past this barrier does the rank's footprint
-			// narrow from Global to its claimed pairs.
-			r.parallelReady = true
-			if w.restored != nil {
-				w.restoreRank(r)
-			}
-			w.bodyStart[r.rank] = p.Now()
-			err := w.runBody(r, body)
-			w.bodyEnd[r.rank] = p.Now()
-			if w.Prof != nil {
-				w.Prof.Ranks[r.rank].AppTime = w.bodyEnd[r.rank] - w.bodyStart[r.rank]
-			}
-			if err != nil {
-				w.failRank(r, err)
-				return
-			}
-			r.finalizeCheck()
-		})
+	for _, r := range w.ranks {
+		r.machine = machine
+		m := &rankMachine{w: w, r: r, prog: mk(r.rank)}
+		name := fmt.Sprintf("rank%d", r.rank)
+		var p *sim.Proc
+		if machine {
+			p = w.Eng.GoMachine(name, m)
+		} else {
+			p = w.Eng.Go(name, func(p *sim.Proc) {
+				for m.Step(p) == sim.More {
+				}
+			})
+		}
 		if w.parallel {
 			p.SetRes(w.resRank(r.rank))
 			p.SetFootprint(r.footprint)
@@ -348,21 +331,6 @@ func (w *World) drainPools(clean bool) {
 	}
 }
 
-// runBody executes the user body, converting a crash unwind into the body's
-// error return.
-func (w *World) runBody(r *Rank, body func(r *Rank) error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			ca, ok := v.(crashAbort)
-			if !ok {
-				panic(v)
-			}
-			err = ca.err
-		}
-	}()
-	return body(r)
-}
-
 // failRank records a rank failure. Under ErrorsAreFatal it aborts the whole
 // simulation with the typed error (first failure wins, as in MPI_Abort);
 // under ErrorsReturn the rank simply stops and peers either complete, observe
@@ -387,7 +355,7 @@ func (w *World) failRank(r *Rank, cause error) {
 }
 
 // markCrashed flags a dead rank and propagates the observation: every live
-// rank is woken so its next waitUntil iteration reaps operations bound to the
+// rank is woken so its next waitStep pass reaps operations bound to the
 // casualty, any in-progress Comm.Shrink agreements re-evaluate their member
 // sets, and an in-flight checkpoint barrier aborts. Only fault worlds crash
 // ranks, and their every epoch is one group, so plain field writes are safe.
@@ -492,27 +460,14 @@ func (w *World) MaxBodyTime() sim.Time {
 // BodyTime reports one rank's span.
 func (w *World) BodyTime(rank int) sim.Time { return w.bodyEnd[rank] - w.bodyStart[rank] }
 
-// pmiBarrier is the out-of-band bootstrap barrier (PMI), used during
-// MPI_Init — notably between publishing membership bytes into the container
-// list and snapshotting it.
-func (w *World) pmiBarrier(r *Rank) {
-	gen, released := w.pmiArrive(r)
-	if released {
-		return
-	}
-	for w.pmiGen == gen {
-		r.p.Park()
-	}
-}
-
-// pmiArrive records one rank's arrival at the PMI barrier. The last arriver
-// performs the release (waking every other rank and advancing its own clock
-// to the release time — a pure bump for machine ranks, whose Advance never
-// yields) and reports released=true; everyone else gets back the generation
-// to wait on (w.pmiGen != gen means released). Split out so machine ranks can
-// arrive in one step and poll the generation across later steps, while the
-// blocking wrapper above keeps its Park loop.
-func (w *World) pmiArrive(r *Rank) (gen int, released bool) {
+// pmiArrive records one rank's arrival at the PMI barrier — the out-of-band
+// bootstrap barrier of MPI_Init, notably between publishing membership bytes
+// into the container list and snapshotting it — and returns the generation
+// the rank waits on: the barrier is released once w.pmiGen has moved past it,
+// which rankMachine polls, parking in between. The last arriver performs the
+// release, waking every other rank and advancing its own clock to the release
+// time.
+func (w *World) pmiArrive(r *Rank) (gen int) {
 	gen = w.pmiGen
 	w.pmiArrived++
 	if t := r.p.Now(); t > w.pmiLatest {
@@ -531,9 +486,8 @@ func (w *World) pmiArrive(r *Rank) (gen int, released bool) {
 		if release > r.p.Now() {
 			r.p.Advance(release - r.p.Now())
 		}
-		return gen, true
 	}
-	return gen, false
+	return gen
 }
 
 // pairShared is the per-pair connection state, shared by the pair's two
