@@ -9,10 +9,8 @@
 //	repro -list         # list experiment ids
 //	repro -j 4          # pin the sweep worker pool (default: GOMAXPROCS)
 //	repro -sim-j 4      # pin the in-world epoch dispatch width (default: 1)
-//	repro -bench-out BENCH_repro.json  # host-time benchmark snapshot
 //	repro -bench-smoke                 # dispatch-width regression gate
-//	repro -ranks 4096                  # scale-proxy allreduce on both engines
-//	repro -scale-smoke                 # flat-engine scale gate (4096 ranks)
+//	repro -ranks 4096                  # scale-proxy allreduce: time and memory
 //	repro -fidelity-smoke              # full-fidelity machine-body gate (1024 and 4096 ranks)
 //	repro -trace-out golden.trace      # record the canonical trace job
 //	repro -replay golden.trace         # reconstruct counters from a trace
@@ -22,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -49,16 +46,14 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text (for plotting)")
 	workers := flag.Int("j", 0, "experiment sweep workers; 0 = CMPI_SWEEP_WORKERS env or GOMAXPROCS (tables are byte-identical for any value)")
 	simWorkers := flag.Int("sim-j", 0, "epoch dispatch width inside each simulated world; 0 = CMPI_SIM_WORKERS env or 1 (results are byte-identical for any value)")
-	benchOut := flag.String("bench-out", "", "write a host-time benchmark snapshot (JSON) to this file and exit")
 	benchSmoke := flag.Bool("bench-smoke", false, "quick dispatch-width regression gate: fail unless the 64-rank allreduce (1 KiB at widths 2/4/8/N, 1 MiB at width N) keeps up with width 1 (25% tolerance)")
 	traceOut := flag.String("trace-out", "", "record the canonical trace job to this file and exit")
 	traceJob := flag.String("trace-job", "golden", "trace job for -trace-out: golden (16 ranks, trivial topology) or fattree (32 ranks on a 2-rack fat tree)")
 	replay := flag.String("replay", "", "replay a recorded trace: reconstruct and print its counters, then exit")
 	traceDiff := flag.Bool("trace-diff", false, "compare the two trace files given as arguments; exit 1 on divergence")
 	faultSeed := flag.Int64("fault-seed", -1, "run the seeded chaos harness: fault.RandomPlan(seed) plus a crash, ddmin-shrunk to the minimal failing repro")
-	ranks := flag.Int("ranks", 0, "run the scale-proxy allreduce at this many ranks on both simulator engines and report time/memory")
-	scaleSmoke := flag.Bool("scale-smoke", false, "flat-engine scale gate: the 4096-rank allreduce must complete, agree with the goroutine engine, and use >=10x less accounted per-proc memory")
-	fidelitySmoke := flag.Bool("fidelity-smoke", false, "full-fidelity scale gate: a real (non-proxy) 1024-rank world with machine-native rank bodies must complete on the flat engine with a >=5x accounted memory advantage over goroutine bodies, and the 4096-rank one inside 512 MiB of heap")
+	ranks := flag.Int("ranks", 0, "run the scale-proxy allreduce at this many ranks and report time/memory")
+	fidelitySmoke := flag.Bool("fidelity-smoke", false, "full-fidelity scale gate: a real (non-proxy) 1024-rank world with machine-native rank bodies must complete with a >=5x accounted memory advantage over blocking bodies, and the 4096-rank one inside 512 MiB of heap")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of whatever this invocation runs to this file (read with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile, taken as the run ends, to this file (go tool pprof -sample_index=alloc_space)")
 	flag.Parse()
@@ -77,13 +72,6 @@ func main() {
 		os.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(*simWorkers))
 	}
 
-	if *benchOut != "" {
-		if err := writeBenchSnapshot(*benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-out: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *benchSmoke {
 		if err := benchSmokeCheck(); err != nil {
 			fmt.Fprintf(os.Stderr, "bench-smoke: %v\n", err)
@@ -92,15 +80,8 @@ func main() {
 		return
 	}
 	if *ranks > 0 {
-		if err := scaleCompare(*ranks); err != nil {
+		if err := scaleReport(*ranks); err != nil {
 			fmt.Fprintf(os.Stderr, "ranks: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleSmoke {
-		if err := scaleSmokeCheck(); err != nil {
-			fmt.Fprintf(os.Stderr, "scale-smoke: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -293,148 +274,30 @@ func diffTraces(paths []string) int {
 	return 0
 }
 
-// benchSnapshot is the committed BENCH_repro.json format: host-time numbers
-// for the full Quick-scale table regeneration (sequential vs parallel sweep)
-// and the steady-state pt2pt hot path.
-type benchSnapshot struct {
-	GOOS           string  `json:"goos"`
-	GOARCH         string  `json:"goarch"`
-	GOMAXPROCS     int     `json:"gomaxprocs"`
-	SweepWorkers   int     `json:"sweep_workers"`
-	SequentialSec  float64 `json:"full_table_sequential_sec"`
-	ParallelSec    float64 `json:"full_table_parallel_sec"`
-	Speedup        float64 `json:"full_table_speedup"`
-	PingPongNsMsg  float64 `json:"shm_pingpong_ns_per_msg"`
-	PingPongAllocs float64 `json:"shm_pingpong_allocs_per_msg"`
-
-	// 64-rank allreduce job at epoch dispatch widths 1/2/4/8/N: the in-world
-	// parallel dispatch datapoints. A world collective couples every rank, so
-	// epochs converge toward few groups and each width must at least keep up
-	// with width 1 — these rows are the dispatch-overhead guard (the bench
-	// smoke gate asserts every speedup ≥ 1 within tolerance). Real width
-	// comes from the pairwise row below, where independence actually exists.
-	SimWorkers         int     `json:"sim_workers"`
-	Allreduce64Width1  float64 `json:"allreduce64_width1_sec"`
-	Allreduce64Width2  float64 `json:"allreduce64_width2_sec"`
-	Allreduce64Width4  float64 `json:"allreduce64_width4_sec"`
-	Allreduce64Width8  float64 `json:"allreduce64_width8_sec"`
-	Allreduce64WidthN  float64 `json:"allreduce64_widthN_sec"`
-	Allreduce64Speedup float64 `json:"allreduce64_widthN_speedup"`
-	// Scheduler health counters from the width-N allreduce run: pairs shed
-	// by adaptive footprint decay, phase-change re-widens, and groups that
-	// queued behind the worker pool (see profile.SimStats).
-	Allreduce64Narrowed uint64 `json:"allreduce64_narrowed_pairs"`
-	Allreduce64Rewidens uint64 `json:"allreduce64_phase_rewidens"`
-	Allreduce64Stalls   uint64 `json:"allreduce64_barrier_stalls"`
-
-	PairwiseWidth1        float64 `json:"pairwise64_width1_sec"`
-	PairwiseWidthN        float64 `json:"pairwise64_widthN_sec"`
-	PairwiseSpeedup       float64 `json:"pairwise64_speedup"`
-	PairwiseMaxBatchWidth int     `json:"pairwise64_max_batch_width"`
-	PairwiseNarrowed      uint64  `json:"pairwise64_narrowed_pairs"`
-
-	// Scale-proxy points (mpi.RunScale, 1 MiB allreduce, 32 ranks/host on the
-	// 8-host-rack fat tree): min-of-3 host seconds on the flat engine, plus
-	// the accounted flat-vs-goroutine peak-memory ratio at 4096 ranks — the
-	// flat engine's headline number. The virtual result is engine-invariant;
-	// only host time is measured here.
-	Scale256Sec       float64 `json:"scale_allreduce_256_sec"`
-	Scale1024Sec      float64 `json:"scale_allreduce_1024_sec"`
-	Scale4096Sec      float64 `json:"scale_allreduce_4096_sec"`
-	Scale4096MemRatio float64 `json:"scale_allreduce_4096_mem_ratio"`
-
-	// Full-fidelity 1024-rank point (no proxy: the real pt2pt protocol and
-	// collective selector over the scale fat tree): host seconds for
-	// machine-native rank bodies on the flat engine, and the accounted
-	// peak-proc-memory ratio of blocking goroutine bodies over flat machine
-	// bodies running the identical workload.
-	Fidelity1024FlatSec  float64 `json:"fidelity_allreduce_1024_flat_sec"`
-	Fidelity1024MemRatio float64 `json:"fidelity_allreduce_1024_mem_ratio"`
-}
-
 // scaleTopo is the fat tree the scale points run over (matches the ext-scale
 // experiment): 8-host racks behind a two-stage spine.
 var scaleTopo = ib.Topology{RackSize: 8, SpineStages: 2, SpinesPerStage: 4, HopLatency: 150 * sim.Nanosecond}
 
-// scaleOpts is the canonical scale-point configuration at n ranks.
-func scaleOpts(n int, flat bool) mpi.ScaleOptions {
-	return mpi.ScaleOptions{Ranks: n, RanksPerHost: 32, Bytes: 1 << 20, Topology: scaleTopo, Flat: &flat}
-}
-
-// measureScale runs the n-rank scale point `rounds` times on the chosen
-// engine and returns min host seconds plus the (identical) last result.
-func measureScale(n int, flat bool, rounds int) (float64, *mpi.ScaleResult, error) {
-	best := math.MaxFloat64
-	var res *mpi.ScaleResult
-	for i := 0; i < rounds; i++ {
-		start := time.Now()
-		r, err := mpi.RunScale(scaleOpts(n, flat))
-		if err != nil {
-			return 0, nil, err
-		}
-		if sec := time.Since(start).Seconds(); sec < best {
-			best = sec
-		}
-		res = r
-	}
-	return best, res, nil
-}
-
-// scaleCompare runs one rank count on both engines and prints the report
-// behind `repro -ranks N`.
-func scaleCompare(n int) error {
-	fSec, fRes, err := measureScale(n, true, 1)
+// scaleReport runs the scale-proxy allreduce (1 MiB, 32 ranks/host) at n
+// ranks and prints the report behind `repro -ranks N`.
+func scaleReport(n int) error {
+	start := time.Now()
+	res, err := mpi.RunScale(mpi.ScaleOptions{Ranks: n, RanksPerHost: 32, Bytes: 1 << 20, Topology: scaleTopo})
 	if err != nil {
-		return fmt.Errorf("flat engine: %w", err)
+		return err
 	}
-	gSec, gRes, err := measureScale(n, false, 1)
-	if err != nil {
-		return fmt.Errorf("goroutine engine: %w", err)
-	}
-	if fRes.Time != gRes.Time {
-		return fmt.Errorf("engines diverged: flat %v vs goroutine %v", fRes.Time, gRes.Time)
-	}
-	fmt.Printf("scale allreduce: %d ranks, %d hosts, %d racks, algo %s\n", n, fRes.Hosts, fRes.Racks, fRes.Algo)
-	fmt.Printf("  virtual completion: %.3f ms (identical on both engines)\n", fRes.Time.Millis())
-	fmt.Printf("  flat engine:      %6.2fs host, peak %8d KiB accounted (arena %.0f%% utilized)\n",
-		fSec, fRes.Sim.PeakProcBytes/1024, fRes.Sim.ArenaUtilization*100)
-	fmt.Printf("  goroutine engine: %6.2fs host, peak %8d KiB accounted\n", gSec, gRes.Sim.PeakProcBytes/1024)
-	fmt.Printf("  accounted memory ratio: %.1fx\n", float64(gRes.Sim.PeakProcBytes)/float64(fRes.Sim.PeakProcBytes))
-	return nil
-}
-
-// scaleSmokeCheck is the CI scale gate: the 4096-rank point must complete on
-// the flat engine, agree exactly with the goroutine engine, and carry a >=10x
-// accounted memory advantage. No host-time threshold — CI budgets wall clock
-// via its own timeout; this gate checks behavior, not speed.
-func scaleSmokeCheck() error {
-	const n = 4096
-	fSec, fRes, err := measureScale(n, true, 1)
-	if err != nil {
-		return fmt.Errorf("flat engine: %w", err)
-	}
-	gSec, gRes, err := measureScale(n, false, 1)
-	if err != nil {
-		return fmt.Errorf("goroutine engine: %w", err)
-	}
-	fmt.Printf("scale4096 flat:      %.2fs host, virtual %.3f ms, peak %d KiB\n", fSec, fRes.Time.Millis(), fRes.Sim.PeakProcBytes/1024)
-	fmt.Printf("scale4096 goroutine: %.2fs host, virtual %.3f ms, peak %d KiB\n", gSec, gRes.Time.Millis(), gRes.Sim.PeakProcBytes/1024)
-	if fRes.Time != gRes.Time {
-		return fmt.Errorf("engines diverged: flat %v vs goroutine %v", fRes.Time, gRes.Time)
-	}
-	ratio := float64(gRes.Sim.PeakProcBytes) / float64(fRes.Sim.PeakProcBytes)
-	fmt.Printf("scale4096 accounted memory ratio: %.1fx\n", ratio)
-	if ratio < 10 {
-		return fmt.Errorf("flat engine memory advantage %.1fx, want >= 10x", ratio)
-	}
+	fmt.Printf("scale allreduce: %d ranks, %d hosts, %d racks, algo %s\n", n, res.Hosts, res.Racks, res.Algo)
+	fmt.Printf("  virtual completion: %.3f ms\n", res.Time.Millis())
+	fmt.Printf("  %.2fs host, peak %d KiB accounted (arena %.0f%% utilized)\n",
+		time.Since(start).Seconds(), res.Sim.PeakProcBytes/1024, res.Sim.ArenaUtilization*100)
 	return nil
 }
 
 // Full-fidelity scale point: unlike the RunScale proxy above, this builds a
 // real 1024-rank containerized world on the scale fat tree and runs the
 // actual allreduce — eager/rendezvous pt2pt, the collective selector, spine
-// footprints — with machine-native rank bodies (World.RunMachine) or the
-// classic blocking goroutine bodies running the identical workload.
+// footprints — with machine-native rank bodies (World.RunMachine) or
+// blocking bodies running the identical workload.
 const (
 	fidelityRanks = 1024
 	fidelityIters = 2
@@ -447,9 +310,8 @@ const (
 )
 
 // measureFidelity runs the full-fidelity point once at the given size and
-// returns the run's host seconds plus engine stats. machine selects flat
-// machine-native bodies; otherwise blocking goroutine bodies run the same
-// workload.
+// returns the run's host seconds plus engine stats. machine selects
+// machine-native bodies; otherwise blocking bodies run the same workload.
 func measureFidelity(ranks int, machine bool) (float64, profile.SimStats, error) {
 	spec := cluster.Spec{Hosts: ranks / 16, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
 	d, err := cluster.Containers(cluster.MustNew(spec), 2, ranks, cluster.PaperScenarioOpts())
@@ -462,7 +324,6 @@ func measureFidelity(ranks int, machine bool) (float64, profile.SimStats, error)
 	if err != nil {
 		return 0, profile.SimStats{}, err
 	}
-	w.Eng.SetFlat(machine)
 	start := time.Now()
 	if machine {
 		err = w.RunMachine(mpi.AllreduceProgram(fidelityIters, fidelityBytes))
@@ -476,125 +337,65 @@ func measureFidelity(ranks int, machine bool) (float64, profile.SimStats, error)
 }
 
 // fidelitySmokeCheck is the CI full-fidelity scale gate: the 1024-rank
-// machine-body world must complete on the flat engine (inside CI's
-// GOMEMLIMIT/timeout budget) and hold a >=5x accounted peak-proc-memory
-// advantage over blocking goroutine bodies, and the 4096-rank machine-body
+// machine-body world must complete (inside CI's GOMEMLIMIT/timeout budget)
+// and hold a >=5x accounted peak-proc-memory advantage over blocking
+// bodies, and the 4096-rank machine-body
 // world must complete inside the same heap. Virtual completion times are NOT
 // compared across body kinds: machine bodies execute their post-advance
 // continuations within one dispatch turn, which legitimately shifts
 // contended HCA interleavings (per-rank op multisets stay identical; see
 // docs/PERFORMANCE.md).
 func fidelitySmokeCheck() error {
-	fSec, fStats, err := measureFidelity(fidelityRanks, true)
+	mSec, mStats, err := measureFidelity(fidelityRanks, true)
 	if err != nil {
-		return fmt.Errorf("machine bodies (flat): %w", err)
+		return fmt.Errorf("machine bodies: %w", err)
 	}
-	gSec, gStats, err := measureFidelity(fidelityRanks, false)
+	bSec, bStats, err := measureFidelity(fidelityRanks, false)
 	if err != nil {
-		return fmt.Errorf("goroutine bodies: %w", err)
+		return fmt.Errorf("blocking bodies: %w", err)
 	}
-	fmt.Printf("fidelity1024 flat machine bodies: %.2fs host, peak %d KiB accounted (arena %.0f%% utilized)\n",
-		fSec, fStats.PeakProcBytes/1024, fStats.ArenaUtilization*100)
-	fmt.Printf("fidelity1024 goroutine bodies:    %.2fs host, peak %d KiB accounted\n", gSec, gStats.PeakProcBytes/1024)
-	if fStats.PeakProcBytes == 0 || gStats.PeakProcBytes == 0 {
-		return fmt.Errorf("missing peak accounting: flat=%d goroutine=%d", fStats.PeakProcBytes, gStats.PeakProcBytes)
+	fmt.Printf("fidelity1024 machine bodies:  %.2fs host, peak %d KiB accounted (arena %.0f%% utilized)\n",
+		mSec, mStats.PeakProcBytes/1024, mStats.ArenaUtilization*100)
+	fmt.Printf("fidelity1024 blocking bodies: %.2fs host, peak %d KiB accounted\n", bSec, bStats.PeakProcBytes/1024)
+	if mStats.PeakProcBytes == 0 || bStats.PeakProcBytes == 0 {
+		return fmt.Errorf("missing peak accounting: machine=%d blocking=%d", mStats.PeakProcBytes, bStats.PeakProcBytes)
 	}
-	ratio := float64(gStats.PeakProcBytes) / float64(fStats.PeakProcBytes)
+	ratio := float64(bStats.PeakProcBytes) / float64(mStats.PeakProcBytes)
 	fmt.Printf("fidelity1024 accounted memory ratio: %.1fx\n", ratio)
 	if ratio < 5 {
 		return fmt.Errorf("full-fidelity memory advantage %.1fx, want >= 5x", ratio)
 	}
 	start := time.Now()
-	bSec, _, err := measureFidelity(fidelityBigRanks, true)
+	bigSec, _, err := measureFidelity(fidelityBigRanks, true)
 	if err != nil {
-		return fmt.Errorf("%d ranks, machine bodies (flat): %w", fidelityBigRanks, err)
+		return fmt.Errorf("%d ranks, machine bodies: %w", fidelityBigRanks, err)
 	}
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	fmt.Printf("fidelity%d flat machine bodies: %.2fs host (%.2fs with deployment and NewWorld), HeapSys %d MiB\n",
-		fidelityBigRanks, bSec, time.Since(start).Seconds(), m.HeapSys>>20)
+	fmt.Printf("fidelity%d machine bodies: %.2fs host (%.2fs with deployment and NewWorld), HeapSys %d MiB\n",
+		fidelityBigRanks, bigSec, time.Since(start).Seconds(), m.HeapSys>>20)
 	if m.HeapSys >= fidelityBigHeap {
 		return fmt.Errorf("%d-rank full-fidelity world: HeapSys %d MiB, want < %d", fidelityBigRanks, m.HeapSys>>20, fidelityBigHeap>>20)
 	}
 	return nil
 }
 
-// regenAll runs every experiment at Quick scale and returns the wall time.
-func regenAll() (float64, error) {
-	start := time.Now()
-	for _, e := range experiments.All() {
-		if _, err := e.Run(experiments.Quick); err != nil {
-			return 0, fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-// measurePingPong runs rounds SHM eager round trips in one world and returns
-// host nanoseconds and allocations per message (two messages per round trip).
-func measurePingPong(rounds int) (nsPerMsg, allocsPerMsg float64, err error) {
-	spec := cluster.Spec{Hosts: 1, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 1, 2, cluster.PaperScenarioOpts())
-	if err != nil {
-		return 0, 0, err
-	}
-	opts := mpi.DefaultOptions()
-	w, err := mpi.NewWorld(d, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	err = w.Run(func(r *mpi.Rank) error {
-		buf := make([]byte, 512)
-		for i := 0; i < rounds; i++ {
-			if r.Rank() == 0 {
-				r.Send(1, 0, buf)
-				r.Recv(1, 1, buf)
-			} else {
-				r.Recv(0, 0, buf)
-				r.Send(0, 1, buf)
-			}
-		}
-		return nil
-	})
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return 0, 0, err
-	}
-	msgs := float64(2 * rounds)
-	return float64(elapsed.Nanoseconds()) / msgs, float64(after.Mallocs-before.Mallocs) / msgs, nil
-}
-
-// world64 builds a 64-rank, 4-host containerized world with the epoch
-// dispatch width pinned.
-func world64(simWorkers int) (*mpi.World, error) {
+// measureAllreduce64 times iters allreduces of bytes each on a 64-rank,
+// 4-host containerized world at the given dispatch width and returns host
+// seconds. 1 KiB exercises the recursive-doubling latency regime; 1 MiB the
+// ring/Rabenseifner bandwidth regime the collective selector routes large
+// messages onto.
+func measureAllreduce64(simWorkers, iters, bytes int) (float64, error) {
 	spec := cluster.Spec{Hosts: 4, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
 	d, err := cluster.Containers(cluster.MustNew(spec), 2, 64, cluster.PaperScenarioOpts())
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	w, err := mpi.NewWorld(d, mpi.DefaultOptions())
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	w.Eng.SetWorkers(simWorkers)
-	return w, nil
-}
-
-// measureAllreduce64 times iters 64-rank allreduces of bytes each at the
-// given dispatch width and returns host seconds plus the run's scheduler
-// stats. 1 KiB exercises the recursive-doubling latency regime; 1 MiB the
-// ring/Rabenseifner bandwidth regime the collective selector routes large
-// messages onto.
-func measureAllreduce64(simWorkers, iters, bytes int) (float64, profile.SimStats, error) {
-	w, err := world64(simWorkers)
-	if err != nil {
-		return 0, profile.SimStats{}, err
-	}
 	start := time.Now()
 	err = w.Run(func(r *mpi.Rank) error {
 		buf := make([]byte, bytes)
@@ -604,178 +405,35 @@ func measureAllreduce64(simWorkers, iters, bytes int) (float64, profile.SimStats
 		return nil
 	})
 	if err != nil {
-		return 0, profile.SimStats{}, err
+		return 0, err
 	}
-	return time.Since(start).Seconds(), w.SimStats(), nil
+	return time.Since(start).Seconds(), nil
 }
 
 // measureAllreduceWidths times the 64-rank allreduce at each width and
-// returns min-of-rounds host seconds per width plus each width's scheduler
-// stats. Two defenses against host noise, because the snapshot gates
-// width-vs-width ratios: the minimum over rounds measures the code rather
-// than background load, and rounds are interleaved across widths (1, 2, ...,
-// N, then again) so a slow host phase degrades every width equally instead
-// of whichever width it happened to land on. Simulated results and stats
-// are identical across rounds (determinism), so any round's stats are the
-// run's stats.
-func measureAllreduceWidths(widths []int, iters, rounds, bytes int) ([]float64, []profile.SimStats, error) {
+// returns min-of-rounds host seconds per width. Two defenses against host
+// noise, because the gate compares width-vs-width ratios: the minimum over
+// rounds measures the code rather than background load, and rounds are
+// interleaved across widths (1, 2, ..., N, then again) so a slow host phase
+// degrades every width equally instead of whichever width it happened to
+// land on.
+func measureAllreduceWidths(widths []int, iters, rounds, bytes int) ([]float64, error) {
 	best := make([]float64, len(widths))
-	stats := make([]profile.SimStats, len(widths))
 	for i := range best {
 		best[i] = math.MaxFloat64
 	}
 	for rep := 0; rep < rounds; rep++ {
 		for i, wk := range widths {
-			sec, st, err := measureAllreduce64(wk, iters, bytes)
+			sec, err := measureAllreduce64(wk, iters, bytes)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if sec < best[i] {
 				best[i] = sec
 			}
-			stats[i] = st
 		}
 	}
-	return best, stats, nil
-}
-
-// measurePairwise64 times iters pairwise exchange rounds (rank <-> rank^1,
-// same container: 32 causally independent pairs) at the given dispatch width.
-// Returns host seconds and the run's scheduler stats (min-of-3; see
-// bestAllreduce64 for why).
-func measurePairwise64(simWorkers, iters int) (float64, profile.SimStats, error) {
-	best := math.MaxFloat64
-	var stats profile.SimStats
-	for rep := 0; rep < 3; rep++ {
-		w, err := world64(simWorkers)
-		if err != nil {
-			return 0, profile.SimStats{}, err
-		}
-		start := time.Now()
-		err = w.Run(func(r *mpi.Rank) error {
-			partner := r.Rank() ^ 1
-			out := make([]byte, 4<<10)
-			in := make([]byte, 4<<10)
-			for i := 0; i < iters; i++ {
-				r.Sendrecv(partner, 0, out, partner, 0, in)
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, profile.SimStats{}, err
-		}
-		if sec := time.Since(start).Seconds(); sec < best {
-			best, stats = sec, w.SimStats()
-		}
-	}
-	return best, stats, nil
-}
-
-func writeBenchSnapshot(path string) error {
-	snap := benchSnapshot{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	// Exercise at least 4 workers even on small hosts so the snapshot always
-	// measures the parallel path; wall-clock gain tracks real core count.
-	snap.SweepWorkers = experiments.Workers()
-	if snap.SweepWorkers < 4 {
-		snap.SweepWorkers = 4
-	}
-	fmt.Fprintln(os.Stderr, "regenerating all tables sequentially (workers=1)...")
-	experiments.SetWorkers(1)
-	seq, err := regenAll()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "  %.1fs; regenerating with %d workers...\n", seq, snap.SweepWorkers)
-	experiments.SetWorkers(snap.SweepWorkers)
-	par, err := regenAll()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "  %.1fs\n", par)
-	snap.SequentialSec, snap.ParallelSec = seq, par
-	if par > 0 {
-		snap.Speedup = seq / par
-	}
-	if snap.PingPongNsMsg, snap.PingPongAllocs, err = measurePingPong(100000); err != nil {
-		return err
-	}
-	snap.SimWorkers = runtime.GOMAXPROCS(0)
-	if snap.SimWorkers < 4 {
-		snap.SimWorkers = 4
-	}
-	fmt.Fprintf(os.Stderr, "64-rank dispatch-width points (widths 1/2/4/8/%d)...\n", snap.SimWorkers)
-	arTimes, arStats, err := measureAllreduceWidths([]int{1, 2, 4, 8, snap.SimWorkers}, 200, 3, 1<<10)
-	if err != nil {
-		return err
-	}
-	snap.Allreduce64Width1 = arTimes[0]
-	snap.Allreduce64Width2 = arTimes[1]
-	snap.Allreduce64Width4 = arTimes[2]
-	snap.Allreduce64Width8 = arTimes[3]
-	snap.Allreduce64WidthN = arTimes[4]
-	if snap.Allreduce64WidthN > 0 {
-		snap.Allreduce64Speedup = snap.Allreduce64Width1 / snap.Allreduce64WidthN
-	}
-	snap.Allreduce64Narrowed = arStats[4].NarrowedPairs
-	snap.Allreduce64Rewidens = arStats[4].PhaseRewidens
-	snap.Allreduce64Stalls = arStats[4].BarrierStalls
-	var pwStats profile.SimStats
-	if snap.PairwiseWidth1, _, err = measurePairwise64(1, 2000); err != nil {
-		return err
-	}
-	if snap.PairwiseWidthN, pwStats, err = measurePairwise64(snap.SimWorkers, 2000); err != nil {
-		return err
-	}
-	snap.PairwiseMaxBatchWidth = pwStats.MaxBatchWidth
-	snap.PairwiseNarrowed = pwStats.NarrowedPairs
-	if snap.PairwiseWidthN > 0 {
-		snap.PairwiseSpeedup = snap.PairwiseWidth1 / snap.PairwiseWidthN
-	}
-	fmt.Fprintln(os.Stderr, "scale-proxy points (256/1024/4096 ranks, min-of-3)...")
-	if snap.Scale256Sec, _, err = measureScale(256, true, 3); err != nil {
-		return err
-	}
-	if snap.Scale1024Sec, _, err = measureScale(1024, true, 3); err != nil {
-		return err
-	}
-	var scaleRes *mpi.ScaleResult
-	if snap.Scale4096Sec, scaleRes, err = measureScale(4096, true, 3); err != nil {
-		return err
-	}
-	if _, gRes, err := measureScale(4096, false, 1); err != nil {
-		return err
-	} else if gRes.Time != scaleRes.Time {
-		return fmt.Errorf("scale4096 engines diverged: flat %v vs goroutine %v", scaleRes.Time, gRes.Time)
-	} else {
-		snap.Scale4096MemRatio = float64(gRes.Sim.PeakProcBytes) / float64(scaleRes.Sim.PeakProcBytes)
-	}
-	fmt.Fprintln(os.Stderr, "full-fidelity 1024-rank point (machine vs goroutine bodies)...")
-	fSec, fStats, err := measureFidelity(fidelityRanks, true)
-	if err != nil {
-		return err
-	}
-	_, gStats, err := measureFidelity(fidelityRanks, false)
-	if err != nil {
-		return err
-	}
-	snap.Fidelity1024FlatSec = fSec
-	snap.Fidelity1024MemRatio = float64(gStats.PeakProcBytes) / float64(fStats.PeakProcBytes)
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %.1fs -> %.1fs (%.2fx), pt2pt %.0f ns/msg, %.3f allocs/msg, allreduce64 %.2fx, pairwise64 %.2fx at width %d\n",
-		path, snap.SequentialSec, snap.ParallelSec, snap.Speedup, snap.PingPongNsMsg, snap.PingPongAllocs,
-		snap.Allreduce64Speedup, snap.PairwiseSpeedup, snap.PairwiseMaxBatchWidth)
-	return nil
+	return best, nil
 }
 
 // widthTolerance is how much slower than width 1 the bench-smoke gate lets a
@@ -801,7 +459,7 @@ func benchSmokeCheck() error {
 	if widthN != 2 && widthN != 4 && widthN != 8 {
 		widths = append(widths, widthN)
 	}
-	times, _, err := measureAllreduceWidths(widths, 100, 3, 1<<10)
+	times, err := measureAllreduceWidths(widths, 100, 3, 1<<10)
 	if err != nil {
 		return err
 	}
@@ -819,7 +477,7 @@ func benchSmokeCheck() error {
 	// sendrecv steps stress the dispatcher very differently from the
 	// log2(P)-round latency job above.
 	largeWidths := []int{1, widthN}
-	largeTimes, _, err := measureAllreduceWidths(largeWidths, 5, 3, 1<<20)
+	largeTimes, err := measureAllreduceWidths(largeWidths, 5, 3, 1<<20)
 	if err != nil {
 		return err
 	}

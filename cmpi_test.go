@@ -6,7 +6,13 @@ package cmpi_test
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"cmpi"
@@ -278,5 +284,47 @@ func TestPublicFaultInjection(t *testing.T) {
 	fs := w.Prof.TotalFaults()
 	if fs.Total() == 0 {
 		t.Errorf("fault plan left no trace in the profile: %+v", fs)
+	}
+}
+
+// TestReadmeEnvTableMatchesSources keeps the README's environment table
+// honest: the CMPI_* variables it lists are exactly the ones the library and
+// commands read (os.Getenv/os.LookupEnv in non-test sources outside bench/,
+// which is a module of its own).
+func TestReadmeEnvTableMatchesSources(t *testing.T) {
+	names := func(re *regexp.Regexp, text []byte, into map[string]bool) {
+		for _, m := range re.FindAllSubmatch(text, -1) {
+			into[string(m[1])] = true
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented, read := map[string]bool{}, map[string]bool{}
+	names(regexp.MustCompile("(?m)^\\| `(CMPI_[A-Z0-9_]+)` \\|"), readme, documented)
+	envRead := regexp.MustCompile(`os\.(?:Getenv|LookupEnv)\("(CMPI_[A-Z0-9_]+)"\)`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || strings.HasPrefix(path, ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		names(envRead, src, read)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(read) == 0 {
+		t.Fatal("found no CMPI_* variable read by the sources; the scan is broken")
+	}
+	if !reflect.DeepEqual(documented, read) {
+		t.Errorf("README environment table lists %v; the sources read %v", documented, read)
 	}
 }

@@ -47,7 +47,7 @@ func GoldenTrace(out io.Writer) error {
 // HCA record, and the spine resource footprints now let such a world dispatch
 // in parallel epochs, so this fixture guards both the topology cost model and
 // the spine-footprint dispatch path. Deterministic like GoldenTrace:
-// byte-identical at every dispatch width and under both engine settings.
+// byte-identical at every dispatch width.
 func GoldenTraceFatTree(out io.Writer) error {
 	c := cluster.MustNew(testbedSpec(4))
 	d, err := cluster.Containers(c, 2, 32, cluster.PaperScenarioOpts())

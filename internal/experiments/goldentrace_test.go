@@ -95,7 +95,7 @@ func TestGoldenTraceReplays(t *testing.T) {
 // golden job — the 32-rank fat-tree point whose cross-rack records carry
 // spine hop latency and whose world dispatches under spine resource
 // footprints — and requires byte-identity with the committed fixture at
-// dispatch widths 1/2/4/8 under both engine settings. Regenerate with
+// dispatch widths 1/2/4/8. Regenerate with
 // `go run ./cmd/repro -trace-out internal/experiments/testdata/golden-fattree.trace
 // -trace-job fattree` when the schedule intentionally changes.
 func TestGoldenTraceFatTreeMatchesFixture(t *testing.T) {
@@ -103,17 +103,14 @@ func TestGoldenTraceFatTreeMatchesFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fixture missing: %v", err)
 	}
-	for _, engine := range []string{"goroutine", "flat"} {
-		t.Setenv("CMPI_SIM_ENGINE", engine)
-		for _, width := range []string{"1", "2", "4", "8"} {
-			t.Setenv("CMPI_SIM_WORKERS", width)
-			var buf bytes.Buffer
-			if err := GoldenTraceFatTree(&buf); err != nil {
-				t.Fatalf("%s engine, width %s: GoldenTraceFatTree: %v", engine, width, err)
-			}
-			if !bytes.Equal(buf.Bytes(), fixture) {
-				t.Errorf("%s engine, width %s: trace bytes diverge from testdata/golden-fattree.trace", engine, width)
-			}
+	for _, width := range []string{"1", "2", "4", "8"} {
+		t.Setenv("CMPI_SIM_WORKERS", width)
+		var buf bytes.Buffer
+		if err := GoldenTraceFatTree(&buf); err != nil {
+			t.Fatalf("width %s: GoldenTraceFatTree: %v", width, err)
+		}
+		if !bytes.Equal(buf.Bytes(), fixture) {
+			t.Errorf("width %s: trace bytes diverge from testdata/golden-fattree.trace", width)
 		}
 	}
 }

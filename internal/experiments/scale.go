@@ -16,10 +16,9 @@ var scaleTopo = ib.Topology{RackSize: 8, SpineStages: 2, SpinesPerStage: 4, HopL
 
 // ScaleExtension is an extension beyond the paper: allreduce at rank counts
 // far past the 16-host testbed, run on the O(ranks) scale proxy
-// (mpi.RunScale) rather than the full per-pair runtime. Each point runs on
-// both simulator engines; the table reports the (identical) completion time,
-// each engine's accounted peak per-process bytes, and their ratio — the
-// flat engine's reason to exist.
+// (mpi.RunScale) rather than the full per-pair runtime. The table reports the
+// completion time and the accounted peak per-process bytes of the rank
+// machines.
 func ScaleExtension(sc Scale) (*Table, error) {
 	rankCounts := []int{256, 1024}
 	if sc == Full {
@@ -28,46 +27,22 @@ func ScaleExtension(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:      "Extension: scale proxy",
 		Title:   "Allreduce (1 MiB) at scale on the flat-machine engine (32 ranks/host, 8-host racks)",
-		Columns: []string{"ranks", "algo", "time (ms)", "flat peak (KiB)", "goroutine peak (KiB)", "mem ratio"},
-		Notes: "Extension beyond the paper: completion times are byte-identical between " +
-			"engines; the memory ratio is the flat engine's accounted advantage.",
+		Columns: []string{"ranks", "algo", "time (ms)", "flat peak (KiB)"},
+		Notes:   "Extension beyond the paper: one continuation machine per rank, no per-rank goroutine.",
 	}
-	type point struct {
-		algo  string
-		ms    float64
-		fPeak uint64
-		gPeak uint64
-	}
-	res, err := mapPoints(len(rankCounts), func(i int) (point, error) {
-		o := mpi.ScaleOptions{Ranks: rankCounts[i], RanksPerHost: 32, Bytes: 1 << 20, Topology: scaleTopo}
-		flat, goroutine := true, false
-		o.Flat = &flat
-		fRes, err := mpi.RunScale(o)
+	res, err := mapPoints(len(rankCounts), func(i int) (*mpi.ScaleResult, error) {
+		res, err := mpi.RunScale(mpi.ScaleOptions{Ranks: rankCounts[i], RanksPerHost: 32, Bytes: 1 << 20, Topology: scaleTopo})
 		if err != nil {
-			return point{}, fmt.Errorf("%d ranks flat: %w", rankCounts[i], err)
+			return nil, fmt.Errorf("%d ranks: %w", rankCounts[i], err)
 		}
-		o.Flat = &goroutine
-		gRes, err := mpi.RunScale(o)
-		if err != nil {
-			return point{}, fmt.Errorf("%d ranks goroutine: %w", rankCounts[i], err)
-		}
-		if fRes.Time != gRes.Time {
-			return point{}, fmt.Errorf("%d ranks: engines diverged (flat %v, goroutine %v)",
-				rankCounts[i], fRes.Time, gRes.Time)
-		}
-		return point{
-			algo: fRes.Algo.String(), ms: fRes.Time.Millis(),
-			fPeak: fRes.Sim.PeakProcBytes, gPeak: gRes.Sim.PeakProcBytes,
-		}, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, ranks := range rankCounts {
-		p := res[i]
-		t.AddRow(fmt.Sprintf("%d", ranks), p.algo, fmtF(p.ms),
-			fmt.Sprintf("%d", p.fPeak/1024), fmt.Sprintf("%d", p.gPeak/1024),
-			fmt.Sprintf("%.1fx", float64(p.gPeak)/float64(p.fPeak)))
+		t.AddRow(fmt.Sprintf("%d", ranks), res[i].Algo.String(), fmtF(res[i].Time.Millis()),
+			fmt.Sprintf("%d", res[i].Sim.PeakProcBytes/1024))
 	}
 	return t, nil
 }

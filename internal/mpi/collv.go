@@ -18,7 +18,9 @@ func (r *Rank) Gatherv(root int, mine []byte, counts []int, out []byte) {
 	}
 	tag := r.nextCollTag()
 	if r.rank != root {
-		r.wait(r.csend(root, tag, mine))
+		if counts[r.rank] > 0 {
+			r.wait(r.csend(root, tag, mine))
+		}
 		return
 	}
 	offs := make([]int, r.size+1)

@@ -42,6 +42,12 @@ func TestGathervScattervRoundTrip(t *testing.T) {
 			if !bytes.Equal(back, mine) {
 				return fmt.Errorf("n=%d scatterv returned wrong block to %d", n, r.Rank())
 			}
+			// A zero-count contributor sends nothing, as the root posts no
+			// receive for it: by now anything it had sent has arrived.
+			r.Barrier()
+			if r.Rank() == root && r.unexpected.len() != 0 {
+				return fmt.Errorf("n=%d: %d envelopes stranded in the root's unexpected queue", n, r.unexpected.len())
+			}
 			return nil
 		})
 		if err != nil {

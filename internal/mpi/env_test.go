@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cmpi/internal/cluster"
 	"cmpi/internal/core"
 )
 
@@ -158,30 +157,5 @@ func TestOptionsFromEnvRoundTripsThroughWorld(t *testing.T) {
 	}
 	if ops := w.Prof.TotalChannels().Ops; ops[core.ChannelHCA] != 0 {
 		t.Errorf("MV2_CONTAINER_SUPPORT=1 should avoid HCA intra-host: %v", ops)
-	}
-}
-
-// TestSimEngineEnvErrorPropagates pins the PR 6 convention at the entry
-// points that consult CMPI_SIM_ENGINE: a set-but-invalid value fails world
-// construction and the scale proxy with the parse error, never silently
-// falling back to size-based selection.
-func TestSimEngineEnvErrorPropagates(t *testing.T) {
-	t.Setenv("CMPI_SIM_ENGINE", "falt")
-	spec := cluster.Spec{Hosts: 1, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 2, 4, cluster.PaperScenarioOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWorld(d, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "CMPI_SIM_ENGINE=") {
-		t.Errorf("NewWorld with invalid CMPI_SIM_ENGINE: want parse error, got %v", err)
-	}
-	if _, err := RunScale(ScaleOptions{Ranks: 8}); err == nil || !strings.Contains(err.Error(), "CMPI_SIM_ENGINE=") {
-		t.Errorf("RunScale with invalid CMPI_SIM_ENGINE: want parse error, got %v", err)
-	}
-	// A pinned engine mode (ScaleOptions.Flat) must not mask the invalid
-	// value either: the error is about the environment being wrong.
-	pin := true
-	if _, err := RunScale(ScaleOptions{Ranks: 8, Flat: &pin}); err == nil || !strings.Contains(err.Error(), "CMPI_SIM_ENGINE=") {
-		t.Errorf("RunScale with pinned Flat and invalid CMPI_SIM_ENGINE: want parse error, got %v", err)
 	}
 }

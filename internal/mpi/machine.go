@@ -5,9 +5,9 @@ package mpi
 // false after a blocking primitive fired and is called again after the wake.
 //
 // Two kinds of caller run them. A machine world (World.RunMachine) hands each
-// rank to the engine as a sim.Machine: on the flat engine a rank is one arena
-// slot — no goroutine, stack, or channel handshake — and a step that returns
-// false unwinds to the dispatch loop with sim.More. A blocking body
+// rank to the engine as a sim.Machine: a rank is one arena slot — no
+// goroutine, stack, or coroutine — and a step that returns false unwinds to
+// the dispatch loop with sim.More. A blocking body
 // (World.Run) keeps its goroutine, and the blocking collectives of coll.go,
 // comm.go and coll_hier.go run the same steppers from their own stack with
 // `for !m.step(...) {}`: there the primitive blocked for real, so false only
@@ -19,8 +19,8 @@ package mpi
 //
 //   - msend: isendPrep/isendDispatch (pt2pt.go) split isendCtx around its pair
 //     claim. msend claims between the two halves; if the claim had to regroup
-//     on a flat machine (Proc.Deferred), it returns false and dispatches next
-//     epoch at the same virtual time. A goroutine-backed rank yields inside
+//     on a machine rank (Proc.Deferred), it returns false and dispatches next
+//     epoch at the same virtual time. A blocking rank yields inside
 //     claimPair and carries on, exactly as isendCtx does inside the protocol
 //     entry, whose own claimPair is then a no-op (Request.hasClaim).
 //   - waitStep (rank.go) is one pass of the rank's wait loop: drive progress
@@ -29,12 +29,12 @@ package mpi
 //     directly. A rendezvous match whose receive-side claim finds the pair
 //     outside the current epoch group (bindEnvelope, usually mid-sweep) parks
 //     the transfer on a machine rank; the next waitStep pass regroups and
-//     starts it — on both engines, so they stay byte-identical.
+//     starts it.
 //
 // Every blocking primitive is the last action before its stepper returns
-// false, so the flat engine's blocking-last-action contract holds; running
-// the same machine on the goroutine engine (CMPI_SIM_ENGINE=goroutine)
-// blocks for real inside the primitive with identical simulated results.
+// false, so sim.Machine's block-last contract holds for a machine rank; a
+// blocking driver runs the same stepper on its own stack, where the primitive
+// blocks for real.
 //
 // The group-capable steppers (barrier, bcast, reduce, recursive doubling)
 // take who they run over as a step argument (group, coll.go), never as
@@ -58,10 +58,9 @@ type Program interface {
 }
 
 // RunMachine is World.Run for machine-native rank bodies: mk builds the
-// Program for each rank. Blocking bodies always keep their goroutine; machine
-// worlds on the flat engine spend one arena slot per rank and no goroutine,
-// stack, or coroutine — the difference Stats.PeakProcBytes accounts.
-// Engine choice (CMPI_SIM_ENGINE) never changes simulated results.
+// Program for each rank. Blocking bodies keep their goroutine; a machine
+// world spends one arena slot per rank and no goroutine, stack, or coroutine —
+// the difference Stats.PeakProcBytes accounts.
 func (w *World) RunMachine(mk func(rank int) Program) error {
 	return w.run(true, mk)
 }
@@ -90,7 +89,7 @@ func (b *bodyProg) Step(r *Rank) sim.Flow {
 }
 
 // MachineBytes reports the adapter plus its program (steady-state worst
-// case for programs that lazily allocate phases) so flat-engine accounting
+// case for programs that lazily allocate phases) so the engine's accounting
 // charges machine ranks for the state they actually keep alive.
 func (m *rankMachine) MachineBytes() int {
 	n := int(reflect.TypeOf(*m).Size())
@@ -198,9 +197,9 @@ func (m *rankMachine) stepBody() (flow sim.Flow, err error) {
 }
 
 // msend drives one isend across steps: prep and trace once, pre-claim the
-// pair, and if the claim deferred a flat machine to the next epoch group
+// pair, and if the claim deferred a machine rank to the next epoch group
 // (regroup yield) retry the dispatch there — the same virtual instant a
-// goroutine-backed rank's claim resumes at. step returns true once the send
+// blocking rank's claim resumes at. step returns true once the send
 // is handed to its protocol (req is then live); false means the step's
 // blocking primitive fired and a machine must unwind with sim.More.
 type msend struct {
@@ -895,8 +894,8 @@ func (a *MachAllreduce) Step(r *Rank, buf []byte, op ReduceOp) bool { return a.m
 // AllreduceWorkload is a self-checking blocking rank body: iters rounds of
 // an int64-sum allreduce over a size-byte buffer (size%8 == 0) with a
 // deterministic per-rank fill, aborting the job on any wrong element. Its
-// machine twin is AllreduceProgram — the pair drives the engine-equivalence
-// tests and the full-fidelity memory benchmark.
+// machine twin is AllreduceProgram — the pair drives the body-kind
+// equivalence tests and the full-fidelity memory benchmark.
 func AllreduceWorkload(iters, size int) func(r *Rank) error {
 	return func(r *Rank) error {
 		buf := make([]byte, size)
@@ -953,7 +952,7 @@ func (g *allreduceProg) Step(r *Rank) sim.Flow {
 
 // MachineBytes: the program struct plus the largest algorithm machine an
 // allreduce can keep live (they are lazily allocated, one at a time), so
-// flat-engine accounting reflects the steady-state footprint.
+// the engine's accounting reflects the steady-state footprint.
 func (g *allreduceProg) MachineBytes() int {
 	return int(reflect.TypeOf(*g).Size()) + maxCollMachineBytes
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -18,14 +17,14 @@ import (
 var machTestTopo = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
 
 // machWorld builds an n-rank world for the machine-equivalence tests with a
-// textual trace attached, pinning engine mode and dispatch width.
-func machWorld(t *testing.T, n int, topo ib.Topology, flat bool, workers int) (*World, *bytes.Buffer) {
+// textual trace attached, pinning the dispatch width.
+func machWorld(t *testing.T, n int, topo ib.Topology, workers int) (*World, *bytes.Buffer) {
 	t.Helper()
-	return machWorldOpts(t, n, DefaultOptions(), topo, flat, workers)
+	return machWorldOpts(t, n, DefaultOptions(), topo, workers)
 }
 
 // machWorldOpts is machWorld over caller-tuned options.
-func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, flat bool, workers int) (*World, *bytes.Buffer) {
+func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, workers int) (*World, *bytes.Buffer) {
 	t.Helper()
 	d := scaleDeployment(t, n)
 	opts.Topology = topo
@@ -35,46 +34,42 @@ func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, flat boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Eng.SetFlat(flat)
 	w.Eng.SetWorkers(workers)
 	return w, &buf
 }
 
-// TestMachineRendezvousRecvRegroups is the regression for the flat-engine
+// TestMachineRendezvousRecvRegroups is the regression for the machine-rank
 // panic on rendezvous receives: at 256 KiB Rabenseifner's halving exchanges
 // ride CMA and HCA rendezvous, and a receiver often matches an RTS in an
 // epoch whose group does not own the (parked) sender, so the receive-side
 // claim must regroup. A machine step cannot yield mid-sweep; the transfer is
-// parked and waitStep regroups. Both engines must finish with byte-identical
-// traces at every width.
+// parked and waitStep regroups. Every width must finish with a byte-identical
+// trace.
 func TestMachineRendezvousRecvRegroups(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tunables.AllreduceAlgo = core.AllreduceRabenseifner
 	var ref []byte
 	var refTime sim.Time
-	for _, flat := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("flat=%v/w%d", flat, workers)
-			w, buf := machWorldOpts(t, machRanks, opts, ib.Topology{}, flat, workers)
-			if err := w.RunMachine(AllreduceProgram(1, 256<<10)); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if w.Eng.Stats().RegroupYields == 0 {
-				t.Fatalf("%s: no regroup yields; the world no longer exercises the claim path", name)
-			}
-			if ref == nil {
-				ref, refTime = buf.Bytes(), w.MaxBodyTime()
-				for _, ch := range []string{"path=cma-rndv", "path=hca-rndv"} {
-					if !bytes.Contains(ref, []byte(ch)) {
-						t.Fatalf("trace has no %q record; the exchanges no longer reach both rendezvous channels", ch)
-					}
+	for _, workers := range []int{1, 4} {
+		w, buf := machWorldOpts(t, machRanks, opts, ib.Topology{}, workers)
+		if err := w.RunMachine(AllreduceProgram(1, 256<<10)); err != nil {
+			t.Fatalf("w%d: %v", workers, err)
+		}
+		if w.Eng.Stats().RegroupYields == 0 {
+			t.Fatalf("w%d: no regroup yields; the world no longer exercises the claim path", workers)
+		}
+		if ref == nil {
+			ref, refTime = buf.Bytes(), w.MaxBodyTime()
+			for _, ch := range []string{"path=cma-rndv", "path=hca-rndv"} {
+				if !bytes.Contains(ref, []byte(ch)) {
+					t.Fatalf("trace has no %q record; the exchanges no longer reach both rendezvous channels", ch)
 				}
-				continue
 			}
-			if !bytes.Equal(ref, buf.Bytes()) || w.MaxBodyTime() != refTime {
-				t.Errorf("%s: diverges from flat/w1 (trace %d vs %d bytes, time %v vs %v)",
-					name, buf.Len(), len(ref), w.MaxBodyTime(), refTime)
-			}
+			continue
+		}
+		if !bytes.Equal(ref, buf.Bytes()) || w.MaxBodyTime() != refTime {
+			t.Errorf("w%d: diverges from w1 (trace %d vs %d bytes, time %v vs %v)",
+				workers, buf.Len(), len(ref), w.MaxBodyTime(), refTime)
 		}
 	}
 }
@@ -93,34 +88,30 @@ var machTopos = []struct {
 	{"fattree", machTestTopo},
 }
 
-// TestMachineBodiesEngineAndWidthInvariant is the tentpole equivalence gate:
-// a 64-rank allreduce with machine-native rank bodies must produce
-// byte-identical traces on the flat and goroutine engines at dispatch widths
-// 1/2/4/8 — the same machine code either steps flat or blocks for real on a
-// goroutine, and worker count can never change simulated results — on the
-// trivial topology and on a 2-rack fat tree.
+// TestMachineBodiesEngineAndWidthInvariant is the width-invariance gate of
+// machine rank bodies (the name predates the removal of the engine switch): a
+// 64-rank allreduce with machine-native rank bodies must produce
+// byte-identical traces at dispatch widths 1/2/4/8 — worker count can never
+// change simulated results — on the trivial topology and on a 2-rack fat
+// tree.
 func TestMachineBodiesEngineAndWidthInvariant(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref []byte
-			for _, flat := range []bool{true, false} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					name := fmt.Sprintf("flat=%v/w%d", flat, workers)
-					w, buf := machWorld(t, machRanks, tc.topo, flat, workers)
-					if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
-						t.Fatalf("%s: %v", name, err)
+			for _, workers := range []int{1, 2, 4, 8} {
+				w, buf := machWorld(t, machRanks, tc.topo, workers)
+				if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
+					t.Fatalf("w%d: %v", workers, err)
+				}
+				if ref == nil {
+					ref = buf.Bytes()
+					if len(ref) == 0 {
+						t.Fatal("machine world produced an empty trace")
 					}
-					if ref == nil {
-						ref = buf.Bytes()
-						if len(ref) == 0 {
-							t.Fatal("machine world produced an empty trace")
-						}
-						continue
-					}
-					if !bytes.Equal(ref, buf.Bytes()) {
-						t.Errorf("%s: trace diverges from flat/w1 (%d vs %d bytes)",
-							name, buf.Len(), len(ref))
-					}
+					continue
+				}
+				if !bytes.Equal(ref, buf.Bytes()) {
+					t.Errorf("w%d: trace diverges from w1 (%d vs %d bytes)", workers, buf.Len(), len(ref))
 				}
 			}
 		})
@@ -146,17 +137,17 @@ func perRankOps(trace []byte) []string {
 // tags, same algorithm choices, same byte counts) as the blocking goroutine
 // body running the identical workload. Record-for-record byte identity is
 // deliberately NOT asserted across body kinds: a machine executes its
-// post-Advance continuation within one dispatch turn (flat-contract
-// pure-bump Advance), so completion interleavings — and with them contended
+// post-Advance continuation within one dispatch turn (a machine's Advance
+// is a pure clock bump), so completion interleavings — and with them contended
 // HCA timings — can shift slightly; see docs/PERFORMANCE.md.
 func TestMachineBodiesMatchBlockingOps(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
-			wb, bufB := machWorld(t, machRanks, tc.topo, false, 1)
+			wb, bufB := machWorld(t, machRanks, tc.topo, 1)
 			if err := wb.Run(AllreduceWorkload(machIters, machBytes)); err != nil {
 				t.Fatalf("blocking: %v", err)
 			}
-			wm, bufM := machWorld(t, machRanks, tc.topo, true, 1)
+			wm, bufM := machWorld(t, machRanks, tc.topo, 1)
 			if err := wm.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
 				t.Fatalf("machine: %v", err)
 			}
@@ -178,7 +169,7 @@ func TestMachineBodiesMatchBlockingOps(t *testing.T) {
 // batches groups (MaxBatchWidth > 1) — with byte-identical results at every
 // width (TestMachineBodiesEngineAndWidthInvariant covers the identity).
 func TestFatTreeWorldDispatchesParallel(t *testing.T) {
-	w, _ := machWorld(t, machRanks, machTestTopo, true, 8)
+	w, _ := machWorld(t, machRanks, machTestTopo, 8)
 	if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
 		t.Fatal(err)
 	}
@@ -188,25 +179,25 @@ func TestFatTreeWorldDispatchesParallel(t *testing.T) {
 }
 
 // TestMachineBodiesMemoryAdvantage checks the accounted per-rank memory:
-// flat machine bodies must beat goroutine-backed machine bodies (which pay
-// the stack + g descriptor + channel-pair floor) by a wide margin, since
-// that floor is the whole point of porting rank bodies to machines.
+// machine bodies must beat blocking bodies (which pay the stack + g
+// descriptor + coroutine floor) by a wide margin, since that floor is the
+// whole point of porting rank bodies to machines.
 func TestMachineBodiesMemoryAdvantage(t *testing.T) {
-	wf, _ := machWorld(t, machRanks, ib.Topology{}, true, 1)
-	if err := wf.RunMachine(AllreduceProgram(1, machBytes)); err != nil {
+	wm, _ := machWorld(t, machRanks, ib.Topology{}, 1)
+	if err := wm.RunMachine(AllreduceProgram(1, machBytes)); err != nil {
 		t.Fatal(err)
 	}
-	wg, _ := machWorld(t, machRanks, ib.Topology{}, false, 1)
-	if err := wg.Run(AllreduceWorkload(1, machBytes)); err != nil {
+	wb, _ := machWorld(t, machRanks, ib.Topology{}, 1)
+	if err := wb.Run(AllreduceWorkload(1, machBytes)); err != nil {
 		t.Fatal(err)
 	}
-	flatPeak := wf.Eng.Stats().PeakProcBytes
-	goPeak := wg.Eng.Stats().PeakProcBytes
-	if flatPeak == 0 || goPeak == 0 {
-		t.Fatalf("missing peak accounting: flat=%d goroutine=%d", flatPeak, goPeak)
+	machPeak := wm.Eng.Stats().PeakProcBytes
+	bodyPeak := wb.Eng.Stats().PeakProcBytes
+	if machPeak == 0 || bodyPeak == 0 {
+		t.Fatalf("missing peak accounting: machine=%d blocking=%d", machPeak, bodyPeak)
 	}
-	if ratio := float64(goPeak) / float64(flatPeak); ratio < 5 {
-		t.Errorf("peak proc memory advantage %.2fx (goroutine %d B vs flat %d B); want >= 5x",
-			ratio, goPeak, flatPeak)
+	if ratio := float64(bodyPeak) / float64(machPeak); ratio < 5 {
+		t.Errorf("peak proc memory advantage %.2fx (blocking %d B vs machine %d B); want >= 5x",
+			ratio, bodyPeak, machPeak)
 	}
 }

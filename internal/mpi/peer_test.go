@@ -230,8 +230,8 @@ func TestFinalizeDiagnosticIsDeterministic(t *testing.T) {
 }
 
 // TestFullFidelity4096 is the world the ROADMAP's scale.go rule asks about: a
-// real 4096-rank fat-tree job, machine bodies on the flat engine, inside a
-// quarter of a GiB of heap.
+// real 4096-rank fat-tree job, machine rank bodies, inside a quarter of a GiB
+// of heap.
 func TestFullFidelity4096(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("4096-rank world: skipped under -short and -race")
@@ -242,7 +242,6 @@ func TestFullFidelity4096(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Eng.SetFlat(true)
 	if err := w.RunMachine(AllreduceProgram(2, 1<<10)); err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,9 @@ import (
 
 // Traces pinned across the move from dense per-pair and per-peer tables to
 // state created on first contact. The digests below were recorded at the
-// commit before that move (77a1b18), on the flat engine at width 1; every
-// engine and width must still produce them. An all-to-all contacts every
-// pair of the world, a ring two peers per rank: the two ends of how full a
-// rank's peer table gets.
+// commit before that move (77a1b18) at width 1; every width must still
+// produce them. An all-to-all contacts every pair of the world, a ring two
+// peers per rank: the two ends of how full a rank's peer table gets.
 
 const (
 	peerTraceRanks  = 32 // two hosts, two containers each
@@ -114,25 +113,23 @@ func TestTracesUnchangedByFirstContactState(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, flat := range []bool{true, false} {
-				for _, workers := range []int{1, 2, 4, 8} {
-					w, buf := machWorld(t, peerTraceRanks, ib.Topology{}, flat, workers)
-					var err error
-					switch {
-					case tc.machine:
-						err = w.RunMachine(func(int) Program { return &exchangeProg{ring: tc.ring, size: tc.size} })
-					case tc.ring:
-						err = w.Run(ringBody(tc.size))
-					default:
-						err = w.Run(alltoallBody(tc.size))
-					}
-					if err != nil {
-						t.Fatalf("flat=%v/w%d: %v", flat, workers, err)
-					}
-					sum := sha256.Sum256(buf.Bytes())
-					if got := hex.EncodeToString(sum[:]); got != tc.digest {
-						t.Errorf("flat=%v/w%d: trace digest %s (%d bytes), want %s", flat, workers, got, buf.Len(), tc.digest)
-					}
+			for _, workers := range []int{1, 2, 4, 8} {
+				w, buf := machWorld(t, peerTraceRanks, ib.Topology{}, workers)
+				var err error
+				switch {
+				case tc.machine:
+					err = w.RunMachine(func(int) Program { return &exchangeProg{ring: tc.ring, size: tc.size} })
+				case tc.ring:
+					err = w.Run(ringBody(tc.size))
+				default:
+					err = w.Run(alltoallBody(tc.size))
+				}
+				if err != nil {
+					t.Fatalf("w%d: %v", workers, err)
+				}
+				sum := sha256.Sum256(buf.Bytes())
+				if got := hex.EncodeToString(sum[:]); got != tc.digest {
+					t.Errorf("w%d: trace digest %s (%d bytes), want %s", workers, got, buf.Len(), tc.digest)
 				}
 			}
 		})
@@ -280,7 +277,7 @@ func TestCommAndHierTracesPinned(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				opts := DefaultOptions()
 				opts.HierarchicalCollectives = tc.hier
-				w, buf := machWorldOpts(t, tc.ranks, opts, ib.Topology{}, true, workers)
+				w, buf := machWorldOpts(t, tc.ranks, opts, ib.Topology{}, workers)
 				body := commCollBody(tc.size)
 				if tc.hier {
 					body = hierCollBody(tc.size)

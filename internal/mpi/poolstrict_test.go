@@ -23,8 +23,8 @@ func strictPools(t *testing.T) {
 
 // TestPoolStrictKeepsPinnedResults reruns the schedules and pinned traces
 // that would show a stale alias — randomized windows with content checks,
-// the determinism property, the first-contact trace digests on both engines
-// and every width, the fault-plan world — with every depot buffer poisoned,
+// the determinism property, the first-contact trace digests at every width,
+// the fault-plan world — with every depot buffer poisoned,
 // the conservation law asserted at the end of every clean world, and
 // released handles poisoned.
 func TestPoolStrictKeepsPinnedResults(t *testing.T) {

@@ -6,9 +6,9 @@ package mpi
 // pairs, which is the right fidelity for the paper's 16-host testbed and far
 // too heavy for worlds of tens of thousands of ranks. ScaleWorld models just
 // the part that matters at scale — collective traffic over the fabric cost
-// model — with one flat continuation machine per rank (sim.Machine) and no
-// pair table, so memory is O(ranks) and the flat engine's arena keeps a
-// 4096-rank world in a few hundred bytes per rank.
+// model — with one continuation machine per rank (sim.Machine) and no pair
+// table, so memory is O(ranks) and the engine's arena keeps a 4096-rank world
+// in a few hundred bytes per rank.
 //
 // Ranks are placed RanksPerHost to a host, hosts into racks by the fabric
 // Topology — the locality detector over racks: the proxy derives host and
@@ -25,9 +25,7 @@ package mpi
 //
 // Determinism: rank machines declare no footprints and all deliveries are
 // untagged callbacks, so every epoch is one Global group dispatched in place
-// — results are independent of CMPI_SIM_WORKERS, and identical between the
-// flat and goroutine engines (the machines are the same code; only the
-// execution substrate changes).
+// — results are independent of CMPI_SIM_WORKERS.
 
 import (
 	"fmt"
@@ -87,11 +85,6 @@ type ScaleOptions struct {
 	Topology ib.Topology
 	// Params is the cost model (zero value: perf.Default()).
 	Params perf.Params
-	// Flat pins the engine mode; nil defers to sim.FlatFromEnv(Ranks).
-	Flat *bool
-	// Emit, when non-nil, receives per-rank completion emissions (testing
-	// hook for cross-engine byte-identity).
-	Emit func(any)
 }
 
 // ScaleResult is one run's outcome.
@@ -102,8 +95,6 @@ type ScaleResult struct {
 	Time sim.Time
 	// Hosts and Racks describe the derived placement.
 	Hosts, Racks int
-	// Flat reports which engine ran the machines.
-	Flat bool
 	// Sim carries the engine counters, including PeakProcBytes and arena
 	// utilization.
 	Sim profile.SimStats
@@ -135,9 +126,8 @@ type scaleMsg struct {
 	slot uint8
 }
 
-// scaleRank is one rank's continuation machine. Kept deliberately small: on
-// the flat engine this struct plus the Proc facade is the entire per-rank
-// cost.
+// scaleRank is one rank's continuation machine. Kept deliberately small: this
+// struct plus the Proc facade is the entire per-rank cost.
 type scaleRank struct {
 	w    *ScaleWorld
 	p    *sim.Proc
@@ -172,7 +162,6 @@ type ScaleWorld struct {
 	free       []*scaleMsg
 	done       int
 	endT       sim.Time
-	emitOn     bool
 }
 
 // roles
@@ -221,17 +210,6 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	}
 
 	eng := sim.NewEngine()
-	flat, err := sim.FlatFromEnv(o.Ranks)
-	if err != nil {
-		return nil, err
-	}
-	if o.Flat != nil {
-		flat = *o.Flat
-	}
-	eng.SetFlat(flat)
-	if o.Emit != nil {
-		eng.SetEmitter(o.Emit)
-	}
 	cores := (o.RanksPerHost + 1) / 2
 	if cores < 1 {
 		cores = 1
@@ -247,7 +225,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 
 	w := &ScaleWorld{
 		eng: eng, fabric: fabric, prm: &o.Params, opt: o, algo: algo,
-		hosts: hosts, racks: racks, emitOn: o.Emit != nil,
+		hosts: hosts, racks: racks,
 	}
 	w.ringChunk = maxInt(o.Bytes/o.Ranks, 1)
 	w.rackChunk = maxInt(o.Bytes/maxInt(racks, 1), 1)
@@ -274,7 +252,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		return nil, fmt.Errorf("scale: %d/%d ranks finished", w.done, o.Ranks)
 	}
 	return &ScaleResult{
-		Algo: algo, Time: w.endT, Hosts: hosts, Racks: racks, Flat: flat,
+		Algo: algo, Time: w.endT, Hosts: hosts, Racks: racks,
 		Sim: simStatsOf(eng.Stats()),
 	}, nil
 }
@@ -396,9 +374,6 @@ func (r *scaleRank) finish(p *sim.Proc) sim.Flow {
 		w.endT = p.Now()
 	}
 	w.done++
-	if w.emitOn {
-		p.Emit(fmt.Sprintf("srank%d done @%v", r.id, p.Now()))
-	}
 	return sim.Done
 }
 

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,76 +10,13 @@ import (
 
 var scaleTestTopo = ib.Topology{RackSize: 4, SpineStages: 2, SpinesPerStage: 4, HopLatency: 150 * sim.Nanosecond}
 
-func runScaleEngine(t *testing.T, o ScaleOptions, flat bool) (*ScaleResult, []string) {
+func runScale(t *testing.T, o ScaleOptions) *ScaleResult {
 	t.Helper()
-	var emitted []string
-	f := flat
-	o.Flat = &f
-	o.Emit = func(p any) { emitted = append(emitted, fmt.Sprint(p)) }
 	res, err := RunScale(o)
 	if err != nil {
-		t.Fatalf("RunScale(flat=%v): %v", flat, err)
+		t.Fatalf("RunScale: %v", err)
 	}
-	if res.Flat != flat {
-		t.Fatalf("engine mismatch: asked flat=%v got %v", flat, res.Flat)
-	}
-	return res, emitted
-}
-
-// TestScaleEnginesAgree: every algorithm completes at the same virtual time
-// with byte-identical emissions on the flat and goroutine engines.
-func TestScaleEnginesAgree(t *testing.T) {
-	cases := []struct {
-		name string
-		o    ScaleOptions
-	}{
-		{"ring", ScaleOptions{Ranks: 48, RanksPerHost: 48, Algo: ScaleRing, Bytes: 1 << 16, Iters: 2}},
-		{"rd", ScaleOptions{Ranks: 64, RanksPerHost: 64, Algo: ScaleRD, Bytes: 1 << 16, Iters: 2}},
-		{"hier", ScaleOptions{Ranks: 256, RanksPerHost: 16, Algo: ScaleHier, Bytes: 1 << 16, Iters: 2, Topology: scaleTestTopo}},
-		{"hier-trivial", ScaleOptions{Ranks: 128, RanksPerHost: 16, Algo: ScaleHier, Bytes: 1 << 16, Iters: 2}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fRes, fEm := runScaleEngine(t, tc.o, true)
-			gRes, gEm := runScaleEngine(t, tc.o, false)
-			if fRes.Time != gRes.Time {
-				t.Fatalf("completion diverged: flat %v vs goroutine %v", fRes.Time, gRes.Time)
-			}
-			if !reflect.DeepEqual(fEm, gEm) {
-				t.Fatalf("emissions diverged:\nflat:      %v\ngoroutine: %v", fEm, gEm)
-			}
-			if fRes.Time <= 0 {
-				t.Fatalf("degenerate completion time %v", fRes.Time)
-			}
-		})
-	}
-}
-
-// TestScaleFlatMemoryRatio: the accounted peak per-proc bytes of a 2048-rank
-// flat world are at least 10x below the goroutine engine's floor. The
-// accounting is deterministic (structure sizes, not allocator behavior), so
-// this is a hard gate, not a flaky measurement.
-func TestScaleFlatMemoryRatio(t *testing.T) {
-	o := ScaleOptions{Ranks: 2048, RanksPerHost: 32, Algo: ScaleHier, Bytes: 1 << 12, Topology: scaleTestTopo}
-	fRes, _ := runScaleEngine(t, o, true)
-	gRes, _ := runScaleEngine(t, o, false)
-	if fRes.Time != gRes.Time {
-		t.Fatalf("completion diverged: flat %v vs goroutine %v", fRes.Time, gRes.Time)
-	}
-	fPeak, gPeak := fRes.Sim.PeakProcBytes, gRes.Sim.PeakProcBytes
-	if fPeak == 0 || gPeak == 0 {
-		t.Fatalf("missing accounting: flat=%d goroutine=%d", fPeak, gPeak)
-	}
-	if gPeak < 10*fPeak {
-		t.Fatalf("flat engine peak %d B not 10x below goroutine peak %d B (ratio %.1f)",
-			fPeak, gPeak, float64(gPeak)/float64(fPeak))
-	}
-	if fRes.Sim.ArenaUtilization <= 0 || fRes.Sim.ArenaUtilization > 1 {
-		t.Fatalf("arena utilization out of range: %v", fRes.Sim.ArenaUtilization)
-	}
-	if gRes.Sim.ArenaUtilization != 0 {
-		t.Fatalf("goroutine run reported arena utilization %v", gRes.Sim.ArenaUtilization)
-	}
+	return res
 }
 
 // TestScaleHierBeatsRingOnFatTree: in the latency-bound regime the
@@ -95,8 +30,8 @@ func TestScaleHierBeatsRingOnFatTree(t *testing.T) {
 	ring.Algo = ScaleRing
 	hier := base
 	hier.Algo = ScaleHier
-	rRes, _ := runScaleEngine(t, ring, true)
-	hRes, _ := runScaleEngine(t, hier, true)
+	rRes := runScale(t, ring)
+	hRes := runScale(t, hier)
 	if hRes.Time >= rRes.Time {
 		t.Fatalf("hier (%v) should beat ring (%v) on a fat tree with 32 ranks/host", hRes.Time, rRes.Time)
 	}
@@ -140,10 +75,8 @@ func TestScaleSingletons(t *testing.T) {
 		{Ranks: 1, RanksPerHost: 1, Algo: ScaleHier},
 		{Ranks: 8, RanksPerHost: 8, Algo: ScaleHier},
 	} {
-		for _, flat := range []bool{true, false} {
-			if res, _ := runScaleEngine(t, o, flat); res.Time < 0 {
-				t.Fatalf("%v flat=%v: negative time", o, flat)
-			}
+		if res := runScale(t, o); res.Time < 0 {
+			t.Fatalf("%v: negative time", o)
 		}
 	}
 }

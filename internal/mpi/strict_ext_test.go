@@ -14,8 +14,8 @@ import (
 // internal/experiments owns with poolStrict on — every depot buffer poisoned,
 // the conservation law asserted at the end of every clean world — and wants
 // what it wants with the hook off: both golden traces byte-identical to their
-// fixtures on both engines, and three chaos hunts (crashed, respawned and
-// shrunk worlds, one after another on a warm depot) printing the same report.
+// fixtures, and three chaos hunts (crashed, respawned and shrunk worlds, one
+// after another on a warm depot) printing the same report.
 func TestPoolStrictKeepsGoldenTracesAndChaosHunts(t *testing.T) {
 	hunts := map[int64]string{}
 	for _, seed := range []int64{7, 42, 1337} {
@@ -39,15 +39,12 @@ func TestPoolStrictKeepsGoldenTracesAndChaosHunts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []string{"goroutine", "flat"} {
-			t.Setenv("CMPI_SIM_ENGINE", engine)
-			var got bytes.Buffer
-			if err := job.run(&got); err != nil {
-				t.Fatalf("%s, %s engine: %v", job.fixture, engine, err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s, %s engine: trace differs from the fixture under poolStrict", job.fixture, engine)
-			}
+		var got bytes.Buffer
+		if err := job.run(&got); err != nil {
+			t.Fatalf("%s: %v", job.fixture, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: trace differs from the fixture under poolStrict", job.fixture)
 		}
 	}
 	for seed, want := range hunts {

@@ -145,15 +145,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		shrinks:    make(map[int]*shrinkSync),
 		pairs:      make(map[uint64]*pairShared),
 	}
-	// Machine execution mode for this world size (CMPI_SIM_ENGINE override).
-	// Blocking rank bodies always run on goroutines; the mode matters for
-	// machine ranks (World.RunMachine) and machine-based procs sharing the
-	// engine.
-	flat, err := sim.FlatFromEnv(d.Size())
-	if err != nil {
-		return nil, err
-	}
-	w.Eng.SetFlat(flat)
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
 		return nil, err

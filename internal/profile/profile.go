@@ -151,13 +151,13 @@ type SimStats struct {
 	// communication pattern re-widens without waiting out the decay window.
 	PhaseRewidens uint64
 	// PeakProcBytes is the engine's accounting of peak live per-process
-	// overhead: facade plus machine state for flat procs, plus the goroutine
-	// stack/descriptor/coroutine floor for goroutine-backed ones. Deterministic
-	// (it counts structures, not allocator behavior), so flat-vs-goroutine
+	// overhead: facade plus machine state for machines, or plus the goroutine
+	// stack/descriptor/coroutine floor for blocking bodies. Deterministic
+	// (it counts structures, not allocator behavior), so machine-vs-blocking
 	// ratios are comparable run to run.
 	PeakProcBytes uint64
-	// ArenaUtilization is peak live flat procs over allocated arena slots
-	// (zero when no machine ran flat).
+	// ArenaUtilization is peak live machine procs over allocated arena slots
+	// (zero when the run spawned no machine).
 	ArenaUtilization float64
 	// BufPool aggregates the byte-buffer pools (runtime staging plus fabric
 	// wire snapshots).

@@ -86,11 +86,10 @@ type Engine struct {
 	poolSize int
 	poolWork *epochWork
 
-	// Flat machine execution state (flat.go): flat selects the mode for
-	// GoMachine spawns, arena holds flat procs in fixed-capacity slabs,
-	// arenaLive counts flat procs not yet done, liveProcBytes is the current
-	// per-proc overhead account (peak recorded in stats).
-	flat          bool
+	// Machine execution state (flat.go): arena holds machine procs in
+	// fixed-capacity slabs, arenaLive counts machine procs not yet done,
+	// liveProcBytes is the current per-proc overhead account (peak recorded
+	// in stats).
 	arena         [][]Proc
 	arenaLive     int
 	liveProcBytes uint64
@@ -151,16 +150,16 @@ type Stats struct {
 	// footprint state eagerly instead of waiting out the decay window.
 	PhaseRewidens uint64
 	// PeakProcBytes is the high-water mark of per-process overhead bytes, as
-	// accounted by the engine: the Proc facade plus machine state for flat
-	// procs, plus a goroutine stack/descriptor/coroutine floor for
-	// goroutine-backed ones (see flat.go). Deterministic — it counts data
-	// structures, not allocator behavior — so it is comparable across engines
-	// and identical for any dispatch width.
+	// accounted by the engine: the Proc facade plus machine state for
+	// machines, or plus a goroutine stack/descriptor/coroutine floor for
+	// blocking bodies (see flat.go). Deterministic — it counts data
+	// structures, not allocator behavior — so it is comparable across body
+	// kinds and identical for any dispatch width.
 	PeakProcBytes uint64
-	// ArenaSlots is the total flat-proc arena capacity allocated (slots, not
-	// bytes); zero when no machine ran flat.
+	// ArenaSlots is the total machine-proc arena capacity allocated (slots,
+	// not bytes); zero when the run spawned no machine.
 	ArenaSlots int
-	// ArenaPeakLive is the peak number of live flat procs; the ratio
+	// ArenaPeakLive is the peak number of live machine procs; the ratio
 	// ArenaPeakLive/ArenaSlots is the arena utilization.
 	ArenaPeakLive int
 }

@@ -26,7 +26,7 @@ import (
 //     formation, so it is identical for any worker count. One worker runs a
 //     group's loop for the whole epoch (dispatch) — the group's scheduler
 //     context, see Engine — resuming each goroutine-backed process as a
-//     coroutine and stepping each flat machine in place. Each group
+//     coroutine and stepping each machine in place. Each group
 //     dispatches at most epochQuota events so that the partition is
 //     refreshed as communication patterns shift. An epoch that forms a
 //     single group — every epoch of a world that declares nothing —
@@ -125,7 +125,7 @@ func (g *execGroup) fail(err error) {
 
 // dispatch pops the group's events in (t, seq) order until the local heap
 // drains, the quota is spent, or the engine stops. Whatever remains queued
-// carries over to the next epoch via commit. Callbacks and flat machines run
+// carries over to the next epoch via commit. Callbacks and machines run
 // in place; a live wake for a goroutine-backed process resumes its coroutine
 // and gets control back when the body blocks, returns or panics — one
 // coroutine round trip, no channel and no trip through the Go scheduler.
@@ -174,7 +174,7 @@ func (g *execGroup) dispatch() {
 		}
 		p.state = stateRunning
 		p.group = g
-		if p.flat {
+		if p.fm != nil {
 			p.runMachine()
 		} else {
 			p.co.next()

@@ -1,35 +1,29 @@
 package sim
 
-// Flat execution mode: continuation state machines instead of goroutines.
+// Continuation machines: simulated processes without a goroutine.
 //
-// The goroutine engine gives every simulated process its own goroutine, run
-// as a coroutine of the dispatch loop (coro.go); handing it control is a
-// coroutine switch there and one back, and every process costs at least a
-// 2 KiB stack span before it has done anything. That is fine for hundreds of
-// ranks and ruinous for hundreds of thousands.
+// A blocking Go body (Engine.Go) runs on a goroutine of its own, resumed as a
+// coroutine of the dispatch loop (coro.go); handing it control is a coroutine
+// switch there and one back, and every process costs at least a 2 KiB stack
+// span before it has done anything. That is fine for hundreds of ranks and
+// ruinous for hundreds of thousands.
 //
-// A Machine is the flat alternative: the process is a step function over
+// A Machine is the other kind of body: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
 // coroutine, no stack — and the Proc facade (Sleep/Park/UnparkAt/SetRes/Emit)
 // works unchanged on top. One Step may invoke at most one blocking primitive
-// (Sleep, Park, Advance-that-would-yield is therefore forbidden — machine
-// Advance is always a pure clock bump — or YieldRegroup), and that call must
-// be the machine's last action before returning More: in flat mode the
-// primitive cannot suspend the caller, it only records where to resume, so
-// anything executed after it would run "before its time". Flat mode panics on
-// contract violations instead of silently diverging; the same machine run on
-// the goroutine engine (SetFlat(false)) blocks for real inside the primitive,
-// which is what makes A/B comparisons between the engines meaningful.
+// (Sleep, Park or YieldRegroup; a machine's Advance is always a pure clock
+// bump, never the yielding kind), and that call must be the machine's last
+// action before returning More: the primitive cannot suspend the caller, it
+// only records where to resume, so anything executed after it would run
+// "before its time". A contract violation panics, failing the run with an
+// error that names the process and the operation.
 //
-// Flat procs are arena-allocated in fixed-size slabs owned by the engine, so
-// a million-rank world is a handful of large allocations instead of a million
-// tiny ones, and Stats can report arena utilization exactly.
+// Machine procs are arena-allocated in fixed-size slabs owned by the engine,
+// so a million-rank world is a handful of large allocations instead of a
+// million tiny ones, and Stats can report arena utilization exactly.
 
-import (
-	"fmt"
-	"os"
-	"reflect"
-)
+import "reflect"
 
 // Flow is a Machine step verdict: More keeps the machine alive (it either
 // blocked via a Proc primitive or wants another immediate step), Done retires
@@ -48,83 +42,33 @@ const (
 // Machine is a simulated process written as a continuation state machine:
 // Step is called with the process facade each time the process runs, and the
 // machine's own fields carry state between steps. See the package comment
-// above for the blocking contract. Machines run on either engine — spawn with
-// Engine.GoMachine; Engine.SetFlat selects the execution mode.
+// above for the blocking contract. Spawn with Engine.GoMachine.
 type Machine interface {
 	Step(p *Proc) Flow
 }
 
-// DefaultFlatThreshold is the world size at or above which FlatFromEnv picks
-// the flat engine when CMPI_SIM_ENGINE does not force a choice.
-const DefaultFlatThreshold = 1024
-
-// FlatFromEnv reports whether a world of the given size should run machines
-// flat: the CMPI_SIM_ENGINE environment variable ("flat" or "goroutine")
-// wins, else worlds of DefaultFlatThreshold ranks or more go flat. Engine
-// choice never changes simulated results — only host memory and wall-clock.
-// A set-but-unrecognized value (say "falt") is a deterministic error, never a
-// silent fall-through to size-based selection.
-func FlatFromEnv(worldSize int) (bool, error) {
-	switch v := os.Getenv("CMPI_SIM_ENGINE"); v {
-	case "flat":
-		return true, nil
-	case "goroutine":
-		return false, nil
-	case "":
-	default:
-		return false, fmt.Errorf("CMPI_SIM_ENGINE=%q: want \"flat\" or \"goroutine\"", v)
-	}
-	return worldSize >= DefaultFlatThreshold, nil
-}
-
-// SetFlat selects the execution mode for machines spawned after the call:
-// flat (arena-allocated, stepped directly by the dispatch loop) or goroutine
-// (each machine stepped on a goroutine of its own, exactly like Go bodies).
-// Blocking Go bodies always use goroutines regardless of mode. Call before
-// spawning.
-func (e *Engine) SetFlat(on bool) { e.flat = on }
-
-// Flat reports the current machine execution mode.
-func (e *Engine) Flat() bool { return e.flat }
+// SetFlat does nothing: a machine is always stepped in place from an arena
+// slot, and there is no other mode to select. It is kept only because
+// bench/layers.go (sleeper) still calls it before spawning, and bench/ may be
+// edited only by a benchmark issue (ROADMAP item 1 deletes both).
+func (e *Engine) SetFlat(bool) {}
 
 // GoMachine spawns a simulated process driven by a continuation state
-// machine, starting at the current virtual time. In flat mode (SetFlat) the
-// process costs one arena slot and no goroutine; otherwise its steps are the
-// body of a process spawned as by Go, with identical semantics, so
-// flat-vs-goroutine comparisons run the exact same machine code. Spawn
-// before Run.
+// machine, starting at the current virtual time. The process costs one arena
+// slot and no goroutine. Spawn before Run.
 func (e *Engine) GoMachine(name string, m Machine) *Proc {
-	var p *Proc
-	cost := procBytes + machineBytes(m)
-	if e.flat {
-		p = e.arenaAlloc()
-		p.eng = e
-		p.id = len(e.procs)
-		p.name = name
-		p.now = e.now
-		p.state = stateScheduled
-		p.fm = m
-		p.flat = true
-		e.arenaLive++
-		if e.arenaLive > e.stats.ArenaPeakLive {
-			e.stats.ArenaPeakLive = e.arenaLive
-		}
-	} else {
-		p = &Proc{
-			eng:   e,
-			id:    len(e.procs),
-			name:  name,
-			now:   e.now,
-			state: stateScheduled,
-			fm:    m,
-		}
-		p.co = newCoro(p, func(p *Proc) {
-			for m.Step(p) == More {
-			}
-		})
-		cost += goroutineOverheadBytes
+	p := e.arenaAlloc()
+	p.eng = e
+	p.id = len(e.procs)
+	p.name = name
+	p.now = e.now
+	p.state = stateScheduled
+	p.fm = m
+	p.cost = uint32(procBytes + machineBytes(m))
+	e.arenaLive++
+	if e.arenaLive > e.stats.ArenaPeakLive {
+		e.stats.ArenaPeakLive = e.arenaLive
 	}
-	p.cost = uint32(cost)
 	e.chargeProc(p)
 	e.procs = append(e.procs, p)
 	e.seq++
@@ -133,7 +77,7 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	return p
 }
 
-// runMachine steps a flat machine until it blocks or finishes. It is the flat
+// runMachine steps a machine until it blocks or finishes. It is the machine
 // counterpart of resuming a coroutine: called from the dispatch loop with
 // p.state == stateRunning, it returns with the process either blocked (a
 // primitive recorded the continuation) or done. Panics — including
@@ -165,13 +109,13 @@ func (p *Proc) runMachine() {
 // accounting is buffered in the group and merged at commit, keeping group
 // execution free of shared writes.
 func (e *Engine) releaseProc(p *Proc, g *execGroup) {
+	if p.fm != nil {
+		g.releasedProcs++
+	}
 	p.co = nil
 	p.fm = nil
 	p.fpCache = nil
 	g.releasedBytes += uint64(p.cost)
-	if p.flat {
-		g.releasedProcs++
-	}
 }
 
 // chargeProc adds a newly spawned process's byte cost to the live account and
@@ -188,8 +132,8 @@ func (e *Engine) chargeProc(p *Proc) {
 // a real goroutine's stack starts at one 2 KiB span and only grows, the
 // runtime g descriptor is measured from the Go runtime's own struct size, and
 // the coroutine is charged well under what it allocates — so the
-// flat-vs-goroutine ratio the engine reports understates the real advantage
-// rather than flattering it.
+// machine-vs-blocking-body ratio the engine reports understates the real
+// advantage rather than flattering it.
 const (
 	// goroutineStackBytes is Go's minimum stack span per goroutine.
 	goroutineStackBytes = 2048
@@ -219,8 +163,7 @@ type SizeReporter interface {
 
 // machineBytes is the machine state a process carries: the self-reported
 // size for SizeReporter machines, else the pointee size for pointer machines
-// (the common case), the value size otherwise. Charged to machines on both
-// engines — the state exists either way.
+// (the common case), the value size otherwise.
 func machineBytes(m Machine) int {
 	if sr, ok := m.(SizeReporter); ok {
 		return sr.MachineBytes()
@@ -235,12 +178,12 @@ func machineBytes(m Machine) int {
 	return int(t.Size())
 }
 
-// arenaSlab is the flat-proc arena slab size: large enough that a 4096-rank
-// world is four allocations, small enough that modest flat worlds do not
-// strand much memory.
+// arenaSlab is the machine-proc arena slab size: large enough that a
+// 4096-rank world is four allocations, small enough that modest machine worlds
+// do not strand much memory.
 const arenaSlab = 1024
 
-// arenaAlloc returns the next free slot in the engine's flat-proc arena,
+// arenaAlloc returns the next free slot in the engine's machine-proc arena,
 // growing it by one slab when full. Slab capacity never changes after
 // allocation, so returned pointers are stable.
 func (e *Engine) arenaAlloc() *Proc {

@@ -88,16 +88,14 @@ func pingBody(s *pingState) func(p *Proc) {
 }
 
 // runPingWorld wires nPairs ping-pong pairs into a fresh engine and returns
-// the emission stream plus final stats. kind selects the construction:
-// "body" (blocking goroutine bodies), "machine-go" (machines on goroutine
-// trampolines), "machine-flat" (arena-allocated flat machines). With
+// the emission stream plus final stats. machines selects the body kind:
+// continuation machines in the arena, or blocking bodies on coroutines. With
 // footprints=true each pair declares a private resource pair so the world
 // runs under epoch dispatch at the given worker width.
-func runPingWorld(t *testing.T, kind string, nPairs, iters, workers int, footprints bool) (string, Stats) {
+func runPingWorld(t *testing.T, machines bool, nPairs, iters, workers int, footprints bool) (string, Stats) {
 	t.Helper()
 	e := NewEngine()
 	e.SetWorkers(workers)
-	e.SetFlat(kind == "machine-flat")
 	var out strings.Builder
 	e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
 
@@ -107,14 +105,12 @@ func runPingWorld(t *testing.T, kind string, nPairs, iters, workers int, footpri
 			s := &pingState{box: &boxes[j], peerBox: &boxes[1-j], iters: iters, initiator: init}
 			name := fmt.Sprintf("pair%d.%d", i, j)
 			var p *Proc
-			if kind == "body" {
-				p = e.Go(name, pingBody(s))
+			if machines {
+				m := &pingMachine{pingState: *s}
+				s = &m.pingState // the machine copied the state; wire the copy
+				p = e.GoMachine(name, m)
 			} else {
-				p = e.GoMachine(name, &pingMachine{pingState: *s})
-			}
-			if kind != "body" {
-				// The machine copied the state; fish it back out for wiring.
-				s = &e.procs[len(e.procs)-1].fm.(*pingMachine).pingState
+				p = e.Go(name, pingBody(s))
 			}
 			if footprints {
 				ra, rb := Res(1+2*i), Res(2+2*i)
@@ -128,76 +124,60 @@ func runPingWorld(t *testing.T, kind string, nPairs, iters, workers int, footpri
 		s0.peer, s1.peer = p1, p0
 	}
 	if err := e.Run(); err != nil {
-		t.Fatalf("%s world: %v", kind, err)
+		t.Fatalf("machines=%v world: %v", machines, err)
 	}
 	return out.String(), e.Stats()
 }
 
-// TestMachineMatchesBody is the core flat-engine equivalence property: the
-// same ping-pong workload written as blocking bodies, as machines on
-// goroutine trampolines, and as flat arena machines produces byte-identical
-// emission streams, and the two machine forms agree on scheduler stats.
+// TestMachineMatchesBody is the core equivalence property of the two body
+// kinds: the same ping-pong workload written as blocking bodies and as
+// continuation machines produces byte-identical emission streams.
 func TestMachineMatchesBody(t *testing.T) {
-	body, _ := runPingWorld(t, "body", 4, 5, 1, false)
-	mgo, sgo := runPingWorld(t, "machine-go", 4, 5, 1, false)
-	mflat, sflat := runPingWorld(t, "machine-flat", 4, 5, 1, false)
-	if body != mgo {
-		t.Fatalf("machine-on-goroutine diverged from body:\nbody:\n%s\nmachine:\n%s", body, mgo)
-	}
-	if body != mflat {
-		t.Fatalf("flat machine diverged from body:\nbody:\n%s\nflat:\n%s", body, mflat)
-	}
-	sgo.PeakProcBytes, sflat.PeakProcBytes = 0, 0 // engine kinds account differently by design
-	sgo.ArenaSlots, sflat.ArenaSlots = 0, 0
-	sgo.ArenaPeakLive, sflat.ArenaPeakLive = 0, 0
-	if sgo != sflat {
-		t.Fatalf("machine stats diverged between engines:\ngoroutine: %+v\nflat: %+v", sgo, sflat)
+	body, _ := runPingWorld(t, false, 4, 5, 1, false)
+	mach, _ := runPingWorld(t, true, 4, 5, 1, false)
+	if body != mach {
+		t.Fatalf("machine diverged from body:\nbody:\n%s\nmachine:\n%s", body, mach)
 	}
 }
 
-// TestFlatEpochWidths runs footprinted flat machines under epoch dispatch at
-// widths 1/2/4/8 and requires byte-identical emissions, matching the
-// goroutine engine at every width.
+// TestFlatEpochWidths runs footprinted machines under epoch dispatch at
+// widths 1/2/4/8 and requires byte-identical emissions, equal to the blocking
+// bodies' at width 1.
 func TestFlatEpochWidths(t *testing.T) {
-	ref, _ := runPingWorld(t, "machine-go", 8, 4, 1, true)
+	ref, _ := runPingWorld(t, false, 8, 4, 1, true)
 	for _, w := range []int{1, 2, 4, 8} {
-		flat, _ := runPingWorld(t, "machine-flat", 8, 4, w, true)
-		if flat != ref {
-			t.Fatalf("flat width %d diverged from goroutine width 1:\nref:\n%s\ngot:\n%s", w, ref, flat)
-		}
-		goro, _ := runPingWorld(t, "machine-go", 8, 4, w, true)
-		if goro != ref {
-			t.Fatalf("goroutine width %d diverged from width 1", w)
+		if got, _ := runPingWorld(t, true, 8, 4, w, true); got != ref {
+			t.Fatalf("machines at width %d diverged from bodies at width 1:\nref:\n%s\ngot:\n%s", w, ref, got)
 		}
 	}
 }
 
-// TestFlatArenaAccounting checks the new Stats fields: flat worlds report
-// arena capacity and peak-live counts, and the per-proc byte accounting makes
-// flat machines dramatically cheaper than the same machines on goroutines.
+// TestFlatArenaAccounting checks the arena Stats fields: a machine world
+// reports arena capacity and peak-live counts, a world of blocking bodies
+// reports none, and the per-proc byte accounting makes machines dramatically
+// cheaper than the same workload on coroutines.
 func TestFlatArenaAccounting(t *testing.T) {
-	_, sflat := runPingWorld(t, "machine-flat", 16, 2, 1, false)
-	_, sgo := runPingWorld(t, "machine-go", 16, 2, 1, false)
-	if sflat.ArenaSlots != arenaSlab {
-		t.Fatalf("ArenaSlots = %d, want one slab (%d)", sflat.ArenaSlots, arenaSlab)
+	_, smach := runPingWorld(t, true, 16, 2, 1, false)
+	_, sbody := runPingWorld(t, false, 16, 2, 1, false)
+	if smach.ArenaSlots != arenaSlab {
+		t.Fatalf("ArenaSlots = %d, want one slab (%d)", smach.ArenaSlots, arenaSlab)
 	}
-	if sflat.ArenaPeakLive != 32 {
-		t.Fatalf("ArenaPeakLive = %d, want 32", sflat.ArenaPeakLive)
+	if smach.ArenaPeakLive != 32 {
+		t.Fatalf("ArenaPeakLive = %d, want 32", smach.ArenaPeakLive)
 	}
-	if sgo.ArenaSlots != 0 || sgo.ArenaPeakLive != 0 {
-		t.Fatalf("goroutine world reported arena stats: %+v", sgo)
+	if sbody.ArenaSlots != 0 || sbody.ArenaPeakLive != 0 {
+		t.Fatalf("blocking-body world reported arena stats: %+v", sbody)
 	}
-	if sflat.PeakProcBytes == 0 || sgo.PeakProcBytes == 0 {
-		t.Fatalf("missing PeakProcBytes: flat=%d goroutine=%d", sflat.PeakProcBytes, sgo.PeakProcBytes)
+	if smach.PeakProcBytes == 0 || sbody.PeakProcBytes == 0 {
+		t.Fatalf("missing PeakProcBytes: machines=%d bodies=%d", smach.PeakProcBytes, sbody.PeakProcBytes)
 	}
-	if sgo.PeakProcBytes <= 2*sflat.PeakProcBytes {
-		t.Fatalf("goroutine procs should cost several times flat procs: flat=%d goroutine=%d",
-			sflat.PeakProcBytes, sgo.PeakProcBytes)
+	if sbody.PeakProcBytes <= 2*smach.PeakProcBytes {
+		t.Fatalf("blocking bodies should cost several times machines: machines=%d bodies=%d",
+			smach.PeakProcBytes, sbody.PeakProcBytes)
 	}
 }
 
-// advanceMachine exercises machine Advance: always a pure clock bump, on
-// both engines.
+// advanceMachine exercises machine Advance: always a pure clock bump.
 type advanceMachine struct{ rounds int }
 
 func (m *advanceMachine) Step(p *Proc) Flow {
@@ -212,90 +192,61 @@ func (m *advanceMachine) Step(p *Proc) Flow {
 }
 
 // TestMachineAdvanceBumpsClock: machine Advance costs virtual time without
-// yielding, identically on both engines.
+// yielding.
 func TestMachineAdvanceBumpsClock(t *testing.T) {
-	for _, flat := range []bool{false, true} {
-		e := NewEngine()
-		e.SetFlat(flat)
-		var out strings.Builder
-		e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
-		p := e.GoMachine("adv", &advanceMachine{rounds: 3})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		want := "tick @10.000ns\ntick @110.000ns\ntick @210.000ns\n"
-		if out.String() != want {
-			t.Fatalf("flat=%v emissions:\n%s\nwant:\n%s", flat, out.String(), want)
-		}
-		if p.Now() != 300*Nanosecond {
-			t.Fatalf("flat=%v final clock %v, want 300ns", flat, p.Now())
-		}
+	e := NewEngine()
+	var out strings.Builder
+	e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
+	p := e.GoMachine("adv", &advanceMachine{rounds: 3})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "tick @10.000ns\ntick @110.000ns\ntick @210.000ns\n"
+	if out.String() != want {
+		t.Fatalf("emissions:\n%s\nwant:\n%s", out.String(), want)
+	}
+	if p.Now() != 300*Nanosecond {
+		t.Fatalf("final clock %v, want 300ns", p.Now())
 	}
 }
 
-// doubleBlockMachine violates the flat contract: two blocking primitives in
-// one step.
-type doubleBlockMachine struct{ n int }
+// violatingMachine breaks the machine contract on its first step: it blocks
+// with first, then touches the facade again with then.
+type violatingMachine struct {
+	first, then func(p *Proc)
+	n           int
+}
 
-func (m *doubleBlockMachine) Step(p *Proc) Flow {
+func (m *violatingMachine) Step(p *Proc) Flow {
 	if m.n++; m.n > 1 {
 		return Done
 	}
-	p.Sleep(10 * Nanosecond)
-	p.Sleep(10 * Nanosecond) // contract violation
+	m.first(p)
+	m.then(p) // contract violation
 	return More
 }
 
-// TestFlatContractViolationFails: a machine that blocks twice in one step
-// must fail the run with a clear error in flat mode (on the goroutine engine
-// it would legitimately block twice).
+// TestFlatContractViolationFails: nothing can suspend a machine mid-step, so
+// one that touches the facade after its step blocked must fail the run with
+// an error naming the process and the operation.
 func TestFlatContractViolationFails(t *testing.T) {
-	e := NewEngine()
-	e.SetFlat(true)
-	e.GoMachine("bad", &doubleBlockMachine{})
-	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "blocked twice") {
-		t.Fatalf("want blocked-twice contract error, got %v", err)
-	}
-}
-
-// TestFlatFromEnv pins the engine-selection contract: explicit
-// CMPI_SIM_ENGINE values win, the empty value falls back to the size
-// threshold, and a set-but-unrecognized value is a deterministic parse
-// error rather than a silent fall-through.
-func TestFlatFromEnv(t *testing.T) {
-	cases := []struct {
-		env     string
-		size    int
-		want    bool
-		wantErr bool
+	sleep := func(p *Proc) { p.Sleep(10 * Nanosecond) }
+	park := func(p *Proc) { p.Park() }
+	for _, tc := range []struct {
+		name        string
+		first, then func(p *Proc)
+		want        string
 	}{
-		{"flat", 1, true, false},
-		{"goroutine", 1 << 20, false, false},
-		{"", DefaultFlatThreshold - 1, false, false},
-		{"", DefaultFlatThreshold, true, false},
-		{"falt", 1, false, true},
-		{"FLAT", 1, false, true},
-		{"flat ", 1, false, true},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%q-%d", tc.env, tc.size), func(t *testing.T) {
-			t.Setenv("CMPI_SIM_ENGINE", tc.env)
-			got, err := FlatFromEnv(tc.size)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("FlatFromEnv(%d) with %q: want error, got flat=%v", tc.size, tc.env, got)
-				}
-				if !strings.Contains(err.Error(), "CMPI_SIM_ENGINE=") {
-					t.Fatalf("error %q does not name the variable", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("FlatFromEnv(%d) with %q: %v", tc.size, tc.env, err)
-			}
-			if got != tc.want {
-				t.Fatalf("FlatFromEnv(%d) with %q = %v; want %v", tc.size, tc.env, got, tc.want)
+		{"sleep-sleep", sleep, sleep, "blocked twice"},
+		{"sleep-emit", sleep, func(p *Proc) { p.Emit("late") }, "Emit after the step's blocking primitive"},
+		{"park-advance", park, func(p *Proc) { p.Advance(Nanosecond) }, "Advance after the step's blocking primitive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.GoMachine("bad", &violatingMachine{first: tc.first, then: tc.then})
+			err := e.Run()
+			if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a contract error naming proc \"bad\" and %q, got %v", tc.want, err)
 			}
 		})
 	}

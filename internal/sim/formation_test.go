@@ -100,7 +100,6 @@ func TestFormEpochMatchesNaiveReference(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		e := NewEngine()
-		e.SetFlat(true)
 		universe := 2 + rng.Intn(12)
 		fps := make([][]Res, rng.Intn(10))
 		for i := range fps {
@@ -235,14 +234,13 @@ func (m *ticker) Step(p *Proc) Flow {
 	return More
 }
 
-// steadyWorld builds pairs of procs — flat machines or goroutine bodies —
+// steadyWorld builds pairs of procs — machines (flat) or blocking bodies —
 // that keep every engine path busy forever: timers, parks and wakes, regroup
 // yields, emissions, tagged pooled callbacks. shared=false gives each pair its
 // own resources (wide epochs through the group queues); shared=true declares
 // Global everywhere (one group, dispatched in place).
 func steadyWorld(flat, shared bool, workers int, stop *bool) *Engine {
 	e := NewEngine()
-	e.SetFlat(flat)
 	e.SetWorkers(workers)
 	e.SetEmitter(func(any) {})
 	const pairs = 6
@@ -374,7 +372,6 @@ func TestNegativeResRejected(t *testing.T) {
 		fn()
 	}
 	e := NewEngine()
-	e.SetFlat(true)
 	p := e.GoMachine("p", idle{})
 	expect("SetRes", "negative resource id -3 in SetRes", func() { p.SetRes(-3) })
 	expect("AtRes", "negative resource id -1 in AtRes", func() { e.AtRes(0, func() {}, 2, -1) })

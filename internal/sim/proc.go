@@ -36,7 +36,7 @@ func (s procState) String() string {
 
 // Proc is one simulated process with a private virtual clock, cooperatively
 // scheduled by its Engine: a coroutine resumed by whichever goroutine
-// dispatches its epoch group, or a flat machine stepped in place by it. All
+// dispatches its epoch group, or a machine stepped in place by it. All
 // methods must be called from the process's own body except UnparkAt, which
 // other processes and scheduler callbacks use to wake it.
 type Proc struct {
@@ -46,18 +46,17 @@ type Proc struct {
 	now      Time
 	state    procState
 	timerSeq uint64 // sequence of the live timer event, when stateScheduled
-	// co is the coroutine a goroutine-backed process's body runs as (coro.go);
-	// nil for flat procs, done ones and once the run is over (Engine.reap).
+	// co is the coroutine a blocking body runs as (coro.go); nil for
+	// machines, done procs and once the run is over (Engine.reap).
 	co       *coro
 	panicked error
 
-	// Machine execution state (flat.go): fm is the continuation machine (nil
-	// for blocking Go bodies), flat marks procs stepped directly by the
-	// dispatch loop (no goroutine, no coroutine), blocked records that the
-	// current flat step invoked its one blocking primitive, and cost is the
-	// engine's byte accounting for this proc (Stats.PeakProcBytes).
+	// Machine execution state (flat.go): fm is the continuation machine the
+	// dispatch loop steps in place (nil for blocking Go bodies, and once the
+	// machine is done), blocked records that the current step invoked its
+	// one blocking primitive, and cost is the engine's byte accounting for
+	// this proc (Stats.PeakProcBytes).
 	fm      Machine
-	flat    bool
 	blocked bool
 	cost    uint32
 
@@ -162,13 +161,13 @@ func (p *Proc) Now() Time { return p.now }
 // Engine returns the scheduling engine that owns this process.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// checkStep panics when a flat machine touches the facade after its step
-// already blocked — code after the blocking primitive would execute before
-// the wake's virtual time on the flat engine but after it on the goroutine
-// engine, silently diverging. Free for every other proc kind.
+// checkStep panics when a machine touches the facade after its step already
+// blocked — code after the blocking primitive would execute before the wake's
+// virtual time, silently diverging from what the machine means. Free for
+// blocking bodies, which never set blocked.
 func (p *Proc) checkStep(op string) {
-	if p.flat && p.blocked {
-		panic(fmt.Sprintf("proc %q: %s after the step's blocking primitive (flat-mode contract: block last)", p.name, op))
+	if p.blocked {
+		panic(fmt.Sprintf("proc %q: %s after the step's blocking primitive (machine contract: block last)", p.name, op))
 	}
 }
 
@@ -177,10 +176,9 @@ func (p *Proc) checkStep(op string) {
 // completing. Machine code that wraps a possibly-blocking helper (one that
 // may Park or YieldRegroup internally) checks Deferred after the call: true
 // means the step must unwind and return More so the primitive stays the
-// step's last action. Always false for goroutine-backed procs, whose
-// primitives block for real and return only after the wake — so a machine
-// polling Deferred behaves identically on both engines.
-func (p *Proc) Deferred() bool { return p.fm != nil && p.blocked }
+// step's last action. Always false for blocking bodies, whose primitives
+// block for real and return only after the wake.
+func (p *Proc) Deferred() bool { return p.blocked }
 
 // wantsWake reports whether a popped proc event is a live wake for p.
 // Scheduled processes accept only their own timer; parked processes accept
@@ -203,14 +201,14 @@ func (p *Proc) wantsWake(timer bool, seq uint64) bool {
 // coroutine switch — and returns when that loop, this epoch or a later one,
 // on this worker or another, pops the wake and resumes it. If the run ends
 // first there is no wake to wait for: yield reports false and the body
-// unwinds (Engine.reap). Flat machines cannot be suspended mid-step: the
+// unwinds (Engine.reap). Machines cannot be suspended mid-step: the
 // continuation is the next Step call, so switchOut only records that the
 // step blocked — which is why a machine step may block at most once, as its
 // last action (see flat.go).
 func (p *Proc) switchOut() {
-	if p.flat {
+	if p.fm != nil {
 		if p.blocked {
-			panic(fmt.Sprintf("proc %q: machine blocked twice in one step (flat-mode contract: one blocking primitive per step, as the last action)", p.name))
+			panic(fmt.Sprintf("proc %q: machine blocked twice in one step (machine contract: one blocking primitive per step, as the last action)", p.name))
 		}
 		p.blocked = true
 		return
@@ -229,11 +227,9 @@ func (p *Proc) Advance(d Time) {
 		panic(fmt.Sprintf("proc %q: Advance(%v) with negative duration", p.name, d))
 	}
 	if p.fm != nil {
-		// Machines: always a pure clock bump, on both engines. The yielding
-		// slow path below would block mid-step in flat mode, and whether it
-		// triggers depends on heap occupancy — letting it run only on the
-		// goroutine engine would break flat-vs-goroutine identity. Machines
-		// that want a yielding wait must use Sleep.
+		// Machines: always a pure clock bump. The yielding slow path below
+		// would block mid-step, and whether it triggers depends on heap
+		// occupancy. Machines that want a yielding wait must use Sleep.
 		p.checkStep("Advance")
 		p.now += d
 		return
