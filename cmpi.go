@@ -73,13 +73,16 @@ type (
 	Options = mpi.Options
 	// World is one MPI job.
 	World = mpi.World
-	// Rank is one MPI process; communication methods hang off it.
+	// Rank is one MPI process; communication methods hang off it, and
+	// AllocMem/FreeMem (MPI_Alloc_mem/MPI_Free_mem) lend it message memory
+	// from the library's pool: contents undefined, reused by later worlds.
 	Rank = mpi.Rank
 	// Request is a nonblocking operation handle.
 	Request = mpi.Request
 	// Status describes a completed receive.
 	Status = mpi.Status
-	// Win is a one-sided communication window.
+	// Win is a one-sided communication window, over the caller's memory
+	// (Rank.WinCreate) or the pool's (Rank.WinAllocate, returned at Free).
 	Win = mpi.Win
 	// Comm is a communicator (subset of ranks with a private matching
 	// context), created with Rank.CommWorld and Comm.Split.

@@ -36,10 +36,15 @@ const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
 	// allocation is cheaper than the bookkeeping.
 	poolMinShift = 5
-	// poolMaxShift is the largest pooled class (4 MiB), comfortably above
-	// the biggest OSU sweep message; larger requests fall through to the
-	// allocator.
+	// poolMaxShift is the largest class an owner's pool lists (4 MiB),
+	// comfortably above the biggest OSU sweep message.
 	poolMaxShift = 22
+	// depotMaxShift is the largest class there is (16 MiB: the osu_put_bw
+	// window). The classes above poolMaxShift exist in the depot only — a
+	// world asks for such a buffer once, so Get and Free go there directly
+	// and no owner's pool grows for them; larger requests fall through to
+	// the allocator.
+	depotMaxShift = 24
 	// Classes from poolSlackShift (1 KiB) up hold poolSlack bytes more than
 	// their power of two. Payloads come in powers of two and travel behind a
 	// header (32 B on the HCA wire, mpi's hcaHdrLen), so exact classes would
@@ -119,7 +124,7 @@ func (p *BufPool) Get(n int) []byte {
 		if n <= 0 {
 			return nil
 		}
-		return make([]byte, n)
+		return theDepot.getLarge(n)
 	}
 	p.ctr.Gets++
 	if l := p.classes[c]; len(l) > 0 {
@@ -164,6 +169,17 @@ func (p *BufPool) Put(buf []byte) {
 	if s := classOf(buf); s >= 0 {
 		p.classes[s] = append(p.classes[s], buf[:0])
 	}
+}
+
+// Free is Put for a buffer that may be of any class, the depot's large ones
+// included. Put stays small enough to inline into the per-message paths,
+// which never hold such a buffer.
+func (p *BufPool) Free(buf []byte) {
+	if cap(buf) > classCap(poolMaxShift) {
+		theDepot.putLarge(buf)
+		return
+	}
+	p.Put(buf)
 }
 
 // Counters returns a snapshot of the pool's hit statistics.
@@ -255,7 +271,7 @@ type depot struct {
 	mu      sync.Mutex
 	limit   int
 	bytes   int // capacity held, at most limit
-	classes [poolMaxShift + 1][][]byte
+	classes [depotMaxShift + 1][][]byte
 	// poisoned is the set of held buffers a strict Drain brought in, by the
 	// address of their first byte; nil until there is one.
 	poisoned map[*byte]struct{}
@@ -270,7 +286,7 @@ var theDepot = depot{limit: depotCap}
 // footprint: nothing that bounds heap may call this first.
 func DropDepot() {
 	theDepot.mu.Lock()
-	theDepot.classes = [poolMaxShift + 1][][]byte{}
+	theDepot.classes = [depotMaxShift + 1][][]byte{}
 	theDepot.bytes, theDepot.poisoned = 0, nil
 	theDepot.mu.Unlock()
 }
@@ -300,12 +316,53 @@ func (d *depot) take(c int) []byte {
 	return buf
 }
 
-// give adds the pooled buffers of list, in order, until the depot is full;
-// the rest, and anything that is no pool buffer, is dropped. A strict give
-// poisons what it keeps, and panics on a buffer the depot already holds.
-func (d *depot) give(list [][]byte, strict bool) {
-	if len(list) == 0 {
+// getLarge serves a request above the per-owner classes: from the depot's
+// large classes up to depotMaxShift, from the allocator beyond them.
+func (d *depot) getLarge(n int) []byte {
+	for c := poolMaxShift + 1; c <= depotMaxShift; c++ {
+		if n <= classCap(c) {
+			if buf := d.take(c); buf != nil {
+				return buf[:n]
+			}
+			return make([]byte, n, classCap(c))
+		}
+	}
+	return make([]byte, n)
+}
+
+// putLarge retires a buffer of a large class, while its world may still be
+// running: whoever takes it next, in this world or another, owns it. Anything
+// else, and what does not fit under the limit, is dropped. There are a
+// handful of these per process, so every put looks for a double one.
+func (d *depot) putLarge(buf []byte) {
+	c := poolMaxShift + 1
+	for c <= depotMaxShift && cap(buf) != classCap(c) {
+		c++
+	}
+	if c > depotMaxShift {
 		return
+	}
+	buf = buf[:1]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, held := range d.classes[c] {
+		if &held[:1][0] == &buf[0] {
+			panic(fmt.Sprintf("core: a %d-byte buffer was freed twice", cap(buf)))
+		}
+	}
+	if d.bytes+cap(buf) <= d.limit {
+		d.classes[c] = append(d.classes[c], buf[:0])
+		d.bytes += cap(buf)
+	}
+}
+
+// give adds the pooled buffers of list, in order, until the depot is full;
+// the rest, and anything that is no pool buffer, is dropped. It returns the
+// bytes of pool buffers that did not fit. A strict give poisons what it
+// keeps, and panics on a buffer the depot already holds.
+func (d *depot) give(list [][]byte, strict bool) (refused int) {
+	if len(list) == 0 {
+		return 0
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -314,7 +371,11 @@ func (d *depot) give(list [][]byte, strict bool) {
 	}
 	for _, buf := range list {
 		c := classOf(buf)
-		if c < 0 || d.bytes+cap(buf) > d.limit {
+		if c < 0 {
+			continue
+		}
+		if d.bytes+cap(buf) > d.limit {
+			refused += cap(buf)
 			continue
 		}
 		if strict {
@@ -330,6 +391,7 @@ func (d *depot) give(list [][]byte, strict bool) {
 		d.classes[c] = append(d.classes[c], buf[:0])
 		d.bytes += cap(buf)
 	}
+	return refused
 }
 
 // Drain empties the pools of a finished world into the depot and, on the way,
@@ -337,14 +399,17 @@ func (d *depot) give(list [][]byte, strict bool) {
 // home pool once and every direction at least once, from one goroutine, when
 // nothing of the world runs any more. Strict is for tests: see give.
 type Drain struct {
-	Strict        bool
+	Strict bool
+	// Refused is the bytes of free buffers the depot was too full to take:
+	// what the next world like this one allocates again because of depotCap.
+	Refused       int
 	lent, waiting [poolMaxShift + 1]int
 }
 
 // Home takes the free buffers of an owner's pool. Its counters stay.
 func (dr *Drain) Home(p *BufPool) {
 	for c := range p.classes {
-		theDepot.give(p.classes[c], dr.Strict)
+		dr.Refused += theDepot.give(p.classes[c], dr.Strict)
 		p.classes[c] = nil
 		dr.lent[c] += int(p.lent[c])
 	}
@@ -355,7 +420,7 @@ func (dr *Drain) Dir(d *DirPool) {
 	for _, buf := range d.free {
 		dr.waiting[classOf(buf)]++
 	}
-	theDepot.give(d.free, dr.Strict)
+	dr.Refused += theDepot.give(d.free, dr.Strict)
 	d.free = nil
 }
 

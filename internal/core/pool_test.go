@@ -229,9 +229,13 @@ func emptyDepot(t *testing.T) {
 // that holds nothing says so.
 func TestDepotClassRoundTrip(t *testing.T) {
 	d := depot{limit: depotCap}
-	for c := poolMinShift; c <= poolMaxShift; c++ {
+	for c := poolMinShift; c <= depotMaxShift; c++ {
 		buf := make([]byte, 7, classCap(c))
-		d.give([][]byte{buf}, false)
+		if c <= poolMaxShift {
+			d.give([][]byte{buf}, false)
+		} else {
+			d.putLarge(buf)
+		}
 		if d.bytes != classCap(c) {
 			t.Fatalf("class %d: depot holds %d bytes after one buffer, want %d", c, d.bytes, classCap(c))
 		}
@@ -275,9 +279,12 @@ func TestDepotRespectsItsCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		list = append(list, make([]byte, 0, classCap(c)))
 	}
-	d.give(list, false)
+	refused := d.give(list, false)
 	if len(d.classes[c]) != 3 || d.bytes != 3*classCap(c) {
 		t.Fatalf("a 4 MiB depot given five %d-byte buffers holds %d (%d bytes), want 3", classCap(c), len(d.classes[c]), d.bytes)
+	}
+	if refused != 2*classCap(c) {
+		t.Errorf("give reported %d bytes refused, want the two buffers' %d", refused, 2*classCap(c))
 	}
 	d.give([][]byte{make([]byte, 0, classCap(c))}, false)
 	if len(d.classes[c]) != 3 {
@@ -324,6 +331,79 @@ func TestBufPoolMissAsksDepot(t *testing.T) {
 	}
 	if got := first.Get(5000); &got[0] == &a[0] {
 		t.Error("the drained pool still lists the buffer it handed over")
+	}
+}
+
+// Requests above the per-owner classes go to the depot and back without any
+// pool listing or counting them; above the depot's classes they are plain
+// allocations that nothing keeps.
+func TestBufPoolLargeClasses(t *testing.T) {
+	emptyDepot(t)
+	var p, q BufPool
+	for _, n := range []int{classCap(poolMaxShift) + 1, 8 << 20, 16 << 20, classCap(depotMaxShift)} {
+		buf := p.Get(n)
+		if len(buf) != n || cap(buf) != classCap(23) && cap(buf) != classCap(24) {
+			t.Fatalf("Get(%d) = len %d cap %d, want a large class", n, len(buf), cap(buf))
+		}
+		p.Free(buf)
+		if got := q.Get(n); &got[0] != &buf[0] {
+			t.Errorf("Get(%d) from another pool did not return the buffer just freed", n)
+		}
+		p.Free(buf[:1]) // whoever finishes with it; the length does not matter
+	}
+	if p.ctr != (PoolCounters{}) || q.ctr != (PoolCounters{}) {
+		t.Errorf("large requests were counted: %+v, %+v", p.ctr, q.ctr)
+	}
+	for c := range p.classes {
+		if len(p.classes[c])+len(q.classes[c]) != 0 {
+			t.Errorf("an owner's class %d lists a buffer", c)
+		}
+	}
+	small := p.Get(100)
+	p.Free(small)
+	if got := p.Get(100); &got[0] != &small[0] {
+		t.Error("Free of an owner's class did not reach the owner's list")
+	}
+	if theDepot.bytes != classCap(23)+classCap(24) {
+		t.Errorf("depot holds %d bytes, want one buffer of each large class", theDepot.bytes)
+	}
+	twice := p.Get(8 << 20)
+	p.Free(twice)
+	mustPanic(t, "a second Free of a large buffer", func() { q.Free(twice) })
+
+	huge := p.Get(classCap(depotMaxShift) + 1)
+	if cap(huge) != len(huge) {
+		t.Errorf("a request above every class got cap %d", cap(huge))
+	}
+	held := theDepot.bytes
+	p.Free(huge)
+	if theDepot.bytes != held {
+		t.Error("the depot kept a buffer of no class")
+	}
+}
+
+// Drain adds up what the depot's cap turned away, buffer by buffer.
+func TestDrainCountsRefusedBytes(t *testing.T) {
+	emptyDepot(t)
+	theDepot.limit = 3*classCap(12) + classCap(7)
+	t.Cleanup(func() { theDepot.limit = depotCap })
+	var p, receiver BufPool
+	var dir DirPool
+	var held [][]byte
+	for i := 0; i < 4; i++ {
+		held = append(held, p.Get(4096))
+	}
+	held = append(held, dir.Get(&p, 4096))
+	for _, buf := range held[:4] {
+		p.Put(buf)
+	}
+	dir.Return(&receiver, held[4]) // waits on the direction
+	p.Put(p.Get(100))              // drained first, and fits beside three of the five
+	var dr Drain
+	dr.Home(&p)
+	dr.Dir(&dir)
+	if dr.Refused != 2*classCap(12) {
+		t.Errorf("Refused = %d, want two %d-byte buffers", dr.Refused, classCap(12))
 	}
 }
 

@@ -59,7 +59,8 @@ func FaultsExtension(sc Scale) (*Table, error) {
 			// One vector and one wire buffer for every round: encode into the
 			// kept bytes, reduce in place, decode back over the vector.
 			vec := make([]float64, 32768)
-			buf := make([]byte, 0, 8*len(vec))
+			buf := r.AllocMem(8 * len(vec))[:0]
+			defer r.FreeMem(buf)
 			for round := 0; round < rounds; round++ {
 				for i := range vec {
 					vec[i] = float64(r.Rank() + round)

@@ -172,8 +172,9 @@ func recGoldenBody(chunks int, out *[]float64) func(r *mpi.Rank) error {
 		// Every iteration overwrites all of mine, buf, all and full, so one
 		// of each serves the whole run.
 		mine := make([]float64, per*vals)
-		buf := make([]byte, 0, 8*len(mine))
-		all := make([]byte, 8*len(mine)*size)
+		buf, all := r.AllocMem(8 * len(mine))[:0], r.AllocMem(8*len(mine)*size)
+		defer r.FreeMem(buf)
+		defer r.FreeMem(all)
 		full := make([]float64, 0, len(mine)*size)
 		for iter := start; iter < iters; iter++ {
 			for c := 0; c < per; c++ {

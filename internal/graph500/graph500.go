@@ -242,7 +242,8 @@ func (s *bfsState) buildGraph() error {
 		counts[d] = int64(len(outs[d]))
 	}
 	sendCounts := mpi.EncodeInt64s(counts)
-	recvCounts := make([]byte, len(sendCounts))
+	recvCounts := r.AllocMem(len(sendCounts))
+	defer r.FreeMem(recvCounts)
 	r.Alltoall(sendCounts, recvCounts, 8)
 	inCounts := mpi.DecodeInt64s(recvCounts)
 
@@ -253,7 +254,8 @@ func (s *bfsState) buildGraph() error {
 			ins[peer] = outs[peer]
 			continue
 		}
-		ins[peer] = make([]byte, inCounts[peer])
+		ins[peer] = r.AllocMem(int(inCounts[peer]))
+		defer r.FreeMem(ins[peer])
 		if inCounts[peer] > 0 {
 			reqs = append(reqs, r.Irecv(peer, 1, ins[peer]))
 		}
@@ -417,7 +419,7 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 				ends++
 				continue
 			}
-			buf := make([]byte, st.Bytes)
+			buf := r.AllocMem(st.Bytes)
 			r.Recv(st.Source, tagData, buf)
 			w := 0.0
 			for off := 0; off+8 <= len(buf); off += 8 {
@@ -426,6 +428,7 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 				discoverLocal(v, parent)
 				w += recvCost
 			}
+			r.FreeMem(buf)
 			r.Compute(w)
 		}
 		r.WaitAll(sendReqs...)
@@ -443,11 +446,13 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 func (s *bfsState) validate(root int64) error {
 	r := s.r
 	// Gather all levels: each rank contributes perRank int32 (padded).
-	mine := make([]byte, s.perRank*4)
+	mine := r.AllocMem(int(s.perRank * 4))
+	defer r.FreeMem(mine)
 	for i := int64(0); i < s.ownedN; i++ {
 		binary.LittleEndian.PutUint32(mine[i*4:], uint32(s.level[i]))
 	}
-	all := make([]byte, int64(r.Size())*s.perRank*4)
+	all := r.AllocMem(r.Size() * int(s.perRank) * 4)
+	defer r.FreeMem(all)
 	r.Allgather(mine, all)
 	levelOf := func(v int64) int32 {
 		return int32(binary.LittleEndian.Uint32(all[v*4:]))

@@ -196,7 +196,8 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 			}
 			inbox = make([][]byte, n-1)
 			for i := range inbox {
-				inbox[i] = make([]byte, maxLayer)
+				inbox[i] = r.AllocMem(maxLayer)
+				defer r.FreeMem(inbox[i])
 			}
 		}
 		step := func() {

@@ -348,8 +348,8 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 	// partial accumulates the full contribution of ranks [rank-2^k+1, rank]
 	// for forwarding; buf accumulates the prefix result.
 	partial := append([]byte(nil), buf...)
-	tmp := r.scratch(len(buf))
-	defer r.putScratch(tmp)
+	tmp := r.AllocMem(len(buf))
+	defer r.FreeMem(tmp)
 	for mask := 1; mask < r.size; mask <<= 1 {
 		var rq, sq *Request
 		if r.rank-mask >= 0 {
@@ -381,21 +381,6 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 func (r *Rank) sendrecvInternal(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) {
 	var m msr
 	for !m.step(r, dst, sendTag, sendData, src, recvTag, recvBuf, collCtxBit) {
-	}
-}
-
-// scratch returns an n-byte receive buffer for the duration of a collective,
-// from the rank's pool; its contents are undefined (every user receives into
-// it before reading). Hand it back with putScratch when the collective
-// returns.
-func (r *Rank) scratch(n int) []byte { return r.pools.buf.Get(n) }
-
-// putScratch retires a collective's scratch buffer. Once any request of the
-// rank has failed the buffer is left to the GC instead: a failed rendezvous
-// receive may still have an RDMA write in flight toward it.
-func (r *Rank) putScratch(buf []byte) {
-	if !r.reqFailed {
-		r.pools.buf.Put(buf)
 	}
 }
 

@@ -131,7 +131,8 @@ func (r *Rank) ReduceScatterBlock(in []byte, out []byte, op ReduceOp) {
 	if r.size == 1 {
 		return
 	}
-	tmp := make([]byte, blockLen)
+	tmp := r.AllocMem(blockLen)
+	defer r.FreeMem(tmp)
 	for step := 1; step < r.size; step++ {
 		sendTo := (r.rank + step) % r.size
 		recvFrom := (r.rank - step + r.size) % r.size

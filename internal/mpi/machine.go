@@ -267,10 +267,10 @@ func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int,
 
 // finishColl ends a collective stepper: it retires the scratch buffer, resets
 // the stepper for reuse and reports completion. A crash unwinds a blocking
-// body past it, leaving the scratch to the GC — the safe side of putScratch's
+// body past it, leaving the scratch to the GC — the safe side of FreeMem's
 // rule, since a transfer may still be in flight toward the buffer.
 func finishColl[M any](r *Rank, m *M, tmp []byte) bool {
-	r.putScratch(tmp)
+	r.FreeMem(tmp)
 	var zero M
 	*m = zero
 	return true
@@ -346,7 +346,7 @@ func (m *mreduce) step(r *Rank, g *group, root int, buf []byte, op ReduceOp) boo
 		m.tag = g.nextTag()
 		m.vrank = (g.me - root + g.n) % g.n
 		m.mask = 1
-		m.tmp = r.scratch(len(buf))
+		m.tmp = r.AllocMem(len(buf))
 		m.init = true
 	}
 	abs := func(v int) int { return g.world((v + root) % g.n) }
@@ -469,7 +469,7 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 	if m.st == 0 {
 		m.tag = g.nextTag()
 		m.rem = g.n - pof2
-		m.tmp = r.scratch(len(buf))
+		m.tmp = r.AllocMem(len(buf))
 		m.newRank = -1
 		m.mask = 1
 		switch {
@@ -584,7 +584,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		m.tagRS = r.nextCollTag()
 		m.tagAG = r.nextCollTag()
 		m.rem = r.size - pof2
-		m.tmp = r.scratch(len(buf))
+		m.tmp = r.AllocMem(len(buf))
 		m.newRank = -1
 		switch {
 		case r.rank < 2*m.rem && r.rank%2 == 0:
@@ -774,7 +774,7 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 		m.tagAG = r.nextCollTag()
 		// A chunk spans floor((i+1)·nel/n) - floor(i·nel/n) <= ceil(nel/n)
 		// elements; size the receive scratch for the worst case.
-		m.tmp = r.scratch((nel + n - 1) / n * 8)
+		m.tmp = r.AllocMem((nel + n - 1) / n * 8)
 		m.ph = 1
 	}
 	if m.ph == 1 {
@@ -898,7 +898,10 @@ func (a *MachAllreduce) Step(r *Rank, buf []byte, op ReduceOp) bool { return a.m
 // equivalence tests and the full-fidelity memory benchmark.
 func AllreduceWorkload(iters, size int) func(r *Rank) error {
 	return func(r *Rank) error {
-		buf := make([]byte, size)
+		// As in allreduceProg below: from the pool, tail cleared.
+		buf := r.AllocMem(size)
+		defer r.FreeMem(buf)
+		clear(buf[size&^7:])
 		for it := 0; it < iters; it++ {
 			fillAllreduce(buf, r.rank, it)
 			r.allreduce(buf, SumInt64)
@@ -930,7 +933,7 @@ func (g *allreduceProg) Step(r *Rank) sim.Flow {
 		// From the rank's pool, so the vectors of one world serve the next
 		// (1024 x 33 KiB in the full-fidelity job). fillAllreduce writes whole
 		// words only: clear the tail it leaves.
-		g.buf = r.scratch(g.size)
+		g.buf = r.AllocMem(g.size)
 		clear(g.buf[g.size&^7:])
 	}
 	for g.it < g.iters {
@@ -945,7 +948,7 @@ func (g *allreduceProg) Step(r *Rank) sim.Flow {
 		g.it++
 		g.filled = false
 	}
-	r.putScratch(g.buf)
+	r.FreeMem(g.buf)
 	g.buf = nil
 	return sim.Done
 }

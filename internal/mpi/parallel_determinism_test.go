@@ -291,18 +291,18 @@ func runPhasedJob(t *testing.T, workers int) (string, profile.SimStats) {
 // correctness contract: the phased job's application results, profiles,
 // traces, and scheduler counters are byte-identical at widths 1/2/4/8.
 // BarrierStalls is excluded — it is the one counter documented to depend on
-// the width — and so is BufPool.Depot, which says what the worlds before this
-// one left behind.
+// the width — and so are BufPool.Depot and DepotRefused, which say what the
+// worlds before this one left behind.
 func TestPhasedWorkloadDeterministicAcrossWidths(t *testing.T) {
 	baseApp, baseStats := runPhasedJob(t, 1)
-	baseStats.BarrierStalls, baseStats.BufPool.Depot = 0, 0
+	baseStats.BarrierStalls, baseStats.BufPool.Depot, baseStats.DepotRefused = 0, 0, 0
 	for _, workers := range []int{2, 4, 8} {
 		app, stats := runPhasedJob(t, workers)
 		if app != baseApp {
 			t.Errorf("workers=%d: transcript differs from width 1:\n--- w1 ---\n%s--- w%d ---\n%s",
 				workers, baseApp, workers, app)
 		}
-		stats.BarrierStalls, stats.BufPool.Depot = 0, 0
+		stats.BarrierStalls, stats.BufPool.Depot, stats.DepotRefused = 0, 0, 0
 		if stats != baseStats {
 			t.Errorf("workers=%d: scheduler stats differ from width 1:\n%+v\nvs\n%+v",
 				workers, baseStats, stats)

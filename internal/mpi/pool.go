@@ -11,7 +11,9 @@ import "cmpi/internal/core"
 //
 //   - Rank.pools (worldPools) is the rank's home: everything the rank takes
 //     for its own sends and receives comes from here unless a direction list
-//     has it, and only the owning rank's process touches it.
+//     has it, and only the owning rank's process touches it. The message
+//     memory a rank body asks for (AllocMem, WinAllocate) and the library's
+//     own temporaries come from the same byte pool.
 //   - Packets, send ops and payload snapshots cross a shared-memory ring in
 //     one direction: taken by the direction's sender, retired by its
 //     receiver. If the receiver always kept them, a one-way stream would
@@ -155,6 +157,30 @@ func (wp *worldPools) counters() core.PoolCounters {
 	c.Add(wp.envs.ctr)
 	c.Add(wp.reqs.ctr)
 	return c
+}
+
+// AllocMem returns n bytes of message memory from the rank's pool
+// (MPI_Alloc_mem): for a body's send, receive and window buffers, and for the
+// library's own temporaries. The contents are undefined — the bytes of
+// whatever message, in this world or an earlier one of the process, held the
+// buffer last — so write or receive into it before reading. Only the rank's
+// own process may call it. Hand the memory back with FreeMem; what a body
+// never frees is the collector's.
+func (r *Rank) AllocMem(n int) []byte { return r.pools.buf.Get(n) }
+
+// FreeMem retires memory from AllocMem (MPI_Free_mem) so that the library's
+// snapshots and staging, the body's next size point and the next world of the
+// process can have it. As in MPI, freeing a buffer that an incomplete request
+// or an open window still references is the caller's bug: the next owner's
+// bytes land in that transfer. Nil, a subslice and a slice some make built
+// are safe to pass (a pool takes only whole buffers of a class's exact
+// capacity, wherever they were born). Once any request of the rank has failed
+// the buffer is left to the GC instead: a failed rendezvous receive may still
+// have an RDMA write in flight toward it.
+func (r *Rank) FreeMem(buf []byte) {
+	if !r.reqFailed {
+		r.pools.buf.Free(buf)
+	}
 }
 
 // getReq returns a zeroed Request from the pool.

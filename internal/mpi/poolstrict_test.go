@@ -48,9 +48,9 @@ func TestPoolStrictTripsOnDoublePut(t *testing.T) {
 	}()
 	w.Run(func(r *Rank) error {
 		if r.Rank() == 0 {
-			buf := r.scratch(100)
-			r.putScratch(buf)
-			r.putScratch(buf)
+			buf := r.AllocMem(100)
+			r.FreeMem(buf)
+			r.FreeMem(buf)
 		}
 		return nil
 	})

@@ -24,6 +24,12 @@ type Win struct {
 	peers       []*Win
 	outstanding int
 	idx         int
+	// owned: buf is WinAllocate's, and goes back to the pool at Free.
+	owned bool
+	// accTmp is Accumulate's last scratch buffer. Its closing put may still
+	// be on the wire when Accumulate returns, so it is kept until the window
+	// next has nothing outstanding (quiesce).
+	accTmp []byte
 }
 
 // winExchange is the world-side rendezvous table for collective window
@@ -58,12 +64,35 @@ func (r *Rank) WinCreate(buf []byte) *Win {
 	return w
 }
 
-// Free releases the window collectively.
+// WinAllocate collectively creates a window over n bytes of AllocMem memory
+// (MPI_Win_allocate): contents undefined, returned to the pool by Free.
+func (r *Rank) WinAllocate(n int) *Win {
+	w := r.WinCreate(r.AllocMem(n))
+	w.owned = true
+	return w
+}
+
+// Free releases the window collectively. Past its barrier no rank has an
+// access to any member's memory in flight, so a WinAllocate window's memory
+// goes back to the pool here.
 func (w *Win) Free() {
 	w.r.profEnter()
 	defer w.r.profExit("Win_free")
-	w.r.waitUntil(func() bool { return w.outstanding == 0 })
+	w.quiesce()
 	w.r.barrier(w.r.group())
+	if w.owned {
+		w.owned = false
+		w.r.FreeMem(w.buf)
+		w.buf = nil
+	}
+}
+
+// quiesce blocks until every RMA operation this rank issued on the window
+// has completed remotely; nothing references Accumulate's scratch after that.
+func (w *Win) quiesce() {
+	w.r.waitUntil(func() bool { return w.outstanding == 0 })
+	w.r.FreeMem(w.accTmp)
+	w.accTmp = nil
 }
 
 // Put writes data into target's window at offset. Completion is local
@@ -192,12 +221,13 @@ func (w *Win) Accumulate(target, offset int, data []byte, op ReduceOp) {
 		r.p.Fatalf("Accumulate [%d,%d) outside %d-byte window of rank %d",
 			offset, offset+len(data), len(tw.buf), target)
 	}
-	cur := make([]byte, len(data))
+	cur := r.AllocMem(len(data))
 	w.access(target, offset, cur, false) // get
 	w.Flush()
 	r.Compute(float64(len(data)) / 8 * 0.25)
 	op(cur, data)
 	w.access(target, offset, cur, true) // put
+	w.accTmp = cur
 }
 
 // Flush blocks until all outstanding RMA operations issued by this rank on
@@ -205,7 +235,7 @@ func (w *Win) Accumulate(target, offset int, data []byte, op ReduceOp) {
 func (w *Win) Flush() {
 	w.r.profEnter()
 	defer w.r.profExit("Win_flush")
-	w.r.waitUntil(func() bool { return w.outstanding == 0 })
+	w.quiesce()
 }
 
 // Fence completes all outstanding operations and synchronizes all ranks
@@ -213,6 +243,6 @@ func (w *Win) Flush() {
 func (w *Win) Fence() {
 	w.r.profEnter()
 	defer w.r.profExit("Win_fence")
-	w.r.waitUntil(func() bool { return w.outstanding == 0 })
+	w.quiesce()
 	w.r.barrier(w.r.group())
 }

@@ -85,6 +85,7 @@ type World struct {
 
 	bodyStart, bodyEnd []sim.Time
 	ran                bool
+	depotRefused       uint64 // core.Drain.Refused of this world's drainPools
 
 	// parallel is set in Run when this world installs rank footprints for
 	// the engine's conservative epoch dispatch: everything except fault
@@ -256,9 +257,6 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 // (and RunMachine) returns, and leaves the world's free buffers to the next
 // one: the engine has stopped, so nothing of this world touches a pool again.
 func (w *World) finishRun(engErr error) error {
-	if w.Prof != nil {
-		w.Prof.Sim = w.SimStats()
-	}
 	var errs []error
 	// rankErrs is indexed by rank, so iterating it in order makes the joined
 	// error rank-sorted regardless of the virtual-time order the failures were
@@ -283,6 +281,9 @@ func (w *World) finishRun(engErr error) error {
 		}
 	}
 	w.drainPools(len(errs) == 0)
+	if w.Prof != nil {
+		w.Prof.Sim = w.SimStats()
+	}
 	// A sole failure is returned as-is so callers can type-assert on it
 	// (errors.Join would wrap even a single error).
 	if len(errs) == 1 {
@@ -315,6 +316,7 @@ func (w *World) drainPools(clean bool) {
 		}
 	}
 	w.fabric.DrainPools(&dr)
+	w.depotRefused = uint64(dr.Refused)
 	if poolStrict && clean {
 		if err := dr.Unbalanced(); err != nil {
 			panic(fmt.Sprintf("mpi: %s ended cleanly with pool buffers unaccounted for: %v", w.jobID, err))
@@ -409,6 +411,7 @@ func (w *World) SimStats() profile.SimStats {
 	bc.Add(w.fabric.PoolCounters())
 	ps := simStatsOf(es)
 	ps.BufPool = bc
+	ps.DepotRefused = w.depotRefused
 	ps.ObjPool = oc
 	return ps
 }

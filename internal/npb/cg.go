@@ -81,7 +81,8 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		for d := range outs {
 			counts[d] = int64(len(outs[d]))
 		}
-		rc := make([]byte, 8*size)
+		rc := r.AllocMem(8 * size)
+		defer r.FreeMem(rc)
 		r.Alltoall(mpi.EncodeInt64s(counts), rc, 8)
 		inCounts := mpi.DecodeInt64s(rc)
 		ins := make([][]byte, size)
@@ -91,7 +92,8 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 				ins[peer] = outs[peer]
 				continue
 			}
-			ins[peer] = make([]byte, inCounts[peer])
+			ins[peer] = r.AllocMem(int(inCounts[peer]))
+			defer r.FreeMem(ins[peer])
 			if inCounts[peer] > 0 {
 				reqs = append(reqs, r.Irecv(peer, 2, ins[peer]))
 			}
@@ -137,8 +139,9 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		rho := r.AllreduceFloat64(dotLocal(res, res), mpi.SumFloat64)
 		rho0 := rho
 
-		pAll := make([]byte, 8*perRank*size)
-		pMine := make([]byte, 8*perRank)
+		pAll, pMine := r.AllocMem(8*perRank*size), r.AllocMem(8*perRank)
+		defer r.FreeMem(pAll)
+		defer r.FreeMem(pMine)
 		q := make([]float64, ownedN)
 		flops := 0.0
 		for iter := 0; iter < niter; iter++ {

@@ -113,8 +113,9 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 		}
 		// transpose redistributes the grid: destination d receives my rows
 		// restricted to its column block, transposed on arrival.
-		sendBuf := make([]byte, rowsPer*n*16)
-		recvBuf := make([]byte, rowsPer*n*16)
+		sendBuf, recvBuf := r.AllocMem(rowsPer*n*16), r.AllocMem(rowsPer*n*16)
+		defer r.FreeMem(sendBuf)
+		defer r.FreeMem(recvBuf)
 		transpose := func(g []complex128) {
 			chunk := rowsPer * rowsPer * 16
 			for d := 0; d < size; d++ {

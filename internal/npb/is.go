@@ -66,7 +66,8 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 		for d := range outs {
 			counts[d] = int64(len(outs[d]))
 		}
-		rc := make([]byte, 8*size)
+		rc := r.AllocMem(8 * int(size))
+		defer r.FreeMem(rc)
 		r.Alltoall(mpi.EncodeInt64s(counts), rc, 8)
 		inCounts := mpi.DecodeInt64s(rc)
 		ins := make([][]byte, size)
@@ -76,7 +77,8 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 				ins[peer] = outs[peer]
 				continue
 			}
-			ins[peer] = make([]byte, inCounts[peer])
+			ins[peer] = r.AllocMem(int(inCounts[peer]))
+			defer r.FreeMem(ins[peer])
 			if inCounts[peer] > 0 {
 				reqs = append(reqs, r.Irecv(peer, 3, ins[peer]))
 			}
@@ -120,9 +122,10 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 			r.Send(r.Rank()+1, 4, mpi.EncodeInt64s([]int64{int64(myMax)}))
 		}
 		if r.Rank() > 0 {
-			buf := make([]byte, 8)
+			buf := r.AllocMem(8)
 			r.Recv(r.Rank()-1, 4, buf)
 			leftMax := mpi.DecodeInt64s(buf)[0]
+			r.FreeMem(buf)
 			if len(keys) > 0 && leftMax > int64(myMin) {
 				ok = false
 			}

@@ -85,7 +85,9 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		// One send and one receive row, sized for the finest level, serve
 		// every halo exchange: Sendrecv is done with both when it returns,
 		// and a halo row is decoded straight into its grid row.
-		out, in := make([]byte, 0, 8*n), make([]byte, 8*n)
+		out, in := r.AllocMem(8 * n)[:0], r.AllocMem(8*n)
+		defer r.FreeMem(out)
+		defer r.FreeMem(in)
 		exchangeHalo := func(lv *mgLevel, g [][]float64, tag int) {
 			in := in[:8*lv.n]
 			if up >= 0 {

@@ -80,7 +80,7 @@ func Latency(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 			return nil
 		}
 		for _, sz := range sizes {
-			buf := make([]byte, sz)
+			buf := r.AllocMem(sz)
 			iter := func(n int) {
 				for i := 0; i < n; i++ {
 					if r.Rank() == 0 {
@@ -99,6 +99,7 @@ func Latency(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 				oneWay := (r.Now() - start).Micros() / float64(2*cfg.Iters)
 				out = append(out, Result{Bytes: sz, Value: oneWay})
 			}
+			r.FreeMem(buf)
 		}
 		return nil
 	})
@@ -110,8 +111,9 @@ func Latency(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 // (nothing reads the received bytes) and the request array is allocated once
 // per message size.
 func bandwidthLoop(r *mpi.Rank, sz int, cfg Config) sim.Time {
-	buf := make([]byte, sz)
-	ack := make([]byte, 4)
+	buf, ack := r.AllocMem(sz), r.AllocMem(4)
+	defer r.FreeMem(buf)
+	defer r.FreeMem(ack)
 	reqs := make([]*mpi.Request, cfg.Window)
 	window := func() {
 		if r.Rank() == 0 {
@@ -187,9 +189,9 @@ func BiBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 		}
 		peer := 1 - r.Rank()
 		for _, sz := range sizes {
-			buf := make([]byte, sz)
-			rbuf := make([]byte, sz) // one r_buf for the whole window, as in osu_bibw.c
-			ack := make([]byte, 4)
+			buf := r.AllocMem(sz)
+			rbuf := r.AllocMem(sz) // one r_buf for the whole window, as in osu_bibw.c
+			ack := r.AllocMem(4)
 			reqs := make([]*mpi.Request, 2*cfg.Window)
 			sends, recvs := reqs[:cfg.Window], reqs[cfg.Window:]
 			window := func() {
@@ -217,6 +219,9 @@ func BiBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 				bytes := 2 * float64(sz) * float64(cfg.Window) * float64(cfg.Iters)
 				out = append(out, Result{Bytes: sz, Value: bytes / (r.Now() - start).Seconds() / 1e6})
 			}
+			r.FreeMem(buf)
+			r.FreeMem(rbuf)
+			r.FreeMem(ack)
 		}
 		return nil
 	})
@@ -239,8 +244,7 @@ func MultiPairBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 		sender := r.Rank() < half
 		peer := (r.Rank() + half) % n
 		for _, sz := range sizes {
-			buf := make([]byte, sz)
-			ack := make([]byte, 4)
+			buf, ack := r.AllocMem(sz), r.AllocMem(4)
 			reqs := make([]*mpi.Request, cfg.Window)
 			window := func() {
 				if sender {
@@ -274,6 +278,8 @@ func MultiPairBandwidth(w *mpi.World, sizes []int, cfg Config) (Series, error) {
 				bytes := float64(sz) * float64(cfg.Window) * float64(cfg.Iters) * float64(half)
 				out = append(out, Result{Bytes: sz, Value: bytes / worst / 1e6})
 			}
+			r.FreeMem(buf)
+			r.FreeMem(ack)
 		}
 		return nil
 	})
@@ -314,22 +320,23 @@ func Collective(w *mpi.World, kind CollectiveKind, sizes []int, cfg Config) (Ser
 	err := w.Run(func(r *mpi.Rank) error {
 		n := r.Size()
 		for _, sz := range sizes {
+			// a is the contribution, b (where the collective has one) the
+			// gathered result.
+			var a, b []byte
 			var run func()
 			switch kind {
 			case Bcast:
-				buf := make([]byte, sz)
-				run = func() { r.Bcast(0, buf) }
+				a = r.AllocMem(sz)
+				run = func() { r.Bcast(0, a) }
 			case Allreduce:
-				buf := make([]byte, sz)
-				run = func() { r.Allreduce(buf, mpi.SumFloat64) }
+				a = r.AllocMem(sz)
+				run = func() { r.Allreduce(a, mpi.SumFloat64) }
 			case Allgather:
-				mine := make([]byte, sz)
-				all := make([]byte, sz*n)
-				run = func() { r.Allgather(mine, all) }
+				a, b = r.AllocMem(sz), r.AllocMem(sz*n)
+				run = func() { r.Allgather(a, b) }
 			case Alltoall:
-				send := make([]byte, sz*n)
-				recv := make([]byte, sz*n)
-				run = func() { r.Alltoall(send, recv, sz) }
+				a, b = r.AllocMem(sz*n), r.AllocMem(sz*n)
+				run = func() { r.Alltoall(a, b, sz) }
 			}
 			for i := 0; i < cfg.Warmup; i++ {
 				run()
@@ -344,6 +351,8 @@ func Collective(w *mpi.World, kind CollectiveKind, sizes []int, cfg Config) (Ser
 			if r.Rank() == 0 {
 				out = append(out, Result{Bytes: sz, Value: worst})
 			}
+			r.FreeMem(a)
+			r.FreeMem(b)
 		}
 		return nil
 	})
@@ -369,12 +378,12 @@ func rmaLatency(w *mpi.World, sizes []int, cfg Config, put bool) (Series, error)
 		}
 	}
 	err := w.Run(func(r *mpi.Rank) error {
-		win := r.WinCreate(make([]byte, maxSz))
+		win := r.WinAllocate(maxSz)
 		defer win.Free()
 		for _, sz := range sizes {
 			win.Fence()
 			if r.Rank() == 0 {
-				buf := make([]byte, sz)
+				buf := r.AllocMem(sz)
 				op := func() {
 					if put {
 						win.Put(1, 0, buf)
@@ -391,6 +400,7 @@ func rmaLatency(w *mpi.World, sizes []int, cfg Config, put bool) (Series, error)
 					op()
 				}
 				out = append(out, Result{Bytes: sz, Value: (r.Now() - start).Micros() / float64(cfg.Iters)})
+				r.FreeMem(buf)
 			}
 			win.Fence()
 		}
@@ -423,7 +433,7 @@ func rmaBandwidth(w *mpi.World, sizes []int, cfg Config, put, bidir bool) (Serie
 		}
 	}
 	err := w.Run(func(r *mpi.Rank) error {
-		win := r.WinCreate(make([]byte, maxSz*cfg.Window))
+		win := r.WinAllocate(maxSz * cfg.Window)
 		defer win.Free()
 		for _, sz := range sizes {
 			win.Fence()
@@ -431,7 +441,7 @@ func rmaBandwidth(w *mpi.World, sizes []int, cfg Config, put, bidir bool) (Serie
 			var elapsed sim.Time
 			if active {
 				peer := 1 - r.Rank()
-				buf := make([]byte, sz)
+				buf := r.AllocMem(sz)
 				window := func() {
 					for i := 0; i < cfg.Window; i++ {
 						if put {
@@ -450,6 +460,7 @@ func rmaBandwidth(w *mpi.World, sizes []int, cfg Config, put, bidir bool) (Serie
 					window()
 				}
 				elapsed = r.Now() - start
+				r.FreeMem(buf)
 			}
 			win.Fence()
 			if r.Rank() == 0 {

@@ -1,6 +1,7 @@
 package osu
 
 import (
+	"runtime"
 	"testing"
 
 	"cmpi/internal/cluster"
@@ -321,5 +322,68 @@ func TestMultiPairBandwidthOddRanksRejected(t *testing.T) {
 	}
 	if _, err := MultiPairBandwidth(w, []int{64}, Config{Iters: 2, Warmup: 1, Window: 4}); err == nil {
 		t.Fatal("odd rank count accepted")
+	}
+}
+
+// secondWorld runs the same job in two fresh worlds, one after the other, and
+// returns the second with what it allocated (runtime.MemStats.TotalAlloc):
+// the first leaves its message memory in the process-wide depot, emptied
+// first so that no earlier test's buffers fill it to its cap.
+func secondWorld(t *testing.T, world func() *mpi.World, job func(*mpi.World) error) (*mpi.World, uint64) {
+	t.Helper()
+	core.DropDepot()
+	if err := job(world()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := world()
+	if err := job(w); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return w, after.TotalAlloc - before.TotalAlloc
+}
+
+// A size point's buffers are AllocMem's, so a repeat of a world allocates
+// what the library and the engine need, not the payloads again. 64 ranks of
+// 16 KiB Alltoall hold 128 MiB of send and receive buffers, and with the
+// library's own they overflow the depot: the world says by how much.
+func TestSecondCollectiveWorldAllocatesNoBuffers(t *testing.T) {
+	spec := cluster.Spec{Hosts: 4, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
+	w, got := secondWorld(t, func() *mpi.World {
+		d, err := cluster.Containers(cluster.MustNew(spec), 2, 64, cluster.PaperScenarioOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewWorld(d, mpi.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}, func(w *mpi.World) error {
+		_, err := Collective(w, Alltoall, []int{16 << 10}, Config{Iters: 4, Warmup: 1})
+		return err
+	})
+	if got > 16<<20 {
+		t.Errorf("second 64-rank Alltoall world allocated %.1f MB, want under 16", float64(got)/(1<<20))
+	}
+	if refused := w.SimStats().DepotRefused; refused == 0 || refused > 16<<20 {
+		t.Errorf("DepotRefused = %d, want the few MiB by which this world's buffers exceed the depot's 128", refused)
+	}
+}
+
+// The same for the one-sided sweep, whose 16 MiB window is served by the
+// depot's large classes.
+func TestSecondPutBandwidthWorldAllocatesNoBuffers(t *testing.T) {
+	w, got := secondWorld(t, func() *mpi.World { return pairWorld(t, true, core.ModeLocalityAware) }, func(w *mpi.World) error {
+		_, err := PutBandwidth(w, PowersOfTwo(16<<10, 1<<20), Config{Iters: 4, Warmup: 1, Window: 16})
+		return err
+	})
+	if got > 2<<20 {
+		t.Errorf("second PutBandwidth world allocated %.2f MB, want under 2", float64(got)/(1<<20))
+	}
+	if refused := w.SimStats().DepotRefused; refused != 0 {
+		t.Errorf("DepotRefused = %d for a world that fits the depot several times over", refused)
 	}
 }

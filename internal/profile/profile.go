@@ -162,6 +162,10 @@ type SimStats struct {
 	// BufPool aggregates the byte-buffer pools (runtime staging plus fabric
 	// wire snapshots).
 	BufPool core.PoolCounters
+	// DepotRefused is the bytes of free buffers the finished job offered the
+	// process-wide depot beyond its cap (core.Drain.Refused): what a repeat
+	// of the job allocates again. Zero until the run has ended.
+	DepotRefused uint64
 	// ObjPool aggregates the object free lists (packets, ops, envelopes,
 	// requests).
 	ObjPool core.PoolCounters
