@@ -27,7 +27,7 @@ func main() {
 	profileFlag := flag.Bool("profile", false, "print the mpiP-style profile")
 	isolated := flag.Bool("isolated", false, "fully isolated namespaces (no shared IPC/PID)")
 	hier := flag.Bool("hier", false, "use hierarchical (two-level) collectives")
-	traceFlag := flag.Bool("trace", false, "print every message's channel decision")
+	traceFlag := flag.Bool("trace", false, "stream the structured trace (cmpi-trace v1: every message with its channel decision) to stderr")
 	flag.Parse()
 
 	spec := cmpi.ChameleonSpec()
@@ -64,7 +64,7 @@ func main() {
 	opts.Profile = *profileFlag
 	opts.HierarchicalCollectives = *hier
 	if *traceFlag {
-		opts.Trace = os.Stderr
+		opts.Record = cmpi.NewTraceRecorder(os.Stderr)
 	}
 	world, err := cmpi.NewWorld(deploy, opts)
 	fatal(err)

@@ -71,66 +71,22 @@ func main() {
 		// setting it here covers every world the experiments build.
 		os.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(*simWorkers))
 	}
-
-	if *benchSmoke {
-		if err := benchSmokeCheck(); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *ranks > 0 {
-		if err := scaleReport(*ranks); err != nil {
-			fmt.Fprintf(os.Stderr, "ranks: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fidelitySmoke {
-		if err := fidelitySmokeCheck(); err != nil {
-			fmt.Fprintf(os.Stderr, "fidelity-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceOut != "" {
-		if err := recordGolden(*traceOut, *traceJob); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *replay != "" {
-		if err := replayTrace(*replay); err != nil {
-			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *traceDiff {
-		os.Exit(diffTraces(flag.Args()))
-	}
-
 	scale := experiments.Quick
 	if *full {
 		scale = experiments.Full
 	}
-
-	if *faultSeed >= 0 {
-		if err := experiments.Chaos(*faultSeed, scale, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "fault-seed: %v\n", err)
+	// fail ends the process when a mode's err is set; the first mode flag set
+	// wins, in the order below.
+	fail := func(mode string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", mode, err)
 			os.Exit(1)
 		}
-		return
 	}
-
 	run := func(e experiments.Experiment) {
 		start := time.Now()
 		tab, err := e.Run(scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
+		fail(e.ID, err)
 		if *csv {
 			fmt.Printf("# %s: %s\n", tab.ID, tab.Title)
 			tab.RenderCSV(os.Stdout)
@@ -141,18 +97,36 @@ func main() {
 		fmt.Printf("  (generated in %.1fs host time)\n\n", time.Since(start).Seconds())
 	}
 
-	if *figID == "all" {
+	switch {
+	case *benchSmoke:
+		fail("bench-smoke", benchSmokeCheck())
+	case *ranks > 0:
+		fail("ranks", scaleReport(*ranks))
+	case *fidelitySmoke:
+		fail("fidelity-smoke", fidelitySmokeCheck())
+	case *traceOut != "":
+		fail("trace-out", recordGolden(*traceOut, *traceJob))
+	case *replay != "":
+		// A recorded run's counters from its trace alone: no world is built.
+		tr, err := readTrace(*replay)
+		fail("replay", err)
+		trace.Replay(tr).Render(os.Stdout)
+	case *traceDiff:
+		os.Exit(diffTraces(flag.Args()))
+	case *faultSeed >= 0:
+		fail("fault-seed", experiments.Chaos(*faultSeed, scale, os.Stdout))
+	case *figID == "all":
 		for _, e := range experiments.All() {
 			run(e)
 		}
-		return
+	default:
+		e, ok := experiments.ByID(*figID)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *figID)
+			os.Exit(2)
+		}
+		run(e)
 	}
-	e, ok := experiments.ByID(*figID)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *figID)
-		os.Exit(2)
-	}
-	run(e)
 }
 
 // startProfiles starts the CPU profile, if asked for, and returns the function
@@ -225,20 +199,14 @@ func recordGolden(path, job string) error {
 	return nil
 }
 
-// replayTrace reconstructs a recorded run's counters from its trace alone —
-// no world is built, no rank goroutines run — and prints the summary.
-func replayTrace(path string) error {
+// readTrace reads a trace file.
+func readTrace(path string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return err
-	}
-	trace.Replay(tr).Render(os.Stdout)
-	return nil
+	return trace.Read(f)
 }
 
 // diffTraces compares two trace files and returns the process exit code:
@@ -248,25 +216,15 @@ func diffTraces(paths []string) int {
 		fmt.Fprintln(os.Stderr, "usage: repro -trace-diff A.trace B.trace")
 		return 2
 	}
-	read := func(path string) (*trace.Trace, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
+	var trs [2]*trace.Trace
+	for i, path := range paths {
+		var err error
+		if trs[i], err = readTrace(path); err != nil {
+			fmt.Fprintf(os.Stderr, "trace-diff: %s: %v\n", path, err)
+			return 2
 		}
-		defer f.Close()
-		return trace.Read(f)
 	}
-	a, err := read(paths[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace-diff: %s: %v\n", paths[0], err)
-		return 2
-	}
-	b, err := read(paths[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace-diff: %s: %v\n", paths[1], err)
-		return 2
-	}
-	if d := trace.Diff(a, b); d != "" {
+	if d := trace.Diff(trs[0], trs[1]); d != "" {
 		fmt.Println(d)
 		return 1
 	}
@@ -410,40 +368,47 @@ func measureAllreduce64(simWorkers, iters, bytes int) (float64, error) {
 	return time.Since(start).Seconds(), nil
 }
 
-// measureAllreduceWidths times the 64-rank allreduce at each width and
-// returns min-of-rounds host seconds per width. Two defenses against host
-// noise, because the gate compares width-vs-width ratios: the minimum over
-// rounds measures the code rather than background load, and rounds are
-// interleaved across widths (1, 2, ..., N, then again) so a slow host phase
-// degrades every width equally instead of whichever width it happened to
-// land on.
-func measureAllreduceWidths(widths []int, iters, rounds, bytes int) ([]float64, error) {
-	best := make([]float64, len(widths))
-	for i := range best {
-		best[i] = math.MaxFloat64
-	}
-	for rep := 0; rep < rounds; rep++ {
-		for i, wk := range widths {
-			sec, err := measureAllreduce64(wk, iters, bytes)
-			if err != nil {
-				return nil, err
-			}
-			if sec < best[i] {
-				best[i] = sec
-			}
-		}
-	}
-	return best, nil
-}
-
 // widthTolerance is how much slower than width 1 the bench-smoke gate lets a
 // wider run be: 25%, the bound bench/ puts on host-clock timings on this class
 // of box. It was 10% while every resume at width 1 paid a futex wake that
 // wider runs dodged; since processes became coroutines width 1 pays none, and
 // what a narrow epoch costs at width > 1 is the pool's own wake (one channel
 // send per worker plus a WaitGroup): 5-17% on 2 vCPUs, with every absolute
-// time lower (docs/PERFORMANCE.md, "Processes are coroutines").
+// time lower (docs/perf/PR-19.md).
 const widthTolerance = 1.25
+
+// widthGate times the 64-rank allreduce of bytes, iters per run, at each
+// of widths (widths[0] is 1) and fails if a wider run is slower than width 1
+// by more than widthTolerance. Two defenses against host noise, because the
+// gate compares width-vs-width ratios: the minimum over three rounds
+// measures the code rather than background load, and rounds are interleaved
+// across widths (1, 2, ..., N, then again) so a slow host phase degrades
+// every width equally instead of whichever width it happened to land on.
+func widthGate(name string, widths []int, iters, bytes int) error {
+	best := make([]float64, len(widths))
+	for i := range best {
+		best[i] = math.MaxFloat64
+	}
+	for rep := 0; rep < 3; rep++ {
+		for i, wk := range widths {
+			sec, err := measureAllreduce64(wk, iters, bytes)
+			if err != nil {
+				return err
+			}
+			best[i] = min(best[i], sec)
+		}
+	}
+	base := best[0]
+	fmt.Printf("%s width 1: %.3fs\n", name, base)
+	for i, wk := range widths[1:] {
+		sec := best[i+1]
+		fmt.Printf("%s width %d: %.3fs (%.2fx)\n", name, wk, sec, base/sec)
+		if sec > base*widthTolerance {
+			return fmt.Errorf("%s at width %d took %.3fs, >%.0f%% slower than width 1 (%.3fs)", name, wk, sec, (widthTolerance-1)*100, base)
+		}
+	}
+	return nil
+}
 
 // benchSmokeCheck is the CI dispatch-width regression gate: a 64-rank
 // allreduce must not run slower at any epoch dispatch width than at width 1,
@@ -451,40 +416,17 @@ const widthTolerance = 1.25
 // collective collapsed into one group and paid pure coordination overhead at
 // width N; the gate keeps that regression from coming back.
 func benchSmokeCheck() error {
-	widthN := runtime.GOMAXPROCS(0)
-	if widthN < 4 {
-		widthN = 4
-	}
+	widthN := max(runtime.GOMAXPROCS(0), 4)
 	widths := []int{1, 2, 4, 8}
 	if widthN != 2 && widthN != 4 && widthN != 8 {
 		widths = append(widths, widthN)
 	}
-	times, err := measureAllreduceWidths(widths, 100, 3, 1<<10)
-	if err != nil {
+	if err := widthGate("allreduce64", widths, 100, 1<<10); err != nil {
 		return err
-	}
-	base := times[0]
-	fmt.Printf("allreduce64 width 1: %.3fs\n", base)
-	for i, wk := range widths[1:] {
-		sec := times[i+1]
-		fmt.Printf("allreduce64 width %d: %.3fs (%.2fx)\n", wk, sec, base/sec)
-		if sec > base*widthTolerance {
-			return fmt.Errorf("allreduce64 at width %d took %.3fs, >%.0f%% slower than width 1 (%.3fs)", wk, sec, (widthTolerance-1)*100, base)
-		}
 	}
 	// Large-message point: a 1 MiB allreduce rides the selector's bandwidth
 	// regime (the ring on this spread 64-rank world) whose 2(P-1) chained
 	// sendrecv steps stress the dispatcher very differently from the
 	// log2(P)-round latency job above.
-	largeWidths := []int{1, widthN}
-	largeTimes, err := measureAllreduceWidths(largeWidths, 5, 3, 1<<20)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("allreduce64-1MiB width 1: %.3fs\n", largeTimes[0])
-	fmt.Printf("allreduce64-1MiB width %d: %.3fs (%.2fx)\n", widthN, largeTimes[1], largeTimes[0]/largeTimes[1])
-	if largeTimes[1] > largeTimes[0]*widthTolerance {
-		return fmt.Errorf("allreduce64-1MiB at width %d took %.3fs, >%.0f%% slower than width 1 (%.3fs)", widthN, largeTimes[1], (widthTolerance-1)*100, largeTimes[0])
-	}
-	return nil
+	return widthGate("allreduce64-1MiB", []int{1, widthN}, 5, 1<<20)
 }

@@ -279,6 +279,33 @@ type depot struct {
 
 var theDepot = depot{limit: depotCap}
 
+// poolStrict is a test hook: when set, every buffer a finished world hands to
+// the depot is poisoned and checked not to be there already (a double Put),
+// and the next world to take one checks the poison is intact (give, take).
+// Worlds read it too (mpi: the conservation law, Rank.Release). Guarded by
+// theDepot.mu; written only between worlds.
+var poolStrict bool
+
+// PoolStrict reports the poolStrict test hook.
+func PoolStrict() bool { return poolStrict }
+
+// SetPoolStrict sets the poolStrict test hook and returns its previous value.
+// Turning it on also poisons everything the depot already holds, so the next
+// world takes poison rather than the payloads of the last one.
+func SetPoolStrict(on bool) (was bool) {
+	theDepot.mu.Lock()
+	defer theDepot.mu.Unlock()
+	if on {
+		for c, l := range theDepot.classes {
+			for _, buf := range l {
+				theDepot.poison(buf[:classCap(c)])
+			}
+		}
+	}
+	was, poolStrict = poolStrict, on
+	return was
+}
+
 // DropDepot leaves everything the depot holds to the garbage collector: the
 // state of a process that has run no world yet. Only for the benchmarks and
 // tests that compare a cold start with a warm one (they live in other
@@ -356,19 +383,27 @@ func (d *depot) putLarge(buf []byte) {
 	}
 }
 
+// poison fills a held buffer and marks it for take's check; d.mu is held.
+func (d *depot) poison(buf []byte) {
+	if d.poisoned == nil {
+		d.poisoned = make(map[*byte]struct{})
+	}
+	d.poisoned[&buf[0]] = struct{}{}
+	for i := range buf {
+		buf[i] = poison
+	}
+}
+
 // give adds the pooled buffers of list, in order, until the depot is full;
 // the rest, and anything that is no pool buffer, is dropped. It returns the
-// bytes of pool buffers that did not fit. A strict give poisons what it
-// keeps, and panics on a buffer the depot already holds.
-func (d *depot) give(list [][]byte, strict bool) (refused int) {
+// bytes of pool buffers that did not fit. Under poolStrict give poisons what
+// it keeps, and panics on a buffer the depot already holds.
+func (d *depot) give(list [][]byte) (refused int) {
 	if len(list) == 0 {
 		return 0
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if strict && d.poisoned == nil {
-		d.poisoned = make(map[*byte]struct{})
-	}
 	for _, buf := range list {
 		c := classOf(buf)
 		if c < 0 {
@@ -378,15 +413,12 @@ func (d *depot) give(list [][]byte, strict bool) (refused int) {
 			refused += cap(buf)
 			continue
 		}
-		if strict {
+		if poolStrict {
 			buf = buf[:cap(buf)]
 			if _, dup := d.poisoned[&buf[0]]; dup {
 				panic(fmt.Sprintf("core: a %d-byte buffer reached the depot twice: it was Put or Returned twice", cap(buf)))
 			}
-			d.poisoned[&buf[0]] = struct{}{}
-			for i := range buf {
-				buf[i] = poison
-			}
+			d.poison(buf)
 		}
 		d.classes[c] = append(d.classes[c], buf[:0])
 		d.bytes += cap(buf)
@@ -397,9 +429,8 @@ func (d *depot) give(list [][]byte, strict bool) (refused int) {
 // Drain empties the pools of a finished world into the depot and, on the way,
 // adds up the two sides of DirPool's conservation law. The caller names every
 // home pool once and every direction at least once, from one goroutine, when
-// nothing of the world runs any more. Strict is for tests: see give.
+// nothing of the world runs any more.
 type Drain struct {
-	Strict bool
 	// Refused is the bytes of free buffers the depot was too full to take:
 	// what the next world like this one allocates again because of depotCap.
 	Refused       int
@@ -409,7 +440,7 @@ type Drain struct {
 // Home takes the free buffers of an owner's pool. Its counters stay.
 func (dr *Drain) Home(p *BufPool) {
 	for c := range p.classes {
-		dr.Refused += theDepot.give(p.classes[c], dr.Strict)
+		dr.Refused += theDepot.give(p.classes[c])
 		p.classes[c] = nil
 		dr.lent[c] += int(p.lent[c])
 	}
@@ -420,7 +451,7 @@ func (dr *Drain) Dir(d *DirPool) {
 	for _, buf := range d.free {
 		dr.waiting[classOf(buf)]++
 	}
-	dr.Refused += theDepot.give(d.free, dr.Strict)
+	dr.Refused += theDepot.give(d.free)
 	d.free = nil
 }
 

@@ -232,7 +232,7 @@ func TestDepotClassRoundTrip(t *testing.T) {
 	for c := poolMinShift; c <= depotMaxShift; c++ {
 		buf := make([]byte, 7, classCap(c))
 		if c <= poolMaxShift {
-			d.give([][]byte{buf}, false)
+			d.give([][]byte{buf})
 		} else {
 			d.putLarge(buf)
 		}
@@ -256,7 +256,7 @@ func TestDepotClassRoundTrip(t *testing.T) {
 func TestDepotRefusesForeignBuffers(t *testing.T) {
 	d := depot{limit: depotCap}
 	whole := make([]byte, 64)
-	d.give([][]byte{nil, whole[3:17], make([]byte, 100), make([]byte, 8192), make([]byte, classCap(poolMaxShift)+1)}, false)
+	d.give([][]byte{nil, whole[3:17], make([]byte, 100), make([]byte, 8192), make([]byte, classCap(poolMaxShift)+1)})
 	if d.bytes != 0 {
 		t.Errorf("depot kept %d bytes of buffers no pool class has", d.bytes)
 	}
@@ -279,23 +279,23 @@ func TestDepotRespectsItsCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		list = append(list, make([]byte, 0, classCap(c)))
 	}
-	refused := d.give(list, false)
+	refused := d.give(list)
 	if len(d.classes[c]) != 3 || d.bytes != 3*classCap(c) {
 		t.Fatalf("a 4 MiB depot given five %d-byte buffers holds %d (%d bytes), want 3", classCap(c), len(d.classes[c]), d.bytes)
 	}
 	if refused != 2*classCap(c) {
 		t.Errorf("give reported %d bytes refused, want the two buffers' %d", refused, 2*classCap(c))
 	}
-	d.give([][]byte{make([]byte, 0, classCap(c))}, false)
+	d.give([][]byte{make([]byte, 0, classCap(c))})
 	if len(d.classes[c]) != 3 {
 		t.Error("a buffer that crosses the limit was kept")
 	}
-	d.give([][]byte{make([]byte, 0, classCap(10))}, false)
+	d.give([][]byte{make([]byte, 0, classCap(10))})
 	if len(d.classes[10]) != 1 {
 		t.Error("a small buffer that fits under the limit was dropped")
 	}
 	d.take(c)
-	d.give([][]byte{make([]byte, 0, classCap(c))}, false)
+	d.give([][]byte{make([]byte, 0, classCap(c))})
 	if len(d.classes[c]) != 3 || d.bytes > d.limit {
 		t.Errorf("after a take made room: %d buffers, %d bytes", len(d.classes[c]), d.bytes)
 	}
@@ -448,16 +448,26 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// A strict Drain poisons what it hands over, trips on a buffer that is
-// listed twice, and the depot notices a write through an alias kept past the
-// end of the world.
+// Turning poolStrict on poisons what the depot holds; a strict Drain poisons
+// what it hands over, trips on a buffer that is listed twice, and the depot
+// notices a write through an alias kept past the end of the world.
 func TestDrainStrict(t *testing.T) {
 	emptyDepot(t)
+	var dr Drain
+	var old BufPool
+	held := old.Get(1000)
+	held[0] = 1
+	old.Put(held)
+	dr.Home(&old)
+	was := SetPoolStrict(true)
+	t.Cleanup(func() { SetPoolStrict(was) })
+	if held[0] != poison {
+		t.Fatalf("a held buffer reads %#x after poolStrict went on, want %#x", held[0], poison)
+	}
 	var p BufPool
 	buf := p.Get(100)
 	buf[0] = 1
 	p.Put(buf)
-	dr := Drain{Strict: true}
 	dr.Home(&p)
 	for i, b := range buf[:cap(buf)] {
 		if b != poison {

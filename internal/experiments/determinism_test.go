@@ -2,12 +2,23 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"cmpi/internal/invariant"
 )
 
-// renderBoth produces the text and CSV renderings of one experiment run.
-func renderBoth(t *testing.T, id string) (string, string) {
+// quickTables memoizes Quick tables by experiment and harness point, so the
+// shape tests and the width and sweep determinism tests share their base runs.
+var quickTables = map[string]*Table{}
+
+// quickTable runs experiment id at Quick scale, once per id and point.
+func quickTable(t *testing.T, id string, p invariant.Point) *Table {
 	t.Helper()
+	key := fmt.Sprint(id, p)
+	if tbl, ok := quickTables[key]; ok {
+		return tbl
+	}
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
@@ -16,10 +27,31 @@ func renderBoth(t *testing.T, id string) (string, string) {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	var txt, csv bytes.Buffer
-	tbl.Render(&txt)
-	tbl.RenderCSV(&csv)
-	return txt.String(), csv.String()
+	quickTables[key] = tbl
+	return tbl
+}
+
+// baseTable is experiment id's Quick table at the harness's base point.
+func baseTable(t *testing.T, id string) *Table {
+	t.Helper()
+	var tbl *Table
+	invariant.At(t, func(t *testing.T, p invariant.Point) invariant.Result {
+		tbl = quickTable(t, id, p)
+		return invariant.Result{}
+	}, invariant.Point{})
+	return tbl
+}
+
+// table is the harness row of one experiment: its Quick table's text and CSV
+// renderings, digested.
+func table(id string) invariant.Run {
+	return func(t *testing.T, p invariant.Point) invariant.Result {
+		tbl := quickTable(t, id, p)
+		var txt, csv bytes.Buffer
+		tbl.Render(&txt)
+		tbl.RenderCSV(&csv)
+		return invariant.Result{Digest: invariant.Sum(txt.String(), csv.String())}
+	}
 }
 
 // TestParallelSweepIsDeterministic locks in the tentpole invariant: running
@@ -27,20 +59,7 @@ func renderBoth(t *testing.T, id string) (string, string) {
 // Under -race this also shakes out cross-world data races in the worker pool.
 func TestParallelSweepIsDeterministic(t *testing.T) {
 	for _, id := range []string{"fig3bc", "fig11", "ext-faults"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			SetWorkers(1)
-			seqTxt, seqCSV := renderBoth(t, id)
-			SetWorkers(4)
-			defer SetWorkers(0)
-			parTxt, parCSV := renderBoth(t, id)
-			if seqTxt != parTxt {
-				t.Errorf("text rendering differs between 1 and 4 workers:\n--- seq ---\n%s\n--- par ---\n%s", seqTxt, parTxt)
-			}
-			if seqCSV != parCSV {
-				t.Errorf("CSV rendering differs between 1 and 4 workers:\n--- seq ---\n%s\n--- par ---\n%s", seqCSV, parCSV)
-			}
-		})
+		t.Run(id, func(t *testing.T) { invariant.Check(t, table(id), invariant.Point{}, invariant.Point{Sweep: 1}) })
 	}
 }
 
@@ -48,23 +67,13 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 // the table level: whole experiment tables render byte-identically at every
 // in-world dispatch width (CMPI_SIM_WORKERS, read at engine construction).
 // Two tables with different channel mixes; pt2pt latency (fig3bc) covers
-// SHM/CMA/HCA, fig8 covers collectives across hosts.
+// SHM/CMA/HCA, fig8 covers collectives across hosts; ext-faults and
+// ext-recovery are fault-plan worlds, whose every epoch is one group, and
+// the crashed, checkpointed and restarted worlds of recovery.
 func TestDispatchWidthIsDeterministic(t *testing.T) {
-	for _, id := range []string{"fig3bc", "fig8"} {
-		id := id
+	for _, id := range []string{"fig3bc", "fig8", "ext-faults", "ext-recovery"} {
 		t.Run(id, func(t *testing.T) {
-			t.Setenv("CMPI_SIM_WORKERS", "1")
-			baseTxt, baseCSV := renderBoth(t, id)
-			for _, width := range []string{"2", "8"} {
-				t.Setenv("CMPI_SIM_WORKERS", width)
-				txt, csv := renderBoth(t, id)
-				if txt != baseTxt {
-					t.Errorf("width %s: text rendering differs from width 1:\n--- w1 ---\n%s\n--- w%s ---\n%s", width, baseTxt, width, txt)
-				}
-				if csv != baseCSV {
-					t.Errorf("width %s: CSV rendering differs from width 1", width)
-				}
-			}
+			invariant.Check(t, table(id), invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 8)...)
 		})
 	}
 }

@@ -172,10 +172,7 @@ func TestFigure10Improvements(t *testing.T) {
 }
 
 func TestFigure11FlatAware(t *testing.T) {
-	tab, err := Figure11(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig11")
 	nativeOpt := cell(t, tab.Rows[0][2])
 	for _, row := range tab.Rows[1:] {
 		opt := cell(t, row[2])
@@ -253,10 +250,7 @@ func TestScalingExtensionImprovementPersists(t *testing.T) {
 }
 
 func TestFaultsExtensionShape(t *testing.T) {
-	tab, err := FaultsExtension(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "ext-faults")
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want clean + faulty + repeat", len(tab.Rows))
 	}

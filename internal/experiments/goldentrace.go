@@ -22,23 +22,7 @@ import (
 // regression gate. A diff against the fixture therefore means the message
 // schedule itself changed — a behavior change to document (and a refreshed
 // fixture), not noise.
-func GoldenTrace(out io.Writer) error {
-	c := cluster.MustNew(testbedSpec(2))
-	d, err := cluster.Containers(c, 2, 16, cluster.PaperScenarioOpts())
-	if err != nil {
-		return err
-	}
-	opts := mpi.DefaultOptions()
-	opts.Record = trace.NewRecorder(out)
-	w, err := mpi.NewWorld(d, opts)
-	if err != nil {
-		return err
-	}
-	if err := w.Run(goldenWorkload); err != nil {
-		return err
-	}
-	return opts.Record.Err()
-}
+func GoldenTrace(out io.Writer) error { return goldenJob(2, 16, ib.Topology{}, out) }
 
 // GoldenTraceFatTree runs the frozen golden workload on a 4-host, 2-rack
 // fat-tree deployment (32 ranks, two containers per host) and streams its v1
@@ -49,13 +33,18 @@ func GoldenTrace(out io.Writer) error {
 // the spine-footprint dispatch path. Deterministic like GoldenTrace:
 // byte-identical at every dispatch width.
 func GoldenTraceFatTree(out io.Writer) error {
-	c := cluster.MustNew(testbedSpec(4))
-	d, err := cluster.Containers(c, 2, 32, cluster.PaperScenarioOpts())
+	return goldenJob(4, 32, ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}, out)
+}
+
+// goldenJob records goldenWorkload on ranks ranks over hosts hosts (two
+// containers each) and topology topo.
+func goldenJob(hosts, ranks int, topo ib.Topology, out io.Writer) error {
+	d, err := cluster.Containers(cluster.MustNew(testbedSpec(hosts)), 2, ranks, cluster.PaperScenarioOpts())
 	if err != nil {
 		return err
 	}
 	opts := mpi.DefaultOptions()
-	opts.Topology = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
+	opts.Topology = topo
 	opts.Record = trace.NewRecorder(out)
 	w, err := mpi.NewWorld(d, opts)
 	if err != nil {

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"testing"
 
 	"cmpi/internal/core"
+	"cmpi/internal/invariant"
 	"cmpi/internal/trace"
 )
 
@@ -42,27 +44,40 @@ func TestGoldenTraceMatchesFixture(t *testing.T) {
 	}
 }
 
+// golden is the harness row of a golden trace job: its recorded trace.
+func golden(job func(io.Writer) error) invariant.Run {
+	return func(t *testing.T, p invariant.Point) invariant.Result {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := job(&buf); err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		return invariant.Result{Trace: buf.Bytes()}
+	}
+}
+
+// checkGolden re-records a golden job at dispatch widths 1/2/4/8 and
+// requires byte-identity with its committed fixture.
+func checkGolden(t *testing.T, job func(io.Writer) error, fixture string) {
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatalf("fixture missing: %v", err)
+	}
+	rec := invariant.Point{Record: true}
+	res := invariant.Check(t, golden(job), rec, invariant.Widths(rec, 2, 4, 8)...)
+	if !bytes.Equal(res.Trace, want) {
+		t.Errorf("trace bytes diverge from %s", fixture)
+	}
+}
+
 // TestGoldenTraceStableAcrossDispatchWidths re-records the canonical job —
 // which runs with adaptive footprint decay pinned on (see GoldenTrace) — at
-// epoch dispatch widths 2, 4, and 8 and requires byte-identity with the
+// epoch dispatch widths 1, 2, 4, and 8 and requires byte-identity with the
 // committed fixture. This is the decay determinism gate at the trace level:
 // decayed footprints change which events may dispatch concurrently, and none
 // of it may leak into the message schedule as the width varies.
 func TestGoldenTraceStableAcrossDispatchWidths(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/golden.trace")
-	if err != nil {
-		t.Fatalf("fixture missing: %v", err)
-	}
-	for _, width := range []string{"2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		var buf bytes.Buffer
-		if err := GoldenTrace(&buf); err != nil {
-			t.Fatalf("width %s: GoldenTrace: %v", width, err)
-		}
-		if !bytes.Equal(buf.Bytes(), fixture) {
-			t.Errorf("width %s: trace bytes diverge from the committed fixture", width)
-		}
-	}
+	checkGolden(t, GoldenTrace, "testdata/golden.trace")
 }
 
 // TestGoldenTraceReplays sanity-checks that the fixture replays cleanly:
@@ -99,20 +114,7 @@ func TestGoldenTraceReplays(t *testing.T) {
 // `go run ./cmd/repro -trace-out internal/experiments/testdata/golden-fattree.trace
 // -trace-job fattree` when the schedule intentionally changes.
 func TestGoldenTraceFatTreeMatchesFixture(t *testing.T) {
-	fixture, err := os.ReadFile("testdata/golden-fattree.trace")
-	if err != nil {
-		t.Fatalf("fixture missing: %v", err)
-	}
-	for _, width := range []string{"1", "2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		var buf bytes.Buffer
-		if err := GoldenTraceFatTree(&buf); err != nil {
-			t.Fatalf("width %s: GoldenTraceFatTree: %v", width, err)
-		}
-		if !bytes.Equal(buf.Bytes(), fixture) {
-			t.Errorf("width %s: trace bytes diverge from testdata/golden-fattree.trace", width)
-		}
-	}
+	checkGolden(t, GoldenTraceFatTree, "testdata/golden-fattree.trace")
 }
 
 // TestGoldenTraceFatTreeReplays sanity-checks the fat-tree fixture: clean

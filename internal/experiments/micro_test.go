@@ -16,10 +16,7 @@ func findRow(t *testing.T, tab *Table, key string) []string {
 }
 
 func TestFigure3bcChannelOrdering(t *testing.T) {
-	tab, err := Figure3bc(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig3bc")
 	// Columns: bytes, SHM lat, CMA lat, HCA lat, SHM bw, CMA bw, HCA bw.
 	small := findRow(t, tab, "1024")
 	if shm, hca := cell(t, small[1]), cell(t, small[3]); shm >= hca {
@@ -42,10 +39,7 @@ func TestFigure3bcChannelOrdering(t *testing.T) {
 }
 
 func TestFigure8SeriesOrdering(t *testing.T) {
-	tab, err := Figure8(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig8")
 	// Latency section: rows until the first "--" marker.
 	// Columns: bytes, Cont-intra-Def, Cont-intra-Opt, Cont-inter-Def,
 	// Cont-inter-Opt, Native-intra.

@@ -3,17 +3,9 @@ package experiments
 import (
 	"strconv"
 	"testing"
-)
 
-// mltrainTable runs ext-mltrain at Quick scale and returns the table.
-func mltrainTable(t *testing.T) *Table {
-	t.Helper()
-	tbl, err := MLTrainExtension(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl
-}
+	"cmpi/internal/invariant"
+)
 
 // TestMLTrainSelectorNeverWorstForced is the selector's acceptance gate:
 // at every (placement, size) point the auto row must not be slower than the
@@ -21,7 +13,7 @@ func mltrainTable(t *testing.T) *Table {
 // placement the ring must win the large sizes outright (with the selector
 // choosing it).
 func TestMLTrainSelectorNeverWorstForced(t *testing.T) {
-	tbl := mltrainTable(t)
+	tbl := baseTable(t, "ext-mltrain")
 	// Columns: placement, ranks, bytes, chosen, auto, rd, rab, ring, tree, ps.
 	cell := func(row []string, i int) float64 {
 		v, err := strconv.ParseFloat(row[i], 64)
@@ -70,16 +62,5 @@ func TestMLTrainSelectorNeverWorstForced(t *testing.T) {
 // repo's core invariant: byte-identical renderings at every epoch dispatch
 // width.
 func TestMLTrainDispatchWidthDeterminism(t *testing.T) {
-	t.Setenv("CMPI_SIM_WORKERS", "1")
-	baseTxt, baseCSV := renderBoth(t, "ext-mltrain")
-	for _, width := range []string{"2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		txt, csv := renderBoth(t, "ext-mltrain")
-		if txt != baseTxt {
-			t.Errorf("width %s: text rendering differs from width 1:\n--- w1 ---\n%s\n--- w%s ---\n%s", width, baseTxt, width, txt)
-		}
-		if csv != baseCSV {
-			t.Errorf("width %s: CSV rendering differs from width 1", width)
-		}
-	}
+	invariant.Check(t, table("ext-mltrain"), invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }

@@ -105,33 +105,14 @@ func SetWorkers(n int) {
 // mapPoints evaluates fn(0..n-1) on a bounded worker pool and returns the
 // results in index order. Every point runs regardless of other points'
 // failures; the reported error is the lowest-index one, so error returns are
-// as deterministic as the results themselves.
+// as deterministic as the results themselves, and fn sees the same set of
+// invocations at every worker count.
 func mapPoints[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Evaluate every point even after a failure, exactly like the pool
-		// path: callers see the same error (the lowest-index one) and fn sees
-		// the same set of invocations at every worker count.
-		var firstErr error
-		for i := 0; i < n; i++ {
-			var err error
-			if out[i], err = fn(i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return out, nil
-	}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(Workers(), n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

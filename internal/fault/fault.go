@@ -35,6 +35,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"cmpi/internal/sim"
@@ -114,7 +115,7 @@ type Event struct {
 	// rank (Straggler only; a crash must name its victim).
 	Rank int
 	// Factor is the slowdown/degradation multiplier (LinkDegrade,
-	// Straggler); must be >= 1.
+	// Straggler); must be finite and >= 1.
 	Factor float64
 	// Count bounds stateful faults: transmissions dropped (SendDrop) or
 	// failures served (ShmAttachFail, CMAFail, 0 = unlimited in window).
@@ -243,8 +244,8 @@ func (p *Plan) Validate(hosts, ranks int) error {
 		default:
 			return fail("unknown kind")
 		}
-		if (e.Kind == LinkDegrade || e.Kind == Straggler) && e.Factor < 1 {
-			return fail("factor %.3f, need >= 1", e.Factor)
+		if (e.Kind == LinkDegrade || e.Kind == Straggler) && !(e.Factor >= 1 && e.Factor <= math.MaxFloat64) {
+			return fail("factor %.3f, need a finite value >= 1", e.Factor)
 		}
 		if e.Kind == SendDrop && e.Count < 1 {
 			return fail("SendDrop needs count >= 1")

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -25,6 +26,8 @@ func TestPlanValidate(t *testing.T) {
 		{"degrade factor below one", Event{Kind: LinkDegrade, Host: 0, Factor: 0.5}, false},
 		{"straggler ok", Event{Kind: Straggler, Rank: Any, Factor: 2}, true},
 		{"send drop needs count", Event{Kind: SendDrop, Host: 0}, false},
+		{"NaN factor", Event{Kind: Straggler, Rank: 0, Factor: math.NaN()}, false},
+		{"infinite factor", Event{Kind: LinkDegrade, Host: 0, Factor: math.Inf(1)}, false},
 	}
 	for _, tc := range cases {
 		p := NewPlan().Add(tc.ev)
@@ -33,6 +36,44 @@ func TestPlanValidate(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
+}
+
+// FuzzFaultPlan: a plan's events are numbers from outside. Validate and
+// NewInjector agree on every plan, and an injector built from an accepted one
+// answers its queries: a stalled link comes back outside every flap window.
+func FuzzFaultPlan(f *testing.F) {
+	f.Add(uint8(LinkFlap), int64(us(10)), int64(us(5)), 0, 0, 1.0, 0, "", uint8(2), uint8(2))
+	f.Add(uint8(Straggler), int64(0), int64(0), 0, Any, math.NaN(), 0, "", uint8(1), uint8(4))
+	f.Add(uint8(SendDrop), int64(-1), int64(us(1)), 3, 0, 0.0, -2, "cmpi.ring.", uint8(4), uint8(8))
+	f.Add(uint8(RankCrash), int64(us(1)), int64(0), 0, 7, 0.0, 0, "", uint8(1), uint8(8))
+	f.Fuzz(func(t *testing.T, kind uint8, at, dur int64, host, rank int, factor float64, count int, prefix string, hosts, ranks uint8) {
+		ev := Event{Kind: Kind(kind % 10), At: sim.Time(at), Duration: sim.Time(dur), Host: host, Rank: rank,
+			Factor: factor, Count: count, SegPrefix: prefix}
+		p := NewPlan().LinkFlap(0, us(10), us(5)).Add(ev)
+		valid := p.Validate(int(hosts), int(ranks))
+		in, err := NewInjector(p, int(hosts), int(ranks))
+		if (valid == nil) != (err == nil) {
+			t.Fatalf("Validate says %v, NewInjector %v", valid, err)
+		}
+		if err != nil {
+			return
+		}
+		for _, q := range []sim.Time{0, ev.At, ev.At + ev.Duration, us(12)} {
+			got, _ := in.LinkReady(host, q)
+			for _, e := range in.events {
+				if got < q || e.Kind == LinkFlap && hostMatch(&e, host) && e.Duration > 0 && e.window(got) {
+					t.Fatalf("LinkReady(%d, %v) = %v: inside %v", host, q, got, e)
+				}
+			}
+			in.LoopReady(host, q)
+			in.OccScale(host, q, us(1))
+			in.ConsumeSendDrop(host, q)
+			in.ShmAttachFails(host, "cmpi.ring.x", q)
+			in.CMAFails(host, q)
+			in.Stretch(rank, q, us(1))
+			in.CrashTime(rank)
+		}
+	})
 }
 
 func TestWindowSemantics(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
+	"cmpi/internal/invariant"
 	"cmpi/internal/mpi"
 )
 
@@ -123,29 +124,21 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestTrainingDeterministicAcrossWidths requires both drivers to report
-// identical step times at every epoch dispatch width.
+// TestTrainingDeterministicAcrossWidths requires both drivers to simulate
+// the same worlds and report identical step times at every epoch dispatch
+// width.
 func TestTrainingDeterministicAcrossWidths(t *testing.T) {
-	run := func(t *testing.T) (float64, float64) {
-		w := trainWorld(t, 2, 2, 8, nil)
-		dp, err := DataParallel(w, quickCfg(4096, 256))
+	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
+		dpw := trainWorld(t, 2, 2, 8, nil)
+		dp, err := DataParallel(dpw, quickCfg(4096, 256))
 		if err != nil {
 			t.Fatal(err)
 		}
-		w = trainWorld(t, 2, 2, 8, nil)
-		ps, err := ParameterServer(w, quickCfg(4096, 256))
+		psw := trainWorld(t, 2, 2, 8, nil)
+		ps, err := ParameterServer(psw, quickCfg(4096, 256))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dp.StepMicros, ps.StepMicros
-	}
-	t.Setenv("CMPI_SIM_WORKERS", "1")
-	baseDP, basePS := run(t)
-	for _, width := range []string{"2", "4", "8"} {
-		t.Setenv("CMPI_SIM_WORKERS", width)
-		dp, ps := run(t)
-		if dp != baseDP || ps != basePS {
-			t.Errorf("width %s: (dp, ps) = (%v, %v), want (%v, %v)", width, dp, ps, baseDP, basePS)
-		}
-	}
+		return invariant.Result{Digest: invariant.Sum(dpw.Digest(), psw.Digest(), dp.StepMicros, ps.StepMicros)}
+	}, invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }

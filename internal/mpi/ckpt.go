@@ -95,7 +95,7 @@ func (w *World) commitCkpt(gen int) {
 		Ranks:   w.Size(),
 		Blobs:   ck.blobs,
 		Mail:    make([][]rec.Message, w.Size()),
-		SendSeq: make([][]uint64, w.Size()),
+		SendSeq: make(map[[2]int]uint64),
 	}
 	for i, r := range w.ranks {
 		if err := r.quiesceViolation(); err != nil {
@@ -109,13 +109,14 @@ func (w *World) commitCkpt(gen int) {
 				Data: append([]byte(nil), env.staged[:env.received]...),
 			})
 		}
-		// The codec's dense vector: zero for every peer never sent to.
-		seqs := make([]uint64, w.Size())
-		seqs[i] = r.selfSeq
-		for _, pr := range r.peers.recs {
-			seqs[pr.rank] = pr.sendSeq
+		if r.selfSeq != 0 {
+			snap.SendSeq[[2]int{i, i}] = r.selfSeq
 		}
-		snap.SendSeq[i] = seqs
+		for _, pr := range r.peers.recs {
+			if pr.sendSeq != 0 {
+				snap.SendSeq[[2]int{i, int(pr.rank)}] = pr.sendSeq
+			}
+		}
 	}
 	w.store.Commit(snap)
 	release := snap.At

@@ -2,10 +2,10 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"cmpi/internal/core"
+	"cmpi/internal/invariant"
 	"cmpi/internal/profile"
 )
 
@@ -189,36 +189,18 @@ func TestCoResidentFraction(t *testing.T) {
 
 // TestSelectorDeterministicAcrossWidths runs a mixed-size allreduce job at
 // several epoch dispatch widths and requires identical virtual times and
-// identical per-algorithm call counters — the selector must not observe
-// anything width-dependent.
+// identical per-algorithm call counters (the profile in World.Digest) — the
+// selector must not observe anything width-dependent.
 func TestSelectorDeterministicAcrossWidths(t *testing.T) {
-	run := func(t *testing.T) (string, profile.CollAlgoStats) {
-		opts := DefaultOptions()
-		opts.Mode = core.ModeLocalityAware
-		opts.Profile = true
-		w := testWorld(t, "4cont", 8, opts)
-		if err := w.Run(func(r *Rank) error {
-			for _, nel := range []int{1, 16, 4096, 16384} {
-				if err := sumAllreduceBody(nel)(r); err != nil {
-					return err
-				}
+	opts := DefaultOptions()
+	opts.Mode = core.ModeLocalityAware
+	opts.Profile = true
+	invariant.Check(t, row(scenario("4cont", 8), opts, blocking(func(r *Rank) error {
+		for _, nel := range []int{1, 16, 4096, 16384} {
+			if err := sumAllreduceBody(nel)(r); err != nil {
+				return err
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
-		return w.MaxBodyTime().String(), w.Prof.TotalCollAlgos()
-	}
-	t.Setenv("CMPI_SIM_WORKERS", "1")
-	baseTime, baseColl := run(t)
-	for _, width := range []int{2, 4, 8} {
-		t.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(width))
-		gotTime, gotColl := run(t)
-		if gotTime != baseTime {
-			t.Errorf("width %d: body time %s, want %s", width, gotTime, baseTime)
-		}
-		if gotColl != baseColl {
-			t.Errorf("width %d: coll counters %+v, want %+v", width, gotColl, baseColl)
-		}
-	}
+		return nil
+	}), nil), invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }

@@ -2,13 +2,16 @@ package mpi
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"cmpi/internal/core"
 	"cmpi/internal/ib"
+	"cmpi/internal/invariant"
 	"cmpi/internal/sim"
+	"cmpi/internal/trace"
 )
 
 // machTestTopo is a 2-rack fat tree: 4 hosts in racks of two behind one
@@ -17,25 +20,33 @@ import (
 var machTestTopo = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
 
 // machWorld builds an n-rank world for the machine-equivalence tests with a
-// textual trace attached, pinning the dispatch width.
+// trace recorded, pinning the dispatch width.
 func machWorld(t *testing.T, n int, topo ib.Topology, workers int) (*World, *bytes.Buffer) {
 	t.Helper()
-	return machWorldOpts(t, n, DefaultOptions(), topo, workers)
-}
-
-// machWorldOpts is machWorld over caller-tuned options.
-func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, workers int) (*World, *bytes.Buffer) {
-	t.Helper()
-	d := scaleDeployment(t, n)
-	opts.Topology = topo
 	var buf bytes.Buffer
-	opts.Trace = &buf
-	w, err := NewWorld(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := DefaultOptions()
+	opts.Record = trace.NewRecorder(&buf)
+	w := machine(n, topo)(t, opts)
 	w.Eng.SetWorkers(workers)
 	return w, &buf
+}
+
+// machine builds n-rank worlds for harness rows on topology topo.
+func machine(n int, topo ib.Topology) func(*testing.T, Options) *World {
+	return func(t *testing.T, opts Options) *World {
+		t.Helper()
+		opts.Topology = topo
+		w, err := NewWorld(scaleDeployment(t, n), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+}
+
+// allreduceProgram runs AllreduceProgram on machine bodies.
+func allreduceProgram(iters, bytes int) func(*World) error {
+	return func(w *World) error { return w.RunMachine(AllreduceProgram(iters, bytes)) }
 }
 
 // TestMachineRendezvousRecvRegroups is the regression for the machine-rank
@@ -48,28 +59,20 @@ func machWorldOpts(t *testing.T, n int, opts Options, topo ib.Topology, workers 
 func TestMachineRendezvousRecvRegroups(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tunables.AllreduceAlgo = core.AllreduceRabenseifner
-	var ref []byte
-	var refTime sim.Time
-	for _, workers := range []int{1, 4} {
-		w, buf := machWorldOpts(t, machRanks, opts, ib.Topology{}, workers)
-		if err := w.RunMachine(AllreduceProgram(1, 256<<10)); err != nil {
-			t.Fatalf("w%d: %v", workers, err)
-		}
+	regroups := func(t *testing.T, p invariant.Point, w *World) {
 		if w.Eng.Stats().RegroupYields == 0 {
-			t.Fatalf("w%d: no regroup yields; the world no longer exercises the claim path", workers)
+			t.Fatalf("%+v: no regroup yields; the world no longer exercises the claim path", p)
 		}
-		if ref == nil {
-			ref, refTime = buf.Bytes(), w.MaxBodyTime()
-			for _, ch := range []string{"path=cma-rndv", "path=hca-rndv"} {
-				if !bytes.Contains(ref, []byte(ch)) {
-					t.Fatalf("trace has no %q record; the exchanges no longer reach both rendezvous channels", ch)
-				}
-			}
-			continue
-		}
-		if !bytes.Equal(ref, buf.Bytes()) || w.MaxBodyTime() != refTime {
-			t.Errorf("w%d: diverges from w1 (trace %d vs %d bytes, time %v vs %v)",
-				workers, buf.Len(), len(ref), w.MaxBodyTime(), refTime)
+	}
+	res := invariant.Check(t, row(machine(machRanks, ib.Topology{}), opts, allreduceProgram(1, 256<<10), regroups),
+		invariant.Point{Record: true}, invariant.Point{Width: 4, Record: true})
+	tr, err := trace.Read(bytes.NewReader(res.Trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []core.Path{core.PathCMARndv, core.PathHCARndv} {
+		if !slices.ContainsFunc(tr.Records, func(r trace.Record) bool { return r.Path == trace.PathOf(path) }) {
+			t.Fatalf("trace has no %v record; the exchanges no longer reach both rendezvous channels", path)
 		}
 	}
 }
@@ -97,36 +100,19 @@ var machTopos = []struct {
 func TestMachineBodiesEngineAndWidthInvariant(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
-			var ref []byte
-			for _, workers := range []int{1, 2, 4, 8} {
-				w, buf := machWorld(t, machRanks, tc.topo, workers)
-				if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
-					t.Fatalf("w%d: %v", workers, err)
-				}
-				if ref == nil {
-					ref = buf.Bytes()
-					if len(ref) == 0 {
-						t.Fatal("machine world produced an empty trace")
-					}
-					continue
-				}
-				if !bytes.Equal(ref, buf.Bytes()) {
-					t.Errorf("w%d: trace diverges from w1 (%d vs %d bytes)", workers, buf.Len(), len(ref))
-				}
-			}
+			invariant.Check(t, row(machine(machRanks, tc.topo), DefaultOptions(), allreduceProgram(machIters, machBytes), nil),
+				invariant.Point{Record: true}, invariant.Widths(invariant.Point{Record: true}, 2, 4, 8)...)
 		})
 	}
 }
 
-// perRankOps projects a textual trace onto per-rank op sequences with the
-// timestamps stripped, sorted: the multiset of protocol actions each rank
-// performed (op kind, peer, tag, context, bytes, path).
+// perRankOps projects a recorded trace onto its records with the timestamps
+// stripped, sorted: the multiset of protocol actions the ranks performed (op
+// kind, rank, peer, tag, context, bytes, path, sequence).
 func perRankOps(trace []byte) []string {
 	lines := strings.Split(strings.TrimRight(string(trace), "\n"), "\n")
-	for i, l := range lines {
-		if j := strings.IndexByte(l, ' '); j >= 0 && strings.HasPrefix(l, "t=") {
-			lines[i] = l[j+1:]
-		}
+	for i, l := range lines[1:] {
+		_, lines[i+1], _ = strings.Cut(l, " ")
 	}
 	sort.Strings(lines)
 	return lines

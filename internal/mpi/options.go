@@ -12,7 +12,6 @@ package mpi
 
 import (
 	"fmt"
-	"io"
 
 	"cmpi/internal/core"
 	"cmpi/internal/fault"
@@ -41,17 +40,12 @@ type Options struct {
 	// byte-per-rank design: concurrent publishers then serialize on the
 	// lock during MPI_Init.
 	LockedDetector bool
-	// Trace, when non-nil, receives one line per message event (send
-	// initiation with its selected path, receive completion) in the legacy
-	// line format — a lightweight message tracer for debugging channel
-	// selection. Lines ride the engine's deterministic emitter, so a traced
-	// world keeps epoch-parallel dispatch and the output is byte-identical
-	// at every worker count.
-	Trace io.Writer
 	// Record, when non-nil, captures the structured trace: every message,
 	// protocol-transition, and fault event as a versioned trace.Record in
 	// deterministic commit order, replayable offline with trace.Replay.
-	// A Recorder is single-shot — build a fresh one per world.
+	// Records ride the engine's deterministic emitter, so a traced world
+	// keeps epoch-parallel dispatch and the bytes are identical at every
+	// worker count. A Recorder is single-shot — build a fresh one per world.
 	Record *trace.Recorder
 	// FaultPlan, when non-nil, is a deterministic schedule of injected
 	// faults (link flaps, send drops, attach failures, crashes, ...) that

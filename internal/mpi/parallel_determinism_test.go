@@ -1,19 +1,22 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"cmpi/internal/fault"
-	"cmpi/internal/profile"
+	"cmpi/internal/invariant"
+	"cmpi/internal/trace"
 )
 
 // Determinism of the conservative epoch dispatch: the same job must produce
-// byte-identical application results, profiles, and scheduler counters at
-// every dispatch width, including width one — group formation is decided by
-// event times and footprints alone, never by worker scheduling. (BarrierStalls is the one
-// counter that depends on the configured width; it is excluded below.)
+// the same application results, profiles, and scheduler counters at every
+// dispatch width, including width one — group formation is decided by event
+// times and footprints alone, never by worker scheduling. Each comparison is
+// a row of the invariance harness (internal/invariant) over World.Digest and,
+// with a recording base, the trace bytes: every width comparison below also
+// pins trace byte-identity.
 
 // mixedWorkload drives every channel in one job: SHM/CMA eager and
 // rendezvous inside containers, HCA eager and rendezvous across hosts,
@@ -68,58 +71,61 @@ func mixedWorkload(r *Rank) error {
 	return nil
 }
 
-// runDeterminismJob runs the workload at the given dispatch width and
-// returns (application transcript, scheduler transcript). The world runs
-// with the legacy tracer attached and the trace rides in the application
-// transcript, so every width comparison below also pins trace byte-identity
-// and exercises the buffered per-group emission path.
-func runDeterminismJob(t *testing.T, workers int, plan *fault.Plan) (string, string) {
-	t.Helper()
-	var tr strings.Builder
+// row is one harness row over one world: build makes it from opts — with a
+// recorder when the point asks for a trace — run drives it, and check, when
+// set, looks at the finished world. Its result is the world's digest and the
+// recorded trace.
+func row(build func(*testing.T, Options) *World, opts Options, run func(*World) error, check worldCheck) invariant.Run {
+	return func(t *testing.T, p invariant.Point) invariant.Result {
+		t.Helper()
+		var stream bytes.Buffer
+		o := opts
+		if p.Record {
+			o.Record = trace.NewRecorder(&stream)
+		}
+		w := build(t, o)
+		if err := run(w); err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		if p.Record && o.Record.Err() != nil {
+			t.Fatalf("%+v: recorder: %v", p, o.Record.Err())
+		}
+		if check != nil {
+			check(t, p, w)
+		}
+		return invariant.Result{Digest: w.Digest(), Trace: stream.Bytes()}
+	}
+}
+
+// worldCheck looks at a row's finished world.
+type worldCheck func(*testing.T, invariant.Point, *World)
+
+// scenario builds n-rank testWorlds of one scenario.
+func scenario(name string, n int) func(*testing.T, Options) *World {
+	return func(t *testing.T, opts Options) *World { return testWorld(t, name, n, opts) }
+}
+
+// blocking runs a blocking body on every rank.
+func blocking(body func(*Rank) error) func(*World) error {
+	return func(w *World) error { return w.Run(body) }
+}
+
+// mixedJob is mixedWorkload on 16 ranks over two hosts, profiled, under an
+// optional fault plan.
+func mixedJob(plan *fault.Plan, check worldCheck) invariant.Run {
 	opts := DefaultOptions()
 	opts.Profile = true
 	opts.FaultPlan = plan
-	opts.Trace = &tr
-	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(workers)
-	if err := w.Run(mixedWorkload); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-
-	var app strings.Builder
-	for _, rp := range w.Prof.Ranks {
-		fmt.Fprintf(&app, "rank%d mpi=%v app=%v", rp.Rank, rp.TotalMPI, rp.AppTime)
-		for _, call := range w.Prof.TopCalls() {
-			if d, ok := rp.MPITime[call]; ok {
-				fmt.Fprintf(&app, " %s=%v", call, d)
-			}
-		}
-		fmt.Fprintf(&app, " ops=%v bytes=%v\n", rp.Channels.Ops, rp.Channels.Bytes)
-	}
-	fmt.Fprintf(&app, "faults=%d\n", w.Prof.TotalFaults().Total())
-	fmt.Fprintf(&app, "trace:\n%s", tr.String())
-
-	st := w.SimStats()
-	sched := fmt.Sprintf("dispatched=%d stale=%d coalesced=%d heap=%d batches=%d width=%d",
-		st.Dispatched, st.StaleWakes, st.CoalescedWakes, st.MaxHeapDepth,
-		st.ParallelBatches, st.MaxBatchWidth)
-	return app.String(), sched
+	return row(scenario("2host4cont", 16), opts, blocking(mixedWorkload), check)
 }
 
 // TestEpochDispatchDeterministicResults locks in the tentpole invariant at
 // the MPI layer: application-visible results, profiles, and scheduler
-// counters are byte-identical for every dispatch width, including one.
+// counters are identical for every dispatch width, including one, and
+// recording a trace changes none of them.
 func TestEpochDispatchDeterministicResults(t *testing.T) {
-	baseApp, baseSched := runDeterminismJob(t, 1, nil)
-	for _, workers := range []int{2, 4, 8} {
-		app, sched := runDeterminismJob(t, workers, nil)
-		if app != baseApp {
-			t.Errorf("workers=%d: application transcript differs from width 1:\n--- w1 ---\n%s--- w%d ---\n%s", workers, baseApp, workers, app)
-		}
-		if sched != baseSched {
-			t.Errorf("workers=%d: scheduler counters differ from width 1:\n%s\nvs\n%s", workers, baseSched, sched)
-		}
-	}
+	rec := invariant.Point{Record: true}
+	invariant.Check(t, mixedJob(nil, nil), rec, append(invariant.Widths(rec, 2, 4, 8), invariant.Point{})...)
 }
 
 // pairwiseWorkload exchanges messages only between even/odd partners in the
@@ -177,43 +183,22 @@ func TestEpochDispatchEngages(t *testing.T) {
 // epoch is one Global group whatever the configured width, and the results
 // are identical at any width setting.
 func TestFaultWorldsFormOneGroup(t *testing.T) {
-	plan := func() *fault.Plan {
-		return fault.NewPlan().Straggler(3, 0, 0, 2.5)
+	oneGroup := func(t *testing.T, p invariant.Point, w *World) {
+		if st := w.SimStats(); st.ParallelBatches == 0 || st.MaxBatchWidth != 1 {
+			t.Errorf("%+v: ParallelBatches = %d, MaxBatchWidth = %d with a fault plan; want epochs formed, each one group wide",
+				p, st.ParallelBatches, st.MaxBatchWidth)
+		}
 	}
-	baseApp, _ := runDeterminismJob(t, 1, plan())
-
-	opts := DefaultOptions()
-	opts.Profile = true
-	opts.FaultPlan = plan()
-	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(8)
-	if err := w.Run(mixedWorkload); err != nil {
-		t.Fatal(err)
-	}
-	if st := w.SimStats(); st.ParallelBatches == 0 || st.MaxBatchWidth != 1 {
-		t.Errorf("ParallelBatches = %d, MaxBatchWidth = %d with a fault plan; want epochs formed, each one group wide",
-			st.ParallelBatches, st.MaxBatchWidth)
-	}
-
-	app, _ := runDeterminismJob(t, 8, plan())
-	if app != baseApp {
-		t.Errorf("fault world transcript differs across widths:\n--- w1 ---\n%s--- w8 ---\n%s", baseApp, app)
-	}
+	invariant.Check(t, mixedJob(fault.NewPlan().Straggler(3, 0, 0, 2.5), oneGroup), invariant.Point{Record: true},
+		invariant.Point{Width: 8, Record: true})
 }
 
 // TestEpochDispatchManyWorldsUnderRace runs several mixed jobs back to back
 // at width 8; under -race this shakes the group worker pool harder than a
 // single world does.
 func TestEpochDispatchManyWorldsUnderRace(t *testing.T) {
-	var base string
-	for trial := 0; trial < 4; trial++ {
-		app, _ := runDeterminismJob(t, 8, nil)
-		if trial == 0 {
-			base = app
-		} else if app != base {
-			t.Fatalf("trial %d transcript differs", trial)
-		}
-	}
+	rec := invariant.Point{Width: 8, Record: true}
+	invariant.Check(t, mixedJob(nil, nil), rec, rec, rec, rec)
 }
 
 // phasedWorkload drives three communication phases with different coupling,
@@ -265,49 +250,19 @@ func phasedWorkload(r *Rank) error {
 	return nil
 }
 
-// runPhasedJob runs phasedWorkload at the given dispatch width and returns
-// (application transcript, scheduler stats).
-func runPhasedJob(t *testing.T, workers int) (string, profile.SimStats) {
-	t.Helper()
-	var tr strings.Builder
+// phasedJob is phasedWorkload on 16 ranks over two hosts, profiled.
+func phasedJob(check worldCheck) invariant.Run {
 	opts := DefaultOptions()
 	opts.Profile = true
-	opts.Trace = &tr
-	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(workers)
-	if err := w.Run(phasedWorkload); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	var app strings.Builder
-	for _, rp := range w.Prof.Ranks {
-		fmt.Fprintf(&app, "rank%d mpi=%v app=%v ops=%v bytes=%v\n",
-			rp.Rank, rp.TotalMPI, rp.AppTime, rp.Channels.Ops, rp.Channels.Bytes)
-	}
-	fmt.Fprintf(&app, "trace:\n%s", tr.String())
-	return app.String(), w.SimStats()
+	return row(scenario("2host4cont", 16), opts, blocking(phasedWorkload), check)
 }
 
 // TestPhasedWorkloadDeterministicAcrossWidths pins footprint decay's
-// correctness contract: the phased job's application results, profiles,
-// traces, and scheduler counters are byte-identical at widths 1/2/4/8.
-// BarrierStalls is excluded — it is the one counter documented to depend on
-// the width — and so are BufPool.Depot and DepotRefused, which say what the
-// worlds before this one left behind.
+// correctness contract: the phased job's application results, profiles and
+// scheduler counters (World.Digest) are identical at widths 1/2/4/8.
 func TestPhasedWorkloadDeterministicAcrossWidths(t *testing.T) {
-	baseApp, baseStats := runPhasedJob(t, 1)
-	baseStats.BarrierStalls, baseStats.BufPool.Depot, baseStats.DepotRefused = 0, 0, 0
-	for _, workers := range []int{2, 4, 8} {
-		app, stats := runPhasedJob(t, workers)
-		if app != baseApp {
-			t.Errorf("workers=%d: transcript differs from width 1:\n--- w1 ---\n%s--- w%d ---\n%s",
-				workers, baseApp, workers, app)
-		}
-		stats.BarrierStalls, stats.BufPool.Depot, stats.DepotRefused = 0, 0, 0
-		if stats != baseStats {
-			t.Errorf("workers=%d: scheduler stats differ from width 1:\n%+v\nvs\n%+v",
-				workers, baseStats, stats)
-		}
-	}
+	rec := invariant.Point{Record: true}
+	invariant.Check(t, phasedJob(nil), rec, invariant.Widths(rec, 2, 4, 8)...)
 }
 
 // TestPairsDecayAndRewidenAfterPhaseChange is the behavioral claim behind
@@ -317,16 +272,18 @@ func TestPhasedWorkloadDeterministicAcrossWidths(t *testing.T) {
 // epoch is pinned: a footprint that never shed a claimed pair narrows nothing
 // and never gets past 3 groups on this job.
 func TestPairsDecayAndRewidenAfterPhaseChange(t *testing.T) {
-	_, st := runPhasedJob(t, 4)
-	if st.NarrowedPairs == 0 {
-		t.Error("no pair was narrowed; footprint decay never engaged")
-	}
-	if st.MaxBatchWidth != 4 {
-		t.Errorf("MaxBatchWidth = %d, want 4: the pairwise phase must re-widen after the ring", st.MaxBatchWidth)
-	}
-	if st.PhaseRewidens == 0 {
-		t.Error("no phase change detected; want >= 1 for the me^1 -> me^2 transition")
-	}
+	invariant.At(t, phasedJob(func(t *testing.T, _ invariant.Point, w *World) {
+		st := w.SimStats()
+		if st.NarrowedPairs == 0 {
+			t.Error("no pair was narrowed; footprint decay never engaged")
+		}
+		if st.MaxBatchWidth != 4 {
+			t.Errorf("MaxBatchWidth = %d, want 4: the pairwise phase must re-widen after the ring", st.MaxBatchWidth)
+		}
+		if st.PhaseRewidens == 0 {
+			t.Error("no phase change detected; want >= 1 for the me^1 -> me^2 transition")
+		}
+	}), invariant.Point{Width: 4})
 }
 
 // TestReleaseClaimStrictGuard checks the claim-accounting debug hook: a
@@ -361,6 +318,6 @@ func TestReleaseClaimStrictGuard(t *testing.T) {
 func TestClaimAccountingBalanced(t *testing.T) {
 	claimStrict = true
 	t.Cleanup(func() { claimStrict = false })
-	runDeterminismJob(t, 4, nil)
-	_, _ = runPhasedJob(t, 4)
+	invariant.At(t, mixedJob(nil, nil), invariant.Point{Width: 4})
+	invariant.At(t, phasedJob(nil), invariant.Point{Width: 4})
 }

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"slices"
@@ -10,14 +8,18 @@ import (
 	"testing"
 
 	"cmpi/internal/ib"
+	"cmpi/internal/invariant"
 	"cmpi/internal/sim"
 )
 
 // Traces pinned across the move from dense per-pair and per-peer tables to
-// state created on first contact. The digests below were recorded at the
-// commit before that move (77a1b18) at width 1; every width must still
-// produce them. An all-to-all contacts every pair of the world, a ring two
-// peers per rank: the two ends of how full a rank's peer table gets.
+// state created on first contact, then across the move of the collectives
+// onto the machine.go steppers. The pins are SHA-256s of the recorded v1
+// trace (Options.Record), produced by the commit before the line-format
+// tracer was deleted, whose line digests they replace; every row must still
+// produce them at every width and under poolStrict. An all-to-all contacts
+// every pair of the world, a ring two peers per rank: the two ends of how
+// full a rank's peer table gets.
 
 const (
 	peerTraceRanks  = 32 // two hosts, two containers each
@@ -94,46 +96,67 @@ func (g *exchangeProg) Step(r *Rank) sim.Flow {
 	return sim.Done
 }
 
-func TestTracesUnchangedByFirstContactState(t *testing.T) {
-	cases := []struct {
-		name    string
-		machine bool
-		ring    bool
-		size    int
-		digest  string
-	}{
-		{"blocking/alltoall-512", false, false, 512, "3dfdb98d874f5c3c9d49548490dc09133a754898327c7a0bee6ae40239e61a34"},
-		{"blocking/alltoall-32k", false, false, 32 << 10, "84a8c4613d7f85f8a80aedb69308e40add36f0c63b93020a21a8dd552850c0fe"},
-		{"blocking/ring-512", false, true, 512, "97ba5c86d0020bf6aca595654a1c99a0f542564d64d77c16da0abcfd55d50491"},
-		{"blocking/ring-64k", false, true, 64 << 10, "dd7111878fdf4037950820bc5169e73626aa3a814f82eaff793612b2860c037c"},
-		{"machine/alltoall-512", true, false, 512, "61af3f41987edf6235c2c42155ab546667e2dfd06987469e32308d4e5402a5ab"},
-		{"machine/alltoall-32k", true, false, 32 << 10, "608c9bbbc8e6f8cc0550de09384b4e6da54c9fc2d4e45ce63da76e68d73736e9"},
-		{"machine/ring-512", true, true, 512, "66827eb2e56794553963598dac1f9d05890dcf707dcb214edde3c7221d74ccd6"},
-		{"machine/ring-64k", true, true, 64 << 10, "1535cf2a59d73907575e3b7068df385d738b626ab6263c600fe31549661b186d"},
-	}
-	for _, tc := range cases {
+// pinnedRow is a row of the pinned-trace tests: its recorded trace must hash
+// to pin.
+type pinnedRow struct {
+	name string
+	run  invariant.Run
+	pin  string
+}
+
+// checkPinned runs each row recorded at base and at widths 2/4/8 of it,
+// compares the base's trace with the pin (the harness holds every other point
+// to the base) and returns the base traces.
+func checkPinned(t *testing.T, rows []pinnedRow, base invariant.Point) [][]byte {
+	base.Record = true
+	var traces [][]byte
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				w, buf := machWorld(t, peerTraceRanks, ib.Topology{}, workers)
-				var err error
-				switch {
-				case tc.machine:
-					err = w.RunMachine(func(int) Program { return &exchangeProg{ring: tc.ring, size: tc.size} })
-				case tc.ring:
-					err = w.Run(ringBody(tc.size))
-				default:
-					err = w.Run(alltoallBody(tc.size))
-				}
-				if err != nil {
-					t.Fatalf("w%d: %v", workers, err)
-				}
-				sum := sha256.Sum256(buf.Bytes())
-				if got := hex.EncodeToString(sum[:]); got != tc.digest {
-					t.Errorf("w%d: trace digest %s (%d bytes), want %s", workers, got, buf.Len(), tc.digest)
-				}
+			res := invariant.Check(t, tc.run, base, invariant.Widths(base, 2, 4, 8)...)
+			if got := invariant.SumBytes(res.Trace); got != tc.pin {
+				t.Errorf("trace digest %s (%d bytes), want %s", got, len(res.Trace), tc.pin)
 			}
+			traces = append(traces, res.Trace)
 		})
 	}
+	return traces
+}
+
+// firstContactRows are the all-to-all and ring exchanges, blocking and
+// machine, at an eager and a rendezvous size.
+func firstContactRows() []pinnedRow {
+	var rows []pinnedRow
+	for _, tc := range []struct {
+		name          string
+		machine, ring bool
+		size          int
+		pin           string
+	}{
+		{"blocking/alltoall-512", false, false, 512, "9fc747ecf8e2f9b80d93ce2dd3c1721f04ee98c6b977c33634494ce09c4eaf1a"},
+		{"blocking/alltoall-32k", false, false, 32 << 10, "472b9bc94a4f19f3cbd29313f1c1bc380b9f105131034666bf5afa8984cd1a68"},
+		{"blocking/ring-512", false, true, 512, "402756e6766d296a2b08fbebc1ec5dccc4114c305254df00a5b6b8503a0d596d"},
+		{"blocking/ring-64k", false, true, 64 << 10, "0415e99bd4d0fb67456394e9cc0710f3c33b6eca76818f0a6aa98c3d19e7fbf5"},
+		{"machine/alltoall-512", true, false, 512, "ef96338dac64f291b7a7cdfe36885b45b7a60b69964bf2a9db46ac3bf1a0c315"},
+		{"machine/alltoall-32k", true, false, 32 << 10, "67ba1714b13c444285757ed58dd168d148e71a1544630d3bf760d789ae6854e9"},
+		{"machine/ring-512", true, true, 512, "44e6449f3136bcd0d5ff3178dd0ecc06edff6c5fe10a0401487e46bdaf4b8c5d"},
+		{"machine/ring-64k", true, true, 64 << 10, "ed4406a248024d23d99b719f6128ebd403d945fb2f5c80c19bab9bdcf21e08ed"},
+	} {
+		run := blocking(alltoallBody(tc.size))
+		switch {
+		case tc.machine:
+			run = func(w *World) error {
+				return w.RunMachine(func(int) Program { return &exchangeProg{ring: tc.ring, size: tc.size} })
+			}
+		case tc.ring:
+			run = blocking(ringBody(tc.size))
+		}
+		rows = append(rows, pinnedRow{tc.name, row(machine(peerTraceRanks, ib.Topology{}), DefaultOptions(), run, nil), tc.pin})
+	}
+	return rows
+}
+
+func TestTracesUnchangedByFirstContactState(t *testing.T) {
+	checkPinned(t, firstContactRows(), invariant.Point{})
 }
 
 // TestFaultWorldTracePinned watches a fault-plan world's trace. Its records
@@ -143,14 +166,9 @@ func TestTracesUnchangedByFirstContactState(t *testing.T) {
 // at f967c29) — the move to one dispatch loop reordered them and changed
 // none.
 func TestFaultWorldTracePinned(t *testing.T) {
-	const digest = "4c17939535201376757123926946c01f28653a6ebddab5a9b6e3bc864ea06c4a"
-	var stream []byte
-	for _, workers := range []int{1, 2, 4, 8} {
-		stream, _ = runFaultTracedJob(t, workers)
-		sum := sha256.Sum256(stream)
-		if got := hex.EncodeToString(sum[:]); got != digest {
-			t.Errorf("w%d: trace digest %s (%d bytes), want %s", workers, got, len(stream), digest)
-		}
+	got := checkPinned(t, faultTraceRows(), invariant.Point{})
+	if len(got) == 0 {
+		return
 	}
 	// The v1 encoding is one canonical line per record after the header line,
 	// so sorting the lines compares the record multisets.
@@ -163,7 +181,7 @@ func TestFaultWorldTracePinned(t *testing.T) {
 		slices.Sort(lines[1:])
 		return lines
 	}
-	g, w := sorted(stream), sorted(want)
+	g, w := sorted(got[0]), sorted(want)
 	for i := 0; i < len(g) && i < len(w); i++ {
 		if g[i] != w[i] {
 			t.Fatalf("record multiset differs from the dispatch-order trace at sorted line %d:\n  got:  %s\n  want: %s", i, g[i], w[i])
@@ -174,10 +192,13 @@ func TestFaultWorldTracePinned(t *testing.T) {
 	}
 }
 
+// faultTraceRows is the fault-plan world's pinned trace.
+func faultTraceRows() []pinnedRow {
+	return []pinnedRow{{"fault", faultTraceJob(nil), "4c17939535201376757123926946c01f28653a6ebddab5a9b6e3bc864ea06c4a"}}
+}
+
 // Traces of the communicator and hierarchical collectives, pinned before
-// they became drivers of the steppers in machine.go. The digests were
-// recorded at the commit before that move (1700ac2); every width must still
-// produce them.
+// they became drivers of the steppers in machine.go (1700ac2).
 
 // fillRanked writes value v into every int64 element of buf.
 func fillRanked(buf []byte, v int64) {
@@ -257,39 +278,35 @@ func hierCollBody(size int) func(r *Rank) error {
 	}
 }
 
-func TestCommAndHierTracesPinned(t *testing.T) {
-	cases := []struct {
-		name   string
-		hier   bool
-		ranks  int // hier: three hosts, so three leaders fold
-		size   int
-		digest string
+// collRows are the communicator and hierarchical collectives at an eager,
+// a mid and a rendezvous size.
+func collRows() []pinnedRow {
+	var rows []pinnedRow
+	for _, tc := range []struct {
+		name  string
+		hier  bool
+		ranks int // hier: three hosts, so three leaders fold
+		size  int
+		pin   string
 	}{
-		{"comm/64", false, 32, 64, "12dfe50509c4408645a42a119f21e92d2e4cc259a53b408989f6ed3bbca3df49"},
-		{"comm/8k", false, 32, 8 << 10, "27fc227c4cae362f2a002c77574b62446846fde342fcae78926b0c6b83cf9db4"},
-		{"comm/256k", false, 32, 256 << 10, "8994ca0d65612d6c9afe6dbb489917767223388007b9845192edf8e3c0eeb8ca"},
-		{"hier/64", true, 48, 64, "016636a8b9dac812ba450f468bbb8d11a2ac1c30ee07f53085d8578dc0c17661"},
-		{"hier/8k", true, 48, 8 << 10, "cf4c8e892efa20bd53336f51b0465fd0c090419b457c63ab741e9aeb9fe2e44b"},
-		{"hier/256k", true, 48, 256 << 10, "8315611a6bfff7d217c61a402de8b1d093902153bd74f28f1dd35dbb9e8f75a9"},
+		{"comm/64", false, 32, 64, "b65a36c545c50504cacb86d0c7482d3f57f4298a06e237c8d8fbd0c4f8c09f5c"},
+		{"comm/8k", false, 32, 8 << 10, "0da2d68c5d896703c6e0f72c72c5435e4b96e4c0da2f95ded3f1d95ac40b46d4"},
+		{"comm/256k", false, 32, 256 << 10, "425b787a492657d770f612ceec4a87acf1f212b05c0fe4cc4f0a876d73b77676"},
+		{"hier/64", true, 48, 64, "fb41f28a70b2d9e81d892a1245c7e10ec9f881a49861fd882f2fb3fd574c7e15"},
+		{"hier/8k", true, 48, 8 << 10, "2b4d7c6d260755c8d1b5dcf67360dad99b5c1b33b45666a3c9e368eac42877c6"},
+		{"hier/256k", true, 48, 256 << 10, "773bece6790a21680c73fbe308589294323407306d274c47b2f2c6d2388fbe6a"},
+	} {
+		opts := DefaultOptions()
+		opts.HierarchicalCollectives = tc.hier
+		body := commCollBody(tc.size)
+		if tc.hier {
+			body = hierCollBody(tc.size)
+		}
+		rows = append(rows, pinnedRow{tc.name, row(machine(tc.ranks, ib.Topology{}), opts, blocking(body), nil), tc.pin})
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4, 8} {
-				opts := DefaultOptions()
-				opts.HierarchicalCollectives = tc.hier
-				w, buf := machWorldOpts(t, tc.ranks, opts, ib.Topology{}, workers)
-				body := commCollBody(tc.size)
-				if tc.hier {
-					body = hierCollBody(tc.size)
-				}
-				if err := w.Run(body); err != nil {
-					t.Fatalf("w%d: %v", workers, err)
-				}
-				sum := sha256.Sum256(buf.Bytes())
-				if got := hex.EncodeToString(sum[:]); got != tc.digest {
-					t.Errorf("w%d: trace digest %s (%d bytes), want %s", workers, got, buf.Len(), tc.digest)
-				}
-			}
-		})
-	}
+	return rows
+}
+
+func TestCommAndHierTracesPinned(t *testing.T) {
+	checkPinned(t, collRows(), invariant.Point{})
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"cmpi/internal/core"
+	"cmpi/internal/invariant"
 )
 
 // The poolStrict hook (world.go): what it keeps unchanged and what trips it.
@@ -16,23 +19,23 @@ import (
 // strictPools turns poolStrict on for one test.
 func strictPools(t *testing.T) {
 	t.Helper()
-	was := poolStrict
-	poolStrict = true
-	t.Cleanup(func() { poolStrict = was })
+	was := core.SetPoolStrict(true)
+	t.Cleanup(func() { core.SetPoolStrict(was) })
 }
 
-// TestPoolStrictKeepsPinnedResults reruns the schedules and pinned traces
-// that would show a stale alias — randomized windows with content checks,
-// the determinism property, the first-contact trace digests at every width,
-// the fault-plan world — with every depot buffer poisoned,
-// the conservation law asserted at the end of every clean world, and
-// released handles poisoned.
+// TestPoolStrictKeepsPinnedResults holds the pinned traces that would show a
+// stale alias — the first-contact exchanges, the fault-plan world — to their
+// pins with every depot buffer poisoned, the conservation law asserted at the
+// end of every clean world and released handles poisoned, at widths 1/2/4/8,
+// and reruns the randomized windows with content checks,
+// the determinism property and the second-world test under the hook.
 func TestPoolStrictKeepsPinnedResults(t *testing.T) {
+	strict := invariant.Point{PoolStrict: true}
+	t.Run("first-contact-traces", func(t *testing.T) { checkPinned(t, firstContactRows(), strict) })
+	t.Run("fault-trace", func(t *testing.T) { checkPinned(t, faultTraceRows(), strict) })
 	strictPools(t)
 	t.Run("stress", TestStressRandomizedSchedules)
 	t.Run("determinism", TestStressDeterminismProperty)
-	t.Run("first-contact-traces", TestTracesUnchangedByFirstContactState)
-	t.Run("fault-trace", TestFaultWorldTracePinned)
 	t.Run("second-world", TestDepotServesTheSecondWorld)
 }
 

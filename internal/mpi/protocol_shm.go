@@ -215,10 +215,9 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 	r.claimPair(req, false)
 	ring, err := r.ringFor(pr)
 	if err != nil {
-		// The record keeps the originally selected path (the legacy line
-		// format prints the fallback target instead); the message's sequence
-		// number is still unassigned here and the HCA send below will draw
-		// the same value the send-initiation record carried.
+		// The record keeps the originally selected path; the message's
+		// sequence number is still unassigned here and the HCA send below
+		// will draw the same value the send-initiation record carried.
 		r.trace(trace.OpShmFallback, trace.PathOf(path), req.peer, req.tag, req.ctx, len(req.sbuf), pr.sendSeq)
 		if r.prof != nil {
 			r.prof.Faults.ShmFallbacks++

@@ -443,7 +443,7 @@ func (r *Rank) Release(reqs ...*Request) {
 			r.p.Fatalf("MPI_Request_free: request (peer %d, tag %d) has not completed", req.peer, req.tag)
 		}
 		reqs[i] = nil
-		if poolStrict {
+		if core.PoolStrict() {
 			req.released = true
 			continue
 		}

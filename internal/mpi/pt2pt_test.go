@@ -425,7 +425,7 @@ func TestLatencyOrderingAcrossModes(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	run := func() sim.Time {
+	digest := func() string {
 		w := testWorld(t, "4cont", 8, DefaultOptions())
 		if err := w.Run(func(r *Rank) error {
 			for iter := 0; iter < 5; iter++ {
@@ -439,12 +439,12 @@ func TestDeterministicReplay(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return w.MaxBodyTime()
+		return w.Digest()
 	}
-	first := run()
+	first := digest()
 	for i := 0; i < 3; i++ {
-		if got := run(); got != first {
-			t.Fatalf("run %d elapsed %v != %v", i, got, first)
+		if got := digest(); got != first {
+			t.Fatalf("run %d: digest %s, want %s", i, got, first)
 		}
 	}
 }

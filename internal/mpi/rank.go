@@ -639,13 +639,13 @@ func (r *Rank) crossSocket(peer int) bool {
 	return r.w.Deploy.Placements[peer].Socket() != r.socket
 }
 
-// trace emits one structured trace record when the world has a trace
-// consumer (Options.Trace or Options.Record). Records ride the engine's
+// trace emits one structured trace record when the world has a recorder
+// (Options.Record). Records ride the engine's
 // emitter: buffered per epoch group and flushed at the barrier in
 // deterministic (t, group, seq) commit order, so tracing never perturbs —
 // and is never perturbed by — parallel dispatch.
 func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int, seq uint64) {
-	if !r.w.tracing {
+	if r.w.Opts.Record == nil {
 		return
 	}
 	r.p.Emit(trace.Record{
@@ -928,11 +928,7 @@ func (r *Rank) Restored() ([]byte, int, bool) {
 	if snap == nil {
 		return nil, 0, false
 	}
-	old := r.rank
-	if r.w.restoredMap != nil {
-		old = r.w.restoredMap[r.rank]
-	}
-	return append([]byte(nil), snap.Blobs[old]...), snap.Epoch, true
+	return append([]byte(nil), snap.Blobs[r.PrevRank()]...), snap.Epoch, true
 }
 
 // PrevRank returns the rank this process held in the world the latest

@@ -161,10 +161,9 @@ func pruneFaultPlan(p *fault.Plan, dead []int, mapping []int, policy rec.Policy)
 // after the post-init barrier. The user blob is surfaced via Rank.Restored.
 func (w *World) restoreRank(r *Rank) {
 	snap := w.restored
-	old := r.rank
+	old := r.PrevRank()
 	var oldToNew map[int]int
 	if w.restoredMap != nil {
-		old = w.restoredMap[r.rank]
 		oldToNew = make(map[int]int, len(w.restoredMap))
 		for nr, or := range w.restoredMap {
 			oldToNew[or] = nr
@@ -175,7 +174,7 @@ func (w *World) restoreRank(r *Rank) {
 		if w.restoredMap != nil {
 			oldDst = w.restoredMap[newDst]
 		}
-		if seq := snap.SendSeq[old][oldDst]; newDst == r.rank {
+		if seq := snap.SendSeq[[2]int{old, oldDst}]; newDst == r.rank {
 			r.selfSeq = seq
 		} else if seq != 0 {
 			r.peer(newDst).sendSeq = seq

@@ -10,6 +10,7 @@ import (
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/fault"
+	"cmpi/internal/invariant"
 	rec "cmpi/internal/recover"
 	"cmpi/internal/sim"
 )
@@ -163,8 +164,8 @@ func TestRecoverableGoldenWorkload(t *testing.T) {
 // TestRecoveryDeterminism runs the checkpoint-bearing golden workload — fault
 // free (which may start under epoch-parallel dispatch and must collapse at
 // the checkpoint barrier) and with a crash plus respawn recovery — at every
-// dispatch width, and requires byte-identical results, reports, and
-// checkpoint artifacts.
+// dispatch width, and requires identical results, reports, and checkpoint
+// artifacts.
 func TestRecoveryDeterminism(t *testing.T) {
 	// Measure the fault-free runtime once so the crash lands mid-run, after
 	// the first checkpoint.
@@ -174,68 +175,30 @@ func TestRecoveryDeterminism(t *testing.T) {
 		t.Fatalf("measuring run: %v", err)
 	}
 	crashAt := mw.MaxBodyTime() * 3 / 5
-
-	type outcome struct {
-		final   []float64
-		resumed int
-		report  rec.Report
-		snap    []byte
-		errText string
-	}
-	run := func(workers int, crash bool) outcome {
-		opts := DefaultOptions()
-		if crash {
-			opts.FaultPlan = fault.NewPlan().RankCrash(3, crashAt)
-		}
-		w := testWorld(t, "2host", 16, opts)
-		w.Eng.SetWorkers(workers)
-		var o outcome
-		o.resumed = -1
-		store := rec.NewStore()
-		rep, err := w.RunRecoverable(
-			RecoverOptions{MaxRestarts: 3, Store: store},
-			goldenBody(&o.final, &o.resumed))
-		if err != nil {
-			o.errText = err.Error()
-		}
-		o.report = *rep
-		o.report.Failures = append([]rec.FailureRecord(nil), rep.Failures...)
-		if s := store.Latest(); s != nil {
-			o.snap = s.Encode()
-		}
-		return o
-	}
 	for _, crash := range []bool{false, true} {
 		name := "fault-free"
 		if crash {
 			name = "crash-respawn"
 		}
 		t.Run(name, func(t *testing.T) {
-			want := run(1, crash)
-			if want.errText != "" {
-				t.Fatalf("width-1 run failed: %s", want.errText)
-			}
-			if want.snap == nil {
-				t.Fatal("width-1 run committed no checkpoint")
-			}
-			for _, workers := range []int{2, 4, 8} {
-				got := run(workers, crash)
-				if !reflect.DeepEqual(got.final, want.final) {
-					t.Errorf("workers=%d: final array differs from width 1", workers)
+			invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
+				opts := DefaultOptions()
+				if crash {
+					opts.FaultPlan = fault.NewPlan().RankCrash(3, crashAt)
 				}
-				if got.resumed != want.resumed {
-					t.Errorf("workers=%d: resumed from %d, want %d", workers, got.resumed, want.resumed)
+				w := testWorld(t, "2host", 16, opts)
+				var final []float64
+				resumed := -1
+				store := rec.NewStore()
+				rep, err := w.RunRecoverable(RecoverOptions{MaxRestarts: 3, Store: store}, goldenBody(&final, &resumed))
+				if err != nil {
+					t.Fatalf("%+v: %v", p, err)
 				}
-				if !reflect.DeepEqual(got.report, want.report) {
-					t.Errorf("workers=%d: report %+v, want %+v", workers, got.report, want.report)
+				if store.Latest() == nil {
+					t.Fatalf("%+v: no checkpoint committed", p)
 				}
-				if !bytes.Equal(got.snap, want.snap) {
-					t.Errorf("workers=%d: checkpoint artifact differs from width 1", workers)
-				}
-				if got.errText != want.errText {
-					t.Errorf("workers=%d: error %q, want %q", workers, got.errText, want.errText)
-				}
-			}
+				return invariant.Result{Digest: invariant.Sum(w.Digest(), final, resumed, *rep, store.Latest().Encode())}
+			}, invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 		})
 	}
 }
@@ -245,14 +208,13 @@ func TestRecoveryDeterminism(t *testing.T) {
 // survivor body errors — to come out identically at every dispatch width
 // (rank-sorted, because the aggregate is built from the rank-indexed slice).
 func TestRecoverErrorOrderDeterminism(t *testing.T) {
-	run := func(workers int) string {
+	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
 		opts := DefaultOptions()
 		opts.ErrHandler = ErrorsRecover
 		opts.FaultPlan = fault.NewPlan().
 			RankCrash(1, 10*sim.Microsecond).
 			RankCrash(6, 15*sim.Microsecond)
 		w := testWorld(t, "native", 8, opts)
-		w.Eng.SetWorkers(workers)
 		err := w.Run(func(r *Rank) error {
 			r.Compute(5000)
 			r.Barrier()
@@ -262,16 +224,10 @@ func TestRecoverErrorOrderDeterminism(t *testing.T) {
 			return nil
 		})
 		if err == nil {
-			t.Fatal("run with two crashed ranks succeeded")
+			t.Fatalf("%+v: run with two crashed ranks succeeded", p)
 		}
-		return err.Error()
-	}
-	want := run(1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := run(workers); got != want {
-			t.Errorf("workers=%d: aggregate error\n%q\nwant\n%q", workers, got, want)
-		}
-	}
+		return invariant.Result{Digest: invariant.Sum(w.Digest(), err)}
+	}, invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }
 
 // TestCommShrinkInWorld is in-world ULFM recovery without a restart: a rank

@@ -1,10 +1,15 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cmpi/internal/core"
+	"cmpi/internal/invariant"
+	"cmpi/internal/trace"
 )
 
 func TestScanPrefixSums(t *testing.T) {
@@ -95,11 +100,7 @@ func TestCommGatherScatterSendrecv(t *testing.T) {
 }
 
 func TestTraceEmitsChannelDecisions(t *testing.T) {
-	var sb strings.Builder
-	opts := DefaultOptions()
-	opts.Trace = &sb
-	w := testWorld(t, "2cont", 2, opts)
-	err := w.Run(func(r *Rank) error {
+	body := func(r *Rank) error {
 		if r.Rank() == 0 {
 			r.Send(1, 3, make([]byte, 64))
 			r.Send(1, 4, make([]byte, 1<<20))
@@ -108,41 +109,23 @@ func TestTraceEmitsChannelDecisions(t *testing.T) {
 			r.Recv(0, 4, make([]byte, 1<<20))
 		}
 		return nil
-	})
+	}
+	res := invariant.Check(t, row(scenario("2cont", 2), DefaultOptions(), blocking(body), nil),
+		invariant.Point{Record: true}, invariant.Widths(invariant.Point{Record: true}, 2, 4, 8)...)
+	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		"send rank=0 peer=1 tag=3", "path=shm-eager",
-		"send rank=0 peer=1 tag=4", "path=cma-rndv",
-		"recv rank=1 peer=0 tag=3", "recv rank=1 peer=0 tag=4",
+	for _, want := range []trace.Record{
+		{Op: trace.OpSend, Rank: 0, Peer: 1, Tag: 3, Path: trace.PathOf(core.PathSHMEager)},
+		{Op: trace.OpSend, Rank: 0, Peer: 1, Tag: 4, Path: trace.PathOf(core.PathCMARndv)},
+		{Op: trace.OpRecv, Rank: 1, Peer: 0, Tag: 3, Path: trace.PathOf(core.PathSHMEager)},
+		{Op: trace.OpRecv, Rank: 1, Peer: 0, Tag: 4, Path: trace.PathOf(core.PathCMARndv)},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
-		}
-	}
-	// Determinism: re-running yields the identical trace, at every epoch
-	// dispatch width.
-	for _, workers := range []int{1, 2, 4, 8} {
-		var sb2 strings.Builder
-		opts.Trace = &sb2
-		w2 := testWorld(t, "2cont", 2, opts)
-		w2.Eng.SetWorkers(workers)
-		if err := w2.Run(func(r *Rank) error {
-			if r.Rank() == 0 {
-				r.Send(1, 3, make([]byte, 64))
-				r.Send(1, 4, make([]byte, 1<<20))
-			} else {
-				r.Recv(0, 3, make([]byte, 64))
-				r.Recv(0, 4, make([]byte, 1<<20))
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != sb2.String() {
-			t.Errorf("workers=%d: trace output is not deterministic", workers)
+		if !slices.ContainsFunc(tr.Records, func(r trace.Record) bool {
+			return r.Op == want.Op && r.Rank == want.Rank && r.Peer == want.Peer && r.Tag == want.Tag && r.Path == want.Path
+		}) {
+			t.Errorf("trace has no %v record rank=%d peer=%d tag=%d path=%v:\n%s", want.Op, want.Rank, want.Peer, want.Tag, want.Path, res.Trace)
 		}
 	}
 }

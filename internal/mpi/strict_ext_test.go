@@ -2,15 +2,14 @@ package mpi_test
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
 	"testing"
 
 	"cmpi/internal/cluster"
-	"cmpi/internal/core"
 	"cmpi/internal/experiments"
+	"cmpi/internal/invariant"
 	"cmpi/internal/mpi"
 	"cmpi/internal/osu"
 	"cmpi/internal/trace"
@@ -18,13 +17,13 @@ import (
 
 // osuPrograms runs three programs whose every buffer is AllocMem's — a
 // ping-pong, a put-bandwidth sweep over a WinAllocate window, a 16-rank
-// Alltoall — each in a fresh recorded world, and returns their series and
-// trace digests as one string. Nothing in it may depend on what the buffers
-// held when they were handed out.
-func osuPrograms(t *testing.T) string {
+// Alltoall — each in a fresh recorded world. Its digest covers their series,
+// world digests and traces: nothing in it may depend on what the buffers held
+// when they were handed out.
+func osuPrograms(t *testing.T, _ invariant.Point) invariant.Result {
 	t.Helper()
 	cfg := osu.Config{Iters: 3, Warmup: 1, Window: 16}
-	var out bytes.Buffer
+	var parts []any
 	for _, job := range []struct {
 		name         string
 		hosts, ranks int
@@ -57,50 +56,30 @@ func osuPrograms(t *testing.T) string {
 		if err != nil {
 			t.Fatalf("%s: %v", job.name, err)
 		}
-		fmt.Fprintf(&out, "%s %v trace %x\n", job.name, series, sha256.Sum256(stream.Bytes()))
+		parts = append(parts, job.name, series, w.Digest(), invariant.SumBytes(stream.Bytes()))
 	}
-	return out.String()
+	return invariant.Result{Digest: invariant.Sum(parts...)}
 }
 
 // TestAllocMemContentsNeverReachOSUResults: AllocMem's memory is undefined,
-// and no simulated result may read it. The same programs give the same series
-// and traces whether the pools hand out zeros (an empty depot: everything is
-// fresh from the allocator), the previous run's payloads, or — under
-// poolStrict — poison.
+// and no simulated result may read it. The same programs give the same
+// series, world digests and traces whether the pools hand out what earlier
+// worlds left (at least the payloads of the programs' own first world), zeros
+// (an emptied depot: everything is fresh from the allocator) or, under
+// poolStrict, poison.
 func TestAllocMemContentsNeverReachOSUResults(t *testing.T) {
-	core.DropDepot()
-	zeros := osuPrograms(t)
-	if payloads := osuPrograms(t); payloads != zeros {
-		t.Errorf("on the previous run's buffers:\n%s\nwant, as on fresh ones:\n%s", payloads, zeros)
-	}
-	was := mpi.SetPoolStrict(true)
-	t.Cleanup(func() { mpi.SetPoolStrict(was) })
-	osuPrograms(t) // leaves poisoned buffers behind
-	if poisoned := osuPrograms(t); poisoned != zeros {
-		t.Errorf("on poisoned buffers:\n%s\nwant, as on fresh ones:\n%s", poisoned, zeros)
-	}
+	invariant.Check(t, osuPrograms, invariant.Point{}, invariant.Point{DropDepot: true}, invariant.Point{PoolStrict: true})
 }
 
 // TestPoolStrictKeepsGoldenTracesAndChaosHunts runs the jobs that
 // internal/experiments owns with poolStrict on — every depot buffer poisoned,
 // the conservation law asserted at the end of every clean world — and wants
-// what it wants with the hook off: both golden traces byte-identical to their
+// what it gets with the hook off: both golden traces byte-identical to their
 // fixtures, and three chaos hunts (crashed, respawned and shrunk worlds, one
-// after another on a warm depot) printing the same report. The AllocMem-built
-// OSU programs ride along.
+// after another on a warm depot) printing the same report, at dispatch width
+// four too. The AllocMem-built OSU programs have the same row in
+// TestAllocMemContentsNeverReachOSUResults.
 func TestPoolStrictKeepsGoldenTracesAndChaosHunts(t *testing.T) {
-	programs := osuPrograms(t)
-	hunts := map[int64]string{}
-	for _, seed := range []int64{7, 42, 1337} {
-		var out bytes.Buffer
-		if err := experiments.Chaos(seed, experiments.Quick, &out); err != nil {
-			t.Fatalf("chaos seed %d: %v", seed, err)
-		}
-		hunts[seed] = out.String()
-	}
-
-	was := mpi.SetPoolStrict(true)
-	t.Cleanup(func() { mpi.SetPoolStrict(was) })
 	for _, job := range []struct {
 		fixture string
 		run     func(io.Writer) error
@@ -108,28 +87,32 @@ func TestPoolStrictKeepsGoldenTracesAndChaosHunts(t *testing.T) {
 		{"golden.trace", experiments.GoldenTrace},
 		{"golden-fattree.trace", experiments.GoldenTraceFatTree},
 	} {
-		want, err := os.ReadFile("../experiments/testdata/" + job.fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := job.run(&got); err != nil {
-			t.Fatalf("%s: %v", job.fixture, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: trace differs from the fixture under poolStrict", job.fixture)
-		}
+		t.Run(job.fixture, func(t *testing.T) {
+			res := invariant.Check(t, func(t *testing.T, _ invariant.Point) invariant.Result {
+				var buf bytes.Buffer
+				if err := job.run(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return invariant.Result{Trace: buf.Bytes()}
+			}, invariant.Point{Record: true}, invariant.Point{Record: true, PoolStrict: true})
+			want, err := os.ReadFile("../experiments/testdata/" + job.fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Trace, want) {
+				t.Error("trace differs from the fixture")
+			}
+		})
 	}
-	if got := osuPrograms(t); got != programs {
-		t.Errorf("osu programs under poolStrict:\n%s\nwant:\n%s", got, programs)
-	}
-	for seed, want := range hunts {
-		var out bytes.Buffer
-		if err := experiments.Chaos(seed, experiments.Quick, &out); err != nil {
-			t.Fatalf("chaos seed %d under poolStrict: %v", seed, err)
-		}
-		if out.String() != want {
-			t.Errorf("chaos seed %d under poolStrict:\n%s\nwant:\n%s", seed, out.String(), want)
-		}
+	for _, seed := range []int64{7, 42, 1337} {
+		t.Run(fmt.Sprint("chaos-", seed), func(t *testing.T) {
+			invariant.Check(t, func(t *testing.T, _ invariant.Point) invariant.Result {
+				var out bytes.Buffer
+				if err := experiments.Chaos(seed, experiments.Quick, &out); err != nil {
+					t.Fatal(err)
+				}
+				return invariant.Result{Digest: invariant.Sum(out.String())}
+			}, invariant.Point{}, invariant.Point{Width: 4}, invariant.Point{PoolStrict: true})
+		})
 	}
 }

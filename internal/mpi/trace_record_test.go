@@ -2,10 +2,10 @@ package mpi
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"cmpi/internal/fault"
+	"cmpi/internal/invariant"
 	"cmpi/internal/trace"
 )
 
@@ -54,67 +54,39 @@ func tracedWorkload(r *Rank) error {
 	return nil
 }
 
-// runTracedJob records tracedWorkload at one dispatch width and returns the
-// streamed structured trace bytes, the legacy line output, and the world.
-func runTracedJob(t *testing.T, workers int) ([]byte, string, *World) {
-	t.Helper()
-	var stream bytes.Buffer
-	var legacy strings.Builder
+// tracedJob is tracedWorkload on 16 ranks over two hosts, profiled, under an
+// optional fault plan.
+func tracedJob(plan *fault.Plan, check worldCheck) invariant.Run {
 	opts := DefaultOptions()
 	opts.Profile = true
-	opts.Trace = &legacy
-	opts.Record = trace.NewRecorder(&stream)
-	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(workers)
-	if err := w.Run(tracedWorkload); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	if err := opts.Record.Err(); err != nil {
-		t.Fatalf("workers=%d: recorder: %v", workers, err)
-	}
-	return stream.Bytes(), legacy.String(), w
+	opts.FaultPlan = plan
+	return row(scenario("2host4cont", 16), opts, blocking(tracedWorkload), check)
 }
 
 // TestTraceByteIdenticalAcrossWidths is the tracing invariant: recording a
-// trace does not cost the world its footprints, and the recorded bytes —
-// structured stream and legacy lines alike — are identical at every
-// CMPI_SIM_WORKERS width.
+// trace does not cost the world its footprints, and the recorded bytes are
+// identical at every CMPI_SIM_WORKERS width.
 func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
-	baseStream, baseLegacy, baseW := runTracedJob(t, 1)
-	if !baseW.parallel {
-		t.Fatal("traced world declared no footprints; the trace serial gate is back")
-	}
-	if len(baseStream) == 0 || len(baseLegacy) == 0 {
-		t.Fatal("no trace output recorded")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		stream, legacy, w := runTracedJob(t, workers)
-		if !bytes.Equal(stream, baseStream) {
-			a, err1 := trace.Read(bytes.NewReader(baseStream))
-			b, err2 := trace.Read(bytes.NewReader(stream))
-			detail := "(unparseable)"
-			if err1 == nil && err2 == nil {
-				detail = trace.Diff(a, b)
-			}
-			t.Errorf("workers=%d: structured trace differs from width 1:\n%s", workers, detail)
+	parallel := func(t *testing.T, p invariant.Point, w *World) {
+		if !w.parallel {
+			t.Fatal("traced world declared no footprints; the trace serial gate is back")
 		}
-		if legacy != baseLegacy {
-			t.Errorf("workers=%d: legacy trace lines differ from width 1", workers)
-		}
-		if workers > 1 {
-			if st := w.SimStats(); st.MaxBatchWidth < 2 {
-				t.Errorf("workers=%d: MaxBatchWidth = %d; tracing must not collapse epochs to one group", workers, st.MaxBatchWidth)
-			}
+		if st := w.SimStats(); p.Width > 1 && st.MaxBatchWidth < 2 {
+			t.Errorf("width %d: MaxBatchWidth = %d; tracing must not collapse epochs to one group", p.Width, st.MaxBatchWidth)
 		}
 	}
+	rec := invariant.Point{Record: true}
+	invariant.Check(t, tracedJob(nil, parallel), rec, invariant.Widths(rec, 2, 4, 8)...)
 }
 
 // TestReplayReconstructsProfile checks the replay acceptance criterion: the
 // per-rank channel counters reconstructed from the trace alone equal the live
 // profiler's, exactly, without running any world.
 func TestReplayReconstructsProfile(t *testing.T) {
-	stream, _, w := runTracedJob(t, 4)
-	tr, err := trace.Read(bytes.NewReader(stream))
+	var w *World
+	res := invariant.At(t, tracedJob(nil, func(_ *testing.T, _ invariant.Point, fw *World) { w = fw }),
+		invariant.Point{Width: 4, Record: true})
+	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -139,41 +111,25 @@ func TestReplayReconstructsProfile(t *testing.T) {
 	}
 }
 
-// runFaultTracedJob records tracedWorkload under a fault plan — ring attach
-// vetoes on host 1, two dropped sends — at one dispatch width and returns the
-// streamed trace bytes and the world.
-func runFaultTracedJob(t *testing.T, workers int) ([]byte, *World) {
-	t.Helper()
-	var stream bytes.Buffer
-	opts := DefaultOptions()
-	opts.Profile = true
-	opts.Record = trace.NewRecorder(&stream)
-	opts.FaultPlan = fault.NewPlan().
-		ShmAttachFail(1, 0, 0, "cmpi.ring.").
-		SendDrops(1, 0, 0, 2)
-	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(workers)
-	if err := w.Run(tracedWorkload); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	return stream.Bytes(), w
+// faultTraceJob is tracedJob under a fault plan: ring attach vetoes on host
+// 1, two dropped sends.
+func faultTraceJob(check worldCheck) invariant.Run {
+	return tracedJob(fault.NewPlan().ShmAttachFail(1, 0, 0, "cmpi.ring.").SendDrops(1, 0, 0, 2), check)
 }
 
 // TestReplayReconstructsFaultCounters runs a fault-injected recording and
 // checks the substrate fault events land in the trace and replay to the
 // profiler's fault counters.
 func TestReplayReconstructsFaultCounters(t *testing.T) {
-	run := func() (*World, *trace.Trace) {
-		stream, w := runFaultTracedJob(t, 1)
-		tr, err := trace.Read(bytes.NewReader(stream))
-		if err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-		return w, tr
-	}
-	w, tr := run()
+	var w *World
+	res := invariant.At(t, faultTraceJob(func(_ *testing.T, _ invariant.Point, fw *World) { w = fw }),
+		invariant.Point{Record: true})
 	if w.parallel {
 		t.Fatal("fault-injected world must declare no footprints")
+	}
+	tr, err := trace.Read(bytes.NewReader(res.Trace))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
 	}
 	s := trace.Replay(tr)
 	faults := w.Prof.TotalFaults()
@@ -185,24 +141,5 @@ func TestReplayReconstructsFaultCounters(t *testing.T) {
 	}
 	if faults.ShmFallbacks > 0 && s.AttachFails == 0 {
 		t.Error("shm fallbacks occurred but no attach-fail records were emitted")
-	}
-	// Determinism: the same plan records the same trace.
-	_, tr2 := run()
-	if d := trace.Diff(tr, tr2); d != "" {
-		t.Errorf("fault-world trace not reproducible:\n%s", d)
-	}
-}
-
-// TestLegacyTraceMatchesRecordRendering cross-checks the two consumers: the
-// legacy writer's output must equal the concatenated LegacyLine renderings of
-// the structured records, so the two views can never drift apart.
-func TestLegacyTraceMatchesRecordRendering(t *testing.T) {
-	_, legacy, w := runTracedJob(t, 2)
-	var sb strings.Builder
-	for _, rec := range w.Opts.Record.Trace().Records {
-		sb.WriteString(rec.LegacyLine())
-	}
-	if legacy != sb.String() {
-		t.Error("legacy line output diverges from LegacyLine renderings of the structured records")
 	}
 }

@@ -1,35 +1,21 @@
 package mpi
 
 import (
-	"io"
-
 	"cmpi/internal/cluster"
 	"cmpi/internal/ib"
 	"cmpi/internal/sim"
 	"cmpi/internal/trace"
 )
 
-// installTracer wires the world's trace consumers to the engine's
-// deterministic emitter and hooks the substrates that emit fault events.
-// Called once from Run when Options.Trace or Options.Record is set.
+// installTracer wires the world's recorder to the engine's deterministic
+// emitter and hooks the substrates that emit fault events. Called once from
+// Run when Options.Record is set.
 func (w *World) installTracer() {
 	rec := w.Opts.Record
-	if rec != nil {
-		rec.Begin(w.Size(), w.Opts.Params.ShmCellPayload)
-	}
-	legacy := w.Opts.Trace
+	rec.Begin(w.Size(), w.Opts.Params.ShmCellPayload)
 	w.Eng.SetEmitter(func(payload any) {
-		r, ok := payload.(trace.Record)
-		if !ok {
-			return
-		}
-		if rec != nil {
+		if r, ok := payload.(trace.Record); ok {
 			rec.Add(r)
-		}
-		if legacy != nil {
-			if line := r.LegacyLine(); line != "" {
-				io.WriteString(legacy, line)
-			}
 		}
 	})
 	// Substrate fault events (retransmissions, QP breaks, attach vetoes) only

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -93,10 +95,6 @@ type World struct {
 	// on every channel decision, so those worlds declare nothing and every
 	// epoch is one Global group).
 	parallel bool
-	// tracing is set in Run when a trace consumer is installed (the legacy
-	// Options.Trace line writer or the structured Options.Record); rank
-	// hooks check it before building records.
-	tracing bool
 	// serial flips (sticky) when a rank touches job-global tables that the
 	// claim protocol does not cover — communicator context ids, RMA window
 	// exchange. Every footprint collapses to Global at the next epoch.
@@ -214,8 +212,7 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 		return fmt.Errorf("mpi: World run twice; build a fresh World per job")
 	}
 	w.ran = true
-	w.tracing = w.Opts.Trace != nil || w.Opts.Record != nil
-	if w.tracing {
+	if w.Opts.Record != nil {
 		w.installTracer()
 	}
 	// Ranks declare footprints in every world with no observer of global
@@ -292,23 +289,18 @@ func (w *World) finishRun(engErr error) error {
 	return errors.Join(errs...)
 }
 
-// poolStrict is a test hook beside claimStrict: when set, every buffer a
-// finished world hands to the depot is poisoned and checked not to be there
-// already (a double Put), the next world to take one checks the poison is
-// intact, a world that ended without an error must satisfy the lent-buffer
-// conservation law (core.Drain.Unbalanced), and Rank.Release poisons the
-// handles it is given instead of recycling them. A stale alias would corrupt
-// a different world, so violations panic where they are found.
-var poolStrict = false
-
 // drainPools hands every buffer on a free list of this world — rank homes,
 // ring directions, device pools and QP wire lists — to the process-wide depot
 // (core/pool.go), in rank and ring-creation order so that what a full depot
 // drops does not depend on map order. Buffers an unfinished or failed
 // operation still references are on no list and stay with the GC. clean says
-// that neither the engine nor a rank reported an error.
+// that neither the engine nor a rank reported an error. Under the poolStrict
+// test hook (core.SetPoolStrict) a world that ended cleanly must also satisfy
+// the lent-buffer conservation law, and Rank.Release poisons the handles it
+// is given instead of recycling them: a stale alias would corrupt a different
+// world, so violations panic where they are found.
 func (w *World) drainPools(clean bool) {
-	dr := core.Drain{Strict: poolStrict}
+	var dr core.Drain
 	for _, r := range w.ranks {
 		dr.Home(&r.pools.buf)
 		for _, ps := range r.localPairs {
@@ -317,7 +309,7 @@ func (w *World) drainPools(clean bool) {
 	}
 	w.fabric.DrainPools(&dr)
 	w.depotRefused = uint64(dr.Refused)
-	if poolStrict && clean {
+	if core.PoolStrict() && clean {
 		if err := dr.Unbalanced(); err != nil {
 			panic(fmt.Sprintf("mpi: %s ended cleanly with pool buffers unaccounted for: %v", w.jobID, err))
 		}
@@ -414,6 +406,34 @@ func (w *World) SimStats() profile.SimStats {
 	ps.DepotRefused = w.depotRefused
 	ps.ObjPool = oc
 	return ps
+}
+
+// Digest is a SHA-256, in hex, over what a finished run simulated: each
+// rank's body start and finish times and its error, the per-rank profile when
+// Opts.Profile is on, and SimStats less what says how the host ran the job —
+// BarrierStalls (the dispatch width), BufPool.Depot and DepotRefused (what
+// earlier worlds left in the depot) and ObjPool.Hits (poolStrict does not
+// recycle released handles). A job has one digest at every width, traced or
+// not, on any depot.
+func (w *World) Digest() string {
+	h := sha256.New()
+	for i := range w.ranks {
+		fmt.Fprintf(h, "rank %d %d %d %v\n", i, w.bodyStart[i], w.bodyEnd[i], w.rankErrs[i])
+	}
+	if w.Prof != nil {
+		calls := w.Prof.TopCalls()
+		for _, rp := range w.Prof.Ranks {
+			fmt.Fprintf(h, "prof %d %d %d %d %d %d", rp.Rank, rp.TotalMPI, rp.AppTime, rp.Channels, rp.Coll, rp.Faults)
+			for _, c := range calls {
+				fmt.Fprintf(h, " %s=%d", c, rp.MPITime[c])
+			}
+			fmt.Fprintln(h)
+		}
+	}
+	st := w.SimStats()
+	st.BarrierStalls, st.BufPool.Depot, st.DepotRefused, st.ObjPool.Hits = 0, 0, 0, 0
+	fmt.Fprintf(h, "sim %+v\n", st)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // simStatsOf maps engine counters onto the profiler's SimStats (pool counters

@@ -19,8 +19,11 @@ package recover
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 
 	"cmpi/internal/sim"
 )
@@ -67,9 +70,11 @@ type Snapshot struct {
 	// Mail holds the residual unexpected messages indexed by destination
 	// rank, in the destination's unexpected-queue order.
 	Mail [][]Message
-	// SendSeq holds the per-(src,dst) message sequence counters, indexed
-	// [src][dst], so restored matching keeps the pre-failure numbering.
-	SendSeq [][]uint64
+	// SendSeq holds the non-zero per-(src,dst) message sequence counters,
+	// keyed {src, dst}, so restored matching keeps the pre-failure numbering.
+	// It is sparse: a rank that never sent to a peer has no entry, and the
+	// snapshot stays linear in what was sent, not quadratic in the ranks.
+	SendSeq map[[2]int]uint64
 }
 
 // Clone returns a deep copy, so a committed snapshot is immune to later
@@ -88,10 +93,7 @@ func (s *Snapshot) Clone() *Snapshot {
 			c.Mail[i][j] = m
 		}
 	}
-	c.SendSeq = make([][]uint64, len(s.SendSeq))
-	for i, row := range s.SendSeq {
-		c.SendSeq[i] = append([]uint64(nil), row...)
-	}
+	c.SendSeq = maps.Clone(s.SendSeq)
 	return c
 }
 
@@ -103,12 +105,15 @@ func (s *Snapshot) Encode() []byte {
 	for r, b := range s.Blobs {
 		fmt.Fprintf(&buf, "blob %d %s\n", r, hex.EncodeToString(b))
 	}
-	for src, row := range s.SendSeq {
-		for dst, seq := range row {
-			if seq != 0 {
-				fmt.Fprintf(&buf, "seq %d %d %d\n", src, dst, seq)
-			}
+	var pairs [][2]int
+	for k, seq := range s.SendSeq {
+		if seq != 0 {
+			pairs = append(pairs, k)
 		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	for _, k := range pairs {
+		fmt.Fprintf(&buf, "seq %d %d %d\n", k[0], k[1], s.SendSeq[k])
 	}
 	for dst, ms := range s.Mail {
 		for _, m := range ms {
@@ -136,16 +141,15 @@ func Decode(data []byte) (*Snapshot, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("ckpt: unsupported version %d (have %d)", s.Version, SnapshotVersion)
 	}
-	if s.Ranks < 0 {
-		return nil, fmt.Errorf("ckpt: negative rank count %d", s.Ranks)
+	// Every rank has a blob line, so the input bounds the rank count before
+	// the per-rank tables are allocated.
+	if blobs := bytes.Count(data, []byte("\nblob ")); s.Ranks < 0 || s.Ranks > blobs {
+		return nil, fmt.Errorf("ckpt: rank count %d, but %d blob lines", s.Ranks, blobs)
 	}
 	s.At = sim.Time(at)
 	s.Blobs = make([][]byte, s.Ranks)
 	s.Mail = make([][]Message, s.Ranks)
-	s.SendSeq = make([][]uint64, s.Ranks)
-	for i := range s.SendSeq {
-		s.SendSeq[i] = make([]uint64, s.Ranks)
-	}
+	s.SendSeq = make(map[[2]int]uint64)
 	inRange := func(r int) bool { return r >= 0 && r < s.Ranks }
 	line := 1
 	for sc.Scan() {
@@ -185,7 +189,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			if !inRange(src) || !inRange(dst) {
 				return nil, fmt.Errorf("ckpt line %d: seq ranks (%d,%d) out of range", line, src, dst)
 			}
-			s.SendSeq[src][dst] = v
+			s.SendSeq[[2]int{src, dst}] = v
 		case "mail":
 			var m Message
 			var dst int

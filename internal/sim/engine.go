@@ -200,9 +200,6 @@ func (e *Engine) SetWorkers(n int) {
 	e.workers = n
 }
 
-// Workers reports the configured dispatch width.
-func (e *Engine) Workers() int { return e.workers }
-
 // SetEmitter installs fn as the engine's emission sink (Proc.Emit, EmitAt).
 // Emissions are buffered per group and fn is called at each epoch barrier in
 // (t, group index, group-local seq) order — the same deterministic order
@@ -283,9 +280,6 @@ func (e *Engine) PhaseShift() bool { return e.phaseShift }
 // NarrowedPairs). For use by footprint callbacks, which run in scheduler
 // context at epoch formation.
 func (e *Engine) AddNarrowed(n int) { e.stats.NarrowedPairs += uint64(n) }
-
-// Procs returns the processes spawned so far, in spawn order.
-func (e *Engine) Procs() []*Proc { return e.procs }
 
 // At schedules fn to run in scheduler context at virtual time t. Scheduling
 // in the past is clamped to the current time (the event still runs after

@@ -82,10 +82,3 @@ func fromFloat(ps float64) Time {
 	}
 	return Time(math.Round(ps))
 }
-
-func maxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

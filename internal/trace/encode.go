@@ -21,6 +21,10 @@ import (
 // magic is the v1 header prefix.
 const magic = "cmpi-trace v1"
 
+// maxRanks bounds the rank count Read accepts: Replay sizes its per-rank
+// tables from the header, so a larger claim is refused, not allocated.
+const maxRanks = 1 << 20
+
 // Trace is a fully parsed trace: the header plus every record in commit
 // order.
 type Trace struct {
@@ -140,6 +144,9 @@ func Read(rd io.Reader) (*Trace, error) {
 	}
 	if tr.Ranks <= 0 || tr.Cell <= 0 {
 		return nil, fmt.Errorf("trace: header missing ranks/cell: %q", hdr)
+	}
+	if tr.Ranks > maxRanks {
+		return nil, fmt.Errorf("trace: header claims %d ranks, more than %d", tr.Ranks, maxRanks)
 	}
 	for sc.Scan() {
 		line := sc.Text()

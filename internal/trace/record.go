@@ -186,27 +186,3 @@ type Record struct {
 	// the retry count for retransmit/qp-break records.
 	Aux uint64
 }
-
-// LegacyLine renders the record in the pre-structured tracer's line format
-// (the Options.Trace writer), or "" for record kinds the legacy tracer never
-// emitted. The legacy format prints the fallback target channel, not the
-// originally selected path the structured record retains.
-func (r Record) LegacyLine() string {
-	var event, path string
-	switch r.Op {
-	case OpSend:
-		event, path = "send", r.Path.String()
-	case OpSsend:
-		event, path = "ssend", r.Path.String()
-	case OpRecv:
-		event, path = "recv", r.Path.String()
-	case OpShmFallback:
-		event, path = "shm-fallback", "hca"
-	case OpCMAFallback:
-		event, path = "cma-fallback", "shm"
-	default:
-		return ""
-	}
-	return fmt.Sprintf("t=%v %s rank=%d peer=%d tag=%d ctx=%#x bytes=%d path=%s\n",
-		r.T, event, r.Rank, r.Peer, r.Tag, r.Ctx, r.Bytes, path)
-}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -116,6 +117,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"bad-op":     "cmpi-trace v1 ranks=2 cell=8192\n100 warp 0 1 0 0 64 shm-eager 0\n",
 		"bad-path":   "cmpi-trace v1 ranks=2 cell=8192\n100 send 0 1 0 0 64 warp-drive 0\n",
 		"few-fields": "cmpi-trace v1 ranks=2 cell=8192\n100 send 0 1\n",
+		"huge-ranks": "cmpi-trace v1 ranks=1099511627776 cell=1", // Replay once sized a table by it
 	} {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Read accepted malformed input", name)
@@ -123,28 +125,32 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestLegacyLineFormat(t *testing.T) {
-	r := Record{T: 100, Op: OpSend, Path: PathOf(core.PathSHMEager), Rank: 0, Peer: 1, Tag: 3, Ctx: 16, Bytes: 64}
-	want := "t=100ps send rank=0 peer=1 tag=3 ctx=0x10 bytes=64 path=shm-eager\n"
-	if got := r.LegacyLine(); got != want {
-		t.Fatalf("LegacyLine = %q, want %q", got, want)
-	}
-	// The legacy tracer printed the fallback TARGET channel, not the
-	// originally selected path the structured record retains.
-	fb := Record{T: 5, Op: OpShmFallback, Path: PathOf(core.PathSHMEager), Rank: 0, Peer: 1, Tag: 0, Ctx: 0, Bytes: 64}
-	if got := fb.LegacyLine(); !strings.Contains(got, "path=hca") {
-		t.Fatalf("shm-fallback legacy line = %q, want path=hca", got)
-	}
-	cf := Record{T: 5, Op: OpCMAFallback, Path: PathOf(core.PathCMARndv), Rank: 1, Peer: 0, Bytes: 64}
-	if got := cf.LegacyLine(); !strings.Contains(got, "path=shm") {
-		t.Fatalf("cma-fallback legacy line = %q, want path=shm", got)
-	}
-	// Protocol and fault records have no legacy rendering.
-	for _, op := range []Op{OpRTS, OpCTS, OpRMAPut, OpRMAGet, OpRetransmit, OpQPBreak, OpAttachFail} {
-		if got := (Record{Op: op}).LegacyLine(); got != "" {
-			t.Fatalf("op %v has a legacy line %q, want none", op, got)
+// FuzzTraceRead: a trace file is bytes from outside. Read returns an error,
+// or a trace that Replay summarizes and whose encoding reads back to itself.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	sample().Write(&buf)
+	f.Add(buf.Bytes())
+	f.Add([]byte("cmpi-trace v1 ranks=1099511627776 cell=1"))
+	f.Add([]byte("cmpi-trace v1 ranks=2 cell=8\n5 send 0 1 2 0 -9 shm-eager 0\n6 recv 1 0 2 0 -9 shm-eager 0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
 		}
-	}
+		Replay(tr).Render(io.Discard)
+		var enc bytes.Buffer
+		if err := tr.Write(&enc); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("the encoding of an accepted trace does not read: %v", err)
+		}
+		if d := Diff(tr, again); d != "" {
+			t.Fatalf("Write∘Read is not the identity: %s", d)
+		}
+	})
 }
 
 func TestReplayCreditRules(t *testing.T) {
