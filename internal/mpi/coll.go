@@ -15,8 +15,10 @@ package mpi
 // stack, `for !m.step(...) {}`: a goroutine-backed rank blocks for real
 // inside the stepper's wait, so each false is one wake, and the loop goes
 // round. What differs between the world, a communicator and a hierarchical
-// phase is the group handed to the stepper. Allgather, alltoall, scan and the
-// v-variants are blocking-only and live here (and in collv.go).
+// phase is the group handed to the stepper. Allgather, alltoall and
+// gather/scatter, with their v-variants, are blocking-only and written once
+// over a group too, in collv.go; the calls here only check, profile and hand
+// over the world. Scan is world-only and blocking.
 
 import "cmpi/internal/core"
 
@@ -71,15 +73,6 @@ func (r *Rank) group() group {
 
 // nextCollTag mints a world collective tag.
 func (r *Rank) nextCollTag() int { return mintTag(&r.collSeq) }
-
-// csend/crecv are collective-context point-to-point helpers.
-func (r *Rank) csend(dst, tag int, data []byte) *Request {
-	return r.isendCtx(dst, tag, collCtxBit, data)
-}
-
-func (r *Rank) crecv(src, tag int, buf []byte) *Request {
-	return r.irecvCtx(src, tag, collCtxBit, buf)
-}
 
 // Barrier blocks until all ranks arrive (dissemination algorithm).
 func (r *Rank) Barrier() {
@@ -197,143 +190,39 @@ func floorPow2(n int) int {
 }
 
 // Allgather concatenates every rank's mine (all equal length) into out,
-// ordered by rank. out must be size*len(mine) bytes. Power-of-two worlds
-// use recursive doubling; others use the ring algorithm.
+// ordered by rank. out must be size*len(mine) bytes.
 func (r *Rank) Allgather(mine []byte, out []byte) {
 	r.profEnter()
 	defer r.profExit("Allgather")
-	k := len(mine)
-	if len(out) != k*r.size {
-		r.p.Fatalf("Allgather: out is %d bytes, want %d", len(out), k*r.size)
-	}
-	if r.w.Opts.HierarchicalCollectives && r.size > 1 {
-		if r.hierAllgather(mine, out) {
-			return
-		}
-	}
-	copy(out[r.rank*k:], mine)
-	if r.size == 1 {
+	r.fits("Allgather: out", out, len(mine)*r.size)
+	if r.w.Opts.HierarchicalCollectives && r.size > 1 && r.hierAllgather(mine, out) {
 		return
 	}
-	tag := r.nextCollTag()
-	if r.size&(r.size-1) == 0 {
-		// Recursive doubling over aligned block regions.
-		myFirst := r.rank
-		blocks := 1
-		for mask := 1; mask < r.size; mask <<= 1 {
-			peer := r.rank ^ mask
-			peerFirst := myFirst ^ mask
-			r.sendrecvInternal(peer, tag,
-				out[myFirst*k:(myFirst+blocks)*k],
-				peer, tag,
-				out[peerFirst*k:(peerFirst+blocks)*k])
-			if peerFirst < myFirst {
-				myFirst = peerFirst
-			}
-			blocks *= 2
-		}
-		return
-	}
-	// Ring: pass blocks around size-1 times.
-	right := (r.rank + 1) % r.size
-	left := (r.rank - 1 + r.size) % r.size
-	for step := 0; step < r.size-1; step++ {
-		sendBlock := (r.rank - step + r.size) % r.size
-		recvBlock := (r.rank - step - 1 + r.size) % r.size
-		r.sendrecvInternal(right, tag,
-			out[sendBlock*k:(sendBlock+1)*k],
-			left, tag,
-			out[recvBlock*k:(recvBlock+1)*k])
-	}
+	r.allgatherv(r.group(), layout{k: len(mine)}, mine, out)
 }
 
 // Alltoall sends the i-th chunk of send to rank i and receives rank j's
-// chunk into the j-th chunk of recv (pairwise exchange). chunk is the
-// per-destination byte count; send and recv are size*chunk bytes.
+// chunk into the j-th chunk of recv. chunk is the per-destination byte
+// count; send and recv are size*chunk bytes.
 func (r *Rank) Alltoall(send, recv []byte, chunk int) {
 	r.profEnter()
 	defer r.profExit("Alltoall")
-	if len(send) != chunk*r.size || len(recv) != chunk*r.size {
-		r.p.Fatalf("Alltoall: buffers %d/%d bytes, want %d", len(send), len(recv), chunk*r.size)
-	}
-	tag := r.nextCollTag()
-	// Self block: local copy.
-	r.p.Advance(r.w.Opts.Params.MemCopy(chunk, false))
-	copy(recv[r.rank*chunk:], send[r.rank*chunk:(r.rank+1)*chunk])
-	pow2 := r.size&(r.size-1) == 0
-	for step := 1; step < r.size; step++ {
-		var sendTo, recvFrom int
-		if pow2 {
-			sendTo = r.rank ^ step
-			recvFrom = sendTo
-		} else {
-			sendTo = (r.rank + step) % r.size
-			recvFrom = (r.rank - step + r.size) % r.size
-		}
-		r.sendrecvInternal(sendTo, tag,
-			send[sendTo*chunk:(sendTo+1)*chunk],
-			recvFrom, tag,
-			recv[recvFrom*chunk:(recvFrom+1)*chunk])
-	}
+	r.alltoall(r.group(), send, recv, chunk)
 }
 
-// Gather collects every rank's mine into root's out (rank-ordered, linear
-// algorithm). out is only accessed at root.
+// Gather collects every rank's mine into root's out (rank-ordered). out is
+// only accessed at root.
 func (r *Rank) Gather(root int, mine []byte, out []byte) {
 	r.profEnter()
 	defer r.profExit("Gather")
-	r.gather(r.group(), root, mine, out)
+	r.gatherv(r.group(), root, layout{k: len(mine)}, mine, out)
 }
 
-func (r *Rank) gather(g group, root int, mine, out []byte) {
-	tag := g.nextTag()
-	k := len(mine)
-	if g.me != root {
-		r.wait(r.isendCtx(g.world(root), tag, g.ctx, mine))
-		return
-	}
-	if len(out) != k*g.n {
-		r.p.Fatalf("Gather: out is %d bytes, want %d", len(out), k*g.n)
-	}
-	copy(out[root*k:], mine)
-	reqs := make([]*Request, 0, g.n-1)
-	for src := 0; src < g.n; src++ {
-		if src != root {
-			reqs = append(reqs, r.irecvCtx(g.world(src), tag, g.ctx, out[src*k:(src+1)*k]))
-		}
-	}
-	for _, rq := range reqs {
-		r.wait(rq)
-	}
-}
-
-// Scatter distributes root's chunks to every rank (linear algorithm).
+// Scatter distributes root's chunks to every rank.
 func (r *Rank) Scatter(root int, all []byte, mine []byte) {
 	r.profEnter()
 	defer r.profExit("Scatter")
-	r.scatter(r.group(), root, all, mine)
-}
-
-func (r *Rank) scatter(g group, root int, all, mine []byte) {
-	tag := g.nextTag()
-	k := len(mine)
-	if g.me != root {
-		r.wait(r.irecvCtx(g.world(root), tag, g.ctx, mine))
-		return
-	}
-	if len(all) != k*g.n {
-		r.p.Fatalf("Scatter: all is %d bytes, want %d", len(all), k*g.n)
-	}
-	reqs := make([]*Request, 0, g.n-1)
-	for dst := 0; dst < g.n; dst++ {
-		if dst != root {
-			reqs = append(reqs, r.isendCtx(g.world(dst), tag, g.ctx, all[dst*k:(dst+1)*k]))
-		}
-	}
-	copy(mine, all[root*k:(root+1)*k])
-	for _, rq := range reqs {
-		r.wait(rq)
-	}
+	r.scatterv(r.group(), root, layout{k: len(mine)}, all, mine)
 }
 
 // Scan computes the inclusive prefix reduction: after the call, buf on rank
@@ -353,10 +242,10 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 	for mask := 1; mask < r.size; mask <<= 1 {
 		var rq, sq *Request
 		if r.rank-mask >= 0 {
-			rq = r.crecv(r.rank-mask, tag, tmp)
+			rq = r.irecvCtx(r.rank-mask, tag, collCtxBit, tmp)
 		}
 		if r.rank+mask < r.size {
-			sq = r.csend(r.rank+mask, tag, partial)
+			sq = r.isendCtx(r.rank+mask, tag, collCtxBit, partial)
 		}
 		if rq != nil {
 			r.wait(rq)
@@ -377,10 +266,11 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 	}
 }
 
-// sendrecvInternal is Sendrecv without profiling brackets, for collectives.
-func (r *Rank) sendrecvInternal(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) {
+// sendrecvInternal is one exchange step of a collective over g: group
+// ranks dst and src, the group's context, the msr order.
+func (r *Rank) sendrecvInternal(g *group, tag, dst int, sendData []byte, src int, recvBuf []byte) {
 	var m msr
-	for !m.step(r, dst, sendTag, sendData, src, recvTag, recvBuf, collCtxBit) {
+	for !m.step(r, g.world(dst), tag, sendData, g.world(src), tag, recvBuf, g.ctx) {
 	}
 }
 

@@ -11,37 +11,32 @@ package mpi
 // BenchmarkAblationFlatVsHierarchical compares the two.
 
 // localityGroup returns this rank's group (the ranks the library believes
-// co-resident, sorted ascending and including the rank itself) and the
-// sorted list of all group leaders. Groups are identical on every member
-// because TreatLocal is an equivalence over our deployments (same host /
-// same hostname).
-func (r *Rank) localityGroup() (group []int, leaders []int) {
-	group = r.LocalRanks()
+// co-resident, sorted ascending and including the rank itself), the sorted
+// list of all group leaders (each group's lowest rank), and whether every
+// group is a consecutive rank range. Every member computes the same group,
+// and every rank the same leaders and contiguity, because TreatLocal is an
+// equivalence over our deployments (same host / same hostname).
+func (r *Rank) localityGroup() (group, leaders []int, contiguous bool) {
 	leaderOf := make([]int, r.size)
 	for i := range leaderOf {
 		leaderOf[i] = -1
 	}
+	contiguous = true
 	for rank := 0; rank < r.size; rank++ {
 		if leaderOf[rank] >= 0 {
+			// A member: its group is a range only if it continues rank-1's.
+			contiguous = contiguous && leaderOf[rank] == leaderOf[rank-1]
 			continue
 		}
-		// The group of `rank` as seen globally: every peer it treats local.
-		leader := rank
-		leaderOf[rank] = leader
+		leaderOf[rank] = rank
+		leaders = append(leaders, rank)
 		for peer := rank + 1; peer < r.size; peer++ {
 			if r.sameGroup(rank, peer) {
-				leaderOf[peer] = leader
+				leaderOf[peer] = rank
 			}
 		}
 	}
-	seen := map[int]bool{}
-	for _, l := range leaderOf {
-		if !seen[l] {
-			seen[l] = true
-			leaders = append(leaders, l)
-		}
-	}
-	return group, leaders
+	return r.LocalRanks(), leaders, contiguous
 }
 
 // sameGroup reports whether ranks a and b are mutually local from the
@@ -76,7 +71,7 @@ func indexOf(members []int, rank int) int {
 // allreduce among leaders, local broadcast. Every rank mints the same three
 // tags so the global collective-tag sequence stays aligned.
 func (r *Rank) hierAllreduce(buf []byte, op ReduceOp) {
-	group, leaders := r.localityGroup()
+	group, leaders, _ := r.localityGroup()
 	tag := r.nextCollTag()
 	tagLeaders := r.nextCollTag()
 	tag2 := r.nextCollTag()
@@ -90,68 +85,29 @@ func (r *Rank) hierAllreduce(buf []byte, op ReduceOp) {
 	r.bcast(r.subset(group, tag2), 0, buf)
 }
 
-// hierAllgather: leaders gather their group's blocks, allgather full host
-// blocks among leaders, then broadcast the assembled result locally. Block
-// layout in out follows global rank order, which requires groups to be
-// contiguous rank ranges (true for all block-distributed deployments); it
-// falls back to the flat algorithm otherwise.
+// hierAllgather: each leader gathers its group's blocks into its region of
+// out, the leaders allgather their regions, and each leader broadcasts the
+// assembled result to its group. Regions follow global rank order, which
+// requires every group to be a contiguous rank range (true for all
+// block-distributed deployments); otherwise every rank falls back to the
+// flat algorithm, and reports false.
 func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
-	group, leaders := r.localityGroup()
-	// Contiguity check: group must be a consecutive rank range.
-	for i := 1; i < len(group); i++ {
-		if group[i] != group[0]+i {
-			return false
-		}
+	group, leaders, contiguous := r.localityGroup()
+	if !contiguous {
+		return false
 	}
 	k := len(mine)
 	leader := group[0]
-	tagGather := r.nextCollTag()
-	tagLeaders := r.nextCollTag()
-	tagBcast := r.nextCollTag()
-
-	// Phase 1: linear gather of the group's blocks into the leader's view
-	// of out (groups are small; the traffic rides SHM/CMA).
-	if r.rank != leader {
-		r.wait(r.csend(leader, tagGather, mine))
-	} else {
-		copy(out[r.rank*k:], mine)
-		var reqs []*Request
-		for _, m := range group[1:] {
-			reqs = append(reqs, r.crecv(m, tagGather, out[m*k:(m+1)*k]))
+	tagGather, tagLeaders, tagBcast := r.nextCollTag(), r.nextCollTag(), r.nextCollTag()
+	r.gatherv(r.subset(group, tagGather), 0, layout{k: k}, mine, out[leader*k:(leader+len(group))*k])
+	if r.rank == leader {
+		offs := make([]int, len(leaders)+1)
+		for i, l := range leaders {
+			offs[i] = l * k
 		}
-		for _, rq := range reqs {
-			r.wait(rq)
-		}
-		// Phase 2: ring allgather of whole host blocks among leaders.
-		// Leaders may own different group sizes; exchange each leader's
-		// contiguous region.
-		if len(leaders) > 1 {
-			me := indexOf(leaders, r.rank)
-			n := len(leaders)
-			regionOf := func(li int) (lo, hi int) {
-				l := leaders[li]
-				lo = l * k
-				if li+1 < n {
-					hi = leaders[li+1] * k
-				} else {
-					hi = len(out)
-				}
-				return
-			}
-			right := leaders[(me+1)%n]
-			left := leaders[(me-1+n)%n]
-			for step := 0; step < n-1; step++ {
-				sendIdx := (me - step + n) % n
-				recvIdx := (me - step - 1 + n) % n
-				sLo, sHi := regionOf(sendIdx)
-				rLo, rHi := regionOf(recvIdx)
-				rq := r.crecv(left, tagLeaders, out[rLo:rHi])
-				r.wait(r.csend(right, tagLeaders, out[sLo:sHi]))
-				r.wait(rq)
-			}
-		}
+		offs[len(leaders)] = len(out)
+		r.allgatherv(r.subset(leaders, tagLeaders), layout{offs: offs}, nil, out)
 	}
-	// Phase 3: local broadcast of the assembled array.
 	r.bcast(r.subset(group, tagBcast), 0, out)
 	return true
 }
@@ -159,7 +115,7 @@ func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
 // hierBcast: binomial broadcast among leaders rooted at the root's leader,
 // then linear local broadcast (groups are small).
 func (r *Rank) hierBcast(root int, data []byte) {
-	group, leaders := r.localityGroup()
+	group, leaders, _ := r.localityGroup()
 	leader := group[0]
 	tag := r.nextCollTag()
 	tagLeaders := r.nextCollTag()
@@ -168,10 +124,10 @@ func (r *Rank) hierBcast(root int, data []byte) {
 	// Root hands the data to its leader if it is not one.
 	rootLeader := r.leaderOfRank(root, leaders)
 	if r.rank == root && root != rootLeader {
-		r.wait(r.csend(rootLeader, tag, data))
+		r.wait(r.isendCtx(rootLeader, tag, collCtxBit, data))
 	}
 	if r.rank == rootLeader && root != rootLeader {
-		r.wait(r.crecv(root, tag, data))
+		r.wait(r.irecvCtx(root, tag, collCtxBit, data))
 	}
 	// Inter-leader binomial broadcast.
 	if r.rank == leader {
@@ -184,10 +140,10 @@ func (r *Rank) hierBcast(root int, data []byte) {
 				// Root already has the data.
 				continue
 			}
-			r.wait(r.csend(m, tag2, data))
+			r.wait(r.isendCtx(m, tag2, collCtxBit, data))
 		}
 	} else if r.rank != root || root == rootLeader {
-		r.wait(r.crecv(leader, tag2, data))
+		r.wait(r.irecvCtx(leader, tag2, collCtxBit, data))
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -171,30 +172,80 @@ func TestLockedDetectorSlowsInit(t *testing.T) {
 	}
 }
 
+// swappedWorld is 3 hosts of one container each and 6 ranks in
+// locality-aware mode, with placements 1 and 4 exchanged: the groups are
+// {0,4}, {2,3} and {1,5}, so only the middle one is a rank range.
+func swappedWorld(t *testing.T, hier bool) *World {
+	t.Helper()
+	spec := cluster.Spec{Hosts: 3, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
+	d, err := cluster.Containers(cluster.MustNew(spec), 1, 6, cluster.PaperScenarioOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Placements
+	p[1].Env, p[4].Env = p[4].Env, p[1].Env
+	p[1].Core, p[4].Core = p[4].Core, p[1].Core
+	opts := DefaultOptions()
+	opts.Mode = core.ModeLocalityAware
+	opts.HierarchicalCollectives = hier
+	w, err := NewWorld(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestHierarchicalAllgatherCorrect checks the two-level Allgather against
+// the block each rank contributed and against the flat algorithm's bytes,
+// including a deployment where only some groups are rank ranges (the
+// ranks of those must not take the two-level path alone).
 func TestHierarchicalAllgatherCorrect(t *testing.T) {
-	for _, procs := range []int{2, 8, 32} {
-		w := hierWorld(t, procs, core.ModeLocalityAware, true)
-		err := w.Run(func(r *Rank) error {
-			const k = 16
-			mine := make([]byte, k)
-			for i := range mine {
-				mine[i] = byte(r.Rank()*5 + i)
-			}
-			out := make([]byte, k*r.Size())
-			r.Allgather(mine, out)
-			for src := 0; src < r.Size(); src++ {
-				for i := 0; i < k; i++ {
-					if out[src*k+i] != byte(src*5+i) {
-						return fmt.Errorf("procs=%d block %d byte %d wrong", procs, src, i)
+	const k = 16
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, hier bool) *World
+	}{
+		{"2", func(t *testing.T, hier bool) *World { return hierWorld(t, 2, core.ModeLocalityAware, hier) }},
+		{"8", func(t *testing.T, hier bool) *World { return hierWorld(t, 8, core.ModeLocalityAware, hier) }},
+		{"32", func(t *testing.T, hier bool) *World { return hierWorld(t, 32, core.ModeLocalityAware, hier) }},
+		{"swapped", swappedWorld},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got [2][][]byte
+			for i, hier := range []bool{false, true} {
+				w := tc.build(t, hier)
+				outs := make([][]byte, w.Size())
+				err := w.Run(func(r *Rank) error {
+					mine := make([]byte, k)
+					for i := range mine {
+						mine[i] = byte(r.Rank()*5 + i)
 					}
+					out := make([]byte, k*r.Size())
+					// Twice, so the tags must stay aligned.
+					for range 2 {
+						clear(out)
+						r.Allgather(mine, out)
+						for src := 0; src < r.Size(); src++ {
+							for i := 0; i < k; i++ {
+								if out[src*k+i] != byte(src*5+i) {
+									return fmt.Errorf("hier=%v: block %d byte %d wrong", hier, src, i)
+								}
+							}
+						}
+					}
+					outs[r.Rank()] = out
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = outs
+			}
+			for rank := range got[0] {
+				if !bytes.Equal(got[0][rank], got[1][rank]) {
+					t.Errorf("rank %d: two-level result differs from flat", rank)
 				}
 			}
-			// Repeat to ensure tags stay aligned.
-			r.Allgather(mine, out)
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -52,8 +52,6 @@ func (c *Comm) group() group {
 	return group{members: c.members, me: c.myIdx, n: len(c.members), ctx: c.ctx | collCtxBit, seq: &c.collSeq}
 }
 
-func (c *Comm) nextTag() int { return mintTag(&c.collSeq) }
-
 // --- point-to-point ------------------------------------------------------
 
 // Isend starts a nonblocking send to communicator-local rank dst.
@@ -68,6 +66,11 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	c.r.profEnter()
 	defer c.r.profExit("Irecv")
+	return c.irecv(src, tag, buf)
+}
+
+// irecv is Irecv without profiling brackets.
+func (c *Comm) irecv(src, tag int, buf []byte) *Request {
 	gsrc := AnySource
 	if src != AnySource {
 		gsrc = c.members[src]
@@ -87,11 +90,7 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 func (c *Comm) Recv(src, tag int, buf []byte) Status {
 	c.r.profEnter()
 	defer c.r.profExit("Recv")
-	gsrc := AnySource
-	if src != AnySource {
-		gsrc = c.members[src]
-	}
-	st := c.r.wait(c.r.irecvCtx(gsrc, tag, c.ctx, buf))
+	st := c.r.wait(c.irecv(src, tag, buf))
 	st.Source = c.localOf(st.Source)
 	return st
 }
@@ -136,49 +135,18 @@ func (c *Comm) Allreduce(buf []byte, op ReduceOp) {
 }
 
 // Allgather concatenates each member's mine into out in communicator rank
-// order (ring algorithm, correct for every member count).
+// order.
 func (c *Comm) Allgather(mine []byte, out []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Allgather")
-	n := len(c.members)
-	k := len(mine)
-	if len(out) != k*n {
-		c.r.p.Fatalf("Comm.Allgather: out is %d bytes, want %d", len(out), k*n)
-	}
-	copy(out[c.myIdx*k:], mine)
-	if n == 1 {
-		return
-	}
-	tag := c.nextTag()
-	right := c.members[(c.myIdx+1)%n]
-	left := c.members[(c.myIdx-1+n)%n]
-	for step := 0; step < n-1; step++ {
-		sendBlock := (c.myIdx - step + n) % n
-		recvBlock := (c.myIdx - step - 1 + n) % n
-		rq := c.r.irecvCtx(left, tag, c.ctx|collCtxBit, out[recvBlock*k:(recvBlock+1)*k])
-		c.r.wait(c.r.isendCtx(right, tag, c.ctx|collCtxBit, out[sendBlock*k:(sendBlock+1)*k]))
-		c.r.wait(rq)
-	}
+	c.r.allgatherv(c.group(), layout{k: len(mine)}, mine, out)
 }
 
-// Alltoall exchanges fixed-size chunks between all members (pairwise).
+// Alltoall exchanges fixed-size chunks between all members.
 func (c *Comm) Alltoall(send, recv []byte, chunk int) {
 	c.r.profEnter()
 	defer c.r.profExit("Alltoall")
-	n := len(c.members)
-	if len(send) != chunk*n || len(recv) != chunk*n {
-		c.r.p.Fatalf("Comm.Alltoall: buffers %d/%d bytes, want %d", len(send), len(recv), chunk*n)
-	}
-	tag := c.nextTag()
-	c.r.p.Advance(c.r.w.Opts.Params.MemCopy(chunk, false))
-	copy(recv[c.myIdx*chunk:], send[c.myIdx*chunk:(c.myIdx+1)*chunk])
-	for step := 1; step < n; step++ {
-		sendTo := (c.myIdx + step) % n
-		recvFrom := (c.myIdx - step + n) % n
-		rq := c.r.irecvCtx(c.members[recvFrom], tag, c.ctx|collCtxBit, recv[recvFrom*chunk:(recvFrom+1)*chunk])
-		c.r.wait(c.r.isendCtx(c.members[sendTo], tag, c.ctx|collCtxBit, send[sendTo*chunk:(sendTo+1)*chunk]))
-		c.r.wait(rq)
-	}
+	c.r.alltoall(c.group(), send, recv, chunk)
 }
 
 // Sendrecv performs a combined blocking exchange over the communicator
@@ -186,11 +154,7 @@ func (c *Comm) Alltoall(send, recv []byte, chunk int) {
 func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) Status {
 	c.r.profEnter()
 	defer c.r.profExit("Sendrecv")
-	gsrc := AnySource
-	if src != AnySource {
-		gsrc = c.members[src]
-	}
-	rq := c.r.irecvCtx(gsrc, recvTag, c.ctx, recvBuf)
+	rq := c.irecv(src, recvTag, recvBuf)
 	sq := c.r.isendCtx(c.members[dst], sendTag, c.ctx, sendData)
 	st := c.r.wait(rq)
 	c.r.wait(sq)
@@ -199,18 +163,18 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, rec
 }
 
 // Gather collects every member's mine into root's out in communicator rank
-// order (linear algorithm); out is only accessed at root.
+// order; out is only accessed at root.
 func (c *Comm) Gather(root int, mine []byte, out []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Gather")
-	c.r.gather(c.group(), root, mine, out)
+	c.r.gatherv(c.group(), root, layout{k: len(mine)}, mine, out)
 }
 
-// Scatter distributes root's chunks to the members (linear algorithm).
+// Scatter distributes root's chunks to the members.
 func (c *Comm) Scatter(root int, all []byte, mine []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Scatter")
-	c.r.scatter(c.group(), root, all, mine)
+	c.r.scatterv(c.group(), root, layout{k: len(mine)}, all, mine)
 }
 
 // --- split ----------------------------------------------------------------

@@ -33,6 +33,22 @@ func TestCommWorldMirrorsRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The world and the world communicator hand the same group to the same
+	// collective functions, so an exchange through either is the same run.
+	for _, n := range []int{8, 12} {
+		for _, size := range []int{64, 64 << 10} {
+			digest := func(api string) string {
+				w := testWorld(t, "4cont", n, DefaultOptions())
+				if err := w.Run(func(r *Rank) error { return exchanges(via(r, api), size) }); err != nil {
+					t.Fatal(err)
+				}
+				return w.Digest()
+			}
+			if a, b := digest("rank"), digest("world-comm"); a != b {
+				t.Errorf("%d ranks, %d B: Rank digest %s, CommWorld digest %s", n, size, a, b)
+			}
+		}
+	}
 }
 
 func TestSplitEvenOdd(t *testing.T) {
@@ -185,47 +201,29 @@ func TestNestedSplitContextsDistinct(t *testing.T) {
 	}
 }
 
+// TestCommCollectivesMatchFlatResults runs every blocking collective the
+// world and a communicator share through each way in, at two world sizes
+// (power of two and not) and an eager and a rendezvous size, and checks
+// every result against the closed-form reference.
 func TestCommCollectivesMatchFlatResults(t *testing.T) {
-	w := testWorld(t, "4cont", 8, DefaultOptions())
-	err := w.Run(func(r *Rank) error {
-		c := r.CommWorld()
-		// Allgather.
-		mine := []byte{byte(r.Rank() * 3)}
-		viaComm := make([]byte, r.Size())
-		c.Allgather(mine, viaComm)
-		viaRank := make([]byte, r.Size())
-		r.Allgather(mine, viaRank)
-		for i := range viaComm {
-			if viaComm[i] != viaRank[i] {
-				return fmt.Errorf("allgather mismatch at %d: %d vs %d", i, viaComm[i], viaRank[i])
+	for _, api := range []string{"rank", "world-comm", "split"} {
+		for _, n := range []int{8, 12} {
+			for _, size := range []int{64, 64 << 10} {
+				t.Run(fmt.Sprintf("%s/%d/%d", api, n, size), func(t *testing.T) {
+					w := testWorld(t, "4cont", n, DefaultOptions())
+					err := w.Run(func(r *Rank) error {
+						c := via(r, api)
+						if err := reductions(c, size); err != nil {
+							return err
+						}
+						return exchanges(c, size)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 		}
-		// Alltoall.
-		send := make([]byte, r.Size())
-		for i := range send {
-			send[i] = byte(r.Rank()*10 + i)
-		}
-		rc := make([]byte, r.Size())
-		c.Alltoall(send, rc, 1)
-		rr := make([]byte, r.Size())
-		r.Alltoall(send, rr, 1)
-		for i := range rc {
-			if rc[i] != rr[i] {
-				return fmt.Errorf("alltoall mismatch at %d", i)
-			}
-		}
-		// Reduce.
-		bufC := EncodeInt64s([]int64{int64(r.Rank())})
-		c.Reduce(2, bufC, SumInt64)
-		if c.Rank() == 2 {
-			if got := DecodeInt64s(bufC)[0]; got != 28 {
-				return fmt.Errorf("comm reduce %d", got)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
