@@ -84,6 +84,55 @@ func TestDetectorFindsCoResidents(t *testing.T) {
 	if loc.IsLocal(2) || !loc.IsLocal(4) {
 		t.Error("IsLocal wrong")
 	}
+	for r := 0; r < 8; r++ {
+		checkIsLocal(t, dets[r])
+	}
+}
+
+// isLocalMismatch returns the first r in [-1, len(list)] at which IsLocal
+// disagrees with the container list, and whether there is one.
+func isLocalMismatch(loc *Locality, list []byte) (int, bool) {
+	for r := -1; r <= len(list); r++ {
+		if want := r >= 0 && r < len(list) && list[r] != 0; loc.IsLocal(r) != want {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
+// checkIsLocal compares d's snapshot with the container list it was read
+// from, over every rank and one past each end.
+func checkIsLocal(t *testing.T, d *Detector) {
+	t.Helper()
+	loc := d.Snapshot()
+	if r, bad := isLocalMismatch(&loc, d.seg.Bytes()[:d.size]); bad {
+		t.Fatalf("rank %d's view: IsLocal(%d) = %v, the container list disagrees", d.rank, r, loc.IsLocal(r))
+	}
+}
+
+// TestDetectorSnapshotKeepsOnlyCoResidents: a rank's view is its
+// co-residents and nothing per global rank — on a 4096-rank list with 32 set
+// bytes, Snapshot allocates one slice of 32 ints.
+func TestDetectorSnapshotKeepsOnlyCoResidents(t *testing.T) {
+	const size, local = 4096, 32
+	_, cts := paperHost(t, 1)
+	reg := shmem.NewRegistry()
+	var d *Detector
+	for k := 0; k < local; k++ {
+		var err error
+		if d, err = NewDetector(reg, "j", cts[0], k*(size/local), size); err != nil {
+			t.Fatal(err)
+		}
+		d.Publish()
+	}
+	var loc Locality
+	if allocs := testing.AllocsPerRun(100, func() { loc = d.Snapshot() }); allocs != 1 {
+		t.Errorf("Snapshot made %v allocations, want 1", allocs)
+	}
+	if len(loc.LocalRanks) != local || cap(loc.LocalRanks) != local {
+		t.Errorf("LocalRanks has length %d and capacity %d, want %d of each", len(loc.LocalRanks), cap(loc.LocalRanks), local)
+	}
+	checkIsLocal(t, d)
 }
 
 func TestDetectorIsolatedIPCSeesOnlyItself(t *testing.T) {
@@ -100,6 +149,13 @@ func TestDetectorIsolatedIPCSeesOnlyItself(t *testing.T) {
 	db.Publish()
 	if loc := da.Snapshot(); loc.LocalSize() != 1 || loc.LocalRanks[0] != 0 {
 		t.Fatalf("isolated detector sees %v, want only itself", loc.LocalRanks)
+	}
+	checkIsLocal(t, da)
+	checkIsLocal(t, db)
+	// A rank whose detector could not attach falls back to hostname locality
+	// and keeps the zero Locality: no rank is detected.
+	if r, bad := isLocalMismatch(&Locality{}, make([]byte, 2)); bad {
+		t.Errorf("fallback view: IsLocal(%d) = true", r)
 	}
 }
 
@@ -140,6 +196,9 @@ func TestDetectorPublicationOrderIrrelevantProperty(t *testing.T) {
 		for r := 0; r < n; r++ {
 			loc := dets[r].Snapshot()
 			if !reflect.DeepEqual(loc.LocalRanks, want) || loc.LocalIndex != r {
+				return false
+			}
+			if _, bad := isLocalMismatch(&loc, dets[r].seg.Bytes()[:n]); bad {
 				return false
 			}
 		}
@@ -294,4 +353,5 @@ func TestDetectorMillionRankScalability(t *testing.T) {
 	if loc.LocalSize() != 1 || loc.LocalRanks[0] != 123456 || loc.LocalIndex != 0 {
 		t.Fatalf("million-rank snapshot wrong: %+v", loc.LocalRanks)
 	}
+	checkIsLocal(t, d)
 }

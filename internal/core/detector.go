@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/shmem"
@@ -36,7 +38,9 @@ const LocalitySegmentPrefix = "cmpi.locality."
 //
 // After an out-of-band barrier, Snapshot recovers, from bytes alone:
 // which ranks are co-resident, how many they are, and this rank's local
-// ordering (its position among the set bytes).
+// ordering (its position among the set bytes). What a rank keeps is that
+// list of co-residents, nothing per global rank: the byte list is the host's,
+// and a rank's view of a million-rank job is as large as its host's share.
 type Detector struct {
 	rank int
 	size int
@@ -74,13 +78,13 @@ type Locality struct {
 	LocalRanks []int
 	// LocalIndex is the owner's position within LocalRanks.
 	LocalIndex int
-	// coResident[r] reports co-residence for each global rank.
-	coResident []bool
 }
 
-// IsLocal reports whether global rank r was detected co-resident.
+// IsLocal reports whether global rank r was detected co-resident: a binary
+// search of LocalRanks, asked once per peer, on first contact.
 func (l *Locality) IsLocal(r int) bool {
-	return r >= 0 && r < len(l.coResident) && l.coResident[r]
+	_, found := slices.BinarySearch(l.LocalRanks, r)
+	return found
 }
 
 // LocalSize is the number of co-resident ranks (including the owner).
@@ -89,17 +93,19 @@ func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 // Snapshot scans the container list and derives the locality view. Callers
 // must have synchronized publication first (the runtime uses its bootstrap
 // barrier), mirroring "once the membership update of all processes
-// completes, the real communication can take place".
+// completes, the real communication can take place". The set bytes are
+// counted first, so LocalRanks is the one allocation, of exactly its length.
 func (d *Detector) Snapshot() Locality {
-	loc := Locality{coResident: make([]bool, d.size), LocalIndex: -1}
-	for r, b := range d.seg.Bytes()[:d.size] {
+	list := d.seg.Bytes()[:d.size]
+	n := len(list) - bytes.Count(list, []byte{0})
+	loc := Locality{LocalRanks: make([]int, 0, n), LocalIndex: -1}
+	for r, b := range list {
 		if b == 0 {
 			continue
 		}
 		if r == d.rank {
 			loc.LocalIndex = len(loc.LocalRanks)
 		}
-		loc.coResident[r] = true
 		loc.LocalRanks = append(loc.LocalRanks, r)
 	}
 	return loc

@@ -10,41 +10,9 @@ package mpi
 // the default, matching the paper's evaluation. The ablation bench
 // BenchmarkAblationFlatVsHierarchical compares the two.
 
-// localityGroup returns this rank's group (the ranks the library believes
-// co-resident, sorted ascending and including the rank itself), the sorted
-// list of all group leaders (each group's lowest rank), and whether every
-// group is a consecutive rank range. Every member computes the same group,
-// and every rank the same leaders and contiguity, because TreatLocal is an
-// equivalence over our deployments (same host / same hostname).
-func (r *Rank) localityGroup() (group, leaders []int, contiguous bool) {
-	leaderOf := make([]int, r.size)
-	for i := range leaderOf {
-		leaderOf[i] = -1
-	}
-	contiguous = true
-	for rank := 0; rank < r.size; rank++ {
-		if leaderOf[rank] >= 0 {
-			// A member: its group is a range only if it continues rank-1's.
-			contiguous = contiguous && leaderOf[rank] == leaderOf[rank-1]
-			continue
-		}
-		leaderOf[rank] = rank
-		leaders = append(leaders, rank)
-		for peer := rank + 1; peer < r.size; peer++ {
-			if r.sameGroup(rank, peer) {
-				leaderOf[peer] = rank
-			}
-		}
-	}
-	return r.LocalRanks(), leaders, contiguous
-}
-
-// sameGroup reports whether ranks a and b are mutually local from the
-// deployment's ground truth filtered through the library's mode (see
-// World.sameLocalityGroup, shared with the algorithm selector).
-func (r *Rank) sameGroup(a, b int) bool {
-	return r.w.sameLocalityGroup(a, b)
-}
+// The groups, their leaders (each group's lowest rank) and whether every group
+// is a rank range are the world's locality partition (coll_select.go), built
+// once and shared with the algorithm selector: every rank sees the same one.
 
 // subset is an explicit member list as a collective group under a tag the
 // caller minted: every member passes the same list and tag. The phases of a
@@ -71,7 +39,8 @@ func indexOf(members []int, rank int) int {
 // allreduce among leaders, local broadcast. Every rank mints the same three
 // tags so the global collective-tag sequence stays aligned.
 func (r *Rank) hierAllreduce(buf []byte, op ReduceOp) {
-	group, leaders, _ := r.localityGroup()
+	p := r.w.partition()
+	group := p.groupOf(r.rank)
 	tag := r.nextCollTag()
 	tagLeaders := r.nextCollTag()
 	tag2 := r.nextCollTag()
@@ -79,7 +48,7 @@ func (r *Rank) hierAllreduce(buf []byte, op ReduceOp) {
 	// Binomial local reduce to the leader (group[0]).
 	r.reduce(r.subset(group, tag), 0, buf, op)
 	if r.rank == group[0] {
-		r.groupAllreduce(r.subset(leaders, tagLeaders), buf, op)
+		r.groupAllreduce(r.subset(p.leaders, tagLeaders), buf, op)
 	}
 	// Binomial local broadcast of the result.
 	r.bcast(r.subset(group, tag2), 0, buf)
@@ -92,21 +61,22 @@ func (r *Rank) hierAllreduce(buf []byte, op ReduceOp) {
 // block-distributed deployments); otherwise every rank falls back to the
 // flat algorithm, and reports false.
 func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
-	group, leaders, contiguous := r.localityGroup()
-	if !contiguous {
+	p := r.w.partition()
+	if !p.contiguous {
 		return false
 	}
+	group := p.groupOf(r.rank)
 	k := len(mine)
 	leader := group[0]
 	tagGather, tagLeaders, tagBcast := r.nextCollTag(), r.nextCollTag(), r.nextCollTag()
 	r.gatherv(r.subset(group, tagGather), 0, layout{k: k}, mine, out[leader*k:(leader+len(group))*k])
 	if r.rank == leader {
-		offs := make([]int, len(leaders)+1)
-		for i, l := range leaders {
+		offs := make([]int, len(p.leaders)+1)
+		for i, l := range p.leaders {
 			offs[i] = l * k
 		}
-		offs[len(leaders)] = len(out)
-		r.allgatherv(r.subset(leaders, tagLeaders), layout{offs: offs}, nil, out)
+		offs[len(p.leaders)] = len(out)
+		r.allgatherv(r.subset(p.leaders, tagLeaders), layout{offs: offs}, nil, out)
 	}
 	r.bcast(r.subset(group, tagBcast), 0, out)
 	return true
@@ -115,14 +85,15 @@ func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
 // hierBcast: binomial broadcast among leaders rooted at the root's leader,
 // then linear local broadcast (groups are small).
 func (r *Rank) hierBcast(root int, data []byte) {
-	group, leaders, _ := r.localityGroup()
+	p := r.w.partition()
+	group := p.groupOf(r.rank)
 	leader := group[0]
 	tag := r.nextCollTag()
 	tagLeaders := r.nextCollTag()
 	tag2 := r.nextCollTag()
 
 	// Root hands the data to its leader if it is not one.
-	rootLeader := r.leaderOfRank(root, leaders)
+	rootLeader := p.groupOf(root)[0]
 	if r.rank == root && root != rootLeader {
 		r.wait(r.isendCtx(rootLeader, tag, collCtxBit, data))
 	}
@@ -131,7 +102,7 @@ func (r *Rank) hierBcast(root int, data []byte) {
 	}
 	// Inter-leader binomial broadcast.
 	if r.rank == leader {
-		r.bcast(r.subset(leaders, tagLeaders), indexOf(leaders, rootLeader), data)
+		r.bcast(r.subset(p.leaders, tagLeaders), int(p.of[root]), data)
 	}
 	// Local linear broadcast.
 	if r.rank == leader {
@@ -145,14 +116,4 @@ func (r *Rank) hierBcast(root int, data []byte) {
 	} else if r.rank != root || root == rootLeader {
 		r.wait(r.irecvCtx(leader, tag2, collCtxBit, data))
 	}
-}
-
-// leaderOfRank returns the leader of the group containing rank.
-func (r *Rank) leaderOfRank(rank int, leaders []int) int {
-	for _, l := range leaders {
-		if r.sameGroup(l, rank) {
-			return l
-		}
-	}
-	return rank
 }

@@ -28,45 +28,70 @@ import (
 	"cmpi/internal/trace"
 )
 
-// sameLocalityGroup reports whether ranks a and b are mutually local from
-// the deployment's ground truth filtered through the library's mode:
-// hostname equality by default, host + shared IPC namespace (what the
-// detector recovers) in locality-aware mode.
-func (w *World) sameLocalityGroup(a, b int) bool {
-	if a == b {
-		return true
-	}
-	pa := w.Deploy.Placements[a].Env
-	pb := w.Deploy.Placements[b].Env
-	if w.Opts.Mode == core.ModeLocalityAware {
-		return pa.SameHost(pb) && pa.SharesNamespace(cluster.IPC, pb)
-	}
-	return pa.Hostname() == pb.Hostname()
+// localityPartition is the deployment's ground truth split into the groups
+// the library's mode treats as mutually local: one group per hostname by
+// default, per host and IPC namespace (what the detector recovers) in
+// locality-aware mode. Both are equalities of a key, so every rank sees the
+// same partition.
+type localityPartition struct {
+	groups     [][]int // each group's ranks, ascending; groups in leader order
+	of         []int32 // each rank's group
+	leaders    []int   // each group's lowest rank, ascending
+	contiguous bool    // every group is a consecutive rank range
+	// coResFrac is the fraction of rank pairs in one group (1 for a fully
+	// co-resident job or a single rank, 0 when every pair is remote).
+	coResFrac float64
 }
 
-// coResidentFraction is the fraction of rank pairs the library treats as
-// local (1.0 for a fully co-resident job, 0 when every pair is remote).
-// Cached per world: the deployment never changes after NewWorld.
-func (w *World) coResidentFraction() float64 {
-	w.coResOnce.Do(func() {
-		n := len(w.ranks)
-		if n < 2 {
-			w.coResFrac = 1
-			return
-		}
-		local, pairs := 0, 0
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				pairs++
-				if w.sameLocalityGroup(a, b) {
-					local++
-				}
-			}
-		}
-		w.coResFrac = float64(local) / float64(pairs)
-	})
-	return w.coResFrac
+// localityKey names a rank's locality group: host and IPC namespace in
+// locality-aware mode, the hostname otherwise.
+type localityKey struct {
+	host *cluster.Host
+	ipc  *cluster.Namespace
+	name string
 }
+
+// partition returns the world's locality partition, built on first use: the
+// deployment never changes after NewWorld.
+func (w *World) partition() *localityPartition {
+	w.partOnce.Do(func() {
+		n := len(w.Deploy.Placements)
+		p := &localityPartition{of: make([]int32, n), contiguous: true}
+		index := make(map[localityKey]int32)
+		for rank, pl := range w.Deploy.Placements {
+			k := localityKey{name: pl.Env.Hostname()}
+			if w.Opts.Mode == core.ModeLocalityAware {
+				k = localityKey{host: pl.Env.Host, ipc: pl.Env.Namespace(cluster.IPC)}
+			}
+			g, seen := index[k]
+			switch {
+			case !seen:
+				g = int32(len(p.groups))
+				index[k] = g
+				p.groups = append(p.groups, nil)
+				p.leaders = append(p.leaders, rank)
+			case p.of[rank-1] != g:
+				// A group is a range only if each member continues rank-1's.
+				p.contiguous = false
+			}
+			p.of[rank] = g
+			p.groups[g] = append(p.groups[g], rank)
+		}
+		p.coResFrac = 1
+		if n >= 2 {
+			local := 0
+			for _, members := range p.groups {
+				local += len(members) * (len(members) - 1) / 2
+			}
+			p.coResFrac = float64(local) / float64(n*(n-1)/2)
+		}
+		w.part = p
+	})
+	return w.part
+}
+
+// groupOf is the locality group of rank.
+func (p *localityPartition) groupOf(rank int) []int { return p.groups[p.of[rank]] }
 
 // selectAllreduce picks the algorithm for one flat Allreduce of n bytes.
 // pof2 is the largest power of two <= world size. A forced algorithm whose
@@ -114,7 +139,7 @@ func (r *Rank) autoAllreduce(n, pof2 int) core.AllreduceAlgo {
 	// Power-of-two world, fully co-resident: Rabenseifner's 2·log2(P)
 	// rounds beat the ring's 2(P-1) steps when every hop is shared memory,
 	// provided the buffer splits into pof2-aligned segments.
-	if r.w.coResidentFraction() >= 1 && n%(8*pof2) == 0 {
+	if r.w.partition().coResFrac >= 1 && n%(8*pof2) == 0 {
 		return core.AllreduceRabenseifner
 	}
 	// Spread power-of-two world: each ring step moves only size/P bytes per

@@ -165,7 +165,7 @@ func TestCoResidentFraction(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Mode = core.ModeLocalityAware
 		w := testWorld(t, scenario, n, opts)
-		return w.coResidentFraction()
+		return w.partition().coResFrac
 	}
 	if got := frac("4cont", 4); got != 1 {
 		t.Errorf("co-resident fraction = %v, want 1", got)
@@ -182,7 +182,7 @@ func TestCoResidentFraction(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = core.ModeLocalityAware
 	w := testWorld(t, "isolated", 4, opts)
-	if got := w.coResidentFraction(); got >= 1 {
+	if got := w.partition().coResFrac; got >= 1 {
 		t.Errorf("isolated locality-aware fraction = %v, want < 1", got)
 	}
 }

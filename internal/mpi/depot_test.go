@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cmpi/internal/core"
+	"cmpi/internal/sim"
 )
 
 // The process-wide depot behind the pools (core/pool.go), the poolStrict
@@ -139,6 +140,112 @@ func TestReleaseRecyclesWindowHandles(t *testing.T) {
 	}
 	if released > held-2*(windows-1)*window {
 		t.Errorf("with Release the two ranks allocated %d handles (%d without), want one window's worth per rank", released, held)
+	}
+}
+
+// collRounds runs one collective stepper rounds times as a machine Program;
+// round i is rooted at rank i%size where the collective has a root.
+type collRounds struct {
+	kind      string
+	rounds, i int
+	buf       []byte
+	bar       mbarrier
+	bc        mbcast
+	red       mreduce
+	ar        mallreduce
+}
+
+func (p *collRounds) Step(r *Rank) sim.Flow {
+	for ; p.i < p.rounds; p.i++ {
+		g, root := r.group(), p.i%r.size
+		var done bool
+		switch p.kind {
+		case "barrier":
+			done = p.bar.step(r, &g)
+		case "bcast":
+			done = p.bc.step(r, &g, root, p.buf)
+		case "reduce":
+			done = p.red.step(r, &g, root, p.buf, SumInt64)
+		default:
+			done = p.ar.step(r, p.buf, SumInt64)
+		}
+		if !done {
+			return sim.More
+		}
+	}
+	return sim.Done
+}
+
+// TestStepperRequestsRecycled: every stepper hands each request back when it
+// completes, so once a world is warm its request list misses no more — a
+// hundred further rounds of any collective, blocking or machine, allocate no
+// Request. (The packet, send-op and envelope lists are not held to this: they
+// follow how many messages are in flight at once, which a later round may
+// raise by a few.) Twelve ranks make recursive doubling and Rabenseifner
+// fold; 512 B stays eager on every channel, whose requests are all
+// recyclable.
+func TestStepperRequestsRecycled(t *testing.T) {
+	const ranks, size = 12, 512
+	for _, tc := range []struct {
+		kind string
+		algo core.AllreduceAlgo
+	}{
+		{"barrier", core.AllreduceAuto},
+		{"bcast", core.AllreduceAuto},
+		{"reduce", core.AllreduceAuto},
+		{"rd", core.AllreduceRecursiveDoubling},
+		{"rab", core.AllreduceRabenseifner},
+		{"ring", core.AllreduceRing},
+		{"tree", core.AllreduceTree},
+	} {
+		for _, machine := range []bool{false, true} {
+			name := tc.kind + "/blocking"
+			if machine {
+				name = tc.kind + "/machine"
+			}
+			t.Run(name, func(t *testing.T) {
+				misses := func(rounds int) uint64 {
+					opts := DefaultOptions()
+					opts.Tunables.AllreduceAlgo = tc.algo
+					w := testWorld(t, "2host4cont", ranks, opts)
+					var err error
+					if machine {
+						err = w.RunMachine(func(int) Program {
+							return &collRounds{kind: tc.kind, rounds: rounds, buf: make([]byte, size)}
+						})
+					} else {
+						err = w.Run(func(r *Rank) error {
+							buf := make([]byte, size)
+							for i := 0; i < rounds; i++ {
+								switch root := i % ranks; tc.kind {
+								case "barrier":
+									r.Barrier()
+								case "bcast":
+									r.Bcast(root, buf)
+								case "reduce":
+									r.Reduce(root, buf, SumInt64)
+								default:
+									r.Allreduce(buf, SumInt64)
+								}
+							}
+							return nil
+						})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					var n uint64
+					for _, r := range w.ranks {
+						n += r.pools.reqs.ctr.Gets - r.pools.reqs.ctr.Hits
+					}
+					return n
+				}
+				warm, long := misses(10), misses(110)
+				if long > warm {
+					t.Errorf("the request lists missed %d times in 110 rounds, %d in 10: the steppers' requests are not recycled", long, warm)
+				}
+			})
+		}
 	}
 }
 

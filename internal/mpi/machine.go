@@ -23,8 +23,11 @@ package mpi
 //     epoch at the same virtual time. A blocking rank yields inside
 //     claimPair and carries on, exactly as isendCtx does inside the protocol
 //     entry, whose own claimPair is then a no-op (Request.hasClaim).
-//   - waitStep (rank.go) is one pass of the rank's wait loop: drive progress
-//     until the condition holds or the rank parks.
+//   - waitFree is one pass of the rank's wait loop (waitStep, rank.go) on one
+//     request the stepper owns: drive progress until the request is done or
+//     the rank parks, then hand the request back to the pool and clear the
+//     slot. Every stepper wait is one, so a collective allocates no handle
+//     once the rank's request list is warm.
 //   - receives (irecvCtx) never block the caller, so steppers post them
 //     directly. A rendezvous match whose receive-side claim finds the pair
 //     outside the current epoch group (bindEnvelope, usually mid-sweep) parks
@@ -227,12 +230,26 @@ func (m *msend) step(r *Rank, dst, tag, ctx int, data []byte) bool {
 	return true
 }
 
+// waitFree is the stepper wait on the request in *slot: false until it is
+// done; then the request goes back to the rank's pool (putReq keeps failed
+// requests and HCA-rendezvous sends out) and the slot is cleared, so no
+// stepper keeps a handle that another operation may already be reusing.
+func (r *Rank) waitFree(slot **Request) bool {
+	req := *slot
+	if !r.waitStep(func() bool { return req.done }) {
+		return false
+	}
+	r.putReq(req)
+	*slot = nil
+	return true
+}
+
 // msr is a combined send and receive: post the receive, start the send,
-// wait receive then send, recycle both requests.
+// wait receive then send.
 type msr struct {
-	rq, sq *Request
-	snd    msend
-	st     uint8
+	rq  *Request
+	snd msend
+	st  uint8
 }
 
 func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte, ctx int) bool {
@@ -245,21 +262,18 @@ func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int,
 		if !m.snd.step(r, dst, sendTag, ctx, sendData) {
 			return false
 		}
-		m.sq = m.snd.req
 		m.st = 2
 		fallthrough
 	case 2:
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.rq) {
 			return false
 		}
 		m.st = 3
 		fallthrough
 	default:
-		if !r.waitStep(func() bool { return m.sq.done }) {
+		if !r.waitFree(&m.snd.req) {
 			return false
 		}
-		r.putReq(m.rq)
-		r.putReq(m.sq)
 		*m = msr{}
 		return true
 	}
@@ -279,11 +293,11 @@ func finishColl[M any](r *Rank, m *M, tmp []byte) bool {
 // mbarrier is the dissemination barrier: round k exchanges an empty message
 // with the members k places away, k doubling.
 type mbarrier struct {
-	tag    int
-	k      int
-	rq, sq *Request
-	snd    msend
-	st     uint8
+	tag int
+	k   int
+	rq  *Request
+	snd msend
+	st  uint8
 }
 
 func (m *mbarrier) step(r *Rank, g *group) bool {
@@ -304,17 +318,16 @@ func (m *mbarrier) step(r *Rank, g *group) bool {
 			if !m.snd.step(r, dst, m.tag, g.ctx, nil) {
 				return false
 			}
-			m.sq = m.snd.req
 			m.st = 3
 			fallthrough
 		case 3:
-			if !r.waitStep(func() bool { return m.sq.done }) {
+			if !r.waitFree(&m.snd.req) {
 				return false
 			}
 			m.st = 4
 			fallthrough
 		default:
-			if !r.waitStep(func() bool { return m.rq.done }) {
+			if !r.waitFree(&m.rq) {
 				return false
 			}
 			m.k <<= 1
@@ -357,10 +370,9 @@ func (m *mreduce) step(r *Rank, g *group, root int, buf []byte, op ReduceOp) boo
 				if !m.snd.step(r, abs(m.vrank-m.mask), m.tag, g.ctx, buf) {
 					return false
 				}
-				m.rq = m.snd.req
 				m.st = 1
 			}
-			if !r.waitStep(func() bool { return m.rq.done }) {
+			if !r.waitFree(&m.snd.req) {
 				return false
 			}
 			return finishColl(r, m, m.tmp)
@@ -370,7 +382,7 @@ func (m *mreduce) step(r *Rank, g *group, root int, buf []byte, op ReduceOp) boo
 				m.rq = r.irecvCtx(abs(m.vrank+m.mask), m.tag, g.ctx, m.tmp)
 				m.st = 2
 			}
-			if !r.waitStep(func() bool { return m.rq.done }) {
+			if !r.waitFree(&m.rq) {
 				return false
 			}
 			r.chargeReduce(len(buf))
@@ -413,7 +425,7 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 					m.rq = r.irecvCtx(abs(m.vrank-m.mask), m.tag, g.ctx, data)
 					m.st = 1
 				}
-				if !r.waitStep(func() bool { return m.rq.done }) {
+				if !r.waitFree(&m.rq) {
 					return false
 				}
 				break
@@ -431,10 +443,9 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 				if !m.snd.step(r, abs(m.vrank+m.mask), m.tag, g.ctx, data) {
 					return false
 				}
-				m.rq = m.snd.req
 				m.st = 1
 			}
-			if !r.waitStep(func() bool { return m.rq.done }) {
+			if !r.waitFree(&m.snd.req) {
 				return false
 			}
 		}
@@ -488,9 +499,9 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 			if !m.snd.step(r, g.world(g.me+1), m.tag, g.ctx, buf) {
 				return false
 			}
-			m.rq, m.wait = m.snd.req, true
+			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.snd.req) {
 			return false
 		}
 		m.wait = false
@@ -500,7 +511,7 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 			m.rq = r.irecvCtx(g.world(g.me-1), m.tag, g.ctx, m.tmp)
 			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.rq) {
 			return false
 		}
 		r.chargeReduce(len(buf))
@@ -536,7 +547,7 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 			m.rq = r.irecvCtx(g.world(g.me+1), m.tag, g.ctx, buf)
 			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.rq) {
 			return false
 		}
 	} else {
@@ -544,9 +555,9 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 			if !m.snd.step(r, g.world(g.me-1), m.tag, g.ctx, buf) {
 				return false
 			}
-			m.rq, m.wait = m.snd.req, true
+			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.snd.req) {
 			return false
 		}
 	}
@@ -604,9 +615,9 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 			if !m.snd.step(r, r.rank+1, m.tag, collCtxBit, buf) {
 				return false
 			}
-			m.rq, m.wait = m.snd.req, true
+			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.snd.req) {
 			return false
 		}
 		m.wait = false
@@ -617,7 +628,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 			m.rq = r.irecvCtx(r.rank-1, m.tag, collCtxBit, m.tmp)
 			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.rq) {
 			return false
 		}
 		r.chargeReduce(len(buf))
@@ -652,13 +663,13 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 					m.sub = 2
 					fallthrough
 				case 2:
-					if !r.waitStep(func() bool { return m.snd.req.done }) {
+					if !r.waitFree(&m.snd.req) {
 						return false
 					}
 					m.sub = 3
 					fallthrough
 				default:
-					if !r.waitStep(func() bool { return m.rq.done }) {
+					if !r.waitFree(&m.rq) {
 						return false
 					}
 					r.chargeReduce(keepHi - keepLo)
@@ -696,13 +707,13 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 					m.sub = 2
 					fallthrough
 				case 2:
-					if !r.waitStep(func() bool { return m.snd.req.done }) {
+					if !r.waitFree(&m.snd.req) {
 						return false
 					}
 					m.sub = 3
 					fallthrough
 				default:
-					if !r.waitStep(func() bool { return m.rq.done }) {
+					if !r.waitFree(&m.rq) {
 						return false
 					}
 					if peerLo < m.lo {
@@ -729,7 +740,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 			m.rq = r.irecvCtx(r.rank+1, m.tag, collCtxBit, buf)
 			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.rq) {
 			return false
 		}
 	} else {
@@ -737,9 +748,9 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 			if !m.snd.step(r, r.rank-1, m.tag, collCtxBit, buf) {
 				return false
 			}
-			m.rq, m.wait = m.snd.req, true
+			m.wait = true
 		}
-		if !r.waitStep(func() bool { return m.rq.done }) {
+		if !r.waitFree(&m.snd.req) {
 			return false
 		}
 	}

@@ -61,13 +61,18 @@ import "cmpi/internal/core"
 //     Envelopes of failed requests are deliberately leaked to the GC —
 //     error paths are cold and auditing their aliasing buys nothing.
 //   - Request: recycled by whoever owns the handle and says it is done with
-//     it. The blocking wrappers (Send/Recv/Ssend/Sendrecv) and the
-//     collectives' msr stepper own theirs; a handle from Isend/Irecv is
+//     it. The blocking wrappers (Send/Recv/Ssend/Sendrecv) own theirs, and
+//     every collective stepper (machine.go) owns each request it posts and
+//     returns it the moment its wait completes (waitFree), so a warm rank runs
+//     collectives without allocating a handle. A handle from Isend/Irecv is
 //     the user's until it is passed to Rank.Release (MPI_Request_free), which
 //     takes completed handles only. Wait, WaitAll and Test never recycle:
 //     callers read a handle's status and error after them. HCA-rendezvous
-//     sends are excluded either way (noPool): the shared rndv table may
-//     reference the request until the receiver's WRITE_IMM completion. Under
+//     sends are excluded either way (noPool): the send completes at its local
+//     RDMA write completion, but the pair's rndv table keeps naming the
+//     request until the receiver's WRITE_IMM completion removes the entry,
+//     and a channel error or dead peer in between fails every request the
+//     table names — which, recycled, would be another operation's. Under
 //     poolStrict a released handle is poisoned instead of recycled, so a
 //     later Done or Err panics.
 //

@@ -301,9 +301,10 @@ func commCollBytes(t *testing.T, size, calls int) uint64 {
 
 // TestCommCollectivesSteadyStateBytes: the communicator collectives run the
 // world's steppers, so their receive scratch comes from the rank's pool like
-// the world collectives' — after warm-up, a hundred 64 KiB Comm.Allreduce and
-// Comm.Reduce calls allocate no scratch-sized buffer (each used to make one
-// per call and rank).
+// the world collectives', and every request they post goes back to it — after
+// warm-up, a hundred 64 KiB Comm.Allreduce and Comm.Reduce calls allocate
+// neither a scratch-sized buffer nor a Request (less than one, 64 B, per rank
+// and round).
 func TestCommCollectivesSteadyStateBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
@@ -313,7 +314,7 @@ func TestCommCollectivesSteadyStateBytes(t *testing.T) {
 	b := commCollBytes(t, size, many)
 	per := (float64(b) - float64(a)) / float64((many-few)*ranks)
 	t.Logf("%.0f B per rank and Allreduce+Reduce round of %d B", per, size)
-	if per > size/16 {
-		t.Errorf("Comm.Allreduce+Reduce allocate %.0f B per rank and round in steady state; want no scratch-sized (%d B) buffer", per, size)
+	if per >= 64 {
+		t.Errorf("Comm.Allreduce+Reduce allocate %.0f B per rank and round in steady state; want < 64 (no scratch buffer, no Request)", per)
 	}
 }

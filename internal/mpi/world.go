@@ -108,12 +108,13 @@ type World struct {
 	// state. Nil for trivial topologies; nil entries for same-rack pairs.
 	spineTab [][]sim.Res
 
-	// coResFrac caches the deployment's co-resident rank-pair fraction for
-	// the collective algorithm selector (coResidentFraction). Computed once
-	// from Deploy ground truth — never from per-rank capability tables,
-	// which can diverge under detector faults.
-	coResOnce sync.Once
-	coResFrac float64
+	// part is the deployment's split into locality groups, for the
+	// collective algorithm selector and the two-level collectives. Built once,
+	// by the first rank that asks (World.partition), from Deploy ground truth —
+	// never from per-rank capability tables, which can diverge under detector
+	// faults.
+	partOnce sync.Once
+	part     *localityPartition
 }
 
 // jobCounter is atomic: worlds are built concurrently by the parallel

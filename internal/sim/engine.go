@@ -55,8 +55,9 @@ type Engine struct {
 	// per-resource table (union-find links and owning groups, validated by
 	// epoch stamp), formSets counts the disjoint sets of the formation in
 	// progress, groups is the recycled group pool whose first ngroups entries
-	// are the current epoch's, and commitBuf/emitBuf are the commit sort
-	// scratch. All of it is written in scheduler context only.
+	// are the current epoch's, single is that one group when the epoch formed
+	// only one (its resTab rows then name no owner), and commitBuf/emitBuf are
+	// the commit sort scratch. All of it is written in scheduler context only.
 	workers int
 	// declared is raised, for good, by the first footprint installed or the
 	// first callback tagged with a resource other than Global. Until then
@@ -72,6 +73,7 @@ type Engine struct {
 	formSets      int
 	groups        []*execGroup
 	ngroups       int
+	single        *execGroup
 	commitBuf     []commitKey
 	emitBuf       []groupEmit
 	epochDepthMax int

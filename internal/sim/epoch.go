@@ -206,11 +206,10 @@ func (e *Engine) formEpoch() {
 	q := &e.q
 	e.now = q.keys[0].t // epoch floor; monotone because spills never precede it
 	if !e.declared {
-		// Nothing names a resource but Global: one set, dispatched in place,
-		// and no event needs asking.
-		g := e.nextGroup(e.seq)
-		e.resTab[e.find(Global)].group = g
-		g.q = q
+		// Nothing names a resource but Global: one set, and no event needs
+		// asking. Stamping Global routes every resource to the one group.
+		e.find(Global)
+		e.formSingle()
 		return
 	}
 
@@ -228,17 +227,20 @@ func (e *Engine) formEpoch() {
 			}
 		}
 	}
+	if e.formSets == 1 {
+		// Every row pass 1 stamped belongs to the one group: nothing to walk
+		// again.
+		e.formSingle()
+		return
+	}
 
 	// Pass 2: build groups in first-event order — deterministic indices — and
-	// record every resource's owner for routing during execution. An epoch
-	// that is one group anyway dispatches on the global queue where it lies.
-	// Otherwise the keys are sorted in place (a sorted array is a valid d-ary
-	// heap, so nothing is drained) and each event moves to its group's queue
-	// in (t, seq) order, where the pushes never sift.
-	inPlace := e.formSets == 1
-	if !inPlace {
-		slices.SortFunc(q.keys, hkey.compare)
-	}
+	// record every resource's owner for routing during execution. The keys are
+	// sorted in place (a sorted array is a valid d-ary heap, so nothing is
+	// drained) and each event moves to its group's queue in (t, seq) order,
+	// where the pushes never sift.
+	e.single = nil
+	slices.SortFunc(q.keys, hkey.compare)
 	baseSeq := e.seq
 	tab := e.resTab
 	for i := range q.keys {
@@ -254,15 +256,17 @@ func (e *Engine) formEpoch() {
 		for _, r := range res {
 			tab[r].group = g
 		}
-		if !inPlace {
-			g.own.push(k.t, k.seq, *ev)
-		}
+		g.own.push(k.t, k.seq, *ev)
 	}
-	if inPlace {
-		e.groups[0].q = q
-	} else {
-		q.reset()
-	}
+	q.reset()
+}
+
+// formSingle makes the epoch one group that dispatches on the global queue
+// where it lies and owns every resource the formation stamped.
+func (e *Engine) formSingle() {
+	g := e.nextGroup(e.seq)
+	g.q = &e.q
+	e.single = g
 }
 
 // find returns r's union-find root for the epoch being formed, reviving the
@@ -619,12 +623,24 @@ type groupEmit struct {
 // owning res. It panics when res is unowned and no global group exists —
 // that means an event touched a resource outside its declared footprint.
 func (e *Engine) groupFor(res Res) *execGroup {
-	tab := e.resTab
-	if uint(res) < uint(len(tab)) && tab[res].stamp == e.epochID {
-		return tab[res].group
+	if g := e.owner(res); g != nil {
+		return g
 	}
-	if tab[Global].stamp == e.epochID {
-		return tab[Global].group
+	if g := e.owner(Global); g != nil {
+		return g
 	}
 	panic(fmt.Sprintf("sim: resource %d touched during an epoch that owns neither it nor Global (undeclared footprint)", res))
+}
+
+// owner is the group owning res in the current epoch, or nil when the
+// epoch's formation never saw res.
+func (e *Engine) owner(res Res) *execGroup {
+	tab := e.resTab
+	if uint(res) >= uint(len(tab)) || tab[res].stamp != e.epochID {
+		return nil
+	}
+	if e.single != nil {
+		return e.single
+	}
+	return tab[res].group
 }

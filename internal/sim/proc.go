@@ -111,8 +111,8 @@ func (p *Proc) SetFootprint(fn FootprintFn) {
 // that needs a resource it cannot touch must widen its footprint and
 // YieldRegroup.
 func (p *Proc) CanTouch(r Res) bool {
-	e := p.eng
-	return uint(r) < uint(len(e.resTab)) && e.resTab[r].stamp == e.epochID && e.resTab[r].group == p.group
+	g := p.eng.owner(r)
+	return g != nil && g == p.group
 }
 
 // YieldRegroup reschedules the process into the next epoch at its current
