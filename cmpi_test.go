@@ -328,3 +328,39 @@ func TestReadmeEnvTableMatchesSources(t *testing.T) {
 		t.Errorf("README environment table lists %v; the sources read %v", documented, read)
 	}
 }
+
+// TestDocsNameOnlyExistingReproFlags keeps the docs from sending a reader to a
+// flag that is gone: every `repro -<flag>` in the top-level docs, docs/*.md
+// (not the per-change records under docs/perf/, which describe their own
+// tree), the verify skill and the CI workflow is a flag cmd/repro defines.
+func TestDocsNameOnlyExistingReproFlags(t *testing.T) {
+	src, err := os.ReadFile("cmd/repro/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z][a-z0-9-]*)"`).FindAllSubmatch(src, -1) {
+		defined[string(m[1])] = true
+	}
+	if len(defined) == 0 {
+		t.Fatal("found no flag defined in cmd/repro/main.go; the scan is broken")
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
+		".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
+	named := regexp.MustCompile(`repro -([a-z][a-z0-9-]*)`)
+	for _, path := range docs {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range named.FindAllSubmatch(text, -1) {
+			if !defined[string(m[1])] {
+				t.Errorf("%s names repro -%s, which cmd/repro does not define", path, m[1])
+			}
+		}
+	}
+}

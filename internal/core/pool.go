@@ -252,10 +252,9 @@ func (d *DirPool) Return(home *BufPool, buf []byte) {
 // depotCap bounds the bytes the depot holds between worlds. The largest world
 // a sweep or a benchmark repeats — 1024 ranks at full fidelity, 33 KiB
 // vectors — leaves about 105 MB of free buffers behind, so 128 MiB keeps all
-// of it; the 4096-rank world of repro -fidelity-smoke, run against a depot
-// that full, stays near 122 MiB of HeapSys against its 512 MiB bound, and the
-// one of the mpi tests (TestFullFidelity4096, after some four hundred worlds)
-// reads 150-170 MiB against 256, 111 MiB of it without a depot. What does
+// of it. The 4096-rank world of TestFullFidelity4096 reads about 95 MiB of
+// HeapSys run alone, and about 140 MiB after some four hundred other worlds
+// of its package have filled the depot, against a 256 MiB gate. What does
 // not fit is dropped for the garbage collector, as everything was before.
 const depotCap = 128 << 20
 

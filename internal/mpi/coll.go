@@ -31,8 +31,9 @@ const collCtxBit = 0x8000
 
 // group is who one collective call runs over: the world, a communicator, or
 // the member list of a hierarchical phase. Steppers take it as a step
-// argument, like root and buf, and keep none of it: a machine rank's
-// accounted footprint is its stepper.
+// argument, like root and buf, and keep none of it: a stepper is heap memory
+// of a machine rank and part of every blocking call's frame, so a field it
+// need not keep costs bytes per rank and per call.
 type group struct {
 	members []int // world rank of each group rank; nil for the world itself
 	me, n   int   // the caller's group rank; the group's size

@@ -41,11 +41,11 @@ package mpi
 //
 // The group-capable steppers (barrier, bcast, reduce, recursive doubling)
 // take who they run over as a step argument (group, coll.go), never as
-// state: a machine rank's accounted footprint is its stepper struct.
+// state: a stepper is heap memory of a machine rank (a field of its program,
+// or allocated per call) and part of every blocking call's frame, so it
+// carries nothing it need not keep.
 
 import (
-	"reflect"
-
 	"cmpi/internal/core"
 	"cmpi/internal/sim"
 )
@@ -62,8 +62,7 @@ type Program interface {
 
 // RunMachine is World.Run for machine-native rank bodies: mk builds the
 // Program for each rank. Blocking bodies keep their goroutine; a machine
-// world spends one arena slot per rank and no goroutine, stack, or coroutine —
-// the difference Stats.PeakProcBytes accounts.
+// world spends one arena slot per rank and no goroutine, stack, or coroutine.
 func (w *World) RunMachine(mk func(rank int) Program) error {
 	return w.run(true, mk)
 }
@@ -89,23 +88,6 @@ type bodyProg struct {
 func (b *bodyProg) Step(r *Rank) sim.Flow {
 	b.err = b.body(r)
 	return sim.Done
-}
-
-// MachineBytes reports the adapter plus its program (steady-state worst
-// case for programs that lazily allocate phases) so the engine's accounting
-// charges machine ranks for the state they actually keep alive.
-func (m *rankMachine) MachineBytes() int {
-	n := int(reflect.TypeOf(*m).Size())
-	if sr, ok := m.prog.(sim.SizeReporter); ok {
-		return n + sr.MachineBytes()
-	}
-	if t := reflect.TypeOf(m.prog); t != nil {
-		if t.Kind() == reflect.Pointer {
-			t = t.Elem()
-		}
-		n += int(t.Size())
-	}
-	return n
 }
 
 func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
@@ -461,8 +443,9 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 // into the power-of-two one (pof2, the largest not above the group's size).
 // Latency-optimal; the selector's choice for small buffers, and the only
 // allreduce of communicators. The fold and unfold states are inlined, reusing
-// one send submachine and one request slot, to keep the struct lean — a
-// machine rank's accounted footprint is this struct.
+// one send submachine and one request slot, to keep the struct lean: a
+// machine rank allocates one per allreduce call, and every small blocking or
+// communicator allreduce puts one in its frame.
 type mrd struct {
 	tag     int
 	rem     int
@@ -822,9 +805,9 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 
 // mallreduce is the world allreduce of machine programs: per-call algorithm
 // selection, then the chosen algorithm's stepper. Only the selected stepper
-// is allocated — one is live at a time, and a machine rank's whole accounted
-// footprint rides on staying lean. (Rank.allreduce, with a stack to spend,
-// dispatches over stack steppers instead.) The tree algorithm is a binomial
+// is allocated, one per call, so a call allocates one algorithm's state
+// rather than all four. (Rank.allreduce, with a stack to spend, dispatches
+// over stack steppers instead.) The tree algorithm is a binomial
 // reduce to rank 0 followed by a binomial broadcast: 2·log2(P) rounds, each
 // moving the whole buffer. Recursive doubling dominates it in this cost
 // model, so the selector never picks it; it exists as a forced comparison
@@ -963,29 +946,6 @@ func (g *allreduceProg) Step(r *Rank) sim.Flow {
 	g.buf = nil
 	return sim.Done
 }
-
-// MachineBytes: the program struct plus the largest algorithm machine an
-// allreduce can keep live (they are lazily allocated, one at a time), so
-// the engine's accounting reflects the steady-state footprint.
-func (g *allreduceProg) MachineBytes() int {
-	return int(reflect.TypeOf(*g).Size()) + maxCollMachineBytes
-}
-
-var maxCollMachineBytes = func() int {
-	max := 0
-	for _, sz := range []uintptr{
-		reflect.TypeOf(mrd{}).Size(),
-		reflect.TypeOf(mrab{}).Size(),
-		reflect.TypeOf(mring{}).Size(),
-		reflect.TypeOf(mreduce{}).Size(),
-		reflect.TypeOf(mbcast{}).Size(),
-	} {
-		if int(sz) > max {
-			max = int(sz)
-		}
-	}
-	return max
-}()
 
 // fillAllreduce writes rank- and iteration-unique int64 elements:
 // element e of rank k at iteration it is (k+1)*(it+1) + e. Same loop shape as

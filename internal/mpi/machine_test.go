@@ -163,27 +163,3 @@ func TestFatTreeWorldDispatchesParallel(t *testing.T) {
 		t.Errorf("fat-tree world dispatched with MaxBatchWidth=%d; want > 1", got)
 	}
 }
-
-// TestMachineBodiesMemoryAdvantage checks the accounted per-rank memory:
-// machine bodies must beat blocking bodies (which pay the stack + g
-// descriptor + coroutine floor) by a wide margin, since that floor is the
-// whole point of porting rank bodies to machines.
-func TestMachineBodiesMemoryAdvantage(t *testing.T) {
-	wm, _ := machWorld(t, machRanks, ib.Topology{}, 1)
-	if err := wm.RunMachine(AllreduceProgram(1, machBytes)); err != nil {
-		t.Fatal(err)
-	}
-	wb, _ := machWorld(t, machRanks, ib.Topology{}, 1)
-	if err := wb.Run(AllreduceWorkload(1, machBytes)); err != nil {
-		t.Fatal(err)
-	}
-	machPeak := wm.Eng.Stats().PeakProcBytes
-	bodyPeak := wb.Eng.Stats().PeakProcBytes
-	if machPeak == 0 || bodyPeak == 0 {
-		t.Fatalf("missing peak accounting: machine=%d blocking=%d", machPeak, bodyPeak)
-	}
-	if ratio := float64(bodyPeak) / float64(machPeak); ratio < 5 {
-		t.Errorf("peak proc memory advantage %.2fx (blocking %d B vs machine %d B); want >= 5x",
-			ratio, bodyPeak, machPeak)
-	}
-}

@@ -95,8 +95,7 @@ type ScaleResult struct {
 	Time sim.Time
 	// Hosts and Racks describe the derived placement.
 	Hosts, Racks int
-	// Sim carries the engine counters, including PeakProcBytes and arena
-	// utilization.
+	// Sim carries the engine counters.
 	Sim profile.SimStats
 }
 

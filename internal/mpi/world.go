@@ -440,7 +440,7 @@ func (w *World) Digest() string {
 // simStatsOf maps engine counters onto the profiler's SimStats (pool counters
 // are filled in by the caller, which knows where its pools live).
 func simStatsOf(es sim.Stats) profile.SimStats {
-	s := profile.SimStats{
+	return profile.SimStats{
 		Dispatched:      es.Dispatched,
 		Resumes:         es.Resumes,
 		StaleWakes:      es.StaleWakes,
@@ -452,12 +452,7 @@ func simStatsOf(es sim.Stats) profile.SimStats {
 		RegroupYields:   es.RegroupYields,
 		NarrowedPairs:   es.NarrowedPairs,
 		PhaseRewidens:   es.PhaseRewidens,
-		PeakProcBytes:   es.PeakProcBytes,
 	}
-	if es.ArenaSlots > 0 {
-		s.ArenaUtilization = float64(es.ArenaPeakLive) / float64(es.ArenaSlots)
-	}
-	return s
 }
 
 // MaxBodyTime is the longest per-rank span between the post-init barrier

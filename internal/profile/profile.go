@@ -150,15 +150,11 @@ type SimStats struct {
 	// phase-change detector, retiring stale footprints eagerly so the new
 	// communication pattern re-widens without waiting out the decay window.
 	PhaseRewidens uint64
-	// PeakProcBytes is the engine's accounting of peak live per-process
-	// overhead: facade plus machine state for machines, or plus the goroutine
-	// stack/descriptor/coroutine floor for blocking bodies. Deterministic
-	// (it counts structures, not allocator behavior), so machine-vs-blocking
-	// ratios are comparable run to run.
+	// PeakProcBytes is always zero: nothing computes per-process bytes from
+	// struct sizes, because memory is measured (HeapSys gates, alloc_mb). The
+	// field stays only because bench/ reads it, and bench/ may be edited only
+	// by a benchmark issue (ROADMAP item 1 deletes both).
 	PeakProcBytes uint64
-	// ArenaUtilization is peak live machine procs over allocated arena slots
-	// (zero when the run spawned no machine).
-	ArenaUtilization float64
 	// BufPool aggregates the byte-buffer pools (runtime staging plus fabric
 	// wire snapshots).
 	BufPool core.PoolCounters

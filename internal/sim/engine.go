@@ -88,13 +88,8 @@ type Engine struct {
 	poolSize int
 	poolWork *epochWork
 
-	// Machine execution state (flat.go): arena holds machine procs in
-	// fixed-capacity slabs, arenaLive counts machine procs not yet done,
-	// liveProcBytes is the current per-proc overhead account (peak recorded
-	// in stats).
-	arena         [][]Proc
-	arenaLive     int
-	liveProcBytes uint64
+	// arena holds machine procs in fixed-capacity slabs (flat.go).
+	arena [][]Proc
 
 	// emit, when installed, receives observer payloads (trace records) in
 	// commit order — (t, group index, group-local seq), flushed at each epoch
@@ -151,19 +146,6 @@ type Stats struct {
 	// phase-change threshold, letting the next formation retire stale
 	// footprint state eagerly instead of waiting out the decay window.
 	PhaseRewidens uint64
-	// PeakProcBytes is the high-water mark of per-process overhead bytes, as
-	// accounted by the engine: the Proc facade plus machine state for
-	// machines, or plus a goroutine stack/descriptor/coroutine floor for
-	// blocking bodies (see flat.go). Deterministic — it counts data
-	// structures, not allocator behavior — so it is comparable across body
-	// kinds and identical for any dispatch width.
-	PeakProcBytes uint64
-	// ArenaSlots is the total machine-proc arena capacity allocated (slots,
-	// not bytes); zero when the run spawned no machine.
-	ArenaSlots int
-	// ArenaPeakLive is the peak number of live machine procs; the ratio
-	// ArenaPeakLive/ArenaSlots is the arena utilization.
-	ArenaPeakLive int
 }
 
 // Stats returns a snapshot of scheduler counters.
@@ -372,8 +354,6 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 		state: stateScheduled,
 	}
 	p.co = newCoro(p, body)
-	p.cost = uint32(procBytes + goroutineOverheadBytes)
-	e.chargeProc(p)
 	e.procs = append(e.procs, p)
 	e.seq++
 	p.timerSeq = e.seq

@@ -88,11 +88,6 @@ type execGroup struct {
 	// failure is the group's first failure and the virtual time it happened.
 	failure error
 	failAt  Time
-	// releasedBytes/releasedProcs buffer proc retirements (releaseProc) so
-	// the engine-level live accounting is only touched at commit, in
-	// scheduler context.
-	releasedBytes uint64
-	releasedProcs int
 }
 
 // emitRec is one buffered emission: the payload plus the (t, seq) key that
@@ -191,7 +186,7 @@ func (g *execGroup) settle(p *Proc) {
 		g.eng.stopped.Store(true)
 	}
 	if p.state == stateDone {
-		g.eng.releaseProc(p, g)
+		p.release()
 	}
 }
 
@@ -309,7 +304,6 @@ func (e *Engine) nextGroup(baseSeq uint64) *execGroup {
 	g.now, g.seq, g.quota = e.now, baseSeq, epochQuota
 	g.stats = Stats{}
 	g.failure = nil
-	g.releasedBytes, g.releasedProcs = 0, 0
 	return g
 }
 
@@ -474,8 +468,6 @@ func (e *Engine) commitEpoch() {
 		e.stats.CoalescedWakes += g.stats.CoalescedWakes
 		yields += g.stats.RegroupYields
 		depth += g.own.maxDepth // zero in place: the global queue's own mark covers it
-		e.liveProcBytes -= g.releasedBytes
-		e.arenaLive -= g.releasedProcs
 		// Earliest failure wins, by (virtual time, group index) — an order
 		// independent of worker scheduling.
 		if g.failure != nil && (e.failure == nil || g.failAt < e.failureAt) {

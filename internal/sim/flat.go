@@ -21,9 +21,9 @@ package sim
 //
 // Machine procs are arena-allocated in fixed-size slabs owned by the engine,
 // so a million-rank world is a handful of large allocations instead of a
-// million tiny ones, and Stats can report arena utilization exactly.
-
-import "reflect"
+// million tiny ones. What either kind costs is measured, not computed here:
+// the heap a world leaves (TestFullFidelity4096's HeapSys gate) and the bytes
+// a workload allocates (the benchmark's alloc_mb).
 
 // Flow is a Machine step verdict: More keeps the machine alive (it either
 // blocked via a Proc primitive or wants another immediate step), Done retires
@@ -64,12 +64,6 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	p.now = e.now
 	p.state = stateScheduled
 	p.fm = m
-	p.cost = uint32(procBytes + machineBytes(m))
-	e.arenaLive++
-	if e.arenaLive > e.stats.ArenaPeakLive {
-		e.stats.ArenaPeakLive = e.arenaLive
-	}
-	e.chargeProc(p)
 	e.procs = append(e.procs, p)
 	e.seq++
 	p.timerSeq = e.seq
@@ -101,81 +95,14 @@ func (p *Proc) runMachine() {
 	}
 }
 
-// releaseProc retires a finished process's state: the coroutine (already
-// ended — its body came back into the dispatch loop), the machine and the
-// footprint cache are dropped, and the proc's byte cost leaves the live-bytes
-// account. Called by the dispatch loop the moment the process is done
-// (execGroup.settle); a done proc is never resumed again (wantsWake). The
-// accounting is buffered in the group and merged at commit, keeping group
-// execution free of shared writes.
-func (e *Engine) releaseProc(p *Proc, g *execGroup) {
-	if p.fm != nil {
-		g.releasedProcs++
-	}
+// release retires a finished process's state: the coroutine (already ended —
+// its body came back into the dispatch loop), the machine and the footprint
+// cache are dropped. Called by the dispatch loop the moment the process is
+// done (execGroup.settle); a done proc is never resumed again (wantsWake).
+func (p *Proc) release() {
 	p.co = nil
 	p.fm = nil
 	p.fpCache = nil
-	g.releasedBytes += uint64(p.cost)
-}
-
-// chargeProc adds a newly spawned process's byte cost to the live account and
-// updates the peak. Spawns happen in scheduler or setup context, never inside
-// concurrent group execution.
-func (e *Engine) chargeProc(p *Proc) {
-	e.liveProcBytes += uint64(p.cost)
-	if e.liveProcBytes > e.stats.PeakProcBytes {
-		e.stats.PeakProcBytes = e.liveProcBytes
-	}
-}
-
-// Per-process byte accounting. The goroutine numbers are a deliberate floor —
-// a real goroutine's stack starts at one 2 KiB span and only grows, the
-// runtime g descriptor is measured from the Go runtime's own struct size, and
-// the coroutine is charged well under what it allocates — so the
-// machine-vs-blocking-body ratio the engine reports understates the real
-// advantage rather than flattering it.
-const (
-	// goroutineStackBytes is Go's minimum stack span per goroutine.
-	goroutineStackBytes = 2048
-	// goroutineDescBytes approximates the runtime g descriptor.
-	goroutineDescBytes = 416
-	// coroBytes is charged for the coroutine (coro.go). iter.Pull's coro
-	// header and captured state measure ≈300 B of heap on go1.24 (751 B in
-	// 11 mallocs per coroutine, the g included); 96 is what the resume
-	// channel it replaced cost, kept so the accounting floor stays 2560.
-	coroBytes = 96
-
-	goroutineOverheadBytes = goroutineStackBytes + goroutineDescBytes + coroBytes
-)
-
-// procBytes is the facade struct itself, charged to every process kind.
-var procBytes = int(reflect.TypeOf(Proc{}).Size())
-
-// SizeReporter lets a machine report the bytes of state it keeps alive
-// beyond what reflect sees in its own struct — an adapter whose interface
-// field points at a separately allocated program, or a machine that lazily
-// allocates its largest phase. The report should be the machine's
-// steady-state live footprint (count lazily allocated state at its
-// worst-case size). Accounting only; never affects simulated results.
-type SizeReporter interface {
-	MachineBytes() int
-}
-
-// machineBytes is the machine state a process carries: the self-reported
-// size for SizeReporter machines, else the pointee size for pointer machines
-// (the common case), the value size otherwise.
-func machineBytes(m Machine) int {
-	if sr, ok := m.(SizeReporter); ok {
-		return sr.MachineBytes()
-	}
-	t := reflect.TypeOf(m)
-	if t == nil {
-		return 0
-	}
-	if t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return int(t.Size())
 }
 
 // arenaSlab is the machine-proc arena slab size: large enough that a
@@ -189,7 +116,6 @@ const arenaSlab = 1024
 func (e *Engine) arenaAlloc() *Proc {
 	if n := len(e.arena); n == 0 || len(e.arena[n-1]) == cap(e.arena[n-1]) {
 		e.arena = append(e.arena, make([]Proc, 0, arenaSlab))
-		e.stats.ArenaSlots += arenaSlab
 	}
 	slab := &e.arena[len(e.arena)-1]
 	*slab = append(*slab, Proc{})

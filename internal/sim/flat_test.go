@@ -88,11 +88,11 @@ func pingBody(s *pingState) func(p *Proc) {
 }
 
 // runPingWorld wires nPairs ping-pong pairs into a fresh engine and returns
-// the emission stream plus final stats. machines selects the body kind:
+// the emission stream plus the engine, run. machines selects the body kind:
 // continuation machines in the arena, or blocking bodies on coroutines. With
 // footprints=true each pair declares a private resource pair so the world
 // runs under epoch dispatch at the given worker width.
-func runPingWorld(t *testing.T, machines bool, nPairs, iters, workers int, footprints bool) (string, Stats) {
+func runPingWorld(t *testing.T, machines bool, nPairs, iters, workers int, footprints bool) (string, *Engine) {
 	t.Helper()
 	e := NewEngine()
 	e.SetWorkers(workers)
@@ -126,7 +126,7 @@ func runPingWorld(t *testing.T, machines bool, nPairs, iters, workers int, footp
 	if err := e.Run(); err != nil {
 		t.Fatalf("machines=%v world: %v", machines, err)
 	}
-	return out.String(), e.Stats()
+	return out.String(), e
 }
 
 // TestMachineMatchesBody is the core equivalence property of the two body
@@ -152,28 +152,19 @@ func TestFlatEpochWidths(t *testing.T) {
 	}
 }
 
-// TestFlatArenaAccounting checks the arena Stats fields: a machine world
-// reports arena capacity and peak-live counts, a world of blocking bodies
-// reports none, and the per-proc byte accounting makes machines dramatically
-// cheaper than the same workload on coroutines.
-func TestFlatArenaAccounting(t *testing.T) {
-	_, smach := runPingWorld(t, true, 16, 2, 1, false)
-	_, sbody := runPingWorld(t, false, 16, 2, 1, false)
-	if smach.ArenaSlots != arenaSlab {
-		t.Fatalf("ArenaSlots = %d, want one slab (%d)", smach.ArenaSlots, arenaSlab)
+// TestFlatArenaSlots counts arena slots: 32 machines occupy 32 slots of one
+// slab, and blocking bodies occupy none.
+func TestFlatArenaSlots(t *testing.T) {
+	_, mach := runPingWorld(t, true, 16, 2, 1, false)
+	_, body := runPingWorld(t, false, 16, 2, 1, false)
+	if len(mach.arena) != 1 {
+		t.Fatalf("machine world allocated %d arena slabs, want 1", len(mach.arena))
 	}
-	if smach.ArenaPeakLive != 32 {
-		t.Fatalf("ArenaPeakLive = %d, want 32", smach.ArenaPeakLive)
+	if slab := mach.arena[0]; len(slab) != 32 || cap(slab) != arenaSlab {
+		t.Fatalf("machine world occupies %d of %d slots, want 32 of %d", len(slab), cap(slab), arenaSlab)
 	}
-	if sbody.ArenaSlots != 0 || sbody.ArenaPeakLive != 0 {
-		t.Fatalf("blocking-body world reported arena stats: %+v", sbody)
-	}
-	if smach.PeakProcBytes == 0 || sbody.PeakProcBytes == 0 {
-		t.Fatalf("missing PeakProcBytes: machines=%d bodies=%d", smach.PeakProcBytes, sbody.PeakProcBytes)
-	}
-	if sbody.PeakProcBytes <= 2*smach.PeakProcBytes {
-		t.Fatalf("blocking bodies should cost several times machines: machines=%d bodies=%d",
-			smach.PeakProcBytes, sbody.PeakProcBytes)
+	if len(body.arena) != 0 {
+		t.Fatalf("blocking-body world allocated %d arena slabs, want none", len(body.arena))
 	}
 }
 

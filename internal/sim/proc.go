@@ -53,12 +53,10 @@ type Proc struct {
 
 	// Machine execution state (flat.go): fm is the continuation machine the
 	// dispatch loop steps in place (nil for blocking Go bodies, and once the
-	// machine is done), blocked records that the current step invoked its
-	// one blocking primitive, and cost is the engine's byte accounting for
-	// this proc (Stats.PeakProcBytes).
+	// machine is done), and blocked records that the current step invoked its
+	// one blocking primitive.
 	fm      Machine
 	blocked bool
-	cost    uint32
 
 	// lastWakeAt / lastWakeLive track the most recently queued Unpark event
 	// so duplicate wakes for the same virtual time can be coalesced instead
