@@ -213,7 +213,7 @@ func (s *bfsState) buildGraph() error {
 		var e [8]byte
 		binary.LittleEndian.PutUint32(e[0:], uint32(from))
 		binary.LittleEndian.PutUint32(e[4:], uint32(to))
-		outs[dst] = append(outs[dst], e[:]...)
+		outs[dst] = r.AppendMem(outs[dst], e[:]...)
 	}
 	var myEdges int64
 	nChunks := (totalEdges + chunkEdges - 1) / chunkEdges
@@ -236,34 +236,7 @@ func (s *bfsState) buildGraph() error {
 	}
 	r.Compute(genEdgeCost * float64(myEdges))
 
-	// Exchange sizes, then payloads.
-	counts := make([]int64, size)
-	for d := range outs {
-		counts[d] = int64(len(outs[d]))
-	}
-	sendCounts := mpi.EncodeInt64s(counts)
-	recvCounts := r.AllocMem(len(sendCounts))
-	defer r.FreeMem(recvCounts)
-	r.Alltoall(sendCounts, recvCounts, 8)
-	inCounts := mpi.DecodeInt64s(recvCounts)
-
-	ins := make([][]byte, size)
-	var reqs []*mpi.Request
-	for peer := 0; peer < size; peer++ {
-		if peer == r.Rank() {
-			ins[peer] = outs[peer]
-			continue
-		}
-		ins[peer] = r.AllocMem(int(inCounts[peer]))
-		defer r.FreeMem(ins[peer])
-		if inCounts[peer] > 0 {
-			reqs = append(reqs, r.Irecv(peer, 1, ins[peer]))
-		}
-		if len(outs[peer]) > 0 {
-			reqs = append(reqs, r.Isend(peer, 1, outs[peer]))
-		}
-	}
-	r.WaitAll(reqs...)
+	ins := r.ExchangeV(outs, 1)
 
 	// Degree count, prefix sum, fill.
 	deg := make([]int64, s.ownedN)
@@ -296,6 +269,9 @@ func (s *bfsState) buildGraph() error {
 		s.adjVal[s.adjOff[li]+fill[li]] = uint32(to)
 		fill[li]++
 	})
+	for _, buf := range ins {
+		r.FreeMem(buf)
+	}
 	r.Compute(0.5 * float64(localEdges))
 
 	s.parent = make([]int64, s.ownedN)
@@ -349,14 +325,17 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 	}
 
 	batchCap := s.p.CoalesceBytes / 8 * 8 // pairs of uint32, 8 bytes each
+	outs := make([][]byte, size)          // each destination's batch, from AllocMem
+	var sent [][]byte                     // this level's batches, freed once sent
+	var sendReqs []*mpi.Request
+	var cur []int64
 	for level := int32(0); ; level++ {
-		outs := make([][]byte, size)
-		var sendReqs []*mpi.Request
 		flush := func(d int) {
 			if len(outs[d]) == 0 {
 				return
 			}
 			sendReqs = append(sendReqs, r.Isend(d, tagData, outs[d]))
+			sent = append(sent, outs[d])
 			outs[d] = nil
 		}
 		discoverLocal := func(v, parent int64) {
@@ -369,12 +348,10 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 			}
 		}
 
-		var next []int64
 		work := 0.0
-		// frontier holds current-level vertices; collect next level into
-		// the same slice after processing (we swap below).
-		cur := frontier
-		frontier = next
+		// cur holds the current level's vertices; the next level's collect
+		// into frontier, over the memory of the level before.
+		cur, frontier = frontier, cur[:0]
 		for _, u := range cur {
 			li := u - s.base
 			work += vertexCost
@@ -390,7 +367,10 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 				var e [8]byte
 				binary.LittleEndian.PutUint32(e[0:], uint32(v))
 				binary.LittleEndian.PutUint32(e[4:], uint32(u))
-				outs[d] = append(outs[d], e[:]...)
+				if outs[d] == nil {
+					outs[d] = r.AllocMem(batchCap)[:0]
+				}
+				outs[d] = r.AppendMem(outs[d], e[:]...)
 				if len(outs[d]) >= batchCap {
 					r.Compute(work)
 					work = 0
@@ -433,6 +413,10 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 		}
 		r.WaitAll(sendReqs...)
 		r.Release(sendReqs...)
+		for _, buf := range sent {
+			r.FreeMem(buf)
+		}
+		sendReqs, sent = sendReqs[:0], sent[:0]
 		total := r.AllreduceInt64(int64(len(frontier)), mpi.SumInt64)
 		if total == 0 {
 			return scanned, visited, level + 1

@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// putHdr encodes the wire header and payload into a buffer sized
+// hcaHdrLen+len(payload).
+func putHdr(kind uint8, ctx, src, tag, size int, seq, msgID uint64, payload []byte) []byte {
+	return encodeHdr(make([]byte, hcaHdrLen+len(payload)), kind, ctx, src, tag, size, seq, msgID, payload)
+}
+
 // FuzzHCAHeaderRoundTrip checks that the wire header codec is a bijection
 // for all representable field values (go test runs the seed corpus as a
 // regression test; `go test -fuzz=FuzzHCAHeader` explores further).

@@ -188,6 +188,59 @@ func (r *Rank) FreeMem(buf []byte) {
 	}
 }
 
+// AppendMem is append for memory from AllocMem, or nil: a full buffer moves
+// to one of the next class up and is freed, so a batch built entry by entry
+// costs nothing once the pool is warm. Past the largest class (16 MiB) it
+// grows by a quarter at a time, from the allocator, as AllocMem does.
+func (r *Rank) AppendMem(buf []byte, data ...byte) []byte {
+	if n := len(buf) + len(data); n > cap(buf) {
+		grown := r.AllocMem(max(n, cap(buf)+cap(buf)/4+1))[:len(buf)]
+		copy(grown, buf)
+		r.FreeMem(buf)
+		buf = grown
+	}
+	return append(buf, data...)
+}
+
+// ExchangeV sends blocks[d] to every rank d and returns in, where in[s] is
+// what rank s sent this one (MPI_Alltoallv with the counts exchanged first).
+// The byte counts go in one Alltoall; then, peer by peer in rank order, a
+// receive is posted for a non-zero count and a send for a non-empty block,
+// all on tag. Every block but the caller's own is freed once sent, so pass
+// memory from AllocMem or AppendMem. in[me] is blocks[me]; every in[s] is the
+// caller's to FreeMem.
+func (r *Rank) ExchangeV(blocks [][]byte, tag int) [][]byte {
+	counts, inCounts := r.AllocMem(8*r.size), r.AllocMem(8*r.size)
+	for d, b := range blocks {
+		le.PutUint64(counts[8*d:], uint64(len(b)))
+	}
+	r.Alltoall(counts, inCounts, 8)
+	in := make([][]byte, r.size)
+	reqs := make([]*Request, 0, 2*r.size)
+	for peer := range in {
+		if peer == r.rank {
+			in[peer] = blocks[peer]
+			continue
+		}
+		if in[peer] = r.AllocMem(int(le.Uint64(inCounts[8*peer:]))); len(in[peer]) > 0 {
+			reqs = append(reqs, r.Irecv(peer, tag, in[peer]))
+		}
+		if len(blocks[peer]) > 0 {
+			reqs = append(reqs, r.Isend(peer, tag, blocks[peer]))
+		}
+	}
+	r.WaitAll(reqs...)
+	r.Release(reqs...)
+	for d, b := range blocks {
+		if d != r.rank {
+			r.FreeMem(b)
+		}
+	}
+	r.FreeMem(counts)
+	r.FreeMem(inCounts)
+	return in
+}
+
 // getReq returns a zeroed Request from the pool.
 func (r *Rank) getReq() *Request { return r.pools.reqs.get() }
 

@@ -20,12 +20,6 @@ const (
 // rank, tag, payload size, message sequence, rendezvous id.
 const hcaHdrLen = 32
 
-// putHdr encodes the wire header and payload into a buffer sized
-// hcaHdrLen+len(payload).
-func putHdr(kind uint8, ctx, src, tag, size int, seq, msgID uint64, payload []byte) []byte {
-	return encodeHdr(make([]byte, hcaHdrLen+len(payload)), kind, ctx, src, tag, size, seq, msgID, payload)
-}
-
 // postHdr encodes a wire message straight into one of qp's wire buffers and
 // posts it owned: the encode is the only sender-side copy of the payload, and
 // the buffer comes back to qp's free list once the receiver has absorbed it.

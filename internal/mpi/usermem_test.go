@@ -1,12 +1,14 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"cmpi/internal/core"
+	"cmpi/internal/invariant"
 )
 
 // Rank.AllocMem, Rank.FreeMem and Rank.WinAllocate (pool.go, rma.go): message
@@ -194,5 +196,149 @@ func TestPoolStrictCatchesWriteAfterTheWorldEnded(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "written after its world ended") {
 		t.Errorf("second world: %v, want the depot's stale-write panic", err)
+	}
+}
+
+// AppendMem grows a buffer from nil through every class, past the largest
+// an owner's pool lists (4 MiB) and the largest the depot holds (16 MiB),
+// keeping what was appended; under poolStrict too, whose drain panics on a
+// buffer freed twice.
+func TestAppendMemGrowsPastTheLargestClasses(t *testing.T) {
+	body := func(r *Rank) {
+		const total = 17<<20 + 12345
+		var buf []byte
+		chunk := make([]byte, 3<<10+5)
+		for len(buf) < total {
+			for i := range chunk {
+				chunk[i] = byte((len(buf) + i) % 251)
+			}
+			buf = r.AppendMem(buf, chunk...)
+		}
+		for i, b := range buf {
+			if b != byte(i%251) {
+				t.Errorf("byte %d of %d is %d, want %d", i, len(buf), b, byte(i%251))
+				break
+			}
+		}
+		if cap(buf) > len(buf)+len(buf)/4+len(chunk) {
+			t.Errorf("%d bytes in a buffer of %d", len(buf), cap(buf))
+		}
+		r.FreeMem(buf)
+	}
+	t.Run("default", func(t *testing.T) { onRank0(t, body) })
+	t.Run("poolStrict", func(t *testing.T) {
+		strictPools(t)
+		onRank0(t, body)
+	})
+}
+
+// The buffer AppendMem outgrows goes back to the pool: the next request of
+// its class is served from the pool with that very memory.
+func TestAppendMemFreesTheOutgrownBuffer(t *testing.T) {
+	onRank0(t, func(r *Rank) {
+		buf := r.AppendMem(nil, make([]byte, 100)...)
+		old := &buf[0]
+		buf = r.AppendMem(buf, make([]byte, 100)...)
+		if len(buf) != 200 || &buf[0] == old {
+			t.Errorf("AppendMem past the capacity kept the buffer (len %d)", len(buf))
+			return
+		}
+		before := r.pools.buf.Counters()
+		again := r.AllocMem(100)
+		if hits := r.pools.buf.Counters().Hits - before.Hits; hits != 1 || &again[0] != old {
+			t.Errorf("AllocMem of the outgrown class: %d pool hits, same memory %v; want 1, true", hits, &again[0] == old)
+		}
+		if got := r.AppendMem(again, 1, 2, 3); &got[0] != old || len(got) != 103 {
+			t.Error("AppendMem within the capacity moved the buffer")
+		}
+	})
+}
+
+// exchangeBlock is what rank src sends rank dst in the ExchangeV tests: empty
+// for every third pair, one rendezvous-size block, the rest uneven.
+func exchangeBlock(src, dst int) []byte {
+	n := (src*7 + dst*13) % 300
+	switch {
+	case (src+dst)%3 == 0:
+		n = 0
+	case src == 1 && dst == 4:
+		n = 20000
+	}
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(src*16 + dst + i)
+	}
+	return b
+}
+
+// exchangeOracle is the loop Graph 500, IS and CG each carried before
+// ExchangeV, making the memory calls ExchangeV makes (World.Digest counts
+// pool requests).
+func exchangeOracle(r *Rank, blocks [][]byte, tag int) [][]byte {
+	counts, inCounts := r.AllocMem(8*r.Size()), r.AllocMem(8*r.Size())
+	for d, b := range blocks {
+		le.PutUint64(counts[8*d:], uint64(len(b)))
+	}
+	r.Alltoall(counts, inCounts, 8)
+	in := make([][]byte, r.Size())
+	var reqs []*Request
+	for peer := 0; peer < r.Size(); peer++ {
+		if peer == r.Rank() {
+			in[peer] = blocks[peer]
+			continue
+		}
+		in[peer] = r.AllocMem(int(le.Uint64(inCounts[8*peer:])))
+		if len(in[peer]) > 0 {
+			reqs = append(reqs, r.Irecv(peer, tag, in[peer]))
+		}
+		if len(blocks[peer]) > 0 {
+			reqs = append(reqs, r.Isend(peer, tag, blocks[peer]))
+		}
+	}
+	r.WaitAll(reqs...)
+	r.Release(reqs...)
+	for d, b := range blocks {
+		if d != r.Rank() {
+			r.FreeMem(b)
+		}
+	}
+	r.FreeMem(counts)
+	r.FreeMem(inCounts)
+	return in
+}
+
+// ExchangeV delivers every block, hands the caller's own back as it is, and
+// simulates exactly what the hand-rolled loop did: the same digest and the
+// same trace, for empty, uneven, rendezvous-size and self blocks.
+func TestExchangeVMatchesTheHandRolledLoop(t *testing.T) {
+	const ranks, tag = 6, 5
+	run := func(exchange func(*Rank, [][]byte, int) [][]byte) invariant.Run {
+		return row(scenario("2cont", ranks), DefaultOptions(), blocking(func(r *Rank) error {
+			blocks := make([][]byte, r.Size())
+			for d := range blocks {
+				blocks[d] = r.AppendMem(nil, exchangeBlock(r.Rank(), d)...)
+			}
+			self := blocks[r.Rank()]
+			in := exchange(r, blocks, tag)
+			for s, got := range in {
+				if want := exchangeBlock(s, r.Rank()); !bytes.Equal(got, want) {
+					return fmt.Errorf("rank %d: %d bytes from %d, want %d", r.Rank(), len(got), s, len(want))
+				}
+				r.FreeMem(got)
+			}
+			if len(self) > 0 && &in[r.Rank()][0] != &self[0] {
+				return fmt.Errorf("rank %d: its own block came back as other memory", r.Rank())
+			}
+			return nil
+		}), nil)
+	}
+	rec := invariant.Point{Width: 1, Record: true}
+	want := invariant.At(t, run(exchangeOracle), rec)
+	got := invariant.At(t, run((*Rank).ExchangeV), rec)
+	if got.Digest != want.Digest {
+		t.Errorf("ExchangeV digest %s, the hand-rolled loop's %s", got.Digest, want.Digest)
+	}
+	if !bytes.Equal(got.Trace, want.Trace) {
+		t.Errorf("ExchangeV recorded %d trace bytes that differ from the hand-rolled loop's %d", len(got.Trace), len(want.Trace))
 	}
 }

@@ -63,7 +63,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 			binary.LittleEndian.PutUint32(e[4:], uint32(col))
 			binary.LittleEndian.PutUint64(e[8:], math.Float64bits(val))
 			d := owner(row)
-			outs[d] = append(outs[d], e[:]...)
+			outs[d] = r.AppendMem(outs[d], e[:]...)
 		}
 		rng := rand.New(rand.NewSource(0)) // reseeded per row
 		for row := base; row < base+ownedN; row++ {
@@ -77,35 +77,23 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		}
 		r.Compute(float64(ownedN * nzHalf * 4))
 
-		counts := make([]int64, size)
-		for d := range outs {
-			counts[d] = int64(len(outs[d]))
-		}
-		rc := r.AllocMem(8 * size)
-		defer r.FreeMem(rc)
-		r.Alltoall(mpi.EncodeInt64s(counts), rc, 8)
-		inCounts := mpi.DecodeInt64s(rc)
-		ins := make([][]byte, size)
-		var reqs []*mpi.Request
-		for peer := 0; peer < size; peer++ {
-			if peer == r.Rank() {
-				ins[peer] = outs[peer]
-				continue
-			}
-			ins[peer] = r.AllocMem(int(inCounts[peer]))
-			defer r.FreeMem(ins[peer])
-			if inCounts[peer] > 0 {
-				reqs = append(reqs, r.Irecv(peer, 2, ins[peer]))
-			}
-			if len(outs[peer]) > 0 {
-				reqs = append(reqs, r.Isend(peer, 2, outs[peer]))
-			}
-		}
-		r.WaitAll(reqs...)
+		ins := r.ExchangeV(outs, 2)
 
-		rows := make([][]ent, ownedN)
-		diag := make([]float64, ownedN)
+		// Count each row's entries, carve the rows from one array, then fill
+		// them in arrival order (every sum below adds in that order).
+		rowLen := make([]int, ownedN)
 		var nnz int
+		for _, buf := range ins {
+			for off := 0; off+16 <= len(buf); off += 16 {
+				rowLen[int(binary.LittleEndian.Uint32(buf[off:]))-base]++
+				nnz++
+			}
+		}
+		rows, all := make([][]ent, ownedN), make([]ent, nnz)
+		for li, n := range rowLen {
+			rows[li], all = all[:0:n], all[n:]
+		}
+		diag := make([]float64, ownedN)
 		for _, buf := range ins {
 			for off := 0; off+16 <= len(buf); off += 16 {
 				row := int(binary.LittleEndian.Uint32(buf[off:]))
@@ -114,8 +102,8 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 				li := row - base
 				rows[li] = append(rows[li], ent{col: col, val: val})
 				diag[li] += val
-				nnz++
 			}
+			r.FreeMem(buf)
 		}
 		for i := range diag {
 			diag[i] += 1.0 // strict dominance => positive definite

@@ -55,44 +55,23 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 				d := k / bucketWidth
 				var e [4]byte
 				binary.LittleEndian.PutUint32(e[:], uint32(k))
-				outs[d] = append(outs[d], e[:]...)
+				outs[d] = r.AppendMem(outs[d], e[:]...)
 			}
 			mine += end - start
 		}
 		r.Compute(3 * float64(mine))
 
-		// Exchange counts, then key payloads (alltoallv via pt2pt).
-		counts := make([]int64, size)
-		for d := range outs {
-			counts[d] = int64(len(outs[d]))
+		ins := r.ExchangeV(outs, 3)
+		n := 0
+		for _, buf := range ins {
+			n += len(buf) / 4
 		}
-		rc := r.AllocMem(8 * int(size))
-		defer r.FreeMem(rc)
-		r.Alltoall(mpi.EncodeInt64s(counts), rc, 8)
-		inCounts := mpi.DecodeInt64s(rc)
-		ins := make([][]byte, size)
-		var reqs []*mpi.Request
-		for peer := 0; peer < int(size); peer++ {
-			if peer == r.Rank() {
-				ins[peer] = outs[peer]
-				continue
-			}
-			ins[peer] = r.AllocMem(int(inCounts[peer]))
-			defer r.FreeMem(ins[peer])
-			if inCounts[peer] > 0 {
-				reqs = append(reqs, r.Irecv(peer, 3, ins[peer]))
-			}
-			if len(outs[peer]) > 0 {
-				reqs = append(reqs, r.Isend(peer, 3, outs[peer]))
-			}
-		}
-		r.WaitAll(reqs...)
-
-		var keys []int32
+		keys := make([]int32, 0, n)
 		for _, buf := range ins {
 			for off := 0; off+4 <= len(buf); off += 4 {
 				keys = append(keys, int32(binary.LittleEndian.Uint32(buf[off:])))
 			}
+			r.FreeMem(buf)
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		nk := float64(len(keys))
