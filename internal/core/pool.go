@@ -31,6 +31,15 @@ import (
 // -j N, epoch groups at -sim-j N) meet there and nowhere else. A buffer from
 // the depot is as undefined as any other Get, so no simulated result can
 // depend on which world last held it.
+//
+// The depot is bounded (depotCap) and keeps what recent worlds used: every
+// drain bumps a counter, each class is stamped with it whenever a buffer
+// enters or leaves, and a buffer that would cross the cap makes room by
+// evicting the class with the oldest stamp, one buffer at a time. Only
+// classes stamped before the current drain go, so a drain never evicts its
+// own buffers; with nothing older left, the newcomer is dropped instead.
+// This is a pin-down cache's policy (evict the old, neither refuse the new
+// nor grow), with a whole class standing for one entry.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -249,14 +258,14 @@ func (d *DirPool) Return(home *BufPool, buf []byte) {
 	}
 }
 
-// depotCap bounds the bytes the depot holds between worlds. The largest world
-// a sweep or a benchmark repeats — 1024 ranks at full fidelity, 33 KiB
-// vectors — leaves about 105 MB of free buffers behind, so 128 MiB keeps all
-// of it. The 4096-rank world of TestFullFidelity4096 reads about 95 MiB of
-// HeapSys run alone, and about 140 MiB after some four hundred other worlds
-// of its package have filled the depot, against a 256 MiB gate. What does
-// not fit is dropped for the garbage collector, as everything was before.
-const depotCap = 128 << 20
+// depotCap bounds the bytes the depot holds between worlds. It must cover the
+// working set of the worlds a sweep or a benchmark repeats, or the least
+// recently used class is always the next one needed and eviction thrashes.
+// The largest are 64 ranks of 16 KiB Alltoall (bench's coll-64), which hold
+// 147–149 MB after each world, 134 MB of it the 1 MiB class of the 64 send
+// and 64 receive buffers, and 1024 ranks at full fidelity, about 105 MB.
+// What is evicted or refused is dropped for the garbage collector.
+const depotCap = 256 << 20
 
 // poison fills the buffers that enter the depot from a strict Drain: a reader
 // that kept an alias sees it at once, and take checks that no writer did.
@@ -271,6 +280,10 @@ type depot struct {
 	limit   int
 	bytes   int // capacity held, at most limit
 	classes [depotMaxShift + 1][][]byte
+	// drains counts the drains started; stamp is, per class, its value at the
+	// class's last take, give or putLarge.
+	drains uint64
+	stamp  [depotMaxShift + 1]uint64
 	// poisoned is the set of held buffers a strict Drain brought in, by the
 	// address of their first byte; nil until there is one.
 	poisoned map[*byte]struct{}
@@ -310,16 +323,20 @@ func SetPoolStrict(on bool) (was bool) {
 // tests that compare a cold start with a warm one (they live in other
 // packages, hence the export). What the depot holds is part of a process's
 // footprint: nothing that bounds heap may call this first.
-func DropDepot() {
-	theDepot.mu.Lock()
-	theDepot.classes = [depotMaxShift + 1][][]byte{}
-	theDepot.bytes, theDepot.poisoned = 0, nil
-	theDepot.mu.Unlock()
+func DropDepot() { theDepot.drop() }
+
+// drop empties d.
+func (d *depot) drop() {
+	d.mu.Lock()
+	d.classes = [depotMaxShift + 1][][]byte{}
+	d.bytes, d.poisoned = 0, nil
+	d.mu.Unlock()
 }
 
 // take removes a buffer of class c, or returns nil when there is none.
 func (d *depot) take(c int) []byte {
 	d.mu.Lock()
+	d.stamp[c] = d.drains
 	l := d.classes[c]
 	if len(l) == 0 {
 		d.mu.Unlock()
@@ -358,8 +375,9 @@ func (d *depot) getLarge(n int) []byte {
 
 // putLarge retires a buffer of a large class, while its world may still be
 // running: whoever takes it next, in this world or another, owns it. Anything
-// else, and what does not fit under the limit, is dropped. There are a
-// handful of these per process, so every put looks for a double one.
+// else, and what does not fit under the limit once older classes are
+// evicted, is dropped. There are a handful of these per process, so every put
+// looks for a double one.
 func (d *depot) putLarge(buf []byte) {
 	c := poolMaxShift + 1
 	for c <= depotMaxShift && cap(buf) != classCap(c) {
@@ -376,10 +394,38 @@ func (d *depot) putLarge(buf []byte) {
 			panic(fmt.Sprintf("core: a %d-byte buffer was freed twice", cap(buf)))
 		}
 	}
-	if d.bytes+cap(buf) <= d.limit {
+	d.stamp[c] = d.drains
+	if _, ok := d.makeRoom(cap(buf)); ok {
 		d.classes[c] = append(d.classes[c], buf[:0])
 		d.bytes += cap(buf)
 	}
+}
+
+// makeRoom evicts buffers, one at a time from the class with the oldest
+// stamp, until n more bytes fit under the limit. It never evicts a class
+// stamped at the current drain; when only those are left it reports that n
+// does not fit. evicted is the bytes it dropped either way. d.mu is held.
+func (d *depot) makeRoom(n int) (evicted int, ok bool) {
+	for d.bytes+n > d.limit {
+		// Ties go to the largest class: the fewest buffers make the room.
+		lru := -1
+		for c := depotMaxShift; c >= poolMinShift; c-- {
+			if len(d.classes[c]) > 0 && d.stamp[c] < d.drains && (lru < 0 || d.stamp[c] < d.stamp[lru]) {
+				lru = c
+			}
+		}
+		if lru < 0 {
+			return evicted, false
+		}
+		l := d.classes[lru]
+		buf := l[len(l)-1][:1]
+		l[len(l)-1] = nil
+		d.classes[lru] = l[:len(l)-1]
+		d.bytes -= cap(buf)
+		evicted += cap(buf)
+		delete(d.poisoned, &buf[0])
+	}
+	return evicted, true
 }
 
 // poison fills a held buffer and marks it for take's check; d.mu is held.
@@ -393,10 +439,18 @@ func (d *depot) poison(buf []byte) {
 	}
 }
 
-// give adds the pooled buffers of list, in order, until the depot is full;
-// the rest, and anything that is no pool buffer, is dropped. It returns the
-// bytes of pool buffers that did not fit. Under poolStrict give poisons what
-// it keeps, and panics on a buffer the depot already holds.
+// startDrain begins a drain: what is stamped before it may now be evicted.
+func (d *depot) startDrain() {
+	d.mu.Lock()
+	d.drains++
+	d.mu.Unlock()
+}
+
+// give adds the pooled buffers of list, in order, evicting older classes to
+// make room; what still does not fit, and anything that is no pool buffer,
+// is dropped. It returns the bytes of pool buffers evicted or dropped. Under
+// poolStrict give poisons what it keeps, and panics on a buffer the depot
+// already holds.
 func (d *depot) give(list [][]byte) (refused int) {
 	if len(list) == 0 {
 		return 0
@@ -408,7 +462,10 @@ func (d *depot) give(list [][]byte) (refused int) {
 		if c < 0 {
 			continue
 		}
-		if d.bytes+cap(buf) > d.limit {
+		d.stamp[c] = d.drains
+		evicted, ok := d.makeRoom(cap(buf))
+		refused += evicted
+		if !ok {
 			refused += cap(buf)
 			continue
 		}
@@ -430,16 +487,27 @@ func (d *depot) give(list [][]byte) (refused int) {
 // home pool once and every direction at least once, from one goroutine, when
 // nothing of the world runs any more.
 type Drain struct {
-	// Refused is the bytes of free buffers the depot was too full to take:
-	// what the next world like this one allocates again because of depotCap.
+	// Refused is the bytes of free buffers that depotCap cost: older ones the
+	// depot evicted to take these, and those it was still too full to take.
+	// A repeat of a world like this one allocates them again.
 	Refused       int
+	started       bool
 	lent, waiting [poolMaxShift + 1]int
+}
+
+// give hands list to the depot, starting the drain on the first call.
+func (dr *Drain) give(list [][]byte) {
+	if !dr.started {
+		dr.started = true
+		theDepot.startDrain()
+	}
+	dr.Refused += theDepot.give(list)
 }
 
 // Home takes the free buffers of an owner's pool. Its counters stay.
 func (dr *Drain) Home(p *BufPool) {
 	for c := range p.classes {
-		dr.Refused += theDepot.give(p.classes[c])
+		dr.give(p.classes[c])
 		p.classes[c] = nil
 		dr.lent[c] += int(p.lent[c])
 	}
@@ -450,7 +518,7 @@ func (dr *Drain) Dir(d *DirPool) {
 	for _, buf := range d.free {
 		dr.waiting[classOf(buf)]++
 	}
-	dr.Refused += theDepot.give(d.free)
+	dr.give(d.free)
 	d.free = nil
 }
 

@@ -217,12 +217,12 @@ func TestDirPoolClassesAndForeignBuffers(t *testing.T) {
 	}
 }
 
-// emptyDepot starts a test from, and leaves behind, an empty process-wide
-// depot.
+// emptyDepot starts a test of the depot itself from, and leaves behind, an
+// empty process-wide depot: these tests count what it holds.
 func emptyDepot(t *testing.T) {
 	t.Helper()
-	DropDepot()
-	t.Cleanup(DropDepot)
+	theDepot.drop()
+	t.Cleanup(theDepot.drop)
 }
 
 // Every class, exact and with slack, goes in and comes out whole; a class
@@ -267,11 +267,12 @@ func TestDepotRefusesForeignBuffers(t *testing.T) {
 	}
 }
 
-// The depot never holds more than its limit: what would cross it is dropped,
-// a smaller buffer that still fits is kept, and a take makes room again.
+// The depot never holds more than its limit. Within one drain nothing is old
+// enough to evict: what would cross the limit is dropped, a smaller buffer
+// that still fits is kept, and a take makes room again.
 func TestDepotRespectsItsCap(t *testing.T) {
-	if theDepot.limit != depotCap || depotCap != 128<<20 {
-		t.Fatalf("process-wide depot limit %d, depotCap %d, want 128 MiB", theDepot.limit, depotCap)
+	if theDepot.limit != depotCap {
+		t.Fatalf("process-wide depot limit %d, want depotCap %d", theDepot.limit, depotCap)
 	}
 	const c = 20 // 1 MiB + slack
 	d := depot{limit: 4 << 20}
@@ -298,6 +299,94 @@ func TestDepotRespectsItsCap(t *testing.T) {
 	d.give([][]byte{make([]byte, 0, classCap(c))})
 	if len(d.classes[c]) != 3 || d.bytes > d.limit {
 		t.Errorf("after a take made room: %d buffers, %d bytes", len(d.classes[c]), d.bytes)
+	}
+}
+
+// classBufs returns n empty buffers of class c.
+func classBufs(c, n int) [][]byte {
+	list := make([][]byte, n)
+	for i := range list {
+		list[i] = make([]byte, 0, classCap(c))
+	}
+	return list
+}
+
+// held is the number of buffers d lists in each class, for the classes
+// named.
+func held(d *depot, classes ...int) []int {
+	n := make([]int, len(classes))
+	for i, c := range classes {
+		n[i] = len(d.classes[c])
+	}
+	return n
+}
+
+// A full depot makes room for a newer class by evicting the class used least
+// recently — a take counts as a use — and keeps the newcomer.
+func TestDepotEvictsTheLeastRecentlyUsedClass(t *testing.T) {
+	d := depot{limit: 3*classCap(12) + classCap(11)}
+	d.startDrain()
+	d.give(classBufs(12, 2))
+	d.give(classBufs(11, 1))
+	d.startDrain()
+	d.give(classBufs(10, 1))
+	// A world takes from the class given first: 12 is now as recent as 10,
+	// and 11 is the oldest.
+	d.take(12)
+	d.startDrain()
+	refused := d.give(classBufs(13, 1))
+	if got := held(&d, 10, 11, 12, 13); got[0] != 1 || got[1] != 0 || got[2] != 1 || got[3] != 1 {
+		t.Errorf("classes 10-13 hold %v buffers, want [1 0 1 1]: only the least recently used class goes", got)
+	}
+	if refused != classCap(11) {
+		t.Errorf("give reported %d bytes, want the evicted %d", refused, classCap(11))
+	}
+	if d.bytes != classCap(10)+classCap(12)+classCap(13) || d.bytes > d.limit {
+		t.Errorf("depot accounts %d bytes", d.bytes)
+	}
+}
+
+// The large classes take part: a putLarge evicts an older class, a drain
+// evicts an older large one, and a running world evicts nothing the last
+// drain brought.
+func TestDepotEvictsAcrossTheLargeClasses(t *testing.T) {
+	d := depot{limit: classCap(23) + classCap(20)}
+	d.startDrain()
+	d.give(classBufs(20, 1))
+	d.putLarge(make([]byte, 1, classCap(24)))
+	d.putLarge(make([]byte, 1, classCap(23)))
+	if got := held(&d, 20, 23, 24); got[0] != 1 || got[1] != 1 || got[2] != 0 {
+		t.Fatalf("classes 20/23/24 hold %v buffers, want [1 1 0]: a 16 MiB window does not fit beside what the last drain brought", got)
+	}
+	d.startDrain()
+	if refused := d.give(classBufs(20, 1)); refused != classCap(23) || len(d.classes[23]) != 0 || len(d.classes[20]) != 2 {
+		t.Errorf("a drain given a second 1 MiB buffer evicted %d bytes and holds %v, want the 8 MiB buffer evicted", refused, held(&d, 20, 23))
+	}
+	d.startDrain()
+	d.putLarge(make([]byte, 1, classCap(23)))
+	if got := held(&d, 20, 23); got[0] != 1 || got[1] != 1 {
+		t.Errorf("classes 20/23 hold %v buffers, want [1 1]: putLarge evicts one older buffer", got)
+	}
+}
+
+// An evicted buffer leaves poolStrict's set, which would otherwise keep it
+// alive and call its next arrival a double Put.
+func TestDepotEvictionForgetsPoison(t *testing.T) {
+	was := SetPoolStrict(true)
+	t.Cleanup(func() { SetPoolStrict(was) })
+	d := depot{limit: classCap(10)}
+	d.startDrain()
+	old := classBufs(10, 1)
+	d.give(old)
+	d.startDrain()
+	d.give(classBufs(9, 1))
+	if _, ok := d.poisoned[&old[0][:1][0]]; ok || len(d.poisoned) != 1 || len(d.classes[10]) != 0 {
+		t.Fatalf("after an eviction: %d poisoned, %d in class 10; want only the newcomer poisoned", len(d.poisoned), len(d.classes[10]))
+	}
+	d.startDrain()
+	d.give(old) // must not panic as a buffer given twice
+	if len(d.classes[10]) != 1 {
+		t.Error("the evicted buffer, given again, was not kept")
 	}
 }
 

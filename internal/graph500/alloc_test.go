@@ -10,11 +10,10 @@ import (
 
 // secondWorld runs the same job in two fresh worlds, one after the other, and
 // returns what the second allocated (runtime.MemStats.TotalAlloc): the first
-// leaves its message memory in the process-wide depot, emptied first so that
-// no earlier test's buffers fill it to its cap.
+// leaves its message memory in the process-wide depot, which evicts what
+// earlier tests left to make room for it.
 func secondWorld(t *testing.T, world func() *mpi.World, job func(*mpi.World) error) uint64 {
 	t.Helper()
-	core.DropDepot()
 	if err := job(world()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,6 @@ import (
 )
 
 // The poolStrict hook (world.go): what it keeps unchanged and what trips it.
-//
-// This file sorts after peer_test.go on purpose. TestFullFidelity4096 there
-// bounds HeapSys, which never falls, and the first-contact traces rerun here
-// keep 128 MiB of rank buffers live per world, exactly as they do in
-// peer_trace_test.go, which sorts after it too.
 
 // strictPools turns poolStrict on for one test.
 func strictPools(t *testing.T) {

@@ -13,9 +13,6 @@ import (
 
 // Rank.AllocMem, Rank.FreeMem and Rank.WinAllocate (pool.go, rma.go): message
 // memory a body borrows from its rank's pool.
-//
-// This file sorts after peer_test.go on purpose, like poolstrict_test.go: the
-// 16 MiB windows below stay in the depot, and HeapSys never falls.
 
 // onRank0 runs body on rank 0 of a fresh two-rank world.
 func onRank0(t *testing.T, body func(r *Rank)) *World {
@@ -75,7 +72,6 @@ func TestAllocMemReusesFreedMemory(t *testing.T) {
 
 // What FreeMem must shrug off, and what AllocMem returns for nothing.
 func TestFreeMemNoOps(t *testing.T) {
-	core.DropDepot()
 	onRank0(t, func(r *Rank) {
 		if buf := r.AllocMem(0); buf != nil {
 			t.Errorf("AllocMem(0) = %d-byte slice, want nil", len(buf))
@@ -98,7 +94,6 @@ func TestFreeMemNoOps(t *testing.T) {
 // A window of the depot's largest class comes back, in the next world, as
 // the same two arrays; its bytes arrive on the way.
 func TestWinAllocateRoundTripsThroughTheLargeClasses(t *testing.T) {
-	core.DropDepot()
 	const n = 16 << 20
 	run := func() map[*byte]bool {
 		mem := map[*byte]bool{}
@@ -179,8 +174,6 @@ func TestWinAllocateMemoryGoesBackOnceAtFree(t *testing.T) {
 // double FreeMem: TestPoolStrictTripsOnDoublePut.)
 func TestPoolStrictCatchesWriteAfterTheWorldEnded(t *testing.T) {
 	strictPools(t)
-	core.DropDepot()
-	t.Cleanup(core.DropDepot)
 	var kept []byte
 	onRank0(t, func(r *Rank) {
 		kept = r.AllocMem(100)

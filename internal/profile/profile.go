@@ -158,9 +158,11 @@ type SimStats struct {
 	// BufPool aggregates the byte-buffer pools (runtime staging plus fabric
 	// wire snapshots).
 	BufPool core.PoolCounters
-	// DepotRefused is the bytes of free buffers the finished job offered the
-	// process-wide depot beyond its cap (core.Drain.Refused): what a repeat
-	// of the job allocates again. Zero until the run has ended.
+	// DepotRefused is the bytes the process-wide depot's cap cost when the
+	// finished job's free buffers were handed to it (core.Drain.Refused):
+	// older buffers it evicted to make room, and buffers it still could not
+	// take. A repeat of the job allocates them again. Zero until the run has
+	// ended.
 	DepotRefused uint64
 	// ObjPool aggregates the object free lists (packets, ops, envelopes,
 	// requests).
