@@ -330,20 +330,25 @@ func TestReadmeEnvTableMatchesSources(t *testing.T) {
 }
 
 // TestDocsNameOnlyExistingReproFlags keeps the docs from sending a reader to a
-// flag that is gone: every `repro -<flag>` in the top-level docs, docs/*.md
-// (not the per-change records under docs/perf/, which describe their own
-// tree), the verify skill and the CI workflow is a flag cmd/repro defines.
+// flag that is gone: every flag on a `repro` or `cmpirun` command line in the
+// top-level docs, docs/*.md (not the per-change records under docs/perf/,
+// which describe their own tree), the verify skill and the CI workflow is one
+// that command defines. A command line runs to the end of the line, a closing
+// backtick or a shell operator.
 func TestDocsNameOnlyExistingReproFlags(t *testing.T) {
-	src, err := os.ReadFile("cmd/repro/main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defined := map[string]bool{}
-	for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z][a-z0-9-]*)"`).FindAllSubmatch(src, -1) {
-		defined[string(m[1])] = true
-	}
-	if len(defined) == 0 {
-		t.Fatal("found no flag defined in cmd/repro/main.go; the scan is broken")
+	defined := map[string]map[string]bool{}
+	for _, cmd := range []string{"repro", "cmpirun"} {
+		src, err := os.ReadFile("cmd/" + cmd + "/main.go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined[cmd] = map[string]bool{}
+		for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z][a-z0-9-]*)"`).FindAllSubmatch(src, -1) {
+			defined[cmd][string(m[1])] = true
+		}
+		if len(defined[cmd]) == 0 {
+			t.Fatalf("found no flag defined in cmd/%s/main.go; the scan is broken", cmd)
+		}
 	}
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
@@ -351,16 +356,27 @@ func TestDocsNameOnlyExistingReproFlags(t *testing.T) {
 	}
 	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
 		".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
-	named := regexp.MustCompile(`repro -([a-z][a-z0-9-]*)`)
+	line := regexp.MustCompile("\\b(repro|cmpirun)((?:[ \t]+[^ \t\n`|;&<>()]+)+)")
+	flag := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+	checked := 0
 	for _, path := range docs {
 		text, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range named.FindAllSubmatch(text, -1) {
-			if !defined[string(m[1])] {
-				t.Errorf("%s names repro -%s, which cmd/repro does not define", path, m[1])
+		for _, m := range line.FindAllSubmatch(text, -1) {
+			cmd := string(m[1])
+			for _, arg := range strings.Fields(string(m[2])) {
+				if f := flag.FindStringSubmatch(arg); f != nil {
+					checked++
+					if !defined[cmd][f[1]] {
+						t.Errorf("%s names %s -%s, which cmd/%s does not define", path, cmd, f[1], cmd)
+					}
+				}
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("found no documented flag; the scan is broken")
 	}
 }

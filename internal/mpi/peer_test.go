@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -231,31 +232,46 @@ func TestFinalizeDiagnosticIsDeterministic(t *testing.T) {
 	}
 }
 
-// fullFidelityChild marks the process TestFullFidelity4096 starts to run its
-// world in.
+// fullFidelityChild carries the rank count of the world a child process of
+// TestFullFidelity4096 runs.
 const fullFidelityChild = "CMPI_FULL_FIDELITY_CHILD"
 
 // TestFullFidelity4096 is the world the ROADMAP's scale.go rule asks about: a
 // real 4096-rank fat-tree job, machine rank bodies, inside a quarter of a GiB
-// of heap. HeapSys never falls, so the world runs in a child process of the
-// test binary: the gate measures it alone, whatever ran before it.
+// of heap. HeapSys never falls, so each world runs in a child process of the
+// test binary and is measured alone, whatever ran before it. A 1024-rank world
+// runs beside it, so the log holds bytes per rank at two sizes: what grows
+// faster than the rank count shows there. Other sizes run by hand:
+// CMPI_FULL_FIDELITY_CHILD=16384 go test -run '^TestFullFidelity4096$' -v.
 func TestFullFidelity4096(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("4096-rank world: skipped under -short and -race")
 	}
-	if os.Getenv(fullFidelityChild) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run", "^TestFullFidelity4096$", "-test.v")
-		cmd.Env = append(os.Environ(), fullFidelityChild+"=1")
-		out, err := cmd.CombinedOutput()
-		t.Logf("child process:\n%s", out)
+	if n := os.Getenv(fullFidelityChild); n != "" {
+		ranks, err := strconv.Atoi(n)
 		if err != nil {
-			t.Errorf("child process: %v", err)
+			t.Fatalf("%s=%q: %v", fullFidelityChild, n, err)
 		}
+		fullFidelityWorld(t, ranks)
 		return
 	}
+	for _, ranks := range []int{1024, 4096} {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestFullFidelity4096$", "-test.v")
+		cmd.Env = append(os.Environ(), fmt.Sprintf("%s=%d", fullFidelityChild, ranks))
+		out, err := cmd.CombinedOutput()
+		t.Logf("%d-rank child process:\n%s", ranks, out)
+		if err != nil {
+			t.Errorf("%d-rank child process: %v", ranks, err)
+		}
+	}
+}
+
+// fullFidelityWorld runs TestFullFidelity4096's job at the given size and
+// logs what the process allocated and holds, per rank.
+func fullFidelityWorld(t *testing.T, ranks int) {
 	opts := DefaultOptions()
 	opts.Topology = peerScaleTopo
-	w, err := NewWorld(scaleDeployment(t, 4096), opts)
+	w, err := NewWorld(scaleDeployment(t, ranks), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +280,8 @@ func TestFullFidelity4096(t *testing.T) {
 	}
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	t.Logf("HeapSys %d MiB after the run (%d pair records)", m.HeapSys>>20, len(w.pairs))
+	t.Logf("%d ranks: TotalAlloc %.1f KB per rank, HeapSys %d MiB after the run (%d pair records)",
+		ranks, float64(m.TotalAlloc)/float64(ranks)/1e3, m.HeapSys>>20, len(w.pairs))
 	if m.HeapSys >= 256<<20 {
 		t.Errorf("HeapSys = %d MiB, want < 256", m.HeapSys>>20)
 	}

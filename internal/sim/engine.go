@@ -38,7 +38,9 @@ import (
 //	e.Go("rank1", func(p *sim.Proc) { ... })
 //	if err := e.Run(); err != nil { ... }
 type Engine struct {
-	q     eventQueue
+	q eventQueue
+	// slab holds the payload of every event the engine has, in any queue.
+	slab  slab
 	seq   uint64
 	now   Time
 	procs []*Proc
@@ -270,7 +272,7 @@ func (e *Engine) AddNarrowed(n int) { e.stats.NarrowedPairs += uint64(n) }
 // every event already pending at that time, preserving causality). An
 // untagged callback touches Global: it serializes with the global group.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, event{fn: fn})
+	e.schedule(t, hkey{}, event{fnA: callFn, arg: fn})
 }
 
 // AtBackground is At for pre-scheduled alarms — a fault injector's crash
@@ -280,7 +282,7 @@ func (e *Engine) At(t Time, fn func()) {
 // crash scheduled minutes ahead cannot hold a checkpoint cut hostage. The
 // alarm still fires normally (in time order) when nothing overtakes it.
 func (e *Engine) AtBackground(t Time, fn func()) {
-	e.schedule(t, event{fn: fn, background: true})
+	e.schedule(t, hkey{background: true}, event{fnA: callFn, arg: fn})
 }
 
 // AtRes is At for callbacks that touch only the given resources, letting
@@ -288,23 +290,25 @@ func (e *Engine) AtBackground(t Time, fn func()) {
 // instead of serializing the world. The caller must own every listed
 // resource (at most 4) when scheduling from inside a run.
 func (e *Engine) AtRes(t Time, fn func(), res ...Res) {
-	ev := event{fn: fn}
-	e.tag(&ev, "AtRes", res)
-	e.schedule(t, ev)
+	var k hkey
+	ev := event{fnA: callFn, arg: fn}
+	e.tag(&k, &ev, "AtRes", res)
+	e.schedule(t, k, ev)
 }
 
 // AtArg is AtRes for the allocation-free form: a static callback plus a
 // caller-pooled argument, avoiding the per-event closure.
 func (e *Engine) AtArg(t Time, fn func(any), arg any, res ...Res) {
+	var k hkey
 	ev := event{fnA: fn, arg: arg}
-	e.tag(&ev, "AtArg", res)
-	e.schedule(t, ev)
+	e.tag(&k, &ev, "AtArg", res)
+	e.schedule(t, k, ev)
 }
 
-// tag records the resources a callback event touches (at most len(ev.res); op
-// names the caller for the negative-id panic). Tags that name nothing but
-// Global say what an untagged event says, and are dropped.
-func (e *Engine) tag(ev *event, op string, res []Res) {
+// tag records the resources a callback event touches (at most len(ev.res),
+// counted in k.nres; op names the caller for the negative-id panic). Tags that
+// name nothing but Global say what an untagged event says, and are dropped.
+func (e *Engine) tag(k *hkey, ev *event, op string, res []Res) {
 	named := false
 	for _, r := range res {
 		checkRes(r, op)
@@ -313,7 +317,7 @@ func (e *Engine) tag(ev *event, op string, res []Res) {
 	if !named {
 		return
 	}
-	ev.nres = uint8(copy(ev.res[:], res))
+	k.nres = uint8(copy(ev.res[:], res))
 	if !e.declared {
 		e.declared = true
 	}
@@ -321,20 +325,30 @@ func (e *Engine) tag(ev *event, op string, res []Res) {
 
 // schedule routes a new callback event to the global heap, or — during epoch
 // execution — to the heap of the group owning its first resource.
-func (e *Engine) schedule(t Time, ev event) {
+func (e *Engine) schedule(t Time, k hkey, ev event) {
 	if e.inEpoch {
 		g := e.groupFor(ev.res[0]) // Global when untagged
 		if t < g.now {
 			t = g.now
 		}
-		g.pushLocal(t, ev)
+		g.pushLocal(t, k, ev)
 		return
 	}
 	if t < e.now {
 		t = e.now
 	}
+	e.push(t, k, ev)
+}
+
+// push queues an event on the global heap in scheduler context, between
+// epochs, under the next global sequence number, which it returns; k carries
+// the event's flags.
+func (e *Engine) push(t Time, k hkey, ev event) uint64 {
 	e.seq++
-	e.q.push(t, e.seq, ev)
+	k.t, k.seq, k.slot = t, e.seq, e.slab.take()
+	*e.slab.at(k.slot) = ev
+	e.q.push(k)
+	return e.seq
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
@@ -355,9 +369,7 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	}
 	p.co = newCoro(p, body)
 	e.procs = append(e.procs, p)
-	e.seq++
-	p.timerSeq = e.seq
-	e.q.push(e.now, e.seq, event{proc: p, timer: true})
+	p.timerSeq = e.push(e.now, hkey{timer: true}, event{arg: p})
 	return p
 }
 

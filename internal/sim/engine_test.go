@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -359,11 +360,16 @@ func TestHeapOrderingProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		var h eventQueue
 		for i, tt := range times {
-			h.push(Time(tt), uint64(i), event{})
+			h.push(hkey{t: Time(tt), seq: uint64(i), slot: int32(i)})
 		}
 		prevT, prevSeq := Time(-1), uint64(0)
+		popped := make([]bool, len(times))
 		for h.len() > 0 {
-			k, _ := h.pop()
+			k := h.pop()
+			if k.slot != int32(k.seq) || popped[k.slot] {
+				return false // a key lost its slot, or came out twice
+			}
+			popped[k.slot] = true
 			if k.t < prevT {
 				return false
 			}
@@ -372,7 +378,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 			}
 			prevT, prevSeq = k.t, k.seq
 		}
-		return len(h.free) == len(h.slab) // every slot vacated
+		return !slices.Contains(popped, false) // every key came out
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

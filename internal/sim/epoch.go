@@ -19,7 +19,8 @@ import (
 //     in a dense table indexed by Res and validated by an epoch stamp, so a
 //     new epoch clears nothing and a routing lookup is one load. Until the
 //     world declares something (Engine.declared) there is nothing to ask:
-//     the one set is Global.
+//     the one set is Global. Each event's 24-byte key then moves to its
+//     group's queue; the payload stays in its slot of the engine's slab.
 //  2. Execution: each group pops its own private queue in (t, seq) order,
 //     resuming only its own processes. Independent groups run concurrently
 //     on a bounded worker pool; the group structure is decided entirely at
@@ -31,17 +32,22 @@ import (
 //     refreshed as communication patterns shift. An epoch that forms a
 //     single group — every epoch of a world that declares nothing —
 //     dispatches on the global queue in place: no sort, no move, and
-//     Engine.Now follows the group's clock event by event.
-//  3. Commit (scheduler context, after a full barrier): leftover and spilled
-//     events return to the global queue in deterministic (t, group, local
-//     seq) order with freshly assigned global sequence numbers, group
+//     Engine.Now follows the group's clock event by event. A group frees
+//     the slots it pops into its own list and stores the events it creates
+//     in them, refilling an empty list from the engine's slab (slab.refill).
+//  3. Commit (scheduler context, after a full barrier): the keys of leftover
+//     and spilled events return to the global queue in deterministic (t,
+//     group, local seq) order with freshly assigned global sequence numbers,
+//     every group's vacant slots return to the engine's free list, group
 //     counters merge into the engine's Stats, and the earliest failure (by
 //     virtual time, then group index) wins — byte-identical results for any
-//     width.
+//     width. No slot number orders anything, so neither does which worker
+//     took which slot.
 //
-// Groups, their queues and buffers, the table and the commit scratch are
-// engine-owned and recycled: at a world's working size an epoch allocates
-// nothing.
+// Groups, their key queues, slot lists and buffers, the slab, the table and
+// the commit scratch are engine-owned and recycled: at a world's working size
+// an epoch allocates nothing. No group owns a payload: every event of an
+// engine is one slot of its slab.
 //
 // Soundness rests on the footprint contract: while a process runs inside a
 // group it may only touch state covered by the resources its FootprintFn
@@ -58,7 +64,7 @@ const epochQuota = 256
 
 // execGroup is one causally independent partition of an epoch's events.
 // Groups are engine-owned and recycled: epoch n's group i reuses the object,
-// queue, spill and emission buffers of epoch n-1's group i.
+// key queue, slot list, spill and emission buffers of epoch n-1's group i.
 type execGroup struct {
 	eng *Engine
 	idx int
@@ -66,7 +72,14 @@ type execGroup struct {
 	// formed a single group — the engine's global queue, in place.
 	q   *eventQueue
 	own eventQueue
-	now Time
+	// free holds the vacant slab slots the group stores its new events in:
+	// those it popped this epoch, and what is left of its last refill. batch
+	// is the size of its next refill, doubled by each refill up to
+	// refillMax, so what a group holds beyond what it freed stays under
+	// what it needed.
+	free  []int32
+	batch int
+	now   Time
 	// seq is the group-local tie-break counter for events pushed during
 	// execution. It starts above every formation-assigned sequence number, so
 	// within a group (t, seq) order is causal order, and it is group-local,
@@ -76,9 +89,9 @@ type execGroup struct {
 	quota int
 	// stats accumulates this group's scheduler counters, merged at commit.
 	stats Stats
-	// spill holds events (stored in q's slab, not queued) that must not
-	// dispatch before the next epoch: YieldRegroup reschedules and the wakes
-	// carried over behind them.
+	// spill holds the keys of events (stored in the slab, not queued) that
+	// must not dispatch before the next epoch: YieldRegroup reschedules and
+	// the wakes carried over behind them.
 	spill []hkey
 	// emits buffers observer payloads (Proc.Emit/Engine.EmitAt) produced
 	// during this group's execution; commitEpoch flushes them to the engine's
@@ -98,16 +111,50 @@ type emitRec struct {
 	payload any
 }
 
-// pushLocal enqueues an event produced during this group's execution.
-func (g *execGroup) pushLocal(t Time, ev event) uint64 {
+// refillMax caps a group's refill batch: with the first refill of an epoch
+// one slot and each next one twice the last, a group that creates m more
+// events than it pops takes the engine's mutex about log2(m) + m/refillMax
+// times.
+const refillMax = 32
+
+// store places ev in one of the group's vacant slots, refilling the list when
+// it is empty, and returns the slot.
+func (g *execGroup) store(ev event) int32 {
+	if len(g.free) == 0 {
+		g.free = g.eng.slab.refill(g.free, g.batch)
+		g.batch = min(2*g.batch, refillMax)
+	}
+	n := len(g.free) - 1
+	slot := g.free[n]
+	g.free = g.free[:n]
+	*g.eng.slab.at(slot) = ev
+	return slot
+}
+
+// pop removes the group's earliest event, vacating its slot into the group's
+// list.
+func (g *execGroup) pop() (hkey, event) {
+	k := g.q.pop()
+	slot := g.eng.slab.at(k.slot)
+	ev := *slot
+	*slot = event{} // release references held by the vacated slot
+	g.free = append(g.free, k.slot)
+	return k, ev
+}
+
+// pushLocal enqueues an event produced during this group's execution; k
+// carries its flags.
+func (g *execGroup) pushLocal(t Time, k hkey, ev event) uint64 {
 	g.seq++
-	g.q.push(t, g.seq, ev)
+	k.t, k.seq, k.slot = t, g.seq, g.store(ev)
+	g.q.push(k)
 	return g.seq
 }
 
 // spillLocal parks an event until commit re-queues it for the next epoch.
-func (g *execGroup) spillLocal(t Time, seq uint64, ev event) {
-	g.spill = append(g.spill, hkey{t: t, seq: seq, slot: g.q.store(ev)})
+func (g *execGroup) spillLocal(k hkey, ev event) {
+	k.slot = g.store(ev)
+	g.spill = append(g.spill, k)
 }
 
 // fail records the group's first failure.
@@ -138,26 +185,26 @@ func (g *execGroup) dispatch() {
 		if n := q.len(); n == q.bg && (n == 0 || len(g.spill) > 0 || len(e.quiesce) > 0) {
 			break
 		}
-		k, ev := q.pop()
+		k, ev := g.pop()
 		g.quota--
 		g.now = k.t
 		g.stats.Dispatched++
 		if ev.isCallback() {
 			g.stats.Callbacks++
-			ev.invoke()
+			ev.fnA(ev.arg)
 			continue
 		}
-		p := ev.proc
-		if p != nil && !ev.timer && k.t == p.lastWakeAt {
+		p := ev.proc()
+		if p != nil && !k.timer && k.t == p.lastWakeAt {
 			p.lastWakeLive = false // the coalescing anchor has left the queue
 		}
-		if p == nil || !p.wantsWake(ev.timer, k.seq) {
-			if p != nil && !ev.timer && p.state == stateScheduled && p.regroupEpoch == e.epochID {
+		if p == nil || !p.wantsWake(k.timer, k.seq) {
+			if p != nil && !k.timer && p.state == stateScheduled && p.regroupEpoch == e.epochID {
 				// The target yielded out of this epoch (YieldRegroup): its
 				// resume timer fires only next epoch and may predate this
 				// wake. Carry the wake over so commit re-orders it after the
 				// timer instead of losing the condition it signals.
-				g.spillLocal(k.t, k.seq, ev)
+				g.spillLocal(k, ev)
 				continue
 			}
 			g.stats.StaleWakes++
@@ -212,8 +259,8 @@ func (e *Engine) formEpoch() {
 	// The partition does not depend on the walk order, so this pass takes the
 	// queue as it lies; footprints are evaluated in that (deterministic,
 	// width-independent) order, once per process.
-	for i := range q.keys {
-		res := e.touched(&q.slab[q.keys[i].slot])
+	for _, k := range q.keys {
+		res := e.touched(k)
 		root := e.find(res[0])
 		for _, r := range res[1:] {
 			if r2 := e.find(r); r2 != root {
@@ -232,16 +279,14 @@ func (e *Engine) formEpoch() {
 	// Pass 2: build groups in first-event order — deterministic indices — and
 	// record every resource's owner for routing during execution. The keys are
 	// sorted in place (a sorted array is a valid d-ary heap, so nothing is
-	// drained) and each event moves to its group's queue in (t, seq) order,
-	// where the pushes never sift.
+	// drained) and each key moves to its group's queue in (t, seq) order,
+	// where the pushes never sift. The payloads stay in their slots.
 	e.single = nil
 	slices.SortFunc(q.keys, hkey.compare)
 	baseSeq := e.seq
 	tab := e.resTab
-	for i := range q.keys {
-		k := q.keys[i]
-		ev := &q.slab[k.slot]
-		res := e.touched(ev)
+	for _, k := range q.keys {
+		res := e.touched(k)
 		root := e.find(res[0])
 		g := tab[root].group
 		if g == nil {
@@ -251,7 +296,7 @@ func (e *Engine) formEpoch() {
 		for _, r := range res {
 			tab[r].group = g
 		}
-		g.own.push(k.t, k.seq, *ev)
+		g.own.push(k)
 	}
 	q.reset()
 }
@@ -301,23 +346,25 @@ func (e *Engine) nextGroup(baseSeq uint64) *execGroup {
 	e.ngroups++
 	g.q = &g.own
 	g.own.maxDepth = 0
+	g.batch = 1
 	g.now, g.seq, g.quota = e.now, baseSeq, epochQuota
 	g.stats = Stats{}
 	g.failure = nil
 	return g
 }
 
-// touched resolves the resources one formation event touches. The slice
-// aliases the event, the proc's footprint memo or globalResList; it is valid
-// until the queue or the memo next changes.
-func (e *Engine) touched(ev *event) []Res {
+// touched resolves the resources the event under one formation key touches.
+// The slice aliases the event's slot, the proc's footprint memo or
+// globalResList; it is valid until the slot or the memo next changes.
+func (e *Engine) touched(k hkey) []Res {
+	ev := e.slab.at(k.slot)
 	if ev.isCallback() {
-		if ev.nres == 0 {
+		if k.nres == 0 {
 			return globalResList
 		}
-		return ev.res[:ev.nres]
+		return ev.res[:k.nres]
 	}
-	p := ev.proc
+	p := ev.proc()
 	if p == nil || p.footprint == nil {
 		return globalResList
 	}
@@ -468,6 +515,8 @@ func (e *Engine) commitEpoch() {
 		e.stats.CoalescedWakes += g.stats.CoalescedWakes
 		yields += g.stats.RegroupYields
 		depth += g.own.maxDepth // zero in place: the global queue's own mark covers it
+		e.slab.free = append(e.slab.free, g.free...)
+		g.free = g.free[:0]
 		// Earliest failure wins, by (virtual time, group index) — an order
 		// independent of worker scheduling.
 		if g.failure != nil && (e.failure == nil || g.failAt < e.failureAt) {
@@ -509,18 +558,19 @@ func (e *Engine) commitEpoch() {
 		// the local counter ran on from the global one.
 		e.seq = g.seq
 		for _, k := range g.spill {
-			if ev := &e.q.slab[k.slot]; ev.timer {
-				ev.proc.timerSeq = k.seq // the proc is parked on this timer
+			if k.timer {
+				e.slab.at(k.slot).proc().timerSeq = k.seq // the proc is parked on this timer
 			}
-			e.q.pushKey(k)
+			e.q.push(k)
 		}
 		g.spill = g.spill[:0]
 		return
 	}
-	// Re-commit leftovers and spills: (t, group index, local seq) order, with
-	// fresh global sequence numbers. Group-local order is causal order; the
-	// cross-group tie-break at equal times is by deterministic group index.
-	// (group, seq) is unique, so the sort is a total order.
+	// Re-commit the keys of leftovers and spills: (t, group index, local seq)
+	// order, with fresh global sequence numbers. Group-local order is causal
+	// order; the cross-group tie-break at equal times is by deterministic group
+	// index. (group, seq) is unique, so the sort is a total order. The
+	// payloads stay in their slots.
 	buf := e.commitBuf[:0]
 	for gi, g := range groups {
 		for _, k := range g.own.keys {
@@ -540,13 +590,16 @@ func (e *Engine) commitEpoch() {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, c := range buf {
-		ev := groups[c.gi].own.slab[c.slot]
 		e.seq++
-		if ev.proc != nil && ev.timer {
-			// The proc is parked on this timer; re-key it to the new seq.
-			ev.proc.timerSeq = e.seq
+		k := c.hkey
+		k.seq = e.seq
+		if k.timer {
+			if p := e.slab.at(k.slot).proc(); p != nil {
+				// The proc is parked on this timer; re-key it to the new seq.
+				p.timerSeq = e.seq
+			}
 		}
-		e.q.push(c.t, e.seq, ev)
+		e.q.push(k)
 	}
 	e.commitBuf = buf[:0]
 	for _, g := range groups {
@@ -556,7 +609,7 @@ func (e *Engine) commitEpoch() {
 }
 
 // commitKey is one leftover or spilled event awaiting re-commit: its
-// group-local key plus the index of the group whose slab holds it.
+// group-local key plus the index of the group that held it.
 type commitKey struct {
 	hkey
 	gi int32

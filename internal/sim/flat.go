@@ -65,9 +65,7 @@ func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	p.state = stateScheduled
 	p.fm = m
 	e.procs = append(e.procs, p)
-	e.seq++
-	p.timerSeq = e.seq
-	e.q.push(e.now, e.seq, event{proc: p, timer: true})
+	p.timerSeq = e.push(e.now, hkey{timer: true}, event{arg: p})
 	return p
 }
 

@@ -29,15 +29,15 @@ type formEvent struct {
 func pendingEvents(e *Engine, fps [][]Res, procBase int) []formEvent {
 	var evs []formEvent
 	for _, k := range e.q.keys {
-		ev := e.q.slab[k.slot]
+		ev := e.slab.at(k.slot)
 		fe := formEvent{t: k.t, seq: k.seq}
 		switch {
-		case ev.proc != nil:
-			fe.id = procBase + ev.proc.id
-			fe.res = fps[ev.proc.id]
+		case ev.proc() != nil:
+			fe.id = procBase + ev.proc().id
+			fe.res = fps[ev.proc().id]
 		default:
 			fe.id = ev.arg.(int)
-			fe.res = ev.res[:ev.nres]
+			fe.res = ev.res[:k.nres]
 		}
 		if len(fe.res) == 0 {
 			fe.res = []Res{Global}
@@ -149,10 +149,10 @@ func TestFormEpochMatchesNaiveReference(t *testing.T) {
 					if i > 0 && k.before(g.q.keys[(i-1)/heapArity]) {
 						t.Fatalf("group %d: heap property broken at %d", gi, i)
 					}
-					ev := g.q.slab[k.slot]
+					ev := e.slab.at(k.slot)
 					id := procBase
-					if ev.proc != nil {
-						id += ev.proc.id
+					if ev.proc() != nil {
+						id += ev.proc().id
 					} else {
 						id = ev.arg.(int)
 					}

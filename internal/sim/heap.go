@@ -1,53 +1,59 @@
 package sim
 
-import "cmp"
+import (
+	"cmp"
+	"math/bits"
+	"sync"
+)
 
-// event is the payload of one pending-event queue entry; its (t, seq) key
-// lives in the queue's heap (hkey), so ordering never moves the payload.
-// Exactly one of fn / fnA / proc is used: fn and fnA events run a callback in
-// scheduler context (fnA with a caller-supplied argument, so hot paths can
-// recycle a static function plus a pooled argument struct instead of
-// allocating a closure per event), proc events hand control to a simulated
-// process.
+// event is the payload of one pending event: 40 bytes in a slot of the
+// engine's slab. Its (t, seq) key and its flags live in the queue entry
+// (hkey), so ordering never moves the payload. A callback event runs fnA(arg)
+// in scheduler context: AtArg passes a static function and a caller-pooled
+// argument, so hot paths allocate no closure per event, and At stores its
+// func() in arg behind the callFn trampoline. A proc event (fnA == nil)
+// carries its *Proc in arg and hands control to that process.
 type event struct {
-	fn    func()
-	fnA   func(any)
-	arg   any
-	proc  *Proc
-	timer bool // true for Sleep/Advance/start wakes, false for Unpark wakes
+	fnA func(any)
+	arg any
+	// res lists the resources a callback event touches, for epoch grouping
+	// (AtRes/AtArg); its live prefix is the key's nres. Untagged events
+	// (nres == 0) are treated as touching Global. Proc events ignore it: their
+	// footprint comes from the proc's FootprintFn.
+	res [4]Res
+}
+
+// callFn is the trampoline that runs an At/AtBackground/AtRes callback stored
+// in an event's arg. A func value is one pointer, so storing it in an any
+// allocates nothing.
+func callFn(fn any) { fn.(func())() }
+
+// isCallback reports whether the event runs in scheduler context.
+func (e *event) isCallback() bool { return e.fnA != nil }
+
+// proc is the process a proc event wakes; nil for callbacks.
+func (e *event) proc() *Proc {
+	p, _ := e.arg.(*Proc)
+	return p
+}
+
+// hkey is one queue entry: the (t, seq) ordering key, the slab slot holding
+// the event, and the event's flags, which fill what would otherwise be the
+// key's padding. seq is the FIFO tie-break among equal-time events that keeps
+// runs deterministic. Sifting moves these 24 bytes, never the payload.
+type hkey struct {
+	t    Time
+	seq  uint64
+	slot int32
+	// timer is true for Sleep/Advance/start wakes, false for Unpark wakes.
+	timer bool
 	// background marks a pre-scheduled alarm (AtBackground) that does not
 	// count against quiescence: a fault injector's crash wake parked far in
 	// the future is not an in-flight message, so it must not hold back an
 	// AtQuiesce callback.
 	background bool
-
-	// res lists the resources a callback event touches, for epoch grouping
-	// (AtRes/AtArg). nres is the live prefix of res; untagged events
-	// (nres == 0) are treated as touching Global. Proc events ignore these
-	// fields: their footprint comes from the proc's FootprintFn.
-	res  [4]Res
+	// nres is the live prefix of the event's res tags.
 	nres uint8
-}
-
-// isCallback reports whether the event runs in scheduler context.
-func (e *event) isCallback() bool { return e.fn != nil || e.fnA != nil }
-
-// invoke runs a callback event.
-func (e *event) invoke() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.fnA(e.arg)
-}
-
-// hkey is one heap entry: the (t, seq) ordering key plus the slab slot
-// holding the event. seq is the FIFO tie-break among equal-time events that
-// keeps runs deterministic. Sifting moves these 24 bytes, never the payload.
-type hkey struct {
-	t    Time
-	seq  uint64
-	slot int32
 }
 
 func (a hkey) before(b hkey) bool {
@@ -73,14 +79,14 @@ func (a hkey) compare(b hkey) int {
 // order.
 const heapArity = 4
 
-// eventQueue is a hand-rolled d-ary min-heap of keys ordered by (t, seq) over
-// a slab of event payloads. A concrete heap avoids the interface boxing of
-// container/heap on the engine hot path; the slab and its free list are
-// recycled, so a queue at its working size allocates nothing.
+// eventQueue is a hand-rolled d-ary min-heap of keys ordered by (t, seq). The
+// payloads stay in the engine's slab; the queue owns only keys, so moving an
+// event between queues — to its group at formation, back at commit — moves
+// 24 bytes. A concrete heap avoids the interface boxing of container/heap on
+// the engine hot path, and its key array is recycled, so a queue at its
+// working size allocates nothing.
 type eventQueue struct {
 	keys []hkey
-	slab []event
-	free []int32 // vacant slab slots
 	// maxDepth is the high-water mark of pending events, for capacity
 	// planning (Stats.MaxHeapDepth).
 	maxDepth int
@@ -91,26 +97,9 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.keys) }
 
-// store places ev in a slab slot without queueing it (spilled events wait
-// there until commit pushes their key).
-func (q *eventQueue) store(ev event) int32 {
-	if n := len(q.free); n > 0 {
-		s := q.free[n-1]
-		q.free = q.free[:n-1]
-		q.slab[s] = ev
-		return s
-	}
-	q.slab = append(q.slab, ev)
-	return int32(len(q.slab) - 1)
-}
-
-func (q *eventQueue) push(t Time, seq uint64, ev event) {
-	q.pushKey(hkey{t: t, seq: seq, slot: q.store(ev)})
-}
-
-// pushKey queues an event already stored in the slab.
-func (q *eventQueue) pushKey(k hkey) {
-	if q.slab[k.slot].background {
+// push queues the event whose slot and flags k carries.
+func (q *eventQueue) push(k hkey) {
+	if k.background {
 		q.bg++
 	}
 	q.keys = append(q.keys, k)
@@ -129,8 +118,8 @@ func (q *eventQueue) pushKey(k hkey) {
 	q.keys[i] = k
 }
 
-// pop removes the earliest event, vacating its slab slot.
-func (q *eventQueue) pop() (hkey, event) {
+// pop removes the earliest key. Its slot still holds the event.
+func (q *eventQueue) pop() hkey {
 	top := q.keys[0]
 	n := len(q.keys) - 1
 	last := q.keys[n]
@@ -160,13 +149,10 @@ func (q *eventQueue) pop() (hkey, event) {
 	if n > 0 {
 		q.keys[i] = last
 	}
-	ev := q.slab[top.slot]
-	q.slab[top.slot] = event{} // release references held by the vacated slot
-	q.free = append(q.free, top.slot)
-	if ev.background {
+	if top.background {
 		q.bg--
 	}
-	return top, ev
+	return top
 }
 
 // minTime reports the earliest pending event time; ok is false when empty.
@@ -177,10 +163,95 @@ func (q *eventQueue) minTime() (Time, bool) {
 	return q.keys[0].t, true
 }
 
-// reset empties the queue, keeping its backing arrays (and its depth
-// high-water mark) for reuse.
+// reset empties the queue, keeping its key array (and its depth high-water
+// mark) for reuse. The slots the keys named are the caller's to account for.
 func (q *eventQueue) reset() {
-	clear(q.slab)
-	q.keys, q.slab, q.free = q.keys[:0], q.slab[:0], q.free[:0]
+	q.keys = q.keys[:0]
 	q.bg = 0
+}
+
+// Slab geometry: segment k holds firstSeg<<k events, so slot s lives in
+// segment bits.Len(s+firstSeg)-segShift-1 and slabSegs segments cover every
+// int32 slot.
+const (
+	segShift = 3
+	firstSeg = 1 << segShift
+	slabSegs = 32 - segShift
+)
+
+// slab holds every event payload of an engine, pending or spilled, in any
+// queue. It is an array of segments that never move, so a slot's address is
+// stable, growth copies nothing and leaves no garbage, and the bytes held are
+// at most twice the most slots ever in use. A vacant slot is on the engine's
+// free list or on one group's (execGroup.free), never both.
+//
+// Outside an epoch the scheduler takes slots directly (take). During one,
+// each group reuses the slots it popped and refills an empty list in batches
+// under mu, from the engine's list or past the last slot handed out; every
+// group's list returns to the engine's at commit. A segment, and the table
+// of segments past the first, is made under mu before any of its slots is
+// handed out, so reading them needs no atomics.
+type slab struct {
+	mu sync.Mutex
+	// first is segment 0. The table of the others is made with segment 1:
+	// the engine of a small world, whose events fit in one segment, never
+	// pays for it.
+	first *[firstSeg]event
+	segs  *[slabSegs][]event
+	// next is the number of slots ever handed out: slots below it belong to
+	// a segment.
+	next int32
+	free []int32
+}
+
+// at is the event in slot s.
+func (s *slab) at(slot int32) *event {
+	if slot < firstSeg {
+		return &s.first[slot]
+	}
+	i := uint32(slot) + firstSeg
+	k := bits.Len32(i) - segShift - 1
+	return &s.segs[k][i-firstSeg<<k]
+}
+
+// carve hands out the slot past the last one, making its segment first when
+// the slot opens one.
+func (s *slab) carve() int32 {
+	slot := s.next
+	switch i := uint32(slot) + firstSeg; {
+	case slot == 0:
+		s.first = new([firstSeg]event)
+	case i&(i-1) == 0:
+		if s.segs == nil {
+			s.segs = new([slabSegs][]event)
+		}
+		k := bits.Len32(i) - segShift - 1
+		s.segs[k] = make([]event, firstSeg<<k)
+	}
+	s.next++
+	return slot
+}
+
+// take hands out one vacant slot in scheduler context, where no group runs.
+func (s *slab) take() int32 {
+	if n := len(s.free) - 1; n >= 0 {
+		slot := s.free[n]
+		s.free = s.free[:n]
+		return slot
+	}
+	return s.carve()
+}
+
+// refill appends n vacant slots to list under mu: the engine's free ones
+// first, then new ones.
+func (s *slab) refill(list []int32, n int) []int32 {
+	s.mu.Lock()
+	k := min(n, len(s.free))
+	list = append(list, s.free[len(s.free)-k:]...)
+	s.free = s.free[:len(s.free)-k]
+	for ; k < n; k++ {
+		list = append(list, s.carve())
+	}
+	s.mu.Unlock()
+	return list
 }

@@ -120,7 +120,7 @@ func (p *Proc) CanTouch(r Res) bool {
 func (p *Proc) YieldRegroup() {
 	g := p.group
 	g.seq++
-	g.spillLocal(p.now, g.seq, event{proc: p, timer: true})
+	g.spillLocal(hkey{t: p.now, seq: g.seq, timer: true}, event{arg: p})
 	g.stats.RegroupYields++
 	p.state = stateScheduled
 	// Record the yield so wakes aimed at this process later in the epoch are
@@ -253,7 +253,7 @@ func (p *Proc) Sleep(d Time) {
 }
 
 func (p *Proc) sleepUntil(t Time) {
-	p.timerSeq = p.group.pushLocal(t, event{proc: p, timer: true})
+	p.timerSeq = p.group.pushLocal(t, hkey{timer: true}, event{arg: p})
 	p.state = stateScheduled
 	p.switchOut()
 }
@@ -292,7 +292,7 @@ func (p *Proc) UnparkAt(at Time) {
 			g.stats.CoalescedWakes++
 			return
 		}
-		g.pushLocal(at, event{proc: p})
+		g.pushLocal(at, hkey{}, event{arg: p})
 		p.lastWakeAt = at
 		p.lastWakeLive = true
 		return
@@ -304,8 +304,7 @@ func (p *Proc) UnparkAt(at Time) {
 		e.stats.CoalescedWakes++
 		return
 	}
-	e.seq++
-	e.q.push(at, e.seq, event{proc: p})
+	e.push(at, hkey{}, event{arg: p})
 	p.lastWakeAt = at
 	p.lastWakeLive = true
 }

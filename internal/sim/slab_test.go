@@ -1,0 +1,234 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// TestEventLayout pins the sizes the slab's bytes follow from: a payload is at
+// most 40 bytes, and its flags ride in the key's padding.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 40 {
+		t.Errorf("an event is %d bytes, want <= 40: every pending event of a world is one", size)
+	}
+	if size := unsafe.Sizeof(hkey{}); size != 24 {
+		t.Errorf("a queue key is %d bytes, want 24: the flags must fit in its padding", size)
+	}
+}
+
+// TestSchedulingAllocatesNothing: At, AtBackground and AtRes store a prebuilt
+// closure behind the callFn trampoline, so scheduling a callback allocates no
+// more than AtArg does — nothing, once the queue and the slab have room.
+func TestSchedulingAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	drain := func() {
+		for e.q.len() > 0 {
+			k := e.q.pop()
+			*e.slab.at(k.slot) = event{}
+			e.slab.free = append(e.slab.free, k.slot)
+		}
+	}
+	for name, schedule := range map[string]func(){
+		"At":           func() { e.At(1, fn) },
+		"AtBackground": func() { e.AtBackground(1, fn) },
+		"AtRes":        func() { e.AtRes(1, fn, 3) },
+	} {
+		if got := testing.AllocsPerRun(100, func() { schedule(); drain() }); got != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, got)
+		}
+	}
+}
+
+// doubler is one rank of a recursive-doubling exchange repeated over and over:
+// at step s it sends to rank^(1<<(s%log2 n)) through that rank's inbox, waits
+// for the partner's message of the same step, then computes for a time that
+// depends on its rank. Its footprint is itself and its current partner, so
+// ranks that drift apart chain into groups that merge and split from one
+// epoch to the next, and a rank that reaches a partner its group does not own
+// regroups.
+type doubler struct {
+	rank, step, steps, logN int
+	procs                   []*Proc
+	inbox                   [][]uint8 // inbox[r][s]: messages rank r received at step s
+	waiting                 bool
+}
+
+func (d *doubler) partner() int { return d.rank ^ 1<<(d.step%d.logN) }
+
+func (d *doubler) Step(p *Proc) Flow {
+	if !d.waiting {
+		peer := d.partner()
+		if !p.CanTouch(Res(1 + peer)) {
+			p.YieldRegroup()
+			return More
+		}
+		d.inbox[peer][d.step]++
+		d.procs[peer].UnparkAt(p.Now())
+		d.waiting = true
+	}
+	if d.inbox[d.rank][d.step] == 0 {
+		p.Park()
+		return More
+	}
+	d.waiting = false
+	d.step++
+	if d.step == d.steps {
+		return Done
+	}
+	p.Sleep(Time(1+(d.rank*7+d.step*3)%5) * Nanosecond)
+	return More
+}
+
+// doublingWorld runs n doubler ranks for rounds full recursive doublings and
+// returns the engine.
+func doublingWorld(t *testing.T, n, rounds int) *Engine {
+	t.Helper()
+	e := NewEngine()
+	e.SetWorkers(1)
+	logN := 0
+	for 1<<logN < n {
+		logN++
+	}
+	steps := rounds * logN
+	procs := make([]*Proc, n)
+	inbox := make([][]uint8, n)
+	for r := range procs {
+		inbox[r] = make([]uint8, steps)
+		d := &doubler{rank: r, steps: steps, logN: logN, procs: procs, inbox: inbox}
+		procs[r] = e.GoMachine(fmt.Sprint("r", r), d)
+		procs[r].SetRes(Res(1 + r))
+		procs[r].SetFootprint(func(buf []Res) []Res {
+			if d.step == d.steps {
+				return append(buf, Res(1+r))
+			}
+			// Claims accumulate over a round and are dropped at the next:
+			// groups grow from pairs to halves of the world, then split.
+			buf = append(buf, Res(1+r))
+			for k := 0; k <= d.step%logN; k++ {
+				buf = append(buf, Res(1+(r^1<<k)))
+			}
+			return buf
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// slabSlots is the number of payload slots the engine's slab allocated.
+func slabSlots(e *Engine) int {
+	n := 0
+	if e.slab.first != nil {
+		n = firstSeg
+	}
+	if e.slab.segs != nil {
+		for _, seg := range e.slab.segs {
+			n += len(seg)
+		}
+	}
+	return n
+}
+
+// TestEventSlotsPerProcStayFlat is the regression test for the term that made
+// a world's bytes per rank grow with its rank count: payload storage kept per
+// epoch group, which grew to the largest group ever formed at its index. With
+// one slab per engine, the slots a world hands out per proc do not depend on
+// how many procs there are, and the slab holds at most twice the most events
+// ever pending.
+func TestEventSlotsPerProcStayFlat(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("4096-proc world: skipped under -short and -race")
+	}
+	var perProc []float64
+	for _, n := range []int{256, 1024, 4096} {
+		e := doublingWorld(t, n, 3)
+		st := e.Stats()
+		slots := slabSlots(e)
+		perProc = append(perProc, float64(e.slab.next)/float64(n))
+		t.Logf("%5d procs: %d slots handed out (%.2f per proc), %d allocated, %d peak pending, %d epochs, widest %d",
+			n, e.slab.next, perProc[len(perProc)-1], slots, st.MaxHeapDepth, st.ParallelBatches, st.MaxBatchWidth)
+		if st.MaxBatchWidth < n/8 || st.RegroupYields == 0 {
+			t.Fatalf("%d procs: widest epoch %d groups, %d regroup yields; the world does not exercise grouping", n, st.MaxBatchWidth, st.RegroupYields)
+		}
+		if slots > 2*st.MaxHeapDepth {
+			t.Errorf("%d procs: %d slots allocated for at most %d pending events, want <= 2x", n, slots, st.MaxHeapDepth)
+		}
+	}
+	lo, hi := slices.Min(perProc), slices.Max(perProc)
+	if hi > 1.1*lo {
+		t.Errorf("slots handed out per proc range over %.2f..%.2f across 256..4096 procs, want within 10 %%", lo, hi)
+	}
+}
+
+// TestSlotHandOutUnderContention: 128 groups each create, within one epoch,
+// more events than a refill batch and the first two segments hold, at width 8, so
+// refills and segment growth race. Every event must run once, in the same
+// order at width 1 and 8, and every slot must come back exactly once.
+func TestSlotHandOutUnderContention(t *testing.T) {
+	const groups, burst, bursts = 128, 100, 3
+	if burst <= refillMax || burst <= 3*firstSeg {
+		t.Fatal("a burst must outgrow both a refill batch and the first segment")
+	}
+	run := func(workers int) ([][]Time, Stats) {
+		e := NewEngine()
+		e.SetWorkers(workers)
+		ran := make([][]Time, groups)
+		for g := 0; g < groups; g++ {
+			res, left := Res(1+g), bursts
+			var spawn func(now Time)
+			spawn = func(now Time) {
+				left--
+				for j := 0; j < burst; j++ {
+					at := now + Time(1+j%7)*Nanosecond
+					last := j == burst-1 && left > 0
+					e.AtRes(at, func() {
+						ran[g] = append(ran[g], at)
+						if last {
+							spawn(at)
+						}
+					}, res)
+				}
+			}
+			e.AtRes(0, func() { spawn(0) }, res)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		free := slices.Clone(e.slab.free)
+		slices.Sort(free)
+		for i, slot := range free {
+			if slot != int32(i) {
+				t.Fatalf("width %d: %d slots handed out, %d returned; first mismatch at %d", workers, e.slab.next, len(free), i)
+			}
+		}
+		if len(free) != int(e.slab.next) {
+			t.Fatalf("width %d: %d slots handed out, %d returned", workers, e.slab.next, len(free))
+		}
+		if e.slab.segs == nil || e.slab.segs[2] == nil {
+			t.Fatalf("width %d: the slab never grew past its first segment", workers)
+		}
+		st := e.Stats()
+		st.BarrierStalls = 0 // the one deliberately width-dependent counter
+		return ran, st
+	}
+	ran1, st1 := run(1)
+	ran8, st8 := run(8)
+	if st1.MaxBatchWidth < groups {
+		t.Fatalf("widest epoch has %d groups, want %d", st1.MaxBatchWidth, groups)
+	}
+	for g := range ran1 {
+		if len(ran1[g]) != bursts*burst {
+			t.Fatalf("group %d ran %d events, want %d", g, len(ran1[g]), bursts*burst)
+		}
+		if !slices.Equal(ran1[g], ran8[g]) {
+			t.Fatalf("group %d ran its events in another order at width 8", g)
+		}
+	}
+	if st1 != st8 {
+		t.Errorf("stats diverge:\n w1: %+v\n w8: %+v", st1, st8)
+	}
+}
