@@ -15,12 +15,13 @@ import (
 // two, so steady state pt2pt traffic recycles the same handful of buffers.
 //
 // The pool is deliberately lock-free-because-single-owner: a BufPool belongs to
-// one piece of simulation state — a rank, one direction of a shared-memory
-// ring, the sending side of a queue pair — and is only touched from an epoch
-// group that owns that state's dispatch resources (sim.Res). Epoch dispatch
-// runs causally independent groups concurrently, so a pool must never be
-// reachable from two groups at once: every owner has its own free lists, and
-// a request they can serve takes no lock.
+// one rank and is the home of every buffer the rank's library takes —
+// staging, payload snapshots, and the wire buffers of the HCA the rank opened
+// — and it is only touched from an epoch group that owns the rank's dispatch
+// resource (sim.Res). Epoch dispatch runs causally independent groups
+// concurrently, so a pool must never be reachable from two groups at once:
+// every rank has its own free lists, and a request they can serve takes no
+// lock. Buffers travelling between two ranks wait on a DirPool of the pair.
 //
 // What is shared is what lies behind them. A world is single-shot, and a
 // sweep builds hundreds, so the pools of a finished world hand their free
@@ -61,6 +62,9 @@ const (
 	// exact: 64 B on a 64 B buffer is no saving.
 	poolSlackShift = 10
 	poolSlack      = 64
+	// poolClasses is the number of classes an owner's pool lists; class c is
+	// at index c-poolMinShift.
+	poolClasses = poolMaxShift - poolMinShift + 1
 )
 
 // classCap is the capacity of the buffers in a size class.
@@ -102,11 +106,12 @@ func (c PoolCounters) HitRate() float64 {
 // callers always overwrite before reading, exactly like a real NIC bounce
 // buffer.
 type BufPool struct {
-	classes [poolMaxShift + 1][][]byte
+	// classes holds the free buffers, per pooled class (see poolClasses).
+	classes [poolClasses][][]byte
 	ctr     PoolCounters
-	// lent counts, per class, the buffers a DirPool took from this pool and
-	// sent away, less those it kept in return (see DirPool).
-	lent [poolMaxShift + 1]int32
+	// lent counts, per pooled class, the buffers a DirPool took from this
+	// pool and sent away, less those it kept in return (see DirPool).
+	lent [poolClasses]int32
 }
 
 // classFor maps a byte count to the smallest size class that holds it, or -1
@@ -136,10 +141,10 @@ func (p *BufPool) Get(n int) []byte {
 		return theDepot.getLarge(n)
 	}
 	p.ctr.Gets++
-	if l := p.classes[c]; len(l) > 0 {
+	if l := p.classes[c-poolMinShift]; len(l) > 0 {
 		buf := l[len(l)-1]
 		l[len(l)-1] = nil
-		p.classes[c] = l[:len(l)-1]
+		p.classes[c-poolMinShift] = l[:len(l)-1]
 		p.ctr.Hits++
 		return buf[:n]
 	}
@@ -175,7 +180,7 @@ func classOf(buf []byte) int {
 // capacity is not an exact pooled class (e.g. a subslice) is a safe no-op, so
 // callers on error paths never need to track provenance.
 func (p *BufPool) Put(buf []byte) {
-	if s := classOf(buf); s >= 0 {
+	if s := classOf(buf) - poolMinShift; s >= 0 {
 		p.classes[s] = append(p.classes[s], buf[:0])
 	}
 }
@@ -196,9 +201,9 @@ func (p *BufPool) Counters() PoolCounters { return p.ctr }
 
 // DirPool holds the buffers that wait on one direction of a channel: filled by
 // the direction's sender, emptied by its receiver. Each end also has a pool of
-// its own (its "home": a rank's, a device's). A sender takes from the
-// direction first and from home otherwise; home remembers, per size class, how
-// many buffers it has lent out this way. The end that empties a buffer then
+// its own (its "home": the pool of the rank at that end). A sender takes from
+// the direction first and from home otherwise; home remembers, per size class,
+// how many buffers it has lent out this way. The end that empties a buffer then
 // decides where it waits:
 //
 //   - an end that has lent buffers out keeps it, replacing one: symmetric
@@ -233,7 +238,7 @@ func (d *DirPool) Get(home *BufPool, n int) []byte {
 			return buf[:n]
 		}
 	}
-	home.lent[c]++
+	home.lent[c-poolMinShift]++
 	return home.Get(n)
 }
 
@@ -247,7 +252,7 @@ func (d *DirPool) GetCopy(home *BufPool, src []byte) []byte {
 // Return retires a buffer that travelled on the direction, from whichever end
 // is done with it last; home is that end's own pool.
 func (d *DirPool) Return(home *BufPool, buf []byte) {
-	c := classOf(buf)
+	c := classOf(buf) - poolMinShift
 	switch {
 	case c < 0:
 	case home.lent[c] > 0:
@@ -506,10 +511,10 @@ func (dr *Drain) give(list [][]byte) {
 
 // Home takes the free buffers of an owner's pool. Its counters stay.
 func (dr *Drain) Home(p *BufPool) {
-	for c := range p.classes {
-		dr.give(p.classes[c])
-		p.classes[c] = nil
-		dr.lent[c] += int(p.lent[c])
+	for i := range p.classes {
+		dr.give(p.classes[i])
+		p.classes[i] = nil
+		dr.lent[i+poolMinShift] += int(p.lent[i])
 	}
 }
 

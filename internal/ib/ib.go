@@ -43,8 +43,9 @@ type Fabric struct {
 	topo   Topology
 	spines [][]sim.Time
 
-	// devices lists every opened device, for aggregating per-device pools.
-	// Appended only by OpenDevice, which runs during serialized job init.
+	// devices lists every opened device, for the pools the fabric made and
+	// the QP wire lists. Appended only by OpenDeviceWith, which runs during
+	// serialized job init.
 	devices []*Device
 
 	// inj, when non-nil, is the job's fault injector: link flap/degrade and
@@ -65,22 +66,28 @@ type Fabric struct {
 	trace func(TraceEvent)
 }
 
-// PoolCounters reports the fabric's aggregate buffer-pool hit statistics
-// (summed over per-device pools).
+// PoolCounters reports the aggregate hit statistics of the buffer pools the
+// fabric made (OpenDevice). A pool given to OpenDeviceWith is its owner's to
+// count.
 func (f *Fabric) PoolCounters() core.PoolCounters {
 	var c core.PoolCounters
 	for _, d := range f.devices {
-		c.Add(d.pool.Counters())
+		if d.ownPool {
+			c.Add(d.pool.Counters())
+		}
 	}
 	return c
 }
 
-// DrainPools hands the free wire buffers of every device and queue pair to
-// dr, in device and QP creation order. For the end of a job: nothing may
+// DrainPools hands dr the free wire buffers of the pools the fabric made and
+// of every queue pair, in device and QP creation order. A pool given to
+// OpenDeviceWith is its owner's to drain. For the end of a job: nothing may
 // post or poll afterwards.
 func (f *Fabric) DrainPools(dr *core.Drain) {
 	for _, d := range f.devices {
-		dr.Home(&d.pool)
+		if d.ownPool {
+			dr.Home(d.pool)
+		}
 		for _, q := range d.qps {
 			dr.Dir(&q.wire)
 		}
@@ -182,11 +189,14 @@ type Device struct {
 	res [2]sim.Res
 
 	// pool is the home pool of the wire buffers this device's QPs send and
-	// absorb (see QP.wire). Per-device rather than per-fabric so that causally
-	// independent epoch groups never share a free list.
-	pool core.BufPool
+	// absorb (see QP.wire): the pool of the process that opened the device,
+	// touched only from groups that own that process's resource, so causally
+	// independent epoch groups never share a free list. ownPool says the
+	// fabric made it (OpenDevice), and so counts and drains it.
+	pool    *core.BufPool
+	ownPool bool
 
-	// devID is fixed at OpenDevice and qpnNext counts QPs created here, so
+	// devID is fixed at OpenDeviceWith and qpnNext counts QPs created here, so
 	// CreateQP touches no fabric-shared state.
 	devID   int
 	qpnNext int
@@ -209,15 +219,28 @@ func (d *Device) Tag(rank, host sim.Res) { d.res[0], d.res[1] = rank, host }
 // ErrNoDeviceAccess is returned when a non-privileged container opens the HCA.
 var ErrNoDeviceAccess = fmt.Errorf("ib: device not visible (container lacks --privileged)")
 
-// OpenDevice opens the host HCA from the given environment.
+// OpenDevice opens the host HCA from the given environment, with a wire
+// buffer pool of the device's own.
 func (f *Fabric) OpenDevice(env *cluster.Container) (*Device, error) {
+	return f.OpenDeviceWith(env, nil)
+}
+
+// OpenDeviceWith opens the host HCA from the given environment and takes the
+// wire buffers of its QPs from pool: the pool of the process opening it, which
+// that process counts and drains and which, like the device, only groups
+// owning the process's resource may touch. A nil pool gives the device one of
+// its own, which the fabric counts and drains.
+func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*Device, error) {
 	if f.ports[env.Host.Index] == nil {
 		return nil, fmt.Errorf("ib: host %s has no HCA", env.Host.Name)
 	}
 	if !env.Privileged {
 		return nil, ErrNoDeviceAccess
 	}
-	d := &Device{fabric: f, Env: env, devID: len(f.devices)}
+	d := &Device{fabric: f, Env: env, devID: len(f.devices), pool: pool}
+	if pool == nil {
+		d.pool, d.ownPool = new(core.BufPool), true
+	}
 	f.devices = append(f.devices, d)
 	return d, nil
 }
@@ -429,17 +452,17 @@ type QP struct {
 
 // WireBuf returns a length-n wire buffer for a message this QP will send, for
 // the caller to fill and hand to PostSendOwned. Contents are undefined.
-func (q *QP) WireBuf(n int) []byte { return q.wire.Get(&q.dev.pool, n) }
+func (q *QP) WireBuf(n int) []byte { return q.wire.Get(q.dev.pool, n) }
 
 // Recycle retires a bounce buffer received via CQE.Buf on this QP: this
 // device keeps it if it replaces one of its own now travelling, otherwise it
 // goes back to the sending QP. Call it once the payload has been copied out;
 // the CQE must not be touched afterwards. Recycling nil or a foreign buffer
 // is a no-op.
-func (q *QP) Recycle(buf []byte) { q.peer.wire.Return(&q.dev.pool, buf) }
+func (q *QP) Recycle(buf []byte) { q.peer.wire.Return(q.dev.pool, buf) }
 
 // unpost takes back a wire buffer whose post failed before it left.
-func (q *QP) unpost(wire []byte) { q.wire.Return(&q.dev.pool, wire) }
+func (q *QP) unpost(wire []byte) { q.wire.Return(q.dev.pool, wire) }
 
 // bump advances the QP's activity high-water mark.
 func (q *QP) bump(t sim.Time) {

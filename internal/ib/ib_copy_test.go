@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cmpi/internal/core"
 	"cmpi/internal/fault"
 	"cmpi/internal/sim"
 )
@@ -153,6 +154,48 @@ func TestFailedPostsReturnOwnedWireBuffers(t *testing.T) {
 	c := fx.fabric.PoolCounters()
 	if c.Gets != posts || c.Gets-c.Hits != 1 {
 		t.Fatalf("pool counters %+v: want %d requests served from 1 allocation (every failed post returns its buffer)", c, posts)
+	}
+}
+
+// TestOpenDeviceWithSharesOnePool: a device opened on its process's pool takes
+// its QPs' wire buffers from that pool and leaves counting and draining it to
+// the process; a device from OpenDevice has a pool of its own, which the
+// fabric counts and drains.
+func TestOpenDeviceWithSharesOnePool(t *testing.T) {
+	fx := newFixture(t, 2)
+	var home core.BufPool
+	shared, err := fx.fabric.OpenDeviceWith(fx.clu.Host(0).NativeEnv(), &home)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := fx.fabric.OpenDevice(fx.clu.Host(1).NativeEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, qo := shared.CreateQP(shared.CreateCQ(), nil), own.CreateQP(own.CreateCQ(), nil)
+	if err := Connect(qs, qo); err != nil {
+		t.Fatal(err)
+	}
+	qs.WireBuf(100)
+	qo.WireBuf(100)
+	qo.WireBuf(100)
+	if c := home.Counters(); c.Gets != 1 {
+		t.Errorf("the process's pool served %d wire buffers, want 1", c.Gets)
+	}
+	if c := fx.fabric.PoolCounters(); c.Gets != 2 {
+		t.Errorf("the fabric counts %d wire buffers, want the 2 of the pool it made", c.Gets)
+	}
+	home.Put(make([]byte, 128))
+	own.pool.Put(make([]byte, 128))
+	var dr core.Drain
+	fx.fabric.DrainPools(&dr)
+	home.Get(128)
+	own.pool.Get(128)
+	if c := home.Counters(); c.Hits != 1 {
+		t.Error("the fabric drained a pool it was given")
+	}
+	if c := own.pool.Counters(); c.Hits != 0 {
+		t.Error("the fabric left the pool it made undrained")
 	}
 }
 

@@ -64,7 +64,7 @@ func TestShmEagerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestHCAEagerSteadyStateAllocs locks in the pooled HCA eager path: wire
-// buffers and SRQ bounce buffers recycle through the device pools, and the
+// buffers and SRQ bounce buffers recycle through the rank pools, and the
 // deferred-delivery events (arrival + transmit completion) come from the
 // device's sendEvt free list instead of per-message closures.
 func TestHCAEagerSteadyStateAllocs(t *testing.T) {

@@ -266,6 +266,11 @@ func TestFullFidelity4096(t *testing.T) {
 	}
 }
 
+// fullFidelityAllocKB is the TotalAlloc per rank, in KB, that the test's own
+// sizes may reach (ROADMAP item 8: bytes per rank held flat). A size run by
+// hand has no ceiling.
+var fullFidelityAllocKB = map[int]float64{1024: 19.5, 4096: 21.5}
+
 // fullFidelityWorld runs TestFullFidelity4096's job at the given size and
 // logs what the process allocated and holds, per rank.
 func fullFidelityWorld(t *testing.T, ranks int) {
@@ -280,9 +285,13 @@ func fullFidelityWorld(t *testing.T, ranks int) {
 	}
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
+	perRank := float64(m.TotalAlloc) / float64(ranks) / 1e3
 	t.Logf("%d ranks: TotalAlloc %.1f KB per rank, HeapSys %d MiB after the run (%d pair records)",
-		ranks, float64(m.TotalAlloc)/float64(ranks)/1e3, m.HeapSys>>20, len(w.pairs))
+		ranks, perRank, m.HeapSys>>20, len(w.pairs))
 	if m.HeapSys >= 256<<20 {
 		t.Errorf("HeapSys = %d MiB, want < 256", m.HeapSys>>20)
+	}
+	if ceil, ok := fullFidelityAllocKB[ranks]; ok && perRank > ceil {
+		t.Errorf("TotalAlloc = %.1f KB per rank, want ≤ %.1f", perRank, ceil)
 	}
 }

@@ -34,6 +34,59 @@ func TestPoolStrictKeepsPinnedResults(t *testing.T) {
 	t.Run("second-world", TestDepotServesTheSecondWorld)
 }
 
+// TestRankAndDeviceShareOnePool: the HCA a rank opens takes its wire buffers
+// from the rank's pool, so the fabric counts no pool of its own and the
+// world's drain hands each pool over once. A one-way HCA stream leaves the
+// sender's pool with buffers lent out at the end, so a pool drained twice
+// would count them twice and break the conservation law poolStrict asserts.
+func TestRankAndDeviceShareOnePool(t *testing.T) {
+	strictPools(t)
+	w := testWorld(t, "2host", 2, DefaultOptions())
+	const window = 8
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Fatalf("World.Run under poolStrict: %v", v)
+			}
+		}()
+		if err := w.Run(func(r *Rank) error {
+			buf := make([]byte, 256)
+			reqs := make([]*Request, window)
+			for i := range reqs {
+				if r.Rank() == 0 {
+					reqs[i] = r.Isend(1, i, buf)
+				} else {
+					reqs[i] = r.Irecv(0, i, buf)
+				}
+			}
+			r.WaitAll(reqs...)
+			r.Release(reqs...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if c := w.fabric.PoolCounters(); c != (core.PoolCounters{}) {
+		t.Errorf("fabric pool counters %+v: want nothing beside the rank pools", c)
+	}
+	var sum core.PoolCounters
+	for _, r := range w.ranks {
+		sum.Add(r.pools.buf.Counters())
+	}
+	if got := w.SimStats().BufPool; got != sum {
+		t.Errorf("SimStats().BufPool = %+v, want the rank pools' sum %+v", got, sum)
+	}
+	// The world is over: a QP made now on each rank's device shows where its
+	// wire buffers come from.
+	for _, r := range w.ranks {
+		before := r.pools.buf.Counters().Gets
+		r.dev.CreateQP(r.cq, r.cq).WireBuf(100)
+		if got := r.pools.buf.Counters().Gets - before; got != 1 {
+			t.Errorf("rank %d: a wire buffer of its device took %d requests of the rank's pool, want 1", r.rank, got)
+		}
+	}
+}
+
 // TestPoolStrictTripsOnDoublePut: a buffer put twice sits on a free list
 // twice; without the check two operations of some later world would share it.
 func TestPoolStrictTripsOnDoublePut(t *testing.T) {

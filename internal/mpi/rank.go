@@ -265,8 +265,10 @@ func (r *Rank) initPre() error {
 	p := r.w.Opts.Params
 
 	// Open the device (needs --privileged inside containers). A failure is
-	// only fatal if some peer actually requires the HCA channel.
-	r.dev, r.devErr = r.w.fabric.OpenDevice(r.env)
+	// only fatal if some peer actually requires the HCA channel. Its wire
+	// buffers come from the rank's pool: every fabric event carries this
+	// rank's resource (Tag), so only groups that own the rank touch them.
+	r.dev, r.devErr = r.w.fabric.OpenDeviceWith(r.env, &r.pools.buf)
 	if r.dev != nil {
 		r.cq = r.dev.CreateCQ()
 		r.cq.SetWaiter(r.p)

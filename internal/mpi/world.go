@@ -290,10 +290,11 @@ func (w *World) finishRun(engErr error) error {
 	return errors.Join(errs...)
 }
 
-// drainPools hands every buffer on a free list of this world — rank homes,
-// ring directions, device pools and QP wire lists — to the process-wide depot
-// (core/pool.go), in rank and ring-creation order so that what a full depot
-// drops does not depend on map order. Buffers an unfinished or failed
+// drainPools hands every buffer on a free list of this world — rank homes
+// (which the ranks' devices share), ring directions and QP wire lists, each
+// list once — to the process-wide depot (core/pool.go), in rank and
+// ring-creation order so that what a full depot drops does not depend on map
+// order. Buffers an unfinished or failed
 // operation still references are on no list and stay with the GC. clean says
 // that neither the engine nor a rank reported an error. Under the poolStrict
 // test hook (core.SetPoolStrict) a world that ended cleanly must also satisfy
@@ -394,8 +395,8 @@ func (w *World) deadRanksSorted() []int {
 func (w *World) SimStats() profile.SimStats {
 	es := w.Eng.Stats()
 	// Requests a per-direction list served (ring directions, QP wire lists)
-	// are counted as hits of the sender's rank or device pool, so these sums
-	// cover them.
+	// are counted as hits of the sender's rank pool, which its device shares,
+	// so these sums cover them; the fabric adds only pools it made itself.
 	var bc, oc core.PoolCounters
 	for _, r := range w.ranks {
 		bc.Add(r.pools.buf.Counters())
@@ -548,9 +549,8 @@ type pairShared struct {
 	// degrade to SHM streaming.
 	cmaDead bool
 	// hca records, per side, that the pair has used the HCA channel: the
-	// footprint then also spans both hosts' port resources (fabric events
-	// and device pools). Per-side bools so concurrent groups never write
-	// the same word.
+	// footprint then also spans both hosts' port resources (fabric events).
+	// Per-side bools so concurrent groups never write the same word.
 	hca [2]bool
 	// listed marks, per side, that the pair is on that rank's touchedPairs
 	// list (footprint enumeration).
@@ -617,7 +617,7 @@ func nameIPCOf(env *cluster.Container) nameIPC {
 // resRank is the epoch-dispatch resource id for a rank's private state.
 func (w *World) resRank(rank int) sim.Res { return sim.Res(1 + rank) }
 
-// resHost is the resource id for a host's fabric port and device pools.
+// resHost is the resource id for a host's fabric port.
 func (w *World) resHost(host int) sim.Res { return sim.Res(1 + len(w.ranks) + host) }
 
 // resSpine is the resource id for one fabric spine switch's next-free word

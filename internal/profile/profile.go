@@ -155,8 +155,8 @@ type SimStats struct {
 	// field stays only because bench/ reads it, and bench/ may be edited only
 	// by a benchmark issue (ROADMAP item 1 deletes both).
 	PeakProcBytes uint64
-	// BufPool aggregates the byte-buffer pools (runtime staging plus fabric
-	// wire snapshots).
+	// BufPool aggregates the byte-buffer pools, one per rank: staging,
+	// payload snapshots and the wire buffers of the rank's HCA.
 	BufPool core.PoolCounters
 	// DepotRefused is the bytes the process-wide depot's cap cost when the
 	// finished job's free buffers were handed to it (core.Drain.Refused):
