@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"sync"
 )
 
@@ -41,6 +42,13 @@ import (
 // own buffers; with nothing older left, the newcomer is dropped instead.
 // This is a pin-down cache's policy (evict the old, neither refuse the new
 // nor grow), with a whole class standing for one entry.
+//
+// The free objects of a finished world — the library's requests, envelopes,
+// packets and send ops, the fabric's event records and CQ batches — go to the
+// same depot, one list per kind (GiveObjects, TakeObject), under the same
+// mutex and on the same two cold paths. Objects of a kind are
+// interchangeable, so a full list (objDepotCap) keeps what it has and refuses
+// the newcomers.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -292,14 +300,17 @@ type depot struct {
 	// poisoned is the set of held buffers a strict Drain brought in, by the
 	// address of their first byte; nil until there is one.
 	poisoned map[*byte]struct{}
+	// objs holds the free objects, one *[]T per kind T (see GiveObjects).
+	objs map[reflect.Type]any
 }
 
 var theDepot = depot{limit: depotCap}
 
 // poolStrict is a test hook: when set, every buffer a finished world hands to
 // the depot is poisoned and checked not to be there already (a double Put),
-// and the next world to take one checks the poison is intact (give, take).
-// Worlds read it too (mpi: the conservation law, Rank.Release). Guarded by
+// and the next world to take one checks the poison is intact (give, take);
+// an object taken from the depot must still be zero (TakeObject). Worlds read
+// it too (mpi: the conservation law, Rank.Release). Guarded by
 // theDepot.mu; written only between worlds.
 var poolStrict bool
 
@@ -323,18 +334,19 @@ func SetPoolStrict(on bool) (was bool) {
 	return was
 }
 
-// DropDepot leaves everything the depot holds to the garbage collector: the
-// state of a process that has run no world yet. Only for the benchmarks and
-// tests that compare a cold start with a warm one (they live in other
-// packages, hence the export). What the depot holds is part of a process's
-// footprint: nothing that bounds heap may call this first.
+// DropDepot leaves everything the depot holds, buffers and objects, to the
+// garbage collector: the state of a process that has run no world yet. Only
+// for the benchmarks and tests that compare a cold start with a warm one or
+// must start from one depot state (they live in other packages, hence the
+// export). What the depot holds is part of a process's footprint: nothing
+// that bounds heap may call this first.
 func DropDepot() { theDepot.drop() }
 
 // drop empties d.
 func (d *depot) drop() {
 	d.mu.Lock()
 	d.classes = [depotMaxShift + 1][][]byte{}
-	d.bytes, d.poisoned = 0, nil
+	d.bytes, d.poisoned, d.objs = 0, nil, nil
 	d.mu.Unlock()
 }
 
@@ -492,9 +504,10 @@ func (d *depot) give(list [][]byte) (refused int) {
 // home pool once and every direction at least once, from one goroutine, when
 // nothing of the world runs any more.
 type Drain struct {
-	// Refused is the bytes of free buffers that depotCap cost: older ones the
-	// depot evicted to take these, and those it was still too full to take.
-	// A repeat of a world like this one allocates them again.
+	// Refused is the bytes of free buffers that depotCap cost — older ones the
+	// depot evicted to take these, and those it was still too full to take —
+	// and of the objects objDepotCap refused. A repeat of a world like this
+	// one allocates them again.
 	Refused       int
 	started       bool
 	lent, waiting [poolMaxShift + 1]int
@@ -540,4 +553,95 @@ func (dr *Drain) Unbalanced() error {
 		}
 	}
 	return nil
+}
+
+// objDepotCap bounds the objects of each kind the depot holds between worlds.
+// It covers the largest worlds a process repeats: 1024 ranks at full fidelity
+// leave 4448 fabric event records, their most numerous kind, and 4096 ranks
+// about four times as many.
+const objDepotCap = 1 << 15
+
+// GiveObjects hands list, in order, to the depot's list of kind T, for the
+// free lists of later worlds: pointers to zero values, or slices emptied and
+// zeroed up to their capacity. What would take the kind past objDepotCap is
+// refused and its bytes are added to dr.Refused. Like Home and Dir, only for
+// a world whose engine has stopped.
+func GiveObjects[T any](dr *Drain, list []T) {
+	if len(list) == 0 {
+		return
+	}
+	d := &theDepot
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	k := reflect.TypeFor[T]()
+	l, _ := d.objs[k].(*[]T)
+	if l == nil {
+		if d.objs == nil {
+			d.objs = make(map[reflect.Type]any)
+		}
+		l = new([]T)
+		d.objs[k] = l
+	}
+	n := min(len(list), objDepotCap-len(*l))
+	if need := len(*l) + n; need > cap(*l) {
+		// Double, where append would grow a long list by a quarter at a
+		// time: a drain gives a kind once per rank.
+		grown := make([]T, len(*l), min(max(need, 2*cap(*l)), objDepotCap))
+		copy(grown, *l)
+		*l = grown
+	}
+	*l = append(*l, list[:n]...)
+	for _, x := range list[n:] {
+		dr.Refused += objBytes(x)
+	}
+}
+
+// TakeObject returns an object of kind T that a finished world gave the
+// depot, and false when it holds none. Under poolStrict it panics if the
+// object is no longer the zero value GiveObjects took: something kept an
+// alias past the end of its world and wrote through it.
+func TakeObject[T any]() (x T, ok bool) {
+	d := &theDepot
+	d.mu.Lock()
+	l, _ := d.objs[reflect.TypeFor[T]()].(*[]T)
+	if l == nil || len(*l) == 0 {
+		d.mu.Unlock()
+		return x, false
+	}
+	n := len(*l) - 1
+	x = (*l)[n]
+	(*l)[n] = *new(T)
+	*l = (*l)[:n]
+	strict := poolStrict
+	d.mu.Unlock()
+	if strict && !zeroed(x) {
+		panic(fmt.Sprintf("core: a %T from the depot was written after its world ended", x))
+	}
+	return x, true
+}
+
+// zeroed reports whether a depot object is as GiveObjects took it: what a
+// pointer points to is zero, and so is a slice up to its capacity.
+func zeroed[T any](x T) bool {
+	v := reflect.ValueOf(x)
+	if v.Kind() != reflect.Slice {
+		return v.Elem().IsZero()
+	}
+	v = v.Slice(0, v.Cap())
+	for i := range v.Len() {
+		if !v.Index(i).IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// objBytes is the memory behind a depot object: what a pointer points to, or
+// a slice's capacity.
+func objBytes[T any](x T) int {
+	v := reflect.ValueOf(x)
+	if v.Kind() != reflect.Slice {
+		return int(v.Type().Elem().Size())
+	}
+	return v.Cap() * int(v.Type().Elem().Size())
 }

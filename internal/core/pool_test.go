@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestBufPoolRecycles(t *testing.T) {
@@ -626,4 +627,136 @@ func TestDepotConcurrentUse(t *testing.T) {
 	if held != theDepot.bytes || held == 0 || held > theDepot.limit {
 		t.Errorf("depot accounts %d bytes, lists %d", theDepot.bytes, held)
 	}
+}
+
+// depotObj stands for a pooled object kind: the depot keeps pointers to it,
+// and batches of it.
+type depotObj struct {
+	n   int
+	p   *int
+	buf []byte
+}
+
+// Objects come back out in last-in order, per kind: a pointer kind and a
+// slice kind do not mix, and a kind with nothing left says so.
+func TestObjectDepotRoundTrip(t *testing.T) {
+	emptyDepot(t)
+	a, b := new(depotObj), new(depotObj)
+	batch := make([]depotObj, 0, 4)
+	var dr Drain
+	GiveObjects(&dr, []*depotObj{a, b})
+	GiveObjects(&dr, [][]depotObj{batch})
+	if dr.Refused != 0 {
+		t.Fatalf("an empty depot refused %d bytes", dr.Refused)
+	}
+	for _, want := range []*depotObj{b, a} {
+		if got, ok := TakeObject[*depotObj](); !ok || got != want {
+			t.Fatalf("TakeObject = %p, %v; want %p", got, ok, want)
+		}
+	}
+	if got, ok := TakeObject[*depotObj](); ok {
+		t.Fatalf("an emptied kind served %p", got)
+	}
+	got, ok := TakeObject[[]depotObj]()
+	if !ok || cap(got) != 4 || len(got) != 0 || &got[:1][0] != &batch[:1][0] {
+		t.Fatalf("the batch came back as len %d cap %d (ok %v)", len(got), cap(got), ok)
+	}
+	GiveObjects(&dr, []*depotObj{a})
+	DropDepot()
+	if _, ok := TakeObject[*depotObj](); ok {
+		t.Error("DropDepot left an object behind")
+	}
+}
+
+// A kind holds at most objDepotCap objects; the depot keeps the ones it has
+// and refuses the rest, whose bytes the drain adds up.
+func TestObjectDepotRespectsItsCap(t *testing.T) {
+	emptyDepot(t)
+	list := make([]*depotObj, objDepotCap+3)
+	for i := range list {
+		list[i] = new(depotObj)
+	}
+	var dr Drain
+	GiveObjects(&dr, list[:1])
+	GiveObjects(&dr, list[1:])
+	if want := 3 * int(unsafe.Sizeof(depotObj{})); dr.Refused != want {
+		t.Errorf("refused %d bytes, want %d (three objects)", dr.Refused, want)
+	}
+	GiveObjects(&dr, [][]depotObj{make([]depotObj, 0, 5)})
+	if got, ok := TakeObject[[]depotObj](); !ok || cap(got) != 5 {
+		t.Error("a full pointer kind refused a slice kind")
+	}
+	for i := objDepotCap - 1; i >= 0; i-- {
+		if got, ok := TakeObject[*depotObj](); !ok || got != list[i] {
+			t.Fatalf("object %d: the depot did not keep the first %d it was given", i, objDepotCap)
+		}
+	}
+	if _, ok := TakeObject[*depotObj](); ok {
+		t.Error("the depot served more objects than its cap")
+	}
+	var full Drain
+	batches := [][]depotObj{make([]depotObj, 0, 2)}
+	for range objDepotCap {
+		GiveObjects(&full, batches)
+	}
+	GiveObjects(&full, batches)
+	if want := 2 * int(unsafe.Sizeof(depotObj{})); full.Refused != want {
+		t.Errorf("a refused batch of two counted %d bytes, want %d", full.Refused, want)
+	}
+}
+
+// Under poolStrict a take checks that nothing wrote to the object after its
+// world gave it away: through a kept pointer, or into a kept batch.
+func TestObjectDepotStrict(t *testing.T) {
+	emptyDepot(t)
+	was := SetPoolStrict(true)
+	t.Cleanup(func() { SetPoolStrict(was) })
+	var dr Drain
+	clean, stale := new(depotObj), new(depotObj)
+	GiveObjects(&dr, []*depotObj{clean, stale})
+	stale.buf = make([]byte, 1) // a world that is over writes into the next one's object
+	mustPanic(t, "taking an object that was written to", func() { TakeObject[*depotObj]() })
+	if got, ok := TakeObject[*depotObj](); !ok || got != clean {
+		t.Error("a clean object did not come out after the stale one")
+	}
+	batch := make([]depotObj, 3)
+	GiveObjects(&dr, [][]depotObj{batch[:0]})
+	batch[2].n = 1 // past the batch's length, inside its capacity
+	mustPanic(t, "taking a batch that was written to", func() { TakeObject[[]depotObj]() })
+}
+
+// Worlds that run side by side take and give objects at once: under -race,
+// eight goroutines leave every object with one owner.
+func TestObjectDepotConcurrentUse(t *testing.T) {
+	emptyDepot(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 200; round++ {
+				held := make([]*depotObj, 1+(g+round)%8)
+				for i := range held {
+					x, ok := TakeObject[*depotObj]()
+					if !ok {
+						x = new(depotObj)
+					}
+					if x.n != 0 {
+						t.Errorf("goroutine %d: a depot object held %d", g, x.n)
+					}
+					x.n = g + 1
+					held[i] = x
+				}
+				for _, x := range held {
+					if x.n != g+1 {
+						t.Errorf("goroutine %d: an object it holds was written by another", g)
+					}
+					*x = depotObj{}
+				}
+				var dr Drain
+				GiveObjects(&dr, held)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

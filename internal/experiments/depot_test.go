@@ -9,37 +9,42 @@ import (
 	"cmpi/internal/osu"
 )
 
-// The process-wide buffer depot (core/pool.go) is the one thing worlds of a
-// process share. These two tests put worlds on it side by side — sweep
-// points on four workers, epoch groups of one world at width four — and want
-// the results of a lone sequential world. Under -race they are also the
-// check that the depot's mutex covers everything the worlds share.
+// The process-wide depot (core/pool.go), which keeps the free buffers and
+// objects of finished worlds, is the one thing worlds of a process share.
+// These two tests put worlds on it side by side — sweep points on four
+// workers, epoch groups of one world at width four — and want the results of
+// a lone sequential world. Under -race they are also the check that the
+// depot's mutex covers everything the worlds share.
+
+// depotServed is what the depot served one world: buffers and objects.
+type depotServed struct{ bufs, objs uint64 }
 
 // depotPoint runs a 32-rank allreduce sweep on two hosts and returns its
-// world's digest and how many buffers the depot served it.
-func depotPoint() (string, uint64, error) {
+// world's digest and what the depot served it.
+func depotPoint() (string, depotServed, error) {
 	d, err := cluster.Containers(cluster.MustNew(testbedSpec(2)), 2, 32, cluster.PaperScenarioOpts())
 	if err != nil {
-		return "", 0, err
+		return "", depotServed{}, err
 	}
 	w, err := mpi.NewWorld(d, mpi.DefaultOptions())
 	if err != nil {
-		return "", 0, err
+		return "", depotServed{}, err
 	}
 	if _, err := osu.Collective(w, osu.Allreduce, []int{64, 4 << 10, 64 << 10}, osu.Config{Iters: 2, Warmup: 1}); err != nil {
-		return "", 0, err
+		return "", depotServed{}, err
 	}
-	return w.Digest(), w.SimStats().BufPool.Depot, nil
+	st := w.SimStats()
+	return w.Digest(), depotServed{st.BufPool.Depot, st.ObjPool.Depot}, nil
 }
 
 // TestDepotSharedBySweepWorkers: eight sweep points on four workers, then on
-// one, give the same worlds, and the depot serves them.
+// one, give the same worlds, and the depot serves them buffers and objects.
 func TestDepotSharedBySweepWorkers(t *testing.T) {
-	var served uint64
+	var served depotServed
 	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
 		type point struct {
 			digest string
-			depot  uint64
+			depot  depotServed
 		}
 		out, err := mapPoints(8, func(int) (point, error) {
 			digest, depot, err := depotPoint()
@@ -50,19 +55,21 @@ func TestDepotSharedBySweepWorkers(t *testing.T) {
 		}
 		var digests []string
 		for _, pt := range out {
-			digests, served = append(digests, pt.digest), served+pt.depot
+			digests = append(digests, pt.digest)
+			served.bufs += pt.depot.bufs
+			served.objs += pt.depot.objs
 		}
 		return invariant.Result{Digest: invariant.Sum(digests)}
 	}, invariant.Point{}, invariant.Point{Sweep: 1})
-	if served == 0 {
-		t.Error("sixteen identical worlds took nothing from the depot")
+	if served.bufs == 0 || served.objs == 0 {
+		t.Errorf("sixteen identical worlds took %d buffers and %d objects from the depot, want some of each", served.bufs, served.objs)
 	}
 }
 
 // TestDepotSharedByDispatchWidth: epoch groups of one world at width four
 // share the depot with the world before, and simulate what width one does.
 func TestDepotSharedByDispatchWidth(t *testing.T) {
-	var served uint64
+	var served depotServed
 	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
 		digest, depot, err := depotPoint()
 		if err != nil {
@@ -71,7 +78,7 @@ func TestDepotSharedByDispatchWidth(t *testing.T) {
 		served = depot
 		return invariant.Result{Digest: digest}
 	}, invariant.Point{}, invariant.Point{Width: 4})
-	if served == 0 {
-		t.Error("the second world took nothing from the depot")
+	if served.bufs == 0 || served.objs == 0 {
+		t.Errorf("the second world took %d buffers and %d objects from the depot, want some of each", served.bufs, served.objs)
 	}
 }

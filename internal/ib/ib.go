@@ -79,10 +79,23 @@ func (f *Fabric) PoolCounters() core.PoolCounters {
 	return c
 }
 
+// ObjCounters reports where the devices' event records and CQ batches came
+// from. Gets counts only what a free list could not serve — an empty evtFree,
+// and the two batches of every CreateCQ — so Hits is zero; Depot is the part
+// the depot served, and Gets - Depot were allocated.
+func (f *Fabric) ObjCounters() core.PoolCounters {
+	var c core.PoolCounters
+	for _, d := range f.devices {
+		c.Add(d.objs)
+	}
+	return c
+}
+
 // DrainPools hands dr the free wire buffers of the pools the fabric made and
-// of every queue pair, in device and QP creation order. A pool given to
-// OpenDeviceWith is its owner's to drain. For the end of a job: nothing may
-// post or poll afterwards.
+// of every queue pair, then each device's free event records and its CQs'
+// batches, in device and QP creation order. A pool given to OpenDeviceWith is
+// its owner's to drain. For the end of a job: nothing may post or poll
+// afterwards.
 func (f *Fabric) DrainPools(dr *core.Drain) {
 	for _, d := range f.devices {
 		if d.ownPool {
@@ -90,6 +103,11 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 		}
 		for _, q := range d.qps {
 			dr.Dir(&q.wire)
+		}
+		core.GiveObjects(dr, d.evtFree)
+		d.evtFree = nil
+		for _, q := range d.cqs {
+			q.drain(dr)
 		}
 	}
 }
@@ -207,6 +225,11 @@ type Device struct {
 	// PostWrite, making their two scheduled events allocation-free in steady
 	// state.
 	evtFree []*sendEvt
+	// cqs lists the CQs created here, for DrainPools.
+	cqs []*CQ
+	// objs counts the misses of evtFree and the batches CreateCQ asks for
+	// (see ObjCounters).
+	objs core.PoolCounters
 }
 
 // Tag declares the device's identity resources for parallel dispatch: the
@@ -355,9 +378,34 @@ type CQ struct {
 	waiter  *sim.Proc
 }
 
-// CreateCQ allocates a completion queue on the device.
+// CreateCQ allocates a completion queue on the device, with batches an
+// earlier world left in the depot when there are any.
 func (d *Device) CreateCQ() *CQ {
-	return &CQ{dev: d}
+	q := &CQ{dev: d, entries: d.batch(), spare: d.batch()}
+	d.cqs = append(d.cqs, q)
+	return q
+}
+
+// batch returns an empty CQE batch from the depot, or nil for push to grow.
+func (d *Device) batch() []CQE {
+	d.objs.Gets++
+	b, ok := core.TakeObject[[]CQE]()
+	if ok {
+		d.objs.Depot++
+	}
+	return b
+}
+
+// drain hands the CQ's batches to the depot, cleared so that they keep no QP
+// or buffer alive.
+func (q *CQ) drain(dr *core.Drain) {
+	for _, b := range [...][]CQE{q.entries, q.spare} {
+		if cap(b) > 0 {
+			clear(b[:cap(b)])
+			core.GiveObjects(dr, [][]CQE{b[:0]})
+		}
+	}
+	q.entries, q.spare = nil, nil
 }
 
 // SetWaiter registers p to be unparked whenever a CQE is pushed.
@@ -551,11 +599,16 @@ type sendEvt struct {
 	withImm bool
 }
 
-// getEvt takes a record from the device free list.
+// getEvt takes a record from the device free list, or else from the depot.
 func (d *Device) getEvt() *sendEvt {
 	if n := len(d.evtFree); n > 0 {
 		ev := d.evtFree[n-1]
 		d.evtFree = d.evtFree[:n-1]
+		return ev
+	}
+	d.objs.Gets++
+	if ev, ok := core.TakeObject[*sendEvt](); ok {
+		d.objs.Depot++
 		return ev
 	}
 	return &sendEvt{}

@@ -256,3 +256,53 @@ func TestOneSidedPostsAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainedRecordsServeTheNextFabric: a drained fabric leaves its devices'
+// event records and its CQs' batches to the depot, the batches cleared so that
+// they keep no QP or wire buffer alive, and the next fabric's devices take
+// them instead of allocating.
+func TestDrainedRecordsServeTheNextFabric(t *testing.T) {
+	const msgs = 4
+	exchange := func() (*fixture, *CQ) {
+		fx := newFixture(t, 2)
+		a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
+		_, _, qa, qb, cqa, cqb := fx.pairOn(t, a, b)
+		fx.eng.Go("recv", func(p *sim.Proc) {
+			cqb.SetWaiter(p)
+			buf := make([]byte, 64)
+			for i := 0; i < msgs; i++ {
+				qb.PostRecv(p, uint64(i), buf)
+				waitCQE(p, cqb, OpRecv)
+			}
+		})
+		fx.eng.Go("send", func(p *sim.Proc) {
+			cqa.SetWaiter(p)
+			for i := 0; i < msgs; i++ {
+				qa.PostSend(p, uint64(i), make([]byte, 64), 0)
+				waitCQE(p, cqa, OpSend)
+			}
+		})
+		if err := fx.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fx, cqb
+	}
+	first, cq := exchange()
+	batches := [][]CQE{cq.entries, cq.spare}
+	var dr core.Drain
+	first.fabric.DrainPools(&dr)
+	for i, b := range batches {
+		if cap(b) == 0 {
+			t.Fatalf("batch %d of a CQ that completed %d receives was never grown", i, msgs)
+		}
+		for j, e := range b[:cap(b)] {
+			if e.QP != nil || e.Buf != nil || e.Bytes != 0 {
+				t.Errorf("entry %d of drained batch %d still holds %+v", j, i, e)
+			}
+		}
+	}
+	second, _ := exchange()
+	if c := second.fabric.ObjCounters(); c.Gets != c.Depot || c.Depot == 0 {
+		t.Errorf("the second fabric allocated %d event records or CQ batches and took %d from the depot; want 0 and some", c.Gets-c.Depot, c.Depot)
+	}
+}

@@ -91,6 +91,71 @@ func TestDepotServesTheSecondWorld(t *testing.T) {
 	})
 }
 
+// objectJob sends every kind of message whose objects a rank recycles, on a
+// 12-rank world over two hosts (ranks 0-5 and 6-11): collectives, then a
+// released window with a partner on the same host (shared memory, and CMA
+// rendezvous at 64 KiB) and with one on the other (the HCA, eager: an HCA
+// rendezvous send is never recycled).
+func objectJob(r *Rank) error {
+	n, me := r.Size(), r.Rank()
+	small := make([]byte, 512)
+	r.Bcast(0, small)
+	fillAllreduce(small, me, 0)
+	r.Allreduce(small, SumInt64)
+	all := make([]byte, 1<<10*n)
+	r.Alltoall(all, make([]byte, len(all)), 1<<10)
+	for _, hop := range []struct{ peer, size int }{{me ^ 1, 512}, {me ^ 1, 64 << 10}, {(me + n/2) % n, 4 << 10}} {
+		out, in := make([]byte, hop.size), make([]byte, hop.size)
+		reqs := make([]*Request, 0, 16)
+		for i := 0; i < 8; i++ {
+			reqs = append(reqs, r.Irecv(hop.peer, i, in), r.Isend(hop.peer, i, out))
+		}
+		r.WaitAll(reqs...)
+		r.Release(reqs...)
+	}
+	r.Barrier()
+	return nil
+}
+
+// TestSecondWorldAllocatesNoObjects: the free objects of a world outlive it
+// the way its buffers do. Run the same job twice, and the second world's
+// request, envelope, send-op and packet lists, and its devices' event records
+// and CQ batches, take everything their own lists miss from the depot.
+func TestSecondWorldAllocatesNoObjects(t *testing.T) {
+	run := func() *World {
+		opts := DefaultOptions()
+		opts.Mode = core.ModeLocalityAware
+		w := testWorld(t, "2host4cont", 12, opts)
+		if err := w.Run(objectJob); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	run()
+	w := run()
+	var reqs, envs, ops, pkts core.PoolCounters
+	for _, r := range w.ranks {
+		reqs.Add(r.pools.reqs.ctr)
+		envs.Add(r.pools.envs.ctr)
+		ops.Add(r.pools.ops.ctr)
+		pkts.Add(r.pools.pkts.ctr)
+	}
+	for _, l := range []struct {
+		name string
+		c    core.PoolCounters
+	}{{"request", reqs}, {"envelope", envs}, {"send-op", ops}, {"packet", pkts}} {
+		if made := l.c.Gets - l.c.Hits - l.c.Depot; made != 0 || l.c.Depot == 0 {
+			t.Errorf("second world's %s lists allocated %d objects and took %d from the depot (%+v); want 0 and some", l.name, made, l.c.Depot, l.c)
+		}
+	}
+	if c := w.fabric.ObjCounters(); c.Gets != c.Depot || c.Depot == 0 {
+		t.Errorf("second world's devices allocated %d event records or CQ batches and took %d from the depot; want 0 and some", c.Gets-c.Depot, c.Depot)
+	}
+	if c := w.SimStats().ObjPool; c.Depot != reqs.Depot+envs.Depot+ops.Depot+pkts.Depot {
+		t.Errorf("SimStats.ObjPool.Depot = %d, the lists say %d", c.Depot, reqs.Depot+envs.Depot+ops.Depot+pkts.Depot)
+	}
+}
+
 // windowBody posts windows of Isend/Irecv between ranks 0 and 1, waits, and
 // hands the handles back when release is set.
 func windowBody(windows, window, size int, release bool) func(r *Rank) error {

@@ -76,11 +76,15 @@ import "cmpi/internal/core"
 //     poolStrict a released handle is poisoned instead of recycled, so a
 //     later Done or Err panics.
 //
-// Byte buffers outlive the world, the objects above do not: when a run ends,
-// World.drainPools hands every free byte buffer — the homes' and the
-// directions' — to the process-wide depot in core/pool.go, where the next
-// world's misses find them. Buffers still referenced by an unfinished or
-// failed operation are on no list and stay with the GC.
+// Everything on a free list outlives the world: when a run ends,
+// World.drainPools hands every free byte buffer and object — the homes' and
+// the directions' lists, then the fabric's event records and CQ batches — to
+// the process-wide depot in core/pool.go, where the next world's misses find
+// them (an object list's miss asks core.TakeObject before new). Objects are
+// zeroed when they are put, so none carries state into the next world, and
+// under poolStrict a depot take checks that nothing wrote to one since.
+// Buffers and objects still referenced by an unfinished or failed operation,
+// and handles the user never released, are on no list and stay with the GC.
 
 // freeList is a typed free list. get returns a zeroed object; put zeroes
 // before listing so stale pointers never pin garbage or leak across reuses.
@@ -101,6 +105,10 @@ func (l *freeList[T]) get() *T {
 		l.ctr.Hits++
 		return x
 	}
+	if x, ok := core.TakeObject[*T](); ok {
+		l.ctr.Depot++
+		return x
+	}
 	return new(T)
 }
 
@@ -108,6 +116,12 @@ func (l *freeList[T]) put(x *T) {
 	var zero T
 	*x = zero
 	l.free = append(l.free, x)
+}
+
+// drain hands the free objects to the depot. The counters and lent stay.
+func (l *freeList[T]) drain(dr *core.Drain) {
+	core.GiveObjects(dr, l.free)
+	l.free = nil
 }
 
 // dirList is core.DirPool for pooled objects: those waiting on one ring
@@ -143,6 +157,12 @@ func (d *dirList[T]) retire(home *freeList[T], x *T) {
 	d.free = append(d.free, x)
 }
 
+// drain hands the objects waiting on the direction to the depot.
+func (d *dirList[T]) drain(dr *core.Drain) {
+	core.GiveObjects(dr, d.free)
+	d.free = nil
+}
+
 // worldPools is the per-Rank recycling state (the rank's home lists).
 type worldPools struct {
 	buf  core.BufPool // payload snapshots, staging buffers
@@ -162,6 +182,15 @@ func (wp *worldPools) counters() core.PoolCounters {
 	c.Add(wp.envs.ctr)
 	c.Add(wp.reqs.ctr)
 	return c
+}
+
+// drain hands everything on the rank's home lists to the depot.
+func (wp *worldPools) drain(dr *core.Drain) {
+	dr.Home(&wp.buf)
+	wp.reqs.drain(dr)
+	wp.envs.drain(dr)
+	wp.ops.drain(dr)
+	wp.pkts.drain(dr)
 }
 
 // AllocMem returns n bytes of message memory from the rank's pool

@@ -137,12 +137,16 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 
 // streamBytes is the heap the process allocates building one two-rank world
 // and streaming the given number of windows through it: the least of three
-// runs, since the runtime's own background allocations only ever add.
+// runs, since the runtime's own background allocations only ever add. Every
+// run starts on an empty depot. The handles the stream holds never go back,
+// so a run takes from the depot what it does not return, and what an earlier
+// world left there would otherwise serve some runs and not others.
 func streamBytes(t *testing.T, scenario string, mode core.Mode, size, windows int, machine bool) uint64 {
 	t.Helper()
 	least := ^uint64(0)
 	for run := 0; run < 3; run++ {
 		var m0, m1 runtime.MemStats
+		core.DropDepot()
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
 		opts := DefaultOptions()

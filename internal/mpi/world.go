@@ -252,8 +252,9 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 }
 
 // finishRun folds the engine error and the per-rank errors into the value Run
-// (and RunMachine) returns, and leaves the world's free buffers to the next
-// one: the engine has stopped, so nothing of this world touches a pool again.
+// (and RunMachine) returns, and leaves the world's free buffers and objects
+// to the next one: the engine has stopped, so nothing of this world touches a
+// pool again.
 func (w *World) finishRun(engErr error) error {
 	var errs []error
 	// rankErrs is indexed by rank, so iterating it in order makes the joined
@@ -290,23 +291,27 @@ func (w *World) finishRun(engErr error) error {
 	return errors.Join(errs...)
 }
 
-// drainPools hands every buffer on a free list of this world — rank homes
-// (which the ranks' devices share), ring directions and QP wire lists, each
-// list once — to the process-wide depot (core/pool.go), in rank and
-// ring-creation order so that what a full depot drops does not depend on map
-// order. Buffers an unfinished or failed
-// operation still references are on no list and stay with the GC. clean says
-// that neither the engine nor a rank reported an error. Under the poolStrict
-// test hook (core.SetPoolStrict) a world that ended cleanly must also satisfy
-// the lent-buffer conservation law, and Rank.Release poisons the handles it
-// is given instead of recycling them: a stale alias would corrupt a different
-// world, so violations panic where they are found.
+// drainPools hands every buffer and object on a free list of this world —
+// rank homes (whose byte pools the ranks' devices share), ring directions,
+// then the devices' QP wire lists, event records and CQ batches, each list
+// once — to the process-wide depot (core/pool.go), in rank, ring-creation and
+// device order so that what a full depot drops does not depend on map order.
+// What an unfinished or failed operation still references is on no list and
+// stays with the GC. clean says that neither the engine nor a rank reported
+// an error. Under the poolStrict test hook (core.SetPoolStrict) a world that
+// ended cleanly must also satisfy the lent-buffer conservation law, and
+// Rank.Release poisons the handles it is given instead of recycling them: a
+// stale alias would corrupt a different world, so violations panic where
+// they are found.
 func (w *World) drainPools(clean bool) {
 	var dr core.Drain
 	for _, r := range w.ranks {
-		dr.Home(&r.pools.buf)
+		r.pools.drain(&dr)
 		for _, ps := range r.localPairs {
-			dr.Dir(&ps.ring.out(r.rank).snaps)
+			out := ps.ring.out(r.rank)
+			dr.Dir(&out.snaps)
+			out.pkts.drain(&dr)
+			out.ops.drain(&dr)
 		}
 	}
 	w.fabric.DrainPools(&dr)
@@ -413,10 +418,10 @@ func (w *World) SimStats() profile.SimStats {
 // Digest is a SHA-256, in hex, over what a finished run simulated: each
 // rank's body start and finish times and its error, the per-rank profile when
 // Opts.Profile is on, and SimStats less what says how the host ran the job —
-// BarrierStalls (the dispatch width), BufPool.Depot and DepotRefused (what
-// earlier worlds left in the depot) and ObjPool.Hits (poolStrict does not
-// recycle released handles). A job has one digest at every width, traced or
-// not, on any depot.
+// BarrierStalls (the dispatch width), BufPool.Depot, ObjPool.Depot and
+// DepotRefused (what earlier worlds left in the depot) and ObjPool.Hits
+// (poolStrict does not recycle released handles). A job has one digest at
+// every width, traced or not, on any depot.
 func (w *World) Digest() string {
 	h := sha256.New()
 	for i := range w.ranks {
@@ -433,7 +438,7 @@ func (w *World) Digest() string {
 		}
 	}
 	st := w.SimStats()
-	st.BarrierStalls, st.BufPool.Depot, st.DepotRefused, st.ObjPool.Hits = 0, 0, 0, 0
+	st.BarrierStalls, st.BufPool.Depot, st.ObjPool.Depot, st.DepotRefused, st.ObjPool.Hits = 0, 0, 0, 0, 0
 	fmt.Fprintf(h, "sim %+v\n", st)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -158,14 +158,17 @@ type SimStats struct {
 	// BufPool aggregates the byte-buffer pools, one per rank: staging,
 	// payload snapshots and the wire buffers of the rank's HCA.
 	BufPool core.PoolCounters
-	// DepotRefused is the bytes the process-wide depot's cap cost when the
-	// finished job's free buffers were handed to it (core.Drain.Refused):
-	// older buffers it evicted to make room, and buffers it still could not
-	// take. A repeat of the job allocates them again. Zero until the run has
-	// ended.
+	// DepotRefused is the bytes the process-wide depot's caps cost when the
+	// finished job's free buffers and objects were handed to it
+	// (core.Drain.Refused): older buffers it evicted to make room, and
+	// buffers and objects it still could not take. A repeat of the job
+	// allocates them again. Zero until the run has ended.
 	DepotRefused uint64
-	// ObjPool aggregates the object free lists (packets, ops, envelopes,
-	// requests).
+	// ObjPool aggregates the object free lists of the ranks (packets, send
+	// ops, envelopes, requests). Depot counts the objects the process-wide
+	// depot served, apart from Hits, as BufPool.Depot does for buffers. The
+	// fabric's event records and CQ batches come from the same depot but are
+	// not counted here (ib.Fabric.ObjCounters has their misses).
 	ObjPool core.PoolCounters
 }
 
