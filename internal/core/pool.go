@@ -208,22 +208,23 @@ func (p *BufPool) Free(buf []byte) {
 func (p *BufPool) Counters() PoolCounters { return p.ctr }
 
 // DirPool holds the buffers that wait on one direction of a channel: filled by
-// the direction's sender, emptied by its receiver. Each end also has a pool of
-// its own (its "home": the pool of the rank at that end). A sender takes from
-// the direction first and from home otherwise; home remembers, per size class,
-// how many buffers it has lent out this way. The end that empties a buffer then
-// decides where it waits:
+// the direction's sender, emptied by its receiver; DirList does the same for
+// objects. Each end also has a pool of its own (its "home": the pool or list
+// of the rank at that end). A sender takes from the direction first and from
+// home otherwise; home remembers (per size class, for bytes) how many it has
+// lent out this way. The end that is done with one then decides where it
+// waits:
 //
-//   - an end that has lent buffers out keeps it, replacing one: symmetric
+//   - an end that has lent some out keeps it, replacing one: symmetric
 //     traffic (ping-pong, pairwise exchange, all-to-all) lives off the home
 //     pools, one warm-up per rank, whichever peers it talks to;
 //   - an end that has nothing to replace hands it back to the direction, so a
-//     one-way stream — whose receiver would otherwise pile up buffers the
-//     sender keeps allocating — reuses the same few.
+//     one-way stream — whose receiver would otherwise pile up what the sender
+//     keeps allocating — reuses the same few.
 //
 // Requests the direction serves are counted as hits of the sender's home, so
 // hit rates need no per-direction bookkeeping. The zero value is ready. A
-// DirPool is shared state of the pair: the sender may touch it only from a
+// direction is shared state of the pair: the sender may touch it only from a
 // group that owns the receiver's dispatch resource, the receiver from its own
 // process.
 type DirPool struct{ free [][]byte }
@@ -269,6 +270,91 @@ func (d *DirPool) Return(home *BufPool, buf []byte) {
 	default:
 		d.free = append(d.free, buf[:0])
 	}
+}
+
+// FreeList is a typed free list of *T, the object counterpart of BufPool: Get
+// returns a zeroed object — its own, else one a finished world left in the
+// depot, else a new one — and Put zeroes before listing, so stale pointers
+// never pin garbage or leak across reuses. The zero value is ready; like a
+// BufPool it has one owner and no lock.
+type FreeList[T any] struct {
+	free []*T
+	// hits, depot and misses count what Get served from free, from the depot
+	// and from the allocator (see Counters).
+	hits, depot, misses uint64
+	// lent counts the objects a DirList took from this list and sent away,
+	// less those it kept in return (see DirPool).
+	lent int
+}
+
+// Get returns a zeroed object.
+func (l *FreeList[T]) Get() *T {
+	if n := len(l.free); n > 0 {
+		x := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.hits++
+		return x
+	}
+	if x, ok := TakeObject[*T](); ok {
+		l.depot++
+		return x
+	}
+	l.misses++
+	return new(T)
+}
+
+// Put recycles x, zeroing it first.
+func (l *FreeList[T]) Put(x *T) {
+	*x = *new(T)
+	l.free = append(l.free, x)
+}
+
+// Drain hands the free objects to the depot. The counters and lent stay.
+func (l *FreeList[T]) Drain(dr *Drain) {
+	GiveObjects(dr, l.free)
+	l.free = nil
+}
+
+// Counters reports the list's requests: Gets = Hits + Depot + the misses.
+func (l *FreeList[T]) Counters() PoolCounters {
+	return PoolCounters{Gets: l.hits + l.depot + l.misses, Hits: l.hits, Depot: l.depot}
+}
+
+// DirList holds the objects that wait on one direction of a channel, by the
+// rule DirPool states. The zero value is ready.
+type DirList[T any] struct{ free []*T }
+
+// Get returns a zeroed object for the direction's sender, whose own list is
+// home.
+func (d *DirList[T]) Get(home *FreeList[T]) *T {
+	if n := len(d.free); n > 0 {
+		x := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		home.hits++
+		return x
+	}
+	home.lent++
+	return home.Get()
+}
+
+// Retire recycles an object that travelled on the direction, from whichever
+// end is done with it last; home is that end's own list.
+func (d *DirList[T]) Retire(home *FreeList[T], x *T) {
+	if home.lent > 0 {
+		home.lent--
+		home.Put(x)
+		return
+	}
+	*x = *new(T)
+	d.free = append(d.free, x)
+}
+
+// Drain hands the objects waiting on the direction to the depot.
+func (d *DirList[T]) Drain(dr *Drain) {
+	GiveObjects(dr, d.free)
+	d.free = nil
 }
 
 // depotCap bounds the bytes the depot holds between worlds. It must cover the

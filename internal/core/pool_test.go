@@ -137,60 +137,79 @@ func allocations(pools ...*BufPool) uint64 {
 	return n
 }
 
-// A one-way stream: the receiver has lent nothing out, so every buffer it
-// empties waits on the direction, and the sender's second window allocates
-// nothing.
-func TestDirPoolOneWayStreamReuses(t *testing.T) {
-	var sender, receiver BufPool
-	var dir DirPool
-	const window = 8
-	for w := 0; w < 4; w++ {
-		var inflight [][]byte
-		for i := 0; i < window; i++ {
-			inflight = append(inflight, dir.Get(&sender, 500))
-		}
-		for _, buf := range inflight {
-			dir.Return(&receiver, buf)
-		}
-	}
-	if got := allocations(&sender, &receiver); got != window {
-		t.Errorf("4 windows of %d allocated %d buffers, want %d (one window's worth)", window, got, window)
-	}
-	if c := sender.Counters(); c.Gets != 4*window {
-		t.Errorf("sender counted %d requests, want %d: each request exactly once", c.Gets, 4*window)
-	}
-	if c := receiver.Counters(); c.Gets != 0 {
-		t.Errorf("receiver's pool counted %d requests; it made none", c.Gets)
-	}
+// dirKinds runs a test of the rule DirPool states over both of its types:
+// DirPool with n-byte buffers and DirList with objects. get takes one for the
+// sender on direction dir, whose home is home; ret retires x at home, the end
+// done with it; ctr reads a home's counters.
+func dirKinds(t *testing.T, homes, dirs, n int, test func(t *testing.T, get func(dir, home int) any, ret func(dir, home int, x any), ctr func(home int) PoolCounters)) {
+	t.Run("DirPool", func(t *testing.T) {
+		pools, dp := make([]BufPool, homes), make([]DirPool, dirs)
+		test(t, func(dir, home int) any { return dp[dir].Get(&pools[home], n) },
+			func(dir, home int, x any) { dp[dir].Return(&pools[home], x.([]byte)) },
+			func(home int) PoolCounters { return pools[home].Counters() })
+	})
+	t.Run("DirList", func(t *testing.T) {
+		lists, dl := make([]FreeList[depotObj], homes), make([]DirList[depotObj], dirs)
+		test(t, func(dir, home int) any { return dl[dir].Get(&lists[home]) },
+			func(dir, home int, x any) { dl[dir].Retire(&lists[home], x.(*depotObj)) },
+			func(home int) PoolCounters { return lists[home].Counters() })
+	})
 }
 
-// A pairwise exchange with a changing partner: every rank sends one buffer
-// and receives one per round. What it receives replaces what it sent, so a
-// rank allocates once, however many partners (directions) it goes through.
+// A one-way stream: the receiver has lent nothing out, so every buffer or
+// object it is done with waits on the direction, and the sender's second
+// window allocates nothing.
+func TestDirPoolOneWayStreamReuses(t *testing.T) {
+	const sender, receiver, window = 0, 1, 8
+	dirKinds(t, 2, 1, 500, func(t *testing.T, get func(dir, home int) any, ret func(dir, home int, x any), ctr func(home int) PoolCounters) {
+		for w := 0; w < 4; w++ {
+			var inflight []any
+			for i := 0; i < window; i++ {
+				inflight = append(inflight, get(0, sender))
+			}
+			for _, x := range inflight {
+				ret(0, receiver, x)
+			}
+		}
+		s, r := ctr(sender), ctr(receiver)
+		if got := s.Gets - s.Hits + r.Gets - r.Hits; got != window {
+			t.Errorf("4 windows of %d allocated %d, want %d (one window's worth)", window, got, window)
+		}
+		if s.Gets != 4*window {
+			t.Errorf("sender counted %d requests, want %d: each request exactly once", s.Gets, 4*window)
+		}
+		if r.Gets != 0 {
+			t.Errorf("receiver's home counted %d requests; it made none", r.Gets)
+		}
+	})
+}
+
+// A pairwise exchange with a changing partner: every rank sends one buffer or
+// object and receives one per round. What it receives replaces what it sent,
+// so a rank allocates once, however many partners (directions) it goes
+// through.
 func TestDirPoolSymmetricExchangeLivesOffHome(t *testing.T) {
 	const ranks, rounds = 8, 7
-	home := make([]BufPool, ranks)
-	dirs := make([][]DirPool, ranks) // dirs[a][b]: a -> b
-	for i := range dirs {
-		dirs[i] = make([]DirPool, ranks)
-	}
-	for round := 1; round <= rounds; round++ {
-		sent := make([][]byte, ranks)
-		for a := 0; a < ranks; a++ {
-			sent[a] = dirs[a][a^round].Get(&home[a], 4096)
+	dirKinds(t, ranks, ranks*ranks, 4096, func(t *testing.T, get func(dir, home int) any, ret func(dir, home int, x any), ctr func(home int) PoolCounters) {
+		for round := 1; round <= rounds; round++ {
+			sent := make([]any, ranks)
+			for a := 0; a < ranks; a++ {
+				sent[a] = get(a*ranks+(a^round), a) // direction a -> a^round
+			}
+			for a := 0; a < ranks; a++ {
+				b := a ^ round
+				ret(a*ranks+b, b, sent[a])
+			}
 		}
-		for a := 0; a < ranks; a++ {
-			b := a ^ round
-			dirs[a][b].Return(&home[b], sent[a])
+		var got uint64
+		for i := 0; i < ranks; i++ {
+			c := ctr(i)
+			got += c.Gets - c.Hits
 		}
-	}
-	pools := make([]*BufPool, ranks)
-	for i := range home {
-		pools[i] = &home[i]
-	}
-	if got := allocations(pools...); got != ranks {
-		t.Errorf("%d ranks exchanging with %d partners each allocated %d buffers, want %d (one per rank)", ranks, rounds, got, ranks)
-	}
+		if got != ranks {
+			t.Errorf("%d ranks exchanging with %d partners each allocated %d, want %d (one per rank)", ranks, rounds, got, ranks)
+		}
+	})
 }
 
 // Classes do not mix on a direction's list, and buffers no pool would take
@@ -637,6 +656,39 @@ type depotObj struct {
 	buf []byte
 }
 
+// FreeList keeps one law: Gets = Hits + Depot + the misses. A list that
+// recycles its own objects, takes an earlier world's from the depot and
+// allocates the rest counts each once, and Put zeroes what it lists.
+func TestFreeListCounterLaw(t *testing.T) {
+	emptyDepot(t)
+	var earlier FreeList[depotObj]
+	earlier.Put(new(depotObj))
+	earlier.Put(new(depotObj))
+	var dr Drain
+	earlier.Drain(&dr)
+	var l FreeList[depotObj]
+	held := make([]*depotObj, 5) // two from the depot, three allocated
+	for i := range held {
+		held[i] = l.Get()
+		held[i].n, held[i].buf = i+1, make([]byte, 1)
+	}
+	for _, x := range held {
+		l.Put(x)
+	}
+	for range 4 {
+		if x := l.Get(); x.n != 0 || x.p != nil || x.buf != nil {
+			t.Fatalf("Get returned %+v, want a zeroed object", *x)
+		}
+	}
+	c := l.Counters()
+	if c.Hits != 4 || c.Depot != 2 || c.Gets != 9 {
+		t.Errorf("counters %+v, want 9 requests: 4 hits, 2 from the depot, 3 allocated", c)
+	}
+	if misses := c.Gets - c.Hits - c.Depot; c.Hits == 0 || c.Depot == 0 || misses == 0 || c.Gets != c.Hits+c.Depot+misses {
+		t.Errorf("counters %+v break Gets = Hits + Depot + misses, or leave a term empty", c)
+	}
+}
+
 // Objects come back out in last-in order, per kind: a pointer kind and a
 // slice kind do not mix, and a kind with nothing left says so.
 func TestObjectDepotRoundTrip(t *testing.T) {
@@ -644,26 +696,30 @@ func TestObjectDepotRoundTrip(t *testing.T) {
 	a, b := new(depotObj), new(depotObj)
 	batch := make([]depotObj, 0, 4)
 	var dr Drain
-	GiveObjects(&dr, []*depotObj{a, b})
+	var first, next FreeList[depotObj]
+	first.Put(a)
+	first.Put(b)
+	first.Drain(&dr)
 	GiveObjects(&dr, [][]depotObj{batch})
 	if dr.Refused != 0 {
 		t.Fatalf("an empty depot refused %d bytes", dr.Refused)
 	}
 	for _, want := range []*depotObj{b, a} {
-		if got, ok := TakeObject[*depotObj](); !ok || got != want {
-			t.Fatalf("TakeObject = %p, %v; want %p", got, ok, want)
+		if got := next.Get(); got != want {
+			t.Fatalf("Get = %p; want %p from the depot", got, want)
 		}
 	}
-	if got, ok := TakeObject[*depotObj](); ok {
-		t.Fatalf("an emptied kind served %p", got)
+	if got := next.Get(); got == a || got == b || next.Counters().Depot != 2 {
+		t.Fatalf("an emptied kind served %p (counters %+v)", got, next.Counters())
 	}
 	got, ok := TakeObject[[]depotObj]()
 	if !ok || cap(got) != 4 || len(got) != 0 || &got[:1][0] != &batch[:1][0] {
 		t.Fatalf("the batch came back as len %d cap %d (ok %v)", len(got), cap(got), ok)
 	}
-	GiveObjects(&dr, []*depotObj{a})
+	first.Put(a)
+	first.Drain(&dr)
 	DropDepot()
-	if _, ok := TakeObject[*depotObj](); ok {
+	if next.Get(); next.Counters().Depot != 2 {
 		t.Error("DropDepot left an object behind")
 	}
 }
@@ -677,8 +733,14 @@ func TestObjectDepotRespectsItsCap(t *testing.T) {
 		list[i] = new(depotObj)
 	}
 	var dr Drain
-	GiveObjects(&dr, list[:1])
-	GiveObjects(&dr, list[1:])
+	var l FreeList[depotObj]
+	for i, x := range list {
+		l.Put(x)
+		if i == 0 {
+			l.Drain(&dr)
+		}
+	}
+	l.Drain(&dr)
 	if want := 3 * int(unsafe.Sizeof(depotObj{})); dr.Refused != want {
 		t.Errorf("refused %d bytes, want %d (three objects)", dr.Refused, want)
 	}
@@ -687,11 +749,11 @@ func TestObjectDepotRespectsItsCap(t *testing.T) {
 		t.Error("a full pointer kind refused a slice kind")
 	}
 	for i := objDepotCap - 1; i >= 0; i-- {
-		if got, ok := TakeObject[*depotObj](); !ok || got != list[i] {
+		if got := l.Get(); got != list[i] {
 			t.Fatalf("object %d: the depot did not keep the first %d it was given", i, objDepotCap)
 		}
 	}
-	if _, ok := TakeObject[*depotObj](); ok {
+	if l.Get(); l.Counters().Depot != objDepotCap {
 		t.Error("the depot served more objects than its cap")
 	}
 	var full Drain
@@ -712,11 +774,14 @@ func TestObjectDepotStrict(t *testing.T) {
 	was := SetPoolStrict(true)
 	t.Cleanup(func() { SetPoolStrict(was) })
 	var dr Drain
+	var l FreeList[depotObj]
 	clean, stale := new(depotObj), new(depotObj)
-	GiveObjects(&dr, []*depotObj{clean, stale})
+	l.Put(clean)
+	l.Put(stale)
+	l.Drain(&dr)
 	stale.buf = make([]byte, 1) // a world that is over writes into the next one's object
-	mustPanic(t, "taking an object that was written to", func() { TakeObject[*depotObj]() })
-	if got, ok := TakeObject[*depotObj](); !ok || got != clean {
+	mustPanic(t, "taking an object that was written to", func() { l.Get() })
+	if got := l.Get(); got != clean {
 		t.Error("a clean object did not come out after the stale one")
 	}
 	batch := make([]depotObj, 3)
@@ -735,12 +800,10 @@ func TestObjectDepotConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 200; round++ {
+				var l FreeList[depotObj]
 				held := make([]*depotObj, 1+(g+round)%8)
 				for i := range held {
-					x, ok := TakeObject[*depotObj]()
-					if !ok {
-						x = new(depotObj)
-					}
+					x := l.Get()
 					if x.n != 0 {
 						t.Errorf("goroutine %d: a depot object held %d", g, x.n)
 					}
@@ -751,10 +814,10 @@ func TestObjectDepotConcurrentUse(t *testing.T) {
 					if x.n != g+1 {
 						t.Errorf("goroutine %d: an object it holds was written by another", g)
 					}
-					*x = depotObj{}
+					l.Put(x)
 				}
 				var dr Drain
-				GiveObjects(&dr, held)
+				l.Drain(&dr)
 			}
 		}(g)
 	}

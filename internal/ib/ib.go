@@ -43,9 +43,8 @@ type Fabric struct {
 	topo   Topology
 	spines [][]sim.Time
 
-	// devices lists every opened device, for the pools the fabric made and
-	// the QP wire lists. Appended only by OpenDeviceWith, which runs during
-	// serialized job init.
+	// devices lists every opened device, for ObjCounters and DrainPools.
+	// Appended only by OpenDeviceWith, which runs during serialized job init.
 	devices []*Device
 
 	// inj, when non-nil, is the job's fault injector: link flap/degrade and
@@ -66,46 +65,30 @@ type Fabric struct {
 	trace func(TraceEvent)
 }
 
-// PoolCounters reports the aggregate hit statistics of the buffer pools the
-// fabric made (OpenDevice). A pool given to OpenDeviceWith is its owner's to
-// count.
-func (f *Fabric) PoolCounters() core.PoolCounters {
-	var c core.PoolCounters
-	for _, d := range f.devices {
-		if d.ownPool {
-			c.Add(d.pool.Counters())
-		}
-	}
-	return c
-}
-
 // ObjCounters reports where the devices' event records and CQ batches came
-// from. Gets counts only what a free list could not serve — an empty evtFree,
-// and the two batches of every CreateCQ — so Hits is zero; Depot is the part
-// the depot served, and Gets - Depot were allocated.
+// from, by core.FreeList's law: Gets = Hits + Depot + what was allocated. A
+// CQ takes its two batches from the depot or leaves them to grow, so they are
+// never hits.
 func (f *Fabric) ObjCounters() core.PoolCounters {
 	var c core.PoolCounters
 	for _, d := range f.devices {
-		c.Add(d.objs)
+		c.Add(d.evts.Counters())
+		c.Gets += 2 * uint64(len(d.cqs))
+		c.Depot += d.batchDepot
 	}
 	return c
 }
 
-// DrainPools hands dr the free wire buffers of the pools the fabric made and
-// of every queue pair, then each device's free event records and its CQs'
-// batches, in device and QP creation order. A pool given to OpenDeviceWith is
-// its owner's to drain. For the end of a job: nothing may post or poll
-// afterwards.
+// DrainPools hands dr the free wire buffers of every queue pair, then each
+// device's free event records and its CQs' batches, in device and QP creation
+// order. The devices' pools are their owners' to drain. For the end of a job:
+// nothing may post or poll afterwards.
 func (f *Fabric) DrainPools(dr *core.Drain) {
 	for _, d := range f.devices {
-		if d.ownPool {
-			dr.Home(d.pool)
-		}
 		for _, q := range d.qps {
 			dr.Dir(&q.wire)
 		}
-		core.GiveObjects(dr, d.evtFree)
-		d.evtFree = nil
+		d.evts.Drain(dr)
 		for _, q := range d.cqs {
 			q.drain(dr)
 		}
@@ -209,27 +192,25 @@ type Device struct {
 	// pool is the home pool of the wire buffers this device's QPs send and
 	// absorb (see QP.wire): the pool of the process that opened the device,
 	// touched only from groups that own that process's resource, so causally
-	// independent epoch groups never share a free list. ownPool says the
-	// fabric made it (OpenDevice), and so counts and drains it.
-	pool    *core.BufPool
-	ownPool bool
+	// independent epoch groups never share a free list.
+	pool *core.BufPool
 
 	// devID is fixed at OpenDeviceWith and qpnNext counts QPs created here, so
 	// CreateQP touches no fabric-shared state.
-	devID   int
-	qpnNext int
+	devID   int32
+	qpnNext int32
 	// qps lists the QPs created here, for DrainPools.
 	qps []*QP
 
-	// evtFree recycles the deferred-delivery records behind PostSend and
-	// PostWrite, making their two scheduled events allocation-free in steady
-	// state.
-	evtFree []*sendEvt
-	// cqs lists the CQs created here, for DrainPools.
-	cqs []*CQ
-	// objs counts the misses of evtFree and the batches CreateCQ asks for
-	// (see ObjCounters).
-	objs core.PoolCounters
+	// evts recycles the deferred-delivery records behind the posts, making
+	// their scheduled events allocation-free in steady state. Callers run in
+	// a group owning the device's resources, so the list never crosses an
+	// epoch-group boundary.
+	evts core.FreeList[sendEvt]
+	// cqs lists the CQs created here, for DrainPools; batchDepot counts the
+	// CQ batches the depot served them (see ObjCounters).
+	cqs        []*CQ
+	batchDepot uint64
 }
 
 // Tag declares the device's identity resources for parallel dispatch: the
@@ -243,16 +224,15 @@ func (d *Device) Tag(rank, host sim.Res) { d.res[0], d.res[1] = rank, host }
 var ErrNoDeviceAccess = fmt.Errorf("ib: device not visible (container lacks --privileged)")
 
 // OpenDevice opens the host HCA from the given environment, with a wire
-// buffer pool of the device's own.
+// buffer pool of the device's own that nothing counts or drains.
 func (f *Fabric) OpenDevice(env *cluster.Container) (*Device, error) {
-	return f.OpenDeviceWith(env, nil)
+	return f.OpenDeviceWith(env, new(core.BufPool))
 }
 
 // OpenDeviceWith opens the host HCA from the given environment and takes the
 // wire buffers of its QPs from pool: the pool of the process opening it, which
 // that process counts and drains and which, like the device, only groups
-// owning the process's resource may touch. A nil pool gives the device one of
-// its own, which the fabric counts and drains.
+// owning the process's resource may touch.
 func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*Device, error) {
 	if f.ports[env.Host.Index] == nil {
 		return nil, fmt.Errorf("ib: host %s has no HCA", env.Host.Name)
@@ -260,10 +240,7 @@ func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*De
 	if !env.Privileged {
 		return nil, ErrNoDeviceAccess
 	}
-	d := &Device{fabric: f, Env: env, devID: len(f.devices), pool: pool}
-	if pool == nil {
-		d.pool, d.ownPool = new(core.BufPool), true
-	}
+	d := &Device{fabric: f, Env: env, devID: int32(len(f.devices)), pool: pool}
 	f.devices = append(f.devices, d)
 	return d, nil
 }
@@ -388,10 +365,9 @@ func (d *Device) CreateCQ() *CQ {
 
 // batch returns an empty CQE batch from the depot, or nil for push to grow.
 func (d *Device) batch() []CQE {
-	d.objs.Gets++
 	b, ok := core.TakeObject[[]CQE]()
 	if ok {
-		d.objs.Depot++
+		d.batchDepot++
 	}
 	return b
 }
@@ -545,7 +521,7 @@ func (q *QP) QPN() int { return q.qpn }
 // on a shared counter.
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
-	q := &QP{dev: d, qpn: d.devID<<20 | d.qpnNext, sendCQ: sendCQ, recvCQ: recvCQ}
+	q := &QP{dev: d, qpn: int(d.devID)<<20 | int(d.qpnNext), sendCQ: sendCQ, recvCQ: recvCQ}
 	d.qps = append(d.qps, q)
 	return q
 }
@@ -599,29 +575,6 @@ type sendEvt struct {
 	withImm bool
 }
 
-// getEvt takes a record from the device free list, or else from the depot.
-func (d *Device) getEvt() *sendEvt {
-	if n := len(d.evtFree); n > 0 {
-		ev := d.evtFree[n-1]
-		d.evtFree = d.evtFree[:n-1]
-		return ev
-	}
-	d.objs.Gets++
-	if ev, ok := core.TakeObject[*sendEvt](); ok {
-		d.objs.Depot++
-		return ev
-	}
-	return &sendEvt{}
-}
-
-// putEvt clears and returns a record to the free list of the device that
-// minted it. Callers run in a group owning the sender's resources, so the
-// free list never crosses an epoch-group boundary.
-func (d *Device) putEvt(ev *sendEvt) {
-	*ev = sendEvt{}
-	d.evtFree = append(d.evtFree, ev)
-}
-
 // sendArrival lands a PostSend at the peer: SRQ-style bounce delivery, a
 // posted receive, or the early-arrival queue.
 func sendArrival(a any) {
@@ -640,7 +593,7 @@ func sendArrival(a any) {
 	default:
 		peer.inQ = append(peer.inQ, inbound{payload: ev.data, imm: ev.imm, op: OpRecv, at: ev.t})
 	}
-	q.dev.putEvt(ev)
+	q.dev.evts.Put(ev)
 }
 
 // writeArrival lands a PostWrite: the one copy, source to remote region, and
@@ -661,7 +614,7 @@ func writeArrival(a any) {
 			peer.inQ = append(peer.inQ, inbound{payload: nil, imm: ev.imm, op: OpWriteImm, at: ev.t})
 		}
 	}
-	q.dev.putEvt(ev)
+	q.dev.evts.Put(ev)
 }
 
 // readArrival lands a PostRead's request at the remote HCA: the one copy,
@@ -684,7 +637,7 @@ func readArrival(a any) {
 func localDone(a any) {
 	ev := a.(*sendEvt)
 	ev.q.sendCQ.push(ev.t, CQE{QP: ev.q, WRID: ev.wrid, Op: ev.op, Bytes: ev.n, Retries: ev.retries})
-	ev.q.dev.putEvt(ev)
+	ev.q.dev.evts.Put(ev)
 }
 
 // transitTimes books link resources for an n-byte transfer posted at t0 and
@@ -848,10 +801,10 @@ func (q *QP) PostSendOwned(p *sim.Proc, wrid uint64, wire []byte, imm uint64) {
 	q.bump(txEnd)
 	q.bump(arrival)
 	r := q.resAll()
-	ae := q.dev.getEvt()
+	ae := q.dev.evts.Get()
 	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, wire, n, imm
 	f.eng.AtArg(arrival, sendArrival, ae, r[0], r[1], r[2], r[3])
-	te := q.dev.getEvt()
+	te := q.dev.evts.Get()
 	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, txEnd, n, wrid, retries, OpSend
 	f.eng.AtArg(txEnd, localDone, te, r[0], r[1], r[2], r[3])
 }
@@ -889,14 +842,14 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 	loop := q.loopback()
 	_, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
 	r := q.resAll()
-	ae := q.dev.getEvt()
+	ae := q.dev.evts.Get()
 	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, src, n, imm
 	ae.mr, ae.off, ae.withImm = remote, off, withImm
 	f.eng.AtArg(arrival, writeArrival, ae, r[0], r[1], r[2], r[3])
 	// Local completion after the ack returns (one extra wire hop).
 	ack := arrival + prm.IBWireLatency(loop)
 	q.bump(ack)
-	te := q.dev.getEvt()
+	te := q.dev.evts.Get()
 	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, ack, n, wrid, retries, OpWrite
 	f.eng.AtArg(ack, localDone, te, r[0], r[1], r[2], r[3])
 }
@@ -928,7 +881,7 @@ func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int)
 	_, reqArrive := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, hdrBytes, t0)
 	q.bump(reqArrive)
 	r := q.resAll()
-	ev := q.dev.getEvt()
+	ev := q.dev.evts.Get()
 	ev.q, ev.t, ev.data, ev.n, ev.wrid, ev.op = q, reqArrive, dst, len(dst), wrid, OpRead
 	ev.mr, ev.off = remote, off
 	f.eng.AtArg(reqArrive, readArrival, ev, r[0], r[1], r[2], r[3])

@@ -125,7 +125,7 @@ func TestFailedPostsReturnOwnedWireBuffers(t *testing.T) {
 	fx := newFixture(t, 2)
 	fx.armFaults(t, fault.NewPlan().SendDrops(0, 0, 0, 1000), 2, 5*sim.Microsecond)
 	a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
-	_, _, qa, _, cqa, _ := fx.pairOn(t, a, b)
+	devA, devB, qa, _, cqa, _ := fx.pairOn(t, a, b)
 	statuses := map[WCStatus]int{}
 	fx.eng.Go("send", func(p *sim.Proc) {
 		cqa.SetWaiter(p)
@@ -151,16 +151,16 @@ func TestFailedPostsReturnOwnedWireBuffers(t *testing.T) {
 	if statuses[WCRetryExceeded] != 1 || statuses[WCFlushed] != posts-1 {
 		t.Fatalf("completions = %v, want one retry-exceeded and %d flushed", statuses, posts-1)
 	}
-	c := fx.fabric.PoolCounters()
+	c := devA.pool.Counters()
+	c.Add(devB.pool.Counters())
 	if c.Gets != posts || c.Gets-c.Hits != 1 {
 		t.Fatalf("pool counters %+v: want %d requests served from 1 allocation (every failed post returns its buffer)", c, posts)
 	}
 }
 
 // TestOpenDeviceWithSharesOnePool: a device opened on its process's pool takes
-// its QPs' wire buffers from that pool and leaves counting and draining it to
-// the process; a device from OpenDevice has a pool of its own, which the
-// fabric counts and drains.
+// its QPs' wire buffers from that pool and leaves draining it to the process;
+// a device from OpenDevice has a pool of its own, which nothing drains.
 func TestOpenDeviceWithSharesOnePool(t *testing.T) {
 	fx := newFixture(t, 2)
 	var home core.BufPool
@@ -182,8 +182,8 @@ func TestOpenDeviceWithSharesOnePool(t *testing.T) {
 	if c := home.Counters(); c.Gets != 1 {
 		t.Errorf("the process's pool served %d wire buffers, want 1", c.Gets)
 	}
-	if c := fx.fabric.PoolCounters(); c.Gets != 2 {
-		t.Errorf("the fabric counts %d wire buffers, want the 2 of the pool it made", c.Gets)
+	if c := own.pool.Counters(); c.Gets != 2 {
+		t.Errorf("the device's own pool served %d wire buffers, want 2", c.Gets)
 	}
 	home.Put(make([]byte, 128))
 	own.pool.Put(make([]byte, 128))
@@ -194,8 +194,8 @@ func TestOpenDeviceWithSharesOnePool(t *testing.T) {
 	if c := home.Counters(); c.Hits != 1 {
 		t.Error("the fabric drained a pool it was given")
 	}
-	if c := own.pool.Counters(); c.Hits != 0 {
-		t.Error("the fabric left the pool it made undrained")
+	if c := own.pool.Counters(); c.Hits != 1 {
+		t.Error("the fabric drained the pool OpenDevice made")
 	}
 }
 
@@ -302,7 +302,7 @@ func TestDrainedRecordsServeTheNextFabric(t *testing.T) {
 		}
 	}
 	second, _ := exchange()
-	if c := second.fabric.ObjCounters(); c.Gets != c.Depot || c.Depot == 0 {
-		t.Errorf("the second fabric allocated %d event records or CQ batches and took %d from the depot; want 0 and some", c.Gets-c.Depot, c.Depot)
+	if c := second.fabric.ObjCounters(); c.Gets != c.Hits+c.Depot || c.Depot == 0 {
+		t.Errorf("the second fabric allocated %d event records or CQ batches and took %d from the depot (%+v); want 0 and some", c.Gets-c.Hits-c.Depot, c.Depot, c)
 	}
 }

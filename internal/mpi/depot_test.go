@@ -135,10 +135,10 @@ func TestSecondWorldAllocatesNoObjects(t *testing.T) {
 	w := run()
 	var reqs, envs, ops, pkts core.PoolCounters
 	for _, r := range w.ranks {
-		reqs.Add(r.pools.reqs.ctr)
-		envs.Add(r.pools.envs.ctr)
-		ops.Add(r.pools.ops.ctr)
-		pkts.Add(r.pools.pkts.ctr)
+		reqs.Add(r.pools.reqs.Counters())
+		envs.Add(r.pools.envs.Counters())
+		ops.Add(r.pools.ops.Counters())
+		pkts.Add(r.pools.pkts.Counters())
 	}
 	for _, l := range []struct {
 		name string
@@ -148,8 +148,8 @@ func TestSecondWorldAllocatesNoObjects(t *testing.T) {
 			t.Errorf("second world's %s lists allocated %d objects and took %d from the depot (%+v); want 0 and some", l.name, made, l.c.Depot, l.c)
 		}
 	}
-	if c := w.fabric.ObjCounters(); c.Gets != c.Depot || c.Depot == 0 {
-		t.Errorf("second world's devices allocated %d event records or CQ batches and took %d from the depot; want 0 and some", c.Gets-c.Depot, c.Depot)
+	if c := w.fabric.ObjCounters(); c.Gets != c.Hits+c.Depot || c.Depot == 0 {
+		t.Errorf("second world's devices allocated %d event records or CQ batches and took %d from the depot (%+v); want 0 and some", c.Gets-c.Hits-c.Depot, c.Depot, c)
 	}
 	if c := w.SimStats().ObjPool; c.Depot != reqs.Depot+envs.Depot+ops.Depot+pkts.Depot {
 		t.Errorf("SimStats.ObjPool.Depot = %d, the lists say %d", c.Depot, reqs.Depot+envs.Depot+ops.Depot+pkts.Depot)
@@ -195,7 +195,8 @@ func TestReleaseRecyclesWindowHandles(t *testing.T) {
 		}
 		var n uint64
 		for _, r := range w.ranks {
-			n += r.pools.reqs.ctr.Gets - r.pools.reqs.ctr.Hits
+			c := r.pools.reqs.Counters()
+			n += c.Gets - c.Hits
 		}
 		return n
 	}
@@ -301,7 +302,8 @@ func TestStepperRequestsRecycled(t *testing.T) {
 					}
 					var n uint64
 					for _, r := range w.ranks {
-						n += r.pools.reqs.ctr.Gets - r.pools.reqs.ctr.Hits
+						c := r.pools.reqs.Counters()
+						n += c.Gets - c.Hits
 					}
 					return n
 				}

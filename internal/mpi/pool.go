@@ -16,15 +16,8 @@ import "cmpi/internal/core"
 //     own temporaries come from the same byte pool.
 //   - Packets, send ops and payload snapshots cross a shared-memory ring in
 //     one direction: taken by the direction's sender, retired by its
-//     receiver. If the receiver always kept them, a one-way stream would
-//     drain the sender's home and pile everything up in the receiver's; if
-//     every direction always got its own back, an all-pairs exchange would
-//     warm up one set per pair instead of one per rank. So whoever retires an
-//     object keeps it at home when it replaces one the rank itself has sent
-//     away, and otherwise hands it back to the direction (ringDir.snaps/
-//     pkts/ops), where the sender looks first: symmetric traffic lives off
-//     the home pools, one-way traffic off the direction's. core.DirPool
-//     states the rule for byte buffers, dirList below for objects.
+//     receiver, who keeps them at home or leaves them on the direction
+//     (ringDir.snaps/pkts/ops) by the rule core.DirPool states.
 //   - A direction's lists are pair state like the ring queue itself: the
 //     sender touches them only while its group owns the receiver's rank
 //     resource (it holds a pair claim, or is finishing the very call that
@@ -80,96 +73,19 @@ import "cmpi/internal/core"
 // World.drainPools hands every free byte buffer and object — the homes' and
 // the directions' lists, then the fabric's event records and CQ batches — to
 // the process-wide depot in core/pool.go, where the next world's misses find
-// them (an object list's miss asks core.TakeObject before new). Objects are
+// them (a core.FreeList's miss asks the depot before new). Objects are
 // zeroed when they are put, so none carries state into the next world, and
 // under poolStrict a depot take checks that nothing wrote to one since.
 // Buffers and objects still referenced by an unfinished or failed operation,
 // and handles the user never released, are on no list and stay with the GC.
 
-// freeList is a typed free list. get returns a zeroed object; put zeroes
-// before listing so stale pointers never pin garbage or leak across reuses.
-type freeList[T any] struct {
-	free []*T
-	ctr  core.PoolCounters
-	// lent counts the objects a dirList took from this list and sent away,
-	// less those it kept in return.
-	lent int
-}
-
-func (l *freeList[T]) get() *T {
-	l.ctr.Gets++
-	if n := len(l.free); n > 0 {
-		x := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		l.ctr.Hits++
-		return x
-	}
-	if x, ok := core.TakeObject[*T](); ok {
-		l.ctr.Depot++
-		return x
-	}
-	return new(T)
-}
-
-func (l *freeList[T]) put(x *T) {
-	var zero T
-	*x = zero
-	l.free = append(l.free, x)
-}
-
-// drain hands the free objects to the depot. The counters and lent stay.
-func (l *freeList[T]) drain(dr *core.Drain) {
-	core.GiveObjects(dr, l.free)
-	l.free = nil
-}
-
-// dirList is core.DirPool for pooled objects: those waiting on one ring
-// direction for its sender's next message. The zero value is ready.
-type dirList[T any] struct{ free []*T }
-
-// get returns a zeroed object for the direction's sender, whose own list is
-// home.
-func (d *dirList[T]) get(home *freeList[T]) *T {
-	if n := len(d.free); n > 0 {
-		x := d.free[n-1]
-		d.free[n-1] = nil
-		d.free = d.free[:n-1]
-		home.ctr.Gets++
-		home.ctr.Hits++
-		return x
-	}
-	home.lent++
-	return home.get()
-}
-
-// retire recycles an object that travelled on the direction: home, the
-// retiring end's own list, keeps it if it replaces one that end has sent
-// away; otherwise it waits on the direction.
-func (d *dirList[T]) retire(home *freeList[T], x *T) {
-	if home.lent > 0 {
-		home.lent--
-		home.put(x)
-		return
-	}
-	var zero T
-	*x = zero
-	d.free = append(d.free, x)
-}
-
-// drain hands the objects waiting on the direction to the depot.
-func (d *dirList[T]) drain(dr *core.Drain) {
-	core.GiveObjects(dr, d.free)
-	d.free = nil
-}
-
 // worldPools is the per-Rank recycling state (the rank's home lists).
 type worldPools struct {
 	buf  core.BufPool // payload snapshots, staging buffers
-	pkts freeList[shmPacket]
-	ops  freeList[sendOp]
-	envs freeList[envelope]
-	reqs freeList[Request]
+	pkts core.FreeList[shmPacket]
+	ops  core.FreeList[sendOp]
+	envs core.FreeList[envelope]
+	reqs core.FreeList[Request]
 }
 
 // counters sums the object-pool hit statistics (the byte pool is reported
@@ -177,20 +93,20 @@ type worldPools struct {
 // mixing them would make the rate meaningless).
 func (wp *worldPools) counters() core.PoolCounters {
 	var c core.PoolCounters
-	c.Add(wp.pkts.ctr)
-	c.Add(wp.ops.ctr)
-	c.Add(wp.envs.ctr)
-	c.Add(wp.reqs.ctr)
+	c.Add(wp.pkts.Counters())
+	c.Add(wp.ops.Counters())
+	c.Add(wp.envs.Counters())
+	c.Add(wp.reqs.Counters())
 	return c
 }
 
 // drain hands everything on the rank's home lists to the depot.
 func (wp *worldPools) drain(dr *core.Drain) {
 	dr.Home(&wp.buf)
-	wp.reqs.drain(dr)
-	wp.envs.drain(dr)
-	wp.ops.drain(dr)
-	wp.pkts.drain(dr)
+	wp.reqs.Drain(dr)
+	wp.envs.Drain(dr)
+	wp.ops.Drain(dr)
+	wp.pkts.Drain(dr)
 }
 
 // AllocMem returns n bytes of message memory from the rank's pool
@@ -271,7 +187,7 @@ func (r *Rank) ExchangeV(blocks [][]byte, tag int) [][]byte {
 }
 
 // getReq returns a zeroed Request from the pool.
-func (r *Rank) getReq() *Request { return r.pools.reqs.get() }
+func (r *Rank) getReq() *Request { return r.pools.reqs.Get() }
 
 // putReq recycles a request the caller owns. Requests flagged noPool (HCA
 // rendezvous sends) and failed requests (their envelopes/ops may still be
@@ -280,7 +196,7 @@ func (r *Rank) putReq(req *Request) {
 	if req == nil || req.noPool || req.err != nil {
 		return
 	}
-	r.pools.reqs.put(req)
+	r.pools.reqs.Put(req)
 }
 
 // snapshot makes op.data a pooled copy of src. r is the op's sender.
@@ -307,5 +223,5 @@ func (r *Rank) releaseOp(op *sendOp) {
 	if op.owned {
 		d.snaps.Return(&r.pools.buf, op.data)
 	}
-	d.ops.retire(&r.pools.ops, op)
+	d.ops.Retire(&r.pools.ops, op)
 }

@@ -239,7 +239,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 	prm := &r.w.Opts.Params
 	switch m.kind {
 	case hcaEager:
-		env := r.pools.envs.get()
+		env := r.pools.envs.Get()
 		env.src, env.tag, env.ctx, env.size, env.seq = m.src, m.tag, m.ctx, m.size, m.seq
 		env.path, env.hca = core.PathHCAEager, true
 		if req := r.matchPosted(m.src, m.tag, m.ctx); req != nil {
@@ -261,7 +261,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		r.unexpected.push(env)
 
 	case hcaRTS:
-		env := r.pools.envs.get()
+		env := r.pools.envs.Get()
 		env.src, env.tag, env.ctx, env.size, env.seq = m.src, m.tag, m.ctx, m.size, m.seq
 		env.path, env.hca, env.msgID = core.PathHCARndv, true, m.msgID
 		if req := r.matchPosted(m.src, m.tag, m.ctx); req != nil {

@@ -64,8 +64,8 @@ type ringDir struct {
 	// snapshots, packets, send ops (see pool.go for the rule and for who may
 	// touch these).
 	snaps core.DirPool
-	pkts  dirList[shmPacket]
-	ops   dirList[sendOp]
+	pkts  core.DirList[shmPacket]
+	ops   core.DirList[sendOp]
 }
 
 // shmRing is the per-pair bidirectional eager ring living in a shared
@@ -131,7 +131,7 @@ func (d *ringDir) reserve(footprint int) bool {
 
 // newPkt returns a zeroed packet for r, the direction's sender, to fill and
 // push.
-func (d *ringDir) newPkt(r *Rank) *shmPacket { return d.pkts.get(&r.pools.pkts) }
+func (d *ringDir) newPkt(r *Rank) *shmPacket { return d.pkts.Get(&r.pools.pkts) }
 
 // push appends a packet whose footprint r has reserved. The receiver is woken
 // at the packet's availability time.
@@ -161,7 +161,7 @@ func (s *shmRing) drain(r *Rank) bool {
 		d.head++
 		d.used -= pkt.footprint
 		r.handleShmPacket(s, pkt)
-		d.pkts.retire(&r.pools.pkts, pkt) // drain is the single consumption point
+		d.pkts.Retire(&r.pools.pkts, pkt) // drain is the single consumption point
 		adv = true
 	}
 	if d.head == len(d.q) {
@@ -230,7 +230,7 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 		return
 	}
 	d := ring.out(r.rank)
-	op := d.ops.get(&r.pools.ops)
+	op := d.ops.Get(&r.pools.ops)
 	op.refs = 2 // the sender's queue and the receiver's stream (see releaseOp)
 	op.dir = d
 	op.req = req
@@ -392,7 +392,7 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 	switch pkt.kind {
 	case pktEagerFirst, pktRTS:
 		r.p.Advance(prm.ShmPollOverhead)
-		env := r.pools.envs.get()
+		env := r.pools.envs.Get()
 		env.src, env.tag, env.ctx, env.size, env.seq = src, pkt.tag, pkt.ctx, pkt.size, pkt.seq
 		env.path, env.sop = pkt.path, pkt.sop
 		if pkt.kind == pktEagerFirst {

@@ -258,7 +258,7 @@ func (r *Rank) completeRecv(req *Request, env *envelope) {
 	r.trace(trace.OpRecv, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
 	r.pools.buf.Put(env.staged)
 	req.env = nil
-	r.pools.envs.put(env)
+	r.pools.envs.Put(env)
 }
 
 // completeSend finishes a send (buffer reusable).
@@ -269,7 +269,7 @@ func (r *Rank) completeSend(req *Request) {
 
 // selfSend delivers a message a rank addresses to itself via one local copy.
 func (r *Rank) selfSend(req *Request) {
-	env := r.pools.envs.get()
+	env := r.pools.envs.Get()
 	env.src, env.tag, env.size = r.rank, req.tag, len(req.sbuf)
 	env.ctx = req.ctx
 	env.path = core.PathSHMEager

@@ -189,7 +189,7 @@ func (w *World) restoreRank(r *Rank) {
 			}
 			src = ns
 		}
-		env := r.pools.envs.get()
+		env := r.pools.envs.Get()
 		env.src, env.tag, env.size = src, m.Tag, m.Bytes
 		env.ctx = m.Ctx
 		env.seq = m.Seq

@@ -310,8 +310,8 @@ func (w *World) drainPools(clean bool) {
 		for _, ps := range r.localPairs {
 			out := ps.ring.out(r.rank)
 			dr.Dir(&out.snaps)
-			out.pkts.drain(&dr)
-			out.ops.drain(&dr)
+			out.pkts.Drain(&dr)
+			out.ops.Drain(&dr)
 		}
 	}
 	w.fabric.DrainPools(&dr)
@@ -401,13 +401,12 @@ func (w *World) SimStats() profile.SimStats {
 	es := w.Eng.Stats()
 	// Requests a per-direction list served (ring directions, QP wire lists)
 	// are counted as hits of the sender's rank pool, which its device shares,
-	// so these sums cover them; the fabric adds only pools it made itself.
+	// so these sums cover them.
 	var bc, oc core.PoolCounters
 	for _, r := range w.ranks {
 		bc.Add(r.pools.buf.Counters())
 		oc.Add(r.pools.counters())
 	}
-	bc.Add(w.fabric.PoolCounters())
 	ps := simStatsOf(es)
 	ps.BufPool = bc
 	ps.DepotRefused = w.depotRefused

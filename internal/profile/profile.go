@@ -165,10 +165,10 @@ type SimStats struct {
 	// allocates them again. Zero until the run has ended.
 	DepotRefused uint64
 	// ObjPool aggregates the object free lists of the ranks (packets, send
-	// ops, envelopes, requests). Depot counts the objects the process-wide
-	// depot served, apart from Hits, as BufPool.Depot does for buffers. The
-	// fabric's event records and CQ batches come from the same depot but are
-	// not counted here (ib.Fabric.ObjCounters has their misses).
+	// ops, envelopes, requests), by core.FreeList's law: Gets = Hits + Depot
+	// + the objects allocated, Depot counting what the process-wide depot
+	// served as BufPool.Depot does for buffers. The devices' event records
+	// and CQ batches are not counted here (ib.Fabric.ObjCounters has them).
 	ObjPool core.PoolCounters
 }
 
