@@ -8,8 +8,6 @@
 //	repro -full         # the paper's 16-host/256-rank geometry
 //	repro -list         # list experiment ids
 //	repro -j 4          # pin the sweep worker pool (default: GOMAXPROCS)
-//	repro -sim-j 4      # pin the in-world epoch dispatch width (default: 1)
-//	repro -bench-smoke                 # dispatch-width regression gate
 //	repro -ranks 4096                  # scale-proxy allreduce: virtual and host time
 //	repro -trace-out golden.trace      # record the canonical trace job
 //	repro -replay golden.trace         # reconstruct counters from a trace
@@ -22,14 +20,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
-	"cmpi/internal/cluster"
 	"cmpi/internal/experiments"
 	"cmpi/internal/ib"
 	"cmpi/internal/mpi"
@@ -43,8 +38,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text (for plotting)")
 	workers := flag.Int("j", 0, "experiment sweep workers; 0 = CMPI_SWEEP_WORKERS env or GOMAXPROCS (tables are byte-identical for any value)")
-	simWorkers := flag.Int("sim-j", 0, "epoch dispatch width inside each simulated world; 0 = CMPI_SIM_WORKERS env or 1 (results are byte-identical for any value)")
-	benchSmoke := flag.Bool("bench-smoke", false, "quick dispatch-width regression gate: fail unless the 64-rank allreduce (1 KiB at widths 2/4/8/N, 1 MiB at width N) keeps up with width 1 (25% tolerance)")
 	traceOut := flag.String("trace-out", "", "record the canonical trace job to this file and exit")
 	traceJob := flag.String("trace-job", "golden", "trace job for -trace-out: golden (16 ranks, trivial topology) or fattree (32 ranks on a 2-rack fat tree)")
 	replay := flag.String("replay", "", "replay a recorded trace: reconstruct and print its counters, then exit")
@@ -63,11 +56,6 @@ func main() {
 		return
 	}
 	experiments.SetWorkers(*workers)
-	if *simWorkers > 0 {
-		// Engines read the width from the environment at construction, so
-		// setting it here covers every world the experiments build.
-		os.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(*simWorkers))
-	}
 	scale := experiments.Quick
 	if *full {
 		scale = experiments.Full
@@ -95,8 +83,6 @@ func main() {
 	}
 
 	switch {
-	case *benchSmoke:
-		fail("bench-smoke", benchSmokeCheck())
 	case *ranks > 0:
 		fail("ranks", scaleReport(*ranks))
 	case *traceOut != "":
@@ -243,97 +229,4 @@ func scaleReport(n int) error {
 	fmt.Printf("  virtual completion: %.3f ms\n", res.Time.Millis())
 	fmt.Printf("  %.2fs host\n", time.Since(start).Seconds())
 	return nil
-}
-
-// measureAllreduce64 times iters allreduces of bytes each on a 64-rank,
-// 4-host containerized world at the given dispatch width and returns host
-// seconds. 1 KiB exercises the recursive-doubling latency regime; 1 MiB the
-// ring/Rabenseifner bandwidth regime the collective selector routes large
-// messages onto.
-func measureAllreduce64(simWorkers, iters, bytes int) (float64, error) {
-	spec := cluster.Spec{Hosts: 4, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 2, 64, cluster.PaperScenarioOpts())
-	if err != nil {
-		return 0, err
-	}
-	w, err := mpi.NewWorld(d, mpi.DefaultOptions())
-	if err != nil {
-		return 0, err
-	}
-	w.Eng.SetWorkers(simWorkers)
-	start := time.Now()
-	err = w.Run(func(r *mpi.Rank) error {
-		buf := make([]byte, bytes)
-		for i := 0; i < iters; i++ {
-			r.Allreduce(buf, mpi.SumInt64)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-// widthTolerance is how much slower than width 1 the bench-smoke gate lets a
-// wider run be: 25%, the bound bench/ puts on host-clock timings on this class
-// of box. It was 10% while every resume at width 1 paid a futex wake that
-// wider runs dodged; since processes became coroutines width 1 pays none, and
-// what a narrow epoch costs at width > 1 is the pool's own wake (one channel
-// send per worker plus a WaitGroup): 5-17% on 2 vCPUs, with every absolute
-// time lower (docs/perf/PR-19.md).
-const widthTolerance = 1.25
-
-// widthGate times the 64-rank allreduce of bytes, iters per run, at each
-// of widths (widths[0] is 1) and fails if a wider run is slower than width 1
-// by more than widthTolerance. Two defenses against host noise, because the
-// gate compares width-vs-width ratios: the minimum over three rounds
-// measures the code rather than background load, and rounds are interleaved
-// across widths (1, 2, ..., N, then again) so a slow host phase degrades
-// every width equally instead of whichever width it happened to land on.
-func widthGate(name string, widths []int, iters, bytes int) error {
-	best := make([]float64, len(widths))
-	for i := range best {
-		best[i] = math.MaxFloat64
-	}
-	for rep := 0; rep < 3; rep++ {
-		for i, wk := range widths {
-			sec, err := measureAllreduce64(wk, iters, bytes)
-			if err != nil {
-				return err
-			}
-			best[i] = min(best[i], sec)
-		}
-	}
-	base := best[0]
-	fmt.Printf("%s width 1: %.3fs\n", name, base)
-	for i, wk := range widths[1:] {
-		sec := best[i+1]
-		fmt.Printf("%s width %d: %.3fs (%.2fx)\n", name, wk, sec, base/sec)
-		if sec > base*widthTolerance {
-			return fmt.Errorf("%s at width %d took %.3fs, >%.0f%% slower than width 1 (%.3fs)", name, wk, sec, (widthTolerance-1)*100, base)
-		}
-	}
-	return nil
-}
-
-// benchSmokeCheck is the CI dispatch-width regression gate: a 64-rank
-// allreduce must not run slower at any epoch dispatch width than at width 1,
-// within widthTolerance. Before adaptive footprint decay the coupled
-// collective collapsed into one group and paid pure coordination overhead at
-// width N; the gate keeps that regression from coming back.
-func benchSmokeCheck() error {
-	widthN := max(runtime.GOMAXPROCS(0), 4)
-	widths := []int{1, 2, 4, 8}
-	if widthN != 2 && widthN != 4 && widthN != 8 {
-		widths = append(widths, widthN)
-	}
-	if err := widthGate("allreduce64", widths, 100, 1<<10); err != nil {
-		return err
-	}
-	// Large-message point: a 1 MiB allreduce rides the selector's bandwidth
-	// regime (the ring on this spread 64-rank world) whose 2(P-1) chained
-	// sendrecv steps stress the dispatcher very differently from the
-	// log2(P)-round latency job above.
-	return widthGate("allreduce64-1MiB", []int{1, widthN}, 5, 1<<20)
 }

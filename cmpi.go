@@ -248,8 +248,8 @@ type (
 )
 
 // NewTraceRecorder returns a recorder that streams the versioned trace to w
-// as records commit; hand it to Options.Record. Recording keeps full
-// epoch-parallel dispatch and writes byte-identical traces at every width.
+// as records commit; hand it to Options.Record. Recording keeps the world's
+// epoch groups and writes byte-identical traces from run to run.
 func NewTraceRecorder(w io.Writer) *TraceRecorder { return trace.NewRecorder(w) }
 
 // ReadTrace decodes a recorded trace.

@@ -19,8 +19,9 @@ import (
 // one rank and is the home of every buffer the rank's library takes —
 // staging, payload snapshots, and the wire buffers of the HCA the rank opened
 // — and it is only touched from an epoch group that owns the rank's dispatch
-// resource (sim.Res). Epoch dispatch runs causally independent groups
-// concurrently, so a pool must never be reachable from two groups at once:
+// resource (sim.Res). Epoch dispatch runs causally independent groups one
+// after another, each on its own clock, so a pool reachable from two groups
+// at once would let one group see what another did later in virtual time:
 // every rank has its own free lists, and a request they can serve takes no
 // lock. Buffers travelling between two ranks wait on a DirPool of the pair.
 //
@@ -30,7 +31,7 @@ import (
 // engine stopped), and a pool whose own list is empty asks the depot before
 // it asks the allocator. Only those two cold paths — a miss, and the end of a
 // world — take the depot's mutex; worlds running side by side (a sweep at
-// -j N, epoch groups at -sim-j N) meet there and nowhere else. A buffer from
+// -j N) meet there and nowhere else. A buffer from
 // the depot is as undefined as any other Get, so no simulated result can
 // depend on which world last held it.
 //

@@ -11,10 +11,10 @@ import (
 
 // The process-wide depot (core/pool.go), which keeps the free buffers and
 // objects of finished worlds, is the one thing worlds of a process share.
-// These two tests put worlds on it side by side — sweep points on four
-// workers, epoch groups of one world at width four — and want the results of
-// a lone sequential world. Under -race they are also the check that the
-// depot's mutex covers everything the worlds share.
+// TestDepotSharedBySweepWorkers puts worlds on it side by side — sweep
+// points on four workers — and wants the results of a lone sequential world.
+// Under -race it is also the check that the depot's mutex covers everything
+// the worlds share.
 
 // depotServed is what the depot served one world: buffers and objects.
 type depotServed struct{ bufs, objs uint64 }
@@ -63,22 +63,5 @@ func TestDepotSharedBySweepWorkers(t *testing.T) {
 	}, invariant.Point{}, invariant.Point{Sweep: 1})
 	if served.bufs == 0 || served.objs == 0 {
 		t.Errorf("sixteen identical worlds took %d buffers and %d objects from the depot, want some of each", served.bufs, served.objs)
-	}
-}
-
-// TestDepotSharedByDispatchWidth: epoch groups of one world at width four
-// share the depot with the world before, and simulate what width one does.
-func TestDepotSharedByDispatchWidth(t *testing.T) {
-	var served depotServed
-	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
-		digest, depot, err := depotPoint()
-		if err != nil {
-			t.Fatalf("%+v: %v", p, err)
-		}
-		served = depot
-		return invariant.Result{Digest: digest}
-	}, invariant.Point{}, invariant.Point{Width: 4})
-	if served.bufs == 0 || served.objs == 0 {
-		t.Errorf("the second world took %d buffers and %d objects from the depot, want some of each", served.bufs, served.objs)
 	}
 }

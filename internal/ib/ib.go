@@ -38,7 +38,7 @@ type Fabric struct {
 	// topo is the switching hierarchy (topology.go); the zero value is the
 	// legacy single crossbar. spines holds next-free times per spine switch,
 	// indexed [stage][switch] — shared across hosts, and declarable as
-	// dispatch resources via SpineHops so epoch-parallel worlds can merge
+	// dispatch resources via SpineHops so footprinted worlds can merge
 	// exactly the groups whose flows can meet at a spine.
 	topo   Topology
 	spines [][]sim.Time
@@ -213,11 +213,11 @@ type Device struct {
 	batchDepot uint64
 }
 
-// Tag declares the device's identity resources for parallel dispatch: the
+// Tag declares the device's identity resources for epoch grouping: the
 // owning rank's resource and its host's resource, in that order. Deferred
 // fabric events (message arrival, completion delivery) are tagged with both
-// endpoints' identities so the epoch scheduler can run independent RC pairs
-// concurrently. Untagged devices leave their events on sim.Global.
+// endpoints' identities so the epoch scheduler can put independent RC pairs
+// in separate groups. Untagged devices leave their events on sim.Global.
 func (d *Device) Tag(rank, host sim.Res) { d.res[0], d.res[1] = rank, host }
 
 // ErrNoDeviceAccess is returned when a non-privileged container opens the HCA.

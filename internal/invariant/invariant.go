@@ -1,7 +1,7 @@
 // Package invariant is the one harness behind the tests that say "the same
-// run": a program must simulate the same thing at every dispatch width,
-// traced or not, with the poolStrict checks on, on an emptied buffer depot
-// and, for tables, at every sweep width. Check runs it at a base point and at
+// run": a program must simulate the same thing traced or not, with the
+// poolStrict checks on, on an emptied buffer depot and, for tables, at every
+// sweep width. Check runs it at a base point and at
 // each point the caller lists, and compares digests plus, where both points
 // record, the trace bytes. It imports nothing above core, so the tests of mpi
 // and of everything built on it can share it.
@@ -17,14 +17,11 @@ import (
 	"testing"
 
 	"cmpi/internal/core"
-	"cmpi/internal/sim"
 	"cmpi/internal/trace"
 )
 
-// Point is the host configuration of one run. Zero Width is the width the
-// process started with (CMPI_SIM_WORKERS, else 1); zero Sweep is 4.
+// Point is the host configuration of one run. Zero Sweep is 4.
 type Point struct {
-	Width      int  // in-world dispatch width (CMPI_SIM_WORKERS)
 	Sweep      int  // experiment sweep workers (CMPI_SWEEP_WORKERS)
 	Record     bool // the program records a trace and returns its bytes
 	PoolStrict bool // core.SetPoolStrict: the depot poisoned, every drain checked
@@ -40,10 +37,6 @@ type Result struct {
 
 // Run is a program the harness runs at one point.
 type Run func(*testing.T, Point) Result
-
-// hostWidth is the dispatch width of a Point with none, read before any test
-// sets CMPI_SIM_WORKERS.
-var hostWidth = sim.DefaultWorkers()
 
 // Check runs run at base and at each of points, reports each point whose
 // result differs from the base's, and returns the base's result.
@@ -68,21 +61,10 @@ func Check(t *testing.T, run Run, base Point, points ...Point) Result {
 	return want
 }
 
-// Widths returns p at each of the dispatch widths ws.
-func Widths(p Point, ws ...int) []Point {
-	ps := make([]Point, len(ws))
-	for i, w := range ws {
-		ps[i] = p
-		ps[i].Width = w
-	}
-	return ps
-}
-
 // At runs run at one point.
 func At(t *testing.T, run Run, p Point) Result {
 	t.Helper()
-	p.Width, p.Sweep = cmp.Or(p.Width, hostWidth), cmp.Or(p.Sweep, 4)
-	t.Setenv("CMPI_SIM_WORKERS", strconv.Itoa(p.Width))
+	p.Sweep = cmp.Or(p.Sweep, 4)
 	t.Setenv("CMPI_SWEEP_WORKERS", strconv.Itoa(p.Sweep))
 	if p.DropDepot {
 		core.DropDepot()

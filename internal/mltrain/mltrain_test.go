@@ -7,7 +7,6 @@ import (
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
-	"cmpi/internal/invariant"
 	"cmpi/internal/mpi"
 )
 
@@ -122,23 +121,4 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted by parameter server", i)
 		}
 	}
-}
-
-// TestTrainingDeterministicAcrossWidths requires both drivers to simulate
-// the same worlds and report identical step times at every epoch dispatch
-// width.
-func TestTrainingDeterministicAcrossWidths(t *testing.T) {
-	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
-		dpw := trainWorld(t, 2, 2, 8, nil)
-		dp, err := DataParallel(dpw, quickCfg(4096, 256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		psw := trainWorld(t, 2, 2, 8, nil)
-		ps, err := ParameterServer(psw, quickCfg(4096, 256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return invariant.Result{Digest: invariant.Sum(dpw.Digest(), psw.Digest(), dp.StepMicros, ps.StepMicros)}
-	}, invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }

@@ -69,13 +69,12 @@ func BenchmarkShmRendezvousPingPong(b *testing.B) {
 	benchPingPong(b, benchWorld(b, 1, core.ModeLocalityAware), 64<<10)
 }
 
-// benchPairwise runs b.N pairwise exchange rounds (rank <-> rank^1, same
-// container) in a 16-rank world at the given epoch dispatch width and reports
-// the max epoch width observed. The communication graph is 8 disjoint pairs,
-// so formation must find independent groups; comparing width 1 and width 4
-// measures the dispatch overhead and speedup of the group worker pool on the
-// same deterministic schedule.
-func benchPairwise(b *testing.B, simWorkers int) {
+// BenchmarkEpochDispatchPairwise runs b.N pairwise exchange rounds (rank <->
+// rank^1, same container) in a 16-rank world and reports the max epoch width
+// observed. The communication graph is 8 disjoint pairs, so formation must
+// find independent groups: it measures formation and group dispatch on a
+// wide schedule.
+func BenchmarkEpochDispatchPairwise(b *testing.B) {
 	b.Helper()
 	spec := cluster.Spec{Hosts: 2, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
 	d, err := cluster.Containers(cluster.MustNew(spec), 2, 16, cluster.PaperScenarioOpts())
@@ -86,7 +85,6 @@ func benchPairwise(b *testing.B, simWorkers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.Eng.SetWorkers(simWorkers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	err = w.Run(func(r *Rank) error {
@@ -104,13 +102,6 @@ func benchPairwise(b *testing.B, simWorkers int) {
 	b.StopTimer()
 	b.ReportMetric(float64(w.SimStats().MaxBatchWidth), "max-width")
 }
-
-// BenchmarkEpochDispatchWidth1 is the serial baseline: the same epoch
-// formation and grouping, executed by one worker.
-func BenchmarkEpochDispatchWidth1(b *testing.B) { benchPairwise(b, 1) }
-
-// BenchmarkEpochDispatchWidth4 runs the independent groups on four workers.
-func BenchmarkEpochDispatchWidth4(b *testing.B) { benchPairwise(b, 4) }
 
 // The data plane, layer by layer: every reduction kernel and codec at a
 // cache-resident, an L2-sized and a gradient-sized payload, each next to the

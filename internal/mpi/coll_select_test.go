@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cmpi/internal/core"
-	"cmpi/internal/invariant"
 	"cmpi/internal/profile"
 )
 
@@ -185,22 +184,4 @@ func TestCoResidentFraction(t *testing.T) {
 	if got := w.partition().coResFrac; got >= 1 {
 		t.Errorf("isolated locality-aware fraction = %v, want < 1", got)
 	}
-}
-
-// TestSelectorDeterministicAcrossWidths runs a mixed-size allreduce job at
-// several epoch dispatch widths and requires identical virtual times and
-// identical per-algorithm call counters (the profile in World.Digest) — the
-// selector must not observe anything width-dependent.
-func TestSelectorDeterministicAcrossWidths(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Mode = core.ModeLocalityAware
-	opts.Profile = true
-	invariant.Check(t, row(scenario("4cont", 8), opts, blocking(func(r *Rank) error {
-		for _, nel := range []int{1, 16, 4096, 16384} {
-			if err := sumAllreduceBody(nel)(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}), nil), invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
 }

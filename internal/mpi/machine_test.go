@@ -20,15 +20,13 @@ import (
 var machTestTopo = ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}
 
 // machWorld builds an n-rank world for the machine-equivalence tests with a
-// trace recorded, pinning the dispatch width.
-func machWorld(t *testing.T, n int, topo ib.Topology, workers int) (*World, *bytes.Buffer) {
+// trace recorded.
+func machWorld(t *testing.T, n int, topo ib.Topology) (*World, *bytes.Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
 	opts := DefaultOptions()
 	opts.Record = trace.NewRecorder(&buf)
-	w := machine(n, topo)(t, opts)
-	w.Eng.SetWorkers(workers)
-	return w, &buf
+	return machine(n, topo)(t, opts), &buf
 }
 
 // machine builds n-rank worlds for harness rows on topology topo.
@@ -54,8 +52,7 @@ func allreduceProgram(iters, bytes int) func(*World) error {
 // ride CMA and HCA rendezvous, and a receiver often matches an RTS in an
 // epoch whose group does not own the (parked) sender, so the receive-side
 // claim must regroup. A machine step cannot yield mid-sweep; the transfer is
-// parked and waitStep regroups. Every width must finish with a byte-identical
-// trace.
+// parked and waitStep regroups.
 func TestMachineRendezvousRecvRegroups(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Tunables.AllreduceAlgo = core.AllreduceRabenseifner
@@ -64,8 +61,8 @@ func TestMachineRendezvousRecvRegroups(t *testing.T) {
 			t.Fatalf("%+v: no regroup yields; the world no longer exercises the claim path", p)
 		}
 	}
-	res := invariant.Check(t, row(machine(machRanks, ib.Topology{}), opts, allreduceProgram(1, 256<<10), regroups),
-		invariant.Point{Record: true}, invariant.Point{Width: 4, Record: true})
+	res := invariant.At(t, row(machine(machRanks, ib.Topology{}), opts, allreduceProgram(1, 256<<10), regroups),
+		invariant.Point{Record: true})
 	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatal(err)
@@ -91,17 +88,18 @@ var machTopos = []struct {
 	{"fattree", machTestTopo},
 }
 
-// TestMachineBodiesEngineAndWidthInvariant is the width-invariance gate of
-// machine rank bodies (the name predates the removal of the engine switch): a
-// 64-rank allreduce with machine-native rank bodies must produce
-// byte-identical traces at dispatch widths 1/2/4/8 — worker count can never
-// change simulated results — on the trivial topology and on a 2-rack fat
-// tree.
+// TestMachineBodiesEngineAndWidthInvariant is the invariance gate of machine
+// rank bodies (the name predates the removal of the engine switch and of the
+// dispatch width): a 64-rank allreduce with machine-native rank bodies must
+// record a byte-identical trace when run again on the depot the first run
+// filled, and simulate the same thing untraced, on the trivial topology and
+// on a 2-rack fat tree.
 func TestMachineBodiesEngineAndWidthInvariant(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
+			rec := invariant.Point{Record: true}
 			invariant.Check(t, row(machine(machRanks, tc.topo), DefaultOptions(), allreduceProgram(machIters, machBytes), nil),
-				invariant.Point{Record: true}, invariant.Widths(invariant.Point{Record: true}, 2, 4, 8)...)
+				rec, rec, invariant.Point{})
 		})
 	}
 }
@@ -129,11 +127,11 @@ func perRankOps(trace []byte) []string {
 func TestMachineBodiesMatchBlockingOps(t *testing.T) {
 	for _, tc := range machTopos {
 		t.Run(tc.name, func(t *testing.T) {
-			wb, bufB := machWorld(t, machRanks, tc.topo, 1)
+			wb, bufB := machWorld(t, machRanks, tc.topo)
 			if err := wb.Run(AllreduceWorkload(machIters, machBytes)); err != nil {
 				t.Fatalf("blocking: %v", err)
 			}
-			wm, bufM := machWorld(t, machRanks, tc.topo, 1)
+			wm, bufM := machWorld(t, machRanks, tc.topo)
 			if err := wm.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
 				t.Fatalf("machine: %v", err)
 			}
@@ -150,12 +148,11 @@ func TestMachineBodiesMatchBlockingOps(t *testing.T) {
 	}
 }
 
-// TestFatTreeWorldDispatchesParallel pins the spine-footprint half of the
-// tentpole: a racked fat-tree world no longer serializes — epoch dispatch
-// batches groups (MaxBatchWidth > 1) — with byte-identical results at every
-// width (TestMachineBodiesEngineAndWidthInvariant covers the identity).
+// TestFatTreeWorldDispatchesParallel pins the spine footprints: a racked
+// fat-tree world does not collapse into one group — epoch formation finds
+// independent groups (MaxBatchWidth > 1).
 func TestFatTreeWorldDispatchesParallel(t *testing.T) {
-	w, _ := machWorld(t, machRanks, machTestTopo, 8)
+	w, _ := machWorld(t, machRanks, machTestTopo)
 	if err := w.RunMachine(AllreduceProgram(machIters, machBytes)); err != nil {
 		t.Fatal(err)
 	}

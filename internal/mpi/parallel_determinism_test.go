@@ -11,12 +11,11 @@ import (
 )
 
 // Determinism of the conservative epoch dispatch: the same job must produce
-// the same application results, profiles, and scheduler counters at every
-// dispatch width, including width one — group formation is decided by event
-// times and footprints alone, never by worker scheduling. Each comparison is
-// a row of the invariance harness (internal/invariant) over World.Digest and,
-// with a recording base, the trace bytes: every width comparison below also
-// pins trace byte-identity.
+// the same application results, profiles, and scheduler counters traced or
+// not and world after world — group formation is decided by event times and
+// footprints alone. Each comparison is a row of the invariance harness
+// (internal/invariant) over World.Digest and, with a recording base, the
+// trace bytes.
 
 // mixedWorkload drives every channel in one job: SHM/CMA eager and
 // rendezvous inside containers, HCA eager and rendezvous across hosts,
@@ -119,13 +118,11 @@ func mixedJob(plan *fault.Plan, check worldCheck) invariant.Run {
 	return row(scenario("2host4cont", 16), opts, blocking(mixedWorkload), check)
 }
 
-// TestEpochDispatchDeterministicResults locks in the tentpole invariant at
-// the MPI layer: application-visible results, profiles, and scheduler
-// counters are identical for every dispatch width, including one, and
-// recording a trace changes none of them.
+// TestEpochDispatchDeterministicResults locks in the invariant at the MPI
+// layer: recording a trace changes none of the application-visible results,
+// profiles, and scheduler counters.
 func TestEpochDispatchDeterministicResults(t *testing.T) {
-	rec := invariant.Point{Record: true}
-	invariant.Check(t, mixedJob(nil, nil), rec, append(invariant.Widths(rec, 2, 4, 8), invariant.Point{})...)
+	invariant.Check(t, mixedJob(nil, nil), invariant.Point{Record: true}, invariant.Point{})
 }
 
 // pairwiseWorkload exchanges messages only between even/odd partners in the
@@ -165,7 +162,6 @@ func TestEpochDispatchEngages(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Profile = true
 	w := testWorld(t, "2host4cont", 16, opts)
-	w.Eng.SetWorkers(4)
 	if err := w.Run(pairwiseWorkload); err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +176,7 @@ func TestEpochDispatchEngages(t *testing.T) {
 
 // TestFaultWorldsFormOneGroup checks the injector gate: a world with a fault
 // plan declares no footprints — plan queries mutate shared state — so every
-// epoch is one Global group whatever the configured width, and the results
-// are identical at any width setting.
+// epoch is one Global group.
 func TestFaultWorldsFormOneGroup(t *testing.T) {
 	oneGroup := func(t *testing.T, p invariant.Point, w *World) {
 		if st := w.SimStats(); st.ParallelBatches == 0 || st.MaxBatchWidth != 1 {
@@ -189,15 +184,14 @@ func TestFaultWorldsFormOneGroup(t *testing.T) {
 				p, st.ParallelBatches, st.MaxBatchWidth)
 		}
 	}
-	invariant.Check(t, mixedJob(fault.NewPlan().Straggler(3, 0, 0, 2.5), oneGroup), invariant.Point{Record: true},
-		invariant.Point{Width: 8, Record: true})
+	invariant.At(t, mixedJob(fault.NewPlan().Straggler(3, 0, 0, 2.5), oneGroup), invariant.Point{Record: true})
 }
 
-// TestEpochDispatchManyWorldsUnderRace runs several mixed jobs back to back
-// at width 8; under -race this shakes the group worker pool harder than a
-// single world does.
+// TestEpochDispatchManyWorldsUnderRace runs several mixed jobs back to back:
+// each later world starts on the depot the earlier ones filled, and must
+// simulate and record exactly what the first did.
 func TestEpochDispatchManyWorldsUnderRace(t *testing.T) {
-	rec := invariant.Point{Width: 8, Record: true}
+	rec := invariant.Point{Record: true}
 	invariant.Check(t, mixedJob(nil, nil), rec, rec, rec, rec)
 }
 
@@ -257,14 +251,6 @@ func phasedJob(check worldCheck) invariant.Run {
 	return row(scenario("2host4cont", 16), opts, blocking(phasedWorkload), check)
 }
 
-// TestPhasedWorkloadDeterministicAcrossWidths pins footprint decay's
-// correctness contract: the phased job's application results, profiles and
-// scheduler counters (World.Digest) are identical at widths 1/2/4/8.
-func TestPhasedWorkloadDeterministicAcrossWidths(t *testing.T) {
-	rec := invariant.Point{Record: true}
-	invariant.Check(t, phasedJob(nil), rec, invariant.Widths(rec, 2, 4, 8)...)
-}
-
 // TestPairsDecayAndRewidenAfterPhaseChange is the behavioral claim behind
 // footprint decay: the ring phase couples the whole world, the ring pairs
 // then quiesce out of the footprints so the pairwise phase re-widens, and
@@ -283,7 +269,7 @@ func TestPairsDecayAndRewidenAfterPhaseChange(t *testing.T) {
 		if st.PhaseRewidens == 0 {
 			t.Error("no phase change detected; want >= 1 for the me^1 -> me^2 transition")
 		}
-	}), invariant.Point{Width: 4})
+	}), invariant.Point{})
 }
 
 // TestReleaseClaimStrictGuard checks the claim-accounting debug hook: a
@@ -318,6 +304,6 @@ func TestReleaseClaimStrictGuard(t *testing.T) {
 func TestClaimAccountingBalanced(t *testing.T) {
 	claimStrict = true
 	t.Cleanup(func() { claimStrict = false })
-	invariant.At(t, mixedJob(nil, nil), invariant.Point{Width: 4})
-	invariant.At(t, phasedJob(nil), invariant.Point{Width: 4})
+	invariant.At(t, mixedJob(nil, nil), invariant.Point{})
+	invariant.At(t, phasedJob(nil), invariant.Point{})
 }

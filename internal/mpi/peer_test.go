@@ -143,9 +143,8 @@ func TestWorldCostFollowsContact(t *testing.T) {
 
 // TestFirstContactFromBothEnds: A sends to B while B sends to A, neither yet
 // in the other's footprint, so the two name their pair in the same epoch from
-// different groups — 64 disjoint pairs at once, four workers. Both ends must
-// end up on one record (the race detector watches the rest), with the claims
-// they took on it balanced.
+// different groups — 64 disjoint pairs at once. Both ends must end up on one
+// record, with the claims they took on it balanced.
 func TestFirstContactFromBothEnds(t *testing.T) {
 	claimStrict = true
 	t.Cleanup(func() { claimStrict = false })
@@ -160,7 +159,6 @@ func TestFirstContactFromBothEnds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.Eng.SetWorkers(4)
 			seen := make([]*pairShared, ranks)
 			err = w.Run(func(r *Rank) error {
 				peer := partner(r.rank)

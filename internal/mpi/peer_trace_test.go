@@ -17,7 +17,7 @@ import (
 // onto the machine.go steppers. The pins are SHA-256s of the recorded v1
 // trace (Options.Record), produced by the commit before the line-format
 // tracer was deleted, whose line digests they replace; every row must still
-// produce them at every width and under poolStrict. An all-to-all contacts
+// produce them, and under poolStrict too. An all-to-all contacts
 // every pair of the world, a ring two peers per rank: the two ends of how
 // full a rank's peer table gets.
 
@@ -104,15 +104,14 @@ type pinnedRow struct {
 	pin  string
 }
 
-// checkPinned runs each row recorded at base and at widths 2/4/8 of it,
-// compares the base's trace with the pin (the harness holds every other point
-// to the base) and returns the base traces.
+// checkPinned runs each row recorded at base, compares its trace with the pin
+// and returns the traces.
 func checkPinned(t *testing.T, rows []pinnedRow, base invariant.Point) [][]byte {
 	base.Record = true
 	var traces [][]byte
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			res := invariant.Check(t, tc.run, base, invariant.Widths(base, 2, 4, 8)...)
+			res := invariant.At(t, tc.run, base)
 			if got := invariant.SumBytes(res.Trace); got != tc.pin {
 				t.Errorf("trace digest %s (%d bytes), want %s", got, len(res.Trace), tc.pin)
 			}
@@ -160,8 +159,8 @@ func TestTracesUnchangedByFirstContactState(t *testing.T) {
 }
 
 // TestFaultWorldTracePinned watches a fault-plan world's trace. Its records
-// flush in commit order like every other world's, so the bytes are pinned at
-// every width; and they are the records the engine's former sequential loop
+// flush in commit order like every other world's, so the bytes are pinned;
+// and they are the records the engine's former sequential loop
 // emitted in dispatch order (testdata/fault-dispatch-order.trace, recorded
 // at f967c29) — the move to one dispatch loop reordered them and changed
 // none.

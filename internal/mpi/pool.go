@@ -25,8 +25,8 @@ import "cmpi/internal/core"
 //     resource serializes against the sender. Handing capacity back to the
 //     sender's *home* from the receiver's drain would NOT be safe: a sender
 //     woken by a third rank's group never has its own footprint consulted,
-//     so it can be running, and using its home, concurrently with a receiver
-//     that is still draining its fragments.
+//     so it can run, and use its home, in another group of the same epoch
+//     as a receiver that is still draining its fragments.
 //   - ib.QP's wire list does the same job for HCA wire messages (see ib.QP).
 //
 // Who owns the bytes behind sendOp.data, per path:

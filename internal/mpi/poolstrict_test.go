@@ -21,8 +21,7 @@ func strictPools(t *testing.T) {
 // TestPoolStrictKeepsPinnedResults holds the pinned traces that would show a
 // stale alias — the first-contact exchanges, the fault-plan world — to their
 // pins with every depot buffer poisoned, the conservation law asserted at the
-// end of every clean world and released handles poisoned, at widths 1/2/4/8,
-// and reruns the randomized windows with content checks,
+// end of every clean world and released handles poisoned, and reruns the randomized windows with content checks,
 // the determinism property and the second-world test under the hook.
 func TestPoolStrictKeepsPinnedResults(t *testing.T) {
 	strict := invariant.Point{PoolStrict: true}

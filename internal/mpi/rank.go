@@ -397,7 +397,7 @@ func (r *Rank) pathFor(pr *peerRec, size int) core.Path {
 }
 
 // footprint declares the resources this rank's process may touch during the
-// next epoch of parallel dispatch: its own rank resource, plus — for every
+// next epoch: its own rank resource, plus — for every
 // pair it has claimed and not yet decayed — the peer's rank resource, and
 // both hosts' port resources once the pair has used the HCA channel. During
 // init, or after the world serializes (communicator/RMA global tables in
@@ -453,7 +453,7 @@ func (r *Rank) footprint(buf []sim.Res) []sim.Res {
 			// every spine switch its cross-rack routes can book: spine
 			// next-free words are shared fabric state exactly like port
 			// bandwidth, and declaring them is what lets racked fat-tree
-			// worlds keep epoch-parallel dispatch (duplicates across pairs
+			// worlds keep independent epoch groups (duplicates across pairs
 			// are harmless — union-find re-merges the same resource).
 			buf = append(buf, w.spineRes(myHost, peerHost)...)
 		}
@@ -645,7 +645,7 @@ func (r *Rank) crossSocket(peer int) bool {
 // (Options.Record). Records ride the engine's
 // emitter: buffered per epoch group and flushed at the barrier in
 // deterministic (t, group, seq) commit order, so tracing never perturbs —
-// and is never perturbed by — parallel dispatch.
+// and is never perturbed by — epoch grouping.
 func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int, seq uint64) {
 	if r.w.Opts.Record == nil {
 		return

@@ -162,10 +162,9 @@ func TestRecoverableGoldenWorkload(t *testing.T) {
 }
 
 // TestRecoveryDeterminism runs the checkpoint-bearing golden workload — fault
-// free (which may start under epoch-parallel dispatch and must collapse at
-// the checkpoint barrier) and with a crash plus respawn recovery — at every
-// dispatch width, and requires identical results, reports, and checkpoint
-// artifacts.
+// free (which may start with independent epoch groups and must collapse at
+// the checkpoint barrier) and with a crash plus respawn recovery — twice, and
+// requires identical results, reports, and checkpoint artifacts.
 func TestRecoveryDeterminism(t *testing.T) {
 	// Measure the fault-free runtime once so the crash lands mid-run, after
 	// the first checkpoint.
@@ -198,14 +197,14 @@ func TestRecoveryDeterminism(t *testing.T) {
 					t.Fatalf("%+v: no checkpoint committed", p)
 				}
 				return invariant.Result{Digest: invariant.Sum(w.Digest(), final, resumed, *rep, store.Latest().Encode())}
-			}, invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
+			}, invariant.Point{}, invariant.Point{})
 		})
 	}
 }
 
 // TestRecoverErrorOrderDeterminism crashes two ranks with no restart budget
 // and requires the aggregated job error — victim CrashErrors interleaved with
-// survivor body errors — to come out identically at every dispatch width
+// survivor body errors — to come out identically from run to run
 // (rank-sorted, because the aggregate is built from the rank-indexed slice).
 func TestRecoverErrorOrderDeterminism(t *testing.T) {
 	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
@@ -227,7 +226,7 @@ func TestRecoverErrorOrderDeterminism(t *testing.T) {
 			t.Fatalf("%+v: run with two crashed ranks succeeded", p)
 		}
 		return invariant.Result{Digest: invariant.Sum(w.Digest(), err)}
-	}, invariant.Point{}, invariant.Widths(invariant.Point{}, 2, 4, 8)...)
+	}, invariant.Point{}, invariant.Point{})
 }
 
 // TestCommShrinkInWorld is in-world ULFM recovery without a restart: a rank

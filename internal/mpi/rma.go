@@ -45,7 +45,7 @@ func (r *Rank) WinCreate(buf []byte) *Win {
 	r.profEnter()
 	defer r.profExit("Win_create")
 	// The window exchange table is job-global, and RMA accesses write peer
-	// windows directly; serialize parallel dispatch for the rest of the run.
+	// windows directly; serialize dispatch for the rest of the run.
 	r.ensureSerial()
 	w := &Win{r: r, buf: buf, idx: r.winCount}
 	r.winCount++

@@ -24,8 +24,7 @@ package mpi
 // autoAllreduce picks by size and locality.
 //
 // Determinism: rank machines declare no footprints and all deliveries are
-// untagged callbacks, so every epoch is one Global group dispatched in place
-// — results are independent of CMPI_SIM_WORKERS.
+// untagged callbacks, so every epoch is one Global group dispatched in place.
 
 import (
 	"fmt"

@@ -110,8 +110,8 @@ func TestTraceEmitsChannelDecisions(t *testing.T) {
 		}
 		return nil
 	}
-	res := invariant.Check(t, row(scenario("2cont", 2), DefaultOptions(), blocking(body), nil),
-		invariant.Point{Record: true}, invariant.Widths(invariant.Point{Record: true}, 2, 4, 8)...)
+	res := invariant.At(t, row(scenario("2cont", 2), DefaultOptions(), blocking(body), nil),
+		invariant.Point{Record: true})
 	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatal(err)

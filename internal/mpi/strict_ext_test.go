@@ -76,8 +76,7 @@ func TestAllocMemContentsNeverReachOSUResults(t *testing.T) {
 // the conservation law asserted at the end of every clean world — and wants
 // what it gets with the hook off: both golden traces byte-identical to their
 // fixtures, and three chaos hunts (crashed, respawned and shrunk worlds, one
-// after another on a warm depot) printing the same report, at dispatch width
-// four too. The AllocMem-built OSU programs have the same row in
+// after another on a warm depot) printing the same report. The AllocMem-built OSU programs have the same row in
 // TestAllocMemContentsNeverReachOSUResults.
 func TestPoolStrictKeepsGoldenTracesAndChaosHunts(t *testing.T) {
 	for _, job := range []struct {
@@ -112,7 +111,7 @@ func TestPoolStrictKeepsGoldenTracesAndChaosHunts(t *testing.T) {
 					t.Fatal(err)
 				}
 				return invariant.Result{Digest: invariant.Sum(out.String())}
-			}, invariant.Point{}, invariant.Point{Width: 4}, invariant.Point{PoolStrict: true})
+			}, invariant.Point{}, invariant.Point{PoolStrict: true})
 		})
 	}
 }

@@ -63,29 +63,18 @@ func tracedJob(plan *fault.Plan, check worldCheck) invariant.Run {
 	return row(scenario("2host4cont", 16), opts, blocking(tracedWorkload), check)
 }
 
-// TestTraceByteIdenticalAcrossWidths is the tracing invariant: recording a
-// trace does not cost the world its footprints, and the recorded bytes are
-// identical at every CMPI_SIM_WORKERS width.
-func TestTraceByteIdenticalAcrossWidths(t *testing.T) {
-	parallel := func(t *testing.T, p invariant.Point, w *World) {
-		if !w.parallel {
-			t.Fatal("traced world declared no footprints; the trace serial gate is back")
-		}
-		if st := w.SimStats(); p.Width > 1 && st.MaxBatchWidth < 2 {
-			t.Errorf("width %d: MaxBatchWidth = %d; tracing must not collapse epochs to one group", p.Width, st.MaxBatchWidth)
-		}
-	}
-	rec := invariant.Point{Record: true}
-	invariant.Check(t, tracedJob(nil, parallel), rec, invariant.Widths(rec, 2, 4, 8)...)
-}
-
 // TestReplayReconstructsProfile checks the replay acceptance criterion: the
 // per-rank channel counters reconstructed from the trace alone equal the live
-// profiler's, exactly, without running any world.
+// profiler's, exactly, without running any world. Recording must not cost
+// the world its footprints.
 func TestReplayReconstructsProfile(t *testing.T) {
 	var w *World
-	res := invariant.At(t, tracedJob(nil, func(_ *testing.T, _ invariant.Point, fw *World) { w = fw }),
-		invariant.Point{Width: 4, Record: true})
+	res := invariant.At(t, tracedJob(nil, func(t *testing.T, _ invariant.Point, fw *World) {
+		if !fw.parallel {
+			t.Fatal("traced world declared no footprints; the trace serial gate is back")
+		}
+		w = fw
+	}), invariant.Point{Record: true})
 	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatalf("Read: %v", err)

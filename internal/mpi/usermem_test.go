@@ -325,7 +325,7 @@ func TestExchangeVMatchesTheHandRolledLoop(t *testing.T) {
 			return nil
 		}), nil)
 	}
-	rec := invariant.Point{Width: 1, Record: true}
+	rec := invariant.Point{Record: true}
 	want := invariant.At(t, run(exchangeOracle), rec)
 	got := invariant.At(t, run((*Rank).ExchangeV), rec)
 	if got.Digest != want.Digest {

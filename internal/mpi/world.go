@@ -46,7 +46,7 @@ type World struct {
 	// Recovery state (ErrorsRecover / RunRecoverable). crashed marks ranks
 	// that died; crashGen increments on every new death so survivors can reap
 	// lazily (Rank.failDeadOps). Plain fields: a fault world declares no
-	// footprints, so nothing in it ever runs concurrently.
+	// footprints, so every epoch of it is one group.
 	crashed  []bool
 	crashGen uint64
 	// ck is the coordinated-checkpoint barrier state (ckpt.go).
@@ -217,10 +217,9 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 		w.installTracer()
 	}
 	// Ranks declare footprints in every world with no observer of global
-	// event order — at any width, including one. Group formation is decided by
-	// event times and footprints alone, so a width-1 run executes the exact
-	// same groups (serially, in group-index order) as a width-N run: worker
-	// count can never change simulated results. The fault injector's queries
+	// event order. Group formation is decided by event times and footprints
+	// alone, and the groups run in group-index order. The fault injector's
+	// queries
 	// mutate shared plan state, so those worlds declare nothing: every epoch
 	// is one Global group dispatched in global event order (which also keeps
 	// Eng.Now()-based fault timestamps exact). Tracing does NOT serialize:
@@ -259,7 +258,7 @@ func (w *World) finishRun(engErr error) error {
 	var errs []error
 	// rankErrs is indexed by rank, so iterating it in order makes the joined
 	// error rank-sorted regardless of the virtual-time order the failures were
-	// recorded in — the aggregate is identical at every dispatch width.
+	// recorded in.
 	for _, re := range w.rankErrs {
 		if re != nil {
 			errs = append(errs, re)
@@ -417,10 +416,9 @@ func (w *World) SimStats() profile.SimStats {
 // Digest is a SHA-256, in hex, over what a finished run simulated: each
 // rank's body start and finish times and its error, the per-rank profile when
 // Opts.Profile is on, and SimStats less what says how the host ran the job —
-// BarrierStalls (the dispatch width), BufPool.Depot, ObjPool.Depot and
-// DepotRefused (what earlier worlds left in the depot) and ObjPool.Hits
-// (poolStrict does not recycle released handles). A job has one digest at
-// every width, traced or not, on any depot.
+// BufPool.Depot, ObjPool.Depot and DepotRefused (what earlier worlds left in
+// the depot) and ObjPool.Hits (poolStrict does not recycle released handles).
+// A job has one digest traced or not, on any depot.
 func (w *World) Digest() string {
 	h := sha256.New()
 	for i := range w.ranks {
@@ -437,7 +435,7 @@ func (w *World) Digest() string {
 		}
 	}
 	st := w.SimStats()
-	st.BarrierStalls, st.BufPool.Depot, st.ObjPool.Depot, st.DepotRefused, st.ObjPool.Hits = 0, 0, 0, 0, 0
+	st.BufPool.Depot, st.ObjPool.Depot, st.DepotRefused, st.ObjPool.Hits = 0, 0, 0, 0
 	fmt.Fprintf(h, "sim %+v\n", st)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -453,7 +451,6 @@ func simStatsOf(es sim.Stats) profile.SimStats {
 		MaxHeapDepth:    es.MaxHeapDepth,
 		ParallelBatches: es.ParallelBatches,
 		MaxBatchWidth:   es.MaxBatchWidth,
-		BarrierStalls:   es.BarrierStalls,
 		RegroupYields:   es.RegroupYields,
 		NarrowedPairs:   es.NarrowedPairs,
 		PhaseRewidens:   es.PhaseRewidens,

@@ -134,11 +134,8 @@ type SimStats struct {
 	// width.
 	ParallelBatches uint64
 	// MaxBatchWidth is the widest epoch: the most causally independent
-	// groups dispatched concurrently. Identical for any worker count.
+	// groups one formation made.
 	MaxBatchWidth int
-	// BarrierStalls counts groups queued behind the worker pool — the one
-	// counter that depends on the configured worker count.
-	BarrierStalls uint64
 	// RegroupYields counts processes that yielded mid-epoch to widen their
 	// footprint (claiming a pair their group did not own yet).
 	RegroupYields uint64

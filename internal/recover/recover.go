@@ -8,8 +8,8 @@
 // gave the runtime deterministic failure *injection*; this package gives it
 // deterministic failure *survival*. Snapshots have a line-text wire format
 // (Encode/Decode) with the same design rules as the trace format — versioned
-// header, human-greppable lines, byte-identical for identical runs at every
-// dispatch width — so a checkpoint artifact is as reproducible as the run
+// header, human-greppable lines, byte-identical for identical runs — so a
+// checkpoint artifact is as reproducible as the run
 // that produced it.
 //
 // The package name shadows the builtin recover; importers alias it

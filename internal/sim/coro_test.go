@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -90,8 +89,8 @@ func TestRunEndsWhileAProcHoldsTheBaton(t *testing.T) {
 	}
 }
 
-// wakeRing spawns n processes in disjoint pairs (each pair its own group, so
-// a wide engine starts pool workers) that meet for eight rounds — sleep, tell
+// wakeRing spawns n processes in disjoint pairs (each pair its own group)
+// that meet for eight rounds — sleep, tell
 // the partner, park until it has told too — and collects their emissions in
 // *log.
 func wakeRing(e *Engine, n int, log *[]string) {
@@ -116,8 +115,8 @@ func wakeRing(e *Engine, n int, log *[]string) {
 	}
 }
 
-// settled waits for the goroutine count to come back down to base: a pool
-// worker's exit completes a moment after the close that causes it.
+// settled waits for the goroutine count to come back down to base: a reaped
+// coroutine's exit completes a moment after the stop that causes it.
 func settled(t *testing.T, base int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
@@ -128,7 +127,7 @@ func settled(t *testing.T, base int) {
 }
 
 // TestGoroutinesExitAfterRun: Run leaves no goroutine behind. After a clean
-// run every process has finished and the pool workers are stopped. After a run
+// run every process has finished. After a run
 // that deadlocks, is stopped or fails, the processes it left blocked are
 // unwound: their deferred functions run once — and cannot block, so a deferred
 // collective does not hang the reap — a process that never started never runs,
@@ -138,7 +137,6 @@ func TestGoroutinesExitAfterRun(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		e := NewEngine()
-		e.SetWorkers(4)
 		var log []string
 		wakeRing(e, 16, &log)
 		if err := e.Run(); err != nil {
@@ -209,103 +207,4 @@ func TestGoroutinesExitAfterRun(t *testing.T) {
 		}
 		settled(t, base)
 	})
-}
-
-// goid is the id of the calling goroutine, from its stack header.
-func goid() string {
-	var buf [64]byte
-	f := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
-	return string(f[1])
-}
-
-// phasedWorld runs 16 processes through four phases; in phase k process i
-// meets partner i^(1<<k) for a number of rounds, so every phase re-pairs the
-// world and every process changes epoch groups. It returns the emission
-// transcript, the stats, and the largest number of distinct goroutines that
-// dispatched any one process (from callbacks each process plants in its own
-// group, counted only in the epoch that resumed it).
-func phasedWorld(t *testing.T, workers int) (string, Stats, int) {
-	const n, phases, rounds = 16, 4, 200
-	e := NewEngine()
-	e.SetWorkers(workers)
-	var log []string
-	e.SetEmitter(func(payload any) { log = append(log, payload.(string)) })
-	res := func(id int) Res { return Res(1 + id) }
-	procs := make([]*Proc, n)
-	var told [n][phases]int
-	var partner [n]int
-	var dispatchers [n]map[string]bool
-	for id := range procs {
-		partner[id] = id ^ 1
-		dispatchers[id] = map[string]bool{}
-		procs[id] = e.Go(fmt.Sprint("p", id), func(p *Proc) {
-			for ph := 0; ph < phases; ph++ {
-				peer := id ^ (1 << ph)
-				partner[id] = peer
-				if !p.CanTouch(res(peer)) {
-					p.YieldRegroup()
-				}
-				for r := 0; r < rounds; r++ {
-					p.Sleep(Time(1+id%3) * Nanosecond)
-					epoch := e.EpochID()
-					e.AtRes(p.Now(), func() {
-						if e.EpochID() == epoch {
-							dispatchers[id][goid()] = true
-						}
-					}, res(id))
-					told[id][ph]++
-					procs[peer].UnparkAt(p.Now())
-					for told[peer][ph] <= r {
-						p.Park()
-					}
-					p.Emit(fmt.Sprintf("%d.%d.%d@%v", id, ph, r, p.Now()))
-				}
-			}
-		})
-		procs[id].SetRes(res(id))
-		procs[id].SetFootprint(func(buf []Res) []Res { return append(buf, res(id), res(partner[id])) })
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(log) != n*phases*rounds {
-		t.Fatalf("%d emissions, want %d", len(log), n*phases*rounds)
-	}
-	most := 0
-	for _, d := range dispatchers {
-		most = max(most, len(d))
-	}
-	st := e.Stats()
-	st.BarrierStalls = 0 // the one deliberately width-dependent counter
-	return strings.Join(log, " "), st, most
-}
-
-// TestProcResumedByDifferentWorkers: a process's coroutine is not tied to the
-// goroutine that resumed it last. In a world that re-pairs between phases a
-// process changes groups, and at width 4 its successive resumes come from
-// different pool goroutines; transcript and stats must equal width 1. Run
-// under -race (CI "Coroutine stress"): a bug here depends on the host
-// schedule.
-func TestProcResumedByDifferentWorkers(t *testing.T) {
-	log1, st1, most1 := phasedWorld(t, 1)
-	if most1 != 1 {
-		t.Fatalf("width 1: a process was dispatched by %d goroutines, want 1", most1)
-	}
-	if st1.MaxBatchWidth < 4 || st1.RegroupYields == 0 || st1.ParallelBatches < 16 {
-		t.Fatalf("world too narrow, too static or too short to mean anything: %+v", st1)
-	}
-	moved := false
-	for try := 0; try < 10 && !moved; try++ {
-		log4, st4, most4 := phasedWorld(t, 4)
-		moved = most4 > 1
-		if st1 != st4 {
-			t.Fatalf("stats diverge:\n w1: %+v\n w4: %+v", st1, st4)
-		}
-		if log1 != log4 {
-			t.Fatal("transcript diverges between widths 1 and 4")
-		}
-	}
-	if !moved {
-		t.Error("in 10 runs at width 4 no process was ever resumed by two different goroutines: the test exercised nothing")
-	}
 }

@@ -2,13 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Engine is a discrete-event scheduler. A simulated process with a blocking
@@ -17,19 +13,19 @@ import (
 // (virtual time, sequence) order, and comes back when it blocks or ends, so
 // every simulated result is reproducible and data-race-free.
 //
-// Scheduler context — where callbacks, footprints, formation and commit run —
-// is Run's caller between epochs and, during an epoch, the one goroutine that
-// dispatches the group for the whole epoch (execGroup.dispatch): a pool
-// worker, or Run's caller. It is parked while a process it resumed runs.
+// Scheduler context — where callbacks, footprints, formation, dispatch and
+// commit run — is Run's caller, the engine's one dispatcher. It is parked
+// while a process it resumed runs, so nothing in an engine ever runs
+// concurrently with anything else in it, and no result can depend on the
+// host.
 //
-// There is one dispatch loop, conservative epoch dispatch (see epoch.go):
-// pending events are partitioned by the resources they declare — process
-// footprints (Proc.SetFootprint), callback tags (AtRes, AtArg) — into causally
-// independent groups which run concurrently on a worker pool bounded by
-// SetWorkers, with results — including Stats counters — byte-identical for any
-// worker count. Whatever declares nothing touches Global, so a world that
-// declares nothing is one group per epoch, dispatched in (time, sequence)
-// order on the global queue.
+// There is one dispatch loop, epoch dispatch (see epoch.go): pending events
+// are partitioned by the resources they declare — process footprints
+// (Proc.SetFootprint), callback tags (AtRes, AtArg) — into causally
+// independent groups, which Run's caller dispatches one after another in
+// group-index order. Whatever declares nothing touches Global, so a world
+// that declares nothing is one group per epoch, dispatched in (time,
+// sequence) order on the global queue.
 //
 // Typical use:
 //
@@ -45,14 +41,13 @@ type Engine struct {
 	now   Time
 	procs []*Proc
 
-	stopped   atomic.Bool
-	failMu    sync.Mutex
+	stopped   bool
 	failure   error
 	failureAt Time
 
 	stats Stats
 
-	// Parallel dispatch state (epoch.go). epochID increments at every
+	// Epoch dispatch state (epoch.go). epochID increments at every
 	// formation; inEpoch is true while groups execute. resTab is the dense
 	// per-resource table (union-find links and owning groups, validated by
 	// epoch stamp), formSets counts the disjoint sets of the formation in
@@ -60,14 +55,13 @@ type Engine struct {
 	// are the current epoch's, single is that one group when the epoch formed
 	// only one (its resTab rows then name no owner), and commitBuf/emitBuf are
 	// the commit sort scratch. All of it is written in scheduler context only.
-	workers int
+	//
 	// declared is raised, for good, by the first footprint installed or the
 	// first callback tagged with a resource other than Global. Until then
 	// every event touches Global alone, so an epoch is one set by
 	// construction and formation skips its walk over the pending events —
 	// what keeps a deep queue that declares nothing (a 262144-rank scale
-	// proxy) from paying O(pending) per 256 events dispatched. While it is
-	// false no epoch has more than one group, so the write never races.
+	// proxy) from paying O(pending) per 256 events dispatched.
 	declared      bool
 	inEpoch       bool
 	epochID       uint64
@@ -84,18 +78,13 @@ type Engine struct {
 	// the next formation, where footprints may retire stale state eagerly
 	// (PhaseShift). Written and read only in scheduler context.
 	phaseShift bool
-	// pool is the persistent epoch worker pool (nil until the first epoch
-	// wider than one group); poolSize counts its live goroutines.
-	pool     chan *epochWork
-	poolSize int
-	poolWork *epochWork
 
 	// arena holds machine procs in fixed-capacity slabs (flat.go).
 	arena [][]Proc
 
 	// emit, when installed, receives observer payloads (trace records) in
 	// commit order — (t, group index, group-local seq), flushed at each epoch
-	// barrier. Identical for any worker count.
+	// barrier.
 	emit func(payload any)
 
 	// quiesce holds one-shot callbacks to run the next time the event queue
@@ -106,9 +95,8 @@ type Engine struct {
 }
 
 // Stats counts scheduler activity, for capacity planning and engine
-// benchmarks. Every counter is commit-ordered — group counters merge at each
-// epoch barrier in group-index order — so the whole struct is identical for
-// any worker count.
+// benchmarks. Group counters merge at each epoch barrier in group-index
+// order.
 type Stats struct {
 	// Dispatched is the number of events popped and handled.
 	Dispatched uint64
@@ -128,21 +116,15 @@ type Stats struct {
 	// ParallelBatches is the number of epochs formed, of any width.
 	ParallelBatches uint64
 	// MaxBatchWidth is the widest epoch: the maximum number of causally
-	// independent groups dispatched concurrently. Determined entirely at
-	// formation, so identical for any worker count.
+	// independent groups one formation made.
 	MaxBatchWidth int
-	// BarrierStalls counts groups that had to queue behind the worker pool
-	// (epoch width exceeding the worker count). A host-side saturation
-	// diagnostic: it depends on the configured worker count (never on worker
-	// scheduling), unlike every other counter, which is width-independent.
-	BarrierStalls uint64
 	// RegroupYields counts processes that yielded out of an epoch because
 	// they claimed a resource their group did not own (Proc.YieldRegroup).
 	// A burst of them in one epoch signals a communication-pattern switch.
 	RegroupYields uint64
 	// NarrowedPairs counts footprint entries retired by decay: each time a
 	// footprint callback drops a quiescent resource claim it reports the drop
-	// via AddNarrowed. Grouping is width-independent, so this is too.
+	// via AddNarrowed.
 	NarrowedPairs uint64
 	// PhaseRewidens counts epochs whose regroup-yield storm crossed the
 	// phase-change threshold, letting the next formation retire stale
@@ -160,38 +142,18 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// DefaultWorkers reports the dispatch width new engines start with: the
-// CMPI_SIM_WORKERS environment variable, else 1 (sequential). Width never
-// changes simulated results, only host wall-clock.
-func DefaultWorkers() int {
-	if s := os.Getenv("CMPI_SIM_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{workers: DefaultWorkers()}
-}
+func NewEngine() *Engine { return &Engine{} }
 
-// SetWorkers pins the epoch dispatch width; n <= 0 restores the default.
-// Call before Run.
-func (e *Engine) SetWorkers(n int) {
-	if n <= 0 {
-		n = DefaultWorkers()
-	}
-	e.workers = n
-}
+// SetWorkers does nothing: Run's caller dispatches every epoch group. It is
+// kept for the benchmark's layer drivers, which still call it.
+func (e *Engine) SetWorkers(int) {}
 
 // SetEmitter installs fn as the engine's emission sink (Proc.Emit, EmitAt).
 // Emissions are buffered per group and fn is called at each epoch barrier in
 // (t, group index, group-local seq) order — the same deterministic order
-// commitEpoch re-sequences events in — so the emission stream is
-// byte-identical for any worker count. fn runs in scheduler context, never
-// concurrently. Call before Run; nil removes the sink.
+// commitEpoch re-sequences events in. fn runs in scheduler context. Call
+// before Run; nil removes the sink.
 func (e *Engine) SetEmitter(fn func(payload any)) { e.emit = fn }
 
 // EmitAt forwards payload to the installed emitter from contexts that have
@@ -250,9 +212,8 @@ func (e *Engine) Now() Time {
 }
 
 // EpochID reports the current epoch's id (zero before the first epoch
-// forms). Written only in scheduler context at formation, so reads from group
-// execution are race-free and see the same value in every group —
-// footprint-decay anchors built on it are therefore width-independent.
+// forms). Written at formation, so every group of an epoch sees the same
+// value.
 func (e *Engine) EpochID() uint64 { return e.epochID }
 
 // PhaseShift reports whether the previous epoch ended in a regroup-yield
@@ -318,9 +279,7 @@ func (e *Engine) tag(k *hkey, ev *event, op string, res []Res) {
 		return
 	}
 	k.nres = uint8(copy(ev.res[:], res))
-	if !e.declared {
-		e.declared = true
-	}
+	e.declared = true
 }
 
 // schedule routes a new callback event to the global heap, or — during epoch
@@ -345,20 +304,18 @@ func (e *Engine) schedule(t Time, k hkey, ev event) {
 // the event's flags.
 func (e *Engine) push(t Time, k hkey, ev event) uint64 {
 	e.seq++
-	k.t, k.seq, k.slot = t, e.seq, e.slab.take()
-	*e.slab.at(k.slot) = ev
+	k.t, k.seq, k.slot = t, e.seq, e.slab.put(ev)
 	e.q.push(k)
 	return e.seq
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
-// The process body runs on its own goroutine, as a coroutine of whichever
-// goroutine dispatches its epoch group: it executes only between that
-// goroutine popping its wake and the body's next blocking call, while the
-// dispatcher is parked, so process code never races with other processes or
-// with scheduler callbacks. Spawn before Run, and spawn and Run from
-// goroutines not locked to an OS thread: runtime.LockOSThread pins a
-// coroutine to its creator's thread, and workers resume it from others.
+// The process body runs on its own goroutine, as a coroutine of Run's
+// caller: it executes only between the dispatcher popping its wake and the
+// body's next blocking call, while the dispatcher is parked, so process code
+// never races with other processes or with scheduler callbacks. Spawn before
+// Run, and spawn and Run from goroutines not locked to an OS thread:
+// runtime.LockOSThread pins a coroutine to its creator's thread.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:   e,
@@ -406,18 +363,15 @@ type reaped struct{}
 
 // Stop aborts the run after the current event completes. Pending events are
 // discarded; Run returns nil unless a failure was already recorded.
-func (e *Engine) Stop() { e.stopped.Store(true) }
+func (e *Engine) Stop() { e.stopped = true }
 
-// Fail aborts the run and makes Run return err. The first failure — by
-// virtual time under epoch dispatch — wins.
+// Fail aborts the run and makes Run return err. The first failure wins.
 func (e *Engine) Fail(err error) {
-	e.failMu.Lock()
 	if e.failure == nil {
 		e.failure = err
 		e.failureAt = e.Now()
 	}
-	e.failMu.Unlock()
-	e.stopped.Store(true)
+	e.stopped = true
 }
 
 // DeadlockError reports that the event queue drained while simulated
@@ -453,7 +407,7 @@ func (e *Engine) Run() error {
 			parked = append(parked, fmt.Sprintf("%s(%s,t=%v)", p.name, p.state, p.now))
 		}
 	}
-	if len(parked) > 0 && !e.stopped.Load() {
+	if len(parked) > 0 && !e.stopped {
 		sort.Strings(parked)
 		return &DeadlockError{Parked: parked, At: e.now}
 	}

@@ -4,12 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
-// Conservative epoch scheduling (PDES-style parallel dispatch). This is the
-// engine's only dispatch loop; every world, whatever it declares, runs it:
+// Conservative epoch scheduling (PDES-style grouping). This is the engine's
+// only dispatch loop; every world, whatever it declares, runs it, and one
+// goroutine — Run's caller — runs all of it:
 //
 //  1. Formation (scheduler context): walk every pending event in (t, seq)
 //     order, ask each event what resources it touches — a process event pulls
@@ -21,33 +20,27 @@ import (
 //     world declares something (Engine.declared) there is nothing to ask:
 //     the one set is Global. Each event's 24-byte key then moves to its
 //     group's queue; the payload stays in its slot of the engine's slab.
-//  2. Execution: each group pops its own private queue in (t, seq) order,
-//     resuming only its own processes. Independent groups run concurrently
-//     on a bounded worker pool; the group structure is decided entirely at
-//     formation, so it is identical for any worker count. One worker runs a
-//     group's loop for the whole epoch (dispatch) — the group's scheduler
-//     context, see Engine — resuming each goroutine-backed process as a
-//     coroutine and stepping each machine in place. Each group
-//     dispatches at most epochQuota events so that the partition is
+//  2. Execution: the groups dispatch one after another in index order
+//     (dispatch), each popping its own private queue in (t, seq) order and
+//     resuming only its own processes: each goroutine-backed process as a
+//     coroutine, each machine stepped in place. A group keeps its own clock
+//     and dispatches at most epochQuota events, so the partition is
 //     refreshed as communication patterns shift. An epoch that forms a
 //     single group — every epoch of a world that declares nothing —
 //     dispatches on the global queue in place: no sort, no move, and
-//     Engine.Now follows the group's clock event by event. A group frees
-//     the slots it pops into its own list and stores the events it creates
-//     in them, refilling an empty list from the engine's slab (slab.refill).
-//  3. Commit (scheduler context, after a full barrier): the keys of leftover
-//     and spilled events return to the global queue in deterministic (t,
-//     group, local seq) order with freshly assigned global sequence numbers,
-//     every group's vacant slots return to the engine's free list, group
-//     counters merge into the engine's Stats, and the earliest failure (by
-//     virtual time, then group index) wins — byte-identical results for any
-//     width. No slot number orders anything, so neither does which worker
-//     took which slot.
+//     Engine.Now follows the group's clock event by event. A popped event's
+//     slot returns to the engine's slab at once, and a new event takes one
+//     from it.
+//  3. Commit (after the last group): the keys of leftover and spilled events
+//     return to the global queue in deterministic (t, group, local seq)
+//     order with freshly assigned global sequence numbers, group counters
+//     merge into the engine's Stats, and the earliest failure (by virtual
+//     time, then group index) wins. No slot number orders anything.
 //
-// Groups, their key queues, slot lists and buffers, the slab, the table and
-// the commit scratch are engine-owned and recycled: at a world's working size
-// an epoch allocates nothing. No group owns a payload: every event of an
-// engine is one slot of its slab.
+// Groups, their key queues and buffers, the slab, the table and the commit
+// scratch are engine-owned and recycled: at a world's working size an epoch
+// allocates nothing. No group owns a payload: every event of an engine is one
+// slot of its slab.
 //
 // Soundness rests on the footprint contract: while a process runs inside a
 // group it may only touch state covered by the resources its FootprintFn
@@ -58,13 +51,12 @@ import (
 // epochQuota bounds how many events one group dispatches per epoch. Small
 // enough that group structure tracks shifting communication patterns (a
 // process that yielded to claim a new resource waits at most one quota's
-// worth of events), large enough to amortize formation cost. Constant across
-// worker counts, so grouping — and therefore every result — is too.
+// worth of events), large enough to amortize formation cost.
 const epochQuota = 256
 
 // execGroup is one causally independent partition of an epoch's events.
 // Groups are engine-owned and recycled: epoch n's group i reuses the object,
-// key queue, slot list, spill and emission buffers of epoch n-1's group i.
+// key queue, spill and emission buffers of epoch n-1's group i.
 type execGroup struct {
 	eng *Engine
 	idx int
@@ -72,18 +64,10 @@ type execGroup struct {
 	// formed a single group — the engine's global queue, in place.
 	q   *eventQueue
 	own eventQueue
-	// free holds the vacant slab slots the group stores its new events in:
-	// those it popped this epoch, and what is left of its last refill. batch
-	// is the size of its next refill, doubled by each refill up to
-	// refillMax, so what a group holds beyond what it freed stays under
-	// what it needed.
-	free  []int32
-	batch int
-	now   Time
+	now Time
 	// seq is the group-local tie-break counter for events pushed during
 	// execution. It starts above every formation-assigned sequence number, so
-	// within a group (t, seq) order is causal order, and it is group-local,
-	// so it is identical for any worker count.
+	// within a group (t, seq) order is causal order.
 	seq uint64
 	// quota is the remaining event budget this epoch.
 	quota int
@@ -111,49 +95,24 @@ type emitRec struct {
 	payload any
 }
 
-// refillMax caps a group's refill batch: with the first refill of an epoch
-// one slot and each next one twice the last, a group that creates m more
-// events than it pops takes the engine's mutex about log2(m) + m/refillMax
-// times.
-const refillMax = 32
-
-// store places ev in one of the group's vacant slots, refilling the list when
-// it is empty, and returns the slot.
-func (g *execGroup) store(ev event) int32 {
-	if len(g.free) == 0 {
-		g.free = g.eng.slab.refill(g.free, g.batch)
-		g.batch = min(2*g.batch, refillMax)
-	}
-	n := len(g.free) - 1
-	slot := g.free[n]
-	g.free = g.free[:n]
-	*g.eng.slab.at(slot) = ev
-	return slot
-}
-
-// pop removes the group's earliest event, vacating its slot into the group's
-// list.
+// pop removes the group's earliest event, vacating its slot.
 func (g *execGroup) pop() (hkey, event) {
 	k := g.q.pop()
-	slot := g.eng.slab.at(k.slot)
-	ev := *slot
-	*slot = event{} // release references held by the vacated slot
-	g.free = append(g.free, k.slot)
-	return k, ev
+	return k, g.eng.slab.vacate(k.slot)
 }
 
 // pushLocal enqueues an event produced during this group's execution; k
 // carries its flags.
 func (g *execGroup) pushLocal(t Time, k hkey, ev event) uint64 {
 	g.seq++
-	k.t, k.seq, k.slot = t, g.seq, g.store(ev)
+	k.t, k.seq, k.slot = t, g.seq, g.eng.slab.put(ev)
 	g.q.push(k)
 	return g.seq
 }
 
 // spillLocal parks an event until commit re-queues it for the next epoch.
 func (g *execGroup) spillLocal(k hkey, ev event) {
-	k.slot = g.store(ev)
+	k.slot = g.eng.slab.put(ev)
 	g.spill = append(g.spill, k)
 }
 
@@ -177,11 +136,11 @@ func (g *execGroup) fail(err error) {
 // or a quiesce callback is pending, because both run at an earlier virtual
 // time than any alarm — the spill next epoch, the callback at the drain.
 // Alarms are untagged, so the group that holds them owns Global, as must
-// whoever called AtQuiesce: reading the quiesce list here is race-free.
+// whoever called AtQuiesce.
 func (g *execGroup) dispatch() {
 	e := g.eng
 	q := g.q
-	for g.quota > 0 && !e.stopped.Load() {
+	for g.quota > 0 && !e.stopped {
 		if n := q.len(); n == q.bg && (n == 0 || len(g.spill) > 0 || len(e.quiesce) > 0) {
 			break
 		}
@@ -230,7 +189,7 @@ func (g *execGroup) dispatch() {
 func (g *execGroup) settle(p *Proc) {
 	if p.panicked != nil {
 		g.fail(p.panicked)
-		g.eng.stopped.Store(true)
+		g.eng.stopped = true
 	}
 	if p.state == stateDone {
 		p.release()
@@ -257,8 +216,8 @@ func (e *Engine) formEpoch() {
 
 	// Pass 1: union every event's resources (union-find over resTab rows).
 	// The partition does not depend on the walk order, so this pass takes the
-	// queue as it lies; footprints are evaluated in that (deterministic,
-	// width-independent) order, once per process.
+	// queue as it lies; footprints are evaluated in that (deterministic)
+	// order, once per process.
 	for _, k := range q.keys {
 		res := e.touched(k)
 		root := e.find(res[0])
@@ -346,7 +305,6 @@ func (e *Engine) nextGroup(baseSeq uint64) *execGroup {
 	e.ngroups++
 	g.q = &g.own
 	g.own.maxDepth = 0
-	g.batch = 1
 	g.now, g.seq, g.quota = e.now, baseSeq, epochQuota
 	g.stats = Stats{}
 	g.failure = nil
@@ -388,8 +346,7 @@ var globalResList = []Res{Global}
 // runEpochs is the dispatch loop: one epoch after another until the queue and
 // the quiesce list are both empty or the run stops.
 func (e *Engine) runEpochs() {
-	defer e.stopPool()
-	for !e.stopped.Load() {
+	for !e.stopped {
 		if e.q.len() == e.q.bg && e.popQuiesce() {
 			continue // quiescent: only background alarms (if any) remain
 		}
@@ -407,96 +364,14 @@ func (e *Engine) stepEpoch() {
 	// consulted there saw it and had its chance to retire stale claims.
 	e.phaseShift = false
 	groups := e.groups[:e.ngroups]
-	width := len(groups)
 	e.stats.ParallelBatches++
-	if width > e.stats.MaxBatchWidth {
-		e.stats.MaxBatchWidth = width
-	}
-	workers := e.workers
-	if workers > width {
-		workers = width
-	}
-	if width > workers {
-		e.stats.BarrierStalls += uint64(width - workers)
-	}
+	e.stats.MaxBatchWidth = max(e.stats.MaxBatchWidth, len(groups))
 	e.inEpoch = true
-	if workers <= 1 {
-		for _, g := range groups {
-			g.dispatch()
-		}
-	} else {
-		e.dispatchPool(groups, workers)
+	for _, g := range groups {
+		g.dispatch()
 	}
 	e.inEpoch = false
 	e.commitEpoch()
-}
-
-// epochWork is one epoch's job for the persistent worker pool: the group
-// list plus the shared claim counter and completion barrier. One instance is
-// reused across epochs (the barrier guarantees exclusive access between them).
-type epochWork struct {
-	groups []*execGroup
-	next   atomic.Int64
-	wg     sync.WaitGroup
-}
-
-// drain claims and runs groups until none remain.
-func (w *epochWork) drain() {
-	for {
-		i := int(w.next.Add(1)) - 1
-		if i >= len(w.groups) {
-			return
-		}
-		w.groups[i].dispatch()
-	}
-}
-
-// dispatchPool runs the epoch's groups on the persistent worker pool, growing
-// it to workers-1 goroutines on demand (the scheduler thread is the last
-// worker). Keeping the goroutines alive across epochs matters when most
-// epochs are narrow: a coupled collective forms thousands of one- and
-// two-group epochs, and spawning goroutines per epoch made dispatch at
-// width N measurably slower than width 1. Which worker runs which group can
-// never change results — groups touch disjoint resources by construction.
-func (e *Engine) dispatchPool(groups []*execGroup, workers int) {
-	if e.pool == nil {
-		e.pool = make(chan *epochWork)
-		e.poolWork = &epochWork{}
-	}
-	for e.poolSize < workers-1 {
-		e.poolSize++
-		// Capture the channel value: a worker spawned in the run's final epoch
-		// may not receive anything before stopPool nils the field, and reading
-		// e.pool from the goroutine would race with that write.
-		pool := e.pool
-		go func() {
-			for w := range pool {
-				w.drain()
-				w.wg.Done()
-			}
-		}()
-	}
-	w := e.poolWork
-	w.groups = groups
-	w.next.Store(0)
-	w.wg.Add(e.poolSize)
-	for i := 0; i < e.poolSize; i++ {
-		e.pool <- w
-	}
-	w.drain()
-	w.wg.Wait()
-	w.groups = nil
-}
-
-// stopPool retires the persistent worker pool when the run ends. Without it
-// the pool goroutines would block on the work channel forever — engines are
-// built per job, and a sweep builds hundreds.
-func (e *Engine) stopPool() {
-	if e.pool != nil {
-		close(e.pool)
-		e.pool = nil
-		e.poolSize = 0
-	}
 }
 
 // commitEpoch merges group results back into the engine: counters, the
@@ -515,10 +390,7 @@ func (e *Engine) commitEpoch() {
 		e.stats.CoalescedWakes += g.stats.CoalescedWakes
 		yields += g.stats.RegroupYields
 		depth += g.own.maxDepth // zero in place: the global queue's own mark covers it
-		e.slab.free = append(e.slab.free, g.free...)
-		g.free = g.free[:0]
-		// Earliest failure wins, by (virtual time, group index) — an order
-		// independent of worker scheduling.
+		// Earliest failure wins, by (virtual time, group index).
 		if g.failure != nil && (e.failure == nil || g.failAt < e.failureAt) {
 			e.failure = g.failure
 			e.failureAt = g.failAt
@@ -533,22 +405,18 @@ func (e *Engine) commitEpoch() {
 	// the claims that shaped the old groups are stale. Raise the phase-shift
 	// flag so the next formation's footprints may retire quiescent claims
 	// eagerly and re-widen, instead of inheriting the old merge for a full
-	// decay window. Group execution is width-independent, so the yield count
-	// and the threshold decision are too.
+	// decay window.
 	if yields >= e.phaseStormThreshold() {
 		e.phaseShift = true
 		e.stats.PhaseRewidens++
 	}
-	// Flush buffered emissions in (t, group index, group-local seq) order —
-	// the groups and their execution are width-independent, so the flushed
-	// stream is byte-identical for any worker count. Flushed even on stop so
-	// a failed traced run keeps the records of every group that executed
-	// (groups race the stop flag, so only successful runs guarantee
-	// cross-width byte identity).
+	// Flush buffered emissions in (t, group index, group-local seq) order.
+	// Flushed even on stop, so a failed traced run keeps the records of every
+	// group that executed.
 	if e.emit != nil {
 		e.flushEmits(groups)
 	}
-	if e.stopped.Load() {
+	if e.stopped {
 		return // pending events are discarded
 	}
 	if g := groups[0]; g.q == &e.q {

@@ -90,12 +90,11 @@ func pingBody(s *pingState) func(p *Proc) {
 // runPingWorld wires nPairs ping-pong pairs into a fresh engine and returns
 // the emission stream plus the engine, run. machines selects the body kind:
 // continuation machines in the arena, or blocking bodies on coroutines. With
-// footprints=true each pair declares a private resource pair so the world
-// runs under epoch dispatch at the given worker width.
-func runPingWorld(t *testing.T, machines bool, nPairs, iters, workers int, footprints bool) (string, *Engine) {
+// footprints=true each pair declares a private resource pair, so each pair is
+// an epoch group of its own.
+func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints bool) (string, *Engine) {
 	t.Helper()
 	e := NewEngine()
-	e.SetWorkers(workers)
 	var out strings.Builder
 	e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
 
@@ -131,23 +130,17 @@ func runPingWorld(t *testing.T, machines bool, nPairs, iters, workers int, footp
 
 // TestMachineMatchesBody is the core equivalence property of the two body
 // kinds: the same ping-pong workload written as blocking bodies and as
-// continuation machines produces byte-identical emission streams.
+// continuation machines produces byte-identical emission streams, on the
+// global queue and with each pair a group of its own.
 func TestMachineMatchesBody(t *testing.T) {
-	body, _ := runPingWorld(t, false, 4, 5, 1, false)
-	mach, _ := runPingWorld(t, true, 4, 5, 1, false)
-	if body != mach {
-		t.Fatalf("machine diverged from body:\nbody:\n%s\nmachine:\n%s", body, mach)
-	}
-}
-
-// TestFlatEpochWidths runs footprinted machines under epoch dispatch at
-// widths 1/2/4/8 and requires byte-identical emissions, equal to the blocking
-// bodies' at width 1.
-func TestFlatEpochWidths(t *testing.T) {
-	ref, _ := runPingWorld(t, false, 8, 4, 1, true)
-	for _, w := range []int{1, 2, 4, 8} {
-		if got, _ := runPingWorld(t, true, 8, 4, w, true); got != ref {
-			t.Fatalf("machines at width %d diverged from bodies at width 1:\nref:\n%s\ngot:\n%s", w, ref, got)
+	for _, w := range []struct {
+		pairs, iters int
+		footprints   bool
+	}{{4, 5, false}, {8, 4, true}} {
+		body, _ := runPingWorld(t, false, w.pairs, w.iters, w.footprints)
+		mach, _ := runPingWorld(t, true, w.pairs, w.iters, w.footprints)
+		if body != mach {
+			t.Fatalf("footprints=%v: machine diverged from body:\nbody:\n%s\nmachine:\n%s", w.footprints, body, mach)
 		}
 	}
 }
@@ -155,8 +148,8 @@ func TestFlatEpochWidths(t *testing.T) {
 // TestFlatArenaSlots counts arena slots: 32 machines occupy 32 slots of one
 // slab, and blocking bodies occupy none.
 func TestFlatArenaSlots(t *testing.T) {
-	_, mach := runPingWorld(t, true, 16, 2, 1, false)
-	_, body := runPingWorld(t, false, 16, 2, 1, false)
+	_, mach := runPingWorld(t, true, 16, 2, false)
+	_, body := runPingWorld(t, false, 16, 2, false)
 	if len(mach.arena) != 1 {
 		t.Fatalf("machine world allocated %d arena slabs, want 1", len(mach.arena))
 	}

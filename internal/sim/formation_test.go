@@ -239,9 +239,8 @@ func (m *ticker) Step(p *Proc) Flow {
 // yields, emissions, tagged pooled callbacks. shared=false gives each pair its
 // own resources (wide epochs through the group queues); shared=true declares
 // Global everywhere (one group, dispatched in place).
-func steadyWorld(flat, shared bool, workers int, stop *bool) *Engine {
+func steadyWorld(flat, shared bool, stop *bool) *Engine {
 	e := NewEngine()
-	e.SetWorkers(workers)
 	e.SetEmitter(func(any) {})
 	const pairs = 6
 	procs := make([]*Proc, 2*pairs)
@@ -272,90 +271,34 @@ func steadyWorld(flat, shared bool, workers int, stop *bool) *Engine {
 // TestSteadyStateEpochAllocatesNothing warms an engine until its tables,
 // group pool, queues and scratch have reached working size, then requires
 // whole epochs — formation, execution, commit, emission flush — to allocate
-// nothing, for both proc kinds, both epoch shapes and both dispatch paths.
+// nothing, for both proc kinds and both epoch shapes. The /w1 suffix keeps
+// the subtest names stable: one dispatcher runs every epoch.
 func TestSteadyStateEpochAllocatesNothing(t *testing.T) {
 	for _, flat := range []bool{true, false} {
 		for _, shared := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("flat=%v/shared=%v/w%d", flat, shared, workers), func(t *testing.T) {
-					stop := false
-					e := steadyWorld(flat, shared, workers, &stop)
-					for i := 0; i < 64; i++ {
-						e.stepEpoch()
-					}
-					before := e.Stats()
-					if got := testing.AllocsPerRun(100, e.stepEpoch); got != 0 {
-						t.Errorf("%v allocations per steady-state epoch, want 0", got)
-					}
-					st := e.Stats()
-					if st.Dispatched-before.Dispatched < 100*12 {
-						t.Errorf("measured epochs dispatched only %d events", st.Dispatched-before.Dispatched)
-					}
-					if wide := st.MaxBatchWidth > 1; wide == shared {
-						t.Errorf("MaxBatchWidth = %d with shared=%v", st.MaxBatchWidth, shared)
-					}
-					stop = true
-					if err := e.Run(); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestSparseResIDsWidthInvariant runs disjoint pairs whose resource ids sit
-// far apart at the top of a 64 Ki range — the dense table has to grow to
-// cover them, and nearly all of its rows stay dead — and requires Stats and
-// the emission stream to be identical at widths 1 and 4.
-func TestSparseResIDsWidthInvariant(t *testing.T) {
-	run := func(workers int) (string, Stats) {
-		e := NewEngine()
-		e.SetWorkers(workers)
-		var emitted []string
-		e.SetEmitter(func(p any) { emitted = append(emitted, p.(string)) })
-		const pairs = 5
-		procs := make([]*Proc, 2*pairs)
-		for id := range procs {
-			res := func(id int) Res { return Res(1<<16 - 1 - 4099*id) }
-			procs[id] = e.Go(fmt.Sprint("p", id), func(p *Proc) {
-				for r := 0; r < 600; r++ {
-					p.Advance(Time(1+id/2) * Nanosecond)
-					if (r+id)%2 == 0 {
-						procs[id^1].UnparkAt(p.Now())
-						p.Park()
-					}
-					p.Emit(fmt.Sprintf("p%d r%d @%v", id, r, p.Now()))
-					e.AtRes(p.Now()+Nanosecond, func() {}, res(id))
-					if !p.CanTouch(res(id^1)) || p.CanTouch(res(id^3)) {
-						t.Errorf("p%d: wrong ownership of the sparse ids", id)
-					}
+			t.Run(fmt.Sprintf("flat=%v/shared=%v/w1", flat, shared), func(t *testing.T) {
+				stop := false
+				e := steadyWorld(flat, shared, &stop)
+				for i := 0; i < 64; i++ {
+					e.stepEpoch()
 				}
-				procs[id^1].UnparkAt(p.Now()) // never strand the partner
+				before := e.Stats()
+				if got := testing.AllocsPerRun(100, e.stepEpoch); got != 0 {
+					t.Errorf("%v allocations per steady-state epoch, want 0", got)
+				}
+				st := e.Stats()
+				if st.Dispatched-before.Dispatched < 100*12 {
+					t.Errorf("measured epochs dispatched only %d events", st.Dispatched-before.Dispatched)
+				}
+				if wide := st.MaxBatchWidth > 1; wide == shared {
+					t.Errorf("MaxBatchWidth = %d with shared=%v", st.MaxBatchWidth, shared)
+				}
+				stop = true
+				if err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
 			})
-			procs[id].SetRes(res(id))
-			procs[id].SetFootprint(func(buf []Res) []Res { return append(buf, res(id), res(id^1)) })
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(e.resTab) != 1<<16 {
-			t.Fatalf("resource table has %d rows; the ids did not exercise growth", len(e.resTab))
-		}
-		st := e.Stats()
-		st.BarrierStalls = 0 // the one deliberately width-dependent counter
-		return strings.Join(emitted, "\n"), st
-	}
-	emit1, st1 := run(1)
-	emit4, st4 := run(4)
-	if st1.MaxBatchWidth < 5 || st1.ParallelBatches < 4 {
-		t.Fatalf("world too narrow or too short to mean anything: %+v", st1)
-	}
-	if st1 != st4 {
-		t.Errorf("stats diverge:\n w1: %+v\n w4: %+v", st1, st4)
-	}
-	if emit1 != emit4 {
-		t.Error("emission order diverges between widths 1 and 4")
 	}
 }
 

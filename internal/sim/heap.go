@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"math/bits"
-	"sync"
 )
 
 // event is the payload of one pending event: 40 bytes in a slot of the
@@ -182,17 +181,10 @@ const (
 // slab holds every event payload of an engine, pending or spilled, in any
 // queue. It is an array of segments that never move, so a slot's address is
 // stable, growth copies nothing and leaves no garbage, and the bytes held are
-// at most twice the most slots ever in use. A vacant slot is on the engine's
-// free list or on one group's (execGroup.free), never both.
-//
-// Outside an epoch the scheduler takes slots directly (take). During one,
-// each group reuses the slots it popped and refills an empty list in batches
-// under mu, from the engine's list or past the last slot handed out; every
-// group's list returns to the engine's at commit. A segment, and the table
-// of segments past the first, is made under mu before any of its slots is
-// handed out, so reading them needs no atomics.
+// at most twice the most slots ever in use. A vacant slot is on the free
+// list; a popped event's slot goes back to it at once (vacate), and put
+// reuses the most recently vacated slot first.
 type slab struct {
-	mu sync.Mutex
 	// first is segment 0. The table of the others is made with segment 1:
 	// the engine of a small world, whose events fit in one segment, never
 	// pays for it.
@@ -232,26 +224,26 @@ func (s *slab) carve() int32 {
 	return slot
 }
 
-// take hands out one vacant slot in scheduler context, where no group runs.
-func (s *slab) take() int32 {
+// put stores ev in a vacant slot — the most recently vacated, else a new
+// one — and returns the slot.
+func (s *slab) put(ev event) int32 {
+	var slot int32
 	if n := len(s.free) - 1; n >= 0 {
-		slot := s.free[n]
+		slot = s.free[n]
 		s.free = s.free[:n]
-		return slot
+	} else {
+		slot = s.carve()
 	}
-	return s.carve()
+	*s.at(slot) = ev
+	return slot
 }
 
-// refill appends n vacant slots to list under mu: the engine's free ones
-// first, then new ones.
-func (s *slab) refill(list []int32, n int) []int32 {
-	s.mu.Lock()
-	k := min(n, len(s.free))
-	list = append(list, s.free[len(s.free)-k:]...)
-	s.free = s.free[:len(s.free)-k]
-	for ; k < n; k++ {
-		list = append(list, s.carve())
-	}
-	s.mu.Unlock()
-	return list
+// vacate frees slot and returns the event it held, dropping the slot's
+// references.
+func (s *slab) vacate(slot int32) event {
+	p := s.at(slot)
+	ev := *p
+	*p = event{}
+	s.free = append(s.free, slot)
+	return ev
 }

@@ -35,8 +35,8 @@ func (s procState) String() string {
 }
 
 // Proc is one simulated process with a private virtual clock, cooperatively
-// scheduled by its Engine: a coroutine resumed by whichever goroutine
-// dispatches its epoch group, or a machine stepped in place by it. All
+// scheduled by its Engine: a coroutine resumed by the engine's dispatcher, or
+// a machine stepped in place by it. All
 // methods must be called from the process's own body except UnparkAt, which
 // other processes and scheduler callbacks use to wake it.
 type Proc struct {
@@ -75,7 +75,7 @@ type Proc struct {
 	// fires no earlier than any wake dropped while it slept.
 	regroupEpoch uint64
 
-	// Parallel dispatch state: res is the process's identity resource (wakes
+	// Epoch dispatch state: res is the process's identity resource (wakes
 	// route to the epoch group owning it), footprint declares what the
 	// process may touch, group is the epoch group running it (set at every
 	// resume), fpCache/fpEpoch memoize the footprint once per epoch.
@@ -197,7 +197,7 @@ func (p *Proc) wantsWake(timer bool, seq uint64) bool {
 // caller must have already set p.state and scheduled/arranged a wake. A
 // goroutine-backed process yields to the dispatch loop that resumed it — one
 // coroutine switch — and returns when that loop, this epoch or a later one,
-// on this worker or another, pops the wake and resumes it. If the run ends
+// pops the wake and resumes it. If the run ends
 // first there is no wake to wait for: yield reports false and the body
 // unwinds (Engine.reap). Machines cannot be suspended mid-step: the
 // continuation is the next Step call, so switchOut only records that the
@@ -234,8 +234,7 @@ func (p *Proc) Advance(d Time) {
 	}
 	target := p.now + d
 	// Only this group's events can affect this process before the next
-	// barrier, so the fast path consults the group heap. Group membership is
-	// decided at formation, so the outcome is identical for any worker count.
+	// barrier, so the fast path consults the group heap.
 	if min, ok := p.group.q.minTime(); !ok || min >= target {
 		p.now = target
 		return

@@ -86,7 +86,6 @@ func TestAtQuiesceReleasesParkedProc(t *testing.T) {
 // other stays on Global.
 func TestAtQuiesceMixedWorld(t *testing.T) {
 	e := NewEngine()
-	e.SetWorkers(4)
 	const rcount = Res(1)
 	released := false
 	var p *Proc

@@ -2,7 +2,7 @@ package sim
 
 import "fmt"
 
-// Res names one schedulable resource for conservative parallel dispatch: a
+// Res names one schedulable resource for conservative epoch dispatch: a
 // simulated process, a fabric port, or any other piece of mutable state that
 // events can touch. Resources are small dense integers assigned by the layer
 // above (the MPI runtime maps ranks and hosts onto them); the engine only
@@ -19,8 +19,8 @@ type Res int32
 const Global Res = 0
 
 // FootprintFn reports the resources a process can touch if resumed now. It
-// is called in scheduler context at epoch formation (never concurrently with
-// process code), so it may freely read any simulation state. Appending to
+// is called in scheduler context at epoch formation (never while process code
+// runs), so it may freely read any simulation state. Appending to
 // the passed slice and returning it avoids per-epoch allocations.
 //
 // Returning an empty slice or including Global serializes the process with

@@ -26,9 +26,7 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	fn := func() {}
 	drain := func() {
 		for e.q.len() > 0 {
-			k := e.q.pop()
-			*e.slab.at(k.slot) = event{}
-			e.slab.free = append(e.slab.free, k.slot)
+			e.slab.vacate(e.q.pop().slot)
 		}
 	}
 	for name, schedule := range map[string]func(){
@@ -165,70 +163,61 @@ func TestEventSlotsPerProcStayFlat(t *testing.T) {
 }
 
 // TestSlotHandOutUnderContention: 128 groups each create, within one epoch,
-// more events than a refill batch and the first two segments hold, at width 8, so
-// refills and segment growth race. Every event must run once, in the same
-// order at width 1 and 8, and every slot must come back exactly once.
+// more events than the first two segments hold, so the slab grows while the
+// groups of one epoch take and return slots in turn. Every event must run
+// once, in its group's time order, and every slot must come back exactly
+// once. (The name is kept stable from when the groups raced each other for
+// slots.)
 func TestSlotHandOutUnderContention(t *testing.T) {
 	const groups, burst, bursts = 128, 100, 3
-	if burst <= refillMax || burst <= 3*firstSeg {
-		t.Fatal("a burst must outgrow both a refill batch and the first segment")
+	if burst <= 3*firstSeg {
+		t.Fatal("a burst must outgrow the first segment")
 	}
-	run := func(workers int) ([][]Time, Stats) {
-		e := NewEngine()
-		e.SetWorkers(workers)
-		ran := make([][]Time, groups)
-		for g := 0; g < groups; g++ {
-			res, left := Res(1+g), bursts
-			var spawn func(now Time)
-			spawn = func(now Time) {
-				left--
-				for j := 0; j < burst; j++ {
-					at := now + Time(1+j%7)*Nanosecond
-					last := j == burst-1 && left > 0
-					e.AtRes(at, func() {
-						ran[g] = append(ran[g], at)
-						if last {
-							spawn(at)
-						}
-					}, res)
-				}
-			}
-			e.AtRes(0, func() { spawn(0) }, res)
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		free := slices.Clone(e.slab.free)
-		slices.Sort(free)
-		for i, slot := range free {
-			if slot != int32(i) {
-				t.Fatalf("width %d: %d slots handed out, %d returned; first mismatch at %d", workers, e.slab.next, len(free), i)
+	e := NewEngine()
+	ran := make([][]Time, groups)
+	for g := 0; g < groups; g++ {
+		res, left := Res(1+g), bursts
+		var spawn func(now Time)
+		spawn = func(now Time) {
+			left--
+			for j := 0; j < burst; j++ {
+				at := now + Time(1+j%7)*Nanosecond
+				last := j == burst-1 && left > 0
+				e.AtRes(at, func() {
+					ran[g] = append(ran[g], at)
+					if last {
+						spawn(at)
+					}
+				}, res)
 			}
 		}
-		if len(free) != int(e.slab.next) {
-			t.Fatalf("width %d: %d slots handed out, %d returned", workers, e.slab.next, len(free))
-		}
-		if e.slab.segs == nil || e.slab.segs[2] == nil {
-			t.Fatalf("width %d: the slab never grew past its first segment", workers)
-		}
-		st := e.Stats()
-		st.BarrierStalls = 0 // the one deliberately width-dependent counter
-		return ran, st
+		e.AtRes(0, func() { spawn(0) }, res)
 	}
-	ran1, st1 := run(1)
-	ran8, st8 := run(8)
-	if st1.MaxBatchWidth < groups {
-		t.Fatalf("widest epoch has %d groups, want %d", st1.MaxBatchWidth, groups)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	for g := range ran1 {
-		if len(ran1[g]) != bursts*burst {
-			t.Fatalf("group %d ran %d events, want %d", g, len(ran1[g]), bursts*burst)
-		}
-		if !slices.Equal(ran1[g], ran8[g]) {
-			t.Fatalf("group %d ran its events in another order at width 8", g)
+	free := slices.Clone(e.slab.free)
+	slices.Sort(free)
+	for i, slot := range free {
+		if slot != int32(i) {
+			t.Fatalf("%d slots handed out, %d returned; first mismatch at %d", e.slab.next, len(free), i)
 		}
 	}
-	if st1 != st8 {
-		t.Errorf("stats diverge:\n w1: %+v\n w8: %+v", st1, st8)
+	if len(free) != int(e.slab.next) {
+		t.Fatalf("%d slots handed out, %d returned", e.slab.next, len(free))
+	}
+	if e.slab.segs == nil || e.slab.segs[2] == nil {
+		t.Fatal("the slab never grew past its first segment")
+	}
+	if st := e.Stats(); st.MaxBatchWidth < groups {
+		t.Fatalf("widest epoch has %d groups, want %d", st.MaxBatchWidth, groups)
+	}
+	for g := range ran {
+		if len(ran[g]) != bursts*burst {
+			t.Fatalf("group %d ran %d events, want %d", g, len(ran[g]), bursts*burst)
+		}
+		if !slices.IsSorted(ran[g]) {
+			t.Fatalf("group %d ran its events out of time order", g)
+		}
 	}
 }

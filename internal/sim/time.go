@@ -2,11 +2,11 @@
 // Every simulated process (an MPI rank, in this repository) has its own
 // virtual clock and runs only while the engine has handed it control. The
 // engine dispatches in epochs: pending events are partitioned by the
-// resources they declare into causally independent groups, each group runs
-// its events in virtual-time order, and groups of one epoch may run
-// concurrently. Simulations are bit-reproducible at any dispatch width and
-// data-race-free by construction: state guarded by a resource is only ever
-// touched by the group that owns it, or by the scheduler between epochs.
+// resources they declare into causally independent groups, and each group
+// runs its events in virtual-time order, one group after another. One
+// goroutine dispatches an engine, so simulations are bit-reproducible on any
+// host: state guarded by a resource is only ever touched by the group that
+// owns it, or by the scheduler between epochs.
 package sim
 
 import (

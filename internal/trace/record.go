@@ -4,11 +4,11 @@
 // that reconstructs per-channel profile counters, message-size histograms,
 // and per-path latency from the trace alone — no rank goroutines, no world.
 //
-// Recording is parallel-dispatch-safe: records ride the engine's emitter
+// Recording keeps epoch groups: records ride the engine's emitter
 // (sim.Proc.Emit), which buffers per epoch group and flushes in the
-// deterministic (t, group, seq) commit order, so a traced world keeps
-// epoch-parallel dispatch and a successful run produces a byte-identical
-// trace at every CMPI_SIM_WORKERS width. Records appear in commit order:
+// deterministic (t, group, seq) commit order, so a traced world keeps its
+// footprints and a successful run produces a byte-identical trace from run
+// to run. Records appear in commit order:
 // causally related records are ordered (a receive never precedes its send),
 // but timestamps are not globally monotone — one epoch group may run ahead
 // of another in virtual time before the barrier.
