@@ -17,12 +17,8 @@ import (
 //
 // The pool is deliberately lock-free-because-single-owner: a BufPool belongs to
 // one rank and is the home of every buffer the rank's library takes —
-// staging, payload snapshots, and the wire buffers of the HCA the rank opened
-// — and it is only touched from an epoch group that owns the rank's dispatch
-// resource (sim.Res). Epoch dispatch runs causally independent groups one
-// after another, each on its own clock, so a pool reachable from two groups
-// at once would let one group see what another did later in virtual time:
-// every rank has its own free lists, and a request they can serve takes no
+// staging, payload snapshots, and the wire buffers of the HCA the rank opened.
+// Every rank has its own free lists, and a request they can serve takes no
 // lock. Buffers travelling between two ranks wait on a DirPool of the pair.
 //
 // What is shared is what lies behind them. A world is single-shot, and a
@@ -225,9 +221,8 @@ func (p *BufPool) Counters() PoolCounters { return p.ctr }
 //
 // Requests the direction serves are counted as hits of the sender's home, so
 // hit rates need no per-direction bookkeeping. The zero value is ready. A
-// direction is shared state of the pair: the sender may touch it only from a
-// group that owns the receiver's dispatch resource, the receiver from its own
-// process.
+// direction is shared state of the pair, touched by its sender and its
+// receiver.
 type DirPool struct{ free [][]byte }
 
 // Get returns a length-n buffer for the direction's sender, whose own pool is

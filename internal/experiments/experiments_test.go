@@ -39,10 +39,7 @@ func TestRegistryCoversAllArtifacts(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	tab, err := Figure1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig1")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -62,10 +59,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure3aShape(t *testing.T) {
-	tab, err := Figure3a(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig3a")
 	// Communication share grows with container count; compute stays flat.
 	nativeComm := cell(t, tab.Rows[0][1])
 	fourComm := cell(t, tab.Rows[3][1])
@@ -187,10 +181,7 @@ func TestFigure11FlatAware(t *testing.T) {
 }
 
 func TestFigure12AllApplicationsImprove(t *testing.T) {
-	tab, err := Figure12(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig12")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d, want graph500 + 5 NAS kernels", len(tab.Rows))
 	}

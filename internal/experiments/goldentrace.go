@@ -28,10 +28,8 @@ func GoldenTrace(out io.Writer) error { return goldenJob(2, 16, ib.Topology{}, o
 // fat-tree deployment (32 ranks, two containers per host) and streams its v1
 // trace to out. It is the non-trivial-topology companion fixture
 // (testdata/golden-fattree.trace): spine hop latency shifts every cross-rack
-// HCA record, and the spine resource footprints now let such a world form
-// independent epoch groups, so this fixture guards both the topology cost
-// model and the spine-footprint dispatch path. Deterministic like
-// GoldenTrace: byte-identical from run to run.
+// HCA record, so this fixture guards the topology cost model. Deterministic
+// like GoldenTrace: byte-identical from run to run.
 func GoldenTraceFatTree(out io.Writer) error {
 	return goldenJob(4, 32, ib.Topology{RackSize: 2, SpineStages: 1, SpinesPerStage: 2, HopLatency: 150 * sim.Nanosecond}, out)
 }

@@ -97,8 +97,7 @@ func TestGoldenTraceReplays(t *testing.T) {
 
 // TestGoldenTraceFatTreeMatchesFixture regenerates the non-trivial-topology
 // golden job — the 32-rank fat-tree point whose cross-rack records carry
-// spine hop latency and whose world dispatches under spine resource
-// footprints — and requires byte-identity with the committed fixture.
+// spine hop latency — and requires byte-identity with the committed fixture.
 // Regenerate with
 // `go run ./cmd/repro -trace-out internal/experiments/testdata/golden-fattree.trace
 // -trace-job fattree` when the schedule intentionally changes.

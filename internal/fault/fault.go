@@ -1,8 +1,7 @@
 // Package fault implements deterministic fault injection for the simulated
 // MPI stack: an explicit, seeded schedule of fault events keyed on virtual
 // time (sim.Time) that the engine layers consult while they run. Because a
-// world with a plan dispatches one event at a time in global virtual-time
-// order (it declares no footprints, so every epoch is one group) and the
+// world dispatches one event at a time in global virtual-time order and the
 // plan is consulted at virtual-time points only, identical plans produce
 // identical simulated outcomes — the repo's core determinism invariant
 // extends to faulty runs.

@@ -37,9 +37,7 @@ type Fabric struct {
 
 	// topo is the switching hierarchy (topology.go); the zero value is the
 	// legacy single crossbar. spines holds next-free times per spine switch,
-	// indexed [stage][switch] — shared across hosts, and declarable as
-	// dispatch resources via SpineHops so footprinted worlds can merge
-	// exactly the groups whose flows can meet at a spine.
+	// indexed [stage][switch], shared across hosts.
 	topo   Topology
 	spines [][]sim.Time
 
@@ -50,18 +48,15 @@ type Fabric struct {
 	// inj, when non-nil, is the job's fault injector: link flap/degrade and
 	// loopback stall windows defer or stretch transfers, and send-drop events
 	// trigger RC retransmission. All queries happen at virtual-time points in
-	// engine context, so faulty runs stay deterministic. Worlds with an
-	// injector run fully serialized (the MPI layer pins every rank to the
-	// Global resource), so the injector's budget state needs no sharding.
+	// engine context, so faulty runs stay deterministic.
 	inj      *fault.Injector
 	retryCnt int      // RC retry_cnt: max retransmissions before QP error
 	retryTO  sim.Time // base retransmission timeout; doubles per retry
 	stats    FaultStats
 
 	// trace, when installed, observes transport fault events (successful
-	// retransmission bursts and QP breaks) as they are scheduled. Fault
-	// events only occur in injected worlds, whose every epoch is one group,
-	// so the callback fires in deterministic dispatch order.
+	// retransmission bursts and QP breaks) as they are scheduled, in
+	// dispatch order.
 	trace func(TraceEvent)
 }
 
@@ -185,14 +180,8 @@ type Device struct {
 	// Env is the container (or native env) that opened the device.
 	Env *cluster.Container
 
-	// res holds the identity resources declared by Tag (owning rank, host);
-	// zero — i.e. sim.Global — until tagged.
-	res [2]sim.Res
-
 	// pool is the home pool of the wire buffers this device's QPs send and
-	// absorb (see QP.wire): the pool of the process that opened the device,
-	// touched only from groups that own that process's resource, so causally
-	// independent epoch groups never share a free list.
+	// absorb (see QP.wire): the pool of the process that opened the device.
 	pool *core.BufPool
 
 	// devID is fixed at OpenDeviceWith and qpnNext counts QPs created here, so
@@ -203,22 +192,13 @@ type Device struct {
 	qps []*QP
 
 	// evts recycles the deferred-delivery records behind the posts, making
-	// their scheduled events allocation-free in steady state. Callers run in
-	// a group owning the device's resources, so the list never crosses an
-	// epoch-group boundary.
+	// their scheduled events allocation-free in steady state.
 	evts core.FreeList[sendEvt]
 	// cqs lists the CQs created here, for DrainPools; batchDepot counts the
 	// CQ batches the depot served them (see ObjCounters).
 	cqs        []*CQ
 	batchDepot uint64
 }
-
-// Tag declares the device's identity resources for epoch grouping: the
-// owning rank's resource and its host's resource, in that order. Deferred
-// fabric events (message arrival, completion delivery) are tagged with both
-// endpoints' identities so the epoch scheduler can put independent RC pairs
-// in separate groups. Untagged devices leave their events on sim.Global.
-func (d *Device) Tag(rank, host sim.Res) { d.res[0], d.res[1] = rank, host }
 
 // ErrNoDeviceAccess is returned when a non-privileged container opens the HCA.
 var ErrNoDeviceAccess = fmt.Errorf("ib: device not visible (container lacks --privileged)")
@@ -231,8 +211,7 @@ func (f *Fabric) OpenDevice(env *cluster.Container) (*Device, error) {
 
 // OpenDeviceWith opens the host HCA from the given environment and takes the
 // wire buffers of its QPs from pool: the pool of the process opening it, which
-// that process counts and drains and which, like the device, only groups
-// owning the process's resource may touch.
+// that process counts and drains.
 func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*Device, error) {
 	if f.ports[env.Host.Index] == nil {
 		return nil, fmt.Errorf("ib: host %s has no HCA", env.Host.Name)
@@ -453,24 +432,11 @@ type QP struct {
 	// end). Work posted afterwards completes immediately with WCFlushed.
 	broken bool
 
-	// hw is the high-water mark of fabric activity this QP posted: the
-	// latest virtual time of any deferred event it scheduled (arrivals,
-	// transmit ends, acks) — which also bounds its port-bandwidth bookings,
-	// since every booking ends at or before the event that announces it.
-	// Written only while the owning epoch group runs the poster; read at
-	// epoch formation (scheduler context) via Watermark, so the layer above
-	// can prove a pair's shared port state is quiescent before a footprint
-	// drops it.
-	hw sim.Time
-
 	// wire holds wire buffers of messages this QP sent, from the far end
 	// absorbing one to the next send (core.DirPool: the far end keeps what
 	// replaces a buffer of its own, so only lopsided traffic lands here). A
 	// buffer leaves through WireBuf, crosses the fabric owned by the post, and
-	// is retired by Recycle on the peer QP. The poster touches the list from a
-	// group owning both endpoints' resources, fabric events are tagged with
-	// both, and the consumer runs in its own context, which the poster's group
-	// must own to post at all — never two groups at once.
+	// is retired by Recycle on the peer QP.
 	wire core.DirPool
 }
 
@@ -488,19 +454,6 @@ func (q *QP) Recycle(buf []byte) { q.peer.wire.Return(q.dev.pool, buf) }
 // unpost takes back a wire buffer whose post failed before it left.
 func (q *QP) unpost(wire []byte) { q.wire.Return(q.dev.pool, wire) }
 
-// bump advances the QP's activity high-water mark.
-func (q *QP) bump(t sim.Time) {
-	if t > q.hw {
-		q.hw = t
-	}
-}
-
-// Watermark reports the latest virtual time of any deferred fabric event
-// this QP scheduled. When both ends' watermarks are strictly before the
-// current epoch floor, every event the pair ever put on the fabric has been
-// dispatched and all its port-bandwidth bookings lie in the simulated past.
-func (q *QP) Watermark() sim.Time { return q.hw }
-
 // Peer returns the remote end of the RC pair (nil before Connect).
 func (q *QP) Peer() *QP { return q.peer }
 
@@ -517,8 +470,7 @@ func (q *QP) QPN() int { return q.qpn }
 
 // CreateQP allocates a queue pair using the given CQs for send and receive
 // completions (they may be the same CQ). QPNs are minted device-locally
-// (device index in the high bits) so concurrent epoch groups never contend
-// on a shared counter.
+// (device index in the high bits).
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
 	q := &QP{dev: d, qpn: int(d.devID)<<20 | int(d.qpnNext), sendCQ: sendCQ, recvCQ: recvCQ}
@@ -542,17 +494,6 @@ func Connect(a, b *QP) error {
 // loopback reports whether the pair's endpoints share a host.
 func (q *QP) loopback() bool {
 	return q.dev.Env.Host == q.peer.dev.Env.Host
-}
-
-// resAll collects the resources a deferred event for this RC pair touches:
-// both endpoints' (rank, host) identity resources. All sim.Global when the
-// layer above never tagged the devices.
-func (q *QP) resAll() (r [4]sim.Res) {
-	r[0], r[1] = q.dev.res[0], q.dev.res[1]
-	if q.peer != nil {
-		r[2], r[3] = q.peer.dev.res[0], q.peer.dev.res[1]
-	}
-	return r
 }
 
 // sendEvt is a pooled deferred-event record for PostSend, PostWrite and
@@ -626,10 +567,8 @@ func readArrival(a any) {
 	copy(ev.data, ev.mr.Buf[ev.off:ev.off+ev.n])
 	f := q.dev.fabric
 	_, respArrive := f.transitTimes(q.peer.dev.Env.Host.Index, q.dev.Env.Host.Index, ev.n+hdrBytes, ev.t)
-	q.bump(respArrive)
 	ev.t, ev.data, ev.mr = respArrive, nil, nil
-	r := q.resAll()
-	f.eng.AtArg(respArrive, localDone, ev, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(respArrive, localDone, ev)
 }
 
 // localDone delivers the poster's own completion: OpSend once the wire is
@@ -708,15 +647,13 @@ func (f *Fabric) retrySchedule(host int, t0 sim.Time) (at sim.Time, retries int,
 func (f *Fabric) breakPair(at sim.Time, q *QP, wrid uint64, op Opcode, retries int) {
 	peer := q.peer
 	q.broken, peer.broken = true, true
-	q.bump(at)
 	if f.trace != nil {
 		f.trace(TraceEvent{T: at, Kind: TraceQPBreak, Host: q.dev.Env.Host.Index, Retries: retries})
 	}
-	r := q.resAll()
-	f.eng.AtRes(at, func() {
+	f.eng.At(at, func() {
 		q.sendCQ.push(at, CQE{QP: q, WRID: wrid, Op: op, Status: WCRetryExceeded, Retries: retries})
 		peer.recvCQ.push(at, CQE{QP: peer, Op: OpRecv, Status: WCRemoteAbort})
-	}, r[0], r[1], r[2], r[3])
+	})
 }
 
 // flush completes a work request posted to a broken QP with WCFlushed on the
@@ -724,11 +661,10 @@ func (f *Fabric) breakPair(at sim.Time, q *QP, wrid uint64, op Opcode, retries i
 func (q *QP) flush(p *sim.Proc, wrid uint64, op Opcode) {
 	p.Advance(q.dev.fabric.prm.IBPostOverhead)
 	t := p.Now()
-	q.bump(t)
 	sq := q.sendCQ
-	q.dev.fabric.eng.AtRes(t, func() {
+	q.dev.fabric.eng.At(t, func() {
 		sq.push(t, CQE{QP: q, WRID: wrid, Op: op, Status: WCFlushed})
-	}, q.dev.res[0], q.dev.res[1])
+	})
 }
 
 func maxT(a, b sim.Time) sim.Time {
@@ -798,15 +734,12 @@ func (q *QP) PostSendOwned(p *sim.Proc, wrid uint64, wire []byte, imm uint64) {
 	}
 	n := len(wire)
 	txEnd, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
-	q.bump(txEnd)
-	q.bump(arrival)
-	r := q.resAll()
 	ae := q.dev.evts.Get()
 	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, wire, n, imm
-	f.eng.AtArg(arrival, sendArrival, ae, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(arrival, sendArrival, ae)
 	te := q.dev.evts.Get()
 	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, txEnd, n, wrid, retries, OpSend
-	f.eng.AtArg(txEnd, localDone, te, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(txEnd, localDone, te)
 }
 
 // hdrBytes models the transport header per message on the wire.
@@ -841,17 +774,15 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 	n := len(src)
 	loop := q.loopback()
 	_, arrival := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, n+hdrBytes, t0)
-	r := q.resAll()
 	ae := q.dev.evts.Get()
 	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, src, n, imm
 	ae.mr, ae.off, ae.withImm = remote, off, withImm
-	f.eng.AtArg(arrival, writeArrival, ae, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(arrival, writeArrival, ae)
 	// Local completion after the ack returns (one extra wire hop).
 	ack := arrival + prm.IBWireLatency(loop)
-	q.bump(ack)
 	te := q.dev.evts.Get()
 	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, ack, n, wrid, retries, OpWrite
-	f.eng.AtArg(ack, localDone, te, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(ack, localDone, te)
 }
 
 // PostRead RDMA-reads len(dst) bytes from remote[off:] into dst. The remote
@@ -879,10 +810,8 @@ func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int)
 	// Request hop: header-only message to the remote HCA. The response hop,
 	// remote -> local, is booked when the request gets there (readArrival).
 	_, reqArrive := f.transitTimes(q.dev.Env.Host.Index, q.peer.dev.Env.Host.Index, hdrBytes, t0)
-	q.bump(reqArrive)
-	r := q.resAll()
 	ev := q.dev.evts.Get()
 	ev.q, ev.t, ev.data, ev.n, ev.wrid, ev.op = q, reqArrive, dst, len(dst), wrid, OpRead
 	ev.mr, ev.off = remote, off
-	f.eng.AtArg(reqArrive, readArrival, ev, r[0], r[1], r[2], r[3])
+	f.eng.AtArg(reqArrive, readArrival, ev)
 }

@@ -80,13 +80,6 @@ func (t Topology) Validate() error {
 // SetTopology installs the fabric's switching hierarchy and allocates the
 // per-spine-switch contention state. Call before the first transfer; a
 // trivial topology (the default) keeps the legacy crossbar behavior exactly.
-//
-// Spine switches are shared across hosts, but their next-free words are
-// declarable dispatch resources: SpineHops enumerates exactly which switches
-// a host pair's static ECMP routes can book, and the MPI layer folds those
-// ids into both ranks' epoch footprints (World.resSpine), so groups whose
-// flows could meet at a spine merge instead of the world serializing. The
-// scale proxy declares no footprints, so its every epoch is one group.
 func (f *Fabric) SetTopology(t Topology) error {
 	if err := t.Validate(); err != nil {
 		return err
@@ -111,49 +104,6 @@ func (f *Fabric) Topology() Topology { return f.topo }
 func (f *Fabric) spineRoute(srcRack, dstRack, h int) int {
 	n := f.topo.SpinesPerStage
 	return (srcRack*31 + dstRack*17 + h*7) % n
-}
-
-// SpineHops enumerates the stage-major indices (stage*SpinesPerStage + idx)
-// of every spine switch the static routes between hosts a and b can book —
-// both directions, since spineRoute is direction-asymmetric. Indices are
-// appended to dst (deduplicated) and the extended slice returned. Empty for
-// trivial topologies and same-rack pairs, which never leave the leaf. The
-// result is a pure function of the topology and the two hosts' racks; the
-// MPI layer uses it to declare spine next-free words as dispatch resources.
-func (f *Fabric) SpineHops(a, b int, dst []int) []int {
-	t := f.topo
-	if t.Trivial() {
-		return dst
-	}
-	ra, rb := t.RackOf(a), t.RackOf(b)
-	if ra == rb {
-		return dst
-	}
-	hops := 2 * t.SpineStages
-	for dir := 0; dir < 2; dir++ {
-		src, tgt := ra, rb
-		if dir == 1 {
-			src, tgt = rb, ra
-		}
-		for h := 0; h < hops; h++ {
-			stage := h
-			if stage >= t.SpineStages {
-				stage = hops - 1 - h
-			}
-			id := stage*t.SpinesPerStage + f.spineRoute(src, tgt, h)
-			seen := false
-			for _, d := range dst {
-				if d == id {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				dst = append(dst, id)
-			}
-		}
-	}
-	return dst
 }
 
 // spinePath books the spine-switch traversals of an inter-rack transfer that

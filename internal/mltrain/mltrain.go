@@ -5,8 +5,7 @@
 // collective algorithm selector) or through a parameter server's asymmetric
 // push/pull traffic. ML training is the workload container HPC clouds are
 // built for ("Evaluation of Docker Containers for Scientific Workloads in
-// the Cloud"), and its strict phase structure is exactly what the engine's
-// adaptive-footprint / phase-rewidening dispatch machinery targets.
+// the Cloud").
 package mltrain
 
 import (

@@ -69,40 +69,6 @@ func BenchmarkShmRendezvousPingPong(b *testing.B) {
 	benchPingPong(b, benchWorld(b, 1, core.ModeLocalityAware), 64<<10)
 }
 
-// BenchmarkEpochDispatchPairwise runs b.N pairwise exchange rounds (rank <->
-// rank^1, same container) in a 16-rank world and reports the max epoch width
-// observed. The communication graph is 8 disjoint pairs, so formation must
-// find independent groups: it measures formation and group dispatch on a
-// wide schedule.
-func BenchmarkEpochDispatchPairwise(b *testing.B) {
-	b.Helper()
-	spec := cluster.Spec{Hosts: 2, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 2, 16, cluster.PaperScenarioOpts())
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := NewWorld(d, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	err = w.Run(func(r *Rank) error {
-		partner := r.Rank() ^ 1
-		out := make([]byte, 4<<10)
-		in := make([]byte, 4<<10)
-		for i := 0; i < b.N; i++ {
-			r.Sendrecv(partner, 0, out, partner, 0, in)
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(w.SimStats().MaxBatchWidth), "max-width")
-}
-
 // The data plane, layer by layer: every reduction kernel and codec at a
 // cache-resident, an L2-sized and a gradient-sized payload, each next to the
 // per-element loop it replaced (the oracles of datatype_test.go), so one

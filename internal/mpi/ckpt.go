@@ -42,10 +42,6 @@ func (r *Rank) Checkpoint(blob []byte) error {
 	r.profEnter()
 	defer r.profExit("Checkpoint")
 	r.faultCheck()
-	// The barrier mutates job-global state (and registers a quiesce
-	// callback, which takes Global): collapse the world to one group first.
-	// Fault worlds never form more than one.
-	r.ensureSerial()
 	w := r.w
 	if w.anyCrashed() {
 		return &CheckpointError{At: r.p.Now(), Dead: w.deadRanksSorted()}

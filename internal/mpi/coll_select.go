@@ -54,7 +54,7 @@ type localityKey struct {
 // partition returns the world's locality partition, built on first use: the
 // deployment never changes after NewWorld.
 func (w *World) partition() *localityPartition {
-	w.partOnce.Do(func() {
+	if w.part == nil {
 		n := len(w.Deploy.Placements)
 		p := &localityPartition{of: make([]int32, n), contiguous: true}
 		index := make(map[localityKey]int32)
@@ -86,7 +86,7 @@ func (w *World) partition() *localityPartition {
 			p.coResFrac = float64(local) / float64(n*(n-1)/2)
 		}
 		w.part = p
-	})
+	}
 	return w.part
 }
 

@@ -189,9 +189,6 @@ const Undefined = -1
 func (c *Comm) Split(color, key int) *Comm {
 	c.r.profEnter()
 	defer c.r.profExit("Comm_split")
-	// The context-id counter is job-global; serialize dispatch for the rest
-	// of the run (communicator creation is a cold setup path).
-	c.r.ensureSerial()
 
 	// Exchange (color, key) triples over the parent.
 	mine := EncodeInt64s([]int64{int64(color), int64(key)})

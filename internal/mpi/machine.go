@@ -13,26 +13,14 @@ package mpi
 // `for !m.step(...) {}`: there the primitive blocked for real, so false only
 // means "a wake went by". Nothing else differs — what is left of "blocking
 // versus machine" is Proc.Advance (a machine's is a pure clock bump, see
-// sim/proc.go) and the r.machine branch of bindEnvelope (pt2pt.go).
+// sim/proc.go).
 //
-// Three primitives carry the steppers:
-//
-//   - msend: isendPrep/isendDispatch (pt2pt.go) split isendCtx around its pair
-//     claim. msend claims between the two halves; if the claim had to regroup
-//     on a machine rank (Proc.Deferred), it returns false and dispatches next
-//     epoch at the same virtual time. A blocking rank yields inside
-//     claimPair and carries on, exactly as isendCtx does inside the protocol
-//     entry, whose own claimPair is then a no-op (Request.hasClaim).
-//   - waitFree is one pass of the rank's wait loop (waitStep, rank.go) on one
-//     request the stepper owns: drive progress until the request is done or
-//     the rank parks, then hand the request back to the pool and clear the
-//     slot. Every stepper wait is one, so a collective allocates no handle
-//     once the rank's request list is warm.
-//   - receives (irecvCtx) never block the caller, so steppers post them
-//     directly. A rendezvous match whose receive-side claim finds the pair
-//     outside the current epoch group (bindEnvelope, usually mid-sweep) parks
-//     the transfer on a machine rank; the next waitStep pass regroups and
-//     starts it.
+// Posting never blocks: steppers start sends and receives directly
+// (isendCtx, irecvCtx). One primitive waits: waitFree is one pass of the
+// rank's wait loop (waitStep, rank.go) on one request the stepper owns —
+// drive progress until the request is done or the rank parks, then hand the
+// request back to the pool and clear the slot. Every stepper wait is one, so
+// a collective allocates no handle once the rank's request list is warm.
 //
 // Every blocking primitive is the last action before its stepper returns
 // false, so sim.Machine's block-last contract holds for a machine rank; a
@@ -131,10 +119,6 @@ func (m *rankMachine) Step(p *sim.Proc) sim.Flow {
 			p.Park()
 			return sim.More
 		}
-		// Init shares job-global state (PMI, detector segment, device
-		// discovery); only past this barrier does the rank's footprint
-		// narrow from Global to its claimed pairs.
-		r.parallelReady = true
 		if w.restored != nil {
 			w.restoreRank(r)
 		}
@@ -181,37 +165,6 @@ func (m *rankMachine) stepBody() (flow sim.Flow, err error) {
 	return flow, err
 }
 
-// msend drives one isend across steps: prep and trace once, pre-claim the
-// pair, and if the claim deferred a machine rank to the next epoch group
-// (regroup yield) retry the dispatch there — the same virtual instant a
-// blocking rank's claim resumes at. step returns true once the send
-// is handed to its protocol (req is then live); false means the step's
-// blocking primitive fired and a machine must unwind with sim.More.
-type msend struct {
-	req  *Request
-	path core.Path
-	pend bool
-}
-
-func (m *msend) step(r *Rank, dst, tag, ctx int, data []byte) bool {
-	if !m.pend {
-		req, path, done := r.isendPrep(dst, tag, ctx, data)
-		m.req, m.path = req, path
-		if done {
-			return true // self-send: completed inline
-		}
-		r.claimPair(req, path == core.PathHCAEager || path == core.PathHCARndv)
-		if r.p.Deferred() {
-			m.pend = true
-			return false
-		}
-	} else {
-		m.pend = false
-	}
-	r.isendDispatch(m.req, m.path)
-	return true
-}
-
 // waitFree is the stepper wait on the request in *slot: false until it is
 // done; then the request goes back to the rank's pool (putReq keeps failed
 // requests and HCA-rendezvous sends out) and the slot is cleared, so no
@@ -229,31 +182,26 @@ func (r *Rank) waitFree(slot **Request) bool {
 // msr is a combined send and receive: post the receive, start the send,
 // wait receive then send.
 type msr struct {
-	rq  *Request
-	snd msend
-	st  uint8
+	rq *Request
+	sq *Request
+	st uint8
 }
 
 func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte, ctx int) bool {
 	switch m.st {
 	case 0:
 		m.rq = r.irecvCtx(src, recvTag, ctx, recvBuf)
+		m.sq = r.isendCtx(dst, sendTag, ctx, sendData)
 		m.st = 1
 		fallthrough
 	case 1:
-		if !m.snd.step(r, dst, sendTag, ctx, sendData) {
+		if !r.waitFree(&m.rq) {
 			return false
 		}
 		m.st = 2
 		fallthrough
-	case 2:
-		if !r.waitFree(&m.rq) {
-			return false
-		}
-		m.st = 3
-		fallthrough
 	default:
-		if !r.waitFree(&m.snd.req) {
+		if !r.waitFree(&m.sq) {
 			return false
 		}
 		*m = msr{}
@@ -278,7 +226,7 @@ type mbarrier struct {
 	tag int
 	k   int
 	rq  *Request
-	snd msend
+	sq  *Request
 	st  uint8
 }
 
@@ -294,19 +242,14 @@ func (m *mbarrier) step(r *Rank, g *group) bool {
 		switch m.st {
 		case 1:
 			m.rq = r.irecvCtx(src, m.tag, g.ctx, nil)
+			m.sq = r.isendCtx(dst, m.tag, g.ctx, nil)
 			m.st = 2
 			fallthrough
 		case 2:
-			if !m.snd.step(r, dst, m.tag, g.ctx, nil) {
+			if !r.waitFree(&m.sq) {
 				return false
 			}
 			m.st = 3
-			fallthrough
-		case 3:
-			if !r.waitFree(&m.snd.req) {
-				return false
-			}
-			m.st = 4
 			fallthrough
 		default:
 			if !r.waitFree(&m.rq) {
@@ -327,8 +270,7 @@ type mreduce struct {
 	vrank int
 	mask  int
 	tmp   []byte
-	rq    *Request
-	snd   msend
+	req   *Request
 	st    uint8 // 0 at loop position, 1 waiting parent send, 2 waiting child recv
 	init  bool
 }
@@ -349,22 +291,20 @@ func (m *mreduce) step(r *Rank, g *group, root int, buf []byte, op ReduceOp) boo
 		if m.vrank&m.mask != 0 {
 			// Send to the parent; this rank's part is done.
 			if m.st == 0 {
-				if !m.snd.step(r, abs(m.vrank-m.mask), m.tag, g.ctx, buf) {
-					return false
-				}
+				m.req = r.isendCtx(abs(m.vrank-m.mask), m.tag, g.ctx, buf)
 				m.st = 1
 			}
-			if !r.waitFree(&m.snd.req) {
+			if !r.waitFree(&m.req) {
 				return false
 			}
 			return finishColl(r, m, m.tmp)
 		}
 		if m.vrank+m.mask < g.n {
 			if m.st == 0 {
-				m.rq = r.irecvCtx(abs(m.vrank+m.mask), m.tag, g.ctx, m.tmp)
+				m.req = r.irecvCtx(abs(m.vrank+m.mask), m.tag, g.ctx, m.tmp)
 				m.st = 2
 			}
-			if !r.waitFree(&m.rq) {
+			if !r.waitFree(&m.req) {
 				return false
 			}
 			r.chargeReduce(len(buf))
@@ -381,8 +321,7 @@ type mbcast struct {
 	tag   int
 	vrank int
 	mask  int
-	rq    *Request
-	snd   msend
+	req   *Request
 	ph    uint8 // 0 init, 1 receive walk, 2 forward walk
 	st    uint8 // 0 at position, 1 waiting
 }
@@ -404,10 +343,10 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 		for m.mask < g.n {
 			if m.vrank&m.mask != 0 {
 				if m.st == 0 {
-					m.rq = r.irecvCtx(abs(m.vrank-m.mask), m.tag, g.ctx, data)
+					m.req = r.irecvCtx(abs(m.vrank-m.mask), m.tag, g.ctx, data)
 					m.st = 1
 				}
-				if !r.waitFree(&m.rq) {
+				if !r.waitFree(&m.req) {
 					return false
 				}
 				break
@@ -422,12 +361,10 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 	for m.mask > 0 {
 		if m.vrank+m.mask < g.n {
 			if m.st == 0 {
-				if !m.snd.step(r, abs(m.vrank+m.mask), m.tag, g.ctx, data) {
-					return false
-				}
+				m.req = r.isendCtx(abs(m.vrank+m.mask), m.tag, g.ctx, data)
 				m.st = 1
 			}
-			if !r.waitFree(&m.snd.req) {
+			if !r.waitFree(&m.req) {
 				return false
 			}
 		}
@@ -443,7 +380,7 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 // into the power-of-two one (pof2, the largest not above the group's size).
 // Latency-optimal; the selector's choice for small buffers, and the only
 // allreduce of communicators. The fold and unfold states are inlined, reusing
-// one send submachine and one request slot, to keep the struct lean: a
+// one request slot, to keep the struct lean: a
 // machine rank allocates one per allreduce call, and every small blocking or
 // communicator allreduce puts one in its frame.
 type mrd struct {
@@ -452,8 +389,7 @@ type mrd struct {
 	newRank int
 	mask    int
 	tmp     []byte
-	rq      *Request
-	snd     msend
+	req     *Request
 	sr      msr
 	st      uint8 // 0 init, 1 fold send, 2 fold recv, 3 exchange, 4 unfold recv, 5 unfold send
 	wait    bool  // inner position: request posted, waiting completion
@@ -479,22 +415,20 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1: // fold: surplus even rank sends its buffer to the odd partner
 		if !m.wait {
-			if !m.snd.step(r, g.world(g.me+1), m.tag, g.ctx, buf) {
-				return false
-			}
+			m.req = r.isendCtx(g.world(g.me+1), m.tag, g.ctx, buf)
 			m.wait = true
 		}
-		if !r.waitFree(&m.snd.req) {
+		if !r.waitFree(&m.req) {
 			return false
 		}
 		m.wait = false
 		m.st = 3 // newRank stays -1: skip the exchange loop
 	case 2: // fold: surplus odd rank receives and reduces
 		if !m.wait {
-			m.rq = r.irecvCtx(g.world(g.me-1), m.tag, g.ctx, m.tmp)
+			m.req = r.irecvCtx(g.world(g.me-1), m.tag, g.ctx, m.tmp)
 			m.wait = true
 		}
-		if !r.waitFree(&m.rq) {
+		if !r.waitFree(&m.req) {
 			return false
 		}
 		r.chargeReduce(len(buf))
@@ -527,20 +461,18 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 	}
 	if m.st == 4 {
 		if !m.wait {
-			m.rq = r.irecvCtx(g.world(g.me+1), m.tag, g.ctx, buf)
+			m.req = r.irecvCtx(g.world(g.me+1), m.tag, g.ctx, buf)
 			m.wait = true
 		}
-		if !r.waitFree(&m.rq) {
+		if !r.waitFree(&m.req) {
 			return false
 		}
 	} else {
 		if !m.wait {
-			if !m.snd.step(r, g.world(g.me-1), m.tag, g.ctx, buf) {
-				return false
-			}
+			m.req = r.isendCtx(g.world(g.me-1), m.tag, g.ctx, buf)
 			m.wait = true
 		}
-		if !r.waitFree(&m.snd.req) {
+		if !r.waitFree(&m.req) {
 			return false
 		}
 	}
@@ -566,7 +498,7 @@ type mrab struct {
 	mask              int
 	tmp               []byte
 	rq                *Request
-	snd               msend
+	sq                *Request
 	st                uint8 // 0 init, 1 fold send, 2 fold recv, 3 RS, 4 AG, 5 unfold recv, 6 unfold send
 	sub               uint8 // within an RS/AG iteration: 0 post, 1 wait send, 2 wait recv
 	wait              bool
@@ -595,12 +527,10 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1:
 		if !m.wait {
-			if !m.snd.step(r, r.rank+1, m.tag, collCtxBit, buf) {
-				return false
-			}
+			m.sq = r.isendCtx(r.rank+1, m.tag, collCtxBit, buf)
 			m.wait = true
 		}
-		if !r.waitFree(&m.snd.req) {
+		if !r.waitFree(&m.sq) {
 			return false
 		}
 		m.wait = false
@@ -637,19 +567,14 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 				switch m.sub {
 				case 0:
 					m.rq = r.irecvCtx(peer, m.tagRS, collCtxBit, m.tmp[keepLo:keepHi])
+					m.sq = r.isendCtx(peer, m.tagRS, collCtxBit, buf[sendLo:sendHi])
 					m.sub = 1
 					fallthrough
 				case 1:
-					if !m.snd.step(r, peer, m.tagRS, collCtxBit, buf[sendLo:sendHi]) {
+					if !r.waitFree(&m.sq) {
 						return false
 					}
 					m.sub = 2
-					fallthrough
-				case 2:
-					if !r.waitFree(&m.snd.req) {
-						return false
-					}
-					m.sub = 3
 					fallthrough
 				default:
 					if !r.waitFree(&m.rq) {
@@ -681,19 +606,14 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 				switch m.sub {
 				case 0:
 					m.rq = r.irecvCtx(peer, m.tagAG, collCtxBit, buf[peerLo:peerHi])
+					m.sq = r.isendCtx(peer, m.tagAG, collCtxBit, buf[m.lo:m.hi])
 					m.sub = 1
 					fallthrough
 				case 1:
-					if !m.snd.step(r, peer, m.tagAG, collCtxBit, buf[m.lo:m.hi]) {
+					if !r.waitFree(&m.sq) {
 						return false
 					}
 					m.sub = 2
-					fallthrough
-				case 2:
-					if !r.waitFree(&m.snd.req) {
-						return false
-					}
-					m.sub = 3
 					fallthrough
 				default:
 					if !r.waitFree(&m.rq) {
@@ -728,12 +648,10 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			if !m.snd.step(r, r.rank-1, m.tag, collCtxBit, buf) {
-				return false
-			}
+			m.sq = r.isendCtx(r.rank-1, m.tag, collCtxBit, buf)
 			m.wait = true
 		}
-		if !r.waitFree(&m.snd.req) {
+		if !r.waitFree(&m.sq) {
 			return false
 		}
 	}

@@ -42,10 +42,9 @@ type Options struct {
 	LockedDetector bool
 	// Record, when non-nil, captures the structured trace: every message,
 	// protocol-transition, and fault event as a versioned trace.Record in
-	// deterministic commit order, replayable offline with trace.Replay.
-	// Records ride the engine's deterministic emitter, so a traced world
-	// keeps its epoch groups and the bytes are identical from run to run. A
-	// Recorder is single-shot — build a fresh one per world.
+	// deterministic dispatch order, replayable offline with trace.Replay.
+	// Recording changes no simulated result, and the bytes are identical from
+	// run to run. A Recorder is single-shot — build a fresh one per world.
 	Record *trace.Recorder
 	// FaultPlan, when non-nil, is a deterministic schedule of injected
 	// faults (link flaps, send drops, attach failures, crashes, ...) that

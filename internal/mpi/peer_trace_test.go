@@ -1,10 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"os"
-	"slices"
-	"strings"
 	"testing"
 
 	"cmpi/internal/ib"
@@ -15,9 +14,9 @@ import (
 // Traces pinned across the move from dense per-pair and per-peer tables to
 // state created on first contact, then across the move of the collectives
 // onto the machine.go steppers. The pins are SHA-256s of the recorded v1
-// trace (Options.Record), produced by the commit before the line-format
-// tracer was deleted, whose line digests they replace; every row must still
-// produce them, and under poolStrict too. An all-to-all contacts
+// trace (Options.Record), re-recorded once when the engine went back to one
+// dispatch queue, which runs every event in strict time order; every row
+// must still produce them, and under poolStrict too. An all-to-all contacts
 // every pair of the world, a ring two peers per rank: the two ends of how
 // full a rank's peer table gets.
 
@@ -131,14 +130,14 @@ func firstContactRows() []pinnedRow {
 		size          int
 		pin           string
 	}{
-		{"blocking/alltoall-512", false, false, 512, "9fc747ecf8e2f9b80d93ce2dd3c1721f04ee98c6b977c33634494ce09c4eaf1a"},
-		{"blocking/alltoall-32k", false, false, 32 << 10, "472b9bc94a4f19f3cbd29313f1c1bc380b9f105131034666bf5afa8984cd1a68"},
-		{"blocking/ring-512", false, true, 512, "402756e6766d296a2b08fbebc1ec5dccc4114c305254df00a5b6b8503a0d596d"},
-		{"blocking/ring-64k", false, true, 64 << 10, "0415e99bd4d0fb67456394e9cc0710f3c33b6eca76818f0a6aa98c3d19e7fbf5"},
-		{"machine/alltoall-512", true, false, 512, "ef96338dac64f291b7a7cdfe36885b45b7a60b69964bf2a9db46ac3bf1a0c315"},
-		{"machine/alltoall-32k", true, false, 32 << 10, "67ba1714b13c444285757ed58dd168d148e71a1544630d3bf760d789ae6854e9"},
-		{"machine/ring-512", true, true, 512, "44e6449f3136bcd0d5ff3178dd0ecc06edff6c5fe10a0401487e46bdaf4b8c5d"},
-		{"machine/ring-64k", true, true, 64 << 10, "ed4406a248024d23d99b719f6128ebd403d945fb2f5c80c19bab9bdcf21e08ed"},
+		{"blocking/alltoall-512", false, false, 512, "38a0db1c315f42b2a69967bfeb4802ccefa71db371ea98cee8e0a95f4cec0e56"},
+		{"blocking/alltoall-32k", false, false, 32 << 10, "110cb8125f5e2f55853691f003c76899dd06a5eb257ed2f4336e1054e9101569"},
+		{"blocking/ring-512", false, true, 512, "34eecfd29bcc49c69bdf566ae05325ae0bf2a89ad95562f3dd2507f84ddfef45"},
+		{"blocking/ring-64k", false, true, 64 << 10, "e728cdb85a592c0ee72b55a6180e9e94d94b45d0465bebac237167640fdc7ab6"},
+		{"machine/alltoall-512", true, false, 512, "6601931c5ccda5e0f085717d5aff1c42af849a9f71214a375332b3498b8211c7"},
+		{"machine/alltoall-32k", true, false, 32 << 10, "7e9bbe67f84cd01a7daafed25eda36f8088e83b08869bd6ee16ca86110078467"},
+		{"machine/ring-512", true, true, 512, "2fdb8a91580d652c8c103f5ae0a23ab27646f1c804aaeb3c4b8b33b0c55b3e41"},
+		{"machine/ring-64k", true, true, 64 << 10, "a42967f76188b8258ffeb682deb15bb653bd7940edbab4222056861bb63b1b06"},
 	} {
 		run := blocking(alltoallBody(tc.size))
 		switch {
@@ -158,42 +157,27 @@ func TestTracesUnchangedByFirstContactState(t *testing.T) {
 	checkPinned(t, firstContactRows(), invariant.Point{})
 }
 
-// TestFaultWorldTracePinned watches a fault-plan world's trace. Its records
-// flush in commit order like every other world's, so the bytes are pinned;
-// and they are the records the engine's former sequential loop
-// emitted in dispatch order (testdata/fault-dispatch-order.trace, recorded
-// at f967c29) — the move to one dispatch loop reordered them and changed
-// none.
+// TestFaultWorldTracePinned watches a fault-plan world's trace. Records reach
+// the recorder in dispatch order, and the bytes are exactly those the
+// engine's first sequential loop recorded for this job
+// (testdata/fault-dispatch-order.trace, recorded at f967c29).
 func TestFaultWorldTracePinned(t *testing.T) {
 	got := checkPinned(t, faultTraceRows(), invariant.Point{})
 	if len(got) == 0 {
 		return
 	}
-	// The v1 encoding is one canonical line per record after the header line,
-	// so sorting the lines compares the record multisets.
 	want, err := os.ReadFile("testdata/fault-dispatch-order.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := func(b []byte) []string {
-		lines := strings.Split(string(b), "\n")
-		slices.Sort(lines[1:])
-		return lines
-	}
-	g, w := sorted(got[0]), sorted(want)
-	for i := 0; i < len(g) && i < len(w); i++ {
-		if g[i] != w[i] {
-			t.Fatalf("record multiset differs from the dispatch-order trace at sorted line %d:\n  got:  %s\n  want: %s", i, g[i], w[i])
-		}
-	}
-	if len(g) != len(w) {
-		t.Errorf("%d trace lines, the dispatch-order trace has %d", len(g), len(w))
+	if !bytes.Equal(got[0], want) {
+		t.Error("trace differs from testdata/fault-dispatch-order.trace")
 	}
 }
 
 // faultTraceRows is the fault-plan world's pinned trace.
 func faultTraceRows() []pinnedRow {
-	return []pinnedRow{{"fault", faultTraceJob(nil), "4c17939535201376757123926946c01f28653a6ebddab5a9b6e3bc864ea06c4a"}}
+	return []pinnedRow{{"fault", faultTraceJob(nil), "b010196cfa8cdc05d27421db026181608e6730150343f7f5e41034ea9240762b"}}
 }
 
 // Traces of the communicator and hierarchical collectives, pinned before
@@ -448,20 +432,20 @@ func collRows() []pinnedRow {
 		size  int
 		pin   string
 	}{
-		{"comm/64", false, 32, commCollBody, 64, "8fe4ef975a32b6bfac3d2775d08a9c677106f67c74a7282bc14f6de2bf0d7b94"},
-		{"comm/8k", false, 32, commCollBody, 8 << 10, "0f36b281f690ab72baf740f9c1c1f6a693f0bd8e44c97891a57d2a7d99426c2a"},
-		{"comm/256k", false, 32, commCollBody, 256 << 10, "06560135d4929c305af3693ca8938ba1ded598447586fa900299794650dddd72"},
-		{"hier/64", true, 48, hierCollBody, 64, "fb41f28a70b2d9e81d892a1245c7e10ec9f881a49861fd882f2fb3fd574c7e15"},
-		{"hier/8k", true, 48, hierCollBody, 8 << 10, "2b4d7c6d260755c8d1b5dcf67360dad99b5c1b33b45666a3c9e368eac42877c6"},
-		{"hier/256k", true, 48, hierCollBody, 256 << 10, "773bece6790a21680c73fbe308589294323407306d274c47b2f2c6d2388fbe6a"},
+		{"comm/64", false, 32, commCollBody, 64, "965eb6a2112b39ba4b95ebbbc5007abe415516e0c653b080437bc13e834b7d7f"},
+		{"comm/8k", false, 32, commCollBody, 8 << 10, "5e7b0febbd088b945648097f2f8b1d4fbca2db5a93c8e2c6bf7e715bf4c8cd91"},
+		{"comm/256k", false, 32, commCollBody, 256 << 10, "4d2fe9207487e577ef67f40c131db35e4efeb0423a9f8da5fbf95d0a6bbdc6f9"},
+		{"hier/64", true, 48, hierCollBody, 64, "15d9364c16cc01356ecbbcc8a3b18e771ae33605df2d1618ce2cc30a5081e93d"},
+		{"hier/8k", true, 48, hierCollBody, 8 << 10, "c91ae669380e5129c975778fa168f38c93d9a88b76e3b7f4ca4ddc922a2da4a8"},
+		{"hier/256k", true, 48, hierCollBody, 256 << 10, "8a164fb8dcd937a30a40d9924eb41ebafb0a4855c0435193990b74009a7b7b3b"},
 		{"exchange/world/64", false, 12, exchangeBody("rank"), 64, "e808f8a73580663d2b083f339fe11e5c565c07bd2e1b487690c53ee5a0bebe1d"},
 		{"exchange/world/64k", false, 12, exchangeBody("rank"), 64 << 10, "bfbf9bffbe6ff736dcbab1e6d41e9b2dba72cb414b1709a2e951ac80b8bdce9c"},
-		{"exchange/split/64", false, 18, exchangeBody("split"), 64, "aacf6dc5d16d0545dfcaa75cc5d0afec0c75c9312f32553dd536931f67ca9970"},
-		{"exchange/split/64k", false, 18, exchangeBody("split"), 64 << 10, "8a33ebc073a57f439e795c60382688919c6db14991c549b56d938b641e883d81"},
-		{"v/64", false, 12, vBody, 64, "707c870dfccb5c099c65ad584b6bd1a67a5f31540bd5f756ab6047de1ee2fe8e"},
+		{"exchange/split/64", false, 18, exchangeBody("split"), 64, "938d036e109861b3a39c09284bdebe7dd41bdf0666aa057a22e9165ec11cbdda"},
+		{"exchange/split/64k", false, 18, exchangeBody("split"), 64 << 10, "39b35828c52982429188c643fd4aa3c3a8370c14cb2b0b6405aafd91a785ed99"},
+		{"v/64", false, 12, vBody, 64, "aa71a02b380f4a3785ffd59fe819a99af77425792a4358e12b6054b932f9d837"},
 		{"v/64k", false, 12, vBody, 64 << 10, "e60a93cced2499df00ad0bc05761411b7c423ba6f7cf3e6ae9b7b7806ba10aa9"},
-		{"hier-allgather/64", true, 48, hierAllgatherBody, 64, "83fdea5496be9df9f2f752e71160bfc0b17247490b57654336e25f13e08ca2a1"},
-		{"hier-allgather/16k", true, 48, hierAllgatherBody, 16 << 10, "4a32f26ff74b5a68e4e206608135109e1efd3c6cfa6679e886b1d1a9f0ddebe9"},
+		{"hier-allgather/64", true, 48, hierAllgatherBody, 64, "7a3fe9dd9036c6c8cdec79f9fcacae6756a72bce452e230d22604ddc02795a34"},
+		{"hier-allgather/16k", true, 48, hierAllgatherBody, 16 << 10, "49e9e3e33c4b362759f337e138891518ad6484a1812909b04ac66036125979bd"},
 	} {
 		opts := DefaultOptions()
 		opts.HierarchicalCollectives = tc.hier

@@ -4,8 +4,8 @@ import "cmpi/internal/core"
 
 // Free lists for the per-message hot-path objects: ring packets, send
 // operations, envelopes, requests and the byte buffers behind them. None of
-// them is locked; each list has one owner, and the epoch-dispatch footprint
-// rules decide who may touch it.
+// them is locked: one goroutine dispatches a world, and each list has one
+// owner.
 //
 // Where the lists live, and why a steady stream allocates nothing:
 //
@@ -18,15 +18,8 @@ import "cmpi/internal/core"
 //     one direction: taken by the direction's sender, retired by its
 //     receiver, who keeps them at home or leaves them on the direction
 //     (ringDir.snaps/pkts/ops) by the rule core.DirPool states.
-//   - A direction's lists are pair state like the ring queue itself: the
-//     sender touches them only while its group owns the receiver's rank
-//     resource (it holds a pair claim, or is finishing the very call that
-//     released it), the receiver only from its own process — which that same
-//     resource serializes against the sender. Handing capacity back to the
-//     sender's *home* from the receiver's drain would NOT be safe: a sender
-//     woken by a third rank's group never has its own footprint consulted,
-//     so it can run, and use its home, in another group of the same epoch
-//     as a receiver that is still draining its fragments.
+//   - A direction's lists are pair state like the ring queue itself, taken
+//     from by the sender and given back to by the receiver.
 //   - ib.QP's wire list does the same job for HCA wire messages (see ib.QP).
 //
 // Who owns the bytes behind sendOp.data, per path:

@@ -70,7 +70,6 @@ func parseHdr(buf []byte) hcaMsg {
 func (r *Rank) hcaEagerSend(req *Request) {
 	prm := &r.w.Opts.Params
 	pr := req.pr
-	r.claimPair(req, true)
 	qp := r.qpFor(pr)
 	seq := pr.sendSeq
 	pr.sendSeq++
@@ -88,7 +87,6 @@ func (r *Rank) hcaRndvSend(req *Request) {
 	// must never be recycled.
 	req.noPool = true
 	pr := req.pr
-	r.claimPair(req, true)
 	qp := r.qpFor(pr)
 	seq := pr.sendSeq
 	pr.sendSeq++

@@ -104,19 +104,6 @@ func (s *shmRing) in(rank int) *ringDir {
 	return s.dirs[0]
 }
 
-// idle reports that both directions are fully drained — no undrained packet
-// and no sender stalled on the budget. Consulted by adaptive footprint decay
-// (Rank.pairIdle): a non-empty ring means one side still has bytes the other
-// must consume, so the pair cannot leave either footprint yet.
-func (s *shmRing) idle() bool {
-	for _, d := range s.dirs {
-		if d.head < len(d.q) || d.stalled {
-			return false
-		}
-	}
-	return true
-}
-
 // reserve claims footprint bytes of the direction's budget for the sender's
 // next packet, or marks the sender stalled when they do not fit. Control
 // packets (footprint 0) always fit.
@@ -209,10 +196,7 @@ type sendOp struct {
 // If the pair's shared ring cannot be attached (injected fault), the send
 // degrades to the HCA channel — the stock path for non-colocated peers.
 func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
-	// Claim the pair before any ring state is touched (the attach itself
-	// publishes into both ranks' localPairs lists).
 	pr := req.pr
-	r.claimPair(req, false)
 	ring, err := r.ringFor(pr)
 	if err != nil {
 		// The record keeps the originally selected path; the message's

@@ -37,10 +37,6 @@ type Request struct {
 	// send, the matched source of a rendezvous receive (nil for self-sends
 	// and for receives that never needed it).
 	pr *peerRec
-	// Epoch-dispatch claim (parallel worlds): while hasClaim, this request
-	// keeps pr's rank merged into the owner's footprint (see Rank.claimPair).
-	// Released at completion or failure.
-	hasClaim bool
 }
 
 // Done reports completion without progressing the engine (see Test).
@@ -74,7 +70,6 @@ func (r *Rank) failRequest(req *Request, cause error) {
 	req.err = cause
 	req.done = true
 	r.reqFailed = true
-	r.releaseClaim(req)
 	for i, pr := range r.posted.items() {
 		if pr == req {
 			r.posted.removeAt(i)
@@ -197,23 +192,9 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 	req.env = env
 	switch env.path {
 	case core.PathCMARndv, core.PathSHMRndv, core.PathHCARndv:
-		// Rendezvous pulls data from (or signals) the sender: claim the pair
-		// before the first cross-rank touch. env.src is concrete even for
-		// AnySource receives. The sender's own claim does not guarantee the
-		// merge: a sender parked on the transfer has no pending event, so
-		// its footprint is not consulted when this rank's wake forms an
-		// epoch.
+		// Rendezvous pulls data from (or signals) the sender. env.src is
+		// concrete even for AnySource receives.
 		req.pr = r.peer(env.src)
-		if !r.tryClaimPair(req, env.path == core.PathHCARndv) {
-			if r.machine {
-				// A match happens mid-sweep, where a machine step cannot
-				// regroup (the yield must be its last action): park the
-				// transfer for waitStep, which regroups and starts it.
-				r.pendBinds = append(r.pendBinds, env)
-				return
-			}
-			r.p.YieldRegroup()
-		}
 		r.startRndv(env, req)
 	default: // eager (SHM or HCA): copy whatever is already staged
 		if env.received > 0 {
@@ -231,8 +212,7 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 }
 
 // startRndv makes the receiver's first move of a matched rendezvous: pull
-// the payload (CMA) or release the sender (SHM/HCA clear-to-send). The pair
-// must be claimed and owned by the current epoch group.
+// the payload (CMA) or release the sender (SHM/HCA clear-to-send).
 func (r *Rank) startRndv(env *envelope, req *Request) {
 	switch env.path {
 	case core.PathCMARndv:
@@ -254,7 +234,6 @@ func (r *Rank) completeRecv(req *Request, env *envelope) {
 	}
 	req.status = Status{Source: env.src, Tag: env.tag, Bytes: env.size}
 	req.done = true
-	r.releaseClaim(req)
 	r.trace(trace.OpRecv, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
 	r.pools.buf.Put(env.staged)
 	req.env = nil
@@ -264,7 +243,6 @@ func (r *Rank) completeRecv(req *Request, env *envelope) {
 // completeSend finishes a send (buffer reusable).
 func (r *Rank) completeSend(req *Request) {
 	req.done = true
-	req.r.releaseClaim(req)
 }
 
 // selfSend delivers a message a rank addresses to itself via one local copy.
@@ -302,58 +280,38 @@ func (r *Rank) isend(dst, tag int, data []byte) *Request {
 	return r.isendCtx(dst, tag, 0, data)
 }
 
-// isendCtx starts a send on an arbitrary communicator context.
+// isendCtx starts a send on an arbitrary communicator context: validate,
+// build the request, take the fast paths (self-send, dead destination),
+// select the channel, emit the send trace record and enter the channel's
+// protocol.
 func (r *Rank) isendCtx(dst, tag, ctx int, data []byte) *Request {
-	req, path, done := r.isendPrep(dst, tag, ctx, data)
-	if done {
-		return req
-	}
-	r.isendDispatch(req, path)
-	return req
-}
-
-// isendPrep is the front half of isendCtx: validate, build the request,
-// take the fast paths (self-send, dead destination), select the channel and
-// emit the send trace record. done=true means the request needs no protocol
-// dispatch. Split from isendDispatch so msend (machine.go) can claim the
-// destination pair — and possibly regroup-yield — between the trace emission
-// and the protocol entry, at exactly the virtual instant isendCtx's
-// in-protocol claimPair fires.
-func (r *Rank) isendPrep(dst, tag, ctx int, data []byte) (req *Request, path core.Path, done bool) {
 	if dst < 0 || dst >= r.size {
 		r.p.Fatalf("Isend to rank %d outside world of size %d", dst, r.size)
 	}
-	req = r.getReq()
+	req := r.getReq()
 	req.r, req.isSend, req.peer, req.tag, req.ctx, req.sbuf = r, true, dst, tag, ctx, data
 	if dst == r.rank {
 		r.trace(trace.OpSend, trace.PathSelf, req.peer, tag, ctx, len(data), r.selfSeq)
 		r.selfSend(req)
-		return req, 0, true
+		return req
 	}
 	if r.w.Opts.ErrHandler == ErrorsRecover && r.w.rankDead(dst) {
 		// ULFM fast path: the destination crashed, so the send can never be
 		// received (real messages may race the failure notice; the simulation
 		// observes crashes at their virtual instant).
 		r.failRequest(req, &ProcFailedError{Peer: dst, At: r.p.Now()})
-		return req, 0, true
+		return req
 	}
 	pr := r.peer(dst)
 	if pr.dead {
 		// The HCA channel to dst already broke under ErrorsReturn: fail fast
 		// instead of posting into a flushed connection.
 		r.failRequest(req, &ChannelError{Peer: dst, Status: ib.WCFlushed})
-		return req, 0, true
+		return req
 	}
 	req.pr = pr
-	path = r.pathFor(pr, len(data))
+	path := r.pathFor(pr, len(data))
 	r.trace(trace.OpSend, trace.PathOf(path), dst, tag, ctx, len(data), pr.sendSeq)
-	return req, path, false
-}
-
-// isendDispatch is the back half of isendCtx: enter the selected channel
-// protocol. Each protocol entry claims the pair itself (a no-op if the
-// caller already claimed it on the same request).
-func (r *Rank) isendDispatch(req *Request, path core.Path) {
 	switch path {
 	case core.PathSHMEager, core.PathSHMRndv, core.PathCMARndv:
 		r.enqueueShmSend(req, path)
@@ -362,6 +320,7 @@ func (r *Rank) isendDispatch(req *Request, path core.Path) {
 	case core.PathHCARndv:
 		r.hcaRndvSend(req)
 	}
+	return req
 }
 
 // Irecv starts a nonblocking receive into buf. src may be AnySource and tag

@@ -21,10 +21,7 @@ import (
 // and found through the rank's peer table. The table and the records are
 // rank-private: only the owning rank's process creates, reads or writes them
 // (execution context), except that a sendOp carries its sender's record to the
-// receiver, which reads nothing from it but the immutable rank. Formation
-// context (footprint, decayPairs) never looks a peer up — it walks
-// touchedPairs, whose pointers lead to the shared pair records (see
-// pairShared for their rules).
+// receiver, which reads nothing from it but the immutable rank.
 type Rank struct {
 	w    *World
 	p    *sim.Proc
@@ -59,14 +56,9 @@ type Rank struct {
 	collSeq    int
 	localPairs []*pairShared
 
-	// epoch-dispatch state (parallel worlds; see Rank.footprint)
-	parallelReady bool           // past the post-init barrier: footprint may narrow
-	touchedPairs  []*pairShared  // pairs this rank ever claimed (footprint enumeration)
-	machine       bool           // body is a Program (RunMachine): regroup only in waitStep
-	pendBinds     []*envelope    // matched rendezvous whose pair awaits a regroup (machine ranks)
-	msgSeq        uint64         // rank-local rendezvous id sequence
-	qpPeer        map[*ib.QP]int // QP → far-end rank (rank-private completion routing)
-	pools         worldPools     // per-rank free lists (see pool.go)
+	msgSeq uint64         // rank-local rendezvous id sequence
+	qpPeer map[*ib.QP]int // QP → far-end rank (rank-private completion routing)
+	pools  worldPools     // per-rank free lists (see pool.go)
 
 	// fault state
 	hasCrash  bool
@@ -266,18 +258,11 @@ func (r *Rank) initPre() error {
 
 	// Open the device (needs --privileged inside containers). A failure is
 	// only fatal if some peer actually requires the HCA channel. Its wire
-	// buffers come from the rank's pool: every fabric event carries this
-	// rank's resource (Tag), so only groups that own the rank touch them.
+	// buffers come from the rank's pool.
 	r.dev, r.devErr = r.w.fabric.OpenDeviceWith(r.env, &r.pools.buf)
 	if r.dev != nil {
 		r.cq = r.dev.CreateCQ()
 		r.cq.SetWaiter(r.p)
-		if r.w.parallel {
-			// Tag the device so its deferred fabric events carry this rank's
-			// and host's resources and group with the ranks that declared
-			// them; in a world that declares nothing they stay on Global.
-			r.dev.Tag(r.w.resRank(r.rank), r.w.resHost(r.env.Host.Index))
-		}
 	}
 
 	// Container Locality Detector (the paper's design) publishes before the
@@ -346,12 +331,12 @@ func (r *Rank) initPost() error {
 // mode, the detected co-residents among the rest.
 func (r *Rank) needsHCA() bool {
 	w := r.w
-	w.nameIPCOnce.Do(func() {
+	if w.sameNameIPC == nil {
 		w.sameNameIPC = make(map[nameIPC]int)
 		for _, pl := range w.Deploy.Placements {
 			w.sameNameIPC[nameIPCOf(pl.Env)]++
 		}
-	})
+	}
 	local := w.sameNameIPC[nameIPCOf(r.env)] - 1 // not counting r itself
 	for _, peer := range r.loc.LocalRanks {
 		if peer == r.rank {
@@ -396,245 +381,6 @@ func (r *Rank) pathFor(pr *peerRec, size int) core.Path {
 	return path
 }
 
-// footprint declares the resources this rank's process may touch during the
-// next epoch: its own rank resource, plus — for every
-// pair it has claimed and not yet decayed — the peer's rank resource, and
-// both hosts' port resources once the pair has used the HCA channel. During
-// init, or after the world serializes (communicator/RMA global tables in
-// play), the footprint is Global and the rank joins the one serialized
-// group. Called in scheduler context at epoch formation; reads only
-// formation-stable state.
-//
-// A claimed pair may not leave the footprint the moment its claims drain.
-// Dropping it early would let the two ranks' groups split between messages
-// and re-merge on the next claim — and during the claim's regroup epoch the
-// established group keeps dispatching, running ahead in virtual time on
-// shared fabric state (port bandwidth queues) that the claimer then mutates
-// at an earlier timestamp. Those ordering inversions are exactly what the
-// conservative contract must rule out: timing-model state must observe its
-// events in virtual-time order.
-//
-// Instead of staying in the footprint forever, pairs decay: a pair is
-// dropped once it is provably quiescent — no outstanding claims, no
-// in-flight rendezvous, SHM ring drained, and both QPs' event high-water
-// marks strictly below this epoch's floor, so every fabric event and port
-// booking the pair ever produced lies entirely in the simulated past — and
-// its decay window (decayWindow) has elapsed (or the engine detected a phase
-// change, which retires stale pairs eagerly; see Engine.PhaseShift). Quiescence
-// makes the drop sound: nothing the pair's history booked on shared port
-// queues can still be observed out of order. The window makes it cheap:
-// the recurring pairs of a running collective never decay mid-pattern, so
-// steady patterns keep their converged groups, while phase changes shed
-// dead pairs and re-widen instead of collapsing the job into one group
-// forever.
-func (r *Rank) footprint(buf []sim.Res) []sim.Res {
-	w := r.w
-	if !r.parallelReady || w.serial.Load() {
-		// Keep the rank's own resource alongside Global so in-flight tagged
-		// fabric events (which name rank and host resources, never Global)
-		// still merge into the one serialized group instead of forming a
-		// concurrent sibling.
-		return append(buf, sim.Global, w.resRank(r.rank))
-	}
-	if len(r.touchedPairs) > 0 {
-		r.decayPairs()
-	}
-	buf = append(buf, w.resRank(r.rank))
-	hosts := false
-	myHost := r.env.Host.Index
-	for _, ps := range r.touchedPairs {
-		peer := ps.other(r.rank)
-		buf = append(buf, w.resRank(peer))
-		if ps.hca[0] || ps.hca[1] {
-			hosts = true
-			peerHost := w.Deploy.Placements[peer].Env.Host.Index
-			buf = append(buf, w.resHost(peerHost))
-			// Under a non-trivial topology an HCA pair's footprint also spans
-			// every spine switch its cross-rack routes can book: spine
-			// next-free words are shared fabric state exactly like port
-			// bandwidth, and declaring them is what lets racked fat-tree
-			// worlds keep independent epoch groups (duplicates across pairs
-			// are harmless — union-find re-merges the same resource).
-			buf = append(buf, w.spineRes(myHost, peerHost)...)
-		}
-	}
-	if hosts {
-		buf = append(buf, w.resHost(myHost))
-	}
-	return buf
-}
-
-// decayWindow is how many epochs a released pair claim lingers in both
-// ranks' footprints before pairIdle may drop it: long enough that the
-// recurring pairs of a running collective stay merged, short enough that a
-// phase change re-widens within a few formations even without a detected
-// yield storm.
-const decayWindow = 4
-
-// decayPairs compacts touchedPairs in place (preserving first-use order, so
-// footprint enumeration stays deterministic), dropping every pair that
-// pairIdle proves quiescent. Runs in scheduler context at epoch formation,
-// after the barrier — all per-side words written during execution are
-// visible and stable.
-func (r *Rank) decayPairs() {
-	eng := r.w.Eng
-	floor := eng.Now()     // epoch floor: min virtual time over all pending events
-	epoch := eng.EpochID() // the epoch being formed
-	shift := eng.PhaseShift()
-	kept := r.touchedPairs[:0]
-	for _, ps := range r.touchedPairs {
-		if !r.pairIdle(ps, floor, epoch, shift) {
-			kept = append(kept, ps)
-			continue
-		}
-		ps.listed[ps.side(r.rank)] = false
-		eng.AddNarrowed(1)
-	}
-	for i := len(kept); i < len(r.touchedPairs); i++ {
-		r.touchedPairs[i] = nil
-	}
-	r.touchedPairs = kept
-}
-
-// pairIdle reports whether ps is provably quiescent at this epoch's floor
-// and past its decay window, i.e. safe to drop from the footprint. The
-// conditions, in increasing cost:
-//
-//   - no side holds an in-flight claim and no rendezvous transfer is open;
-//   - the decay window has elapsed since either side's last claim/release
-//     (skipped when the engine detected a phase change — stale pairs of the
-//     dead pattern retire eagerly so the new pattern re-widens at once);
-//   - the pair's SHM ring, if created, is fully drained;
-//   - both QPs' high-water marks are strictly below the epoch floor: every
-//     pending event in the whole world has t >= floor, so hw < floor means
-//     every fabric event the pair ever scheduled has already dispatched and
-//     every port-bandwidth booking it made lies entirely in the simulated
-//     past — no group formed without this pair can observe its history out
-//     of virtual-time order.
-func (r *Rank) pairIdle(ps *pairShared, floor sim.Time, epoch uint64, shift bool) bool {
-	if ps.claims[0] != 0 || ps.claims[1] != 0 || len(ps.rndv) != 0 {
-		return false
-	}
-	if !shift {
-		last := ps.lastEpoch[0]
-		if ps.lastEpoch[1] > last {
-			last = ps.lastEpoch[1]
-		}
-		if epoch < last+decayWindow {
-			return false
-		}
-	}
-	if ps.ring != nil && !ps.ring.idle() {
-		return false
-	}
-	for _, q := range ps.qps {
-		if q != nil && q.Watermark() >= floor {
-			return false
-		}
-	}
-	return true
-}
-
-// claimPair declares that req will touch the state of its peer (req.pr:
-// matching queues, rings, rendezvous table) until it completes. The claim
-// widens this rank's footprint to cover the peer — and both hosts' ports when
-// the HCA carries the traffic — and, if the current epoch group does not own
-// those resources yet, yields so the next epoch merges the two ranks' groups.
-// Call at protocol entry, before the first cross-rank touch.
-func (r *Rank) claimPair(req *Request, hca bool) {
-	if !r.tryClaimPair(req, hca) {
-		r.p.YieldRegroup()
-	}
-}
-
-// tryClaimPair is claimPair without the yield: it records the claim and
-// reports whether the current epoch group already owns what the pair needs.
-// On false the caller must regroup before its first cross-rank touch.
-func (r *Rank) tryClaimPair(req *Request, hca bool) bool {
-	if !r.w.parallel || req.hasClaim {
-		return true
-	}
-	ps := req.pr.ps
-	si := ps.side(r.rank)
-	ps.claims[si]++
-	ps.lastEpoch[si] = r.w.Eng.EpochID()
-	if hca && !ps.hca[si] {
-		ps.hca[si] = true
-	}
-	if !ps.listed[si] {
-		ps.listed[si] = true
-		r.touchedPairs = append(r.touchedPairs, ps)
-	}
-	req.hasClaim = true
-	return r.canTouchPair(ps)
-}
-
-// canTouchPair reports whether the current epoch group owns everything a
-// claimed pair needs.
-func (r *Rank) canTouchPair(ps *pairShared) bool {
-	peer := ps.other(r.rank)
-	if !r.p.CanTouch(r.w.resRank(peer)) {
-		return false
-	}
-	if ps.hca[0] || ps.hca[1] {
-		peerHost := r.w.Deploy.Placements[peer].Env.Host.Index
-		if !r.p.CanTouch(r.w.resHost(r.env.Host.Index)) ||
-			!r.p.CanTouch(r.w.resHost(peerHost)) {
-			return false
-		}
-		for _, res := range r.w.spineRes(r.env.Host.Index, peerHost) {
-			if !r.p.CanTouch(res) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// claimStrict is a test hook: when set, claim-accounting violations (a
-// release with no matching claim, which would drive the per-side count
-// negative and pin the pair in both footprints forever) panic instead of
-// being clamped. Tests flip it on so protocol bugs surface at the faulty
-// release, not as a mysterious grouping regression later.
-var claimStrict = false
-
-// releaseClaim drops req's pair claim (request completion or failure) and
-// records the release epoch — the anchor adaptive decay counts its window
-// from (see Rank.pairIdle).
-func (r *Rank) releaseClaim(req *Request) {
-	if !req.hasClaim {
-		return
-	}
-	req.hasClaim = false
-	ps := req.pr.ps
-	si := ps.side(r.rank)
-	if ps.claims[si] <= 0 {
-		if claimStrict {
-			panic(fmt.Sprintf("mpi: rank %d released pair %d<->%d with no outstanding claim",
-				r.rank, ps.lo, ps.hi))
-		}
-		return
-	}
-	ps.claims[si]--
-	ps.lastEpoch[si] = r.w.Eng.EpochID()
-}
-
-// ensureSerial permanently collapses the world to one group per epoch: every
-// rank's footprint reads Global from the next epoch on. Used by the rare
-// operations that share job-global tables (communicator context allocation,
-// RMA window exchange) where per-pair claims cannot express the dependency.
-// The caller still holds only its own group's resources this epoch, so it
-// yields until its group owns Global.
-func (r *Rank) ensureSerial() {
-	if !r.w.parallel {
-		return
-	}
-	r.w.serial.Store(true)
-	if !r.p.CanTouch(sim.Global) {
-		r.p.YieldRegroup()
-	}
-}
-
 // crossSocket reports whether r and peer are pinned to different sockets
 // (memcpy and CMA bandwidths differ across the QPI link).
 func (r *Rank) crossSocket(peer int) bool {
@@ -642,10 +388,8 @@ func (r *Rank) crossSocket(peer int) bool {
 }
 
 // trace emits one structured trace record when the world has a recorder
-// (Options.Record). Records ride the engine's
-// emitter: buffered per epoch group and flushed at the barrier in
-// deterministic (t, group, seq) commit order, so tracing never perturbs —
-// and is never perturbed by — epoch grouping.
+// (Options.Record). Records ride the engine's emitter, which hands them to
+// the recorder at once, in the order the ranks run.
 func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int, seq uint64) {
 	if r.w.Opts.Record == nil {
 		return
@@ -728,10 +472,10 @@ func (r *Rank) waitUntil(cond func() bool) {
 
 // waitStep is one pass of the rank's wait loop: drive progress until cond
 // holds or nothing advances. True means cond holds and the caller proceeds;
-// false means the rank parked (or yielded to regroup) as the call's last
-// action. A machine step then unwinds returning sim.More and the next step
-// re-enters here; a goroutine-backed caller was blocked inside Park until
-// the wake and simply calls again. Every external state change that could
+// false means the rank parked as the call's last action. A machine step then
+// unwinds returning sim.More and the next step re-enters here; a
+// goroutine-backed caller was blocked inside Park until the wake and simply
+// calls again. Every external state change that could
 // satisfy cond wakes the rank — including the wake scheduled for the rank's
 // own planned crash, and (under ErrorsRecover) the broadcast wake
 // markCrashed sends when a peer dies.
@@ -741,12 +485,6 @@ func (r *Rank) waitStep(cond func() bool) bool {
 		if r.w.crashGen != r.crashSeen {
 			r.crashSeen = r.w.crashGen
 			r.failDeadOps()
-		}
-		if !r.startPendingBinds() {
-			// Like Park below, the regroup is the step's last action; the
-			// next step re-enters here inside the merged group.
-			r.p.YieldRegroup()
-			return false
 		}
 		if cond() {
 			return true
@@ -760,29 +498,6 @@ func (r *Rank) waitStep(cond func() bool) bool {
 		r.p.Park()
 		return false
 	}
-}
-
-// startPendingBinds starts, in match order, the rendezvous transfers that
-// bindEnvelope parked on a machine rank because the receive-side claim found
-// the pair outside the current epoch group. It reports false when the oldest
-// one still needs the regroup; the claim already widened the footprint, so
-// one YieldRegroup merges the groups.
-func (r *Rank) startPendingBinds() bool {
-	if len(r.pendBinds) == 0 {
-		return true
-	}
-	n := 0
-	for _, env := range r.pendBinds {
-		if !r.canTouchPair(env.req.pr.ps) {
-			break
-		}
-		r.startRndv(env, env.req)
-		n++
-	}
-	rest := copy(r.pendBinds, r.pendBinds[n:])
-	clear(r.pendBinds[rest:])
-	r.pendBinds = r.pendBinds[:rest]
-	return rest == 0
 }
 
 // failDeadOps reaps every operation bound to a peer whose crash this rank has

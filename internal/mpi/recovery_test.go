@@ -162,8 +162,7 @@ func TestRecoverableGoldenWorkload(t *testing.T) {
 }
 
 // TestRecoveryDeterminism runs the checkpoint-bearing golden workload — fault
-// free (which may start with independent epoch groups and must collapse at
-// the checkpoint barrier) and with a crash plus respawn recovery — twice, and
+// free and with a crash plus respawn recovery — twice, and
 // requires identical results, reports, and checkpoint artifacts.
 func TestRecoveryDeterminism(t *testing.T) {
 	// Measure the fault-free runtime once so the crash lands mid-run, after

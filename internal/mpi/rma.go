@@ -44,9 +44,6 @@ type winExchange struct {
 func (r *Rank) WinCreate(buf []byte) *Win {
 	r.profEnter()
 	defer r.profExit("Win_create")
-	// The window exchange table is job-global, and RMA accesses write peer
-	// windows directly; serialize dispatch for the rest of the run.
-	r.ensureSerial()
 	w := &Win{r: r, buf: buf, idx: r.winCount}
 	r.winCount++
 	if r.dev != nil {

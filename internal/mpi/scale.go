@@ -23,8 +23,8 @@ package mpi
 // rack-hierarchical reduce/exchange/bcast. ScaleAuto picks by layout, like
 // autoAllreduce picks by size and locality.
 //
-// Determinism: rank machines declare no footprints and all deliveries are
-// untagged callbacks, so every epoch is one Global group dispatched in place.
+// Determinism: rank machines and delivery callbacks run on the engine's one
+// dispatch queue, in (virtual time, sequence) order.
 
 import (
 	"fmt"
@@ -117,7 +117,7 @@ const (
 )
 
 // scaleMsg is one in-flight delivery record, recycled through the world's
-// free list (one group per epoch, so no locking).
+// free list (one dispatcher, so no locking).
 type scaleMsg struct {
 	to   *scaleRank
 	at   sim.Time
@@ -330,7 +330,7 @@ func (w *ScaleWorld) send(p *sim.Proc, to int32, n int, slot uint8) {
 }
 
 // deliverScale is the static delivery callback: count the arrival and wake
-// the target. Runs in scheduler context, in the world's one group.
+// the target. Runs in scheduler context.
 func deliverScale(a any) {
 	m := a.(*scaleMsg)
 	r := m.to

@@ -1,12 +1,10 @@
 package mpi
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
 
-	"cmpi/internal/cluster"
 	"cmpi/internal/core"
 	"cmpi/internal/sim"
 )
@@ -69,7 +67,6 @@ type streamProg struct {
 	buf, ack      []byte
 	reqs          []*Request
 	w, i          int
-	snd           msend
 	ackReq        *Request
 	st            uint8
 }
@@ -93,10 +90,7 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 		case 0: // post the window
 			for g.i < streamWindow {
 				if r.rank == 0 {
-					if !g.snd.step(r, 1, streamTag, collCtxBit, g.buf) {
-						return sim.More
-					}
-					g.reqs[g.i] = g.snd.req
+					g.reqs[g.i] = r.isendCtx(1, streamTag, collCtxBit, g.buf)
 				} else {
 					g.reqs[g.i] = r.irecvCtx(0, streamTag, collCtxBit, g.buf)
 				}
@@ -115,10 +109,7 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 			if r.rank == 0 {
 				g.ackReq = r.irecvCtx(1, streamAckTag, collCtxBit, g.ack)
 			} else {
-				if !g.snd.step(r, 0, streamAckTag, collCtxBit, g.ack) {
-					return sim.More
-				}
-				g.ackReq = g.snd.req
+				g.ackReq = r.isendCtx(0, streamAckTag, collCtxBit, g.ack)
 			}
 			g.st = 3
 			fallthrough
@@ -195,77 +186,6 @@ func TestOneWayStreamSteadyStateBytes(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestOneWayStreamAcrossEpochGroups has rank 0 stream eager messages to two
-// co-resident peers and then park in a receive from a third. The peers are
-// busy computing when the messages land, so they drain them later — each in
-// its own epoch group, because a parked sender has no pending event and its
-// footprint (which would merge them) is not consulted — while rank 3's send
-// wakes rank 0 inside rank 3's group, where it answers using its own pools.
-// Every list the sender shares with a receiver must therefore be covered by
-// the pair's resources alone, never by "the sender is surely idle": the
-// payload check catches a buffer recycled while still in flight.
-func TestOneWayStreamAcrossEpochGroups(t *testing.T) {
-	const size, burst, rounds = 512, 16, 24
-	spec := cluster.Spec{Hosts: 1, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
-	d, err := cluster.Containers(cluster.MustNew(spec), 1, 4, cluster.PaperScenarioOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Mode = core.ModeLocalityAware
-	w, err := NewWorld(d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(r *Rank) error {
-		buf := make([]byte, size)
-		note := make([]byte, 64)
-		reqs := make([]*Request, burst)
-		for round := 0; round < rounds; round++ {
-			fill := byte(round + 1)
-			switch r.Rank() {
-			case 0:
-				for _, dst := range []int{1, 2} {
-					for i := range buf {
-						buf[i] = fill
-					}
-					for i := range reqs {
-						reqs[i] = r.Isend(dst, streamTag, buf)
-					}
-					// Eager: the buffer is ours again as soon as Isend returns.
-					for i := range buf {
-						buf[i] = ^fill
-					}
-					r.WaitAll(reqs...)
-				}
-				r.Recv(3, streamAckTag, note)
-				r.Send(3, streamAckTag, note)
-			case 1, 2:
-				r.Compute(float64(2000 * r.Rank()))
-				for i := 0; i < burst; i++ {
-					r.Recv(0, streamTag, buf)
-					for j, b := range buf {
-						if b != fill {
-							return fmt.Errorf("rank %d round %d: byte %d of message %d = %#x, want %#x", r.Rank(), round, j, i, b, fill)
-						}
-					}
-				}
-			case 3:
-				r.Compute(2000)
-				r.Send(0, streamAckTag, note)
-				r.Recv(0, streamAckTag, note)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if width := w.Eng.Stats().MaxBatchWidth; width < 2 {
-		t.Errorf("widest epoch had %d group(s): the world no longer splits into groups", width)
 	}
 }
 

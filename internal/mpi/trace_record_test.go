@@ -65,16 +65,11 @@ func tracedJob(plan *fault.Plan, check worldCheck) invariant.Run {
 
 // TestReplayReconstructsProfile checks the replay acceptance criterion: the
 // per-rank channel counters reconstructed from the trace alone equal the live
-// profiler's, exactly, without running any world. Recording must not cost
-// the world its footprints.
+// profiler's, exactly, without running any world.
 func TestReplayReconstructsProfile(t *testing.T) {
 	var w *World
-	res := invariant.At(t, tracedJob(nil, func(t *testing.T, _ invariant.Point, fw *World) {
-		if !fw.parallel {
-			t.Fatal("traced world declared no footprints; the trace serial gate is back")
-		}
-		w = fw
-	}), invariant.Point{Record: true})
+	res := invariant.At(t, tracedJob(nil, func(_ *testing.T, _ invariant.Point, fw *World) { w = fw }),
+		invariant.Point{Record: true})
 	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatalf("Read: %v", err)
@@ -113,9 +108,6 @@ func TestReplayReconstructsFaultCounters(t *testing.T) {
 	var w *World
 	res := invariant.At(t, faultTraceJob(func(_ *testing.T, _ invariant.Point, fw *World) { w = fw }),
 		invariant.Point{Record: true})
-	if w.parallel {
-		t.Fatal("fault-injected world must declare no footprints")
-	}
 	tr, err := trace.Read(bytes.NewReader(res.Trace))
 	if err != nil {
 		t.Fatalf("Read: %v", err)

@@ -3,7 +3,6 @@ package mpi
 import (
 	"cmpi/internal/cluster"
 	"cmpi/internal/ib"
-	"cmpi/internal/sim"
 	"cmpi/internal/trace"
 )
 
@@ -19,24 +18,22 @@ func (w *World) installTracer() {
 		}
 	})
 	// Substrate fault events (retransmissions, QP breaks, attach vetoes) only
-	// fire in fault-injected worlds, whose every epoch is the one Global
-	// group — so these hooks may emit from engine callbacks without a Proc
-	// context: the records join that group's buffer and flush at the barrier
-	// in commit order with the ranks' own.
+	// fire in fault-injected worlds, from engine callbacks or rank code
+	// without a Proc at hand: their records go to the recorder directly, in
+	// the same dispatch order as the ranks' own.
 	w.fabric.SetTrace(func(ev ib.TraceEvent) {
 		op := trace.OpRetransmit
 		if ev.Kind == ib.TraceQPBreak {
 			op = trace.OpQPBreak
 		}
-		w.Eng.EmitAt(ev.T, sim.Global, trace.Record{
+		rec.Add(trace.Record{
 			T: ev.T, Op: op, Path: trace.PathNone,
 			Rank: -1, Peer: ev.Host, Aux: uint64(ev.Retries),
 		})
 	})
 	w.shm.SetAttachTrace(func(env *cluster.Container, name string) {
-		t := w.Eng.Now()
-		w.Eng.EmitAt(t, sim.Global, trace.Record{
-			T: t, Op: trace.OpAttachFail, Path: trace.PathNone,
+		rec.Add(trace.Record{
+			T: w.Eng.Now(), Op: trace.OpAttachFail, Path: trace.PathNone,
 			Rank: -1, Peer: env.Host.Index,
 		})
 	})

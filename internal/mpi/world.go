@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"cmpi/internal/cluster"
@@ -45,8 +44,7 @@ type World struct {
 
 	// Recovery state (ErrorsRecover / RunRecoverable). crashed marks ranks
 	// that died; crashGen increments on every new death so survivors can reap
-	// lazily (Rank.failDeadOps). Plain fields: a fault world declares no
-	// footprints, so every epoch of it is one group.
+	// lazily (Rank.failDeadOps).
 	crashed  []bool
 	crashGen uint64
 	// ck is the coordinated-checkpoint barrier state (ckpt.go).
@@ -70,15 +68,11 @@ type World struct {
 	// pairs holds the connection state of every rank pair that has been
 	// named, keyed by lo<<32|hi. A record is minted by World.pair the first
 	// time either end creates its peer record for the other (Rank.peer) — the
-	// only caller outside tests — and never removed. pairMu guards the map
-	// alone: the records themselves are covered by the claim protocol
-	// (pairShared).
-	pairMu sync.Mutex
-	pairs  map[uint64]*pairShared
+	// only caller outside tests — and never removed.
+	pairs map[uint64]*pairShared
 	// sameNameIPC counts the ranks per (IPC namespace, hostname): the peers a
 	// rank reaches over shared memory on the hostname test alone. Built for the
 	// first rank that has to ask (Rank.needsHCA).
-	nameIPCOnce sync.Once
 	sameNameIPC map[nameIPC]int
 
 	winTable   map[int]*winExchange
@@ -89,32 +83,12 @@ type World struct {
 	ran                bool
 	depotRefused       uint64 // core.Drain.Refused of this world's drainPools
 
-	// parallel is set in Run when this world installs rank footprints for
-	// the engine's conservative epoch dispatch: everything except fault
-	// injection qualifies (the injector's plan queries mutate shared state
-	// on every channel decision, so those worlds declare nothing and every
-	// epoch is one Global group).
-	parallel bool
-	// serial flips (sticky) when a rank touches job-global tables that the
-	// claim protocol does not cover — communicator context ids, RMA window
-	// exchange. Every footprint collapses to Global at the next epoch.
-	serial atomic.Bool
-
-	// spineTab lists, per host pair (triangular index over hosts), the
-	// epoch-dispatch resource ids of every spine switch the fabric's static
-	// ECMP routes between the two hosts can book (both directions). Built
-	// once in NewWorld from the topology — a pure function of host racks —
-	// so footprint enumeration at epoch formation reads only immutable
-	// state. Nil for trivial topologies; nil entries for same-rack pairs.
-	spineTab [][]sim.Res
-
 	// part is the deployment's split into locality groups, for the
 	// collective algorithm selector and the two-level collectives. Built once,
 	// by the first rank that asks (World.partition), from Deploy ground truth —
 	// never from per-rank capability tables, which can diverge under detector
 	// faults.
-	partOnce sync.Once
-	part     *localityPartition
+	part *localityPartition
 }
 
 // jobCounter is atomic: worlds are built concurrently by the parallel
@@ -148,24 +122,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
 		return nil, err
-	}
-	if !opts.Topology.Trivial() {
-		hosts := d.Cluster.Spec.Hosts
-		w.spineTab = make([][]sim.Res, hosts*(hosts-1)/2)
-		var hops []int
-		for hi := 1; hi < hosts; hi++ {
-			for lo := 0; lo < hi; lo++ {
-				hops = w.fabric.SpineHops(lo, hi, hops[:0])
-				if len(hops) == 0 {
-					continue // same rack: never leaves the leaf switch
-				}
-				rs := make([]sim.Res, len(hops))
-				for i, id := range hops {
-					rs[i] = w.resSpine(id)
-				}
-				w.spineTab[pairIdx(lo, hi)] = rs
-			}
-		}
 	}
 	inj, err := fault.NewInjector(opts.FaultPlan, d.Cluster.Spec.Hosts, d.Size())
 	if err != nil {
@@ -206,7 +162,7 @@ func (w *World) Run(body func(r *Rank) error) error {
 // run starts every rank on the rankMachine lifecycle (machine.go) and drives
 // the engine. A machine world hands the lifecycle to the engine as a
 // sim.Machine; a blocking one steps it from a goroutine-backed process,
-// where Park, Advance and YieldRegroup block for real: the lifecycle's two
+// where Park and Advance block for real: the lifecycle's two
 // PMI waits come back with sim.More once per wake, and the body is one step.
 func (w *World) run(machine bool, mk func(rank int) Program) error {
 	if w.ran {
@@ -216,35 +172,16 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 	if w.Opts.Record != nil {
 		w.installTracer()
 	}
-	// Ranks declare footprints in every world with no observer of global
-	// event order. Group formation is decided by event times and footprints
-	// alone, and the groups run in group-index order. The fault injector's
-	// queries
-	// mutate shared plan state, so those worlds declare nothing: every epoch
-	// is one Global group dispatched in global event order (which also keeps
-	// Eng.Now()-based fault timestamps exact). Tracing does NOT serialize:
-	// records ride the engine's emitter, buffered per epoch group and flushed
-	// in deterministic (t, group, seq) commit order.
-	// Non-trivial fabric topologies do not serialize either: every spine
-	// switch a cross-rack pair's ECMP routes can book is a declared resource
-	// (resSpine) in both ranks' footprints, so groups sharing a spine merge.
-	w.parallel = w.inj == nil
 	for _, r := range w.ranks {
-		r.machine = machine
 		m := &rankMachine{w: w, r: r, prog: mk(r.rank)}
 		name := fmt.Sprintf("rank%d", r.rank)
-		var p *sim.Proc
 		if machine {
-			p = w.Eng.GoMachine(name, m)
+			w.Eng.GoMachine(name, m)
 		} else {
-			p = w.Eng.Go(name, func(p *sim.Proc) {
+			w.Eng.Go(name, func(p *sim.Proc) {
 				for m.Step(p) == sim.More {
 				}
 			})
-		}
-		if w.parallel {
-			p.SetRes(w.resRank(r.rank))
-			p.SetFootprint(r.footprint)
 		}
 	}
 	return w.finishRun(w.Eng.Run())
@@ -348,8 +285,7 @@ func (w *World) failRank(r *Rank, cause error) {
 // markCrashed flags a dead rank and propagates the observation: every live
 // rank is woken so its next waitStep pass reaps operations bound to the
 // casualty, any in-progress Comm.Shrink agreements re-evaluate their member
-// sets, and an in-flight checkpoint barrier aborts. Only fault worlds crash
-// ranks, and their every epoch is one group, so plain field writes are safe.
+// sets, and an in-flight checkpoint barrier aborts.
 func (w *World) markCrashed(r *Rank) {
 	if w.crashed[r.rank] {
 		return
@@ -444,16 +380,11 @@ func (w *World) Digest() string {
 // are filled in by the caller, which knows where its pools live).
 func simStatsOf(es sim.Stats) profile.SimStats {
 	return profile.SimStats{
-		Dispatched:      es.Dispatched,
-		Resumes:         es.Resumes,
-		StaleWakes:      es.StaleWakes,
-		CoalescedWakes:  es.CoalescedWakes,
-		MaxHeapDepth:    es.MaxHeapDepth,
-		ParallelBatches: es.ParallelBatches,
-		MaxBatchWidth:   es.MaxBatchWidth,
-		RegroupYields:   es.RegroupYields,
-		NarrowedPairs:   es.NarrowedPairs,
-		PhaseRewidens:   es.PhaseRewidens,
+		Dispatched:     es.Dispatched,
+		Resumes:        es.Resumes,
+		StaleWakes:     es.StaleWakes,
+		CoalescedWakes: es.CoalescedWakes,
+		MaxHeapDepth:   es.MaxHeapDepth,
 	}
 }
 
@@ -503,26 +434,9 @@ func (w *World) pmiArrive(r *Rank) (gen int) {
 }
 
 // pairShared is the per-pair connection state, shared by the pair's two
-// ranks and created on first contact.
-//
-// Who may do what:
-//
-//   - Create: World.pair, under pairMu, called from Rank.peer in the naming
-//     rank's own process (execution context). Both ends may name the pair in
-//     the same epoch from different groups; the mutex makes them agree on one
-//     record, and a new record is all zero, so which end minted it cannot be
-//     observed.
-//   - Write, execution context: the per-side words (claims, lastEpoch, hca,
-//     listed) only by their own side, from its own process; everything else
-//     (ring, qps, shmErr, cmaDead, rndv) only from a group that owns both
-//     ranks' resources, which the claim protocol (Rank.claimPair) arranges
-//     before the first cross-rank touch.
-//   - Read, formation context (Rank.footprint, decayPairs, pairIdle): any
-//     field, through the touchedPairs pointers of either end — after the
-//     epoch barrier, so every execution-context write is visible. Formation
-//     writes only listed[own side].
-//
-// lo and hi never change.
+// ranks and minted by World.pair when either end first names the other. A new
+// record is all zero, so which end minted it cannot be observed. lo and hi
+// never change.
 type pairShared struct {
 	lo, hi int32
 	ring   *shmRing
@@ -532,33 +446,15 @@ type pairShared struct {
 	// pair's SHM/CMA channels are dead and traffic degrades to the HCA.
 	shmErr error
 
-	// claims counts each side's in-flight requests that may touch the peer
-	// rank's state (indexed by side). While either count is non-zero both
-	// ranks' footprints keep the pair merged into one epoch group.
-	claims [2]int
-	// lastEpoch records, per side, the engine epoch of that side's most
-	// recent claim or release — the anchor adaptive footprint decay counts
-	// its window from (Rank.footprint). Per-side words, written only by the
-	// owning side during execution and read at formation.
-	lastEpoch [2]uint64
-	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID
-	// (sharded from the old job-global table so concurrent pairs never
-	// share a map).
+	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID.
 	rndv map[uint64]rndvState
 
 	// cmaDead marks the pair's CMA channel failed; rendezvous transfers
 	// degrade to SHM streaming.
 	cmaDead bool
-	// hca records, per side, that the pair has used the HCA channel: the
-	// footprint then also spans both hosts' port resources (fabric events).
-	// Per-side bools so concurrent groups never write the same word.
-	hca [2]bool
-	// listed marks, per side, that the pair is on that rank's touchedPairs
-	// list (footprint enumeration).
-	listed [2]bool
 }
 
-// side maps a member rank to its claims/hca/listed index.
+// side maps a member rank to its index in qps.
 func (ps *pairShared) side(rank int) int {
 	if rank == int(ps.hi) {
 		return 1
@@ -566,24 +462,8 @@ func (ps *pairShared) side(rank int) int {
 	return 0
 }
 
-// other returns the pair member that is not rank.
-func (ps *pairShared) other(rank int) int {
-	if rank == int(ps.lo) {
-		return int(ps.hi)
-	}
-	return int(ps.lo)
-}
-
 // shmDead reports whether the pair's shared-memory ring is unusable.
 func (ps *pairShared) shmDead() bool { return ps.shmErr != nil }
-
-// pairIdx is the triangular index of an unordered pair (of hosts).
-func pairIdx(a, b int) int {
-	if a > b {
-		a, b = b, a
-	}
-	return b*(b-1)/2 + a
-}
 
 // pair returns the shared state of a rank pair, minting it the first time
 // either end asks. Ranks reach it through their peer records (Rank.peer),
@@ -593,13 +473,11 @@ func (w *World) pair(a, b int) *pairShared {
 		a, b = b, a
 	}
 	key := uint64(a)<<32 | uint64(b)
-	w.pairMu.Lock()
 	ps := w.pairs[key]
 	if ps == nil {
 		ps = &pairShared{lo: int32(a), hi: int32(b)}
 		w.pairs[key] = ps
 	}
-	w.pairMu.Unlock()
 	return ps
 }
 
@@ -613,30 +491,6 @@ type nameIPC struct {
 
 func nameIPCOf(env *cluster.Container) nameIPC {
 	return nameIPC{ipc: env.Namespace(cluster.IPC), hostname: env.Hostname()}
-}
-
-// resRank is the epoch-dispatch resource id for a rank's private state.
-func (w *World) resRank(rank int) sim.Res { return sim.Res(1 + rank) }
-
-// resHost is the resource id for a host's fabric port.
-func (w *World) resHost(host int) sim.Res { return sim.Res(1 + len(w.ranks) + host) }
-
-// resSpine is the resource id for one fabric spine switch's next-free word
-// (ib.Topology ECMP contention state), identified by its stage-major index
-// (stage*SpinesPerStage + idx). Spine ids sit above the rank and host ranges.
-func (w *World) resSpine(spine int) sim.Res {
-	return sim.Res(1 + len(w.ranks) + w.Deploy.Cluster.Spec.Hosts + spine)
-}
-
-// spineRes lists the spine-switch resources the fabric routes between two
-// hosts can book; empty unless the topology is non-trivial and the hosts sit
-// in different racks. Read-only after NewWorld — safe from any epoch group
-// and from footprint callbacks at formation.
-func (w *World) spineRes(hostA, hostB int) []sim.Res {
-	if w.spineTab == nil || hostA == hostB {
-		return nil
-	}
-	return w.spineTab[pairIdx(hostA, hostB)]
 }
 
 // qpFor returns r's QP to a peer, establishing the RC connection on demand

@@ -34,6 +34,8 @@ func pinnedWorld(t *testing.T, mode core.Mode, rec *trace.Recorder) *mpi.World {
 // buffers moved onto the rank's pool: the SHA-256 of the recorded trace and
 // of the result. World.Digest is not pinned: it counts the pool's requests,
 // which moving a buffer onto AllocMem changes and no virtual time sees.
+// Re-pinned once when the engine went back to one dispatch queue, which runs
+// every event in strict time order.
 func TestAppDigestsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		kernel    string
@@ -41,35 +43,35 @@ func TestAppDigestsPinned(t *testing.T) {
 		trace, re string
 	}{
 		{"CG", core.ModeDefault,
-			"18190479d2837e88f9086e22e581a2954107d29ae61ba2e930182b5d0ed6fe8b",
-			"bf955e004fc0dba3adcb1dcd98c321586e64d534d405f7799a0e2338e8acde8c"},
+			"25756671afaeec2591080e570d4a8a45ba3df1c31fe915e1e80976ea5fdbe2ce",
+			"32dd6adf907c458a6b8b1aeced3fcb7d795053b190520731813ea144a99fd6d6"},
 		{"CG", core.ModeLocalityAware,
-			"bfe23fc89ce837261683793d8c3bbd5218b7d354029541e92494f91d0fc7d7cb",
-			"e16a8d272db38a9424b170f16dc1420fc0c1037e2bfc85b0e2afff3d2c7a8933"},
+			"1a5db5475844b9df78ea16d3e6fe120da194850f5390d112b52a3165adce62e8",
+			"12d1b153d2562e057eefc21a6794afe1ccf9659bfc17dce8957aaa82b53d37a3"},
 		{"EP", core.ModeDefault,
-			"b9cdd61cc8ba2996b49fc9991637ca0376e23e103c93b1d8c72af614fef927af",
-			"c4607bf057e0db7fd1737f4d015b46dfcd87261b149f99699184c5783191b544"},
+			"07d5876982fa4580fb303308bfef7d2adb75dad6e39035b23491b4430e11339a",
+			"db3464bebb8af9553acf06a22b3004ccd2f71ab9eb47e7b036a742fe24a7348a"},
 		{"EP", core.ModeLocalityAware,
-			"99b77581f4e99e0a4e727e5ede29b26dbce6fb419b48db4e0bc4e352959204fa",
-			"a634e9fb87e8013392ed2d9729b9ceb26d7e836eafcab711b842ef0a9e98918b"},
+			"d61a453969c0f12c267d746fa677cf9960d2e16c1d8941f207f2323784669af1",
+			"714add26b89fba059005660b4819934e4bc57697bc20907a8adf6754dd9a09c6"},
 		{"FT", core.ModeDefault,
 			"34de88edf2bd60344ae95552776c13d49cb9056a9eff07f494a3684b36b43993",
 			"9870e47c25a158467d1fd64abac960186bd0c020015e35682cf280456e8a1d52"},
 		{"FT", core.ModeLocalityAware,
-			"008ce6e41886c1b424dda6565db90d8731774cb581c644e888bfe1daebabcd9b",
-			"5753fbedfc0077d0004460aaeb15c5ce18661e390192f22c09b9e02fd5979aba"},
+			"2b5f41151aa4e70f39c760f6e764e23a8f30521aa3256ecc3958c114a528388e",
+			"6cdc723741f163f6c10f53e25d578a237eff664c76a9c0fdb3acef927462905b"},
 		{"IS", core.ModeDefault,
 			"182fc4f0ca87588007e64866103ccef61e27a376d58be7675035307376950c3b",
 			"3f2cffbff075bb66a93246f08b00f54d47527e355f9f1b6b35c360089604df2f"},
 		{"IS", core.ModeLocalityAware,
-			"fed48f200041f5370f7a3a0843fb22c4ec839fe410f5113944380ddbf2af933f",
-			"f00c5979684fe4bfb7bae011e77bd8b939a3cd0c7f3f6577fb28705007261949"},
+			"84bd1cbd0a01379dfb928634390e448c809d78e015896a175a0703b2bf76e341",
+			"e3c80face68fd66550522345f1f34c6381442597dfbf57ea7e66be5b6e2f709e"},
 		{"MG", core.ModeDefault,
-			"8b78151223fcdc2e22111bea97708577fc17af0dcf5622ff25139cc16b05db4a",
-			"308ed425ce3739dd82ff8a8bc568e00a4e03dca6cde3e55a286e166ac960073c"},
+			"342fbd9edd2cc0844bdff081f4866315ef676b3ca0991da54d1f9932eb23db5f",
+			"7d9dc5fcd78912143c6a48f6ebf46ccd21ffad71a1c9d54ba2b9729f36dc682a"},
 		{"MG", core.ModeLocalityAware,
-			"8efe9c66f660999eee6e83e20b8dc72c5915fba12ff66a367764aa655601f71c",
-			"ca28db2647736a84944c17b74fa3f29ce6c365789acc7fdc0e0847f694a111fa"},
+			"40388feba78f25db7a03c06f9ca4e17fd5550966bbd067241c6a4ffe01353049",
+			"0e9135f19913e01dc807bba124a9021a46caae0a8f7cc4f5548ddf73f6f458e8"},
 	} {
 		name := tc.kernel + ".stock"
 		if tc.mode == core.ModeLocalityAware {

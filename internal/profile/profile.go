@@ -130,28 +130,17 @@ type SimStats struct {
 	CoalescedWakes uint64
 	// MaxHeapDepth is the event queue's high-water mark.
 	MaxHeapDepth int
-	// ParallelBatches is the number of epochs the engine formed, of any
-	// width.
-	ParallelBatches uint64
-	// MaxBatchWidth is the widest epoch: the most causally independent
-	// groups one formation made.
-	MaxBatchWidth int
-	// RegroupYields counts processes that yielded mid-epoch to widen their
-	// footprint (claiming a pair their group did not own yet).
-	RegroupYields uint64
-	// NarrowedPairs counts pairs dropped from rank footprints by adaptive
-	// decay (quiescent past their decay window) — each drop is a chance for
-	// the next epoch to split into more concurrent groups.
-	NarrowedPairs uint64
-	// PhaseRewidens counts epochs whose regroup-yield storm tripped the
-	// phase-change detector, retiring stale footprints eagerly so the new
-	// communication pattern re-widens without waiting out the decay window.
-	PhaseRewidens uint64
-	// PeakProcBytes is always zero: nothing computes per-process bytes from
+	// ParallelBatches, MaxBatchWidth, RegroupYields, NarrowedPairs and
+	// PeakProcBytes are always zero: the engine has one dispatch queue and
+	// forms no epoch groups, and nothing computes per-process bytes from
 	// struct sizes, because memory is measured (HeapSys gates, alloc_mb). The
-	// field stays only because bench/ reads it, and bench/ may be edited only
-	// by a benchmark issue (ROADMAP item 1 deletes both).
-	PeakProcBytes uint64
+	// fields stay only because bench/ reads them, and bench/ changes only
+	// together with the benchmark's contract (ROADMAP item 1 deletes both).
+	ParallelBatches uint64
+	MaxBatchWidth   int
+	RegroupYields   uint64
+	NarrowedPairs   uint64
+	PeakProcBytes   uint64
 	// BufPool aggregates the byte-buffer pools, one per rank: staging,
 	// payload snapshots and the wire buffers of the rank's HCA.
 	BufPool core.PoolCounters

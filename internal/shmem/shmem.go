@@ -32,8 +32,8 @@ func (s *Segment) Size() int { return s.size }
 // Bytes is the segment contents, zero-filled. The backing store is committed
 // on first use, like the pages of a real mapping: a segment whose attachers
 // keep their traffic elsewhere (the SHM rings hold packets in their own
-// queues) costs only its table entry. Safe to call from concurrent epoch
-// groups; every caller sees the same bytes.
+// queues) costs only its table entry. Safe to call concurrently; every
+// caller sees the same bytes.
 func (s *Segment) Bytes() []byte {
 	s.once.Do(func() { s.data = make([]byte, s.size) })
 	return s.data
@@ -54,11 +54,9 @@ type AttachFaultHook func(env *cluster.Container, name string) error
 type AttachTraceHook func(env *cluster.Container, name string)
 
 // Registry is the kernel-side table of shared segments, one per simulation.
-// The table itself is mutex-protected. One goroutine dispatches a world, so
-// the lock is never contended; segment contents are only touched by ranks
-// whose footprints cover them.
+// It is not locked: one goroutine dispatches a world, and each world has a
+// registry of its own.
 type Registry struct {
-	mu          sync.Mutex
 	segs        map[segKey]*Segment
 	attachFault AttachFaultHook
 	attachTrace AttachTraceHook
@@ -100,8 +98,6 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 		return nil, ErrWrongNamespaceKind
 	}
 	key := segKey{ns: ns, name: name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if seg, ok := r.segs[key]; ok {
 		if size > seg.size {
 			return nil, fmt.Errorf("shmem: segment %q exists with size %d, attach wants %d",
@@ -118,9 +114,7 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 // IPC namespace (there is no cross-namespace discovery, as in the kernel).
 func (r *Registry) Attach(env *cluster.Container, name string) (*Segment, error) {
 	ns := env.Namespace(cluster.IPC)
-	r.mu.Lock()
 	seg, ok := r.segs[segKey{ns: ns, name: name}]
-	r.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("shmem: no segment %q in IPC namespace %s/%d of %s",
 			name, ns.Host.Name, ns.ID, env)
@@ -133,8 +127,6 @@ func (r *Registry) Attach(env *cluster.Container, name string) (*Segment, error)
 func (r *Registry) Unlink(env *cluster.Container, name string) error {
 	ns := env.Namespace(cluster.IPC)
 	key := segKey{ns: ns, name: name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.segs[key]; !ok {
 		return fmt.Errorf("shmem: unlink %q: no such segment", name)
 	}
@@ -145,7 +137,5 @@ func (r *Registry) Unlink(env *cluster.Container, name string) error {
 // Count reports how many live segments the registry holds (for tests and
 // leak checks).
 func (r *Registry) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.segs)
 }

@@ -8,13 +8,6 @@ import (
 	"time"
 )
 
-// own gives p a private resource and a footprint of exactly that resource, so
-// p is alone in its epoch group.
-func own(p *Proc, r Res) {
-	p.SetRes(r)
-	p.SetFootprint(func(buf []Res) []Res { return append(buf, r) })
-}
-
 // recovered runs fn and returns what it panicked with (nil if it returned).
 func recovered(fn func()) (r any) {
 	defer func() { r = recover() }()
@@ -35,18 +28,6 @@ func TestCallbackPanicSurfacesFromRun(t *testing.T) {
 	})
 	if r := recovered(func() { t.Errorf("Run returned %v, want a panic", e.Run()) }); r != (boom{7}) {
 		t.Errorf("Run panicked with %v, want the callback's own value", r)
-	}
-
-	// The same for an engine invariant: a callback scheduling onto a resource
-	// no group of the epoch owns, with no Global group to fall back to.
-	e = NewEngine()
-	own(e.Go("sleeper", func(p *Proc) {
-		e.AtRes(5*Nanosecond, func() { e.AtRes(6*Nanosecond, func() {}, 99) }, 1)
-		p.Sleep(10 * Nanosecond)
-	}), 1)
-	r := recovered(func() { t.Errorf("Run returned %v, want a panic", e.Run()) })
-	if !strings.Contains(fmt.Sprint(r), "undeclared footprint") {
-		t.Errorf("Run panicked with %v, want groupFor's undeclared-footprint panic", r)
 	}
 }
 
@@ -89,16 +70,14 @@ func TestRunEndsWhileAProcHoldsTheBaton(t *testing.T) {
 	}
 }
 
-// wakeRing spawns n processes in disjoint pairs (each pair its own group)
-// that meet for eight rounds — sleep, tell
-// the partner, park until it has told too — and collects their emissions in
-// *log.
+// wakeRing spawns n processes in disjoint pairs that meet for eight rounds —
+// sleep, tell the partner, park until it has told too — and collects their
+// emissions in *log.
 func wakeRing(e *Engine, n int, log *[]string) {
 	e.SetEmitter(func(payload any) { *log = append(*log, payload.(string)) })
 	procs := make([]*Proc, n)
 	told := make([]int, n)
 	for id := range procs {
-		a, b := Res(1+id), Res(1+(id^1))
 		procs[id] = e.Go(fmt.Sprint("p", id), func(p *Proc) {
 			for r := 0; r < 8; r++ {
 				p.Sleep(Time(1+id%3) * Nanosecond)
@@ -110,8 +89,6 @@ func wakeRing(e *Engine, n int, log *[]string) {
 				p.Emit(fmt.Sprintf("%d.%d@%v", id, r, p.Now()))
 			}
 		})
-		procs[id].SetRes(a)
-		procs[id].SetFootprint(func(buf []Res) []Res { return append(buf, a, b) })
 	}
 }
 

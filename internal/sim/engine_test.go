@@ -475,3 +475,44 @@ func TestStatsTrackHeapDepth(t *testing.T) {
 		t.Errorf("max heap depth = %d, want 9", st.MaxHeapDepth)
 	}
 }
+
+// TestEpochGlobalFootprintMatchesSequential checks that a world that declares
+// nothing and a world whose every proc calls the SetFootprint shim both
+// dispatch in global (t, seq) order (exercised via a cross-proc wake chain).
+// The expected interleaving is the one the engine's first sequential loop
+// produced for this program, recorded at f967c29. (The name is from when
+// footprints partitioned epochs into groups.)
+func TestEpochGlobalFootprintMatchesSequential(t *testing.T) {
+	const want = "p0@1.000ns;p3@2.000ns;p1@3.000ns;p4@4.000ns;p1@4.000ns;p2@5.000ns;p0@5.000ns;" +
+		"p4@6.000ns;p3@7.000ns;p0@7.000ns;p1@8.000ns;p2@8.000ns;p2@9.000ns;p3@10.000ns;p1@10.000ns;" +
+		"p4@11.000ns;p3@11.000ns;p0@12.000ns;p2@13.000ns;p4@14.000ns"
+	for _, declare := range []bool{false, true} {
+		e := NewEngine()
+		var order []string
+		var procs []*Proc
+		for i := 0; i < 5; i++ {
+			i := i
+			p := e.Go(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for j := 0; j < 4; j++ {
+					p.Sleep(Time(1+(i*7+j*3)%5) * Nanosecond)
+					order = append(order, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+					if i > 0 {
+						procs[i-1].UnparkAt(p.Now())
+					}
+				}
+			})
+			if declare {
+				p.SetFootprint(func(buf []Res) []Res { return append(buf, Global) })
+			}
+			procs = append(procs, p)
+		}
+		if err := e.Run(); err != nil {
+			if _, ok := err.(*DeadlockError); !ok {
+				t.Fatal(err)
+			}
+		}
+		if got := strings.Join(order, ";"); got != want {
+			t.Errorf("declare=%v: dispatch order diverged:\ngot:  %s\nwant: %s", declare, got, want)
+		}
+	}
+}

@@ -10,10 +10,10 @@ package sim
 //
 // A Machine is the other kind of body: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
-// coroutine, no stack — and the Proc facade (Sleep/Park/UnparkAt/SetRes/Emit)
+// coroutine, no stack — and the Proc facade (Sleep/Park/UnparkAt/Emit)
 // works unchanged on top. One Step may invoke at most one blocking primitive
-// (Sleep, Park or YieldRegroup; a machine's Advance is always a pure clock
-// bump, never the yielding kind), and that call must be the machine's last
+// (Sleep or Park; a machine's Advance is always a pure clock bump, never the
+// yielding kind), and that call must be the machine's last
 // action before returning More: the primitive cannot suspend the caller, it
 // only records where to resume, so anything executed after it would run
 // "before its time". A contract violation panics, failing the run with an
@@ -94,13 +94,12 @@ func (p *Proc) runMachine() {
 }
 
 // release retires a finished process's state: the coroutine (already ended —
-// its body came back into the dispatch loop), the machine and the footprint
-// cache are dropped. Called by the dispatch loop the moment the process is
-// done (execGroup.settle); a done proc is never resumed again (wantsWake).
+// its body came back into the dispatch loop) and the machine are dropped.
+// Called by the dispatch loop the moment the process is done; a done proc is
+// never resumed again (wantsWake).
 func (p *Proc) release() {
 	p.co = nil
 	p.fm = nil
-	p.fpCache = nil
 }
 
 // arenaSlab is the machine-proc arena slab size: large enough that a

@@ -90,8 +90,8 @@ func pingBody(s *pingState) func(p *Proc) {
 // runPingWorld wires nPairs ping-pong pairs into a fresh engine and returns
 // the emission stream plus the engine, run. machines selects the body kind:
 // continuation machines in the arena, or blocking bodies on coroutines. With
-// footprints=true each pair declares a private resource pair, so each pair is
-// an epoch group of its own.
+// footprints=true each proc also calls the resource shims, which must change
+// nothing.
 func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints bool) (string, *Engine) {
 	t.Helper()
 	e := NewEngine()
@@ -130,8 +130,8 @@ func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints boo
 
 // TestMachineMatchesBody is the core equivalence property of the two body
 // kinds: the same ping-pong workload written as blocking bodies and as
-// continuation machines produces byte-identical emission streams, on the
-// global queue and with each pair a group of its own.
+// continuation machines produces byte-identical emission streams, with and
+// without the resource shims called.
 func TestMachineMatchesBody(t *testing.T) {
 	for _, w := range []struct {
 		pairs, iters int

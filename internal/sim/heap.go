@@ -1,11 +1,8 @@
 package sim
 
-import (
-	"cmp"
-	"math/bits"
-)
+import "math/bits"
 
-// event is the payload of one pending event: 40 bytes in a slot of the
+// event is the payload of one pending event: 24 bytes in a slot of the
 // engine's slab. Its (t, seq) key and its flags live in the queue entry
 // (hkey), so ordering never moves the payload. A callback event runs fnA(arg)
 // in scheduler context: AtArg passes a static function and a caller-pooled
@@ -15,14 +12,9 @@ import (
 type event struct {
 	fnA func(any)
 	arg any
-	// res lists the resources a callback event touches, for epoch grouping
-	// (AtRes/AtArg); its live prefix is the key's nres. Untagged events
-	// (nres == 0) are treated as touching Global. Proc events ignore it: their
-	// footprint comes from the proc's FootprintFn.
-	res [4]Res
 }
 
-// callFn is the trampoline that runs an At/AtBackground/AtRes callback stored
+// callFn is the trampoline that runs an At/AtBackground callback stored
 // in an event's arg. A func value is one pointer, so storing it in an any
 // allocates nothing.
 func callFn(fn any) { fn.(func())() }
@@ -51,8 +43,6 @@ type hkey struct {
 	// the future is not an in-flight message, so it must not hold back an
 	// AtQuiesce callback.
 	background bool
-	// nres is the live prefix of the event's res tags.
-	nres uint8
 }
 
 func (a hkey) before(b hkey) bool {
@@ -60,14 +50,6 @@ func (a hkey) before(b hkey) bool {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
-}
-
-// compare orders keys by (t, seq) for sorting.
-func (a hkey) compare(b hkey) int {
-	if a.t != b.t {
-		return cmp.Compare(a.t, b.t)
-	}
-	return cmp.Compare(a.seq, b.seq)
 }
 
 // heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
@@ -79,11 +61,10 @@ func (a hkey) compare(b hkey) int {
 const heapArity = 4
 
 // eventQueue is a hand-rolled d-ary min-heap of keys ordered by (t, seq). The
-// payloads stay in the engine's slab; the queue owns only keys, so moving an
-// event between queues — to its group at formation, back at commit — moves
-// 24 bytes. A concrete heap avoids the interface boxing of container/heap on
-// the engine hot path, and its key array is recycled, so a queue at its
-// working size allocates nothing.
+// payloads stay in the engine's slab; the queue owns only keys, so a sift
+// moves 24 bytes. A concrete heap avoids the interface boxing of
+// container/heap on the engine hot path, and its key array is recycled, so a
+// queue at its working size allocates nothing.
 type eventQueue struct {
 	keys []hkey
 	// maxDepth is the high-water mark of pending events, for capacity
@@ -162,13 +143,6 @@ func (q *eventQueue) minTime() (Time, bool) {
 	return q.keys[0].t, true
 }
 
-// reset empties the queue, keeping its key array (and its depth high-water
-// mark) for reuse. The slots the keys named are the caller's to account for.
-func (q *eventQueue) reset() {
-	q.keys = q.keys[:0]
-	q.bg = 0
-}
-
 // Slab geometry: segment k holds firstSeg<<k events, so slot s lives in
 // segment bits.Len(s+firstSeg)-segShift-1 and slabSegs segments cover every
 // int32 slot.
@@ -178,10 +152,10 @@ const (
 	slabSegs = 32 - segShift
 )
 
-// slab holds every event payload of an engine, pending or spilled, in any
-// queue. It is an array of segments that never move, so a slot's address is
-// stable, growth copies nothing and leaves no garbage, and the bytes held are
-// at most twice the most slots ever in use. A vacant slot is on the free
+// slab holds every pending event payload of an engine. It is an array of
+// segments that never move, so a slot's address is stable, growth copies
+// nothing and leaves no garbage, and the bytes held are at most twice the most
+// slots ever in use. A vacant slot is on the free
 // list; a popped event's slot goes back to it at once (vacate), and put
 // reuses the most recently vacated slot first.
 type slab struct {

@@ -67,84 +67,18 @@ type Proc struct {
 	lastWakeAt   Time
 	lastWakeLive bool
 
-	// regroupEpoch is the epoch id during which the process last called
-	// YieldRegroup. Its resume timer is spilled to the next epoch, so wakes
-	// popped for it later in that same epoch must be spilled too — they may
-	// postdate the spilled timer in virtual time, and stale-dropping them
-	// would break the in-heap guarantee that a scheduled process's timer
-	// fires no earlier than any wake dropped while it slept.
-	regroupEpoch uint64
-
-	// Epoch dispatch state: res is the process's identity resource (wakes
-	// route to the epoch group owning it), footprint declares what the
-	// process may touch, group is the epoch group running it (set at every
-	// resume), fpCache/fpEpoch memoize the footprint once per epoch.
-	res       Res
-	footprint FootprintFn
-	group     *execGroup
-	fpCache   []Res
-	fpEpoch   uint64
-
 	// Data is an arbitrary per-process slot for the layer above (the MPI
 	// runtime stores its per-rank state here).
 	Data any
 }
 
-// SetRes declares the process's identity resource, used to route wakes to
-// the owning epoch group. Call before Run.
-func (p *Proc) SetRes(r Res) {
-	checkRes(r, "SetRes")
-	p.res = r
-}
-
-// SetFootprint installs the process's resource footprint (see FootprintFn);
-// without one the process touches Global. Call before Run.
-func (p *Proc) SetFootprint(fn FootprintFn) {
-	p.footprint = fn
-	p.eng.declared = p.eng.declared || fn != nil
-}
-
-// CanTouch reports whether the process's current epoch group owns res, i.e.
-// whether process code may touch state guarded by it right now. A process
-// that needs a resource it cannot touch must widen its footprint and
-// YieldRegroup.
-func (p *Proc) CanTouch(r Res) bool {
-	g := p.eng.owner(r)
-	return g != nil && g == p.group
-}
-
-// YieldRegroup reschedules the process into the next epoch at its current
-// virtual time, so that its footprint — typically just widened — is
-// re-evaluated and the needed groups merge. Costs no virtual time; execution
-// resumes after the call.
-func (p *Proc) YieldRegroup() {
-	g := p.group
-	g.seq++
-	g.spillLocal(hkey{t: p.now, seq: g.seq, timer: true}, event{arg: p})
-	g.stats.RegroupYields++
-	p.state = stateScheduled
-	// Record the yield so wakes aimed at this process later in the epoch are
-	// spilled rather than stale-dropped: the resume timer above fires only
-	// next epoch, so unlike an in-heap timer it may predate those wakes, and
-	// dropping them would lose the condition they signal (the process would
-	// re-check before the waker's virtual time and park forever).
-	p.regroupEpoch = p.eng.epochID
-	// timerSeq is re-keyed at commit, when the spill gets its global seq.
-	p.switchOut()
-}
-
-// Emit forwards payload to the engine's emitter (SetEmitter) at the
-// process's current virtual time. The payload is buffered in the process's
-// group and flushed at the epoch barrier in deterministic (t, group index,
-// group-local seq) order. A no-op without an emitter.
+// Emit forwards payload to the engine's emitter (SetEmitter) at once. A no-op
+// without an emitter.
 func (p *Proc) Emit(payload any) {
 	p.checkStep("Emit")
-	if p.eng.emit == nil {
-		return
+	if p.eng.emit != nil {
+		p.eng.emit(payload)
 	}
-	g := p.group
-	g.seq++
-	g.emits = append(g.emits, emitRec{t: p.now, seq: g.seq, payload: payload})
 }
 
 // ID returns the spawn-order index of the process.
@@ -169,15 +103,6 @@ func (p *Proc) checkStep(op string) {
 	}
 }
 
-// Deferred reports whether the current machine step already invoked its
-// blocking primitive — i.e. the call recorded a continuation instead of
-// completing. Machine code that wraps a possibly-blocking helper (one that
-// may Park or YieldRegroup internally) checks Deferred after the call: true
-// means the step must unwind and return More so the primitive stays the
-// step's last action. Always false for blocking bodies, whose primitives
-// block for real and return only after the wake.
-func (p *Proc) Deferred() bool { return p.blocked }
-
 // wantsWake reports whether a popped proc event is a live wake for p.
 // Scheduled processes accept only their own timer; parked processes accept
 // only unparks (any stale timer must predate the park); running/done drop
@@ -196,10 +121,9 @@ func (p *Proc) wantsWake(timer bool, seq uint64) bool {
 // switchOut blocks the process until a live wake for it is dispatched. The
 // caller must have already set p.state and scheduled/arranged a wake. A
 // goroutine-backed process yields to the dispatch loop that resumed it — one
-// coroutine switch — and returns when that loop, this epoch or a later one,
-// pops the wake and resumes it. If the run ends
-// first there is no wake to wait for: yield reports false and the body
-// unwinds (Engine.reap). Machines cannot be suspended mid-step: the
+// coroutine switch — and returns when that loop pops the wake and resumes
+// it. If the run ends first there is no wake to wait for: yield reports false
+// and the body unwinds (Engine.reap). Machines cannot be suspended mid-step: the
 // continuation is the next Step call, so switchOut only records that the
 // step blocked — which is why a machine step may block at most once, as its
 // last action (see flat.go).
@@ -233,9 +157,7 @@ func (p *Proc) Advance(d Time) {
 		return
 	}
 	target := p.now + d
-	// Only this group's events can affect this process before the next
-	// barrier, so the fast path consults the group heap.
-	if min, ok := p.group.q.minTime(); !ok || min >= target {
+	if min, ok := p.eng.q.minTime(); !ok || min >= target {
 		p.now = target
 		return
 	}
@@ -252,7 +174,7 @@ func (p *Proc) Sleep(d Time) {
 }
 
 func (p *Proc) sleepUntil(t Time) {
-	p.timerSeq = p.group.pushLocal(t, hkey{timer: true}, event{arg: p})
+	p.timerSeq = p.eng.push(t, hkey{timer: true}, event{arg: p})
 	p.state = stateScheduled
 	p.switchOut()
 }
@@ -279,23 +201,6 @@ func (p *Proc) Park() {
 // whose body already returned are likewise dropped.
 func (p *Proc) UnparkAt(at Time) {
 	e := p.eng
-	if e.inEpoch {
-		// The wake belongs to the group owning the target's identity
-		// resource — which is the caller's own group, since touching another
-		// process requires having claimed it in the footprint.
-		g := e.groupFor(p.res)
-		if at < g.now {
-			at = g.now
-		}
-		if p.state == stateDone || (p.lastWakeLive && p.lastWakeAt == at) {
-			g.stats.CoalescedWakes++
-			return
-		}
-		g.pushLocal(at, hkey{}, event{arg: p})
-		p.lastWakeAt = at
-		p.lastWakeLive = true
-		return
-	}
 	if at < e.now {
 		at = e.now
 	}

@@ -2,24 +2,21 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"testing"
 )
 
-// bothWorlds runs a quiesce case in the two shapes a world can take: one that
-// declares nothing, so every epoch is one Global group, and one where every
-// proc owns a resource of its own, so epochs split into independent groups.
-// own declares p's resource in the second shape and returns the tags for
-// callbacks that touch p's state (none in the first shape: they stay Global).
-func bothWorlds(t *testing.T, body func(t *testing.T, own func(p *Proc, r Res) []Res)) {
+// bothWorlds runs a quiesce case twice: once as is, and once with every proc
+// calling the resource shims (SetRes, SetFootprint), which the benchmark's
+// drivers still call and which must change nothing.
+func bothWorlds(t *testing.T, body func(t *testing.T, own func(p *Proc, r Res))) {
 	t.Run("nothing declared", func(t *testing.T) {
-		body(t, func(*Proc, Res) []Res { return nil })
+		body(t, func(*Proc, Res) {})
 	})
 	t.Run("every proc declares", func(t *testing.T) {
-		body(t, func(p *Proc, r Res) []Res {
-			own(p, r)
-			return []Res{r}
+		body(t, func(p *Proc, r Res) {
+			p.SetRes(r)
+			p.SetFootprint(func(buf []Res) []Res { return append(buf, r) })
 		})
 	})
 }
@@ -28,7 +25,7 @@ func bothWorlds(t *testing.T, body func(t *testing.T, own func(p *Proc, r Res) [
 // event, including ones scheduled later in virtual time than the callback's
 // registration point.
 func TestAtQuiesceFiresAtDrain(t *testing.T) {
-	bothWorlds(t, func(t *testing.T, own func(*Proc, Res) []Res) {
+	bothWorlds(t, func(t *testing.T, own func(*Proc, Res)) {
 		e := NewEngine()
 		var order []string
 		p := e.Go("worker", func(p *Proc) {
@@ -36,8 +33,9 @@ func TestAtQuiesceFiresAtDrain(t *testing.T) {
 			p.Sleep(10 * Microsecond)
 			order = append(order, "slept")
 		})
+		own(p, 1)
 		e.AtQuiesce(func() { order = append(order, "quiesce") })
-		e.AtRes(5*Microsecond, func() { order = append(order, "callback") }, own(p, 1)...)
+		e.At(5*Microsecond, func() { order = append(order, "callback") })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +50,7 @@ func TestAtQuiesceFiresAtDrain(t *testing.T) {
 // not a deadlock, later quiesce callbacks wait for the next drain, and Now in
 // the callback is the time of the last event dispatched before the drain.
 func TestAtQuiesceReleasesParkedProc(t *testing.T) {
-	bothWorlds(t, func(t *testing.T, own func(*Proc, Res) []Res) {
+	bothWorlds(t, func(t *testing.T, own func(*Proc, Res)) {
 		e := NewEngine()
 		released := false
 		var resumedAt Time
@@ -82,8 +80,7 @@ func TestAtQuiesceReleasesParkedProc(t *testing.T) {
 	})
 }
 
-// The same holds in a mixed world, where one proc declares a resource and the
-// other stays on Global.
+// The same holds in a world where only one proc calls the resource shims.
 func TestAtQuiesceMixedWorld(t *testing.T) {
 	e := NewEngine()
 	const rcount = Res(1)
@@ -130,7 +127,7 @@ func TestAtQuiesceDeadlockStillReported(t *testing.T) {
 // fires at the message-flow drain, with the alarm still queued, and the alarm
 // itself still fires at its own time afterwards.
 func TestAtQuiesceIgnoresBackgroundAlarms(t *testing.T) {
-	bothWorlds(t, func(t *testing.T, own func(*Proc, Res) []Res) {
+	bothWorlds(t, func(t *testing.T, own func(*Proc, Res)) {
 		e := NewEngine()
 		const alarmAt = Millisecond
 		var quiesceAt, alarmFiredAt Time = -1, -1
@@ -144,7 +141,7 @@ func TestAtQuiesceIgnoresBackgroundAlarms(t *testing.T) {
 			// Sleep past the alarm so the run does not end before it fires.
 			pp.Sleep(2 * alarmAt)
 		})
-		split := own(p, 1) != nil
+		own(p, 1)
 		e.AtBackground(alarmAt, func() {
 			order = append(order, "alarm")
 			alarmFiredAt = e.Now()
@@ -164,36 +161,8 @@ func TestAtQuiesceIgnoresBackgroundAlarms(t *testing.T) {
 		if quiesceAt != 3*Microsecond {
 			t.Errorf("quiesce fired at %v, want 3us (before the %v alarm)", quiesceAt, Time(alarmAt))
 		}
-		// The alarm is alone in the Global group once the waiter owns its own
-		// resource, and Now in an epoch of several groups is the epoch floor.
-		if !split && alarmFiredAt != alarmAt {
+		if alarmFiredAt != alarmAt {
 			t.Errorf("background alarm fired at %v, want %v", alarmFiredAt, Time(alarmAt))
 		}
 	})
-}
-
-// A process that yields to regroup while a background alarm is the only
-// queued event resumes — at its own, earlier, virtual time — before the alarm
-// fires: the spilled resume timer is work the queue cannot show.
-func TestYieldRegroupResumesBeforeBackgroundAlarm(t *testing.T) {
-	for _, declare := range []bool{false, true} {
-		e := NewEngine()
-		var order []string
-		p := e.Go("yielder", func(p *Proc) {
-			p.Sleep(3 * Microsecond)
-			p.YieldRegroup()
-			order = append(order, fmt.Sprintf("resumed@%v", p.Now()))
-		})
-		if declare {
-			p.SetFootprint(func(buf []Res) []Res { return append(buf, Global) })
-		}
-		e.AtBackground(Millisecond, func() { order = append(order, fmt.Sprintf("alarm@%v", e.Now())) })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		want := []string{"resumed@" + (3 * Microsecond).String(), "alarm@" + Millisecond.String()}
-		if !slices.Equal(order, want) {
-			t.Errorf("declare=%v: order = %v, want %v", declare, order, want)
-		}
-	}
 }

@@ -8,22 +8,23 @@ import (
 )
 
 // TestEventLayout pins the sizes the slab's bytes follow from: a payload is at
-// most 40 bytes, and its flags ride in the key's padding.
+// most 24 bytes, and its flags ride in the key's padding.
 func TestEventLayout(t *testing.T) {
-	if size := unsafe.Sizeof(event{}); size > 40 {
-		t.Errorf("an event is %d bytes, want <= 40: every pending event of a world is one", size)
+	if size := unsafe.Sizeof(event{}); size > 24 {
+		t.Errorf("an event is %d bytes, want <= 24: every pending event of a world is one", size)
 	}
 	if size := unsafe.Sizeof(hkey{}); size != 24 {
 		t.Errorf("a queue key is %d bytes, want 24: the flags must fit in its padding", size)
 	}
 }
 
-// TestSchedulingAllocatesNothing: At, AtBackground and AtRes store a prebuilt
+// TestSchedulingAllocatesNothing: At and AtBackground store a prebuilt
 // closure behind the callFn trampoline, so scheduling a callback allocates no
 // more than AtArg does — nothing, once the queue and the slab have room.
 func TestSchedulingAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
+	arg := new(int)
 	drain := func() {
 		for e.q.len() > 0 {
 			e.slab.vacate(e.q.pop().slot)
@@ -32,7 +33,7 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 	for name, schedule := range map[string]func(){
 		"At":           func() { e.At(1, fn) },
 		"AtBackground": func() { e.AtBackground(1, fn) },
-		"AtRes":        func() { e.AtRes(1, fn, 3) },
+		"AtArg":        func() { e.AtArg(1, func(any) {}, arg) },
 	} {
 		if got := testing.AllocsPerRun(100, func() { schedule(); drain() }); got != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, got)
@@ -43,10 +44,7 @@ func TestSchedulingAllocatesNothing(t *testing.T) {
 // doubler is one rank of a recursive-doubling exchange repeated over and over:
 // at step s it sends to rank^(1<<(s%log2 n)) through that rank's inbox, waits
 // for the partner's message of the same step, then computes for a time that
-// depends on its rank. Its footprint is itself and its current partner, so
-// ranks that drift apart chain into groups that merge and split from one
-// epoch to the next, and a rank that reaches a partner its group does not own
-// regroups.
+// depends on its rank, so ranks drift apart and meet again.
 type doubler struct {
 	rank, step, steps, logN int
 	procs                   []*Proc
@@ -59,10 +57,6 @@ func (d *doubler) partner() int { return d.rank ^ 1<<(d.step%d.logN) }
 func (d *doubler) Step(p *Proc) Flow {
 	if !d.waiting {
 		peer := d.partner()
-		if !p.CanTouch(Res(1 + peer)) {
-			p.YieldRegroup()
-			return More
-		}
 		d.inbox[peer][d.step]++
 		d.procs[peer].UnparkAt(p.Now())
 		d.waiting = true
@@ -85,7 +79,6 @@ func (d *doubler) Step(p *Proc) Flow {
 func doublingWorld(t *testing.T, n, rounds int) *Engine {
 	t.Helper()
 	e := NewEngine()
-	e.SetWorkers(1)
 	logN := 0
 	for 1<<logN < n {
 		logN++
@@ -97,19 +90,6 @@ func doublingWorld(t *testing.T, n, rounds int) *Engine {
 		inbox[r] = make([]uint8, steps)
 		d := &doubler{rank: r, steps: steps, logN: logN, procs: procs, inbox: inbox}
 		procs[r] = e.GoMachine(fmt.Sprint("r", r), d)
-		procs[r].SetRes(Res(1 + r))
-		procs[r].SetFootprint(func(buf []Res) []Res {
-			if d.step == d.steps {
-				return append(buf, Res(1+r))
-			}
-			// Claims accumulate over a round and are dropped at the next:
-			// groups grow from pairs to halves of the world, then split.
-			buf = append(buf, Res(1+r))
-			for k := 0; k <= d.step%logN; k++ {
-				buf = append(buf, Res(1+(r^1<<k)))
-			}
-			return buf
-		})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -133,10 +113,10 @@ func slabSlots(e *Engine) int {
 
 // TestEventSlotsPerProcStayFlat is the regression test for the term that made
 // a world's bytes per rank grow with its rank count: payload storage kept per
-// epoch group, which grew to the largest group ever formed at its index. With
-// one slab per engine, the slots a world hands out per proc do not depend on
-// how many procs there are, and the slab holds at most twice the most events
-// ever pending.
+// group of an epoch, which grew to the largest group ever formed at its index.
+// With one slab per engine, the slots a world hands out per proc do not depend
+// on how many procs there are, and the slab holds at most twice the most
+// events ever pending.
 func TestEventSlotsPerProcStayFlat(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("4096-proc world: skipped under -short and -race")
@@ -147,11 +127,8 @@ func TestEventSlotsPerProcStayFlat(t *testing.T) {
 		st := e.Stats()
 		slots := slabSlots(e)
 		perProc = append(perProc, float64(e.slab.next)/float64(n))
-		t.Logf("%5d procs: %d slots handed out (%.2f per proc), %d allocated, %d peak pending, %d epochs, widest %d",
-			n, e.slab.next, perProc[len(perProc)-1], slots, st.MaxHeapDepth, st.ParallelBatches, st.MaxBatchWidth)
-		if st.MaxBatchWidth < n/8 || st.RegroupYields == 0 {
-			t.Fatalf("%d procs: widest epoch %d groups, %d regroup yields; the world does not exercise grouping", n, st.MaxBatchWidth, st.RegroupYields)
-		}
+		t.Logf("%5d procs: %d slots handed out (%.2f per proc), %d allocated, %d peak pending",
+			n, e.slab.next, perProc[len(perProc)-1], slots, st.MaxHeapDepth)
 		if slots > 2*st.MaxHeapDepth {
 			t.Errorf("%d procs: %d slots allocated for at most %d pending events, want <= 2x", n, slots, st.MaxHeapDepth)
 		}
@@ -162,12 +139,11 @@ func TestEventSlotsPerProcStayFlat(t *testing.T) {
 	}
 }
 
-// TestSlotHandOutUnderContention: 128 groups each create, within one epoch,
-// more events than the first two segments hold, so the slab grows while the
-// groups of one epoch take and return slots in turn. Every event must run
-// once, in its group's time order, and every slot must come back exactly
-// once. (The name is kept stable from when the groups raced each other for
-// slots.)
+// TestSlotHandOutUnderContention: 128 chains of callbacks each create bursts
+// of more events than the first two segments hold, so the slab grows while
+// the chains take and return slots in turn. Every event must run once, in its
+// chain's time order, and every slot must come back exactly once. (The name
+// is kept stable from when groups of an epoch raced each other for slots.)
 func TestSlotHandOutUnderContention(t *testing.T) {
 	const groups, burst, bursts = 128, 100, 3
 	if burst <= 3*firstSeg {
@@ -176,22 +152,22 @@ func TestSlotHandOutUnderContention(t *testing.T) {
 	e := NewEngine()
 	ran := make([][]Time, groups)
 	for g := 0; g < groups; g++ {
-		res, left := Res(1+g), bursts
+		left := bursts
 		var spawn func(now Time)
 		spawn = func(now Time) {
 			left--
 			for j := 0; j < burst; j++ {
 				at := now + Time(1+j%7)*Nanosecond
 				last := j == burst-1 && left > 0
-				e.AtRes(at, func() {
+				e.At(at, func() {
 					ran[g] = append(ran[g], at)
 					if last {
 						spawn(at)
 					}
-				}, res)
+				})
 			}
 		}
-		e.AtRes(0, func() { spawn(0) }, res)
+		e.At(0, func() { spawn(0) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -209,15 +185,12 @@ func TestSlotHandOutUnderContention(t *testing.T) {
 	if e.slab.segs == nil || e.slab.segs[2] == nil {
 		t.Fatal("the slab never grew past its first segment")
 	}
-	if st := e.Stats(); st.MaxBatchWidth < groups {
-		t.Fatalf("widest epoch has %d groups, want %d", st.MaxBatchWidth, groups)
-	}
 	for g := range ran {
 		if len(ran[g]) != bursts*burst {
-			t.Fatalf("group %d ran %d events, want %d", g, len(ran[g]), bursts*burst)
+			t.Fatalf("chain %d ran %d events, want %d", g, len(ran[g]), bursts*burst)
 		}
 		if !slices.IsSorted(ran[g]) {
-			t.Fatalf("group %d ran its events out of time order", g)
+			t.Fatalf("chain %d ran its events out of time order", g)
 		}
 	}
 }

@@ -1,12 +1,9 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 // Every simulated process (an MPI rank, in this repository) has its own
 // virtual clock and runs only while the engine has handed it control. The
-// engine dispatches in epochs: pending events are partitioned by the
-// resources they declare into causally independent groups, and each group
-// runs its events in virtual-time order, one group after another. One
-// goroutine dispatches an engine, so simulations are bit-reproducible on any
-// host: state guarded by a resource is only ever touched by the group that
-// owns it, or by the scheduler between epochs.
+// engine pops one queue of pending events in (virtual time, sequence) order,
+// and one goroutine dispatches it, so simulations are bit-reproducible on any
+// host.
 package sim
 
 import (

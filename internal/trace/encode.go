@@ -25,7 +25,7 @@ const magic = "cmpi-trace v1"
 // tables from the header, so a larger claim is refused, not allocated.
 const maxRanks = 1 << 20
 
-// Trace is a fully parsed trace: the header plus every record in commit
+// Trace is a fully parsed trace: the header plus every record in dispatch
 // order.
 type Trace struct {
 	// Ranks is the job size the trace was recorded from.
@@ -33,7 +33,7 @@ type Trace struct {
 	// Cell is the SHM ring cell payload size the job ran with; the replayer
 	// needs it to reconstruct per-fragment SHM operation counts.
 	Cell int
-	// Records holds the records in recorded (commit) order.
+	// Records holds the records in recorded (dispatch) order.
 	Records []Record
 }
 

@@ -4,14 +4,14 @@
 // that reconstructs per-channel profile counters, message-size histograms,
 // and per-path latency from the trace alone — no rank goroutines, no world.
 //
-// Recording keeps epoch groups: records ride the engine's emitter
-// (sim.Proc.Emit), which buffers per epoch group and flushes in the
-// deterministic (t, group, seq) commit order, so a traced world keeps its
-// footprints and a successful run produces a byte-identical trace from run
-// to run. Records appear in commit order:
-// causally related records are ordered (a receive never precedes its send),
-// but timestamps are not globally monotone — one epoch group may run ahead
-// of another in virtual time before the barrier.
+// Records ride the engine's emitter (sim.Proc.Emit), which hands each one to
+// the recorder the moment a rank emits it, and fault hooks add theirs
+// directly. So records appear in dispatch order — the order the engine runs
+// the events that emit them, (virtual time, sequence) — and a successful run
+// produces a byte-identical trace from run to run. Causally related records
+// are ordered (a receive never precedes its send), but timestamps are not
+// monotone: a record carries its rank's clock, which runs ahead of the
+// engine's while the rank charges local work (Proc.Advance).
 package trace
 
 import (
