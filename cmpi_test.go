@@ -331,10 +331,8 @@ func TestReadmeEnvTableMatchesSources(t *testing.T) {
 
 // TestDocsNameOnlyExistingReproFlags keeps the docs from sending a reader to a
 // flag that is gone: every flag on a `repro` or `cmpirun` command line in the
-// top-level docs, docs/*.md (not the per-change records under docs/perf/,
-// which describe their own tree), the verify skill and the CI workflow is one
-// that command defines. A command line runs to the end of the line, a closing
-// backtick or a shell operator.
+// docs readCommandDocs lists is one that command defines. A command line runs
+// to the end of the line, a closing backtick or a shell operator.
 func TestDocsNameOnlyExistingReproFlags(t *testing.T) {
 	defined := map[string]map[string]bool{}
 	for _, cmd := range []string{"repro", "cmpirun"} {
@@ -343,27 +341,17 @@ func TestDocsNameOnlyExistingReproFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 		defined[cmd] = map[string]bool{}
-		for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z][a-z0-9-]*)"`).FindAllSubmatch(src, -1) {
+		for _, m := range regexp.MustCompile(`\b(?:flag|fs)\.\w+\("([a-z][a-z0-9-]*)"`).FindAllSubmatch(src, -1) {
 			defined[cmd][string(m[1])] = true
 		}
 		if len(defined[cmd]) == 0 {
 			t.Fatalf("found no flag defined in cmd/%s/main.go; the scan is broken", cmd)
 		}
 	}
-	docs, err := filepath.Glob("docs/*.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
-		".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
 	line := regexp.MustCompile("\\b(repro|cmpirun)((?:[ \t]+[^ \t\n`|;&<>()]+)+)")
 	flag := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 	checked := 0
-	for _, path := range docs {
-		text, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for path, text := range readCommandDocs(t) {
 		for _, m := range line.FindAllSubmatch(text, -1) {
 			cmd := string(m[1])
 			for _, arg := range strings.Fields(string(m[2])) {
@@ -379,4 +367,63 @@ func TestDocsNameOnlyExistingReproFlags(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("found no documented flag; the scan is broken")
 	}
+}
+
+// TestDocsNameOnlyExistingCommands keeps the same docs from sending a reader
+// to a command that is gone: every `go run ./<dir>` names a directory that
+// holds a package main.
+func TestDocsNameOnlyExistingCommands(t *testing.T) {
+	goRun := regexp.MustCompile(`go run \./([A-Za-z0-9_./-]*[A-Za-z0-9_-])`)
+	pkgMain := regexp.MustCompile(`(?m)^package main$`)
+	checked := 0
+	for path, text := range readCommandDocs(t) {
+		for _, m := range goRun.FindAllSubmatch(text, -1) {
+			checked++
+			dir := string(m[1])
+			srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			isMain := false
+			for _, src := range srcs {
+				text, err := os.ReadFile(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.HasSuffix(src, "_test.go") && pkgMain.Match(text) {
+					isMain = true
+					break
+				}
+			}
+			if !isMain {
+				t.Errorf("%s says go run ./%s, which holds no package main", path, dir)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no documented go run; the scan is broken")
+	}
+}
+
+// readCommandDocs returns the text of every doc that tells a reader what to
+// run, by path: the top-level docs, docs/*.md (not the per-change records
+// under docs/perf/, which describe their own tree), the verify skill and the
+// CI workflow.
+func readCommandDocs(t *testing.T) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, "README.md", "DESIGN.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
+		".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml")
+	docs := map[string][]byte{}
+	for _, path := range paths {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[path] = text
+	}
+	return docs
 }

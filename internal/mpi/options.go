@@ -58,9 +58,7 @@ type Options struct {
 	// stages). The zero value is the paper's testbed: one non-blocking
 	// crossbar, byte-identical to the runtime before topology existed. A
 	// non-trivial topology adds per-hop latency and per-spine contention to
-	// inter-rack transfers; every spine switch a cross-rack pair can book is a
-	// declared dispatch resource, so racked worlds keep their independent
-	// groups.
+	// inter-rack transfers.
 	Topology ib.Topology
 }
 
