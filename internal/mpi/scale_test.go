@@ -80,3 +80,27 @@ func TestScaleSingletons(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleTimesPinned pins, to the picosecond, the completion time of every
+// configuration a caller runs: the ext-scale table's 256, 1024 and 4096 ranks
+// (the last is also `repro -ranks 4096`) and the benchmark's 4096-rank,
+// four-iteration world, all at 32 ranks per host and 1 MiB on ext-scale's fat
+// tree.
+func TestScaleTimesPinned(t *testing.T) {
+	fatTree := ib.Topology{RackSize: 8, SpineStages: 2, SpinesPerStage: 4, HopLatency: 150 * sim.Nanosecond}
+	for _, tc := range []struct {
+		ranks, iters, hosts, racks int
+		want                       sim.Time
+	}{
+		{256, 1, 8, 1, 6461100484},
+		{1024, 1, 32, 4, 7515682476},
+		{4096, 1, 128, 16, 11783250324},
+		{4096, 4, 128, 16, 43485631317},
+	} {
+		res := runScale(t, ScaleOptions{Ranks: tc.ranks, RanksPerHost: 32, Bytes: 1 << 20, Iters: tc.iters, Topology: fatTree})
+		if res.Time != tc.want || res.Hosts != tc.hosts || res.Racks != tc.racks {
+			t.Errorf("%d ranks x %d iters: time %d ps on %d hosts / %d racks, want %d ps on %d / %d",
+				tc.ranks, tc.iters, int64(res.Time), res.Hosts, res.Racks, int64(tc.want), tc.hosts, tc.racks)
+		}
+	}
+}
