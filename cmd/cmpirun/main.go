@@ -164,12 +164,12 @@ func run(args []string, env map[string]string, stdout io.Writer) error {
 
 	// MVAPICH2-compatible environment variables override flags, so scripts
 	// written for the real library drive the simulation unchanged.
+	opts.Profile = *profileFlag
+	opts.HierarchicalCollectives = *hier
 	opts, err = cmpi.OptionsFromEnv(opts, env)
 	if err != nil {
 		return err
 	}
-	opts.Profile = *profileFlag
-	opts.HierarchicalCollectives = *hier
 	if *traceFlag {
 		opts.Record = cmpi.NewTraceRecorder(os.Stderr)
 	}

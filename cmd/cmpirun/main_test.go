@@ -65,3 +65,28 @@ func TestRunEveryWorkload(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEnvironmentOverridesFlags: MV2_USE_HIERARCHICAL_COLL=1 without -hier
+// runs the same hierarchical collectives as -hier, and =0 turns -hier off.
+func TestRunEnvironmentOverridesFlags(t *testing.T) {
+	base := []string{"-workload", "osu-allreduce", "-hosts", "4", "-containers", "4", "-procs", "32", "-max", "1024", "-iters", "4"}
+	report := func(args []string, env map[string]string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(args, env, &out); err != nil {
+			t.Fatalf("run %q with %v: %v", args, env, err)
+		}
+		return out.String()
+	}
+	flat := report(base, nil)
+	hier := report(append(base, "-hier"), nil)
+	if hier == flat {
+		t.Fatalf("-hier printed the flat report:\n%s", flat)
+	}
+	if got := report(base, map[string]string{"MV2_USE_HIERARCHICAL_COLL": "1"}); got != hier {
+		t.Errorf("MV2_USE_HIERARCHICAL_COLL=1 printed\n%s\nwant the -hier report\n%s", got, hier)
+	}
+	if got := report(append(base, "-hier"), map[string]string{"MV2_USE_HIERARCHICAL_COLL": "0"}); got != flat {
+		t.Errorf("-hier with MV2_USE_HIERARCHICAL_COLL=0 printed\n%s\nwant the flat report\n%s", got, flat)
+	}
+}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,130 +33,172 @@ import (
 	"cmpi/internal/trace"
 )
 
+// errDiverged is run's error when -trace-diff finds the two traces differ.
+// The first divergent record has already been written to stdout.
+var errDiverged = errors.New("traces diverge")
+
+// usageError is input run cannot act on: a bad flag, an unknown experiment,
+// or -trace-diff files it cannot read. main exits 2 on it, as flag does.
+type usageError struct{ error }
+
 func main() {
-	figID := flag.String("fig", "all", "experiment id (fig1, fig3a, fig3bc, tableI, fig7a..c, fig8..12, ext-scaling, ext-scale, ext-faults, ext-recovery, ext-mltrain) or 'all'")
-	full := flag.Bool("full", false, "run at the paper's full deployment geometry (slower)")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text (for plotting)")
-	workers := flag.Int("j", 0, "experiment sweep workers; 0 = CMPI_SWEEP_WORKERS env or GOMAXPROCS (tables are byte-identical for any value)")
-	traceOut := flag.String("trace-out", "", "record the canonical trace job to this file and exit")
-	traceJob := flag.String("trace-job", "golden", "trace job for -trace-out: golden (16 ranks, trivial topology) or fattree (32 ranks on a 2-rack fat tree)")
-	replay := flag.String("replay", "", "replay a recorded trace: reconstruct and print its counters, then exit")
-	traceDiff := flag.Bool("trace-diff", false, "compare the two trace files given as arguments; exit 1 on divergence")
-	faultSeed := flag.Int64("fault-seed", -1, "run the seeded chaos harness: fault.RandomPlan(seed) plus a crash, ddmin-shrunk to the minimal failing repro")
-	ranks := flag.Int("ranks", 0, "run the scale-proxy allreduce at this many ranks and report its virtual and host time")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of whatever this invocation runs to this file (read with go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile, taken as the run ends, to this file (go tool pprof -sample_index=alloc_space)")
-	flag.Parse()
-	defer startProfiles(*cpuProfile, *memProfile)()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errDiverged):
+		os.Exit(1)
+	case errors.As(err, &usage):
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the one mode they select and writes its report to
+// stdout. The first mode flag set wins, in the order of the switch below.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figID := fs.String("fig", "all", "experiment id (fig1, fig3a, fig3bc, tableI, fig7a..c, fig8..12, ext-scaling, ext-scale, ext-faults, ext-recovery, ext-mltrain) or 'all'")
+	full := fs.Bool("full", false, "run at the paper's full deployment geometry (slower)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text (for plotting)")
+	workers := fs.Int("j", 0, "experiment sweep workers; 0 = GOMAXPROCS, capped by available memory (tables are byte-identical for any value)")
+	traceOut := fs.String("trace-out", "", "record the canonical trace job to this file and exit")
+	traceJob := fs.String("trace-job", "golden", "trace job for -trace-out: golden (16 ranks, trivial topology) or fattree (32 ranks on a 2-rack fat tree)")
+	replay := fs.String("replay", "", "replay a recorded trace: reconstruct and print its counters, then exit")
+	traceDiff := fs.Bool("trace-diff", false, "compare the two trace files given as arguments; exit 1 on divergence")
+	faultSeed := fs.Int64("fault-seed", -1, "run the seeded chaos harness: fault.RandomPlan(seed) plus a crash, ddmin-shrunk to the minimal failing repro")
+	ranks := fs.Int("ranks", 0, "run the scale-proxy allreduce at this many ranks and report its virtual and host time")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of whatever this invocation runs to this file (read with go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile, taken as the run ends, to this file (go tool pprof -sample_index=alloc_space)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
+	stop, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Println(e.ID)
+			fmt.Fprintln(stdout, e.ID)
 		}
-		return
+		return nil
 	}
 	experiments.SetWorkers(*workers)
+	defer experiments.SetWorkers(0)
 	scale := experiments.Quick
 	if *full {
 		scale = experiments.Full
 	}
-	// fail ends the process when a mode's err is set; the first mode flag set
-	// wins, in the order below.
-	fail := func(mode string, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", mode, err)
-			os.Exit(1)
-		}
-	}
-	run := func(e experiments.Experiment) {
+	runOne := func(e experiments.Experiment) error {
 		start := time.Now()
 		tab, err := e.Run(scale)
-		fail(e.ID, err)
-		if *csv {
-			fmt.Printf("# %s: %s\n", tab.ID, tab.Title)
-			tab.RenderCSV(os.Stdout)
-			fmt.Println()
-			return
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		tab.Render(os.Stdout)
-		fmt.Printf("  (generated in %.1fs host time)\n\n", time.Since(start).Seconds())
+		if *csv {
+			fmt.Fprintf(stdout, "# %s: %s\n", tab.ID, tab.Title)
+			tab.RenderCSV(stdout)
+			fmt.Fprintln(stdout)
+			return nil
+		}
+		tab.Render(stdout)
+		fmt.Fprintf(stdout, "  (generated in %.1fs host time)\n\n", time.Since(start).Seconds())
+		return nil
+	}
+	// mode names a failing mode's error, as main prints it.
+	mode := func(name string, err error) error {
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
 	}
 
 	switch {
 	case *ranks > 0:
-		fail("ranks", scaleReport(*ranks))
+		return mode("ranks", scaleReport(*ranks, stdout))
 	case *traceOut != "":
-		fail("trace-out", recordGolden(*traceOut, *traceJob))
+		return mode("trace-out", recordGolden(*traceOut, *traceJob, stderr))
 	case *replay != "":
 		// A recorded run's counters from its trace alone: no world is built.
 		tr, err := readTrace(*replay)
-		fail("replay", err)
-		trace.Replay(tr).Render(os.Stdout)
+		if err != nil {
+			return mode("replay", err)
+		}
+		trace.Replay(tr).Render(stdout)
+		return nil
 	case *traceDiff:
-		os.Exit(diffTraces(flag.Args()))
+		return diffTraces(fs.Args(), stdout)
 	case *faultSeed >= 0:
-		fail("fault-seed", experiments.Chaos(*faultSeed, scale, os.Stdout))
+		return mode("fault-seed", experiments.Chaos(*faultSeed, scale, stdout))
 	case *figID == "all":
 		for _, e := range experiments.All() {
-			run(e)
+			if err := runOne(e); err != nil {
+				return err
+			}
 		}
+		return nil
 	default:
 		e, ok := experiments.ByID(*figID)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *figID)
-			os.Exit(2)
+			return usageError{fmt.Errorf("unknown experiment %q; use -list", *figID)}
 		}
-		run(e)
+		return runOne(e)
 	}
 }
 
 // startProfiles starts the CPU profile, if asked for, and returns the function
 // that stops it and writes the allocation profile, if asked for. With both
-// paths empty neither does anything. A run that fails leaves through os.Exit
-// and skips the deferred stop: the profiles describe runs that finished.
-func startProfiles(cpuPath, memPath string) (stop func()) {
-	fail := func(flagName string, err error) {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", flagName, err)
-		os.Exit(1)
-	}
+// paths empty neither does anything.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpu *os.File
 	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err == nil {
-			err = pprof.StartCPUProfile(f)
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
-		if err != nil {
-			fail("cpuprofile", err)
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
-		cpu = f
 	}
-	return func() {
+	return func() error {
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			if err := cpu.Close(); err != nil {
-				fail("cpuprofile", err)
+				return fmt.Errorf("cpuprofile: %w", err)
 			}
 		}
 		if memPath == "" {
-			return
+			return nil
 		}
 		f, err := os.Create(memPath)
 		if err != nil {
-			fail("memprofile", err)
+			return fmt.Errorf("memprofile: %w", err)
 		}
 		runtime.GC() // the profile is complete only up to the last collection
 		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fail("memprofile", err)
+			f.Close()
+			return fmt.Errorf("memprofile: %w", err)
 		}
 		if err := f.Close(); err != nil {
-			fail("memprofile", err)
+			return fmt.Errorf("memprofile: %w", err)
 		}
-	}
+		return nil
+	}, nil
 }
 
-// recordGolden writes the selected golden trace job's v1 trace to path.
-func recordGolden(path, job string) error {
+// recordGolden writes the selected golden trace job's v1 trace to path and
+// says so on stderr.
+func recordGolden(path, job string, stderr io.Writer) error {
 	var rec func(io.Writer) error
 	switch job {
 	case "golden":
@@ -176,7 +219,7 @@ func recordGolden(path, job string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	fmt.Fprintf(stderr, "wrote %s\n", path)
 	return nil
 }
 
@@ -190,27 +233,26 @@ func readTrace(path string) (*trace.Trace, error) {
 	return trace.Read(f)
 }
 
-// diffTraces compares two trace files and returns the process exit code:
-// 0 when identical, 1 on divergence, 2 on usage or read errors.
-func diffTraces(paths []string) int {
+// diffTraces compares two trace files and writes the first divergent record,
+// or that they are identical, to stdout. It returns errDiverged when they
+// differ, and a usageError when it is not given two readable traces.
+func diffTraces(paths []string, stdout io.Writer) error {
 	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: repro -trace-diff A.trace B.trace")
-		return 2
+		return usageError{errors.New("usage: repro -trace-diff A.trace B.trace")}
 	}
 	var trs [2]*trace.Trace
 	for i, path := range paths {
 		var err error
 		if trs[i], err = readTrace(path); err != nil {
-			fmt.Fprintf(os.Stderr, "trace-diff: %s: %v\n", path, err)
-			return 2
+			return usageError{fmt.Errorf("trace-diff: %s: %w", path, err)}
 		}
 	}
 	if d := trace.Diff(trs[0], trs[1]); d != "" {
-		fmt.Println(d)
-		return 1
+		fmt.Fprintln(stdout, d)
+		return errDiverged
 	}
-	fmt.Println("traces identical")
-	return 0
+	fmt.Fprintln(stdout, "traces identical")
+	return nil
 }
 
 // scaleTopo is the fat tree the scale points run over (matches the ext-scale
@@ -218,15 +260,15 @@ func diffTraces(paths []string) int {
 var scaleTopo = ib.Topology{RackSize: 8, SpineStages: 2, SpinesPerStage: 4, HopLatency: 150 * sim.Nanosecond}
 
 // scaleReport runs the scale-proxy allreduce (1 MiB, 32 ranks/host) at n
-// ranks and prints the report behind `repro -ranks N`.
-func scaleReport(n int) error {
+// ranks and writes the report behind `repro -ranks N`.
+func scaleReport(n int, stdout io.Writer) error {
 	start := time.Now()
 	res, err := mpi.RunScale(mpi.ScaleOptions{Ranks: n, RanksPerHost: 32, Bytes: 1 << 20, Topology: scaleTopo})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scale allreduce: %d ranks, %d hosts, %d racks, algo %s\n", n, res.Hosts, res.Racks, res.Algo)
-	fmt.Printf("  virtual completion: %.3f ms\n", res.Time.Millis())
-	fmt.Printf("  %.2fs host\n", time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "scale allreduce: %d ranks, %d hosts, %d racks\n", n, res.Hosts, res.Racks)
+	fmt.Fprintf(stdout, "  virtual completion: %.3f ms\n", res.Time.Millis())
+	fmt.Fprintf(stdout, "  %.2fs host\n", time.Since(start).Seconds())
 	return nil
 }

@@ -1,28 +1,111 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestStartProfiles: off by default (no file, nothing started), and with
 // paths both profiles are on disk once the returned stop has run.
 func TestStartProfiles(t *testing.T) {
-	startProfiles("", "")()
+	mustStop := func(stop func() error, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustStop(startProfiles("", ""))
 
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
-	stop := startProfiles(cpu, mem)
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(mem); err == nil {
 		t.Error("the allocation profile was written before the run ended")
 	}
-	stop()
+	mustStop(stop, nil)
 	for _, p := range []string{cpu, mem} {
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Errorf("%s: missing or empty after stop (%v)", filepath.Base(p), err)
 		}
 	}
 	// A second CPU profile can start: the first one was really stopped.
-	startProfiles(filepath.Join(dir, "again.prof"), "")()
+	mustStop(startProfiles(filepath.Join(dir, "again.prof"), ""))
+}
+
+// repro runs the command with args and returns what it wrote to stdout.
+func repro(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	err := run(args, &stdout, &stderr)
+	return stdout.String(), err
+}
+
+// TestRunModes drives every mode through run and checks what each reports.
+func TestRunModes(t *testing.T) {
+	dir := t.TempDir()
+	golden, fattree := filepath.Join(dir, "golden.trace"), filepath.Join(dir, "fattree.trace")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-list"}, "\next-scale\n"},
+		{[]string{"-fig", "ext-scale"}, "  ranks  time (ms)\n  256    6.46     \n  1024   7.52     \n"},
+		{[]string{"-csv", "-fig", "ext-scale"}, "ranks,time (ms)\n256,6.46\n1024,7.52\n"},
+		{[]string{"-ranks", "64"}, "scale allreduce: 64 ranks, 2 hosts, 1 racks\n  virtual completion: 3.790 ms\n"},
+		{[]string{"-trace-out", golden}, ""},
+		{[]string{"-trace-out", fattree, "-trace-job", "fattree"}, ""},
+		{[]string{"-replay", golden}, "trace replay: 844 records, 16 ranks"},
+		{[]string{"-trace-diff", golden, golden}, "traces identical\n"},
+		{[]string{"-fault-seed", "42"}, "minimal repro: rank-crash rank=1 at=40.000us\n"},
+	} {
+		out, err := repro(t, tc.args...)
+		if err != nil {
+			t.Errorf("repro %q: %v", tc.args, err)
+			continue
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("repro %q printed\n%s\nwant it to contain %q", tc.args, out, tc.want)
+		}
+	}
+
+	out, err := repro(t, "-trace-diff", golden, fattree)
+	if !errors.Is(err, errDiverged) || !strings.Contains(out, "header differs: ranks=16") {
+		t.Errorf("-trace-diff of two jobs: error %v, output %q; want errDiverged and the first difference", err, out)
+	}
+}
+
+// TestRunRejectsBadInput: input run cannot act on is a named error, and the
+// ones main exits 2 on are usage errors.
+func TestRunRejectsBadInput(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	for _, tc := range []struct {
+		args  []string
+		want  string
+		usage bool
+	}{
+		{[]string{"-fig", "fig99"}, `unknown experiment "fig99"`, true},
+		{[]string{"-trace-out", filepath.Join(t.TempDir(), "x.trace"), "-trace-job", "nope"}, `unknown trace job "nope"`, false},
+		{[]string{"-trace-diff", missing}, "usage: repro -trace-diff A.trace B.trace", true},
+		{[]string{"-trace-diff", missing, missing}, "trace-diff: " + missing, true},
+		{[]string{"-nope"}, "flag provided but not defined: -nope", true},
+	} {
+		out, err := repro(t, tc.args...)
+		var usage usageError
+		if err == nil || !strings.Contains(err.Error(), tc.want) || errors.As(err, &usage) != tc.usage {
+			t.Errorf("repro %q: error %v, want one containing %q (usage error: %v)", tc.args, err, tc.want, tc.usage)
+		}
+		if out != "" {
+			t.Errorf("repro %q printed %q before failing", tc.args, out)
+		}
+	}
 }

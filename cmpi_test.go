@@ -290,7 +290,8 @@ func TestPublicFaultInjection(t *testing.T) {
 // TestReadmeEnvTableMatchesSources keeps the README's environment table
 // honest: the CMPI_* variables it lists are exactly the ones the library and
 // commands read (os.Getenv/os.LookupEnv in non-test sources outside bench/,
-// which is a module of its own).
+// which is a module of its own). Both are empty now: the library is
+// configured by options and MV2_* variables, the sweep width by repro -j.
 func TestReadmeEnvTableMatchesSources(t *testing.T) {
 	names := func(re *regexp.Regexp, text []byte, into map[string]bool) {
 		for _, m := range re.FindAllSubmatch(text, -1) {
@@ -304,6 +305,12 @@ func TestReadmeEnvTableMatchesSources(t *testing.T) {
 	documented, read := map[string]bool{}, map[string]bool{}
 	names(regexp.MustCompile("(?m)^\\| `(CMPI_[A-Z0-9_]+)` \\|"), readme, documented)
 	envRead := regexp.MustCompile(`os\.(?:Getenv|LookupEnv)\("(CMPI_[A-Z0-9_]+)"\)`)
+	for _, probe := range []string{`os.Getenv("CMPI_X")`, `os.LookupEnv("CMPI_X")`} {
+		if !envRead.MatchString(probe) {
+			t.Fatalf("the scan misses %s; it is broken", probe)
+		}
+	}
+	scanned := map[string]bool{}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -316,13 +323,16 @@ func TestReadmeEnvTableMatchesSources(t *testing.T) {
 		}
 		src, err := os.ReadFile(path)
 		names(envRead, src, read)
+		scanned[filepath.ToSlash(path)] = true
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(read) == 0 {
-		t.Fatal("found no CMPI_* variable read by the sources; the scan is broken")
+	for _, path := range []string{"cmd/repro/main.go", "internal/experiments/parallel.go", "internal/mpi/env.go"} {
+		if !scanned[path] {
+			t.Fatalf("the scan did not read %s; it is broken", path)
+		}
 	}
 	if !reflect.DeepEqual(documented, read) {
 		t.Errorf("README environment table lists %v; the sources read %v", documented, read)

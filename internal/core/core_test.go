@@ -17,6 +17,8 @@ func TestTunablesValidate(t *testing.T) {
 		{SMPEagerSize: 0, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, UseCMA: true},
 		{SMPEagerSize: 8192, SMPLengthQueue: 4096, IBAEagerThreshold: 1 << 14, UseCMA: true},
 		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 0, UseCMA: true},
+		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, RetryCount: -1},
+		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, RetryCount: MaxRetryCount + 1},
 	}
 	for i, tu := range bad {
 		if err := tu.Validate(); err == nil {

@@ -44,12 +44,18 @@ type Tunables struct {
 	// how many times the HCA retransmits an unacknowledged operation before
 	// completing it with an error and breaking the queue pair. 0 means "use
 	// the transport default" (7, the verbs maximum MVAPICH2 configures).
+	// Validate rejects anything above MaxRetryCount.
 	RetryCount int
 	// RetryTimeout is the base RC retransmission timeout; each retry doubles
 	// it (exponential backoff), mirroring the 4.096us * 2^MV2_DEFAULT_TIME_OUT
 	// encoding of the local ACK timeout. 0 means "use the transport default".
 	RetryTimeout sim.Time
 }
+
+// MaxRetryCount is the largest RC retry_cnt: the verbs field is 3 bits. The
+// retry timeout doubles on every retry, so a larger count would also run the
+// backoff past what virtual time can hold.
+const MaxRetryCount = 7
 
 // DefaultTunables returns the paper's container-tuned values.
 func DefaultTunables() Tunables {
@@ -59,7 +65,7 @@ func DefaultTunables() Tunables {
 		IBAEagerThreshold:       17 * 1024,
 		UseCMA:                  true,
 		AllreduceLargeThreshold: 16 * 1024,
-		RetryCount:              7,
+		RetryCount:              MaxRetryCount,
 		RetryTimeout:            RetryTimeoutFromExponent(2), // 4.096us * 2^2
 	}
 }
@@ -155,8 +161,8 @@ func (t Tunables) Validate() error {
 	if int(t.AllreduceAlgo) >= NumAllreduceAlgos {
 		return fmt.Errorf("tunables: allreduce algorithm code %d out of range", int(t.AllreduceAlgo))
 	}
-	if t.RetryCount < 0 {
-		return fmt.Errorf("tunables: retry count = %d, need >= 0", t.RetryCount)
+	if t.RetryCount < 0 || t.RetryCount > MaxRetryCount {
+		return fmt.Errorf("tunables: retry count = %d, need 0..%d (the verbs retry_cnt field is 3 bits)", t.RetryCount, MaxRetryCount)
 	}
 	if t.RetryTimeout < 0 {
 		return fmt.Errorf("tunables: retry timeout = %v, need >= 0", t.RetryTimeout)

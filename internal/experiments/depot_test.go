@@ -46,6 +46,8 @@ func TestDepotSharedBySweepWorkers(t *testing.T) {
 			digest string
 			depot  depotServed
 		}
+		defer SetWorkers(0)
+		SetWorkers(p.Sweep)
 		out, err := mapPoints(8, func(int) (point, error) {
 			digest, depot, err := depotPoint()
 			return point{digest, depot}, err

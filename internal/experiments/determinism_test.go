@@ -23,6 +23,8 @@ func quickTable(t *testing.T, id string, p invariant.Point) *Table {
 	if !ok {
 		t.Fatalf("unknown experiment %q", id)
 	}
+	defer SetWorkers(0)
+	SetWorkers(p.Sweep)
 	tbl, err := e.Run(Quick)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
@@ -73,8 +75,9 @@ func TestWorkersOverride(t *testing.T) {
 	if got := Workers(); got < 1 {
 		t.Fatalf("Workers() = %d after reset; want >= 1", got)
 	}
-	t.Setenv("CMPI_SWEEP_WORKERS", "2")
+	SetWorkers(2)
+	defer SetWorkers(0)
 	if got := Workers(); got != 2 {
-		t.Fatalf("Workers() = %d with CMPI_SWEEP_WORKERS=2", got)
+		t.Fatalf("Workers() = %d after SetWorkers(2)", got)
 	}
 }

@@ -20,17 +20,11 @@ import (
 var workerOverride atomic.Int64
 
 // Workers reports the sweep worker-pool size: an explicit SetWorkers value if
-// set, else the CMPI_SWEEP_WORKERS environment variable, else GOMAXPROCS
-// capped by available memory. Explicit settings are taken at face value; only
-// the default is memory-aware.
+// set, else GOMAXPROCS capped by available memory. An explicit setting is
+// taken at face value; only the default is memory-aware.
 func Workers() int {
 	if n := int(workerOverride.Load()); n > 0 {
 		return n
-	}
-	if s := os.Getenv("CMPI_SWEEP_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
 	}
 	n := runtime.GOMAXPROCS(0)
 	if cap := memWorkerCap(); cap > 0 && cap < n {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -30,21 +31,19 @@ func TestParseMemAvailable(t *testing.T) {
 }
 
 func TestWorkersRespectsExplicitSettings(t *testing.T) {
-	// Explicit settings must bypass the memory cap entirely.
-	SetWorkers(3)
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() = %d with SetWorkers(3)", got)
-	}
-	SetWorkers(0)
-	t.Setenv("CMPI_SWEEP_WORKERS", "7")
-	if got := Workers(); got != 7 {
-		t.Fatalf("Workers() = %d with CMPI_SWEEP_WORKERS=7", got)
+	// Explicit settings must bypass the memory cap entirely, even above
+	// GOMAXPROCS.
+	defer SetWorkers(0)
+	for _, n := range []int{3, runtime.GOMAXPROCS(0) + 5} {
+		SetWorkers(n)
+		if got := Workers(); got != n {
+			t.Fatalf("Workers() = %d with SetWorkers(%d)", got, n)
+		}
 	}
 }
 
 func TestWorkersDefaultIsPositive(t *testing.T) {
 	SetWorkers(0)
-	t.Setenv("CMPI_SWEEP_WORKERS", "")
 	if got := Workers(); got < 1 {
 		t.Fatalf("Workers() = %d, want >= 1", got)
 	}

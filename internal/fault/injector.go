@@ -30,51 +30,12 @@ func (e *AttachError) Error() string {
 // Unwrap exposes ErrInjected for errors.Is.
 func (e *AttachError) Unwrap() error { return ErrInjected }
 
-// Counters tallies fault-plan activity, for observability of runs under
-// injection. All counting happens in engine context, so plain fields are
-// race-free.
-type Counters struct {
-	// LinkStalls counts transfers deferred by a LinkFlap window.
-	LinkStalls uint64
-	// LoopStalls counts loopback transfers deferred by a LoopStall window.
-	LoopStalls uint64
-	// SendDrops counts transmissions dropped (each costs one retransmit).
-	SendDrops uint64
-	// ShmAttachFailures counts attaches failed by ShmAttachFail events.
-	ShmAttachFailures uint64
-	// CMAFailures counts process_vm_readv calls failed by CMAFail events.
-	CMAFailures uint64
-	// StragglerHits counts compute sections stretched by Straggler events.
-	StragglerHits uint64
-}
-
-// String renders the non-zero counters compactly.
-func (c Counters) String() string {
-	var parts []string
-	add := func(name string, v uint64) {
-		if v > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
-		}
-	}
-	add("linkStalls", c.LinkStalls)
-	add("loopStalls", c.LoopStalls)
-	add("sendDrops", c.SendDrops)
-	add("shmAttachFailures", c.ShmAttachFailures)
-	add("cmaFailures", c.CMAFailures)
-	add("stragglerHits", c.StragglerHits)
-	if len(parts) == 0 {
-		return "no faults fired"
-	}
-	return strings.Join(parts, " ")
-}
-
 // Injector is one job's live view of a Plan: window queries plus the
 // mutable budget state of counted events. Build one per World; injectors
 // must not be shared across concurrently running engines.
 type Injector struct {
 	events  []Event
 	budgets []int // remaining Count per event (-1 = unlimited)
-	ctr     Counters
 }
 
 // NewInjector validates the plan against the deployment geometry and
@@ -97,14 +58,6 @@ func NewInjector(p *Plan, hosts, ranks int) (*Injector, error) {
 		}
 	}
 	return in, nil
-}
-
-// Counters returns a snapshot of fault activity so far.
-func (in *Injector) Counters() Counters {
-	if in == nil {
-		return Counters{}
-	}
-	return in.ctr
 }
 
 // hostMatch reports whether event e targets host.
@@ -132,9 +85,6 @@ func (in *Injector) LinkReady(host int, t sim.Time) (sim.Time, bool) {
 			stalled, moved = true, true
 		}
 	}
-	if stalled {
-		in.ctr.LinkStalls++
-	}
 	return t, stalled
 }
 
@@ -154,9 +104,6 @@ func (in *Injector) LoopReady(host int, t sim.Time) (sim.Time, bool) {
 			t = e.At + e.Duration
 			stalled, moved = true, true
 		}
-	}
-	if stalled {
-		in.ctr.LoopStalls++
 	}
 	return t, stalled
 }
@@ -193,7 +140,6 @@ func (in *Injector) ConsumeSendDrop(host int, t sim.Time) bool {
 			continue
 		}
 		in.budgets[i]--
-		in.ctr.SendDrops++
 		return true
 	}
 	return false
@@ -216,7 +162,6 @@ func (in *Injector) ShmAttachFails(host int, name string, t sim.Time) bool {
 		if in.budgets[i] > 0 {
 			in.budgets[i]--
 		}
-		in.ctr.ShmAttachFailures++
 		return true
 	}
 	return false
@@ -236,7 +181,6 @@ func (in *Injector) CMAFails(host int, t sim.Time) bool {
 		if in.budgets[i] > 0 {
 			in.budgets[i]--
 		}
-		in.ctr.CMAFailures++
 		return true
 	}
 	return false
@@ -277,6 +221,5 @@ func (in *Injector) Stretch(rank int, t sim.Time, d sim.Time) sim.Time {
 	if factor == 1.0 {
 		return d
 	}
-	in.ctr.StragglerHits++
 	return sim.Time(float64(d) * factor)
 }

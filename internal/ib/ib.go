@@ -52,7 +52,6 @@ type Fabric struct {
 	inj      *fault.Injector
 	retryCnt int      // RC retry_cnt: max retransmissions before QP error
 	retryTO  sim.Time // base retransmission timeout; doubles per retry
-	stats    FaultStats
 
 	// trace, when installed, observes transport fault events (successful
 	// retransmission bursts and QP breaks) as they are scheduled, in
@@ -90,20 +89,11 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 	}
 }
 
-// FaultStats tallies transport-level fault handling on the fabric.
-type FaultStats struct {
-	// Retransmits counts dropped transmissions that were retried.
-	Retransmits uint64
-	// RetryExhausted counts operations that ran out of retries and completed
-	// with WCRetryExceeded, breaking their queue pair.
-	RetryExhausted uint64
-}
-
 // Default RC retry policy, used when SetFaults is given non-positive knobs:
 // 7 retries (the verbs maximum MVAPICH2 configures) over a 16.384us base
 // timeout (the 4.096us * 2^2 local-ACK-timeout encoding).
 const (
-	defaultRetryCount   = 7
+	defaultRetryCount   = core.MaxRetryCount
 	defaultRetryTimeout = sim.Time(16384) * sim.Nanosecond
 )
 
@@ -122,9 +112,6 @@ func (f *Fabric) SetFaults(inj *fault.Injector, retryCnt int, retryTO sim.Time) 
 		f.retryTO = defaultRetryTimeout
 	}
 }
-
-// FaultStats returns a snapshot of the fabric's fault-handling counters.
-func (f *Fabric) FaultStats() FaultStats { return f.stats }
 
 // TraceKind classifies one fabric trace event.
 type TraceKind uint8
@@ -629,10 +616,8 @@ func (f *Fabric) retrySchedule(host int, t0 sim.Time) (at sim.Time, retries int,
 		t += timeout
 		timeout *= 2
 		if retries > f.retryCnt {
-			f.stats.RetryExhausted++
 			return t, retries, false
 		}
-		f.stats.Retransmits++
 	}
 	if retries > 0 && f.trace != nil {
 		f.trace(TraceEvent{T: t, Kind: TraceRetransmit, Host: host, Retries: retries})

@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strconv"
 	"testing"
 
 	"cmpi/internal/core"
@@ -22,7 +21,7 @@ import (
 
 // Point is the host configuration of one run. Zero Sweep is 4.
 type Point struct {
-	Sweep      int  // experiment sweep workers (CMPI_SWEEP_WORKERS)
+	Sweep      int  // experiment sweep workers; a table's run applies it with experiments.SetWorkers
 	Record     bool // the program records a trace and returns its bytes
 	PoolStrict bool // core.SetPoolStrict: the depot poisoned, every drain checked
 	DropDepot  bool // the run starts on an empty depot
@@ -65,7 +64,6 @@ func Check(t *testing.T, run Run, base Point, points ...Point) Result {
 func At(t *testing.T, run Run, p Point) Result {
 	t.Helper()
 	p.Sweep = cmp.Or(p.Sweep, 4)
-	t.Setenv("CMPI_SWEEP_WORKERS", strconv.Itoa(p.Sweep))
 	if p.DropDepot {
 		core.DropDepot()
 	}

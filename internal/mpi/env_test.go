@@ -52,6 +52,16 @@ func TestOptionsFromEnvErrors(t *testing.T) {
 	if _, err := OptionsFromEnv(DefaultOptions(), map[string]string{"MV2_SMP_EAGERSIZE": "1M"}); err == nil {
 		t.Error("eager > length queue accepted")
 	}
+	// retry_cnt is a 3-bit verbs field: 7 is the largest count.
+	if _, err := OptionsFromEnv(DefaultOptions(), map[string]string{"MV2_DEFAULT_RETRY_COUNT": "7"}); err != nil {
+		t.Errorf("retry count 7 rejected: %v", err)
+	}
+	for _, val := range []string{"8", "64"} {
+		_, err := OptionsFromEnv(DefaultOptions(), map[string]string{"MV2_DEFAULT_RETRY_COUNT": val})
+		if err == nil || !strings.Contains(err.Error(), "retry count = "+val) {
+			t.Errorf("retry count %s: got %v, want an error naming the retry count", val, err)
+		}
+	}
 	// A product that does not fit an int is a parse error naming the variable:
 	// the first wrapped to 1024 and was accepted, the second wrapped negative
 	// and surfaced in a Validate message.

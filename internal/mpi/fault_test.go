@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"cmpi/internal/cluster"
 	"cmpi/internal/core"
 	"cmpi/internal/fault"
 	"cmpi/internal/ib"
@@ -162,6 +164,55 @@ func TestRetryExhaustionFatal(t *testing.T) {
 	}
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("err = %v, want errors.Is(err, fault.ErrInjected)", err)
+	}
+}
+
+// TestRetryCountCappedAtVerbsMaximum: retry_cnt is a 3-bit verbs field, and
+// the RC timeout doubles on every retry. At the maximum, 7, a message whose
+// every transmission drops exhausts its retries, and the receiver learns of it
+// only after the whole backoff. A larger count is refused: at 64 the backoff
+// overflowed virtual time and the receiver finished before the sender.
+func TestRetryCountCappedAtVerbsMaximum(t *testing.T) {
+	d, err := cluster.Native(cluster.MustNew(cluster.Spec{Hosts: 2, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.ErrHandler = ErrorsReturn
+	opts.FaultPlan = fault.NewPlan().SendDrops(0, 0, 0, 100)
+	for _, n := range []int{core.MaxRetryCount + 1, 64} {
+		opts.Tunables.RetryCount = n
+		if _, err := NewWorld(d, opts); err == nil || !strings.Contains(err.Error(), "retry count") {
+			t.Errorf("RetryCount %d: NewWorld error %v, want one naming the retry count", n, err)
+		}
+	}
+	opts.Tunables.RetryCount = core.MaxRetryCount
+	w, err := NewWorld(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done [2]sim.Time
+	if err := w.Run(func(r *Rank) error {
+		buf := make([]byte, 64)
+		if r.Rank() == 0 {
+			r.Send(1, 7, buf)
+		} else {
+			req := r.Irecv(0, 7, buf)
+			r.Wait(req)
+			if !errors.Is(req.Err(), fault.ErrInjected) {
+				t.Errorf("receive on a broken channel: error %v, want ErrInjected in chain", req.Err())
+			}
+		}
+		done[r.Rank()] = r.Now()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Eight transmissions over a doubling timeout: the pair breaks 255 base
+	// timeouts after the first post.
+	backoff := opts.Tunables.RetryTimeout * (1<<(core.MaxRetryCount+1) - 1)
+	if done[1] < backoff || done[1] < done[0] {
+		t.Errorf("receiver finished at %v, want after the %v backoff and after the sender (%v)", done[1], backoff, done[0])
 	}
 }
 

@@ -17,11 +17,10 @@ package mpi
 // levels (SHM-priced exchange inside a host, one IB flow per host inside a
 // rack, one flow per rack across the spine).
 //
-// Three allreduce algorithms mirror the full runtime's selector
-// (coll_select.go): ring reduce-scatter+allgather (bandwidth-optimal, any
-// rank count), recursive doubling (latency-optimal, power-of-two), and the
-// rack-hierarchical reduce/exchange/bcast. ScaleAuto picks by layout, like
-// autoAllreduce picks by size and locality.
+// The one algorithm is the rack-hierarchical allreduce: reduce inside each
+// host, then inside each rack, ring-exchange across rack leaders, and
+// broadcast back down. On one host it is a plain host reduce and broadcast;
+// with one rank per host, the host level is empty.
 //
 // Determinism: rank machines and delivery callbacks run on the engine's one
 // dispatch queue, in (virtual time, sequence) order.
@@ -36,38 +35,6 @@ import (
 	"cmpi/internal/sim"
 )
 
-// ScaleAlgo selects the proxy's allreduce algorithm.
-type ScaleAlgo uint8
-
-const (
-	// ScaleAuto picks by layout: hierarchical when there is locality to
-	// exploit (multiple ranks per host and multiple hosts), else recursive
-	// doubling for power-of-two worlds, else ring.
-	ScaleAuto ScaleAlgo = iota
-	// ScaleRing is reduce-scatter + allgather around a rank ring.
-	ScaleRing
-	// ScaleRD is recursive doubling (requires a power-of-two rank count).
-	ScaleRD
-	// ScaleHier reduces inside each host, then inside each rack, exchanges
-	// across racks, and broadcasts back down.
-	ScaleHier
-)
-
-// String names the algorithm for tables and bench output.
-func (a ScaleAlgo) String() string {
-	switch a {
-	case ScaleAuto:
-		return "auto"
-	case ScaleRing:
-		return "ring"
-	case ScaleRD:
-		return "rd"
-	case ScaleHier:
-		return "hier"
-	}
-	return fmt.Sprintf("algo(%d)", uint8(a))
-}
-
 // ScaleOptions configures one scale-proxy run.
 type ScaleOptions struct {
 	// Ranks is the world size. Required.
@@ -78,18 +45,12 @@ type ScaleOptions struct {
 	Bytes int
 	// Iters is the number of back-to-back allreduces (default 1).
 	Iters int
-	// Algo picks the algorithm (default ScaleAuto).
-	Algo ScaleAlgo
 	// Topology is the fabric hierarchy; trivial means one crossbar.
 	Topology ib.Topology
-	// Params is the cost model (zero value: perf.Default()).
-	Params perf.Params
 }
 
 // ScaleResult is one run's outcome.
 type ScaleResult struct {
-	// Algo is the resolved algorithm (never ScaleAuto).
-	Algo ScaleAlgo
 	// Time is the completion time of the slowest rank.
 	Time sim.Time
 	// Hosts and Racks describe the derived placement.
@@ -105,9 +66,7 @@ type ScaleResult struct {
 // each link monotonically), and hierarchical stages are gated by the
 // broadcast of the previous iteration.
 const (
-	slotRing      = 0 // ring predecessor chunks (ring algo, and hier's rack ring)
-	slotRD0       = 0 // recursive doubling, even global round
-	slotRD1       = 1 // recursive doubling, odd global round
+	slotRing      = 0 // rack-ring predecessor chunks
 	slotHostUp    = 1 // member contributions to the host leader
 	slotRackUp    = 2 // host-leader contributions to the rack leader
 	slotRackDown  = 3 // rack leader's broadcast to host leaders
@@ -144,19 +103,15 @@ type ScaleWorld struct {
 	fabric *ib.Fabric
 	prm    *perf.Params
 	opt    ScaleOptions
-	algo   ScaleAlgo
 	ranks  []scaleRank
 	hosts  int
 	racks  int
 
 	// Precomputed costs (virtual time) and sizes.
-	ringChunk  int      // ring: bytes per chunk
-	rackChunk  int      // hier: bytes per rack-ring chunk
-	ringReduce sim.Time // reduce one ring chunk
+	rackChunk  int      // bytes per rack-ring chunk
 	rackReduce sim.Time // reduce one rack-ring chunk
-	fullReduce sim.Time // reduce a full payload (RD, host/rack up)
+	fullReduce sim.Time // reduce a full payload (host/rack up)
 	fullCopy   sim.Time // copy a full payload (bcast receive)
-	rdRounds   int32
 	free       []*scaleMsg
 	done       int
 	endT       sim.Time
@@ -183,29 +138,11 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	if o.Iters <= 0 {
 		o.Iters = 1
 	}
-	if o.Params.IBBWInter <= 0 {
-		o.Params = perf.Default()
-	}
 	if err := o.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	hosts := (o.Ranks + o.RanksPerHost - 1) / o.RanksPerHost
 	racks := o.Topology.Racks(hosts)
-
-	algo := o.Algo
-	if algo == ScaleAuto {
-		switch {
-		case hosts > 1 && o.RanksPerHost > 1:
-			algo = ScaleHier
-		case o.Ranks&(o.Ranks-1) == 0:
-			algo = ScaleRD
-		default:
-			algo = ScaleRing
-		}
-	}
-	if algo == ScaleRD && o.Ranks&(o.Ranks-1) != 0 {
-		return nil, fmt.Errorf("scale: recursive doubling needs a power-of-two rank count (got %d)", o.Ranks)
-	}
 
 	eng := sim.NewEngine()
 	cores := (o.RanksPerHost + 1) / 2
@@ -216,24 +153,20 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	fabric := ib.NewFabric(eng, &o.Params, clu)
+	prm := perf.Default()
+	fabric := ib.NewFabric(eng, &prm, clu)
 	if err := fabric.SetTopology(o.Topology); err != nil {
 		return nil, err
 	}
 
 	w := &ScaleWorld{
-		eng: eng, fabric: fabric, prm: &o.Params, opt: o, algo: algo,
+		eng: eng, fabric: fabric, prm: &prm, opt: o,
 		hosts: hosts, racks: racks,
 	}
-	w.ringChunk = maxInt(o.Bytes/o.Ranks, 1)
-	w.rackChunk = maxInt(o.Bytes/maxInt(racks, 1), 1)
-	w.ringReduce = o.Params.MemCopy(w.ringChunk, false)
-	w.rackReduce = o.Params.MemCopy(w.rackChunk, false)
-	w.fullReduce = o.Params.MemCopy(o.Bytes, false)
-	w.fullCopy = o.Params.MemCopy(o.Bytes, false)
-	for r := int32(1); r < int32(o.Ranks); r <<= 1 {
-		w.rdRounds++
-	}
+	w.rackChunk = max(o.Bytes/max(racks, 1), 1)
+	w.rackReduce = prm.MemCopy(w.rackChunk, false)
+	w.fullReduce = prm.MemCopy(o.Bytes, false)
+	w.fullCopy = prm.MemCopy(o.Bytes, false)
 
 	w.ranks = make([]scaleRank, o.Ranks)
 	for i := range w.ranks {
@@ -250,16 +183,9 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		return nil, fmt.Errorf("scale: %d/%d ranks finished", w.done, o.Ranks)
 	}
 	return &ScaleResult{
-		Algo: algo, Time: w.endT, Hosts: hosts, Racks: racks,
+		Time: w.endT, Hosts: hosts, Racks: racks,
 		Sim: simStatsOf(eng.Stats()),
 	}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Layout helpers: the rack-level locality detector. Host co-residence is
@@ -375,91 +301,6 @@ func (r *scaleRank) finish(p *sim.Proc) sim.Flow {
 	return sim.Done
 }
 
-// Step dispatches to the resolved algorithm's state machine.
-func (r *scaleRank) Step(p *sim.Proc) sim.Flow {
-	switch r.w.algo {
-	case ScaleRing:
-		return r.stepRing(p)
-	case ScaleRD:
-		return r.stepRD(p)
-	default:
-		return r.stepHier(p)
-	}
-}
-
-// stepRing: reduce-scatter + allgather around the rank ring. 2(P-1) steps,
-// each sending one chunk to the successor and consuming one from the
-// predecessor (reducing during the first P-1 steps). Counter waits are safe
-// at any drift because all of a rank's inbound chunks ride the same
-// predecessor→rank path, which delivers FIFO.
-func (r *scaleRank) stepRing(p *sim.Proc) sim.Flow {
-	w := r.w
-	P := int32(len(w.ranks))
-	iters := int32(w.opt.Iters)
-	if P == 1 {
-		r.iter = iters
-	}
-	switch r.pc {
-	case 0:
-		if r.iter >= iters {
-			return r.finish(p)
-		}
-		w.send(p, (r.id+1)%P, w.ringChunk, slotRing)
-		r.pc = 1
-		fallthrough
-	default:
-		if !r.wait(p, slotRing, 1) {
-			return sim.More
-		}
-		if r.step < P-1 {
-			p.Advance(w.ringReduce)
-		}
-		r.step++
-		if r.step == 2*(P-1) {
-			r.step = 0
-			r.iter++
-		}
-		r.pc = 0
-		return sim.More
-	}
-}
-
-// stepRD: recursive doubling over a power-of-two world. Round k exchanges the
-// full payload with partner id^(1<<k). Arrivals can run at most one global
-// round ahead (a partner's round-g message requires this rank's round-(g-1)
-// send), so two alternating slots indexed by global-round parity keep rounds
-// separate.
-func (r *scaleRank) stepRD(p *sim.Proc) sim.Flow {
-	w := r.w
-	iters := int32(w.opt.Iters)
-	if w.rdRounds == 0 {
-		r.iter = iters
-	}
-	switch r.pc {
-	case 0:
-		if r.iter >= iters {
-			return r.finish(p)
-		}
-		g := r.iter*w.rdRounds + r.step
-		w.send(p, r.id^(1<<r.step), w.opt.Bytes, uint8(g&1))
-		r.pc = 1
-		fallthrough
-	default:
-		g := r.iter*w.rdRounds + r.step
-		if !r.wait(p, uint8(g&1), 1) {
-			return sim.More
-		}
-		p.Advance(w.fullReduce)
-		r.step++
-		if r.step == w.rdRounds {
-			r.step = 0
-			r.iter++
-		}
-		r.pc = 0
-		return sim.More
-	}
-}
-
 // Hierarchical program counters.
 const (
 	hpUp       = 0 // members send up / leaders collect host contributions
@@ -471,11 +312,11 @@ const (
 	hpDownHost = 6 // member: wait for the host broadcast
 )
 
-// stepHier: reduce to the host leader over SHM, to the rack leader over one
+// Step runs the hierarchical allreduce: reduce to the host leader over SHM, to the rack leader over one
 // IB flow per host, ring-exchange across rack leaders (one flow per rack over
 // the spine), then broadcast back down. Iteration boundaries are gated by the
 // downward broadcasts, so slot counters never mix iterations.
-func (r *scaleRank) stepHier(p *sim.Proc) sim.Flow {
+func (r *scaleRank) Step(p *sim.Proc) sim.Flow {
 	w := r.w
 	iters := int32(w.opt.Iters)
 	h := w.hostOf(r.id)
@@ -484,16 +325,12 @@ func (r *scaleRank) stepHier(p *sim.Proc) sim.Flow {
 		if r.iter >= iters {
 			return r.finish(p)
 		}
-		switch r.role {
-		case roleMember:
+		if r.role == roleMember {
 			w.send(p, w.hostLeader(h), w.opt.Bytes, slotHostUp)
 			r.pc = hpDownHost
 			return sim.More
-		case roleHostLeader:
-			r.pc = hpHostWait
-		default:
-			r.pc = hpHostWait
 		}
+		r.pc = hpHostWait
 		fallthrough
 	case hpHostWait:
 		need := w.localN(h) - 1
