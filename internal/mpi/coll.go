@@ -246,7 +246,7 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 			rq = r.irecvCtx(r.rank-mask, tag, collCtxBit, tmp)
 		}
 		if r.rank+mask < r.size {
-			sq = r.isendCtx(r.rank+mask, tag, collCtxBit, partial)
+			sq = r.isendCtx(r.rank+mask, tag, collCtxBit, partial, false)
 		}
 		if rq != nil {
 			r.wait(rq)

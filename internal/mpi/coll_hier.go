@@ -95,7 +95,7 @@ func (r *Rank) hierBcast(root int, data []byte) {
 	// Root hands the data to its leader if it is not one.
 	rootLeader := p.groupOf(root)[0]
 	if r.rank == root && root != rootLeader {
-		r.wait(r.isendCtx(rootLeader, tag, collCtxBit, data))
+		r.wait(r.isendCtx(rootLeader, tag, collCtxBit, data, false))
 	}
 	if r.rank == rootLeader && root != rootLeader {
 		r.wait(r.irecvCtx(root, tag, collCtxBit, data))
@@ -111,7 +111,7 @@ func (r *Rank) hierBcast(root int, data []byte) {
 				// Root already has the data.
 				continue
 			}
-			r.wait(r.isendCtx(m, tag2, collCtxBit, data))
+			r.wait(r.isendCtx(m, tag2, collCtxBit, data, false))
 		}
 	} else if r.rank != root || root == rootLeader {
 		r.wait(r.irecvCtx(leader, tag2, collCtxBit, data))

@@ -107,7 +107,7 @@ func (r *Rank) gatherv(g group, root int, l layout, mine, out []byte) {
 	tag := g.nextTag()
 	if g.me != root {
 		if len(mine) > 0 {
-			r.wait(r.isendCtx(g.world(root), tag, g.ctx, mine))
+			r.wait(r.isendCtx(g.world(root), tag, g.ctx, mine, false))
 		}
 		return
 	}
@@ -138,7 +138,7 @@ func (r *Rank) scatterv(g group, root int, l layout, all, mine []byte) {
 	reqs := make([]*Request, 0, g.n-1)
 	for i := 0; i < g.n; i++ {
 		if b := l.blocks(all, i, i+1); i != root && len(b) > 0 {
-			reqs = append(reqs, r.isendCtx(g.world(i), tag, g.ctx, b))
+			reqs = append(reqs, r.isendCtx(g.world(i), tag, g.ctx, b, false))
 		}
 	}
 	copy(mine, l.blocks(all, root, root+1))

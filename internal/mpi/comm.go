@@ -58,7 +58,7 @@ func (c *Comm) group() group {
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	c.r.profEnter()
 	defer c.r.profExit("Isend")
-	return c.r.isendCtx(c.members[dst], tag, c.ctx, data)
+	return c.r.isendCtx(c.members[dst], tag, c.ctx, data, false)
 }
 
 // Irecv posts a nonblocking receive from communicator-local rank src
@@ -82,7 +82,7 @@ func (c *Comm) irecv(src, tag int, buf []byte) *Request {
 func (c *Comm) Send(dst, tag int, data []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Send")
-	c.r.wait(c.r.isendCtx(c.members[dst], tag, c.ctx, data))
+	c.r.wait(c.r.isendCtx(c.members[dst], tag, c.ctx, data, false))
 }
 
 // Recv is a blocking receive from communicator-local rank src; the status
@@ -155,7 +155,7 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, rec
 	c.r.profEnter()
 	defer c.r.profExit("Sendrecv")
 	rq := c.irecv(src, recvTag, recvBuf)
-	sq := c.r.isendCtx(c.members[dst], sendTag, c.ctx, sendData)
+	sq := c.r.isendCtx(c.members[dst], sendTag, c.ctx, sendData, false)
 	st := c.r.wait(rq)
 	c.r.wait(sq)
 	st.Source = c.localOf(st.Source)

@@ -191,7 +191,7 @@ func (m *msr) step(r *Rank, dst, sendTag int, sendData []byte, src, recvTag int,
 	switch m.st {
 	case 0:
 		m.rq = r.irecvCtx(src, recvTag, ctx, recvBuf)
-		m.sq = r.isendCtx(dst, sendTag, ctx, sendData)
+		m.sq = r.isendCtx(dst, sendTag, ctx, sendData, false)
 		m.st = 1
 		fallthrough
 	case 1:
@@ -242,7 +242,7 @@ func (m *mbarrier) step(r *Rank, g *group) bool {
 		switch m.st {
 		case 1:
 			m.rq = r.irecvCtx(src, m.tag, g.ctx, nil)
-			m.sq = r.isendCtx(dst, m.tag, g.ctx, nil)
+			m.sq = r.isendCtx(dst, m.tag, g.ctx, nil, false)
 			m.st = 2
 			fallthrough
 		case 2:
@@ -291,7 +291,7 @@ func (m *mreduce) step(r *Rank, g *group, root int, buf []byte, op ReduceOp) boo
 		if m.vrank&m.mask != 0 {
 			// Send to the parent; this rank's part is done.
 			if m.st == 0 {
-				m.req = r.isendCtx(abs(m.vrank-m.mask), m.tag, g.ctx, buf)
+				m.req = r.isendCtx(abs(m.vrank-m.mask), m.tag, g.ctx, buf, false)
 				m.st = 1
 			}
 			if !r.waitFree(&m.req) {
@@ -361,7 +361,7 @@ func (m *mbcast) step(r *Rank, g *group, root int, data []byte) bool {
 	for m.mask > 0 {
 		if m.vrank+m.mask < g.n {
 			if m.st == 0 {
-				m.req = r.isendCtx(abs(m.vrank+m.mask), m.tag, g.ctx, data)
+				m.req = r.isendCtx(abs(m.vrank+m.mask), m.tag, g.ctx, data, false)
 				m.st = 1
 			}
 			if !r.waitFree(&m.req) {
@@ -415,7 +415,7 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1: // fold: surplus even rank sends its buffer to the odd partner
 		if !m.wait {
-			m.req = r.isendCtx(g.world(g.me+1), m.tag, g.ctx, buf)
+			m.req = r.isendCtx(g.world(g.me+1), m.tag, g.ctx, buf, false)
 			m.wait = true
 		}
 		if !r.waitFree(&m.req) {
@@ -469,7 +469,7 @@ func (m *mrd) step(r *Rank, g *group, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			m.req = r.isendCtx(g.world(g.me-1), m.tag, g.ctx, buf)
+			m.req = r.isendCtx(g.world(g.me-1), m.tag, g.ctx, buf, false)
 			m.wait = true
 		}
 		if !r.waitFree(&m.req) {
@@ -527,7 +527,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 	switch m.st {
 	case 1:
 		if !m.wait {
-			m.sq = r.isendCtx(r.rank+1, m.tag, collCtxBit, buf)
+			m.sq = r.isendCtx(r.rank+1, m.tag, collCtxBit, buf, false)
 			m.wait = true
 		}
 		if !r.waitFree(&m.sq) {
@@ -567,7 +567,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 				switch m.sub {
 				case 0:
 					m.rq = r.irecvCtx(peer, m.tagRS, collCtxBit, m.tmp[keepLo:keepHi])
-					m.sq = r.isendCtx(peer, m.tagRS, collCtxBit, buf[sendLo:sendHi])
+					m.sq = r.isendCtx(peer, m.tagRS, collCtxBit, buf[sendLo:sendHi], false)
 					m.sub = 1
 					fallthrough
 				case 1:
@@ -606,7 +606,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 				switch m.sub {
 				case 0:
 					m.rq = r.irecvCtx(peer, m.tagAG, collCtxBit, buf[peerLo:peerHi])
-					m.sq = r.isendCtx(peer, m.tagAG, collCtxBit, buf[m.lo:m.hi])
+					m.sq = r.isendCtx(peer, m.tagAG, collCtxBit, buf[m.lo:m.hi], false)
 					m.sub = 1
 					fallthrough
 				case 1:
@@ -648,7 +648,7 @@ func (m *mrab) step(r *Rank, buf []byte, op ReduceOp, pof2 int) bool {
 		}
 	} else {
 		if !m.wait {
-			m.sq = r.isendCtx(r.rank-1, m.tag, collCtxBit, buf)
+			m.sq = r.isendCtx(r.rank-1, m.tag, collCtxBit, buf, false)
 			m.wait = true
 		}
 		if !r.waitFree(&m.sq) {

@@ -193,8 +193,9 @@ type sendOp struct {
 }
 
 // enqueueShmSend queues a ring-bound send and pushes what fits immediately.
-// If the pair's shared ring cannot be attached (injected fault), the send
-// degrades to the HCA channel — the stock path for non-colocated peers.
+// If the pair's shared ring cannot be attached (injected fault), the pair's
+// ring is dead and the send restarts on the path pathFor now gives it: the
+// HCA channel, the stock path for non-colocated peers.
 func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 	pr := req.pr
 	ring, err := r.ringFor(pr)
@@ -206,11 +207,7 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 		if r.prof != nil {
 			r.prof.Faults.ShmFallbacks++
 		}
-		if len(req.sbuf) <= r.w.Opts.Tunables.IBAEagerThreshold {
-			r.hcaEagerSend(req)
-		} else {
-			r.hcaRndvSend(req)
-		}
+		r.startSend(req, r.pathFor(pr, len(req.sbuf), req.sync))
 		return
 	}
 	d := ring.out(r.rank)

@@ -30,6 +30,7 @@ type Request struct {
 	env    *envelope
 	err    error
 	noPool bool // excluded from request recycling (see pool.go)
+	sync   bool // synchronous send (Ssend): always a rendezvous
 	// released marks a handle given to Rank.Release under poolStrict.
 	released bool
 
@@ -271,27 +272,33 @@ func (r *Rank) selfSend(req *Request) {
 func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	r.profEnter()
 	defer r.profExit("Isend")
-	return r.isendCtx(dst, tag, 0, data)
+	return r.isendCtx(dst, tag, 0, data, false)
 }
 
 // isend is Isend without profiling brackets (for internal callers that
 // attribute to their own call name).
 func (r *Rank) isend(dst, tag int, data []byte) *Request {
-	return r.isendCtx(dst, tag, 0, data)
+	return r.isendCtx(dst, tag, 0, data, false)
 }
 
-// isendCtx starts a send on an arbitrary communicator context: validate,
-// build the request, take the fast paths (self-send, dead destination),
-// select the channel, emit the send trace record and enter the channel's
-// protocol.
-func (r *Rank) isendCtx(dst, tag, ctx int, data []byte) *Request {
+// isendCtx is the one send path, on an arbitrary communicator context:
+// validate, build the request, take the fast paths (self-send, dead
+// destination), select the channel, emit the send (sync: ssend) trace record
+// and enter the channel's protocol. A synchronous send (MPI_Ssend) takes the
+// rendezvous path of the pair's channel, which completes only once the
+// receive has matched.
+func (r *Rank) isendCtx(dst, tag, ctx int, data []byte, sync bool) *Request {
+	call, op := "Isend", trace.OpSend
+	if sync {
+		call, op = "Ssend", trace.OpSsend
+	}
 	if dst < 0 || dst >= r.size {
-		r.p.Fatalf("Isend to rank %d outside world of size %d", dst, r.size)
+		r.p.Fatalf("%s to rank %d outside world of size %d", call, dst, r.size)
 	}
 	req := r.getReq()
-	req.r, req.isSend, req.peer, req.tag, req.ctx, req.sbuf = r, true, dst, tag, ctx, data
+	req.r, req.isSend, req.peer, req.tag, req.ctx, req.sbuf, req.sync = r, true, dst, tag, ctx, data, sync
 	if dst == r.rank {
-		r.trace(trace.OpSend, trace.PathSelf, req.peer, tag, ctx, len(data), r.selfSeq)
+		r.trace(op, trace.PathSelf, req.peer, tag, ctx, len(data), r.selfSeq)
 		r.selfSend(req)
 		return req
 	}
@@ -310,8 +317,14 @@ func (r *Rank) isendCtx(dst, tag, ctx int, data []byte) *Request {
 		return req
 	}
 	req.pr = pr
-	path := r.pathFor(pr, len(data))
-	r.trace(trace.OpSend, trace.PathOf(path), dst, tag, ctx, len(data), pr.sendSeq)
+	path := r.pathFor(pr, len(data), sync)
+	r.trace(op, trace.PathOf(path), dst, tag, ctx, len(data), pr.sendSeq)
+	r.startSend(req, path)
+	return req
+}
+
+// startSend enters the protocol of the path a send was given.
+func (r *Rank) startSend(req *Request, path core.Path) {
 	switch path {
 	case core.PathSHMEager, core.PathSHMRndv, core.PathCMARndv:
 		r.enqueueShmSend(req, path)
@@ -320,7 +333,6 @@ func (r *Rank) isendCtx(dst, tag, ctx int, data []byte) *Request {
 	case core.PathHCARndv:
 		r.hcaRndvSend(req)
 	}
-	return req
 }
 
 // Irecv starts a nonblocking receive into buf. src may be AnySource and tag
@@ -490,8 +502,8 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 }
 
 // Ssend is a blocking synchronous send (MPI_Ssend): it completes only after
-// the receiver has matched the message. Implemented by forcing the
-// rendezvous protocol regardless of message size — rendezvous completion
+// the receiver has matched the message. The send takes the rendezvous path
+// of the pair's channel regardless of message size — rendezvous completion
 // inherently requires a matched receive on every channel.
 func (r *Rank) Ssend(dst, tag int, data []byte) {
 	r.profEnter()
@@ -499,22 +511,7 @@ func (r *Rank) Ssend(dst, tag int, data []byte) {
 	if dst == r.rank {
 		r.p.Fatalf("Ssend to self would deadlock (no receive can match within the call)")
 	}
-	req := r.getReq()
-	pr := r.peer(dst)
-	req.r, req.isSend, req.peer, req.tag, req.sbuf, req.pr = r, true, dst, tag, data, pr
-	switch path := r.pathFor(pr, len(data)); path {
-	case core.PathSHMEager, core.PathSHMRndv, core.PathCMARndv:
-		// Force the rendezvous flavor of the local channel.
-		forced := core.PathSHMRndv
-		if pr.caps.SharedPID && r.w.Opts.Tunables.UseCMA {
-			forced = core.PathCMARndv
-		}
-		r.trace(trace.OpSsend, trace.PathOf(forced), dst, tag, 0, len(data), pr.sendSeq)
-		r.enqueueShmSend(req, forced)
-	default:
-		r.trace(trace.OpSsend, trace.PathOf(core.PathHCARndv), dst, tag, 0, len(data), pr.sendSeq)
-		r.hcaRndvSend(req)
-	}
+	req := r.isendCtx(dst, tag, 0, data, true)
 	r.wait(req)
 	r.putReq(req)
 }

@@ -362,23 +362,19 @@ func (r *Rank) finalizeCheck() {
 	}
 }
 
-// pathFor applies the paper's channel selection (Fig. 5) for a message of
-// the given size to a peer, then overrides it with any degradation state the
-// pair accumulated under fault injection: a dead ring forces the HCA
-// channel, a dead CMA channel forces SHM-staged rendezvous.
-func (r *Rank) pathFor(pr *peerRec, size int) core.Path {
-	path := core.SelectPath(r.w.Opts.Mode, r.w.Opts.Tunables, pr.caps, size)
-	ps := pr.ps
-	switch {
-	case ps.shmDead() && path != core.PathHCAEager && path != core.PathHCARndv:
-		if size <= r.w.Opts.Tunables.IBAEagerThreshold {
-			return core.PathHCAEager
-		}
-		return core.PathHCARndv
-	case ps.cmaDead && path == core.PathCMARndv:
-		return core.PathSHMRndv
+// pathFor is the library's one channel decision for a two-sided message of
+// the given size to a peer: the paper's channel selection (Fig. 5) over the
+// capabilities the pair has left under fault injection — a dead ring forces
+// the HCA channel, a dead CMA channel forces SHM-staged rendezvous. A
+// synchronous send (sync) takes its channel's rendezvous path at any size.
+func (r *Rank) pathFor(pr *peerRec, size int, sync bool) core.Path {
+	tun, caps := r.w.Opts.Tunables, pr.caps
+	if sync {
+		tun.SMPEagerSize, tun.IBAEagerThreshold = 0, -1
 	}
-	return path
+	caps.SharedIPC = caps.SharedIPC && !pr.ps.shmDead()
+	caps.SharedPID = caps.SharedPID && !pr.ps.cmaDead
+	return core.SelectPath(r.w.Opts.Mode, tun, caps, size)
 }
 
 // crossSocket reports whether r and peer are pinned to different sockets

@@ -11,12 +11,16 @@ import (
 // collectively; each rank exposes its buffer and learns peers' buffer
 // handles (the simulated analog of the address/rkey exchange).
 //
-// Data movement per target:
+// Data movement per target follows the channel core.SelectPath gives the
+// pair, as for a two-sided message of the access's size:
 //
-//   - co-resident & locality known, small: direct shared-memory store;
-//   - co-resident & locality known, large: one CMA call (single copy);
-//   - otherwise: RDMA WRITE/READ through the HCA (loopback if co-resident
-//     but undetected — the paper's default-mode penalty).
+//   - SHM eager (co-resident & locality known, small): a direct store
+//     through the shared-memory window mapping, one copy;
+//   - SHM rendezvous (large, without CMA: no shared PID namespace or
+//     MV2_SMP_USE_CMA=0): the same mapping, staged, two copies;
+//   - CMA rendezvous (large): one process_vm_* call, single copy;
+//   - HCA: RDMA WRITE/READ (loopback if co-resident but undetected — the
+//     paper's default-mode penalty).
 type Win struct {
 	r           *Rank
 	buf         []byte
@@ -130,20 +134,17 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		return
 	}
 
+	// The channel comes from the paper's selection alone: a pair's dead ring
+	// or CMA channel (pathFor) does not unmap a window.
 	pr := r.peer(target)
-	cap := pr.caps
-	// local: the target is reachable via local memory under the current mode,
-	// i.e. the library knows the peer is co-resident and the IPC namespace is
-	// shared.
-	local := core.TreatLocal(r.w.Opts.Mode, cap) && cap.SharedIPC
+	path := core.SelectPath(r.w.Opts.Mode, r.w.Opts.Tunables, pr.caps, len(data))
 	cs := r.crossSocket(target)
-	switch {
-	case local && (len(data) < r.w.Opts.Tunables.SMPEagerSize || !cap.SharedPID):
-		// Small (or CMA-less): through the shared-memory window mapping.
-		// Without a shared PID namespace the large path needs staging, so
-		// charge a double copy.
+	switch path {
+	case core.PathSHMEager, core.PathSHMRndv:
+		// Through the shared-memory window mapping; without the CMA channel
+		// a large access is staged, so charge a double copy.
 		cost := prm.ShmPostOverhead + prm.MemCopy(len(data), cs) + r.containerOverhead()
-		if len(data) >= r.w.Opts.Tunables.SMPEagerSize {
+		if path == core.PathSHMRndv {
 			cost += prm.MemCopy(len(data), cs)
 		}
 		r.p.Advance(cost)
@@ -152,10 +153,8 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		} else {
 			copy(data, tw.buf[offset:])
 		}
-		r.countOp(core.ChannelSHM, len(data))
-		w.traceAccess(isPut, trace.ChanSHM, target, len(data))
 
-	case local && cap.SharedPID && r.w.Opts.Tunables.UseCMA:
+	case core.PathCMARndv:
 		// Large: one process_vm_* call, single copy.
 		r.p.Advance(prm.CMACopy(len(data), cs) + r.containerOverhead())
 		targetEnv := r.w.Deploy.Placements[target].Env
@@ -168,8 +167,6 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		if err != nil {
 			r.p.Fatalf("CMA RMA to rank %d: %v", target, err)
 		}
-		r.countOp(core.ChannelCMA, len(data))
-		w.traceAccess(isPut, trace.ChanCMA, target, len(data))
 
 	default:
 		// Network path (including HCA loopback for undetected co-residents).
@@ -185,20 +182,21 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 		} else {
 			qp.PostRead(r.p, r.nextWrid, data, tw.mr, offset)
 		}
-		r.countOp(core.ChannelHCA, len(data))
-		w.traceAccess(isPut, trace.ChanHCA, target, len(data))
 	}
+	r.countOp(path.Channel(), len(data))
+	w.traceAccess(isPut, path.Channel(), target, len(data))
 }
 
 // traceAccess records one remote one-sided access with the channel it used
 // (self-accesses are plain local copies and are not traced, matching the
 // profiler, which does not count them either).
-func (w *Win) traceAccess(isPut bool, ch trace.PathCode, target, bytes int) {
+func (w *Win) traceAccess(isPut bool, ch core.Channel, target, bytes int) {
 	op := trace.OpRMAGet
 	if isPut {
 		op = trace.OpRMAPut
 	}
-	w.r.trace(op, ch, target, 0, 0, bytes, 0)
+	// The raw channel codes ChanSHM, ChanCMA, ChanHCA follow core.Channel's order.
+	w.r.trace(op, trace.ChanSHM+trace.PathCode(ch), target, 0, 0, bytes, 0)
 }
 
 // Accumulate combines data into target's window at offset with op

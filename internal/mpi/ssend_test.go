@@ -5,13 +5,27 @@ import (
 	"fmt"
 	"testing"
 
+	"cmpi/internal/fault"
 	"cmpi/internal/sim"
 )
 
 func TestSsendCompletesOnlyAfterMatch(t *testing.T) {
-	for _, scenario := range []string{"2cont", "2host"} {
-		t.Run(scenario, func(t *testing.T) {
-			w := testWorld(t, scenario, 2, DefaultOptions())
+	for _, tc := range []struct {
+		name, scenario string
+		plan           *fault.Plan
+	}{
+		{"2cont", "2cont", nil},
+		{"2host", "2host", nil},
+		// The pair's ring cannot be attached: the send restarts on the HCA
+		// and must stay a rendezvous there.
+		{"2cont-ring-attach-fails", "2cont", fault.NewPlan().ShmAttachFail(0, 0, sim.Second, "cmpi.ring.")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.ErrHandler = ErrorsReturn
+			opts.FaultPlan = tc.plan
+			opts.Profile = true
+			w := testWorld(t, tc.scenario, 2, opts)
 			var sendDone, recvPosted sim.Time
 			err := w.Run(func(r *Rank) error {
 				if r.Rank() == 0 {
@@ -31,7 +45,39 @@ func TestSsendCompletesOnlyAfterMatch(t *testing.T) {
 			if sendDone < recvPosted {
 				t.Errorf("Ssend completed at %v before the receive was posted at %v", sendDone, recvPosted)
 			}
+			if fell := w.Prof.TotalFaults().ShmFallbacks; (tc.plan != nil) != (fell > 0) {
+				t.Errorf("%d SHM->HCA fallbacks under fault plan %v", fell, tc.plan)
+			}
 		})
+	}
+}
+
+// TestSsendHonoursDeadCMAChannel: once a CMA read has failed on a pair, an
+// Ssend takes the pair's SHM-staged rendezvous like any other send, so the
+// pair falls back from CMA once.
+func TestSsendHonoursDeadCMAChannel(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Profile = true
+	opts.FaultPlan = fault.NewPlan().CMAFail(0, 0, sim.Second)
+	w := testWorld(t, "2cont", 2, opts)
+	err := w.Run(func(r *Rank) error {
+		buf := make([]byte, 64<<10)
+		if r.Rank() == 0 {
+			r.Send(1, 0, buf)
+			r.Ssend(1, 0, buf)
+			r.Ssend(1, 0, buf)
+		} else {
+			for range 3 {
+				r.Recv(0, 0, buf)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Prof.TotalFaults().CMAFallbacks; got != 1 {
+		t.Errorf("CMAFallbacks = %d after a Send and two Ssends, want 1", got)
 	}
 }
 

@@ -90,7 +90,7 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 		case 0: // post the window
 			for g.i < streamWindow {
 				if r.rank == 0 {
-					g.reqs[g.i] = r.isendCtx(1, streamTag, collCtxBit, g.buf)
+					g.reqs[g.i] = r.isendCtx(1, streamTag, collCtxBit, g.buf, false)
 				} else {
 					g.reqs[g.i] = r.irecvCtx(0, streamTag, collCtxBit, g.buf)
 				}
@@ -109,7 +109,7 @@ func (g *streamProg) Step(r *Rank) sim.Flow {
 			if r.rank == 0 {
 				g.ackReq = r.irecvCtx(1, streamAckTag, collCtxBit, g.ack)
 			} else {
-				g.ackReq = r.isendCtx(0, streamAckTag, collCtxBit, g.ack)
+				g.ackReq = r.isendCtx(0, streamAckTag, collCtxBit, g.ack, false)
 			}
 			g.st = 3
 			fallthrough
