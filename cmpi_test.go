@@ -415,6 +415,51 @@ func TestDocsNameOnlyExistingCommands(t *testing.T) {
 	}
 }
 
+// TestCIFuzzesEveryTarget keeps the CI fuzz smoke step from silently
+// skipping a target: the step's list (<dir under internal/>:<name>) must
+// name exactly the module's func Fuzz… declarations outside bench/, which is
+// a module of its own.
+func TestCIFuzzesEveryTarget(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\b([a-z0-9]+):(Fuzz\w+)`).FindAllSubmatch(ci, -1) {
+		listed["internal/"+string(m[1])+":"+string(m[2])] = true
+	}
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[filepath.ToSlash(filepath.Dir(path))+":"+string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 || len(listed) == 0 {
+		t.Fatalf("found %d fuzz targets in the module and %d in ci.yml; the scan is broken", len(declared), len(listed))
+	}
+	if !reflect.DeepEqual(listed, declared) {
+		t.Errorf("the CI fuzz step runs %v; the module declares %v", listed, declared)
+	}
+}
+
 // readCommandDocs returns the text of every doc that tells a reader what to
 // run, by path: the top-level docs, docs/*.md (not the per-change records
 // under docs/perf/, which describe their own tree), the verify skill and the

@@ -7,9 +7,10 @@ import (
 )
 
 // pingpongAllocs measures total host allocations for one world that bounces
-// msgs round trips of the given size between ranks 0 and 1. Round trips (not
-// a one-way stream) keep the in-flight window bounded so pools can recycle.
-func pingpongAllocs(t *testing.T, scenario string, mode core.Mode, size, msgs int) float64 {
+// msgs round trips of the given size between ranks 0 and 1, through the
+// Rank calls or, with comm, through CommWorld's. Round trips (not a one-way
+// stream) keep the in-flight window bounded so pools can recycle.
+func pingpongAllocs(t *testing.T, scenario string, mode core.Mode, comm bool, size, msgs int) float64 {
 	t.Helper()
 	var failure error
 	allocs := testing.AllocsPerRun(3, func() {
@@ -18,13 +19,18 @@ func pingpongAllocs(t *testing.T, scenario string, mode core.Mode, size, msgs in
 		w := testWorld(t, scenario, 2, opts)
 		err := w.Run(func(r *Rank) error {
 			buf := make([]byte, size)
+			send, recv := r.Send, r.Recv
+			if comm {
+				c := r.CommWorld()
+				send, recv = c.Send, c.Recv
+			}
 			for i := 0; i < msgs; i++ {
 				if r.Rank() == 0 {
-					r.Send(1, 0, buf)
-					r.Recv(1, 1, buf)
+					send(1, 0, buf)
+					recv(1, 1, buf)
 				} else {
-					r.Recv(0, 0, buf)
-					r.Send(0, 1, buf)
+					recv(0, 0, buf)
+					send(0, 1, buf)
 				}
 			}
 			return nil
@@ -41,25 +47,29 @@ func pingpongAllocs(t *testing.T, scenario string, mode core.Mode, size, msgs in
 
 // perMessageAllocs cancels the fixed world-construction and pool-warmup cost
 // by differencing two message counts: steady-state allocations per message.
-func perMessageAllocs(t *testing.T, scenario string, mode core.Mode, size int) float64 {
+func perMessageAllocs(t *testing.T, scenario string, mode core.Mode, comm bool, size int) float64 {
 	t.Helper()
 	const small, big = 64, 320
-	a := pingpongAllocs(t, scenario, mode, size, small)
-	b := pingpongAllocs(t, scenario, mode, size, big)
+	a := pingpongAllocs(t, scenario, mode, comm, size, small)
+	b := pingpongAllocs(t, scenario, mode, comm, size, big)
 	return (b - a) / float64(big-small) / 2 // two messages per round trip
 }
 
 // TestShmEagerSteadyStateAllocs locks in the pooled SHM eager path: packets,
 // envelopes, requests, send ops, and staging buffers all recycle, so the
-// steady state is (amortized) allocation-free.
+// steady state is (amortized) allocation-free, through the Rank calls and
+// through a communicator's, whose blocking calls hand their requests back
+// too.
 func TestShmEagerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
 	}
-	per := perMessageAllocs(t, "1cont", core.ModeLocalityAware, 512)
-	t.Logf("SHM eager: %.3f allocs/message", per)
-	if per > 0.5 {
-		t.Errorf("SHM eager send/recv allocates %.3f/message in steady state; want ~0", per)
+	for _, comm := range []bool{false, true} {
+		per := perMessageAllocs(t, "1cont", core.ModeLocalityAware, comm, 512)
+		t.Logf("SHM eager (comm=%v): %.3f allocs/message", comm, per)
+		if per > 0.5 {
+			t.Errorf("SHM eager send/recv (comm=%v) allocates %.3f/message in steady state; want ~0", comm, per)
+		}
 	}
 }
 
@@ -71,7 +81,7 @@ func TestHCAEagerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow")
 	}
-	per := perMessageAllocs(t, "2cont", core.ModeDefault, 512)
+	per := perMessageAllocs(t, "2cont", core.ModeDefault, false, 512)
 	t.Logf("HCA eager: %.3f allocs/message", per)
 	if per > 0.5 {
 		t.Errorf("HCA eager send allocates %.3f/message in steady state; want ~0", per)

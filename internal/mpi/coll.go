@@ -102,8 +102,17 @@ func (r *Rank) Bcast(root int, data []byte) {
 
 // bcast broadcasts from group rank root.
 func (r *Rank) bcast(g group, root int, data []byte) {
+	r.checkRoot("Bcast", root, g.n)
 	var m mbcast
 	for !m.step(r, &g, root, data) {
+	}
+}
+
+// checkRoot aborts a rooted collective whose root is not a rank of its
+// group, naming the call and the group's size.
+func (r *Rank) checkRoot(call string, root, n int) {
+	if root < 0 || root >= n {
+		r.p.Fatalf("%s root %d outside communicator of size %d", call, root, n)
 	}
 }
 
@@ -117,6 +126,7 @@ func (r *Rank) Reduce(root int, buf []byte, op ReduceOp) {
 
 // reduce reduces into group rank root.
 func (r *Rank) reduce(g group, root int, buf []byte, op ReduceOp) {
+	r.checkRoot("Reduce", root, g.n)
 	var m mreduce
 	for !m.step(r, &g, root, buf, op) {
 	}

@@ -85,6 +85,7 @@ func (r *Rank) hierAllgather(mine []byte, out []byte) bool {
 // hierBcast: binomial broadcast among leaders rooted at the root's leader,
 // then linear local broadcast (groups are small).
 func (r *Rank) hierBcast(root int, data []byte) {
+	r.checkRoot("Bcast", root, r.size)
 	p := r.w.partition()
 	group := p.groupOf(r.rank)
 	leader := group[0]

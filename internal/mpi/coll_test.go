@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -371,5 +372,48 @@ func TestAllreduceLargeFasterThanRecursiveDoubling(t *testing.T) {
 	rd := measure(1 << 30) // never engage
 	if rab >= rd {
 		t.Errorf("Rabenseifner (%v) not faster than recursive doubling (%v) at 1MiB", rab, rd)
+	}
+}
+
+// TestRootedCollectivesRejectRootOutside: every rooted collective, called
+// through the world or a communicator, aborts the job naming a root outside
+// the group, instead of broadcasting nothing, panicking, or failing inside a
+// point-to-point call the user never made.
+func TestRootedCollectivesRejectRootOutside(t *testing.T) {
+	const n = 4
+	counts := []int{8, 8, 8, 8}
+	calls := []struct {
+		name, family string
+		hier         bool
+		run          func(r *Rank, root int)
+	}{
+		{"Rank.Bcast", "Bcast", false, func(r *Rank, root int) { r.Bcast(root, make([]byte, 8)) }},
+		{"Comm.Bcast", "Bcast", false, func(r *Rank, root int) { r.CommWorld().Bcast(root, make([]byte, 8)) }},
+		{"Rank.Bcast/hierarchical", "Bcast", true, func(r *Rank, root int) { r.Bcast(root, make([]byte, 8)) }},
+		{"Rank.Reduce", "Reduce", false, func(r *Rank, root int) { r.Reduce(root, make([]byte, 8), SumInt64) }},
+		{"Comm.Reduce", "Reduce", false, func(r *Rank, root int) { r.CommWorld().Reduce(root, make([]byte, 8), SumInt64) }},
+		{"Rank.Gather", "Gather", false, func(r *Rank, root int) { r.Gather(root, make([]byte, 8), make([]byte, 8*n)) }},
+		{"Comm.Gather", "Gather", false, func(r *Rank, root int) { r.CommWorld().Gather(root, make([]byte, 8), make([]byte, 8*n)) }},
+		{"Rank.Gatherv", "Gather", false, func(r *Rank, root int) { r.Gatherv(root, make([]byte, 8), counts, make([]byte, 8*n)) }},
+		{"Rank.Scatter", "Scatter", false, func(r *Rank, root int) { r.Scatter(root, make([]byte, 8*n), make([]byte, 8)) }},
+		{"Comm.Scatter", "Scatter", false, func(r *Rank, root int) { r.CommWorld().Scatter(root, make([]byte, 8*n), make([]byte, 8)) }},
+		{"Rank.Scatterv", "Scatter", false, func(r *Rank, root int) { r.Scatterv(root, make([]byte, 8*n), counts, make([]byte, 8)) }},
+	}
+	for _, c := range calls {
+		for _, root := range []int{-1, n} {
+			t.Run(fmt.Sprintf("%s/root=%d", c.name, root), func(t *testing.T) {
+				opts := DefaultOptions()
+				opts.HierarchicalCollectives = c.hier
+				w := testWorld(t, "2cont", n, opts)
+				err := w.Run(func(r *Rank) error {
+					c.run(r, root)
+					return nil
+				})
+				want := fmt.Sprintf("%s root %d outside communicator of size %d", c.family, root, n)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s with root %d: error %v, want one naming %q", c.name, root, err, want)
+				}
+			})
+		}
 	}
 }

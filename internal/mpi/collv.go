@@ -104,6 +104,7 @@ func (r *Rank) alltoall(g group, send, recv []byte, chunk int) {
 // gatherv collects every member's block into root's out (linear); mine is
 // the caller's block. A member with an empty block sends nothing.
 func (r *Rank) gatherv(g group, root int, l layout, mine, out []byte) {
+	r.checkRoot("Gather", root, g.n)
 	tag := g.nextTag()
 	if g.me != root {
 		if len(mine) > 0 {
@@ -127,6 +128,7 @@ func (r *Rank) gatherv(g group, root int, l layout, mine, out []byte) {
 // scatterv hands every member its block of root's all (linear); mine
 // receives the caller's. A member with an empty block receives nothing.
 func (r *Rank) scatterv(g group, root int, l layout, all, mine []byte) {
+	r.checkRoot("Scatter", root, g.n)
 	tag := g.nextTag()
 	if g.me != root {
 		if len(mine) > 0 {

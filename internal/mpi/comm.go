@@ -45,7 +45,20 @@ func (c *Comm) Rank() int { return c.myIdx }
 func (c *Comm) Size() int { return len(c.members) }
 
 // GlobalRank translates a communicator-local rank to the world rank.
-func (c *Comm) GlobalRank(localRank int) int { return c.members[localRank] }
+func (c *Comm) GlobalRank(localRank int) int { return c.worldRank("GlobalRank of", localRank) }
+
+// worldRank translates the communicator-local rank a call names to the world
+// rank; AnySource passes through. A rank outside the communicator aborts the
+// job with the call's name.
+func (c *Comm) worldRank(call string, local int) int {
+	if local == AnySource {
+		return AnySource
+	}
+	if local < 0 || local >= len(c.members) {
+		c.r.p.Fatalf("%s rank %d outside communicator of size %d", call, local, len(c.members))
+	}
+	return c.members[local]
+}
 
 // group is the communicator as a collective group.
 func (c *Comm) group() group {
@@ -58,7 +71,7 @@ func (c *Comm) group() group {
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	c.r.profEnter()
 	defer c.r.profExit("Isend")
-	return c.r.isendCtx(c.members[dst], tag, c.ctx, data, false)
+	return c.r.isendCtx(c.worldRank("Isend to", dst), tag, c.ctx, data, false)
 }
 
 // Irecv posts a nonblocking receive from communicator-local rank src
@@ -66,23 +79,14 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	c.r.profEnter()
 	defer c.r.profExit("Irecv")
-	return c.irecv(src, tag, buf)
-}
-
-// irecv is Irecv without profiling brackets.
-func (c *Comm) irecv(src, tag int, buf []byte) *Request {
-	gsrc := AnySource
-	if src != AnySource {
-		gsrc = c.members[src]
-	}
-	return c.r.irecvCtx(gsrc, tag, c.ctx, buf)
+	return c.r.irecvCtx(c.worldRank("Irecv from", src), tag, c.ctx, buf)
 }
 
 // Send is a blocking send to communicator-local rank dst.
 func (c *Comm) Send(dst, tag int, data []byte) {
 	c.r.profEnter()
 	defer c.r.profExit("Send")
-	c.r.wait(c.r.isendCtx(c.members[dst], tag, c.ctx, data, false))
+	c.r.send(c.worldRank("Send to", dst), tag, c.ctx, data, false)
 }
 
 // Recv is a blocking receive from communicator-local rank src; the status
@@ -90,7 +94,7 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 func (c *Comm) Recv(src, tag int, buf []byte) Status {
 	c.r.profEnter()
 	defer c.r.profExit("Recv")
-	st := c.r.wait(c.irecv(src, tag, buf))
+	st := c.r.recv(c.worldRank("Recv from", src), tag, c.ctx, buf)
 	st.Source = c.localOf(st.Source)
 	return st
 }
@@ -154,10 +158,8 @@ func (c *Comm) Alltoall(send, recv []byte, chunk int) {
 func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) Status {
 	c.r.profEnter()
 	defer c.r.profExit("Sendrecv")
-	rq := c.irecv(src, recvTag, recvBuf)
-	sq := c.r.isendCtx(c.members[dst], sendTag, c.ctx, sendData, false)
-	st := c.r.wait(rq)
-	c.r.wait(sq)
+	st := c.r.sendrecv(c.worldRank("Sendrecv to", dst), sendTag, sendData,
+		c.worldRank("Sendrecv from", src), recvTag, recvBuf, c.ctx)
 	st.Source = c.localOf(st.Source)
 	return st
 }

@@ -275,12 +275,6 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	return r.isendCtx(dst, tag, 0, data, false)
 }
 
-// isend is Isend without profiling brackets (for internal callers that
-// attribute to their own call name).
-func (r *Rank) isend(dst, tag int, data []byte) *Request {
-	return r.isendCtx(dst, tag, 0, data, false)
-}
-
 // isendCtx is the one send path, on an arbitrary communicator context:
 // validate, build the request, take the fast paths (self-send, dead
 // destination), select the channel, emit the send (sync: ssend) trace record
@@ -343,15 +337,9 @@ func (r *Rank) Irecv(src, tag int, buf []byte) *Request {
 	return r.irecvCtx(src, tag, 0, buf)
 }
 
-func (r *Rank) irecv(src, tag int, buf []byte) *Request {
-	return r.irecvCtx(src, tag, 0, buf)
-}
-
 // irecvCtx posts a receive on an arbitrary communicator context.
 func (r *Rank) irecvCtx(src, tag, ctx int, buf []byte) *Request {
-	if src != AnySource && (src < 0 || src >= r.size) {
-		r.p.Fatalf("Irecv from rank %d outside world of size %d", src, r.size)
-	}
+	r.checkSource("Irecv", src)
 	req := r.getReq()
 	req.r, req.peer, req.tag, req.ctx, req.rbuf = r, src, tag, ctx, buf
 	if env := r.matchUnexpected(src, tag, ctx); env != nil {
@@ -367,6 +355,14 @@ func (r *Rank) irecvCtx(src, tag, ctx int, buf []byte) *Request {
 		r.posted.push(req)
 	}
 	return req
+}
+
+// checkSource aborts a receive-side call whose source is neither AnySource
+// nor a rank of the world.
+func (r *Rank) checkSource(call string, src int) {
+	if src != AnySource && (src < 0 || src >= r.size) {
+		r.p.Fatalf("%s from rank %d outside world of size %d", call, src, r.size)
+	}
 }
 
 // Wait blocks until the request completes and returns its status.
@@ -496,9 +492,7 @@ func (r *Rank) Test(req *Request) (Status, bool) {
 func (r *Rank) Send(dst, tag int, data []byte) {
 	r.profEnter()
 	defer r.profExit("Send")
-	req := r.isend(dst, tag, data)
-	r.wait(req)
-	r.putReq(req)
+	r.send(dst, tag, 0, data, false)
 }
 
 // Ssend is a blocking synchronous send (MPI_Ssend): it completes only after
@@ -511,27 +505,42 @@ func (r *Rank) Ssend(dst, tag int, data []byte) {
 	if dst == r.rank {
 		r.p.Fatalf("Ssend to self would deadlock (no receive can match within the call)")
 	}
-	req := r.isendCtx(dst, tag, 0, data, true)
-	r.wait(req)
-	r.putReq(req)
+	r.send(dst, tag, 0, data, true)
 }
 
 // Recv is a blocking receive; it returns the matched status.
 func (r *Rank) Recv(src, tag int, buf []byte) Status {
 	r.profEnter()
 	defer r.profExit("Recv")
-	req := r.irecv(src, tag, buf)
-	st := r.wait(req)
-	r.putReq(req)
-	return st
+	return r.recv(src, tag, 0, buf)
 }
 
 // Sendrecv performs a blocking combined send and receive (deadlock-free).
 func (r *Rank) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) Status {
 	r.profEnter()
 	defer r.profExit("Sendrecv")
-	rq := r.irecv(src, recvTag, recvBuf)
-	sq := r.isend(dst, sendTag, sendData)
+	return r.sendrecv(dst, sendTag, sendData, src, recvTag, recvBuf, 0)
+}
+
+// send, recv and sendrecv are the blocking point-to-point calls of the world
+// and of every communicator, on context ctx: each starts its requests, waits
+// and gives them back to the pool.
+func (r *Rank) send(dst, tag, ctx int, data []byte, sync bool) {
+	req := r.isendCtx(dst, tag, ctx, data, sync)
+	r.wait(req)
+	r.putReq(req)
+}
+
+func (r *Rank) recv(src, tag, ctx int, buf []byte) Status {
+	req := r.irecvCtx(src, tag, ctx, buf)
+	st := r.wait(req)
+	r.putReq(req)
+	return st
+}
+
+func (r *Rank) sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte, ctx int) Status {
+	rq := r.irecvCtx(src, recvTag, ctx, recvBuf)
+	sq := r.isendCtx(dst, sendTag, ctx, sendData, false)
 	st := r.wait(rq)
 	r.wait(sq)
 	r.putReq(rq)
@@ -566,9 +575,9 @@ func (pr *PersistentRequest) Start() *Request {
 	pr.r.profEnter()
 	defer pr.r.profExit("Start")
 	if pr.isSend {
-		return pr.r.isend(pr.peer, pr.tag, pr.buf)
+		return pr.r.isendCtx(pr.peer, pr.tag, 0, pr.buf, false)
 	}
-	return pr.r.irecv(pr.peer, pr.tag, pr.buf)
+	return pr.r.irecvCtx(pr.peer, pr.tag, 0, pr.buf)
 }
 
 // Iprobe reports whether a matching message is available without receiving
@@ -576,6 +585,7 @@ func (pr *PersistentRequest) Start() *Request {
 func (r *Rank) Iprobe(src, tag int) (Status, bool) {
 	r.profEnter()
 	defer r.profExit("Iprobe")
+	r.checkSource("Iprobe", src)
 	if env := r.peekUnexpected(src, tag, 0); env != nil {
 		return Status{Source: env.src, Tag: env.tag, Bytes: env.size}, true
 	}
@@ -591,6 +601,7 @@ func (r *Rank) Iprobe(src, tag int) (Status, bool) {
 func (r *Rank) Probe(src, tag int) Status {
 	r.profEnter()
 	defer r.profExit("Probe")
+	r.checkSource("Probe", src)
 	var env *envelope
 	r.waitUntil(func() bool {
 		env = r.peekUnexpected(src, tag, 0)

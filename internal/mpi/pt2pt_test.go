@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cmpi/internal/cluster"
@@ -446,5 +447,39 @@ func TestDeterministicReplay(t *testing.T) {
 		if got := digest(); got != first {
 			t.Fatalf("run %d: digest %s, want %s", i, got, first)
 		}
+	}
+}
+
+// TestPointToPointNamesRankOutside: a point-to-point call naming a rank
+// outside the world or the communicator aborts the job with the call and the
+// size, rather than a runtime panic, a deadlock report or a silent false.
+func TestPointToPointNamesRankOutside(t *testing.T) {
+	buf := make([]byte, 8)
+	for _, tc := range []struct {
+		name, want string
+		run        func(r *Rank)
+	}{
+		{"Ssend", "Ssend to rank 5 outside world of size 2", func(r *Rank) { r.Ssend(5, 0, buf) }},
+		{"Probe", "Probe from rank 9 outside world of size 2", func(r *Rank) { r.Probe(9, 0) }},
+		{"Iprobe", "Iprobe from rank 9 outside world of size 2", func(r *Rank) { r.Iprobe(9, 0) }},
+		{"Comm.Send", "Send to rank 5 outside communicator of size 2", func(r *Rank) { r.CommWorld().Send(5, 0, buf) }},
+		{"Comm.Isend", "Isend to rank 2 outside communicator of size 2", func(r *Rank) { r.CommWorld().Isend(2, 0, buf) }},
+		{"Comm.Recv", "Recv from rank 7 outside communicator of size 2", func(r *Rank) { r.CommWorld().Recv(7, 0, buf) }},
+		{"Comm.Irecv", "Irecv from rank -3 outside communicator of size 2", func(r *Rank) { r.CommWorld().Irecv(-3, 0, buf) }},
+		{"Comm.Sendrecv", "Sendrecv from rank 4 outside communicator of size 2", func(r *Rank) { r.CommWorld().Sendrecv(1, 0, buf, 4, 0, buf) }},
+		{"Comm.GlobalRank", "GlobalRank of rank 2 outside communicator of size 2", func(r *Rank) { r.CommWorld().GlobalRank(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := testWorld(t, "2cont", 2, DefaultOptions())
+			err := w.Run(func(r *Rank) error {
+				if r.Rank() == 0 {
+					tc.run(r)
+				}
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
