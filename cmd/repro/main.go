@@ -81,6 +81,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 		return usageError{err}
 	}
+	switch {
+	case *workers < 0:
+		return usageError{fmt.Errorf("-j %d: want a worker count, or 0 for GOMAXPROCS", *workers)}
+	case *ranks < 0:
+		return usageError{fmt.Errorf("-ranks %d: want a rank count, or 0 for none", *ranks)}
+	case *faultSeed < -1:
+		return usageError{fmt.Errorf("-fault-seed %d: want a seed of 0 or more, or -1 for none", *faultSeed)}
+	}
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err

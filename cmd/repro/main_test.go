@@ -98,6 +98,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{[]string{"-trace-diff", missing}, "usage: repro -trace-diff A.trace B.trace", true},
 		{[]string{"-trace-diff", missing, missing}, "trace-diff: " + missing, true},
 		{[]string{"-nope"}, "flag provided but not defined: -nope", true},
+		{[]string{"-ranks", "-5", "-fig", "fig7c"}, "-ranks -5", true},
+		{[]string{"-fault-seed", "-7", "-fig", "fig7c"}, "-fault-seed -7", true},
+		{[]string{"-j", "-3", "-fig", "fig7c"}, "-j -3", true},
 	} {
 		out, err := repro(t, tc.args...)
 		var usage usageError
