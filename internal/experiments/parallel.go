@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -60,7 +61,7 @@ func memWorkerCap() int {
 }
 
 // parseMemAvailable extracts the MemAvailable value (bytes) from meminfo
-// content; 0 when absent or malformed.
+// content; 0 (no cap) when absent, malformed or too large to count in bytes.
 func parseMemAvailable(data []byte) int64 {
 	for len(data) > 0 {
 		line := data
@@ -80,7 +81,7 @@ func parseMemAvailable(data []byte) int64 {
 			return 0
 		}
 		kb, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil || kb < 0 {
+		if err != nil || kb < 0 || kb > math.MaxInt64>>10 {
 			return 0
 		}
 		return kb << 10

@@ -22,6 +22,9 @@ func TestParseMemAvailable(t *testing.T) {
 		{"missing-unit", "MemAvailable:    4096\n", 0},
 		{"wrong-unit", "MemAvailable:    4096 MB\n", 0},
 		{"negative", "MemAvailable:    -4096 kB\n", 0},
+		{"largest", "MemAvailable:    9007199254740991 kB\n", 9007199254740991 << 10},
+		{"wraps-to-1024", "MemAvailable:    18014398509481985 kB\n", 0},
+		{"wraps-negative", "MemAvailable:    9007199254740992 kB\n", 0},
 	}
 	for _, c := range cases {
 		if got := parseMemAvailable([]byte(c.in)); got != c.want {
