@@ -142,8 +142,9 @@ type (
 	FaultKind = fault.Kind
 	// FaultStats counts retransmissions and channel fallbacks per rank.
 	FaultStats = profile.FaultStats
-	// ErrorHandler selects job behaviour on channel errors
-	// (ErrorsAreFatal or ErrorsReturn), like MPI_Errhandler.
+	// ErrorHandler selects job behaviour when a rank loses a peer to a
+	// broken channel or a crash (ErrorsAreFatal or ErrorsReturn), like
+	// MPI_Errhandler.
 	ErrorHandler = mpi.ErrorHandler
 	// RankError wraps a failure with the rank identity and virtual time.
 	RankError = mpi.RankError
@@ -167,11 +168,13 @@ const (
 
 // Error handlers and fault wildcards.
 const (
-	// ErrorsAreFatal aborts the job on the first channel error (default,
-	// MPI_ERRORS_ARE_FATAL).
+	// ErrorsAreFatal aborts the job on the first channel error or crash
+	// (default, MPI_ERRORS_ARE_FATAL).
 	ErrorsAreFatal = mpi.ErrorsAreFatal
-	// ErrorsReturn completes affected requests with an error and lets ranks
-	// continue (MPI_ERRORS_RETURN).
+	// ErrorsReturn completes the requests bound to a lost peer with an error
+	// and lets ranks continue (MPI_ERRORS_RETURN). A crash kills only its
+	// victim, ULFM-style: survivors see *ProcFailedError, operations on the
+	// dead rank fail fast and Comm.Shrink repairs the communicator in-world.
 	ErrorsReturn = mpi.ErrorsReturn
 	// AnyTarget is the FaultEvent host/rank wildcard.
 	AnyTarget = fault.Any
@@ -196,18 +199,14 @@ type (
 	CheckpointStore = rec.Store
 	// CheckpointSnapshot is one committed coordinated checkpoint.
 	CheckpointSnapshot = rec.Snapshot
-	// ProcFailedError reports a dead peer to a survivor under ErrorsRecover.
+	// ProcFailedError reports a dead peer to a survivor under ErrorsReturn.
 	ProcFailedError = mpi.ProcFailedError
 	// CheckpointError reports an aborted checkpoint barrier.
 	CheckpointError = mpi.CheckpointError
 )
 
-// Recovery policies and the ULFM-style error handler.
+// Recovery policies.
 const (
-	// ErrorsRecover keeps survivors running when a rank crashes
-	// (ULFM-style): operations on dead peers fail fast and Comm.Shrink
-	// repairs the communicator in-world.
-	ErrorsRecover = mpi.ErrorsRecover
 	// PolicyRespawn restarts with casualties respawned on surviving hosts.
 	PolicyRespawn = rec.PolicyRespawn
 	// PolicyShrink restarts with the world shrunk to the survivors.

@@ -214,7 +214,7 @@ func runInWorldShrink(procs, victim int, crashAt sim.Time) (sim.Time, int, bool,
 		return 0, 0, false, err
 	}
 	opts := mpi.DefaultOptions()
-	opts.ErrHandler = mpi.ErrorsRecover
+	opts.ErrHandler = mpi.ErrorsReturn
 	opts.FaultPlan = fault.NewPlan().RankCrash(victim, crashAt)
 	w, err := mpi.NewWorld(d, opts)
 	if err != nil {
@@ -273,7 +273,7 @@ func chaosHunt(seed int64, procs int) (before, after, probes int, minimal string
 			return false
 		}
 		opts := mpi.DefaultOptions()
-		opts.ErrHandler = mpi.ErrorsRecover
+		opts.ErrHandler = mpi.ErrorsReturn
 		opts.FaultPlan = p
 		w, werr := mpi.NewWorld(d, opts)
 		if werr != nil {

@@ -29,10 +29,10 @@ type shrinkSync struct {
 }
 
 // Shrink agrees on the failed members of c and returns the survivor
-// communicator (meaningful under ErrorsRecover). Every surviving member must
-// call it; members that die before or during the agreement are counted among
-// the failed, never waited for. The survivor communicator keeps parent rank
-// order. Concurrent shrinks of different communicators are fine; shrinking
+// communicator (meaningful under ErrorsReturn, where a crash leaves the
+// survivors running). Every surviving member must call it; members that die
+// before or during the agreement are counted among the failed, never waited
+// for. The survivor communicator keeps parent rank order. Concurrent shrinks of different communicators are fine; shrinking
 // the same communicator twice concurrently from one rank is not (as in MPI,
 // one collective per communicator at a time).
 func (c *Comm) Shrink() *Comm {

@@ -8,39 +8,33 @@ import (
 	"cmpi/internal/sim"
 )
 
-// ErrorHandler selects what the runtime does when a communication channel
-// fails mid-job, mirroring the two predefined MPI error handlers.
+// ErrorHandler selects what the runtime does when a rank loses a peer
+// mid-job — its HCA channel breaks or it crashes — mirroring the two
+// predefined MPI error handlers.
 type ErrorHandler int
 
 const (
 	// ErrorsAreFatal (MPI_ERRORS_ARE_FATAL, the MPI default): the first
-	// channel failure aborts the whole job; World.Run returns the aggregated
-	// per-rank errors.
+	// channel failure or crash aborts the whole job; World.Run returns the
+	// aggregated per-rank errors.
 	ErrorsAreFatal ErrorHandler = iota
-	// ErrorsReturn (MPI_ERRORS_RETURN): a channel failure fails the affected
-	// requests (Request.Err reports the cause) and the rank keeps running, so
-	// the application can degrade or shut down cleanly. Collectives over a
-	// failed channel are undefined, as in real MPI; ranks that keep waiting
-	// on a dead peer surface as a deadlock report joined into Run's error.
+	// ErrorsReturn (MPI_ERRORS_RETURN): a rank that loses a peer fails its
+	// operations bound to it with a *ChannelError (broken channel) or, as
+	// ULFM reports a dead process, a *ProcFailedError (a RankCrash, which
+	// kills only its victim); Request.Err reports the cause, new operations
+	// toward the peer fail fast, and the rank keeps running. It can finish
+	// degraded, shrink the communicator (Comm.Shrink), or return an error
+	// and let World.RunRecoverable rebuild the job from the latest
+	// checkpoint. Collectives over a broken channel are undefined, as in
+	// real MPI; ranks that keep waiting on such a peer surface as a deadlock
+	// report joined into Run's error.
 	ErrorsReturn
-	// ErrorsRecover is the ULFM-style handler: a RankCrash kills only its
-	// victim. Surviving ranks observe the failure — operations that name the
-	// dead rank (and, conservatively, wildcard receives) complete with a
-	// *ProcFailedError, new operations toward it fail fast, and the world
-	// keeps running so the application can either finish degraded, shrink the
-	// communicator (Comm.Shrink), or return an error and let
-	// World.RunRecoverable rebuild the job from the latest checkpoint.
-	// Channel errors behave exactly as under ErrorsReturn.
-	ErrorsRecover
 )
 
 // String names the handler for diagnostics.
 func (h ErrorHandler) String() string {
-	switch h {
-	case ErrorsReturn:
+	if h == ErrorsReturn {
 		return "errors-return"
-	case ErrorsRecover:
-		return "errors-recover"
 	}
 	return "errors-are-fatal"
 }
@@ -104,7 +98,7 @@ func (e *CrashError) Error() string {
 func (e *CrashError) Unwrap() error { return fault.ErrInjected }
 
 // ProcFailedError is the ULFM MPI_ERR_PROC_FAILED analogue: under
-// ErrorsRecover, an operation involving a crashed rank completes with this
+// ErrorsReturn, an operation involving a crashed rank completes with this
 // error at every surviving rank.
 type ProcFailedError struct {
 	// Peer is the dead rank the operation named (or the rank whose failure

@@ -45,14 +45,14 @@ var (
 		o.FaultPlan = fault.NewPlan().SendDrops(1, lossAt, 0, 1000)
 	}}
 	lossCrash2Host = lossKind{"crash-2host", "2host", func(o *Options) {
-		o.ErrHandler = ErrorsRecover
+		o.ErrHandler = ErrorsReturn
 		o.FaultPlan = fault.NewPlan().RankCrash(1, lossAt)
 	}}
 	// On one container the ring holds one eager message's worth of bytes,
 	// so a message of one byte less than the eager size — two cells plus
 	// their headers — stalls its sender after the first fragment.
 	lossCrash1Cont = lossKind{"crash-1cont", "1cont", func(o *Options) {
-		o.ErrHandler = ErrorsRecover
+		o.ErrHandler = ErrorsReturn
 		o.Tunables.SMPEagerSize, o.Tunables.SMPLengthQueue = 16<<10, 16<<10
 		o.FaultPlan = fault.NewPlan().RankCrash(1, lossAt)
 	}}

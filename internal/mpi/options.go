@@ -51,8 +51,9 @@ type Options struct {
 	// the substrates consult in virtual time. Identical plans over identical
 	// jobs produce identical simulated outcomes.
 	FaultPlan *fault.Plan
-	// ErrHandler selects the job's reaction to channel failures under fault
-	// injection. The zero value is ErrorsAreFatal, the MPI default.
+	// ErrHandler selects the job's reaction to a lost peer (a broken
+	// channel or a crash) under fault injection. The zero value is
+	// ErrorsAreFatal, the MPI default.
 	ErrHandler ErrorHandler
 	// Topology is the fabric's switching hierarchy (racks and fat-tree spine
 	// stages). The zero value is the paper's testbed: one non-blocking

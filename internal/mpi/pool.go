@@ -36,8 +36,8 @@ import "cmpi/internal/core"
 // Lifetimes worth knowing before touching this code:
 //
 //   - shmPacket: born in pushOp/pushControl, consumed exactly once in
-//     shmRing.drain, recycled there. A packet rejected by tryPush on a full
-//     ring is recycled by the pusher.
+//     shmRing.drain, recycled there. pushOp takes a packet only once
+//     ringDir.reserve has claimed its budget, so a full ring rejects none.
 //   - sendOp: reference-counted (refs=2). Ring fragments alias op.data and
 //     an RTS carries the op as the sender's buffer handle, so the sender
 //     (queue) and the receiver (stream) each hold a reference; whoever drops

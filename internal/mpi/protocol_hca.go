@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"cmpi/internal/core"
 	"cmpi/internal/ib"
@@ -127,7 +126,7 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 		st := ps.rndv[cqe.Imm]
 		if st.rreq == nil {
 			if r.w.rankDead(peer) {
-				// The sender crashed after posting the write; reapPeer already
+				// The sender crashed after posting the write; losePeer already
 				// failed our side and dropped the rendezvous entry. The stale
 				// payload landing now is harmless — ignore it.
 				return
@@ -166,10 +165,9 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 
 // handleChannelError reacts to an error completion: the RC connection to one
 // peer is gone. Under ErrorsAreFatal the rank (and with it the job) aborts
-// with a typed *RankError wrapping the *ChannelError. Under ErrorsReturn
-// every in-flight operation bound to the dead channel is completed with the
-// error — rendezvous on either side, posted receives naming the peer, and
-// pending RDMA work requests — so no caller blocks forever.
+// with a typed *RankError wrapping the *ChannelError. Under ErrorsReturn the
+// completion's own work request fails, and losePeer fails every other
+// operation bound to the dead channel, so no caller blocks forever.
 func (r *Rank) handleChannelError(cqe ib.CQE) {
 	peer, known := r.qpPeer[cqe.QP]
 	if !known {
@@ -183,32 +181,7 @@ func (r *Rank) handleChannelError(cqe ib.CQE) {
 		r.w.failRank(r, ce) // does not return
 	}
 	pr := r.peer(peer)
-	first := !pr.dead
 	pr.dead = true
-
-	// Fail this rank's side of every rendezvous crossing the dead channel
-	// (the pair's table holds exactly those). The far end cleans up its own
-	// side when its error CQE arrives. Map iteration is unordered, so collect
-	// and sort ids for determinism.
-	psDead := pr.ps
-	var ids []uint64
-	for id, st := range psDead.rndv {
-		if (st.sreq != nil && st.sreq.r == r) || (st.rreq != nil && st.rreq.r == r) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		st := psDead.rndv[id]
-		if st.sreq != nil && st.sreq.r == r {
-			r.failRequest(st.sreq, ce)
-			st.sreq = nil
-		} else {
-			r.failRequest(st.rreq, ce)
-			st.rreq = nil
-		}
-		psDead.rndv[id] = st
-	}
 	// Pending RDMA work requests on the pair flush individually; the wrid
 	// routing for a specific failed WRID still resolves here.
 	if ref, ok := r.wridOps[cqe.WRID]; ok && cqe.WRID != 0 {
@@ -220,15 +193,7 @@ func (r *Rank) handleChannelError(cqe ib.CQE) {
 			ref.win.outstanding--
 		}
 	}
-	// Posted receives naming the dead peer can never match (only on the
-	// first observation; later flush CQEs must not re-sweep).
-	if first {
-		for _, req := range append([]*Request(nil), r.posted.items()...) {
-			if req.peer == peer {
-				r.failRequest(req, ce)
-			}
-		}
-	}
+	r.losePeer(pr, ce)
 }
 
 // handleHCAMessage processes an inbound SEND (eager payload or rendezvous

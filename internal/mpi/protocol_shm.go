@@ -25,11 +25,11 @@ const (
 	pktFIN
 )
 
-// ctrlFootprint reserves no ring budget: real rings keep dedicated control
-// slots so that control traffic can never deadlock behind data.
-const (
-	pktHeaderBytes = 32
-)
+// pktHeaderBytes is the ring budget a data packet's header takes beside its
+// payload. Control packets (RTS, CTS, FIN) take none: real rings keep
+// dedicated control slots so that control traffic can never deadlock behind
+// data.
+const pktHeaderBytes = 32
 
 // shmPacket is one entry in a ring direction. A data packet's payload
 // aliases the sender's snapshot of the message (sendOp.data): the copy into

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"cmpi/internal/core"
-	"cmpi/internal/ib"
 	"cmpi/internal/trace"
 )
 
@@ -296,20 +295,14 @@ func (r *Rank) isendCtx(dst, tag, ctx int, data []byte, sync bool) *Request {
 		r.selfSend(req)
 		return req
 	}
-	if r.w.Opts.ErrHandler == ErrorsRecover && r.w.rankDead(dst) {
-		// ULFM fast path: the destination crashed, so the send can never be
-		// received (real messages may race the failure notice; the simulation
-		// observes crashes at their virtual instant).
-		r.failRequest(req, &ProcFailedError{Peer: dst, At: r.p.Now()})
+	if err := r.lostErr(dst); err != nil {
+		// The destination crashed (real messages may race the failure notice;
+		// the simulation observes crashes at their virtual instant) or the
+		// HCA channel to it broke: fail fast instead of posting into it.
+		r.failRequest(req, err)
 		return req
 	}
 	pr := r.peer(dst)
-	if pr.dead {
-		// The HCA channel to dst already broke under ErrorsReturn: fail fast
-		// instead of posting into a flushed connection.
-		r.failRequest(req, &ChannelError{Peer: dst, Status: ib.WCFlushed})
-		return req
-	}
 	req.pr = pr
 	path := r.pathFor(pr, len(data), sync)
 	r.trace(op, trace.PathOf(path), dst, tag, ctx, len(data), pr.sendSeq)
@@ -344,13 +337,10 @@ func (r *Rank) irecvCtx(src, tag, ctx int, buf []byte) *Request {
 	req.r, req.peer, req.tag, req.ctx, req.rbuf = r, src, tag, ctx, buf
 	if env := r.matchUnexpected(src, tag, ctx); env != nil {
 		r.bindEnvelope(env, req)
-	} else if src != AnySource && r.w.Opts.ErrHandler == ErrorsRecover && r.w.rankDead(src) {
+	} else if err := r.lostErr(src); err != nil {
 		// Already-delivered messages (unexpected queue) matched above; nothing
-		// more can ever arrive from a crashed source.
-		r.failRequest(req, &ProcFailedError{Peer: src, At: r.p.Now()})
-	} else if pr := r.peers.find(src); pr != nil && pr.dead {
-		// Nothing more can ever arrive from a dead peer.
-		r.failRequest(req, &ChannelError{Peer: src, Status: ib.WCFlushed})
+		// more can ever arrive from a lost peer.
+		r.failRequest(req, err)
 	} else {
 		r.posted.push(req)
 	}

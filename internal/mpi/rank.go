@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
@@ -65,7 +66,7 @@ type Rank struct {
 	crashAt   sim.Time // scheduled death (valid when hasCrash)
 	reqFailed bool     // some request of this rank completed with an error (failRequest)
 
-	// recovery state (ErrorsRecover)
+	// recovery state (a crashed peer under ErrorsReturn)
 	crashSeen uint64 // last World.crashGen this rank reaped
 
 	prof *profile.RankProfile
@@ -473,7 +474,7 @@ func (r *Rank) waitUntil(cond func() bool) {
 // goroutine-backed caller was blocked inside Park until the wake and simply
 // calls again. Every external state change that could
 // satisfy cond wakes the rank — including the wake scheduled for the rank's
-// own planned crash, and (under ErrorsRecover) the broadcast wake
+// own planned crash, and (under ErrorsReturn) the broadcast wake
 // markCrashed sends when a peer dies.
 func (r *Rank) waitStep(cond func() bool) bool {
 	for {
@@ -496,11 +497,8 @@ func (r *Rank) waitStep(cond func() bool) bool {
 	}
 }
 
-// failDeadOps reaps every operation bound to a peer whose crash this rank has
-// not yet processed: posted receives naming the peer (or wildcard receives,
-// conservatively — see reapPeer), queued and FIN-awaiting sends toward it, and
-// the pair's in-flight rendezvous transfers. Each completes with a
-// *ProcFailedError so the application observes the failure ULFM-style.
+// failDeadOps sweeps, once per peer, the operations bound to every peer whose
+// crash this rank has not yet processed (losePeer).
 func (r *Rank) failDeadOps() {
 	for d, dead := range r.w.crashed {
 		if !dead || d == r.rank {
@@ -508,51 +506,82 @@ func (r *Rank) failDeadOps() {
 		}
 		if pr := r.peer(d); !pr.reaped {
 			pr.reaped = true
-			r.reapPeer(pr)
+			r.losePeer(pr, &ProcFailedError{Peer: d, At: r.p.Now()})
 		}
 	}
 }
 
-// reapPeer fails this rank's operations bound to the newly dead rank d.
-// Wildcard (AnySource) receives are failed too: the dead rank could have been
-// their match, so letting them linger risks waiting forever on a message that
-// died with its sender. This is the conservative ULFM reading — MPI_ANY_SOURCE
-// receives raise MPI_ERR_PROC_FAILED_PENDING when any potential sender fails.
-func (r *Rank) reapPeer(pr *peerRec) {
+// losePeer fails this rank's operations bound to the lost peer pr with cause:
+// a *ChannelError when the HCA channel to it broke (handleChannelError, on
+// every error completion) or a *ProcFailedError when it crashed (failDeadOps,
+// once). Either way posted receives naming the peer fail, and so does this
+// side of every HCA rendezvous on the pair. A crash also fails what only the
+// dead process could have finished: wildcard receives (it could have been
+// their match — the conservative ULFM reading, where MPI_ANY_SOURCE receives
+// raise MPI_ERR_PROC_FAILED_PENDING), streams and unexpected envelopes still
+// missing fragments, and ring sends queued toward it or awaiting its FIN. A
+// broken HCA channel leaves those to the pair's ring and to other senders.
+func (r *Rank) losePeer(pr *peerRec, cause error) {
 	d := int(pr.rank)
-	pe := &ProcFailedError{Peer: d, At: r.p.Now()}
+	_, crashed := cause.(*ProcFailedError)
 
-	// Posted receives naming d, or wildcards. failRequest withdraws each from
-	// the posted list, so collect victims first.
-	var victims []*Request
-	for _, req := range r.posted.items() {
-		if req.peer == d || req.peer == AnySource {
-			victims = append(victims, req)
+	// failRequest withdraws each receive from the posted list: walk it from
+	// the back.
+	for i := r.posted.len() - 1; i >= 0; i-- {
+		if req := r.posted.items()[i]; req.peer == d || crashed && req.peer == AnySource {
+			r.failRequest(req, cause)
 		}
 	}
-	for _, req := range victims {
-		r.failRequest(req, pe)
+
+	// This side of the pair's rendezvous transfers, in id order. After a
+	// break the far end fails its own side when its error completion
+	// arrives, so the entry stays for it; a dead far end never will.
+	ps := pr.ps
+	var ids []uint64
+	for id, st := range ps.rndv {
+		if (st.sreq != nil && st.sreq.r == r) || (st.rreq != nil && st.rreq.r == r) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		st := ps.rndv[id]
+		if st.sreq != nil && st.sreq.r == r {
+			r.failRequest(st.sreq, cause)
+			st.sreq = nil
+		}
+		if st.rreq != nil && st.rreq.r == r {
+			r.failRequest(st.rreq, cause)
+			st.rreq = nil
+		}
+		if crashed {
+			delete(ps.rndv, id)
+		} else {
+			ps.rndv[id] = st
+		}
+	}
+	if !crashed {
+		return
 	}
 
-	// Receives already matched and mid-stream from d (no longer in posted),
-	// plus partially arrived unexpected messages: their remaining fragments
-	// died with the sender. Collect seqs and sort for deterministic order.
+	// Receives matched and mid-stream from d, and partially arrived
+	// unexpected messages, in sequence order. The envelope (and any sendOp
+	// reference it holds) is left to the GC, like every failed-request
+	// envelope: error paths are cold.
 	var seqs []uint64
 	for key := range r.streams {
 		if key.src == d {
 			seqs = append(seqs, key.seq)
 		}
 	}
-	sortUint64s(seqs)
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		key := streamKey{src: d, seq: seq}
 		env := r.streams[key]
 		delete(r.streams, key)
 		if env.req != nil {
-			r.failRequest(env.req, pe)
+			r.failRequest(env.req, cause)
 		}
-		// The envelope (and any sendOp reference it holds) is leaked to the
-		// GC, like every failed-request envelope: error paths are cold.
 	}
 
 	// Unexpected envelopes from d that never finished arriving (rendezvous
@@ -567,7 +596,7 @@ func (r *Rank) reapPeer(pr *peerRec) {
 	if q := pr.q; q != nil {
 		// Queued sends toward d that never reached a channel.
 		for _, op := range q.sendQ {
-			r.failRequest(op.req, pe)
+			r.failRequest(op.req, cause)
 			op.queued = false
 			r.releaseOp(op)
 		}
@@ -577,38 +606,28 @@ func (r *Rank) reapPeer(pr *peerRec) {
 		// arrive. Their data is the borrowed user buffer, which the failed
 		// request hands back to the caller; releaseOp never pools it.
 		for _, op := range q.finWait {
-			r.failRequest(op.req, pe)
+			r.failRequest(op.req, cause)
 			r.releaseOp(op)
 		}
 		q.finWait = nil
 	}
+}
 
-	// In-flight HCA rendezvous transfers on the pair: fail this side's
-	// requests. Collect and sort ids for deterministic failure order.
-	ps := pr.ps
-	if len(ps.rndv) > 0 {
-		var ids []uint64
-		for id, st := range ps.rndv {
-			if (st.sreq != nil && st.sreq.r == r) || (st.rreq != nil && st.rreq.r == r) {
-				ids = append(ids, id)
-			}
-		}
-		sortUint64s(ids)
-		for _, id := range ids {
-			st := ps.rndv[id]
-			if st.sreq != nil && st.sreq.r == r {
-				r.failRequest(st.sreq, pe)
-			}
-			if st.rreq != nil && st.rreq.r == r {
-				r.failRequest(st.rreq, pe)
-			}
-			delete(ps.rndv, id)
-		}
+// lostErr is the error an operation naming peer fails with at once because
+// this rank has lost it — the peer crashed, or the HCA channel to it broke —
+// or nil. A wildcard source names no peer.
+func (r *Rank) lostErr(peer int) error {
+	if peer != AnySource && r.w.rankDead(peer) {
+		return &ProcFailedError{Peer: peer, At: r.p.Now()}
 	}
+	if pr := r.peers.find(peer); pr != nil && pr.dead {
+		return &ChannelError{Peer: peer, Status: ib.WCFlushed}
+	}
+	return nil
 }
 
 // addFinWait registers a rendezvous send that left the queue but still awaits
-// its FIN, so reapPeer can fail it if the receiver dies first.
+// its FIN, so losePeer can fail it if the receiver dies first.
 func (r *Rank) addFinWait(op *sendOp) {
 	q := op.pr.q
 	q.finWait = append(q.finWait, op)
@@ -627,10 +646,11 @@ func (r *Rank) removeFinWait(op *sendOp) {
 
 // Failed reports whether any rank in the job has crashed (ULFM
 // MPI_Comm_failure_ack/get_acked condensed to a world-level query; meaningful
-// under ErrorsRecover).
+// under ErrorsReturn, since under ErrorsAreFatal a crash ends the job).
 func (r *Rank) Failed() bool { return r.w.anyCrashed() }
 
-// DeadRanks lists the crashed ranks in ascending order.
+// DeadRanks lists the crashed ranks in ascending order (empty under
+// ErrorsAreFatal, which ends the job at the first crash).
 func (r *Rank) DeadRanks() []int { return r.w.deadRanksSorted() }
 
 // Restored reports whether this world resumed from a checkpoint, and if so
@@ -651,13 +671,4 @@ func (r *Rank) PrevRank() int {
 		return r.rank
 	}
 	return r.w.restoredMap[r.rank]
-}
-
-// sortUint64s sorts ascending (tiny n; avoids a sort.Slice closure per call).
-func sortUint64s(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

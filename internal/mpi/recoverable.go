@@ -9,7 +9,7 @@ import (
 	rec "cmpi/internal/recover"
 )
 
-// Restart-based recovery: RunRecoverable drives a job under ErrorsRecover
+// Restart-based recovery: RunRecoverable drives a job under ErrorsReturn
 // and, when ranks crash, rebuilds the world — shrunken to the survivors or
 // with the casualties respawned on healthy hosts — restores the latest
 // coordinated checkpoint, and replays forward. Because the simulation is
@@ -30,7 +30,7 @@ type RecoverOptions struct {
 	Store *rec.Store
 }
 
-// RunRecoverable runs body like Run, but under the ErrorsRecover handler and
+// RunRecoverable runs body like Run, but under the ErrorsReturn handler and
 // with automatic restarts: when ranks crash, the deployment is repaired per
 // the policy, the world is rebuilt on the same cluster, the latest
 // checkpoint (if any) is restored — ranks then see Restored() — and the body
@@ -47,7 +47,7 @@ func (w *World) RunRecoverable(ro RecoverOptions, body func(r *Rank) error) (*re
 	report := &rec.Report{}
 	cur := w
 	for {
-		cur.Opts.ErrHandler = ErrorsRecover
+		cur.Opts.ErrHandler = ErrorsReturn
 		cur.store = store
 		err := cur.Run(body)
 		report.Attempts++

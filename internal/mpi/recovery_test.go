@@ -208,7 +208,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 func TestRecoverErrorOrderDeterminism(t *testing.T) {
 	invariant.Check(t, func(t *testing.T, p invariant.Point) invariant.Result {
 		opts := DefaultOptions()
-		opts.ErrHandler = ErrorsRecover
+		opts.ErrHandler = ErrorsReturn
 		opts.FaultPlan = fault.NewPlan().
 			RankCrash(1, 10*sim.Microsecond).
 			RankCrash(6, 15*sim.Microsecond)
@@ -235,7 +235,7 @@ func TestCommShrinkInWorld(t *testing.T) {
 	const n = 8
 	const victim = 2
 	opts := DefaultOptions()
-	opts.ErrHandler = ErrorsRecover
+	opts.ErrHandler = ErrorsReturn
 	opts.FaultPlan = fault.NewPlan().RankCrash(victim, 10*sim.Microsecond)
 	w := testWorld(t, "native", n, opts)
 	finished := 0
@@ -294,6 +294,43 @@ func TestCommShrinkInWorld(t *testing.T) {
 	}
 }
 
+// TestErrorsReturnSurvivesCrash: under ErrorsReturn a crash kills only its
+// victim. A survivor's receive from the dead rank completes with a
+// *ProcFailedError naming it, instead of waiting until the job deadlocks, and
+// Comm.Shrink hands the survivors a communicator of their own.
+func TestErrorsReturnSurvivesCrash(t *testing.T) {
+	const victim = 1
+	opts := DefaultOptions()
+	opts.ErrHandler = ErrorsReturn
+	opts.FaultPlan = fault.NewPlan().RankCrash(victim, 10*sim.Microsecond)
+	w := testWorld(t, "native", 3, opts)
+	err := w.Run(func(r *Rank) error {
+		if r.Rank() == victim {
+			r.Compute(5000) // dies in here
+			return fmt.Errorf("rank %d outlived its crash", victim)
+		}
+		req := r.Irecv(victim, 0, make([]byte, 8))
+		r.Wait(req)
+		var pe *ProcFailedError
+		if !errors.As(req.Err(), &pe) || pe.Peer != victim {
+			t.Errorf("rank %d: receive from the dead rank ended with %v, want a ProcFailedError for rank %d", r.Rank(), req.Err(), victim)
+		}
+		nc := r.CommWorld().Shrink()
+		if nc.Size() != 2 || nc.GlobalRank(0) != 0 || nc.GlobalRank(1) != 2 {
+			t.Errorf("rank %d: shrunken communicator of %d ranks, want world ranks 0 and 2", r.Rank(), nc.Size())
+		}
+		return nil
+	})
+	var ce *CrashError
+	if !errors.As(err, &ce) || ce.Rank != victim {
+		t.Errorf("err = %v, want the victim's *CrashError", err)
+	}
+	var de *sim.DeadlockError
+	if errors.As(err, &de) {
+		t.Errorf("the survivors deadlocked: %v", err)
+	}
+}
+
 // TestCheckpointAbortOnCrash parks most ranks in a checkpoint barrier and
 // kills the straggler before it arrives: the barrier must abort, every
 // survivor gets a *CheckpointError naming the victim, nothing is committed,
@@ -302,7 +339,7 @@ func TestCheckpointAbortOnCrash(t *testing.T) {
 	const n = 4
 	const victim = 3
 	opts := DefaultOptions()
-	opts.ErrHandler = ErrorsRecover
+	opts.ErrHandler = ErrorsReturn
 	opts.FaultPlan = fault.NewPlan().RankCrash(victim, 20*sim.Microsecond)
 	w := testWorld(t, "native", n, opts)
 	aborted := 0
@@ -412,7 +449,7 @@ func TestShrinkPlanEndToEnd(t *testing.T) {
 	plan.RankCrash(1, 40*sim.Microsecond)
 	fails := func(p *fault.Plan) bool {
 		opts := DefaultOptions()
-		opts.ErrHandler = ErrorsRecover
+		opts.ErrHandler = ErrorsReturn
 		opts.FaultPlan = p
 		w := testWorld(t, "native", 4, opts)
 		err := w.Run(func(r *Rank) error {

@@ -167,7 +167,7 @@ func TestBorrowedSendBufferNeverPooled(t *testing.T) {
 	const size = 64 << 10
 	opts := DefaultOptions()
 	opts.Mode = core.ModeLocalityAware
-	opts.ErrHandler = ErrorsRecover
+	opts.ErrHandler = ErrorsReturn
 	opts.FaultPlan = fault.NewPlan().RankCrash(1, 200*sim.Microsecond)
 	w := testWorld(t, "1cont", 2, opts)
 	err := w.Run(func(r *Rank) error {

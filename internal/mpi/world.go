@@ -42,7 +42,7 @@ type World struct {
 	// indexed by rank.
 	rankErrs []error
 
-	// Recovery state (ErrorsRecover / RunRecoverable). crashed marks ranks
+	// Recovery state (ErrorsReturn / RunRecoverable). crashed marks ranks
 	// that died; crashGen increments on every new death so survivors can reap
 	// lazily (Rank.failDeadOps).
 	crashed  []bool
@@ -262,9 +262,9 @@ func (w *World) drainPools(clean bool) {
 // failRank records a rank failure. Under ErrorsAreFatal it aborts the whole
 // simulation with the typed error (first failure wins, as in MPI_Abort);
 // under ErrorsReturn the rank simply stops and peers either complete, observe
-// failed requests, or surface in the engine's deadlock report. Under
-// ErrorsRecover a *CrashError additionally marks the rank dead so survivors
-// observe the failure (markCrashed); other errors behave as ErrorsReturn.
+// failed requests, or surface in the engine's deadlock report, and a
+// *CrashError also marks the rank dead so survivors observe the failure
+// (markCrashed).
 func (w *World) failRank(r *Rank, cause error) {
 	re := &RankError{Rank: r.rank, At: r.p.Now(), Err: cause}
 	if w.rankErrs[r.rank] == nil {
@@ -274,11 +274,9 @@ func (w *World) failRank(r *Rank, cause error) {
 		r.p.Fail(re)
 		return
 	}
-	if w.Opts.ErrHandler == ErrorsRecover {
-		var ce *CrashError
-		if errors.As(cause, &ce) {
-			w.markCrashed(r)
-		}
+	var ce *CrashError
+	if errors.As(cause, &ce) {
+		w.markCrashed(r)
 	}
 }
 
