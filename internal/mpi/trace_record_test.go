@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"cmpi/internal/fault"
@@ -122,5 +123,70 @@ func TestReplayReconstructsFaultCounters(t *testing.T) {
 	}
 	if faults.ShmFallbacks > 0 && s.AttachFails == 0 {
 		t.Error("shm fallbacks occurred but no attach-fail records were emitted")
+	}
+}
+
+// retryTraceRun is the lost-peer matrix's chan-2host loss recorded with drops
+// instead of its plan's: rank 1 sends rank 0 one eager message after lossAt,
+// then waits for rank 0's reply. With more drops than RetryCount the pair
+// breaks and both receives fail; with fewer the send is retransmitted and the
+// reply arrives.
+func retryTraceRun(drops int) invariant.Run {
+	return func(t *testing.T, p invariant.Point) invariant.Result {
+		var stream bytes.Buffer
+		opts := DefaultOptions()
+		lossChan2Host.set(&opts)
+		opts.FaultPlan = fault.NewPlan().SendDrops(1, lossAt, 0, drops)
+		opts.Record = trace.NewRecorder(&stream)
+		w := testWorld(t, lossChan2Host.scenario, 2, opts)
+		err := w.Run(func(r *Rank) error {
+			if r.Rank() == 1 {
+				for r.Now() < lossAt {
+					r.Compute(1000)
+				}
+				r.Send(0, tagBreak, make([]byte, 64))
+				req := r.Irecv(0, tagLoss, make([]byte, 8))
+				r.Wait(req)
+				return req.Err()
+			}
+			req := r.Irecv(1, tagBreak, make([]byte, 64))
+			r.Wait(req)
+			if req.Err() == nil {
+				r.Send(1, tagLoss, make([]byte, 8))
+			}
+			return req.Err()
+		})
+		var broken *ChannelError
+		if lost := drops > opts.Tunables.RetryCount; lost != errors.As(err, &broken) {
+			t.Errorf("%d drops over %d retries: Run returned %v", drops, opts.Tunables.RetryCount, err)
+		}
+		if opts.Record.Err() != nil {
+			t.Fatalf("recorder: %v", opts.Record.Err())
+		}
+		return invariant.Result{Digest: w.Digest(), Trace: stream.Bytes()}
+	}
+}
+
+// TestRetryTracePinned pins the transport's fault records: one RC pair
+// retransmitting a dropped send and one breaking after its retries run out.
+// Between them the traces hold both a retransmit and a qp-break record.
+func TestRetryTracePinned(t *testing.T) {
+	rows := []pinnedRow{
+		{"retransmit", retryTraceRun(1), "706573f4a1921881046d99a6435e272268b1111b9527559c5e16b3c5452814a5"},
+		{"qp-break", retryTraceRun(1000), "26264346bd3adbdd2955256a7e4a7cbfb9b7a7efc9e1eed885da84ca11b76498"},
+	}
+	count := map[trace.Op]int{}
+	for _, b := range checkPinned(t, rows, invariant.Point{}) {
+		tr, err := trace.Read(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range tr.Records {
+			count[rec.Op]++
+		}
+	}
+	if count[trace.OpRetransmit] == 0 || count[trace.OpQPBreak] == 0 {
+		t.Errorf("%d retransmit and %d qp-break records, want at least one of each",
+			count[trace.OpRetransmit], count[trace.OpQPBreak])
 	}
 }
