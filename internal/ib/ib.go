@@ -25,6 +25,7 @@ import (
 	"cmpi/internal/fault"
 	"cmpi/internal/perf"
 	"cmpi/internal/sim"
+	"cmpi/internal/trace"
 )
 
 // Fabric is the switched InfiniBand network of one cluster: one port per
@@ -53,10 +54,10 @@ type Fabric struct {
 	retryCnt int      // RC retry_cnt: max retransmissions before QP error
 	retryTO  sim.Time // base retransmission timeout; doubles per retry
 
-	// trace, when installed, observes transport fault events (successful
+	// rec, when set, records transport fault events (successful
 	// retransmission bursts and QP breaks) as they are scheduled, in
 	// dispatch order.
-	trace func(TraceEvent)
+	rec *trace.Recorder
 }
 
 // ObjCounters reports where the devices' event records and CQ batches came
@@ -113,32 +114,8 @@ func (f *Fabric) SetFaults(inj *fault.Injector, retryCnt int, retryTO sim.Time) 
 	}
 }
 
-// TraceKind classifies one fabric trace event.
-type TraceKind uint8
-
-const (
-	// TraceRetransmit reports a transmission that succeeded after Retries
-	// retransmissions.
-	TraceRetransmit TraceKind = iota
-	// TraceQPBreak reports an RC pair broken after retry exhaustion.
-	TraceQPBreak
-)
-
-// TraceEvent is one transport fault event handed to the trace observer.
-type TraceEvent struct {
-	// T is the virtual time the event takes effect.
-	T sim.Time
-	// Kind distinguishes retransmission from pair breakage.
-	Kind TraceKind
-	// Host is the posting host's index.
-	Host int
-	// Retries is the number of retransmissions spent.
-	Retries int
-}
-
-// SetTrace installs (or, with nil, removes) the fabric's fault-event
-// observer.
-func (f *Fabric) SetTrace(fn func(TraceEvent)) { f.trace = fn }
+// SetRecorder makes the fabric add its fault events to rec (nil stops it).
+func (f *Fabric) SetRecorder(rec *trace.Recorder) { f.rec = rec }
 
 // port is the per-host HCA attachment point with its link resources.
 type port struct {
@@ -619,8 +596,8 @@ func (f *Fabric) retrySchedule(host int, t0 sim.Time) (at sim.Time, retries int,
 			return t, retries, false
 		}
 	}
-	if retries > 0 && f.trace != nil {
-		f.trace(TraceEvent{T: t, Kind: TraceRetransmit, Host: host, Retries: retries})
+	if retries > 0 && f.rec != nil {
+		f.rec.Add(trace.Record{T: t, Op: trace.OpRetransmit, Path: trace.PathNone, Rank: -1, Peer: host, Aux: uint64(retries)})
 	}
 	return t, retries, true
 }
@@ -632,8 +609,8 @@ func (f *Fabric) retrySchedule(host int, t0 sim.Time) (at sim.Time, retries int,
 func (f *Fabric) breakPair(at sim.Time, q *QP, wrid uint64, op Opcode, retries int) {
 	peer := q.peer
 	q.broken, peer.broken = true, true
-	if f.trace != nil {
-		f.trace(TraceEvent{T: at, Kind: TraceQPBreak, Host: q.dev.Env.Host.Index, Retries: retries})
+	if f.rec != nil {
+		f.rec.Add(trace.Record{T: at, Op: trace.OpQPBreak, Path: trace.PathNone, Rank: -1, Peer: q.dev.Env.Host.Index, Aux: uint64(retries)})
 	}
 	f.eng.At(at, func() {
 		q.sendCQ.push(at, CQE{QP: q, WRID: wrid, Op: op, Status: WCRetryExceeded, Retries: retries})

@@ -155,10 +155,5 @@ func (r *Rank) recordCollAlgo(algo core.AllreduceAlgo, bytes int) {
 	if r.prof != nil {
 		r.prof.Coll.Add(algo, bytes)
 	}
-	if r.w.Opts.Record != nil {
-		r.p.Emit(trace.Record{
-			T: r.p.Now(), Op: trace.OpCollAlgo, Path: trace.PathNone,
-			Rank: r.rank, Peer: -1, Tag: 0, Ctx: 0, Bytes: bytes, Aux: uint64(algo),
-		})
-	}
+	r.trace(trace.OpCollAlgo, trace.PathNone, -1, 0, 0, bytes, uint64(algo))
 }

@@ -786,23 +786,6 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 	return true
 }
 
-// MachBarrier is Rank.Barrier for machine programs: call Step each machine
-// step; true means the barrier completed, false means unwind with sim.More.
-// The zero value is ready; it resets itself on completion for reuse.
-type MachBarrier struct{ m mbarrier }
-
-func (b *MachBarrier) Step(r *Rank) bool {
-	g := r.group()
-	return b.m.step(r, &g)
-}
-
-// MachAllreduce is Rank.Allreduce for machine programs (the non-hierarchical
-// path: per-call algorithm selection over recursive doubling, Rabenseifner,
-// ring, and tree). Same stepping convention as MachBarrier.
-type MachAllreduce struct{ m mallreduce }
-
-func (a *MachAllreduce) Step(r *Rank, buf []byte, op ReduceOp) bool { return a.m.step(r, buf, op) }
-
 // AllreduceWorkload is a self-checking blocking rank body: iters rounds of
 // an int64-sum allreduce over a size-byte buffer (size%8 == 0) with a
 // deterministic per-rank fill, aborting the job on any wrong element. Its

@@ -384,17 +384,16 @@ func (r *Rank) crossSocket(peer int) bool {
 	return r.w.Deploy.Placements[peer].Socket() != r.socket
 }
 
-// trace emits one structured trace record when the world has a recorder
-// (Options.Record). Records ride the engine's emitter, which hands them to
-// the recorder at once, in the order the ranks run.
+// trace adds one structured trace record to the world's recorder
+// (Options.Record), if it has one, at once: records arrive in the order the
+// ranks run.
 func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int, seq uint64) {
-	if r.w.Opts.Record == nil {
-		return
+	if rec := r.w.Opts.Record; rec != nil {
+		rec.Add(trace.Record{
+			T: r.p.Now(), Op: op, Path: path,
+			Rank: r.rank, Peer: peer, Tag: tag, Ctx: ctx, Bytes: bytes, Aux: seq,
+		})
 	}
-	r.p.Emit(trace.Record{
-		T: r.p.Now(), Op: op, Path: path,
-		Rank: r.rank, Peer: peer, Tag: tag, Ctx: ctx, Bytes: bytes, Aux: seq,
-	})
 }
 
 // containerOverhead is the extra per-operation kernel-path cost paid when

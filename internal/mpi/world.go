@@ -15,6 +15,7 @@ import (
 	rec "cmpi/internal/recover"
 	"cmpi/internal/shmem"
 	"cmpi/internal/sim"
+	"cmpi/internal/trace"
 )
 
 // World is one MPI job: the deployment it runs on, the substrates it uses,
@@ -132,10 +133,13 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		w.fabric.SetFaults(inj, opts.Tunables.RetryCount, opts.Tunables.RetryTimeout)
 		w.shm.SetAttachFault(func(env *cluster.Container, name string) error {
 			host := env.Host.Index
-			if inj.ShmAttachFails(host, name, w.Eng.Now()) {
-				return &fault.AttachError{Name: name, Host: host}
+			if !inj.ShmAttachFails(host, name, w.Eng.Now()) {
+				return nil
 			}
-			return nil
+			if tr := w.Opts.Record; tr != nil {
+				tr.Add(trace.Record{T: w.Eng.Now(), Op: trace.OpAttachFail, Path: trace.PathNone, Rank: -1, Peer: host})
+			}
+			return &fault.AttachError{Name: name, Host: host}
 		})
 	}
 	if opts.Profile {
@@ -169,8 +173,9 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 		return fmt.Errorf("mpi: World run twice; build a fresh World per job")
 	}
 	w.ran = true
-	if w.Opts.Record != nil {
-		w.installTracer()
+	if tr := w.Opts.Record; tr != nil {
+		tr.Begin(w.Size(), w.Opts.Params.ShmCellPayload)
+		w.fabric.SetRecorder(tr)
 	}
 	for _, r := range w.ranks {
 		m := &rankMachine{w: w, r: r, prog: mk(r.rank)}

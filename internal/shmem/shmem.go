@@ -49,17 +49,12 @@ type segKey struct {
 // to fail the attach.
 type AttachFaultHook func(env *cluster.Container, name string) error
 
-// AttachTraceHook observes vetoed attaches (for the trace subsystem). It is
-// called after the fault hook rejects, before the error returns.
-type AttachTraceHook func(env *cluster.Container, name string)
-
 // Registry is the kernel-side table of shared segments, one per simulation.
 // It is not locked: one goroutine dispatches a world, and each world has a
 // registry of its own.
 type Registry struct {
 	segs        map[segKey]*Segment
 	attachFault AttachFaultHook
-	attachTrace AttachTraceHook
 }
 
 // NewRegistry returns an empty registry.
@@ -70,9 +65,6 @@ func NewRegistry() *Registry {
 // SetAttachFault installs (or, with nil, removes) a fault hook consulted by
 // every CreateOrAttach before it touches the segment table.
 func (r *Registry) SetAttachFault(h AttachFaultHook) { r.attachFault = h }
-
-// SetAttachTrace installs (or, with nil, removes) the vetoed-attach observer.
-func (r *Registry) SetAttachTrace(h AttachTraceHook) { r.attachTrace = h }
 
 // ErrWrongNamespaceKind is returned when attaching via a non-IPC namespace.
 var ErrWrongNamespaceKind = fmt.Errorf("shmem: namespace is not an IPC namespace")
@@ -87,9 +79,6 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 	}
 	if r.attachFault != nil {
 		if err := r.attachFault(env, name); err != nil {
-			if r.attachTrace != nil {
-				r.attachTrace(env, name)
-			}
 			return nil, err
 		}
 	}

@@ -210,28 +210,28 @@ func TestBytesCommitLazily(t *testing.T) {
 }
 
 // TestAttachFaultVetoesBeforeTheTable checks the hook order around the lazy
-// segment: a vetoed attach reports to the trace hook, creates nothing, and
+// segment: a vetoed attach creates nothing, and
 // leaves an existing segment (and its uncommitted bytes) untouched.
 func TestAttachFaultVetoesBeforeTheTable(t *testing.T) {
 	c, r := twoHostSetup(t)
 	env := c.Host(0).NativeEnv()
 	injected := errors.New("injected attach failure")
 	veto := false
-	var traced []string
+	var vetoed []string
 	r.SetAttachFault(func(_ *cluster.Container, name string) error {
 		if veto {
+			vetoed = append(vetoed, name)
 			return injected
 		}
 		return nil
 	})
-	r.SetAttachTrace(func(_ *cluster.Container, name string) { traced = append(traced, name) })
 
 	veto = true
 	if _, err := r.CreateOrAttach(env, "s", 64); !errors.Is(err, injected) {
 		t.Fatalf("vetoed create returned %v, want the injected error", err)
 	}
-	if r.Count() != 0 || len(traced) != 1 || traced[0] != "s" {
-		t.Fatalf("after veto: Count %d, traced %v", r.Count(), traced)
+	if r.Count() != 0 || len(vetoed) != 1 || vetoed[0] != "s" {
+		t.Fatalf("after veto: Count %d, vetoed %v", r.Count(), vetoed)
 	}
 	veto = false
 	seg, err := r.CreateOrAttach(env, "s", 64)
@@ -242,8 +242,8 @@ func TestAttachFaultVetoesBeforeTheTable(t *testing.T) {
 	if _, err := r.CreateOrAttach(env, "s", 64); !errors.Is(err, injected) {
 		t.Fatalf("vetoed re-attach returned %v, want the injected error", err)
 	}
-	if r.Count() != 1 || seg.data != nil || len(traced) != 2 {
-		t.Fatalf("after re-attach veto: Count %d, committed %v, traced %v", r.Count(), seg.data != nil, traced)
+	if r.Count() != 1 || seg.data != nil || len(vetoed) != 2 {
+		t.Fatalf("after re-attach veto: Count %d, committed %v, vetoed %v", r.Count(), seg.data != nil, vetoed)
 	}
 	r.SetAttachFault(nil)
 	if again, err := r.CreateOrAttach(env, "s", 64); err != nil || again != seg {

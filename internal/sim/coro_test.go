@@ -72,9 +72,8 @@ func TestRunEndsWhileAProcHoldsTheBaton(t *testing.T) {
 
 // wakeRing spawns n processes in disjoint pairs that meet for eight rounds —
 // sleep, tell the partner, park until it has told too — and collects their
-// emissions in *log.
+// log lines in *log.
 func wakeRing(e *Engine, n int, log *[]string) {
-	e.SetEmitter(func(payload any) { *log = append(*log, payload.(string)) })
 	procs := make([]*Proc, n)
 	told := make([]int, n)
 	for id := range procs {
@@ -86,7 +85,7 @@ func wakeRing(e *Engine, n int, log *[]string) {
 				for told[id^1] <= r {
 					p.Park()
 				}
-				p.Emit(fmt.Sprintf("%d.%d@%v", id, r, p.Now()))
+				*log = append(*log, fmt.Sprintf("%d.%d@%v", id, r, p.Now()))
 			}
 		})
 	}
@@ -120,7 +119,7 @@ func TestGoroutinesExitAfterRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(log) != 16*8 {
-			t.Fatalf("%d emissions, want %d", len(log), 16*8)
+			t.Fatalf("%d log lines, want %d", len(log), 16*8)
 		}
 		settled(t, base)
 	})

@@ -42,10 +42,6 @@ type Engine struct {
 	// arena holds machine procs in fixed-capacity slabs (flat.go).
 	arena [][]Proc
 
-	// emit, when installed, receives observer payloads (trace records) at
-	// the moment they are emitted.
-	emit func(payload any)
-
 	// quiesce holds one-shot callbacks to run the next time the event queue
 	// drains completely (AtQuiesce). Fired FIFO, one per drain, in scheduler
 	// context; a callback that schedules new events resumes normal dispatch
@@ -85,11 +81,6 @@ func NewEngine() *Engine { return &Engine{} }
 // SetWorkers does nothing: Run's caller dispatches every event. It is kept
 // for the benchmark's layer drivers, which still call it.
 func (e *Engine) SetWorkers(int) {}
-
-// SetEmitter installs fn as the sink of Proc.Emit: fn is called at every
-// emission, in the order the emitting processes run, from the emitting
-// process. Call before Run; nil removes the sink.
-func (e *Engine) SetEmitter(fn func(payload any)) { e.emit = fn }
 
 // AtQuiesce schedules fn to run in scheduler context the next time the event
 // queue drains completely — i.e. when every process is parked or done and no

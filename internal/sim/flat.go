@@ -10,7 +10,7 @@ package sim
 //
 // A Machine is the other kind of body: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
-// coroutine, no stack — and the Proc facade (Sleep/Park/UnparkAt/Emit)
+// coroutine, no stack — and the Proc facade (Sleep/Park/UnparkAt/Advance)
 // works unchanged on top. One Step may invoke at most one blocking primitive
 // (Sleep or Park; a machine's Advance is always a pure clock bump, never the
 // yielding kind), and that call must be the machine's last

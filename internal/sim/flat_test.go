@@ -16,16 +16,17 @@ type pingState struct {
 	round     int
 	iters     int
 	initiator bool
+	log       func(p *Proc, format string, args ...any)
 }
 
 // send delivers a token to the peer. No Advance here: body Advance may yield
 // through the event queue while machine Advance is a pure clock bump (the
-// documented facade difference), which would reorder same-time emissions
+// documented facade difference), which would reorder same-time log lines
 // between the body and machine forms of this workload.
 func (s *pingState) send(p *Proc) {
 	*s.peerBox++
 	s.peer.UnparkAt(p.Now() + 100*Nanosecond)
-	p.Emit(fmt.Sprintf("%s sent %d @%v", p.Name(), s.round, p.Now()))
+	s.log(p, "sent %d", s.round)
 }
 
 // pingMachine is the continuation-state-machine form of the endpoint: pc 0
@@ -55,7 +56,7 @@ func (m *pingMachine) Step(p *Proc) Flow {
 			return More
 		}
 		m.taken++
-		p.Emit(fmt.Sprintf("%s got %d @%v", p.Name(), m.round, p.Now()))
+		m.log(p, "got %d", m.round)
 		if !m.initiator {
 			m.send(p)
 		}
@@ -78,7 +79,7 @@ func pingBody(s *pingState) func(p *Proc) {
 				p.Park()
 			}
 			s.taken++
-			p.Emit(fmt.Sprintf("%s got %d @%v", p.Name(), s.round, p.Now()))
+			s.log(p, "got %d", s.round)
 			if !s.initiator {
 				s.send(p)
 			}
@@ -88,7 +89,7 @@ func pingBody(s *pingState) func(p *Proc) {
 }
 
 // runPingWorld wires nPairs ping-pong pairs into a fresh engine and returns
-// the emission stream plus the engine, run. machines selects the body kind:
+// the log plus the engine, run. machines selects the body kind:
 // continuation machines in the arena, or blocking bodies on coroutines. With
 // footprints=true each proc also calls the resource shims, which must change
 // nothing.
@@ -96,12 +97,13 @@ func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints boo
 	t.Helper()
 	e := NewEngine()
 	var out strings.Builder
-	e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
-
+	log := func(p *Proc, format string, args ...any) {
+		fmt.Fprintf(&out, "%s %s @%v\n", p.Name(), fmt.Sprintf(format, args...), p.Now())
+	}
 	for i := 0; i < nPairs; i++ {
 		boxes := make([]int, 2)
 		mk := func(j int, init bool) (*pingState, *Proc) {
-			s := &pingState{box: &boxes[j], peerBox: &boxes[1-j], iters: iters, initiator: init}
+			s := &pingState{box: &boxes[j], peerBox: &boxes[1-j], iters: iters, initiator: init, log: log}
 			name := fmt.Sprintf("pair%d.%d", i, j)
 			var p *Proc
 			if machines {
@@ -130,7 +132,7 @@ func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints boo
 
 // TestMachineMatchesBody is the core equivalence property of the two body
 // kinds: the same ping-pong workload written as blocking bodies and as
-// continuation machines produces byte-identical emission streams, with and
+// continuation machines produces byte-identical logs, with and
 // without the resource shims called.
 func TestMachineMatchesBody(t *testing.T) {
 	for _, w := range []struct {
@@ -162,7 +164,10 @@ func TestFlatArenaSlots(t *testing.T) {
 }
 
 // advanceMachine exercises machine Advance: always a pure clock bump.
-type advanceMachine struct{ rounds int }
+type advanceMachine struct {
+	rounds int
+	log    func(line string)
+}
 
 func (m *advanceMachine) Step(p *Proc) Flow {
 	if m.rounds == 0 {
@@ -170,7 +175,7 @@ func (m *advanceMachine) Step(p *Proc) Flow {
 	}
 	m.rounds--
 	p.Advance(10 * Nanosecond)
-	p.Emit(fmt.Sprintf("tick @%v", p.Now()))
+	m.log(fmt.Sprintf("tick @%v", p.Now()))
 	p.Sleep(90 * Nanosecond)
 	return More
 }
@@ -180,14 +185,13 @@ func (m *advanceMachine) Step(p *Proc) Flow {
 func TestMachineAdvanceBumpsClock(t *testing.T) {
 	e := NewEngine()
 	var out strings.Builder
-	e.SetEmitter(func(payload any) { fmt.Fprintln(&out, payload) })
-	p := e.GoMachine("adv", &advanceMachine{rounds: 3})
+	p := e.GoMachine("adv", &advanceMachine{rounds: 3, log: func(line string) { fmt.Fprintln(&out, line) }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := "tick @10.000ns\ntick @110.000ns\ntick @210.000ns\n"
 	if out.String() != want {
-		t.Fatalf("emissions:\n%s\nwant:\n%s", out.String(), want)
+		t.Fatalf("log:\n%s\nwant:\n%s", out.String(), want)
 	}
 	if p.Now() != 300*Nanosecond {
 		t.Fatalf("final clock %v, want 300ns", p.Now())
@@ -222,7 +226,6 @@ func TestFlatContractViolationFails(t *testing.T) {
 		want        string
 	}{
 		{"sleep-sleep", sleep, sleep, "blocked twice"},
-		{"sleep-emit", sleep, func(p *Proc) { p.Emit("late") }, "Emit after the step's blocking primitive"},
 		{"park-advance", park, func(p *Proc) { p.Advance(Nanosecond) }, "Advance after the step's blocking primitive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -66,19 +66,6 @@ type Proc struct {
 	// earlier condition).
 	lastWakeAt   Time
 	lastWakeLive bool
-
-	// Data is an arbitrary per-process slot for the layer above (the MPI
-	// runtime stores its per-rank state here).
-	Data any
-}
-
-// Emit forwards payload to the engine's emitter (SetEmitter) at once. A no-op
-// without an emitter.
-func (p *Proc) Emit(payload any) {
-	p.checkStep("Emit")
-	if p.eng.emit != nil {
-		p.eng.emit(payload)
-	}
 }
 
 // ID returns the spawn-order index of the process.

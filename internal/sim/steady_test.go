@@ -6,12 +6,11 @@ import (
 )
 
 // ticker is a flat proc that wakes its partner (often stale or coalesced),
-// emits, parks until its own pooled-argument callback wakes it, then sleeps,
+// parks until its own pooled-argument callback wakes it, then sleeps,
 // round and round until told to stop.
 type ticker struct {
 	self, peer **Proc
 	stop       *bool
-	payload    any
 	wakeAt     Time
 	phase      int
 }
@@ -23,7 +22,6 @@ func tickCallback(arg any) {
 
 func (m *ticker) turn(p *Proc) {
 	(*m.peer).UnparkAt(p.Now())
-	p.Emit(m.payload)
 	m.wakeAt = p.Now() + Nanosecond
 	p.Engine().AtArg(m.wakeAt, tickCallback, m)
 }
@@ -42,12 +40,11 @@ func (m *ticker) Step(p *Proc) Flow {
 }
 
 // steadyWorld builds pairs of procs — machines (flat) or blocking bodies —
-// that keep every engine path busy forever: timers, parks and wakes,
-// emissions, pooled callbacks. shared picks what the procs pass to the
-// resource shims (their own resources, or Global), which must change nothing.
+// that keep every engine path busy forever: timers, parks and wakes, pooled
+// callbacks. shared picks what the procs pass to the resource shims (their own
+// resources, or Global), which must change nothing.
 func steadyWorld(flat, shared bool, stop *bool) *Engine {
 	e := NewEngine()
-	e.SetEmitter(func(any) {})
 	const pairs = 6
 	procs := make([]*Proc, 2*pairs)
 	for id := range procs {
@@ -55,7 +52,7 @@ func steadyWorld(flat, shared bool, stop *bool) *Engine {
 		if shared {
 			a, b = Global, Global
 		}
-		m := &ticker{self: &procs[id], peer: &procs[id^1], stop: stop, payload: new(int)}
+		m := &ticker{self: &procs[id], peer: &procs[id^1], stop: stop}
 		if flat {
 			procs[id] = e.GoMachine(fmt.Sprint("m", id), m)
 		} else {
@@ -83,7 +80,7 @@ func dispatchFor(e *Engine, span Time, stop func()) {
 
 // TestSteadyStateEpochAllocatesNothing warms an engine until its queue, slab
 // and coroutines have reached working size, then requires dispatch —
-// callbacks, wakes, coroutine switches and machine steps, emissions — to
+// callbacks, wakes, coroutine switches and machine steps — to
 // allocate nothing, for both proc kinds and both shapes of shim calls. The
 // names are from when the engine dispatched in epochs; the /w1 suffix from
 // when it had a dispatch width.
