@@ -426,55 +426,48 @@ func (r *Rank) WaitAny(reqs ...*Request) (int, Status) {
 	return idx, reqs[idx].status
 }
 
-// TestAll progresses the engine once and reports whether every request has
-// completed (MPI_Testall).
+// TestAll makes one pass of the wait loop (pollStep) and reports whether
+// every request has completed (MPI_Testall).
 func (r *Rank) TestAll(reqs ...*Request) bool {
 	r.profEnter()
 	defer r.profExit("Testall")
-	all := func() bool {
+	return r.pollStep(func() bool {
 		for _, req := range reqs {
 			if !req.done {
 				return false
 			}
 		}
 		return true
-	}
-	if !all() {
-		r.progress()
-	}
-	return all()
+	})
 }
 
-// TestAny progresses the engine once and returns the index of a completed
-// request, or -1 (MPI_Testany).
+// TestAny makes one pass of the wait loop (pollStep) and returns the index of
+// a completed request, or -1 (MPI_Testany).
 func (r *Rank) TestAny(reqs ...*Request) (int, Status, bool) {
 	r.profEnter()
 	defer r.profExit("Testany")
-	find := func() int {
+	idx := -1
+	r.pollStep(func() bool {
 		for i, req := range reqs {
 			if req.done {
-				return i
+				idx = i
+				return true
 			}
 		}
-		return -1
+		return false
+	})
+	if idx < 0 {
+		return -1, Status{}, false
 	}
-	if find() < 0 {
-		r.progress()
-	}
-	if i := find(); i >= 0 {
-		return i, reqs[i].status, true
-	}
-	return -1, Status{}, false
+	return idx, reqs[idx].status, true
 }
 
-// Test progresses the engine once and reports whether the request has
-// completed (MPI_Test).
+// Test makes one pass of the wait loop (pollStep) and reports whether the
+// request has completed (MPI_Test).
 func (r *Rank) Test(req *Request) (Status, bool) {
 	r.profEnter()
 	defer r.profExit("Test")
-	if !req.done {
-		r.progress()
-	}
+	r.pollStep(func() bool { return req.done })
 	return req.status, req.done
 }
 
@@ -571,19 +564,19 @@ func (pr *PersistentRequest) Start() *Request {
 }
 
 // Iprobe reports whether a matching message is available without receiving
-// it (progresses the engine once).
+// it, after one pass of the wait loop (pollStep).
 func (r *Rank) Iprobe(src, tag int) (Status, bool) {
 	r.profEnter()
 	defer r.profExit("Iprobe")
 	r.checkSource("Iprobe", src)
-	if env := r.peekUnexpected(src, tag, 0); env != nil {
-		return Status{Source: env.src, Tag: env.tag, Bytes: env.size}, true
+	var env *envelope
+	if !r.pollStep(func() bool {
+		env = r.peekUnexpected(src, tag, 0)
+		return env != nil
+	}) {
+		return Status{}, false
 	}
-	r.progress()
-	if env := r.peekUnexpected(src, tag, 0); env != nil {
-		return Status{Source: env.src, Tag: env.tag, Bytes: env.size}, true
-	}
-	return Status{}, false
+	return Status{Source: env.src, Tag: env.tag, Bytes: env.size}, true
 }
 
 // Probe blocks until a matching message is available and returns its

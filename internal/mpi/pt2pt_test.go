@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -331,6 +332,99 @@ func TestTestBasedPolling(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pollOnce makes one call of the named non-blocking completion call on rq, or
+// for Iprobe on a message from src with tag, and reports whether it found
+// what it polls for.
+func pollOnce(r *Rank, call string, rq *Request, src, tag int) bool {
+	switch call {
+	case "Test":
+		_, ok := r.Test(rq)
+		return ok
+	case "TestAll":
+		return r.TestAll(rq)
+	case "TestAny":
+		_, _, ok := r.TestAny(rq)
+		return ok
+	}
+	_, ok := r.Iprobe(src, tag)
+	return ok
+}
+
+// maxPolls bounds the polling loops below, so a call that lets no virtual
+// time pass fails its test instead of hanging it.
+const maxPolls = 1 << 20
+
+// TestPollingLoopLetsTimePass: a loop of nothing but non-blocking completion
+// calls lets virtual time pass, so a message its sender posts after computing
+// for a while arrives.
+func TestPollingLoopLetsTimePass(t *testing.T) {
+	for _, call := range []string{"Test", "TestAll", "TestAny", "Iprobe"} {
+		t.Run(call, func(t *testing.T) {
+			w := testWorld(t, "1cont", 2, DefaultOptions())
+			err := w.Run(func(r *Rank) error {
+				buf := make([]byte, 64)
+				if r.Rank() == 0 {
+					r.Compute(5000)
+					fill(buf, 0, 7)
+					r.Send(1, tagData, buf)
+					return nil
+				}
+				var rq *Request
+				if call != "Iprobe" {
+					rq = r.Irecv(0, tagData, buf)
+				}
+				for i := 0; !pollOnce(r, call, rq, 0, tagData); i++ {
+					if i == maxPolls {
+						return fmt.Errorf("no message after %d polls, clock at %v", i, r.Now())
+					}
+				}
+				if rq == nil {
+					r.Recv(0, tagData, buf)
+				}
+				checkPattern(t, call+" loop's message", buf, 7)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPollingLoopSeesCrashedPeer: under ErrorsReturn a loop of non-blocking
+// completion calls on a receive from a peer that crashes sees the receive
+// fail with *ProcFailedError.
+func TestPollingLoopSeesCrashedPeer(t *testing.T) {
+	for _, call := range []string{"Test", "TestAll", "TestAny"} {
+		t.Run(call, func(t *testing.T) {
+			opts := DefaultOptions()
+			lossCrash2Host.set(&opts)
+			w := testWorld(t, lossCrash2Host.scenario, 2, opts)
+			err := w.Run(func(r *Rank) error {
+				if r.Rank() == 1 {
+					return loseSelf(r, lossCrash2Host)
+				}
+				rq := r.Irecv(1, tagData, make([]byte, 64))
+				for i := 0; !pollOnce(r, call, rq, 1, tagData); i++ {
+					if i == maxPolls {
+						t.Errorf("receive still pending after %d polls, clock at %v", i, r.Now())
+						return nil
+					}
+				}
+				var pe *ProcFailedError
+				if !errors.As(rq.Err(), &pe) || pe.Peer != 1 {
+					t.Errorf("receive ended with %v, want rank 1's ProcFailedError", rq.Err())
+				}
+				return nil
+			})
+			var crash *CrashError
+			if !errors.As(err, &crash) || crash.Rank != 1 {
+				t.Fatalf("Run: %v, want rank 1's CrashError", err)
+			}
+		})
 	}
 }
 

@@ -466,16 +466,39 @@ func (r *Rank) waitUntil(cond func() bool) {
 	}
 }
 
-// waitStep is one pass of the rank's wait loop: drive progress until cond
-// holds or nothing advances. True means cond holds and the caller proceeds;
-// false means the rank parked as the call's last action. A machine step then
-// unwinds returning sim.More and the next step re-enters here; a
-// goroutine-backed caller was blocked inside Park until the wake and simply
-// calls again. Every external state change that could
-// satisfy cond wakes the rank — including the wake scheduled for the rank's
-// own planned crash, and (under ErrorsReturn) the broadcast wake
-// markCrashed sends when a peer dies.
+// waitStep is one pass of the rank's wait loop (waitPass), parking when cond
+// still fails. True means cond holds and the caller proceeds; false means the
+// rank parked as the call's last action. A machine step then unwinds
+// returning sim.More and the next step re-enters here; a goroutine-backed
+// caller was blocked inside Park until the wake and simply calls again. Every
+// external state change that could satisfy cond wakes the rank — including
+// the wake scheduled for the rank's own planned crash, and (under
+// ErrorsReturn) the broadcast wake markCrashed sends when a peer dies.
 func (r *Rank) waitStep(cond func() bool) bool {
+	if r.waitPass(cond) {
+		return true
+	}
+	r.p.Park()
+	return false
+}
+
+// pollStep is one pass of the wait loop for the calls that must not block
+// (Test, TestAll, TestAny, Iprobe). When cond still fails it charges one
+// poll of the progress engine (ShmPollOverhead), so a loop of such calls
+// lets virtual time pass and a sender's message, or a peer's crash, reach
+// the rank.
+func (r *Rank) pollStep(cond func() bool) bool {
+	if r.waitPass(cond) {
+		return true
+	}
+	r.p.Advance(r.w.Opts.Params.ShmPollOverhead)
+	return false
+}
+
+// waitPass drives progress until cond holds or nothing advances, firing the
+// rank's planned crash (faultCheck) and reaping crashed peers (failDeadOps)
+// on the way, and reports whether cond holds.
+func (r *Rank) waitPass(cond func() bool) bool {
 	for {
 		r.faultCheck()
 		if r.w.crashGen != r.crashSeen {
@@ -485,14 +508,9 @@ func (r *Rank) waitStep(cond func() bool) bool {
 		if cond() {
 			return true
 		}
-		if r.progress() {
-			continue
+		if !r.progress() {
+			return cond()
 		}
-		if cond() {
-			return true
-		}
-		r.p.Park()
-		return false
 	}
 }
 
