@@ -19,6 +19,8 @@ func TestTunablesValidate(t *testing.T) {
 		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 0, UseCMA: true},
 		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, RetryCount: -1},
 		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, RetryCount: MaxRetryCount + 1},
+		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, RetryTimeout: 0},
+		{SMPEagerSize: 8192, SMPLengthQueue: 1 << 17, IBAEagerThreshold: 1 << 14, RetryTimeout: -1},
 	}
 	for i, tu := range bad {
 		if err := tu.Validate(); err == nil {

@@ -42,13 +42,13 @@ type Tunables struct {
 	AllreduceAlgo AllreduceAlgo
 	// RetryCount mirrors the RC retry_cnt attribute (MV2_DEFAULT_RETRY_COUNT):
 	// how many times the HCA retransmits an unacknowledged operation before
-	// completing it with an error and breaking the queue pair. 0 means "use
-	// the transport default" (7, the verbs maximum MVAPICH2 configures).
-	// Validate rejects anything above MaxRetryCount.
+	// completing it with an error and breaking the queue pair; 0 means none,
+	// so the first drop breaks the pair. The default is 7, the verbs maximum
+	// MVAPICH2 configures; Validate rejects anything above MaxRetryCount.
 	RetryCount int
 	// RetryTimeout is the base RC retransmission timeout; each retry doubles
 	// it (exponential backoff), mirroring the 4.096us * 2^MV2_DEFAULT_TIME_OUT
-	// encoding of the local ACK timeout. 0 means "use the transport default".
+	// encoding of the local ACK timeout. Validate rejects a non-positive one.
 	RetryTimeout sim.Time
 }
 
@@ -164,8 +164,8 @@ func (t Tunables) Validate() error {
 	if t.RetryCount < 0 || t.RetryCount > MaxRetryCount {
 		return fmt.Errorf("tunables: retry count = %d, need 0..%d (the verbs retry_cnt field is 3 bits)", t.RetryCount, MaxRetryCount)
 	}
-	if t.RetryTimeout < 0 {
-		return fmt.Errorf("tunables: retry timeout = %v, need >= 0", t.RetryTimeout)
+	if t.RetryTimeout <= 0 {
+		return fmt.Errorf("tunables: retry timeout = %v, need > 0", t.RetryTimeout)
 	}
 	return nil
 }

@@ -90,28 +90,13 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 	}
 }
 
-// Default RC retry policy, used when SetFaults is given non-positive knobs:
-// 7 retries (the verbs maximum MVAPICH2 configures) over a 16.384us base
-// timeout (the 4.096us * 2^2 local-ACK-timeout encoding).
-const (
-	defaultRetryCount   = core.MaxRetryCount
-	defaultRetryTimeout = sim.Time(16384) * sim.Nanosecond
-)
-
 // SetFaults arms the fabric with a fault injector and the RC retry policy
 // (retryCnt retransmissions over an exponentially backed-off timeout starting
-// at retryTO). Non-positive knobs select the transport defaults. A nil
-// injector leaves the fabric fault-free.
+// at retryTO; core.DefaultTunables holds the defaults). With retryCnt 0 the
+// first drop breaks the pair, as verbs' retry_cnt 0 does. A nil injector
+// leaves the fabric fault-free.
 func (f *Fabric) SetFaults(inj *fault.Injector, retryCnt int, retryTO sim.Time) {
-	f.inj = inj
-	f.retryCnt = retryCnt
-	f.retryTO = retryTO
-	if f.retryCnt <= 0 {
-		f.retryCnt = defaultRetryCount
-	}
-	if f.retryTO <= 0 {
-		f.retryTO = defaultRetryTimeout
-	}
+	f.inj, f.retryCnt, f.retryTO = inj, retryCnt, retryTO
 }
 
 // SetRecorder makes the fabric add its fault events to rec (nil stops it).

@@ -3,12 +3,16 @@ package ib
 import (
 	"testing"
 
+	"cmpi/internal/core"
 	"cmpi/internal/fault"
 	"cmpi/internal/sim"
 )
 
+// defaults holds the runtime's default RC retry policy.
+var defaults = core.DefaultTunables()
+
 // armFaults builds an injector for the plan and installs it on the fixture's
-// fabric with the given retry policy (non-positive knobs: the defaults).
+// fabric with the given retry policy.
 func (fx *fixture) armFaults(t *testing.T, p *fault.Plan, retryCnt int, retryTO sim.Time) {
 	t.Helper()
 	inj, err := fault.NewInjector(p, fx.clu.Spec.Hosts, 64)
@@ -21,7 +25,7 @@ func (fx *fixture) armFaults(t *testing.T, p *fault.Plan, retryCnt int, retryTO 
 func TestLinkFlapDefersTransfer(t *testing.T) {
 	const flapEnd = 40 * sim.Microsecond
 	fx := newFixture(t, 2)
-	fx.armFaults(t, fault.NewPlan().LinkFlap(0, 0, flapEnd), 0, 0)
+	fx.armFaults(t, fault.NewPlan().LinkFlap(0, 0, flapEnd), defaults.RetryCount, defaults.RetryTimeout)
 	a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
 	_, _, qa, qb, _, cqb := fx.pairOn(t, a, b)
 	var at sim.Time
@@ -48,7 +52,7 @@ func TestLinkDegradeStretchesLargeTransfer(t *testing.T) {
 		t.Helper()
 		fx := newFixture(t, 2)
 		if degrade {
-			fx.armFaults(t, fault.NewPlan().LinkDegrade(0, 0, 0, 4), 0, 0)
+			fx.armFaults(t, fault.NewPlan().LinkDegrade(0, 0, 0, 4), defaults.RetryCount, defaults.RetryTimeout)
 		}
 		a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
 		_, _, qa, qb, _, cqb := fx.pairOn(t, a, b)
@@ -77,7 +81,7 @@ func TestLinkDegradeStretchesLargeTransfer(t *testing.T) {
 func TestLoopStallDefersLoopback(t *testing.T) {
 	const stallEnd = 30 * sim.Microsecond
 	fx := newFixture(t, 1)
-	fx.armFaults(t, fault.NewPlan().LoopStall(0, 0, stallEnd), 0, 0)
+	fx.armFaults(t, fault.NewPlan().LoopStall(0, 0, stallEnd), defaults.RetryCount, defaults.RetryTimeout)
 	a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(0).NativeEnv()
 	_, _, qa, qb, _, cqb := fx.pairOn(t, a, b)
 	var at sim.Time
@@ -200,5 +204,29 @@ func TestRetryExhaustionBreaksPair(t *testing.T) {
 	}
 	if flushed.Status != WCFlushed {
 		t.Fatalf("post on broken QP completed %+v, want flushed", flushed)
+	}
+}
+
+// TestRetryCountZeroBreaksOnFirstDrop: retry_cnt 0 means no retransmission,
+// so one dropped send breaks the pair at once.
+func TestRetryCountZeroBreaksOnFirstDrop(t *testing.T) {
+	fx := newFixture(t, 2)
+	fx.armFaults(t, fault.NewPlan().SendDrops(0, 0, 0, 1), 0, defaults.RetryTimeout)
+	a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
+	_, _, qa, qb, cqa, _ := fx.pairOn(t, a, b)
+	var sent CQE
+	fx.eng.Go("recv", func(p *sim.Proc) {
+		qb.PostRecv(p, 1, make([]byte, 16))
+	})
+	fx.eng.Go("send", func(p *sim.Proc) {
+		cqa.SetWaiter(p)
+		qa.PostSend(p, 1, []byte{1}, 0)
+		sent = waitCQE(p, cqa, OpSend)
+	})
+	if err := fx.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sent.Status != WCRetryExceeded || sent.Retries != 1 || !qa.Broken() {
+		t.Fatalf("send CQE = %+v, broken %v; want retry-exceeded after the one drop", sent, qa.Broken())
 	}
 }
