@@ -343,6 +343,19 @@ func (q *CQ) Poll(p *sim.Proc) []CQE {
 	return out
 }
 
+// Discard empties the queue at the end of a job: each receive completion's
+// bounce buffer goes back as Recycle would have put it once its payload was
+// copied out.
+func (q *CQ) Discard() {
+	for _, e := range q.entries {
+		if e.Op == OpRecv {
+			e.QP.Recycle(e.Buf)
+		}
+	}
+	clear(q.entries)
+	q.entries = q.entries[:0]
+}
+
 // recvWQE is a posted receive buffer.
 type recvWQE struct {
 	wrid uint64

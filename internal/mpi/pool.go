@@ -198,6 +198,28 @@ func (r *Rank) snapshot(op *sendOp, src []byte) {
 	op.owned = true
 }
 
+// dropUndelivered hands back, at the end of a world, what the messages r never
+// received still hold, where r would have put it on receipt: the bounce
+// buffer of each completion left in its CQ, and each packet left in a ring
+// toward it — with, for the first packet of an eager message, r's reference
+// on the send, whose release retires the payload snapshot.
+func (r *Rank) dropUndelivered() {
+	if r.cq != nil {
+		r.cq.Discard()
+	}
+	for _, ps := range r.localPairs {
+		d := ps.ring.in(r.rank)
+		for _, pkt := range d.q[d.head:] {
+			if pkt.kind == pktEagerFirst {
+				r.releaseOp(pkt.sop)
+			}
+			d.pkts.Retire(&r.pools.pkts, pkt)
+		}
+		clear(d.q)
+		d.q, d.head = d.q[:0], 0
+	}
+}
+
 // releaseOp drops one reference; the last one retires the op — and its
 // payload snapshot, if it owns one; a borrowed user buffer never reaches a
 // pool — to r's home lists or the direction it travelled on. The sender's

@@ -124,3 +124,39 @@ func TestPoolStrictTripsOnLostReturn(t *testing.T) {
 		return nil
 	})
 }
+
+// TestPoolStrictHoldsForUnreceivedMessages: a world whose rank 0 posts one
+// send that rank 1 never receives, on each channel, ends cleanly and keeps
+// the conservation law. What the message still holds — a CQ entry's bounce
+// buffer, a ring packet's payload snapshot — goes back where rank 1 would
+// have put it on receipt.
+func TestPoolStrictHoldsForUnreceivedMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		scenario string
+		bytes    int
+	}{
+		{"hca-eager", "2host", 64},
+		{"shm-eager", "native", 64},
+		{"hca-rndv", "2host", 64 << 10},
+		{"cma-rndv", "native", 64 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			strictPools(t)
+			w := testWorld(t, tc.scenario, 2, DefaultOptions())
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("World.Run under poolStrict: %v", v)
+				}
+			}()
+			if err := w.Run(func(r *Rank) error {
+				if r.Rank() == 0 {
+					r.Isend(1, 0, make([]byte, tc.bytes))
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -239,12 +239,18 @@ func (w *World) finishRun(engErr error) error {
 // device order so that what a full depot drops does not depend on map order.
 // What an unfinished or failed operation still references is on no list and
 // stays with the GC. clean says that neither the engine nor a rank reported
-// an error. Under the poolStrict test hook (core.SetPoolStrict) a world that
+// an error; what the messages of a clean world that no rank received still
+// hold goes back first (Rank.dropUndelivered). Under the poolStrict test hook (core.SetPoolStrict) a world that
 // ended cleanly must also satisfy the lent-buffer conservation law, and
 // Rank.Release poisons the handles it is given instead of recycling them: a
 // stale alias would corrupt a different world, so violations panic where
 // they are found.
 func (w *World) drainPools(clean bool) {
+	if clean {
+		for _, r := range w.ranks {
+			r.dropUndelivered()
+		}
+	}
 	var dr core.Drain
 	for _, r := range w.ranks {
 		r.pools.drain(&dr)
