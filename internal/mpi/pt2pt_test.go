@@ -305,7 +305,7 @@ func TestProbeAndIprobe(t *testing.T) {
 }
 
 func TestTestBasedPolling(t *testing.T) {
-	// The Graph500 pattern: poll with Test while computing.
+	// Poll with Test while computing.
 	w := testWorld(t, "2cont", 2, DefaultOptions())
 	err := w.Run(func(r *Rank) error {
 		if r.Rank() == 0 {

@@ -1,14 +1,14 @@
 // Package trace is the structured record/replay subsystem for the simulated
-// MPI runtime: versioned event records with virtual timestamps captured by
-// hooks in internal/mpi, internal/ib, and internal/shmem, plus a replayer
-// that reconstructs per-channel profile counters, message-size histograms,
-// and per-path latency from the trace alone — no rank goroutines, no world.
+// MPI runtime: versioned event records with virtual timestamps, added to a
+// Recorder by internal/mpi (ranks, and the shared-memory attach veto) and
+// internal/ib (retransmissions, QP breaks), plus a replayer that
+// reconstructs per-channel profile counters, message-size histograms, and
+// per-path latency from the trace alone — no rank goroutines, no world.
 //
-// Records ride the engine's emitter (sim.Proc.Emit), which hands each one to
-// the recorder the moment a rank emits it, and fault hooks add theirs
-// directly. So records appear in dispatch order — the order the engine runs
-// the events that emit them, (virtual time, sequence) — and a successful run
-// produces a byte-identical trace from run to run. Causally related records
+// Each layer adds its records to the recorder itself, the moment the event
+// that produces them runs. So records appear in dispatch order — the order
+// the engine runs those events, (virtual time, sequence) — and a successful
+// run produces a byte-identical trace from run to run. Causally related records
 // are ordered (a receive never precedes its send), but timestamps are not
 // monotone: a record carries its rank's clock, which runs ahead of the
 // engine's while the rank charges local work (Proc.Advance).
