@@ -132,12 +132,12 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	if inj != nil {
 		w.fabric.SetFaults(inj, opts.Tunables.RetryCount, opts.Tunables.RetryTimeout)
 		w.shm.SetAttachFault(func(env *cluster.Container, name string) error {
-			host := env.Host.Index
-			if !inj.ShmAttachFails(host, name, w.Eng.Now()) {
+			host, now := env.Host.Index, w.Eng.Now()
+			if !inj.ShmAttachFails(host, name, now) {
 				return nil
 			}
 			if tr := w.Opts.Record; tr != nil {
-				tr.Add(trace.Record{T: w.Eng.Now(), Op: trace.OpAttachFail, Path: trace.PathNone, Rank: -1, Peer: host})
+				tr.Add(trace.Record{T: now, Op: trace.OpAttachFail, Path: trace.PathNone, Rank: -1, Peer: host})
 			}
 			return &fault.AttachError{Name: name, Host: host}
 		})
