@@ -111,6 +111,34 @@ func (d *Detector) Snapshot() Locality {
 	return loc
 }
 
+// Snapshots shares one scan of each container list among the ranks that
+// read it. Every rank publishing into a list does so before the bootstrap
+// barrier, so after it the list is the same for all of its readers: the first
+// to ask scans it (Snapshot) and the others get the same LocalRanks, which
+// nobody may write, with their own LocalIndex. A job's host work for
+// detection is then one scan per list, not one per rank. The zero value is
+// ready; one goroutine uses it.
+type Snapshots struct {
+	bySeg map[*shmem.Segment][]int
+}
+
+// Of is d.Snapshot() with LocalRanks shared by every detector on d's list.
+func (s *Snapshots) Of(d *Detector) Locality {
+	ranks, ok := s.bySeg[d.seg]
+	if !ok {
+		if s.bySeg == nil {
+			s.bySeg = make(map[*shmem.Segment][]int)
+		}
+		ranks = d.Snapshot().LocalRanks
+		s.bySeg[d.seg] = ranks
+	}
+	i, found := slices.BinarySearch(ranks, d.rank)
+	if !found {
+		i = -1
+	}
+	return Locality{LocalRanks: ranks, LocalIndex: i}
+}
+
 // ListBytes reports the memory footprint of the container list, documenting
 // the scalability argument of Sec. IV-B (1 MB per million ranks).
 func (d *Detector) ListBytes() int { return d.size }

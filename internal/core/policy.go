@@ -101,13 +101,15 @@ type PeerCapabilities struct {
 // library. This is the decision the paper changes:
 //
 //   - ModeDefault trusts hostnames, so co-resident containers look remote;
-//   - ModeLocalityAware trusts the container list, recovering the truth —
-//     but only when the shared-IPC prerequisite actually holds, so fully
-//     isolated containers still (correctly) look remote.
+//   - ModeLocalityAware trusts the container list, recovering the truth. The
+//     list lives in one IPC namespace, so a detected peer shares it, and
+//     fully isolated containers still (correctly) look remote. Hostnames
+//     still count: a rank whose detector could not attach falls back to
+//     them.
 func TreatLocal(m Mode, cap PeerCapabilities) bool {
 	switch m {
 	case ModeLocalityAware:
-		return (cap.DetectedLocal && cap.SharedIPC) || cap.SameHostname
+		return cap.DetectedLocal || cap.SameHostname
 	default:
 		return cap.SameHostname
 	}

@@ -226,10 +226,14 @@ func (p *BufPool) Counters() PoolCounters { return p.ctr }
 type DirPool struct{ free [][]byte }
 
 // Get returns a length-n buffer for the direction's sender, whose own pool is
-// home.
+// home. A nil direction is an empty one.
 func (d *DirPool) Get(home *BufPool, n int) []byte {
 	c := classFor(n)
 	if c < 0 {
+		return home.Get(n)
+	}
+	if d == nil {
+		home.lent[c-poolMinShift]++
 		return home.Get(n)
 	}
 	// Lists are short and nearly always of one class: scan from the end.
@@ -257,16 +261,29 @@ func (d *DirPool) GetCopy(home *BufPool, src []byte) []byte {
 // Return retires a buffer that travelled on the direction, from whichever end
 // is done with it last; home is that end's own pool.
 func (d *DirPool) Return(home *BufPool, buf []byte) {
+	if home.Reclaim(buf) {
+		d.Hold(buf)
+	}
+}
+
+// Reclaim is home's half of DirPool.Return: p keeps buf when it has lent out
+// one of its class. It reports whether buf has to wait on the direction
+// instead (Hold); a buffer of no pooled class is dropped either way.
+func (p *BufPool) Reclaim(buf []byte) (waits bool) {
 	c := classOf(buf) - poolMinShift
 	switch {
 	case c < 0:
-	case home.lent[c] > 0:
-		home.lent[c]--
-		home.Put(buf)
-	default:
-		d.free = append(d.free, buf[:0])
+		return false
+	case p.lent[c] > 0:
+		p.lent[c]--
+		p.Put(buf)
+		return false
 	}
+	return true
 }
+
+// Hold lists a buffer that Reclaim left to the direction.
+func (d *DirPool) Hold(buf []byte) { d.free = append(d.free, buf[:0]) }
 
 // FreeList is a typed free list of *T, the object counterpart of BufPool: Get
 // returns a zeroed object — its own, else one a finished world left in the
@@ -362,6 +379,41 @@ func (d *DirList[T]) Drain(dr *Drain) {
 // What is evicted or refused is dropped for the garbage collector.
 const depotCap = 256 << 20
 
+// stackChunk is the number of entries in one chunk of a depot stack.
+const stackChunk = 256
+
+// stack is one of the depot's lists: a LIFO kept in fixed chunks, so that
+// growing it copies nothing and leaves no outgrown array behind. A drain hands
+// the depot a whole world's free buffers and objects, one rank at a time; a
+// list that doubled would allocate about twice what it ends up holding. Chunks
+// stay once made.
+type stack[T any] struct {
+	chunks []*[stackChunk]T
+	n      int
+}
+
+func (s *stack[T]) len() int { return s.n }
+
+// at is entry i, oldest first.
+func (s *stack[T]) at(i int) T { return s.chunks[i/stackChunk][i%stackChunk] }
+
+func (s *stack[T]) push(x T) {
+	if s.n == len(s.chunks)*stackChunk {
+		s.chunks = append(s.chunks, new([stackChunk]T))
+	}
+	s.chunks[s.n/stackChunk][s.n%stackChunk] = x
+	s.n++
+}
+
+// pop removes the newest entry, which must exist, and returns it.
+func (s *stack[T]) pop() T {
+	s.n--
+	c := s.chunks[s.n/stackChunk]
+	x := c[s.n%stackChunk]
+	c[s.n%stackChunk] = *new(T)
+	return x
+}
+
 // poison fills the buffers that enter the depot from a strict Drain: a reader
 // that kept an alias sees it at once, and take checks that no writer did.
 const poison = 0xDB
@@ -374,7 +426,7 @@ type depot struct {
 	mu      sync.Mutex
 	limit   int
 	bytes   int // capacity held, at most limit
-	classes [depotMaxShift + 1][][]byte
+	classes [depotMaxShift + 1]stack[[]byte]
 	// drains counts the drains started; stamp is, per class, its value at the
 	// class's last take, give or putLarge.
 	drains uint64
@@ -382,7 +434,8 @@ type depot struct {
 	// poisoned is the set of held buffers a strict Drain brought in, by the
 	// address of their first byte; nil until there is one.
 	poisoned map[*byte]struct{}
-	// objs holds the free objects, one *[]T per kind T (see GiveObjects).
+	// objs holds the free objects, one *stack[T] per kind T (see
+	// GiveObjects).
 	objs map[reflect.Type]any
 }
 
@@ -406,9 +459,10 @@ func SetPoolStrict(on bool) (was bool) {
 	theDepot.mu.Lock()
 	defer theDepot.mu.Unlock()
 	if on {
-		for c, l := range theDepot.classes {
-			for _, buf := range l {
-				theDepot.poison(buf[:classCap(c)])
+		for c := range theDepot.classes {
+			l := &theDepot.classes[c]
+			for i := range l.len() {
+				theDepot.poison(l.at(i)[:classCap(c)])
 			}
 		}
 	}
@@ -427,7 +481,7 @@ func DropDepot() { theDepot.drop() }
 // drop empties d.
 func (d *depot) drop() {
 	d.mu.Lock()
-	d.classes = [depotMaxShift + 1][][]byte{}
+	d.classes = [depotMaxShift + 1]stack[[]byte]{}
 	d.bytes, d.poisoned, d.objs = 0, nil, nil
 	d.mu.Unlock()
 }
@@ -436,14 +490,12 @@ func (d *depot) drop() {
 func (d *depot) take(c int) []byte {
 	d.mu.Lock()
 	d.stamp[c] = d.drains
-	l := d.classes[c]
-	if len(l) == 0 {
+	l := &d.classes[c]
+	if l.len() == 0 {
 		d.mu.Unlock()
 		return nil
 	}
-	buf := l[len(l)-1][:classCap(c)]
-	l[len(l)-1] = nil
-	d.classes[c] = l[:len(l)-1]
+	buf := l.pop()[:classCap(c)]
 	d.bytes -= len(buf)
 	_, strict := d.poisoned[&buf[0]]
 	delete(d.poisoned, &buf[0])
@@ -488,14 +540,15 @@ func (d *depot) putLarge(buf []byte) {
 	buf = buf[:1]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, held := range d.classes[c] {
-		if &held[:1][0] == &buf[0] {
+	l := &d.classes[c]
+	for i := range l.len() {
+		if &l.at(i)[:1][0] == &buf[0] {
 			panic(fmt.Sprintf("core: a %d-byte buffer was freed twice", cap(buf)))
 		}
 	}
 	d.stamp[c] = d.drains
 	if _, ok := d.makeRoom(cap(buf)); ok {
-		d.classes[c] = append(d.classes[c], buf[:0])
+		l.push(buf[:0])
 		d.bytes += cap(buf)
 	}
 }
@@ -509,17 +562,14 @@ func (d *depot) makeRoom(n int) (evicted int, ok bool) {
 		// Ties go to the largest class: the fewest buffers make the room.
 		lru := -1
 		for c := depotMaxShift; c >= poolMinShift; c-- {
-			if len(d.classes[c]) > 0 && d.stamp[c] < d.drains && (lru < 0 || d.stamp[c] < d.stamp[lru]) {
+			if d.classes[c].len() > 0 && d.stamp[c] < d.drains && (lru < 0 || d.stamp[c] < d.stamp[lru]) {
 				lru = c
 			}
 		}
 		if lru < 0 {
 			return evicted, false
 		}
-		l := d.classes[lru]
-		buf := l[len(l)-1][:1]
-		l[len(l)-1] = nil
-		d.classes[lru] = l[:len(l)-1]
+		buf := d.classes[lru].pop()[:1]
 		d.bytes -= cap(buf)
 		evicted += cap(buf)
 		delete(d.poisoned, &buf[0])
@@ -575,7 +625,7 @@ func (d *depot) give(list [][]byte) (refused int) {
 			}
 			d.poison(buf)
 		}
-		d.classes[c] = append(d.classes[c], buf[:0])
+		d.classes[c].push(buf[:0])
 		d.bytes += cap(buf)
 	}
 	return refused
@@ -656,23 +706,18 @@ func GiveObjects[T any](dr *Drain, list []T) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	k := reflect.TypeFor[T]()
-	l, _ := d.objs[k].(*[]T)
+	l, _ := d.objs[k].(*stack[T])
 	if l == nil {
 		if d.objs == nil {
 			d.objs = make(map[reflect.Type]any)
 		}
-		l = new([]T)
+		l = new(stack[T])
 		d.objs[k] = l
 	}
-	n := min(len(list), objDepotCap-len(*l))
-	if need := len(*l) + n; need > cap(*l) {
-		// Double, where append would grow a long list by a quarter at a
-		// time: a drain gives a kind once per rank.
-		grown := make([]T, len(*l), min(max(need, 2*cap(*l)), objDepotCap))
-		copy(grown, *l)
-		*l = grown
+	n := min(len(list), objDepotCap-l.len())
+	for _, x := range list[:n] {
+		l.push(x)
 	}
-	*l = append(*l, list[:n]...)
 	for _, x := range list[n:] {
 		dr.Refused += objBytes(x)
 	}
@@ -685,15 +730,12 @@ func GiveObjects[T any](dr *Drain, list []T) {
 func TakeObject[T any]() (x T, ok bool) {
 	d := &theDepot
 	d.mu.Lock()
-	l, _ := d.objs[reflect.TypeFor[T]()].(*[]T)
-	if l == nil || len(*l) == 0 {
+	l, _ := d.objs[reflect.TypeFor[T]()].(*stack[T])
+	if l == nil || l.len() == 0 {
 		d.mu.Unlock()
 		return x, false
 	}
-	n := len(*l) - 1
-	x = (*l)[n]
-	(*l)[n] = *new(T)
-	*l = (*l)[:n]
+	x = l.pop()
 	strict := poolStrict
 	d.mu.Unlock()
 	if strict && !zeroed(x) {

@@ -281,7 +281,7 @@ func TestDepotRefusesForeignBuffers(t *testing.T) {
 		t.Errorf("depot kept %d bytes of buffers no pool class has", d.bytes)
 	}
 	for c := range d.classes {
-		if len(d.classes[c]) != 0 {
+		if d.classes[c].len() != 0 {
 			t.Errorf("class %d holds a foreign buffer", c)
 		}
 	}
@@ -301,24 +301,24 @@ func TestDepotRespectsItsCap(t *testing.T) {
 		list = append(list, make([]byte, 0, classCap(c)))
 	}
 	refused := d.give(list)
-	if len(d.classes[c]) != 3 || d.bytes != 3*classCap(c) {
-		t.Fatalf("a 4 MiB depot given five %d-byte buffers holds %d (%d bytes), want 3", classCap(c), len(d.classes[c]), d.bytes)
+	if d.classes[c].len() != 3 || d.bytes != 3*classCap(c) {
+		t.Fatalf("a 4 MiB depot given five %d-byte buffers holds %d (%d bytes), want 3", classCap(c), d.classes[c].len(), d.bytes)
 	}
 	if refused != 2*classCap(c) {
 		t.Errorf("give reported %d bytes refused, want the two buffers' %d", refused, 2*classCap(c))
 	}
 	d.give([][]byte{make([]byte, 0, classCap(c))})
-	if len(d.classes[c]) != 3 {
+	if d.classes[c].len() != 3 {
 		t.Error("a buffer that crosses the limit was kept")
 	}
 	d.give([][]byte{make([]byte, 0, classCap(10))})
-	if len(d.classes[10]) != 1 {
+	if d.classes[10].len() != 1 {
 		t.Error("a small buffer that fits under the limit was dropped")
 	}
 	d.take(c)
 	d.give([][]byte{make([]byte, 0, classCap(c))})
-	if len(d.classes[c]) != 3 || d.bytes > d.limit {
-		t.Errorf("after a take made room: %d buffers, %d bytes", len(d.classes[c]), d.bytes)
+	if d.classes[c].len() != 3 || d.bytes > d.limit {
+		t.Errorf("after a take made room: %d buffers, %d bytes", d.classes[c].len(), d.bytes)
 	}
 }
 
@@ -336,7 +336,7 @@ func classBufs(c, n int) [][]byte {
 func held(d *depot, classes ...int) []int {
 	n := make([]int, len(classes))
 	for i, c := range classes {
-		n[i] = len(d.classes[c])
+		n[i] = d.classes[c].len()
 	}
 	return n
 }
@@ -379,7 +379,7 @@ func TestDepotEvictsAcrossTheLargeClasses(t *testing.T) {
 		t.Fatalf("classes 20/23/24 hold %v buffers, want [1 1 0]: a 16 MiB window does not fit beside what the last drain brought", got)
 	}
 	d.startDrain()
-	if refused := d.give(classBufs(20, 1)); refused != classCap(23) || len(d.classes[23]) != 0 || len(d.classes[20]) != 2 {
+	if refused := d.give(classBufs(20, 1)); refused != classCap(23) || d.classes[23].len() != 0 || d.classes[20].len() != 2 {
 		t.Errorf("a drain given a second 1 MiB buffer evicted %d bytes and holds %v, want the 8 MiB buffer evicted", refused, held(&d, 20, 23))
 	}
 	d.startDrain()
@@ -400,12 +400,12 @@ func TestDepotEvictionForgetsPoison(t *testing.T) {
 	d.give(old)
 	d.startDrain()
 	d.give(classBufs(9, 1))
-	if _, ok := d.poisoned[&old[0][:1][0]]; ok || len(d.poisoned) != 1 || len(d.classes[10]) != 0 {
-		t.Fatalf("after an eviction: %d poisoned, %d in class 10; want only the newcomer poisoned", len(d.poisoned), len(d.classes[10]))
+	if _, ok := d.poisoned[&old[0][:1][0]]; ok || len(d.poisoned) != 1 || d.classes[10].len() != 0 {
+		t.Fatalf("after an eviction: %d poisoned, %d in class 10; want only the newcomer poisoned", len(d.poisoned), d.classes[10].len())
 	}
 	d.startDrain()
 	d.give(old) // must not panic as a buffer given twice
-	if len(d.classes[10]) != 1 {
+	if d.classes[10].len() != 1 {
 		t.Error("the evicted buffer, given again, was not kept")
 	}
 }
@@ -633,9 +633,11 @@ func TestDepotConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	held := 0
-	for c, l := range theDepot.classes {
+	for c := range theDepot.classes {
 		seen := map[*byte]bool{}
-		for _, buf := range l {
+		l := &theDepot.classes[c]
+		for i := range l.len() {
+			buf := l.at(i)
 			if cap(buf) != classCap(c) || seen[&buf[:1][0]] {
 				t.Fatalf("class %d lists a buffer of capacity %d, or one twice", c, cap(buf))
 			}

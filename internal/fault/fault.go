@@ -268,7 +268,7 @@ func RandomPlan(seed int64, hosts, ranks, n int, span sim.Time) *Plan {
 		ev := Event{Kind: k, At: at, Duration: dur, Host: rng.Intn(hosts), Rank: rng.Intn(ranks)}
 		switch k {
 		case LinkDegrade, Straggler:
-			ev.Factor = 1 + rng.Float64()*3
+			ev.Factor = 1 + float64(rng.Float64()*3)
 		case SendDrop:
 			ev.Count = 1 + rng.Intn(4)
 		}

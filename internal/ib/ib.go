@@ -80,8 +80,10 @@ func (f *Fabric) ObjCounters() core.PoolCounters {
 // nothing may post or poll afterwards.
 func (f *Fabric) DrainPools(dr *core.Drain) {
 	for _, d := range f.devices {
-		for _, q := range d.qps {
-			dr.Dir(&q.wire)
+		for q := d.firstQP; q != nil; q = q.next {
+			if w := q.wire(); w != nil {
+				dr.Dir(w)
+			}
 		}
 		d.evts.Drain(dr)
 		for _, q := range d.cqs {
@@ -137,8 +139,9 @@ type Device struct {
 	// CreateQP touches no fabric-shared state.
 	devID   int32
 	qpnNext int32
-	// qps lists the QPs created here, for DrainPools.
-	qps []*QP
+	// firstQP heads the QPs created here, in creation order (QP.next), for
+	// DrainPools; lastQP is the newest.
+	firstQP, lastQP *QP
 
 	// evts recycles the deferred-delivery records behind the posts, making
 	// their scheduled events allocation-free in steady state.
@@ -186,7 +189,7 @@ func (d *Device) RegisterMR(p *sim.Proc, buf []byte) *MR {
 }
 
 // Opcode identifies the operation a CQE completes.
-type Opcode int
+type Opcode uint8
 
 // Completion opcodes.
 const (
@@ -215,7 +218,7 @@ func (o Opcode) String() string {
 }
 
 // WCStatus is the completion status of a CQE, mirroring ibv_wc_status.
-type WCStatus int
+type WCStatus uint8
 
 // Completion statuses.
 const (
@@ -373,16 +376,27 @@ type inbound struct {
 	at      sim.Time
 }
 
-// QP is one side of a reliable-connected queue pair.
+// QP is one side of a reliable-connected queue pair. An MPI runtime holds
+// one per remote peer it has talked to, so the struct stays small: what only
+// some QPs need sits behind aux.
 type QP struct {
 	dev    *Device
-	qpn    int
 	peer   *QP
 	sendCQ *CQ
 	recvCQ *CQ
+	// next is the device's next QP in creation order (Device.firstQP).
+	next *QP
+	// aux holds a QP's wire list and receive queues; nil until it has one.
+	aux *qpAux
 
-	recvQ []recvWQE
-	inQ   []inbound
+	// num numbers the QP on its device: QPN() is the device's index in the
+	// high bits over num.
+	num int32
+
+	// ctx is the consumer's tag for the QP (verbs' qp_context): an MPI
+	// runtime stores the far-end rank, so a completion names its peer
+	// without a lookup table.
+	ctx int32
 
 	// autoRecv delivers inbound messages into freshly allocated bounce
 	// buffers without posted receives, modeling an SRQ with a shared
@@ -393,28 +407,70 @@ type QP struct {
 	// broken marks the QP in the error state (retry exhaustion on either
 	// end). Work posted afterwards completes immediately with WCFlushed.
 	broken bool
+}
 
+// qpAux is what a QP has only once it needs it.
+type qpAux struct {
 	// wire holds wire buffers of messages this QP sent, from the far end
 	// absorbing one to the next send (core.DirPool: the far end keeps what
 	// replaces a buffer of its own, so only lopsided traffic lands here). A
 	// buffer leaves through WireBuf, crosses the fabric owned by the post, and
 	// is retired by Recycle on the peer QP.
 	wire core.DirPool
+
+	// Without SRQ-style delivery: posted receives waiting for a message, and
+	// messages that arrived before one.
+	recvQ []recvWQE
+	inQ   []inbound
+}
+
+// more returns q's aux, making it on first use.
+func (q *QP) more() *qpAux {
+	if q.aux == nil {
+		q.aux = new(qpAux)
+	}
+	return q.aux
+}
+
+// wire returns q's wire list, nil (empty) while q has no aux.
+func (q *QP) wire() *core.DirPool {
+	if q.aux == nil {
+		return nil
+	}
+	return &q.aux.wire
+}
+
+// takeRecv pops the oldest posted receive, if there is one.
+func (q *QP) takeRecv() (recvWQE, bool) {
+	if q.aux == nil || len(q.aux.recvQ) == 0 {
+		return recvWQE{}, false
+	}
+	wqe := q.aux.recvQ[0]
+	q.aux.recvQ = q.aux.recvQ[1:]
+	return wqe, true
 }
 
 // WireBuf returns a length-n wire buffer for a message this QP will send, for
 // the caller to fill and hand to PostSendOwned. Contents are undefined.
-func (q *QP) WireBuf(n int) []byte { return q.wire.Get(q.dev.pool, n) }
+func (q *QP) WireBuf(n int) []byte { return q.wire().Get(q.dev.pool, n) }
 
 // Recycle retires a bounce buffer received via CQE.Buf on this QP: this
 // device keeps it if it replaces one of its own now travelling, otherwise it
 // goes back to the sending QP. Call it once the payload has been copied out;
 // the CQE must not be touched afterwards. Recycling nil or a foreign buffer
 // is a no-op.
-func (q *QP) Recycle(buf []byte) { q.peer.wire.Return(q.dev.pool, buf) }
+func (q *QP) Recycle(buf []byte) { q.peer.retire(q.dev.pool, buf) }
 
 // unpost takes back a wire buffer whose post failed before it left.
-func (q *QP) unpost(wire []byte) { q.wire.Return(q.dev.pool, wire) }
+func (q *QP) unpost(wire []byte) { q.retire(q.dev.pool, wire) }
+
+// retire is core.DirPool.Return for q's wire list, which it makes only when
+// the buffer has to wait there.
+func (q *QP) retire(home *core.BufPool, buf []byte) {
+	if home.Reclaim(buf) {
+		q.more().wire.Hold(buf)
+	}
+}
 
 // Peer returns the remote end of the RC pair (nil before Connect).
 func (q *QP) Peer() *QP { return q.peer }
@@ -428,15 +484,26 @@ func (q *QP) Broken() bool { return q.broken }
 func (q *QP) EnableAutoRecv() { q.autoRecv = true }
 
 // QPN returns the queue pair number (unique per fabric).
-func (q *QP) QPN() int { return q.qpn }
+func (q *QP) QPN() int { return int(q.dev.devID)<<20 | int(q.num) }
+
+// SetContext stores the consumer's tag for the QP (verbs' qp_context).
+func (q *QP) SetContext(v int) { q.ctx = int32(v) }
+
+// Context returns what SetContext stored (0 before).
+func (q *QP) Context() int { return int(q.ctx) }
 
 // CreateQP allocates a queue pair using the given CQs for send and receive
 // completions (they may be the same CQ). QPNs are minted device-locally
 // (device index in the high bits).
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
-	q := &QP{dev: d, qpn: int(d.devID)<<20 | int(d.qpnNext), sendCQ: sendCQ, recvCQ: recvCQ}
-	d.qps = append(d.qps, q)
+	q := &QP{dev: d, num: d.qpnNext, sendCQ: sendCQ, recvCQ: recvCQ}
+	if d.lastQP == nil {
+		d.firstQP = q
+	} else {
+		d.lastQP.next = q
+	}
+	d.lastQP = q
 	return q
 }
 
@@ -464,17 +531,17 @@ func (q *QP) loopback() bool {
 // (plus the static callbacks below) removes the two per-message closure
 // allocations from the eager, rendezvous and one-sided hot paths.
 type sendEvt struct {
-	q       *QP
-	t       sim.Time
-	data    []byte // SEND: the wire buffer, owned; WRITE: the caller's source; READ: its destination
-	n       int
-	imm     uint64
-	wrid    uint64
-	retries int
-	op      Opcode // local completion: OpSend, OpWrite or OpRead
+	q    *QP
+	t    sim.Time
+	data []byte // SEND: the wire buffer, owned; WRITE: the caller's source; READ: its destination
+	n    int
+	imm  uint64
+	wrid uint64
 	// RDMA WRITE target, RDMA READ source.
 	mr      *MR
 	off     int
+	retries int32
+	op      Opcode // local completion: OpSend, OpWrite or OpRead
 	withImm bool
 }
 
@@ -488,13 +555,14 @@ func sendArrival(a any) {
 		// Ownership of the bounce buffer transfers to the consumer, who
 		// returns it with QP.Recycle once the message is absorbed.
 		peer.recvCQ.push(ev.t, CQE{QP: peer, Op: OpRecv, Bytes: ev.n, Imm: ev.imm, Buf: ev.data})
-	case len(peer.recvQ) > 0:
-		wqe := peer.recvQ[0]
-		peer.recvQ = peer.recvQ[1:]
-		peer.deliver(ev.t, wqe.wrid, wqe.buf, ev.data, OpRecv, ev.imm)
-		peer.Recycle(ev.data)
 	default:
-		peer.inQ = append(peer.inQ, inbound{payload: ev.data, imm: ev.imm, op: OpRecv, at: ev.t})
+		if wqe, ok := peer.takeRecv(); ok {
+			peer.deliver(ev.t, wqe.wrid, wqe.buf, ev.data, OpRecv, ev.imm)
+			peer.Recycle(ev.data)
+			break
+		}
+		x := peer.more()
+		x.inQ = append(x.inQ, inbound{payload: ev.data, imm: ev.imm, op: OpRecv, at: ev.t})
 	}
 	q.dev.evts.Put(ev)
 }
@@ -509,12 +577,13 @@ func writeArrival(a any) {
 		switch {
 		case peer.autoRecv:
 			peer.recvCQ.push(ev.t, CQE{QP: peer, Op: OpWriteImm, Bytes: ev.n, Imm: ev.imm})
-		case len(peer.recvQ) > 0:
-			wqe := peer.recvQ[0]
-			peer.recvQ = peer.recvQ[1:]
-			peer.recvCQ.push(ev.t, CQE{QP: peer, WRID: wqe.wrid, Op: OpWriteImm, Bytes: ev.n, Imm: ev.imm})
 		default:
-			peer.inQ = append(peer.inQ, inbound{payload: nil, imm: ev.imm, op: OpWriteImm, at: ev.t})
+			if wqe, ok := peer.takeRecv(); ok {
+				peer.recvCQ.push(ev.t, CQE{QP: peer, WRID: wqe.wrid, Op: OpWriteImm, Bytes: ev.n, Imm: ev.imm})
+				break
+			}
+			x := peer.more()
+			x.inQ = append(x.inQ, inbound{payload: nil, imm: ev.imm, op: OpWriteImm, at: ev.t})
 		}
 	}
 	q.dev.evts.Put(ev)
@@ -537,7 +606,7 @@ func readArrival(a any) {
 // released, OpWrite once the remote ack is back, OpRead once the response is.
 func localDone(a any) {
 	ev := a.(*sendEvt)
-	ev.q.sendCQ.push(ev.t, CQE{QP: ev.q, WRID: ev.wrid, Op: ev.op, Bytes: ev.n, Retries: ev.retries})
+	ev.q.sendCQ.push(ev.t, CQE{QP: ev.q, WRID: ev.wrid, Op: ev.op, Bytes: ev.n, Retries: int(ev.retries)})
 	ev.q.dev.evts.Put(ev)
 }
 
@@ -637,14 +706,15 @@ func maxT(a, b sim.Time) sim.Time {
 // PostRecv posts a receive buffer. If a message already arrived (see
 // inbound), it is delivered immediately.
 func (q *QP) PostRecv(p *sim.Proc, wrid uint64, buf []byte) {
-	if len(q.inQ) > 0 {
-		msg := q.inQ[0]
-		q.inQ = q.inQ[1:]
+	x := q.more()
+	if len(x.inQ) > 0 {
+		msg := x.inQ[0]
+		x.inQ = x.inQ[1:]
 		q.deliver(maxT(p.Now(), msg.at), wrid, buf, msg.payload, msg.op, msg.imm)
 		q.Recycle(msg.payload) // copied into buf; the sender's wire buffer is free
 		return
 	}
-	q.recvQ = append(q.recvQ, recvWQE{wrid: wrid, buf: buf})
+	x.recvQ = append(x.recvQ, recvWQE{wrid: wrid, buf: buf})
 }
 
 // deliver lands payload into a posted buffer and completes the receive.
@@ -675,7 +745,7 @@ func (q *QP) PostSend(p *sim.Proc, wrid uint64, payload []byte, imm uint64) {
 // exhausted).
 func (q *QP) PostSendOwned(p *sim.Proc, wrid uint64, wire []byte, imm uint64) {
 	if q.peer == nil {
-		p.Fatalf("ib: PostSend on unconnected QP %d", q.qpn)
+		p.Fatalf("ib: PostSend on unconnected QP %d", q.QPN())
 	}
 	if q.broken {
 		q.unpost(wire)
@@ -698,7 +768,7 @@ func (q *QP) PostSendOwned(p *sim.Proc, wrid uint64, wire []byte, imm uint64) {
 	ae.q, ae.t, ae.data, ae.n, ae.imm = q, arrival, wire, n, imm
 	f.eng.AtArg(arrival, sendArrival, ae)
 	te := q.dev.evts.Get()
-	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, txEnd, n, wrid, retries, OpSend
+	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, txEnd, n, wrid, int32(retries), OpSend
 	f.eng.AtArg(txEnd, localDone, te)
 }
 
@@ -713,7 +783,7 @@ const hdrBytes = 48
 // carrying imm; otherwise the peer CPU is not involved at all.
 func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int, withImm bool, imm uint64) {
 	if q.peer == nil {
-		p.Fatalf("ib: PostWrite on unconnected QP %d", q.qpn)
+		p.Fatalf("ib: PostWrite on unconnected QP %d", q.QPN())
 	}
 	if off < 0 || off+len(src) > len(remote.Buf) {
 		p.Fatalf("ib: RDMA WRITE of %d bytes at offset %d overflows %d-byte MR", len(src), off, len(remote.Buf))
@@ -741,7 +811,7 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 	// Local completion after the ack returns (one extra wire hop).
 	ack := arrival + prm.IBWireLatency(loop)
 	te := q.dev.evts.Get()
-	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, ack, n, wrid, retries, OpWrite
+	te.q, te.t, te.n, te.wrid, te.retries, te.op = q, ack, n, wrid, int32(retries), OpWrite
 	f.eng.AtArg(ack, localDone, te)
 }
 
@@ -751,7 +821,7 @@ func (q *QP) PostWrite(p *sim.Proc, wrid uint64, src []byte, remote *MR, off int
 // undefined until the local OpRead completion anyway).
 func (q *QP) PostRead(p *sim.Proc, wrid uint64, dst []byte, remote *MR, off int) {
 	if q.peer == nil {
-		p.Fatalf("ib: PostRead on unconnected QP %d", q.qpn)
+		p.Fatalf("ib: PostRead on unconnected QP %d", q.QPN())
 	}
 	if off < 0 || off+len(dst) > len(remote.Buf) {
 		p.Fatalf("ib: RDMA READ of %d bytes at offset %d overflows %d-byte MR", len(dst), off, len(remote.Buf))

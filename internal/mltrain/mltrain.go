@@ -251,5 +251,5 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 // gradSeed is the deterministic per-(rank, layer) gradient value the
 // verification step predicts the sum of.
 func gradSeed(rank, layer int) float64 {
-	return float64(rank+1)*0.5 + float64(layer)
+	return float64(float64(rank+1)*0.5) + float64(layer)
 }

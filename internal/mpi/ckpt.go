@@ -108,7 +108,7 @@ func (w *World) commitCkpt(gen int) {
 		if r.selfSeq != 0 {
 			snap.SendSeq[[2]int{i, i}] = r.selfSeq
 		}
-		for _, pr := range r.peers.recs {
+		for pr := r.peers.first; pr != nil; pr = pr.next {
 			if pr.sendSeq != 0 {
 				snap.SendSeq[[2]int{i, int(pr.rank)}] = pr.sendSeq
 			}
@@ -131,7 +131,7 @@ func (w *World) commitCkpt(gen int) {
 // parked in the barrier nothing can be mid-transfer; a violation is a runtime
 // bug, not an application error.
 func (r *Rank) quiesceViolation() error {
-	for _, pr := range r.peers.recs {
+	for pr := r.peers.first; pr != nil; pr = pr.next {
 		if pr.q == nil {
 			continue
 		}
@@ -150,7 +150,7 @@ func (r *Rank) quiesceViolation() error {
 			return fmt.Errorf("incomplete unexpected message from rank %d (seq %d)", env.src, env.seq)
 		}
 	}
-	for _, pr := range r.peers.recs {
+	for pr := r.peers.first; pr != nil; pr = pr.next {
 		for _, st := range pr.ps.rndv {
 			if (st.sreq != nil && st.sreq.r == r) || (st.rreq != nil && st.rreq.r == r) {
 				return fmt.Errorf("HCA rendezvous with rank %d in flight", pr.rank)

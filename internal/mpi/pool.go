@@ -36,7 +36,7 @@ import "cmpi/internal/core"
 // Lifetimes worth knowing before touching this code:
 //
 //   - shmPacket: born in pushOp/pushControl, consumed exactly once in
-//     shmRing.drain, recycled there. pushOp takes a packet only once
+//     pairShared.drain, recycled there. pushOp takes a packet only once
 //     ringDir.reserve has claimed its budget, so a full ring rejects none.
 //   - sendOp: reference-counted (refs=2). Ring fragments alias op.data and
 //     an RTS carries the op as the sender's buffer handle, so the sender
@@ -208,12 +208,13 @@ func (r *Rank) dropUndelivered() {
 		r.cq.Discard()
 	}
 	for _, ps := range r.localPairs {
-		d := ps.ring.in(r.rank)
+		d := ps.in(r.rank)
 		for _, pkt := range d.q[d.head:] {
 			if pkt.kind == pktEagerFirst {
 				r.releaseOp(pkt.sop)
 			}
 			d.pkts.Retire(&r.pools.pkts, pkt)
+			r.inbound--
 		}
 		clear(d.q)
 		d.q, d.head = d.q[:0], 0

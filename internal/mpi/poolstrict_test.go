@@ -117,7 +117,7 @@ func TestPoolStrictTripsOnLostReturn(t *testing.T) {
 		buf := make([]byte, 64)
 		if r.Rank() == 0 {
 			r.Send(1, 0, buf)
-			r.peer(1).ps.ring.out(0).snaps.Get(&r.pools.buf, 64)
+			r.peer(1).ps.out(0).snaps.Get(&r.pools.buf, 64)
 		} else {
 			r.Recv(0, 0, buf)
 		}

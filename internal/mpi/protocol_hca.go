@@ -118,10 +118,7 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 		cqe.QP.Recycle(cqe.Buf)
 	case ib.OpWriteImm:
 		// Rendezvous payload landed in our posted buffer: complete the recv.
-		peer, known := r.qpPeer[cqe.QP]
-		if !known {
-			r.p.Fatalf("WRITE_IMM on unknown QP %d", cqe.QP.QPN())
-		}
+		peer := cqe.QP.Context()
 		ps := r.peer(peer).ps
 		st := ps.rndv[cqe.Imm]
 		if st.rreq == nil {
@@ -169,10 +166,7 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 // completion's own work request fails, and losePeer fails every other
 // operation bound to the dead channel, so no caller blocks forever.
 func (r *Rank) handleChannelError(cqe ib.CQE) {
-	peer, known := r.qpPeer[cqe.QP]
-	if !known {
-		r.p.Fatalf("error completion %v on unknown QP %d", cqe.Status, cqe.QP.QPN())
-	}
+	peer := cqe.QP.Context()
 	ce := &ChannelError{Peer: peer, Status: cqe.Status, Retries: cqe.Retries}
 	if r.prof != nil && cqe.Status != ib.WCFlushed {
 		r.prof.Faults.RetryExhausted++
@@ -248,9 +242,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			r.p.Fatalf("CTS for unknown rendezvous id %d", m.msgID)
 		}
 		qp := r.qpFor(pr)
-		r.nextWrid++
-		r.wridOps[r.nextWrid] = wridRef{sreq: st.sreq}
-		qp.PostWrite(r.p, r.nextWrid, st.sreq.sbuf, st.mr, 0, true, m.msgID)
+		qp.PostWrite(r.p, r.addWrid(wridRef{sreq: st.sreq}), st.sreq.sbuf, st.mr, 0, true, m.msgID)
 		r.countOp(core.ChannelHCA, len(st.sreq.sbuf))
 
 	default:

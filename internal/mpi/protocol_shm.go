@@ -3,7 +3,6 @@ package mpi
 import (
 	"cmpi/internal/cma"
 	"cmpi/internal/core"
-	"cmpi/internal/shmem"
 	"cmpi/internal/sim"
 	"cmpi/internal/trace"
 )
@@ -49,16 +48,10 @@ type shmPacket struct {
 	path      core.Path
 }
 
-// ringDir is one direction of a pair's shared ring: a byte-budgeted FIFO.
+// ringDir is one direction of a pair's shared ring: a byte-budgeted FIFO of
+// SMPI_LENGTH_QUEUE bytes. Its two ends are the ring's pair.
 type ringDir struct {
-	w        *World
-	sender   int
-	receiver int
-	capacity int
-	used     int
-	q        []*shmPacket
-	head     int  // index of the first undrained packet in q
-	stalled  bool // sender hit the budget; receiver must wake it
+	q []*shmPacket
 
 	// What the receiver handed back for the sender's next messages: payload
 	// snapshots, packets, send ops (see pool.go for the rule and for who may
@@ -66,49 +59,30 @@ type ringDir struct {
 	snaps core.DirPool
 	pkts  core.DirList[shmPacket]
 	ops   core.DirList[sendOp]
+
+	used    int
+	head    int32 // index of the first undrained packet in q
+	stalled bool  // sender hit the budget; receiver must wake it
 }
 
 // shmRing is the per-pair bidirectional eager ring living in a shared
-// memory segment (SMPI_LENGTH_QUEUE bytes of payload budget per direction).
+// memory segment (SMPI_LENGTH_QUEUE bytes of payload budget per direction),
+// reached through its pair (pairShared.ring).
 type shmRing struct {
-	ps   *pairShared
-	seg  *shmem.Segment
-	dirs [2]*ringDir // [0]: lo->hi, [1]: hi->lo
+	dirs [2]ringDir // [0]: lo->hi, [1]: hi->lo
 }
 
-func newShmRing(w *World, ps *pairShared, seg *shmem.Segment) *shmRing {
-	capacity := w.Opts.Tunables.SMPLengthQueue
-	return &shmRing{
-		ps:  ps,
-		seg: seg,
-		dirs: [2]*ringDir{
-			{w: w, sender: int(ps.lo), receiver: int(ps.hi), capacity: capacity},
-			{w: w, sender: int(ps.hi), receiver: int(ps.lo), capacity: capacity},
-		},
-	}
-}
+// out returns the direction of the pair's ring that rank sends on.
+func (ps *pairShared) out(rank int) *ringDir { return &ps.ring.dirs[ps.side(rank)] }
 
-// out returns the direction rank sends on.
-func (s *shmRing) out(rank int) *ringDir {
-	if rank == int(s.ps.lo) {
-		return s.dirs[0]
-	}
-	return s.dirs[1]
-}
+// in returns the direction of the pair's ring that rank receives on.
+func (ps *pairShared) in(rank int) *ringDir { return &ps.ring.dirs[1-ps.side(rank)] }
 
-// in returns the direction rank receives on.
-func (s *shmRing) in(rank int) *ringDir {
-	if rank == int(s.ps.lo) {
-		return s.dirs[1]
-	}
-	return s.dirs[0]
-}
-
-// reserve claims footprint bytes of the direction's budget for the sender's
-// next packet, or marks the sender stalled when they do not fit. Control
+// reserve claims footprint bytes of the direction's budget for r's next
+// packet, or marks r, the sender, stalled when they do not fit. Control
 // packets (footprint 0) always fit.
-func (d *ringDir) reserve(footprint int) bool {
-	if footprint > 0 && d.used+footprint > d.capacity {
+func (d *ringDir) reserve(r *Rank, footprint int) bool {
+	if footprint > 0 && d.used+footprint > r.w.Opts.Tunables.SMPLengthQueue {
 		d.stalled = true
 		return false
 	}
@@ -120,9 +94,10 @@ func (d *ringDir) reserve(footprint int) bool {
 // push.
 func (d *ringDir) newPkt(r *Rank) *shmPacket { return d.pkts.Get(&r.pools.pkts) }
 
-// push appends a packet whose footprint r has reserved. The receiver is woken
-// at the packet's availability time.
-func (d *ringDir) push(r *Rank, pkt *shmPacket) {
+// push appends a packet whose footprint r has reserved toward peer, the
+// direction's receiver, which counts it inbound and is woken at the packet's
+// availability time.
+func (d *ringDir) push(r *Rank, peer int, pkt *shmPacket) {
 	pkt.avail = r.p.Now()
 	// Reclaim the drained prefix before append would grow the array, so the
 	// queue reuses one allocation in steady state.
@@ -135,29 +110,33 @@ func (d *ringDir) push(r *Rank, pkt *shmPacket) {
 		d.head = 0
 	}
 	d.q = append(d.q, pkt)
-	r.w.ranks[d.receiver].p.UnparkAt(pkt.avail)
+	rcv := r.w.ranks[peer]
+	rcv.inbound++
+	rcv.p.UnparkAt(pkt.avail)
 }
 
-// drain consumes all packets already available at the receiver's clock.
-func (s *shmRing) drain(r *Rank) bool {
-	d := s.in(r.rank)
+// drain consumes all packets of the pair's ring already available at the
+// receiver's clock.
+func (ps *pairShared) drain(r *Rank) bool {
+	d := ps.in(r.rank)
 	adv := false
-	for d.head < len(d.q) && d.q[d.head].avail <= r.p.Now() {
+	for int(d.head) < len(d.q) && d.q[d.head].avail <= r.p.Now() {
 		pkt := d.q[d.head]
 		d.q[d.head] = nil
 		d.head++
 		d.used -= pkt.footprint
-		r.handleShmPacket(s, pkt)
+		r.inbound--
+		r.handleShmPacket(ps, pkt)
 		d.pkts.Retire(&r.pools.pkts, pkt) // drain is the single consumption point
 		adv = true
 	}
-	if d.head == len(d.q) {
+	if int(d.head) == len(d.q) {
 		d.q = d.q[:0]
 		d.head = 0
 	}
 	if adv && d.stalled {
 		d.stalled = false
-		r.w.ranks[d.sender].p.UnparkAt(r.p.Now())
+		r.w.ranks[ps.other(r.rank)].p.UnparkAt(r.p.Now())
 	}
 	return adv
 }
@@ -182,10 +161,10 @@ type sendOp struct {
 	ctx         int
 	seq         uint64
 	data        []byte   // the payload: req.sbuf borrowed, or a snapshot of it (owned)
-	owned       bool     // data is a pooled snapshot, retired with the op
 	dir         *ringDir // the direction the op travels on
 	path        core.Path
 	offset      int
+	owned       bool // data is a pooled snapshot, retired with the op
 	firstPushed bool
 	state       opState
 	queued      bool // currently listed in the destination's sendQ
@@ -198,8 +177,7 @@ type sendOp struct {
 // HCA channel, the stock path for non-colocated peers.
 func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 	pr := req.pr
-	ring, err := r.ringFor(pr)
-	if err != nil {
+	if r.ringFor(pr) == nil {
 		// The record keeps the originally selected path; the message's
 		// sequence number is still unassigned here and the HCA send below
 		// will draw the same value the send-initiation record carried.
@@ -210,7 +188,7 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 		r.startSend(req, r.pathFor(pr, len(req.sbuf), req.sync))
 		return
 	}
-	d := ring.out(r.rank)
+	d := pr.ps.out(r.rank)
 	op := d.ops.Get(&r.pools.ops)
 	op.refs = 2 // the sender's queue and the receiver's stream (see releaseOp)
 	op.dir = d
@@ -265,7 +243,7 @@ func (r *Rank) pushSends(pr *peerRec) bool {
 	}
 	// Queued ops imply the ring attached at enqueue time; it cannot disappear
 	// afterwards.
-	d := pr.ps.ring.out(r.rank)
+	d := pr.ps.out(r.rank)
 	adv := false
 	for _, op := range q {
 		if r.pushOp(d, op) {
@@ -316,7 +294,7 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		pkt := d.newPkt(r)
 		pkt.kind, pkt.seq, pkt.tag, pkt.ctx, pkt.size = pktRTS, op.seq, op.tag, op.ctx, len(op.data)
 		pkt.sop, pkt.path = op, op.path
-		d.push(r, pkt)
+		d.push(r, int(op.pr.rank), pkt)
 		op.firstPushed = true
 		r.trace(trace.OpRTS, trace.PathOf(op.path), int(op.pr.rank), op.tag, op.ctx, len(op.data), op.seq)
 		if op.path == core.PathCMARndv {
@@ -346,7 +324,7 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		// failed push keeps the charge as retry cost, matching a real
 		// sender's failed poll-and-retry work.
 		r.p.Advance(prm.ShmPostOverhead + prm.MemCopy(n, cs) + r.containerOverhead())
-		if !d.reserve(n + pktHeaderBytes) {
+		if !d.reserve(r, n+pktHeaderBytes) {
 			return adv
 		}
 		pkt := d.newPkt(r)
@@ -354,7 +332,7 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		pkt.payload = op.data[op.offset : op.offset+n]
 		pkt.footprint = n + pktHeaderBytes
 		pkt.sop, pkt.path = op, op.path
-		d.push(r, pkt)
+		d.push(r, int(op.pr.rank), pkt)
 		r.countOp(core.ChannelSHM, n)
 		op.firstPushed = true
 		op.offset += n
@@ -366,10 +344,9 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 }
 
 // handleShmPacket processes one inbound ring packet on the receiver.
-func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
+func (r *Rank) handleShmPacket(ps *pairShared, pkt *shmPacket) {
 	prm := &r.w.Opts.Params
-	d := ring.in(r.rank)
-	src := d.sender
+	src := ps.other(r.rank)
 	switch pkt.kind {
 	case pktEagerFirst, pktRTS:
 		r.p.Advance(prm.ShmPollOverhead)
@@ -377,7 +354,7 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 		env.src, env.tag, env.ctx, env.size, env.seq = src, pkt.tag, pkt.ctx, pkt.size, pkt.seq
 		env.path, env.sop = pkt.path, pkt.sop
 		if pkt.kind == pktEagerFirst {
-			r.streams[streamKey{src: src, seq: pkt.seq}] = env
+			r.openStream(env)
 		}
 		if req := r.matchPosted(src, pkt.tag, pkt.ctx); req != nil {
 			r.bindEnvelope(env, req)
@@ -385,7 +362,7 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 				// A zero-size eager message completed inside bindEnvelope and
 				// the envelope is already recycled: do the stream bookkeeping
 				// acceptFrag would otherwise handle.
-				delete(r.streams, streamKey{src: src, seq: pkt.seq})
+				r.closeStream(env)
 				r.releaseOp(pkt.sop)
 				return
 			}
@@ -400,7 +377,7 @@ func (r *Rank) handleShmPacket(ring *shmRing, pkt *shmPacket) {
 		}
 
 	case pktEagerFrag:
-		env := r.streams[streamKey{src: src, seq: pkt.seq}]
+		env := r.stream(src, pkt.seq)
 		if env == nil {
 			r.p.Fatalf("shm fragment for unknown stream src=%d seq=%d", src, pkt.seq)
 		}
@@ -448,7 +425,7 @@ func (r *Rank) acceptFrag(env *envelope, payload []byte) {
 	}
 	env.received += len(payload)
 	if env.received >= env.size {
-		delete(r.streams, streamKey{src: env.src, seq: env.seq})
+		r.closeStream(env)
 		if env.sop != nil {
 			// Last fragment consumed: no ring packet aliases the sender's
 			// payload snapshot anymore, so drop the receiver's reference.
@@ -503,7 +480,7 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 // sendCTS releases a SHM-staged rendezvous sender.
 func (r *Rank) sendCTS(env *envelope, pr *peerRec) {
 	r.trace(trace.OpCTS, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
-	r.streams[streamKey{src: env.src, seq: env.seq}] = env
+	r.openStream(env)
 	r.pushControl(pr, pktCTS, env.sop)
 }
 
@@ -511,9 +488,37 @@ func (r *Rank) sendCTS(env *envelope, pr *peerRec) {
 // to a peer. Control packets answer data that arrived on the pair's ring, so
 // the ring exists.
 func (r *Rank) pushControl(pr *peerRec, kind pktKind, sop *sendOp) {
-	d := pr.ps.ring.out(r.rank)
+	d := pr.ps.out(r.rank)
 	r.p.Advance(r.w.Opts.Params.ShmPostOverhead)
 	pkt := d.newPkt(r)
 	pkt.kind, pkt.sop = kind, sop
-	d.push(r, pkt)
+	d.push(r, int(pr.rank), pkt)
+}
+
+// openStream routes the fragments of env's message to it until the last one
+// lands (acceptFrag).
+func (r *Rank) openStream(env *envelope) { r.streams = append(r.streams, env) }
+
+// stream returns the open stream of message seq from src, or nil. A rank
+// has few streams open at once — most eager messages are one fragment, and
+// their stream closes in the packet that opened it — so a scan beats a map.
+func (r *Rank) stream(src int, seq uint64) *envelope {
+	for _, env := range r.streams {
+		if env.src == src && env.seq == seq {
+			return env
+		}
+	}
+	return nil
+}
+
+// closeStream stops routing fragments to env.
+func (r *Rank) closeStream(env *envelope) {
+	for i, e := range r.streams {
+		if e == env {
+			last := len(r.streams) - 1
+			r.streams[i], r.streams[last] = r.streams[last], nil
+			r.streams = r.streams[:last]
+			return
+		}
+	}
 }

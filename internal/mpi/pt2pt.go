@@ -18,8 +18,6 @@ type Status struct {
 // Request is a nonblocking operation handle (MPI_Request).
 type Request struct {
 	r      *Rank
-	isSend bool
-	done   bool
 	peer   int // send: destination; recv: source selector (AnySource ok)
 	tag    int // send: tag; recv: tag selector (AnyTag ok)
 	ctx    int // communicator context id (0 = MPI_COMM_WORLD)
@@ -28,15 +26,18 @@ type Request struct {
 	status Status
 	env    *envelope
 	err    error
-	noPool bool // excluded from request recycling (see pool.go)
-	sync   bool // synchronous send (Ssend): always a rendezvous
-	// released marks a handle given to Rank.Release under poolStrict.
-	released bool
 
 	// pr is the owner's record of the request's peer: the destination of a
 	// send, the matched source of a rendezvous receive (nil for self-sends
 	// and for receives that never needed it).
 	pr *peerRec
+
+	isSend bool
+	done   bool
+	noPool bool // excluded from request recycling (see pool.go)
+	sync   bool // synchronous send (Ssend): always a rendezvous
+	// released marks a handle given to Rank.Release under poolStrict.
+	released bool
 }
 
 // Done reports completion without progressing the engine (see Test).
@@ -78,12 +79,6 @@ func (r *Rank) failRequest(req *Request, cause error) {
 	}
 }
 
-// streamKey routes in-flight fragments to their message.
-type streamKey struct {
-	src int
-	seq uint64
-}
-
 // envelope is the receiver-side record of one inbound message: created at
 // the first packet (eager first fragment, RTS, or full HCA eager payload)
 // and matched against posted receives in arrival order.
@@ -95,9 +90,9 @@ type envelope struct {
 	req            *Request // posted receive once matched
 	staged         []byte   // unexpected-eager staging buffer
 	received       int
-	complete       bool
 	sop            *sendOp // SHM/CMA rendezvous: sender's op (buffer handle)
 	msgID          uint64  // HCA rendezvous id
+	complete       bool
 	hca            bool
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -20,18 +21,18 @@ import (
 //
 // Per-peer state lives in peer records (peerRec), created on first contact
 // and found through the rank's peer table. The table and the records are
-// rank-private: only the owning rank's process creates, reads or writes them
-// (execution context), except that a sendOp carries its sender's record to the
-// receiver, which reads nothing from it but the immutable rank.
+// rank-private: only the owning rank's process creates or writes them
+// (execution context). Two reads cross over, both of immutable fields: a
+// sendOp carries its sender's record to the receiver, which reads nothing
+// from it but the rank, and a rank naming a peer for the first time looks
+// itself up in the peer's table for the pair's shared state (Rank.peer).
 type Rank struct {
 	w    *World
 	p    *sim.Proc
 	rank int
 	size int
 
-	pl     cluster.Placement
-	env    *cluster.Container
-	socket int
+	env *cluster.Container
 
 	dev    *ib.Device
 	devErr error
@@ -39,37 +40,43 @@ type Rank struct {
 
 	det *core.Detector
 	// loc is the detector's container-list snapshot (one byte per rank, the
-	// paper's own cost); zero when the detector is off or fell back.
+	// paper's own cost): LocalRanks is shared, read-only, by every rank of
+	// the list (core.Snapshots). Zero when the detector is off or fell back.
 	loc   core.Locality
 	peers peerTable
 
 	// matching state
 	posted     matchQ[Request]
 	unexpected matchQ[envelope]
-	streams    map[streamKey]*envelope // in-flight fragment routing
-	winCount   int                     // windows created (collective order index)
+	streams    []*envelope // inbound ring messages still taking fragments (openStream)
+	winCount   int         // windows created (collective order index)
 
 	// send-side state
 	selfSeq    uint64             // next message seq for self-sends
 	sendDsts   []*peerRec         // destinations with queued ops, in first-use order (deterministic iteration)
-	wridOps    map[uint64]wridRef // HCA completion routing
+	wridOps    map[uint64]wridRef // HCA completion routing; nil until the first (addWrid)
 	nextWrid   uint64
 	collSeq    int
 	localPairs []*pairShared
+	// inbound counts the packets queued on the rank's inbound ring
+	// directions: pushed (ringDir.push) and not yet consumed
+	// (pairShared.drain, dropUndelivered). progress drains no ring while it is zero.
+	inbound int32
+	socket  int32
 
-	msgSeq uint64         // rank-local rendezvous id sequence
-	qpPeer map[*ib.QP]int // QP → far-end rank (rank-private completion routing)
-	pools  worldPools     // per-rank free lists (see pool.go)
+	msgSeq uint64     // rank-local rendezvous id sequence
+	pools  worldPools // per-rank free lists (see pool.go)
 
 	// fault state
-	hasCrash  bool
-	crashAt   sim.Time // scheduled death (valid when hasCrash)
-	reqFailed bool     // some request of this rank completed with an error (failRequest)
+	crashAt sim.Time // scheduled death (valid when hasCrash)
 
 	// recovery state (a crashed peer under ErrorsReturn)
 	crashSeen uint64 // last World.crashGen this rank reaped
 
 	prof *profile.RankProfile
+
+	hasCrash  bool
+	reqFailed bool // some request of this rank completed with an error (failRequest)
 }
 
 // peerRec is what a rank keeps about one peer it has been in contact with:
@@ -81,6 +88,7 @@ type peerRec struct {
 	ps      *pairShared // the pair's shared connection state
 	sendSeq uint64      // next message seq toward the peer
 	q       *peerQueues // ring-bound sends; nil until the first one
+	next    *peerRec    // the rank's next record in first-contact order
 	rank    int32       // the peer
 	caps    core.PeerCapabilities
 	listed  bool // on sendDsts
@@ -94,13 +102,17 @@ type peerQueues struct {
 	finWait []*sendOp // rendezvous sends awaiting FIN
 }
 
-// peerTable finds a rank's peer records: recs in first-contact order, idx an
-// open-addressed index over them (a slot holds a position in recs plus one,
-// zero for empty; at most half full), last the record of the latest lookup.
+// peerTable finds a rank's peer records: first heads them in first-contact
+// order (linked through peerRec.next, tail the newest), idx is an
+// open-addressed index over them (nil for empty; a power of two long, at
+// least 16, and at most seven eighths full: a rank's table is small, and
+// most lookups are answered by last), n counts them and last is the record
+// of the latest lookup.
 type peerTable struct {
-	recs []*peerRec
-	idx  []int32 // length zero or a power of two
-	last *peerRec
+	first, tail *peerRec
+	idx         []*peerRec
+	n           int
+	last        *peerRec
 }
 
 // slot is where the probe for peer starts: the top log2(len(idx)) bits of a
@@ -114,53 +126,73 @@ func (t *peerTable) find(peer int) *peerRec {
 	if pr := t.last; pr != nil && int(pr.rank) == peer {
 		return pr
 	}
+	if pr := t.lookup(peer); pr != nil {
+		t.last = pr
+		return pr
+	}
+	return nil
+}
+
+// lookup is find without the memory of the latest lookup: the table of
+// another rank may be read, never written.
+func (t *peerTable) lookup(peer int) *peerRec {
 	if len(t.idx) == 0 {
 		return nil
 	}
 	mask := len(t.idx) - 1
 	for i := t.slot(peer); ; i = (i + 1) & mask {
-		at := t.idx[i]
-		if at == 0 {
-			return nil
-		}
-		if pr := t.recs[at-1]; int(pr.rank) == peer {
-			t.last = pr
+		pr := t.idx[i]
+		if pr == nil || int(pr.rank) == peer {
 			return pr
 		}
 	}
 }
 
-// add lists a new record, growing the index to keep it at most half full.
+// add lists a new record, growing the index to keep it at most seven eighths
+// full.
 func (t *peerTable) add(pr *peerRec) {
-	t.recs = append(t.recs, pr)
-	t.last = pr
-	if 2*len(t.recs) <= len(t.idx) {
-		t.place(len(t.recs) - 1)
+	if t.tail == nil {
+		t.first = pr
+	} else {
+		t.tail.next = pr
+	}
+	t.tail, t.last = pr, pr
+	t.n++
+	if 8*t.n <= 7*len(t.idx) {
+		t.place(pr)
 		return
 	}
-	t.idx = make([]int32, max(8, 2*len(t.idx)))
-	for at := range t.recs {
-		t.place(at)
+	t.idx = make([]*peerRec, max(16, 2*len(t.idx)))
+	for x := t.first; x != nil; x = x.next {
+		t.place(x)
 	}
 }
 
-// place enters recs[at] into the index.
-func (t *peerTable) place(at int) {
+// place enters pr into the index.
+func (t *peerTable) place(pr *peerRec) {
 	mask := len(t.idx) - 1
-	i := t.slot(int(t.recs[at].rank))
-	for t.idx[i] != 0 {
+	i := t.slot(int(pr.rank))
+	for t.idx[i] != nil {
 		i = (i + 1) & mask
 	}
-	t.idx[i] = int32(at + 1)
+	t.idx[i] = pr
 }
 
-// peer returns r's record for a peer, creating it — and, if the other end has
-// not named the pair yet, the pair's shared state — on first contact.
+// peer returns r's record for a peer, creating it on first contact. The
+// pair's shared state comes from the peer's own record of r when the other
+// end named the pair first, and is minted otherwise: a new pair is all zero
+// but for its two ranks, so which end minted it cannot be observed.
 func (r *Rank) peer(peer int) *peerRec {
 	if pr := r.peers.find(peer); pr != nil {
 		return pr
 	}
-	pr := &peerRec{ps: r.w.pair(r.rank, peer), rank: int32(peer), caps: r.capsOf(peer)}
+	var ps *pairShared
+	if back := r.w.ranks[peer].peers.lookup(r.rank); back != nil {
+		ps = back.ps
+	} else {
+		ps = &pairShared{lo: int32(min(r.rank, peer)), hi: int32(max(r.rank, peer))}
+	}
+	pr := &peerRec{ps: ps, rank: int32(peer), caps: r.capsOf(peer)}
 	r.peers.add(pr)
 	return pr
 }
@@ -185,18 +217,25 @@ type wridRef struct {
 	win  *Win     // RMA op to retire
 }
 
+// addWrid mints the work-request id of an HCA operation whose completion
+// ref routes back.
+func (r *Rank) addWrid(ref wridRef) uint64 {
+	if r.wridOps == nil {
+		r.wridOps = make(map[uint64]wridRef)
+	}
+	r.nextWrid++
+	r.wridOps[r.nextWrid] = ref
+	return r.nextWrid
+}
+
 func newRank(w *World, i int) *Rank {
 	pl := w.Deploy.Placements[i]
 	r := &Rank{
-		w:       w,
-		rank:    i,
-		size:    w.Deploy.Size(),
-		pl:      pl,
-		env:     pl.Env,
-		socket:  pl.Socket(),
-		wridOps: make(map[uint64]wridRef),
-		streams: make(map[streamKey]*envelope),
-		qpPeer:  make(map[*ib.QP]int),
+		w:      w,
+		rank:   i,
+		size:   w.Deploy.Size(),
+		env:    pl.Env,
+		socket: int32(pl.Socket()),
 	}
 	if w.Prof != nil {
 		r.prof = w.Prof.Ranks[i]
@@ -311,10 +350,12 @@ func (r *Rank) initPre() error {
 }
 
 // initPost is the post-barrier half of MPI_Init: snapshot the detector's
-// container list and check that the HCA is there if any peer needs it.
+// container list and check that the HCA is there if any peer needs it. The
+// host scans each list once, for the first rank that reads it; every rank is
+// charged its own scan.
 func (r *Rank) initPost() error {
 	if r.det != nil {
-		r.loc = r.det.Snapshot()
+		r.loc = r.w.snaps.Of(r.det)
 		// Scanning one byte per rank: ~0.5 ns each.
 		r.p.Advance(sim.FromNanos(0.5 * float64(r.size)))
 	}
@@ -356,7 +397,7 @@ func (r *Rank) finalizeCheck() {
 		r.p.Fatalf("MPI_Finalize with %d posted receives outstanding", n)
 	}
 	// First-contact order, so the rank named is the same on every run.
-	for _, pr := range r.peers.recs {
+	for pr := r.peers.first; pr != nil; pr = pr.next {
 		if pr.q != nil && len(pr.q.sendQ) != 0 {
 			r.p.Fatalf("MPI_Finalize with %d sends to rank %d outstanding", len(pr.q.sendQ), pr.rank)
 		}
@@ -373,7 +414,7 @@ func (r *Rank) pathFor(pr *peerRec, size int, sync bool) core.Path {
 	if sync {
 		tun.SMPEagerSize, tun.IBAEagerThreshold = 0, -1
 	}
-	caps.SharedIPC = caps.SharedIPC && !pr.ps.shmDead()
+	caps.SharedIPC = caps.SharedIPC && !pr.ps.shmDead
 	caps.SharedPID = caps.SharedPID && !pr.ps.cmaDead
 	return core.SelectPath(r.w.Opts.Mode, tun, caps, size)
 }
@@ -381,7 +422,7 @@ func (r *Rank) pathFor(pr *peerRec, size int, sync bool) core.Path {
 // crossSocket reports whether r and peer are pinned to different sockets
 // (memcpy and CMA bandwidths differ across the QPI link).
 func (r *Rank) crossSocket(peer int) bool {
-	return r.w.Deploy.Placements[peer].Socket() != r.socket
+	return r.w.Deploy.Placements[peer].Socket() != int(r.socket)
 }
 
 // trace adds one structured trace record to the world's recorder
@@ -430,9 +471,11 @@ func (r *Rank) profExit(call string) {
 // advanced.
 func (r *Rank) progress() bool {
 	adv := false
-	for _, ps := range r.localPairs {
-		if ps.ring.drain(r) {
-			adv = true
+	if r.inbound > 0 {
+		for _, ps := range r.localPairs {
+			if ps.drain(r) {
+				adv = true
+			}
 		}
 	}
 	if r.cq != nil {
@@ -585,17 +628,15 @@ func (r *Rank) losePeer(pr *peerRec, cause error) {
 	// unexpected messages, in sequence order. The envelope (and any sendOp
 	// reference it holds) is left to the GC, like every failed-request
 	// envelope: error paths are cold.
-	var seqs []uint64
-	for key := range r.streams {
-		if key.src == d {
-			seqs = append(seqs, key.seq)
+	var cut []*envelope
+	for _, env := range r.streams {
+		if env.src == d {
+			cut = append(cut, env)
 		}
 	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		key := streamKey{src: d, seq: seq}
-		env := r.streams[key]
-		delete(r.streams, key)
+	slices.SortFunc(cut, func(a, b *envelope) int { return cmp.Compare(a.seq, b.seq) })
+	for _, env := range cut {
+		r.closeStream(env)
 		if env.req != nil {
 			r.failRequest(env.req, cause)
 		}

@@ -174,13 +174,12 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 			r.p.Fatalf("RMA to rank %d needs the HCA but target window is unregistered", target)
 		}
 		qp := r.qpFor(pr)
-		r.nextWrid++
-		r.wridOps[r.nextWrid] = wridRef{win: w}
+		wrid := r.addWrid(wridRef{win: w})
 		w.outstanding++
 		if isPut {
-			qp.PostWrite(r.p, r.nextWrid, data, tw.mr, offset, false, 0)
+			qp.PostWrite(r.p, wrid, data, tw.mr, offset, false, 0)
 		} else {
-			qp.PostRead(r.p, r.nextWrid, data, tw.mr, offset)
+			qp.PostRead(r.p, wrid, data, tw.mr, offset)
 		}
 	}
 	r.countOp(path.Channel(), len(data))

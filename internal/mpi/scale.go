@@ -27,6 +27,7 @@ package mpi
 
 import (
 	"fmt"
+	"strconv"
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/ib"
@@ -169,12 +170,13 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	w.fullCopy = prm.MemCopy(o.Bytes, false)
 
 	w.ranks = make([]scaleRank, o.Ranks)
+	eng.Grow(o.Ranks)
 	for i := range w.ranks {
 		r := &w.ranks[i]
 		r.w = w
 		r.id = int32(i)
 		r.role = w.roleOf(int32(i))
-		r.p = eng.GoMachine(fmt.Sprintf("srank%d", i), r)
+		r.p = eng.GoMachine("srank"+strconv.Itoa(i), r)
 	}
 	if err := eng.Run(); err != nil {
 		return nil, err

@@ -148,7 +148,7 @@ func TestRMABufferSemantics(t *testing.T) {
 // would hand out buf itself.
 func notPooled(t *testing.T, r *Rank, peer int, buf []byte) {
 	t.Helper()
-	d := r.peer(peer).ps.ring.out(r.rank)
+	d := r.peer(peer).ps.out(r.rank)
 	for i := 0; i < 4; i++ {
 		if got := d.snaps.Get(&r.pools.buf, len(buf)); &got[0] == &buf[0] {
 			t.Fatal("the borrowed user buffer came back out of a pool")

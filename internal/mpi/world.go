@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"cmpi/internal/cluster"
@@ -66,11 +67,9 @@ type World struct {
 	pmiArrived int
 	pmiLatest  sim.Time
 
-	// pairs holds the connection state of every rank pair that has been
-	// named, keyed by lo<<32|hi. A record is minted by World.pair the first
-	// time either end creates its peer record for the other (Rank.peer) — the
-	// only caller outside tests — and never removed.
-	pairs map[uint64]*pairShared
+	// snaps holds each container list's locality, scanned once for the
+	// ranks that read it (Rank.initPost).
+	snaps core.Snapshots
 	// sameNameIPC counts the ranks per (IPC namespace, hostname): the peers a
 	// rank reaches over shared memory on the hostname test alone. Built for the
 	// first rank that has to ask (Rank.needsHCA).
@@ -118,7 +117,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		rankErrs:   make([]error, d.Size()),
 		crashed:    make([]bool, d.Size()),
 		shrinks:    make(map[int]*shrinkSync),
-		pairs:      make(map[uint64]*pairShared),
 	}
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
@@ -145,8 +143,9 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	if opts.Profile {
 		w.Prof = profile.New(d.Size())
 	}
-	for i := 0; i < d.Size(); i++ {
-		w.ranks = append(w.ranks, newRank(w, i))
+	w.ranks = make([]*Rank, d.Size())
+	for i := range w.ranks {
+		w.ranks[i] = newRank(w, i)
 	}
 	return w, nil
 }
@@ -177,9 +176,10 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 		tr.Begin(w.Size(), w.Opts.Params.ShmCellPayload)
 		w.fabric.SetRecorder(tr)
 	}
+	w.Eng.Grow(len(w.ranks))
 	for _, r := range w.ranks {
 		m := &rankMachine{w: w, r: r, prog: mk(r.rank)}
-		name := fmt.Sprintf("rank%d", r.rank)
+		name := "rank" + strconv.Itoa(r.rank)
 		if machine {
 			w.Eng.GoMachine(name, m)
 		} else {
@@ -255,7 +255,7 @@ func (w *World) drainPools(clean bool) {
 	for _, r := range w.ranks {
 		r.pools.drain(&dr)
 		for _, ps := range r.localPairs {
-			out := ps.ring.out(r.rank)
+			out := ps.out(r.rank)
 			dr.Dir(&out.snaps)
 			out.pkts.Drain(&dr)
 			out.ops.Drain(&dr)
@@ -443,20 +443,19 @@ func (w *World) pmiArrive(r *Rank) (gen int) {
 }
 
 // pairShared is the per-pair connection state, shared by the pair's two
-// ranks and minted by World.pair when either end first names the other. A new
-// record is all zero, so which end minted it cannot be observed. lo and hi
-// never change.
+// ranks and minted by Rank.peer when either end first names the other. lo and
+// hi never change.
 type pairShared struct {
 	lo, hi int32
 	ring   *shmRing
 	qps    [2]*ib.QP // [0] owned by lo, [1] owned by hi
 
-	// shmErr is the sticky ring-attach failure: once an attach fails, the
-	// pair's SHM/CMA channels are dead and traffic degrades to the HCA.
-	shmErr error
-
 	// rndv tracks this pair's in-flight HCA rendezvous transfers by msgID.
 	rndv map[uint64]rndvState
+
+	// shmDead is the sticky ring-attach failure: once an attach fails, the
+	// pair's SHM/CMA channels are dead and traffic degrades to the HCA.
+	shmDead bool
 
 	// cmaDead marks the pair's CMA channel failed; rendezvous transfers
 	// degrade to SHM streaming.
@@ -471,24 +470,8 @@ func (ps *pairShared) side(rank int) int {
 	return 0
 }
 
-// shmDead reports whether the pair's shared-memory ring is unusable.
-func (ps *pairShared) shmDead() bool { return ps.shmErr != nil }
-
-// pair returns the shared state of a rank pair, minting it the first time
-// either end asks. Ranks reach it through their peer records (Rank.peer),
-// which call this once per (rank, peer); nothing on a message path does.
-func (w *World) pair(a, b int) *pairShared {
-	if a > b {
-		a, b = b, a
-	}
-	key := uint64(a)<<32 | uint64(b)
-	ps := w.pairs[key]
-	if ps == nil {
-		ps = &pairShared{lo: int32(a), hi: int32(b)}
-		w.pairs[key] = ps
-	}
-	return ps
-}
+// other is the member of the pair that is not rank.
+func (ps *pairShared) other(rank int) int { return int(ps.lo) + int(ps.hi) - rank }
 
 // nameIPC identifies the environments that pass both the hostname locality
 // test and the shared-IPC prerequisite with one another: same hostname, same
@@ -525,10 +508,10 @@ func (r *Rank) qpFor(pr *peerRec) *ib.QP {
 		if err := ib.Connect(qa, qb); err != nil {
 			r.p.Fatalf("connect: %v", err)
 		}
-		// Each side records its own QP→peer routing (rank-private maps so
-		// completions resolve their pair without any job-global table).
-		r.qpPeer[qa] = peer
-		other.qpPeer[qb] = r.rank
+		// Each QP carries its far end's rank, so a completion resolves its
+		// pair without any table.
+		qa.SetContext(peer)
+		qb.SetContext(r.rank)
 		ps.qps[idx], ps.qps[1-idx] = qa, qb
 		r.p.Advance(r.w.Opts.Params.IBConnectSetup)
 	}
@@ -536,31 +519,34 @@ func (r *Rank) qpFor(pr *peerRec) *ib.QP {
 }
 
 // ringFor returns r's view of the shared-memory ring to a peer, creating and
-// attaching it on demand. It is only called for pairs with a shared IPC
-// namespace, so a failed attach is either an injected fault — the error is
-// returned (sticky: the pair's SHM channel stays dead) and the caller
-// degrades to the HCA channel — or a runtime bug surfaced to the caller.
-func (r *Rank) ringFor(pr *peerRec) (*shmRing, error) {
+// attaching it on demand, or nil when the pair's ring cannot be attached. It
+// is only called for pairs with a shared IPC namespace, so only an injected
+// fault fails the attach; the failure is sticky (the pair's SHM channel stays
+// dead) and the caller degrades to the HCA channel. Both ends reach the ring
+// through the pair, never by name, so it takes no entry in the segment table:
+// the attach is checked (shmem.Registry.CheckAttach), under the ring's name,
+// only where a fault plan could veto it.
+func (r *Rank) ringFor(pr *peerRec) *shmRing {
 	ps := pr.ps
 	if ps.ring == nil {
-		if ps.shmErr != nil {
-			return nil, ps.shmErr
+		if ps.shmDead {
+			return nil
 		}
-		name := fmt.Sprintf("cmpi.ring.%s.%d-%d", r.w.jobID, ps.lo, ps.hi)
-		// Two directions, each with a full SMPI_LENGTH_QUEUE of capacity.
-		seg, err := r.w.shm.CreateOrAttach(r.env, name, 2*r.w.Opts.Tunables.SMPLengthQueue)
-		if err != nil {
-			ps.shmErr = fmt.Errorf("shm ring %d<->%d: %w", ps.lo, ps.hi, err)
-			return nil, ps.shmErr
+		if r.w.inj != nil {
+			name := "cmpi.ring." + r.w.jobID + "." + strconv.Itoa(int(ps.lo)) + "-" + strconv.Itoa(int(ps.hi))
+			if r.w.shm.CheckAttach(r.env, name) != nil {
+				ps.shmDead = true
+				return nil
+			}
 		}
 		// Publish the ring BEFORE charging attach time: Advance may yield,
 		// and the peer must not race the nil check into a second ring.
-		ps.ring = newShmRing(r.w, ps, seg)
+		ps.ring = new(shmRing)
 		r.w.ranks[ps.lo].localPairs = append(r.w.ranks[ps.lo].localPairs, ps)
 		r.w.ranks[ps.hi].localPairs = append(r.w.ranks[ps.hi].localPairs, ps)
 		r.p.Advance(r.w.Opts.Params.ShmAttachOverhead)
 	}
-	return ps.ring, nil
+	return ps.ring
 }
 
 // newMsgID mints a job-unique rendezvous identifier without shared state:

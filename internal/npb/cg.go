@@ -120,7 +120,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		dotLocal := func(a, b []float64) float64 {
 			var s float64
 			for i := range a {
-				s += a[i] * b[i]
+				s += float64(a[i] * b[i])
 			}
 			return s
 		}
@@ -144,7 +144,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 			for i := 0; i < ownedN; i++ {
 				s := diag[i] * p[i]
 				for _, e := range rows[i] {
-					s += e.val * pGlobal(e.col)
+					s += float64(e.val * pGlobal(e.col))
 				}
 				q[i] = s
 			}
@@ -155,14 +155,14 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 			pq := r.AllreduceFloat64(dotLocal(p, q), mpi.SumFloat64)
 			alpha := rho / pq
 			for i := range z {
-				z[i] += alpha * p[i]
-				res[i] -= alpha * q[i]
+				z[i] += float64(alpha * p[i])
+				res[i] -= float64(alpha * q[i])
 			}
 			rhoNew := r.AllreduceFloat64(dotLocal(res, res), mpi.SumFloat64)
 			beta := rhoNew / rho
 			rho = rhoNew
 			for i := range p {
-				p[i] = res[i] + beta*p[i]
+				p[i] = res[i] + float64(beta*p[i])
 			}
 			work = float64(6 * ownedN)
 			r.Compute(work)
@@ -182,13 +182,13 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		for i := 0; i < ownedN; i++ {
 			s := diag[i] * z[i]
 			for _, e := range rows[i] {
-				s += e.val * zGlobal(e.col)
+				s += float64(e.val * zGlobal(e.col))
 			}
 			d := 1.0 - s
-			direct += d * d
+			direct += float64(d * d)
 		}
 		direct = r.AllreduceFloat64(direct, mpi.SumFloat64)
-		ok := rho < rho0*1e-6 && math.Abs(direct-rho) <= 1e-6*(direct+rho)+1e-12
+		ok := rho < rho0*1e-6 && math.Abs(direct-rho) <= float64(1e-6*(direct+rho))+1e-12
 		return ok, flops, nil
 	})
 }

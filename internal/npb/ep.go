@@ -50,14 +50,14 @@ func RunEP(w *mpi.World, class Class) (Result, error) {
 				end = total
 			}
 			for i := start; i < end; i++ {
-				x := 2*rng.Float64() - 1
-				y := 2*rng.Float64() - 1
-				t := x*x + y*y
+				x := float64(2*float64(rng.Float64())) - 1
+				y := float64(2*float64(rng.Float64())) - 1
+				t := float64(x*x) + float64(y*y)
 				if t > 1 || t == 0 {
 					continue
 				}
 				f := math.Sqrt(-2 * math.Log(t) / t)
-				gx, gy := x*f, y*f
+				gx, gy := float64(x*f), float64(y*f)
 				accepted++
 				sx += gx
 				sy += gy

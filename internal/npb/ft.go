@@ -26,6 +26,16 @@ func ftSize(c Class) (int, int, error) {
 	return 0, 0, fmt.Errorf("npb: unknown class %q", string(c))
 }
 
+// cmul is x*y for complex128 with every product rounded before it is added
+// (the float64 conversions): the compiler may fuse a multiply-add where the
+// target has the instruction, as arm64 does, and a fused one rounds once, so
+// the built-in product could differ between architectures. On amd64 it is
+// the built-in product bit for bit.
+func cmul(x, y complex128) complex128 {
+	a, b, c, d := real(x), imag(x), real(y), imag(y)
+	return complex(float64(a*c)-float64(b*d), float64(a*d)+float64(b*c))
+}
+
 // fft performs an in-place iterative radix-2 FFT (inverse when inv).
 func fft(a []complex128, inv bool) {
 	n := len(a)
@@ -53,10 +63,10 @@ func fft(a []complex128, inv bool) {
 			w := complex(1, 0)
 			for j := 0; j < length/2; j++ {
 				u := a[i+j]
-				v := a[i+j+length/2] * w
+				v := cmul(a[i+j+length/2], w)
 				a[i+j] = u + v
 				a[i+j+length/2] = u - v
-				w *= wl
+				w = cmul(w, wl)
 			}
 		}
 	}
@@ -91,14 +101,14 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 		for lr := 0; lr < rowsPer; lr++ {
 			rng.Seed(seed + int64(base+lr))
 			for c := 0; c < n; c++ {
-				grid[lr*n+c] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+				grid[lr*n+c] = complex(float64(rng.Float64())-0.5, float64(rng.Float64())-0.5)
 			}
 		}
 		initial := append([]complex128(nil), grid...)
 		energy := func(g []complex128) float64 {
 			var s float64
 			for _, v := range g {
-				s += real(v)*real(v) + imag(v)*imag(v)
+				s += float64(real(v)*real(v)) + float64(imag(v)*imag(v))
 			}
 			return r.AllreduceFloat64(s, mpi.SumFloat64)
 		}
@@ -152,7 +162,7 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 					// Unit-magnitude phase twist keeps energy constant so
 					// Parseval stays checkable.
 					phase := 2 * math.Pi * float64((base+lr+c)*step%n) / float64(n)
-					g[lr*n+c] *= cmplx.Exp(complex(0, phase))
+					g[lr*n+c] = cmul(g[lr*n+c], cmplx.Exp(complex(0, phase)))
 				}
 			}
 			r.Compute(4 * float64(rowsPer*n))
@@ -177,7 +187,7 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 			// Parseval: spectral energy = n^2 x spatial energy after the
 			// unnormalized forward 2D FFT.
 			eSpec := energy(grid)
-			if rel := math.Abs(eSpec-e0*float64(n)*float64(n)) / (e0 * float64(n) * float64(n)); rel > 1e-9 {
+			if rel := math.Abs(eSpec-float64(e0*float64(n)*float64(n))) / (e0 * float64(n) * float64(n)); rel > 1e-9 {
 				ok = false
 			}
 			evolve(grid, it)
@@ -188,17 +198,17 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 			for lr := 0; lr < rowsPer; lr++ {
 				for c := 0; c < n; c++ {
 					phase := -2 * math.Pi * float64((base+lr+c)*it%n) / float64(n)
-					grid[lr*n+c] *= cmplx.Exp(complex(0, phase))
+					grid[lr*n+c] = cmul(grid[lr*n+c], cmplx.Exp(complex(0, phase)))
 				}
 			}
 			inverse(grid)
-			flops += 20 * float64(rowsPer) * float64(n) * math.Log2(float64(n))
+			flops += float64(20 * float64(rowsPer) * float64(n) * math.Log2(float64(n)))
 		}
 		// Round-trip error against the initial grid.
 		var diff float64
 		for i := range grid {
 			d := grid[i] - initial[i]
-			diff += real(d)*real(d) + imag(d)*imag(d)
+			diff += float64(real(d)*real(d)) + float64(imag(d)*imag(d))
 		}
 		diff = r.AllreduceFloat64(diff, mpi.SumFloat64)
 		if diff/e0 > 1e-12 {

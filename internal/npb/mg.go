@@ -124,12 +124,12 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 				for i := 1; i <= lv.rows; i++ {
 					for j := 0; j < lv.n; j++ {
 						jac := 0.25 * (at(lv.u, i-1, j, lv.n) + at(lv.u, i+1, j, lv.n) +
-							at(lv.u, i, j-1, lv.n) + at(lv.u, i, j+1, lv.n) + lv.h2*lv.rhs[i][j])
-						lv.res[i][j] = (1-omega)*lv.u[i][j] + omega*jac
+							at(lv.u, i, j-1, lv.n) + at(lv.u, i, j+1, lv.n) + float64(lv.h2*lv.rhs[i][j]))
+						lv.res[i][j] = float64((1-omega)*lv.u[i][j]) + float64(omega*jac)
 					}
 				}
 				lv.u, lv.res = lv.res, lv.u
-				work := float64(lv.rows*lv.n) * 1.5
+				work := float64(float64(lv.rows*lv.n) * 1.5)
 				r.Compute(work)
 				flops += work
 			}
@@ -139,11 +139,11 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 			for i := 1; i <= lv.rows; i++ {
 				for j := 0; j < lv.n; j++ {
 					lap := at(lv.u, i-1, j, lv.n) + at(lv.u, i+1, j, lv.n) +
-						at(lv.u, i, j-1, lv.n) + at(lv.u, i, j+1, lv.n) - 4*lv.u[i][j]
+						at(lv.u, i, j-1, lv.n) + at(lv.u, i, j+1, lv.n) - float64(4*lv.u[i][j])
 					lv.res[i][j] = lv.rhs[i][j] + lap/lv.h2
 				}
 			}
-			work := float64(lv.rows*lv.n) * 1.5
+			work := float64(float64(lv.rows*lv.n) * 1.5)
 			r.Compute(work)
 			flops += work
 		}
@@ -151,7 +151,7 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 			var s float64
 			for i := 1; i <= lv.rows; i++ {
 				for j := 0; j < lv.n; j++ {
-					s += lv.res[i][j] * lv.res[i][j]
+					s += float64(lv.res[i][j] * lv.res[i][j])
 				}
 			}
 			return math.Sqrt(r.AllreduceFloat64(s, mpi.SumFloat64))
@@ -173,11 +173,11 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 				fi := 2*i - 1 // fine interior row index for coarse row i
 				for j := 0; j < crs.n; j++ {
 					fj := 2 * j
-					fw := 0.25*lv.res[fi][fj] +
-						0.125*(at(lv.res, fi-1, fj, lv.n)+at(lv.res, fi+1, fj, lv.n)+
-							at(lv.res, fi, fj-1, lv.n)+at(lv.res, fi, fj+1, lv.n)) +
-						0.0625*(at(lv.res, fi-1, fj-1, lv.n)+at(lv.res, fi-1, fj+1, lv.n)+
-							at(lv.res, fi+1, fj-1, lv.n)+at(lv.res, fi+1, fj+1, lv.n))
+					fw := float64(0.25*lv.res[fi][fj]) +
+						float64(0.125*(at(lv.res, fi-1, fj, lv.n)+at(lv.res, fi+1, fj, lv.n)+
+							at(lv.res, fi, fj-1, lv.n)+at(lv.res, fi, fj+1, lv.n))) +
+						float64(0.0625*(at(lv.res, fi-1, fj-1, lv.n)+at(lv.res, fi-1, fj+1, lv.n)+
+							at(lv.res, fi+1, fj-1, lv.n)+at(lv.res, fi+1, fj+1, lv.n)))
 					// The operator is properly h²-scaled per level, so the
 					// restricted residual transfers with no extra factor.
 					crs.rhs[i][j] = fw

@@ -464,7 +464,7 @@ func rmaBandwidth(w *mpi.World, sizes []int, cfg Config, put, bidir bool) (Serie
 			}
 			win.Fence()
 			if r.Rank() == 0 {
-				bytes := float64(sz) * float64(cfg.Window) * float64(cfg.Iters)
+				bytes := float64(float64(sz) * float64(cfg.Window) * float64(cfg.Iters))
 				if bidir {
 					bytes *= 2
 				}

@@ -77,15 +77,10 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 	if size <= 0 {
 		return nil, fmt.Errorf("shmem: segment %q: size %d", name, size)
 	}
-	if r.attachFault != nil {
-		if err := r.attachFault(env, name); err != nil {
-			return nil, err
-		}
+	if err := r.CheckAttach(env, name); err != nil {
+		return nil, err
 	}
 	ns := env.Namespace(cluster.IPC)
-	if ns.Kind != cluster.IPC {
-		return nil, ErrWrongNamespaceKind
-	}
 	key := segKey{ns: ns, name: name}
 	if seg, ok := r.segs[key]; ok {
 		if size > seg.size {
@@ -97,6 +92,22 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 	seg := &Segment{Name: name, NS: ns, size: size}
 	r.segs[key] = seg
 	return seg, nil
+}
+
+// CheckAttach runs what CreateOrAttach checks before it touches the segment
+// table: the fault hook, then env's IPC namespace. A segment whose users hand
+// its handle to one another and never look it up by name (the SHM channel's
+// per-pair rings) needs no table entry: CheckAttach is its whole attach.
+func (r *Registry) CheckAttach(env *cluster.Container, name string) error {
+	if r.attachFault != nil {
+		if err := r.attachFault(env, name); err != nil {
+			return err
+		}
+	}
+	if env.Namespace(cluster.IPC).Kind != cluster.IPC {
+		return ErrWrongNamespaceKind
+	}
+	return nil
 }
 
 // Attach opens an existing segment and fails if it does not exist in env's

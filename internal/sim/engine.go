@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,6 +78,14 @@ func (e *Engine) Stats() Stats {
 
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
+
+// Grow makes room for n more processes, so that spawning them grows neither
+// the process list nor the event queue, which holds one start event per
+// process, by doubling. It changes nothing a run does.
+func (e *Engine) Grow(n int) {
+	e.procs = slices.Grow(e.procs, n)
+	e.q.keys = slices.Grow(e.q.keys, n)
+}
 
 // SetWorkers does nothing: Run's caller dispatches every event. It is kept
 // for the benchmark's layer drivers, which still call it.
@@ -160,7 +169,7 @@ func (e *Engine) push(t Time, k hkey, ev event) uint64 {
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:   e,
-		id:    len(e.procs),
+		id:    int32(len(e.procs)),
 		name:  name,
 		now:   e.now,
 		state: stateScheduled,

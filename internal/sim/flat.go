@@ -59,7 +59,7 @@ func (e *Engine) SetFlat(bool) {}
 func (e *Engine) GoMachine(name string, m Machine) *Proc {
 	p := e.arenaAlloc()
 	p.eng = e
-	p.id = len(e.procs)
+	p.id = int32(len(e.procs))
 	p.name = name
 	p.now = e.now
 	p.state = stateScheduled

@@ -41,10 +41,8 @@ func (s procState) String() string {
 // other processes and scheduler callbacks use to wake it.
 type Proc struct {
 	eng      *Engine
-	id       int
 	name     string
 	now      Time
-	state    procState
 	timerSeq uint64 // sequence of the live timer event, when stateScheduled
 	// co is the coroutine a blocking body runs as (coro.go); nil for
 	// machines, done procs and once the run is over (Engine.reap).
@@ -55,8 +53,7 @@ type Proc struct {
 	// dispatch loop steps in place (nil for blocking Go bodies, and once the
 	// machine is done), and blocked records that the current step invoked its
 	// one blocking primitive.
-	fm      Machine
-	blocked bool
+	fm Machine
 
 	// lastWakeAt / lastWakeLive track the most recently queued Unpark event
 	// so duplicate wakes for the same virtual time can be coalesced instead
@@ -64,12 +61,16 @@ type Proc struct {
 	// may only be coalesced against one that is still pending, never against
 	// one already consumed (whose re-check the process may have spent on an
 	// earlier condition).
-	lastWakeAt   Time
+	lastWakeAt Time
+
+	id           int32
+	state        procState
+	blocked      bool
 	lastWakeLive bool
 }
 
 // ID returns the spawn-order index of the process.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // Name returns the name given at spawn.
 func (p *Proc) Name() string { return p.name }
