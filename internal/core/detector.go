@@ -54,10 +54,16 @@ type Detector struct {
 // detector then degrades gracefully to "only my own container is local",
 // which is exactly the kernel-enforced truth.
 func NewDetector(reg *shmem.Registry, jobID string, env *cluster.Container, rank, size int) (*Detector, error) {
+	return AttachDetector(reg, LocalitySegmentPrefix+jobID, env, rank, size)
+}
+
+// AttachDetector is NewDetector for a job whose segment name — the prefix
+// followed by the job's ID — its caller built once for every rank of the job.
+func AttachDetector(reg *shmem.Registry, name string, env *cluster.Container, rank, size int) (*Detector, error) {
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("locality detector: rank %d out of [0,%d)", rank, size)
 	}
-	seg, err := reg.CreateOrAttach(env, LocalitySegmentPrefix+jobID, size)
+	seg, err := reg.CreateOrAttach(env, name, size)
 	if err != nil {
 		return nil, fmt.Errorf("locality detector: %w", err)
 	}

@@ -41,8 +41,9 @@ import (
 // nor grow), with a whole class standing for one entry.
 //
 // The free objects of a finished world — the library's requests, envelopes,
-// packets and send ops, the fabric's event records and CQ batches — go to the
-// same depot, one list per kind (GiveObjects, TakeObject), under the same
+// packets and send ops, the fabric's event records, MR handles and CQ
+// batches, and the arrays behind the owners' free lists — go to the same
+// depot, one list per kind (GiveObjects, TakeObject), under the same
 // mutex and on the same two cold paths. Objects of a kind are
 // interchangeable, so a full list (objDepotCap) keeps what it has and refuses
 // the newcomers.
@@ -146,12 +147,16 @@ func (p *BufPool) Get(n int) []byte {
 		return theDepot.getLarge(n)
 	}
 	p.ctr.Gets++
-	if l := p.classes[c-poolMinShift]; len(l) > 0 {
+	l := p.classes[c-poolMinShift]
+	if len(l) > 0 {
 		buf := l[len(l)-1]
 		l[len(l)-1] = nil
 		p.classes[c-poolMinShift] = l[:len(l)-1]
 		p.ctr.Hits++
 		return buf[:n]
+	}
+	if cap(l) == 0 {
+		p.classes[c-poolMinShift] = takeArray[[]byte]()
 	}
 	if buf := theDepot.take(c); buf != nil {
 		p.ctr.Depot++
@@ -309,6 +314,9 @@ func (l *FreeList[T]) Get() *T {
 		l.hits++
 		return x
 	}
+	if cap(l.free) == 0 {
+		l.free = takeArray[*T]()
+	}
 	if x, ok := TakeObject[*T](); ok {
 		l.depot++
 		return x
@@ -323,9 +331,13 @@ func (l *FreeList[T]) Put(x *T) {
 	l.free = append(l.free, x)
 }
 
-// Drain hands the free objects to the depot. The counters and lent stay.
+// Drain hands the free objects, and the array that listed them, to the
+// depot. The counters and lent stay.
 func (l *FreeList[T]) Drain(dr *Drain) {
 	GiveObjects(dr, l.free)
+	if a, ok := emptied(l.free); ok {
+		GiveObjects(dr, [][]*T{a})
+	}
 	l.free = nil
 }
 
@@ -368,6 +380,29 @@ func (d *DirList[T]) Retire(home *FreeList[T], x *T) {
 func (d *DirList[T]) Drain(dr *Drain) {
 	GiveObjects(dr, d.free)
 	d.free = nil
+}
+
+// emptied returns list's array at length 0 with every slot up to its
+// capacity cleared, so that in the depot it keeps nothing alive; ok is false
+// when list has no array.
+func emptied[E any](list []E) (a []E, ok bool) {
+	if cap(list) == 0 {
+		return nil, false
+	}
+	clear(list[:cap(list)])
+	return list[:0], true
+}
+
+// takeArray returns an empty array that a finished world's home list (a
+// FreeList, a BufPool class) left in the depot, or nil for append to grow. A
+// home list that has no array yet asks for one on a miss of its Get, which
+// is out of line already: the entry it hands out comes back through a Put,
+// which must stay small enough to inline, and finds room. A direction's list
+// grows only under one-way traffic; it neither asks for an array nor gives
+// one, so the arrays the depot holds are those the next world's homes take.
+func takeArray[E any]() []E {
+	a, _ := TakeObject[[]E]()
+	return a
 }
 
 // depotCap bounds the bytes the depot holds between worlds. It must cover the
@@ -654,13 +689,21 @@ func (dr *Drain) give(list [][]byte) {
 	dr.Refused += theDepot.give(list)
 }
 
-// Home takes the free buffers of an owner's pool. Its counters stay.
+// Home takes the free buffers of an owner's pool, and the arrays that listed
+// them. Its counters stay.
 func (dr *Drain) Home(p *BufPool) {
+	var arrays [poolClasses][][]byte
+	n := 0
 	for i := range p.classes {
 		dr.give(p.classes[i])
+		if a, ok := emptied(p.classes[i]); ok {
+			arrays[n] = a
+			n++
+		}
 		p.classes[i] = nil
 		dr.lent[i+poolMinShift] += int(p.lent[i])
 	}
+	GiveObjects(dr, arrays[:n])
 }
 
 // Dir takes the buffers that wait on a direction.

@@ -726,6 +726,42 @@ func TestObjectDepotRoundTrip(t *testing.T) {
 	}
 }
 
+// A drained home list hands the depot its array too, cleared, and the next
+// list that misses takes it: the entries put back on it need no new array.
+// Strict mode checks on the take that nothing is left in it.
+func TestDrainedListArraysServeTheNextLists(t *testing.T) {
+	emptyDepot(t)
+	defer SetPoolStrict(SetPoolStrict(true))
+	const n = 8
+	class := classFor(1<<10) - poolMinShift
+	var pool BufPool
+	var objs FreeList[depotObj]
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = pool.Get(1 << 10)
+	}
+	for i, b := range bufs {
+		pool.Put(b)
+		objs.Put(new(depotObj))
+		bufs[i] = nil
+	}
+	bufArray, objArray := &pool.classes[class][:1][0], &objs.free[:1][0]
+	var dr Drain
+	dr.Home(&pool)
+	objs.Drain(&dr)
+
+	var nextPool BufPool
+	var nextObjs FreeList[depotObj]
+	nextPool.Get(1 << 10)
+	nextObjs.Get()
+	if l := nextPool.classes[class]; cap(l) < n || &l[:1][0] != bufArray {
+		t.Errorf("the next pool's class list has cap %d and is not the drained one's array", cap(l))
+	}
+	if l := nextObjs.free; cap(l) < n || &l[:1][0] != objArray {
+		t.Errorf("the next free list has cap %d and is not the drained one's array", cap(l))
+	}
+}
+
 // A kind holds at most objDepotCap objects; the depot keeps the ones it has
 // and refuses the rest, whose bytes the drain adds up.
 func TestObjectDepotRespectsItsCap(t *testing.T) {

@@ -58,14 +58,20 @@ type Fabric struct {
 	// retransmission bursts and QP breaks) as they are scheduled, in
 	// dispatch order.
 	rec *trace.Recorder
+
+	// mrs recycles the handles DeregisterMR retires for the next RegisterMR
+	// on any device of the fabric. It lives here, once per world, rather
+	// than on every device: one goroutine dispatches a world, so its devices
+	// can share it unlocked.
+	mrs core.FreeList[MR]
 }
 
-// ObjCounters reports where the devices' event records and CQ batches came
-// from, by core.FreeList's law: Gets = Hits + Depot + what was allocated. A
-// CQ takes its two batches from the depot or leaves them to grow, so they are
-// never hits.
+// ObjCounters reports where the devices' event records, the fabric's MR
+// handles and the CQ batches came from, by core.FreeList's law: Gets = Hits +
+// Depot + what was allocated. A CQ takes its two batches from the depot or
+// leaves them to grow, so they are never hits.
 func (f *Fabric) ObjCounters() core.PoolCounters {
-	var c core.PoolCounters
+	c := f.mrs.Counters()
 	for _, d := range f.devices {
 		c.Add(d.evts.Counters())
 		c.Gets += 2 * uint64(len(d.cqs))
@@ -76,8 +82,8 @@ func (f *Fabric) ObjCounters() core.PoolCounters {
 
 // DrainPools hands dr the free wire buffers of every queue pair, then each
 // device's free event records and its CQs' batches, in device and QP creation
-// order. The devices' pools are their owners' to drain. For the end of a job:
-// nothing may post or poll afterwards.
+// order, then the free MR handles. The devices' pools are their owners' to
+// drain. For the end of a job: nothing may post or poll afterwards.
 func (f *Fabric) DrainPools(dr *core.Drain) {
 	for _, d := range f.devices {
 		for q := d.firstQP; q != nil; q = q.next {
@@ -90,6 +96,7 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 			q.drain(dr)
 		}
 	}
+	f.mrs.Drain(dr)
 }
 
 // SetFaults arms the fabric with a fault injector and the RC retry policy
@@ -177,6 +184,13 @@ func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*De
 }
 
 // MR is a registered (pinned) memory region.
+//
+// Every registration charges IBRegister; the handle itself is only host
+// memory and is recycled. DeregisterMR puts it on its fabric's free list,
+// where the next RegisterMR on any of the fabric's devices takes it, so a
+// stream of register/deregister pairs allocates one handle. As with
+// ibv_dereg_mr, deregister a region only when no work request targets it any
+// more: the handle's next owner names another buffer.
 type MR struct {
 	// Buf is the registered buffer; RDMA operations address offsets in it.
 	Buf []byte
@@ -185,8 +199,15 @@ type MR struct {
 // RegisterMR pins buf, charging the registration cost to the calling proc.
 func (d *Device) RegisterMR(p *sim.Proc, buf []byte) *MR {
 	p.Advance(d.fabric.prm.IBRegister(len(buf)))
-	return &MR{Buf: buf}
+	mr := d.fabric.mrs.Get()
+	mr.Buf = buf
+	return mr
 }
+
+// DeregisterMR unpins mr's region and recycles the handle, which the caller
+// must not use again. Deregistering is free in the model: the cost of
+// pinning is charged when a region is registered.
+func (d *Device) DeregisterMR(mr *MR) { d.fabric.mrs.Put(mr) }
 
 // Opcode identifies the operation a CQE completes.
 type Opcode uint8
@@ -446,8 +467,19 @@ func (q *QP) takeRecv() (recvWQE, bool) {
 		return recvWQE{}, false
 	}
 	wqe := q.aux.recvQ[0]
-	q.aux.recvQ = q.aux.recvQ[1:]
+	q.aux.recvQ = popFront(q.aux.recvQ)
 	return wqe, true
+}
+
+// popFront drops a queue's oldest entry by moving the rest down, so the
+// array keeps its front and the next append reuses the freed slot; the
+// vacated last slot is cleared and pins nothing. The queues are a few entries
+// long, so the move costs less than the allocation a resliced front costs
+// the next append.
+func popFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	q[n] = *new(T)
+	return q[:n]
 }
 
 // WireBuf returns a length-n wire buffer for a message this QP will send, for
@@ -709,7 +741,7 @@ func (q *QP) PostRecv(p *sim.Proc, wrid uint64, buf []byte) {
 	x := q.more()
 	if len(x.inQ) > 0 {
 		msg := x.inQ[0]
-		x.inQ = x.inQ[1:]
+		x.inQ = popFront(x.inQ)
 		q.deliver(maxT(p.Now(), msg.at), wrid, buf, msg.payload, msg.op, msg.imm)
 		q.Recycle(msg.payload) // copied into buf; the sender's wire buffer is free
 		return

@@ -306,3 +306,74 @@ func TestDrainedRecordsServeTheNextFabric(t *testing.T) {
 		t.Errorf("the second fabric allocated %d event records or CQ batches and took %d from the depot (%+v); want 0 and some", c.Gets-c.Hits-c.Depot, c.Depot, c)
 	}
 }
+
+// sendRecvMallocs counts the heap objects allocated while one process sends
+// msgs 64-byte messages on a fresh QP pair, one every 10 µs, each waited for
+// before the next, and the other posts a receive for each: before the message
+// arrives, so that it waits on the receive queue, or once it has arrived
+// (late), so that the message waits on the early-arrival queue. The least of
+// three runs, as in oneSidedMallocs.
+func sendRecvMallocs(t *testing.T, msgs int, late bool) uint64 {
+	t.Helper()
+	const period = 10 * sim.Microsecond
+	until := func(p *sim.Proc, at sim.Time) {
+		if d := at - p.Now(); d > 0 {
+			p.Advance(d)
+		}
+	}
+	least := ^uint64(0)
+	for run := 0; run < 3; run++ {
+		fx := newFixture(t, 2)
+		a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
+		_, _, qa, qb, cqa, cqb := fx.pairOn(t, a, b)
+		fx.eng.Go("recv", func(p *sim.Proc) {
+			cqb.SetWaiter(p)
+			buf := make([]byte, 64)
+			for i := 0; i < msgs; i++ {
+				at := sim.Time(i) * period
+				if late {
+					at += period / 2
+				}
+				until(p, at)
+				qb.PostRecv(p, uint64(i), buf)
+				waitCQE(p, cqb, OpRecv)
+			}
+		})
+		fx.eng.Go("send", func(p *sim.Proc) {
+			cqa.SetWaiter(p)
+			payload := make([]byte, 64)
+			for i := 0; i < msgs; i++ {
+				until(p, sim.Time(i)*period)
+				qa.PostSend(p, uint64(i), payload, 0)
+				waitCQE(p, cqa, OpSend)
+			}
+		})
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		err := fx.eng.Run()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := m1.Mallocs - m0.Mallocs; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// TestPostSendRecvSteadyStateAllocs: raw verbs SEND/RECV with one message in
+// flight costs no heap object per message in steady state. A receive queue
+// and an early-arrival queue keep the front of their arrays when an entry
+// leaves, so the next post reuses the slot instead of growing a new array.
+func TestPostSendRecvSteadyStateAllocs(t *testing.T) {
+	const few, many = 64, 1088
+	for _, late := range []bool{false, true} {
+		per := (float64(sendRecvMallocs(t, many, late)) - float64(sendRecvMallocs(t, few, late))) / (many - few)
+		t.Logf("receive posted late=%v: %.3f allocations/message", late, per)
+		if per > 0.01 {
+			t.Errorf("SEND/RECV (receive posted late=%v) allocates %.3f objects per message in steady state, want none", late, per)
+		}
+	}
+}

@@ -87,3 +87,22 @@ func TestHCAEagerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("HCA eager send allocates %.3f/message in steady state; want ~0", per)
 	}
 }
+
+// TestHCARndvSteadyStateAllocs locks in the recycled HCA rendezvous: the
+// sender's request goes back to its pool once the pair's rendezvous table has
+// let go of it at the sender's RDMA write completion, and the receiver's MR
+// handle is reused once the WRITE_IMM has landed, so RTS, CTS and the write
+// allocate nothing per message — through the HCA loopback of the stock
+// library and across the wire.
+func TestHCARndvSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow")
+	}
+	for _, scenario := range []string{"2cont", "2host"} {
+		per := perMessageAllocs(t, scenario, core.ModeDefault, false, 64<<10)
+		t.Logf("HCA rendezvous (%s): %.3f allocs/message", scenario, per)
+		if per > 0.05 {
+			t.Errorf("HCA rendezvous (%s) allocates %.3f/message in steady state; want ~0", scenario, per)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cmpi/internal/cluster"
 	"cmpi/internal/core"
 	"cmpi/internal/fault"
 	"cmpi/internal/invariant"
@@ -269,4 +270,92 @@ func TestLostPeerMatrix(t *testing.T) {
 				invariant.Point{PoolStrict: true}, invariant.Point{DropDepot: true})
 		})
 	}
+}
+
+// TestRndvRecycledSendSurvivesLostPeer holds the rendezvous table to letting
+// go of a send at the sender's RDMA write completion. Rank 0 sends rank 1 an
+// HCA rendezvous message; rank 1 grants it and then computes, so the
+// WRITE_IMM completion waits in its CQ and the pair's table keeps the entry.
+// Rank 0's send completes meanwhile and is released, and the recycled handle
+// carries a CMA send to co-resident rank 2, who receives it only after rank
+// 0's transmissions to rank 1 have broken the channel. Losing rank 1 must
+// not fail that send: had the table kept naming the handle, rank 0's
+// losePeer would fail another operation.
+func TestRndvRecycledSendSurvivesLostPeer(t *testing.T) {
+	const rndv = 64 << 10
+	run := func(t *testing.T, p invariant.Point) invariant.Result {
+		c := cluster.MustNew(cluster.Spec{Hosts: 2, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1})
+		d := &cluster.Deployment{Scenario: "Native", Cluster: c, Placements: []cluster.Placement{
+			{Rank: 0, Env: c.Host(0).NativeEnv(), Core: 0},
+			{Rank: 1, Env: c.Host(1).NativeEnv(), Core: 0},
+			{Rank: 2, Env: c.Host(0).NativeEnv(), Core: 1},
+		}}
+		opts := DefaultOptions()
+		opts.ErrHandler = ErrorsReturn
+		opts.Tunables.RetryCount = 2
+		opts.Tunables.RetryTimeout = core.RetryTimeoutFromExponent(0)
+		opts.FaultPlan = fault.NewPlan().SendDrops(0, lossAt, 0, 1000)
+		w, err := NewWorld(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(r *Rank) error {
+			buf := make([]byte, rndv)
+			switch r.Rank() {
+			case 0:
+				fill(buf, 0, 1)
+				first := r.Isend(1, tagData, buf)
+				r.Wait(first)
+				if first.Err() != nil {
+					return first.Err()
+				}
+				r.Release(first)
+				next := r.Isend(2, tagData, buf)
+				if !p.PoolStrict && next != first {
+					t.Error("the send to rank 2 did not reuse the released rendezvous send's handle")
+				}
+				for r.Now() < lossAt {
+					r.Compute(1000)
+				}
+				r.Send(1, tagBreak, make([]byte, 64))
+				awaitLoss(t, r)
+				r.Wait(next)
+				return next.Err()
+			case 1:
+				req := r.Irecv(0, tagData, buf)
+				granted := func() bool {
+					for _, st := range r.peer(0).ps.rndv {
+						if st.rreq == req {
+							return true
+						}
+					}
+					return false
+				}
+				for !granted() {
+					if _, done := r.Test(req); done {
+						t.Error("rank 1's receive completed while it was still granting it")
+					}
+				}
+				for r.Now() < 3*lossAt {
+					r.Compute(1000)
+				}
+				r.Wait(req)
+				checkPattern(t, "rank 1's rendezvous receive", buf, 1)
+				return req.Err()
+			default:
+				for r.Now() < 2*lossAt {
+					r.Compute(1000)
+				}
+				r.Recv(0, tagData, buf)
+				checkPattern(t, "rank 2's receive through the recycled handle", buf, 1)
+				return nil
+			}
+		})
+		if err != nil {
+			t.Errorf("Run: %v", err)
+		}
+		return invariant.Result{Digest: w.Digest()}
+	}
+	invariant.Check(t, run, invariant.Point{},
+		invariant.Point{PoolStrict: true}, invariant.Point{DropDepot: true})
 }

@@ -53,20 +53,22 @@ import "cmpi/internal/core"
 //     collectives without allocating a handle. A handle from Isend/Irecv is
 //     the user's until it is passed to Rank.Release (MPI_Request_free), which
 //     takes completed handles only. Wait, WaitAll and Test never recycle:
-//     callers read a handle's status and error after them. HCA-rendezvous
-//     sends are excluded either way (noPool): the send completes at its local
-//     RDMA write completion, but the pair's rndv table keeps naming the
-//     request until the receiver's WRITE_IMM completion removes the entry,
-//     and a channel error or dead peer in between fails every request the
-//     table names — which, recycled, would be another operation's. Under
-//     poolStrict a released handle is poisoned instead of recycled, so a
-//     later Done or Err panics.
+//     callers read a handle's status and error after them. An HCA
+//     rendezvous is named by its pair's rndv table, which fails the requests
+//     it names when the channel breaks or the peer dies, so the table lets go
+//     of each side when that side completes: of the send at the sender's own
+//     RDMA write completion (dropRndvSend), of the receive at the receiver's
+//     WRITE_IMM completion, which also retires the entry and recycles the
+//     receiver's MR handle. A handle recycled after that belongs to no
+//     rendezvous. Under poolStrict a released handle is poisoned instead of
+//     recycled, so a later Done or Err panics.
 //
 // Everything on a free list outlives the world: when a run ends,
 // World.drainPools hands every free byte buffer and object — the homes' and
-// the directions' lists, then the fabric's event records and CQ batches — to
-// the process-wide depot in core/pool.go, where the next world's misses find
-// them (a core.FreeList's miss asks the depot before new). Objects are
+// the directions' lists, then the fabric's event records, MR handles and CQ
+// batches — and the arrays of the home lists to the process-wide depot in
+// core/pool.go, where the next world's misses find them (a core.FreeList's
+// miss asks the depot before new). Objects are
 // zeroed when they are put, so none carries state into the next world, and
 // under poolStrict a depot take checks that nothing wrote to one since.
 // Buffers and objects still referenced by an unfinished or failed operation,
@@ -182,11 +184,11 @@ func (r *Rank) ExchangeV(blocks [][]byte, tag int) [][]byte {
 // getReq returns a zeroed Request from the pool.
 func (r *Rank) getReq() *Request { return r.pools.reqs.Get() }
 
-// putReq recycles a request the caller owns. Requests flagged noPool (HCA
-// rendezvous sends) and failed requests (their envelopes/ops may still be
-// referenced from error-path state) are left to the GC.
+// putReq recycles a request the caller owns. Failed requests (their
+// envelopes/ops may still be referenced from error-path state) are left to
+// the GC.
 func (r *Rank) putReq(req *Request) {
-	if req == nil || req.noPool || req.err != nil {
+	if req == nil || req.err != nil {
 		return
 	}
 	r.pools.reqs.Put(req)

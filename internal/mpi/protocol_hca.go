@@ -81,10 +81,6 @@ func (r *Rank) hcaEagerSend(req *Request) {
 // hcaRndvSend starts a rendezvous transfer: register the user buffer, send
 // RTS, and wait for the CTS to RDMA-write the payload.
 func (r *Rank) hcaRndvSend(req *Request) {
-	// The pair's rendezvous table may reference this request until the
-	// receiver's WRITE_IMM completion — after our own wait returns — so it
-	// must never be recycled.
-	req.noPool = true
 	pr := req.pr
 	qp := r.qpFor(pr)
 	seq := pr.sendSeq
@@ -131,6 +127,9 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 			r.p.Fatalf("WRITE_IMM for unknown rendezvous id %d", cqe.Imm)
 		}
 		delete(ps.rndv, cqe.Imm)
+		// Nothing targets the landing buffer any more: its handle serves the
+		// next registration (the charge was paid in hcaSendCTS).
+		r.dev.DeregisterMR(st.mr)
 		env := st.rreq.env
 		env.received = env.size
 		r.completeRecv(st.rreq, env)
@@ -142,6 +141,10 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 		delete(r.wridOps, cqe.WRID)
 		switch {
 		case ref.sreq != nil:
+			// The payload is in the receiver's buffer. The table lets go of
+			// the send here (the write's wrid is its msgID), so a handle the
+			// caller releases and reuses is never failed with this pair.
+			r.dropRndvSend(cqe.QP.Context(), cqe.WRID)
 			r.completeSend(ref.sreq)
 		case ref.win != nil:
 			ref.win.outstanding--
@@ -242,11 +245,22 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			r.p.Fatalf("CTS for unknown rendezvous id %d", m.msgID)
 		}
 		qp := r.qpFor(pr)
-		qp.PostWrite(r.p, r.addWrid(wridRef{sreq: st.sreq}), st.sreq.sbuf, st.mr, 0, true, m.msgID)
+		qp.PostWrite(r.p, r.routeWrid(m.msgID, wridRef{sreq: st.sreq}), st.sreq.sbuf, st.mr, 0, true, m.msgID)
 		r.countOp(core.ChannelHCA, len(st.sreq.sbuf))
 
 	default:
 		r.p.Fatalf("unknown HCA message kind %d", m.kind)
+	}
+}
+
+// dropRndvSend removes the sender's request from rendezvous msgID with peer
+// once the sender's RDMA write has completed. The receiver removes the whole
+// entry at its WRITE_IMM completion, which may come first.
+func (r *Rank) dropRndvSend(peer int, msgID uint64) {
+	ps := r.peer(peer).ps
+	if st, ok := ps.rndv[msgID]; ok {
+		st.sreq = nil
+		ps.rndv[msgID] = st
 	}
 }
 

@@ -34,7 +34,6 @@ type Request struct {
 
 	isSend bool
 	done   bool
-	noPool bool // excluded from request recycling (see pool.go)
 	sync   bool // synchronous send (Ssend): always a rendezvous
 	// released marks a handle given to Rank.Release under poolStrict.
 	released bool

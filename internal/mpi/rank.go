@@ -220,12 +220,20 @@ type wridRef struct {
 // addWrid mints the work-request id of an HCA operation whose completion
 // ref routes back.
 func (r *Rank) addWrid(ref wridRef) uint64 {
+	r.nextWrid++
+	return r.routeWrid(r.nextWrid, ref)
+}
+
+// routeWrid routes the completion of work request id back to ref and returns
+// id. A rendezvous write's id is its msgID, which names the transfer in the
+// pair's table: minted by this rank, with the rank's number in bit 40 and
+// up, it lies above every id addWrid counts to.
+func (r *Rank) routeWrid(id uint64, ref wridRef) uint64 {
 	if r.wridOps == nil {
 		r.wridOps = make(map[uint64]wridRef)
 	}
-	r.nextWrid++
-	r.wridOps[r.nextWrid] = ref
-	return r.nextWrid
+	r.wridOps[id] = ref
+	return id
 }
 
 func newRank(w *World, i int) *Rank {
@@ -310,7 +318,7 @@ func (r *Rank) initPre() error {
 	var det *core.Detector
 	if r.w.Opts.Mode == core.ModeLocalityAware {
 		var err error
-		det, err = core.NewDetector(r.w.shm, r.w.jobID, r.env, r.rank, r.size)
+		det, err = core.AttachDetector(r.w.shm, r.w.detSeg, r.env, r.rank, r.size)
 		if err != nil {
 			if !errors.Is(err, fault.ErrInjected) {
 				return err

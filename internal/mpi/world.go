@@ -36,6 +36,9 @@ type World struct {
 	fabric *ib.Fabric
 	ranks  []*Rank
 	jobID  string
+	// detSeg names the job's locality-detector segment, built once for all
+	// ranks.
+	detSeg string
 
 	// inj is the job's fault injector (nil without a FaultPlan). All query
 	// methods tolerate nil.
@@ -118,6 +121,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		crashed:    make([]bool, d.Size()),
 		shrinks:    make(map[int]*shrinkSync),
 	}
+	w.detSeg = core.LocalitySegmentPrefix + w.jobID
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
 		return nil, err
