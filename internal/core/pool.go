@@ -47,6 +47,20 @@ import (
 // mutex and on the same two cold paths. Objects of a kind are
 // interchangeable, so a full list (objDepotCap) keeps what it has and refuses
 // the newcomers.
+//
+// A world that ended cleanly hands on its connection state too, after its
+// free lists: the library's pairs, shared-memory rings, peer records, send
+// queues, and each rank's peer index and ring list, then the fabric's
+// devices (and the list of them), CQs, QPs and QP extensions. The next
+// world's constructors take them where they would have allocated (TakeOrNew;
+// TakeObject for an array), when the state is built, never per message. An
+// owner keeps the arrays of its queues and direction lists, emptied and
+// cleared (Cleared), so a ring or a QP comes back with room for what it held.
+// The rank objects themselves stay with their world, which is read after it
+// ends. A world that failed leaves its state to the garbage collector: an
+// operation that never finished may still name it. None of this is counted:
+// a depot object is as good as a new one, so no simulated result, and no
+// pool counter, can tell them apart.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -335,8 +349,8 @@ func (l *FreeList[T]) Put(x *T) {
 // depot. The counters and lent stay.
 func (l *FreeList[T]) Drain(dr *Drain) {
 	GiveObjects(dr, l.free)
-	if a, ok := emptied(l.free); ok {
-		GiveObjects(dr, [][]*T{a})
+	if cap(l.free) > 0 {
+		GiveObjects(dr, [][]*T{Cleared(l.free)})
 	}
 	l.free = nil
 }
@@ -376,21 +390,19 @@ func (d *DirList[T]) Retire(home *FreeList[T], x *T) {
 	d.free = append(d.free, x)
 }
 
-// Drain hands the objects waiting on the direction to the depot.
+// Drain hands the objects waiting on the direction to the depot. The
+// direction keeps its array, cleared, for whoever takes its owner next.
 func (d *DirList[T]) Drain(dr *Drain) {
 	GiveObjects(dr, d.free)
-	d.free = nil
+	d.free = Cleared(d.free)
 }
 
-// emptied returns list's array at length 0 with every slot up to its
-// capacity cleared, so that in the depot it keeps nothing alive; ok is false
-// when list has no array.
-func emptied[E any](list []E) (a []E, ok bool) {
-	if cap(list) == 0 {
-		return nil, false
-	}
+// Cleared returns list's array at length 0 with every slot up to its
+// capacity cleared, so that it keeps nothing alive: the form in which an
+// array goes to the depot, alone or inside the object that owns it.
+func Cleared[E any](list []E) []E {
 	clear(list[:cap(list)])
-	return list[:0], true
+	return list[:0]
 }
 
 // takeArray returns an empty array that a finished world's home list (a
@@ -398,8 +410,9 @@ func emptied[E any](list []E) (a []E, ok bool) {
 // home list that has no array yet asks for one on a miss of its Get, which
 // is out of line already: the entry it hands out comes back through a Put,
 // which must stay small enough to inline, and finds room. A direction's list
-// grows only under one-way traffic; it neither asks for an array nor gives
-// one, so the arrays the depot holds are those the next world's homes take.
+// keeps its array (Drain.Dir, DirList.Drain), which comes back with the ring
+// or QP that owns it, so the arrays the depot holds are those the next
+// world's homes take.
 func takeArray[E any]() []E {
 	a, _ := TakeObject[[]E]()
 	return a
@@ -696,8 +709,8 @@ func (dr *Drain) Home(p *BufPool) {
 	n := 0
 	for i := range p.classes {
 		dr.give(p.classes[i])
-		if a, ok := emptied(p.classes[i]); ok {
-			arrays[n] = a
+		if cap(p.classes[i]) > 0 {
+			arrays[n] = Cleared(p.classes[i])
 			n++
 		}
 		p.classes[i] = nil
@@ -706,13 +719,14 @@ func (dr *Drain) Home(p *BufPool) {
 	GiveObjects(dr, arrays[:n])
 }
 
-// Dir takes the buffers that wait on a direction.
+// Dir takes the buffers that wait on a direction. The direction keeps its
+// array, cleared, as DirList.Drain does.
 func (dr *Drain) Dir(d *DirPool) {
 	for _, buf := range d.free {
 		dr.waiting[classOf(buf)]++
 	}
 	dr.give(d.free)
-	d.free = nil
+	d.free = Cleared(d.free)
 }
 
 // Unbalanced reports a size class in which the drained homes have lent out a
@@ -737,10 +751,11 @@ func (dr *Drain) Unbalanced() error {
 const objDepotCap = 1 << 15
 
 // GiveObjects hands list, in order, to the depot's list of kind T, for the
-// free lists of later worlds: pointers to zero values, or slices emptied and
-// zeroed up to their capacity. What would take the kind past objDepotCap is
-// refused and its bytes are added to dr.Refused. Like Home and Dir, only for
-// a world whose engine has stopped.
+// free lists and constructors of later worlds: pointers to zero values, or
+// to values that are zero but for arrays they keep Cleared, or Cleared
+// slices. What would take the kind past objDepotCap is refused and its bytes
+// are added to dr.Refused. Like Home and Dir, only for a world whose engine
+// has stopped.
 func GiveObjects[T any](dr *Drain, list []T) {
 	if len(list) == 0 {
 		return
@@ -766,10 +781,23 @@ func GiveObjects[T any](dr *Drain, list []T) {
 	}
 }
 
+// TakeOrNew returns a *T that a finished world gave the depot, or a new one:
+// the constructors' way to the depot, for objects a world builds once and
+// keeps (connection state), where a FreeList serves those it recycles.
+func TakeOrNew[T any]() *T {
+	if x, ok := TakeObject[*T](); ok {
+		return x
+	}
+	return new(T)
+}
+
+// GiveObject is GiveObjects for one object, TakeOrNew's counterpart.
+func GiveObject[T any](dr *Drain, x *T) { GiveObjects(dr, []*T{x}) }
+
 // TakeObject returns an object of kind T that a finished world gave the
 // depot, and false when it holds none. Under poolStrict it panics if the
-// object is no longer the zero value GiveObjects took: something kept an
-// alias past the end of its world and wrote through it.
+// object is no longer as GiveObjects took it: something kept an alias past
+// the end of its world and wrote through it.
 func TakeObject[T any]() (x T, ok bool) {
 	d := &theDepot
 	d.mu.Lock()
@@ -788,19 +816,47 @@ func TakeObject[T any]() (x T, ok bool) {
 }
 
 // zeroed reports whether a depot object is as GiveObjects took it: what a
-// pointer points to is zero, and so is a slice up to its capacity.
+// pointer points to is zero but for the Cleared arrays it keeps, and a slice
+// is Cleared.
 func zeroed[T any](x T) bool {
 	v := reflect.ValueOf(x)
-	if v.Kind() != reflect.Slice {
-		return v.Elem().IsZero()
+	if v.Kind() == reflect.Pointer {
+		v = v.Elem()
 	}
-	v = v.Slice(0, v.Cap())
-	for i := range v.Len() {
-		if !v.Index(i).IsZero() {
+	return cleared(v)
+}
+
+// cleared reports whether v is zero, where a slice counts as zero when it is
+// empty and every slot up to its capacity is zero.
+func cleared(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice:
+		if v.Len() != 0 {
 			return false
 		}
+		v = v.Slice(0, v.Cap())
+		for i := range v.Len() {
+			if !v.Index(i).IsZero() {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if !cleared(v.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		for i := range v.Len() {
+			if !cleared(v.Index(i)) {
+				return false
+			}
+		}
+		return true
 	}
-	return true
+	return v.IsZero()
 }
 
 // objBytes is the memory behind a depot object: what a pointer points to, or

@@ -828,6 +828,40 @@ func TestObjectDepotStrict(t *testing.T) {
 	mustPanic(t, "taking a batch that was written to", func() { TakeObject[[]depotObj]() })
 }
 
+// An object that goes to the depot may keep arrays, Cleared: a strict take
+// finds it zero, and finds a slot written since. A direction drained keeps
+// its array the same way, for the owner that goes with it.
+func TestObjectDepotKeptArrays(t *testing.T) {
+	emptyDepot(t)
+	defer SetPoolStrict(SetPoolStrict(true))
+	var dr Drain
+	kept, written := &depotObj{buf: make([]byte, 0, 8)}, &depotObj{buf: make([]byte, 0, 8)}
+	GiveObject(&dr, kept)
+	GiveObject(&dr, written)
+	written.buf[:8][3] = 1 // a world that is over writes into an array its object kept
+	mustPanic(t, "taking an object whose kept array was written to", func() { TakeOrNew[depotObj]() })
+	if got := TakeOrNew[depotObj](); got != kept || cap(got.buf) != 8 {
+		t.Errorf("TakeOrNew = %p with a %d-byte array, want %p with its 8", got, cap(got.buf), kept)
+	}
+	if got := TakeOrNew[depotObj](); got == kept || got == written || got.buf != nil {
+		t.Errorf("an emptied kind served %p (%+v), want a new object", got, *got)
+	}
+
+	var home BufPool
+	var dir DirPool
+	var objs DirList[depotObj]
+	dir.Hold(home.Get(64))
+	objs.Retire(new(FreeList[depotObj]), new(depotObj))
+	dr.Dir(&dir)
+	objs.Drain(&dr)
+	if len(dir.free) != 0 || cap(dir.free) == 0 || dir.free[:1][0] != nil {
+		t.Errorf("a drained DirPool kept len %d cap %d, want an empty, cleared array", len(dir.free), cap(dir.free))
+	}
+	if len(objs.free) != 0 || cap(objs.free) == 0 || objs.free[:1][0] != nil {
+		t.Errorf("a drained DirList kept len %d cap %d, want an empty, cleared array", len(objs.free), cap(objs.free))
+	}
+}
+
 // Worlds that run side by side take and give objects at once: under -race,
 // eight goroutines leave every object with one owner.
 func TestObjectDepotConcurrentUse(t *testing.T) {

@@ -42,9 +42,13 @@ type Fabric struct {
 	topo   Topology
 	spines [][]sim.Time
 
-	// devices lists every opened device, for ObjCounters and DrainPools.
-	// Appended only by OpenDeviceWith, which runs during serialized job init.
+	// devices lists every opened device, for ObjCounters, DrainPools and
+	// Recycle. Appended only by OpenDeviceWith, which runs during serialized
+	// job init.
 	devices []*Device
+	// recycled is what the devices Recycle handed on had counted (see
+	// ObjCounters).
+	recycled core.PoolCounters
 
 	// inj, when non-nil, is the job's fault injector: link flap/degrade and
 	// loopback stall windows defer or stretch transfers, and send-drop events
@@ -72,11 +76,18 @@ type Fabric struct {
 // leaves them to grow, so they are never hits.
 func (f *Fabric) ObjCounters() core.PoolCounters {
 	c := f.mrs.Counters()
+	c.Add(f.recycled)
 	for _, d := range f.devices {
-		c.Add(d.evts.Counters())
-		c.Gets += 2 * uint64(len(d.cqs))
-		c.Depot += d.batchDepot
+		c.Add(d.counters())
 	}
+	return c
+}
+
+// counters is the device's share of ObjCounters.
+func (d *Device) counters() core.PoolCounters {
+	c := d.evts.Counters()
+	c.Gets += 2 * uint64(len(d.cqs))
+	c.Depot += d.batchDepot
 	return c
 }
 
@@ -97,6 +108,37 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 		}
 	}
 	f.mrs.Drain(dr)
+}
+
+// Recycle hands the fabric's devices, with their CQs, QPs and QP extensions,
+// zeroed, and the array that listed them, to the depot, for the next
+// fabric's OpenDeviceWith, CreateCQ and CreateQP; ObjCounters keeps what they
+// counted. A QP extension keeps its queues' arrays, cleared. For the end of a
+// job that ended cleanly, after DrainPools: none of them may be used again.
+func (f *Fabric) Recycle(dr *core.Drain) {
+	for _, d := range f.devices {
+		f.recycled.Add(d.counters())
+		for q := d.firstQP; q != nil; {
+			next := q.next
+			if x := q.aux; x != nil {
+				*x = qpAux{wire: x.wire, recvQ: core.Cleared(x.recvQ), inQ: core.Cleared(x.inQ)}
+				core.GiveObject(dr, x)
+			}
+			*q = QP{}
+			core.GiveObject(dr, q)
+			q = next
+		}
+		for _, q := range d.cqs {
+			*q = CQ{}
+			core.GiveObject(dr, q)
+		}
+		*d = Device{cqs: core.Cleared(d.cqs)}
+		core.GiveObject(dr, d)
+	}
+	if cap(f.devices) > 0 {
+		core.GiveObjects(dr, [][]*Device{core.Cleared(f.devices)})
+	}
+	f.devices = nil
 }
 
 // SetFaults arms the fabric with a fault injector and the RC retry policy
@@ -178,7 +220,11 @@ func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*De
 	if !env.Privileged {
 		return nil, ErrNoDeviceAccess
 	}
-	d := &Device{fabric: f, Env: env, devID: int32(len(f.devices)), pool: pool}
+	d := core.TakeOrNew[Device]()
+	d.fabric, d.Env, d.devID, d.pool = f, env, int32(len(f.devices)), pool
+	if cap(f.devices) == 0 {
+		f.devices, _ = core.TakeObject[[]*Device]()
+	}
 	f.devices = append(f.devices, d)
 	return d, nil
 }
@@ -307,10 +353,11 @@ type CQ struct {
 	waiter  *sim.Proc
 }
 
-// CreateCQ allocates a completion queue on the device, with batches an
-// earlier world left in the depot when there are any.
+// CreateCQ makes a completion queue on the device, with batches an earlier
+// world left in the depot when there are any.
 func (d *Device) CreateCQ() *CQ {
-	q := &CQ{dev: d, entries: d.batch(), spare: d.batch()}
+	q := core.TakeOrNew[CQ]()
+	q.dev, q.entries, q.spare = d, d.batch(), d.batch()
 	d.cqs = append(d.cqs, q)
 	return q
 }
@@ -448,7 +495,7 @@ type qpAux struct {
 // more returns q's aux, making it on first use.
 func (q *QP) more() *qpAux {
 	if q.aux == nil {
-		q.aux = new(qpAux)
+		q.aux = core.TakeOrNew[qpAux]()
 	}
 	return q.aux
 }
@@ -524,12 +571,13 @@ func (q *QP) SetContext(v int) { q.ctx = int32(v) }
 // Context returns what SetContext stored (0 before).
 func (q *QP) Context() int { return int(q.ctx) }
 
-// CreateQP allocates a queue pair using the given CQs for send and receive
+// CreateQP makes a queue pair using the given CQs for send and receive
 // completions (they may be the same CQ). QPNs are minted device-locally
 // (device index in the high bits).
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
-	q := &QP{dev: d, num: d.qpnNext, sendCQ: sendCQ, recvCQ: recvCQ}
+	q := core.TakeOrNew[QP]()
+	q.dev, q.num, q.sendCQ, q.recvCQ = d, d.qpnNext, sendCQ, recvCQ
 	if d.lastQP == nil {
 		d.firstQP = q
 	} else {

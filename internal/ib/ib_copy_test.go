@@ -307,6 +307,62 @@ func TestDrainedRecordsServeTheNextFabric(t *testing.T) {
 	}
 }
 
+// TestRecycledDevicesServeTheNextFabric: a fabric whose job ended cleanly
+// hands its devices, CQs, QPs and QP extensions to the depot, zeroed but for
+// the arrays an extension keeps, and the next fabric opens, creates and
+// extends with them. ObjCounters still counts what the recycled devices did.
+func TestRecycledDevicesServeTheNextFabric(t *testing.T) {
+	first := newFixture(t, 2)
+	a, b := first.clu.Host(0).NativeEnv(), first.clu.Host(1).NativeEnv()
+	devA, devB, qa, qb, cqa, cqb := first.pairOn(t, a, b)
+	first.eng.Go("send", func(p *sim.Proc) {
+		cqa.SetWaiter(p)
+		qa.PostSend(p, 1, make([]byte, 64), 0)
+		waitCQE(p, cqa, OpSend)
+	})
+	first.eng.Go("recv", func(p *sim.Proc) {
+		cqb.SetWaiter(p)
+		p.Advance(sim.Millisecond) // the message waits on qb's early-arrival queue
+		qb.PostRecv(p, 1, make([]byte, 64))
+		waitCQE(p, cqb, OpRecv)
+	})
+	if err := first.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	aux := qb.aux
+	if aux == nil || cap(aux.inQ) == 0 {
+		t.Fatal("the early arrival left qb no extension with a queue")
+	}
+	counted := first.fabric.ObjCounters()
+	var dr core.Drain
+	first.fabric.DrainPools(&dr)
+	first.fabric.Recycle(&dr)
+	if got := first.fabric.ObjCounters(); got != counted {
+		t.Errorf("ObjCounters after Recycle = %+v, want %+v", got, counted)
+	}
+	if *qa != (QP{}) || *qb != (QP{}) || cqa.dev != nil || cqb.waiter != nil || devA.fabric != nil || devB.Env != nil {
+		t.Error("Recycle left a QP, a CQ or a device holding state")
+	}
+	if len(aux.inQ) != 0 || cap(aux.inQ) == 0 || aux.inQ[:1][0].payload != nil {
+		t.Errorf("qb's extension went with an early-arrival queue of len %d cap %d, want its array, empty and cleared", len(aux.inQ), cap(aux.inQ))
+	}
+
+	second := newFixture(t, 2)
+	devs, cqs, qps := map[*Device]bool{devA: true, devB: true}, map[*CQ]bool{cqa: true, cqb: true}, map[*QP]bool{qa: true, qb: true}
+	_, _, na, nb, ncqa, ncqb := second.pairOn(t, a, b)
+	for _, d := range second.fabric.devices {
+		if !devs[d] {
+			t.Error("the next fabric opened a new device instead of a recycled one")
+		}
+	}
+	if !cqs[ncqa] || !cqs[ncqb] || !qps[na] || !qps[nb] {
+		t.Error("the next fabric made a new CQ or QP instead of a recycled one")
+	}
+	if na.more(); na.aux != aux && nb.more() != aux {
+		t.Error("the next fabric's QPs made a new extension instead of the recycled one")
+	}
+}
+
 // sendRecvMallocs counts the heap objects allocated while one process sends
 // msgs 64-byte messages on a fresh QP pair, one every 10 µs, each waited for
 // before the next, and the other posts a receive for each: before the message

@@ -98,7 +98,9 @@ func TestPeerTableFindsEveryRecord(t *testing.T) {
 
 // pairCount is the number of pair records a world holds: those its ranks'
 // peer records share, each counted at its lower rank or, where that rank
-// never named the pair, at the higher.
+// never named the pair, at the higher. A world that ends cleanly hands its
+// records to the depot (World.recycle), so a test counts them as the last
+// rank's body ends (countPairs).
 func pairCount(w *World) int {
 	n := 0
 	for _, r := range w.ranks {
@@ -109,6 +111,34 @@ func pairCount(w *World) int {
 		}
 	}
 	return n
+}
+
+// countPairs wraps the programs mk builds for w so that *pairs is
+// pairCount(w) once the last rank's body has ended: after the last first
+// contact, before the drain.
+func countPairs(w *World, pairs *int, mk func(rank int) Program) func(rank int) Program {
+	ended := 0
+	return func(rank int) Program {
+		return &endHook{Program: mk(rank), end: func() {
+			if ended++; ended == w.Size() {
+				*pairs = pairCount(w)
+			}
+		}}
+	}
+}
+
+// endHook is a Program that calls end when its body is done.
+type endHook struct {
+	Program
+	end func()
+}
+
+func (h *endHook) Step(r *Rank) sim.Flow {
+	f := h.Program.Step(r)
+	if f == sim.Done {
+		h.end()
+	}
+	return f
 }
 
 // TestNeedsHCAMatchesPerPeerScan compares initPost's counting rule with the
@@ -174,10 +204,11 @@ func TestWorldCostFollowsContact(t *testing.T) {
 	}
 
 	// Recursive doubling over 1024 ranks: ten partners each.
-	if err := w.RunMachine(AllreduceProgram(2, 1<<10)); err != nil {
+	var pairs int
+	if err := w.RunMachine(countPairs(w, &pairs, AllreduceProgram(2, 1<<10))); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pairCount(w), 1024*10/2; got != want {
+	if got, want := pairs, 1024*10/2; got != want {
 		t.Errorf("the world holds %d pair records after a 1024-rank recursive-doubling allreduce, want %d", got, want)
 	}
 	for _, r := range w.ranks {
@@ -203,6 +234,7 @@ func TestFirstContactFromBothEnds(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := make([]*pairShared, ranks)
+			ended, pairs := 0, 0
 			err = w.Run(func(r *Rank) error {
 				peer := partner(r.rank)
 				out, in := []byte{byte(r.rank)}, make([]byte, 1)
@@ -214,6 +246,9 @@ func TestFirstContactFromBothEnds(t *testing.T) {
 					return fmt.Errorf("rank %d received %d from %d", r.rank, in[0], peer)
 				}
 				seen[r.rank] = r.peer(peer).ps
+				if ended++; ended == ranks {
+					pairs = pairCount(w)
+				}
 				return nil
 			})
 			if err != nil {
@@ -224,7 +259,7 @@ func TestFirstContactFromBothEnds(t *testing.T) {
 					t.Fatalf("ranks %d and %d hold different pair records (%p, %p)", rank, partner(rank), ps, seen[partner(rank)])
 				}
 			}
-			if got := pairCount(w); got != ranks/2 {
+			if got := pairs; got != ranks/2 {
 				t.Errorf("the world holds %d pair records, want %d", got, ranks/2)
 			}
 		})
@@ -316,8 +351,12 @@ func fullFidelityWorld(t *testing.T, ranks int) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	perRank := float64(m.TotalAlloc) / float64(ranks) / 1e3
-	t.Logf("%d ranks: TotalAlloc %.1f KB per rank, HeapSys %d MiB after the run (%d pair records)",
-		ranks, perRank, m.HeapSys>>20, pairCount(w))
+	records := 0
+	for _, r := range w.ranks {
+		records += r.peers.n
+	}
+	t.Logf("%d ranks: TotalAlloc %.1f KB per rank, HeapSys %d MiB after the run (%d peer records)",
+		ranks, perRank, m.HeapSys>>20, records)
 	if m.HeapSys >= 256<<20 {
 		t.Errorf("HeapSys = %d MiB, want < 256", m.HeapSys>>20)
 	}

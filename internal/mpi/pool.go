@@ -73,6 +73,17 @@ import "cmpi/internal/core"
 // under poolStrict a depot take checks that nothing wrote to one since.
 // Buffers and objects still referenced by an unfinished or failed operation,
 // and handles the user never released, are on no list and stay with the GC.
+//
+// A world that ended cleanly hands on its connection state too
+// (World.recycle): pairs with their rings, peer records with their send
+// queues, each rank's peer index and ring list, and the fabric's devices,
+// CQs, QPs and QP extensions. Each kind is built in one place, which takes
+// from the depot before it allocates: Rank.peer, newIndex, ringFor,
+// enqueueOp, and ib's OpenDeviceWith, CreateCQ, CreateQP and QP.more. A ring
+// or a QP extension keeps the arrays of its queues and direction lists,
+// cleared. The ranks stay with their world and keep their counters; a failed
+// world hands on nothing of this, since an operation that never finished may
+// still name it.
 
 // worldPools is the per-Rank recycling state (the rank's home lists).
 type worldPools struct {

@@ -72,6 +72,15 @@ type shmRing struct {
 	dirs [2]ringDir // [0]: lo->hi, [1]: hi->lo
 }
 
+// reset empties a ring for the depot (World.recycle). Its directions keep
+// their arrays, cleared: the queue's here, the lists' in World.drainPools.
+func (g *shmRing) reset() {
+	for i := range g.dirs {
+		d := &g.dirs[i]
+		*d = ringDir{q: core.Cleared(d.q), snaps: d.snaps, pkts: d.pkts, ops: d.ops}
+	}
+}
+
 // out returns the direction of the pair's ring that rank sends on.
 func (ps *pairShared) out(rank int) *ringDir { return &ps.ring.dirs[ps.side(rank)] }
 
@@ -223,7 +232,7 @@ func (r *Rank) enqueueOp(op *sendOp) {
 	op.queued = true
 	pr := op.pr
 	if pr.q == nil {
-		pr.q = new(peerQueues)
+		pr.q = core.TakeOrNew[peerQueues]()
 	}
 	pr.q.sendQ = append(pr.q.sendQ, op)
 	if !pr.listed {

@@ -162,10 +162,19 @@ func (t *peerTable) add(pr *peerRec) {
 		t.place(pr)
 		return
 	}
-	t.idx = make([]*peerRec, max(16, 2*len(t.idx)))
+	t.idx = newIndex(max(16, 2*len(t.idx)))
 	for x := t.first; x != nil; x = x.next {
 		t.place(x)
 	}
+}
+
+// newIndex returns an empty index of n slots: on an array an earlier world's
+// table left in the depot when that one is long enough, else a new one.
+func newIndex(n int) []*peerRec {
+	if a, ok := core.TakeObject[[]*peerRec](); ok && cap(a) >= n {
+		return a[:n]
+	}
+	return make([]*peerRec, n)
 }
 
 // place enters pr into the index.
@@ -181,7 +190,9 @@ func (t *peerTable) place(pr *peerRec) {
 // peer returns r's record for a peer, creating it on first contact. The
 // pair's shared state comes from the peer's own record of r when the other
 // end named the pair first, and is minted otherwise: a new pair is all zero
-// but for its two ranks, so which end minted it cannot be observed.
+// but for its two ranks, so which end minted it cannot be observed. Records
+// and pairs come from the depot when an earlier world left some there
+// (World.recycle).
 func (r *Rank) peer(peer int) *peerRec {
 	if pr := r.peers.find(peer); pr != nil {
 		return pr
@@ -190,9 +201,12 @@ func (r *Rank) peer(peer int) *peerRec {
 	if back := r.w.ranks[peer].peers.lookup(r.rank); back != nil {
 		ps = back.ps
 	} else {
-		ps = &pairShared{lo: int32(min(r.rank, peer)), hi: int32(max(r.rank, peer))}
+		ps = core.TakeOrNew[pairShared]()
+		ps.lo, ps.hi = int32(min(r.rank, peer)), int32(max(r.rank, peer))
 	}
-	pr := &peerRec{ps: ps, rank: int32(peer), caps: r.capsOf(peer)}
+	ps.ends++
+	pr := core.TakeOrNew[peerRec]()
+	pr.ps, pr.rank, pr.caps = ps, int32(peer), r.capsOf(peer)
 	r.peers.add(pr)
 	return pr
 }

@@ -1,0 +1,140 @@
+package mpi
+
+import (
+	"runtime"
+	"testing"
+
+	"cmpi/internal/core"
+	"cmpi/internal/fault"
+	"cmpi/internal/invariant"
+	rec "cmpi/internal/recover"
+)
+
+// A world that ended cleanly hands its connection state to the depot
+// (World.recycle, ib.Fabric.Recycle), and the next world builds its own from
+// it.
+
+// haloJob is a 1-D halo exchange eight neighbours deep on either side: each
+// rank names 16 peers, so connection state (peer records, pairs, rings, QPs)
+// is most of what its world builds.
+func haloJob(r *Rank) error {
+	n, me := r.Size(), r.Rank()
+	out, in := r.AllocMem(64), r.AllocMem(64)
+	for j := 1; j <= 8; j++ {
+		r.Sendrecv((me+j)%n, j, out, (me-j+n)%n, j, in)
+		r.Sendrecv((me-j+n)%n, -j, out, (me+j)%n, -j, in)
+	}
+	r.FreeMem(out)
+	r.FreeMem(in)
+	return nil
+}
+
+// TestWarmWorldBytes: the second of two identical 256-rank halo worlds
+// allocates at most half the bytes per rank it did before worlds handed on
+// their connection state. Measured in a process of its own, before that
+// change the second world allocated 6557 B per rank, and after it 2440.
+// Rank objects and the engine's arena stay with their world and are most of
+// what is left: on BenchmarkWorldColdWarm's Rabenseifner job, whose ranks
+// name log2 P peers, the same figure went from 4546 to 2351 B per rank.
+func TestWarmWorldBytes(t *testing.T) {
+	const ranks, parentPerRank = 256, 6557
+	d := scaleDeployment(t, ranks)
+	opts := DefaultOptions()
+	opts.Topology = peerScaleTopo
+	world := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		w, err := NewWorld(d, opts)
+		if err == nil {
+			err = w.Run(haloJob)
+		}
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	world()
+	perRank := float64(world()) / ranks
+	t.Logf("the second world allocated %.0f B per rank", perRank)
+	if perRank > parentPerRank/2 {
+		t.Errorf("the second world allocated %.0f B per rank, want at most %d (half of %d)", perRank, parentPerRank/2, parentPerRank)
+	}
+}
+
+// TestRecycledStateAcrossWorldShapes runs worlds of four shapes in a row, each
+// building its connection state from what the one before left: a stock
+// co-resident pair (HCA loopback, eager and rendezvous), a 64-rank
+// locality-aware world of collectives, a world whose plan fails a ring
+// attach, and a RunRecoverable job whose first attempt crashes. Their digests
+// and traces must not depend on whether the state came from the depot, from a
+// poisoned depot checked on every take, or from the allocator.
+func TestRecycledStateAcrossWorldShapes(t *testing.T) {
+	stock := DefaultOptions()
+	local := DefaultOptions()
+	local.Mode = core.ModeLocalityAware
+	ringFails := DefaultOptions()
+	ringFails.FaultPlan = fault.NewPlan().ShmAttachFail(1, 0, 0, "cmpi.ring.")
+	steps := []invariant.Run{
+		row(scenario("2cont", 2), stock, blocking(func(r *Rank) error {
+			peer := 1 - r.Rank()
+			for _, size := range []int{64, 4 << 10, 64 << 10} {
+				r.Sendrecv(peer, size, make([]byte, size), peer, size, make([]byte, size))
+			}
+			return nil
+		}), nil),
+		row(func(t *testing.T, o Options) *World {
+			w, err := NewWorld(scaleDeployment(t, 64), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}, local, blocking(func(r *Rank) error {
+			buf := make([]byte, 1<<10)
+			r.Bcast(0, buf)
+			fillAllreduce(buf, r.Rank(), 0)
+			r.Allreduce(buf, SumInt64)
+			r.Alltoall(make([]byte, 256*r.Size()), make([]byte, 256*r.Size()), 256)
+			return nil
+		}), nil),
+		row(scenario("2host4cont", 16), ringFails, blocking(tracedWorkload), nil),
+		crashedRecoverable,
+	}
+	sequence := func(t *testing.T, p invariant.Point) invariant.Result {
+		var digests []any
+		var tr []byte
+		for _, step := range steps {
+			res := step(t, p)
+			digests = append(digests, res.Digest)
+			tr = append(tr, res.Trace...)
+		}
+		return invariant.Result{Digest: invariant.Sum(digests...), Trace: tr}
+	}
+	invariant.Check(t, sequence, invariant.Point{Record: true},
+		invariant.Point{Record: true, PoolStrict: true},
+		invariant.Point{Record: true, DropDepot: true})
+}
+
+// crashedRecoverable is the golden workload on 16 ranks, rank 5 crashing past
+// the first checkpoint and respawned. The crashed attempt leaves its state to
+// the collector; the restarted one, which ends cleanly, hands its on. A
+// recorder serves one world, so this step records nothing.
+func crashedRecoverable(t *testing.T, p invariant.Point) invariant.Result {
+	free := testWorld(t, "2host", 16, DefaultOptions())
+	var want []float64
+	if _, err := free.RunRecoverable(RecoverOptions{}, goldenBody(&want, nil)); err != nil {
+		t.Fatalf("%+v: fault-free run: %v", p, err)
+	}
+	opts := DefaultOptions()
+	opts.FaultPlan = fault.NewPlan().RankCrash(5, free.MaxBodyTime()*3/5)
+	w := testWorld(t, "2host", 16, opts)
+	var got []float64
+	rep, err := w.RunRecoverable(RecoverOptions{Policy: rec.PolicyRespawn, MaxRestarts: 1}, goldenBody(&got, nil))
+	if err != nil {
+		t.Fatalf("%+v: recoverable run: %v", p, err)
+	}
+	if rep.Attempts != 2 || !rep.Recovered {
+		t.Fatalf("%+v: report %+v, want a crash and one restart", p, rep)
+	}
+	return invariant.Result{Digest: invariant.Sum(free.Digest(), w.Digest(), *rep, got)}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"cmpi/internal/cluster"
@@ -181,9 +182,10 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 		w.fabric.SetRecorder(tr)
 	}
 	w.Eng.Grow(len(w.ranks))
+	names := rankNames(len(w.ranks))
 	for _, r := range w.ranks {
 		m := &rankMachine{w: w, r: r, prog: mk(r.rank)}
-		name := "rank" + strconv.Itoa(r.rank)
+		name := names[r.rank]
 		if machine {
 			w.Eng.GoMachine(name, m)
 		} else {
@@ -194,6 +196,31 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 		}
 	}
 	return w.finishRun(w.Eng.Run())
+}
+
+// names holds the process names of World.run, "rank0" up, for every world of
+// the process: the engine shows a name only in panic and deadlock text.
+var names struct {
+	sync.Mutex
+	list []string
+}
+
+// rankNames returns the names of ranks 0 to n-1. A table too short for n is
+// replaced by one of exactly n names, and no table is written once made, so
+// worlds running side by side may read theirs while another world extends
+// it.
+func rankNames(n int) []string {
+	names.Lock()
+	defer names.Unlock()
+	if have := len(names.list); have < n {
+		list := make([]string, n)
+		copy(list, names.list)
+		for i := have; i < n; i++ {
+			list[i] = "rank" + strconv.Itoa(i)
+		}
+		names.list = list
+	}
+	return names.list[:n]
 }
 
 // finishRun folds the engine error and the per-rank errors into the value Run
@@ -266,12 +293,57 @@ func (w *World) drainPools(clean bool) {
 		}
 	}
 	w.fabric.DrainPools(&dr)
+	if clean {
+		w.recycle(&dr)
+	}
 	w.depotRefused = uint64(dr.Refused)
 	if core.PoolStrict() && clean {
 		if err := dr.Unbalanced(); err != nil {
 			panic(fmt.Sprintf("mpi: %s ended cleanly with pool buffers unaccounted for: %v", w.jobID, err))
 		}
 	}
+}
+
+// recycle hands the connection state of a world that ended cleanly to the
+// depot, once drainPools has emptied the lists inside it: each pair with its
+// ring, each rank's peer records with their send queues, the index over
+// them and the list of its rings, then the fabric's devices, CQs and QPs
+// (ib.Fabric.Recycle). The next world's constructors take them back
+// (Rank.peer, newIndex, ringFor, enqueueOp). The ranks stay with the world,
+// for SimStats, Digest and the caller: they let go of what they handed on,
+// and keep their counters.
+func (w *World) recycle(dr *core.Drain) {
+	for _, r := range w.ranks {
+		for pr := r.peers.first; pr != nil; {
+			next := pr.next
+			ps := pr.ps
+			if ps.ends--; ps.ends == 0 {
+				if g := ps.ring; g != nil {
+					g.reset()
+					core.GiveObject(dr, g)
+				}
+				*ps = pairShared{}
+				core.GiveObject(dr, ps)
+			}
+			if q := pr.q; q != nil {
+				*q = peerQueues{sendQ: core.Cleared(q.sendQ), finWait: core.Cleared(q.finWait)}
+				core.GiveObject(dr, q)
+			}
+			*pr = peerRec{}
+			core.GiveObject(dr, pr)
+			pr = next
+		}
+		if idx := r.peers.idx; idx != nil {
+			core.GiveObjects(dr, [][]*peerRec{core.Cleared(idx)})
+		}
+		if cap(r.localPairs) > 0 {
+			core.GiveObjects(dr, [][]*pairShared{core.Cleared(r.localPairs)})
+		}
+		r.peers = peerTable{n: r.peers.n}
+		r.dev, r.cq, r.wridOps = nil, nil, nil
+		r.localPairs, r.sendDsts, r.streams = nil, nil, nil
+	}
+	w.fabric.Recycle(dr)
 }
 
 // failRank records a rank failure. Under ErrorsAreFatal it aborts the whole
@@ -464,6 +536,10 @@ type pairShared struct {
 	// cmaDead marks the pair's CMA channel failed; rendezvous transfers
 	// degrade to SHM streaming.
 	cmaDead bool
+
+	// ends counts the peer records that share the pair, one or two, so that
+	// World.recycle hands it on once, with the last of them.
+	ends uint8
 }
 
 // side maps a member rank to its index in qps.
@@ -545,9 +621,13 @@ func (r *Rank) ringFor(pr *peerRec) *shmRing {
 		}
 		// Publish the ring BEFORE charging attach time: Advance may yield,
 		// and the peer must not race the nil check into a second ring.
-		ps.ring = new(shmRing)
-		r.w.ranks[ps.lo].localPairs = append(r.w.ranks[ps.lo].localPairs, ps)
-		r.w.ranks[ps.hi].localPairs = append(r.w.ranks[ps.hi].localPairs, ps)
+		ps.ring = core.TakeOrNew[shmRing]()
+		for _, end := range [2]*Rank{r.w.ranks[ps.lo], r.w.ranks[ps.hi]} {
+			if cap(end.localPairs) == 0 {
+				end.localPairs, _ = core.TakeObject[[]*pairShared]()
+			}
+			end.localPairs = append(end.localPairs, ps)
+		}
 		r.p.Advance(r.w.Opts.Params.ShmAttachOverhead)
 	}
 	return ps.ring
