@@ -51,16 +51,22 @@ import (
 // A world that ended cleanly hands on its connection state too, after its
 // free lists: the library's pairs, shared-memory rings, peer records, send
 // queues, and each rank's peer index and ring list, then the fabric's
-// devices (and the list of them), CQs, QPs and QP extensions. The next
-// world's constructors take them where they would have allocated (TakeOrNew;
-// TakeObject for an array), when the state is built, never per message. An
-// owner keeps the arrays of its queues and direction lists, emptied and
+// devices (and the list of them), CQs, QPs and QP extensions, and last the
+// rank objects themselves. The next world's constructors take them where
+// they would have allocated, when the state is built, never per message.
+// An owner keeps the arrays of its queues and direction lists, emptied and
 // cleared (Cleared), so a ring or a QP comes back with room for what it held.
-// The rank objects themselves stay with their world, which is read after it
-// ends. A world that failed leaves its state to the garbage collector: an
+// A world that failed leaves its state to the garbage collector: an
 // operation that never finished may still name it. None of this is counted:
 // a depot object is as good as a new one, so no simulated result, and no
 // pool counter, can tell them apart.
+//
+// A constructor reaches its kind's list through a Kind, a handle made once
+// per kind in a package variable, so a take looks nothing up; a drain holds
+// the depot's lock for all its gives (Drain.Lock), so a world that hands on
+// tens of thousands of objects locks it once. The generic TakeObject and
+// GiveObjects, for the free lists that have no handle at hand, find the
+// kind's list by its type.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -482,10 +488,16 @@ type depot struct {
 	// poisoned is the set of held buffers a strict Drain brought in, by the
 	// address of their first byte; nil until there is one.
 	poisoned map[*byte]struct{}
-	// objs holds the free objects, one *stack[T] per kind T (see
-	// GiveObjects).
-	objs map[reflect.Type]any
+	// objs holds the free objects, one *stack[T] per kind T (see Kind). A
+	// list, once made, stays for the life of the process: a Kind holds it.
+	objs map[reflect.Type]objList
 }
+
+// objList is what the depot needs of a kind's list without its type.
+type objList interface{ drop() }
+
+// drop empties s, chunks and all.
+func (s *stack[T]) drop() { *s = stack[T]{} }
 
 var theDepot = depot{limit: depotCap}
 
@@ -530,7 +542,10 @@ func DropDepot() { theDepot.drop() }
 func (d *depot) drop() {
 	d.mu.Lock()
 	d.classes = [depotMaxShift + 1]stack[[]byte]{}
-	d.bytes, d.poisoned, d.objs = 0, nil, nil
+	d.bytes, d.poisoned = 0, nil
+	for _, l := range d.objs {
+		l.drop()
+	}
 	d.mu.Unlock()
 }
 
@@ -654,6 +669,11 @@ func (d *depot) give(list [][]byte) (refused int) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.giveLocked(list)
+}
+
+// giveLocked is give with d.mu held.
+func (d *depot) giveLocked(list [][]byte) (refused int) {
 	for _, buf := range list {
 		c := classOf(buf)
 		if c < 0 {
@@ -688,18 +708,64 @@ type Drain struct {
 	// depot evicted to take these, and those it was still too full to take —
 	// and of the objects objDepotCap refused. A repeat of a world like this
 	// one allocates them again.
-	Refused       int
-	started       bool
+	Refused int
+	started bool
+	// locked says that the drain holds the depot's lock (Lock).
+	locked        bool
 	lent, waiting [poolMaxShift + 1]int
 }
 
-// give hands list to the depot, starting the drain on the first call.
-func (dr *Drain) give(list [][]byte) {
+// Lock holds the depot's lock for every give through dr that follows, until
+// Unlock: a world that hands on tens of thousands of objects takes the lock
+// once rather than once an object. In between, the caller may give through
+// dr only (Home, Dir, GiveObjects, Kind.Give, the lists' Drain) and must take
+// nothing from the depot: the lock is not reentrant.
+func (dr *Drain) Lock() {
+	dr.start()
+	theDepot.mu.Lock()
+	dr.locked = true
+}
+
+// Unlock lets go of the lock Lock took.
+func (dr *Drain) Unlock() {
+	dr.locked = false
+	theDepot.mu.Unlock()
+}
+
+// start starts the drain on its first give: what the depot holds from before
+// it may now be evicted.
+func (dr *Drain) start() {
 	if !dr.started {
 		dr.started = true
 		theDepot.startDrain()
 	}
-	dr.Refused += theDepot.give(list)
+}
+
+// lock takes the depot's lock for one give unless dr holds it already, and
+// reports whether it did, for unlock.
+func (dr *Drain) lock() (took bool) {
+	if dr.locked {
+		return false
+	}
+	theDepot.mu.Lock()
+	return true
+}
+
+// unlock ends one give: it lets go of the lock if lock took it.
+func (dr *Drain) unlock(took bool) {
+	if took {
+		theDepot.mu.Unlock()
+	}
+}
+
+// give hands list to the depot, starting the drain on the first call.
+func (dr *Drain) give(list [][]byte) {
+	dr.start()
+	if dr.locked {
+		dr.Refused += theDepot.giveLocked(list)
+	} else {
+		dr.Refused += theDepot.give(list)
+	}
 }
 
 // Home takes the free buffers of an owner's pool, and the arrays that listed
@@ -750,54 +816,107 @@ func (dr *Drain) Unbalanced() error {
 // about four times as many.
 const objDepotCap = 1 << 15
 
-// GiveObjects hands list, in order, to the depot's list of kind T, for the
-// free lists and constructors of later worlds: pointers to zero values, or
-// to values that are zero but for arrays they keep Cleared, or Cleared
-// slices. What would take the kind past objDepotCap is refused and its bytes
-// are added to dr.Refused. Like Home and Dir, only for a world whose engine
-// has stopped.
+// Kind is a handle on the depot's list of one kind of object T: pointers to
+// objects a world builds once and keeps (its connection state, its ranks), or
+// arrays. Make it once, in a package variable (NewKind), and a take or a
+// give finds its list without looking T up.
+type Kind[T any] struct{ l *stack[T] }
+
+// NewKind returns the handle on kind T's list, making the list on first use.
+func NewKind[T any]() Kind[T] {
+	d := &theDepot
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return Kind[T]{listOf[T](d)}
+}
+
+// listOf returns kind T's list, making it on first use; d.mu is held.
+func listOf[T any](d *depot) *stack[T] {
+	k := reflect.TypeFor[T]()
+	if l, ok := d.objs[k]; ok {
+		return l.(*stack[T])
+	}
+	if d.objs == nil {
+		d.objs = make(map[reflect.Type]objList)
+	}
+	l := new(stack[T])
+	d.objs[k] = l
+	return l
+}
+
+// Take returns an object of kind T that a finished world gave the depot, and
+// false when it holds none. Under poolStrict it panics if the object is no
+// longer as it was given: something kept an alias past the end of its world
+// and wrote through it.
+func (k Kind[T]) Take() (x T, ok bool) {
+	d := &theDepot
+	d.mu.Lock()
+	if k.l.len() == 0 {
+		d.mu.Unlock()
+		return x, false
+	}
+	x = k.l.pop()
+	strict := poolStrict
+	d.mu.Unlock()
+	if strict {
+		checkZeroed(x)
+	}
+	return x, true
+}
+
+// checkZeroed panics unless x, just taken from the depot, is as it was given.
+func checkZeroed[T any](x T) {
+	if !zeroed(x) {
+		panic(fmt.Sprintf("core: a %T from the depot was written after its world ended", x))
+	}
+}
+
+// Give hands x to kind T's list, for the constructors of later worlds: a
+// pointer to a zero value, or to one that is zero but for arrays it keeps
+// Cleared, or a Cleared slice. What would take the kind past objDepotCap is
+// refused and its bytes are added to dr.Refused. Like Home and Dir, only for
+// a world whose engine has stopped; under Drain.Lock it takes no lock.
+func (k Kind[T]) Give(dr *Drain, x T) {
+	took := dr.lock()
+	k.put(dr, x)
+	dr.unlock(took)
+}
+
+// put lists x, or refuses it; d.mu is held.
+func (k Kind[T]) put(dr *Drain, x T) {
+	if k.l.len() >= objDepotCap {
+		dr.Refused += objBytes(x)
+		return
+	}
+	k.l.push(x)
+}
+
+// GiveObjects is Kind.Give for each object of list, in order, for callers
+// that hold no handle on kind T (a FreeList of any T).
 func GiveObjects[T any](dr *Drain, list []T) {
 	if len(list) == 0 {
 		return
 	}
-	d := &theDepot
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	k := reflect.TypeFor[T]()
-	l, _ := d.objs[k].(*stack[T])
-	if l == nil {
-		if d.objs == nil {
-			d.objs = make(map[reflect.Type]any)
-		}
-		l = new(stack[T])
-		d.objs[k] = l
+	took := dr.lock()
+	k := Kind[T]{listOf[T](&theDepot)}
+	for _, x := range list {
+		k.put(dr, x)
 	}
-	n := min(len(list), objDepotCap-l.len())
-	for _, x := range list[:n] {
-		l.push(x)
-	}
-	for _, x := range list[n:] {
-		dr.Refused += objBytes(x)
-	}
+	dr.unlock(took)
 }
 
 // TakeOrNew returns a *T that a finished world gave the depot, or a new one:
 // the constructors' way to the depot, for objects a world builds once and
-// keeps (connection state), where a FreeList serves those it recycles.
-func TakeOrNew[T any]() *T {
-	if x, ok := TakeObject[*T](); ok {
+// keeps, where a FreeList serves those it recycles.
+func TakeOrNew[T any](k Kind[*T]) *T {
+	if x, ok := k.Take(); ok {
 		return x
 	}
 	return new(T)
 }
 
-// GiveObject is GiveObjects for one object, TakeOrNew's counterpart.
-func GiveObject[T any](dr *Drain, x *T) { GiveObjects(dr, []*T{x}) }
-
-// TakeObject returns an object of kind T that a finished world gave the
-// depot, and false when it holds none. Under poolStrict it panics if the
-// object is no longer as GiveObjects took it: something kept an alias past
-// the end of its world and wrote through it.
+// TakeObject is Kind.Take for callers that hold no handle on kind T (a
+// FreeList of any T, takeArray): it looks the kind's list up by type.
 func TakeObject[T any]() (x T, ok bool) {
 	d := &theDepot
 	d.mu.Lock()
@@ -809,8 +928,8 @@ func TakeObject[T any]() (x T, ok bool) {
 	x = l.pop()
 	strict := poolStrict
 	d.mu.Unlock()
-	if strict && !zeroed(x) {
-		panic(fmt.Sprintf("core: a %T from the depot was written after its world ended", x))
+	if strict {
+		checkZeroed(x)
 	}
 	return x, true
 }

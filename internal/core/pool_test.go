@@ -835,15 +835,16 @@ func TestObjectDepotKeptArrays(t *testing.T) {
 	emptyDepot(t)
 	defer SetPoolStrict(SetPoolStrict(true))
 	var dr Drain
+	kind := NewKind[*depotObj]()
 	kept, written := &depotObj{buf: make([]byte, 0, 8)}, &depotObj{buf: make([]byte, 0, 8)}
-	GiveObject(&dr, kept)
-	GiveObject(&dr, written)
+	kind.Give(&dr, kept)
+	kind.Give(&dr, written)
 	written.buf[:8][3] = 1 // a world that is over writes into an array its object kept
-	mustPanic(t, "taking an object whose kept array was written to", func() { TakeOrNew[depotObj]() })
-	if got := TakeOrNew[depotObj](); got != kept || cap(got.buf) != 8 {
+	mustPanic(t, "taking an object whose kept array was written to", func() { TakeOrNew(kind) })
+	if got := TakeOrNew(kind); got != kept || cap(got.buf) != 8 {
 		t.Errorf("TakeOrNew = %p with a %d-byte array, want %p with its 8", got, cap(got.buf), kept)
 	}
-	if got := TakeOrNew[depotObj](); got == kept || got == written || got.buf != nil {
+	if got := TakeOrNew(kind); got == kept || got == written || got.buf != nil {
 		t.Errorf("an emptied kind served %p (%+v), want a new object", got, *got)
 	}
 
@@ -894,4 +895,113 @@ func TestObjectDepotConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// A drain that holds the depot's lock gives through it without locking again:
+// its gives of every kind, buffers included, land as if each had locked, a
+// handle and the generic calls reach the same list, and DropDepot empties
+// the list a handle holds without orphaning it.
+func TestDrainLockBatchesGives(t *testing.T) {
+	emptyDepot(t)
+	kind := NewKind[*depotObj]()
+	objs := []*depotObj{new(depotObj), new(depotObj), new(depotObj)}
+	var pool BufPool
+	pool.Put(make([]byte, 64))
+	var dr Drain
+	dr.Lock()
+	kind.Give(&dr, objs[0])
+	GiveObjects(&dr, objs[1:])
+	dr.Home(&pool)
+	dr.Unlock()
+	if got, ok := TakeObject[*depotObj](); !ok || got != objs[2] {
+		t.Fatalf("TakeObject = %p (%v), want the last object given, %p", got, ok, objs[2])
+	}
+	for _, want := range []*depotObj{objs[1], objs[0]} {
+		if got, ok := kind.Take(); !ok || got != want {
+			t.Fatalf("Kind.Take = %p (%v), want %p", got, ok, want)
+		}
+	}
+	if buf := theDepot.take(6); cap(buf) != 64 {
+		t.Errorf("the buffer given under the lock came back with cap %d, want 64", cap(buf))
+	}
+	kind.Give(&dr, objs[0])
+	DropDepot()
+	if _, ok := kind.Take(); ok {
+		t.Error("DropDepot left an object on a handle's list")
+	}
+	kind.Give(&dr, objs[0])
+	if got, ok := TakeObject[*depotObj](); !ok || got != objs[0] {
+		t.Error("after DropDepot a handle and TakeObject no longer share the kind's list")
+	}
+}
+
+// BenchmarkDepotTakeGive reports ns per object through the depot's object
+// lists, one way and the other: a take through a Kind and through the
+// type-keyed lookup that TakeObject does, and a give inside a drain that
+// holds the lock (Drain.Lock) and one that locks per object.
+func BenchmarkDepotTakeGive(b *testing.B) {
+	const batch = 4096
+	objs := make([]*depotObj, batch)
+	for i := range objs {
+		objs[i] = new(depotObj)
+	}
+	kind := NewKind[*depotObj]()
+	fill := func(b *testing.B) {
+		b.StopTimer()
+		var dr Drain
+		dr.Lock()
+		for _, x := range objs {
+			kind.Give(&dr, x)
+		}
+		dr.Unlock()
+		b.StartTimer()
+	}
+	for _, tc := range []struct {
+		name string
+		take func()
+	}{
+		{"take=kind", func() { kind.Take() }},
+		{"take=lookup", func() { TakeObject[*depotObj]() }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			theDepot.drop()
+			for i := 0; i < b.N; i++ {
+				if i%batch == 0 {
+					fill(b)
+				}
+				tc.take()
+			}
+			b.StopTimer()
+			theDepot.drop()
+		})
+	}
+	for _, locked := range []bool{true, false} {
+		name := "give=single"
+		if locked {
+			name = "give=locked"
+		}
+		b.Run(name, func(b *testing.B) {
+			theDepot.drop()
+			var dr Drain
+			for i := 0; i < b.N; i++ {
+				if i%batch == 0 {
+					if locked && i > 0 {
+						dr.Unlock()
+					}
+					b.StopTimer()
+					theDepot.drop()
+					b.StartTimer()
+					if locked {
+						dr.Lock()
+					}
+				}
+				kind.Give(&dr, objs[i%batch])
+			}
+			if locked && b.N > 0 {
+				dr.Unlock()
+			}
+			b.StopTimer()
+			theDepot.drop()
+		})
+	}
 }

@@ -122,24 +122,35 @@ func (f *Fabric) Recycle(dr *core.Drain) {
 			next := q.next
 			if x := q.aux; x != nil {
 				*x = qpAux{wire: x.wire, recvQ: core.Cleared(x.recvQ), inQ: core.Cleared(x.inQ)}
-				core.GiveObject(dr, x)
+				auxKind.Give(dr, x)
 			}
 			*q = QP{}
-			core.GiveObject(dr, q)
+			qpKind.Give(dr, q)
 			q = next
 		}
 		for _, q := range d.cqs {
 			*q = CQ{}
-			core.GiveObject(dr, q)
+			cqKind.Give(dr, q)
 		}
 		*d = Device{cqs: core.Cleared(d.cqs)}
-		core.GiveObject(dr, d)
+		deviceKind.Give(dr, d)
 	}
 	if cap(f.devices) > 0 {
-		core.GiveObjects(dr, [][]*Device{core.Cleared(f.devices)})
+		devicesKind.Give(dr, core.Cleared(f.devices))
 	}
 	f.devices = nil
 }
+
+// The depot's lists of the fabric state a clean job hands on (Recycle) and
+// the next one's constructors take, and of CQ batches.
+var (
+	deviceKind  = core.NewKind[*Device]()
+	devicesKind = core.NewKind[[]*Device]()
+	cqKind      = core.NewKind[*CQ]()
+	batchKind   = core.NewKind[[]CQE]()
+	qpKind      = core.NewKind[*QP]()
+	auxKind     = core.NewKind[*qpAux]()
+)
 
 // SetFaults arms the fabric with a fault injector and the RC retry policy
 // (retryCnt retransmissions over an exponentially backed-off timeout starting
@@ -220,10 +231,10 @@ func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*De
 	if !env.Privileged {
 		return nil, ErrNoDeviceAccess
 	}
-	d := core.TakeOrNew[Device]()
+	d := core.TakeOrNew(deviceKind)
 	d.fabric, d.Env, d.devID, d.pool = f, env, int32(len(f.devices)), pool
 	if cap(f.devices) == 0 {
-		f.devices, _ = core.TakeObject[[]*Device]()
+		f.devices, _ = devicesKind.Take()
 	}
 	f.devices = append(f.devices, d)
 	return d, nil
@@ -356,7 +367,7 @@ type CQ struct {
 // CreateCQ makes a completion queue on the device, with batches an earlier
 // world left in the depot when there are any.
 func (d *Device) CreateCQ() *CQ {
-	q := core.TakeOrNew[CQ]()
+	q := core.TakeOrNew(cqKind)
 	q.dev, q.entries, q.spare = d, d.batch(), d.batch()
 	d.cqs = append(d.cqs, q)
 	return q
@@ -364,7 +375,7 @@ func (d *Device) CreateCQ() *CQ {
 
 // batch returns an empty CQE batch from the depot, or nil for push to grow.
 func (d *Device) batch() []CQE {
-	b, ok := core.TakeObject[[]CQE]()
+	b, ok := batchKind.Take()
 	if ok {
 		d.batchDepot++
 	}
@@ -377,7 +388,7 @@ func (q *CQ) drain(dr *core.Drain) {
 	for _, b := range [...][]CQE{q.entries, q.spare} {
 		if cap(b) > 0 {
 			clear(b[:cap(b)])
-			core.GiveObjects(dr, [][]CQE{b[:0]})
+			batchKind.Give(dr, b[:0])
 		}
 	}
 	q.entries, q.spare = nil, nil
@@ -495,7 +506,7 @@ type qpAux struct {
 // more returns q's aux, making it on first use.
 func (q *QP) more() *qpAux {
 	if q.aux == nil {
-		q.aux = core.TakeOrNew[qpAux]()
+		q.aux = core.TakeOrNew(auxKind)
 	}
 	return q.aux
 }
@@ -576,7 +587,7 @@ func (q *QP) Context() int { return int(q.ctx) }
 // (device index in the high bits).
 func (d *Device) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	d.qpnNext++
-	q := core.TakeOrNew[QP]()
+	q := core.TakeOrNew(qpKind)
 	q.dev, q.num, q.sendCQ, q.recvCQ = d, d.qpnNext, sendCQ, recvCQ
 	if d.lastQP == nil {
 		d.firstQP = q

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"cmpi/internal/core"
+	"cmpi/internal/sim"
 	"cmpi/internal/trace"
 )
 
@@ -24,7 +25,7 @@ type Point struct {
 	Sweep      int  // experiment sweep workers; a table's run applies it with experiments.SetWorkers
 	Record     bool // the program records a trace and returns its bytes
 	PoolStrict bool // core.SetPoolStrict: the depot poisoned, every drain checked
-	DropDepot  bool // the run starts on an empty depot
+	DropDepot  bool // the run starts on an empty depot and engine store
 }
 
 // Result is what one run simulated: a digest (World.Digest, or Sum over what
@@ -66,6 +67,7 @@ func At(t *testing.T, run Run, p Point) Result {
 	p.Sweep = cmp.Or(p.Sweep, 4)
 	if p.DropDepot {
 		core.DropDepot()
+		sim.DropStore()
 	}
 	defer core.SetPoolStrict(core.SetPoolStrict(p.PoolStrict))
 	r := run(t, p)

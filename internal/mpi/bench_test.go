@@ -7,6 +7,7 @@ import (
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
+	"cmpi/internal/sim"
 )
 
 // benchWorld builds a 2-rank world for the host-time channel benchmarks.
@@ -187,11 +188,11 @@ var (
 	sinkInts   []int64
 )
 
-// BenchmarkWorldColdWarm is what the process-wide depot (core/pool.go) is
-// for: one whole allreduce world per iteration — build, run, drain — on an
-// empty depot and on the one the previous world left. B/op is the figure to
-// read; ns/op follows it by what the allocator, the zeroing and the first
-// touch of those bytes cost.
+// BenchmarkWorldColdWarm is what the process-wide depot (core/pool.go) and
+// the engine store (sim/store.go) are for: one whole allreduce world per
+// iteration — build, run, drain — on an empty depot and store and on those
+// the previous world left. B/op is the figure to read; ns/op follows it by
+// what the allocator, the zeroing and the first touch of those bytes cost.
 func BenchmarkWorldColdWarm(b *testing.B) {
 	for _, ranks := range []int{64, 1024} {
 		spec := cluster.Spec{Hosts: ranks / 16, SocketsPerHost: 2, CoresPerSocket: 12, HCAsPerHost: 1}
@@ -221,6 +222,7 @@ func BenchmarkWorldColdWarm(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				core.DropDepot()
+				sim.DropStore()
 				if warm {
 					world()
 				}
@@ -229,6 +231,7 @@ func BenchmarkWorldColdWarm(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if !warm {
 						core.DropDepot()
+						sim.DropStore()
 					}
 					world()
 				}

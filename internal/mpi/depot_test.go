@@ -133,13 +133,7 @@ func TestSecondWorldAllocatesNoObjects(t *testing.T) {
 	}
 	run()
 	w := run()
-	var reqs, envs, ops, pkts core.PoolCounters
-	for _, r := range w.ranks {
-		reqs.Add(r.pools.reqs.Counters())
-		envs.Add(r.pools.envs.Counters())
-		ops.Add(r.pools.ops.Counters())
-		pkts.Add(r.pools.pkts.Counters())
-	}
+	reqs, envs, ops, pkts := w.totals.reqs, w.totals.envs, w.totals.ops, w.totals.pkts
 	for _, l := range []struct {
 		name string
 		c    core.PoolCounters
@@ -193,12 +187,8 @@ func TestReleaseRecyclesWindowHandles(t *testing.T) {
 		if err := w.Run(windowBody(windows, window, 256, release)); err != nil {
 			t.Fatal(err)
 		}
-		var n uint64
-		for _, r := range w.ranks {
-			c := r.pools.reqs.Counters()
-			n += c.Gets - c.Hits
-		}
-		return n
+		c := w.totals.reqs
+		return c.Gets - c.Hits
 	}
 	held, released := newReqs(false), newReqs(true)
 	if held < 2*windows*window {
@@ -300,12 +290,8 @@ func TestStepperRequestsRecycled(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var n uint64
-					for _, r := range w.ranks {
-						c := r.pools.reqs.Counters()
-						n += c.Gets - c.Hits
-					}
-					return n
+					c := w.totals.reqs
+					return c.Gets - c.Hits
 				}
 				warm, long := misses(10), misses(110)
 				if long > warm {

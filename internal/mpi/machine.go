@@ -722,10 +722,12 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 }
 
 // mallreduce is the world allreduce of machine programs: per-call algorithm
-// selection, then the chosen algorithm's stepper. Only the selected stepper
-// is allocated, one per call, so a call allocates one algorithm's state
-// rather than all four. (Rank.allreduce, with a stack to spend, dispatches
-// over stack steppers instead.) The tree algorithm is a binomial
+// selection, then the chosen algorithm's stepper. Only a selected stepper is
+// allocated, on the first call that selects it, and kept for the next: a
+// stepper that finishes is zero again (finishColl), so a program that calls
+// the allreduce in a loop allocates one algorithm's state once rather than
+// once a call, and never all four. (Rank.allreduce, with a stack to spend,
+// dispatches over stack steppers instead.) The tree algorithm is a binomial
 // reduce to rank 0 followed by a binomial broadcast: 2·log2(P) rounds, each
 // moving the whole buffer. Recursive doubling dominates it in this cost
 // model, so the selector never picks it; it exists as a forced comparison
@@ -751,13 +753,21 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 		m.ph = 1
 		switch m.algo {
 		case core.AllreduceRabenseifner:
-			m.rab = &mrab{}
+			if m.rab == nil {
+				m.rab = &mrab{}
+			}
 		case core.AllreduceRing:
-			m.ring = &mring{}
+			if m.ring == nil {
+				m.ring = &mring{}
+			}
 		case core.AllreduceTree:
-			m.red = &mreduce{}
+			if m.red == nil {
+				m.red, m.bc = &mreduce{}, &mbcast{}
+			}
 		default:
-			m.rd = &mrd{}
+			if m.rd == nil {
+				m.rd = &mrd{}
+			}
 		}
 	}
 	var done bool
@@ -773,7 +783,6 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 				return false
 			}
 			m.ph = 2
-			m.red, m.bc = nil, &mbcast{}
 		}
 		done = m.bc.step(r, &g, 0, buf)
 	default:
@@ -782,7 +791,7 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 	if !done {
 		return false
 	}
-	*m = mallreduce{}
+	m.ph = 0
 	return true
 }
 

@@ -117,11 +117,17 @@ func pairCount(w *World) int {
 // pairCount(w) once the last rank's body has ended: after the last first
 // contact, before the drain.
 func countPairs(w *World, pairs *int, mk func(rank int) Program) func(rank int) Program {
+	return atLastEnd(w, mk, func() { *pairs = pairCount(w) })
+}
+
+// atLastEnd wraps the programs mk builds for w so that f runs once the last
+// rank's body has ended, while the world still holds its ranks.
+func atLastEnd(w *World, mk func(rank int) Program, f func()) func(rank int) Program {
 	ended := 0
 	return func(rank int) Program {
 		return &endHook{Program: mk(rank), end: func() {
 			if ended++; ended == w.Size() {
-				*pairs = pairCount(w)
+				f()
 			}
 		}}
 	}
@@ -178,11 +184,14 @@ func TestWorldCostFollowsContact(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Topology = peerScaleTopo
 	var w *World
+	// From an empty depot every time: a world takes the ranks an earlier one
+	// handed on, as many as the depot has.
 	newWorldBytes := func(n int) uint64 {
 		d := scaleDeployment(t, n)
 		least := ^uint64(0)
 		for run := 0; run < 3; run++ {
 			var m0, m1 runtime.MemStats
+			core.DropDepot()
 			runtime.GC()
 			runtime.ReadMemStats(&m0)
 			var err error
@@ -205,15 +214,22 @@ func TestWorldCostFollowsContact(t *testing.T) {
 
 	// Recursive doubling over 1024 ranks: ten partners each.
 	var pairs int
-	if err := w.RunMachine(countPairs(w, &pairs, AllreduceProgram(2, 1<<10))); err != nil {
+	records := make([]int, w.Size())
+	err := w.RunMachine(atLastEnd(w, AllreduceProgram(2, 1<<10), func() {
+		pairs = pairCount(w)
+		for _, r := range w.ranks {
+			records[r.rank] = r.peers.n
+		}
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := pairs, 1024*10/2; got != want {
 		t.Errorf("the world holds %d pair records after a 1024-rank recursive-doubling allreduce, want %d", got, want)
 	}
-	for _, r := range w.ranks {
-		if got := r.peers.n; got != 10 {
-			t.Fatalf("rank %d holds %d peer records, want 10", r.rank, got)
+	for rank, got := range records {
+		if got != 10 {
+			t.Fatalf("rank %d holds %d peer records, want 10", rank, got)
 		}
 	}
 }
@@ -351,10 +367,7 @@ func fullFidelityWorld(t *testing.T, ranks int) {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	perRank := float64(m.TotalAlloc) / float64(ranks) / 1e3
-	records := 0
-	for _, r := range w.ranks {
-		records += r.peers.n
-	}
+	records := w.totals.peerRecs
 	t.Logf("%d ranks: TotalAlloc %.1f KB per rank, HeapSys %d MiB after the run (%d peer records)",
 		ranks, perRank, m.HeapSys>>20, records)
 	if m.HeapSys >= 256<<20 {

@@ -76,13 +76,14 @@ import "cmpi/internal/core"
 //
 // A world that ended cleanly hands on its connection state too
 // (World.recycle): pairs with their rings, peer records with their send
-// queues, each rank's peer index and ring list, and the fabric's devices,
-// CQs, QPs and QP extensions. Each kind is built in one place, which takes
-// from the depot before it allocates: Rank.peer, newIndex, ringFor,
-// enqueueOp, and ib's OpenDeviceWith, CreateCQ, CreateQP and QP.more. A ring
-// or a QP extension keeps the arrays of its queues and direction lists,
-// cleared. The ranks stay with their world and keep their counters; a failed
-// world hands on nothing of this, since an operation that never finished may
+// queues, each rank's peer index and ring list, the fabric's devices, CQs,
+// QPs and QP extensions, and last the ranks themselves, whose counters the
+// world keeps (rankTotals). Each kind is built in one place, which takes
+// from the depot before it allocates: NewWorld, Rank.peer, newIndex,
+// ringFor, enqueueOp, and ib's OpenDeviceWith, CreateCQ, CreateQP and
+// QP.more. A ring or a QP extension keeps the arrays of its queues and
+// direction lists, cleared, and a rank those of its queues. A failed world
+// hands on nothing of this, since an operation that never finished may
 // still name it.
 
 // worldPools is the per-Rank recycling state (the rank's home lists).
@@ -92,18 +93,6 @@ type worldPools struct {
 	ops  core.FreeList[sendOp]
 	envs core.FreeList[envelope]
 	reqs core.FreeList[Request]
-}
-
-// counters sums the object-pool hit statistics (the byte pool is reported
-// separately — a byte-buffer hit is worth far more than a request hit, so
-// mixing them would make the rate meaningless).
-func (wp *worldPools) counters() core.PoolCounters {
-	var c core.PoolCounters
-	c.Add(wp.pkts.Counters())
-	c.Add(wp.ops.Counters())
-	c.Add(wp.envs.Counters())
-	c.Add(wp.reqs.Counters())
-	return c
 }
 
 // drain hands everything on the rank's home lists to the depot.

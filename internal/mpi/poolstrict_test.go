@@ -37,12 +37,14 @@ func TestPoolStrictKeepsPinnedResults(t *testing.T) {
 // from the rank's pool, so SimStats sums the rank pools and the world's drain
 // hands each pool over once. A one-way HCA stream leaves the sender's pool
 // with buffers lent out at the end, so a pool drained twice would count them
-// twice and break the conservation law poolStrict asserts. The device goes to
-// the depot with the world, so each rank checks its own before its body ends.
+// twice and break the conservation law poolStrict asserts. The device and
+// the rank go to the depot with the world, so each rank checks its own device
+// and takes its pool's counters before its body ends.
 func TestRankAndDeviceShareOnePool(t *testing.T) {
 	strictPools(t)
 	w := testWorld(t, "2host", 2, DefaultOptions())
 	const window = 8
+	var ends [2]core.PoolCounters
 	func() {
 		defer func() {
 			if v := recover(); v != nil {
@@ -69,14 +71,15 @@ func TestRankAndDeviceShareOnePool(t *testing.T) {
 				t.Errorf("rank %d: a wire buffer of its device took %d requests of the rank's pool, want 1", r.rank, got)
 			}
 			r.pools.buf.Reclaim(wire)
+			ends[r.rank] = r.pools.buf.Counters()
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}()
 	var sum core.PoolCounters
-	for _, r := range w.ranks {
-		sum.Add(r.pools.buf.Counters())
+	for _, c := range ends {
+		sum.Add(c)
 	}
 	if got := w.SimStats().BufPool; got != sum {
 		t.Errorf("SimStats().BufPool = %+v, want the rank pools' sum %+v", got, sum)
@@ -101,6 +104,37 @@ func TestPoolStrictTripsOnDoublePut(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestPoolStrictTripsOnAKeptRank: a *Rank is valid until its world's Run
+// returns, and a world that ended cleanly hands its ranks, zeroed, to the
+// next. Under poolStrict the next world takes them back clean; one that a
+// body kept and wrote through after Run trips the depot's check there.
+func TestPoolStrictTripsOnAKeptRank(t *testing.T) {
+	strictPools(t)
+	var kept *Rank
+	run := func(keep bool) error {
+		w := testWorld(t, "2cont", 2, DefaultOptions())
+		return w.Run(func(r *Rank) error {
+			if keep && r.Rank() == 1 {
+				kept = r
+			}
+			r.Barrier()
+			return nil
+		})
+	}
+	for i, keep := range []bool{false, false, true} {
+		if err := run(keep); err != nil {
+			t.Fatalf("world %d: %v", i, err)
+		}
+	}
+	kept.collSeq = 7 // the body's handle, written after its world ended
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "*mpi.Rank from the depot was written") {
+			t.Errorf("the world after a rank was written: recovered %v, want the depot's panic", v)
+		}
+	}()
+	run(false)
 }
 
 // TestPoolStrictTripsOnLostReturn: a direction buffer nobody returned breaks

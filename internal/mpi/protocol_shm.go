@@ -232,7 +232,7 @@ func (r *Rank) enqueueOp(op *sendOp) {
 	op.queued = true
 	pr := op.pr
 	if pr.q == nil {
-		pr.q = core.TakeOrNew[peerQueues]()
+		pr.q = core.TakeOrNew(queuesKind)
 	}
 	pr.q.sendQ = append(pr.q.sendQ, op)
 	if !pr.listed {

@@ -18,6 +18,10 @@ import (
 
 // Rank is one MPI process. All communication methods must be called from
 // the rank's own simulated process (inside the body passed to World.Run).
+// A *Rank is valid until its world's run returns, as an MPI handle is until
+// MPI_Finalize: a world that ends cleanly hands its ranks, zeroed, to the
+// next world of the process (World.recycle), so nothing may keep one past
+// its run.
 //
 // Per-peer state lives in peer records (peerRec), created on first contact
 // and found through the rank's peer table. The table and the records are
@@ -171,7 +175,7 @@ func (t *peerTable) add(pr *peerRec) {
 // newIndex returns an empty index of n slots: on an array an earlier world's
 // table left in the depot when that one is long enough, else a new one.
 func newIndex(n int) []*peerRec {
-	if a, ok := core.TakeObject[[]*peerRec](); ok && cap(a) >= n {
+	if a, ok := indexKind.Take(); ok && cap(a) >= n {
 		return a[:n]
 	}
 	return make([]*peerRec, n)
@@ -201,11 +205,11 @@ func (r *Rank) peer(peer int) *peerRec {
 	if back := r.w.ranks[peer].peers.lookup(r.rank); back != nil {
 		ps = back.ps
 	} else {
-		ps = core.TakeOrNew[pairShared]()
+		ps = core.TakeOrNew(pairKind)
 		ps.lo, ps.hi = int32(min(r.rank, peer)), int32(max(r.rank, peer))
 	}
 	ps.ends++
-	pr := core.TakeOrNew[peerRec]()
+	pr := core.TakeOrNew(peerKind)
 	pr.ps, pr.rank, pr.caps = ps, int32(peer), r.capsOf(peer)
 	r.peers.add(pr)
 	return pr
@@ -250,15 +254,13 @@ func (r *Rank) routeWrid(id uint64, ref wridRef) uint64 {
 	return id
 }
 
+// newRank makes rank i of w, on a rank an earlier world handed on
+// (World.recycle) when there is one: zero but for its queues' arrays.
 func newRank(w *World, i int) *Rank {
 	pl := w.Deploy.Placements[i]
-	r := &Rank{
-		w:      w,
-		rank:   i,
-		size:   w.Deploy.Size(),
-		env:    pl.Env,
-		socket: int32(pl.Socket()),
-	}
+	r := core.TakeOrNew(rankKind)
+	r.w, r.rank, r.size = w, i, w.Deploy.Size()
+	r.env, r.socket = pl.Env, int32(pl.Socket())
 	if w.Prof != nil {
 		r.prof = w.Prof.Ranks[i]
 	}

@@ -29,36 +29,92 @@ func haloJob(r *Rank) error {
 	return nil
 }
 
-// TestWarmWorldBytes: the second of two identical 256-rank halo worlds
-// allocates at most half the bytes per rank it did before worlds handed on
-// their connection state. Measured in a process of its own, before that
-// change the second world allocated 6557 B per rank, and after it 2440.
-// Rank objects and the engine's arena stay with their world and are most of
-// what is left: on BenchmarkWorldColdWarm's Rabenseifner job, whose ranks
-// name log2 P peers, the same figure went from 4546 to 2351 B per rank.
+// TestWarmWorldBytes: the second of two identical 256-rank worlds allocates
+// at most half the bytes per rank it did before worlds handed on what they
+// built, each figure measured in a process of its own. The halo worlds name
+// 16 peers a rank: before worlds handed on their connection state, the second
+// allocated 6557 B per rank, after it 2440, and 1044 since they hand on their
+// ranks and engine arrays too. The Rabenseifner job of BenchmarkWorldColdWarm,
+// whose ranks name log2 P peers, a machine world, allocated 2351 B per rank
+// while its rank objects and its engine's arrays stayed with it, and 493
+// since they are handed on.
 func TestWarmWorldBytes(t *testing.T) {
-	const ranks, parentPerRank = 256, 6557
+	const ranks = 256
 	d := scaleDeployment(t, ranks)
-	opts := DefaultOptions()
-	opts.Topology = peerScaleTopo
-	world := func() uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		w, err := NewWorld(d, opts)
-		if err == nil {
-			err = w.Run(haloJob)
-		}
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m1.TotalAlloc - m0.TotalAlloc
+	halo := DefaultOptions()
+	halo.Topology = peerScaleTopo
+	rab := halo
+	rab.Tunables.AllreduceAlgo = core.AllreduceRabenseifner
+	for _, tc := range []struct {
+		name          string
+		opts          Options
+		run           func(w *World) error
+		parentPerRank float64
+	}{
+		{"halo", halo, func(w *World) error { return w.Run(haloJob) }, 6557},
+		{"rabenseifner", rab, func(w *World) error { return w.RunMachine(AllreduceProgram(1, 32<<10)) }, 2351},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			world := func() uint64 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				w, err := NewWorld(d, tc.opts)
+				if err == nil {
+					err = tc.run(w)
+				}
+				runtime.ReadMemStats(&m1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m1.TotalAlloc - m0.TotalAlloc
+			}
+			world()
+			perRank := float64(world()) / ranks
+			t.Logf("the second world allocated %.0f B per rank", perRank)
+			if perRank > tc.parentPerRank/2 {
+				t.Errorf("the second world allocated %.0f B per rank, want at most %.0f (half of %.0f)", perRank, tc.parentPerRank/2, tc.parentPerRank)
+			}
+		})
 	}
-	world()
-	perRank := float64(world()) / ranks
-	t.Logf("the second world allocated %.0f B per rank", perRank)
-	if perRank > parentPerRank/2 {
-		t.Errorf("the second world allocated %.0f B per rank, want at most %d (half of %d)", perRank, parentPerRank/2, parentPerRank)
+}
+
+// TestFinishedWorldKeepsItsReports: a world that ended cleanly hands its
+// ranks to the next one, and what it reports about its run stays its own.
+// Its SimStats and Digest, read again after a second world of the same shape
+// has run on those very ranks, are what they were right after its Run.
+func TestFinishedWorldKeepsItsReports(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Profile = true
+	body := func(ranks map[*Rank]bool) func(r *Rank) error {
+		return func(r *Rank) error {
+			ranks[r] = true
+			buf := make([]byte, 4<<10)
+			fillAllreduce(buf, r.Rank(), 0)
+			r.Allreduce(buf, SumInt64)
+			r.Bcast(r.Size()-1, buf)
+			return nil
+		}
+	}
+	first, second := map[*Rank]bool{}, map[*Rank]bool{}
+	w := testWorld(t, "2host4cont", 8, opts)
+	if err := w.Run(body(first)); err != nil {
+		t.Fatal(err)
+	}
+	stats, digest := w.SimStats(), w.Digest()
+	next := testWorld(t, "2host4cont", 8, opts)
+	if err := next.Run(body(second)); err != nil {
+		t.Fatal(err)
+	}
+	for r := range second {
+		if !first[r] {
+			t.Fatalf("the second world ran on a rank the first did not hand on: the test shows nothing")
+		}
+	}
+	if got := w.SimStats(); got != stats {
+		t.Errorf("SimStats after the next world: %+v, want %+v as right after Run", got, stats)
+	}
+	if got := w.Digest(); got != digest {
+		t.Errorf("Digest after the next world: %s, want %s as right after Run", got, digest)
 	}
 }
 

@@ -27,7 +27,6 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/ib"
@@ -171,12 +170,13 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 
 	w.ranks = make([]scaleRank, o.Ranks)
 	eng.Grow(o.Ranks)
+	names := rankNames(o.Ranks)
 	for i := range w.ranks {
 		r := &w.ranks[i]
 		r.w = w
 		r.id = int32(i)
 		r.role = w.roleOf(int32(i))
-		r.p = eng.GoMachine("srank"+strconv.Itoa(i), r)
+		r.p = eng.GoMachine(names[i], r)
 	}
 	if err := eng.Run(); err != nil {
 		return nil, err
@@ -184,6 +184,9 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	if w.done != o.Ranks {
 		return nil, fmt.Errorf("scale: %d/%d ranks finished", w.done, o.Ranks)
 	}
+	// Nothing reads the rank machines again: the next engine may have the
+	// arena they live in.
+	eng.Recycle()
 	return &ScaleResult{
 		Time: w.endT, Hosts: hosts, Racks: racks,
 		Sim: simStatsOf(eng.Stats()),

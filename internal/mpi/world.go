@@ -22,7 +22,9 @@ import (
 
 // World is one MPI job: the deployment it runs on, the substrates it uses,
 // and its ranks. A fresh World is built per job (NewWorld) and driven once
-// (Run).
+// (Run). What a finished world reports — SimStats, Digest, body times, the
+// profile — it keeps itself: a world that ended cleanly hands its ranks on
+// to the next one (World.recycle).
 type World struct {
 	// Eng is the virtual-time engine all ranks run on.
 	Eng *sim.Engine
@@ -35,8 +37,14 @@ type World struct {
 
 	shm    *shmem.Registry
 	fabric *ib.Fabric
+	// ranks is nil once a clean run has handed them on (recycle); totals
+	// keeps what is read of them after the run.
 	ranks  []*Rank
-	jobID  string
+	totals rankTotals
+	// machines holds each rank's lifecycle (World.run), handed on with the
+	// ranks.
+	machines []rankMachine
+	jobID    string
 	// detSeg names the job's locality-detector segment, built once for all
 	// ranks.
 	detSeg string
@@ -148,7 +156,11 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	if opts.Profile {
 		w.Prof = profile.New(d.Size())
 	}
-	w.ranks = make([]*Rank, d.Size())
+	if a, ok := ranksKind.Take(); ok && cap(a) >= d.Size() {
+		w.ranks = a[:d.Size()]
+	} else {
+		w.ranks = make([]*Rank, d.Size())
+	}
 	for i := range w.ranks {
 		w.ranks[i] = newRank(w, i)
 	}
@@ -156,13 +168,18 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 }
 
 // Size is the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
+func (w *World) Size() int { return w.Deploy.Size() }
 
 // Run executes body on every rank and drives the simulation to completion.
 // The returned error aggregates every recorded rank failure (each wrapped in
 // a *RankError naming its rank) plus any engine-level failure such as a
 // deadlock report, joined with errors.Join; nil when all ranks succeed.
 // A World is single-shot: a second Run returns an error.
+//
+// A *Rank is valid until Run returns, as an MPI handle is until
+// MPI_Finalize: a world that ended cleanly hands its ranks, zeroed, to the
+// next world of the process. Read what you need of one inside the body; the
+// world's own methods answer for the run afterwards.
 func (w *World) Run(body func(r *Rank) error) error {
 	return w.run(false, func(int) Program { return &bodyProg{body: body} })
 }
@@ -183,8 +200,14 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 	}
 	w.Eng.Grow(len(w.ranks))
 	names := rankNames(len(w.ranks))
+	if a, ok := machinesKind.Take(); ok && cap(a) >= len(w.ranks) {
+		w.machines = a[:len(w.ranks)]
+	} else {
+		w.machines = make([]rankMachine, len(w.ranks))
+	}
 	for _, r := range w.ranks {
-		m := &rankMachine{w: w, r: r, prog: mk(r.rank)}
+		m := &w.machines[r.rank]
+		*m = rankMachine{w: w, r: r, prog: mk(r.rank)}
 		name := names[r.rank]
 		if machine {
 			w.Eng.GoMachine(name, m)
@@ -198,8 +221,9 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 	return w.finishRun(w.Eng.Run())
 }
 
-// names holds the process names of World.run, "rank0" up, for every world of
-// the process: the engine shows a name only in panic and deadlock text.
+// names holds the process names of World.run and RunScale, "rank0" up, for
+// every world of the process: the engine shows a name only in panic and
+// deadlock text.
 var names struct {
 	sync.Mutex
 	list []string
@@ -267,15 +291,19 @@ func (w *World) finishRun(engErr error) error {
 // rank homes (whose byte pools the ranks' devices share), ring directions,
 // then the devices' QP wire lists, event records and CQ batches, each list
 // once — to the process-wide depot (core/pool.go), in rank, ring-creation and
-// device order so that what a full depot drops does not depend on map order.
-// What an unfinished or failed operation still references is on no list and
-// stays with the GC. clean says that neither the engine nor a rank reported
-// an error; what the messages of a clean world that no rank received still
-// hold goes back first (Rank.dropUndelivered). Under the poolStrict test hook (core.SetPoolStrict) a world that
-// ended cleanly must also satisfy the lent-buffer conservation law, and
-// Rank.Release poisons the handles it is given instead of recycling them: a
-// stale alias would corrupt a different world, so violations panic where
-// they are found.
+// device order so that what a full depot drops does not depend on map order,
+// holding the depot's lock once for all of it. What an unfinished or failed
+// operation still references is on no list and stays with the GC. clean
+// says that neither the engine nor a rank reported an error; what the
+// messages of a clean world that no rank received still hold goes back first
+// (Rank.dropUndelivered), and the world keeps what is read of its ranks
+// after the run (totals) before it hands on its connection state, its ranks
+// and its engine's arrays (recycle, sim.Engine.Recycle). Under the
+// poolStrict test hook (core.SetPoolStrict) a world that ended cleanly must
+// also satisfy the lent-buffer conservation law and count no ring packet
+// left toward any rank, and Rank.Release poisons the handles it is given
+// instead of recycling them: a stale alias would corrupt a different world,
+// so violations panic where they are found.
 func (w *World) drainPools(clean bool) {
 	if clean {
 		for _, r := range w.ranks {
@@ -283,18 +311,9 @@ func (w *World) drainPools(clean bool) {
 		}
 	}
 	var dr core.Drain
-	for _, r := range w.ranks {
-		r.pools.drain(&dr)
-		for _, ps := range r.localPairs {
-			out := ps.out(r.rank)
-			dr.Dir(&out.snaps)
-			out.pkts.Drain(&dr)
-			out.ops.Drain(&dr)
-		}
-	}
-	w.fabric.DrainPools(&dr)
+	w.drain(&dr, clean)
 	if clean {
-		w.recycle(&dr)
+		w.Eng.Recycle()
 	}
 	w.depotRefused = uint64(dr.Refused)
 	if core.PoolStrict() && clean {
@@ -304,14 +323,74 @@ func (w *World) drainPools(clean bool) {
 	}
 }
 
-// recycle hands the connection state of a world that ended cleanly to the
-// depot, once drainPools has emptied the lists inside it: each pair with its
-// ring, each rank's peer records with their send queues, the index over
-// them and the list of its rings, then the fabric's devices, CQs and QPs
-// (ib.Fabric.Recycle). The next world's constructors take them back
-// (Rank.peer, newIndex, ringFor, enqueueOp). The ranks stay with the world,
-// for SimStats, Digest and the caller: they let go of what they handed on,
-// and keep their counters.
+// drain is drainPools' part under the depot's lock.
+func (w *World) drain(dr *core.Drain, clean bool) {
+	dr.Lock()
+	defer dr.Unlock()
+	for _, r := range w.ranks {
+		r.pools.drain(dr)
+		for _, ps := range r.localPairs {
+			out := ps.out(r.rank)
+			dr.Dir(&out.snaps)
+			out.pkts.Drain(dr)
+			out.ops.Drain(dr)
+		}
+	}
+	w.fabric.DrainPools(dr)
+	if !clean {
+		return
+	}
+	if core.PoolStrict() {
+		for _, r := range w.ranks {
+			if r.inbound != 0 {
+				panic(fmt.Sprintf("mpi: %s ended cleanly with %d ring packets counted toward rank %d", w.jobID, r.inbound, r.rank))
+			}
+		}
+	}
+	w.totals = totalsOf(w.ranks)
+	w.recycle(dr)
+}
+
+// rankTotals is what a world keeps of its ranks for after its run: their
+// pool counters, summed per kind, and how many peer records they held.
+type rankTotals struct {
+	buf, pkts, ops, envs, reqs core.PoolCounters
+	peerRecs                   int
+}
+
+// objs sums the object lists' counters (SimStats.ObjPool).
+func (t *rankTotals) objs() core.PoolCounters {
+	var c core.PoolCounters
+	c.Add(t.pkts)
+	c.Add(t.ops)
+	c.Add(t.envs)
+	c.Add(t.reqs)
+	return c
+}
+
+// totalsOf adds up the ranks' counters.
+func totalsOf(ranks []*Rank) rankTotals {
+	var t rankTotals
+	for _, r := range ranks {
+		t.buf.Add(r.pools.buf.Counters())
+		t.pkts.Add(r.pools.pkts.Counters())
+		t.ops.Add(r.pools.ops.Counters())
+		t.envs.Add(r.pools.envs.Counters())
+		t.reqs.Add(r.pools.reqs.Counters())
+		t.peerRecs += r.peers.n
+	}
+	return t
+}
+
+// recycle hands what a world that ended cleanly built to the depot, once
+// drainPools has emptied the lists inside it: each pair with its ring, each
+// rank's peer records with their send queues, the index over them and the
+// list of its rings, the fabric's devices, CQs and QPs (ib.Fabric.Recycle),
+// and last the ranks themselves, zeroed but for the arrays of their queues,
+// the array that listed them and that of their lifecycles. The next world's
+// constructors take them back (NewWorld, World.run, Rank.peer, newIndex,
+// ringFor, enqueueOp). The world keeps no rank: drainPools took their
+// totals first.
 func (w *World) recycle(dr *core.Drain) {
 	for _, r := range w.ranks {
 		for pr := r.peers.first; pr != nil; {
@@ -320,31 +399,54 @@ func (w *World) recycle(dr *core.Drain) {
 			if ps.ends--; ps.ends == 0 {
 				if g := ps.ring; g != nil {
 					g.reset()
-					core.GiveObject(dr, g)
+					ringKind.Give(dr, g)
 				}
 				*ps = pairShared{}
-				core.GiveObject(dr, ps)
+				pairKind.Give(dr, ps)
 			}
 			if q := pr.q; q != nil {
 				*q = peerQueues{sendQ: core.Cleared(q.sendQ), finWait: core.Cleared(q.finWait)}
-				core.GiveObject(dr, q)
+				queuesKind.Give(dr, q)
 			}
 			*pr = peerRec{}
-			core.GiveObject(dr, pr)
+			peerKind.Give(dr, pr)
 			pr = next
 		}
 		if idx := r.peers.idx; idx != nil {
-			core.GiveObjects(dr, [][]*peerRec{core.Cleared(idx)})
+			indexKind.Give(dr, core.Cleared(idx))
 		}
 		if cap(r.localPairs) > 0 {
-			core.GiveObjects(dr, [][]*pairShared{core.Cleared(r.localPairs)})
+			localPairsKind.Give(dr, core.Cleared(r.localPairs))
 		}
-		r.peers = peerTable{n: r.peers.n}
-		r.dev, r.cq, r.wridOps = nil, nil, nil
-		r.localPairs, r.sendDsts, r.streams = nil, nil, nil
 	}
 	w.fabric.Recycle(dr)
+	for _, r := range w.ranks {
+		*r = Rank{
+			posted:     matchQ[Request]{buf: core.Cleared(r.posted.buf)},
+			unexpected: matchQ[envelope]{buf: core.Cleared(r.unexpected.buf)},
+			streams:    core.Cleared(r.streams),
+			sendDsts:   core.Cleared(r.sendDsts),
+		}
+		rankKind.Give(dr, r)
+	}
+	ranksKind.Give(dr, core.Cleared(w.ranks))
+	machinesKind.Give(dr, core.Cleared(w.machines))
+	w.ranks, w.machines = nil, nil
 }
+
+// The depot's lists of what a clean world hands on (recycle) and the next
+// one's constructors take.
+var (
+	rankKind       = core.NewKind[*Rank]()
+	ranksKind      = core.NewKind[[]*Rank]()
+	machinesKind   = core.NewKind[[]rankMachine]()
+	pairKind       = core.NewKind[*pairShared]()
+	ringKind       = core.NewKind[*shmRing]()
+	peerKind       = core.NewKind[*peerRec]()
+	queuesKind     = core.NewKind[*peerQueues]()
+	indexKind      = core.NewKind[[]*peerRec]()
+	localPairsKind = core.NewKind[[]*pairShared]()
+)
 
 // failRank records a rank failure. Under ErrorsAreFatal it aborts the whole
 // simulation with the typed error (first failure wins, as in MPI_Abort);
@@ -422,15 +524,14 @@ func (w *World) SimStats() profile.SimStats {
 	// Requests a per-direction list served (ring directions, QP wire lists)
 	// are counted as hits of the sender's rank pool, which its device shares,
 	// so these sums cover them.
-	var bc, oc core.PoolCounters
-	for _, r := range w.ranks {
-		bc.Add(r.pools.buf.Counters())
-		oc.Add(r.pools.counters())
+	t := w.totals
+	if w.ranks != nil {
+		t = totalsOf(w.ranks)
 	}
 	ps := simStatsOf(es)
-	ps.BufPool = bc
+	ps.BufPool = t.buf
 	ps.DepotRefused = w.depotRefused
-	ps.ObjPool = oc
+	ps.ObjPool = t.objs()
 	return ps
 }
 
@@ -442,7 +543,7 @@ func (w *World) SimStats() profile.SimStats {
 // A job has one digest traced or not, on any depot.
 func (w *World) Digest() string {
 	h := sha256.New()
-	for i := range w.ranks {
+	for i := range w.bodyStart {
 		fmt.Fprintf(h, "rank %d %d %d %v\n", i, w.bodyStart[i], w.bodyEnd[i], w.rankErrs[i])
 	}
 	if w.Prof != nil {
@@ -621,10 +722,10 @@ func (r *Rank) ringFor(pr *peerRec) *shmRing {
 		}
 		// Publish the ring BEFORE charging attach time: Advance may yield,
 		// and the peer must not race the nil check into a second ring.
-		ps.ring = core.TakeOrNew[shmRing]()
+		ps.ring = core.TakeOrNew(ringKind)
 		for _, end := range [2]*Rank{r.w.ranks[ps.lo], r.w.ranks[ps.hi]} {
 			if cap(end.localPairs) == 0 {
-				end.localPairs, _ = core.TakeObject[[]*pairShared]()
+				end.localPairs, _ = localPairsKind.Take()
 			}
 			end.localPairs = append(end.localPairs, ps)
 		}

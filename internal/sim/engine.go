@@ -81,8 +81,10 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Grow makes room for n more processes, so that spawning them grows neither
 // the process list nor the event queue, which holds one start event per
-// process, by doubling. It changes nothing a run does.
+// process, by doubling; the arrays come from an engine that ended before
+// (Recycle) where there is one. It changes nothing a run does.
 func (e *Engine) Grow(n int) {
+	e.takeArrays()
 	e.procs = slices.Grow(e.procs, n)
 	e.q.keys = slices.Grow(e.q.keys, n)
 }

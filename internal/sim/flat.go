@@ -108,11 +108,16 @@ func (p *Proc) release() {
 const arenaSlab = 1024
 
 // arenaAlloc returns the next free slot in the engine's machine-proc arena,
-// growing it by one slab when full. Slab capacity never changes after
-// allocation, so returned pointers are stable.
+// growing it by one slab when full: a slab an engine that ended before left
+// (Recycle), else a new one. Slab capacity never changes after allocation,
+// so returned pointers are stable.
 func (e *Engine) arenaAlloc() *Proc {
 	if n := len(e.arena); n == 0 || len(e.arena[n-1]) == cap(e.arena[n-1]) {
-		e.arena = append(e.arena, make([]Proc, 0, arenaSlab))
+		a := takeArena()
+		if a == nil {
+			a = make([]Proc, 0, arenaSlab)
+		}
+		e.arena = append(e.arena, a)
 	}
 	slab := &e.arena[len(e.arena)-1]
 	*slab = append(*slab, Proc{})

@@ -96,6 +96,7 @@ func pingBody(s *pingState) func(p *Proc) {
 func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints bool) (string, *Engine) {
 	t.Helper()
 	e := NewEngine()
+	e.Grow(2 * nPairs)
 	var out strings.Builder
 	log := func(p *Proc, format string, args ...any) {
 		fmt.Fprintf(&out, "%s %s @%v\n", p.Name(), fmt.Sprintf(format, args...), p.Now())

@@ -181,18 +181,23 @@ func (s *slab) at(slot int32) *event {
 }
 
 // carve hands out the slot past the last one, making its segment first when
-// the slot opens one.
+// the slot opens one. An engine's first slot takes a whole slab, with the
+// segments it held, from an engine that ended before (Recycle), when there
+// is one; a segment that slab already has is not made again.
 func (s *slab) carve() int32 {
 	slot := s.next
 	switch i := uint32(slot) + firstSeg; {
 	case slot == 0:
-		s.first = new([firstSeg]event)
+		if *s = takeSlab(); s.first == nil {
+			s.first = new([firstSeg]event)
+		}
 	case i&(i-1) == 0:
 		if s.segs == nil {
 			s.segs = new([slabSegs][]event)
 		}
-		k := bits.Len32(i) - segShift - 1
-		s.segs[k] = make([]event, firstSeg<<k)
+		if k := bits.Len32(i) - segShift - 1; s.segs[k] == nil {
+			s.segs[k] = make([]event, firstSeg<<k)
+		}
 	}
 	s.next++
 	return slot
