@@ -389,8 +389,8 @@ func totalsOf(ranks []*Rank) rankTotals {
 // and last the ranks themselves, zeroed but for the arrays of their queues,
 // the array that listed them and that of their lifecycles. The next world's
 // constructors take them back (NewWorld, World.run, Rank.peer, newIndex,
-// ringFor, enqueueOp). The world keeps no rank: drainPools took their
-// totals first.
+// ringFor, enqueueOp). The world keeps no rank: drain took their totals
+// first.
 func (w *World) recycle(dr *core.Drain) {
 	for _, r := range w.ranks {
 		for pr := r.peers.first; pr != nil; {
