@@ -741,9 +741,9 @@ func (dr *Drain) start() {
 	}
 }
 
-// lock takes the depot's lock for one give unless dr holds it already, and
-// reports whether it did, for unlock.
-func (dr *Drain) lock() (took bool) {
+// acquire takes the depot's lock for one give unless dr holds it already
+// (Lock), and reports whether it did, for release.
+func (dr *Drain) acquire() (took bool) {
 	if dr.locked {
 		return false
 	}
@@ -751,8 +751,8 @@ func (dr *Drain) lock() (took bool) {
 	return true
 }
 
-// unlock ends one give: it lets go of the lock if lock took it.
-func (dr *Drain) unlock(took bool) {
+// release ends one give: it lets go of the lock if acquire took it.
+func (dr *Drain) release(took bool) {
 	if took {
 		theDepot.mu.Unlock()
 	}
@@ -877,9 +877,9 @@ func checkZeroed[T any](x T) {
 // refused and its bytes are added to dr.Refused. Like Home and Dir, only for
 // a world whose engine has stopped; under Drain.Lock it takes no lock.
 func (k Kind[T]) Give(dr *Drain, x T) {
-	took := dr.lock()
+	took := dr.acquire()
 	k.put(dr, x)
-	dr.unlock(took)
+	dr.release(took)
 }
 
 // put lists x, or refuses it; d.mu is held.
@@ -897,12 +897,12 @@ func GiveObjects[T any](dr *Drain, list []T) {
 	if len(list) == 0 {
 		return
 	}
-	took := dr.lock()
+	took := dr.acquire()
 	k := Kind[T]{listOf[T](&theDepot)}
 	for _, x := range list {
 		k.put(dr, x)
 	}
-	dr.unlock(took)
+	dr.release(took)
 }
 
 // TakeOrNew returns a *T that a finished world gave the depot, or a new one:
