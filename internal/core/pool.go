@@ -27,39 +27,30 @@ import (
 // engine stopped), and a pool whose own list is empty asks the depot before
 // it asks the allocator. Only those two cold paths — a miss, and the end of a
 // world — take the depot's mutex; worlds running side by side (a sweep at
-// -j N) meet there and nowhere else. A buffer from
-// the depot is as undefined as any other Get, so no simulated result can
-// depend on which world last held it.
-//
-// The depot is bounded (depotCap) and keeps what recent worlds used: every
-// drain bumps a counter, each class is stamped with it whenever a buffer
-// enters or leaves, and a buffer that would cross the cap makes room by
-// evicting the class with the oldest stamp, one buffer at a time. Only
-// classes stamped before the current drain go, so a drain never evicts its
-// own buffers; with nothing older left, the newcomer is dropped instead.
-// This is a pin-down cache's policy (evict the old, neither refuse the new
-// nor grow), with a whole class standing for one entry.
+// -j N) meet there and nowhere else. A buffer from the depot is as undefined
+// as any other Get, so no simulated result can depend on which world last
+// held it.
 //
 // The free objects of a finished world — the library's requests, envelopes,
 // packets and send ops, the fabric's event records, MR handles and CQ
 // batches, and the arrays behind the owners' free lists — go to the same
-// depot, one list per kind (GiveObjects, TakeObject), under the same
-// mutex and on the same two cold paths. Objects of a kind are
-// interchangeable, so a full list (objDepotCap) keeps what it has and refuses
-// the newcomers.
+// depot, one list per kind (GiveObjects, TakeObject), under the same mutex
+// and on the same two cold paths. The depot is bounded and refuses what would
+// cross a bound, left to the garbage collector: a buffer past depotCap bytes,
+// an object past objDepotCap of its kind.
 //
 // A world that ended cleanly hands on its connection state too, after its
 // free lists: the library's pairs, shared-memory rings, peer records, send
 // queues, and each rank's peer index and ring list, then the fabric's
-// devices (and the list of them), CQs, QPs and QP extensions, and last the
-// rank objects themselves. The next world's constructors take them where
-// they would have allocated, when the state is built, never per message.
-// An owner keeps the arrays of its queues and direction lists, emptied and
-// cleared (Cleared), so a ring or a QP comes back with room for what it held.
-// A world that failed leaves its state to the garbage collector: an
-// operation that never finished may still name it. None of this is counted:
-// a depot object is as good as a new one, so no simulated result, and no
-// pool counter, can tell them apart.
+// devices (and the list of them), CQs, QPs and QP extensions, the rank
+// objects themselves, and last its engine's arrays (sim.Arrays). The next
+// world's constructors take them where they would have allocated, when the
+// state is built, never per message. An owner keeps the arrays of its queues
+// and direction lists, emptied and cleared (Cleared), so a ring or a QP comes
+// back with room for what it held. A world that failed leaves its state to
+// the garbage collector: an operation that never finished may still name it.
+// None of this is counted: a depot object is as good as a new one, so no
+// simulated result, and no pool counter, can tell them apart.
 //
 // A constructor reaches its kind's list through a Kind, a handle made once
 // per kind in a package variable, so a take looks nothing up; a drain holds
@@ -425,12 +416,12 @@ func takeArray[E any]() []E {
 }
 
 // depotCap bounds the bytes the depot holds between worlds. It must cover the
-// working set of the worlds a sweep or a benchmark repeats, or the least
-// recently used class is always the next one needed and eviction thrashes.
-// The largest are 64 ranks of 16 KiB Alltoall (bench's coll-64), which hold
-// 147–149 MB after each world, 134 MB of it the 1 MiB class of the 64 send
-// and 64 receive buffers, and 1024 ranks at full fidelity, about 105 MB.
-// What is evicted or refused is dropped for the garbage collector.
+// working set of the worlds a sweep or a benchmark repeats, or a repeat
+// allocates what the depot refused. The largest are 64 ranks of 16 KiB
+// Alltoall (bench's coll-64), which hold 147–149 MB after each world, 134 MB
+// of it the 1 MiB class of the 64 send and 64 receive buffers, and 1024 ranks
+// at full fidelity, about 105 MB. What is refused is dropped for the garbage
+// collector.
 const depotCap = 256 << 20
 
 // stackChunk is the number of entries in one chunk of a depot stack.
@@ -481,10 +472,6 @@ type depot struct {
 	limit   int
 	bytes   int // capacity held, at most limit
 	classes [depotMaxShift + 1]stack[[]byte]
-	// drains counts the drains started; stamp is, per class, its value at the
-	// class's last take, give or putLarge.
-	drains uint64
-	stamp  [depotMaxShift + 1]uint64
 	// poisoned is the set of held buffers a strict Drain brought in, by the
 	// address of their first byte; nil until there is one.
 	poisoned map[*byte]struct{}
@@ -552,7 +539,6 @@ func (d *depot) drop() {
 // take removes a buffer of class c, or returns nil when there is none.
 func (d *depot) take(c int) []byte {
 	d.mu.Lock()
-	d.stamp[c] = d.drains
 	l := &d.classes[c]
 	if l.len() == 0 {
 		d.mu.Unlock()
@@ -589,9 +575,8 @@ func (d *depot) getLarge(n int) []byte {
 
 // putLarge retires a buffer of a large class, while its world may still be
 // running: whoever takes it next, in this world or another, owns it. Anything
-// else, and what does not fit under the limit once older classes are
-// evicted, is dropped. There are a handful of these per process, so every put
-// looks for a double one.
+// else, and what does not fit under the limit, is dropped. There are a
+// handful of these per process, so every put looks for a double one.
 func (d *depot) putLarge(buf []byte) {
 	c := poolMaxShift + 1
 	for c <= depotMaxShift && cap(buf) != classCap(c) {
@@ -609,35 +594,10 @@ func (d *depot) putLarge(buf []byte) {
 			panic(fmt.Sprintf("core: a %d-byte buffer was freed twice", cap(buf)))
 		}
 	}
-	d.stamp[c] = d.drains
-	if _, ok := d.makeRoom(cap(buf)); ok {
+	if d.bytes+cap(buf) <= d.limit {
 		l.push(buf[:0])
 		d.bytes += cap(buf)
 	}
-}
-
-// makeRoom evicts buffers, one at a time from the class with the oldest
-// stamp, until n more bytes fit under the limit. It never evicts a class
-// stamped at the current drain; when only those are left it reports that n
-// does not fit. evicted is the bytes it dropped either way. d.mu is held.
-func (d *depot) makeRoom(n int) (evicted int, ok bool) {
-	for d.bytes+n > d.limit {
-		// Ties go to the largest class: the fewest buffers make the room.
-		lru := -1
-		for c := depotMaxShift; c >= poolMinShift; c-- {
-			if d.classes[c].len() > 0 && d.stamp[c] < d.drains && (lru < 0 || d.stamp[c] < d.stamp[lru]) {
-				lru = c
-			}
-		}
-		if lru < 0 {
-			return evicted, false
-		}
-		buf := d.classes[lru].pop()[:1]
-		d.bytes -= cap(buf)
-		evicted += cap(buf)
-		delete(d.poisoned, &buf[0])
-	}
-	return evicted, true
 }
 
 // poison fills a held buffer and marks it for take's check; d.mu is held.
@@ -651,38 +611,17 @@ func (d *depot) poison(buf []byte) {
 	}
 }
 
-// startDrain begins a drain: what is stamped before it may now be evicted.
-func (d *depot) startDrain() {
-	d.mu.Lock()
-	d.drains++
-	d.mu.Unlock()
-}
-
-// give adds the pooled buffers of list, in order, evicting older classes to
-// make room; what still does not fit, and anything that is no pool buffer,
-// is dropped. It returns the bytes of pool buffers evicted or dropped. Under
-// poolStrict give poisons what it keeps, and panics on a buffer the depot
-// already holds.
+// give adds the pooled buffers of list, in order; what would take the depot
+// past its limit, and anything that is no pool buffer, is dropped. It returns
+// the bytes of pool buffers refused. Under poolStrict give poisons what it
+// keeps, and panics on a buffer the depot already holds. d.mu is held.
 func (d *depot) give(list [][]byte) (refused int) {
-	if len(list) == 0 {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.giveLocked(list)
-}
-
-// giveLocked is give with d.mu held.
-func (d *depot) giveLocked(list [][]byte) (refused int) {
 	for _, buf := range list {
 		c := classOf(buf)
 		if c < 0 {
 			continue
 		}
-		d.stamp[c] = d.drains
-		evicted, ok := d.makeRoom(cap(buf))
-		refused += evicted
-		if !ok {
+		if d.bytes+cap(buf) > d.limit {
 			refused += cap(buf)
 			continue
 		}
@@ -704,12 +643,10 @@ func (d *depot) giveLocked(list [][]byte) (refused int) {
 // home pool once and every direction at least once, from one goroutine, when
 // nothing of the world runs any more.
 type Drain struct {
-	// Refused is the bytes of free buffers that depotCap cost — older ones the
-	// depot evicted to take these, and those it was still too full to take —
-	// and of the objects objDepotCap refused. A repeat of a world like this
-	// one allocates them again.
+	// Refused is the bytes of the free buffers depotCap refused and of the
+	// objects objDepotCap refused. A repeat of a world like this one
+	// allocates them again.
 	Refused int
-	started bool
 	// locked says that the drain holds the depot's lock (Lock).
 	locked        bool
 	lent, waiting [poolMaxShift + 1]int
@@ -721,7 +658,6 @@ type Drain struct {
 // dr only (Home, Dir, GiveObjects, Kind.Give, the lists' Drain) and must take
 // nothing from the depot: the lock is not reentrant.
 func (dr *Drain) Lock() {
-	dr.start()
 	theDepot.mu.Lock()
 	dr.locked = true
 }
@@ -730,15 +666,6 @@ func (dr *Drain) Lock() {
 func (dr *Drain) Unlock() {
 	dr.locked = false
 	theDepot.mu.Unlock()
-}
-
-// start starts the drain on its first give: what the depot holds from before
-// it may now be evicted.
-func (dr *Drain) start() {
-	if !dr.started {
-		dr.started = true
-		theDepot.startDrain()
-	}
 }
 
 // acquire takes the depot's lock for one give unless dr holds it already
@@ -758,14 +685,13 @@ func (dr *Drain) release(took bool) {
 	}
 }
 
-// give hands list to the depot, starting the drain on the first call.
+// give hands list to the depot.
 func (dr *Drain) give(list [][]byte) {
-	dr.start()
-	if dr.locked {
-		dr.Refused += theDepot.giveLocked(list)
-	} else {
-		dr.Refused += theDepot.give(list)
+	if len(list) == 0 {
+		return
 	}
+	defer dr.release(dr.acquire()) // give panics on a double Put
+	dr.Refused += theDepot.give(list)
 }
 
 // Home takes the free buffers of an owner's pool, and the arrays that listed
@@ -851,24 +777,23 @@ func listOf[T any](d *depot) *stack[T] {
 func (k Kind[T]) Take() (x T, ok bool) {
 	d := &theDepot
 	d.mu.Lock()
-	if k.l.len() == 0 {
+	return takeFrom(d, k.l)
+}
+
+// takeFrom is Take from l, which may be nil; it lets go of d.mu, which is
+// held.
+func takeFrom[T any](d *depot, l *stack[T]) (x T, ok bool) {
+	if l == nil || l.len() == 0 {
 		d.mu.Unlock()
 		return x, false
 	}
-	x = k.l.pop()
+	x = l.pop()
 	strict := poolStrict
 	d.mu.Unlock()
-	if strict {
-		checkZeroed(x)
-	}
-	return x, true
-}
-
-// checkZeroed panics unless x, just taken from the depot, is as it was given.
-func checkZeroed[T any](x T) {
-	if !zeroed(x) {
+	if strict && !zeroed(x) {
 		panic(fmt.Sprintf("core: a %T from the depot was written after its world ended", x))
 	}
+	return x, true
 }
 
 // Give hands x to kind T's list, for the constructors of later worlds: a
@@ -877,9 +802,8 @@ func checkZeroed[T any](x T) {
 // refused and its bytes are added to dr.Refused. Like Home and Dir, only for
 // a world whose engine has stopped; under Drain.Lock it takes no lock.
 func (k Kind[T]) Give(dr *Drain, x T) {
-	took := dr.acquire()
+	defer dr.release(dr.acquire())
 	k.put(dr, x)
-	dr.release(took)
 }
 
 // put lists x, or refuses it; d.mu is held.
@@ -897,12 +821,11 @@ func GiveObjects[T any](dr *Drain, list []T) {
 	if len(list) == 0 {
 		return
 	}
-	took := dr.acquire()
+	defer dr.release(dr.acquire())
 	k := Kind[T]{listOf[T](&theDepot)}
 	for _, x := range list {
 		k.put(dr, x)
 	}
-	dr.release(took)
 }
 
 // TakeOrNew returns a *T that a finished world gave the depot, or a new one:
@@ -921,22 +844,12 @@ func TakeObject[T any]() (x T, ok bool) {
 	d := &theDepot
 	d.mu.Lock()
 	l, _ := d.objs[reflect.TypeFor[T]()].(*stack[T])
-	if l == nil || l.len() == 0 {
-		d.mu.Unlock()
-		return x, false
-	}
-	x = l.pop()
-	strict := poolStrict
-	d.mu.Unlock()
-	if strict {
-		checkZeroed(x)
-	}
-	return x, true
+	return takeFrom(d, l)
 }
 
 // zeroed reports whether a depot object is as GiveObjects took it: what a
-// pointer points to is zero but for the Cleared arrays it keeps, and a slice
-// is Cleared.
+// pointer points to is zero but for the cleared arrays it keeps, and a slice
+// is cleared.
 func zeroed[T any](x T) bool {
 	v := reflect.ValueOf(x)
 	if v.Kind() == reflect.Pointer {
@@ -945,21 +858,29 @@ func zeroed[T any](x T) bool {
 	return cleared(v)
 }
 
-// cleared reports whether v is zero, where a slice counts as zero when it is
-// empty and every slot up to its capacity is zero.
+// cleared reports whether v is zero but for the arrays it keeps cleared: a
+// slice whose every slot up to its capacity is cleared, and which is empty
+// (Cleared) or, when it lists arrays itself (an engine's arena slabs), of any
+// length; or a pointer to an array (an event slab's first segment and its
+// table of the others). Any other pointer must be nil.
 func cleared(v reflect.Value) bool {
 	switch v.Kind() {
 	case reflect.Slice:
-		if v.Len() != 0 {
+		if v.Len() != 0 && v.Type().Elem().Kind() != reflect.Slice {
 			return false
 		}
 		v = v.Slice(0, v.Cap())
 		for i := range v.Len() {
-			if !v.Index(i).IsZero() {
+			if !cleared(v.Index(i)) {
 				return false
 			}
 		}
 		return true
+	case reflect.Pointer:
+		if v.IsNil() || v.Type().Elem().Kind() != reflect.Array {
+			return v.IsNil()
+		}
+		return cleared(v.Elem())
 	case reflect.Struct:
 		for i := range v.NumField() {
 			if !cleared(v.Field(i)) {

@@ -287,9 +287,9 @@ func TestDepotRefusesForeignBuffers(t *testing.T) {
 	}
 }
 
-// The depot never holds more than its limit. Within one drain nothing is old
-// enough to evict: what would cross the limit is dropped, a smaller buffer
-// that still fits is kept, and a take makes room again.
+// The depot never holds more than its limit: what would cross the limit is
+// dropped, a smaller buffer that still fits is kept, and a take makes room
+// again.
 func TestDepotRespectsItsCap(t *testing.T) {
 	if theDepot.limit != depotCap {
 		t.Fatalf("process-wide depot limit %d, want depotCap %d", theDepot.limit, depotCap)
@@ -341,72 +341,43 @@ func held(d *depot, classes ...int) []int {
 	return n
 }
 
-// A full depot makes room for a newer class by evicting the class used least
-// recently — a take counts as a use — and keeps the newcomer.
-func TestDepotEvictsTheLeastRecentlyUsedClass(t *testing.T) {
-	d := depot{limit: 3*classCap(12) + classCap(11)}
-	d.startDrain()
-	d.give(classBufs(12, 2))
-	d.give(classBufs(11, 1))
-	d.startDrain()
-	d.give(classBufs(10, 1))
-	// A world takes from the class given first: 12 is now as recent as 10,
-	// and 11 is the oldest.
-	d.take(12)
-	d.startDrain()
-	refused := d.give(classBufs(13, 1))
-	if got := held(&d, 10, 11, 12, 13); got[0] != 1 || got[1] != 0 || got[2] != 1 || got[3] != 1 {
-		t.Errorf("classes 10-13 hold %v buffers, want [1 0 1 1]: only the least recently used class goes", got)
+// A full depot refuses a newcomer of every sort — a pooled class from a
+// drained home, a large class freed while its world runs, an object of a full
+// kind — and keeps what it held; a drain adds up the bytes it refused.
+func TestFullDepotRefusesTheNewcomer(t *testing.T) {
+	emptyDepot(t)
+	theDepot.limit = classCap(20) + classCap(23)
+	t.Cleanup(func() { theDepot.limit = depotCap })
+	var dr Drain
+	dr.give(classBufs(20, 1))
+	theDepot.putLarge(make([]byte, 1, classCap(23)))
+	kind := NewKind[*depotObj]()
+	kept := make([]*depotObj, objDepotCap)
+	for i := range kept {
+		kept[i] = new(depotObj)
+		kind.Give(&dr, kept[i])
 	}
-	if refused != classCap(11) {
-		t.Errorf("give reported %d bytes, want the evicted %d", refused, classCap(11))
+	if dr.Refused != 0 {
+		t.Fatalf("filling the depot refused %d bytes", dr.Refused)
 	}
-	if d.bytes != classCap(10)+classCap(12)+classCap(13) || d.bytes > d.limit {
-		t.Errorf("depot accounts %d bytes", d.bytes)
-	}
-}
 
-// The large classes take part: a putLarge evicts an older class, a drain
-// evicts an older large one, and a running world evicts nothing the last
-// drain brought.
-func TestDepotEvictsAcrossTheLargeClasses(t *testing.T) {
-	d := depot{limit: classCap(23) + classCap(20)}
-	d.startDrain()
-	d.give(classBufs(20, 1))
-	d.putLarge(make([]byte, 1, classCap(24)))
-	d.putLarge(make([]byte, 1, classCap(23)))
-	if got := held(&d, 20, 23, 24); got[0] != 1 || got[1] != 1 || got[2] != 0 {
-		t.Fatalf("classes 20/23/24 hold %v buffers, want [1 1 0]: a 16 MiB window does not fit beside what the last drain brought", got)
-	}
-	d.startDrain()
-	if refused := d.give(classBufs(20, 1)); refused != classCap(23) || d.classes[23].len() != 0 || d.classes[20].len() != 2 {
-		t.Errorf("a drain given a second 1 MiB buffer evicted %d bytes and holds %v, want the 8 MiB buffer evicted", refused, held(&d, 20, 23))
-	}
-	d.startDrain()
-	d.putLarge(make([]byte, 1, classCap(23)))
-	if got := held(&d, 20, 23); got[0] != 1 || got[1] != 1 {
-		t.Errorf("classes 20/23 hold %v buffers, want [1 1]: putLarge evicts one older buffer", got)
-	}
-}
+	var home BufPool
+	home.Put(classBufs(12, 1)[0])
+	dr.Home(&home)
+	theDepot.putLarge(make([]byte, 1, classCap(24)))
+	kind.Give(&dr, new(depotObj))
 
-// An evicted buffer leaves poolStrict's set, which would otherwise keep it
-// alive and call its next arrival a double Put.
-func TestDepotEvictionForgetsPoison(t *testing.T) {
-	was := SetPoolStrict(true)
-	t.Cleanup(func() { SetPoolStrict(was) })
-	d := depot{limit: classCap(10)}
-	d.startDrain()
-	old := classBufs(10, 1)
-	d.give(old)
-	d.startDrain()
-	d.give(classBufs(9, 1))
-	if _, ok := d.poisoned[&old[0][:1][0]]; ok || len(d.poisoned) != 1 || d.classes[10].len() != 0 {
-		t.Fatalf("after an eviction: %d poisoned, %d in class 10; want only the newcomer poisoned", len(d.poisoned), d.classes[10].len())
+	if got := held(&theDepot, 12, 20, 23, 24); got[0] != 0 || got[1] != 1 || got[2] != 1 || got[3] != 0 {
+		t.Errorf("classes 12/20/23/24 hold %v buffers, want [0 1 1 0]: what the depot held, and no newcomer", got)
 	}
-	d.startDrain()
-	d.give(old) // must not panic as a buffer given twice
-	if d.classes[10].len() != 1 {
-		t.Error("the evicted buffer, given again, was not kept")
+	if theDepot.bytes != theDepot.limit {
+		t.Errorf("depot accounts %d bytes, want its full %d", theDepot.bytes, theDepot.limit)
+	}
+	if want := classCap(12) + int(unsafe.Sizeof(depotObj{})); dr.Refused != want {
+		t.Errorf("Refused = %d, want the pooled buffer's and the object's %d bytes", dr.Refused, want)
+	}
+	if kind.l.len() != objDepotCap || kind.l.at(objDepotCap-1) != kept[objDepotCap-1] {
+		t.Errorf("the full kind holds %d objects and not the last it kept", kind.l.len())
 	}
 }
 

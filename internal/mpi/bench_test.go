@@ -7,7 +7,6 @@ import (
 
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
-	"cmpi/internal/sim"
 )
 
 // benchWorld builds a 2-rank world for the host-time channel benchmarks.
@@ -188,10 +187,9 @@ var (
 	sinkInts   []int64
 )
 
-// BenchmarkWorldColdWarm is what the process-wide depot (core/pool.go) and
-// the engine store (sim/store.go) are for: one whole allreduce world per
-// iteration — build, run, drain — on an empty depot and store and on those
-// the previous world left. B/op is the figure to read; ns/op follows it by
+// BenchmarkWorldColdWarm is what the process-wide depot (core/pool.go) is
+// for: one whole allreduce world per iteration — build, run, drain — on an
+// empty depot and on what the previous world left. B/op is the figure to read; ns/op follows it by
 // what the allocator, the zeroing and the first touch of those bytes cost.
 func BenchmarkWorldColdWarm(b *testing.B) {
 	for _, ranks := range []int{64, 1024} {
@@ -222,7 +220,6 @@ func BenchmarkWorldColdWarm(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				core.DropDepot()
-				sim.DropStore()
 				if warm {
 					world()
 				}
@@ -231,7 +228,6 @@ func BenchmarkWorldColdWarm(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if !warm {
 						core.DropDepot()
-						sim.DropStore()
 					}
 					world()
 				}

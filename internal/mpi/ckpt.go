@@ -102,7 +102,7 @@ func (w *World) commitCkpt(gen int) {
 			snap.Mail[i] = append(snap.Mail[i], rec.Message{
 				Src: env.src, Tag: env.tag, Ctx: env.ctx, Bytes: env.size,
 				Seq:  env.seq,
-				Data: append([]byte(nil), env.staged[:env.received]...),
+				Data: append([]byte(nil), env.payload()...),
 			})
 		}
 		if r.selfSeq != 0 {

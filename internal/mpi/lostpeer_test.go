@@ -200,7 +200,7 @@ func TestLostPeerMatrix(t *testing.T) {
 		{lossChan2Host, "anysource-irecv", lostPeerCell{"<nil>", 159110454, "0462707f70bc0e5b966d6299b5c772a53c3de899dafc55a9511729f1de47aec1"}},
 		{lossChan2Host, "hca-rndv-send-awaiting-cts", lostPeerCell{"*mpi.ChannelError", 128998818, "b019e47dc98b09a3acc02667941e3ed618f162f2233e0906acffa1102be05096"}},
 		{lossChan2Host, "hca-rndv-recv-awaiting-write", lostPeerCell{"*mpi.ChannelError", 135790818, "f673fee22c50c8cd5b426e3a4f603064aa707ad2c92a919ddde86434edfbbdab"}},
-		{lossChan2Host, "unexpected-complete", lostPeerCell{"<nil>", 135260454, "21c353ff0e776648027917a05c4ea4a16ba191a3b2de589739c03a8d9af9044b"}},
+		{lossChan2Host, "unexpected-complete", lostPeerCell{"<nil>", 135260454, "e6b7eba41e38f30062875797cfbd3473931c038d085ea624279b07ddbd927bd7"}},
 		{lossChan2Host, "isend-after-loss", lostPeerCell{"*mpi.ChannelError", 158998818, "87aad32d5be009b6ea093311cf4ceacc4b5a7e56a2d36d17f9cde556365eaced"}},
 		{lossChan2Host, "irecv-after-loss", lostPeerCell{"*mpi.ChannelError", 158998818, "87aad32d5be009b6ea093311cf4ceacc4b5a7e56a2d36d17f9cde556365eaced"}},
 
@@ -208,7 +208,7 @@ func TestLostPeerMatrix(t *testing.T) {
 		{lossCrash2Host, "anysource-irecv", lostPeerCell{"*mpi.ProcFailedError", 100076818, "7a46fab8dd3e6f790d1f94b4563ec55ca9b3100f6bac0ac244b970737de0a91a"}},
 		{lossCrash2Host, "hca-rndv-send-awaiting-cts", lostPeerCell{"*mpi.ProcFailedError", 100021000, "3e8c2015ec3e9cca5106632a0151ff3db86bc1c6475285b54c3d508550229604"}},
 		{lossCrash2Host, "hca-rndv-recv-awaiting-write", lostPeerCell{"*mpi.ProcFailedError", 106813000, "5c8953391f08a95d6ab2a349dd6c1e99ea98cd599b9dd5208ad175a6c68d2460"}},
-		{lossCrash2Host, "unexpected-complete", lostPeerCell{"<nil>", 106282636, "4ef40c17639832a918429f4f1b76cdabbefe4310914d421106c660c181d19942"}},
+		{lossCrash2Host, "unexpected-complete", lostPeerCell{"<nil>", 106282636, "83cde809e8fbbee9315b917b8457235de85414655996a830ef2f6098270f0405"}},
 		{lossCrash2Host, "isend-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "377c4efd98d086631ff09badc8faf13dc9c95661ed55fa39500fa90e4620610a"}},
 		{lossCrash2Host, "irecv-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "377c4efd98d086631ff09badc8faf13dc9c95661ed55fa39500fa90e4620610a"}},
 		{lossCrash2Host, "isend-after-crash-unswept", lostPeerCell{"*mpi.ProcFailedError", 100021000, "a01661252c900b126c2e03fcdb190186d45ccfa3fb677dfebf2ea3390b03aff7"}},

@@ -202,12 +202,16 @@ func (r *Rank) snapshot(op *sendOp, src []byte) {
 
 // dropUndelivered hands back, at the end of a world, what the messages r never
 // received still hold, where r would have put it on receipt: the bounce
-// buffer of each completion left in its CQ, and each packet left in a ring
-// toward it — with, for the first packet of an eager message, r's reference
-// on the send, whose release retires the payload snapshot.
+// buffer of each completion left in its CQ and of each unexpected HCA eager
+// message, and each packet left in a ring toward it — with, for the first
+// packet of an eager message, r's reference on the send, whose release
+// retires the payload snapshot.
 func (r *Rank) dropUndelivered() {
 	if r.cq != nil {
 		r.cq.Discard()
+	}
+	for _, env := range r.unexpected.items() {
+		r.dropStaged(env)
 	}
 	for _, ps := range r.localPairs {
 		d := ps.in(r.rank)

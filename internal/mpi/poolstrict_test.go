@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -162,18 +163,23 @@ func TestPoolStrictTripsOnLostReturn(t *testing.T) {
 // TestPoolStrictHoldsForUnreceivedMessages: a world whose rank 0 posts one
 // send that rank 1 never receives, on each channel, ends cleanly and keeps
 // the conservation law. What the message still holds — a CQ entry's bounce
-// buffer, a ring packet's payload snapshot — goes back where rank 1 would
-// have put it on receipt.
+// buffer, the wire buffer an unexpected HCA eager message waits in, a ring
+// packet's payload snapshot — goes back where rank 1 would have put it on
+// receipt.
 func TestPoolStrictHoldsForUnreceivedMessages(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		scenario string
 		bytes    int
+		// arrived has rank 1 receive a later message, so that the first
+		// one arrives, unexpected, and waits in its wire buffer.
+		arrived bool
 	}{
-		{"hca-eager", "2host", 64},
-		{"shm-eager", "native", 64},
-		{"hca-rndv", "2host", 64 << 10},
-		{"cma-rndv", "native", 64 << 10},
+		{"hca-eager", "2host", 64, false},
+		{"hca-eager-arrived", "2host", 64, true},
+		{"shm-eager", "native", 64, false},
+		{"hca-rndv", "2host", 64 << 10, false},
+		{"cma-rndv", "native", 64 << 10, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			strictPools(t)
@@ -186,11 +192,44 @@ func TestPoolStrictHoldsForUnreceivedMessages(t *testing.T) {
 			if err := w.Run(func(r *Rank) error {
 				if r.Rank() == 0 {
 					r.Isend(1, 0, make([]byte, tc.bytes))
+					if tc.arrived {
+						r.Wait(r.Isend(1, 1, make([]byte, 8)))
+					}
+				} else if tc.arrived {
+					r.Wait(r.Irecv(0, 1, make([]byte, 8)))
 				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// An unexpected HCA eager message waits in the wire buffer it came in and is
+// copied once, into the receive buffer at match: the receiver's pool serves
+// no staging buffer for it.
+func TestUnexpectedHCAEagerWaitsInItsWireBuffer(t *testing.T) {
+	w := testWorld(t, "2host", 2, DefaultOptions())
+	payload := bytes.Repeat([]byte{7}, 1000)
+	if err := w.Run(func(r *Rank) error {
+		if r.Rank() == 0 {
+			r.Wait(r.Isend(1, 0, payload))
+			r.Wait(r.Isend(1, 1, make([]byte, 8)))
+			return nil
+		}
+		before := r.pools.buf.Counters().Gets
+		r.Wait(r.Irecv(0, 1, make([]byte, 8))) // the tag-0 message arrives first, unexpected
+		buf := make([]byte, len(payload))
+		r.Wait(r.Irecv(0, 0, buf))
+		if gets := r.pools.buf.Counters().Gets - before; gets != 0 {
+			t.Errorf("receiving an unexpected HCA eager message took %d buffers from the receiver's pool, want 0", gets)
+		}
+		if !bytes.Equal(buf, payload) {
+			t.Error("the unexpected message's payload came out changed")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -108,10 +108,12 @@ func (r *Rank) handleCQE(cqe ib.CQE) {
 	}
 	switch cqe.Op {
 	case ib.OpRecv:
-		r.handleHCAMessage(parseHdr(cqe.Buf))
-		// The sender's wire buffer is fully absorbed (payload copied into the
-		// user or staging buffer); hand it back to the sending QP.
-		cqe.QP.Recycle(cqe.Buf)
+		// Once the payload is copied out, or unless an unexpected eager
+		// message waits in it, the sender's wire buffer goes back to the
+		// sending QP.
+		if !r.handleHCAMessage(parseHdr(cqe.Buf), cqe.Buf) {
+			cqe.QP.Recycle(cqe.Buf)
+		}
 	case ib.OpWriteImm:
 		// Rendezvous payload landed in our posted buffer: complete the recv.
 		peer := cqe.QP.Context()
@@ -194,8 +196,9 @@ func (r *Rank) handleChannelError(cqe ib.CQE) {
 }
 
 // handleHCAMessage processes an inbound SEND (eager payload or rendezvous
-// control).
-func (r *Rank) handleHCAMessage(m hcaMsg) {
+// control) that arrived in wire. It reports whether an unexpected eager
+// message keeps wire as its staging buffer (dropStaged hands it back).
+func (r *Rank) handleHCAMessage(m hcaMsg, wire []byte) (kept bool) {
 	prm := &r.w.Opts.Params
 	switch m.kind {
 	case hcaEager:
@@ -206,19 +209,21 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			// Copy from the wire buffer into the user buffer.
 			r.bindEnvelope(env, req)
 			if req.done {
-				return // zero-size: completed (and recycled) in bindEnvelope
+				return false // zero-size: completed (and recycled) in bindEnvelope
 			}
 			r.p.Advance(prm.EagerRecvCopy(m.size))
 			copy(req.rbuf, m.payload[:m.size])
 			env.received = m.size
 			r.completeRecv(req, env)
-			return
+			return false
 		}
-		// Unexpected: stage a copy so the wire buffer can recycle.
-		env.staged = r.pools.buf.GetCopy(m.payload[:m.size])
+		// Unexpected: the payload waits in the wire buffer, header first,
+		// and is copied once, at match (bindEnvelope).
+		env.staged = wire[:hcaHdrLen+m.size]
 		env.received = m.size
 		env.complete = true
 		r.unexpected.push(env)
+		return true
 
 	case hcaRTS:
 		env := r.pools.envs.Get()
@@ -226,7 +231,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 		env.path, env.hca, env.msgID = core.PathHCARndv, true, m.msgID
 		if req := r.matchPosted(m.src, m.tag, m.ctx); req != nil {
 			r.bindEnvelope(env, req)
-			return
+			return false
 		}
 		r.unexpected.push(env)
 
@@ -240,7 +245,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 			if !known && r.w.rankDead(m.src) {
 				// The receiver crashed after posting its CTS; our side of the
 				// rendezvous was already reaped. Drop the stale grant.
-				return
+				return false
 			}
 			r.p.Fatalf("CTS for unknown rendezvous id %d", m.msgID)
 		}
@@ -251,6 +256,7 @@ func (r *Rank) handleHCAMessage(m hcaMsg) {
 	default:
 		r.p.Fatalf("unknown HCA message kind %d", m.kind)
 	}
+	return false
 }
 
 // dropRndvSend removes the sender's request from rendezvous msgID with peer

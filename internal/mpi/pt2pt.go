@@ -87,7 +87,7 @@ type envelope struct {
 	seq            uint64
 	path           core.Path
 	req            *Request // posted receive once matched
-	staged         []byte   // unexpected-eager staging buffer
+	staged         []byte   // unexpected eager payload's buffer (see payload)
 	received       int
 	sop            *sendOp // SHM/CMA rendezvous: sender's op (buffer handle)
 	msgID          uint64  // HCA rendezvous id
@@ -197,7 +197,7 @@ func (r *Rank) bindEnvelope(env *envelope, req *Request) {
 			} else {
 				r.p.Advance(r.w.Opts.Params.MemCopy(env.received, r.crossSocket(env.src)))
 			}
-			copy(req.rbuf, env.staged[:env.received])
+			copy(req.rbuf, env.payload())
 		}
 		if env.received >= env.size {
 			r.completeRecv(req, env)
@@ -229,9 +229,31 @@ func (r *Rank) completeRecv(req *Request, env *envelope) {
 	req.status = Status{Source: env.src, Tag: env.tag, Bytes: env.size}
 	req.done = true
 	r.trace(trace.OpRecv, trace.PathOf(env.path), env.src, env.tag, env.ctx, env.size, env.seq)
-	r.pools.buf.Put(env.staged)
+	r.dropStaged(env)
 	req.env = nil
 	r.pools.envs.Put(env)
+}
+
+// payload is what has arrived of an eager message: staged, past the wire
+// header where staged is the HCA wire buffer the message came in.
+func (env *envelope) payload() []byte {
+	if env.hca && env.staged != nil {
+		return env.staged[hcaHdrLen:][:env.received]
+	}
+	return env.staged[:env.received]
+}
+
+// dropStaged hands back the envelope's staging buffer: an HCA wire buffer to
+// the QP it came by, as handleCQE does for a message that was expected, or
+// a buffer of r's pool to the pool.
+func (r *Rank) dropStaged(env *envelope) {
+	if env.hca && env.staged != nil {
+		ps := r.peer(env.src).ps
+		ps.qps[ps.side(r.rank)].Recycle(env.staged)
+	} else {
+		r.pools.buf.Put(env.staged)
+	}
+	env.staged = nil
 }
 
 // completeSend finishes a send (buffer reusable).

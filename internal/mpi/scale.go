@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"cmpi/internal/cluster"
+	"cmpi/internal/core"
 	"cmpi/internal/ib"
 	"cmpi/internal/perf"
 	"cmpi/internal/profile"
@@ -144,7 +145,6 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	hosts := (o.Ranks + o.RanksPerHost - 1) / o.RanksPerHost
 	racks := o.Topology.Racks(hosts)
 
-	eng := sim.NewEngine()
 	cores := (o.RanksPerHost + 1) / 2
 	if cores < 1 {
 		cores = 1
@@ -154,6 +154,7 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 		return nil, err
 	}
 	prm := perf.Default()
+	eng := newEngine()
 	fabric := ib.NewFabric(eng, &prm, clu)
 	if err := fabric.SetTopology(o.Topology); err != nil {
 		return nil, err
@@ -186,7 +187,8 @@ func RunScale(o ScaleOptions) (*ScaleResult, error) {
 	}
 	// Nothing reads the rank machines again: the next engine may have the
 	// arena they live in.
-	eng.Recycle()
+	var dr core.Drain
+	engineKind.Give(&dr, eng.Recycle())
 	return &ScaleResult{
 		Time: w.endT, Hosts: hosts, Racks: racks,
 		Sim: simStatsOf(eng.Stats()),

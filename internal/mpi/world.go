@@ -116,7 +116,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		Eng:        sim.NewEngine(),
+		Eng:        newEngine(),
 		Deploy:     d,
 		Opts:       opts,
 		shm:        shmem.NewRegistry(),
@@ -312,9 +312,6 @@ func (w *World) drainPools(clean bool) {
 	}
 	var dr core.Drain
 	w.drain(&dr, clean)
-	if clean {
-		w.Eng.Recycle()
-	}
 	w.depotRefused = uint64(dr.Refused)
 	if core.PoolStrict() && clean {
 		if err := dr.Unbalanced(); err != nil {
@@ -349,6 +346,7 @@ func (w *World) drain(dr *core.Drain, clean bool) {
 	}
 	w.totals = totalsOf(w.ranks)
 	w.recycle(dr)
+	engineKind.Give(dr, w.Eng.Recycle())
 }
 
 // rankTotals is what a world keeps of its ranks for after its run: their
@@ -446,7 +444,15 @@ var (
 	queuesKind     = core.NewKind[*peerQueues]()
 	indexKind      = core.NewKind[[]*peerRec]()
 	localPairsKind = core.NewKind[[]*pairShared]()
+	engineKind     = core.NewKind[*sim.Arrays]()
 )
+
+// newEngine returns an engine on the arrays the last engine to end handed to
+// the depot, when it holds any.
+func newEngine() *sim.Engine {
+	a, _ := engineKind.Take()
+	return sim.NewEngineOn(a)
+}
 
 // failRank records a rank failure. Under ErrorsAreFatal it aborts the whole
 // simulation with the typed error (first failure wins, as in MPI_Abort);

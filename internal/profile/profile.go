@@ -144,11 +144,9 @@ type SimStats struct {
 	// BufPool aggregates the byte-buffer pools, one per rank: staging,
 	// payload snapshots and the wire buffers of the rank's HCA.
 	BufPool core.PoolCounters
-	// DepotRefused is the bytes the process-wide depot's caps cost when the
-	// finished job's free buffers and objects were handed to it
-	// (core.Drain.Refused): older buffers it evicted to make room, and
-	// buffers and objects it still could not take. A repeat of the job
-	// allocates them again. Zero until the run has ended.
+	// DepotRefused is the bytes of the finished job's free buffers and
+	// objects that the process-wide depot, full, refused (core.Drain.Refused).
+	// A repeat of the job allocates them again. Zero until the run has ended.
 	DepotRefused uint64
 	// ObjPool aggregates the object free lists of the ranks (packets, send
 	// ops, envelopes, requests), by core.FreeList's law: Gets = Hits + Depot

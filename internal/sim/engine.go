@@ -40,8 +40,10 @@ type Engine struct {
 
 	stats Stats
 
-	// arena holds machine procs in fixed-capacity slabs (flat.go).
-	arena [][]Proc
+	// arena holds machine procs in fixed-capacity slabs (flat.go); spare
+	// holds the empty slabs of the engine this one runs on (NewEngineOn),
+	// for arenaAlloc to take before it makes one.
+	arena, spare [][]Proc
 
 	// quiesce holds one-shot callbacks to run the next time the event queue
 	// drains completely (AtQuiesce). Fired FIFO, one per drain, in scheduler
@@ -79,12 +81,74 @@ func (e *Engine) Stats() Stats {
 // NewEngine returns an empty engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
 
+// Arrays are the arrays of an engine whose run is over, cleared: its machine
+// arena's slabs, its event slab with its segments and free-slot list, its
+// queue's keys and its process list. An engine built on them (NewEngineOn)
+// takes them where it would have allocated — Grow its process list and queue
+// keys, arenaAlloc its arena slabs, carve its event slab and segments — and
+// gives every slot and index out in the same order, so nothing a run does
+// depends on whether it had them. Outside sim the value is opaque: a sweep or
+// a benchmark that builds hundreds of engines of one shape keeps it from one
+// to the next.
+type Arrays struct {
+	arena [][]Proc
+	slab  slab
+	keys  []hkey
+	procs []*Proc
+}
+
+// NewEngineOn is NewEngine on the arrays an engine whose run is over handed
+// out (Recycle), or on none when a is nil. The engine owns them from now on.
+func NewEngineOn(a *Arrays) *Engine {
+	e := &Engine{}
+	if a != nil {
+		e.spare, e.slab, e.q.keys, e.procs = a.arena, a.slab, a.keys, a.procs
+		if segs := e.slab.segs; segs != nil {
+			for k, seg := range segs {
+				segs[k] = seg[:cap(seg)]
+			}
+		}
+	}
+	return e
+}
+
+// Recycle hands out the engine's arrays, cleared, for the next engine
+// (NewEngineOn). Call it only once the run is over and nothing reads the
+// engine's processes again — a machine process lives in the arena, whose
+// slots the next engine hands out anew. Stats and Now keep answering; the
+// engine runs nothing more.
+func (e *Engine) Recycle() *Arrays {
+	// A popped event's slot was cleared as it left (vacate): only the events
+	// a stopped run left pending still hold anything. The arrays' slots past
+	// their length were never written since they were last cleared. The
+	// slab's segments are handed out empty, as the other arrays are.
+	s := e.slab
+	for _, k := range e.q.keys {
+		*s.at(k.slot) = event{}
+	}
+	if s.segs != nil {
+		for k, seg := range s.segs {
+			s.segs[k] = seg[:0]
+		}
+	}
+	clear(s.free[:cap(s.free)])
+	clear(e.q.keys[:cap(e.q.keys)])
+	clear(e.procs)
+	s.next, s.free = 0, s.free[:0]
+	arena := e.spare
+	for _, a := range e.arena {
+		clear(a)
+		arena = append(arena, a[:0])
+	}
+	a := &Arrays{arena: arena, slab: s, keys: e.q.keys[:0], procs: e.procs[:0]}
+	e.slab, e.q.keys, e.procs, e.arena, e.spare, e.quiesce = slab{}, nil, nil, nil, nil, nil
+	return a
+}
+
 // Grow makes room for n more processes, so that spawning them grows neither
 // the process list nor the event queue, which holds one start event per
-// process, by doubling; the arrays come from an engine that ended before
-// (Recycle) where there is one. It changes nothing a run does.
+// process, by doubling. It changes nothing a run does.
 func (e *Engine) Grow(n int) {
-	e.takeArrays()
 	e.procs = slices.Grow(e.procs, n)
 	e.q.keys = slices.Grow(e.q.keys, n)
 }

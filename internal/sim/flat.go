@@ -108,13 +108,16 @@ func (p *Proc) release() {
 const arenaSlab = 1024
 
 // arenaAlloc returns the next free slot in the engine's machine-proc arena,
-// growing it by one slab when full: a slab an engine that ended before left
-// (Recycle), else a new one. Slab capacity never changes after allocation,
-// so returned pointers are stable.
+// growing it by one slab when full: a spare slab of the engine this one runs
+// on (NewEngineOn), else a new one. Slab capacity never changes after
+// allocation, so returned pointers are stable.
 func (e *Engine) arenaAlloc() *Proc {
 	if n := len(e.arena); n == 0 || len(e.arena[n-1]) == cap(e.arena[n-1]) {
-		a := takeArena()
-		if a == nil {
+		var a []Proc
+		if k := len(e.spare) - 1; k >= 0 {
+			a, e.spare[k] = e.spare[k], nil
+			e.spare = e.spare[:k]
+		} else {
 			a = make([]Proc, 0, arenaSlab)
 		}
 		e.arena = append(e.arena, a)

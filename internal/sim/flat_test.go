@@ -95,7 +95,12 @@ func pingBody(s *pingState) func(p *Proc) {
 // nothing.
 func runPingWorld(t *testing.T, machines bool, nPairs, iters int, footprints bool) (string, *Engine) {
 	t.Helper()
-	e := NewEngine()
+	return runPingWorldOn(t, NewEngine(), machines, nPairs, iters, footprints)
+}
+
+// runPingWorldOn is runPingWorld on the engine e, which has run nothing.
+func runPingWorldOn(t *testing.T, e *Engine, machines bool, nPairs, iters int, footprints bool) (string, *Engine) {
+	t.Helper()
 	e.Grow(2 * nPairs)
 	var out strings.Builder
 	log := func(p *Proc, format string, args ...any) {

@@ -181,14 +181,13 @@ func (s *slab) at(slot int32) *event {
 }
 
 // carve hands out the slot past the last one, making its segment first when
-// the slot opens one. An engine's first slot takes a whole slab, with the
-// segments it held, from an engine that ended before (Recycle), when there
-// is one; a segment that slab already has is not made again.
+// the slot opens one. A segment that the slab already has — it came from an
+// engine that ended before (NewEngineOn) — is not made again.
 func (s *slab) carve() int32 {
 	slot := s.next
 	switch i := uint32(slot) + firstSeg; {
 	case slot == 0:
-		if *s = takeSlab(); s.first == nil {
+		if s.first == nil {
 			s.first = new([firstSeg]event)
 		}
 	case i&(i-1) == 0:
