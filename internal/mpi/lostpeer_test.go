@@ -196,33 +196,33 @@ func TestLostPeerMatrix(t *testing.T) {
 		}},
 	}
 	cells := []cell{
-		{lossChan2Host, "named-irecv", lostPeerCell{"*mpi.ChannelError", 158998818, "728c435f13cbcef58ca969bf7c3c86c8a169c149b9845e4fc43bf917b3a8f264"}},
-		{lossChan2Host, "anysource-irecv", lostPeerCell{"<nil>", 159110454, "0462707f70bc0e5b966d6299b5c772a53c3de899dafc55a9511729f1de47aec1"}},
-		{lossChan2Host, "hca-rndv-send-awaiting-cts", lostPeerCell{"*mpi.ChannelError", 128998818, "b019e47dc98b09a3acc02667941e3ed618f162f2233e0906acffa1102be05096"}},
-		{lossChan2Host, "hca-rndv-recv-awaiting-write", lostPeerCell{"*mpi.ChannelError", 135790818, "f673fee22c50c8cd5b426e3a4f603064aa707ad2c92a919ddde86434edfbbdab"}},
-		{lossChan2Host, "unexpected-complete", lostPeerCell{"<nil>", 135260454, "e6b7eba41e38f30062875797cfbd3473931c038d085ea624279b07ddbd927bd7"}},
-		{lossChan2Host, "isend-after-loss", lostPeerCell{"*mpi.ChannelError", 158998818, "87aad32d5be009b6ea093311cf4ceacc4b5a7e56a2d36d17f9cde556365eaced"}},
-		{lossChan2Host, "irecv-after-loss", lostPeerCell{"*mpi.ChannelError", 158998818, "87aad32d5be009b6ea093311cf4ceacc4b5a7e56a2d36d17f9cde556365eaced"}},
+		{lossChan2Host, "named-irecv", lostPeerCell{"*mpi.ChannelError", 158998818, "e087adfb13eb175117be430bb880a1de4975bcfc1fc32735d211d343cdf4c5cd"}},
+		{lossChan2Host, "anysource-irecv", lostPeerCell{"<nil>", 159110454, "86f971ce7557e01aa436ac018e8b8f5bed2df63e24d84f0c61c9d0028a675a60"}},
+		{lossChan2Host, "hca-rndv-send-awaiting-cts", lostPeerCell{"*mpi.ChannelError", 128998818, "9d50cdd705142937163c5c82dee8d4276bf8c46fac8fc9f83989110694b38add"}},
+		{lossChan2Host, "hca-rndv-recv-awaiting-write", lostPeerCell{"*mpi.ChannelError", 135790818, "c69c3c4ab3870be089d40b925ccc93491d3b6ebd27fcd2261284a61ff28a44d1"}},
+		{lossChan2Host, "unexpected-complete", lostPeerCell{"<nil>", 135260454, "b2d984204039f4687c84ab5dfdc242a53e30ce66bf7576e63f938b277b9ceefa"}},
+		{lossChan2Host, "isend-after-loss", lostPeerCell{"*mpi.ChannelError", 158998818, "e087adfb13eb175117be430bb880a1de4975bcfc1fc32735d211d343cdf4c5cd"}},
+		{lossChan2Host, "irecv-after-loss", lostPeerCell{"*mpi.ChannelError", 158998818, "e087adfb13eb175117be430bb880a1de4975bcfc1fc32735d211d343cdf4c5cd"}},
 
-		{lossCrash2Host, "named-irecv", lostPeerCell{"*mpi.ProcFailedError", 100021000, "4e94dea97eaaeab117019541eebf1708104d2cc843d3e0dd8a1604beee7aab11"}},
-		{lossCrash2Host, "anysource-irecv", lostPeerCell{"*mpi.ProcFailedError", 100076818, "7a46fab8dd3e6f790d1f94b4563ec55ca9b3100f6bac0ac244b970737de0a91a"}},
-		{lossCrash2Host, "hca-rndv-send-awaiting-cts", lostPeerCell{"*mpi.ProcFailedError", 100021000, "3e8c2015ec3e9cca5106632a0151ff3db86bc1c6475285b54c3d508550229604"}},
-		{lossCrash2Host, "hca-rndv-recv-awaiting-write", lostPeerCell{"*mpi.ProcFailedError", 106813000, "5c8953391f08a95d6ab2a349dd6c1e99ea98cd599b9dd5208ad175a6c68d2460"}},
-		{lossCrash2Host, "unexpected-complete", lostPeerCell{"<nil>", 106282636, "83cde809e8fbbee9315b917b8457235de85414655996a830ef2f6098270f0405"}},
-		{lossCrash2Host, "isend-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "377c4efd98d086631ff09badc8faf13dc9c95661ed55fa39500fa90e4620610a"}},
-		{lossCrash2Host, "irecv-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "377c4efd98d086631ff09badc8faf13dc9c95661ed55fa39500fa90e4620610a"}},
-		{lossCrash2Host, "isend-after-crash-unswept", lostPeerCell{"*mpi.ProcFailedError", 100021000, "a01661252c900b126c2e03fcdb190186d45ccfa3fb677dfebf2ea3390b03aff7"}},
+		{lossCrash2Host, "named-irecv", lostPeerCell{"*mpi.ProcFailedError", 100021000, "c984abf2b5fde7514ff3d892058ea9c679efe1be206644e31e1b3f6e12591770"}},
+		{lossCrash2Host, "anysource-irecv", lostPeerCell{"*mpi.ProcFailedError", 100076818, "fde8de241ca49452c05f174c473874b7fdf66e8daaa004667fa30c0e74708a2b"}},
+		{lossCrash2Host, "hca-rndv-send-awaiting-cts", lostPeerCell{"*mpi.ProcFailedError", 100021000, "9e5d2b08cff19bf996e93c2e5183c16f5fa5c49483807de2245fa35a58a32aa2"}},
+		{lossCrash2Host, "hca-rndv-recv-awaiting-write", lostPeerCell{"*mpi.ProcFailedError", 106813000, "6aeab592a21d266d5fdd6e8e78edd28dc88cc9f01b80f6664ef9e8e5c7d335e8"}},
+		{lossCrash2Host, "unexpected-complete", lostPeerCell{"<nil>", 106282636, "a4a8556a02a29f70fa59c53286efbaf923b9045d776dc48b7d7db7a67c8fd5ac"}},
+		{lossCrash2Host, "isend-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "c984abf2b5fde7514ff3d892058ea9c679efe1be206644e31e1b3f6e12591770"}},
+		{lossCrash2Host, "irecv-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "c984abf2b5fde7514ff3d892058ea9c679efe1be206644e31e1b3f6e12591770"}},
+		{lossCrash2Host, "isend-after-crash-unswept", lostPeerCell{"*mpi.ProcFailedError", 100021000, "e183f2ee179da6e96c94182d81150830e3b0c2e8f08955515f40f44f1eec9014"}},
 
-		{lossCrash1Cont, "named-irecv", lostPeerCell{"*mpi.ProcFailedError", 100021000, "4e94dea97eaaeab117019541eebf1708104d2cc843d3e0dd8a1604beee7aab11"}},
-		{lossCrash1Cont, "anysource-irecv", lostPeerCell{"*mpi.ProcFailedError", 100076818, "7a46fab8dd3e6f790d1f94b4563ec55ca9b3100f6bac0ac244b970737de0a91a"}},
-		{lossCrash1Cont, "shm-eager-mid-stream", lostPeerCell{"*mpi.ProcFailedError", 103810363, "5323bef8411149e4c4ee9671a11fb8ee20f3ee5eb9b82fb12e22f57bf7342ed3"}},
-		{lossCrash1Cont, "ring-send-queued", lostPeerCell{"*mpi.ProcFailedError", 100021000, "31f37ce04cfd60644294ef3f5884a87b8d9796ff1c7cdb1271b4f4d9a441e8b5"}},
-		{lossCrash1Cont, "cma-send-awaiting-fin", lostPeerCell{"*mpi.ProcFailedError", 100021000, "d0c5751eb49b3754771573e1816086d6349e46fee2111b4571378f6a9c6708ce"}},
-		{lossCrash1Cont, "unexpected-rts-incomplete", lostPeerCell{"*mpi.ProcFailedError", 102101000, "61ef8e9ebfc760dced5728be168f439af6458c03a4de07cc19d21b1ed2b72cbf"}},
-		{lossCrash1Cont, "unexpected-complete", lostPeerCell{"<nil>", 102232636, "0cfdcb0111686189b6d001365195a65aa2ac0dececaba3885c4dcf53215998c3"}},
-		{lossCrash1Cont, "isend-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "377c4efd98d086631ff09badc8faf13dc9c95661ed55fa39500fa90e4620610a"}},
-		{lossCrash1Cont, "irecv-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "377c4efd98d086631ff09badc8faf13dc9c95661ed55fa39500fa90e4620610a"}},
-		{lossCrash1Cont, "isend-after-crash-unswept", lostPeerCell{"*mpi.ProcFailedError", 100021000, "a01661252c900b126c2e03fcdb190186d45ccfa3fb677dfebf2ea3390b03aff7"}},
+		{lossCrash1Cont, "named-irecv", lostPeerCell{"*mpi.ProcFailedError", 100021000, "c984abf2b5fde7514ff3d892058ea9c679efe1be206644e31e1b3f6e12591770"}},
+		{lossCrash1Cont, "anysource-irecv", lostPeerCell{"*mpi.ProcFailedError", 100076818, "fde8de241ca49452c05f174c473874b7fdf66e8daaa004667fa30c0e74708a2b"}},
+		{lossCrash1Cont, "shm-eager-mid-stream", lostPeerCell{"*mpi.ProcFailedError", 103810363, "d457e9c27590a4ae6a20a16c4d7108c274bb1ad5733008a600560222e26fd126"}},
+		{lossCrash1Cont, "ring-send-queued", lostPeerCell{"*mpi.ProcFailedError", 100021000, "63bf735964c935f4c8632e6a836bdf4099675c7fea06acd8ccca8bf437195465"}},
+		{lossCrash1Cont, "cma-send-awaiting-fin", lostPeerCell{"*mpi.ProcFailedError", 100021000, "a61f71a2edb022d898f4f1a57096c53d99d4b2827713499dbef2a922f9e62d0c"}},
+		{lossCrash1Cont, "unexpected-rts-incomplete", lostPeerCell{"*mpi.ProcFailedError", 102101000, "65b717bb81f8afb6623e53170d181bc7f117402432aaaa4b90b721e5ec60d377"}},
+		{lossCrash1Cont, "unexpected-complete", lostPeerCell{"<nil>", 102232636, "c6474a966ae1ede3ea718e564e4926f5041e3028096779379d585c2fc014485e"}},
+		{lossCrash1Cont, "isend-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "c984abf2b5fde7514ff3d892058ea9c679efe1be206644e31e1b3f6e12591770"}},
+		{lossCrash1Cont, "irecv-after-loss", lostPeerCell{"*mpi.ProcFailedError", 100021000, "c984abf2b5fde7514ff3d892058ea9c679efe1be206644e31e1b3f6e12591770"}},
+		{lossCrash1Cont, "isend-after-crash-unswept", lostPeerCell{"*mpi.ProcFailedError", 100021000, "e183f2ee179da6e96c94182d81150830e3b0c2e8f08955515f40f44f1eec9014"}},
 	}
 	for _, c := range cells {
 		op := ops[c.op]

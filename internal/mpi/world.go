@@ -543,10 +543,12 @@ func (w *World) SimStats() profile.SimStats {
 
 // Digest is a SHA-256, in hex, over what a finished run simulated: each
 // rank's body start and finish times and its error, the per-rank profile when
-// Opts.Profile is on, and SimStats less what says how the host ran the job —
-// BufPool.Depot, ObjPool.Depot and DepotRefused (what earlier worlds left in
-// the depot) and ObjPool.Hits (poolStrict does not recycle released handles).
-// A job has one digest traced or not, on any depot.
+// Opts.Profile is on, and the engine's counters in SimStats. It leaves out
+// what says how the host ran the job: the pool counters BufPool and ObjPool
+// (how many host buffers and objects the run asked for, and which of them
+// earlier worlds or poolStrict served) and DepotRefused. A job has one digest
+// traced or not, on any depot, and a change that only removes a host copy
+// keeps it.
 func (w *World) Digest() string {
 	h := sha256.New()
 	for i := range w.bodyStart {
@@ -563,7 +565,7 @@ func (w *World) Digest() string {
 		}
 	}
 	st := w.SimStats()
-	st.BufPool.Depot, st.ObjPool.Depot, st.DepotRefused, st.ObjPool.Hits = 0, 0, 0, 0
+	st.BufPool, st.ObjPool, st.DepotRefused = core.PoolCounters{}, core.PoolCounters{}, 0
 	fmt.Fprintf(h, "sim %+v\n", st)
 	return hex.EncodeToString(h.Sum(nil))
 }
