@@ -152,8 +152,5 @@ func (r *Rank) autoAllreduce(n, pof2 int) core.AllreduceAlgo {
 // profiler counters and (when tracing) an OpCollAlgo record. The record
 // carries no message and no channel credit — replay counts it directly.
 func (r *Rank) recordCollAlgo(algo core.AllreduceAlgo, bytes int) {
-	if r.prof != nil {
-		r.prof.Coll.Add(algo, bytes)
-	}
 	r.trace(trace.OpCollAlgo, trace.PathNone, -1, 0, 0, bytes, uint64(algo))
 }

@@ -74,7 +74,6 @@ func (r *Rank) hcaEagerSend(req *Request) {
 	pr.sendSeq++
 	r.p.Advance(prm.MemCopy(len(req.sbuf), false))
 	r.postHdr(qp, hcaEager, req.ctx, req.tag, len(req.sbuf), seq, 0, req.sbuf)
-	r.countOp(core.ChannelHCA, len(req.sbuf))
 	r.completeSend(req)
 }
 
@@ -251,7 +250,6 @@ func (r *Rank) handleHCAMessage(m hcaMsg, wire []byte) (kept bool) {
 		}
 		qp := r.qpFor(pr)
 		qp.PostWrite(r.p, r.routeWrid(m.msgID, wridRef{sreq: st.sreq}), st.sreq.sbuf, st.mr, 0, true, m.msgID)
-		r.countOp(core.ChannelHCA, len(st.sreq.sbuf))
 
 	default:
 		r.p.Fatalf("unknown HCA message kind %d", m.kind)

@@ -191,9 +191,6 @@ func (r *Rank) enqueueShmSend(req *Request, path core.Path) {
 		// sequence number is still unassigned here and the HCA send below
 		// will draw the same value the send-initiation record carried.
 		r.trace(trace.OpShmFallback, trace.PathOf(path), req.peer, req.tag, req.ctx, len(req.sbuf), pr.sendSeq)
-		if r.prof != nil {
-			r.prof.Faults.ShmFallbacks++
-		}
 		r.startSend(req, r.pathFor(pr, len(req.sbuf), req.sync))
 		return
 	}
@@ -342,7 +339,6 @@ func (r *Rank) pushOp(d *ringDir, op *sendOp) bool {
 		pkt.footprint = n + pktHeaderBytes
 		pkt.sop, pkt.path = op, op.path
 		d.push(r, int(op.pr.rank), pkt)
-		r.countOp(core.ChannelSHM, n)
 		op.firstPushed = true
 		op.offset += n
 		adv = true
@@ -462,9 +458,6 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 		// path). The CTS flips the parked sender from opAwaitFIN to
 		// streaming; future transfers on this pair skip CMA entirely.
 		r.trace(trace.OpCMAFallback, trace.PathOf(core.PathCMARndv), env.src, env.tag, env.ctx, env.size, env.seq)
-		if r.prof != nil {
-			r.prof.Faults.CMAFallbacks++
-		}
 		ps.cmaDead = true
 		env.path = core.PathSHMRndv
 		env.sop.path = core.PathSHMRndv
@@ -477,7 +470,6 @@ func (r *Rank) performCMARead(env *envelope, req *Request) {
 	if _, err := cma.Readv(r.env, senderEnv, req.rbuf[:env.size], env.sop.data); err != nil {
 		r.p.Fatalf("CMA read from rank %d: %v", env.src, err)
 	}
-	r.countOp(core.ChannelCMA, env.size)
 	r.pushControl(req.pr, pktFIN, env.sop)
 	// The payload has been read out; drop the receiver's reference (the
 	// sender's is dropped when it consumes the FIN).

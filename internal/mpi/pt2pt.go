@@ -273,7 +273,6 @@ func (r *Rank) selfSend(req *Request) {
 	env.staged = r.pools.buf.GetCopy(req.sbuf)
 	env.received = env.size
 	env.complete = true
-	r.countOp(core.ChannelSHM, env.size)
 	if posted := r.matchPosted(r.rank, req.tag, req.ctx); posted != nil {
 		r.bindEnvelope(env, posted)
 	} else {

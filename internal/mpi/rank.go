@@ -449,15 +449,24 @@ func (r *Rank) crossSocket(peer int) bool {
 	return r.w.Deploy.Placements[peer].Socket() != int(r.socket)
 }
 
-// trace adds one structured trace record to the world's recorder
-// (Options.Record), if it has one, at once: records arrive in the order the
-// ranks run.
+// trace builds one structured trace record, when the world records
+// (Options.Record) or profiles (Options.Profile), at once: records arrive in
+// the order the ranks run. A profiled world folds it into its profile
+// (trace.Credits), a recording one adds it to its recorder.
 func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int, seq uint64) {
-	if rec := r.w.Opts.Record; rec != nil {
-		rec.Add(trace.Record{
-			T: r.p.Now(), Op: op, Path: path,
-			Rank: r.rank, Peer: peer, Tag: tag, Ctx: ctx, Bytes: bytes, Aux: seq,
-		})
+	rec := r.w.Opts.Record
+	if rec == nil && r.prof == nil {
+		return
+	}
+	t := trace.Record{
+		T: r.p.Now(), Op: op, Path: path,
+		Rank: r.rank, Peer: peer, Tag: tag, Ctx: ctx, Bytes: bytes, Aux: seq,
+	}
+	if r.prof != nil {
+		r.w.credits.Add(&t)
+	}
+	if rec != nil {
+		rec.Add(t)
 	}
 }
 
@@ -468,13 +477,6 @@ func (r *Rank) containerOverhead() sim.Time {
 		return 0
 	}
 	return r.w.Opts.Params.ContainerPacketOverhead
-}
-
-// countOp records one channel transfer operation for the profiler.
-func (r *Rank) countOp(ch core.Channel, n int) {
-	if r.prof != nil {
-		r.prof.Channels.Add(ch, n)
-	}
 }
 
 // profEnter/profExit bracket a public MPI call for mpiP-style accounting.

@@ -182,13 +182,12 @@ func (w *Win) access(target, offset int, data []byte, isPut bool) {
 			qp.PostRead(r.p, wrid, data, tw.mr, offset)
 		}
 	}
-	r.countOp(path.Channel(), len(data))
 	w.traceAccess(isPut, path.Channel(), target, len(data))
 }
 
-// traceAccess records one remote one-sided access with the channel it used
-// (self-accesses are plain local copies and are not traced, matching the
-// profiler, which does not count them either).
+// traceAccess records one remote one-sided access with the channel it used,
+// which is what the profiler counts it by (self-accesses are plain local
+// copies: neither traced nor counted).
 func (w *Win) traceAccess(isPut bool, ch core.Channel, target, bytes int) {
 	op := trace.OpRMAGet
 	if isPut {

@@ -34,6 +34,9 @@ type World struct {
 	Opts Options
 	// Prof holds the mpiP-style profile when Opts.Profile is set.
 	Prof *profile.Profile
+	// credits books Prof's channel, fallback and Allreduce counters from
+	// the trace records the ranks build (Rank.trace).
+	credits trace.Credits
 
 	shm    *shmem.Registry
 	fabric *ib.Fabric
@@ -155,6 +158,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	}
 	if opts.Profile {
 		w.Prof = profile.New(d.Size())
+		w.credits = trace.Credits{Cell: opts.Params.ShmCellPayload, Ranks: w.Prof.Ranks}
 	}
 	if a, ok := ranksKind.Take(); ok && cap(a) >= d.Size() {
 		w.ranks = a[:d.Size()]

@@ -11,28 +11,14 @@ import (
 )
 
 // Replay reconstructs a run's observable statistics from its trace alone:
-// per-rank channel profile counters (exactly the values the live profiler
-// would report), per-path message-size histograms, and per-path send→recv
-// latency. No rank goroutines and no world are involved — the trace is the
-// single input.
-//
-// Channel-credit rules mirror where the runtime counts operations:
-//
-//   - self-delivery and SHM paths are counted on the sender, per ring-cell
-//     fragment (an eager message always pushes at least one first packet,
-//     a rendezvous stream pushes exactly ceil(bytes/cell));
-//   - a CMA rendezvous is one process_vm_readv counted on the RECEIVER, so
-//     the credit lands at the recv record;
-//   - HCA sends are one work-request post counted on the sender;
-//   - a shm-fallback cancels the original path's sender credit and books
-//     one HCA operation instead; a cma-fallback books the sender's SHM
-//     streaming fragments;
-//   - RMA records carry their channel directly; RTS/CTS and fault records
-//     carry no channel credit.
+// per-rank channel profile counters, per-path message-size histograms, and
+// per-path send→recv latency. No rank goroutines and no world are involved —
+// the trace is the single input. The counters come from Credits, the fold a
+// profiled world runs live on the same records, so a decoded recording
+// replays to the live profiler's counters by construction.
 //
 // Per-call MPI wall-time counters (RankProfile.MPITime) are not encoded in
-// the trace and are out of replay's scope; channel ops/bytes and fallback
-// counts reconstruct exactly for a successfully completed recording.
+// the trace and are out of replay's scope.
 
 // pathCount is how many PathCode values the per-path tables index (0..8).
 const pathCount = 9
@@ -63,22 +49,23 @@ type Summary struct {
 	PerRank []profile.ChannelStats
 	// PerPath aggregates messages by PathCode index.
 	PerPath [pathCount]PathStats
-	// ShmFallbacks / CMAFallbacks reconstruct the fault-stat totals.
+	// ShmFallbacks / CMAFallbacks sum the per-rank fallback counts.
 	ShmFallbacks, CMAFallbacks uint64
 	// Rendezvous counts RTS handshakes (eager→rendezvous transitions).
 	Rendezvous uint64
 	// Retransmits sums retries over retransmit records; QPBreaks and
 	// AttachFails count their records.
 	Retransmits, QPBreaks, AttachFails uint64
-	// CollAlgoCalls / CollAlgoBytes count Allreduce calls per algorithm
-	// (coll-algo records, indexed by core.AllreduceAlgo).
+	// CollAlgoCalls / CollAlgoBytes sum the per-rank Allreduce calls per
+	// algorithm (coll-algo records, indexed by core.AllreduceAlgo).
 	CollAlgoCalls [core.NumAllreduceAlgos]uint64
 	CollAlgoBytes [core.NumAllreduceAlgos]uint64
 	// UnmatchedSends counts send records with no matching receive (in-flight
 	// at the end of a failed or truncated recording).
 	UnmatchedSends int
-	// Anomalies counts records that violated the credit rules (receive
-	// without a send, fallback underflow) — zero for any complete recording.
+	// Anomalies counts records that violated the credit rules (Credits'
+	// anomalies) plus receives without a send — zero for any complete
+	// recording.
 	Anomalies int
 }
 
@@ -94,9 +81,131 @@ type pendingSend struct {
 	path PathCode
 }
 
-// shmFrags is the ring-cell fragment count of a streamed payload.
-func shmFrags(bytes, cell int) uint64 {
-	return uint64((bytes + cell - 1) / cell)
+// Credits is the one implementation of the channel-credit rules: it folds
+// trace records, one at a time, into per-rank profile counters — channel
+// operations and bytes, SHM and CMA fallbacks, Allreduce algorithms. Replay
+// runs it over a decoded trace; a profiled world runs it on the records its
+// ranks build, as they build them. Add allocates nothing.
+//
+// The rules, in the sense of the paper's Table I (profile.ChannelStats):
+//
+//   - a send record books the sender's operations for the whole message:
+//     self-delivery is one SHM copy; an SHM path one operation per ring cell
+//     the payload fills (an eager message always pushes at least its first
+//     packet); an HCA send one work-request post, eager or rendezvous;
+//   - a CMA rendezvous is one process_vm_readv booked on the receiver, at its
+//     recv record;
+//   - a shm-fallback record cancels the send's booking on its original path
+//     and books one HCA post instead; a cma-fallback books the sender's (the
+//     record's Peer's) SHM streaming fragments; each counts one fallback on
+//     the record's rank;
+//   - RMA records book one operation on the channel they carry;
+//   - a coll-algo record books one Allreduce call on its rank;
+//   - RTS/CTS, checkpoint and substrate fault records book nothing.
+type Credits struct {
+	// Cell is the SHM ring-cell payload in bytes (the trace header's Cell).
+	Cell int
+	// Ranks are the profiles credited, indexed by rank.
+	Ranks []*profile.RankProfile
+	// Anomalies counts records the rules cannot book: a rank outside Ranks,
+	// an unknown path or algorithm, a fallback cancelling more than its
+	// send booked.
+	Anomalies int
+}
+
+// Add folds one record into the counters.
+func (c *Credits) Add(r *Record) {
+	switch r.Op {
+	case OpSend, OpSsend:
+		c.send(r.Rank, r.Path, r.Bytes, false)
+	case OpRecv:
+		if r.Path == PathOf(core.PathCMARndv) {
+			c.book(r.Rank, core.ChannelCMA, 1, r.Bytes, false)
+		}
+	case OpShmFallback:
+		if rp := c.rank(r.Rank); rp != nil {
+			rp.Faults.ShmFallbacks++
+		}
+		c.send(r.Rank, r.Path, r.Bytes, true)
+		c.book(r.Rank, core.ChannelHCA, 1, r.Bytes, false)
+	case OpCMAFallback:
+		if rp := c.rank(r.Rank); rp != nil {
+			rp.Faults.CMAFallbacks++
+		}
+		c.book(r.Peer, core.ChannelSHM, c.frags(r.Bytes), r.Bytes, false)
+	case OpRMAPut, OpRMAGet:
+		// The raw channel codes ChanSHM, ChanCMA, ChanHCA follow
+		// core.Channel's order.
+		if r.Path < ChanSHM || r.Path > ChanHCA {
+			c.Anomalies++
+			return
+		}
+		c.book(r.Rank, core.Channel(r.Path-ChanSHM), 1, r.Bytes, false)
+	case OpCollAlgo:
+		rp := c.rank(r.Rank)
+		if rp == nil {
+			return
+		}
+		if r.Aux >= uint64(core.NumAllreduceAlgos) {
+			c.Anomalies++
+			return
+		}
+		rp.Coll.Calls[r.Aux]++
+		rp.Coll.Bytes[r.Aux] += uint64(r.Bytes)
+	}
+}
+
+// send books, or cancels, the sender's operations for a message of n bytes
+// started on path.
+func (c *Credits) send(rank int, path PathCode, n int, cancel bool) {
+	switch path {
+	case PathSelf:
+		c.book(rank, core.ChannelSHM, 1, n, cancel)
+	case PathOf(core.PathSHMEager):
+		c.book(rank, core.ChannelSHM, max(c.frags(n), 1), n, cancel)
+	case PathOf(core.PathSHMRndv):
+		c.book(rank, core.ChannelSHM, c.frags(n), n, cancel)
+	case PathOf(core.PathCMARndv):
+		// The single copy is the receiver's, booked at the recv.
+	case PathOf(core.PathHCAEager), PathOf(core.PathHCARndv):
+		c.book(rank, core.ChannelHCA, 1, n, cancel)
+	default:
+		c.Anomalies++
+	}
+}
+
+// book adds ops operations moving n bytes on ch to rank's counters, or takes
+// them away (cancel). No operation moves no bytes.
+func (c *Credits) book(rank int, ch core.Channel, ops uint64, n int, cancel bool) {
+	rp := c.rank(rank)
+	if rp == nil || ops == 0 {
+		return
+	}
+	cs, bytes := &rp.Channels, uint64(n)
+	switch {
+	case !cancel:
+		cs.Ops[ch] += ops
+		cs.Bytes[ch] += bytes
+	case cs.Ops[ch] < ops || cs.Bytes[ch] < bytes:
+		c.Anomalies++
+	default:
+		cs.Ops[ch] -= ops
+		cs.Bytes[ch] -= bytes
+	}
+}
+
+// rank is rank's profile, or nil (an anomaly) for a rank outside Ranks.
+func (c *Credits) rank(rank int) *profile.RankProfile {
+	if rank < 0 || rank >= len(c.Ranks) {
+		c.Anomalies++
+		return nil
+	}
+	return c.Ranks[rank]
+}
+
+// frags is the ring-cell fragment count of a streamed payload of n bytes.
+func (c *Credits) frags(n int) uint64 {
+	return uint64((n + c.Cell - 1) / c.Cell)
 }
 
 // Replay reconstructs a Summary from tr.
@@ -107,58 +216,14 @@ func Replay(tr *Trace) *Summary {
 		Records: len(tr.Records),
 		PerRank: make([]profile.ChannelStats, tr.Ranks),
 	}
+	prof := profile.New(tr.Ranks)
+	credits := Credits{Cell: tr.Cell, Ranks: prof.Ranks}
 	inflight := make(map[sendKey]pendingSend)
-	credit := func(rank int, ch core.Channel, ops, bytes uint64) {
-		if rank < 0 || rank >= s.Ranks {
-			s.Anomalies++
-			return
-		}
-		s.PerRank[rank].Ops[ch] += ops
-		s.PerRank[rank].Bytes[ch] += bytes
-	}
-	debit := func(rank int, ch core.Channel, ops, bytes uint64) {
-		if rank < 0 || rank >= s.Ranks ||
-			s.PerRank[rank].Ops[ch] < ops || s.PerRank[rank].Bytes[ch] < bytes {
-			s.Anomalies++
-			return
-		}
-		s.PerRank[rank].Ops[ch] -= ops
-		s.PerRank[rank].Bytes[ch] -= bytes
-	}
-	// sendCredit books the sender-side channel credit for a message
-	// initiated on path; sign=+1 applies it, sign=-1 cancels it (fallback).
-	sendCredit := func(rank int, path PathCode, bytes int, cancel bool) {
-		var ch core.Channel
-		var ops uint64
-		switch path {
-		case PathSelf:
-			ch, ops = core.ChannelSHM, 1
-		case PathOf(core.PathSHMEager):
-			ch, ops = core.ChannelSHM, shmFrags(bytes, tr.Cell)
-			if ops == 0 {
-				ops = 1 // an empty eager message still pushes its first packet
-			}
-		case PathOf(core.PathSHMRndv):
-			ch, ops = core.ChannelSHM, shmFrags(bytes, tr.Cell)
-		case PathOf(core.PathCMARndv):
-			return // the single copy is the receiver's, booked at the recv
-		case PathOf(core.PathHCAEager), PathOf(core.PathHCARndv):
-			ch, ops = core.ChannelHCA, 1
-		default:
-			s.Anomalies++
-			return
-		}
-		if cancel {
-			debit(rank, ch, ops, uint64(bytes)*minU64(ops, 1))
-		} else {
-			credit(rank, ch, ops, uint64(bytes)*minU64(ops, 1))
-		}
-	}
-
-	for _, r := range tr.Records {
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		credits.Add(r)
 		switch r.Op {
 		case OpSend, OpSsend:
-			sendCredit(r.Rank, r.Path, r.Bytes, false)
 			if r.Path >= 0 && int(r.Path) < pathCount {
 				p := &s.PerPath[r.Path]
 				if p.Msgs == 0 || r.Bytes < p.MinB {
@@ -178,9 +243,6 @@ func Replay(tr *Trace) *Summary {
 			inflight[sendKey{src: r.Rank, dst: r.Peer, seq: r.Aux}] = pendingSend{at: r.T, path: r.Path}
 
 		case OpRecv:
-			if p, ok := r.Path.Path(); ok && p == core.PathCMARndv {
-				credit(r.Rank, core.ChannelCMA, 1, uint64(r.Bytes))
-			}
 			key := sendKey{src: r.Peer, dst: r.Rank, seq: r.Aux}
 			snd, ok := inflight[key]
 			if !ok {
@@ -201,33 +263,8 @@ func Replay(tr *Trace) *Summary {
 				p.LatTotal += d
 			}
 
-		case OpShmFallback:
-			s.ShmFallbacks++
-			sendCredit(r.Rank, r.Path, r.Bytes, true) // cancel the phantom SHM credit
-			credit(r.Rank, core.ChannelHCA, 1, uint64(r.Bytes))
-
-		case OpCMAFallback:
-			s.CMAFallbacks++
-			// The sender (Peer) streams the payload through the shared ring.
-			credit(r.Peer, core.ChannelSHM, shmFrags(r.Bytes, tr.Cell), uint64(r.Bytes))
-
 		case OpRTS:
 			s.Rendezvous++
-
-		case OpCTS:
-			// Protocol transition marker only; no channel credit.
-
-		case OpRMAPut, OpRMAGet:
-			switch r.Path {
-			case ChanSHM:
-				credit(r.Rank, core.ChannelSHM, 1, uint64(r.Bytes))
-			case ChanCMA:
-				credit(r.Rank, core.ChannelCMA, 1, uint64(r.Bytes))
-			case ChanHCA:
-				credit(r.Rank, core.ChannelHCA, 1, uint64(r.Bytes))
-			default:
-				s.Anomalies++
-			}
 
 		case OpRetransmit:
 			s.Retransmits += r.Aux
@@ -237,28 +274,17 @@ func Replay(tr *Trace) *Summary {
 
 		case OpAttachFail:
 			s.AttachFails++
-
-		case OpCollAlgo:
-			// Annotation only — no channel credit.
-			if r.Aux < uint64(core.NumAllreduceAlgos) {
-				s.CollAlgoCalls[r.Aux]++
-				s.CollAlgoBytes[r.Aux] += uint64(r.Bytes)
-			} else {
-				s.Anomalies++
-			}
 		}
 	}
-	s.UnmatchedSends = len(inflight)
-	return s
-}
-
-// minU64 returns b when a is zero, used to zero the byte credit alongside a
-// zero op credit.
-func minU64(a, b uint64) uint64 {
-	if a == 0 {
-		return 0
+	for i, rp := range prof.Ranks {
+		s.PerRank[i] = rp.Channels
 	}
-	return b
+	faults, algos := prof.TotalFaults(), prof.TotalCollAlgos()
+	s.ShmFallbacks, s.CMAFallbacks = faults.ShmFallbacks, faults.CMAFallbacks
+	s.CollAlgoCalls, s.CollAlgoBytes = algos.Calls, algos.Bytes
+	s.UnmatchedSends = len(inflight)
+	s.Anomalies += credits.Anomalies
+	return s
 }
 
 // Total sums the reconstructed per-rank channel stats (the Table I view).
