@@ -20,7 +20,10 @@ package mpi
 // over a group too, in collv.go; the calls here only check, profile and hand
 // over the world. Scan is world-only and blocking.
 
-import "cmpi/internal/core"
+import (
+	"cmpi/internal/core"
+	"cmpi/internal/trace"
+)
 
 // collCtxBit marks the collective half of a context: collective traffic is
 // matched on ctx|collCtxBit so that user wildcard receives (AnySource /
@@ -176,7 +179,7 @@ func (r *Rank) allreduce(buf []byte, op ReduceOp) {
 func (r *Rank) pickAllreduce(n int) (algo core.AllreduceAlgo, pof2 int) {
 	pof2 = floorPow2(r.size)
 	algo = r.selectAllreduce(n, pof2)
-	r.recordCollAlgo(algo, n)
+	r.trace(trace.OpCollAlgo, trace.PathNone, -1, 0, 0, n, uint64(algo))
 	return algo, pof2
 }
 

@@ -25,7 +25,6 @@ package mpi
 import (
 	"cmpi/internal/cluster"
 	"cmpi/internal/core"
-	"cmpi/internal/trace"
 )
 
 // localityPartition is the deployment's ground truth split into the groups
@@ -146,11 +145,4 @@ func (r *Rank) autoAllreduce(n, pof2 int) core.AllreduceAlgo {
 	// link and most hops stay on-host; Rabenseifner's first rounds push
 	// size/2 across the fabric.
 	return core.AllreduceRing
-}
-
-// recordCollAlgo books which algorithm one Allreduce call ran: per-rank
-// profiler counters and (when tracing) an OpCollAlgo record. The record
-// carries no message and no channel credit — replay counts it directly.
-func (r *Rank) recordCollAlgo(algo core.AllreduceAlgo, bytes int) {
-	r.trace(trace.OpCollAlgo, trace.PathNone, -1, 0, 0, bytes, uint64(algo))
 }

@@ -23,12 +23,6 @@ type ChannelStats struct {
 	Bytes [3]uint64
 }
 
-// Add records one transfer operation of n bytes on channel ch.
-func (c *ChannelStats) Add(ch core.Channel, n int) {
-	c.Ops[ch]++
-	c.Bytes[ch] += uint64(n)
-}
-
 // Merge accumulates other into c.
 func (c *ChannelStats) Merge(other *ChannelStats) {
 	for i := range c.Ops {
@@ -43,12 +37,6 @@ func (c *ChannelStats) Merge(other *ChannelStats) {
 type CollAlgoStats struct {
 	Calls [core.NumAllreduceAlgos]uint64
 	Bytes [core.NumAllreduceAlgos]uint64
-}
-
-// Add records one Allreduce call of n bytes run with algorithm a.
-func (c *CollAlgoStats) Add(a core.AllreduceAlgo, n int) {
-	c.Calls[a]++
-	c.Bytes[a] += uint64(n)
 }
 
 // Merge accumulates other into c.

@@ -51,20 +51,31 @@ func TestComputeTime(t *testing.T) {
 	}
 }
 
-func TestChannelStats(t *testing.T) {
-	var cs ChannelStats
-	cs.Add(core.ChannelSHM, 100)
-	cs.Add(core.ChannelSHM, 50)
-	cs.Add(core.ChannelCMA, 8192)
-	cs.Add(core.ChannelHCA, 1024)
-	if cs.Ops[core.ChannelSHM] != 2 || cs.Bytes[core.ChannelSHM] != 150 {
-		t.Errorf("SHM stats %v", cs)
-	}
-	var other ChannelStats
-	other.Add(core.ChannelHCA, 1)
+func TestChannelStatsMerge(t *testing.T) {
+	cs := ChannelStats{Ops: [3]uint64{2, 1, 1}, Bytes: [3]uint64{150, 8192, 1024}}
+	other := ChannelStats{Ops: [3]uint64{0, 0, 1}, Bytes: [3]uint64{0, 0, 1}}
 	cs.Merge(&other)
-	if cs.Ops[core.ChannelHCA] != 2 || cs.Bytes[core.ChannelHCA] != 1025 {
-		t.Errorf("merged HCA stats %v", cs)
+	want := ChannelStats{Ops: [3]uint64{2, 1, 2}, Bytes: [3]uint64{150, 8192, 1025}}
+	if cs != want {
+		t.Errorf("merged stats %+v, want %+v", cs, want)
+	}
+}
+
+func TestCollAlgoStatsMerge(t *testing.T) {
+	var c, other CollAlgoStats
+	c.Calls[core.AllreduceRing], c.Bytes[core.AllreduceRing] = 1, 64
+	other.Calls[core.AllreduceRing], other.Bytes[core.AllreduceRing] = 2, 128
+	other.Calls[core.AllreduceRecursiveDoubling], other.Bytes[core.AllreduceRecursiveDoubling] = 3, 24
+	c.Merge(&other)
+	if c.Calls[core.AllreduceRing] != 3 || c.Bytes[core.AllreduceRing] != 192 ||
+		c.Calls[core.AllreduceRecursiveDoubling] != 3 || c.Bytes[core.AllreduceRecursiveDoubling] != 24 {
+		t.Errorf("merged stats %+v", c)
+	}
+	if got := c.TotalCalls(); got != 6 {
+		t.Errorf("TotalCalls = %d, want 6", got)
+	}
+	if a, ok := c.Dominant(); !ok || a != core.AllreduceRing {
+		t.Errorf("Dominant = %v, %v; want %v, true", a, ok, core.AllreduceRing)
 	}
 }
 
@@ -74,7 +85,7 @@ func TestProfileAggregation(t *testing.T) {
 		rp.AppTime = 100 * sim.Microsecond
 		rp.Enter(0)
 		rp.Exit("Allreduce", sim.Time(i+1)*10*sim.Microsecond)
-		rp.Channels.Add(core.ChannelSHM, 10)
+		rp.Channels.Ops[core.ChannelSHM], rp.Channels.Bytes[core.ChannelSHM] = 1, 10
 	}
 	total := p.TotalChannels()
 	if total.Ops[core.ChannelSHM] != 3 {
