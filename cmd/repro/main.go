@@ -10,7 +10,7 @@
 //	repro -j 4          # pin the sweep worker pool (default: GOMAXPROCS)
 //	repro -ranks 4096                  # scale-proxy allreduce: virtual and host time
 //	repro -trace-out golden.trace      # record the canonical trace job
-//	repro -replay golden.trace         # reconstruct counters from a trace
+//	repro -replay golden.trace         # reconstruct counters from a trace; fails on anomalies
 //	repro -trace-diff A.trace B.trace  # first divergent record, if any
 //	repro -fault-seed 42               # seeded chaos hunt: fuzz, shrink, repro
 //	repro -fig ext-faults -cpuprofile cpu.prof -memprofile mem.prof  # where host time and heap went
@@ -138,11 +138,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return mode("trace-out", recordGolden(*traceOut, *traceJob, stderr))
 	case *replay != "":
 		// A recorded run's counters from its trace alone: no world is built.
+		// Unmatched sends are legal (a failed recording has them); records
+		// that break the credit rules are not.
 		tr, err := readTrace(*replay)
 		if err != nil {
 			return mode("replay", err)
 		}
-		trace.Replay(tr).Render(stdout)
+		s := trace.Replay(tr)
+		s.Render(stdout)
+		if s.Anomalies > 0 {
+			return mode("replay", fmt.Errorf("%d anomalies: records that break the credit rules", s.Anomalies))
+		}
 		return nil
 	case *traceDiff:
 		return diffTraces(fs.Args(), stdout)

@@ -84,6 +84,34 @@ func TestRunModes(t *testing.T) {
 	}
 }
 
+// TestReplayFailsOnAnomalies: a receive without its send is an anomaly, so
+// -replay prints the tables and fails; a send without its receive (a failed
+// recording) replays cleanly.
+func TestReplayFailsOnAnomalies(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, records string) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("cmpi-trace v1 ranks=2 cell=8192\n"+records), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	orphanRecv := write("orphan-recv.trace", "1000 recv 1 0 7 0 64 shm-eager 0\n")
+	out, err := repro(t, "-replay", orphanRecv)
+	if err == nil || !strings.Contains(err.Error(), "replay: 1 anomalies") {
+		t.Errorf("-replay of a receive without its send: error %v, want 1 anomaly", err)
+	}
+	if !strings.Contains(out, "anomalies") {
+		t.Errorf("-replay printed\n%s\nwant the anomaly count in the tables", out)
+	}
+
+	unmatched := write("unmatched-send.trace", "1000 send 0 1 7 0 64 shm-eager 0\n")
+	if out, err := repro(t, "-replay", unmatched); err != nil || !strings.Contains(out, "unmatched sends") {
+		t.Errorf("-replay of a send without its receive: error %v, output\n%s\nwant success and the unmatched count", err, out)
+	}
+}
+
 // TestRunRejectsBadInput: input run cannot act on is a named error, and the
 // ones main exits 2 on are usage errors.
 func TestRunRejectsBadInput(t *testing.T) {
