@@ -34,8 +34,7 @@ type World struct {
 	Opts Options
 	// Prof holds the mpiP-style profile when Opts.Profile is set.
 	Prof *profile.Profile
-	// credits books Prof's channel, fallback and Allreduce counters from
-	// the trace records the ranks build (Rank.trace).
+	// credits fills Prof's counters from the ranks' trace records.
 	credits trace.Credits
 
 	shm    *shmem.Registry
@@ -547,12 +546,9 @@ func (w *World) SimStats() profile.SimStats {
 
 // Digest is a SHA-256, in hex, over what a finished run simulated: each
 // rank's body start and finish times and its error, the per-rank profile when
-// Opts.Profile is on, and the engine's counters in SimStats. It leaves out
-// what says how the host ran the job: the pool counters BufPool and ObjPool
-// (how many host buffers and objects the run asked for, and which of them
-// earlier worlds or poolStrict served) and DepotRefused. A job has one digest
-// traced or not, on any depot, and a change that only removes a host copy
-// keeps it.
+// Opts.Profile is on, and the engine counters of SimStats — not the pool
+// counters or DepotRefused, which say how the host ran the job. A job has one
+// digest traced or not, on any depot.
 func (w *World) Digest() string {
 	h := sha256.New()
 	for i := range w.bodyStart {

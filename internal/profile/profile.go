@@ -13,11 +13,9 @@ import (
 
 // ChannelStats counts transfer operations and bytes per channel, in the
 // sense of the paper's Table I: one SHM ring-cell push, one process_vm_*
-// call, or one HCA work-request post is one operation. trace.Credits counts
-// them from trace records: a message's sender operations all when its send
-// starts, a CMA read when its receive completes. So the counts are exact for
-// a run that ends cleanly, and a run that fails mid-message counts the
-// fragments and posts its unfinished sends never made.
+// call, or one HCA work-request post is one operation. trace.Credits books a
+// message's sender operations when its send starts and a CMA read when its
+// receive completes, so a run that fails mid-message counts ones never made.
 type ChannelStats struct {
 	Ops   [3]uint64 // indexed by core.Channel
 	Bytes [3]uint64

@@ -4,6 +4,9 @@
 // internal/ib (retransmissions, QP breaks), plus a replayer that
 // reconstructs per-channel profile counters, message-size histograms, and
 // per-path latency from the trace alone — no rank goroutines, no world.
+// The channel-credit rules live here once, as the Credits fold: Replay runs
+// it over a decoded trace, and a profiled world runs it live on the records
+// its ranks build, so the profiler's Table I counters are a record consumer.
 //
 // Each layer adds its records to the recorder itself, the moment the event
 // that produces them runs. So records appear in dispatch order — the order

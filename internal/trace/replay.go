@@ -63,9 +63,8 @@ type Summary struct {
 	// UnmatchedSends counts send records with no matching receive (in-flight
 	// at the end of a failed or truncated recording).
 	UnmatchedSends int
-	// Anomalies counts records that violated the credit rules (Credits'
-	// anomalies) plus receives without a send — zero for any complete
-	// recording.
+	// Anomalies counts Credits' anomalies plus receives without a send —
+	// zero for any complete recording.
 	Anomalies int
 }
 
@@ -76,32 +75,20 @@ type sendKey struct {
 	seq      uint64
 }
 
-type pendingSend struct {
-	at   sim.Time
-	path PathCode
-}
-
-// Credits is the one implementation of the channel-credit rules: it folds
-// trace records, one at a time, into per-rank profile counters — channel
-// operations and bytes, SHM and CMA fallbacks, Allreduce algorithms. Replay
-// runs it over a decoded trace; a profiled world runs it on the records its
-// ranks build, as they build them. Add allocates nothing.
+// Credits is the one implementation of the channel-credit rules. It folds
+// trace records, one at a time and allocating nothing, into per-rank profile
+// counters; Replay runs it over a decoded trace, a profiled world on the
+// records its ranks build. The rules, in the sense of the paper's Table I:
 //
-// The rules, in the sense of the paper's Table I (profile.ChannelStats):
-//
-//   - a send record books the sender's operations for the whole message:
-//     self-delivery is one SHM copy; an SHM path one operation per ring cell
-//     the payload fills (an eager message always pushes at least its first
-//     packet); an HCA send one work-request post, eager or rendezvous;
-//   - a CMA rendezvous is one process_vm_readv booked on the receiver, at its
-//     recv record;
-//   - a shm-fallback record cancels the send's booking on its original path
-//     and books one HCA post instead; a cma-fallback books the sender's (the
-//     record's Peer's) SHM streaming fragments; each counts one fallback on
-//     the record's rank;
-//   - RMA records book one operation on the channel they carry;
-//   - a coll-algo record books one Allreduce call on its rank;
-//   - RTS/CTS, checkpoint and substrate fault records book nothing.
+//   - a send books the sender's operations for the whole message: one SHM
+//     copy for self-delivery, one per ring cell on an SHM path (at least one
+//     for eager), one HCA post on an HCA path;
+//   - a CMA rendezvous is one process_vm_readv, booked at the receiver's recv;
+//   - a shm-fallback cancels its send's booking and books one HCA post; a
+//     cma-fallback books the sender's (Peer's) SHM fragments; each counts one
+//     fallback on the record's rank;
+//   - an RMA access books one operation on its channel, a coll-algo record
+//     one Allreduce call; other records book nothing.
 type Credits struct {
 	// Cell is the SHM ring-cell payload in bytes (the trace header's Cell).
 	Cell int
@@ -134,24 +121,19 @@ func (c *Credits) Add(r *Record) {
 		}
 		c.book(r.Peer, core.ChannelSHM, c.frags(r.Bytes), r.Bytes, false)
 	case OpRMAPut, OpRMAGet:
-		// The raw channel codes ChanSHM, ChanCMA, ChanHCA follow
-		// core.Channel's order.
+		// ChanSHM, ChanCMA, ChanHCA follow core.Channel's order.
 		if r.Path < ChanSHM || r.Path > ChanHCA {
 			c.Anomalies++
-			return
+		} else {
+			c.book(r.Rank, core.Channel(r.Path-ChanSHM), 1, r.Bytes, false)
 		}
-		c.book(r.Rank, core.Channel(r.Path-ChanSHM), 1, r.Bytes, false)
 	case OpCollAlgo:
-		rp := c.rank(r.Rank)
-		if rp == nil {
-			return
-		}
 		if r.Aux >= uint64(core.NumAllreduceAlgos) {
 			c.Anomalies++
-			return
+		} else if rp := c.rank(r.Rank); rp != nil {
+			rp.Coll.Calls[r.Aux]++
+			rp.Coll.Bytes[r.Aux] += uint64(r.Bytes)
 		}
-		rp.Coll.Calls[r.Aux]++
-		rp.Coll.Bytes[r.Aux] += uint64(r.Bytes)
 	}
 }
 
@@ -218,7 +200,7 @@ func Replay(tr *Trace) *Summary {
 	}
 	prof := profile.New(tr.Ranks)
 	credits := Credits{Cell: tr.Cell, Ranks: prof.Ranks}
-	inflight := make(map[sendKey]pendingSend)
+	inflight := make(map[sendKey]sim.Time) // each unmatched send's time
 	for i := range tr.Records {
 		r := &tr.Records[i]
 		credits.Add(r)
@@ -240,19 +222,19 @@ func Replay(tr *Trace) *Summary {
 				}
 				p.Hist[b]++
 			}
-			inflight[sendKey{src: r.Rank, dst: r.Peer, seq: r.Aux}] = pendingSend{at: r.T, path: r.Path}
+			inflight[sendKey{src: r.Rank, dst: r.Peer, seq: r.Aux}] = r.T
 
 		case OpRecv:
 			key := sendKey{src: r.Peer, dst: r.Rank, seq: r.Aux}
-			snd, ok := inflight[key]
+			sent, ok := inflight[key]
 			if !ok {
 				s.Anomalies++
 				break
 			}
 			delete(inflight, key)
-			if r.Path >= 0 && int(r.Path) < pathCount && r.T >= snd.at {
+			if r.Path >= 0 && int(r.Path) < pathCount && r.T >= sent {
 				p := &s.PerPath[r.Path]
-				d := r.T - snd.at
+				d := r.T - sent
 				if p.LatCount == 0 || d < p.LatMin {
 					p.LatMin = d
 				}
