@@ -51,7 +51,7 @@ func TestComputeTime(t *testing.T) {
 	}
 }
 
-func TestChannelStatsMerge(t *testing.T) {
+func TestChannelStats(t *testing.T) {
 	cs := ChannelStats{Ops: [3]uint64{2, 1, 1}, Bytes: [3]uint64{150, 8192, 1024}}
 	other := ChannelStats{Ops: [3]uint64{0, 0, 1}, Bytes: [3]uint64{0, 0, 1}}
 	cs.Merge(&other)
