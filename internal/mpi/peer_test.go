@@ -34,18 +34,20 @@ func scaleDeployment(t *testing.T, n int) *cluster.Deployment {
 	return d
 }
 
-// TestStateSizes holds the bytes a world spends per rank, per named pair and
-// per message in flight: each ceiling is the size the struct has, a multiple
-// of its allocation class. A Rank, the one object above 512 bytes, also
-// carries the allocator's 8-byte header, so 1144 bytes fill the 1152-byte
-// class and 1152 would take 1280. A field that grows one of these shows here
-// before it shows in bytes per rank (TestFullFidelity4096) or in a
+// TestStateSizes holds the bytes a world spends on itself, per rank, per
+// named pair and per message in flight: each ceiling is the size the struct
+// has, a multiple of its allocation class. A World and a Rank, the objects
+// above 512 bytes, also carry the allocator's 8-byte header, so 888 bytes
+// fill the 896-byte class and 896 would take 1024, and 1144 bytes fill the
+// 1152-byte class and 1152 would take 1280. A field that grows one of these
+// shows here before it shows in bytes per rank (TestFullFidelity4096) or in a
 // benchmark's alloc_mb.
 func TestStateSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		size, max uintptr
 	}{
+		{"World", unsafe.Sizeof(World{}), 888},
 		{"Rank", unsafe.Sizeof(Rank{}), 1144},
 		{"peerRec", unsafe.Sizeof(peerRec{}), 48},
 		{"pairShared", unsafe.Sizeof(pairShared{}), 48},

@@ -463,7 +463,11 @@ func (r *Rank) trace(op trace.Op, path trace.PathCode, peer, tag, ctx, bytes int
 		Rank: r.rank, Peer: peer, Tag: tag, Ctx: ctx, Bytes: bytes, Aux: seq,
 	}
 	if r.prof != nil {
-		r.w.credits.Add(&t)
+		// The profile holds all the fold's state; a live run has no use for
+		// its anomaly count. (A World field for it would take World, with
+		// the allocator's 8-byte header, past the 896-byte size class.)
+		c := trace.Credits{Cell: r.w.Opts.Params.ShmCellPayload, Ranks: r.w.Prof.Ranks}
+		c.Add(&t)
 	}
 	if rec != nil {
 		rec.Add(t)

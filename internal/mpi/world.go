@@ -34,9 +34,6 @@ type World struct {
 	Opts Options
 	// Prof holds the mpiP-style profile when Opts.Profile is set.
 	Prof *profile.Profile
-	// credits fills Prof's counters from the ranks' trace records. A
-	// pointer, nil unless profiling, keeps World in the 896-byte size class.
-	credits *trace.Credits
 
 	shm    *shmem.Registry
 	fabric *ib.Fabric
@@ -158,7 +155,6 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	}
 	if opts.Profile {
 		w.Prof = profile.New(d.Size())
-		w.credits = &trace.Credits{Cell: opts.Params.ShmCellPayload, Ranks: w.Prof.Ranks}
 	}
 	if a, ok := ranksKind.Take(); ok && cap(a) >= d.Size() {
 		w.ranks = a[:d.Size()]
