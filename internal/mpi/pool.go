@@ -105,23 +105,26 @@ func (wp *worldPools) drain(dr *core.Drain) {
 }
 
 // AllocMem returns n bytes of message memory from the rank's pool
-// (MPI_Alloc_mem): for a body's send, receive and window buffers, and for the
-// library's own temporaries. The contents are undefined — the bytes of
-// whatever message, in this world or an earlier one of the process, held the
-// buffer last — so write or receive into it before reading. Only the rank's
-// own process may call it. Hand the memory back with FreeMem; what a body
-// never frees is the collector's.
+// (MPI_Alloc_mem): for a body's send, receive and window buffers, for the
+// library's own temporaries, and, viewed as typed arrays through AllocMemOf,
+// for an application kernel's working state. The contents are undefined —
+// the bytes of whatever message, in this world or an earlier one of the
+// process, held the buffer last — so write or receive into it before
+// reading. Only the rank's own process may call it. Hand the memory back
+// with FreeMem; what a body never frees is the collector's.
 func (r *Rank) AllocMem(n int) []byte { return r.pools.buf.Get(n) }
 
 // FreeMem retires memory from AllocMem (MPI_Free_mem) so that the library's
 // snapshots and staging, the body's next size point and the next world of the
 // process can have it. As in MPI, freeing a buffer that an incomplete request
 // or an open window still references is the caller's bug: the next owner's
-// bytes land in that transfer. Nil, a subslice and a slice some make built
-// are safe to pass (a pool takes only whole buffers of a class's exact
-// capacity, wherever they were born). Once any request of the rank has failed
-// the buffer is left to the GC instead: a failed rendezvous receive may still
-// have an RDMA write in flight toward it.
+// bytes land in that transfer. Pass what AllocMem returned (any length of it,
+// its capacity intact), or nil. A pool takes any buffer whose capacity is a
+// class's exact capacity, so a subslice can be taken for a whole buffer that
+// aliases another: b[576:] of a 1088-byte buffer has the capacity of a
+// 512-byte one. Once any request of the rank has failed the buffer is left to
+// the GC instead: a failed rendezvous receive may still have an RDMA write in
+// flight toward it.
 func (r *Rank) FreeMem(buf []byte) {
 	if !r.reqFailed {
 		r.pools.buf.Free(buf)

@@ -3,9 +3,11 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cmpi/internal/core"
 	"cmpi/internal/invariant"
@@ -333,5 +335,113 @@ func TestExchangeVMatchesTheHandRolledLoop(t *testing.T) {
 	}
 	if !bytes.Equal(got.Trace, want.Trace) {
 		t.Errorf("ExchangeV recorded %d trace bytes that differ from the hand-rolled loop's %d", len(got.Trace), len(want.Trace))
+	}
+}
+
+// AllocMemOf and FreeMemOf (usermem.go): typed views of AllocMem's buffers.
+
+// A typed view spans its whole class buffer, and FreeMemOf hands back that
+// very buffer: the next request of the class, typed or not, gets it.
+func TestTypedMemRoundTrip(t *testing.T) {
+	onRank0(t, func(r *Rank) {
+		f := AllocMemOf[float64](r, 100) // 800 bytes: the 1088-byte class
+		if len(f) != 100 || cap(f) != 1088/8 {
+			t.Errorf("AllocMemOf[float64](100): len %d cap %d, want 100 and %d", len(f), cap(f), 1088/8)
+		}
+		mem := unsafe.Pointer(&f[0])
+		FreeMemOf(r, f)
+		b := r.AllocMem(1000)
+		if unsafe.Pointer(&b[0]) != mem || cap(b) != 1088 {
+			t.Errorf("AllocMem after FreeMemOf: same memory %v, cap %d; want true, 1088", unsafe.Pointer(&b[0]) == mem, cap(b))
+		}
+		r.FreeMem(b)
+		u := AllocMemOf[uint32](r, 200)
+		if unsafe.Pointer(&u[0]) != mem || cap(u) != 1088/4 {
+			t.Errorf("AllocMemOf[uint32] after FreeMem: same memory %v, cap %d", unsafe.Pointer(&u[0]) == mem, cap(u))
+		}
+		FreeMemOf(r, u[:0]) // any length of it: the capacity is what counts
+		if again := AllocMemOf[int32](r, 250); unsafe.Pointer(&again[0]) != mem {
+			t.Error("FreeMemOf of an emptied view did not hand the buffer back")
+		}
+	})
+}
+
+// complex128 views are aligned for complex128 at every class, the depot's
+// large ones included, and span a whole number of elements.
+func TestTypedMemComplexAligned(t *testing.T) {
+	onRank0(t, func(r *Rank) {
+		for _, n := range []int{1, 3, 40, 100, 1 << 10, 5 << 16, 1 << 20} {
+			v := AllocMemOf[complex128](r, n)
+			if p := uintptr(unsafe.Pointer(&v[0])); p%unsafe.Alignof(v[0]) != 0 {
+				t.Errorf("AllocMemOf[complex128](%d) at %#x, not %d-aligned", n, p, unsafe.Alignof(v[0]))
+			}
+			if len(v) != n || cap(v) < n {
+				t.Errorf("AllocMemOf[complex128](%d): len %d cap %d", n, len(v), cap(v))
+			}
+			for i := range v {
+				v[i] = complex(float64(i), -float64(i))
+			}
+			if v[n-1] != complex(float64(n-1), -float64(n-1)) {
+				t.Errorf("AllocMemOf[complex128](%d): last element reads back %v", n, v[n-1])
+			}
+			FreeMemOf(r, v)
+		}
+	})
+}
+
+// Zero elements is nil, and nil is safe to free.
+func TestTypedMemZeroLength(t *testing.T) {
+	onRank0(t, func(r *Rank) {
+		if v := AllocMemOf[int64](r, 0); v != nil {
+			t.Errorf("AllocMemOf(0) = slice of cap %d, want nil", cap(v))
+		}
+		FreeMemOf[float64](r, nil)
+	})
+}
+
+// The view's contents are undefined like AllocMem's: under poolStrict, a
+// buffer an earlier world freed shows its poison through the view.
+func TestTypedMemShowsPoison(t *testing.T) {
+	strictPools(t)
+	const n = 4000 // 32000 bytes: the 32832-byte class, which the library's own traffic here never takes
+	onRank0(t, func(r *Rank) { FreeMemOf(r, AllocMemOf[uint64](r, n)) })
+	onRank0(t, func(r *Rank) {
+		before := r.pools.buf.Counters().Depot
+		v := AllocMemOf[uint64](r, n)
+		defer FreeMemOf(r, v)
+		if r.pools.buf.Counters().Depot != before+1 {
+			t.Fatal("the second world's buffer did not come from the depot")
+		}
+		for i, x := range v[:cap(v)] {
+			if x != 0xDBDBDBDBDBDBDBDB {
+				t.Fatalf("element %d of %d is %#x, want the depot's poison", i, cap(v), x)
+			}
+		}
+	})
+}
+
+// A generator from the free list restarts the stream its seed names, however
+// far its last user drew.
+func TestNewRandRestartsTheStream(t *testing.T) {
+	g := NewRand(1)
+	for range 1000 {
+		g.Int63()
+	}
+	g.Read(make([]byte, 5)) // leaves a partial read pending in the Rand
+	FreeRand(g)
+	for _, seed := range []int64{0, 42, -7} {
+		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		for i := range 700 {
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: %d from the free list, %d from NewSource", seed, i, a, b)
+			}
+		}
+		var a, b [7]byte
+		got.Read(a[:])
+		want.Read(b[:])
+		if a != b {
+			t.Errorf("seed %d: Read gives %x from the free list, %x from NewSource", seed, a, b)
+		}
+		FreeRand(got)
 	}
 }
