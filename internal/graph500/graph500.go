@@ -8,6 +8,12 @@
 // messages (MPI_Isend/Irecv/Test) plus one MPI_Allreduce per BFS level — is
 // exactly the pattern the paper profiles in Sec. III, where it exposes the
 // intra-host inter-container HCA bottleneck.
+//
+// A run borrows its state from its rank and hands it back when it returns:
+// batches from Rank.AllocMem, the CSR, parent, level and frontier arrays
+// from mpi.AllocMemOf, generators from mpi.NewRand. The BFS's lists are
+// sized once per run, so a warm process reruns it without allocating its
+// state again.
 package graph500
 
 import (
@@ -117,6 +123,23 @@ type bfsState struct {
 
 	parent []int64
 	level  []int32
+
+	// The BFS's working lists, sized once for every root: a level's
+	// vertices (cur) and the next's (frontier) hold at most ownedN each;
+	// outs, sent and sendReqs start with room for a batch to every peer.
+	cur, frontier []int64
+	outs, sent    [][]byte
+	sendReqs      []*mpi.Request
+}
+
+// free hands the state's arrays back to the rank's pool.
+func (s *bfsState) free() {
+	mpi.FreeMemOf(s.r, s.adjOff)
+	mpi.FreeMemOf(s.r, s.adjVal)
+	mpi.FreeMemOf(s.r, s.parent)
+	mpi.FreeMemOf(s.r, s.level)
+	mpi.FreeMemOf(s.r, s.cur)
+	mpi.FreeMemOf(s.r, s.frontier)
 }
 
 func (s *bfsState) owner(v int64) int { return int(v / s.perRank) }
@@ -137,12 +160,17 @@ func run(r *mpi.Rank, p Params) (Result, error) {
 		s.ownedN = 0
 	}
 
+	defer s.free()
 	if err := s.buildGraph(); err != nil {
 		return Result{}, err
 	}
+	s.cur, s.frontier = mpi.AllocMemOf[int64](r, int(s.ownedN)), mpi.AllocMemOf[int64](r, int(s.ownedN))
+	s.outs = make([][]byte, size)
+	s.sent, s.sendReqs = make([][]byte, 0, size), make([]*mpi.Request, 0, 2*size)
 
 	res := Result{NVertices: n, NEdges: int64(p.EdgeFactor) * n}
-	rng := rand.New(rand.NewSource(p.Seed ^ 0x9E3779B9))
+	rng := mpi.NewRand(p.Seed ^ 0x9E3779B9)
+	defer mpi.FreeRand(rng)
 	var totalScanned int64
 	var totalVisited int64
 	for root := 0; root < p.Roots; root++ {
@@ -217,7 +245,7 @@ func (s *bfsState) buildGraph() error {
 	}
 	var myEdges int64
 	nChunks := (totalEdges + chunkEdges - 1) / chunkEdges
-	rng := rand.New(rand.NewSource(0)) // reseeded per chunk
+	rng := mpi.NewRand(0) // reseeded per chunk
 	for chunk := int64(r.Rank()); chunk < nChunks; chunk += int64(size) {
 		rng.Seed(s.p.Seed + chunk*1_000_003)
 		start, end := chunk*chunkEdges, (chunk+1)*chunkEdges
@@ -234,12 +262,16 @@ func (s *bfsState) buildGraph() error {
 		}
 		myEdges += end - start
 	}
+	mpi.FreeRand(rng)
 	r.Compute(genEdgeCost * float64(myEdges))
 
 	ins := r.ExchangeV(outs, 1)
 
-	// Degree count, prefix sum, fill.
-	deg := make([]int64, s.ownedN)
+	// Degree count, prefix sum, fill; deg counts the fill once the offsets
+	// are summed.
+	deg := mpi.AllocMemOf[int64](r, int(s.ownedN))
+	defer mpi.FreeMemOf(r, deg)
+	clear(deg)
 	forEachEdge := func(fn func(from, to int64)) {
 		for _, buf := range ins {
 			for off := 0; off+8 <= len(buf); off += 8 {
@@ -258,12 +290,14 @@ func (s *bfsState) buildGraph() error {
 		deg[li]++
 		localEdges++
 	})
-	s.adjOff = make([]int64, s.ownedN+1)
+	s.adjOff = mpi.AllocMemOf[int64](r, int(s.ownedN)+1)
+	s.adjOff[0] = 0
 	for i := int64(0); i < s.ownedN; i++ {
 		s.adjOff[i+1] = s.adjOff[i] + deg[i]
 	}
-	s.adjVal = make([]uint32, localEdges)
-	fill := make([]int64, s.ownedN)
+	s.adjVal = mpi.AllocMemOf[uint32](r, int(localEdges))
+	fill := deg
+	clear(fill)
 	forEachEdge(func(from, to int64) {
 		li := from - s.base
 		s.adjVal[s.adjOff[li]+fill[li]] = uint32(to)
@@ -274,8 +308,8 @@ func (s *bfsState) buildGraph() error {
 	}
 	r.Compute(0.5 * float64(localEdges))
 
-	s.parent = make([]int64, s.ownedN)
-	s.level = make([]int32, s.ownedN)
+	s.parent = mpi.AllocMemOf[int64](r, int(s.ownedN)) // bfs sets both first
+	s.level = mpi.AllocMemOf[int32](r, int(s.ownedN))
 	return nil
 }
 
@@ -315,7 +349,7 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 		s.parent[i] = -1
 		s.level[i] = -1
 	}
-	var frontier []int64
+	frontier, cur := s.frontier[:0], s.cur[:0]
 	if s.owner(root) == r.Rank() {
 		li := root - s.base
 		s.parent[li] = root
@@ -325,10 +359,9 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 	}
 
 	batchCap := s.p.CoalesceBytes / 8 * 8 // pairs of uint32, 8 bytes each
-	outs := make([][]byte, size)          // each destination's batch, from AllocMem
-	var sent [][]byte                     // this level's batches, freed once sent
-	var sendReqs []*mpi.Request
-	var cur []int64
+	outs := s.outs                        // each destination's batch, from AllocMem
+	sent := s.sent[:0]                    // this level's batches, freed once sent
+	sendReqs := s.sendReqs[:0]
 	for level := int32(0); ; level++ {
 		flush := func(d int) {
 			if len(outs[d]) == 0 {
@@ -419,6 +452,7 @@ func (s *bfsState) bfs(root int64) (scanned, visited int64, levels int32) {
 		sendReqs, sent = sendReqs[:0], sent[:0]
 		total := r.AllreduceInt64(int64(len(frontier)), mpi.SumInt64)
 		if total == 0 {
+			s.sent, s.sendReqs = sent, sendReqs // kept, with any growth, for the next root
 			return scanned, visited, level + 1
 		}
 	}

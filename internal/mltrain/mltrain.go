@@ -6,6 +6,11 @@
 // push/pull traffic. ML training is the workload container HPC clouds are
 // built for ("Evaluation of Docker Containers for Scientific Workloads in
 // the Cloud").
+//
+// Gradients and parameter-server buffers come from Rank.AllocMem, zeroed,
+// and go back when the job ends, so a repeated job reuses them. Layers past
+// the pool's largest class (16 MiB + 64 bytes) still come from the
+// allocator every time.
 package mltrain
 
 import (
@@ -110,10 +115,8 @@ func DataParallel(w *mpi.World, cfg Config) (Report, error) {
 	var tm stepTimer
 	err := w.Run(func(r *mpi.Rank) error {
 		n := r.Size()
-		grads := make([][]byte, len(cfg.Layers))
-		for i, sz := range cfg.Layers {
-			grads[i] = make([]byte, sz)
-		}
+		grads := layerBufs(r, cfg.Layers)
+		defer freeAll(r, grads)
 		step := func(verify bool) error {
 			// Forward + backward pass produces this step's gradients.
 			r.Compute(cfg.ComputeUnits)
@@ -181,11 +184,10 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 			return fmt.Errorf("mltrain: parameter server needs >= 2 ranks, got %d", n)
 		}
 		server := r.Rank() == 0
-		bufs := make([][]byte, len(cfg.Layers))
-		for i, sz := range cfg.Layers {
-			bufs[i] = make([]byte, sz)
-		}
+		bufs := layerBufs(r, cfg.Layers)
+		defer freeAll(r, bufs)
 		var inbox [][]byte // server-side per-worker landing buffers
+		var reqs []*mpi.Request
 		if server {
 			maxLayer := 0
 			for _, sz := range cfg.Layers {
@@ -196,15 +198,16 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 			inbox = make([][]byte, n-1)
 			for i := range inbox {
 				inbox[i] = r.AllocMem(maxLayer)
-				defer r.FreeMem(inbox[i])
 			}
+			defer freeAll(r, inbox)
+			reqs = make([]*mpi.Request, 0, n-1)
 		}
 		step := func() {
 			if server {
 				// The server overlaps receives across workers per layer,
 				// reduces, updates, and pushes parameters back.
 				for i := len(bufs) - 1; i >= 0; i-- {
-					reqs := make([]*mpi.Request, 0, n-1)
+					reqs = reqs[:0]
 					for src := 1; src < n; src++ {
 						reqs = append(reqs, r.Irecv(src, pushTag+i, inbox[src-1][:len(bufs[i])]))
 					}
@@ -216,7 +219,7 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 				}
 				r.Compute(cfg.OptimizerUnits)
 				for i := range bufs {
-					reqs := make([]*mpi.Request, 0, n-1)
+					reqs = reqs[:0]
 					for dst := 1; dst < n; dst++ {
 						reqs = append(reqs, r.Isend(dst, pullTag+i, bufs[i]))
 					}
@@ -246,6 +249,25 @@ func ParameterServer(w *mpi.World, cfg Config) (Report, error) {
 		return nil
 	})
 	return Report{StepMicros: tm.worst, BytesPerStep: cfg.bytesPerStep()}, err
+}
+
+// layerBufs returns one buffer per layer from the rank's pool, zeroed: a
+// step writes only a gradient's first value, and the exchange reduces the
+// whole buffer.
+func layerBufs(r *mpi.Rank, layers []int) [][]byte {
+	bufs := make([][]byte, len(layers))
+	for i, sz := range layers {
+		bufs[i] = r.AllocMem(sz)
+		clear(bufs[i])
+	}
+	return bufs
+}
+
+// freeAll hands every buffer back to the rank's pool.
+func freeAll(r *mpi.Rank, bufs [][]byte) {
+	for _, b := range bufs {
+		r.FreeMem(b)
+	}
 }
 
 // gradSeed is the deterministic per-(rank, layer) gradient value the

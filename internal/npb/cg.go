@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cmpi/internal/mpi"
 )
@@ -52,10 +51,6 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		// generated per-row (rank-count independent), D makes A diagonally
 		// dominant. Entries are exchanged so each rank holds full rows of
 		// its block.
-		type ent struct {
-			col int
-			val float64
-		}
 		outs := make([][]byte, size)
 		push := func(row, col int, val float64) {
 			var e [16]byte
@@ -65,7 +60,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 			d := owner(row)
 			outs[d] = r.AppendMem(outs[d], e[:]...)
 		}
-		rng := rand.New(rand.NewSource(0)) // reseeded per row
+		rng := mpi.NewRand(0) // reseeded per row
 		for row := base; row < base+ownedN; row++ {
 			rng.Seed(seed + int64(row))
 			for k := 0; k < nzHalf && row > 0; k++ {
@@ -75,44 +70,73 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 				push(col, row, val)
 			}
 		}
+		mpi.FreeRand(rng)
 		r.Compute(float64(ownedN * nzHalf * 4))
 
 		ins := r.ExchangeV(outs, 2)
 
-		// Count each row's entries, carve the rows from one array, then fill
-		// them in arrival order (every sum below adds in that order).
-		rowLen := make([]int, ownedN)
+		// Rows in CSR form: row li's entries are cols/vals[off[li]:off[li+1]],
+		// filled in arrival order (every sum below adds in that order). The
+		// counts go in off[li+1] and sum to each row's start; the fill
+		// advances off[li] to its row's end, and one shift puts the starts
+		// back.
+		off := mpi.AllocMemOf[int](r, ownedN+1)
+		defer mpi.FreeMemOf(r, off)
+		clear(off)
 		var nnz int
 		for _, buf := range ins {
-			for off := 0; off+16 <= len(buf); off += 16 {
-				rowLen[int(binary.LittleEndian.Uint32(buf[off:]))-base]++
+			for o := 0; o+16 <= len(buf); o += 16 {
+				off[int(binary.LittleEndian.Uint32(buf[o:]))-base+1]++
 				nnz++
 			}
 		}
-		rows, all := make([][]ent, ownedN), make([]ent, nnz)
-		for li, n := range rowLen {
-			rows[li], all = all[:0:n], all[n:]
+		for li := 0; li < ownedN; li++ {
+			off[li+1] += off[li]
 		}
-		diag := make([]float64, ownedN)
+		cols, vals := mpi.AllocMemOf[int32](r, nnz), mpi.AllocMemOf[float64](r, nnz)
+		defer mpi.FreeMemOf(r, cols)
+		defer mpi.FreeMemOf(r, vals)
+		diag := mpi.AllocMemOf[float64](r, ownedN)
+		defer mpi.FreeMemOf(r, diag)
+		clear(diag)
 		for _, buf := range ins {
-			for off := 0; off+16 <= len(buf); off += 16 {
-				row := int(binary.LittleEndian.Uint32(buf[off:]))
-				col := int(binary.LittleEndian.Uint32(buf[off+4:]))
-				val := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
-				li := row - base
-				rows[li] = append(rows[li], ent{col: col, val: val})
+			for o := 0; o+16 <= len(buf); o += 16 {
+				li := int(binary.LittleEndian.Uint32(buf[o:])) - base
+				val := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+8:]))
+				k := off[li]
+				cols[k], vals[k] = int32(binary.LittleEndian.Uint32(buf[o+4:])), val
+				off[li]++
 				diag[li] += val
 			}
 			r.FreeMem(buf)
 		}
+		if ownedN > 0 {
+			copy(off[1:], off[:ownedN])
+			off[0] = 0
+		}
 		for i := range diag {
 			diag[i] += 1.0 // strict dominance => positive definite
 		}
+		// rowTimes is row i of A times the vector x, allgathered as x[col]
+		// at xAll[8*col:]; xi is x[base+i].
+		rowTimes := func(i int, xi float64, xAll []byte) float64 {
+			s := diag[i] * xi
+			for k := off[i]; k < off[i+1]; k++ {
+				s += float64(vals[k] * math.Float64frombits(binary.LittleEndian.Uint64(xAll[8*int(cols[k]):])))
+			}
+			return s
+		}
 
 		// --- CG solve of A z = b with b = ones.
-		z := make([]float64, ownedN)
-		res := make([]float64, ownedN) // residual
-		p := make([]float64, ownedN)
+		z := mpi.AllocMemOf[float64](r, ownedN)
+		res := mpi.AllocMemOf[float64](r, ownedN) // residual
+		p := mpi.AllocMemOf[float64](r, ownedN)
+		q := mpi.AllocMemOf[float64](r, ownedN)
+		defer mpi.FreeMemOf(r, z)
+		defer mpi.FreeMemOf(r, res)
+		defer mpi.FreeMemOf(r, p)
+		defer mpi.FreeMemOf(r, q)
+		clear(z)
 		for i := range res {
 			res[i] = 1.0
 			p[i] = 1.0
@@ -130,7 +154,6 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		pAll, pMine := r.AllocMem(8*perRank*size), r.AllocMem(8*perRank)
 		defer r.FreeMem(pAll)
 		defer r.FreeMem(pMine)
-		q := make([]float64, ownedN)
 		flops := 0.0
 		for iter := 0; iter < niter; iter++ {
 			// q = A p: allgather p, then local SpMV.
@@ -138,15 +161,8 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 				binary.LittleEndian.PutUint64(pMine[8*i:], math.Float64bits(p[i]))
 			}
 			r.Allgather(pMine, pAll)
-			pGlobal := func(col int) float64 {
-				return math.Float64frombits(binary.LittleEndian.Uint64(pAll[8*col:]))
-			}
 			for i := 0; i < ownedN; i++ {
-				s := diag[i] * p[i]
-				for _, e := range rows[i] {
-					s += float64(e.val * pGlobal(e.col))
-				}
-				q[i] = s
+				q[i] = rowTimes(i, p[i], pAll)
 			}
 			work := float64(2*nnz + 2*ownedN)
 			r.Compute(work)
@@ -175,16 +191,9 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 			binary.LittleEndian.PutUint64(pMine[8*i:], math.Float64bits(z[i]))
 		}
 		r.Allgather(pMine, pAll)
-		zGlobal := func(col int) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(pAll[8*col:]))
-		}
 		var direct float64
 		for i := 0; i < ownedN; i++ {
-			s := diag[i] * z[i]
-			for _, e := range rows[i] {
-				s += float64(e.val * zGlobal(e.col))
-			}
-			d := 1.0 - s
+			d := 1.0 - rowTimes(i, z[i], pAll)
 			direct += float64(d * d)
 		}
 		direct = r.AllreduceFloat64(direct, mpi.SumFloat64)

@@ -3,7 +3,6 @@ package npb
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cmpi/internal/mpi"
 )
@@ -42,7 +41,7 @@ func RunEP(w *mpi.World, class Class) (Result, error) {
 		bins := make([]int64, 10)
 		var sx, sy float64
 		var accepted, mine int64
-		rng := rand.New(rand.NewSource(0)) // reseeded per chunk
+		rng := mpi.NewRand(0) // reseeded per chunk
 		for ck := int64(r.Rank()); ck < nChunks; ck += size {
 			rng.Seed(seed + ck)
 			start, end := ck*chunk, (ck+1)*chunk
@@ -70,6 +69,7 @@ func RunEP(w *mpi.World, class Class) (Result, error) {
 			}
 			mine += end - start
 		}
+		mpi.FreeRand(rng)
 		// ~15 floating point ops per candidate pair.
 		r.Compute(15 * float64(mine))
 

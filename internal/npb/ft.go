@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"cmpi/internal/mpi"
 )
@@ -96,15 +95,18 @@ func RunFT(w *mpi.World, class Class) (Result, error) {
 		base := r.Rank() * rowsPer
 
 		// Initial state: deterministic pseudo-random complex grid.
-		grid := make([]complex128, rowsPer*n)
-		rng := rand.New(rand.NewSource(0)) // reseeded per row
+		grid, initial := mpi.AllocMemOf[complex128](r, rowsPer*n), mpi.AllocMemOf[complex128](r, rowsPer*n)
+		defer mpi.FreeMemOf(r, grid)
+		defer mpi.FreeMemOf(r, initial)
+		rng := mpi.NewRand(0) // reseeded per row
 		for lr := 0; lr < rowsPer; lr++ {
 			rng.Seed(seed + int64(base+lr))
 			for c := 0; c < n; c++ {
 				grid[lr*n+c] = complex(float64(rng.Float64())-0.5, float64(rng.Float64())-0.5)
 			}
 		}
-		initial := append([]complex128(nil), grid...)
+		mpi.FreeRand(rng)
+		copy(initial, grid)
 		energy := func(g []complex128) float64 {
 			var s float64
 			for _, v := range g {

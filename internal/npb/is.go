@@ -3,8 +3,7 @@ package npb
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 
 	"cmpi/internal/mpi"
 )
@@ -43,7 +42,7 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 		nChunks := (total + chunk - 1) / chunk
 		outs := make([][]byte, size)
 		var mine int64
-		rng := rand.New(rand.NewSource(0)) // reseeded per chunk
+		rng := mpi.NewRand(0) // reseeded per chunk
 		for ck := int64(r.Rank()); ck < nChunks; ck += size {
 			rng.Seed(seed + ck)
 			start, end := ck*chunk, (ck+1)*chunk
@@ -59,6 +58,7 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 			}
 			mine += end - start
 		}
+		mpi.FreeRand(rng)
 		r.Compute(3 * float64(mine))
 
 		ins := r.ExchangeV(outs, 3)
@@ -66,14 +66,15 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 		for _, buf := range ins {
 			n += len(buf) / 4
 		}
-		keys := make([]int32, 0, n)
+		keys := mpi.AllocMemOf[int32](r, n)[:0]
+		defer mpi.FreeMemOf(r, keys)
 		for _, buf := range ins {
 			for off := 0; off+4 <= len(buf); off += 4 {
 				keys = append(keys, int32(binary.LittleEndian.Uint32(buf[off:])))
 			}
 			r.FreeMem(buf)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		nk := float64(len(keys))
 		if nk > 0 {
 			r.Compute(2 * nk * log2(nk))

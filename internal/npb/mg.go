@@ -56,16 +56,28 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		for ln := n; len(levels) < 4 && ln >= 2*size && ln%size == 0 && ln%2 == 0; ln /= 2 {
 			h := 1.0 / float64(ln+1)
 			lv := &mgLevel{n: ln, rows: ln / size, h2: h * h}
+			// Each grid is one zeroed array from the rank's pool, its rows
+			// (halos included) carved from it; row 0 keeps the whole
+			// array's capacity, so it is what FreeMemOf is given.
 			alloc := func() [][]float64 {
+				flat := mpi.AllocMemOf[float64](r, (lv.rows+2)*ln)
+				clear(flat)
 				g := make([][]float64, lv.rows+2)
 				for i := range g {
-					g[i] = make([]float64, ln)
+					g[i] = flat[i*ln : (i+1)*ln]
 				}
 				return g
 			}
 			lv.u, lv.rhs, lv.res = alloc(), alloc(), alloc()
 			levels = append(levels, lv)
 		}
+		defer func() {
+			for _, lv := range levels {
+				mpi.FreeMemOf(r, lv.u[0])
+				mpi.FreeMemOf(r, lv.rhs[0])
+				mpi.FreeMemOf(r, lv.res[0])
+			}
+		}()
 		if len(levels) < 2 {
 			return false, 0, fmt.Errorf("npb MG: grid %d too small for %d ranks", n, size)
 		}

@@ -13,6 +13,12 @@
 // through the perf model. Problem sizes are scaled down from the official
 // NPB classes to stay tractable inside a discrete-event simulation; the
 // communication patterns and their relative volumes are preserved.
+//
+// A kernel borrows all its working memory from its rank: messages from
+// Rank.AllocMem, typed arrays from mpi.AllocMemOf (cleared where a value is
+// read before it is written), generators from mpi.NewRand, all handed back
+// when the kernel returns. So a warm process reruns a kernel without
+// allocating its state again.
 package npb
 
 import (
