@@ -247,8 +247,9 @@ type (
 )
 
 // NewTraceRecorder returns a recorder that streams the versioned trace to w
-// as records are emitted; hand it to Options.Record. Recording changes no
-// simulated result and writes byte-identical traces from run to run.
+// as records are emitted, keeping none (nil w: it keeps them all, for its
+// Trace method); hand it to Options.Record. Recording changes no simulated
+// result and writes byte-identical traces from run to run.
 func NewTraceRecorder(w io.Writer) *TraceRecorder { return trace.NewRecorder(w) }
 
 // ReadTrace decodes a recorded trace.

@@ -165,10 +165,11 @@ func Read(rd io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// Recorder collects structured records from one traced world. It always
-// retains the records in memory (Trace) and, when built over a writer, also
-// streams the v1 encoding as records arrive — so a long recording needs no
-// final serialization pass. A Recorder is single-shot: one world, one Begin.
+// Recorder collects structured records from one traced world. Built over a
+// writer, it streams the v1 encoding as records arrive and keeps none of
+// them, so a long recording needs no final serialization pass and holds no
+// memory per record; built over nil, it retains the records in memory
+// (Trace). A Recorder is single-shot: one world, one Begin.
 type Recorder struct {
 	w     io.Writer
 	buf   []byte
@@ -194,10 +195,13 @@ func (rec *Recorder) Begin(ranks, cell int) {
 	}
 }
 
-// Add appends one record.
+// Add streams one record to the writer, or retains it when there is none.
 func (rec *Recorder) Add(r Record) {
-	rec.tr.Records = append(rec.tr.Records, r)
-	if rec.w != nil && rec.err == nil {
+	if rec.w == nil {
+		rec.tr.Records = append(rec.tr.Records, r)
+		return
+	}
+	if rec.err == nil {
 		rec.buf = appendRecord(rec.buf[:0], r)
 		_, err := rec.w.Write(rec.buf)
 		rec.fail(err)
@@ -214,4 +218,6 @@ func (rec *Recorder) fail(err error) {
 func (rec *Recorder) Err() error { return rec.err }
 
 // Trace returns the retained trace (valid after the recorded run finishes).
+// A recorder that streams to a writer retains only the header: read the
+// records back from what it wrote (Read).
 func (rec *Recorder) Trace() *Trace { return &rec.tr }

@@ -55,17 +55,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// A recorder over a writer streams the bytes Write would write and keeps
+// only the header; one over nil retains every record.
 func TestRecorderStreamsSameBytesAsWrite(t *testing.T) {
 	tr := sample()
+	record := func(w io.Writer) *Recorder {
+		rec := NewRecorder(w)
+		rec.Begin(tr.Ranks, tr.Cell)
+		for _, r := range tr.Records {
+			rec.Add(r)
+		}
+		if err := rec.Err(); err != nil {
+			t.Fatalf("Recorder: %v", err)
+		}
+		return rec
+	}
 	var streamed bytes.Buffer
-	rec := NewRecorder(&streamed)
-	rec.Begin(tr.Ranks, tr.Cell)
-	for _, r := range tr.Records {
-		rec.Add(r)
-	}
-	if err := rec.Err(); err != nil {
-		t.Fatalf("Recorder: %v", err)
-	}
+	rec := record(&streamed)
 	var whole bytes.Buffer
 	if err := tr.Write(&whole); err != nil {
 		t.Fatalf("Write: %v", err)
@@ -73,8 +79,26 @@ func TestRecorderStreamsSameBytesAsWrite(t *testing.T) {
 	if !bytes.Equal(streamed.Bytes(), whole.Bytes()) {
 		t.Fatalf("streamed encoding differs from batch encoding")
 	}
-	if d := Diff(rec.Trace(), tr); d != "" {
+	if got := rec.Trace(); got.Ranks != tr.Ranks || got.Cell != tr.Cell || len(got.Records) != 0 {
+		t.Errorf("streaming recorder kept ranks=%d cell=%d and %d records, want the header alone", got.Ranks, got.Cell, len(got.Records))
+	}
+	if d := Diff(record(nil).Trace(), tr); d != "" {
 		t.Fatalf("retained trace diverged:\n%s", d)
+	}
+}
+
+// Streaming a record allocates nothing: the line is built in the recorder's
+// one buffer, and nothing is retained.
+func TestRecorderStreamingAllocatesNothing(t *testing.T) {
+	rec := NewRecorder(io.Discard)
+	rec.Begin(4, 8192)
+	recs := sample().Records
+	if a := testing.AllocsPerRun(100, func() {
+		for _, r := range recs {
+			rec.Add(r)
+		}
+	}); a != 0 {
+		t.Errorf("streaming %d records allocated %.1f times, want 0", len(recs), a)
 	}
 }
 
