@@ -126,7 +126,8 @@ type bfsState struct {
 
 	// The BFS's working lists, sized once for every root: a level's
 	// vertices (cur) and the next's (frontier) hold at most ownedN each;
-	// outs, sent and sendReqs start with room for a batch to every peer.
+	// outs, sent and sendReqs start with room for a batch, and sendReqs
+	// for an end marker too, to every peer.
 	cur, frontier []int64
 	outs, sent    [][]byte
 	sendReqs      []*mpi.Request
