@@ -127,7 +127,8 @@ type bfsState struct {
 	// The BFS's working lists, sized once for every root: a level's
 	// vertices (cur) and the next's (frontier) hold at most ownedN each;
 	// outs, sent and sendReqs start with room for a batch, and sendReqs
-	// for an end marker too, to every peer.
+	// for an end marker too, to every peer, and come from the process's
+	// free lists (NewBlocks, NewRequests), which keep what they grew to.
 	cur, frontier []int64
 	outs, sent    [][]byte
 	sendReqs      []*mpi.Request
@@ -141,6 +142,9 @@ func (s *bfsState) free() {
 	mpi.FreeMemOf(s.r, s.level)
 	mpi.FreeMemOf(s.r, s.cur)
 	mpi.FreeMemOf(s.r, s.frontier)
+	mpi.FreeBlocks(s.outs)
+	mpi.FreeBlocks(s.sent)
+	mpi.FreeRequests(s.sendReqs)
 }
 
 func (s *bfsState) owner(v int64) int { return int(v / s.perRank) }
@@ -166,8 +170,7 @@ func run(r *mpi.Rank, p Params) (Result, error) {
 		return Result{}, err
 	}
 	s.cur, s.frontier = mpi.AllocMemOf[int64](r, int(s.ownedN)), mpi.AllocMemOf[int64](r, int(s.ownedN))
-	s.outs = make([][]byte, size)
-	s.sent, s.sendReqs = make([][]byte, 0, size), make([]*mpi.Request, 0, 2*size)
+	s.outs, s.sent, s.sendReqs = mpi.NewBlocks(int(size)), mpi.NewBlocks(int(size))[:0], mpi.NewRequests(2*int(size))
 
 	res := Result{NVertices: n, NEdges: int64(p.EdgeFactor) * n}
 	rng := mpi.NewRand(p.Seed ^ 0x9E3779B9)
@@ -237,12 +240,13 @@ func (s *bfsState) buildGraph() error {
 	// ranks round-robin, so the edge set — and thus every graph-derived
 	// result — is identical for any rank count.
 	const chunkEdges = 16384
-	outs := make([][]byte, size)
+	blocks := mpi.NewBlocks(size)
+	defer mpi.FreeBlocks(blocks)
 	add := func(dst int, from, to int64) {
 		var e [8]byte
 		binary.LittleEndian.PutUint32(e[0:], uint32(from))
 		binary.LittleEndian.PutUint32(e[4:], uint32(to))
-		outs[dst] = r.AppendMem(outs[dst], e[:]...)
+		blocks[dst] = r.AppendMem(blocks[dst], e[:]...)
 	}
 	var myEdges int64
 	nChunks := (totalEdges + chunkEdges - 1) / chunkEdges
@@ -266,7 +270,7 @@ func (s *bfsState) buildGraph() error {
 	mpi.FreeRand(rng)
 	r.Compute(genEdgeCost * float64(myEdges))
 
-	ins := r.ExchangeV(outs, 1)
+	r.ExchangeV(blocks, 1)
 
 	// Degree count, prefix sum, fill; deg counts the fill once the offsets
 	// are summed.
@@ -274,7 +278,7 @@ func (s *bfsState) buildGraph() error {
 	defer mpi.FreeMemOf(r, deg)
 	clear(deg)
 	forEachEdge := func(fn func(from, to int64)) {
-		for _, buf := range ins {
+		for _, buf := range blocks {
 			for off := 0; off+8 <= len(buf); off += 8 {
 				from := int64(binary.LittleEndian.Uint32(buf[off:]))
 				to := int64(binary.LittleEndian.Uint32(buf[off+4:]))
@@ -304,7 +308,7 @@ func (s *bfsState) buildGraph() error {
 		s.adjVal[s.adjOff[li]+fill[li]] = uint32(to)
 		fill[li]++
 	})
-	for _, buf := range ins {
+	for _, buf := range blocks {
 		r.FreeMem(buf)
 	}
 	r.Compute(0.5 * float64(localEdges))

@@ -250,7 +250,8 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 	tag := r.nextCollTag()
 	// partial accumulates the full contribution of ranks [rank-2^k+1, rank]
 	// for forwarding; buf accumulates the prefix result.
-	partial := append([]byte(nil), buf...)
+	partial := r.AllocMem(len(buf))
+	copy(partial, buf)
 	tmp := r.AllocMem(len(buf))
 	defer r.FreeMem(tmp)
 	for mask := 1; mask < r.size; mask <<= 1 {
@@ -268,16 +269,19 @@ func (r *Rank) Scan(buf []byte, op ReduceOp) {
 			// partial must also absorb the received contribution before the
 			// next forwarding round; make a fresh copy so the in-flight send
 			// buffer is never mutated.
-			next := append([]byte(nil), partial...)
+			next := r.AllocMem(len(buf))
+			copy(next, partial)
 			op(next, tmp)
 			if sq != nil {
 				r.wait(sq)
 			}
+			r.FreeMem(partial)
 			partial = next
 		} else if sq != nil {
 			r.wait(sq)
 		}
 	}
+	r.FreeMem(partial)
 }
 
 // sendrecvInternal is one exchange step of a collective over g: group

@@ -114,7 +114,7 @@ func (r *Rank) gatherv(g group, root int, l layout, mine, out []byte) {
 	}
 	r.fits("Gather: out", out, l.at(g.n))
 	copy(l.blocks(out, root, root+1), mine)
-	reqs := make([]*Request, 0, g.n-1)
+	reqs := NewRequests(g.n - 1)
 	for i := 0; i < g.n; i++ {
 		if b := l.blocks(out, i, i+1); i != root && len(b) > 0 {
 			reqs = append(reqs, r.irecvCtx(g.world(i), tag, g.ctx, b))
@@ -123,6 +123,7 @@ func (r *Rank) gatherv(g group, root int, l layout, mine, out []byte) {
 	for _, rq := range reqs {
 		r.wait(rq)
 	}
+	FreeRequests(reqs)
 }
 
 // scatterv hands every member its block of root's all (linear); mine
@@ -137,7 +138,7 @@ func (r *Rank) scatterv(g group, root int, l layout, all, mine []byte) {
 		return
 	}
 	r.fits("Scatter: all", all, l.at(g.n))
-	reqs := make([]*Request, 0, g.n-1)
+	reqs := NewRequests(g.n - 1)
 	for i := 0; i < g.n; i++ {
 		if b := l.blocks(all, i, i+1); i != root && len(b) > 0 {
 			reqs = append(reqs, r.isendCtx(g.world(i), tag, g.ctx, b, false))
@@ -147,6 +148,7 @@ func (r *Rank) scatterv(g group, root int, l layout, all, mine []byte) {
 	for _, rq := range reqs {
 		r.wait(rq)
 	}
+	FreeRequests(reqs)
 }
 
 // Gatherv collects variably-sized contributions into root. counts[i] is the

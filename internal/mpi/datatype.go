@@ -287,16 +287,21 @@ func DecodeInt64s(b []byte) []int64 {
 
 // AllreduceFloat64 reduces one float64 across the world.
 func (r *Rank) AllreduceFloat64(v float64, op ReduceOp) float64 {
-	var w [8]byte
-	le.PutUint64(w[:], math.Float64bits(v))
-	r.Allreduce(w[:], op)
-	return math.Float64frombits(le.Uint64(w[:]))
+	return math.Float64frombits(r.allreduceWord(math.Float64bits(v), op))
 }
 
 // AllreduceInt64 reduces one int64 across the world.
 func (r *Rank) AllreduceInt64(v int64, op ReduceOp) int64 {
-	var w [8]byte
-	le.PutUint64(w[:], uint64(v))
-	r.Allreduce(w[:], op)
-	return int64(le.Uint64(w[:]))
+	return int64(r.allreduceWord(uint64(v), op))
+}
+
+// allreduceWord reduces one 8-byte word, held in AllocMem's memory: a word
+// on the stack would escape into Allreduce.
+func (r *Rank) allreduceWord(v uint64, op ReduceOp) uint64 {
+	w := r.AllocMem(8)
+	le.PutUint64(w, v)
+	r.Allreduce(w, op)
+	v = le.Uint64(w)
+	r.FreeMem(w)
+	return v
 }

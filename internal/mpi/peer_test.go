@@ -98,6 +98,32 @@ func TestPeerTableFindsEveryRecord(t *testing.T) {
 	}
 }
 
+// A table whose first index came with room to spare, as an array an earlier
+// world's table left in the depot does, grows in place up to that room: the
+// same array, rehashed, with every record found after each growth. Past the
+// room it moves to an array of the next size.
+func TestPeerTableGrowsInPlace(t *testing.T) {
+	var tab peerTable
+	tab.idx = make([]*peerRec, 16, 128) // as takeLen hands out a depot array
+	room := unsafe.SliceData(tab.idx)
+	recs := make([]peerRec, 113)
+	for n := range recs {
+		recs[n].rank = int32(4095 - 64*n%4096 - n/64)
+		tab.add(&recs[n])
+		if n < 112 && unsafe.SliceData(tab.idx) != room {
+			t.Fatalf("after %d adds the index of %d slots moved to another array", n+1, len(tab.idx))
+		}
+		for i := range recs[:n+1] {
+			if pr := tab.find(int(recs[i].rank)); pr != &recs[i] {
+				t.Fatalf("after %d adds: find(%d) = %v", n+1, recs[i].rank, pr)
+			}
+		}
+	}
+	if len(tab.idx) != 256 || unsafe.SliceData(tab.idx) == room {
+		t.Fatalf("113 records in an index of %d slots on the first array", len(tab.idx))
+	}
+}
+
 // pairCount is the number of pair records a world holds: those its ranks'
 // peer records share, each counted at its lower rank or, where that rank
 // never named the pair, at the higher. A world that ends cleanly hands its

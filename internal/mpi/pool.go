@@ -76,15 +76,15 @@ import "cmpi/internal/core"
 //
 // A world that ended cleanly hands on its connection state too
 // (World.recycle): pairs with their rings, peer records with their send
-// queues, each rank's peer index and ring list, the fabric's devices, CQs,
-// QPs and QP extensions, and last the ranks themselves, whose counters the
-// world keeps (rankTotals). Each kind is built in one place, which takes
-// from the depot before it allocates: NewWorld, Rank.peer, newIndex,
-// ringFor, enqueueOp, and ib's OpenDeviceWith, CreateCQ, CreateQP and
-// QP.more. A ring or a QP extension keeps the arrays of its queues and
-// direction lists, cleared, and a rank those of its queues. A failed world
-// hands on nothing of this, since an operation that never finished may
-// still name it.
+// queues, each rank's peer index and ring list, the detector's segments, the
+// fabric's devices, CQs, QPs and QP extensions, and last the ranks
+// themselves, whose counters the world keeps (rankTotals). Each kind is built
+// in one place, which takes from the depot before it allocates: NewWorld,
+// Rank.peer, peerTable.add, ringFor, enqueueOp, and ib's OpenDeviceWith,
+// CreateCQ, CreateQP and QP.more. A ring or a QP extension keeps the arrays
+// of its queues and direction lists, cleared, and a rank those of its
+// queues. A failed world hands on nothing of this, since an operation that
+// never finished may still name it.
 
 // worldPools is the per-Rank recycling state (the rank's home lists).
 type worldPools struct {
@@ -145,43 +145,43 @@ func (r *Rank) AppendMem(buf []byte, data ...byte) []byte {
 	return append(buf, data...)
 }
 
-// ExchangeV sends blocks[d] to every rank d and returns in, where in[s] is
-// what rank s sent this one (MPI_Alltoallv with the counts exchanged first).
-// The byte counts go in one Alltoall; then, peer by peer in rank order, a
-// receive is posted for a non-zero count and a send for a non-empty block,
-// all on tag. Every block but the caller's own is freed once sent, so pass
-// memory from AllocMem or AppendMem. in[me] is blocks[me]; every in[s] is the
-// caller's to FreeMem.
-func (r *Rank) ExchangeV(blocks [][]byte, tag int) [][]byte {
+// ExchangeV sends blocks[d] to every rank d and puts in its place what rank
+// d sent this one (MPI_Alltoallv with the counts exchanged first): the
+// exchange is in place, and blocks[me] stays as it is. The byte counts go in
+// one Alltoall; then, peer by peer in rank order, a receive is posted for a
+// non-zero count and a send for a non-empty block, all on tag. Every block
+// but the caller's own is freed once sent, so pass memory from AllocMem or
+// AppendMem; every block it leaves is the caller's to FreeMem.
+func (r *Rank) ExchangeV(blocks [][]byte, tag int) {
 	counts, inCounts := r.AllocMem(8*r.size), r.AllocMem(8*r.size)
 	for d, b := range blocks {
 		le.PutUint64(counts[8*d:], uint64(len(b)))
 	}
 	r.Alltoall(counts, inCounts, 8)
-	in := make([][]byte, r.size)
-	reqs := make([]*Request, 0, 2*r.size)
-	for peer := range in {
+	reqs := NewRequests(2 * r.size)
+	for peer, out := range blocks {
 		if peer == r.rank {
-			in[peer] = blocks[peer]
 			continue
 		}
-		if in[peer] = r.AllocMem(int(le.Uint64(inCounts[8*peer:]))); len(in[peer]) > 0 {
-			reqs = append(reqs, r.Irecv(peer, tag, in[peer]))
+		if blocks[peer] = r.AllocMem(int(le.Uint64(inCounts[8*peer:]))); len(blocks[peer]) > 0 {
+			reqs = append(reqs, r.Irecv(peer, tag, blocks[peer]))
 		}
-		if len(blocks[peer]) > 0 {
-			reqs = append(reqs, r.Isend(peer, tag, blocks[peer]))
+		if len(out) > 0 {
+			reqs = append(reqs, r.Isend(peer, tag, out))
+		} else {
+			r.FreeMem(out)
 		}
 	}
 	r.WaitAll(reqs...)
-	r.Release(reqs...)
-	for d, b := range blocks {
-		if d != r.rank {
-			r.FreeMem(b)
+	for _, q := range reqs {
+		if q.isSend {
+			r.FreeMem(q.sbuf)
 		}
 	}
+	r.Release(reqs...)
+	FreeRequests(reqs)
 	r.FreeMem(counts)
 	r.FreeMem(inCounts)
-	return in
 }
 
 // getReq returns a zeroed Request from the pool.

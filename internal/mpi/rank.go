@@ -153,7 +153,8 @@ func (t *peerTable) lookup(peer int) *peerRec {
 }
 
 // add lists a new record, growing the index to keep it at most seven eighths
-// full.
+// full: in place while its array has room, as one from an earlier world's
+// table has until the table outgrows that one's.
 func (t *peerTable) add(pr *peerRec) {
 	if t.tail == nil {
 		t.first = pr
@@ -166,19 +167,15 @@ func (t *peerTable) add(pr *peerRec) {
 		t.place(pr)
 		return
 	}
-	t.idx = newIndex(max(16, 2*len(t.idx)))
+	if n := max(16, 2*len(t.idx)); n <= cap(t.idx) {
+		t.idx = t.idx[:n]
+		clear(t.idx)
+	} else {
+		t.idx = takeLen(indexKind, n)
+	}
 	for x := t.first; x != nil; x = x.next {
 		t.place(x)
 	}
-}
-
-// newIndex returns an empty index of n slots: on an array an earlier world's
-// table left in the depot when that one is long enough, else a new one.
-func newIndex(n int) []*peerRec {
-	if a, ok := indexKind.Take(); ok && cap(a) >= n {
-		return a[:n]
-	}
-	return make([]*peerRec, n)
 }
 
 // place enters pr into the index.

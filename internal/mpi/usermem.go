@@ -1,9 +1,13 @@
 package mpi
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"unsafe"
+
+	"cmpi/internal/core"
 )
 
 // Elem is what typed message memory may hold: fixed-size kinds without
@@ -81,3 +85,88 @@ func FreeRand(g *rand.Rand) {
 	}
 	rands.mu.Unlock()
 }
+
+// lists is a process-wide free list of arrays of E, for the lists of
+// pointers that typed message memory cannot hold: an application's blocks
+// for ExchangeV, and request handles. free[c] holds arrays of capacity at
+// least 1<<c, so any of them serves a request for up to 1<<c entries. It is
+// guarded as rands is and for the same reasons; bytes bounds what it keeps.
+type lists[E any] struct {
+	mu    sync.Mutex
+	free  [bits.UintSize][][]E
+	bytes int
+}
+
+// maxListBytes bounds what each kind of list keeps. It covers the worlds the
+// benchmark and the paper's figures repeat, not the largest: Graph 500 on
+// 1024 ranks holds three block lists of 24 KB a rank, 72 MB in all.
+const maxListBytes = 8 << 20
+
+var (
+	blockLists lists[[]byte]
+	reqLists   lists[*Request]
+)
+
+// get returns an array of n zero entries: the newest of the smallest class
+// that serves n and has one, so that an array a caller grew past its class
+// serves the next caller.
+func (l *lists[E]) get(n int) []E {
+	if n <= 0 {
+		return nil
+	}
+	c := bits.Len(uint(n - 1))
+	l.mu.Lock()
+	for k := c; k < len(l.free); k++ {
+		if f := l.free[k]; len(f) > 0 {
+			a := f[len(f)-1]
+			f[len(f)-1] = nil
+			l.free[k] = f[:len(f)-1]
+			l.bytes -= cap(a) * int(unsafe.Sizeof(a[0]))
+			l.mu.Unlock()
+			return a[:n]
+		}
+	}
+	l.mu.Unlock()
+	return make([]E, n, 1<<c)
+}
+
+// put clears a's array and lists it, unless that would pass maxListBytes.
+// Under poolStrict it panics on an array it lists already.
+func (l *lists[E]) put(a []E) {
+	if cap(a) == 0 {
+		return
+	}
+	a = a[:cap(a)]
+	clear(a)
+	c, size := bits.Len(uint(len(a)))-1, len(a)*int(unsafe.Sizeof(a[0]))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if core.PoolStrict() {
+		for _, b := range l.free[c] {
+			if &b[:1][0] == &a[0] {
+				panic(fmt.Sprintf("mpi: a list of %d %T was freed twice", len(a), a[0]))
+			}
+		}
+	}
+	if l.bytes+size <= maxListBytes {
+		l.free[c] = append(l.free[c], a[:0])
+		l.bytes += size
+	}
+}
+
+// NewBlocks returns n empty blocks, for the per-destination lists an
+// application builds for ExchangeV, from the process's free lists. Hand the
+// list back with FreeBlocks once its blocks are freed.
+func NewBlocks(n int) [][]byte { return blockLists.get(n) }
+
+// FreeBlocks lists b, at any length, for the next NewBlocks, in this world
+// or a later one. It keeps no block alive; the caller must not use b again.
+func FreeBlocks(b [][]byte) { blockLists.put(b) }
+
+// NewRequests returns an empty list with room for n request handles, from
+// the process's free lists. Hand it back with FreeRequests.
+func NewRequests(n int) []*Request { return reqLists.get(n)[:0] }
+
+// FreeRequests lists q, at any length, for the next NewRequests. It keeps no
+// handle alive; the caller must not use q again.
+func FreeRequests(q []*Request) { reqLists.put(q) }

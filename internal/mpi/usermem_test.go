@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -267,9 +268,8 @@ func exchangeBlock(src, dst int) []byte {
 }
 
 // exchangeOracle is the loop Graph 500, IS and CG each carried before
-// ExchangeV, making the memory calls ExchangeV makes (World.Digest counts
-// pool requests).
-func exchangeOracle(r *Rank, blocks [][]byte, tag int) [][]byte {
+// ExchangeV, with what it received copied into blocks at the end.
+func exchangeOracle(r *Rank, blocks [][]byte, tag int) {
 	counts, inCounts := r.AllocMem(8*r.Size()), r.AllocMem(8*r.Size())
 	for d, b := range blocks {
 		le.PutUint64(counts[8*d:], uint64(len(b)))
@@ -299,7 +299,7 @@ func exchangeOracle(r *Rank, blocks [][]byte, tag int) [][]byte {
 	}
 	r.FreeMem(counts)
 	r.FreeMem(inCounts)
-	return in
+	copy(blocks, in)
 }
 
 // ExchangeV delivers every block, hands the caller's own back as it is, and
@@ -307,14 +307,15 @@ func exchangeOracle(r *Rank, blocks [][]byte, tag int) [][]byte {
 // same trace, for empty, uneven, rendezvous-size and self blocks.
 func TestExchangeVMatchesTheHandRolledLoop(t *testing.T) {
 	const ranks, tag = 6, 5
-	run := func(exchange func(*Rank, [][]byte, int) [][]byte) invariant.Run {
+	run := func(exchange func(*Rank, [][]byte, int)) invariant.Run {
 		return row(scenario("2cont", ranks), DefaultOptions(), blocking(func(r *Rank) error {
 			blocks := make([][]byte, r.Size())
 			for d := range blocks {
 				blocks[d] = r.AppendMem(nil, exchangeBlock(r.Rank(), d)...)
 			}
 			self := blocks[r.Rank()]
-			in := exchange(r, blocks, tag)
+			exchange(r, blocks, tag)
+			in := blocks
 			for s, got := range in {
 				if want := exchangeBlock(s, r.Rank()); !bytes.Equal(got, want) {
 					return fmt.Errorf("rank %d: %d bytes from %d, want %d", r.Rank(), len(got), s, len(want))
@@ -336,6 +337,113 @@ func TestExchangeVMatchesTheHandRolledLoop(t *testing.T) {
 	if !bytes.Equal(got.Trace, want.Trace) {
 		t.Errorf("ExchangeV recorded %d trace bytes that differ from the hand-rolled loop's %d", len(got.Trace), len(want.Trace))
 	}
+}
+
+// ExchangeV is in place: blocks[me] is still the caller's own block, every
+// other entry is the block that peer sent, and each is pool memory that
+// FreeMem takes back (the next AllocMem of its size is that very memory).
+// Under poolStrict, where a block freed twice, or freed by ExchangeV and
+// handed back too, trips the depot and the world's drain.
+func TestExchangeVInPlace(t *testing.T) {
+	strictPools(t)
+	const ranks, tag = 6, 5
+	w := testWorld(t, "2cont", ranks, DefaultOptions())
+	err := w.Run(func(r *Rank) error {
+		blocks := NewBlocks(r.Size())
+		defer FreeBlocks(blocks)
+		for d := range blocks {
+			blocks[d] = r.AppendMem(nil, exchangeBlock(r.Rank(), d)...)
+		}
+		self := blocks[r.Rank()]
+		r.ExchangeV(blocks, tag)
+		for s, got := range blocks {
+			if want := exchangeBlock(s, r.Rank()); !bytes.Equal(got, want) {
+				return fmt.Errorf("rank %d: blocks[%d] has %d bytes, want the %d rank %d sent", r.Rank(), s, len(got), len(want), s)
+			}
+			if s == r.Rank() && (len(got) != len(self) || len(got) > 0 && &got[0] != &self[0]) {
+				return fmt.Errorf("rank %d: its own block was not kept", r.Rank())
+			}
+			r.FreeMem(got)
+			if len(got) == 0 {
+				continue
+			}
+			if again := r.AllocMem(len(got)); &again[0] != &got[0] {
+				return fmt.Errorf("rank %d: the block from %d did not go back to the pool", r.Rank(), s)
+			} else {
+				r.FreeMem(again)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NewBlocks and NewRequests hand out cleared lists with room for what was
+// asked, FreeBlocks takes back a list of any capacity, as one that append
+// grew past its class, and the next list of a size it serves is that one;
+// under poolStrict a list freed twice panics.
+func TestNewBlocksReusesFreedLists(t *testing.T) {
+	strictPools(t)
+	if b := NewBlocks(5); len(b) != 5 || cap(b) < 5 {
+		t.Fatalf("NewBlocks(5): length %d, capacity %d", len(b), cap(b))
+	} else {
+		FreeBlocks(b)
+	}
+	b := make([][]byte, 45)
+	b[0] = []byte{1}
+	FreeBlocks(b)
+	again := NewBlocks(32)
+	if &again[:1][0] != &b[0] {
+		t.Error("NewBlocks(32) did not take the grown list FreeBlocks listed")
+	}
+	for i, x := range again[:cap(again)] {
+		if x != nil {
+			t.Fatalf("entry %d of a list from the free list is %v, not cleared", i, x)
+		}
+	}
+	FreeBlocks(again)
+	if q := NewRequests(7); len(q) != 0 || cap(q) < 7 {
+		t.Errorf("NewRequests(7): length %d, capacity %d", len(q), cap(q))
+	} else {
+		FreeRequests(q)
+		defer func() {
+			if recover() == nil {
+				t.Error("a request list freed twice did not panic under poolStrict")
+			}
+			NewRequests(7) // the one FreeRequests listed
+		}()
+		FreeRequests(q)
+	}
+}
+
+// Worlds that run side by side (repro -j) share the free lists: a list is
+// never handed to two holders at once, whatever the goroutines interleave.
+func TestNewBlocksFromManyGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mark := []byte{byte(g)}
+			for i := 0; i < 500; i++ {
+				b := NewBlocks(1 + (g+i)%40)
+				for j := range b {
+					b[j] = mark
+				}
+				runtime.Gosched()
+				for j := range b {
+					if &b[j][0] != &mark[0] {
+						t.Errorf("goroutine %d: entry %d of its list was written by another holder", g, j)
+						return
+					}
+				}
+				FreeBlocks(b)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // AllocMemOf and FreeMemOf (usermem.go): typed views of AllocMem's buffers.

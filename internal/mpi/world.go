@@ -131,6 +131,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		shrinks:    make(map[int]*shrinkSync),
 	}
 	w.detSeg = core.LocalitySegmentPrefix + w.jobID
+	w.shm.SetStore(func(n int) []byte { return takeLen(segmentKind, n) })
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
 		return nil, err
@@ -156,11 +157,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	if opts.Profile {
 		w.Prof = profile.New(d.Size())
 	}
-	if a, ok := ranksKind.Take(); ok && cap(a) >= d.Size() {
-		w.ranks = a[:d.Size()]
-	} else {
-		w.ranks = make([]*Rank, d.Size())
-	}
+	w.ranks = takeLen(ranksKind, d.Size())
 	for i := range w.ranks {
 		w.ranks[i] = newRank(w, i)
 	}
@@ -200,11 +197,7 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 	}
 	w.Eng.Grow(len(w.ranks))
 	names := rankNames(len(w.ranks))
-	if a, ok := machinesKind.Take(); ok && cap(a) >= len(w.ranks) {
-		w.machines = a[:len(w.ranks)]
-	} else {
-		w.machines = make([]rankMachine, len(w.ranks))
-	}
+	w.machines = takeLen(machinesKind, len(w.ranks))
 	for _, r := range w.ranks {
 		m := &w.machines[r.rank]
 		*m = rankMachine{w: w, r: r, prog: mk(r.rank)}
@@ -383,12 +376,13 @@ func totalsOf(ranks []*Rank) rankTotals {
 // recycle hands what a world that ended cleanly built to the depot, once
 // drainPools has emptied the lists inside it: each pair with its ring, each
 // rank's peer records with their send queues, the index over them and the
-// list of its rings, the fabric's devices, CQs and QPs (ib.Fabric.Recycle),
+// list of its rings, the bytes of the shared segments (the detector's
+// container lists), the fabric's devices, CQs and QPs (ib.Fabric.Recycle),
 // and last the ranks themselves, zeroed but for the arrays of their queues,
 // the array that listed them and that of their lifecycles. The next world's
-// constructors take them back (NewWorld, World.run, Rank.peer, newIndex,
-// ringFor, enqueueOp). The world keeps no rank: drain took their totals
-// first.
+// constructors take them back (NewWorld, World.run, Rank.peer,
+// peerTable.add, ringFor, enqueueOp). The world keeps no rank: drain took
+// their totals first.
 func (w *World) recycle(dr *core.Drain) {
 	for _, r := range w.ranks {
 		for pr := r.peers.first; pr != nil; {
@@ -417,6 +411,7 @@ func (w *World) recycle(dr *core.Drain) {
 			localPairsKind.Give(dr, core.Cleared(r.localPairs))
 		}
 	}
+	w.shm.Release(func(b []byte) { segmentKind.Give(dr, core.Cleared(b)) })
 	w.fabric.Recycle(dr)
 	for _, r := range w.ranks {
 		*r = Rank{
@@ -444,8 +439,18 @@ var (
 	queuesKind     = core.NewKind[*peerQueues]()
 	indexKind      = core.NewKind[[]*peerRec]()
 	localPairsKind = core.NewKind[[]*pairShared]()
+	segmentKind    = core.NewKind[[]byte]()
 	engineKind     = core.NewKind[*sim.Arrays]()
 )
+
+// takeLen returns n zero entries: on an array of kind k that an earlier world
+// left in the depot when that one is long enough, else a new one.
+func takeLen[E any](k core.Kind[[]E], n int) []E {
+	if a, ok := k.Take(); ok && cap(a) >= n {
+		return a[:n]
+	}
+	return make([]E, n)
+}
 
 // newEngine returns an engine on the arrays the last engine to end handed to
 // the depot, when it holds any.

@@ -51,14 +51,15 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		// generated per-row (rank-count independent), D makes A diagonally
 		// dominant. Entries are exchanged so each rank holds full rows of
 		// its block.
-		outs := make([][]byte, size)
+		blocks := mpi.NewBlocks(size)
+		defer mpi.FreeBlocks(blocks)
 		push := func(row, col int, val float64) {
 			var e [16]byte
 			binary.LittleEndian.PutUint32(e[0:], uint32(row))
 			binary.LittleEndian.PutUint32(e[4:], uint32(col))
 			binary.LittleEndian.PutUint64(e[8:], math.Float64bits(val))
 			d := owner(row)
-			outs[d] = r.AppendMem(outs[d], e[:]...)
+			blocks[d] = r.AppendMem(blocks[d], e[:]...)
 		}
 		rng := mpi.NewRand(0) // reseeded per row
 		for row := base; row < base+ownedN; row++ {
@@ -73,7 +74,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		mpi.FreeRand(rng)
 		r.Compute(float64(ownedN * nzHalf * 4))
 
-		ins := r.ExchangeV(outs, 2)
+		r.ExchangeV(blocks, 2)
 
 		// Rows in CSR form: row li's entries are cols/vals[off[li]:off[li+1]],
 		// filled in arrival order (every sum below adds in that order). The
@@ -84,7 +85,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		defer mpi.FreeMemOf(r, off)
 		clear(off)
 		var nnz int
-		for _, buf := range ins {
+		for _, buf := range blocks {
 			for o := 0; o+16 <= len(buf); o += 16 {
 				off[int(binary.LittleEndian.Uint32(buf[o:]))-base+1]++
 				nnz++
@@ -99,7 +100,7 @@ func RunCG(w *mpi.World, class Class) (Result, error) {
 		diag := mpi.AllocMemOf[float64](r, ownedN)
 		defer mpi.FreeMemOf(r, diag)
 		clear(diag)
-		for _, buf := range ins {
+		for _, buf := range blocks {
 			for o := 0; o+16 <= len(buf); o += 16 {
 				li := int(binary.LittleEndian.Uint32(buf[o:])) - base
 				val := math.Float64frombits(binary.LittleEndian.Uint64(buf[o+8:]))

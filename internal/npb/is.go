@@ -40,7 +40,8 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 		// Generate keys, chunked for rank-count independence.
 		const chunk = 1 << 12
 		nChunks := (total + chunk - 1) / chunk
-		outs := make([][]byte, size)
+		blocks := mpi.NewBlocks(int(size))
+		defer mpi.FreeBlocks(blocks)
 		var mine int64
 		rng := mpi.NewRand(0) // reseeded per chunk
 		for ck := int64(r.Rank()); ck < nChunks; ck += size {
@@ -54,21 +55,21 @@ func RunIS(w *mpi.World, class Class) (Result, error) {
 				d := k / bucketWidth
 				var e [4]byte
 				binary.LittleEndian.PutUint32(e[:], uint32(k))
-				outs[d] = r.AppendMem(outs[d], e[:]...)
+				blocks[d] = r.AppendMem(blocks[d], e[:]...)
 			}
 			mine += end - start
 		}
 		mpi.FreeRand(rng)
 		r.Compute(3 * float64(mine))
 
-		ins := r.ExchangeV(outs, 3)
+		r.ExchangeV(blocks, 3)
 		n := 0
-		for _, buf := range ins {
+		for _, buf := range blocks {
 			n += len(buf) / 4
 		}
 		keys := mpi.AllocMemOf[int32](r, n)[:0]
 		defer mpi.FreeMemOf(r, keys)
-		for _, buf := range ins {
+		for _, buf := range blocks {
 			for off := 0; off+4 <= len(buf); off += 4 {
 				keys = append(keys, int32(binary.LittleEndian.Uint32(buf[off:])))
 			}

@@ -24,13 +24,26 @@ func mgSize(c Class) (int, int, error) {
 }
 
 // mgLevel is one grid level's distributed state: a row stripe with halos.
+// Each grid is one array of rows+2 rows of n, halos included, from the
+// rank's pool: element (i, j) is at i*n+j.
 type mgLevel struct {
 	n    int     // global edge
 	rows int     // interior rows owned
 	h2   float64 // grid spacing squared (h = 1/(n+1))
-	u    [][]float64
-	rhs  [][]float64
-	res  [][]float64
+	u    []float64
+	rhs  []float64
+	res  []float64
+}
+
+// row is row i of one of the level's grids.
+func (lv *mgLevel) row(g []float64, i int) []float64 { return g[i*lv.n : (i+1)*lv.n] }
+
+// at is element (i, j) of one of the level's grids, zero past its side edges.
+func (lv *mgLevel) at(g []float64, i, j int) float64 {
+	if j < 0 || j >= lv.n {
+		return 0
+	}
+	return g[i*lv.n+j]
 }
 
 // RunMG runs a simplified 2D multigrid Poisson solver: V-cycles of Jacobi
@@ -52,20 +65,14 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		// offset by half a fine cell per level (exact alignment needs
 		// 2^k-1 grids), and the accumulated drift destabilizes V-cycles
 		// deeper than ~4 levels.
-		var levels []*mgLevel
+		var store [4]mgLevel
+		levels := store[:0]
 		for ln := n; len(levels) < 4 && ln >= 2*size && ln%size == 0 && ln%2 == 0; ln /= 2 {
 			h := 1.0 / float64(ln+1)
-			lv := &mgLevel{n: ln, rows: ln / size, h2: h * h}
-			// Each grid is one zeroed array from the rank's pool, its rows
-			// (halos included) carved from it; row 0 keeps the whole
-			// array's capacity, so it is what FreeMemOf is given.
-			alloc := func() [][]float64 {
-				flat := mpi.AllocMemOf[float64](r, (lv.rows+2)*ln)
-				clear(flat)
-				g := make([][]float64, lv.rows+2)
-				for i := range g {
-					g[i] = flat[i*ln : (i+1)*ln]
-				}
+			lv := mgLevel{n: ln, rows: ln / size, h2: h * h}
+			alloc := func() []float64 {
+				g := mpi.AllocMemOf[float64](r, (lv.rows+2)*ln)
+				clear(g)
 				return g
 			}
 			lv.u, lv.rhs, lv.res = alloc(), alloc(), alloc()
@@ -73,9 +80,9 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		}
 		defer func() {
 			for _, lv := range levels {
-				mpi.FreeMemOf(r, lv.u[0])
-				mpi.FreeMemOf(r, lv.rhs[0])
-				mpi.FreeMemOf(r, lv.res[0])
+				mpi.FreeMemOf(r, lv.u)
+				mpi.FreeMemOf(r, lv.rhs)
+				mpi.FreeMemOf(r, lv.res)
 			}
 		}()
 		if len(levels) < 2 {
@@ -83,11 +90,11 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		}
 
 		// RHS: a few point charges, deterministic and rank-count invariant.
-		fine := levels[0]
+		fine := &levels[0]
 		base := r.Rank() * fine.rows
 		for _, pt := range [][2]int{{n / 4, n / 4}, {n / 2, 3 * n / 4}, {3 * n / 4, n / 8}} {
 			if pt[0] >= base && pt[0] < base+fine.rows {
-				fine.rhs[pt[0]-base+1][pt[1]] = 1.0
+				fine.row(fine.rhs, pt[0]-base+1)[pt[1]] = 1.0
 			}
 		}
 
@@ -100,32 +107,22 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 		out, in := r.AllocMem(8 * n)[:0], r.AllocMem(8*n)
 		defer r.FreeMem(out)
 		defer r.FreeMem(in)
-		exchangeHalo := func(lv *mgLevel, g [][]float64, tag int) {
+		exchangeHalo := func(lv *mgLevel, g []float64, tag int) {
 			in := in[:8*lv.n]
 			if up >= 0 {
-				out = mpi.AppendFloat64s(out[:0], g[1])
+				out = mpi.AppendFloat64s(out[:0], lv.row(g, 1))
 				r.Sendrecv(up, tag, out, up, tag+1, in)
-				mpi.DecodeFloat64sInto(g[0][:0], in)
+				mpi.DecodeFloat64sInto(lv.row(g, 0)[:0], in)
 			} else {
-				for j := range g[0] {
-					g[0][j] = 0 // Dirichlet wall
-				}
+				clear(lv.row(g, 0)) // Dirichlet wall
 			}
 			if down < size {
-				out = mpi.AppendFloat64s(out[:0], g[lv.rows])
+				out = mpi.AppendFloat64s(out[:0], lv.row(g, lv.rows))
 				r.Sendrecv(down, tag+1, out, down, tag, in)
-				mpi.DecodeFloat64sInto(g[lv.rows+1][:0], in)
+				mpi.DecodeFloat64sInto(lv.row(g, lv.rows+1)[:0], in)
 			} else {
-				for j := range g[lv.rows+1] {
-					g[lv.rows+1][j] = 0
-				}
+				clear(lv.row(g, lv.rows+1))
 			}
-		}
-		at := func(g [][]float64, i, j, ln int) float64 {
-			if j < 0 || j >= ln {
-				return 0
-			}
-			return g[i][j]
 		}
 		smooth := func(lv *mgLevel, sweeps int) {
 			// Weighted Jacobi (omega = 0.8): plain Jacobi leaves the
@@ -135,9 +132,9 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 				exchangeHalo(lv, lv.u, 20)
 				for i := 1; i <= lv.rows; i++ {
 					for j := 0; j < lv.n; j++ {
-						jac := 0.25 * (at(lv.u, i-1, j, lv.n) + at(lv.u, i+1, j, lv.n) +
-							at(lv.u, i, j-1, lv.n) + at(lv.u, i, j+1, lv.n) + float64(lv.h2*lv.rhs[i][j]))
-						lv.res[i][j] = float64((1-omega)*lv.u[i][j]) + float64(omega*jac)
+						jac := 0.25 * (lv.at(lv.u, i-1, j) + lv.at(lv.u, i+1, j) +
+							lv.at(lv.u, i, j-1) + lv.at(lv.u, i, j+1) + float64(lv.h2*lv.rhs[i*lv.n+j]))
+						lv.res[i*lv.n+j] = float64((1-omega)*lv.u[i*lv.n+j]) + float64(omega*jac)
 					}
 				}
 				lv.u, lv.res = lv.res, lv.u
@@ -150,9 +147,9 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 			exchangeHalo(lv, lv.u, 24)
 			for i := 1; i <= lv.rows; i++ {
 				for j := 0; j < lv.n; j++ {
-					lap := at(lv.u, i-1, j, lv.n) + at(lv.u, i+1, j, lv.n) +
-						at(lv.u, i, j-1, lv.n) + at(lv.u, i, j+1, lv.n) - float64(4*lv.u[i][j])
-					lv.res[i][j] = lv.rhs[i][j] + lap/lv.h2
+					lap := lv.at(lv.u, i-1, j) + lv.at(lv.u, i+1, j) +
+						lv.at(lv.u, i, j-1) + lv.at(lv.u, i, j+1) - float64(4*lv.u[i*lv.n+j])
+					lv.res[i*lv.n+j] = lv.rhs[i*lv.n+j] + lap/lv.h2
 				}
 			}
 			work := float64(float64(lv.rows*lv.n) * 1.5)
@@ -163,7 +160,7 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 			var s float64
 			for i := 1; i <= lv.rows; i++ {
 				for j := 0; j < lv.n; j++ {
-					s += float64(lv.res[i][j] * lv.res[i][j])
+					s += float64(lv.res[i*lv.n+j] * lv.res[i*lv.n+j])
 				}
 			}
 			return math.Sqrt(r.AllreduceFloat64(s, mpi.SumFloat64))
@@ -171,7 +168,7 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 
 		var vcycle func(level int)
 		vcycle = func(level int) {
-			lv := levels[level]
+			lv := &levels[level]
 			if level == len(levels)-1 {
 				smooth(lv, 8) // coarsest: relax hard
 				return
@@ -179,21 +176,21 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 			smooth(lv, 2)
 			residual(lv)
 			// Full-weighting restriction of the residual to the next level.
-			crs := levels[level+1]
+			crs := &levels[level+1]
 			exchangeHalo(lv, lv.res, 28)
 			for i := 1; i <= crs.rows; i++ {
 				fi := 2*i - 1 // fine interior row index for coarse row i
 				for j := 0; j < crs.n; j++ {
 					fj := 2 * j
-					fw := float64(0.25*lv.res[fi][fj]) +
-						float64(0.125*(at(lv.res, fi-1, fj, lv.n)+at(lv.res, fi+1, fj, lv.n)+
-							at(lv.res, fi, fj-1, lv.n)+at(lv.res, fi, fj+1, lv.n))) +
-						float64(0.0625*(at(lv.res, fi-1, fj-1, lv.n)+at(lv.res, fi-1, fj+1, lv.n)+
-							at(lv.res, fi+1, fj-1, lv.n)+at(lv.res, fi+1, fj+1, lv.n)))
+					fw := float64(0.25*lv.res[fi*lv.n+fj]) +
+						float64(0.125*(lv.at(lv.res, fi-1, fj)+lv.at(lv.res, fi+1, fj)+
+							lv.at(lv.res, fi, fj-1)+lv.at(lv.res, fi, fj+1))) +
+						float64(0.0625*(lv.at(lv.res, fi-1, fj-1)+lv.at(lv.res, fi-1, fj+1)+
+							lv.at(lv.res, fi+1, fj-1)+lv.at(lv.res, fi+1, fj+1)))
 					// The operator is properly h²-scaled per level, so the
 					// restricted residual transfers with no extra factor.
-					crs.rhs[i][j] = fw
-					crs.u[i][j] = 0
+					crs.rhs[i*crs.n+j] = fw
+					crs.u[i*crs.n+j] = 0
 				}
 			}
 			r.Compute(float64(crs.rows*crs.n) * 2)
@@ -207,16 +204,16 @@ func RunMG(w *mpi.World, class Class) (Result, error) {
 					cj := j / 2
 					var v float64
 					if gi%2 == 1 && j%2 == 0 {
-						v = crs.u[ci][cj]
+						v = crs.u[ci*crs.n+cj]
 					} else if gi%2 == 1 {
-						v = 0.5 * (crs.u[ci][cj] + at(crs.u, ci, cj+1, crs.n))
+						v = 0.5 * (crs.u[ci*crs.n+cj] + crs.at(crs.u, ci, cj+1))
 					} else if j%2 == 0 {
-						v = 0.5 * (crs.u[ci][cj] + at(crs.u, ci+1, cj, crs.n))
+						v = 0.5 * (crs.u[ci*crs.n+cj] + crs.at(crs.u, ci+1, cj))
 					} else {
-						v = 0.25 * (crs.u[ci][cj] + at(crs.u, ci, cj+1, crs.n) +
-							at(crs.u, ci+1, cj, crs.n) + at(crs.u, ci+1, cj+1, crs.n))
+						v = 0.25 * (crs.u[ci*crs.n+cj] + crs.at(crs.u, ci, cj+1) +
+							crs.at(crs.u, ci+1, cj) + crs.at(crs.u, ci+1, cj+1))
 					}
-					lv.u[i][j] += v
+					lv.u[i*lv.n+j] += v
 				}
 			}
 			r.Compute(float64(lv.rows*lv.n) * 2)

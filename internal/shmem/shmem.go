@@ -21,9 +21,10 @@ type Segment struct {
 	// NS is the owning IPC namespace.
 	NS *cluster.Namespace
 
-	size int
-	once sync.Once
-	data []byte
+	size  int
+	store func(n int) []byte
+	once  sync.Once
+	data  []byte
 }
 
 // Size is the segment's length in bytes, fixed at creation.
@@ -35,7 +36,13 @@ func (s *Segment) Size() int { return s.size }
 // queues) costs only its table entry. Safe to call concurrently; every
 // caller sees the same bytes.
 func (s *Segment) Bytes() []byte {
-	s.once.Do(func() { s.data = make([]byte, s.size) })
+	s.once.Do(func() {
+		if s.store != nil {
+			s.data = s.store(s.size)
+		} else {
+			s.data = make([]byte, s.size)
+		}
+	})
 	return s.data
 }
 
@@ -55,6 +62,7 @@ type AttachFaultHook func(env *cluster.Container, name string) error
 type Registry struct {
 	segs        map[segKey]*Segment
 	attachFault AttachFaultHook
+	store       func(n int) []byte
 }
 
 // NewRegistry returns an empty registry.
@@ -65,6 +73,24 @@ func NewRegistry() *Registry {
 // SetAttachFault installs (or, with nil, removes) a fault hook consulted by
 // every CreateOrAttach before it touches the segment table.
 func (r *Registry) SetAttachFault(h AttachFaultHook) { r.attachFault = h }
+
+// SetStore makes the segments created from now on commit their bytes through
+// store, which must return n zero bytes, rather than the allocator: for a
+// caller that hands the bytes of a finished simulation's segments (Release)
+// to the next simulation's.
+func (r *Registry) SetStore(store func(n int) []byte) { r.store = store }
+
+// Release hands give the bytes of every segment in the table that committed
+// them, for a simulation that has ended; the segments' Bytes are nil from
+// then on.
+func (r *Registry) Release(give func([]byte)) {
+	for _, seg := range r.segs {
+		if seg.data != nil {
+			give(seg.data)
+			seg.data = nil
+		}
+	}
+}
 
 // ErrWrongNamespaceKind is returned when attaching via a non-IPC namespace.
 var ErrWrongNamespaceKind = fmt.Errorf("shmem: namespace is not an IPC namespace")
@@ -89,7 +115,7 @@ func (r *Registry) CreateOrAttach(env *cluster.Container, name string, size int)
 		}
 		return seg, nil
 	}
-	seg := &Segment{Name: name, NS: ns, size: size}
+	seg := &Segment{Name: name, NS: ns, size: size, store: r.store}
 	r.segs[key] = seg
 	return seg, nil
 }

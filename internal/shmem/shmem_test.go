@@ -250,3 +250,30 @@ func TestAttachFaultVetoesBeforeTheTable(t *testing.T) {
 		t.Fatalf("attach after removing the hook: %v, same segment %v", err, again == seg)
 	}
 }
+
+// A registry with a store commits its segments' bytes through it, and
+// Release hands back the bytes of each segment that committed them.
+func TestSegmentStoreRelease(t *testing.T) {
+	c, reg := twoHostSetup(t)
+	env, _ := c.Host(0).RunContainer(cluster.RunOpts{ShareHostIPC: true})
+	backing := make([]byte, 64)
+	reg.SetStore(func(n int) []byte { return backing[:n] })
+	used, err := reg.CreateOrAttach(env, "used", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.CreateOrAttach(env, "idle", 8); err != nil {
+		t.Fatal(err)
+	}
+	if b := used.Bytes(); len(b) != 16 || &b[0] != &backing[0] {
+		t.Fatalf("Bytes: %d bytes from the store %v, want 16 from it", len(b), &b[0] == &backing[0])
+	}
+	var given [][]byte
+	reg.Release(func(b []byte) { given = append(given, b) })
+	if len(given) != 1 || &given[0][0] != &backing[0] {
+		t.Fatalf("Release gave %d arrays, want the one committed segment's", len(given))
+	}
+	if used.Bytes() != nil {
+		t.Error("a released segment still has bytes")
+	}
+}
