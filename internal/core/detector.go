@@ -67,7 +67,24 @@ func AttachDetector(reg *shmem.Registry, name string, env *cluster.Container, ra
 	if err != nil {
 		return nil, fmt.Errorf("locality detector: %w", err)
 	}
-	return &Detector{rank: rank, size: size, env: env, seg: seg}, nil
+	d := TakeOrNew(detectorKind)
+	*d = Detector{rank: rank, size: size, env: env, seg: seg}
+	return d, nil
+}
+
+// The depot's lists of the detectors and the LocalRanks arrays that ranks of
+// clean worlds handed on (Detector.Recycle, Locality.Recycle), for the next
+// AttachDetector and Snapshot.
+var (
+	detectorKind = NewKind[*Detector]()
+	localsKind   = NewKind[[]int]()
+)
+
+// Recycle hands d, zeroed, to the depot: for the detector of a rank whose
+// world ended cleanly, which nothing uses again.
+func (d *Detector) Recycle(dr *Drain) {
+	*d = Detector{}
+	detectorKind.Give(dr, d)
 }
 
 // Publish writes this rank's membership byte at its global-rank position.
@@ -93,6 +110,16 @@ func (l *Locality) IsLocal(r int) bool {
 	return found
 }
 
+// Recycle hands LocalRanks, cleared, to the depot for the next Snapshot,
+// once for all the ranks that share it (Snapshots): from the view of the
+// list's first rank, in a world that ended cleanly, when none of them reads
+// it again.
+func (l *Locality) Recycle(dr *Drain) {
+	if l.LocalIndex == 0 {
+		localsKind.Give(dr, Cleared(l.LocalRanks))
+	}
+}
+
 // LocalSize is the number of co-resident ranks (including the owner).
 func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 
@@ -100,11 +127,17 @@ func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 // must have synchronized publication first (the runtime uses its bootstrap
 // barrier), mirroring "once the membership update of all processes
 // completes, the real communication can take place". The set bytes are
-// counted first, so LocalRanks is the one allocation, of exactly its length.
+// counted first, so LocalRanks is the one allocation, of exactly its length,
+// or an array that a clean world handed on (Locality.Recycle) with room for
+// it.
 func (d *Detector) Snapshot() Locality {
 	list := d.seg.Bytes()[:d.size]
 	n := len(list) - bytes.Count(list, []byte{0})
-	loc := Locality{LocalRanks: make([]int, 0, n), LocalIndex: -1}
+	ranks, ok := localsKind.Take()
+	if !ok || cap(ranks) < n {
+		ranks = make([]int, 0, n)
+	}
+	loc := Locality{LocalRanks: ranks, LocalIndex: -1}
 	for r, b := range list {
 		if b == 0 {
 			continue

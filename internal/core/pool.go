@@ -32,25 +32,27 @@ import (
 // held it.
 //
 // The free objects of a finished world — the library's requests, envelopes,
-// packets and send ops, the fabric's event records, MR handles and CQ
-// batches, and the arrays behind the owners' free lists — go to the same
-// depot, one list per kind (GiveObjects, TakeObject), under the same mutex
-// and on the same two cold paths. The depot is bounded and refuses what would
-// cross a bound, left to the garbage collector: a buffer past depotCap bytes,
-// an object past objDepotCap of its kind.
+// packets and send ops, the fabric's event records and MR handles — go to the
+// same depot, one list per kind (GiveObjects, TakeObject), under the same
+// mutex and on the same two cold paths. The arrays that listed them stay
+// with their owners, emptied and cleared. The depot is bounded and refuses
+// what would cross a bound, left to the garbage collector: a buffer past
+// depotCap bytes, an object past objDepotCap of its kind.
 //
 // A world that ended cleanly hands on its connection state too, after its
 // free lists: the library's pairs, shared-memory rings, peer records, send
 // queues, and each rank's peer index and ring list, then the fabric's
 // devices (and the list of them), CQs, QPs and QP extensions, the rank
-// objects themselves, and last its engine's arrays (sim.Arrays). The next
-// world's constructors take them where they would have allocated, when the
-// state is built, never per message. An owner keeps the arrays of its queues
-// and direction lists, emptied and cleared (Cleared), so a ring or a QP comes
-// back with room for what it held. A world that failed leaves its state to
-// the garbage collector: an operation that never finished may still name it.
-// None of this is counted: a depot object is as good as a new one, so no
-// simulated result, and no pool counter, can tell them apart.
+// objects themselves with their detectors, programs and steppers, and last
+// its engine's arrays (sim.Arrays). The next world's constructors take them
+// where they would have allocated, when the state is built, never per
+// message. An owner keeps the arrays of its queues, home lists and direction
+// lists, emptied and cleared (Cleared, Kept), so a rank, a ring, a CQ or a
+// QP comes back with room for what it held. A world that failed leaves its
+// state, those arrays included, to the garbage collector: an operation that
+// never finished may still name it. None of this is counted: a depot object
+// is as good as a new one, so no simulated result, and no pool counter, can
+// tell them apart.
 //
 // A constructor reaches its kind's list through a Kind, a handle made once
 // per kind in a package variable, so a take looks nothing up; a drain holds
@@ -165,9 +167,6 @@ func (p *BufPool) Get(n int) []byte {
 		p.classes[c-poolMinShift] = l[:len(l)-1]
 		p.ctr.Hits++
 		return buf[:n]
-	}
-	if cap(l) == 0 {
-		p.classes[c-poolMinShift] = takeArray[[]byte]()
 	}
 	if buf := theDepot.take(c); buf != nil {
 		p.ctr.Depot++
@@ -325,9 +324,6 @@ func (l *FreeList[T]) Get() *T {
 		l.hits++
 		return x
 	}
-	if cap(l.free) == 0 {
-		l.free = takeArray[*T]()
-	}
 	if x, ok := TakeObject[*T](); ok {
 		l.depot++
 		return x
@@ -342,15 +338,16 @@ func (l *FreeList[T]) Put(x *T) {
 	l.free = append(l.free, x)
 }
 
-// Drain hands the free objects, and the array that listed them, to the
-// depot. The counters and lent stay.
+// Drain hands the free objects to the depot. The list keeps its array,
+// cleared, for its owner's next world (Kept); the counters and lent stay.
 func (l *FreeList[T]) Drain(dr *Drain) {
 	GiveObjects(dr, l.free)
-	if cap(l.free) > 0 {
-		GiveObjects(dr, [][]*T{Cleared(l.free)})
-	}
-	l.free = nil
+	l.free = Cleared(l.free)
 }
+
+// Kept is what of a drained list goes on with an owner that a clean world
+// hands on: its array, and no counter.
+func (l *FreeList[T]) Kept() FreeList[T] { return FreeList[T]{free: l.free} }
 
 // Counters reports the list's requests: Gets = Hits + Depot + the misses.
 func (l *FreeList[T]) Counters() PoolCounters {
@@ -400,19 +397,6 @@ func (d *DirList[T]) Drain(dr *Drain) {
 func Cleared[E any](list []E) []E {
 	clear(list[:cap(list)])
 	return list[:0]
-}
-
-// takeArray returns an empty array that a finished world's home list (a
-// FreeList, a BufPool class) left in the depot, or nil for append to grow. A
-// home list that has no array yet asks for one on a miss of its Get, which
-// is out of line already: the entry it hands out comes back through a Put,
-// which must stay small enough to inline, and finds room. A direction's list
-// keeps its array (Drain.Dir, DirList.Drain), which comes back with the ring
-// or QP that owns it, so the arrays the depot holds are those the next
-// world's homes take.
-func takeArray[E any]() []E {
-	a, _ := TakeObject[[]E]()
-	return a
 }
 
 // depotCap bounds the bytes the depot holds between worlds. It must cover the
@@ -517,13 +501,27 @@ func SetPoolStrict(on bool) (was bool) {
 	return was
 }
 
-// DropDepot leaves everything the depot holds, buffers and objects, to the
-// garbage collector: the state of a process that has run no world yet. Only
-// for the benchmarks and tests that compare a cold start with a warm one or
-// must start from one depot state (they live in other packages, hence the
-// export). What the depot holds is part of a process's footprint: nothing
-// that bounds heap may call this first.
-func DropDepot() { theDepot.drop() }
+// DropDepot leaves everything the depot holds, buffers and objects, and
+// what the free lists registered with OnDrop hold, to the garbage collector:
+// the state of a process that has run no world yet. Only for the benchmarks
+// and tests that compare a cold start with a warm one or must start from one
+// depot state (they live in other packages, hence the export). What the
+// depot holds is part of a process's footprint: nothing that bounds heap may
+// call this first.
+func DropDepot() {
+	theDepot.drop()
+	for _, drop := range dropHooks {
+		drop()
+	}
+}
+
+// dropHooks empty the process-wide free lists that packages keep beside the
+// depot, for DropDepot.
+var dropHooks []func()
+
+// OnDrop has every DropDepot call drop, which empties a package's own
+// process-wide free lists. Call it from the package's init.
+func OnDrop(drop func()) { dropHooks = append(dropHooks, drop) }
 
 // drop empties d.
 func (d *depot) drop() {
@@ -694,22 +692,20 @@ func (dr *Drain) give(list [][]byte) {
 	dr.Refused += theDepot.give(list)
 }
 
-// Home takes the free buffers of an owner's pool, and the arrays that listed
-// them. Its counters stay.
+// Home takes the free buffers of an owner's pool. The pool keeps the arrays
+// that listed them, cleared, for its owner's next world (BufPool.Kept); its
+// counters stay.
 func (dr *Drain) Home(p *BufPool) {
-	var arrays [poolClasses][][]byte
-	n := 0
 	for i := range p.classes {
 		dr.give(p.classes[i])
-		if cap(p.classes[i]) > 0 {
-			arrays[n] = Cleared(p.classes[i])
-			n++
-		}
-		p.classes[i] = nil
+		p.classes[i] = Cleared(p.classes[i])
 		dr.lent[i+poolMinShift] += int(p.lent[i])
 	}
-	GiveObjects(dr, arrays[:n])
 }
+
+// Kept is what of a drained pool goes on with an owner that a clean world
+// hands on: the arrays of its classes, and no counter.
+func (p *BufPool) Kept() BufPool { return BufPool{classes: p.classes} }
 
 // Dir takes the buffers that wait on a direction. The direction keeps its
 // array, cleared, as DirList.Drain does.
@@ -839,7 +835,7 @@ func TakeOrNew[T any](k Kind[*T]) *T {
 }
 
 // TakeObject is Kind.Take for callers that hold no handle on kind T (a
-// FreeList of any T, takeArray): it looks the kind's list up by type.
+// FreeList of any T): it looks the kind's list up by type.
 func TakeObject[T any]() (x T, ok bool) {
 	d := &theDepot
 	d.mu.Lock()

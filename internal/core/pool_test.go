@@ -697,9 +697,10 @@ func TestObjectDepotRoundTrip(t *testing.T) {
 	}
 }
 
-// A drained home list hands the depot its array too, cleared, and the next
-// list that misses takes it: the entries put back on it need no new array.
-// Strict mode checks on the take that nothing is left in it.
+// A drained home list keeps its array, cleared, and the list its owner goes
+// on with (Kept) lists the entries it takes back in that array: none needs
+// a new one. What Kept returns is zero but for that array, as an owner
+// given to the depot must be (strict mode's check on the take).
 func TestDrainedListArraysServeTheNextLists(t *testing.T) {
 	emptyDepot(t)
 	defer SetPoolStrict(SetPoolStrict(true))
@@ -720,16 +721,32 @@ func TestDrainedListArraysServeTheNextLists(t *testing.T) {
 	var dr Drain
 	dr.Home(&pool)
 	objs.Drain(&dr)
-
-	var nextPool BufPool
-	var nextObjs FreeList[depotObj]
-	nextPool.Get(1 << 10)
-	nextObjs.Get()
-	if l := nextPool.classes[class]; cap(l) < n || &l[:1][0] != bufArray {
-		t.Errorf("the next pool's class list has cap %d and is not the drained one's array", cap(l))
+	if l := pool.classes[class]; len(l) != 0 || cap(l) < n || &l[:1][0] != bufArray || !zeroed(l) {
+		t.Errorf("a drained pool's class list has len %d cap %d and is not its array, cleared", len(l), cap(l))
 	}
-	if l := nextObjs.free; cap(l) < n || &l[:1][0] != objArray {
-		t.Errorf("the next free list has cap %d and is not the drained one's array", cap(l))
+	if l := objs.free; len(l) != 0 || cap(l) < n || &l[:1][0] != objArray || !zeroed(l) {
+		t.Errorf("a drained free list has len %d cap %d and is not its array, cleared", len(l), cap(l))
+	}
+
+	owner := struct {
+		pool BufPool
+		objs FreeList[depotObj]
+	}{pool.Kept(), objs.Kept()}
+	if !zeroed(&owner) {
+		t.Fatalf("the kept lists are not zero but for their arrays: %+v", owner)
+	}
+	for i := range bufs {
+		bufs[i] = owner.pool.Get(1 << 10)
+	}
+	for _, b := range bufs {
+		owner.pool.Put(b)
+		owner.objs.Put(owner.objs.Get())
+	}
+	if l := owner.pool.classes[class]; &l[:1][0] != bufArray {
+		t.Errorf("the kept pool listed %d buffers in a new array", len(l))
+	}
+	if l := owner.objs.free; &l[:1][0] != objArray {
+		t.Errorf("the kept free list listed an object in a new array")
 	}
 }
 

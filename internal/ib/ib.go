@@ -70,30 +70,21 @@ type Fabric struct {
 	mrs core.FreeList[MR]
 }
 
-// ObjCounters reports where the devices' event records, the fabric's MR
-// handles and the CQ batches came from, by core.FreeList's law: Gets = Hits +
-// Depot + what was allocated. A CQ takes its two batches from the depot or
-// leaves them to grow, so they are never hits.
+// ObjCounters reports where the devices' event records and the fabric's MR
+// handles came from, by core.FreeList's law: Gets = Hits + Depot + what was
+// allocated.
 func (f *Fabric) ObjCounters() core.PoolCounters {
 	c := f.mrs.Counters()
 	c.Add(f.recycled)
 	for _, d := range f.devices {
-		c.Add(d.counters())
+		c.Add(d.evts.Counters())
 	}
 	return c
 }
 
-// counters is the device's share of ObjCounters.
-func (d *Device) counters() core.PoolCounters {
-	c := d.evts.Counters()
-	c.Gets += 2 * uint64(len(d.cqs))
-	c.Depot += d.batchDepot
-	return c
-}
-
 // DrainPools hands dr the free wire buffers of every queue pair, then each
-// device's free event records and its CQs' batches, in device and QP creation
-// order, then the free MR handles. The devices' pools are their owners' to
+// device's free event records, in device and QP creation order, then the
+// free MR handles. The devices' pools are their owners' to
 // drain. For the end of a job: nothing may post or poll afterwards.
 func (f *Fabric) DrainPools(dr *core.Drain) {
 	for _, d := range f.devices {
@@ -103,9 +94,6 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 			}
 		}
 		d.evts.Drain(dr)
-		for _, q := range d.cqs {
-			q.drain(dr)
-		}
 	}
 	f.mrs.Drain(dr)
 }
@@ -113,11 +101,17 @@ func (f *Fabric) DrainPools(dr *core.Drain) {
 // Recycle hands the fabric's devices, with their CQs, QPs and QP extensions,
 // zeroed, and the array that listed them, to the depot, for the next
 // fabric's OpenDeviceWith, CreateCQ and CreateQP; ObjCounters keeps what they
-// counted. A QP extension keeps its queues' arrays, cleared. For the end of a
-// job that ended cleanly, after DrainPools: none of them may be used again.
+// counted. A device keeps its event list's array, a CQ its two batches and a
+// QP extension its queues' arrays, cleared, so that none regrows in the next
+// job. For the end of a job that ended cleanly, after DrainPools: none of
+// them may be used again.
 func (f *Fabric) Recycle(dr *core.Drain) {
-	for _, d := range f.devices {
-		f.recycled.Add(d.counters())
+	// Last device first, so that the next fabric's device i, opened by the
+	// same process as this one's, takes it back (the depot hands out its
+	// newest first).
+	for i := len(f.devices) - 1; i >= 0; i-- {
+		d := f.devices[i]
+		f.recycled.Add(d.evts.Counters())
 		for q := d.firstQP; q != nil; {
 			next := q.next
 			if x := q.aux; x != nil {
@@ -129,10 +123,10 @@ func (f *Fabric) Recycle(dr *core.Drain) {
 			q = next
 		}
 		for _, q := range d.cqs {
-			*q = CQ{}
+			*q = CQ{entries: core.Cleared(q.entries), spare: core.Cleared(q.spare)}
 			cqKind.Give(dr, q)
 		}
-		*d = Device{cqs: core.Cleared(d.cqs)}
+		*d = Device{cqs: core.Cleared(d.cqs), evts: d.evts.Kept()}
 		deviceKind.Give(dr, d)
 	}
 	if cap(f.devices) > 0 {
@@ -142,12 +136,11 @@ func (f *Fabric) Recycle(dr *core.Drain) {
 }
 
 // The depot's lists of the fabric state a clean job hands on (Recycle) and
-// the next one's constructors take, and of CQ batches.
+// the next one's constructors take.
 var (
 	deviceKind  = core.NewKind[*Device]()
 	devicesKind = core.NewKind[[]*Device]()
 	cqKind      = core.NewKind[*CQ]()
-	batchKind   = core.NewKind[[]CQE]()
 	qpKind      = core.NewKind[*QP]()
 	auxKind     = core.NewKind[*qpAux]()
 )
@@ -206,10 +199,8 @@ type Device struct {
 	// evts recycles the deferred-delivery records behind the posts, making
 	// their scheduled events allocation-free in steady state.
 	evts core.FreeList[sendEvt]
-	// cqs lists the CQs created here, for DrainPools; batchDepot counts the
-	// CQ batches the depot served them (see ObjCounters).
-	cqs        []*CQ
-	batchDepot uint64
+	// cqs lists the CQs created here, for Recycle.
+	cqs []*CQ
 }
 
 // ErrNoDeviceAccess is returned when a non-privileged container opens the HCA.
@@ -364,34 +355,13 @@ type CQ struct {
 	waiter  *sim.Proc
 }
 
-// CreateCQ makes a completion queue on the device, with batches an earlier
-// world left in the depot when there are any.
+// CreateCQ makes a completion queue on the device: one that an earlier job
+// handed on, with its batches, when the depot holds any.
 func (d *Device) CreateCQ() *CQ {
 	q := core.TakeOrNew(cqKind)
-	q.dev, q.entries, q.spare = d, d.batch(), d.batch()
+	q.dev = d
 	d.cqs = append(d.cqs, q)
 	return q
-}
-
-// batch returns an empty CQE batch from the depot, or nil for push to grow.
-func (d *Device) batch() []CQE {
-	b, ok := batchKind.Take()
-	if ok {
-		d.batchDepot++
-	}
-	return b
-}
-
-// drain hands the CQ's batches to the depot, cleared so that they keep no QP
-// or buffer alive.
-func (q *CQ) drain(dr *core.Drain) {
-	for _, b := range [...][]CQE{q.entries, q.spare} {
-		if cap(b) > 0 {
-			clear(b[:cap(b)])
-			batchKind.Give(dr, b[:0])
-		}
-	}
-	q.entries, q.spare = nil, nil
 }
 
 // SetWaiter registers p to be unparked whenever a CQE is pushed.

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"maps"
 	"runtime"
 	"testing"
 
@@ -258,12 +259,14 @@ func TestOneSidedPostsAllocateNothing(t *testing.T) {
 }
 
 // TestDrainedRecordsServeTheNextFabric: a drained fabric leaves its devices'
-// event records and its CQs' batches to the depot, the batches cleared so that
-// they keep no QP or wire buffer alive, and the next fabric's devices take
-// them instead of allocating.
+// event records to the depot, and the next fabric's devices take them instead
+// of allocating. A fabric whose job ended cleanly hands its CQs on with their
+// batches (Recycle), cleared so that they keep no QP or wire buffer alive,
+// and the next fabric's CQs complete into those batches without growing new
+// ones.
 func TestDrainedRecordsServeTheNextFabric(t *testing.T) {
 	const msgs = 4
-	exchange := func() (*fixture, *CQ) {
+	exchange := func() (*fixture, [2]*CQ) {
 		fx := newFixture(t, 2)
 		a, b := fx.clu.Host(0).NativeEnv(), fx.clu.Host(1).NativeEnv()
 		_, _, qa, qb, cqa, cqb := fx.pairOn(t, a, b)
@@ -285,25 +288,40 @@ func TestDrainedRecordsServeTheNextFabric(t *testing.T) {
 		if err := fx.eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return fx, cqb
+		return fx, [2]*CQ{cqa, cqb}
 	}
-	first, cq := exchange()
-	batches := [][]CQE{cq.entries, cq.spare}
+	// arrays lists the CQs' batches, by the address of their first entry.
+	arrays := func(cqs [2]*CQ) map[*CQE]bool {
+		m := map[*CQE]bool{}
+		for _, q := range cqs {
+			for _, b := range [][]CQE{q.entries, q.spare} {
+				if cap(b) == 0 {
+					t.Fatalf("a batch of a CQ that completed %d operations was never grown", msgs)
+				}
+				m[&b[:1][0]] = true
+			}
+		}
+		return m
+	}
+	first, cqs := exchange()
+	batches := [][]CQE{cqs[1].entries, cqs[1].spare}
+	had := arrays(cqs)
 	var dr core.Drain
 	first.fabric.DrainPools(&dr)
+	first.fabric.Recycle(&dr)
 	for i, b := range batches {
-		if cap(b) == 0 {
-			t.Fatalf("batch %d of a CQ that completed %d receives was never grown", i, msgs)
-		}
 		for j, e := range b[:cap(b)] {
 			if e.QP != nil || e.Buf != nil || e.Bytes != 0 {
-				t.Errorf("entry %d of drained batch %d still holds %+v", j, i, e)
+				t.Errorf("entry %d of recycled batch %d still holds %+v", j, i, e)
 			}
 		}
 	}
-	second, _ := exchange()
+	second, next := exchange()
+	if got := arrays(next); !maps.Equal(got, had) {
+		t.Errorf("the next fabric's CQs completed into %d batches other than the %d recycled ones", len(got), len(had))
+	}
 	if c := second.fabric.ObjCounters(); c.Gets != c.Hits+c.Depot || c.Depot == 0 {
-		t.Errorf("the second fabric allocated %d event records or CQ batches and took %d from the depot (%+v); want 0 and some", c.Gets-c.Hits-c.Depot, c.Depot, c)
+		t.Errorf("the second fabric allocated %d event records and took %d from the depot (%+v); want 0 and some", c.Gets-c.Hits-c.Depot, c.Depot, c)
 	}
 }
 

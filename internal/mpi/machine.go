@@ -52,7 +52,7 @@ type Program interface {
 // Program for each rank. Blocking bodies keep their goroutine; a machine
 // world spends one arena slot per rank and no goroutine, stack, or coroutine.
 func (w *World) RunMachine(mk func(rank int) Program) error {
-	return w.run(true, mk)
+	return w.run(nil, mk)
 }
 
 // rankMachine is the one rank lifecycle, of blocking and machine bodies
@@ -62,6 +62,7 @@ type rankMachine struct {
 	w    *World
 	r    *Rank
 	prog Program
+	body bodyProg // prog of a blocking world's rank (World.Run)
 	gen  int
 	ph   uint8 // 0 pre-init, 1 init barrier, 2 run barrier, 3 body
 }
@@ -723,10 +724,12 @@ func (m *mring) step(r *Rank, buf []byte, op ReduceOp) bool {
 
 // mallreduce is the world allreduce of machine programs: per-call algorithm
 // selection, then the chosen algorithm's stepper. Only a selected stepper is
-// allocated, on the first call that selects it, and kept for the next: a
-// stepper that finishes is zero again (finishColl), so a program that calls
-// the allreduce in a loop allocates one algorithm's state once rather than
-// once a call, and never all four. (Rank.allreduce, with a stack to spend,
+// taken, on the first call that selects it, and kept for the next: a stepper
+// that finishes is zero again (finishColl), so a program that calls the
+// allreduce in a loop takes one algorithm's state once rather than once a
+// call, and never all four. It takes it from the depot, where a world that
+// ended cleanly left the steppers of its programs (recycle), else from the
+// allocator. (Rank.allreduce, with a stack to spend,
 // dispatches over stack steppers instead.) The tree algorithm is a binomial
 // reduce to rank 0 followed by a binomial broadcast: 2·log2(P) rounds, each
 // moving the whole buffer. Recursive doubling dominates it in this cost
@@ -754,19 +757,19 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 		switch m.algo {
 		case core.AllreduceRabenseifner:
 			if m.rab == nil {
-				m.rab = &mrab{}
+				m.rab = core.TakeOrNew(mrabKind)
 			}
 		case core.AllreduceRing:
 			if m.ring == nil {
-				m.ring = &mring{}
+				m.ring = core.TakeOrNew(mringKind)
 			}
 		case core.AllreduceTree:
 			if m.red == nil {
-				m.red, m.bc = &mreduce{}, &mbcast{}
+				m.red, m.bc = core.TakeOrNew(mreduceKind), core.TakeOrNew(mbcastKind)
 			}
 		default:
 			if m.rd == nil {
-				m.rd = &mrd{}
+				m.rd = core.TakeOrNew(mrdKind)
 			}
 		}
 	}
@@ -795,6 +798,37 @@ func (m *mallreduce) step(r *Rank, buf []byte, op ReduceOp) bool {
 	return true
 }
 
+// recycle hands the steppers m took to the depot, zeroed, for the next
+// mallreduce.step to take. Each is zero already when its last call
+// finished (finishColl).
+func (m *mallreduce) recycle(dr *core.Drain) {
+	give(dr, mrdKind, m.rd)
+	give(dr, mrabKind, m.rab)
+	give(dr, mringKind, m.ring)
+	give(dr, mreduceKind, m.red)
+	give(dr, mbcastKind, m.bc)
+}
+
+// give hands x, zeroed, to kind k's list, unless it is nil.
+func give[T any](dr *core.Drain, k core.Kind[*T], x *T) {
+	if x != nil {
+		*x = *new(T)
+		k.Give(dr, x)
+	}
+}
+
+// The depot's lists of the library's programs and of their steppers, one
+// kind each: a clean world hands them on (World.recycle), AllreduceProgram
+// and mallreduce.step take them back.
+var (
+	allreduceProgKind = core.NewKind[*allreduceProg]()
+	mrdKind           = core.NewKind[*mrd]()
+	mrabKind          = core.NewKind[*mrab]()
+	mringKind         = core.NewKind[*mring]()
+	mreduceKind       = core.NewKind[*mreduce]()
+	mbcastKind        = core.NewKind[*mbcast]()
+)
+
 // AllreduceWorkload is a self-checking blocking rank body: iters rounds of
 // an int64-sum allreduce over a size-byte buffer (size%8 == 0) with a
 // deterministic per-rank fill, aborting the job on any wrong element. Its
@@ -817,10 +851,13 @@ func AllreduceWorkload(iters, size int) func(r *Rank) error {
 
 // AllreduceProgram is AllreduceWorkload as a machine-native Program factory
 // for World.RunMachine: the same fills, the same collective schedule, the
-// same checks, with no goroutine or stack behind any rank.
+// same checks, with no goroutine or stack behind any rank. A program is one
+// that an earlier clean world handed on, when the depot holds one.
 func AllreduceProgram(iters, size int) func(rank int) Program {
 	return func(int) Program {
-		return &allreduceProg{iters: iters, size: size}
+		g := core.TakeOrNew(allreduceProgKind)
+		g.iters, g.size = iters, size
+		return g
 	}
 }
 
@@ -855,6 +892,12 @@ func (g *allreduceProg) Step(r *Rank) sim.Flow {
 	r.FreeMem(g.buf)
 	g.buf = nil
 	return sim.Done
+}
+
+// recycle hands g and its steppers to the depot, zeroed.
+func (g *allreduceProg) recycle(dr *core.Drain) {
+	g.ar.recycle(dr)
+	give(dr, allreduceProgKind, g)
 }
 
 // fillAllreduce writes rank- and iteration-unique int64 elements:

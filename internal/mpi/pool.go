@@ -104,6 +104,11 @@ func (wp *worldPools) drain(dr *core.Drain) {
 	wp.pkts.Drain(dr)
 }
 
+// kept is what of the drained lists a recycled rank keeps: their arrays.
+func (wp *worldPools) kept() worldPools {
+	return worldPools{wp.buf.Kept(), wp.pkts.Kept(), wp.ops.Kept(), wp.envs.Kept(), wp.reqs.Kept()}
+}
+
 // AllocMem returns n bytes of message memory from the rank's pool
 // (MPI_Alloc_mem): for a body's send, receive and window buffers, for the
 // library's own temporaries, and, viewed as typed arrays through AllocMemOf,

@@ -107,6 +107,24 @@ var (
 	reqLists   lists[*Request]
 )
 
+// The process-wide free lists above are empty again after core.DropDepot.
+func init() {
+	core.OnDrop(func() {
+		rands.mu.Lock()
+		rands.free = nil
+		rands.mu.Unlock()
+		blockLists.drop()
+		reqLists.drop()
+	})
+}
+
+// drop empties l.
+func (l *lists[E]) drop() {
+	l.mu.Lock()
+	l.free, l.bytes = [bits.UintSize][][]E{}, 0
+	l.mu.Unlock()
+}
+
 // get returns an array of n zero entries: the newest of the smallest class
 // that serves n and has one, so that an array a caller grew past its class
 // serves the next caller.

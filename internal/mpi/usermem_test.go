@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -553,5 +554,44 @@ func TestNewRandRestartsTheStream(t *testing.T) {
 			t.Errorf("seed %d: Read gives %x from the free list, %x from NewSource", seed, a, b)
 		}
 		FreeRand(got)
+	}
+}
+
+// DropDepot returns the process to one that has run no world: the free lists
+// of block lists, request lists and generators are empty after it, as the
+// depot's list of programs is. Each first shows that it would have served
+// its object again.
+func TestDropDepotEmptiesTheProcessFreeLists(t *testing.T) {
+	mk := AllreduceProgram(1, 64)
+	var progs []Program
+	w := testWorld(t, "2cont", 2, DefaultOptions())
+	if err := w.RunMachine(func(rank int) Program {
+		progs = append(progs, mk(rank))
+		return progs[len(progs)-1]
+	}); err != nil {
+		t.Fatal(err)
+	}
+	blocks, reqs, g := NewBlocks(8), NewRequests(8), NewRand(1)
+	free := func() {
+		FreeBlocks(blocks)
+		FreeRequests(reqs)
+		FreeRand(g)
+	}
+	// take takes a block list, a request list, a generator and a program,
+	// and reports which of them the process had before.
+	take := func() [4]bool {
+		b, q, h, p := NewBlocks(8), NewRequests(8), NewRand(1), mk(0)
+		reused := [4]bool{&b[:1][0] == &blocks[:1][0], &q[:1][0] == &reqs[:1][0], h == g, slices.Contains(progs, p)}
+		blocks, reqs, g = b, q, h
+		return reused
+	}
+	free()
+	if got := take(); got != [4]bool{true, true, true, true} {
+		t.Fatalf("before DropDepot: block list, request list, generator, program reused %v; want all", got)
+	}
+	free()
+	core.DropDepot()
+	if got := take(); got != [4]bool{} {
+		t.Errorf("after DropDepot: block list, request list, generator, program reused %v; want none", got)
 	}
 }

@@ -178,15 +178,15 @@ func (w *World) Size() int { return w.Deploy.Size() }
 // next world of the process. Read what you need of one inside the body; the
 // world's own methods answer for the run afterwards.
 func (w *World) Run(body func(r *Rank) error) error {
-	return w.run(false, func(int) Program { return &bodyProg{body: body} })
+	return w.run(body, nil)
 }
 
 // run starts every rank on the rankMachine lifecycle (machine.go) and drives
-// the engine. A machine world hands the lifecycle to the engine as a
+// the engine. A machine world (mk set) hands the lifecycle to the engine as a
 // sim.Machine; a blocking one steps it from a goroutine-backed process,
 // where Park and Advance block for real: the lifecycle's two
 // PMI waits come back with sim.More once per wake, and the body is one step.
-func (w *World) run(machine bool, mk func(rank int) Program) error {
+func (w *World) run(body func(r *Rank) error, mk func(rank int) Program) error {
 	if w.ran {
 		return fmt.Errorf("mpi: World run twice; build a fresh World per job")
 	}
@@ -200,11 +200,13 @@ func (w *World) run(machine bool, mk func(rank int) Program) error {
 	w.machines = takeLen(machinesKind, len(w.ranks))
 	for _, r := range w.ranks {
 		m := &w.machines[r.rank]
-		*m = rankMachine{w: w, r: r, prog: mk(r.rank)}
+		*m = rankMachine{w: w, r: r, body: bodyProg{body: body}}
 		name := names[r.rank]
-		if machine {
+		if mk != nil {
+			m.prog = mk(r.rank)
 			w.Eng.GoMachine(name, m)
 		} else {
+			m.prog = &m.body
 			w.Eng.Go(name, func(p *sim.Proc) {
 				for m.Step(p) == sim.More {
 				}
@@ -378,10 +380,12 @@ func totalsOf(ranks []*Rank) rankTotals {
 // rank's peer records with their send queues, the index over them and the
 // list of its rings, the bytes of the shared segments (the detector's
 // container lists), the fabric's devices, CQs and QPs (ib.Fabric.Recycle),
-// and last the ranks themselves, zeroed but for the arrays of their queues,
-// the array that listed them and that of their lifecycles. The next world's
-// constructors take them back (NewWorld, World.run, Rank.peer,
-// peerTable.add, ringFor, enqueueOp). The world keeps no rank: drain took
+// the library's programs with their steppers (allreduceProg.recycle), and
+// last the ranks themselves with their detectors, zeroed but for the arrays
+// of their queues and home lists, the array that listed them and that of
+// their lifecycles. The next world's constructors take them back (NewWorld,
+// World.run, Rank.peer, peerTable.add, ringFor, enqueueOp, AllreduceProgram,
+// mallreduce.step, core.AttachDetector). The world keeps no rank: drain took
 // their totals first.
 func (w *World) recycle(dr *core.Drain) {
 	for _, r := range w.ranks {
@@ -413,18 +417,31 @@ func (w *World) recycle(dr *core.Drain) {
 	}
 	w.shm.Release(func(b []byte) { segmentKind.Give(dr, core.Cleared(b)) })
 	w.fabric.Recycle(dr)
-	for _, r := range w.ranks {
+	for i := range w.machines {
+		if g, ok := w.machines[i].prog.(*allreduceProg); ok {
+			g.recycle(dr)
+		}
+	}
+	// Last rank first: the depot hands out its newest first, so the next
+	// world's rank i takes this one's, with arrays that fit its part.
+	for i := len(w.ranks) - 1; i >= 0; i-- {
+		r := w.ranks[i]
+		if r.det != nil {
+			r.det.Recycle(dr)
+			r.loc.Recycle(dr)
+		}
 		*r = Rank{
 			posted:     matchQ[Request]{buf: core.Cleared(r.posted.buf)},
 			unexpected: matchQ[envelope]{buf: core.Cleared(r.unexpected.buf)},
 			streams:    core.Cleared(r.streams),
 			sendDsts:   core.Cleared(r.sendDsts),
+			pools:      r.pools.kept(),
 		}
 		rankKind.Give(dr, r)
 	}
 	ranksKind.Give(dr, core.Cleared(w.ranks))
 	machinesKind.Give(dr, core.Cleared(w.machines))
-	w.ranks, w.machines = nil, nil
+	w.ranks, w.machines, w.snaps = nil, nil, core.Snapshots{}
 }
 
 // The depot's lists of what a clean world hands on (recycle) and the next
