@@ -74,10 +74,7 @@ func TestFigure3aShape(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
-	tab, err := TableI(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "tableI")
 	// Rows: CMA, SHM, HCA; columns: channel, Native, 1C, 2C, 4C.
 	get := func(row, col int) float64 { return cell(t, tab.Rows[row][col]) }
 	// Native and 1-container never use the HCA.
@@ -94,10 +91,7 @@ func TestTableIShape(t *testing.T) {
 }
 
 func TestFigure7aOptimumNear8K(t *testing.T) {
-	tab, err := Figure7a(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig7a")
 	// At the 8K probe size, find the eager setting with best bandwidth;
 	// it should be 8K or its immediate neighbors.
 	best, bestBW := 0, 0.0
@@ -114,10 +108,7 @@ func TestFigure7aOptimumNear8K(t *testing.T) {
 }
 
 func TestFigure7bSmallRingsHurt(t *testing.T) {
-	tab, err := Figure7b(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig7b")
 	first := cell(t, tab.Rows[0][2])              // 16K ring, bw@8K
 	last := cell(t, tab.Rows[len(tab.Rows)-1][2]) // 1M ring
 	mid := cell(t, tab.Rows[3][2])                // 128K ring
@@ -130,10 +121,7 @@ func TestFigure7bSmallRingsHurt(t *testing.T) {
 }
 
 func TestFigure7cInteriorOptimum(t *testing.T) {
-	tab, err := Figure7c(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig7c")
 	// At the 16K probe, bandwidth should peak once the threshold admits the
 	// message eagerly (threshold >= 16K), i.e. later rows beat the first.
 	first := cell(t, tab.Rows[0][2])
@@ -149,10 +137,7 @@ func TestFigure7cInteriorOptimum(t *testing.T) {
 }
 
 func TestFigure10Improvements(t *testing.T) {
-	tab, err := Figure10(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig10")
 	if len(tab.Rows) != 12 { // 4 collectives x 3 sizes
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -225,10 +210,7 @@ func TestRenderCSV(t *testing.T) {
 }
 
 func TestScalingExtensionImprovementPersists(t *testing.T) {
-	tab, err := ScalingExtension(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "ext-scaling")
 	for _, row := range tab.Rows {
 		def, opt := cell(t, row[2]), cell(t, row[3])
 		if opt >= def {

@@ -66,10 +66,7 @@ func TestFigure8SeriesOrdering(t *testing.T) {
 }
 
 func TestFigure9OneSidedShape(t *testing.T) {
-	tab, err := Figure9(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := baseTable(t, "fig9")
 	// First section is put latency; 4-byte row.
 	row4 := findRow(t, tab, "4")
 	def, opt := cell(t, row4[1]), cell(t, row4[2])
