@@ -72,13 +72,9 @@ func AttachDetector(reg *shmem.Registry, name string, env *cluster.Container, ra
 	return d, nil
 }
 
-// The depot's lists of the detectors and the LocalRanks arrays that ranks of
-// clean worlds handed on (Detector.Recycle, Locality.Recycle), for the next
-// AttachDetector and Snapshot.
-var (
-	detectorKind = NewKind[*Detector]()
-	localsKind   = NewKind[[]int]()
-)
+// detectorKind is the depot's list of the detectors that ranks of clean
+// worlds handed on (Detector.Recycle), for the next AttachDetector.
+var detectorKind = NewKind[*Detector]()
 
 // Recycle hands d, zeroed, to the depot: for the detector of a rank whose
 // world ended cleanly, which nothing uses again.
@@ -110,16 +106,6 @@ func (l *Locality) IsLocal(r int) bool {
 	return found
 }
 
-// Recycle hands LocalRanks, cleared, to the depot for the next Snapshot,
-// once for all the ranks that share it (Snapshots): from the view of the
-// list's first rank, in a world that ended cleanly, when none of them reads
-// it again.
-func (l *Locality) Recycle(dr *Drain) {
-	if l.LocalIndex == 0 {
-		localsKind.Give(dr, Cleared(l.LocalRanks))
-	}
-}
-
 // LocalSize is the number of co-resident ranks (including the owner).
 func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 
@@ -127,17 +113,12 @@ func (l *Locality) LocalSize() int { return len(l.LocalRanks) }
 // must have synchronized publication first (the runtime uses its bootstrap
 // barrier), mirroring "once the membership update of all processes
 // completes, the real communication can take place". The set bytes are
-// counted first, so LocalRanks is the one allocation, of exactly its length,
-// or an array that a clean world handed on (Locality.Recycle) with room for
-// it.
+// counted first, so LocalRanks is one array with room for them (TakeArray):
+// one that a clean world handed on, or the one allocation.
 func (d *Detector) Snapshot() Locality {
 	list := d.seg.Bytes()[:d.size]
 	n := len(list) - bytes.Count(list, []byte{0})
-	ranks, ok := localsKind.Take()
-	if !ok || cap(ranks) < n {
-		ranks = make([]int, 0, n)
-	}
-	loc := Locality{LocalRanks: ranks, LocalIndex: -1}
+	loc := Locality{LocalRanks: TakeArray[int](n)[:0], LocalIndex: -1}
 	for r, b := range list {
 		if b == 0 {
 			continue

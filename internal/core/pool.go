@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"sync"
 )
@@ -25,11 +26,11 @@ import (
 // sweep builds hundreds, so the pools of a finished world hand their free
 // buffers to one process-wide depot (Drain, called where a run ends, with the
 // engine stopped), and a pool whose own list is empty asks the depot before
-// it asks the allocator. Only those two cold paths — a miss, and the end of a
-// world — take the depot's mutex; worlds running side by side (a sweep at
-// -j N) meet there and nowhere else. A buffer from the depot is as undefined
-// as any other Get, so no simulated result can depend on which world last
-// held it.
+// it asks the allocator. No message takes the depot's mutex: a pool takes it
+// on a miss, a world at its end, and the arrays and generators below on each
+// take and give; worlds running side by side (a sweep at -j N) meet there
+// and nowhere else. A buffer from the depot is as undefined as any other
+// Get, so no simulated result can depend on which world last held it.
 //
 // The free objects of a finished world — the library's requests, envelopes,
 // packets and send ops, the fabric's event records and MR handles — go to the
@@ -60,6 +61,18 @@ import (
 // tens of thousands of objects locks it once. The generic TakeObject and
 // GiveObjects, for the free lists that have no handle at hand, find the
 // kind's list by its type.
+//
+// Arrays that outlive their owner — a world's list of ranks, a rank's peer
+// index, an application's block and request lists — have one path of their
+// own, for any element type: GiveArray lists an array under its capacity's
+// power-of-two class, and TakeArray looks from the smallest class that serves
+// the length asked upward, under a bound of maxArrayBytes per element type;
+// a world takes and gives them while it runs (a collective's request list)
+// as well as at its end. Bytes that must start zero (shared segments) come
+// from the buffer classes, cleared (TakeBytes). The kernels' random
+// generators are one more list (NewRand, FreeRand). So the depot is
+// everything a process keeps between worlds, and DropDepot returns the
+// process to one that has run none.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -462,6 +475,20 @@ type depot struct {
 	// objs holds the free objects, one *stack[T] per kind T (see Kind). A
 	// list, once made, stays for the life of the process: a Kind holds it.
 	objs map[reflect.Type]objList
+	// arrays holds the free arrays, one *arrayList[E] per element type E,
+	// found by the type []E (TakeArray, GiveArray).
+	arrays map[reflect.Type]any
+	// rands holds the generators of finished kernels (NewRand, FreeRand).
+	rands stack[*rand.Rand]
+	// strict is the poolStrict test hook: when set, every buffer a finished
+	// world hands to the depot is poisoned and checked not to be there
+	// already (a double Put), and the next world to take one checks the
+	// poison is intact (give, take); an object or an array taken from the
+	// depot must still be zero (TakeObject, TakeArray), and an array or a
+	// generator given twice panics (GiveArray, FreeRand). Worlds read it too
+	// (mpi: the conservation law, Rank.Release). Written under mu, and only
+	// between worlds.
+	strict bool
 }
 
 // objList is what the depot needs of a kind's list without its type.
@@ -472,16 +499,8 @@ func (s *stack[T]) drop() { *s = stack[T]{} }
 
 var theDepot = depot{limit: depotCap}
 
-// poolStrict is a test hook: when set, every buffer a finished world hands to
-// the depot is poisoned and checked not to be there already (a double Put),
-// and the next world to take one checks the poison is intact (give, take);
-// an object taken from the depot must still be zero (TakeObject). Worlds read
-// it too (mpi: the conservation law, Rank.Release). Guarded by
-// theDepot.mu; written only between worlds.
-var poolStrict bool
-
 // PoolStrict reports the poolStrict test hook.
-func PoolStrict() bool { return poolStrict }
+func PoolStrict() bool { return theDepot.strict }
 
 // SetPoolStrict sets the poolStrict test hook and returns its previous value.
 // Turning it on also poisons everything the depot already holds, so the next
@@ -497,31 +516,17 @@ func SetPoolStrict(on bool) (was bool) {
 			}
 		}
 	}
-	was, poolStrict = poolStrict, on
+	was, theDepot.strict = theDepot.strict, on
 	return was
 }
 
-// DropDepot leaves everything the depot holds, buffers and objects, and
-// what the free lists registered with OnDrop hold, to the garbage collector:
-// the state of a process that has run no world yet. Only for the benchmarks
-// and tests that compare a cold start with a warm one or must start from one
-// depot state (they live in other packages, hence the export). What the
-// depot holds is part of a process's footprint: nothing that bounds heap may
-// call this first.
-func DropDepot() {
-	theDepot.drop()
-	for _, drop := range dropHooks {
-		drop()
-	}
-}
-
-// dropHooks empty the process-wide free lists that packages keep beside the
-// depot, for DropDepot.
-var dropHooks []func()
-
-// OnDrop has every DropDepot call drop, which empties a package's own
-// process-wide free lists. Call it from the package's init.
-func OnDrop(drop func()) { dropHooks = append(dropHooks, drop) }
+// DropDepot leaves everything the depot holds — buffers, objects, arrays and
+// generators — to the garbage collector: the state of a process that has run
+// no world yet. Only for the benchmarks and tests that compare a cold start
+// with a warm one or must start from one depot state (they live in other
+// packages, hence the export). What the depot holds is part of a process's
+// footprint: nothing that bounds heap may call this first.
+func DropDepot() { theDepot.drop() }
 
 // drop empties d.
 func (d *depot) drop() {
@@ -531,6 +536,7 @@ func (d *depot) drop() {
 	for _, l := range d.objs {
 		l.drop()
 	}
+	d.arrays, d.rands = nil, stack[*rand.Rand]{}
 	d.mu.Unlock()
 }
 
@@ -623,7 +629,7 @@ func (d *depot) give(list [][]byte) (refused int) {
 			refused += cap(buf)
 			continue
 		}
-		if poolStrict {
+		if d.strict {
 			buf = buf[:cap(buf)]
 			if _, dup := d.poisoned[&buf[0]]; dup {
 				panic(fmt.Sprintf("core: a %d-byte buffer reached the depot twice: it was Put or Returned twice", cap(buf)))
@@ -653,8 +659,9 @@ type Drain struct {
 // Lock holds the depot's lock for every give through dr that follows, until
 // Unlock: a world that hands on tens of thousands of objects takes the lock
 // once rather than once an object. In between, the caller may give through
-// dr only (Home, Dir, GiveObjects, Kind.Give, the lists' Drain) and must take
-// nothing from the depot: the lock is not reentrant.
+// dr only (Home, Dir, GiveObjects, Kind.Give, GiveArray, GiveBytes, the
+// lists' Drain) and must take nothing from the depot: the lock is not
+// reentrant.
 func (dr *Drain) Lock() {
 	theDepot.mu.Lock()
 	dr.locked = true
@@ -667,9 +674,10 @@ func (dr *Drain) Unlock() {
 }
 
 // acquire takes the depot's lock for one give unless dr holds it already
-// (Lock), and reports whether it did, for release.
+// (Lock), and reports whether it did, for release. A nil dr is a give from
+// outside any drain.
 func (dr *Drain) acquire() (took bool) {
-	if dr.locked {
+	if dr != nil && dr.locked {
 		return false
 	}
 	theDepot.mu.Lock()
@@ -691,6 +699,26 @@ func (dr *Drain) give(list [][]byte) {
 	defer dr.release(dr.acquire()) // give panics on a double Put
 	dr.Refused += theDepot.give(list)
 }
+
+// TakeBytes returns n zero bytes from the depot's byte classes, for memory
+// that must start zero (a shared segment's): a buffer a finished world gave
+// (GiveBytes), cleared, or a new one of its class's capacity. Past the
+// largest pooled class it allocates.
+func TakeBytes(n int) []byte {
+	c := classFor(n)
+	if c < 0 {
+		return make([]byte, n)
+	}
+	if buf := theDepot.take(c); buf != nil {
+		clear(buf)
+		return buf[:n]
+	}
+	return make([]byte, n, classCap(c))
+}
+
+// GiveBytes hands b, from TakeBytes, to the depot's byte classes, as Home
+// hands a pool's buffers.
+func GiveBytes(dr *Drain, b []byte) { dr.give([][]byte{b}) }
 
 // Home takes the free buffers of an owner's pool. The pool keeps the arrays
 // that listed them, cleared, for its owner's next world (BufPool.Kept); its
@@ -739,9 +767,10 @@ func (dr *Drain) Unbalanced() error {
 const objDepotCap = 1 << 15
 
 // Kind is a handle on the depot's list of one kind of object T: pointers to
-// objects a world builds once and keeps (its connection state, its ranks), or
-// arrays. Make it once, in a package variable (NewKind), and a take or a
-// give finds its list without looking T up.
+// objects a world builds once and keeps (its connection state, its ranks).
+// Arrays have a path of their own (TakeArray). Make it once, in a package
+// variable (NewKind), and a take or a give finds its list without looking T
+// up.
 type Kind[T any] struct{ l *stack[T] }
 
 // NewKind returns the handle on kind T's list, making the list on first use.
@@ -784,7 +813,7 @@ func takeFrom[T any](d *depot, l *stack[T]) (x T, ok bool) {
 		return x, false
 	}
 	x = l.pop()
-	strict := poolStrict
+	strict := d.strict
 	d.mu.Unlock()
 	if strict && !zeroed(x) {
 		panic(fmt.Sprintf("core: a %T from the depot was written after its world ended", x))
@@ -794,9 +823,9 @@ func takeFrom[T any](d *depot, l *stack[T]) (x T, ok bool) {
 
 // Give hands x to kind T's list, for the constructors of later worlds: a
 // pointer to a zero value, or to one that is zero but for arrays it keeps
-// Cleared, or a Cleared slice. What would take the kind past objDepotCap is
-// refused and its bytes are added to dr.Refused. Like Home and Dir, only for
-// a world whose engine has stopped; under Drain.Lock it takes no lock.
+// Cleared. What would take the kind past objDepotCap is refused and its
+// bytes are added to dr.Refused. Like Home and Dir, only for a world whose
+// engine has stopped; under Drain.Lock it takes no lock.
 func (k Kind[T]) Give(dr *Drain, x T) {
 	defer dr.release(dr.acquire())
 	k.put(dr, x)
@@ -805,7 +834,7 @@ func (k Kind[T]) Give(dr *Drain, x T) {
 // put lists x, or refuses it; d.mu is held.
 func (k Kind[T]) put(dr *Drain, x T) {
 	if k.l.len() >= objDepotCap {
-		dr.Refused += objBytes(x)
+		dr.Refused += int(reflect.TypeFor[T]().Elem().Size())
 		return
 	}
 	k.l.push(x)
@@ -843,9 +872,9 @@ func TakeObject[T any]() (x T, ok bool) {
 	return takeFrom(d, l)
 }
 
-// zeroed reports whether a depot object is as GiveObjects took it: what a
-// pointer points to is zero but for the cleared arrays it keeps, and a slice
-// is cleared.
+// zeroed reports whether a depot object or array is as it was given: what a
+// pointer points to is zero but for the cleared arrays it keeps, and an
+// array is cleared.
 func zeroed[T any](x T) bool {
 	v := reflect.ValueOf(x)
 	if v.Kind() == reflect.Pointer {
@@ -895,12 +924,132 @@ func cleared(v reflect.Value) bool {
 	return v.IsZero()
 }
 
-// objBytes is the memory behind a depot object: what a pointer points to, or
-// a slice's capacity.
-func objBytes[T any](x T) int {
-	v := reflect.ValueOf(x)
-	if v.Kind() != reflect.Slice {
-		return int(v.Type().Elem().Size())
+// maxArrayBytes bounds the bytes of the arrays the depot holds of each
+// element type. It covers the worlds the benchmark and the paper's figures
+// repeat, not the largest: Graph 500 on 1024 ranks holds three block lists
+// of 24 KB a rank, 72 MB in all.
+const maxArrayBytes = 8 << 20
+
+// arrayList is the depot's list of free arrays of E: free[c] holds those of
+// capacity 1<<c up to 1<<(c+1)-1, each of which serves any take of up to
+// 1<<c entries, and bytes is what they hold, at most maxArrayBytes.
+type arrayList[E any] struct {
+	free  [bits.UintSize]stack[[]E]
+	bytes int
+}
+
+// TakeArray returns n zero entries of E: an array given back (GiveArray), in
+// this world or an earlier one — the newest of the smallest class that
+// serves n, so that an array a caller grew past its class serves the next
+// caller — or a new one with room for the power of two at or above n. Under
+// poolStrict it panics if the array is no longer cleared: something kept it
+// after giving it back and wrote to it.
+func TakeArray[E any](n int) []E {
+	if n <= 0 {
+		return nil
 	}
-	return v.Cap() * int(v.Type().Elem().Size())
+	c := bits.Len(uint(n - 1))
+	d := &theDepot
+	d.mu.Lock()
+	if l, _ := d.arrays[reflect.TypeFor[[]E]()].(*arrayList[E]); l != nil {
+		for k := c; k < len(l.free); k++ {
+			if s := &l.free[k]; s.len() > 0 {
+				a := s.pop()
+				l.bytes -= arrayBytes(a)
+				strict := d.strict
+				d.mu.Unlock()
+				if strict && !zeroed(a) {
+					panic(fmt.Sprintf("core: an array of %d %T was written after it was given back", cap(a), a[:1][0]))
+				}
+				return a[:n]
+			}
+		}
+	}
+	d.mu.Unlock()
+	return make([]E, n, 1<<c)
+}
+
+// GiveArray clears a's array, at any length, and lists it under its
+// capacity's class for the next TakeArray, in this world or a later one; the
+// caller must not use it again. dr is the drain of a world that hands the
+// array on, or nil. What would take E past maxArrayBytes is refused, and a
+// drain adds its bytes to dr.Refused. Under poolStrict an array the depot
+// lists already (given twice) panics. Under Drain.Lock it takes no lock.
+func GiveArray[E any](dr *Drain, a []E) {
+	if cap(a) == 0 {
+		return
+	}
+	a = Cleared(a)
+	c, size := bits.Len(uint(cap(a)))-1, arrayBytes(a)
+	defer dr.release(dr.acquire())
+	d := &theDepot
+	k := reflect.TypeFor[[]E]()
+	l, _ := d.arrays[k].(*arrayList[E])
+	if l == nil {
+		if d.arrays == nil {
+			d.arrays = make(map[reflect.Type]any)
+		}
+		l = new(arrayList[E])
+		d.arrays[k] = l
+	}
+	s := &l.free[c]
+	if d.strict {
+		for i := range s.len() {
+			if &s.at(i)[:1][0] == &a[:1][0] {
+				panic(fmt.Sprintf("core: an array of %d %T was given back twice", cap(a), a[:1][0]))
+			}
+		}
+	}
+	if l.bytes+size > maxArrayBytes {
+		if dr != nil {
+			dr.Refused += size
+		}
+		return
+	}
+	s.push(a)
+	l.bytes += size
+}
+
+// arrayBytes is the memory behind a's array.
+func arrayBytes[E any](a []E) int { return cap(a) * int(reflect.TypeFor[E]().Size()) }
+
+// maxRands bounds the generators the depot holds: a kernel rank holds one at
+// a time, so this serves a 1024-rank world, in about 5 MB.
+const maxRands = 1024
+
+// NewRand returns a generator in the state rand.New(rand.NewSource(seed))
+// starts in: one a finished kernel gave back (FreeRand), reseeded, or a new
+// one. A math/rand source holds 4.9 KB of state, which an application kernel
+// would otherwise build again on every rank in every world.
+func NewRand(seed int64) *rand.Rand {
+	d := &theDepot
+	d.mu.Lock()
+	if d.rands.len() == 0 {
+		d.mu.Unlock()
+		return rand.New(rand.NewSource(seed))
+	}
+	g := d.rands.pop()
+	d.mu.Unlock()
+	g.Seed(seed) // resets the source and the Rand's own read position
+	return g
+}
+
+// FreeRand hands g to the depot for the next NewRand, in this world or a
+// later one; past maxRands it is left to the collector. The caller must not
+// use it again. A generator is reseeded when taken, not zeroed, so under
+// poolStrict the check is on the give: one the depot holds already panics.
+func FreeRand(g *rand.Rand) {
+	d := &theDepot
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.strict {
+		for i := range d.rands.len() {
+			if d.rands.at(i) == g {
+				panic("core: a generator was given back twice")
+			}
+		}
+	}
+	if d.rands.len() < maxRands {
+		d.rands.push(g)
+	}
 }

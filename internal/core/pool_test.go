@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"unsafe"
@@ -662,8 +663,8 @@ func TestFreeListCounterLaw(t *testing.T) {
 	}
 }
 
-// Objects come back out in last-in order, per kind: a pointer kind and a
-// slice kind do not mix, and a kind with nothing left says so.
+// Objects come back out in last-in order, per kind: a kind and the arrays of
+// the same type do not mix, and a kind with nothing left says so.
 func TestObjectDepotRoundTrip(t *testing.T) {
 	emptyDepot(t)
 	a, b := new(depotObj), new(depotObj)
@@ -673,7 +674,7 @@ func TestObjectDepotRoundTrip(t *testing.T) {
 	first.Put(a)
 	first.Put(b)
 	first.Drain(&dr)
-	GiveObjects(&dr, [][]depotObj{batch})
+	GiveArray(&dr, batch)
 	if dr.Refused != 0 {
 		t.Fatalf("an empty depot refused %d bytes", dr.Refused)
 	}
@@ -685,9 +686,9 @@ func TestObjectDepotRoundTrip(t *testing.T) {
 	if got := next.Get(); got == a || got == b || next.Counters().Depot != 2 {
 		t.Fatalf("an emptied kind served %p (counters %+v)", got, next.Counters())
 	}
-	got, ok := TakeObject[[]depotObj]()
-	if !ok || cap(got) != 4 || len(got) != 0 || &got[:1][0] != &batch[:1][0] {
-		t.Fatalf("the batch came back as len %d cap %d (ok %v)", len(got), cap(got), ok)
+	got := TakeArray[depotObj](4)
+	if cap(got) != 4 || len(got) != 4 || &got[:1][0] != &batch[:1][0] {
+		t.Fatalf("the batch came back as len %d cap %d, or as other memory", len(got), cap(got))
 	}
 	first.Put(a)
 	first.Drain(&dr)
@@ -750,8 +751,9 @@ func TestDrainedListArraysServeTheNextLists(t *testing.T) {
 	}
 }
 
-// A kind holds at most objDepotCap objects; the depot keeps the ones it has
-// and refuses the rest, whose bytes the drain adds up.
+// A kind holds at most objDepotCap objects, and the arrays of one element
+// type at most maxArrayBytes; the depot keeps the ones it has and refuses the
+// rest, whose bytes the drain adds up.
 func TestObjectDepotRespectsItsCap(t *testing.T) {
 	emptyDepot(t)
 	list := make([]*depotObj, objDepotCap+3)
@@ -770,9 +772,9 @@ func TestObjectDepotRespectsItsCap(t *testing.T) {
 	if want := 3 * int(unsafe.Sizeof(depotObj{})); dr.Refused != want {
 		t.Errorf("refused %d bytes, want %d (three objects)", dr.Refused, want)
 	}
-	GiveObjects(&dr, [][]depotObj{make([]depotObj, 0, 5)})
-	if got, ok := TakeObject[[]depotObj](); !ok || cap(got) != 5 {
-		t.Error("a full pointer kind refused a slice kind")
+	GiveArray(&dr, make([]depotObj, 0, 5))
+	if got := TakeArray[depotObj](4); cap(got) != 5 {
+		t.Error("a full pointer kind refused an array of its element type")
 	}
 	for i := objDepotCap - 1; i >= 0; i-- {
 		if got := l.Get(); got != list[i] {
@@ -783,18 +785,19 @@ func TestObjectDepotRespectsItsCap(t *testing.T) {
 		t.Error("the depot served more objects than its cap")
 	}
 	var full Drain
-	batches := [][]depotObj{make([]depotObj, 0, 2)}
-	for range objDepotCap {
-		GiveObjects(&full, batches)
+	batch := make([]depotObj, 0, 2)
+	size := 2 * int(unsafe.Sizeof(depotObj{}))
+	for range maxArrayBytes / size {
+		GiveArray(&full, batch)
 	}
-	GiveObjects(&full, batches)
-	if want := 2 * int(unsafe.Sizeof(depotObj{})); full.Refused != want {
-		t.Errorf("a refused batch of two counted %d bytes, want %d", full.Refused, want)
+	GiveArray(&full, batch)
+	if full.Refused != size {
+		t.Errorf("a refused batch of two counted %d bytes, want %d", full.Refused, size)
 	}
 }
 
 // Under poolStrict a take checks that nothing wrote to the object after its
-// world gave it away: through a kept pointer, or into a kept batch.
+// world gave it away: through a kept pointer, or into a kept array.
 func TestObjectDepotStrict(t *testing.T) {
 	emptyDepot(t)
 	was := SetPoolStrict(true)
@@ -810,10 +813,10 @@ func TestObjectDepotStrict(t *testing.T) {
 	if got := l.Get(); got != clean {
 		t.Error("a clean object did not come out after the stale one")
 	}
-	batch := make([]depotObj, 3)
-	GiveObjects(&dr, [][]depotObj{batch[:0]})
-	batch[2].n = 1 // past the batch's length, inside its capacity
-	mustPanic(t, "taking a batch that was written to", func() { TakeObject[[]depotObj]() })
+	batch := make([]depotObj, 1, 3)
+	GiveArray(&dr, batch)
+	batch[:3][2].n = 1 // past the batch's length, inside its capacity
+	mustPanic(t, "taking a batch that was written to", func() { TakeArray[depotObj](2) })
 }
 
 // An object that goes to the depot may keep arrays, Cleared: a strict take
@@ -992,4 +995,95 @@ func BenchmarkDepotTakeGive(b *testing.B) {
 			theDepot.drop()
 		})
 	}
+}
+
+// An array goes back under its capacity's class, and a take looks from the
+// smallest class that serves n upward: an array a caller grew past its class
+// serves the next caller of a size that class serves, a short one does not
+// serve a longer take, and a new array has room for a power of two. A give
+// from outside any drain and one under Drain.Lock reach the same lists, and
+// arrays of another element type are others.
+func TestArrayDepotClasses(t *testing.T) {
+	emptyDepot(t)
+	if a := TakeArray[int](5); len(a) != 5 || cap(a) != 8 {
+		t.Fatalf("a new array for 5 entries: len %d cap %d, want 5 and 8", len(a), cap(a))
+	}
+	small, grown := make([]int, 3, 4), make([]int, 45)
+	small[0], grown[44] = 1, 1
+	GiveArray(nil, grown)
+	var dr Drain
+	dr.Lock()
+	GiveArray(&dr, small)
+	dr.Unlock()
+	GiveArray(nil, make([]int64, 64))
+	if dr.Refused != 0 {
+		t.Fatalf("an empty depot refused %d bytes", dr.Refused)
+	}
+	if a := TakeArray[int](33); &a[0] == &grown[0] {
+		t.Error("a 45-entry array served a take of 33, which its class does not")
+	}
+	a := TakeArray[int](17)
+	if &a[0] != &grown[0] || len(a) != 17 || !zeroed(a[:0]) {
+		t.Fatalf("a take of 17 got len %d cap %d, not the grown array, cleared", len(a), cap(a))
+	}
+	if b := TakeArray[int](1); &b[0] != &small[0] || len(b) != 1 || b[0] != 0 {
+		t.Error("a take of 1 did not get the smallest array, cleared")
+	}
+	if c := TakeArray[int](64); cap(c) != 64 || c[63] != 0 {
+		t.Error("a take of 64 ints found no new array of 64")
+	}
+	if TakeArray[int](0) != nil {
+		t.Error("a take of nothing returned an array")
+	}
+}
+
+// Under poolStrict an array written after it was given back panics at the
+// next take, and one given twice panics at the second give; so does a
+// generator given back twice. Generators come back newest first.
+func TestArrayAndRandDepotStrict(t *testing.T) {
+	emptyDepot(t)
+	defer SetPoolStrict(SetPoolStrict(true))
+	kept := make([]*depotObj, 2, 8)
+	GiveArray(nil, kept)
+	kept[:8][5] = new(depotObj)
+	mustPanic(t, "taking an array that was written to", func() { TakeArray[*depotObj](8) })
+	twice := make([]*depotObj, 4)
+	GiveArray(nil, twice)
+	mustPanic(t, "giving an array back twice", func() { GiveArray(nil, twice) })
+	if got := TakeArray[*depotObj](4); &got[0] != &twice[0] {
+		t.Error("the array given once did not come back")
+	}
+	g, h := NewRand(1), NewRand(2)
+	FreeRand(g)
+	FreeRand(h)
+	mustPanic(t, "giving a generator back twice", func() { FreeRand(g) })
+	if got := NewRand(3); got != h {
+		t.Error("NewRand did not take the newest generator given back")
+	}
+}
+
+// Worlds that run side by side take and give generators at once: under
+// -race, eight goroutines each get a generator no other holds, in the state
+// its seed names.
+func TestRandDepotConcurrentUse(t *testing.T) {
+	emptyDepot(t)
+	var want [8]int64
+	for g := range want {
+		want[g] = rand.New(rand.NewSource(int64(g))).Int63()
+	}
+	var wg sync.WaitGroup
+	for g := range want {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for range 200 {
+				r := NewRand(int64(g))
+				if got := r.Int63(); got != want[g] {
+					t.Errorf("goroutine %d: first draw %d, want %d", g, got, want[g])
+				}
+				FreeRand(r)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -129,20 +129,17 @@ func (f *Fabric) Recycle(dr *core.Drain) {
 		*d = Device{cqs: core.Cleared(d.cqs), evts: d.evts.Kept()}
 		deviceKind.Give(dr, d)
 	}
-	if cap(f.devices) > 0 {
-		devicesKind.Give(dr, core.Cleared(f.devices))
-	}
+	core.GiveArray(dr, f.devices)
 	f.devices = nil
 }
 
 // The depot's lists of the fabric state a clean job hands on (Recycle) and
 // the next one's constructors take.
 var (
-	deviceKind  = core.NewKind[*Device]()
-	devicesKind = core.NewKind[[]*Device]()
-	cqKind      = core.NewKind[*CQ]()
-	qpKind      = core.NewKind[*QP]()
-	auxKind     = core.NewKind[*qpAux]()
+	deviceKind = core.NewKind[*Device]()
+	cqKind     = core.NewKind[*CQ]()
+	qpKind     = core.NewKind[*QP]()
+	auxKind    = core.NewKind[*qpAux]()
 )
 
 // SetFaults arms the fabric with a fault injector and the RC retry policy
@@ -225,7 +222,7 @@ func (f *Fabric) OpenDeviceWith(env *cluster.Container, pool *core.BufPool) (*De
 	d := core.TakeOrNew(deviceKind)
 	d.fabric, d.Env, d.devID, d.pool = f, env, int32(len(f.devices)), pool
 	if cap(f.devices) == 0 {
-		f.devices, _ = devicesKind.Take()
+		f.devices = core.TakeArray[*Device](1)[:0]
 	}
 	f.devices = append(f.devices, d)
 	return d, nil

@@ -104,7 +104,7 @@ func TestPeerTableFindsEveryRecord(t *testing.T) {
 // room it moves to an array of the next size.
 func TestPeerTableGrowsInPlace(t *testing.T) {
 	var tab peerTable
-	tab.idx = make([]*peerRec, 16, 128) // as takeLen hands out a depot array
+	tab.idx = make([]*peerRec, 16, 128) // as core.TakeArray hands out a grown array
 	room := unsafe.SliceData(tab.idx)
 	recs := make([]peerRec, 113)
 	for n := range recs {

@@ -171,7 +171,7 @@ func (t *peerTable) add(pr *peerRec) {
 		t.idx = t.idx[:n]
 		clear(t.idx)
 	} else {
-		t.idx = takeLen(indexKind, n)
+		t.idx = core.TakeArray[*peerRec](n)
 	}
 	for x := t.first; x != nil; x = x.next {
 		t.place(x)

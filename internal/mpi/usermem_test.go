@@ -419,6 +419,40 @@ func TestNewBlocksReusesFreedLists(t *testing.T) {
 	}
 }
 
+// Under poolStrict a block list or a request list written after it was
+// handed back panics at the next take of its class: the caller that kept it
+// would be writing into another caller's list.
+func TestPoolStrictCatchesWritesToFreedLists(t *testing.T) {
+	strictPools(t)
+	takes := []struct {
+		name  string
+		write func()
+		take  func()
+	}{
+		{"block list", func() {
+			b := NewBlocks(4)
+			FreeBlocks(b)
+			b[2] = []byte{1}
+		}, func() { NewBlocks(4) }},
+		{"request list", func() {
+			q := NewRequests(4)
+			FreeRequests(q)
+			q[:4][3] = new(Request)
+		}, func() { NewRequests(4) }},
+	}
+	for _, tc := range takes {
+		tc.write()
+		func() {
+			defer func() {
+				if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "written after it was given back") {
+					t.Errorf("%s written after FreeBlocks/FreeRequests: the next take recovered %v, want the depot's panic", tc.name, v)
+				}
+			}()
+			tc.take()
+		}()
+	}
+}
+
 // Worlds that run side by side (repro -j) share the free lists: a list is
 // never handed to two holders at once, whatever the goroutines interleave.
 func TestNewBlocksFromManyGoroutines(t *testing.T) {

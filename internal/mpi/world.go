@@ -131,7 +131,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 		shrinks:    make(map[int]*shrinkSync),
 	}
 	w.detSeg = core.LocalitySegmentPrefix + w.jobID
-	w.shm.SetStore(func(n int) []byte { return takeLen(segmentKind, n) })
+	w.shm.SetStore(core.TakeBytes)
 	w.fabric = ib.NewFabric(w.Eng, &w.Opts.Params, d.Cluster)
 	if err := w.fabric.SetTopology(opts.Topology); err != nil {
 		return nil, err
@@ -157,7 +157,7 @@ func NewWorld(d *cluster.Deployment, opts Options) (*World, error) {
 	if opts.Profile {
 		w.Prof = profile.New(d.Size())
 	}
-	w.ranks = takeLen(ranksKind, d.Size())
+	w.ranks = core.TakeArray[*Rank](d.Size())
 	for i := range w.ranks {
 		w.ranks[i] = newRank(w, i)
 	}
@@ -197,7 +197,7 @@ func (w *World) run(body func(r *Rank) error, mk func(rank int) Program) error {
 	}
 	w.Eng.Grow(len(w.ranks))
 	names := rankNames(len(w.ranks))
-	w.machines = takeLen(machinesKind, len(w.ranks))
+	w.machines = core.TakeArray[rankMachine](len(w.ranks))
 	for _, r := range w.ranks {
 		m := &w.machines[r.rank]
 		*m = rankMachine{w: w, r: r, body: bodyProg{body: body}}
@@ -408,14 +408,10 @@ func (w *World) recycle(dr *core.Drain) {
 			peerKind.Give(dr, pr)
 			pr = next
 		}
-		if idx := r.peers.idx; idx != nil {
-			indexKind.Give(dr, core.Cleared(idx))
-		}
-		if cap(r.localPairs) > 0 {
-			localPairsKind.Give(dr, core.Cleared(r.localPairs))
-		}
+		core.GiveArray(dr, r.peers.idx)
+		core.GiveArray(dr, r.localPairs)
 	}
-	w.shm.Release(func(b []byte) { segmentKind.Give(dr, core.Cleared(b)) })
+	w.shm.Release(func(b []byte) { core.GiveBytes(dr, b) })
 	w.fabric.Recycle(dr)
 	for i := range w.machines {
 		if g, ok := w.machines[i].prog.(*allreduceProg); ok {
@@ -428,7 +424,13 @@ func (w *World) recycle(dr *core.Drain) {
 		r := w.ranks[i]
 		if r.det != nil {
 			r.det.Recycle(dr)
-			r.loc.Recycle(dr)
+			// A container list's ranks share its LocalRanks: the first gives
+			// it back. (Not through a core method: inlined here, it would call
+			// core's own GiveArray instance, whose escape facts stay in core,
+			// and move drainPools' Drain to the heap.)
+			if r.loc.LocalIndex == 0 {
+				core.GiveArray(dr, r.loc.LocalRanks)
+			}
 		}
 		*r = Rank{
 			posted:     matchQ[Request]{buf: core.Cleared(r.posted.buf)},
@@ -439,35 +441,21 @@ func (w *World) recycle(dr *core.Drain) {
 		}
 		rankKind.Give(dr, r)
 	}
-	ranksKind.Give(dr, core.Cleared(w.ranks))
-	machinesKind.Give(dr, core.Cleared(w.machines))
+	core.GiveArray(dr, w.ranks)
+	core.GiveArray(dr, w.machines)
 	w.ranks, w.machines, w.snaps = nil, nil, core.Snapshots{}
 }
 
 // The depot's lists of what a clean world hands on (recycle) and the next
 // one's constructors take.
 var (
-	rankKind       = core.NewKind[*Rank]()
-	ranksKind      = core.NewKind[[]*Rank]()
-	machinesKind   = core.NewKind[[]rankMachine]()
-	pairKind       = core.NewKind[*pairShared]()
-	ringKind       = core.NewKind[*shmRing]()
-	peerKind       = core.NewKind[*peerRec]()
-	queuesKind     = core.NewKind[*peerQueues]()
-	indexKind      = core.NewKind[[]*peerRec]()
-	localPairsKind = core.NewKind[[]*pairShared]()
-	segmentKind    = core.NewKind[[]byte]()
-	engineKind     = core.NewKind[*sim.Arrays]()
+	rankKind   = core.NewKind[*Rank]()
+	pairKind   = core.NewKind[*pairShared]()
+	ringKind   = core.NewKind[*shmRing]()
+	peerKind   = core.NewKind[*peerRec]()
+	queuesKind = core.NewKind[*peerQueues]()
+	engineKind = core.NewKind[*sim.Arrays]()
 )
-
-// takeLen returns n zero entries: on an array of kind k that an earlier world
-// left in the depot when that one is long enough, else a new one.
-func takeLen[E any](k core.Kind[[]E], n int) []E {
-	if a, ok := k.Take(); ok && cap(a) >= n {
-		return a[:n]
-	}
-	return make([]E, n)
-}
 
 // newEngine returns an engine on the arrays the last engine to end handed to
 // the depot, when it holds any.
@@ -752,7 +740,7 @@ func (r *Rank) ringFor(pr *peerRec) *shmRing {
 		ps.ring = core.TakeOrNew(ringKind)
 		for _, end := range [2]*Rank{r.w.ranks[ps.lo], r.w.ranks[ps.hi]} {
 			if cap(end.localPairs) == 0 {
-				end.localPairs, _ = localPairsKind.Take()
+				end.localPairs = core.TakeArray[*pairShared](1)[:0]
 			}
 			end.localPairs = append(end.localPairs, ps)
 		}
