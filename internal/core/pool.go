@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+
+	"cmpi/internal/sim"
 )
 
 // Buffer pooling for the per-message hot paths.
@@ -70,9 +72,11 @@ import (
 // a world takes and gives them while it runs (a collective's request list)
 // as well as at its end. Bytes that must start zero (shared segments) come
 // from the buffer classes, cleared (TakeBytes). The kernels' random
-// generators are one more list (NewRand, FreeRand). So the depot is
-// everything a process keeps between worlds, and DropDepot returns the
-// process to one that has run none.
+// generators are one more list (NewRand, FreeRand), and so are the idle
+// coroutines of blocking bodies that returned (TakeCoro, GiveCoro): a
+// coroutine's goroutine stays parked while the depot holds it, and DropDepot
+// ends it. So the depot is everything a process keeps between worlds, and
+// DropDepot returns the process to one that has run none.
 
 const (
 	// poolMinShift is the smallest pooled class (32 B): below that the
@@ -480,14 +484,18 @@ type depot struct {
 	arrays map[reflect.Type]any
 	// rands holds the generators of finished kernels (NewRand, FreeRand).
 	rands stack[*rand.Rand]
+	// coros holds the idle coroutines of finished worlds (TakeCoro,
+	// GiveCoro), each with its goroutine parked.
+	coros stack[*sim.Coro]
 	// strict is the poolStrict test hook: when set, every buffer a finished
 	// world hands to the depot is poisoned and checked not to be there
 	// already (a double Put), and the next world to take one checks the
 	// poison is intact (give, take); an object or an array taken from the
-	// depot must still be zero (TakeObject, TakeArray), and an array or a
-	// generator given twice panics (GiveArray, FreeRand). Worlds read it too
-	// (mpi: the conservation law, Rank.Release). Written under mu, and only
-	// between worlds.
+	// depot must still be zero (TakeObject, TakeArray) and a coroutine must
+	// hold no body and no process (TakeCoro), and an array, a generator or a
+	// coroutine given twice panics (GiveArray, FreeRand, GiveCoro). Worlds
+	// read it too (mpi: the conservation law, Rank.Release). Written under
+	// mu, and only between worlds.
 	strict bool
 }
 
@@ -521,10 +529,10 @@ func SetPoolStrict(on bool) (was bool) {
 }
 
 // DropDepot leaves everything the depot holds — buffers, objects, arrays and
-// generators — to the garbage collector: the state of a process that has run
-// no world yet. Only for the benchmarks and tests that compare a cold start
-// with a warm one or must start from one depot state (they live in other
-// packages, hence the export). What the depot holds is part of a process's
+// generators — to the garbage collector, and ends its idle coroutines: the
+// state of a process that has run no world yet. Only for the benchmarks and
+// tests that compare a cold start with a warm one or must start from one
+// depot state (they live in other packages, hence the export). What the depot holds is part of a process's
 // footprint: nothing that bounds heap may call this first.
 func DropDepot() { theDepot.drop() }
 
@@ -537,7 +545,12 @@ func (d *depot) drop() {
 		l.drop()
 	}
 	d.arrays, d.rands = nil, stack[*rand.Rand]{}
+	coros := d.coros
+	d.coros = stack[*sim.Coro]{}
 	d.mu.Unlock()
+	for coros.len() > 0 {
+		coros.pop().End()
+	}
 }
 
 // take removes a buffer of class c, or returns nil when there is none.
@@ -1052,4 +1065,50 @@ func FreeRand(g *rand.Rand) {
 	if d.rands.len() < maxRands {
 		d.rands.push(g)
 	}
+}
+
+// maxCoros bounds the idle coroutines the depot holds: one for each rank of
+// a 1024-rank world of blocking bodies, each a parked goroutine with its
+// stack.
+const maxCoros = 1024
+
+// TakeCoro returns an idle coroutine a finished world gave the depot
+// (GiveCoro), for a body of a later world (sim.Engine.GoOn), or nil when it
+// holds none. Under poolStrict it panics if the coroutine holds a body or a
+// process.
+func TakeCoro() *sim.Coro {
+	d := &theDepot
+	d.mu.Lock()
+	if d.coros.len() == 0 {
+		d.mu.Unlock()
+		return nil
+	}
+	c := d.coros.pop()
+	strict := d.strict
+	d.mu.Unlock()
+	if strict && !c.Empty() {
+		panic("core: a coroutine from the depot holds a body or a process")
+	}
+	return c
+}
+
+// GiveCoro hands c, an idle coroutine a finished engine handed out
+// (sim.Engine.Idle), to the depot for a later TakeCoro; past maxCoros it ends
+// c. The caller must not use it again. Under poolStrict a coroutine the depot
+// holds already panics. Under Drain.Lock it takes no lock.
+func GiveCoro(dr *Drain, c *sim.Coro) {
+	defer dr.release(dr.acquire())
+	d := &theDepot
+	if d.strict {
+		for i := range d.coros.len() {
+			if d.coros.at(i) == c {
+				panic("core: a coroutine was given to the depot twice")
+			}
+		}
+	}
+	if d.coros.len() < maxCoros {
+		d.coros.push(c)
+		return
+	}
+	c.End()
 }

@@ -1,11 +1,16 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"cmpi/internal/core"
+	"cmpi/internal/fault"
+	rec "cmpi/internal/recover"
 	"cmpi/internal/sim"
 )
 
@@ -532,4 +537,106 @@ func TestMatchingOrderAt256Deep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goroutinesAtMost waits for the process's goroutine count to come down to
+// n: a coroutine ended a moment ago may still be on its way out.
+func goroutinesAtMost(t *testing.T, n int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", what, runtime.NumGoroutine(), n)
+		}
+	}
+}
+
+// TestCoroutineDepotAcrossWorlds: the coroutines of rank bodies that returned
+// go to the depot whether or not their world ended cleanly, and serve the
+// next world's bodies; those of bodies that did not return end with them.
+// Across a clean world, one whose rank returns an error under ErrorsReturn,
+// one that deadlocks and a RunRecoverable respawn, the process holds at most
+// the depot's 1024 idle coroutines beyond what it started with, a repeat of
+// a world adds none, and after DropDepot none is left.
+func TestCoroutineDepotAcrossWorlds(t *testing.T) {
+	core.DropDepot()
+	defer core.DropDepot()
+	base := runtime.NumGoroutine()
+	clean := func(r *Rank) error {
+		r.Barrier()
+		return nil
+	}
+	run := func(name string, opts Options, body func(r *Rank) error, wantErr bool) {
+		t.Helper()
+		w := testWorld(t, "2cont", 8, opts)
+		if err := w.Run(body); (err != nil) != wantErr {
+			t.Fatalf("%s: Run = %v, want an error: %v", name, err, wantErr)
+		}
+	}
+	run("clean", DefaultOptions(), clean, false)
+	goroutinesAtMost(t, base+8, "after a clean 8-rank world")
+	run("clean again", DefaultOptions(), clean, false)
+	goroutinesAtMost(t, base+8, "after a second clean 8-rank world")
+
+	errOpts := DefaultOptions()
+	errOpts.ErrHandler = ErrorsReturn
+	run("rank error", errOpts, func(r *Rank) error {
+		if r.Rank() == 3 {
+			return errors.New("rank 3 gives up")
+		}
+		return clean(r)
+	}, true)
+	run("deadlock", DefaultOptions(), func(r *Rank) error {
+		if r.Rank() == 0 {
+			r.Recv(1, 99, make([]byte, 8)) // rank 1 never sends
+		}
+		return nil
+	}, true)
+	var want, got []float64
+	free := testWorld(t, "2host", 16, DefaultOptions())
+	if _, err := free.RunRecoverable(RecoverOptions{}, goldenBody(&want, nil)); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.FaultPlan = fault.NewPlan().RankCrash(5, free.MaxBodyTime()*3/5)
+	w := testWorld(t, "2host", 16, opts)
+	rep, err := w.RunRecoverable(RecoverOptions{Policy: rec.PolicyRespawn, MaxRestarts: 1}, goldenBody(&got, nil))
+	if err != nil || rep.Attempts != 2 {
+		t.Fatalf("recoverable run: %v, report %+v; want a crash and one restart", err, rep)
+	}
+	goroutinesAtMost(t, base+1024, "after the failed and respawned worlds")
+	core.DropDepot()
+	goroutinesAtMost(t, base, "after DropDepot")
+}
+
+// TestCoroutineDepotUnderPoolStrict: a coroutine the depot hands out holds no
+// body and no process, and under poolStrict one given to the depot twice
+// panics.
+func TestCoroutineDepotUnderPoolStrict(t *testing.T) {
+	core.DropDepot()
+	was := core.SetPoolStrict(true)
+	defer func() {
+		core.SetPoolStrict(was)
+		core.DropDepot()
+	}()
+	w := testWorld(t, "2cont", 4, DefaultOptions())
+	if err := w.Run(func(r *Rank) error { r.Barrier(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	c := core.TakeCoro()
+	if c == nil {
+		t.Fatal("a clean world of blocking bodies gave the depot no coroutine")
+	}
+	if !c.Empty() {
+		t.Fatal("a coroutine from the depot holds a body or a process")
+	}
+	var dr core.Drain
+	core.GiveCoro(&dr, c)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a coroutine given to the depot twice did not panic")
+			}
+		}()
+		core.GiveCoro(&dr, c)
+	}()
 }

@@ -207,7 +207,9 @@ func (w *World) run(body func(r *Rank) error, mk func(rank int) Program) error {
 			w.Eng.GoMachine(name, m)
 		} else {
 			m.prog = &m.body
-			w.Eng.Go(name, func(p *sim.Proc) {
+			// On the coroutine of an earlier world's body that returned,
+			// while the depot holds one (drain).
+			w.Eng.GoOn(core.TakeCoro(), name, func(p *sim.Proc) {
 				for m.Step(p) == sim.More {
 				}
 			})
@@ -329,6 +331,10 @@ func (w *World) drain(dr *core.Drain, clean bool) {
 		}
 	}
 	w.fabric.DrainPools(dr)
+	// A coroutine whose body returned is clean whether or not its world was.
+	for c := w.Eng.Idle(); c != nil; c = w.Eng.Idle() {
+		core.GiveCoro(dr, c)
+	}
 	if !clean {
 		return
 	}
@@ -458,10 +464,13 @@ var (
 )
 
 // newEngine returns an engine on the arrays the last engine to end handed to
-// the depot, when it holds any.
+// the depot, when it holds any, that keeps its idle coroutines for drain to
+// hand to the depot.
 func newEngine() *sim.Engine {
 	a, _ := engineKind.Take()
-	return sim.NewEngineOn(a)
+	e := sim.NewEngineOn(a)
+	e.KeepIdle()
+	return e
 }
 
 // failRank records a rank failure. Under ErrorsAreFatal it aborts the whole

@@ -73,11 +73,19 @@ func TestRunEndsWhileAProcHoldsTheBaton(t *testing.T) {
 // wakeRing spawns n processes in disjoint pairs that meet for eight rounds —
 // sleep, tell the partner, park until it has told too — and collects their
 // log lines in *log.
-func wakeRing(e *Engine, n int, log *[]string) {
+func wakeRing(e *Engine, n int, log *[]string) { wakeRingOn(e, nil, n, log) }
+
+// wakeRingOn is wakeRing with process id on coros[id], an idle coroutine,
+// where there is one (Engine.GoOn).
+func wakeRingOn(e *Engine, coros []*Coro, n int, log *[]string) {
 	procs := make([]*Proc, n)
 	told := make([]int, n)
 	for id := range procs {
-		procs[id] = e.Go(fmt.Sprint("p", id), func(p *Proc) {
+		var c *Coro
+		if id < len(coros) {
+			c = coros[id]
+		}
+		procs[id] = e.GoOn(c, fmt.Sprint("p", id), func(p *Proc) {
 			for r := 0; r < 8; r++ {
 				p.Sleep(Time(1+id%3) * Nanosecond)
 				told[id]++

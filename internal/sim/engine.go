@@ -36,6 +36,10 @@ type Engine struct {
 	procs []*Proc
 
 	stopped bool
+	// keep says that the caller takes the idle coroutines of the bodies
+	// that returned once Run returns (KeepIdle, Idle); otherwise Run ends
+	// them.
+	keep    bool
 	failure error
 
 	stats Stats
@@ -115,9 +119,13 @@ func NewEngineOn(a *Arrays) *Engine {
 // Recycle hands out the engine's arrays, cleared, for the next engine
 // (NewEngineOn). Call it only once the run is over and nothing reads the
 // engine's processes again — a machine process lives in the arena, whose
-// slots the next engine hands out anew. Stats and Now keep answering; the
-// engine runs nothing more.
+// slots the next engine hands out anew — and once Idle has handed out the
+// idle coroutines to keep: Recycle ends any left. Stats and Now keep
+// answering; the engine runs nothing more.
 func (e *Engine) Recycle() *Arrays {
+	for c := e.Idle(); c != nil; c = e.Idle() {
+		c.End()
+	}
 	// A popped event's slot was cleared as it left (vacate): only the events
 	// a stopped run left pending still hold anything. The arrays' slots past
 	// their length were never written since they were last cleared. The
@@ -226,27 +234,60 @@ func (e *Engine) push(t Time, k hkey, ev event) uint64 {
 }
 
 // Go spawns a simulated process that starts at the current virtual time.
-// The process body runs on its own goroutine, as a coroutine of Run's
+// The process body runs on a goroutine of its own, as a coroutine of Run's
 // caller: it executes only between the dispatcher popping its wake and the
 // body's next blocking call, while the dispatcher is parked, so process code
 // never races with other processes or with scheduler callbacks. Spawn before
 // Run, and spawn and Run from goroutines not locked to an OS thread:
-// runtime.LockOSThread pins a coroutine to its creator's thread.
-func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
+// runtime.LockOSThread pins a coroutine to its creator's thread, and a
+// coroutine handed on (GoOn) is resumed from whichever goroutine runs the
+// engine it serves, not the one that made it.
+func (e *Engine) Go(name string, body func(p *Proc)) *Proc { return e.GoOn(nil, name, body) }
+
+// GoOn is Go on c, an idle coroutine another engine handed out (Idle), or
+// on a new one when c is nil. The coroutine holds the process: GoOn starts
+// it as Go starts one on a new coroutine.
+func (e *Engine) GoOn(c *Coro, name string, body func(p *Proc)) *Proc {
+	if c == nil {
+		c = newCoro()
+	}
+	c.body = body
+	p := &c.p
+	*p = Proc{
 		eng:   e,
 		id:    int32(len(e.procs)),
 		name:  name,
 		now:   e.now,
 		state: stateScheduled,
+		co:    c,
 	}
-	p.co = newCoro(p, body)
 	e.procs = append(e.procs, p)
 	p.timerSeq = e.push(e.now, hkey{timer: true}, event{arg: p})
 	return p
 }
 
-// finish is the deferred exit of a process coroutine: the body returned or
+// KeepIdle has Run leave the coroutines of the bodies that returned idle,
+// for its caller to hand out (Idle), rather than end them. The caller must
+// then take every one, or Recycle the engine.
+func (e *Engine) KeepIdle() { e.keep = true }
+
+// Idle hands out an idle coroutine of a KeepIdle engine whose Run has
+// returned, holding no body and a zero Proc, for another engine (GoOn), and
+// nil once none is left. The process it ran, which Go returned, is no longer
+// the engine's: call Idle only once nothing reads it again.
+func (e *Engine) Idle() *Coro {
+	for k := len(e.procs) - 1; k >= 0; k-- {
+		c := e.procs[k].co
+		e.procs[k], e.procs = nil, e.procs[:k]
+		if c != nil {
+			c.p = Proc{}
+			return c
+		}
+	}
+	return nil
+}
+
+// finish is the deferred exit of a process body: the body returned or
 // panicked, and control is about to come back out of the dispatcher's next,
 // which settles the process. A body unwound by Engine.reap is neither done
 // nor failed: the run was over before it moved.
@@ -308,11 +349,15 @@ func (d *DeadlockError) Error() string {
 // process panics, or Stop/Fail is called. It returns a *DeadlockError if
 // processes remain blocked when the queue empties, the recorded error on
 // Fail or process panic, and nil otherwise. A run is final: once that value
-// is decided the processes still blocked are ended (reap), so no goroutine
-// started by Go or by Run outlives it.
+// is decided the processes still blocked are ended (reap), and so are the
+// coroutines of the bodies that returned unless the engine keeps them
+// (KeepIdle) and Run returns, so no goroutine started by Go or by Run
+// outlives it unless its owner holds it.
 func (e *Engine) Run() error {
-	defer e.reap()
+	kept := false
+	defer func() { e.reap(kept) }()
 	e.dispatch()
+	kept = e.keep
 	if e.failure != nil {
 		return e.failure
 	}
@@ -375,14 +420,14 @@ func (e *Engine) dispatch() {
 		p.state = stateRunning
 		if p.fm != nil {
 			p.runMachine()
-		} else {
-			p.co.next()
+		} else if _, live := p.co.next(); !live {
+			p.co = nil // the body did not return: its coroutine has ended
 		}
 		if p.panicked != nil {
 			e.Fail(p.panicked)
 		}
 		if p.state == stateDone {
-			p.release()
+			p.fm = nil // never stepped again; an idle coroutine waits for reap
 		}
 	}
 }
@@ -394,11 +439,13 @@ func (e *Engine) dispatch() {
 // reaped, its deferred functions run, and any blocking primitive those call
 // panics again at once, so a deferred collective cannot hang. Run's return
 // value is already decided, and the unwinding records nothing of its own: no
-// failure, no state change.
-func (e *Engine) reap() {
+// failure, no state change. A body that returned left its coroutine idle:
+// kept says Run returned on an engine that keeps those (KeepIdle), for Idle
+// to hand out; otherwise they end too.
+func (e *Engine) reap(kept bool) {
 	for _, p := range e.procs {
-		if p.co != nil {
-			p.co.stop()
+		if c := p.co; c != nil && (p.state != stateDone || !kept) {
+			c.stop()
 			p.co = nil
 		}
 	}

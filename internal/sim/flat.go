@@ -4,9 +4,11 @@ package sim
 //
 // A blocking Go body (Engine.Go) runs on a goroutine of its own, resumed as a
 // coroutine of the dispatch loop (coro.go); handing it control is a coroutine
-// switch there and one back, and every process costs at least a 2 KiB stack
-// span before it has done anything. That is fine for hundreds of ranks and
-// ruinous for hundreds of thousands.
+// switch there and one back, and every process holds a goroutine with at
+// least a 2 KiB stack span while it runs — a new one, or the idle coroutine of
+// a body that returned in an earlier engine, which keeps its goroutine and
+// its Proc between bodies. That is fine for hundreds of ranks and ruinous for
+// hundreds of thousands.
 //
 // A Machine is the other kind of body: the process is a step function over
 // explicit state. The dispatch loop calls Step directly — no goroutine, no
@@ -21,7 +23,8 @@ package sim
 //
 // Machine procs are arena-allocated in fixed-size slabs owned by the engine,
 // so a million-rank world is a handful of large allocations instead of a
-// million tiny ones. What either kind costs is measured, not computed here:
+// million tiny ones. A blocking body's Proc is not: it belongs to its
+// coroutine, which outlives the engine. What either kind costs is measured, not computed here:
 // the heap a world leaves (TestFullFidelity4096's HeapSys gate) and the bytes
 // a workload allocates (the benchmark's alloc_mb).
 
@@ -91,15 +94,6 @@ func (p *Proc) runMachine() {
 			return
 		}
 	}
-}
-
-// release retires a finished process's state: the coroutine (already ended —
-// its body came back into the dispatch loop) and the machine are dropped.
-// Called by the dispatch loop the moment the process is done; a done proc is
-// never resumed again (wantsWake).
-func (p *Proc) release() {
-	p.co = nil
-	p.fm = nil
 }
 
 // arenaSlab is the machine-proc arena slab size: large enough that a

@@ -44,9 +44,11 @@ type Proc struct {
 	name     string
 	now      Time
 	timerSeq uint64 // sequence of the live timer event, when stateScheduled
-	// co is the coroutine a blocking body runs as (coro.go); nil for
-	// machines, done procs and once the run is over (Engine.reap).
-	co       *coro
+	// co is the coroutine a blocking body runs on (coro.go), which holds
+	// this Proc; nil for machines and for a body that did not return, and
+	// once the run is over unless its engine keeps the coroutine idle
+	// (Engine.reap).
+	co       *Coro
 	panicked error
 
 	// Machine execution state (flat.go): fm is the continuation machine the
